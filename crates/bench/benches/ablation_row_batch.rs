@@ -9,9 +9,10 @@
 //! 2-batch channel, which handicaps the batch=1 baseline (≈2 rows of
 //! look-ahead); read the headline speedup as an upper bound on the win
 //! attributable to batching alone. Larger batches amortize the per-row
-//! overhead; the effect plateaus once a batch covers a full page of
-//! records, because the scan also flushes at page boundaries (frames
-//! must be releasable as soon as a page drains).
+//! overhead all the way up: a batch fills across page boundaries (frames
+//! are released as pages drain either way, the batch owns its values),
+//! so the configured size is the size a scan delivers, up to
+//! `BATCH_MAX_VALUES / width` rows.
 //!
 //! Two workloads over TPC-H `lineitem`, both drained through the
 //! `Session`/`RowStream` facade with NDP off and a warm buffer pool, so
@@ -19,8 +20,9 @@
 //! measured:
 //!
 //! * **full_scan**: every row survives and crosses the stream.
-//! * **selective_scan**: a Q6-style predicate evaluated as a residual in
-//!   the consumer; few rows cross, the per-record work dominates.
+//! * **selective_scan**: a Q6-style predicate evaluated as a residual by
+//!   the scan, on record bytes; few rows cross, the per-record work
+//!   dominates.
 //!
 //! Run with `cargo bench --bench ablation_row_batch`. The final JSON
 //! blocks are what `BENCH_row_batch.json` and `BENCH_columnar.json` at

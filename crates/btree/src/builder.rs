@@ -210,8 +210,8 @@ pub fn count_rows(tree: &BTree, store: &dyn TreeStore) -> Result<u64> {
         None => return Ok(0),
     };
     loop {
-        for off in page.iter_chain() {
-            let v = RecordView::new(page.record_at(off), &tree.leaf_layout);
+        for rec in page.iter_chain() {
+            let v = RecordView::parse(rec?, &tree.leaf_layout)?;
             if !v.delete_mark() {
                 n += 1;
             }

@@ -130,15 +130,8 @@ impl ScanRange {
     /// Does `key` fall within the range? Prefix bounds use group semantics:
     /// a key *extending* an inclusive bound matches it.
     pub fn contains(&self, key: &[u8]) -> bool {
-        if let Some((lo, inc)) = &self.lower {
-            let pass = if *inc {
-                key >= lo.as_slice()
-            } else {
-                key > lo.as_slice() && !key.starts_with(lo)
-            };
-            if !pass {
-                return false;
-            }
+        if self.before_lower(key) {
+            return false;
         }
         if let Some((hi, inc)) = &self.upper {
             let pass = if *inc {
@@ -151,6 +144,16 @@ impl ScanRange {
             }
         }
         true
+    }
+
+    /// Is `key` before every key in the range? An exclusive prefix bound
+    /// excludes its whole key group, which may span several leaves.
+    pub fn before_lower(&self, key: &[u8]) -> bool {
+        match &self.lower {
+            None => false,
+            Some((lo, true)) => key < lo.as_slice(),
+            Some((lo, false)) => key <= lo.as_slice() || key.starts_with(lo),
+        }
     }
 
     /// Is `key` strictly above every key in the range (early scan stop)?
@@ -262,8 +265,9 @@ impl BTree {
 
     /// Extract the encoded key from a leaf record.
     pub fn key_of_leaf_record(&self, rec: &RecordView<'_>) -> Vec<u8> {
-        let vals: Vec<Value> = self.key_positions.iter().map(|&p| rec.value(p)).collect();
-        encode_key(&vals, &self.key_dtypes)
+        let mut key = Vec::with_capacity(self.key_positions.len() * 9);
+        rec.key_into(&self.key_positions, &mut key);
+        key
     }
 
     fn leaf_key_extractor<'a>(&'a self) -> impl Fn(&'a [u8]) -> Cow<'a, [u8]> {

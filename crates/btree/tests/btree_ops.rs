@@ -137,8 +137,8 @@ fn scan_keys(tree: &BTree, store: &MemStore) -> Vec<i64> {
     let mut out = Vec::new();
     let mut page = tree.seek_leaf(store, &ScanRange::full()).unwrap().unwrap();
     loop {
-        for off in page.iter_chain() {
-            let v = RecordView::new(page.record_at(off), &tree.leaf_layout);
+        for rec in page.iter_chain() {
+            let v = RecordView::parse(rec.unwrap(), &tree.leaf_layout).unwrap();
             if !v.delete_mark() {
                 out.push(v.value(0).as_int().unwrap());
             }
@@ -336,8 +336,8 @@ fn batch_extraction_respects_range_boundaries() {
     let mut seen = Vec::new();
     for no in &pages {
         let p = store.read(*no).unwrap();
-        for off in p.iter_chain() {
-            let v = RecordView::new(p.record_at(off), &tree.leaf_layout);
+        for rec in p.iter_chain() {
+            let v = RecordView::parse(rec.unwrap(), &tree.leaf_layout).unwrap();
             let k = v.value(0).as_int().unwrap();
             if (1000..=1400).contains(&k) {
                 seen.push(k);

@@ -4,7 +4,8 @@
 //! SQL values and data types ([`value`]), table schemas and key encoding
 //! ([`schema`]), the row batches of the vectorized result pipeline
 //! ([`batch`]) and their column-major counterpart with validity bitmaps
-//! and selection vectors ([`colbatch`]), error handling ([`error`]),
+//! and selection vectors ([`colbatch`]), byte-keyed hash maps for the
+//! breakers ([`keymap`]), error handling ([`error`]),
 //! engine/cluster configuration
 //! ([`config`]) and the metrics registry used to reproduce the paper's
 //! network/CPU measurements ([`metrics`]).
@@ -15,11 +16,12 @@ pub mod config;
 pub mod error;
 pub mod govern;
 pub mod ids;
+pub mod keymap;
 pub mod metrics;
 pub mod schema;
 pub mod value;
 
-pub use batch::{RowBatch, RowBatchIter};
+pub use batch::RowBatch;
 pub use colbatch::{Batch, Bitmap, ColumnBatch, ColumnVec};
 pub use config::{
     BatchLayout, ClusterConfig, FaultConfig, GovernConfig, NdpConfig, NetworkConfig, ReplicaConfig,
@@ -28,6 +30,7 @@ pub use config::{
 pub use error::{Error, Result};
 pub use govern::{QueryCtx, TenantId, DEFAULT_TENANT};
 pub use ids::{IndexId, Lsn, PageNo, PageRef, SliceId, SpaceId, TrxId};
+pub use keymap::KeyMap;
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use schema::{Column, IndexDef, KeyComparator, Row, TableSchema};
 pub use value::{DataType, Date32, Dec, Value};

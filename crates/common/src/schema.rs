@@ -164,27 +164,62 @@ pub fn encode_key_part(v: &Value, dtype: &DataType, out: &mut Vec<u8>) {
         (DataType::Date, Value::Date(d)) => {
             out.extend_from_slice(&((d.0 as u32) ^ (1 << 31)).to_be_bytes());
         }
-        (DataType::Char(_) | DataType::Varchar(_), Value::Str(s)) => {
-            // PAD SPACE semantics: trailing spaces are not significant.
-            for &b in s.trim_end_matches(' ').as_bytes() {
-                if b == 0x00 {
-                    out.extend_from_slice(&[0x00, 0xFF]);
-                } else {
-                    out.push(b);
-                }
-            }
-            out.extend_from_slice(&[0x00, 0x00]);
-        }
+        (DataType::Char(_) | DataType::Varchar(_), Value::Str(s)) => encode_key_str(s, out),
         (DataType::Double, Value::Double(x)) => {
-            let bits = x.to_bits();
-            let flipped = if bits & (1 << 63) != 0 {
-                !bits
-            } else {
-                bits | (1 << 63)
-            };
-            out.extend_from_slice(&flipped.to_be_bytes());
+            out.extend_from_slice(&flip_double(x.to_bits()).to_be_bytes());
         }
         (dt, v) => panic!("key encoding mismatch: {v:?} as {dt:?}"),
+    }
+}
+
+/// Append the memcomparable encoding of one key part straight from its
+/// record column image (`None` = NULL): the same bytes as
+/// [`encode_key_part`] over [`Value::decode_column`] of the image, without
+/// building the `Value`. Scans and in-page searches encode record keys
+/// into a reused buffer through this.
+pub fn encode_key_part_image(dtype: &DataType, image: Option<&[u8]>, out: &mut Vec<u8>) {
+    let Some(b) = image else {
+        out.push(NULL_TAG);
+        return;
+    };
+    out.push(NOTNULL_TAG);
+    // Fixed-width images are exactly `fixed_width()` bytes; callers slice
+    // them out of a bounds-checked record.
+    let le32 = || u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+    let le64 = || u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]);
+    match dtype {
+        DataType::Int => {
+            let x = le32() as i32 as i64 as u64;
+            out.extend_from_slice(&(x ^ (1 << 63)).to_be_bytes());
+        }
+        DataType::BigInt | DataType::Decimal { .. } => {
+            out.extend_from_slice(&(le64() ^ (1 << 63)).to_be_bytes());
+        }
+        DataType::Date => out.extend_from_slice(&(le32() ^ (1 << 31)).to_be_bytes()),
+        DataType::Char(_) | DataType::Varchar(_) => {
+            encode_key_str(std::str::from_utf8(b).unwrap_or("\u{fffd}"), out);
+        }
+        DataType::Double => out.extend_from_slice(&flip_double(le64()).to_be_bytes()),
+    }
+}
+
+/// PAD SPACE semantics: trailing spaces are not significant.
+fn encode_key_str(s: &str, out: &mut Vec<u8>) {
+    for &b in s.trim_end_matches(' ').as_bytes() {
+        if b == 0x00 {
+            out.extend_from_slice(&[0x00, 0xFF]);
+        } else {
+            out.push(b);
+        }
+    }
+    out.extend_from_slice(&[0x00, 0x00]);
+}
+
+fn flip_double(bits: u64) -> u64 {
+    if bits & (1 << 63) != 0 {
+        !bits
+    } else {
+        bits | (1 << 63)
     }
 }
 
@@ -226,6 +261,48 @@ mod tests {
             .collect();
         for w in keys.windows(2) {
             assert!(w[0] < w[1]);
+        }
+    }
+
+    /// A key part encoded from a column image is the key part encoded
+    /// from the decoded value, for every type, NULL included.
+    #[test]
+    fn key_part_from_column_image_equals_key_part_from_value() {
+        let dec = DataType::Decimal {
+            precision: 15,
+            scale: 2,
+        };
+        let cases: Vec<(DataType, Value)> = vec![
+            (DataType::Int, Value::Int(-42)),
+            (DataType::Int, Value::Int(i32::MAX as i64)),
+            (DataType::BigInt, Value::Int(i64::MIN)),
+            (DataType::BigInt, Value::Int(1 << 40)),
+            (dec, Value::Decimal(Dec::parse("-3.50").unwrap())),
+            (dec, Value::Decimal(Dec::parse("90449.25").unwrap())),
+            (
+                DataType::Date,
+                Value::Date(Date32::parse("1994-01-01").unwrap()),
+            ),
+            (DataType::Date, Value::Date(Date32(-5))),
+            (DataType::Char(10), Value::str("BUILDING")),
+            (DataType::Char(3), Value::str("")),
+            (DataType::Varchar(20), Value::str("pad kept  ")),
+            (DataType::Varchar(20), Value::str("nul\0inside")),
+            (DataType::Double, Value::Double(-2.5)),
+            (DataType::Double, Value::Double(0.0)),
+        ];
+        for (dt, v) in cases {
+            let mut image = Vec::new();
+            v.encode_column(&dt, &mut image).unwrap();
+            let decoded = Value::decode_column(&dt, &image);
+            let (mut from_value, mut from_image) = (Vec::new(), Vec::new());
+            encode_key_part(&decoded, &dt, &mut from_value);
+            encode_key_part_image(&dt, Some(&image), &mut from_image);
+            assert_eq!(from_image, from_value, "{dt:?} {v:?}");
+            let (mut null_value, mut null_image) = (Vec::new(), Vec::new());
+            encode_key_part(&Value::Null, &dt, &mut null_value);
+            encode_key_part_image(&dt, None, &mut null_image);
+            assert_eq!(null_image, null_value, "{dt:?} NULL");
         }
     }
 

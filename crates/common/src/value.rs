@@ -562,11 +562,14 @@ impl Value {
             // CHAR columns strip their space padding on read (MySQL
             // semantics), so compute-node rows and storage-side byte slices
             // compare identically.
-            DataType::Char(_) => Value::Str(Arc::from(
-                std::str::from_utf8(bytes)
-                    .unwrap_or("\u{fffd}")
-                    .trim_end_matches(' '),
-            )),
+            DataType::Char(_) => {
+                // Trailing spaces are ASCII, so dropping them first leaves
+                // the rest valid UTF-8 exactly when the whole image was.
+                let len = bytes.iter().rposition(|&b| b != b' ').map_or(0, |p| p + 1);
+                Value::Str(Arc::from(
+                    std::str::from_utf8(&bytes[..len]).unwrap_or("\u{fffd}"),
+                ))
+            }
             DataType::Varchar(_) => {
                 Value::Str(Arc::from(std::str::from_utf8(bytes).unwrap_or("\u{fffd}")))
             }

@@ -28,17 +28,35 @@
 //! [`ScanConsumer`] — "the MySQL query execution layers above the storage
 //! engine are unaware of NDP processing".
 //!
-//! Delivery is **batch-at-a-time**: surviving rows accumulate into one
-//! reusable batch (`ClusterConfig::scan_batch_rows`, default 1024) that
-//! is flushed to the consumer at capacity and at page boundaries — so
-//! page frames are still released as soon as a page drains, and nothing
-//! downstream pays a per-row hand-off. Under
-//! `ClusterConfig::batch_layout = Columnar` the batch is a column-major
-//! [`ColumnBatch`] (typed vectors + validity bitmaps) flushed through
-//! [`ScanConsumer::on_col_batch`]; otherwise it is the classical
-//! [`RowBatch`] through [`ScanConsumer::on_batch`]. Aggregate partials
-//! force a flush first, keeping them ordered right after their carrier
-//! row.
+//! A record is read once. The chain walk and [`RecordView::parse`] check
+//! it against the page (a damaged page is [`Error::Corruption`], never a
+//! panic or a hang); whatever predicate work storage did not do — the
+//! pushed predicate on raw, cached and ambiguous records, and the
+//! executor's residual conjuncts on every record — runs on its bytes
+//! ([`RecordFilter`]: compiled per scan, the tree-walker behind it for
+//! what the VM cannot decide); and only a survivor is decoded, by a
+//! per-scan [`DecodePlan`], straight into the output batch. The record's
+//! key is encoded only when a range check or the undo lookup of an
+//! invisible record needs it, into a reused buffer; a range is checked
+//! where it can fail, up to the first record inside the lower bound and
+//! on the scan's last page.
+//!
+//! Delivery is **batch-at-a-time**: survivors accumulate into one batch
+//! (`ClusterConfig::scan_batch_rows`, default 1024) that is handed to the
+//! consumer when it is full, before an aggregate partial (so a partial
+//! stays right behind its carrier row) and at scan end — not at every
+//! page boundary: the batch owns its values, so a page's frame is released
+//! as soon as the page drains whether or not the batch went out. A batch
+//! that fills slowly (a rare predicate) still goes out once
+//! [`HOLD_PAGES_MAX`] pages have passed without a hand-off, so the first
+//! row of a `LIMIT 1` does not wait for the end of the table.
+//! Deadlines are checked at page boundaries; a consumer's stop is learned
+//! at the next hand-off. Under `ClusterConfig::batch_layout = Columnar`
+//! the batch is a column-major [`ColumnBatch`] (typed vectors + validity
+//! bitmaps) handed over through [`ScanConsumer::on_col_batch`]; otherwise
+//! it is the classical [`RowBatch`], lent by `&mut` through
+//! [`ScanConsumer::on_batch_mut`] so a consumer that keeps the rows can
+//! take the whole batch instead of copying it.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -52,12 +70,20 @@ use taurus_common::{
 use taurus_expr::agg::{AggSpec, AggState};
 use taurus_expr::ast::Expr;
 use taurus_expr::descriptor::{NdpAggSpec, NdpDescriptor};
+use taurus_expr::vm::{FilterScratch, RecordFilter};
 use taurus_mvcc::ReadView;
-use taurus_page::{Page, PageType, RecType, RecordLayout, RecordView};
+use taurus_page::{DecodePlan, Page, PageType, RecType, RecordLayout, RecordView};
 use taurus_pagestore::PagePayload;
 use taurus_sal::BatchReadHandle;
 
 use crate::engine::{Table, TableIndex, TaurusDb};
+
+/// The most pages a scan reads without a hand-off while it holds rows: a
+/// consumer waiting for few rows (`WHERE rare LIMIT 1`) gets them, and can
+/// stop the scan, at most this many pages after the page that held the
+/// first. Far enough apart that hand-offs stay amortized (an unselective
+/// scan fills its batch in three pages).
+pub const HOLD_PAGES_MAX: u32 = 16;
 
 /// Aggregation requested from a scan (column refs are *table* columns).
 #[derive(Clone, Debug)]
@@ -103,10 +129,12 @@ pub struct ScanSpec {
 /// partials follow their carrier row immediately (the scan flushes its
 /// batch before delivering a partial).
 ///
-/// The scan core only ever calls [`ScanConsumer::on_batch`]; the default
-/// implementation unbatches into [`ScanConsumer::on_row`], so simple
-/// (test/diagnostic) consumers need not know about batches, while hot
-/// consumers override `on_batch` and amortize per-row dispatch away.
+/// The scan core only ever calls [`ScanConsumer::on_batch_mut`], which
+/// lends the batch to [`ScanConsumer::on_batch`], whose default unbatches
+/// into [`ScanConsumer::on_row`]: simple (test/diagnostic) consumers need
+/// not know about batches, consumers that read rows override `on_batch`
+/// and amortize per-row dispatch away, and consumers that *keep* the rows
+/// override `on_batch_mut` and take the batch instead of copying it.
 ///
 /// Returning `false` is the engine's **cancellation contract**: the
 /// executor's pull pipeline maps a closed batch channel (dropped stream,
@@ -128,6 +156,16 @@ pub trait ScanConsumer {
             }
         }
         Ok(true)
+    }
+
+    /// The scan's filled batch, by mutable reference, so a consumer that
+    /// keeps the rows can take them: swap the batch for an empty one of
+    /// the same width and capacity and move the full one on (a stream
+    /// channel, a collector) without copying a value. Whatever the
+    /// consumer leaves behind is cleared and refilled. The default lends
+    /// the batch to [`ScanConsumer::on_batch`].
+    fn on_batch_mut(&mut self, batch: &mut RowBatch) -> Result<bool> {
+        self.on_batch(batch)
     }
 
     /// A column-major batch (`ClusterConfig::batch_layout = Columnar`).
@@ -244,10 +282,19 @@ pub fn build_descriptor(
     Ok(d)
 }
 
+/// How the records of one layout are read: the decode plan over the
+/// scan's output columns, the key columns' positions, and the residual
+/// conjuncts compiled for that layout.
+struct Shape {
+    plan: DecodePlan,
+    key_pos: Vec<usize>,
+    residual: RecordFilter,
+}
+
 /// Pre-resolved, immutable machinery for one scan execution. Everything
-/// here is resolved **once per scan** — layouts and projection positions
-/// are borrowed from here for the whole scan, never cloned per page or
-/// per record.
+/// here is resolved **once per scan** — layouts, decode plans and
+/// compiled filters are borrowed from here for the whole scan, never
+/// rebuilt per page or per record.
 struct ScanCtx<'a> {
     db: &'a TaurusDb,
     index: &'a TableIndex,
@@ -257,16 +304,15 @@ struct ScanCtx<'a> {
     /// the deadline that bounds the whole scan.
     qctx: QueryCtx,
     watermark: u64,
-    /// Output columns as record positions (full layout).
-    out_pos: Vec<usize>,
-    /// Projected layout + output positions within it (when projecting).
-    proj: Option<(RecordLayout, Vec<usize>)>,
-    /// Record positions kept by the projection (resolved once).
-    proj_keep: Vec<usize>,
-    /// Pushed predicate rebased to record positions (compute-side
-    /// completion uses the classical interpreter, like InnoDB calling the
-    /// executor's evaluation callbacks).
-    pred_record: Option<Expr>,
+    /// Full-layout (ordinary) records.
+    full: Shape,
+    /// Projected-layout records, when the NDP choice projects.
+    proj: Option<(RecordLayout, Shape)>,
+    /// The pushed predicate over full-layout records, for what storage
+    /// did not filter: raw and cached pages, ambiguous records.
+    pushed: RecordFilter,
+    /// The descriptor shipped to Page Stores (NDP scans only).
+    descriptor: Option<NdpDescriptor>,
 }
 
 /// The reusable output batch in whichever layout the cluster config
@@ -314,12 +360,36 @@ impl OutBatch {
     }
 }
 
-/// The mutable side of a scan: statistics plus the one reusable output
-/// batch. Kept apart from [`ScanCtx`] so delivery can mutate it while
-/// record views still borrow the context's layouts.
+/// The mutable side of a scan: statistics, the one output batch and the
+/// scratch buffers per-record work reuses. Kept apart from [`ScanCtx`] so
+/// delivery can mutate it while record views still borrow the context's
+/// layouts.
 struct ScanState {
     stats: ScanStats,
     batch: OutBatch,
+    /// Visible records examined since the last flush (`rows_scanned`).
+    examined: u64,
+    /// Page boundaries passed since the last hand-off.
+    pages_held: u32,
+    /// No record inside the range's lower bound has been seen yet. The
+    /// records before an inclusive bound all sit on the scan's first page,
+    /// but an exclusive prefix bound shuts out a whole key group, which
+    /// may run on over several pages: every record's key is checked until
+    /// one is inside.
+    seek_lower: bool,
+    /// The current record's encoded key, when something asked for it.
+    key: Vec<u8>,
+    filter_scratch: FilterScratch,
+}
+
+/// What the record loop does after one record.
+enum Step {
+    Next,
+    /// The consumer asked to stop.
+    Stop,
+    /// The record lies beyond the range's upper bound, and so does every
+    /// record after it.
+    PastUpper,
 }
 
 impl<'a> ScanCtx<'a> {
@@ -327,51 +397,91 @@ impl<'a> ScanCtx<'a> {
         db: &'a TaurusDb,
         table: &'a Table,
         spec: &'a ScanSpec,
+        residual: &[Expr],
         view: &'a ReadView,
         qctx: QueryCtx,
     ) -> Result<ScanCtx<'a>> {
         let index = table.index(spec.index);
-        let stored = index.tree.def.stored_cols();
+        let tree = &index.tree;
+        let stored = tree.def.stored_cols();
+        let pos_of = |c: usize, what: &str| {
+            stored.iter().position(|&s| s == c).ok_or_else(|| {
+                Error::InvalidState(format!(
+                    "{what} column {c} not stored in index {}",
+                    tree.def.name
+                ))
+            })
+        };
         let out_pos: Vec<usize> = spec
             .output_cols
             .iter()
-            .map(|&c| {
-                stored.iter().position(|&s| s == c).ok_or_else(|| {
-                    Error::InvalidState(format!(
-                        "output column {c} not stored in index {}",
-                        index.tree.def.name
-                    ))
-                })
-            })
+            .map(|&c| pos_of(c, "output"))
             .collect::<Result<_>>()?;
-        let choice = spec.ndp.as_ref();
+        // Expressions over table columns, rebased onto record positions.
+        let on_record = |e: &Expr| -> Result<Expr> {
+            for c in e.columns() {
+                pos_of(c, "predicate")?;
+            }
+            // lint:allow(panic): every referenced column was just resolved
+            Ok(e.remap_columns(&|c| pos_of(c, "predicate").expect("checked above")))
+        };
+        let residual: Vec<Expr> = residual.iter().map(on_record).collect::<Result<_>>()?;
+        let choice = spec.ndp.as_ref().filter(|c| !c.is_empty());
+        if !residual.is_empty() && choice.is_some_and(|c| c.aggregation.is_some()) {
+            // A residual could drop the carrier row of a storage-side
+            // partial (§V-C: aggregation is pushed only with no residual).
+            return Err(Error::InvalidState(
+                "NDP aggregation with a residual predicate".into(),
+            ));
+        }
         let watermark = view.low_watermark();
-        let mut proj_keep: Vec<usize> = Vec::new();
-        let proj = match choice.and_then(|c| c.projection.as_ref()) {
+        let descriptor = match choice {
+            Some(c) => Some(build_descriptor(index, c, watermark)?),
             None => None,
-            Some(_) => {
-                // Mirror build_descriptor's keep-set computation.
-                let desc = build_descriptor(index, choice.unwrap(), watermark)?;
-                let keep = desc.projection.expect("projection requested");
-                let keep_usize: Vec<usize> = keep.iter().map(|&k| k as usize).collect();
-                let layout = index.tree.leaf_layout.project(&keep_usize);
+        };
+        let full_layout = &tree.leaf_layout;
+        let proj = match descriptor.as_ref().and_then(|d| d.projection.as_ref()) {
+            None => None,
+            Some(keep) => {
+                let keep: Vec<usize> = keep.iter().map(|&k| k as usize).collect();
+                let in_proj = |p: usize, what: &str| {
+                    keep.iter().position(|&k| k == p).ok_or_else(|| {
+                        Error::InvalidState(format!(
+                            "{what} position {p} dropped by NDP projection"
+                        ))
+                    })
+                };
+                let layout = full_layout.project(&keep);
                 let out_in_proj: Vec<usize> = out_pos
                     .iter()
-                    .map(|&p| {
-                        keep_usize.iter().position(|&k| k == p).ok_or_else(|| {
-                            Error::InvalidState(format!(
-                                "output position {p} dropped by NDP projection"
-                            ))
-                        })
-                    })
+                    .map(|&p| in_proj(p, "output"))
                     .collect::<Result<_>>()?;
-                proj_keep = keep_usize;
-                Some((layout, out_in_proj))
+                let mut residual_in_proj = Vec::with_capacity(residual.len());
+                for e in &residual {
+                    for p in e.columns() {
+                        in_proj(p, "residual")?;
+                    }
+                    // lint:allow(panic): every referenced position was just resolved
+                    residual_in_proj
+                        .push(e.remap_columns(&|p| in_proj(p, "residual").expect("checked above")));
+                }
+                let shape = Shape {
+                    plan: DecodePlan::new(&layout, &out_in_proj),
+                    // Projected records always carry the key columns (§V-A).
+                    key_pos: tree
+                        .key_positions
+                        .iter()
+                        .map(|&kp| in_proj(kp, "key"))
+                        .collect::<Result<_>>()?,
+                    residual: RecordFilter::new(&residual_in_proj, &layout),
+                };
+                Some((layout, shape))
             }
         };
-        let pred_record = choice
-            .and_then(|c| c.predicate.as_ref())
-            .map(|e| e.remap_columns(&|c| stored.iter().position(|&s| s == c).expect("stored")));
+        let pushed: Vec<Expr> = match choice.and_then(|c| c.predicate.as_ref()) {
+            Some(e) => vec![on_record(e)?],
+            None => Vec::new(),
+        };
         Ok(ScanCtx {
             db,
             index,
@@ -379,27 +489,32 @@ impl<'a> ScanCtx<'a> {
             view,
             qctx,
             watermark,
-            out_pos,
+            full: Shape {
+                plan: DecodePlan::new(full_layout, &out_pos),
+                key_pos: tree.key_positions.clone(),
+                residual: RecordFilter::new(&residual, full_layout),
+            },
             proj,
-            proj_keep,
-            pred_record,
+            pushed: RecordFilter::new(&pushed, full_layout),
+            descriptor,
         })
     }
 
     fn fresh_state(&self) -> ScanState {
         let capacity = self.db.config().scan_batch_rows.max(1);
+        let width = self.spec.output_cols.len();
         let batch = match self.db.config().batch_layout {
-            BatchLayout::Row => {
-                OutBatch::Row(RowBatch::with_capacity(self.out_pos.len(), capacity))
-            }
+            BatchLayout::Row => OutBatch::Row(RowBatch::with_capacity(width, capacity)),
             BatchLayout::Columnar => {
-                // Output column types come from the leaf layout at the
-                // delivered positions — NDP-projected rows decode to the
-                // same logical types, so one builder serves both paths.
+                // Output column types come from the table schema —
+                // NDP-projected rows decode to the same logical types, so
+                // one builder serves both paths.
+                let columns = &self.index.tree.def.table.columns;
                 let dtypes: Vec<DataType> = self
-                    .out_pos
+                    .spec
+                    .output_cols
                     .iter()
-                    .map(|&p| self.layout().dtypes[p])
+                    .map(|&c| columns[c].dtype)
                     .collect();
                 OutBatch::Col(ColumnBatch::with_capacity(&dtypes, capacity))
             }
@@ -407,6 +522,11 @@ impl<'a> ScanCtx<'a> {
         ScanState {
             stats: ScanStats::default(),
             batch,
+            examined: 0,
+            pages_held: 0,
+            seek_lower: self.spec.range.lower.is_some(),
+            key: Vec::new(),
+            filter_scratch: FilterScratch::default(),
         }
     }
 
@@ -418,272 +538,267 @@ impl<'a> ScanCtx<'a> {
 
     // --- batched delivery ---------------------------------------------------
 
-    /// Append one output row to the batch, flushing at capacity. Returns
-    /// `false` when the consumer asked to stop.
-    fn push_row(
-        &self,
-        state: &mut ScanState,
-        row: impl IntoIterator<Item = Value>,
-        consumer: &mut dyn ScanConsumer,
-    ) -> Result<bool> {
-        state.batch.push_row(row);
-        if state.batch.is_full() {
-            return self.flush(state, consumer);
-        }
-        Ok(true)
-    }
-
     /// Hand the buffered batch to the consumer (no-op when empty).
     fn flush(&self, state: &mut ScanState, consumer: &mut dyn ScanConsumer) -> Result<bool> {
+        // All row metrics are charged here, at batch granularity, so they
+        // agree by construction on every path, including scans that error
+        // out mid-way: `rows_scanned` counts the visible records examined
+        // since the last flush, `rows_batched` and `rows_delivered` the
+        // ones that also passed the residual and ride this batch. A
+        // consumer stopping mid-batch counts the whole final batch (it
+        // received it), mirroring how the row-at-a-time path counted the
+        // row it stopped on.
+        let m = self.db.metrics();
+        m.add(|m| &m.rows_scanned, std::mem::take(&mut state.examined));
         if state.batch.is_empty() {
             return Ok(true);
         }
-        // Delivery is counted here, at batch granularity: rows are
-        // "delivered" when their batch is handed over, so
-        // `rows_delivered`, `rows_scanned` and `rows_batched` all agree
-        // by construction — on every path, including scans that error
-        // out mid-way. A consumer stopping mid-batch counts the whole
-        // final batch (it received it), mirroring how the row-at-a-time
-        // path counted the row it stopped on.
+        state.pages_held = 0;
         state.stats.rows_delivered += state.batch.len() as u64;
-        self.db
-            .metrics()
-            .add(|m| &m.rows_scanned, state.batch.len() as u64);
-        self.db
-            .metrics()
-            .add(|m| &m.rows_batched, state.batch.len() as u64);
-        self.db.metrics().add(|m| &m.batches_emitted, 1);
-        let keep_going = match &state.batch {
-            OutBatch::Row(b) => consumer.on_batch(b)?,
+        m.add(|m| &m.rows_batched, state.batch.len() as u64);
+        m.add(|m| &m.batches_emitted, 1);
+        let keep_going = match &mut state.batch {
+            OutBatch::Row(b) => consumer.on_batch_mut(b)?,
             OutBatch::Col(b) => consumer.on_col_batch(b)?,
         };
         state.batch.clear();
         Ok(keep_going)
     }
 
-    // --- per-record machinery ----------------------------------------------
-
-    /// Are all records of this page within the scan range? (First/last key
-    /// check — avoids per-record range checks on interior pages.)
-    fn page_fully_in_range(&self, page: &Page, layout_probe: &RecordLayout) -> bool {
-        let mut first: Option<u16> = None;
-        let mut last: Option<u16> = None;
-        for off in page.iter_chain() {
-            if first.is_none() {
-                first = Some(off);
-            }
-            last = Some(off);
-        }
-        let (Some(f), Some(l)) = (first, last) else {
-            return true;
-        };
-        let key_of = |off: u16| -> Option<Vec<u8>> {
-            let bytes = page.record_at(off);
-            let probe = RecordView::new(bytes, layout_probe);
-            match probe.rec_type() {
-                RecType::Ordinary => {
-                    let v = RecordView::new(bytes, self.layout());
-                    Some(self.index.tree.key_of_leaf_record(&v))
-                }
-                RecType::NdpProjection | RecType::NdpAggregate => {
-                    // Projected records always carry the key columns
-                    // (§V-A); extract the key through the projected layout.
-                    let (pl, _) = self.proj.as_ref()?;
-                    let v = RecordView::new(bytes, pl);
-                    Some(self.key_of_projected(&v))
-                }
-                _ => None,
-            }
-        };
-        match (key_of(f), key_of(l)) {
-            (Some(fk), Some(lk)) => self.spec.range.contains(&fk) && self.spec.range.contains(&lk),
-            _ => false,
-        }
-    }
-
-    /// Encoded key of a record in the projected layout.
-    fn key_of_projected(&self, v: &RecordView<'_>) -> Vec<u8> {
-        let key_vals: Vec<Value> = self
-            .index
-            .tree
-            .key_positions
-            .iter()
-            .map(|&kp| {
-                let pos = self
-                    .proj_keep
-                    .iter()
-                    .position(|&k| k == kp)
-                    .expect("keys kept");
-                v.value(pos)
-            })
-            .collect();
-        taurus_common::schema::encode_key(&key_vals, &self.index.tree.def.key_dtypes())
-    }
-
-    /// Deliver one full-layout record (visible, already filtered).
-    fn deliver_full(
+    /// What every page boundary does: check the deadline, and hand over
+    /// rows that have been held for [`HOLD_PAGES_MAX`] pages. Returns
+    /// false when the consumer asked to stop.
+    fn page_boundary(
         &self,
         state: &mut ScanState,
-        view_rec: &RecordView<'_>,
         consumer: &mut dyn ScanConsumer,
+        what: &str,
     ) -> Result<bool> {
-        self.push_row(
-            state,
-            self.out_pos.iter().map(|&p| view_rec.value(p)),
-            consumer,
-        )
+        self.qctx.check(what).inspect_err(|_| {
+            self.db.metrics().add(|m| &m.deadline_exceeded, 1);
+        })?;
+        state.pages_held += 1;
+        if state.pages_held >= HOLD_PAGES_MAX && !state.batch.is_empty() {
+            return self.flush(state, consumer);
+        }
+        Ok(true)
     }
 
-    /// Full compute-side processing of one record image (ambiguous / raw /
-    /// cached pages): visibility, undo rebuild, delete-mark, predicate.
+    // --- per-record machinery ----------------------------------------------
+
+    /// Encode `rec`'s key into the state's reused buffer.
+    fn key_of(state: &mut ScanState, rec: &RecordView<'_>, shape: &Shape) {
+        state.key.clear();
+        rec.key_into(&shape.key_pos, &mut state.key);
+    }
+
+    /// Deliver one record that is visible, live, in range and past every
+    /// storage-side filter: the residual conjuncts run on its bytes, and
+    /// only a survivor is decoded, straight into the batch.
+    fn deliver(
+        &self,
+        state: &mut ScanState,
+        rec: RecordView<'_>,
+        shape: &Shape,
+        consumer: &mut dyn ScanConsumer,
+    ) -> Result<bool> {
+        state.examined += 1;
+        if !shape.residual.is_empty() && !shape.residual.passes(&rec, &mut state.filter_scratch)? {
+            return Ok(true);
+        }
+        state.batch.push_row(shape.plan.values(rec));
+        if state.batch.is_full() {
+            return self.flush(state, consumer);
+        }
+        Ok(true)
+    }
+
+    /// Full compute-side processing of one full-layout record image
+    /// (ambiguous records, raw and cached pages, the classical scan):
+    /// range, visibility, undo rebuild, delete-mark, pushed predicate. The
+    /// key is encoded only when the range or an undo lookup asks for it.
     fn process_full_record(
         &self,
         state: &mut ScanState,
         bytes: &[u8],
-        layout: &RecordLayout,
         check_range: bool,
         consumer: &mut dyn ScanConsumer,
-    ) -> Result<bool> {
-        let v = RecordView::new(bytes, layout);
-        let key = self.index.tree.key_of_leaf_record(&v);
+    ) -> Result<Step> {
+        let layout = self.layout();
+        let rec = RecordView::parse(bytes, layout)?;
+        let rec_type = rec.rec_type()?;
+        if rec_type != RecType::Ordinary {
+            return Err(Error::Corruption(format!(
+                "unexpected record type {rec_type:?} in a leaf page"
+            )));
+        }
+        if check_range {
+            Self::key_of(state, &rec, &self.full);
+            if self.spec.range.past_upper(&state.key) {
+                return Ok(Step::PastUpper);
+            }
+        }
         let image;
-        let rec = if self.view.visible(v.trx_id()) {
-            v
+        let rec = if self.view.visible(rec.trx_id()) {
+            rec
         } else {
             state.stats.ambiguous_resolved += 1;
+            if !check_range {
+                Self::key_of(state, &rec, &self.full);
+            }
+            let space = self.index.tree.def.space;
             match self
                 .db
                 .undo
-                .reconstruct(self.index.tree.def.space, &key, bytes, self.view)
+                .reconstruct(space, &state.key, bytes, self.view)
             {
-                None => return Ok(true),
+                None => return Ok(Step::Next),
                 Some(img) => {
                     image = img;
-                    RecordView::new(&image, layout)
+                    RecordView::parse(&image, layout)?
                 }
             }
         };
-        if rec.delete_mark() {
-            return Ok(true);
-        }
-        if check_range && !self.spec.range.contains(&key) {
-            return Ok(true);
-        }
-        if let Some(pred) = &self.pred_record {
-            let vals = rec.values();
-            if taurus_expr::eval::eval_pred(pred, &vals)? != Some(true) {
-                return Ok(true);
+        if check_range {
+            if !self.spec.range.contains(&state.key) {
+                return Ok(Step::Next);
             }
+            state.seek_lower = false;
         }
-        self.push_row(state, self.out_pos.iter().map(|&p| rec.value(p)), consumer)
+        if rec.delete_mark()
+            || (!self.pushed.is_empty() && !self.pushed.passes(&rec, &mut state.filter_scratch)?)
+        {
+            return Ok(Step::Next);
+        }
+        Ok(match self.deliver(state, rec, &self.full, consumer)? {
+            true => Step::Next,
+            false => Step::Stop,
+        })
     }
 
-    /// Consume one page in any form, flushing the batch at the page
-    /// boundary (so the caller may release the page frame immediately).
-    /// Returns false when the consumer asked to stop.
+    /// Consume one page of an NDP scan in any form. Records can lie
+    /// outside the range on the pages before the first record inside its
+    /// lower bound and, says `last_page`, on the scan's last page; every
+    /// other page checks no key. The batch is *not* flushed at the page
+    /// boundary: it owns its values, so the caller may release the page
+    /// frame as soon as this returns either way. Returns false when the
+    /// consumer asked to stop.
     fn consume_page(
         &self,
         state: &mut ScanState,
         page: &Page,
         was_processed_by_storage: bool,
+        last_page: bool,
         consumer: &mut dyn ScanConsumer,
     ) -> Result<bool> {
         state.stats.pages_total += 1;
         if page.page_type() == PageType::NdpEmpty {
             return Ok(true);
         }
-        let full_layout = self.layout();
-        let check_range = !self.page_fully_in_range(page, full_layout);
+        let check_range = state.seek_lower || (last_page && self.spec.range.upper.is_some());
         if !was_processed_by_storage {
             // Raw or cached page: InnoDB completes all requested NDP work.
             self.db.metrics().add(|m| &m.ndp_completed_on_compute, 1);
-            for off in page.iter_chain() {
-                if !self.process_full_record(
-                    state,
-                    page.record_at(off),
-                    full_layout,
-                    check_range,
-                    consumer,
-                )? {
-                    return Ok(false);
+            for rec in page.iter_chain() {
+                match self.process_full_record(state, rec?, check_range, consumer)? {
+                    Step::Next => {}
+                    Step::Stop => return Ok(false),
+                    Step::PastUpper => break,
                 }
             }
-            return self.flush(state, consumer);
+            return Ok(true);
         }
-        // An NDP page: mixed record types (§IV-C2). Resolve the layout the
-        // NDP records use once per page, not per record.
-        let (proj_layout, out_in_proj): (&RecordLayout, &[usize]) = match &self.proj {
-            Some((l, o)) => (l, o.as_slice()),
-            None => (full_layout, self.out_pos.as_slice()),
+        // An NDP page: mixed record types (§IV-C2), NDP records in the
+        // projected layout when the choice projects.
+        let full_layout = self.layout();
+        let (ndp_layout, ndp_shape) = match &self.proj {
+            Some((l, s)) => (l, s),
+            None => (full_layout, &self.full),
         };
-        for off in page.iter_chain() {
-            let bytes = page.record_at(off);
+        for rec in page.iter_chain() {
+            let bytes = rec?;
+            // The chain walk vouches for the fixed header, which is all
+            // the type and trx id need.
             let probe = RecordView::new(bytes, full_layout);
-            match probe.rec_type() {
-                RecType::Ordinary => {
-                    if probe.trx_id() < self.watermark {
-                        // Visible survivor: storage already filtered it.
-                        if check_range {
-                            let key = self.index.tree.key_of_leaf_record(&probe);
-                            if !self.spec.range.contains(&key) {
-                                continue;
-                            }
-                        }
-                        if !self.deliver_full(state, &probe, consumer)? {
-                            return Ok(false);
-                        }
-                    } else {
-                        // Ambiguous: InnoDB does visibility/undo/predicate.
-                        if !self.process_full_record(
-                            state,
-                            bytes,
-                            full_layout,
-                            check_range,
-                            consumer,
-                        )? {
-                            return Ok(false);
-                        }
+            let rec_type = probe.rec_type()?;
+            let (rec, shape) = match rec_type {
+                RecType::Ordinary if probe.trx_id() >= self.watermark => {
+                    // Ambiguous: InnoDB does visibility/undo/predicate.
+                    match self.process_full_record(state, bytes, check_range, consumer)? {
+                        Step::Next => continue,
+                        Step::Stop => return Ok(false),
+                        Step::PastUpper => break,
                     }
                 }
+                // Visible survivor: storage already filtered it.
+                RecType::Ordinary => (RecordView::parse(bytes, full_layout)?, &self.full),
                 RecType::NdpProjection | RecType::NdpAggregate => {
-                    let v = RecordView::new(bytes, proj_layout);
-                    if check_range {
-                        let key = if self.proj.is_some() {
-                            self.key_of_projected(&v)
-                        } else {
-                            self.index.tree.key_of_leaf_record(&v)
-                        };
-                        if !self.spec.range.contains(&key) {
-                            continue;
-                        }
-                    }
-                    if !self.push_row(state, out_in_proj.iter().map(|&p| v.value(p)), consumer)? {
-                        return Ok(false);
-                    }
-                    if probe.rec_type() == RecType::NdpAggregate {
-                        let payload = v.agg_payload().ok_or_else(|| {
-                            Error::Corruption("agg record without payload".into())
-                        })?;
-                        let states = taurus_expr::agg::decode_states(payload)?;
-                        state.stats.partials_merged += 1;
-                        // Partials trail their carrier row immediately:
-                        // drain the batch before delivering them.
-                        if !self.flush(state, consumer)? {
-                            return Ok(false);
-                        }
-                        if !consumer.on_partial(states)? {
-                            return Ok(false);
-                        }
-                    }
+                    (RecordView::parse(bytes, ndp_layout)?, ndp_shape)
                 }
                 other => {
                     return Err(Error::Corruption(format!(
                         "unexpected record type {other:?} in NDP page"
                     )))
                 }
+            };
+            if check_range {
+                Self::key_of(state, &rec, shape);
+                if !self.spec.range.contains(&state.key) {
+                    continue;
+                }
+                state.seek_lower = false;
+            }
+            if !self.deliver(state, rec, shape, consumer)? {
+                return Ok(false);
+            }
+            if rec_type == RecType::NdpAggregate {
+                let payload = rec
+                    .agg_payload()
+                    .ok_or_else(|| Error::Corruption("agg record without payload".into()))?;
+                let states = taurus_expr::agg::decode_states(payload)?;
+                state.stats.partials_merged += 1;
+                // Partials trail their carrier row immediately: drain the
+                // batch before delivering them.
+                if !self.flush(state, consumer)? || !consumer.on_partial(states)? {
+                    return Ok(false);
+                }
             }
         }
-        self.flush(state, consumer)
+        Ok(true)
+    }
+
+    /// First slot of a regular leaf whose key is inside the range's lower
+    /// bound (`n_recs` when none is), by binary search over the slot
+    /// directory (every probe bounds-checked).
+    fn first_slot_in_range(&self, state: &mut ScanState, page: &Page) -> Result<usize> {
+        let (mut lo, mut hi) = (0usize, page.n_recs() as usize);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            let Some(rec) = page.iter_chain_from(mid).next() else {
+                break;
+            };
+            Self::key_of(state, &RecordView::parse(rec?, self.layout())?, &self.full);
+            if self.spec.range.before_lower(&state.key) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        Ok(lo)
+    }
+
+    /// Is the record in slot `slot` of a regular leaf beyond the range's
+    /// upper bound? (No, for a range without one or a slot the page does
+    /// not have.)
+    fn slot_past_upper(&self, state: &mut ScanState, page: &Page, slot: usize) -> Result<bool> {
+        if self.spec.range.upper.is_none() {
+            return Ok(false);
+        }
+        let Some(rec) = page.iter_chain_from(slot).next() else {
+            return Ok(false);
+        };
+        Self::key_of(state, &RecordView::parse(rec?, self.layout())?, &self.full);
+        Ok(self.spec.range.past_upper(&state.key))
     }
 }
 
@@ -696,7 +811,7 @@ pub fn scan(
     view: &ReadView,
     consumer: &mut dyn ScanConsumer,
 ) -> Result<ScanStats> {
-    scan_ctx(db, table, spec, view, QueryCtx::new(), consumer)
+    scan_ctx(db, table, spec, &[], view, QueryCtx::new(), consumer)
 }
 
 /// Execute a scan under a query context: batch reads are billed to the
@@ -704,92 +819,85 @@ pub fn scan(
 /// checked at every page boundary — an expired deadline stops the scan
 /// (and its prefetch pipeline) with [`Error::DeadlineExceeded`] instead
 /// of letting a browned-out store stall it indefinitely.
+///
+/// `residual` holds predicate conjuncts over *table* columns that nothing
+/// below evaluates (everything the NDP choice did not push). The scan
+/// compiles them once and runs them on record bytes, so a record they
+/// reject is never decoded; their columns need not be in `output_cols`.
 pub fn scan_ctx(
     db: &TaurusDb,
     table: &Table,
     spec: &ScanSpec,
+    residual: &[Expr],
     view: &ReadView,
     qctx: QueryCtx,
     consumer: &mut dyn ScanConsumer,
 ) -> Result<ScanStats> {
-    let ctx = ScanCtx::new(db, table, spec, view, qctx)?;
+    let ctx = ScanCtx::new(db, table, spec, residual, view, qctx)?;
     let mut state = ctx.fresh_state();
-    match &spec.ndp {
-        Some(choice) if !choice.is_empty() && db.config().ndp.enabled => {
-            ndp_scan(&ctx, &mut state, choice, consumer)?;
+    let scanned = match &ctx.descriptor {
+        Some(descriptor) if db.config().ndp.enabled => {
+            ndp_scan(&ctx, &mut state, descriptor, consumer)
         }
-        _ => {
-            regular_scan(&ctx, &mut state, consumer)?;
-        }
+        _ => regular_scan(&ctx, &mut state, consumer),
+    };
+    // The scan's end is the last flush point (a consumer that stopped has
+    // seen its last batch already; a failed scan delivers nothing more).
+    if scanned? {
+        ctx.flush(&mut state, consumer)?;
     }
-    // Pages flush at their boundary, so this only fires for scans that
-    // ended without draining a page (defensive; stops leave no residue).
-    // All row metrics (`rows_scanned`, `rows_batched`) are charged inside
-    // `flush`, so errored scans account for what they delivered.
-    ctx.flush(&mut state, consumer)?;
     Ok(state.stats)
 }
 
-/// Deadline check at a page boundary, metering expiries.
-fn check_deadline(db: &TaurusDb, qctx: &QueryCtx, what: &str) -> Result<()> {
-    qctx.check(what).inspect_err(|_| {
-        db.metrics().add(|m| &m.deadline_exceeded, 1);
-    })
-}
-
 /// The classical InnoDB scan: one page at a time through the buffer pool;
-/// no batch reads (§I), all filtering above.
+/// no batch reads (§I), all filtering above. Returns false when the
+/// consumer asked to stop.
 fn regular_scan(
     ctx: &ScanCtx<'_>,
     state: &mut ScanState,
     consumer: &mut dyn ScanConsumer,
-) -> Result<()> {
+) -> Result<bool> {
     let store = ctx.index.store.clone();
     let tree = &ctx.index.tree;
-    let full = ctx.layout();
     let mut page = match tree.seek_leaf(store.as_ref(), &ctx.spec.range)? {
         Some(p) => p,
-        None => return Ok(()),
+        None => return Ok(true),
     };
     loop {
-        check_deadline(ctx.db, &ctx.qctx, "regular scan page")?;
-        state.stats.pages_total += 1;
-        let check_range = !ctx.page_fully_in_range(&page, full);
-        let mut past_end = false;
-        for off in page.iter_chain() {
-            let bytes = page.record_at(off);
-            if check_range {
-                let v = RecordView::new(bytes, full);
-                let key = tree.key_of_leaf_record(&v);
-                if ctx.spec.range.past_upper(&key) {
-                    past_end = true;
-                    break;
-                }
-            }
-            if !ctx.process_full_record(state, bytes, full, check_range, consumer)? {
-                return Ok(());
-            }
+        if !ctx.page_boundary(state, consumer, "regular scan page")? {
+            return Ok(false);
         }
-        // Page boundary: drain the batch before moving on (or stopping).
-        if !ctx.flush(state, consumer)? || past_end {
-            return Ok(());
+        state.stats.pages_total += 1;
+        // Records before the range: the slot directory finds where the
+        // range starts, on the first page for an inclusive bound, some
+        // pages on when an exclusive prefix bound shuts out a key group.
+        let n_recs = page.n_recs() as usize;
+        let start = if state.seek_lower {
+            let start = ctx.first_slot_in_range(state, &page)?;
+            state.seek_lower = start == n_recs;
+            start
+        } else {
+            0
+        };
+        // Records above the range exist only on a page whose last key is;
+        // the pages in between check no record.
+        let check_range = ctx.slot_past_upper(state, &page, n_recs.saturating_sub(1))?;
+        for rec in page.iter_chain_from(start) {
+            match ctx.process_full_record(state, rec?, check_range, consumer)? {
+                Step::Next => {}
+                Step::Stop => return Ok(false),
+                Step::PastUpper => return Ok(true),
+            }
         }
         match page.next() {
-            taurus_page::NO_PAGE => break,
-            next => {
-                // Stop early if the next page starts past the range.
-                page = store.read(next)?;
-                if let Some(first_off) = page.iter_chain().next() {
-                    let v = RecordView::new(page.record_at(first_off), full);
-                    let key = tree.key_of_leaf_record(&v);
-                    if ctx.spec.range.past_upper(&key) {
-                        break;
-                    }
-                }
-            }
+            taurus_page::NO_PAGE => return Ok(true),
+            next => page = store.read(next)?,
+        }
+        // Stop early if the next page starts past the range.
+        if ctx.slot_past_upper(state, &page, 0)? {
+            return Ok(true);
         }
     }
-    Ok(())
 }
 
 // --- the prefetching NDP read pipeline --------------------------------------
@@ -849,6 +957,9 @@ impl Drop for InflightGauge {
 /// [`BatchReadHandle`] (joining the SAL dispatch threads).
 struct InflightBatch {
     pages: Vec<PageNo>,
+    /// No leaf of the range follows this batch: its last page is the
+    /// scan's last, the only one that can hold keys above the range.
+    last: bool,
     staged: HashMap<PageNo, StagedPage>,
     read: Option<BatchReadHandle>,
     /// `Some` iff the batch dispatched a storage read — fully-cached
@@ -886,6 +997,7 @@ fn issue_next_batch(
         cursor.resume.as_deref(),
         per_batch,
     )?;
+    let last = next_resume.is_none();
     match next_resume {
         Some(k) => cursor.resume = Some(k),
         None => cursor.exhausted = true,
@@ -935,6 +1047,7 @@ fn issue_next_batch(
         .map(|_| InflightGauge::new(ctx.db.metrics().clone()));
     Ok(Some(InflightBatch {
         pages,
+        last,
         staged,
         read,
         _gauge: gauge,
@@ -1018,15 +1131,15 @@ fn shed_staged_frames(batch: &mut InflightBatch, inflight: &mut VecDeque<Infligh
 /// Cancellation: when the consumer stops (dropped `RowStream`, satisfied
 /// LIMIT), the in-flight queue drops on return — releasing every staged
 /// frame and joining every SAL sub-batch dispatch thread before the scan
-/// returns to its caller.
+/// returns to its caller. Returns false when the consumer asked to stop.
 fn ndp_scan(
     ctx: &ScanCtx<'_>,
     state: &mut ScanState,
-    choice: &NdpChoice,
+    descriptor: &NdpDescriptor,
     consumer: &mut dyn ScanConsumer,
-) -> Result<()> {
+) -> Result<bool> {
     let bp = ctx.index.store.buffer_pool().clone();
-    let descriptor = Arc::new(build_descriptor(ctx.index, choice, ctx.watermark)?.encode());
+    let descriptor = Arc::new(descriptor.encode());
     let cfg = ctx.db.config();
     let look_ahead = cfg.ndp.max_pages_look_ahead.max(1);
     let frame_quota = look_ahead.min((bp.capacity() / 2).max(1));
@@ -1055,14 +1168,16 @@ fn ndp_scan(
             }
         }
         let Some(mut batch) = inflight.pop_front() else {
-            break;
+            return Ok(true);
         };
         // Consume strictly in logical page order.
         for i in 0..batch.pages.len() {
             // Page-boundary deadline check: a browned-out or saturated
             // store cannot stall the scan past its budget (dropping the
             // in-flight queue on return cancels the remaining reads).
-            check_deadline(ctx.db, &ctx.qctx, "ndp scan page")?;
+            if !ctx.page_boundary(state, consumer, "ndp scan page")? {
+                return Ok(false);
+            }
             let no = batch.pages[i];
             let mut staged = take_staged(&mut batch, no, &bp, ctx.db.metrics())?;
             match staged.kind {
@@ -1092,16 +1207,24 @@ fn ndp_scan(
                     bp.alloc_ndp_frame_timeout(staged.page.clone(), grace).ok()
                 }
             };
-            let keep_going =
-                ctx.consume_page(state, &staged.page, staged.processed_by_storage, consumer)?;
-            // Frame released as soon as its page drains.
+            // Batch extraction is boundary-aware (§IV-C4): no page but
+            // the scan's last holds keys above the range.
+            let last_page = batch.last && i + 1 == batch.pages.len();
+            let keep_going = ctx.consume_page(
+                state,
+                &staged.page,
+                staged.processed_by_storage,
+                last_page,
+                consumer,
+            )?;
+            // Frame released as soon as its page drains: the batch owns
+            // the values it decoded, flushed or not.
             drop(_frame);
             if !keep_going {
-                return Ok(());
+                return Ok(false);
             }
         }
     }
-    Ok(())
 }
 
 /// Split a table access into `parts` disjoint ranges along level-1

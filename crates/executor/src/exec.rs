@@ -15,10 +15,8 @@
 //! whether the work below happened in a Page Store or on the compute
 //! node.
 
-use std::collections::HashMap;
-
 use taurus_common::schema::Row;
-use taurus_common::{Dec, Error, QueryCtx, Result, RowBatch, Value};
+use taurus_common::{Dec, Error, KeyMap, QueryCtx, Result, RowBatch, Value};
 use taurus_expr::agg::{AggSpec, AggState};
 use taurus_expr::ast::Expr;
 use taurus_expr::eval::{eval, eval_pred};
@@ -66,9 +64,9 @@ pub fn execute(plan: &Plan, ctx: &ExecContext<'_>) -> Result<Vec<Row>> {
         root.open()?;
         let mut out: Vec<Row> = Vec::new();
         while let Some(batch) = root.next_batch()? {
-            let batch = batch.into_row_batch();
+            let mut batch = batch.into_row_batch();
             out.reserve(batch.len());
-            out.extend(batch.into_rows());
+            out.extend(batch.drain_rows());
         }
         root.close();
         Ok(out)
@@ -118,15 +116,16 @@ pub(crate) fn scan_spec(
     })
 }
 
-/// Does `row` pass every residual predicate conjunct? The one shared
-/// definition of residual semantics for all scan consumers.
-pub(crate) fn residual_survives(residual: &[Expr], row: &[Value]) -> Result<bool> {
-    for p in residual {
-        if eval_pred(p, row)? != Some(true) {
-            return Ok(false);
-        }
-    }
-    Ok(true)
+/// The conjuncts of a scan node the scan must still evaluate (everything
+/// the NDP choice did not push), over table columns: the scan core runs
+/// them on record bytes, before a row exists. Each must read only columns
+/// the node delivers — a plan-level contract the verifier states; a
+/// violation is reported here exactly as the pre-execution gate would.
+pub(crate) fn scan_residual(node: &ScanNode) -> Result<Vec<Expr>> {
+    node.residual_conjuncts()
+        .into_iter()
+        .map(|e| remap_to_output(e, &node.output).map(|_| e.clone()))
+        .collect()
 }
 
 /// Map table-column expressions onto scan-output positions, delegating
@@ -145,34 +144,21 @@ pub(crate) fn remap_to_output(e: &Expr, output: &[usize]) -> Result<Expr> {
     .map_err(|d| Error::Verify(d.to_string()))
 }
 
+#[derive(Default)]
 struct RowCollector {
     rows: Vec<Row>,
-    residual: Vec<Expr>,
-}
-
-impl RowCollector {
-    fn accept(&mut self, row: &[Value]) -> Result<()> {
-        if residual_survives(&self.residual, row)? {
-            self.rows.push(row.to_vec());
-        }
-        Ok(())
-    }
 }
 
 impl ScanConsumer for RowCollector {
     fn on_row(&mut self, row: &[Value]) -> Result<bool> {
-        self.accept(row)?;
+        self.rows.push(row.to_vec());
         Ok(true)
     }
 
-    fn on_batch(&mut self, batch: &RowBatch) -> Result<bool> {
-        if self.residual.is_empty() {
-            // Every row survives: reserve exactly once per batch.
-            self.rows.reserve(batch.len());
-        }
-        for row in batch.rows() {
-            self.accept(row)?;
-        }
+    // Rows move out of the scan's batch; the batch keeps its buffer.
+    fn on_batch_mut(&mut self, batch: &mut RowBatch) -> Result<bool> {
+        self.rows.reserve(batch.len());
+        self.rows.extend(batch.drain_rows());
         Ok(true)
     }
 
@@ -191,16 +177,11 @@ pub(crate) fn exec_scan(
 ) -> Result<Vec<Row>> {
     let table = ctx.db.table(&node.table)?;
     let spec = scan_spec(node, ctx, range_override, None)?;
-    let residual: Vec<Expr> = node
-        .residual_conjuncts()
-        .into_iter()
-        .map(|e| remap_to_output(e, &node.output))
-        .collect::<Result<_>>()?;
-    let mut c = RowCollector {
-        rows: Vec::new(),
-        residual,
-    };
-    scan_ctx(ctx.db, &table, &spec, &ctx.view, ctx.qctx, &mut c)?;
+    let residual = scan_residual(node)?;
+    let mut c = RowCollector::default();
+    scan_ctx(
+        ctx.db, &table, &spec, &residual, &ctx.view, ctx.qctx, &mut c,
+    )?;
     Ok(c.rows)
 }
 
@@ -316,21 +297,24 @@ impl AggStateEx {
     }
 }
 
+/// Fold one row into one aggregate: COUNT(*) counts the row, a bare
+/// column is read in place, anything else is evaluated.
+fn fold_input(state: &mut AggStateEx, input: Option<&Expr>, row: &[Value]) -> Result<()> {
+    match input {
+        None => state.update(&Value::Int(1)),
+        Some(Expr::Col(i)) if *i < row.len() => state.update(&row[*i]),
+        Some(e) => state.update(&eval(e, row)?),
+    }
+    Ok(())
+}
+
 /// Partially-aggregated groups keyed by encoded group values; mergeable
 /// across PQ workers.
 pub(crate) type AggPartials = Vec<(Vec<u8>, Row, Vec<AggStateEx>)>;
 
-pub(crate) fn group_key_bytes(vals: &[Value]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(vals.len() * 8);
-    for v in vals {
-        encode_value(v, &mut out);
-    }
-    out
-}
-
 /// Merge partial group lists (leader side of PQ / plain finalize input).
 pub(crate) fn merge_partial_groups(parts: Vec<AggPartials>) -> Result<AggPartials> {
-    let mut map: HashMap<Vec<u8>, (Row, Vec<AggStateEx>)> = HashMap::new();
+    let mut map: KeyMap<(Row, Vec<AggStateEx>)> = KeyMap::default();
     let mut order: Vec<Vec<u8>> = Vec::new();
     for part in parts {
         for (key, gvals, states) in part {
@@ -377,9 +361,11 @@ struct StreamAggConsumer<'a> {
     inputs: Vec<Option<Expr>>,
     items: &'a [AggItem],
     dtypes: Vec<taurus_common::DataType>,
-    residual: Vec<Expr>,
     current: Option<(Vec<u8>, Row, Vec<AggStateEx>)>,
     done: AggPartials,
+    /// The current row's encoded group key (reused: a row of the current
+    /// group allocates nothing).
+    key: Vec<u8>,
 }
 
 impl StreamAggConsumer<'_> {
@@ -397,26 +383,23 @@ impl StreamAggConsumer<'_> {
     }
 
     fn accept(&mut self, row: &[Value]) -> Result<()> {
-        if !residual_survives(&self.residual, row)? {
-            return Ok(());
+        self.key.clear();
+        for &p in &self.group_pos {
+            encode_value(&row[p], &mut self.key);
         }
-        let gvals: Row = self.group_pos.iter().map(|&p| row[p].clone()).collect();
-        let key = group_key_bytes(&gvals);
         let switch = match &self.current {
-            Some((k, _, _)) => *k != key,
+            Some((k, _, _)) => *k != self.key,
             None => true,
         };
         if switch {
             self.flush();
-            self.current = Some((key, gvals, self.fresh_states()));
+            let gvals: Row = self.group_pos.iter().map(|&p| row[p].clone()).collect();
+            self.current = Some((self.key.clone(), gvals, self.fresh_states()));
         }
         // lint:allow(panic): the branch above just installed current for this key
         let (_, _, states) = self.current.as_mut().expect("set above");
         for (st, input) in states.iter_mut().zip(&self.inputs) {
-            match input {
-                None => st.update(&Value::Int(1)),
-                Some(e) => st.update(&eval(e, row)?),
-            }
+            fold_input(st, input.as_ref(), row)?;
         }
         Ok(())
     }
@@ -507,27 +490,24 @@ pub(crate) fn exec_agg_scan_partials(
                 .transpose()
         })
         .collect::<Result<_>>()?;
-    let residual: Vec<Expr> = node
-        .scan
-        .residual_conjuncts()
-        .into_iter()
-        .map(|e| remap_to_output(e, &node.scan.output))
-        .collect::<Result<_>>()?;
+    let residual = scan_residual(&node.scan)?;
     let scalar = node.group_cols.is_empty();
     let mut c = StreamAggConsumer {
         group_pos,
         inputs,
         items: &node.aggs,
         dtypes,
-        residual,
         current: None,
         done: Vec::new(),
+        key: Vec::new(),
     };
     if scalar {
         // Scalar aggregation always has exactly one group.
         c.current = Some((Vec::new(), Vec::new(), c.fresh_states()));
     }
-    scan_ctx(ctx.db, &table, &spec, &ctx.view, ctx.qctx, &mut c)?;
+    scan_ctx(
+        ctx.db, &table, &spec, &residual, &ctx.view, ctx.qctx, &mut c,
+    )?;
     c.flush();
     Ok(c.done)
 }
@@ -541,7 +521,11 @@ pub(crate) struct HashAggAcc<'a> {
     /// Input dtypes are unknowable in general; agg inputs are evaluated
     /// per row, so states infer their shape from the first value.
     dtypes: Vec<taurus_common::DataType>,
-    map: HashMap<Vec<u8>, (Row, Vec<AggStateEx>)>,
+    map: KeyMap<(Row, Vec<AggStateEx>)>,
+    /// The current row's group values and their encoding, reused from row
+    /// to row: a row of an existing group allocates nothing.
+    gvals: Row,
+    key: Vec<u8>,
 }
 
 impl<'a> HashAggAcc<'a> {
@@ -549,35 +533,40 @@ impl<'a> HashAggAcc<'a> {
         HashAggAcc {
             node,
             dtypes: Vec::new(),
-            map: HashMap::new(),
+            map: KeyMap::default(),
+            gvals: Vec::new(),
+            key: Vec::new(),
         }
     }
 
     pub(crate) fn update(&mut self, row: &[Value]) -> Result<()> {
-        let gvals: Row = self
-            .node
-            .group
-            .iter()
-            .map(|e| eval(e, row))
-            .collect::<Result<_>>()?;
-        let key = group_key_bytes(&gvals);
-        let entry = self.map.entry(key).or_insert_with(|| {
-            (
-                gvals.clone(),
-                self.node
-                    .aggs
+        self.gvals.clear();
+        self.key.clear();
+        for e in &self.node.group {
+            let v = eval(e, row)?;
+            encode_value(&v, &mut self.key);
+            self.gvals.push(v);
+        }
+        let aggs = &self.node.aggs;
+        let fold = |states: &mut [AggStateEx]| -> Result<()> {
+            for (st, item) in states.iter_mut().zip(aggs) {
+                fold_input(st, item.input.as_ref(), row)?;
+            }
+            Ok(())
+        };
+        match self.map.get_mut(self.key.as_slice()) {
+            Some((_, states)) => fold(states),
+            None => {
+                let mut states: Vec<AggStateEx> = aggs
                     .iter()
                     .map(|i| AggStateEx::new(i, &self.dtypes))
-                    .collect(),
-            )
-        });
-        for (st, item) in entry.1.iter_mut().zip(&self.node.aggs) {
-            match &item.input {
-                None => st.update(&Value::Int(1)),
-                Some(e) => st.update(&eval(e, row)?),
+                    .collect();
+                fold(&mut states)?;
+                self.map
+                    .insert(self.key.clone(), (self.gvals.clone(), states));
+                Ok(())
             }
         }
-        Ok(())
     }
 
     /// Grouped partials in encoded-key order (deterministic regardless of
@@ -631,8 +620,9 @@ pub(crate) fn exec_hash_agg_partials(
 pub(crate) struct LookupProbe<'a> {
     node: &'a LookupJoinNode,
     table: std::sync::Arc<taurus_ndp::Table>,
-    /// Columns the inner scan must deliver: requested outputs + predicate
-    /// columns (the `on` references inner columns via inner_output only).
+    /// Columns a row fetched through the primary index is narrowed to:
+    /// requested outputs + predicate columns (the `on` references inner
+    /// columns via inner_output only).
     fetch: Vec<usize>,
     /// Inner-side predicates remapped onto `fetch` positions.
     inner_preds: Vec<Expr>,
@@ -642,7 +632,10 @@ pub(crate) struct LookupProbe<'a> {
     /// column, the lookup finds primary keys and fetches the full row from
     /// the primary index — InnoDB's non-covering-secondary path.
     covering: bool,
-    pk_cols: Vec<usize>,
+    /// The inner index access, built once; each probe only sets its range.
+    /// A covering index delivers `inner_output` with the inner predicate
+    /// run by the scan, a non-covering one the primary key.
+    spec: ScanSpec,
 }
 
 impl<'a> LookupProbe<'a> {
@@ -667,7 +660,16 @@ impl<'a> LookupProbe<'a> {
             .collect();
         let idx_stored = table.index(node.index).tree.def.stored_cols();
         let covering = fetch.iter().all(|c| idx_stored.contains(c));
-        let pk_cols = table.schema.pk.clone();
+        let spec = ScanSpec {
+            index: node.index,
+            range: ScanRange::full(),
+            ndp: None, // point lookups never qualify for NDP (§IV-B)
+            output_cols: if covering {
+                node.inner_output.clone()
+            } else {
+                table.schema.pk.clone()
+            },
+        };
         Ok(LookupProbe {
             node,
             table,
@@ -675,14 +677,14 @@ impl<'a> LookupProbe<'a> {
             inner_preds,
             out_pos,
             covering,
-            pk_cols,
+            spec,
         })
     }
 
     /// Probe the inner index for one outer row, emitting every joined
     /// output row (join-type semantics included).
     pub(crate) fn probe(
-        &self,
+        &mut self,
         ctx: &ExecContext<'_>,
         orow: &[Value],
         emit: &mut dyn FnMut(Row),
@@ -706,54 +708,34 @@ impl<'a> LookupProbe<'a> {
             return Ok(());
         }
         let tree = &self.table.index(node.index).tree;
-        let range = ScanRange::point(tree.encode_search_key(&key_vals));
-        let c = if self.covering {
-            let spec = ScanSpec {
-                index: node.index,
-                range,
-                ndp: None, // point lookups never qualify for NDP (§IV-B)
-                output_cols: self.fetch.clone(),
-            };
-            let mut c = RowCollector {
-                rows: Vec::new(),
-                residual: self.inner_preds.clone(),
-            };
-            scan_ctx(ctx.db, &self.table, &spec, &ctx.view, ctx.qctx, &mut c)?;
-            c
+        self.spec.range = ScanRange::point(tree.encode_search_key(&key_vals));
+        let mut found = RowCollector::default();
+        let (db, table, view) = (ctx.db, &*self.table, &ctx.view);
+        let inner_rows = if self.covering {
+            let residual = &node.inner_predicate;
+            scan_ctx(db, table, &self.spec, residual, view, ctx.qctx, &mut found)?;
+            found.rows
         } else {
             // Secondary hit -> primary row fetch, then filter.
-            let spec = ScanSpec {
-                index: node.index,
-                range,
-                ndp: None,
-                output_cols: self.pk_cols.clone(),
-            };
-            let mut keys = RowCollector {
-                rows: Vec::new(),
-                residual: Vec::new(),
-            };
-            scan_ctx(ctx.db, &self.table, &spec, &ctx.view, ctx.qctx, &mut keys)?;
-            let mut c = RowCollector {
-                rows: Vec::new(),
-                residual: Vec::new(),
-            };
-            'rows: for pk in keys.rows {
-                if let Some(full) = ctx.db.lookup_row(&self.table, &ctx.view, &pk)? {
+            scan_ctx(db, table, &self.spec, &[], view, ctx.qctx, &mut found)?;
+            let mut rows = Vec::new();
+            'rows: for pk in found.rows {
+                if let Some(full) = db.lookup_row(table, view, &pk)? {
                     let projected: Row = self.fetch.iter().map(|&f| full[f].clone()).collect();
                     for p in &self.inner_preds {
                         if eval_pred(p, &projected)? != Some(true) {
                             continue 'rows;
                         }
                     }
-                    c.rows.push(projected);
+                    rows.push(self.out_pos.iter().map(|&p| projected[p].clone()).collect());
                 }
             }
-            c
+            rows
         };
         let mut matched = false;
-        for irow in &c.rows {
+        for irow in &inner_rows {
             let mut combined = orow.to_vec();
-            combined.extend(self.out_pos.iter().map(|&p| irow[p].clone()));
+            combined.extend(irow.iter().cloned());
             if let Some(on) = &node.on {
                 if eval_pred(on, &combined)? != Some(true) {
                     continue;
@@ -795,7 +777,7 @@ pub(crate) fn exec_lookup_join(
             ))
         }
     };
-    let probe = LookupProbe::new(node, ctx)?;
+    let mut probe = LookupProbe::new(node, ctx)?;
     let mut out: Vec<Row> = Vec::new();
     for orow in outer_rows {
         probe.probe(ctx, &orow, &mut |row| out.push(row))?;

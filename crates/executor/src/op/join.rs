@@ -2,32 +2,53 @@
 //!
 //! [`HashJoinOp`] is a half-breaker: the build (right) side drains fully
 //! into the hash table on the first pull, the probe (left) side then
-//! streams batch-at-a-time — a `LIMIT` above stops the probe scan early,
-//! and only the build side is ever materialized.
+//! streams — a `LIMIT` above stops the probe scan early, and only the
+//! build side is ever materialized.
 //!
 //! [`LookupJoinOp`] streams its outer side and does index point lookups
 //! per outer row through the shared [`LookupProbe`] machinery (also used
 //! by the PQ worker path), so it never materializes anything beyond the
 //! current output batch.
-
-use std::collections::HashMap;
+//!
+//! Both emit at their input's batch boundaries, or earlier when the
+//! output batch is full ([`InputCursor`] keeps the place): what they hand
+//! up is bounded by the batch capacity however wide the joined rows and
+//! however large the match fan-out.
 
 use taurus_common::schema::Row;
-use taurus_common::{Batch, Result, RowBatch, Value};
+use taurus_common::{Batch, KeyMap, Result, RowBatch, Value};
+use taurus_expr::ir::encode_value;
 use taurus_optimizer::plan::{HashJoinNode, JoinType, LookupJoinNode};
 
-use super::{charge_emit, BoxOp, Operator};
-use crate::exec::{group_key_bytes, ExecContext, LookupProbe};
+use super::{emit_or_end, BoxOp, InputCursor, Operator};
+use crate::exec::{ExecContext, LookupProbe};
+
+/// Encode `row`'s join key (the values at `cols`) into `key`, reusing its
+/// allocation. `false` when a key value is NULL: such a row matches
+/// nothing and is never entered into the table.
+fn join_key(row: &[Value], cols: &[usize], key: &mut Vec<u8>) -> bool {
+    key.clear();
+    for &p in cols {
+        if row[p].is_null() {
+            return false;
+        }
+        encode_value(&row[p], key);
+    }
+    true
+}
 
 pub(crate) struct HashJoinOp<'r, 'env> {
     ctx: &'env ExecContext<'env>,
     node: &'env HashJoinNode,
-    left: Option<BoxOp<'r>>,
+    left: InputCursor<'r>,
     right: Option<BoxOp<'r>>,
-    build: HashMap<Vec<u8>, Vec<usize>>,
+    build: KeyMap<Vec<usize>>,
     right_rows: Vec<Row>,
+    left_width: usize,
     right_width: usize,
     built: bool,
+    /// The current row's encoded join key (reused across rows).
+    key: Vec<u8>,
 }
 
 impl<'r, 'env> HashJoinOp<'r, 'env> {
@@ -40,12 +61,19 @@ impl<'r, 'env> HashJoinOp<'r, 'env> {
         HashJoinOp {
             ctx,
             node,
-            left: Some(left),
+            left: InputCursor::new(left),
             right: Some(right),
-            build: HashMap::new(),
+            build: KeyMap::default(),
             right_rows: Vec::new(),
-            right_width: 0,
+            // The static plan widths, not a first row's: an empty build
+            // side must still NULL-pad LEFT OUTER output to the full right
+            // width (the legacy executor got this wrong and emitted
+            // unpadded rows, which blew up downstream operators indexing
+            // past them).
+            left_width: taurus_verify::plan_width(&node.left),
+            right_width: taurus_verify::plan_width(&node.right),
             built: false,
+            key: Vec::new(),
         }
     }
 
@@ -57,26 +85,26 @@ impl<'r, 'env> HashJoinOp<'r, 'env> {
         if let Some(right) = &mut self.right {
             while let Some(b) = right.next_batch()? {
                 // Build side materializes: selections resolve to rows.
-                let b = b.into_row_batch();
+                let mut b = b.into_row_batch();
                 self.right_rows.reserve(b.len());
-                self.right_rows.extend(b.into_rows());
+                self.right_rows.extend(b.drain_rows());
             }
         }
         if let Some(mut r) = self.right.take() {
             r.close();
         }
         for (i, r) in self.right_rows.iter().enumerate() {
-            let kv: Row = self.node.right_keys.iter().map(|&p| r[p].clone()).collect();
-            if kv.iter().any(|v| v.is_null()) {
+            if !join_key(r, &self.node.right_keys, &mut self.key) {
                 continue;
             }
-            self.build.entry(group_key_bytes(&kv)).or_default().push(i);
+            // Only a key seen for the first time is copied into the table.
+            match self.build.get_mut(self.key.as_slice()) {
+                Some(rows) => rows.push(i),
+                None => {
+                    self.build.insert(self.key.clone(), vec![i]);
+                }
+            }
         }
-        // The static plan width, not `right_rows.first()`: an empty build
-        // side must still NULL-pad LEFT OUTER output to the full right
-        // width (the legacy executor got this wrong and emitted unpadded
-        // rows, which blew up downstream operators indexing past them).
-        self.right_width = taurus_verify::plan_width(&self.node.right);
         self.built = true;
         Ok(())
     }
@@ -88,9 +116,7 @@ impl Operator for HashJoinOp<'_, '_> {
     }
 
     fn open(&mut self) -> Result<()> {
-        if let Some(l) = &mut self.left {
-            l.open()?;
-        }
+        self.left.open()?;
         if let Some(r) = &mut self.right {
             r.open()?;
         }
@@ -99,81 +125,43 @@ impl Operator for HashJoinOp<'_, '_> {
 
     fn next_batch(&mut self) -> Result<Option<Batch>> {
         self.build_side()?;
-        loop {
-            let Some(left) = &mut self.left else {
-                return Ok(None);
+        let out_width = match self.node.join {
+            JoinType::Inner | JoinType::LeftOuter => self.left_width + self.right_width,
+            JoinType::Semi | JoinType::Anti => self.left_width,
+        };
+        let batch_rows = self.ctx.db.config().scan_batch_rows;
+        let mut out = RowBatch::with_capacity(out_width, batch_rows);
+        while !out.is_full() {
+            let Some(l) = self.left.next_row(out.is_empty())? else {
+                break;
             };
-            let Some(b) = left.next_batch()? else {
-                if let Some(mut l) = self.left.take() {
-                    l.close();
-                }
-                return Ok(None);
+            let matches = if join_key(l, &self.node.left_keys, &mut self.key) {
+                self.build.get(self.key.as_slice())
+            } else {
+                None
             };
-            let b = b.into_row_batch();
-            let out_width = match self.node.join {
-                JoinType::Inner | JoinType::LeftOuter => b.width() + self.right_width,
-                JoinType::Semi | JoinType::Anti => b.width(),
-            };
-            let mut out = RowBatch::with_capacity(out_width, b.len());
-            for l in b.rows() {
-                let kv: Row = self.node.left_keys.iter().map(|&p| l[p].clone()).collect();
-                let matches = if kv.iter().any(|v| v.is_null()) {
-                    None
-                } else {
-                    self.build.get(&group_key_bytes(&kv))
-                };
-                match self.node.join {
-                    JoinType::Inner => {
-                        if let Some(idxs) = matches {
-                            // The match fanout is the one output bound the
-                            // batch pre-sizing cannot see.
-                            out.reserve_rows(idxs.len());
-                            for &i in idxs {
-                                out.push_row(
-                                    l.iter().cloned().chain(self.right_rows[i].iter().cloned()),
-                                );
-                            }
-                        }
-                    }
-                    JoinType::LeftOuter => match matches {
-                        Some(idxs) if !idxs.is_empty() => {
-                            out.reserve_rows(idxs.len());
-                            for &i in idxs {
-                                out.push_row(
-                                    l.iter().cloned().chain(self.right_rows[i].iter().cloned()),
-                                );
-                            }
-                        }
-                        _ => out.push_row(
-                            l.iter()
-                                .cloned()
-                                .chain(std::iter::repeat_n(Value::Null, self.right_width)),
-                        ),
-                    },
-                    JoinType::Semi => {
-                        if matches.map(|m| !m.is_empty()).unwrap_or(false) {
-                            out.push_row(l.iter().cloned());
-                        }
-                    }
-                    JoinType::Anti => {
-                        if !matches.map(|m| !m.is_empty()).unwrap_or(false) {
-                            out.push_row(l.iter().cloned());
-                        }
+            let matched = matches.is_some_and(|m| !m.is_empty());
+            match self.node.join {
+                JoinType::Inner | JoinType::LeftOuter if matched => {
+                    for &i in matches.into_iter().flatten() {
+                        out.push_row(l.iter().cloned().chain(self.right_rows[i].iter().cloned()));
                     }
                 }
-            }
-            if !out.is_empty() {
-                let out = Batch::Row(out);
-                charge_emit(self.ctx.db, &out);
-                return Ok(Some(out));
+                JoinType::LeftOuter => out.push_row(
+                    l.iter()
+                        .cloned()
+                        .chain(std::iter::repeat_n(Value::Null, self.right_width)),
+                ),
+                JoinType::Semi if matched => out.push_row(l.iter().cloned()),
+                JoinType::Anti if !matched => out.push_row(l.iter().cloned()),
+                JoinType::Inner | JoinType::Semi | JoinType::Anti => {}
             }
         }
+        Ok(emit_or_end(self.ctx.db, out))
     }
 
     fn close(&mut self) {
-        if let Some(mut l) = self.left.take() {
-            l.close();
-        }
+        self.left.close();
         if let Some(mut r) = self.right.take() {
             r.close();
         }
@@ -187,7 +175,8 @@ impl Operator for HashJoinOp<'_, '_> {
 pub(crate) struct LookupJoinOp<'r, 'env> {
     ctx: &'env ExecContext<'env>,
     node: &'env LookupJoinNode,
-    outer: Option<BoxOp<'r>>,
+    outer: InputCursor<'r>,
+    outer_width: usize,
     probe: Option<LookupProbe<'env>>,
 }
 
@@ -200,7 +189,8 @@ impl<'r, 'env> LookupJoinOp<'r, 'env> {
         LookupJoinOp {
             ctx,
             node,
-            outer: Some(outer),
+            outer: InputCursor::new(outer),
+            outer_width: taurus_verify::plan_width(&node.outer),
             probe: None,
         }
     }
@@ -213,48 +203,33 @@ impl Operator for LookupJoinOp<'_, '_> {
 
     fn open(&mut self) -> Result<()> {
         self.probe = Some(LookupProbe::new(self.node, self.ctx)?);
-        match &mut self.outer {
-            Some(o) => o.open(),
-            None => Ok(()),
-        }
+        self.outer.open()
     }
 
     fn next_batch(&mut self) -> Result<Option<Batch>> {
         let probe = self
             .probe
-            .as_ref()
+            .as_mut()
             .ok_or_else(|| taurus_common::Error::Internal("LookupJoin not opened".into()))?;
-        loop {
-            let Some(outer) = &mut self.outer else {
-                return Ok(None);
-            };
-            let Some(b) = outer.next_batch()? else {
-                if let Some(mut o) = self.outer.take() {
-                    o.close();
-                }
-                return Ok(None);
-            };
-            let b = b.into_row_batch();
-            let out_width = match self.node.join {
-                JoinType::Inner | JoinType::LeftOuter => b.width() + self.node.inner_output.len(),
-                JoinType::Semi | JoinType::Anti => b.width(),
-            };
-            let mut out = RowBatch::with_capacity(out_width, b.len());
-            for orow in b.rows() {
-                probe.probe(self.ctx, orow, &mut |row| out.push_row(row))?;
+        let out_width = match self.node.join {
+            JoinType::Inner | JoinType::LeftOuter => {
+                self.outer_width + self.node.inner_output.len()
             }
-            if !out.is_empty() {
-                let out = Batch::Row(out);
-                charge_emit(self.ctx.db, &out);
-                return Ok(Some(out));
-            }
+            JoinType::Semi | JoinType::Anti => self.outer_width,
+        };
+        let batch_rows = self.ctx.db.config().scan_batch_rows;
+        let mut out = RowBatch::with_capacity(out_width, batch_rows);
+        while !out.is_full() {
+            let Some(orow) = self.outer.next_row(out.is_empty())? else {
+                break;
+            };
+            probe.probe(self.ctx, orow, &mut |row| out.push_row(row))?;
         }
+        Ok(emit_or_end(self.ctx.db, out))
     }
 
     fn close(&mut self) {
-        if let Some(mut o) = self.outer.take() {
-            o.close();
-        }
+        self.outer.close();
         self.probe = None;
     }
 }

@@ -120,6 +120,70 @@ where
     })
 }
 
+/// The streamed input of an operator whose output batch can fill before
+/// its input batch is used up (the probe side of a join, whose output rows
+/// are wider than its input's and as many as the match fan-out makes
+/// them): it pulls the child one batch at a time and remembers how far
+/// into that batch it has read, so a full output batch is emitted
+/// mid-input and the next pull resumes there.
+pub(crate) struct InputCursor<'r> {
+    child: Option<BoxOp<'r>>,
+    batch: Option<RowBatch>,
+    next: usize,
+}
+
+impl<'r> InputCursor<'r> {
+    pub(crate) fn new(child: BoxOp<'r>) -> InputCursor<'r> {
+        InputCursor {
+            child: Some(child),
+            batch: None,
+            next: 0,
+        }
+    }
+
+    pub(crate) fn open(&mut self) -> Result<()> {
+        match &mut self.child {
+            Some(c) => c.open(),
+            None => Ok(()),
+        }
+    }
+
+    /// The next unread input row. At the end of an input batch (which is
+    /// dropped) the child is pulled again only if `pull`, so a caller
+    /// with output in hand can emit it at the input's batch boundaries:
+    /// an operator above then works on rows whose pages a scan below
+    /// touched moments ago, not a whole table ago. `None` also once the
+    /// child is exhausted (which closes it).
+    pub(crate) fn next_row(&mut self, pull: bool) -> Result<Option<&[taurus_common::Value]>> {
+        while self.batch.as_ref().is_none_or(|b| self.next >= b.len()) {
+            self.batch = None;
+            if !pull {
+                return Ok(None);
+            }
+            let Some(child) = &mut self.child else {
+                return Ok(None);
+            };
+            match child.next_batch()? {
+                // Pipeline input resolves to dense rows here.
+                Some(b) => (self.batch, self.next) = (Some(b.into_row_batch()), 0),
+                None => {
+                    self.close();
+                    return Ok(None);
+                }
+            }
+        }
+        self.next += 1;
+        Ok(self.batch.as_ref().map(|b| b.row(self.next - 1)))
+    }
+
+    pub(crate) fn close(&mut self) {
+        if let Some(mut c) = self.child.take() {
+            c.close();
+        }
+        self.batch = None;
+    }
+}
+
 /// Charge the pipeline-traffic counters at an operator's emit site.
 /// Columnar batches charge their *selected* row count — the rows a
 /// consumer will actually see — so the counters read the same under
@@ -128,6 +192,17 @@ pub(crate) fn charge_emit(db: &TaurusDb, batch: &Batch) {
     db.metrics()
         .add(|m| &m.operator_rows, batch.selected_len() as u64);
     db.metrics().add(|m| &m.operator_batches, 1);
+}
+
+/// Hand an operator's filled output batch up (charging the emit), or
+/// report end of stream when nothing was put in it.
+pub(crate) fn emit_or_end(db: &TaurusDb, out: RowBatch) -> Option<Batch> {
+    if out.is_empty() {
+        return None;
+    }
+    let out = Batch::Row(out);
+    charge_emit(db, &out);
+    Some(out)
 }
 
 /// Re-emit a breaker's materialized rows in batches of the configured

@@ -13,7 +13,6 @@
 //! early termination) instead of truncating a fully materialized input.
 
 use taurus_common::colbatch::{Batch, ColumnBatch};
-use taurus_common::schema::Row;
 use taurus_common::{Result, RowBatch};
 use taurus_expr::ast::Expr;
 use taurus_expr::eval::{eval, eval_pred};
@@ -121,7 +120,7 @@ impl Operator for FilterOp<'_, '_> {
             let Some(b) = self.child.next_batch()? else {
                 return Ok(None);
             };
-            let rb = match b {
+            let mut rb = match b {
                 Batch::Col(cb) if self.vector.is_some() && !self.vector_disabled => {
                     match self.filter_columnar(cb) {
                         Ok(None) => continue,
@@ -135,14 +134,11 @@ impl Operator for FilterOp<'_, '_> {
                 }
                 other => other.into_row_batch(),
             };
-            let mut out = RowBatch::with_capacity(rb.width(), rb.len());
-            for row in rb.rows() {
-                if eval_pred(self.predicate, row)? == Some(true) {
-                    out.push_row(row.iter().cloned());
-                }
-            }
-            if !out.is_empty() {
-                let out = Batch::Row(out);
+            // Row-major input is filtered in place: survivors move to the
+            // front of the batch they arrived in.
+            rb.retain_rows(|row| Ok(eval_pred(self.predicate, row)? == Some(true)))?;
+            if !rb.is_empty() {
+                let out = Batch::Row(rb);
                 charge_emit(self.db, &out);
                 return Ok(Some(out));
             }
@@ -213,12 +209,7 @@ impl Operator for ProjectOp<'_, '_> {
         let rb = b.into_row_batch();
         let mut out = RowBatch::with_capacity(self.exprs.len(), rb.len());
         for row in rb.rows() {
-            let vals: Row = self
-                .exprs
-                .iter()
-                .map(|e| eval(e, row))
-                .collect::<Result<_>>()?;
-            out.push_row(vals);
+            out.try_push_row(self.exprs.iter().map(|e| eval(e, row)))?;
         }
         let out = Batch::Row(out);
         charge_emit(self.db, &out);

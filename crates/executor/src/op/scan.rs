@@ -11,6 +11,12 @@
 //! turns that into the `ScanConsumer` early-stop `false`, terminating
 //! the scan exactly like a row-level stop always has.
 //!
+//! The scan core does the scan's own filtering (the node's residual
+//! conjuncts run on record bytes) and fills each batch to capacity across
+//! pages, so a channel message is a full batch of result rows, moved: the
+//! producer swaps it for an empty recycled one, nothing is cloned or
+//! rebuilt on the way to the operator above.
+//!
 //! [`AggScanOp`] is a pipeline breaker: index-ordered streaming
 //! aggregation (with NDP partial merging) runs to completion on open and
 //! the finalized groups re-emit in batches.
@@ -22,157 +28,47 @@ use taurus_common::colbatch::{Batch, ColumnBatch};
 use taurus_common::metrics::CpuGuard;
 use taurus_common::{QueryCtx, Result, RowBatch, Value};
 use taurus_expr::agg::AggState;
-use taurus_expr::ast::Expr;
-use taurus_expr::vector::VectorProgram;
 use taurus_ndp::{scan_ctx, ReadView, ScanConsumer, TaurusDb};
 use taurus_optimizer::plan::{AggScanNode, ScanNode};
 
 use super::{charge_emit, BatchEmitter, Operator};
 use crate::exec::{
-    exec_agg_scan_partials, finalize_agg_groups, remap_to_output, residual_survives, scan_spec,
-    ExecContext,
+    exec_agg_scan_partials, finalize_agg_groups, scan_residual, scan_spec, ExecContext,
 };
 use crate::stream::STREAM_CHANNEL_BATCHES;
 
-/// ScanConsumer that forwards surviving rows into a bounded channel, one
-/// message per batch. A failed send means the receiver is gone (closed
-/// operator, dropped stream): the consumer returns `false` and the scan
-/// terminates early.
+/// ScanConsumer that forwards the scan's batches into a bounded channel,
+/// one message per batch. Filtering already happened: the scan core runs
+/// the residual conjuncts on record bytes, so every row that arrives
+/// here is a result row. A full batch is *moved* into the channel — the
+/// scan gets an empty (recycled) batch back in its place — and a failed
+/// send means the receiver is gone (closed operator, dropped stream):
+/// the consumer returns `false` and the scan terminates early.
 pub(crate) struct ChannelConsumer<'a> {
     pub(crate) tx: &'a SyncSender<Result<Batch>>,
-    pub(crate) db: &'a TaurusDb,
-    /// Residual predicate conjuncts over scan-output positions.
-    pub(crate) residual: Vec<Expr>,
-    /// Column-at-a-time form of the conjoined residual. Dropped (poisoned
-    /// to `None`) after the first vector-eval error — the scalar path
-    /// short-circuits past lanes eager evaluation cannot.
-    pub(crate) vector: Option<VectorProgram>,
-    /// Narrow delivered rows to these scan-output positions.
-    pub(crate) project: Option<Vec<usize>>,
-}
-
-impl ChannelConsumer<'_> {
-    /// Compile the conjoined residual for the vectorized fast path.
-    /// `out_dtypes` are the scan's *output-position* column types (the
-    /// space the residual is remapped into); when the range analysis
-    /// proves every rescale overflow-free over them, the program is
-    /// marked [`VectorProgram::mark_proven_safe`] and the decimal kernels
-    /// skip their per-lane checked-overflow deferral. Scan outputs are
-    /// storage-backed by definition, so the proof's `|raw| <= i64::MAX`
-    /// premise always holds here.
-    pub(crate) fn residual_vector(
-        residual: &[Expr],
-        out_dtypes: Option<&[taurus_common::DataType]>,
-    ) -> Option<VectorProgram> {
-        if residual.is_empty() {
-            return None;
-        }
-        let pred = Expr::and(residual.to_vec());
-        let mut vp = VectorProgram::from_expr(&pred).ok()?;
-        if let Some(dtypes) = out_dtypes {
-            if taurus_verify::analyze_predicate(&pred, dtypes).proven {
-                vp.mark_proven_safe();
-            }
-        }
-        Some(vp)
-    }
-
-    fn survives(&self, row: &[Value]) -> Result<bool> {
-        residual_survives(&self.residual, row)
-    }
-
-    fn out_width(&self, in_width: usize) -> usize {
-        self.project.as_ref().map_or(in_width, |keep| keep.len())
-    }
-
-    fn push_projected(&self, out: &mut RowBatch, row: &[Value]) {
-        match &self.project {
-            Some(keep) => out.push_row(keep.iter().map(|&p| row[p].clone())),
-            None => out.push_row(row.iter().cloned()),
-        }
-    }
 }
 
 impl ScanConsumer for ChannelConsumer<'_> {
     fn on_row(&mut self, row: &[Value]) -> Result<bool> {
         // Row-at-a-time fallback (the scan core always batches): wrap the
         // row in a single-row batch.
-        if !self.survives(row)? {
-            return Ok(true);
-        }
-        let mut out = RowBatch::with_capacity(self.out_width(row.len()), 1);
-        self.push_projected(&mut out, row);
+        let mut out = RowBatch::with_capacity(row.len(), 1);
+        out.push_row(row.iter().cloned());
         Ok(self.tx.send(Ok(Batch::Row(out))).is_ok())
     }
 
-    fn on_batch(&mut self, batch: &RowBatch) -> Result<bool> {
-        if self.residual.is_empty() && self.project.is_none() {
-            // Nothing to filter or narrow: forward the batch as-is (one
-            // allocation, one value clone — no per-row rebuild).
-            return Ok(self.tx.send(Ok(Batch::Row(batch.clone()))).is_ok());
-        }
-        let mut out = RowBatch::with_capacity(self.out_width(batch.width()), batch.len());
-        for row in batch.rows() {
-            if self.survives(row)? {
-                self.push_projected(&mut out, row);
-            }
-        }
-        if out.is_empty() {
-            // Everything filtered: nothing to hand over, keep scanning.
-            return Ok(true);
-        }
+    fn on_batch_mut(&mut self, batch: &mut RowBatch) -> Result<bool> {
+        let empty = RowBatch::with_capacity(batch.width(), batch.capacity_rows());
+        let full = std::mem::replace(batch, empty);
         // A closed receiver means the consumer stopped pulling (dropped
         // stream, early break): end the scan without error.
-        Ok(self.tx.send(Ok(Batch::Row(out))).is_ok())
+        Ok(self.tx.send(Ok(Batch::Row(full))).is_ok())
     }
 
     fn on_col_batch(&mut self, batch: &ColumnBatch) -> Result<bool> {
-        if self.residual.is_empty() && self.project.is_none() {
-            // Forward column vectors as-is: the whole scan→filter→stream
-            // spine stays column-major.
-            return Ok(self.tx.send(Ok(Batch::Col(batch.clone()))).is_ok());
-        }
-        if self.residual.is_empty() {
-            // lint:allow(panic): branch taken only when project.is_some()
-            let keep = self.project.as_ref().expect("checked above");
-            return Ok(self
-                .tx
-                .send(Ok(Batch::Col(batch.project_cols(keep))))
-                .is_ok());
-        }
-        if let Some(vp) = &self.vector {
-            match vp.eval_batch(batch) {
-                Ok(verdicts) => {
-                    let physical = batch.len();
-                    let sel: Vec<u32> = match batch.selection() {
-                        Some(old) => old
-                            .iter()
-                            .copied()
-                            .filter(|&i| verdicts.is_true(i as usize))
-                            .collect(),
-                        None => verdicts.true_indices(),
-                    };
-                    let m = self.db.metrics();
-                    m.add(|x| &x.vector_eval_rows, physical as u64);
-                    if let Some(pct) = (sel.len() * 100).checked_div(physical) {
-                        m.set(|x| &x.selection_density_pct, pct as u64);
-                    }
-                    if sel.is_empty() {
-                        // Everything filtered: keep scanning.
-                        return Ok(true);
-                    }
-                    let mut out = batch.clone();
-                    out.set_selection(sel);
-                    if let Some(keep) = &self.project {
-                        out = out.project_cols(keep);
-                    }
-                    return Ok(self.tx.send(Ok(Batch::Col(out))).is_ok());
-                }
-                Err(_) => self.vector = None,
-            }
-        }
-        // Residual didn't vectorize (or just failed): scalar row path.
-        self.on_batch(&batch.to_row_batch())
+        // Forward column vectors as-is: the whole scan→stream spine stays
+        // column-major.
+        Ok(self.tx.send(Ok(Batch::Col(batch.clone()))).is_ok())
     }
 
     fn on_partial(&mut self, _states: Vec<AggState>) -> Result<bool> {
@@ -182,18 +78,20 @@ impl ScanConsumer for ChannelConsumer<'_> {
     }
 }
 
-/// Run one scan producer to completion: residual filtering and optional
-/// projection fused into [`ChannelConsumer`], errors and panics surfaced
-/// through the channel (a panic must not masquerade as a clean truncated
-/// end-of-stream). Shared by [`BatchScanOp`] and [`crate::RowStream`]'s
-/// bare-scan fast path.
+/// Run one scan producer to completion: the scan core filters (residual
+/// conjuncts on record bytes) and decodes only the first `visible`
+/// output columns when given (the builder appends predicate-only columns
+/// to a scan's output and hides them behind a prefix projection), errors
+/// and panics surface through the channel (a panic must not masquerade
+/// as a clean truncated end-of-stream). Shared by [`BatchScanOp`] and
+/// [`crate::RowStream`]'s bare-scan fast path.
 pub(crate) fn run_scan_producer(
     db: &TaurusDb,
     node: &ScanNode,
     view: ReadView,
     qctx: QueryCtx,
     tx: &SyncSender<Result<Batch>>,
-    project: Option<Vec<usize>>,
+    visible: Option<usize>,
 ) {
     // The producer is a compute-node thread: its CPU lands in
     // `compute_cpu_ns`, like any query thread.
@@ -201,28 +99,21 @@ pub(crate) fn run_scan_producer(
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| -> Result<()> {
         let table = db.table(&node.table)?;
         let ctx = ExecContext { db, view, qctx };
-        let spec = scan_spec(node, &ctx, None, None)?;
-        let residual: Vec<Expr> = node
-            .residual_conjuncts()
-            .into_iter()
-            .map(|e| remap_to_output(e, &node.output))
-            .collect::<Result<_>>()?;
-        // Output-position dtypes for the range analysis; `None` (and no
-        // overflow proof) if any output position is out of schema range —
-        // such a plan fails in the scan core anyway.
-        let out_dtypes: Option<Vec<taurus_common::DataType>> = node
-            .output
-            .iter()
-            .map(|&c| table.schema.columns.get(c).map(|col| col.dtype))
-            .collect();
-        let mut consumer = ChannelConsumer {
-            tx,
-            db,
-            vector: ChannelConsumer::residual_vector(&residual, out_dtypes.as_deref()),
-            residual,
-            project,
-        };
-        scan_ctx(ctx.db, &table, &spec, &ctx.view, ctx.qctx, &mut consumer)?;
+        let mut spec = scan_spec(node, &ctx, None, None)?;
+        let residual = scan_residual(node)?;
+        if let Some(n) = visible {
+            spec.output_cols.truncate(n);
+        }
+        let mut consumer = ChannelConsumer { tx };
+        scan_ctx(
+            ctx.db,
+            &table,
+            &spec,
+            &residual,
+            &ctx.view,
+            ctx.qctx,
+            &mut consumer,
+        )?;
         Ok(())
     }));
     match result {

@@ -55,9 +55,9 @@ impl Operator for SortOp<'_, '_> {
             if let Some(child) = &mut self.child {
                 while let Some(b) = child.next_batch()? {
                     // Pipeline breaker: selections resolve to dense rows.
-                    let b = b.into_row_batch();
+                    let mut b = b.into_row_batch();
                     rows.reserve(b.len());
-                    rows.extend(b.into_rows());
+                    rows.extend(b.drain_rows());
                 }
             }
             if let Some(mut c) = self.child.take() {

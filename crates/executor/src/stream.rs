@@ -23,7 +23,6 @@ use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use taurus_common::batch::RowBatchIter;
 use taurus_common::metrics::CpuGuard;
 use taurus_common::schema::Row;
 use taurus_common::{Batch, QueryCtx, Result, RowBatch};
@@ -35,19 +34,26 @@ use crate::exec::ExecContext;
 use crate::op::{lower, run_scan_producer};
 
 /// How many row batches the producer may run ahead of the consumer. The
-/// look-ahead bound is batch-granular: up to this many queued batches
-/// plus the one being built, i.e. ~3 × `scan_batch_rows` rows of
-/// materialized look-ahead at most — kept small deliberately so an
-/// abandoned stream wastes little scan work and memory.
-pub(crate) const STREAM_CHANNEL_BATCHES: usize = 2;
+/// look-ahead bound is batch-granular: this many queued batches plus the
+/// one being built, i.e. two batches of materialized look-ahead at most.
+/// One queued batch is all the overlap a producer needs (it fills the
+/// next while the consumer works on the last), and it is kept at one
+/// deliberately: an abandoned stream wastes little scan work and memory,
+/// and a scan never runs further ahead of the operators above it than a
+/// small buffer pool keeps its pages (a lookup join back into the table
+/// being scanned finds them still cached; at two queued batches a
+/// 70-page pool lost them now and then and re-read half the table).
+pub(crate) const STREAM_CHANNEL_BATCHES: usize = 1;
 
 /// An iterator of query result rows; see the module docs for how plans
 /// stream and where pipeline breakers materialize. Always backed by a
 /// live producer thread behind a bounded batch channel.
 pub struct RowStream {
     rx: Receiver<Result<Batch>>,
-    /// Rows of the most recently received batch, popped locally.
-    cur: RowBatchIter,
+    /// The most recently received batch; rows `..next_row` of it have
+    /// been popped by `next()`.
+    cur: RowBatch,
+    next_row: usize,
     producer: Option<JoinHandle<()>>,
 }
 
@@ -74,9 +80,11 @@ impl RowStream {
         match plan {
             Plan::Scan(node) => RowStream::spawn_scan(db, node, view, qctx, None),
             Plan::Project(p) if project_is_prefix(&p.exprs) => {
-                let keep: Vec<usize> = (0..p.exprs.len()).collect();
+                let visible = p.exprs.len();
                 match *p.input {
-                    Plan::Scan(node) => RowStream::spawn_scan(db, node, view, qctx, Some(keep)),
+                    Plan::Scan(node) if visible <= node.output.len() => {
+                        RowStream::spawn_scan(db, node, view, qctx, Some(visible))
+                    }
                     other => RowStream::spawn_pipeline(
                         db,
                         Plan::Project(taurus_optimizer::plan::ProjectNode {
@@ -100,7 +108,8 @@ impl RowStream {
         let _ = tx.send(Err(e));
         RowStream {
             rx,
-            cur: RowBatchIter::empty(),
+            cur: RowBatch::with_capacity(0, 1),
+            next_row: 0,
             producer: None,
         }
     }
@@ -164,30 +173,32 @@ impl RowStream {
             .expect("spawn row-stream producer");
         RowStream {
             rx,
-            cur: RowBatchIter::empty(),
+            cur: RowBatch::with_capacity(0, 1),
+            next_row: 0,
             producer: Some(producer),
         }
     }
 
     /// Fast path for bare scans: run the scan core straight into the
-    /// stream channel (no operator hop). `project` optionally narrows
-    /// each delivered row to the given scan-output positions.
+    /// stream channel (no operator hop). `visible` optionally narrows
+    /// each delivered row to that many leading scan-output columns.
     pub(crate) fn spawn_scan(
         db: Arc<TaurusDb>,
         node: ScanNode,
         view: ReadView,
         qctx: QueryCtx,
-        project: Option<Vec<usize>>,
+        visible: Option<usize>,
     ) -> RowStream {
         let (tx, rx) = sync_channel::<Result<Batch>>(STREAM_CHANNEL_BATCHES);
         let producer = std::thread::Builder::new()
             .name("taurus-row-stream".into())
-            .spawn(move || run_scan_producer(&db, &node, view, qctx, &tx, project))
+            .spawn(move || run_scan_producer(&db, &node, view, qctx, &tx, visible))
             // lint:allow(panic): thread spawn fails only on OS resource exhaustion
             .expect("spawn row-stream producer");
         RowStream {
             rx,
-            cur: RowBatchIter::empty(),
+            cur: RowBatch::with_capacity(0, 1),
+            next_row: 0,
             producer: Some(producer),
         }
     }
@@ -206,12 +217,10 @@ impl RowStream {
     /// pipeline batches resolve to dense row-major form right here — the
     /// wire protocol and every caller above this line are layout-blind.
     pub fn next_batch(&mut self) -> Option<Result<RowBatch>> {
-        if self.cur.len() > 0 {
-            let mut b = RowBatch::with_capacity(self.cur.width(), self.cur.len());
-            for row in self.cur.by_ref() {
-                b.push_row(row);
-            }
-            return Some(Ok(b));
+        if self.next_row < self.cur.len() {
+            let mut rest = std::mem::replace(&mut self.cur, RowBatch::with_capacity(0, 1));
+            rest.discard_front(std::mem::take(&mut self.next_row));
+            return Some(Ok(rest));
         }
         self.rx.recv().ok().map(|r| r.map(Batch::into_row_batch))
     }
@@ -230,11 +239,15 @@ impl Iterator for RowStream {
 
     fn next(&mut self) -> Option<Result<Row>> {
         loop {
-            if let Some(row) = self.cur.next() {
-                return Some(Ok(row));
+            if self.next_row < self.cur.len() {
+                self.next_row += 1;
+                return Some(Ok(self.cur.take_row(self.next_row - 1)));
             }
             match self.rx.recv() {
-                Ok(Ok(batch)) => self.cur = batch.into_row_batch().into_rows(),
+                Ok(Ok(batch)) => {
+                    self.cur = batch.into_row_batch();
+                    self.next_row = 0;
+                }
                 Ok(Err(e)) => return Some(Err(e)),
                 Err(_) => return None, // producer finished
             }

@@ -35,4 +35,4 @@ pub use descriptor::{fnv64, NdpAggSpec, NdpDescriptor};
 pub use eval::{eval, eval_pred};
 pub use ir::{IrInstr, IrProgram};
 pub use vector::{BoolVec, VectorProgram};
-pub use vm::{CompiledPredicate, TriBool};
+pub use vm::{CompiledPredicate, FilterScratch, RecordFilter, TriBool};

@@ -12,10 +12,10 @@
 //! non-trivial, which is what makes the descriptor cache (§IV-D1) matter;
 //! see `taurus-pagestore::descriptor_cache`.
 
-use taurus_common::{DataType, Dec, Error, Result};
+use taurus_common::{DataType, Dec, Error, Result, Value};
 use taurus_page::{RecordLayout, RecordView};
 
-use crate::ast::{ArithOp, CmpOp};
+use crate::ast::{ArithOp, CmpOp, Expr};
 use crate::compile::MAX_REGS;
 use crate::ir::{IrInstr, IrProgram};
 use crate::util;
@@ -275,6 +275,13 @@ impl CompiledPredicate {
     /// buffer (filled with the record's field offsets once per record).
     pub fn eval_record(&self, rec: &RecordView<'_>, offsets: &mut Vec<u32>) -> Result<TriBool> {
         rec.fill_offsets(offsets);
+        self.eval_at(rec, offsets)
+    }
+
+    /// [`CompiledPredicate::eval_record`] with `rec`'s field offsets
+    /// already in `offsets` (several predicates over one record share one
+    /// `fill_offsets`).
+    fn eval_at(&self, rec: &RecordView<'_>, offsets: &[u32]) -> Result<TriBool> {
         let mut regs: [Slot<'_>; MAX_REGS] = [Slot::Null; MAX_REGS];
         let mut pc = 0usize;
         loop {
@@ -563,10 +570,97 @@ fn slot_dec(s: &Slot<'_>) -> Result<Dec> {
     }
 }
 
+/// Predicate conjuncts a scan evaluates over raw record bytes before it
+/// builds a single `Value`: each conjunct is lowered and compiled against
+/// the record layout once, the way a Page Store prepares a pushed
+/// predicate.
+///
+/// The tree-walking evaluator stays the authority. A conjunct the IR
+/// cannot express, and any record on which the VM errors, goes through
+/// [`crate::eval::eval_pred`], so verdicts and errors are the
+/// tree-walker's. Conjuncts run in order and a record is dropped at the
+/// first one that is not TRUE, so a later conjunct never sees a record an
+/// earlier one rejected.
+pub struct RecordFilter {
+    conjuncts: Vec<FilterConjunct>,
+    n_cols: usize,
+}
+
+struct FilterConjunct {
+    compiled: Option<CompiledPredicate>,
+    /// The conjunct over record positions, and the positions it reads.
+    expr: Expr,
+    cols: Vec<usize>,
+}
+
+/// Per-scan scratch of a [`RecordFilter`]: field offsets for the VM and
+/// one decoded row for the fallback.
+#[derive(Default)]
+pub struct FilterScratch {
+    offsets: Vec<u32>,
+    row: Vec<Value>,
+}
+
+impl RecordFilter {
+    /// Compile `conjuncts` (column references are record positions of
+    /// `layout`).
+    pub fn new(conjuncts: &[Expr], layout: &RecordLayout) -> RecordFilter {
+        // Nothing to compile against for a scan without a predicate (a
+        // lookup join's probe builds one of these per outer row).
+        let identity: Vec<u16> = match conjuncts.is_empty() {
+            true => Vec::new(),
+            false => (0..layout.n_cols() as u16).collect(),
+        };
+        RecordFilter {
+            conjuncts: conjuncts
+                .iter()
+                .map(|e| FilterConjunct {
+                    compiled: crate::compile::lower(e)
+                        .and_then(|ir| CompiledPredicate::compile(&ir, layout, &identity))
+                        .ok(),
+                    expr: e.clone(),
+                    cols: e.columns(),
+                })
+                .collect(),
+            n_cols: layout.n_cols(),
+        }
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.conjuncts.is_empty()
+    }
+
+    /// Is every conjunct TRUE on `rec`?
+    pub fn passes(&self, rec: &RecordView<'_>, scratch: &mut FilterScratch) -> Result<bool> {
+        rec.fill_offsets(&mut scratch.offsets);
+        for c in &self.conjuncts {
+            let verdict = match &c.compiled {
+                Some(p) => p.eval_at(rec, &scratch.offsets).ok(),
+                None => None,
+            };
+            let passed = match verdict {
+                Some(v) => v == TriBool::True,
+                None => {
+                    // Only the referenced positions are decoded; the
+                    // expression reads no other.
+                    scratch.row.resize(self.n_cols, Value::Null);
+                    for &col in &c.cols {
+                        scratch.row[col] = rec.value(col);
+                    }
+                    crate::eval::eval_pred(&c.expr, &scratch.row)? == Some(true)
+                }
+            };
+            if !passed {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::Expr;
     use crate::compile::lower;
     use crate::eval::{eval, eval_pred};
     use taurus_common::{Date32, Value};

@@ -20,4 +20,4 @@ pub mod record;
 
 pub use ndp_page::NdpPageBuilder;
 pub use page::{Page, PageType, FIRST_REC_NONE, HEADER_LEN, NO_PAGE};
-pub use record::{encode_record, RecType, RecordLayout, RecordMeta, RecordView};
+pub use record::{encode_record, DecodePlan, RecType, RecordLayout, RecordMeta, RecordView};

@@ -133,8 +133,9 @@ mod tests {
         assert!(p.verify_checksum().is_ok());
         let keys: Vec<i64> = p
             .iter_chain()
-            .map(|off| {
-                RecordView::new(p.record_at(off), &l)
+            .map(|rec| {
+                RecordView::parse(rec.unwrap(), &l)
+                    .unwrap()
                     .value(0)
                     .as_int()
                     .unwrap()
@@ -157,7 +158,12 @@ mod tests {
         let p = b.finish(1);
         let types: Vec<RecType> = p
             .iter_chain()
-            .map(|off| RecordView::new(p.record_at(off), &l).rec_type())
+            .map(|rec| {
+                RecordView::parse(rec.unwrap(), &l)
+                    .unwrap()
+                    .rec_type()
+                    .unwrap()
+            })
             .collect();
         assert_eq!(
             types,

@@ -21,7 +21,7 @@ use std::cmp::Ordering;
 
 use taurus_common::{Error, Lsn, PageNo, Result, SpaceId};
 
-use crate::record::RecordView;
+use crate::record::{RecordView, REC_HDR_LEN};
 
 /// Sentinel for "no neighbour page".
 pub const NO_PAGE: PageNo = u32::MAX;
@@ -342,32 +342,117 @@ impl Page {
         (lo, exact)
     }
 
-    /// Iterate record offsets in key order by following the chain — the
-    /// code path shared by regular and NDP pages.
+    /// Iterate records in key order by following the chain — the code
+    /// path shared by regular and NDP pages. Each item is one record's
+    /// bytes, from its header to the end of the record heap (wrap them in
+    /// a [`RecordView`] to find the real length).
+    ///
+    /// The walk fails closed on a damaged page: a pointer outside the
+    /// heap, a chain that does not visit exactly `n_recs` records (a cycle
+    /// included) or, on a regular page, strays from the slot directory's
+    /// key order yields one [`Error::Corruption`] and ends the iteration.
     pub fn iter_chain(&self) -> ChainIter<'_> {
+        self.iter_chain_from(0)
+    }
+
+    /// [`Page::iter_chain`] from the record in slot `slot` of a regular
+    /// page on (`slot == n_slots` yields nothing).
+    pub fn iter_chain_from(&self, slot: usize) -> ChainIter<'_> {
+        let n_recs = self.n_recs() as usize;
+        let has_slots = self.page_type() == PageType::Index;
+        let slots_len = if has_slots { 2 * n_recs } else { 0 };
+        let well_formed = HEADER_LEN + slots_len <= self.buf.len()
+            && (!has_slots || self.n_slots() as usize == n_recs);
         ChainIter {
             page: self,
-            next: self.first_rec(),
+            state: if well_formed {
+                ChainState::Walking
+            } else {
+                ChainState::Malformed
+            },
+            next: match slot {
+                0 => self.first_rec(),
+                s if well_formed && has_slots && s < n_recs => self.slot_at(s),
+                _ => FIRST_REC_NONE,
+            },
+            seen: slot.min(n_recs),
+            n_recs,
+            has_slots,
+            heap_end: (self.heap_top() as usize).min(self.buf.len().saturating_sub(slots_len)),
         }
     }
 }
 
-/// Iterator over the in-page record chain.
+enum ChainState {
+    Walking,
+    /// The header's record count and slot directory contradict each other
+    /// or the page length; reported as the first item.
+    Malformed,
+    Done,
+}
+
+/// Iterator over the in-page record chain; see [`Page::iter_chain`].
 pub struct ChainIter<'a> {
     page: &'a Page,
+    state: ChainState,
     next: u16,
+    /// Records yielded (or skipped by `iter_chain_from`) so far.
+    seen: usize,
+    n_recs: usize,
+    has_slots: bool,
+    /// End of the record heap: no record header starts past it.
+    heap_end: usize,
+}
+
+impl<'a> ChainIter<'a> {
+    fn step(&mut self) -> std::result::Result<Option<&'a [u8]>, String> {
+        let (cur, seen, n) = (self.next as usize, self.seen, self.n_recs);
+        if self.next == FIRST_REC_NONE {
+            return if seen == n {
+                Ok(None)
+            } else {
+                Err(format!("record chain ends after {seen} of {n} records"))
+            };
+        }
+        if seen == n {
+            return Err(format!("record chain runs past the page's {n} records"));
+        }
+        if cur < HEADER_LEN || cur + REC_HDR_LEN > self.heap_end {
+            return Err(format!("record pointer {cur} outside the record heap"));
+        }
+        if self.has_slots && self.page.slot_at(seen) as usize != cur {
+            return Err(format!("record chain leaves slot order at record {seen}"));
+        }
+        self.seen += 1;
+        self.next = RecordView::peek_next(&self.page.buf, cur);
+        Ok(Some(&self.page.buf[cur..self.heap_end]))
+    }
 }
 
 impl<'a> Iterator for ChainIter<'a> {
-    type Item = u16;
+    type Item = Result<&'a [u8]>;
 
-    fn next(&mut self) -> Option<u16> {
-        if self.next == FIRST_REC_NONE {
-            return None;
+    fn next(&mut self) -> Option<Self::Item> {
+        let step = match self.state {
+            ChainState::Done => return None,
+            ChainState::Malformed => Err("record count and slot directory disagree".to_string()),
+            ChainState::Walking => self.step(),
+        };
+        match step {
+            Ok(Some(rec)) => Some(Ok(rec)),
+            Ok(None) => {
+                self.state = ChainState::Done;
+                None
+            }
+            Err(what) => {
+                self.state = ChainState::Done;
+                Some(Err(Error::Corruption(format!(
+                    "page {}:{}: {what}",
+                    self.page.space_raw(),
+                    self.page.page_no()
+                ))))
+            }
         }
-        let cur = self.next;
-        self.next = RecordView::peek_next(&self.page.buf, cur as usize);
-        Some(cur)
     }
 }
 
@@ -413,8 +498,9 @@ mod tests {
 
     fn chain_keys(p: &Page, l: &RecordLayout) -> Vec<i64> {
         p.iter_chain()
-            .map(|off| {
-                RecordView::new(p.record_at(off), l)
+            .map(|rec| {
+                RecordView::parse(rec.unwrap(), l)
+                    .unwrap()
                     .value(0)
                     .as_int()
                     .unwrap()
@@ -476,10 +562,57 @@ mod tests {
         // heap numbers are assigned in arrival order and stay unique.
         let mut heap_nos: Vec<u16> = p
             .iter_chain()
-            .map(|off| RecordView::new(p.record_at(off), &l).heap_no())
+            .map(|rec| RecordView::new(rec.unwrap(), &l).heap_no())
             .collect();
         heap_nos.sort_unstable();
         assert_eq!(heap_nos, (0..7).collect::<Vec<u16>>());
+    }
+
+    /// A damaged chain ends in one typed error, whatever the damage: a
+    /// cycle, a pointer off the heap, a chain shorter than the page's
+    /// record count, a record count the slot directory contradicts.
+    #[test]
+    fn chain_walk_fails_closed_on_damage() {
+        let l = layout();
+        let mut p = Page::new_index(4096, SpaceId(1), 0, 1, 0);
+        let offs: Vec<u16> = [10i64, 20, 30, 40]
+            .iter()
+            .map(|&k| p.append_record(&rec(&l, k, "x")).unwrap())
+            .collect();
+        assert_eq!(p.iter_chain().filter(|r| r.is_ok()).count(), 4);
+        assert_eq!(chain_keys(&p, &l), vec![10, 20, 30, 40]);
+        // From a slot on, and past the last slot.
+        assert_eq!(p.iter_chain_from(2).count(), 2);
+        assert_eq!(p.iter_chain_from(4).count(), 0);
+
+        let outcome = |p: &Page| -> (usize, bool) {
+            let items: Vec<_> = p.iter_chain().collect();
+            let errs = items.iter().filter(|r| r.is_err()).count();
+            assert!(errs <= 1, "one error ends the walk");
+            assert!(items.len() <= 5, "the walk is bounded by the record count");
+            (items.len() - errs, errs == 1)
+        };
+        let damaged = |at: u16, next: u16| {
+            let mut q = p.clone();
+            crate::record::set_next_offset(q.raw_mut(), at as usize, next);
+            q
+        };
+        // A cycle back to the first record, and onto itself.
+        assert_eq!(outcome(&damaged(offs[2], offs[0])), (3, true));
+        assert_eq!(outcome(&damaged(offs[1], offs[1])), (2, true));
+        // Off the heap, into the header, ending early, skipping a record.
+        assert_eq!(outcome(&damaged(offs[1], 4000)), (2, true));
+        assert_eq!(outcome(&damaged(offs[1], 8)), (2, true));
+        assert_eq!(outcome(&damaged(offs[1], FIRST_REC_NONE)), (2, true));
+        assert_eq!(outcome(&damaged(offs[0], offs[2])), (1, true));
+        // The header's counts contradict each other or the page.
+        let mut q = p.clone();
+        q.set_n_recs(3);
+        assert_eq!(outcome(&q), (0, true));
+        let mut q = p.clone();
+        q.set_n_recs(60_000);
+        q.set_n_slots(60_000);
+        assert_eq!(outcome(&q), (0, true));
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! record in key order (0 = end of chain), which is what keeps NDP pages
 //! consumable by the unchanged page-cursor code path (§IV-C2).
 
+use taurus_common::schema::encode_key_part_image;
 use taurus_common::{DataType, Error, Result, Value};
 
 /// Record type codes, numerically identical to the paper's Listing 3.
@@ -89,30 +90,54 @@ impl RecordMeta {
 #[derive(Clone, Debug, PartialEq)]
 pub struct RecordLayout {
     pub dtypes: Vec<DataType>,
-    /// For each column: `Some(i)` if it is the i-th varchar column.
-    var_index: Vec<Option<usize>>,
     pub n_var: usize,
     bitmap_len: usize,
+    /// For each column, plus one entry for the end of the data: where its
+    /// image starts when every varchar before it is empty (header
+    /// included). A column's real offset adds the lengths of the
+    /// `var_before` varchars in front of it, so columns ahead of the first
+    /// varchar sit at a constant offset.
+    fixed_off: Vec<u32>,
+    /// For each column, plus one entry for the end of the data: how many
+    /// varchar columns precede it (for a varchar column, its own entry in
+    /// the var-length array).
+    var_before: Vec<u16>,
+    /// Declared maximum length of each varchar column, in varchar order.
+    var_max: Vec<u16>,
 }
 
 impl RecordLayout {
     pub fn new(dtypes: Vec<DataType>) -> Self {
-        let mut var_index = Vec::with_capacity(dtypes.len());
-        let mut n_var = 0;
+        let var_max: Vec<u16> = dtypes
+            .iter()
+            .filter_map(|dt| match dt {
+                DataType::Varchar(n) => Some(*n),
+                _ => None,
+            })
+            .collect();
+        let n_var = var_max.len();
+        let bitmap_len = dtypes.len().div_ceil(8);
+        let mut fixed_off = Vec::with_capacity(dtypes.len() + 1);
+        let mut var_before = Vec::with_capacity(dtypes.len() + 1);
+        let mut off = (REC_HDR_LEN + bitmap_len + 2 * n_var) as u32;
+        let mut vars = 0u16;
         for dt in &dtypes {
-            if dt.fixed_width().is_none() {
-                var_index.push(Some(n_var));
-                n_var += 1;
-            } else {
-                var_index.push(None);
+            fixed_off.push(off);
+            var_before.push(vars);
+            match dt.fixed_width() {
+                Some(w) => off += w as u32,
+                None => vars += 1,
             }
         }
-        let bitmap_len = dtypes.len().div_ceil(8);
+        fixed_off.push(off);
+        var_before.push(vars);
         RecordLayout {
             dtypes,
-            var_index,
             n_var,
             bitmap_len,
+            fixed_off,
+            var_before,
+            var_max,
         }
     }
 
@@ -123,6 +148,14 @@ impl RecordLayout {
 
     pub fn n_cols(&self) -> usize {
         self.dtypes.len()
+    }
+
+    /// Column `col`'s entry in the var-length array, if it is a varchar.
+    fn var_slot(&self, col: usize) -> Option<usize> {
+        match self.dtypes[col] {
+            DataType::Varchar(_) => Some(self.var_before[col] as usize),
+            _ => None,
+        }
     }
 
     /// Build the layout for a projected subset (`keep` = positions into
@@ -175,7 +208,7 @@ pub fn encode_record(
         } else {
             v.encode_column(dt, out)?;
         }
-        if let Some(vi) = layout.var_index[i] {
+        if let Some(vi) = layout.var_slot(i) {
             let len = (out.len() - col_start) as u16;
             out[varlen_at + 2 * vi..varlen_at + 2 * vi + 2].copy_from_slice(&len.to_le_bytes());
         }
@@ -197,15 +230,70 @@ pub struct RecordView<'a> {
     layout: &'a RecordLayout,
 }
 
+fn corrupt(what: std::fmt::Arguments<'_>) -> Error {
+    Error::Corruption(format!("record: {what}"))
+}
+
 impl<'a> RecordView<'a> {
-    /// `bytes` must begin at the record header; it may extend past the
-    /// record's end (e.g. the rest of the page).
+    /// A view over bytes this process encoded itself (or already
+    /// validated). `bytes` must begin at the record header; it may extend
+    /// past the record's end (e.g. the rest of the page). Field accessors
+    /// index without checking, so bytes read from a page go through
+    /// [`RecordView::parse`] instead.
     pub fn new(bytes: &'a [u8], layout: &'a RecordLayout) -> Self {
         RecordView { bytes, layout }
     }
 
-    pub fn rec_type(&self) -> RecType {
-        RecType::from_u8(self.bytes[0] & 0x07).expect("validated on write")
+    /// A view over bytes read from a page, checked once: the header fits,
+    /// the info byte holds a known record type and no stray bits, every
+    /// varchar length is within its declared maximum, and the column
+    /// images (plus an aggregate payload) end inside `bytes`. After this
+    /// every accessor stays in bounds; a damaged record is
+    /// [`Error::Corruption`], never a panic.
+    pub fn parse(bytes: &'a [u8], layout: &'a RecordLayout) -> Result<Self> {
+        if bytes.len() < layout.header_len() {
+            return Err(corrupt(format_args!(
+                "{} bytes left, header needs {}",
+                bytes.len(),
+                layout.header_len()
+            )));
+        }
+        let v = RecordView { bytes, layout };
+        if bytes[0] & !(0x07 | DELETE_MARK_BIT) != 0 {
+            return Err(corrupt(format_args!("info byte {:#04x}", bytes[0])));
+        }
+        let rec_type = v.rec_type()?;
+        let mut end = layout.fixed_off[layout.n_cols()] as usize;
+        for (vi, &max) in layout.var_max.iter().enumerate() {
+            let len = v.var_len(vi);
+            if len > max as usize {
+                return Err(corrupt(format_args!(
+                    "varchar {vi} claims {len} bytes, declared maximum {max}"
+                )));
+            }
+            end += len;
+        }
+        if rec_type == RecType::NdpAggregate {
+            if end + 2 > bytes.len() {
+                return Err(corrupt(format_args!("aggregate payload length cut off")));
+            }
+            end += 2 + u16::from_le_bytes([bytes[end], bytes[end + 1]]) as usize;
+        }
+        if end > bytes.len() {
+            return Err(corrupt(format_args!(
+                "ends at byte {end} of {}",
+                bytes.len()
+            )));
+        }
+        Ok(v)
+    }
+
+    pub fn rec_type(&self) -> Result<RecType> {
+        RecType::from_u8(self.bytes[0] & 0x07)
+    }
+
+    fn is_aggregate(&self) -> bool {
+        self.bytes[0] & 0x07 == RecType::NdpAggregate as u8
     }
 
     pub fn delete_mark(&self) -> bool {
@@ -233,22 +321,20 @@ impl<'a> RecordView<'a> {
         u16::from_le_bytes([self.bytes[at], self.bytes[at + 1]]) as usize
     }
 
-    /// Byte offset (within the record) where column `col`'s image starts.
+    /// Byte offset (within the record) where column `col`'s image starts;
+    /// `col == n_cols` gives the end of the column data. Constant for
+    /// columns ahead of the first varchar.
     fn col_offset(&self, col: usize) -> usize {
-        let mut off = self.layout.header_len();
-        for i in 0..col {
-            off += match self.layout.var_index[i] {
-                Some(vi) => self.var_len(vi),
-                None => self.layout.dtypes[i].fixed_width().unwrap(),
-            };
-        }
-        off
+        let vars: usize = (0..self.layout.var_before[col] as usize)
+            .map(|vi| self.var_len(vi))
+            .sum();
+        self.layout.fixed_off[col] as usize + vars
     }
 
     fn col_len(&self, col: usize) -> usize {
-        match self.layout.var_index[col] {
+        match self.layout.var_slot(col) {
             Some(vi) => self.var_len(vi),
-            None => self.layout.dtypes[col].fixed_width().unwrap(),
+            None => (self.layout.fixed_off[col + 1] - self.layout.fixed_off[col]) as usize,
         }
     }
 
@@ -278,12 +364,20 @@ impl<'a> RecordView<'a> {
     /// is O(1).
     pub fn fill_offsets(&self, offsets: &mut Vec<u32>) {
         offsets.clear();
-        let mut off = self.layout.header_len() as u32;
-        for i in 0..self.layout.n_cols() {
-            offsets.push(off);
-            off += self.col_len(i) as u32;
-        }
-        offsets.push(off);
+        let l = self.layout;
+        let (mut vars, mut seen) = (0u32, 0usize);
+        offsets.extend(
+            l.fixed_off
+                .iter()
+                .zip(&l.var_before)
+                .map(|(&off, &before)| {
+                    while seen < before as usize {
+                        vars += self.var_len(seen) as u32;
+                        seen += 1;
+                    }
+                    off + vars
+                }),
+        );
     }
 
     /// Length of the column-data portion (header through last column).
@@ -293,7 +387,7 @@ impl<'a> RecordView<'a> {
 
     /// Aggregate payload of an `NdpAggregate` record.
     pub fn agg_payload(&self) -> Option<&'a [u8]> {
-        if self.rec_type() != RecType::NdpAggregate {
+        if !self.is_aggregate() {
             return None;
         }
         let at = self.data_end();
@@ -304,7 +398,7 @@ impl<'a> RecordView<'a> {
     /// Total encoded length of this record, including any aggregate suffix.
     pub fn total_len(&self) -> usize {
         let end = self.data_end();
-        if self.rec_type() == RecType::NdpAggregate {
+        if self.is_aggregate() {
             let len = u16::from_le_bytes([self.bytes[end], self.bytes[end + 1]]) as usize;
             end + 2 + len
         } else {
@@ -325,6 +419,86 @@ impl<'a> RecordView<'a> {
 
     pub fn layout(&self) -> &'a RecordLayout {
         self.layout
+    }
+}
+
+impl RecordView<'_> {
+    /// Append the memcomparable key formed by the columns at `key_pos` to
+    /// `out`, encoded straight from the column images: the bytes
+    /// `encode_key` gives for the decoded values, with no `Value` built.
+    pub fn key_into(&self, key_pos: &[usize], out: &mut Vec<u8>) {
+        for &p in key_pos {
+            let image = (!self.is_null(p)).then(|| self.field_bytes(p));
+            encode_key_part_image(&self.layout.dtypes[p], image, out);
+        }
+    }
+}
+
+/// Where a scan finds the columns it delivers, resolved once per scan so
+/// a record is decoded in one pass: columns ahead of the layout's first
+/// varchar sit at constant offsets, and the ones behind it share one
+/// running sum of the varchar lengths in front of them.
+#[derive(Clone, Debug)]
+pub struct DecodePlan {
+    cols: Vec<PlanCol>,
+}
+
+#[derive(Clone, Copy, Debug)]
+struct PlanCol {
+    pos: usize,
+    dtype: DataType,
+    /// Offset with every preceding varchar empty.
+    fixed_off: usize,
+    /// Varchars in front of the column.
+    var_before: usize,
+    /// Fixed width, or `None` for a varchar (its length is entry
+    /// `var_before` of the var-length array).
+    width: Option<usize>,
+}
+
+impl DecodePlan {
+    /// Plan the decode of the columns at positions `cols` of `layout`, in
+    /// that order.
+    pub fn new(layout: &RecordLayout, cols: &[usize]) -> DecodePlan {
+        DecodePlan {
+            cols: cols
+                .iter()
+                .map(|&pos| PlanCol {
+                    pos,
+                    dtype: layout.dtypes[pos],
+                    fixed_off: layout.fixed_off[pos] as usize,
+                    var_before: layout.var_before[pos] as usize,
+                    width: layout.dtypes[pos].fixed_width(),
+                })
+                .collect(),
+        }
+    }
+
+    pub fn n_cols(&self) -> usize {
+        self.cols.len()
+    }
+
+    /// The planned columns of `rec` (a view over the layout the plan was
+    /// built for), NULL-aware, equal to `rec.value(pos)` for each.
+    pub fn values<'a>(&'a self, rec: RecordView<'a>) -> impl ExactSizeIterator<Item = Value> + 'a {
+        // Running sum of the first `seen` varchar lengths. Columns planned
+        // in record order only ever move it forward.
+        let (mut vars, mut seen) = (0usize, 0usize);
+        self.cols.iter().map(move |c| {
+            if rec.is_null(c.pos) {
+                return Value::Null;
+            }
+            if c.var_before < seen {
+                (vars, seen) = (0, 0);
+            }
+            while seen < c.var_before {
+                vars += rec.var_len(seen);
+                seen += 1;
+            }
+            let at = c.fixed_off + vars;
+            let len = c.width.unwrap_or_else(|| rec.var_len(c.var_before));
+            Value::decode_column(&c.dtype, &rec.bytes[at..at + len])
+        })
     }
 }
 
@@ -384,7 +558,7 @@ mod tests {
         let mut buf = Vec::new();
         encode_record(&layout, &vals, RecordMeta::ordinary(77), None, &mut buf).unwrap();
         let view = RecordView::new(&buf, &layout);
-        assert_eq!(view.rec_type(), RecType::Ordinary);
+        assert_eq!(view.rec_type(), Ok(RecType::Ordinary));
         assert!(!view.delete_mark());
         assert_eq!(view.trx_id(), 77);
         assert_eq!(view.values(), vals);
@@ -426,7 +600,7 @@ mod tests {
         // Tack extra bytes on to prove total_len isolates the record.
         buf.extend_from_slice(&[0xAA; 7]);
         let view = RecordView::new(&buf, &layout);
-        assert_eq!(view.rec_type(), RecType::NdpAggregate);
+        assert_eq!(view.rec_type(), Ok(RecType::NdpAggregate));
         assert_eq!(view.agg_payload().unwrap(), &payload[..]);
         assert_eq!(view.total_len(), buf.len() - 7);
         assert_eq!(view.values(), vals);
@@ -448,7 +622,7 @@ mod tests {
         let mut buf = Vec::new();
         encode_record(&proj, &pvals, meta, None, &mut buf).unwrap();
         let view = RecordView::new(&buf, &proj);
-        assert_eq!(view.rec_type(), RecType::NdpProjection);
+        assert_eq!(view.rec_type(), Ok(RecType::NdpProjection));
         assert_eq!(view.values(), pvals);
         // Projection dropped the varchar: narrower record.
         let mut fullbuf = Vec::new();
@@ -477,6 +651,55 @@ mod tests {
         assert_eq!(view.trx_id(), 99);
         set_delete_mark(&mut buf, 0, false);
         assert!(!RecordView::new(&buf, &layout).delete_mark());
+    }
+
+    /// `parse` accepts what `encode_record` wrote and rejects, with a
+    /// typed error, every way a record can overrun its bytes.
+    #[test]
+    fn parse_checks_the_record_against_its_bytes() {
+        let layout = lineitem_ish_layout();
+        let mut buf = Vec::new();
+        encode_record(
+            &layout,
+            &sample_values(),
+            RecordMeta::ordinary(7),
+            None,
+            &mut buf,
+        )
+        .unwrap();
+        assert_eq!(
+            RecordView::parse(&buf, &layout).unwrap().values(),
+            sample_values()
+        );
+        let rejected =
+            |bytes: &[u8]| matches!(RecordView::parse(bytes, &layout), Err(Error::Corruption(_)));
+        // Cut anywhere: header, var-length array, column images.
+        for cut in 0..buf.len() {
+            assert!(rejected(&buf[..cut]), "cut at {cut}");
+        }
+        // Undefined type codes and stray info bits.
+        for info in [6u8, 7, 0x10, 0x80] {
+            let mut bad = buf.clone();
+            bad[0] = info;
+            assert!(rejected(&bad), "info byte {info:#x}");
+        }
+        // A varchar longer than its declared maximum, or than the bytes.
+        let varlen_at = REC_HDR_LEN + 1;
+        for len in [45u16, u16::MAX] {
+            let mut bad = buf.clone();
+            bad[varlen_at..varlen_at + 2].copy_from_slice(&len.to_le_bytes());
+            assert!(rejected(&bad), "varchar length {len}");
+        }
+        // An aggregate record whose payload overruns.
+        let mut agg = Vec::new();
+        let meta = RecordMeta {
+            rec_type: RecType::NdpAggregate,
+            ..RecordMeta::ordinary(7)
+        };
+        encode_record(&layout, &sample_values(), meta, Some(&[1, 2, 3]), &mut agg).unwrap();
+        assert!(RecordView::parse(&agg, &layout).is_ok());
+        assert!(rejected(&agg[..agg.len() - 1]));
+        assert!(rejected(&agg[..agg.len() - 4]));
     }
 
     #[test]

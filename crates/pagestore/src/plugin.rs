@@ -159,10 +159,13 @@ impl InnodbNdpPlugin {
     /// which remains authoritative.
     fn page_verdicts(cd: &CachedDescriptor, page: &Page) -> Option<Vec<bool>> {
         let vp = cd.vector.as_ref()?;
+        // A damaged page fails the pre-pass; the record-at-a-time walk
+        // that follows reports it.
         let views: Vec<RecordView<'_>> = page
             .iter_chain()
-            .map(|off| RecordView::new(page.record_at(off), &cd.layout))
-            .collect();
+            .map(|rec| RecordView::parse(rec?, &cd.layout))
+            .collect::<Result<_>>()
+            .ok()?;
         let verdicts = vp.eval_records(&views).ok()?;
         Some((0..views.len()).map(|i| verdicts.is_true(i)).collect())
     }
@@ -255,12 +258,12 @@ impl NdpPlugin for InnodbNdpPlugin {
             .predicate
             .as_ref()
             .and_then(|_| Self::page_verdicts(cd, page));
-        for (seq, off) in page.iter_chain().enumerate() {
-            let view = RecordView::new(page.record_at(off), &cd.layout);
-            if view.rec_type() != RecType::Ordinary {
+        for (seq, rec) in page.iter_chain().enumerate() {
+            let view = RecordView::parse(rec?, &cd.layout)?;
+            let rec_type = view.rec_type()?;
+            if rec_type != RecType::Ordinary {
                 return Err(Error::Corruption(format!(
-                    "NDP source page contains non-ordinary record {:?}",
-                    view.rec_type()
+                    "NDP source page contains non-ordinary record {rec_type:?}"
                 )));
             }
             stats.records_in += 1;
@@ -368,8 +371,8 @@ impl NdpPlugin for InnodbNdpPlugin {
                 .predicate
                 .as_ref()
                 .and_then(|_| Self::page_verdicts(cd, page));
-            for (seq, off) in page.iter_chain().enumerate() {
-                let view = RecordView::new(page.record_at(off), &cd.layout);
+            for (seq, rec) in page.iter_chain().enumerate() {
+                let view = RecordView::parse(rec?, &cd.layout)?;
                 stats.records_in += 1;
                 if !Self::is_visible(cd, view.trx_id()) {
                     stats.ambiguous += 1;

@@ -74,16 +74,16 @@ fn read_ndp_page(
     proj: Option<&RecordLayout>,
 ) -> Vec<(RecType, i64, Option<i64>, Option<Vec<AggState>>)> {
     page.iter_chain()
-        .map(|off| {
-            let bytes = page.record_at(off);
+        .map(|rec| {
+            let bytes = rec.unwrap();
             let probe = RecordView::new(bytes, full);
-            let rt = probe.rec_type();
+            let rt = probe.rec_type().unwrap();
             let l = match rt {
                 RecType::Ordinary => full,
                 RecType::NdpProjection | RecType::NdpAggregate => proj.unwrap_or(full),
                 other => panic!("unexpected record type {other:?}"),
             };
-            let v = RecordView::new(bytes, l);
+            let v = RecordView::parse(bytes, l).unwrap();
             let id = v.value(0).as_int().unwrap();
             let val = if l.n_cols() > 1 {
                 v.value(1).as_int().ok()

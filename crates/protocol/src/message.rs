@@ -484,14 +484,10 @@ fn decode_row_batch(cur: &mut Cursor<'_>) -> Result<RowBatch> {
             cur.remaining()
         )));
     }
+    // Values decode straight into the batch's storage.
     let mut b = RowBatch::with_capacity(width, rows.max(1));
-    let mut row = Vec::with_capacity(width);
     for _ in 0..rows {
-        row.clear();
-        for _ in 0..width {
-            row.push(cur.value()?);
-        }
-        b.push_row(row.drain(..));
+        b.try_push_row((0..width).map(|_| cur.value()))?;
     }
     Ok(b)
 }

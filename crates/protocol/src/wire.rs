@@ -151,11 +151,15 @@ impl<'a> Cursor<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    pub fn str(&mut self) -> Result<String> {
+    /// A length-prefixed UTF-8 string, borrowed from the frame.
+    fn str_ref(&mut self) -> Result<&'a str> {
         let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
+        std::str::from_utf8(self.take(n)?)
             .map_err(|_| Error::Corruption("wire: invalid UTF-8 in string".into()))
+    }
+
+    pub fn str(&mut self) -> Result<String> {
+        self.str_ref().map(str::to_string)
     }
 
     pub fn value(&mut self) -> Result<Value> {
@@ -168,7 +172,7 @@ impl<'a> Cursor<'a> {
                 Value::Decimal(Dec::new(raw, scale))
             }
             TAG_DATE => Value::Date(Date32(self.i32()?)),
-            TAG_STR => Value::str(self.str()?),
+            TAG_STR => Value::str(self.str_ref()?),
             TAG_DOUBLE => Value::Double(self.f64()?),
             t => {
                 return Err(Error::Corruption(format!(

@@ -121,9 +121,9 @@ impl Client {
         let mut batches = 0u64;
         loop {
             match self.recv()? {
-                Message::RowBatch(b) => {
+                Message::RowBatch(mut b) => {
                     batches += 1;
-                    rows.extend(b.to_rows());
+                    rows.extend(b.drain_rows());
                 }
                 Message::EndOfStream {
                     rows: n,

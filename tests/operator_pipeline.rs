@@ -55,7 +55,10 @@ fn operator_counters_pin_against_scan_batches() {
         "scan-only: every batched row is emitted once"
     );
     assert_eq!(d.operator_batches, d.batches_emitted);
-    assert!(d.operator_batches > 0);
+    // Batches fill across pages: lineitem's thousands of rows on hundreds
+    // of leaves arrive in exactly ceil(rows / batch) batches.
+    let batch_rows = db.config().scan_batch_rows as u64;
+    assert_eq!(d.operator_batches, lineitem_rows(&db).div_ceil(batch_rows));
 }
 
 /// Through a two-operator pipeline (Limit over BatchScan) each row is
