@@ -12,7 +12,7 @@
 //!   runs over raw record bytes.
 //! * [`vector`] — the column-at-a-time twin of [`vm`]: the same IR
 //!   extracted to straight-line form and run over whole batches with
-//!   word-level three-valued bitmaps (executor Filter + NDP page kernel).
+//!   word-level three-valued bitmaps (the executor's columnar Filter).
 //! * [`util`] — the pre-compiled utility-function library installed on
 //!   every Page Store (§V-B2).
 //! * [`agg`] — aggregate functions, partial states, payload serialization

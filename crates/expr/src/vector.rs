@@ -13,11 +13,13 @@
 //! helpers (`slot_cmp`/`slot_arith`/...), so every lane computes exactly
 //! what `CompiledPredicate::eval_record` would — parity by construction.
 //!
-//! The same program runs over both inputs of the paper's split:
-//! [`VectorProgram::eval_batch`] on the executor's [`ColumnBatch`]es, and
-//! [`VectorProgram::eval_records`] on raw Page-Store record views (the
-//! NDP path), which extracts each referenced field into a column first
-//! and then shares the kernel.
+//! The program runs on the executor's [`ColumnBatch`]es
+//! ([`VectorProgram::eval_batch`]), where the columns already exist. The
+//! Page Stores do not use it: building columns out of a page's records
+//! (per-record field offsets, one [`Slot`] per cell, a second parse) cost
+//! more than the kernel saved on every TPC-H descriptor, so a pushed
+//! predicate runs through the scalar VM on record bytes
+//! (`taurus-pagestore::plugin`).
 //!
 //! # Shortcut elision
 //!
@@ -40,16 +42,13 @@
 //! keeping the scalar result authoritative.
 
 use taurus_common::colbatch::{Bitmap, ColumnBatch, ColumnVec};
-use taurus_common::{DataType, Dec, Error, Result};
-use taurus_page::{RecordLayout, RecordView};
+use taurus_common::{Dec, Error, Result};
 
 use crate::ast::{ArithOp, CmpOp, Expr};
 use crate::compile::MAX_REGS;
 use crate::ir::{IrInstr, IrProgram};
 use crate::util;
-use crate::vm::{
-    bool_slot, cmp_holds, load_field, slot_arith, slot_bool, slot_cmp, ConstSlot, Slot,
-};
+use crate::vm::{bool_slot, cmp_holds, slot_arith, slot_bool, slot_cmp, ConstSlot, Slot};
 
 /// A three-valued boolean column: `truth` holds the definite-TRUE rows,
 /// `valid` the non-NULL rows. Invariant: `truth ⊆ valid` (and bits past
@@ -198,21 +197,13 @@ impl BoolVec {
     }
 }
 
-/// Where a column load reads from: an executor batch column, or a record
-/// field resolved against a Page-Store layout (mirrors the scalar VM's
-/// `Op::LoadField` resolution).
-#[derive(Clone, Copy, Debug)]
-enum VLoad {
-    Col { col: u16 },
-    Field { pos: u16, dtype: DataType },
-}
-
 /// Straight-line vector op: [`IrInstr`] minus branches and `Ret`.
 #[derive(Clone, Copy, Debug)]
 enum VOp {
+    /// Load batch column `col`.
     Load {
         dst: u16,
-        src: VLoad,
+        col: u16,
     },
     LoadConst {
         dst: u16,
@@ -361,8 +352,8 @@ fn to_bool(r: &VReg<'_>, len: usize) -> Result<BoolVec> {
     }
 }
 
-/// A predicate program in straight-line vector form, shared by the
-/// executor's columnar Filter and the Page-Store NDP page kernel.
+/// A predicate program in straight-line vector form, run by the
+/// executor's columnar Filter.
 pub struct VectorProgram {
     ops: Box<[VOp]>,
     consts: Box<[ConstSlot]>,
@@ -383,12 +374,10 @@ pub struct VectorProgram {
 /// indices are the same as the source IR's.
 #[derive(Clone, Copy, Debug)]
 pub enum VOpView {
-    /// A column (batch position) or record-field load; `dtype` is known
-    /// only for record-layout loads.
+    /// A load of batch column `col`.
     Load {
         dst: u16,
         col: u16,
-        dtype: Option<DataType>,
     },
     LoadConst {
         dst: u16,
@@ -455,36 +444,13 @@ impl VectorProgram {
     /// Compile an executor predicate: `Expr::Col(i)` loads batch column
     /// `i`. `Err` means "not vectorizable" — fall back to the scalar path.
     pub fn from_expr(e: &Expr) -> Result<VectorProgram> {
-        let ir = crate::compile::lower(e)?;
-        Self::build(&ir, |col| Ok(VLoad::Col { col }))
+        Self::from_ir(&crate::compile::lower(e)?)
     }
 
-    /// Compile decoded NDP descriptor IR against a record layout —
-    /// identical column resolution to `CompiledPredicate::compile`.
-    pub fn from_ir(
-        ir: &IrProgram,
-        layout: &RecordLayout,
-        col_map: &[u16],
-    ) -> Result<VectorProgram> {
-        Self::build(ir, |col| {
-            let pos = *col_map
-                .get(col as usize)
-                .ok_or_else(|| Error::InvalidState(format!("descriptor col {col} unmapped")))?;
-            if pos == u16::MAX || pos as usize >= layout.n_cols() {
-                return Err(Error::InvalidState(format!(
-                    "descriptor col {col} not present in record layout"
-                )));
-            }
-            Ok(VLoad::Field {
-                pos,
-                dtype: layout.dtypes[pos as usize],
-            })
-        })
-    }
-
-    /// Extract the straight-line op sequence, following unconditional
-    /// jumps and eliding canonical shortcut branches (module docs).
-    fn build(ir: &IrProgram, mut load: impl FnMut(u16) -> Result<VLoad>) -> Result<VectorProgram> {
+    /// Extract the straight-line op sequence of `ir` (`LoadCol { col }`
+    /// loads batch column `col`), following unconditional jumps and
+    /// eliding canonical shortcut branches (module docs).
+    pub fn from_ir(ir: &IrProgram) -> Result<VectorProgram> {
         ir.validate()?;
         if ir.n_regs as usize > MAX_REGS {
             return Err(Error::InvalidState(format!(
@@ -523,7 +489,7 @@ impl VectorProgram {
                     break;
                 }
                 other => {
-                    ops.push(lower_one(other, &mut load)?);
+                    ops.push(lower_one(other)?);
                     pc += 1;
                 }
             }
@@ -564,18 +530,7 @@ impl VectorProgram {
         self.ops
             .iter()
             .map(|op| match *op {
-                VOp::Load { dst, src } => match src {
-                    VLoad::Col { col } => VOpView::Load {
-                        dst,
-                        col,
-                        dtype: None,
-                    },
-                    VLoad::Field { pos, dtype } => VOpView::Load {
-                        dst,
-                        col: pos,
-                        dtype: Some(dtype),
-                    },
-                },
+                VOp::Load { dst, col } => VOpView::Load { dst, col },
                 VOp::LoadConst { dst, idx } => VOpView::LoadConst { dst, idx },
                 VOp::Mov { dst, src } => VOpView::Mov { dst, src },
                 VOp::Cmp { dst, a, b, .. } => VOpView::Cmp { dst, a, b },
@@ -606,17 +561,14 @@ impl VectorProgram {
             .collect()
     }
 
-    /// Columns/record positions this program loads (sorted, deduplicated)
-    /// — the vector-side counterpart of [`IrProgram::columns_used`].
+    /// Columns this program loads (sorted, deduplicated) — the
+    /// vector-side counterpart of [`IrProgram::columns_used`].
     pub fn columns_used(&self) -> Vec<u16> {
         let mut cols: Vec<u16> = self
             .ops
             .iter()
             .filter_map(|op| match op {
-                VOp::Load { src, .. } => Some(match src {
-                    VLoad::Col { col } => *col,
-                    VLoad::Field { pos, .. } => *pos,
-                }),
+                VOp::Load { col, .. } => Some(*col),
                 _ => None,
             })
             .collect();
@@ -629,66 +581,20 @@ impl VectorProgram {
     /// caller intersects the result with any existing selection).
     pub fn eval_batch<'a>(&'a self, batch: &'a ColumnBatch) -> Result<BoolVec> {
         let len = batch.len();
-        self.exec(len, &mut |l| match *l {
-            VLoad::Col { col } => {
-                if col as usize >= batch.width() {
-                    return Err(Error::Internal(format!(
-                        "vector load of column {col} from width-{} batch",
-                        batch.width()
-                    )));
-                }
-                // Keep the typed column: comparisons against it run the
-                // raw-vector kernels instead of per-lane slot dispatch.
-                Ok(VReg::Col(batch.col(col as usize)))
-            }
-            VLoad::Field { .. } => Err(Error::Internal("field load outside record context".into())),
-        })
-    }
-
-    /// Evaluate over Page-Store record views: each referenced field is
-    /// gathered into a column of borrowed slots (the same no-copy loads as
-    /// the scalar VM), then the shared kernel runs column-at-a-time.
-    pub fn eval_records<'a>(&'a self, views: &[RecordView<'a>]) -> Result<BoolVec> {
-        let len = views.len();
-        let offsets: Vec<Vec<u32>> = views
-            .iter()
-            .map(|v| {
-                let mut o = Vec::new();
-                v.fill_offsets(&mut o);
-                o
-            })
-            .collect();
-        self.exec(len, &mut |l| match *l {
-            VLoad::Field { pos, dtype } => Ok(VReg::Cells(
-                views
-                    .iter()
-                    .zip(&offsets)
-                    .map(|(v, off)| {
-                        if v.is_null(pos as usize) {
-                            Slot::Null
-                        } else {
-                            let s = off[pos as usize] as usize;
-                            let e = off[pos as usize + 1] as usize;
-                            load_field(&v.backing()[s..e], dtype)
-                        }
-                    })
-                    .collect(),
-            )),
-            VLoad::Col { .. } => Err(Error::Internal("column load outside batch context".into())),
-        })
-    }
-
-    /// The shared straight-line interpreter; `load` materializes one
-    /// referenced column per `Load` op.
-    fn exec<'a>(
-        &'a self,
-        len: usize,
-        load: &mut dyn FnMut(&VLoad) -> Result<VReg<'a>>,
-    ) -> Result<BoolVec> {
         let mut regs: Vec<VReg<'a>> = vec![VReg::Unset; self.n_regs];
         for op in self.ops.iter() {
             match *op {
-                VOp::Load { dst, src } => regs[dst as usize] = load(&src)?,
+                VOp::Load { dst, col } => {
+                    if col as usize >= batch.width() {
+                        return Err(Error::Internal(format!(
+                            "vector load of column {col} from width-{} batch",
+                            batch.width()
+                        )));
+                    }
+                    // Keep the typed column: comparisons against it run the
+                    // raw-vector kernels instead of per-lane slot dispatch.
+                    regs[dst as usize] = VReg::Col(batch.col(col as usize));
+                }
                 VOp::LoadConst { dst, idx } => {
                     regs[dst as usize] = VReg::Splat(self.consts[idx as usize].as_slot());
                 }
@@ -886,12 +792,9 @@ fn canonical_shortcut(ir: &IrProgram, target: u16, is_true: bool) -> Result<()> 
     Ok(())
 }
 
-fn lower_one(ins: IrInstr, load: &mut impl FnMut(u16) -> Result<VLoad>) -> Result<VOp> {
+fn lower_one(ins: IrInstr) -> Result<VOp> {
     Ok(match ins {
-        IrInstr::LoadCol { dst, col } => VOp::Load {
-            dst,
-            src: load(col)?,
-        },
+        IrInstr::LoadCol { dst, col } => VOp::Load { dst, col },
         IrInstr::LoadConst { dst, idx } => VOp::LoadConst { dst, idx },
         IrInstr::Mov { dst, src } => VOp::Mov { dst, src },
         IrInstr::Cmp { op, dst, a, b } => VOp::Cmp { op, dst, a, b },
@@ -1244,11 +1147,8 @@ fn unary_cells<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::lower;
     use crate::eval::eval_pred;
-    use crate::vm::{CompiledPredicate, TriBool};
-    use taurus_common::{Date32, Value};
-    use taurus_page::{encode_record, RecordMeta};
+    use taurus_common::{DataType, Date32, Value};
 
     fn dtypes() -> Vec<DataType> {
         vec![
@@ -1261,10 +1161,6 @@ mod tests {
             DataType::Char(10),
             DataType::Varchar(25),
         ]
-    }
-
-    fn layout() -> RecordLayout {
-        RecordLayout::new(dtypes())
     }
 
     /// The scalar VM test corpus — byte-for-byte the shapes the vector
@@ -1355,38 +1251,6 @@ mod tests {
         }
     }
 
-    /// eval_records == the scalar VM over raw record bytes.
-    #[test]
-    fn record_eval_agrees_with_scalar_vm() {
-        let l = layout();
-        let rows = random_rows(64, 0xDB_CAFE);
-        let encoded: Vec<Vec<u8>> = rows
-            .iter()
-            .map(|r| {
-                let mut b = Vec::new();
-                encode_record(&l, r, RecordMeta::ordinary(1), None, &mut b).unwrap();
-                b
-            })
-            .collect();
-        let views: Vec<RecordView<'_>> = encoded.iter().map(|b| RecordView::new(b, &l)).collect();
-        let col_map: Vec<u16> = (0..5).collect();
-        for p in predicates() {
-            let ir = lower(&p).unwrap();
-            let scalar = CompiledPredicate::compile(&ir, &l, &col_map).unwrap();
-            let vp = VectorProgram::from_ir(&ir, &l, &col_map).unwrap();
-            let bv = vp.eval_records(&views).unwrap();
-            let mut offsets = Vec::new();
-            for (i, v) in views.iter().enumerate() {
-                let expect = match scalar.eval_record(v, &mut offsets).unwrap() {
-                    TriBool::True => Some(true),
-                    TriBool::False => Some(false),
-                    TriBool::Unknown => None,
-                };
-                assert_eq!(bv.get_lane(i), expect, "{p} row {i}");
-            }
-        }
-    }
-
     /// Hand-built IR that doesn't match `lower`'s canonical shortcut shape
     /// must be rejected (callers then use the scalar path) — including the
     /// backward-jump program the scalar compiler also rejects.
@@ -1401,7 +1265,7 @@ mod tests {
             consts: vec![Value::Int(1)],
             n_regs: 1,
         };
-        assert!(VectorProgram::from_ir(&backward, &layout(), &[0, 1, 2, 3, 4]).is_err());
+        assert!(VectorProgram::from_ir(&backward).is_err());
         // A branch straight to Ret: valid IR, but not the canonical
         // Mov/Jmp/LoadConst exit — rejected, not miscompiled.
         let to_ret = IrProgram {
@@ -1413,7 +1277,7 @@ mod tests {
             consts: vec![Value::Int(0)],
             n_regs: 1,
         };
-        assert!(VectorProgram::from_ir(&to_ret, &layout(), &[0, 1, 2, 3, 4]).is_err());
+        assert!(VectorProgram::from_ir(&to_ret).is_err());
     }
 
     /// Every compiler-emitted predicate in the corpus *is* vectorizable —

@@ -20,4 +20,6 @@ pub mod record;
 
 pub use ndp_page::NdpPageBuilder;
 pub use page::{Page, PageType, FIRST_REC_NONE, HEADER_LEN, NO_PAGE};
-pub use record::{encode_record, DecodePlan, RecType, RecordLayout, RecordMeta, RecordView};
+pub use record::{
+    encode_record, DecodePlan, ProjectionPlan, RecType, RecordLayout, RecordMeta, RecordView,
+};

@@ -8,10 +8,10 @@
 //! were all filtered out is shipped as a header-only [`PageType::NdpEmpty`]
 //! marker "without requiring explicit materialization".
 
-use taurus_common::Lsn;
+use taurus_common::{Lsn, Result};
 
 use crate::page::{Page, PageType, FIRST_REC_NONE, HEADER_LEN};
-use crate::record::set_next_offset;
+use crate::record::{set_next_offset, ProjectionPlan, RecordView};
 
 /// Assembles an NDP page from records that survive NDP processing.
 /// Records must be pushed in key order (the Page Store iterates the source
@@ -26,8 +26,11 @@ impl NdpPageBuilder {
     /// Start an NDP page mirroring `src`'s identity (page_no, space, LSN,
     /// index id, level, neighbours).
     pub fn new(src: &Page) -> NdpPageBuilder {
-        let mut buf = vec![0u8; HEADER_LEN];
-        buf.copy_from_slice(&src.bytes()[..HEADER_LEN]);
+        // What survives is at most the source's record heap (plus any
+        // aggregate payloads), so the buffer is sized once.
+        let heap = (src.heap_top() as usize).clamp(HEADER_LEN, src.byte_len());
+        let mut buf = Vec::with_capacity(heap);
+        buf.extend_from_slice(&src.bytes()[..HEADER_LEN]);
         let mut b = NdpPageBuilder {
             buf,
             last_rec: FIRST_REC_NONE,
@@ -47,9 +50,30 @@ impl NdpPageBuilder {
 
     /// Append one surviving record (already encoded, any `RecType`).
     pub fn push_record(&mut self, rec: &[u8]) {
-        let off = self.buf.len() as u16;
+        let off = self.buf.len();
         self.buf.extend_from_slice(rec);
-        set_next_offset(&mut self.buf, off as usize, FIRST_REC_NONE);
+        self.chain(off);
+    }
+
+    /// Append the survivor `rec` of the source page as `plan` writes it,
+    /// straight from its bytes into the page; see
+    /// [`ProjectionPlan::write`].
+    pub fn push_projected(
+        &mut self,
+        plan: &ProjectionPlan,
+        rec: RecordView<'_>,
+        agg_payload: Option<&[u8]>,
+    ) -> Result<()> {
+        let off = self.buf.len();
+        plan.write(rec, agg_payload, &mut self.buf)?;
+        self.chain(off);
+        Ok(())
+    }
+
+    /// Link the record just placed at `off` to the end of the chain.
+    fn chain(&mut self, off: usize) {
+        set_next_offset(&mut self.buf, off, FIRST_REC_NONE);
+        let off = off as u16;
         if self.last_rec == FIRST_REC_NONE {
             self.write_u16(44, off);
         } else {

@@ -456,21 +456,46 @@ struct PlanCol {
     width: Option<usize>,
 }
 
+impl PlanCol {
+    fn of(layout: &RecordLayout, pos: usize) -> PlanCol {
+        PlanCol {
+            pos,
+            dtype: layout.dtypes[pos],
+            fixed_off: layout.fixed_off[pos] as usize,
+            var_before: layout.var_before[pos] as usize,
+            width: layout.dtypes[pos].fixed_width(),
+        }
+    }
+}
+
+/// Running sum of a record's leading varchar lengths, shared by the
+/// columns of a plan: asked for in record order it only moves forward.
+#[derive(Default)]
+struct VarPrefix {
+    sum: usize,
+    seen: usize,
+}
+
+impl VarPrefix {
+    /// Total length of `rec`'s first `n` varchars.
+    fn upto(&mut self, rec: &RecordView<'_>, n: usize) -> usize {
+        if n < self.seen {
+            *self = VarPrefix::default();
+        }
+        while self.seen < n {
+            self.sum += rec.var_len(self.seen);
+            self.seen += 1;
+        }
+        self.sum
+    }
+}
+
 impl DecodePlan {
     /// Plan the decode of the columns at positions `cols` of `layout`, in
     /// that order.
     pub fn new(layout: &RecordLayout, cols: &[usize]) -> DecodePlan {
         DecodePlan {
-            cols: cols
-                .iter()
-                .map(|&pos| PlanCol {
-                    pos,
-                    dtype: layout.dtypes[pos],
-                    fixed_off: layout.fixed_off[pos] as usize,
-                    var_before: layout.var_before[pos] as usize,
-                    width: layout.dtypes[pos].fixed_width(),
-                })
-                .collect(),
+            cols: cols.iter().map(|&pos| PlanCol::of(layout, pos)).collect(),
         }
     }
 
@@ -481,24 +506,181 @@ impl DecodePlan {
     /// The planned columns of `rec` (a view over the layout the plan was
     /// built for), NULL-aware, equal to `rec.value(pos)` for each.
     pub fn values<'a>(&'a self, rec: RecordView<'a>) -> impl ExactSizeIterator<Item = Value> + 'a {
-        // Running sum of the first `seen` varchar lengths. Columns planned
-        // in record order only ever move it forward.
-        let (mut vars, mut seen) = (0usize, 0usize);
+        let mut vars = VarPrefix::default();
         self.cols.iter().map(move |c| {
             if rec.is_null(c.pos) {
                 return Value::Null;
             }
-            if c.var_before < seen {
-                (vars, seen) = (0, 0);
-            }
-            while seen < c.var_before {
-                vars += rec.var_len(seen);
-                seen += 1;
-            }
-            let at = c.fixed_off + vars;
+            let at = c.fixed_off + vars.upto(&rec, c.var_before);
             let len = c.width.unwrap_or_else(|| rec.var_len(c.var_before));
             Value::decode_column(&c.dtype, &rec.bytes[at..at + len])
         })
+    }
+}
+
+/// How a Page Store writes a surviving record into an NDP page without
+/// decoding it: the header, a re-packed NULL bitmap, the kept varchars'
+/// length entries and the kept column images are copied from the source
+/// record's bytes. The result is byte for byte what [`encode_record`]
+/// gives for the kept columns' decoded values under
+/// [`RecordLayout::project`]: a NULL fixed-width column is written as
+/// zeros and a NULL varchar with no bytes, whatever the source holds
+/// there. (A CHAR or varchar image that is not UTF-8 is copied as it is,
+/// where a decode would have replaced it; no record this system writes
+/// holds one.)
+#[derive(Clone, Debug)]
+pub struct ProjectionPlan {
+    /// Type of the records written without an aggregate payload.
+    rec_type: RecType,
+    src_bitmap_len: usize,
+    out_bitmap_len: usize,
+    /// The kept columns, in output order.
+    cols: Vec<PlanCol>,
+    /// For each kept varchar, in output order: its entry in the source
+    /// record's var-length array.
+    var_slots: Vec<usize>,
+    /// Maximal runs of kept columns that are neighbours in the source
+    /// record, so a record without NULLs is copied run by run.
+    runs: Vec<Run>,
+    /// Every column is kept: a record without NULLs is copied whole.
+    identity: bool,
+}
+
+/// Source columns `first..end`, all kept.
+#[derive(Clone, Copy, Debug)]
+struct Run {
+    /// Where the run starts and ends when every varchar is empty.
+    fixed_start: usize,
+    fixed_end: usize,
+    /// Varchars in front of the run's start and of its end.
+    vars_start: usize,
+    vars_end: usize,
+}
+
+impl ProjectionPlan {
+    /// Plan writing the columns `keep` (positions in `layout`, in output
+    /// order) of records shaped by `layout`; `None` keeps the record as
+    /// it is, for a descriptor that only filters or aggregates.
+    pub fn new(layout: &RecordLayout, keep: Option<&[usize]>) -> ProjectionPlan {
+        let all: Vec<usize>;
+        let (rec_type, keep) = match keep {
+            Some(keep) => (RecType::NdpProjection, keep),
+            None => {
+                all = (0..layout.n_cols()).collect();
+                (RecType::Ordinary, &all[..])
+            }
+        };
+        let mut runs: Vec<Run> = Vec::new();
+        for (i, &pos) in keep.iter().enumerate() {
+            match runs.last_mut() {
+                Some(run) if i > 0 && keep[i - 1] + 1 == pos => {
+                    run.fixed_end = layout.fixed_off[pos + 1] as usize;
+                    run.vars_end = layout.var_before[pos + 1] as usize;
+                }
+                _ => runs.push(Run {
+                    fixed_start: layout.fixed_off[pos] as usize,
+                    fixed_end: layout.fixed_off[pos + 1] as usize,
+                    vars_start: layout.var_before[pos] as usize,
+                    vars_end: layout.var_before[pos + 1] as usize,
+                }),
+            }
+        }
+        ProjectionPlan {
+            rec_type,
+            src_bitmap_len: layout.bitmap_len,
+            out_bitmap_len: keep.len().div_ceil(8),
+            cols: keep.iter().map(|&pos| PlanCol::of(layout, pos)).collect(),
+            var_slots: keep
+                .iter()
+                .filter_map(|&pos| layout.var_slot(pos))
+                .collect(),
+            runs,
+            identity: keep.iter().copied().eq(0..layout.n_cols()),
+        }
+    }
+
+    /// Append `rec` (a view over the layout the plan was built for),
+    /// reduced to the kept columns, to `out`. With `agg_payload` the
+    /// record is written as an [`RecType::NdpAggregate`] carrier. The
+    /// delete mark is not carried over: only visible, live records
+    /// survive NDP processing.
+    pub fn write(
+        &self,
+        rec: RecordView<'_>,
+        agg_payload: Option<&[u8]>,
+        out: &mut Vec<u8>,
+    ) -> Result<()> {
+        debug_assert_eq!(rec.layout.bitmap_len, self.src_bitmap_len);
+        let (rec_type, payload) = match agg_payload {
+            Some(p) => {
+                let len = u16::try_from(p.len())
+                    .map_err(|_| Error::Internal("aggregate payload too large".into()))?;
+                (RecType::NdpAggregate, Some((len, p)))
+            }
+            None => (self.rec_type, None),
+        };
+        let src = rec.bytes;
+        let start = out.len();
+        let no_nulls = src[REC_HDR_LEN..REC_HDR_LEN + self.src_bitmap_len]
+            .iter()
+            .all(|&b| b == 0);
+        if no_nulls && self.identity {
+            out.extend_from_slice(&src[..rec.data_end()]);
+            out[start] = rec_type as u8;
+        } else {
+            // `next` stays 0: the page chains the record when it places it.
+            let mut header = [0u8; REC_HDR_LEN];
+            header[0] = rec_type as u8;
+            header[3..].copy_from_slice(&src[3..REC_HDR_LEN]);
+            out.extend_from_slice(&header);
+            let bitmap_at = out.len();
+            out.resize(bitmap_at + self.out_bitmap_len, 0);
+            let src_varlen_at = REC_HDR_LEN + self.src_bitmap_len;
+            let mut vars = VarPrefix::default();
+            if no_nulls {
+                for &slot in &self.var_slots {
+                    let at = src_varlen_at + 2 * slot;
+                    out.extend_from_slice(&src[at..at + 2]);
+                }
+                for run in &self.runs {
+                    let from = run.fixed_start + vars.upto(&rec, run.vars_start);
+                    let to = run.fixed_end + vars.upto(&rec, run.vars_end);
+                    out.extend_from_slice(&src[from..to]);
+                }
+            } else {
+                let varlen_at = out.len();
+                out.resize(varlen_at + 2 * self.var_slots.len(), 0);
+                let mut var_entry = varlen_at;
+                for (i, c) in self.cols.iter().enumerate() {
+                    let null = rec.is_null(c.pos);
+                    if null {
+                        out[bitmap_at + i / 8] |= 1 << (i % 8);
+                    }
+                    match c.width {
+                        Some(w) if null => out.resize(out.len() + w, 0),
+                        Some(w) => {
+                            let at = c.fixed_off + vars.upto(&rec, c.var_before);
+                            out.extend_from_slice(&src[at..at + w]);
+                        }
+                        None => {
+                            if !null {
+                                let at = c.fixed_off + vars.upto(&rec, c.var_before);
+                                let len = rec.var_len(c.var_before);
+                                out.extend_from_slice(&src[at..at + len]);
+                                out[var_entry..var_entry + 2]
+                                    .copy_from_slice(&(len as u16).to_le_bytes());
+                            }
+                            var_entry += 2;
+                        }
+                    }
+                }
+            }
+        }
+        if let Some((len, p)) = payload {
+            out.extend_from_slice(&len.to_le_bytes());
+            out.extend_from_slice(p);
+        }
+        Ok(())
     }
 }
 

@@ -9,7 +9,8 @@
 //! reduced the average decoding time to less than 5 microseconds."
 //!
 //! Here the expensive step is [`CachedDescriptor::prepare`]: descriptor
-//! decode + IR validation + VM compilation against the record layout. The
+//! decode + IR validation + VM compilation and the byte-level projection
+//! and aggregate-input plans, all against the record layout. The
 //! cache maps `fnv64(descriptor bytes)` to the prepared entry; collisions
 //! are detected by byte comparison and treated as misses.
 
@@ -19,24 +20,29 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use taurus_common::{Metrics, Result};
 use taurus_expr::descriptor::{fnv64, NdpDescriptor};
-use taurus_expr::vector::VectorProgram;
 use taurus_expr::vm::CompiledPredicate;
-use taurus_page::RecordLayout;
+use taurus_page::{DecodePlan, ProjectionPlan, RecordLayout};
 
 /// A descriptor after the expensive decode + JIT step, ready for record
-/// processing.
+/// processing: everything the plugin needs to work on record bytes is
+/// resolved against the layout here, once.
 pub struct CachedDescriptor {
     pub desc: NdpDescriptor,
     /// Layout of the source (full) leaf records.
     pub layout: RecordLayout,
-    /// Layout of projected records, if projection was requested.
+    /// Layout of the records `survivor` writes when projection was
+    /// requested: what the compute node reads them with.
     pub proj_layout: Option<RecordLayout>,
-    /// Compiled predicate, if filtering was requested.
+    /// Compiled predicate, if filtering was requested; it runs on the
+    /// record's bytes.
     pub predicate: Option<CompiledPredicate>,
-    /// Column-at-a-time form of the same predicate, when its IR
-    /// vectorizes (canonical compiler output always does; hand-built
-    /// descriptors may not). `None` simply means record-at-a-time.
-    pub vector: Option<VectorProgram>,
+    /// How a survivor's bytes are written into the NDP page: the kept
+    /// columns when projection was requested, the whole record otherwise.
+    pub survivor: ProjectionPlan,
+    /// The aggregate input columns, in the order of the aggregates that
+    /// have one (COUNT(*) has none; no columns without aggregation): all a
+    /// fold decodes of a record.
+    pub agg_inputs: DecodePlan,
     /// The raw bytes (collision detection + diagnostics).
     pub bytes: Vec<u8>,
 }
@@ -46,30 +52,36 @@ impl CachedDescriptor {
     pub fn prepare(bytes: &[u8]) -> Result<CachedDescriptor> {
         let desc = NdpDescriptor::decode(bytes)?;
         let layout = RecordLayout::new(desc.record_dtypes.clone());
-        let proj_layout = desc
+        let keep: Option<Vec<usize>> = desc
             .projection
             .as_ref()
-            .map(|keep| layout.project(&keep.iter().map(|&k| k as usize).collect::<Vec<_>>()));
-        let (predicate, vector) = match &desc.predicate_bitcode {
+            .map(|keep| keep.iter().map(|&k| k as usize).collect());
+        let proj_layout = keep.as_ref().map(|keep| layout.project(keep));
+        let survivor = ProjectionPlan::new(&layout, keep.as_deref());
+        let predicate = match &desc.predicate_bitcode {
             Some(bc) => {
                 let ir = taurus_expr::ir::IrProgram::decode_bitcode(bc)?;
                 // Descriptor column references are already record
                 // positions: identity map.
                 let identity: Vec<u16> = (0..layout.n_cols() as u16).collect();
-                let scalar = CompiledPredicate::compile(&ir, &layout, &identity)?;
-                // Vectorization is best-effort: a descriptor whose IR is
-                // valid but non-canonical still serves, record-at-a-time.
-                let vector = VectorProgram::from_ir(&ir, &layout, &identity).ok();
-                (Some(scalar), vector)
+                Some(CompiledPredicate::compile(&ir, &layout, &identity)?)
             }
-            None => (None, None),
+            None => None,
         };
+        let agg_cols: Vec<usize> = desc
+            .aggregation
+            .iter()
+            .flat_map(|agg| &agg.specs)
+            .filter_map(|s| s.col.map(usize::from))
+            .collect();
+        let agg_inputs = DecodePlan::new(&layout, &agg_cols);
         Ok(CachedDescriptor {
             desc,
             layout,
             proj_layout,
             predicate,
-            vector,
+            survivor,
+            agg_inputs,
             bytes: bytes.to_vec(),
         })
     }
@@ -190,9 +202,8 @@ mod tests {
         let c = DescriptorCache::new(true, Metrics::shared());
         let cd = c.get_or_prepare(&descriptor_bytes(10)).unwrap();
         assert!(cd.predicate.is_some());
-        // Compiler-emitted bitcode is always canonical → vectorizable.
-        assert!(cd.vector.is_some());
         assert!(cd.proj_layout.is_some());
+        assert_eq!(cd.agg_inputs.n_cols(), 0);
         assert_eq!(cd.layout.n_cols(), 2);
     }
 

@@ -131,7 +131,10 @@ impl Shared {
             if let Some(job) = st.pop_next() {
                 drop(st);
                 self.space_cv.notify_one();
-                job();
+                // A panicking job costs that job, not this worker: the
+                // pool keeps its strength. (The job runs outside the
+                // lock, and whoever waits for it sees its channel close.)
+                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
                 st = self.lock();
                 continue;
             }
@@ -348,6 +351,17 @@ mod tests {
         assert!(pool.rejected.load(Ordering::Relaxed) >= 1);
         assert!(pool.overloaded(), "full queue is the overload signal");
         gate_tx.send(()).unwrap();
+    }
+
+    #[test]
+    fn a_panicking_job_does_not_cost_the_pool_a_worker() {
+        let pool = NdpPool::new(1, 8);
+        assert!(pool.try_submit(|| panic!("job failure (expected in this test)")));
+        // The only worker must still be there to run this.
+        let (tx, rx) = bounded(1);
+        assert!(pool.try_submit(move || tx.send(()).unwrap()));
+        rx.recv_timeout(Duration::from_secs(5))
+            .expect("the worker survived the panicking job");
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! error) is returned **raw** and the compute node finishes the job.
 
 use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -172,15 +173,34 @@ impl Drop for RequestGuard<'_> {
     }
 }
 
+/// Run a plugin call inside an NDP job. A panicking plugin becomes that
+/// call's `Err`, which the serving paths already degrade to raw pages;
+/// nothing the call borrowed is looked at again, so observing its state
+/// mid-update is not a concern.
+fn guarded<T>(call: impl FnOnce() -> Result<T>) -> Result<T> {
+    catch_unwind(AssertUnwindSafe(call))
+        .unwrap_or_else(|_| Err(Error::Internal("ndp plugin panicked".into())))
+}
+
 impl PageStore {
     pub fn new(id: usize, cfg: PageStoreConfig, metrics: Arc<Metrics>) -> Arc<PageStore> {
+        Self::with_plugin(id, cfg, metrics, Arc::new(InnodbNdpPlugin))
+    }
+
+    /// [`PageStore::new`] with the plugin given; tests load a faulty one.
+    fn with_plugin(
+        id: usize,
+        cfg: PageStoreConfig,
+        metrics: Arc<Metrics>,
+        plugin: Arc<dyn NdpPlugin>,
+    ) -> Arc<PageStore> {
         Arc::new(PageStore {
             id,
             pool: NdpPool::new(cfg.ndp_threads, cfg.ndp_queue),
             cache: DescriptorCache::new(cfg.descriptor_cache, metrics.clone()),
             cfg,
             slices: RwLock::new(HashMap::new()),
-            plugin: Arc::new(InnodbNdpPlugin),
+            plugin,
             metrics,
             skip_policy: RwLock::new(SkipPolicy::None),
             skip_counter: AtomicU64::new(0),
@@ -512,7 +532,7 @@ impl PageStore {
                     std::thread::sleep(service);
                 }
                 let _cpu = taurus_common::metrics::CpuGuard::new(&metrics.ps_cpu_ns);
-                let out = plugin.process_batch(&cd, &job_pages);
+                let out = guarded(|| plugin.process_batch(&cd, &job_pages));
                 let _ = tx.send(out);
             });
         }
@@ -537,13 +557,13 @@ impl PageStore {
                     .add(|m| &m.ps_records_filtered, stats.records_filtered);
                 self.metrics
                     .add(|m| &m.ps_records_aggregated, stats.records_aggregated);
-                let by_no: HashMap<PageNo, Page> = results.into_iter().collect();
+                let mut by_no: HashMap<PageNo, Page> = results.into_iter().collect();
                 Ok(pages
                     .into_iter()
-                    .map(|(page_no, raw)| match by_no.get(&page_no) {
+                    .map(|(page_no, raw)| match by_no.remove(&page_no) {
                         Some(ndp) => PageResult {
                             page_no,
-                            payload: PagePayload::Ndp(Arc::new(ndp.clone())),
+                            payload: PagePayload::Ndp(Arc::new(ndp)),
                         },
                         None => PageResult {
                             page_no,
@@ -626,7 +646,7 @@ impl PageStore {
                     std::thread::sleep(service);
                 }
                 let _cpu = taurus_common::metrics::CpuGuard::new(&metrics.ps_cpu_ns);
-                let out = plugin.process_page(&cd, &job_page);
+                let out = guarded(|| plugin.process_page(&cd, &job_page));
                 let _ = tx.send((idx, out));
             });
             if ok {
@@ -636,8 +656,10 @@ impl PageStore {
                 self.metrics.add(|m| &m.ps_ndp_skipped, 1);
                 payloads[idx] = Some(PagePayload::Raw(page.clone()));
             }
-            let _ = no;
         }
+        // Only the jobs hold senders now: should one end without
+        // reporting, `recv` fails instead of waiting forever.
+        drop(tx);
         for _ in 0..submitted {
             let (idx, out) = rx
                 .recv()
@@ -1044,6 +1066,105 @@ mod tests {
                 > 0,
             "work admitted once shed cleared"
         );
+    }
+
+    /// A plugin whose every call panics.
+    struct PanickingPlugin;
+
+    impl NdpPlugin for PanickingPlugin {
+        fn name(&self) -> &'static str {
+            "panicking"
+        }
+
+        fn process_page(
+            &self,
+            _: &CachedDescriptor,
+            _: &Page,
+        ) -> Result<(Page, crate::plugin::PluginStats)> {
+            panic!("plugin failure (expected in this test)")
+        }
+
+        fn process_batch(
+            &self,
+            _: &CachedDescriptor,
+            _: &[(PageNo, Arc<Page>)],
+        ) -> Result<(Vec<(PageNo, Page)>, crate::plugin::PluginStats)> {
+            panic!("plugin failure (expected in this test)")
+        }
+    }
+
+    /// A panic inside an NDP job degrades the page (or the scalar batch)
+    /// to raw like any plugin error: the request returns, and the pool
+    /// keeps every worker for the requests after it.
+    #[test]
+    fn a_panicking_plugin_degrades_to_raw_pages_and_keeps_the_pool() {
+        const THREADS: usize = 2;
+        let hang_guard = Duration::from_secs(10);
+        let ps = PageStore::with_plugin(
+            0,
+            PageStoreConfig {
+                slice_pages: 8,
+                ndp_threads: THREADS,
+                ..Default::default()
+            },
+            Metrics::shared(),
+            Arc::new(PanickingPlugin),
+        );
+        let sid = SliceId::of(SpaceId(1), 0, 8);
+        ps.create_slice(sid);
+        let redo: Vec<RedoRecord> = (0..4).map(|p| new_page_redo(1, p, p as u64 + 1)).collect();
+        ps.apply_redo(&redo).unwrap();
+        // One pool job per page, then one job for the whole batch.
+        let scalar_agg = Arc::new(
+            taurus_expr::descriptor::NdpDescriptor {
+                index_id: 7,
+                record_dtypes: vec![taurus_common::DataType::BigInt],
+                key_positions: vec![0],
+                projection: None,
+                predicate_bitcode: None,
+                aggregation: Some(taurus_expr::descriptor::NdpAggSpec {
+                    specs: vec![taurus_expr::agg::AggSpec::count_star()],
+                    group_cols: vec![],
+                }),
+                low_watermark: 100,
+            }
+            .encode(),
+        );
+        for (served, descriptor) in [work_descriptor(), scalar_agg].into_iter().enumerate() {
+            let req = NdpBatchRequest {
+                slice: sid,
+                pages: vec![0, 1, 2, 3],
+                read_lsn: 4,
+                descriptor,
+                tenant: taurus_common::DEFAULT_TENANT,
+            };
+            let (tx, rx) = bounded(1);
+            let store = ps.clone();
+            std::thread::spawn(move || tx.send(store.serve_ndp_batch(&req)));
+            let out = rx
+                .recv_timeout(hang_guard)
+                .expect("the request must not wait for a job that panicked")
+                .expect("a plugin panic degrades, it does not fail the read");
+            assert_eq!(out.len(), 4);
+            assert!(out.iter().all(|r| matches!(r.payload, PagePayload::Raw(_))));
+            let snap = ps.metrics.snapshot();
+            assert_eq!(snap.ps_ndp_skipped, 4 * (served as u64 + 1));
+            assert_eq!(snap.ps_pages_processed, 0);
+        }
+        // Full strength: THREADS jobs that each wait for all the others.
+        let barrier = Arc::new(std::sync::Barrier::new(THREADS));
+        let (tx, rx) = bounded(THREADS);
+        for _ in 0..THREADS {
+            let (barrier, tx) = (barrier.clone(), tx.clone());
+            assert!(ps.pool.try_submit(move || {
+                barrier.wait();
+                let _ = tx.send(());
+            }));
+        }
+        for _ in 0..THREADS {
+            rx.recv_timeout(hang_guard)
+                .expect("every worker survived the panics");
+        }
     }
 
     #[test]

@@ -445,3 +445,85 @@ fn batch_without_work_returns_raw_pages() {
     let results = ps.serve_ndp_batch(&req).unwrap();
     assert!(matches!(results[0].payload, PagePayload::Raw(_)));
 }
+
+/// A source page is a regular leaf: a record of any other type on it is
+/// corruption, whichever way the page reaches the plugin. Nothing of such
+/// a page is folded into an aggregate, and the store ships it raw.
+#[test]
+fn non_ordinary_source_record_is_rejected_on_both_entry_points() {
+    let l = layout();
+    let mut p = build_page(1, 0, &[(1, 10, false), (2, 20, false)]);
+    let mut b = Vec::new();
+    encode_record(
+        &l,
+        &[Value::Int(3), Value::Int(30)],
+        RecordMeta {
+            rec_type: RecType::NdpProjection,
+            ..RecordMeta::ordinary(1)
+        },
+        None,
+        &mut b,
+    )
+    .unwrap();
+    p.append_record(&b).unwrap();
+    let scalar_sum = descriptor(
+        None,
+        None,
+        Some(NdpAggSpec {
+            specs: vec![AggSpec::sum(1)],
+            group_cols: vec![],
+        }),
+    );
+    let filter = descriptor(None, Some(&Expr::gt(Expr::col(1), Expr::int(0))), None);
+    for desc in [&filter, &scalar_sum] {
+        let cd = cached(desc);
+        assert!(matches!(
+            InnodbNdpPlugin.process_page(&cd, &p),
+            Err(taurus_common::Error::Corruption(_))
+        ));
+        assert!(matches!(
+            InnodbNdpPlugin.process_batch(&cd, &[(0, Arc::new(p.clone()))]),
+            Err(taurus_common::Error::Corruption(_))
+        ));
+    }
+
+    let metrics = Metrics::shared();
+    let ps = PageStore::new(
+        0,
+        PageStoreConfig {
+            slice_pages: 64,
+            ..Default::default()
+        },
+        metrics.clone(),
+    );
+    let sid = SliceId::of(SpaceId(1), 0, 64);
+    ps.create_slice(sid);
+    ps.apply_redo(&[RedoRecord {
+        lsn: 1,
+        space: SpaceId(1),
+        page_no: 0,
+        body: RedoBody::NewPage(p.clone().into_bytes()),
+    }])
+    .unwrap();
+    for (served, desc) in [filter, scalar_sum].into_iter().enumerate() {
+        let results = ps
+            .serve_ndp_batch(&NdpBatchRequest {
+                slice: sid,
+                pages: vec![0],
+                read_lsn: 5,
+                descriptor: Arc::new(desc),
+                tenant: taurus_common::DEFAULT_TENANT,
+            })
+            .unwrap();
+        match &results[0].payload {
+            PagePayload::Raw(raw) => assert_eq!(
+                (raw.page_type(), raw.n_recs()),
+                (taurus_page::PageType::Index, 3)
+            ),
+            PagePayload::Ndp(_) => panic!("a damaged page is not NDP-processed"),
+        }
+        let s = metrics.snapshot();
+        assert_eq!(s.ps_ndp_skipped, served as u64 + 1);
+        assert_eq!((s.ps_pages_processed, s.ps_records_aggregated), (0, 0));
+    }
+}

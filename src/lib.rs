@@ -74,8 +74,8 @@
 //! Scans can materialize column-major batches instead of rows
 //! (`ClusterConfig::batch_layout`, or `TAURUS_BATCH_LAYOUT=columnar`):
 //! filters then evaluate column-at-a-time over typed vectors and carry
-//! survivors as selection vectors, on the compute node and inside
-//! Page-Store NDP alike. Results are byte-identical in either layout —
+//! survivors as selection vectors (on the compute node; a Page Store
+//! filters on record bytes). Results are byte-identical in either layout —
 //! the query API above is unchanged (see `DESIGN.md`, "Columnar
 //! execution"):
 //!

@@ -11,15 +11,23 @@
 //! buffer pool's bookkeeping grow now and then), so a per-row allocation
 //! cannot creep back in unnoticed. (String columns are outside the budget:
 //! a `Value::Str` owns its bytes.)
+//!
+//! The Page Store's plugin has the same budget on the other side of the
+//! wire: a page costs it the NDP page's buffer and the predicate's offset
+//! scratch, whatever survives (TPC-H Q1 keeps every `lineitem` record and
+//! nine of its columns, Q6 keeps one record in fifty).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use taurus::btree::TreeStore;
 use taurus::common::schema::{Column, TableSchema};
 use taurus::common::{BatchLayout, ClusterConfig, DataType, Dec, Result, RowBatch, Value};
 use taurus::expr::ast::Expr;
 use taurus::ndp::{scan, AggState, ScanConsumer, ScanRange, ScanSpec, TaurusDb};
 use taurus::optimizer::plan::{AggFuncEx, AggItem, HashAggNode, Plan, ScanNode};
+use taurus::page::NO_PAGE;
+use taurus::pagestore::{CachedDescriptor, InnodbNdpPlugin, NdpPlugin};
 use taurus::prelude::Session;
 
 struct Counting;
@@ -63,10 +71,11 @@ const PER_ROW_BUDGET: f64 = 0.05;
 /// How far the counts of identical runs may differ.
 const REPEAT_SLACK: u64 = 16;
 
-/// Run `query` once to warm up (pages cached, batch buffers pooled), then
-/// five times counting the allocations of all threads: every run must
-/// stay within the per-row budget and the runs must agree.
-fn assert_within_budget(what: &str, query: impl Fn()) {
+/// Run `query` (over `rows` input rows) once to warm up (pages cached,
+/// batch buffers pooled), then five times counting the allocations of all
+/// threads: every run must stay within the per-row budget and the runs
+/// must agree.
+fn assert_within_budget(what: &str, rows: u64, query: impl Fn()) {
     query();
     let counts: Vec<u64> = (0..5)
         .map(|_| {
@@ -76,10 +85,10 @@ fn assert_within_budget(what: &str, query: impl Fn()) {
         })
         .collect();
     let (min, max) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
-    let budget = (ROWS as f64 * PER_ROW_BUDGET) as u64;
+    let budget = (rows as f64 * PER_ROW_BUDGET) as u64;
     assert!(
         *max < budget,
-        "{what}: {counts:?} allocations for {ROWS} rows"
+        "{what}: {counts:?} allocations for {rows} rows"
     );
     assert!(
         max - min <= REPEAT_SLACK,
@@ -149,7 +158,7 @@ fn the_row_path_allocates_per_batch_never_per_row() {
         output_cols: vec![0, 1, 2, 3],
     };
     let view = db.read_view(0);
-    assert_within_budget("scan core", || {
+    assert_within_budget("scan core", ROWS, || {
         let mut rows = CountRows(0);
         scan(&db, &table, &spec, &view, &mut rows).unwrap();
         assert_eq!(rows.0, ROWS);
@@ -157,7 +166,7 @@ fn the_row_path_allocates_per_batch_never_per_row() {
 
     // --- the served path: producer thread, channel, drained batches ---------
     let session = Session::new(&db).with_ndp(false);
-    assert_within_budget("streamed scan", || {
+    assert_within_budget("streamed scan", ROWS, || {
         let mut stream = session.stream_plan(Plan::Scan(ScanNode::new("facts", vec![0, 1, 2, 3])));
         let mut rows = 0;
         while let Some(batch) = stream.next_batch() {
@@ -182,10 +191,75 @@ fn the_row_path_allocates_per_batch_never_per_row() {
             },
         ],
     });
-    assert_within_budget("hash aggregation", || {
+    assert_within_budget("hash aggregation", ROWS, || {
         let groups = session.execute_plan(&agg).unwrap();
         assert_eq!(groups.len(), 4);
         let counted: i64 = groups.iter().map(|g| g[2].as_int().unwrap()).sum();
         assert_eq!(counted as u64, ROWS);
     });
+
+    page_store_plugin_allocates_per_page();
+}
+
+/// Q1's and Q6's `lineitem` descriptors through the plugin, over 100
+/// leaves. (Called from the one test: a second test would allocate while
+/// the first one counts.)
+fn page_store_plugin_allocates_per_page() {
+    // A pool far smaller than `lineitem` and a low gate: both scans push.
+    let mut cfg = ClusterConfig::default();
+    cfg.buffer_pool_pages = 70;
+    cfg.ndp.enabled = true;
+    cfg.ndp.min_io_pages = 8;
+    let db = TaurusDb::new(cfg);
+    taurus::tpch::load(&db, 0.002, 42).unwrap();
+    db.buffer_pool().clear();
+    let table = db.table("lineitem").unwrap();
+    let index = &table.primary;
+    let mut leaves = Vec::new();
+    let mut page = index
+        .tree
+        .seek_leaf(index.store.as_ref(), &ScanRange::full())
+        .unwrap()
+        .unwrap();
+    while leaves.len() < 100 {
+        let next = page.next();
+        leaves.push(page);
+        assert_ne!(next, NO_PAGE, "lineitem has more than 100 leaves");
+        page = index.store.read(next).unwrap();
+    }
+    let records: u64 = leaves.iter().map(|p| p.n_recs() as u64).sum();
+
+    let session = Session::new(&db).with_ndp(true);
+    for (name, text) in taurus::sql::tpch_sql::all() {
+        if !matches!(name, "Q1" | "Q6") {
+            continue;
+        }
+        let taurus::sql::Statement::Select(select) = taurus::sql::parse(text).unwrap() else {
+            panic!("{name} is a SELECT");
+        };
+        let mut plan = &taurus::sql::bind(&session, &select).unwrap();
+        let scan = loop {
+            plan = match plan {
+                Plan::Scan(scan) => break scan,
+                Plan::HashAgg(a) => &a.input,
+                Plan::Project(p) => &p.input,
+                Plan::Filter(f) => &f.input,
+                Plan::Sort(s) => &s.input,
+                other => panic!("{name} is a pipeline over one scan: {other:?}"),
+            };
+        };
+        let choice = &scan.ndp.as_ref().expect("the scan is pushed").choice;
+        let descriptor = taurus::ndp::build_descriptor(index, choice, u64::MAX).unwrap();
+        assert!(descriptor.predicate_bitcode.is_some() && descriptor.projection.is_some());
+        let cd = CachedDescriptor::prepare(&descriptor.encode()).unwrap();
+        assert_within_budget(&format!("page store, {name}"), records, || {
+            let mut seen = 0;
+            for leaf in &leaves {
+                let (ndp, stats) = InnodbNdpPlugin.process_page(&cd, leaf).unwrap();
+                seen += stats.records_in;
+                assert!(ndp.n_recs() as u64 <= stats.records_in);
+            }
+            assert_eq!(seen, records);
+        });
+    }
 }

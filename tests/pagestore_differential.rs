@@ -1,0 +1,567 @@
+//! The Page Store plugin against what it replaced, byte for byte.
+//!
+//! The plugin works on record bytes: survivors are copied, carriers are
+//! views into the source page, output goes out in chain order. The oracle
+//! below is the previous semantics in their plainest form: decode every
+//! record to values, re-encode survivors with `encode_record`, collect
+//! emissions with their chain position and sort. For the NDP descriptor
+//! of every pushed scan of the 22 TPC-H statements over every leaf of its
+//! table, and for synthetic pages built to hit what TPC-H data never does
+//! (a watermark that splits the page, delete marks, NULLs in kept and
+//! dropped columns, stale bytes under a NULL, varchars around the kept
+//! columns, groups that end behind their carrier, a scalar aggregate
+//! whose carrier moves to a later page), the NDP pages are equal byte for
+//! byte and the statistics are equal.
+
+use std::sync::Arc;
+
+use taurus::btree::{ScanRange, TreeStore};
+use taurus::common::{ClusterConfig, DataType, Date32, Dec, SpaceId, Value};
+use taurus::expr::agg::{encode_states, AggSpec, AggState};
+use taurus::expr::ast::Expr;
+use taurus::expr::compile::lower;
+use taurus::expr::descriptor::{NdpAggSpec, NdpDescriptor};
+use taurus::expr::vm::TriBool;
+use taurus::ndp::{build_descriptor, TaurusDb};
+use taurus::optimizer::plan::{Plan, ScanNode};
+use taurus::page::{encode_record, NdpPageBuilder, Page, RecType, RecordMeta, RecordView, NO_PAGE};
+use taurus::pagestore::{CachedDescriptor, InnodbNdpPlugin, NdpPlugin, PluginStats};
+use taurus::prelude::Session;
+
+/// The old plugin: every record becomes values, survivors are re-encoded,
+/// emissions are sorted back into chain order. `cross_page` is
+/// `process_batch` on a scalar aggregate; otherwise every page stands
+/// alone, as in `process_page`.
+fn oracle(cd: &CachedDescriptor, pages: &[&Page], cross_page: bool) -> (Vec<Page>, PluginStats) {
+    let agg = cd.desc.aggregation.as_ref();
+    let new_states = || -> Vec<AggState> {
+        let specs = agg.map_or(&[][..], |a| &a.specs[..]);
+        specs
+            .iter()
+            .map(|s| AggState::new(s, s.col.map(|c| cd.layout.dtypes[c as usize])))
+            .collect()
+    };
+    let encode = |values: &[Value], rec: &RecordView<'_>, payload: Option<&[u8]>| -> Vec<u8> {
+        let (layout, kept) = match (&cd.proj_layout, &cd.desc.projection) {
+            (Some(pl), Some(keep)) => (
+                pl,
+                keep.iter().map(|&k| values[k as usize].clone()).collect(),
+            ),
+            _ => (&cd.layout, values.to_vec()),
+        };
+        let meta = RecordMeta {
+            rec_type: match (payload, &cd.desc.projection) {
+                (Some(_), _) => RecType::NdpAggregate,
+                (None, Some(_)) => RecType::NdpProjection,
+                (None, None) => RecType::Ordinary,
+            },
+            delete_mark: false,
+            heap_no: rec.heap_no(),
+            trx_id: rec.trx_id(),
+        };
+        let mut out = Vec::new();
+        encode_record(layout, &kept, meta, payload, &mut out).unwrap();
+        out
+    };
+    let mut stats = PluginStats::default();
+    let mut emitted: Vec<Vec<(usize, Vec<u8>)>> = vec![Vec::new(); pages.len()];
+    let mut states = new_states();
+    let mut key: Option<Vec<Value>> = None;
+    // (page, chain position, values, view)
+    let mut carrier: Option<(usize, usize, Vec<Value>, RecordView<'_>)> = None;
+    let mut offsets = Vec::new();
+    macro_rules! flush {
+        () => {
+            if let Some((pi, seq, values, rec)) = carrier.take() {
+                let payload = encode_states(&states);
+                emitted[pi].push((seq, encode(&values, &rec, Some(&payload))));
+                stats.records_aggregated += 1;
+            }
+            states = new_states();
+        };
+    }
+    for (pi, page) in pages.iter().enumerate() {
+        for (seq, rec) in page.iter_chain().enumerate() {
+            let rec = RecordView::parse(rec.unwrap(), &cd.layout).unwrap();
+            stats.records_in += 1;
+            let visible = rec.trx_id() < cd.desc.low_watermark;
+            if visible && rec.delete_mark() {
+                continue;
+            }
+            if let (true, Some(pred)) = (visible, &cd.predicate) {
+                if pred.eval_record(&rec, &mut offsets).unwrap() != TriBool::True {
+                    stats.records_filtered += 1;
+                    continue;
+                }
+            }
+            let values = rec.values();
+            if let Some(a) = agg {
+                let k: Vec<Value> = a
+                    .group_cols
+                    .iter()
+                    .map(|&g| values[g as usize].clone())
+                    .collect();
+                if key.as_ref().is_some_and(|running| *running != k) {
+                    flush!();
+                }
+                key = Some(k);
+            }
+            if !visible {
+                stats.ambiguous += 1;
+                emitted[pi].push((seq, rec.raw().to_vec()));
+            } else if let Some(a) = agg {
+                if let Some((_, _, old, _)) = carrier.replace((pi, seq, values, rec)) {
+                    for (st, spec) in states.iter_mut().zip(&a.specs) {
+                        match spec.col {
+                            Some(c) => st.update(&old[c as usize]),
+                            None => st.update(&Value::Int(1)),
+                        }
+                    }
+                    stats.records_aggregated += 1;
+                }
+            } else {
+                emitted[pi].push((seq, encode(&values, &rec, None)));
+            }
+        }
+        if agg.is_some() && !cross_page {
+            flush!();
+            key = None;
+        }
+    }
+    if let Some((pi, seq, values, rec)) = carrier.take() {
+        let payload = encode_states(&states);
+        emitted[pi].push((seq, encode(&values, &rec, Some(&payload))));
+        stats.records_aggregated += 1;
+    }
+    let out = pages
+        .iter()
+        .zip(emitted)
+        .map(|(src, mut items)| {
+            items.sort_by_key(|(seq, _)| *seq);
+            let mut b = NdpPageBuilder::new(src);
+            for (_, bytes) in &items {
+                b.push_record(bytes);
+            }
+            b.finish(src.lsn())
+        })
+        .collect();
+    (out, stats)
+}
+
+fn add(total: &mut PluginStats, page: &PluginStats) {
+    total.records_in += page.records_in;
+    total.records_filtered += page.records_filtered;
+    total.records_aggregated += page.records_aggregated;
+    total.ambiguous += page.ambiguous;
+}
+
+/// Both entry points against the oracle on `pages`.
+fn compare(cd: &CachedDescriptor, pages: &[Arc<Page>], what: &str) -> PluginStats {
+    let refs: Vec<&Page> = pages.iter().map(|p| &**p).collect();
+    // Page by page.
+    let mut total = PluginStats::default();
+    for (i, page) in refs.iter().enumerate() {
+        let (want, want_stats) = oracle(cd, &[page], false);
+        let (got, got_stats) = InnodbNdpPlugin.process_page(cd, page).unwrap();
+        assert_eq!(got_stats, want_stats, "{what}: page {i} statistics");
+        assert!(got.bytes() == want[0].bytes(), "{what}: page {i}");
+        got.verify_checksum().unwrap();
+        add(&mut total, &got_stats);
+    }
+    // As one batch (cross-page when the aggregate is scalar).
+    let scalar = cd
+        .desc
+        .aggregation
+        .as_ref()
+        .is_some_and(|a| a.group_cols.is_empty());
+    let numbered: Vec<(u32, Arc<Page>)> = pages
+        .iter()
+        .enumerate()
+        .map(|(i, p)| (i as u32, p.clone()))
+        .collect();
+    let (want, want_stats) = oracle(cd, &refs, scalar);
+    let (mut got, got_stats) = InnodbNdpPlugin.process_batch(cd, &numbered).unwrap();
+    assert_eq!(got_stats, want_stats, "{what}: batch statistics");
+    got.sort_by_key(|(no, _)| *no);
+    assert_eq!(got.len(), want.len(), "{what}: one NDP page per page");
+    for ((no, got), want) in got.iter().zip(&want) {
+        assert!(got.bytes() == want.bytes(), "{what}: batch page {no}");
+    }
+    total
+}
+
+fn for_each_scan(plan: &Plan, f: &mut impl FnMut(&ScanNode)) {
+    match plan {
+        Plan::Scan(s) => f(s),
+        Plan::AggScan(a) => f(&a.scan),
+        Plan::LookupJoin(j) => for_each_scan(&j.outer, f),
+        Plan::HashJoin(j) => {
+            for_each_scan(&j.left, f);
+            for_each_scan(&j.right, f);
+        }
+        Plan::HashAgg(a) => for_each_scan(&a.input, f),
+        Plan::Project(p) => for_each_scan(&p.input, f),
+        Plan::Filter(p) => for_each_scan(&p.input, f),
+        Plan::Sort(s) => for_each_scan(&s.input, f),
+        Plan::Limit { input, .. } => for_each_scan(input, f),
+        Plan::Exchange(e) => for_each_scan(&e.child, f),
+    }
+}
+
+#[test]
+fn every_tpch_descriptor_over_every_leaf_of_its_table() {
+    // A pool far smaller than the data and a low gate, so the optimizer
+    // pushes what it pushes in the benchmark.
+    let mut cfg = ClusterConfig::default();
+    cfg.buffer_pool_pages = 70;
+    cfg.ndp.enabled = true;
+    cfg.ndp.min_io_pages = 8;
+    let db = TaurusDb::new(cfg);
+    taurus::tpch::load(&db, 0.002, 42).unwrap();
+    db.buffer_pool().clear();
+    let session = Session::new(&db).with_ndp(true);
+    let (mut descriptors, mut filtered, mut survivors) = (0, 0, 0);
+    for (name, text) in taurus::sql::tpch_sql::all() {
+        let taurus::sql::Statement::Select(select) = taurus::sql::parse(text).unwrap() else {
+            panic!("{name} is a SELECT");
+        };
+        let plan = taurus::sql::bind(&session, &select).unwrap();
+        for_each_scan(&plan, &mut |node| {
+            let Some(decision) = &node.ndp else { return };
+            let table = db.table(&node.table).unwrap();
+            let index = table.index(node.index);
+            let mut leaves = Vec::new();
+            let mut page = index
+                .tree
+                .seek_leaf(index.store.as_ref(), &ScanRange::full())
+                .unwrap()
+                .unwrap();
+            loop {
+                let next = page.next();
+                leaves.push(page);
+                if next == NO_PAGE {
+                    break;
+                }
+                page = index.store.read(next).unwrap();
+            }
+            // Everything visible, and a watermark inside the loaded rows'
+            // transaction ids if they differ at all.
+            let mut trx_ids: Vec<u64> = leaves
+                .iter()
+                .flat_map(|p| p.iter_chain())
+                .map(|rec| RecordView::new(rec.unwrap(), &index.tree.leaf_layout).trx_id())
+                .collect();
+            trx_ids.sort_unstable();
+            for watermark in [u64::MAX, trx_ids[trx_ids.len() / 2]] {
+                let desc = build_descriptor(index, &decision.choice, watermark).unwrap();
+                let cd = CachedDescriptor::prepare(&desc.encode()).unwrap();
+                let what = format!("{name} {} watermark {watermark}", node.table);
+                let stats = compare(&cd, &leaves, &what);
+                descriptors += 1;
+                filtered += stats.records_filtered;
+                survivors += stats.records_in - stats.records_filtered - stats.ambiguous;
+            }
+        });
+    }
+    assert!(descriptors >= 20, "pushed scans: {descriptors}");
+    assert!(
+        filtered > 10_000 && survivors > 10_000,
+        "{filtered} / {survivors}"
+    );
+}
+
+// --- synthetic pages ---------------------------------------------------------
+
+/// xorshift64: all the randomness the synthetic pages need.
+struct XorShift(u64);
+
+impl XorShift {
+    fn below(&mut self, n: i64) -> i64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        (self.0 % n as u64) as i64
+    }
+
+    fn chance(&mut self, percent: i64) -> bool {
+        self.below(100) < percent
+    }
+}
+
+const WATERMARK: u64 = 100;
+
+/// (group key, varchar ahead of everything kept, second key, aggregate
+/// input, CHAR, varchar between kept columns, date, double)
+fn dtypes() -> Vec<DataType> {
+    vec![
+        DataType::BigInt,
+        DataType::Varchar(12),
+        DataType::Int,
+        DataType::Decimal {
+            precision: 15,
+            scale: 2,
+        },
+        DataType::Char(3),
+        DataType::Varchar(8),
+        DataType::Date,
+        DataType::Double,
+    ]
+}
+
+fn descriptor(
+    projection: Option<Vec<u16>>,
+    predicate: Option<&Expr>,
+    aggregation: Option<NdpAggSpec>,
+) -> CachedDescriptor {
+    let bytes = NdpDescriptor {
+        index_id: 7,
+        record_dtypes: dtypes(),
+        key_positions: vec![0, 2],
+        projection,
+        predicate_bitcode: predicate.map(|e| lower(e).unwrap().encode_bitcode()),
+        aggregation,
+        low_watermark: WATERMARK,
+    }
+    .encode();
+    CachedDescriptor::prepare(&bytes).unwrap()
+}
+
+/// What a synthetic record is, besides its values.
+#[derive(Clone, Copy)]
+struct Fate {
+    ambiguous: bool,
+    deleted: bool,
+}
+
+fn page_of(page_no: u32, rows: &[(Vec<Value>, Fate)]) -> Arc<Page> {
+    let layout = taurus::page::RecordLayout::new(dtypes());
+    let mut page = Page::new_index(8192, SpaceId(1), page_no, 7, 0);
+    for (values, fate) in rows {
+        let meta = RecordMeta {
+            delete_mark: fate.deleted,
+            ..RecordMeta::ordinary(if fate.ambiguous { WATERMARK + 3 } else { 5 })
+        };
+        let mut bytes = Vec::new();
+        encode_record(&layout, values, meta, None, &mut bytes).unwrap();
+        // A NULL column's bytes are whatever was there before.
+        let view = RecordView::new(&bytes, &layout);
+        let stale: Vec<(usize, usize)> = (0..layout.n_cols())
+            .filter(|&c| view.is_null(c))
+            .map(|c| {
+                let image = view.field_bytes(c);
+                (
+                    image.as_ptr() as usize - bytes.as_ptr() as usize,
+                    image.len(),
+                )
+            })
+            .collect();
+        for (at, len) in stale {
+            bytes[at..at + len].fill(0xEE);
+        }
+        page.append_record(&bytes).unwrap();
+    }
+    page.set_lsn(40 + page_no as u64);
+    Arc::new(page)
+}
+
+fn random_row(rng: &mut XorShift, group: i64, k: i64) -> Vec<Value> {
+    let maybe = |rng: &mut XorShift, v: Value| if rng.chance(20) { Value::Null } else { v };
+    let word = |rng: &mut XorShift, max: i64| -> Value {
+        let len = rng.below(max + 1);
+        Value::str(
+            (0..len)
+                .map(|_| (b'a' + rng.below(4) as u8) as char)
+                .collect::<String>(),
+        )
+    };
+    vec![
+        Value::Int(group),
+        word(rng, 12),
+        Value::Int(k),
+        {
+            let v = Value::Decimal(Dec::new(rng.below(1000) as i128 - 500, 2));
+            maybe(rng, v)
+        },
+        {
+            let v = word(rng, 3);
+            let v = Value::str(v.as_str().unwrap().trim_end_matches(' '));
+            maybe(rng, v)
+        },
+        {
+            let v = word(rng, 8);
+            maybe(rng, v)
+        },
+        {
+            let v = Value::Date(Date32(9000 + rng.below(400) as i32));
+            maybe(rng, v)
+        },
+        Value::Double((rng.below(80) - 40) as f64 / 4.0),
+    ]
+}
+
+/// Pages of `per_page` records in key order, a few records per group,
+/// groups free to continue on the next page.
+fn random_pages(
+    rng: &mut XorShift,
+    n_pages: usize,
+    per_page: usize,
+    fate: &mut dyn FnMut(&mut XorShift, usize, usize) -> Fate,
+) -> Vec<Arc<Page>> {
+    let (mut group, mut k) = (0i64, 0i64);
+    (0..n_pages)
+        .map(|p| {
+            let rows: Vec<(Vec<Value>, Fate)> = (0..per_page)
+                .map(|i| {
+                    if rng.chance(30) {
+                        group += 1;
+                    }
+                    k += 1;
+                    (random_row(rng, group, k), fate(rng, p, i))
+                })
+                .collect();
+            page_of(p as u32, &rows)
+        })
+        .collect()
+}
+
+fn descriptors() -> Vec<(&'static str, CachedDescriptor)> {
+    let dec = |s: &str| Expr::dec(s);
+    // NULL inputs make it UNKNOWN, which drops the record like FALSE.
+    let pred = Expr::or(vec![
+        Expr::gt(Expr::col(3), dec("0.50")),
+        Expr::and(vec![
+            Expr::ge(Expr::col(6), Expr::date("1994-10-01")),
+            Expr::like(Expr::col(5), "a%"),
+        ]),
+    ]);
+    let sums = |group_cols: Vec<u16>| NdpAggSpec {
+        specs: vec![
+            AggSpec::sum(3),
+            AggSpec::count_star(),
+            AggSpec::count(6),
+            AggSpec::min(7),
+            AggSpec::max(4),
+        ],
+        group_cols,
+    };
+    vec![
+        ("filter only", descriptor(None, Some(&pred), None)),
+        ("project", descriptor(Some(vec![0, 2, 3, 5]), None, None)),
+        (
+            "filter + project fixed columns",
+            descriptor(Some(vec![0, 2, 3, 4, 6, 7]), Some(&pred), None),
+        ),
+        (
+            "filter + project around the varchars",
+            descriptor(Some(vec![0, 1, 2, 5, 7]), Some(&pred), None),
+        ),
+        (
+            "project every column",
+            descriptor(Some((0..8).collect()), Some(&pred), None),
+        ),
+        (
+            "grouped aggregate",
+            descriptor(None, None, Some(sums(vec![0]))),
+        ),
+        (
+            "grouped aggregate, filtered and projected",
+            descriptor(
+                Some(vec![0, 2, 3, 4, 6, 7]),
+                Some(&pred),
+                Some(sums(vec![0])),
+            ),
+        ),
+        (
+            "aggregate grouped by the whole key",
+            descriptor(Some(vec![0, 2, 3, 4, 6, 7]), None, Some(sums(vec![0, 2]))),
+        ),
+        (
+            "scalar aggregate",
+            descriptor(None, None, Some(sums(vec![]))),
+        ),
+        (
+            "scalar aggregate, filtered and projected",
+            descriptor(
+                Some(vec![0, 2, 3, 4, 5, 6, 7]),
+                Some(&pred),
+                Some(sums(vec![])),
+            ),
+        ),
+    ]
+}
+
+#[test]
+fn synthetic_pages_match_the_oracle() {
+    let mut rng = XorShift(0x5EED);
+    let live = Fate {
+        ambiguous: false,
+        deleted: false,
+    };
+    let mut inputs: Vec<(&str, Vec<Arc<Page>>)> = Vec::new();
+    // The watermark splits every page at random; some records are
+    // delete-marked, on either side of it.
+    for _ in 0..12 {
+        inputs.push((
+            "random fates",
+            random_pages(&mut rng, 4, 24, &mut |rng, _, _| Fate {
+                ambiguous: rng.chance(30),
+                deleted: rng.chance(15),
+            }),
+        ));
+    }
+    // Ambiguous records before, between and after the survivors.
+    inputs.push((
+        "ambiguous around survivors",
+        random_pages(&mut rng, 2, 12, &mut |_, _, i| Fate {
+            ambiguous: matches!(i, 0 | 1 | 5 | 6 | 10 | 11),
+            ..live
+        }),
+    ));
+    // Every page ends in ambiguous records: whatever group is running
+    // there has them behind its carrier.
+    inputs.push((
+        "ambiguous tails",
+        random_pages(&mut rng, 3, 16, &mut |_, _, i| Fate {
+            ambiguous: i >= 12,
+            ..live
+        }),
+    ));
+    // Nothing visible on the middle pages, nothing at all on the last but
+    // one: a scalar carrier has to wait on page 0, then moves to page 4.
+    inputs.push((
+        "carrier moves to a later page",
+        random_pages(&mut rng, 5, 10, &mut |_, p, i| Fate {
+            ambiguous: matches!(p, 1 | 2) || (p == 0 && i >= 7),
+            deleted: p == 3,
+        }),
+    ));
+    // Only ambiguous records anywhere; and nothing but deleted ones.
+    inputs.push((
+        "all ambiguous",
+        random_pages(&mut rng, 2, 8, &mut |_, _, _| Fate {
+            ambiguous: true,
+            ..live
+        }),
+    ));
+    inputs.push((
+        "all deleted",
+        random_pages(&mut rng, 2, 8, &mut |_, _, _| Fate {
+            deleted: true,
+            ..live
+        }),
+    ));
+    inputs.push(("an empty page", vec![page_of(0, &[])]));
+
+    let mut total = PluginStats::default();
+    for (name, cd) in descriptors() {
+        for (input, pages) in &inputs {
+            let stats = compare(&cd, pages, &format!("{name}, {input}"));
+            add(&mut total, &stats);
+        }
+    }
+    // Every fate was exercised.
+    assert!(total.records_in > 10_000, "{total:?}");
+    assert!(total.records_filtered > 500, "{total:?}");
+    assert!(total.records_aggregated > 1_000, "{total:?}");
+    assert!(total.ambiguous > 2_000, "{total:?}");
+}

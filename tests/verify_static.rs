@@ -18,7 +18,6 @@ use taurus::optimizer::plan::{
     AggFuncEx, AggItem, AggScanNode, HashJoinNode, JoinType, NdpDecision, Plan, RangeSpec,
     ScanNode, SortNode,
 };
-use taurus::page::record::RecordLayout;
 use taurus::prelude::Session;
 use taurus::verify::{verify_plan, DiagKind, Severity};
 
@@ -184,8 +183,7 @@ fn vector_shape_is_pinned() {
     // The same malformed program survives straight-line extraction (it
     // is structurally bounds-valid), so the vector checker must catch
     // the unwritten read on its side of the scalar↔vector boundary too.
-    let layout = RecordLayout::new(vec![DataType::BigInt]);
-    let vp = VectorProgram::from_ir(&read_before_write_ir(), &layout, &[0]).unwrap();
+    let vp = VectorProgram::from_ir(&read_before_write_ir()).unwrap();
     let diags = taurus::verify::check_vector(&vp, "test");
     assert!(diags
         .iter()
