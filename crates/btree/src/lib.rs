@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
-use taurus_common::schema::{encode_key, IndexDef};
+use taurus_common::schema::{encode_key, encode_key_part, IndexDef};
 use taurus_common::{DataType, Error, Lsn, PageNo, Result, TrxId, Value};
 use taurus_page::{encode_record, Page, RecType, RecordLayout, RecordMeta, RecordView, NO_PAGE};
 
@@ -120,10 +120,15 @@ impl ScanRange {
         ScanRange::default()
     }
 
-    pub fn point(key: Vec<u8>) -> ScanRange {
-        ScanRange {
-            lower: Some((key.clone(), true)),
-            upper: Some((key, true)),
+    /// Make this the point range of `key` (a full key, or a prefix and its
+    /// key group: both bounds inclusive), reusing the bounds' buffers: a
+    /// prepared access re-ranges per probe key without allocating.
+    pub fn set_point(&mut self, key: &[u8]) {
+        for bound in [&mut self.lower, &mut self.upper] {
+            let (bytes, inclusive) = bound.get_or_insert_with(Default::default);
+            bytes.clear();
+            bytes.extend_from_slice(key);
+            *inclusive = true;
         }
     }
 
@@ -261,6 +266,18 @@ impl BTree {
     /// Encode a (possibly prefix) search key from key-column values.
     pub fn encode_search_key(&self, key_values: &[Value]) -> Vec<u8> {
         encode_key(key_values, &self.key_dtypes[..key_values.len()])
+    }
+
+    /// [`BTree::encode_search_key`] appended to `out`, from borrowed values
+    /// (a lookup join encodes each probe key once, into a buffer it keeps).
+    pub fn encode_search_key_into<'v>(
+        &self,
+        key_values: impl IntoIterator<Item = &'v Value>,
+        out: &mut Vec<u8>,
+    ) {
+        for (v, dtype) in key_values.into_iter().zip(&self.key_dtypes) {
+            encode_key_part(v, dtype, out);
+        }
     }
 
     /// Extract the encoded key from a leaf record.
@@ -630,6 +647,46 @@ impl BTree {
                 Ok(Some(page))
             }
         })
+    }
+
+    /// The leaves a lookup of `key` (full, or a prefix with its key group)
+    /// reads, appended to `out`: a descent that stops at level 1 names the
+    /// child the key falls in and the children after it whose separators
+    /// still extend `key`. A group running on into the next level-1 page
+    /// is cut off there.
+    ///
+    /// This is a prefetch hint, for the master only: nothing is latched or
+    /// pinned and no leaf is read, so a concurrent split can leave the
+    /// answer short or stale. Whoever fetches these pages must read
+    /// through the tree afterwards all the same.
+    pub fn leaves_of_key(
+        &self,
+        store: &dyn TreeStore,
+        key: &[u8],
+        out: &mut Vec<PageNo>,
+    ) -> Result<()> {
+        let root = self.root();
+        if root == NO_PAGE {
+            return Ok(());
+        }
+        let mut page = store.read(root)?;
+        if page.is_leaf() {
+            out.push(root);
+            return Ok(());
+        }
+        while page.level() > 1 {
+            page = store.read(self.pick_child(&page, key))?;
+        }
+        let (idx, exact) = page.lower_bound(key, self.node_key_extractor());
+        let first = if exact { idx } else { idx.saturating_sub(1) };
+        for (i, off) in page.slot_offsets().enumerate().skip(first) {
+            let rec = RecordView::new(page.record_at(off), &self.node_layout);
+            if i > first && !rec.field_bytes(0).starts_with(key) {
+                break;
+            }
+            out.push(self.node_child(&rec));
+        }
+        Ok(())
     }
 
     /// §IV-C4 batch extraction: under the shared structure latch, walk

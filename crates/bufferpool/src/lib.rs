@@ -111,8 +111,25 @@ impl BufferPool {
     }
 
     /// Insert (or replace) a regular page, evicting LRU pages if needed.
+    /// For pages whose newest state the caller holds: a writer's new page
+    /// image, a replica tailer's applied page.
     pub fn insert(&self, pref: PageRef, page: Arc<Page>) {
+        self.put(pref, page, true);
+    }
+
+    /// Insert a page fetched from storage unless a copy is resident, and
+    /// say whether it went in. A resident copy is never replaced by a
+    /// fetched one: writes are mirrored onto it, so it is at least as new
+    /// as anything a reader was sent.
+    pub fn insert_if_absent(&self, pref: PageRef, page: Arc<Page>) -> bool {
+        self.put(pref, page, false)
+    }
+
+    fn put(&self, pref: PageRef, page: Arc<Page>, replace: bool) -> bool {
         let mut g = self.inner.lock();
+        if !replace && g.map.contains_key(&pref) {
+            return false;
+        }
         let stamp = g.next_stamp;
         g.next_stamp += 1;
         let budget = self.capacity.saturating_sub(g.ndp_allocated).max(1);
@@ -123,6 +140,7 @@ impl BufferPool {
         if evicted > 0 {
             self.metrics.add(|m| &m.bp_evictions, evicted);
         }
+        true
     }
 
     /// Clone-on-write mutation. Returns false if the page is not cached.
@@ -319,6 +337,18 @@ mod tests {
         assert!(p.contains(pref(1, 2)));
         assert!(p.contains(pref(1, 3)));
         assert_eq!(p.len(), 3);
+    }
+
+    #[test]
+    fn a_fetched_page_never_replaces_a_resident_one() {
+        let p = pool(2);
+        assert!(p.insert_if_absent(pref(1, 0), page(1, 0)));
+        assert!(p.update(pref(1, 0), |pg| pg.set_lsn(42)));
+        assert!(!p.insert_if_absent(pref(1, 0), page(1, 0)));
+        assert_eq!(p.get(pref(1, 0)).unwrap().lsn(), 42);
+        // `insert` is for the newest image and does replace.
+        p.insert(pref(1, 0), page(1, 0));
+        assert_eq!(p.get(pref(1, 0)).unwrap().lsn(), 0);
     }
 
     #[test]

@@ -274,6 +274,12 @@ metrics_struct! {
     /// Server: SQL-text queries refused with a positioned parse/bind
     /// diagnostic (wire error code 1) before any operator opened.
     sql_parse_errors,
+    /// Lookup joins: leaf pages brought in by batched key access (each
+    /// also one `bp_misses`: it had to come from storage), and the batch
+    /// reads that fetched them. pages / reads = pages per storage round
+    /// trip where the per-row probe paid one round trip per page.
+    lookup_prefetch_pages,
+    lookup_prefetch_reads,
 }
 
 /// Per-tenant governance counters: who is consuming NDP admission and

@@ -18,15 +18,16 @@ use taurus_btree::{BTree, RedoOp, TreeStore};
 use taurus_bufferpool::BufferPool;
 use taurus_common::schema::{IndexDef, Row, TableSchema};
 use taurus_common::{
-    ClusterConfig, Error, IndexId, Lsn, Metrics, PageNo, PageRef, Result, SliceId, SpaceId, TrxId,
-    Value,
+    ClusterConfig, Error, IndexId, Lsn, Metrics, PageNo, PageRef, QueryCtx, Result, SliceId,
+    SpaceId, TrxId, Value,
 };
 use taurus_mvcc::{ReadView, TrxManager, UndoLog};
 use taurus_page::{Page, RecordView};
-use taurus_pagestore::{RedoBody, RedoRecord};
+use taurus_pagestore::{PagePayload, RedoBody, RedoRecord};
 use taurus_sal::Sal;
 
 use crate::replication::{CatalogPayload, IndexMeta, LoadedPayload, TreeShape};
+use crate::scan::LOOKUP_PREFETCH_PAGES_MAX;
 
 /// Shared read state of a replica compute node, maintained by the log
 /// tailer (`taurus-replica`) and consulted by every read path.
@@ -145,12 +146,55 @@ impl ReplicaState {
     }
 }
 
+/// The writes of one space as a reader that fetches pages must see them:
+/// how many have been mirrored into the pool, and how many of those are
+/// still on their way to the Page Stores.
+#[derive(Default)]
+struct WriteSeq {
+    mirrored: u64,
+    in_flight: u32,
+}
+
+/// Taken before a page fetch begins ([`SpaceStore::begin_fetch`]) and
+/// handed back with the fetched pages ([`SpaceStore::install`]).
+pub struct FetchToken {
+    /// The space's write count when the fetch began; `None` when a write
+    /// was in flight then (the Page Stores may not have had it yet).
+    mirrored: Option<u64>,
+}
+
+/// The descriptor of a batch read that asks for no NDP work: the Page
+/// Store's "pure batched read" of whole pages. One for every space, since
+/// it names no columns.
+fn plain_read_descriptor() -> Arc<Vec<u8>> {
+    static PLAIN: std::sync::OnceLock<Arc<Vec<u8>>> = std::sync::OnceLock::new();
+    PLAIN
+        .get_or_init(|| {
+            let d = taurus_expr::descriptor::NdpDescriptor {
+                index_id: 0,
+                record_dtypes: Vec::new(),
+                key_positions: Vec::new(),
+                projection: None,
+                predicate_bitcode: None,
+                aggregation: None,
+                low_watermark: 0,
+            };
+            Arc::new(d.encode())
+        })
+        .clone()
+}
+
 /// Storage adapter for one space (one B+ tree): implements [`TreeStore`]
 /// over the buffer pool + SAL.
 pub struct SpaceStore {
     pub space: SpaceId,
     sal: Arc<Sal>,
     bp: Arc<BufferPool>,
+    metrics: Arc<Metrics>,
+    /// Held for the moment a write bumps the count and mirrors its ops,
+    /// and for the moment fetched pages are installed: an install sees
+    /// every write mirrored before it and none half-way.
+    writes: Mutex<WriteSeq>,
     next_page: AtomicU32,
     latch: RwLock<()>,
     page_size: usize,
@@ -165,6 +209,7 @@ impl SpaceStore {
         space: SpaceId,
         sal: Arc<Sal>,
         bp: Arc<BufferPool>,
+        metrics: Arc<Metrics>,
         cfg: &ClusterConfig,
         replica: Option<Arc<ReplicaState>>,
     ) -> SpaceStore {
@@ -172,6 +217,8 @@ impl SpaceStore {
             space,
             sal,
             bp,
+            metrics,
+            writes: Mutex::new(WriteSeq::default()),
             next_page: AtomicU32::new(0),
             latch: RwLock::new(()),
             page_size: cfg.page_size,
@@ -206,6 +253,81 @@ impl SpaceStore {
             return None;
         }
         Some(p)
+    }
+
+    /// Call before fetching pages of this space that [`SpaceStore::install`]
+    /// will be asked to cache.
+    pub fn begin_fetch(&self) -> FetchToken {
+        let w = self.writes.lock();
+        FetchToken {
+            mirrored: (w.in_flight == 0).then_some(w.mirrored),
+        }
+    }
+
+    /// Cache pages fetched since `token` was taken, where that is safe: a
+    /// page goes in only when no copy is resident and no write to this
+    /// space was mirrored, or was still in flight, since the fetch began.
+    /// Otherwise the fetched image may predate a write: a resident copy
+    /// has had the write mirrored onto it and must not be replaced, and a
+    /// write that found no copy to mirror onto has reached the Page Stores
+    /// but not this image. Either way the caller still has the page for
+    /// the read it fetched it for, and the next reader fetches anew.
+    pub fn install(&self, token: &FetchToken, pages: impl IntoIterator<Item = Arc<Page>>) {
+        let w = self.writes.lock();
+        if token.mirrored != Some(w.mirrored) {
+            return;
+        }
+        for page in pages {
+            self.bp.insert_if_absent(self.pref(page.page_no()), page);
+        }
+    }
+
+    /// The most pages one lookup-join prefetch may ask for
+    /// ([`LOOKUP_PREFETCH_PAGES_MAX`], and a quarter of the pool at most,
+    /// so what it installs cannot push out what it installed a moment
+    /// ago). `None` on a replica: only the tailer populates its pool, and
+    /// its reads are pinned single reads.
+    pub fn prefetch_chunk_pages(&self) -> Option<usize> {
+        match self.replica {
+            Some(_) => None,
+            None => Some(LOOKUP_PREFETCH_PAGES_MAX.min(self.bp.capacity() / 4).max(1)),
+        }
+    }
+
+    /// Is the page cached? No LRU touch, no hit or miss charged.
+    pub fn is_resident(&self, page_no: PageNo) -> bool {
+        self.bp.contains(self.pref(page_no))
+    }
+
+    /// Batched key access, the storage half: fetch `pages` (none of them
+    /// resident, at most [`SpaceStore::prefetch_chunk_pages`] of them)
+    /// with one work-free SAL batch read, which is one request per slice
+    /// with failover, retry rounds, the context's deadline and its tenant,
+    /// and cache them. Each is the buffer-pool miss it would have been to
+    /// the reader that now finds it cached. Master only.
+    pub fn prefetch(&self, pages: &[PageNo], qctx: &QueryCtx) -> Result<()> {
+        if pages.is_empty() {
+            return Ok(());
+        }
+        let token = self.begin_fetch();
+        // The newest version of each page, as the master's single reads
+        // ask for (`at_lsn: None`).
+        let fetched =
+            self.sal
+                .batch_read_ctx(self.space, pages, Lsn::MAX, plain_read_descriptor(), qctx)?;
+        let n = fetched.len() as u64;
+        self.install(
+            &token,
+            fetched.into_iter().filter_map(|r| match r.payload {
+                PagePayload::Raw(p) => Some(p),
+                // Not what a work-free read returns; never cacheable.
+                PagePayload::Ndp(_) => None,
+            }),
+        );
+        self.metrics.add(|m| &m.bp_misses, n);
+        self.metrics.add(|m| &m.lookup_prefetch_pages, n);
+        self.metrics.add(|m| &m.lookup_prefetch_reads, 1);
+        Ok(())
     }
 
     pub fn page_size(&self) -> usize {
@@ -330,8 +452,9 @@ impl TreeStore for SpaceStore {
         if let Some(p) = self.bp.get(pref) {
             return Ok(p);
         }
+        let token = self.begin_fetch();
         let p = self.sal.read_page(pref, None)?;
-        self.bp.insert(pref, p.clone());
+        self.install(&token, [p.clone()]);
         Ok(p)
     }
 
@@ -367,11 +490,18 @@ impl TreeStore for SpaceStore {
                 "page write on a read replica (replicas are read-only)".into(),
             ));
         }
-        for op in &ops {
-            self.mirror_to_bp(op);
+        {
+            let mut w = self.writes.lock();
+            w.mirrored += 1;
+            w.in_flight += 1;
+            for op in &ops {
+                self.mirror_to_bp(op);
+            }
         }
         let records: Vec<RedoRecord> = ops.into_iter().map(|op| self.to_redo(op)).collect();
-        self.sal.write_log(records)?;
+        let logged = self.sal.write_log(records);
+        self.writes.lock().in_flight -= 1;
+        logged?;
         Ok(())
     }
 
@@ -635,6 +765,7 @@ impl TaurusDb {
                 space,
                 self.sal.clone(),
                 self.bp.clone(),
+                self.metrics.clone(),
                 &self.cfg,
                 None,
             ));
@@ -1160,16 +1291,22 @@ impl TaurusDb {
         pk_values: &[Value],
     ) -> Result<Option<Row>> {
         let pkey = table.primary.tree.encode_search_key(pk_values);
-        let loc = match table
-            .primary
-            .tree
-            .get(table.primary.store.as_ref(), &pkey)?
-        {
+        self.lookup_row_by_key(table, view, &pkey)
+    }
+
+    /// [`TaurusDb::lookup_row`] by the encoded primary key.
+    pub fn lookup_row_by_key(
+        &self,
+        table: &Table,
+        view: &ReadView,
+        pkey: &[u8],
+    ) -> Result<Option<Row>> {
+        let loc = match table.primary.tree.get(table.primary.store.as_ref(), pkey)? {
             None => return Ok(None),
             Some(l) => l,
         };
         let space = table.primary.tree.def.space;
-        let image = match self.undo.reconstruct(space, &pkey, &loc.bytes, view) {
+        let image = match self.undo.reconstruct(space, pkey, &loc.bytes, view) {
             Some(img) => img,
             None => return Ok(None),
         };
@@ -1208,6 +1345,7 @@ impl TaurusDb {
                 def.space,
                 self.sal.clone(),
                 self.bp.clone(),
+                self.metrics.clone(),
                 &self.cfg,
                 Some(rs.clone()),
             ));

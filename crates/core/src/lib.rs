@@ -9,7 +9,8 @@
 //! * [`scan`] — the scans: the classical page-at-a-time path and the NDP
 //!   path (descriptor build, level-1 batch extraction, buffer-pool overlap
 //!   handling, ordered NDP-page consumption, InnoDB-side completion of
-//!   raw/ambiguous work), plus PQ range partitioning.
+//!   raw/ambiguous work), the prepared point probe and leaf prefetch of
+//!   a lookup join's batched key access, plus PQ range partitioning.
 //! * [`replication`] — the catalog/statistics payloads read replicas
 //!   rebuild their state from; the replica engine itself
 //!   ([`TaurusDb::attach_replica`], [`engine::ReplicaState`]) pins every
@@ -27,12 +28,12 @@ pub mod scan;
 
 pub use engine::{ColumnStats, ReplicaState, SpaceStore, Table, TableIndex, TableStats, TaurusDb};
 pub use scan::{
-    build_descriptor, partition_ranges, scan, scan_ctx, NdpChoice, ScanAggregation, ScanConsumer,
-    ScanSpec, ScanStats,
+    build_descriptor, partition_ranges, prefetch_leaves, scan, scan_ctx, NdpChoice, PointLookup,
+    ScanAggregation, ScanConsumer, ScanSpec, ScanStats, LOOKUP_PREFETCH_PAGES_MAX,
 };
 
 // Re-export the vocabulary types users need alongside the engine.
-pub use taurus_btree::ScanRange;
+pub use taurus_btree::{BTree, ScanRange};
 pub use taurus_common::{
     ClusterConfig, Metrics, MetricsSnapshot, NdpConfig, NetworkConfig, RowBatch,
 };

@@ -85,6 +85,21 @@ use crate::engine::{Table, TableIndex, TaurusDb};
 /// scan fills its batch in three pages).
 pub const HOLD_PAGES_MAX: u32 = 16;
 
+/// The most leaf pages a lookup join fetches in one storage round trip
+/// (and never more than a quarter of the pool:
+/// [`crate::SpaceStore::prefetch_chunk_pages`]). A round trip costs two
+/// wire transfers whatever it carries, so 32 pages to a request take it
+/// from two thirds of a page's fetch time to a few percent; past that
+/// there is little left to amortize, and the pages of one request all sit
+/// in the pool before the first is probed.
+pub const LOOKUP_PREFETCH_PAGES_MAX: usize = 32;
+
+/// Rows in the output batch a [`PointLookup`] keeps for its lifetime. A
+/// key group is a handful of rows (a longer one is handed over in several
+/// batches), and a full-size batch buffer held by every lookup join of
+/// every running statement is resident memory that does nothing.
+const POINT_BATCH_ROWS: usize = 64;
+
 /// Aggregation requested from a scan (column refs are *table* columns).
 #[derive(Clone, Debug)]
 pub struct ScanAggregation {
@@ -291,18 +306,11 @@ struct Shape {
     residual: RecordFilter,
 }
 
-/// Pre-resolved, immutable machinery for one scan execution. Everything
-/// here is resolved **once per scan** — layouts, decode plans and
-/// compiled filters are borrowed from here for the whole scan, never
-/// rebuilt per page or per record.
-struct ScanCtx<'a> {
-    db: &'a TaurusDb,
-    index: &'a TableIndex,
-    spec: &'a ScanSpec,
-    view: &'a ReadView,
-    /// Query context: tenant attribution for storage-side admission and
-    /// the deadline that bounds the whole scan.
-    qctx: QueryCtx,
+/// What a table access compiles to, for any range of its index: resolved
+/// **once per scan**, or once per [`PointLookup`] for all of its probes.
+/// Layouts, decode plans and compiled filters are borrowed from here,
+/// never rebuilt per page or per record.
+struct Compiled {
     watermark: u64,
     /// Full-layout (ordinary) records.
     full: Shape,
@@ -313,6 +321,19 @@ struct ScanCtx<'a> {
     pushed: RecordFilter,
     /// The descriptor shipped to Page Stores (NDP scans only).
     descriptor: Option<NdpDescriptor>,
+}
+
+/// One execution of a compiled access over one range: what [`Compiled`]
+/// resolved, and what it runs against.
+struct ScanCtx<'a> {
+    db: &'a TaurusDb,
+    index: &'a TableIndex,
+    spec: &'a ScanSpec,
+    view: &'a ReadView,
+    /// Query context: tenant attribution for storage-side admission and
+    /// the deadline that bounds the whole scan.
+    qctx: QueryCtx,
+    c: &'a Compiled,
 }
 
 /// The reusable output batch in whichever layout the cluster config
@@ -392,15 +413,8 @@ enum Step {
     PastUpper,
 }
 
-impl<'a> ScanCtx<'a> {
-    fn new(
-        db: &'a TaurusDb,
-        table: &'a Table,
-        spec: &'a ScanSpec,
-        residual: &[Expr],
-        view: &'a ReadView,
-        qctx: QueryCtx,
-    ) -> Result<ScanCtx<'a>> {
+impl Compiled {
+    fn new(table: &Table, spec: &ScanSpec, residual: &[Expr], view: &ReadView) -> Result<Compiled> {
         let index = table.index(spec.index);
         let tree = &index.tree;
         let stored = tree.def.stored_cols();
@@ -482,12 +496,7 @@ impl<'a> ScanCtx<'a> {
             Some(e) => vec![on_record(e)?],
             None => Vec::new(),
         };
-        Ok(ScanCtx {
-            db,
-            index,
-            spec,
-            view,
-            qctx,
+        Ok(Compiled {
             watermark,
             full: Shape {
                 plan: DecodePlan::new(full_layout, &out_pos),
@@ -499,9 +508,11 @@ impl<'a> ScanCtx<'a> {
             descriptor,
         })
     }
+}
 
-    fn fresh_state(&self) -> ScanState {
-        let capacity = self.db.config().scan_batch_rows.max(1);
+impl<'a> ScanCtx<'a> {
+    /// Scan state whose output batch holds up to `capacity` rows.
+    fn fresh_state(&self, capacity: usize) -> ScanState {
         let width = self.spec.output_cols.len();
         let batch = match self.db.config().batch_layout {
             BatchLayout::Row => OutBatch::Row(RowBatch::with_capacity(width, capacity)),
@@ -633,7 +644,7 @@ impl<'a> ScanCtx<'a> {
             )));
         }
         if check_range {
-            Self::key_of(state, &rec, &self.full);
+            Self::key_of(state, &rec, &self.c.full);
             if self.spec.range.past_upper(&state.key) {
                 return Ok(Step::PastUpper);
             }
@@ -644,7 +655,7 @@ impl<'a> ScanCtx<'a> {
         } else {
             state.stats.ambiguous_resolved += 1;
             if !check_range {
-                Self::key_of(state, &rec, &self.full);
+                Self::key_of(state, &rec, &self.c.full);
             }
             let space = self.index.tree.def.space;
             match self
@@ -666,11 +677,12 @@ impl<'a> ScanCtx<'a> {
             state.seek_lower = false;
         }
         if rec.delete_mark()
-            || (!self.pushed.is_empty() && !self.pushed.passes(&rec, &mut state.filter_scratch)?)
+            || (!self.c.pushed.is_empty()
+                && !self.c.pushed.passes(&rec, &mut state.filter_scratch)?)
         {
             return Ok(Step::Next);
         }
-        Ok(match self.deliver(state, rec, &self.full, consumer)? {
+        Ok(match self.deliver(state, rec, &self.c.full, consumer)? {
             true => Step::Next,
             false => Step::Stop,
         })
@@ -711,9 +723,9 @@ impl<'a> ScanCtx<'a> {
         // An NDP page: mixed record types (§IV-C2), NDP records in the
         // projected layout when the choice projects.
         let full_layout = self.layout();
-        let (ndp_layout, ndp_shape) = match &self.proj {
+        let (ndp_layout, ndp_shape) = match &self.c.proj {
             Some((l, s)) => (l, s),
-            None => (full_layout, &self.full),
+            None => (full_layout, &self.c.full),
         };
         for rec in page.iter_chain() {
             let bytes = rec?;
@@ -722,7 +734,7 @@ impl<'a> ScanCtx<'a> {
             let probe = RecordView::new(bytes, full_layout);
             let rec_type = probe.rec_type()?;
             let (rec, shape) = match rec_type {
-                RecType::Ordinary if probe.trx_id() >= self.watermark => {
+                RecType::Ordinary if probe.trx_id() >= self.c.watermark => {
                     // Ambiguous: InnoDB does visibility/undo/predicate.
                     match self.process_full_record(state, bytes, check_range, consumer)? {
                         Step::Next => continue,
@@ -731,7 +743,7 @@ impl<'a> ScanCtx<'a> {
                     }
                 }
                 // Visible survivor: storage already filtered it.
-                RecType::Ordinary => (RecordView::parse(bytes, full_layout)?, &self.full),
+                RecType::Ordinary => (RecordView::parse(bytes, full_layout)?, &self.c.full),
                 RecType::NdpProjection | RecType::NdpAggregate => {
                     (RecordView::parse(bytes, ndp_layout)?, ndp_shape)
                 }
@@ -777,7 +789,11 @@ impl<'a> ScanCtx<'a> {
             let Some(rec) = page.iter_chain_from(mid).next() else {
                 break;
             };
-            Self::key_of(state, &RecordView::parse(rec?, self.layout())?, &self.full);
+            Self::key_of(
+                state,
+                &RecordView::parse(rec?, self.layout())?,
+                &self.c.full,
+            );
             if self.spec.range.before_lower(&state.key) {
                 lo = mid + 1;
             } else {
@@ -797,7 +813,11 @@ impl<'a> ScanCtx<'a> {
         let Some(rec) = page.iter_chain_from(slot).next() else {
             return Ok(false);
         };
-        Self::key_of(state, &RecordView::parse(rec?, self.layout())?, &self.full);
+        Self::key_of(
+            state,
+            &RecordView::parse(rec?, self.layout())?,
+            &self.c.full,
+        );
         Ok(self.spec.range.past_upper(&state.key))
     }
 }
@@ -833,9 +853,17 @@ pub fn scan_ctx(
     qctx: QueryCtx,
     consumer: &mut dyn ScanConsumer,
 ) -> Result<ScanStats> {
-    let ctx = ScanCtx::new(db, table, spec, residual, view, qctx)?;
-    let mut state = ctx.fresh_state();
-    let scanned = match &ctx.descriptor {
+    let compiled = Compiled::new(table, spec, residual, view)?;
+    let ctx = ScanCtx {
+        db,
+        index: table.index(spec.index),
+        spec,
+        view,
+        qctx,
+        c: &compiled,
+    };
+    let mut state = ctx.fresh_state(db.config().scan_batch_rows.max(1));
+    let scanned = match &compiled.descriptor {
         Some(descriptor) if db.config().ndp.enabled => {
             ndp_scan(&ctx, &mut state, descriptor, consumer)
         }
@@ -849,9 +877,152 @@ pub fn scan_ctx(
     Ok(state.stats)
 }
 
+/// A prepared point access to one index, the probe half of a lookup
+/// join's batched key access: what [`scan_ctx`] resolves per scan (layouts,
+/// decode plan, compiled residual) and allocates per scan (the output
+/// batch, key and filter scratch) is built once here, and each probe only
+/// sets the range to its key and runs the classical scan over it.
+pub struct PointLookup {
+    table: Arc<Table>,
+    /// `range` is the current probe's; the rest never changes.
+    spec: ScanSpec,
+    view: ReadView,
+    qctx: QueryCtx,
+    compiled: Compiled,
+    state: ScanState,
+}
+
+impl PointLookup {
+    /// Prepare probes of `index` that deliver `output_cols` of the records
+    /// passing `residual` (conjuncts over table columns, as for
+    /// [`scan_ctx`]). Point lookups never qualify for NDP (§IV-B).
+    pub fn new(
+        db: &TaurusDb,
+        table: Arc<Table>,
+        index: usize,
+        output_cols: Vec<usize>,
+        residual: &[Expr],
+        view: &ReadView,
+        qctx: QueryCtx,
+    ) -> Result<PointLookup> {
+        let spec = ScanSpec {
+            index,
+            range: ScanRange::full(),
+            ndp: None,
+            output_cols,
+        };
+        let compiled = Compiled::new(&table, &spec, residual, view)?;
+        let state = ScanCtx {
+            db,
+            index: table.index(index),
+            spec: &spec,
+            view,
+            qctx,
+            c: &compiled,
+        }
+        .fresh_state(db.config().scan_batch_rows.clamp(1, POINT_BATCH_ROWS));
+        Ok(PointLookup {
+            table,
+            spec,
+            view: view.clone(),
+            qctx,
+            compiled,
+            state,
+        })
+    }
+
+    /// Deliver every record of `key` (an encoded full key, or a prefix and
+    /// its key group) to `consumer`, exactly as a [`scan_ctx`] over the
+    /// point range of it would, metrics included.
+    pub fn probe(
+        &mut self,
+        db: &TaurusDb,
+        key: &[u8],
+        consumer: &mut dyn ScanConsumer,
+    ) -> Result<()> {
+        self.spec.range.set_point(key);
+        let ctx = ScanCtx {
+            db,
+            index: self.table.index(self.spec.index),
+            spec: &self.spec,
+            view: &self.view,
+            qctx: self.qctx,
+            c: &self.compiled,
+        };
+        // Whatever a failed probe left behind goes first.
+        let state = &mut self.state;
+        state.batch.clear();
+        state.examined = 0;
+        state.pages_held = 0;
+        state.seek_lower = true;
+        if regular_scan(&ctx, state, consumer)? {
+            ctx.flush(state, consumer)?;
+        }
+        Ok(())
+    }
+}
+
+/// Batched key access, the prefetch half. Resolve `keys` (encoded probe
+/// keys in probe order; an empty one is a NULL key and probes nothing) to
+/// the leaves their lookups will read, by descents that stop at level 1,
+/// until the distinct leaves not in the pool make one chunk
+/// ([`crate::SpaceStore::prefetch_chunk_pages`]) or the keys run out; fetch
+/// those with one batch read and cache them. Returns how many leading keys
+/// that covers (at least one of any), so the caller probes those and asks
+/// again from there. `missing` is scratch.
+///
+/// Which leaves are resolved depends only on the key order; which are
+/// fetched, on what the pool holds. On a replica every key is covered and
+/// nothing is fetched: its lookups stay LSN-pinned single reads.
+pub fn prefetch_leaves<'k>(
+    index: &TableIndex,
+    keys: impl IntoIterator<Item = &'k [u8]>,
+    qctx: &QueryCtx,
+    missing: &mut Vec<PageNo>,
+) -> Result<usize> {
+    let keys = keys.into_iter();
+    let store = index.store.as_ref();
+    let Some(chunk) = store.prefetch_chunk_pages() else {
+        return Ok(keys.count());
+    };
+    missing.clear();
+    let mut covered = 0;
+    // The last leaf looked at: keys in index order ask for it again and
+    // again.
+    let mut last = taurus_page::NO_PAGE;
+    for key in keys {
+        if !key.is_empty() {
+            let had = missing.len();
+            index.tree.leaves_of_key(store, key, missing)?;
+            let mut kept = had;
+            for i in had..missing.len() {
+                let leaf = missing[i];
+                if leaf != last && !missing[..kept].contains(&leaf) && !store.is_resident(leaf) {
+                    missing[kept] = leaf;
+                    kept += 1;
+                }
+                last = leaf;
+            }
+            if kept > chunk && had > 0 {
+                // This key's leaves belong to the next chunk.
+                missing.truncate(had);
+                break;
+            }
+            missing.truncate(kept.min(chunk));
+        }
+        covered += 1;
+        if missing.len() >= chunk {
+            break;
+        }
+    }
+    store.prefetch(missing, qctx)?;
+    Ok(covered)
+}
+
 /// The classical InnoDB scan: one page at a time through the buffer pool;
-/// no batch reads (§I), all filtering above. Returns false when the
-/// consumer asked to stop.
+/// no batch reads (§I), all filtering above. (A lookup join's probes run
+/// it too, over pages its prefetch has usually cached: [`PointLookup`].)
+/// Returns false when the consumer asked to stop.
 fn regular_scan(
     ctx: &ScanCtx<'_>,
     state: &mut ScanState,

@@ -22,7 +22,9 @@ use taurus_expr::ast::Expr;
 use taurus_expr::eval::{eval, eval_pred};
 use taurus_expr::ir::encode_value;
 use taurus_ndp::ReadView;
-use taurus_ndp::{scan_ctx, NdpChoice, ScanConsumer, ScanRange, ScanSpec, TaurusDb};
+use taurus_ndp::{
+    scan_ctx, BTree, NdpChoice, PointLookup, ScanConsumer, ScanRange, ScanSpec, TaurusDb,
+};
 use taurus_optimizer::plan::{
     AggFuncEx, AggItem, AggScanNode, HashAggNode, JoinType, LookupJoinNode, Plan, ScanNode,
 };
@@ -614,9 +616,148 @@ pub(crate) fn exec_hash_agg_partials(
 
 // --- joins -------------------------------------------------------------------
 
-/// The per-outer-row machinery of a lookup join, resolved once per join
-/// execution and shared between the streaming [`crate::op`] operator and
-/// the PQ worker path ([`exec_lookup_join`]).
+/// Encoded keys back to back in one buffer. An empty key stands for a key
+/// with a NULL in it, which matches nothing (an encoded key part is never
+/// empty).
+#[derive(Default)]
+struct KeyList {
+    bytes: Vec<u8>,
+    ends: Vec<usize>,
+}
+
+impl KeyList {
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.ends.clear();
+    }
+
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Append the key of `values` in `tree`'s encoding.
+    fn push<'v>(&mut self, tree: &BTree, values: impl Iterator<Item = &'v Value> + Clone) {
+        if !values.clone().any(Value::is_null) {
+            tree.encode_search_key_into(values, &mut self.bytes);
+        }
+        self.ends.push(self.bytes.len());
+    }
+
+    fn get(&self, i: usize) -> &[u8] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.bytes[start..self.ends[i]]
+    }
+
+    fn iter_from(&self, from: usize) -> impl Iterator<Item = &[u8]> {
+        (from..self.len()).map(|i| self.get(i))
+    }
+}
+
+/// One outer row meeting its inner rows: the `on` residual and the join
+/// type's output, into `emit`. Also the [`ScanConsumer`] of a covering
+/// probe, so inner rows go from the scan's batch to the output without a
+/// stop in between.
+struct JoinRow<'x> {
+    node: &'x LookupJoinNode,
+    orow: &'x [Value],
+    /// Scratch for the joined row (outer ++ inner).
+    combined: &'x mut Vec<Value>,
+    matched: bool,
+    emit: &'x mut dyn FnMut(&[Value]),
+}
+
+impl JoinRow<'_> {
+    fn inner(&mut self, irow: &[Value]) -> Result<()> {
+        if self.matched && matches!(self.node.join, JoinType::Semi | JoinType::Anti) {
+            return Ok(());
+        }
+        self.combined.clear();
+        self.combined.extend_from_slice(self.orow);
+        self.combined.extend_from_slice(irow);
+        if let Some(on) = &self.node.on {
+            if eval_pred(on, self.combined)? != Some(true) {
+                return Ok(());
+            }
+        }
+        self.matched = true;
+        if matches!(self.node.join, JoinType::Inner | JoinType::LeftOuter) {
+            (self.emit)(self.combined);
+        }
+        Ok(())
+    }
+
+    /// Every inner row has been seen: what the join type owes a row by
+    /// whether it matched.
+    fn finish(self) {
+        match self.node.join {
+            JoinType::Semi if self.matched => (self.emit)(self.orow),
+            JoinType::Anti if !self.matched => (self.emit)(self.orow),
+            JoinType::LeftOuter if !self.matched => {
+                self.combined.clear();
+                self.combined.extend_from_slice(self.orow);
+                let nulls = self.node.inner_output.len();
+                self.combined
+                    .extend(std::iter::repeat_n(Value::Null, nulls));
+                (self.emit)(self.combined);
+            }
+            _ => {}
+        }
+    }
+}
+
+impl ScanConsumer for JoinRow<'_> {
+    fn on_row(&mut self, row: &[Value]) -> Result<bool> {
+        self.inner(row)?;
+        Ok(true)
+    }
+
+    fn on_batch(&mut self, batch: &RowBatch) -> Result<bool> {
+        for row in batch.rows() {
+            self.inner(row)?;
+        }
+        Ok(true)
+    }
+
+    fn on_partial(&mut self, _states: Vec<AggState>) -> Result<bool> {
+        Err(Error::Internal(
+            "lookup probe received aggregate partials".into(),
+        ))
+    }
+}
+
+/// Collects what a non-covering secondary probe finds: the primary keys,
+/// encoded for the primary index.
+struct PkCollector<'x> {
+    primary: &'x BTree,
+    pks: &'x mut KeyList,
+}
+
+impl ScanConsumer for PkCollector<'_> {
+    fn on_row(&mut self, row: &[Value]) -> Result<bool> {
+        self.pks.push(self.primary, row.iter());
+        Ok(true)
+    }
+
+    fn on_partial(&mut self, _states: Vec<AggState>) -> Result<bool> {
+        Err(Error::Internal(
+            "lookup probe received aggregate partials".into(),
+        ))
+    }
+}
+
+/// The inner side of a lookup join, shared between the streaming
+/// [`crate::op`] operator and the PQ worker path ([`exec_lookup_join`]):
+/// **batched key access**. The outer rows arrive a batch at a time
+/// ([`LookupProbe::begin`]); their probe keys are encoded once; before a
+/// row is probed, the keys from it onwards are resolved to the leaf pages
+/// their lookups will read and the ones the pool lacks are fetched with
+/// one batch read per chunk ([`taurus_ndp::prefetch_leaves`]), so a probe
+/// finds its pages cached where it used to pay a storage round trip for
+/// each. The probe itself is an index access prepared once
+/// ([`PointLookup`]) and re-ranged per key. The primary-key fetches behind
+/// a non-covering secondary probe are prefetched the same way. It is how
+/// the join executes, with NDP on or off; a replica resolves and fetches
+/// nothing and keeps its pinned single reads.
 pub(crate) struct LookupProbe<'a> {
     node: &'a LookupJoinNode,
     table: std::sync::Arc<taurus_ndp::Table>,
@@ -632,10 +773,22 @@ pub(crate) struct LookupProbe<'a> {
     /// column, the lookup finds primary keys and fetches the full row from
     /// the primary index — InnoDB's non-covering-secondary path.
     covering: bool,
-    /// The inner index access, built once; each probe only sets its range.
-    /// A covering index delivers `inner_output` with the inner predicate
-    /// run by the scan, a non-covering one the primary key.
-    spec: ScanSpec,
+    /// The inner index access. A covering index delivers `inner_output`
+    /// with the inner predicate run by the scan, a non-covering one the
+    /// primary key.
+    inner: PointLookup,
+    /// The probe keys of the outer rows given to `begin`, in their order.
+    keys: KeyList,
+    /// `keys[..prefetched]` have had their leaves looked after.
+    prefetched: usize,
+    /// Non-covering: the primary keys the current probe found.
+    pks: KeyList,
+    /// Scratch: leaves to fetch, the joined row, the fetched row narrowed
+    /// to `fetch`, the inner row.
+    missing: Vec<taurus_common::PageNo>,
+    combined: Vec<Value>,
+    projected: Vec<Value>,
+    irow: Vec<Value>,
 }
 
 impl<'a> LookupProbe<'a> {
@@ -660,16 +813,20 @@ impl<'a> LookupProbe<'a> {
             .collect();
         let idx_stored = table.index(node.index).tree.def.stored_cols();
         let covering = fetch.iter().all(|c| idx_stored.contains(c));
-        let spec = ScanSpec {
-            index: node.index,
-            range: ScanRange::full(),
-            ndp: None, // point lookups never qualify for NDP (§IV-B)
-            output_cols: if covering {
-                node.inner_output.clone()
-            } else {
-                table.schema.pk.clone()
-            },
+        let (output_cols, residual): (Vec<usize>, &[Expr]) = if covering {
+            (node.inner_output.clone(), &node.inner_predicate)
+        } else {
+            (table.schema.pk.clone(), &[])
         };
+        let inner = PointLookup::new(
+            ctx.db,
+            table.clone(),
+            node.index,
+            output_cols,
+            residual,
+            &ctx.view,
+            ctx.qctx,
+        )?;
         Ok(LookupProbe {
             node,
             table,
@@ -677,92 +834,113 @@ impl<'a> LookupProbe<'a> {
             inner_preds,
             out_pos,
             covering,
-            spec,
+            inner,
+            keys: KeyList::default(),
+            prefetched: 0,
+            pks: KeyList::default(),
+            missing: Vec::new(),
+            combined: Vec::new(),
+            projected: Vec::new(),
+            irow: Vec::new(),
         })
     }
 
-    /// Probe the inner index for one outer row, emitting every joined
-    /// output row (join-type semantics included).
+    /// Take on the next run of outer rows (an outer batch, or what is
+    /// unread of it): encode each one's probe key, once. [`Self::probe`]
+    /// then names a row by its position in `orows`.
+    pub(crate) fn begin<'r>(&mut self, orows: impl Iterator<Item = &'r [Value]>) {
+        let tree = &self.table.index(self.node.index).tree;
+        self.keys.clear();
+        self.prefetched = 0;
+        for orow in orows {
+            self.keys
+                .push(tree, self.node.outer_key_cols.iter().map(|&p| &orow[p]));
+        }
+    }
+
+    /// Probe the inner index for outer row `i` of the run given to
+    /// [`Self::begin`], emitting every joined output row (join-type
+    /// semantics included).
     pub(crate) fn probe(
         &mut self,
         ctx: &ExecContext<'_>,
+        i: usize,
         orow: &[Value],
-        emit: &mut dyn FnMut(Row),
+        emit: &mut dyn FnMut(&[Value]),
     ) -> Result<()> {
-        let node = self.node;
-        let key_vals: Vec<Value> = node
-            .outer_key_cols
-            .iter()
-            .map(|&p| orow[p].clone())
-            .collect();
-        if key_vals.iter().any(|v| v.is_null()) {
-            match node.join {
-                JoinType::Anti => emit(orow.to_vec()),
-                JoinType::LeftOuter => {
-                    let mut r = orow.to_vec();
-                    r.extend(std::iter::repeat_n(Value::Null, node.inner_output.len()));
-                    emit(r);
-                }
-                _ => {}
-            }
+        let inner_index = self.table.index(self.node.index);
+        if i >= self.prefetched {
+            self.prefetched = i + taurus_ndp::prefetch_leaves(
+                inner_index,
+                self.keys.iter_from(i),
+                &ctx.qctx,
+                &mut self.missing,
+            )?;
+        }
+        let mut join = JoinRow {
+            node: self.node,
+            orow,
+            combined: &mut self.combined,
+            matched: false,
+            emit,
+        };
+        let key = self.keys.get(i);
+        if key.is_empty() {
+            // A NULL key matches nothing.
+            join.finish();
             return Ok(());
         }
-        let tree = &self.table.index(node.index).tree;
-        self.spec.range = ScanRange::point(tree.encode_search_key(&key_vals));
-        let mut found = RowCollector::default();
-        let (db, table, view) = (ctx.db, &*self.table, &ctx.view);
-        let inner_rows = if self.covering {
-            let residual = &node.inner_predicate;
-            scan_ctx(db, table, &self.spec, residual, view, ctx.qctx, &mut found)?;
-            found.rows
-        } else {
-            // Secondary hit -> primary row fetch, then filter.
-            scan_ctx(db, table, &self.spec, &[], view, ctx.qctx, &mut found)?;
-            let mut rows = Vec::new();
-            'rows: for pk in found.rows {
-                if let Some(full) = db.lookup_row(table, view, &pk)? {
-                    let projected: Row = self.fetch.iter().map(|&f| full[f].clone()).collect();
-                    for p in &self.inner_preds {
-                        if eval_pred(p, &projected)? != Some(true) {
-                            continue 'rows;
-                        }
-                    }
-                    rows.push(self.out_pos.iter().map(|&p| projected[p].clone()).collect());
-                }
-            }
-            rows
+        if self.covering {
+            self.inner.probe(ctx.db, key, &mut join)?;
+            join.finish();
+            return Ok(());
+        }
+        // Secondary hit -> primary row fetch, then filter.
+        let primary = &self.table.primary;
+        self.pks.clear();
+        let mut found = PkCollector {
+            primary: &primary.tree,
+            pks: &mut self.pks,
         };
-        let mut matched = false;
-        for irow in &inner_rows {
-            let mut combined = orow.to_vec();
-            combined.extend(irow.iter().cloned());
-            if let Some(on) = &node.on {
-                if eval_pred(on, &combined)? != Some(true) {
-                    continue;
+        self.inner.probe(ctx.db, key, &mut found)?;
+        let mut fetched = 0;
+        'rows: for at in 0..self.pks.len() {
+            if at >= fetched {
+                fetched = at
+                    + taurus_ndp::prefetch_leaves(
+                        primary,
+                        self.pks.iter_from(at),
+                        &ctx.qctx,
+                        &mut self.missing,
+                    )?;
+            }
+            let Some(full) = ctx
+                .db
+                .lookup_row_by_key(&self.table, &ctx.view, self.pks.get(at))?
+            else {
+                continue;
+            };
+            self.projected.clear();
+            self.projected
+                .extend(self.fetch.iter().map(|&f| full[f].clone()));
+            for p in &self.inner_preds {
+                if eval_pred(p, &self.projected)? != Some(true) {
+                    continue 'rows;
                 }
             }
-            matched = true;
-            match node.join {
-                JoinType::Inner | JoinType::LeftOuter => emit(combined),
-                JoinType::Semi | JoinType::Anti => break,
-            }
+            self.irow.clear();
+            self.irow
+                .extend(self.out_pos.iter().map(|&p| self.projected[p].clone()));
+            join.inner(&self.irow)?;
         }
-        match node.join {
-            JoinType::Semi if matched => emit(orow.to_vec()),
-            JoinType::Anti if !matched => emit(orow.to_vec()),
-            JoinType::LeftOuter if !matched => {
-                let mut r = orow.to_vec();
-                r.extend(std::iter::repeat_n(Value::Null, node.inner_output.len()));
-                emit(r);
-            }
-            _ => {}
-        }
+        join.finish();
         Ok(())
     }
 }
 
 /// Run a lookup join over a materialized outer (PQ worker path, where the
-/// outer scan is range-bounded per worker).
+/// outer scan is range-bounded per worker). The outer rows go to the probe
+/// in runs of a scan batch, as the streaming operator's do.
 pub(crate) fn exec_lookup_join(
     node: &LookupJoinNode,
     ctx: &ExecContext<'_>,
@@ -779,8 +957,11 @@ pub(crate) fn exec_lookup_join(
     };
     let mut probe = LookupProbe::new(node, ctx)?;
     let mut out: Vec<Row> = Vec::new();
-    for orow in outer_rows {
-        probe.probe(ctx, &orow, &mut |row| out.push(row))?;
+    for run in outer_rows.chunks(ctx.db.config().scan_batch_rows.max(1)) {
+        probe.begin(run.iter().map(Vec::as_slice));
+        for (i, orow) in run.iter().enumerate() {
+            probe.probe(ctx, i, orow, &mut |row| out.push(row.to_vec()))?;
+        }
     }
     Ok(out)
 }

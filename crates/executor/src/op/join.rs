@@ -5,10 +5,13 @@
 //! streams — a `LIMIT` above stops the probe scan early, and only the
 //! build side is ever materialized.
 //!
-//! [`LookupJoinOp`] streams its outer side and does index point lookups
-//! per outer row through the shared [`LookupProbe`] machinery (also used
+//! [`LookupJoinOp`] streams its outer side and looks each outer row up in
+//! the inner index through the shared [`LookupProbe`] machinery (also used
 //! by the PQ worker path), so it never materializes anything beyond the
-//! current output batch.
+//! current output batch. The lookups are batched key access: each outer
+//! batch's probe keys are resolved to leaf pages ahead of the probes and
+//! the missing leaves fetched a chunk to a storage request, not one
+//! request per page; see [`LookupProbe`].
 //!
 //! Both emit at their input's batch boundaries, or earlier when the
 //! output batch is full ([`InputCursor`] keeps the place): what they hand
@@ -220,10 +223,15 @@ impl Operator for LookupJoinOp<'_, '_> {
         let batch_rows = self.ctx.db.config().scan_batch_rows;
         let mut out = RowBatch::with_capacity(out_width, batch_rows);
         while !out.is_full() {
-            let Some(orow) = self.outer.next_row(out.is_empty())? else {
+            let Some((batch, i)) = self.outer.next_in_batch(out.is_empty())? else {
                 break;
             };
-            probe.probe(self.ctx, orow, &mut |row| out.push_row(row))?;
+            if i == 0 {
+                probe.begin(batch.rows());
+            }
+            probe.probe(self.ctx, i, batch.row(i), &mut |row| {
+                out.push_row(row.iter().cloned())
+            })?;
         }
         Ok(emit_or_end(self.ctx.db, out))
     }

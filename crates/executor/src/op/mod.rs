@@ -155,6 +155,14 @@ impl<'r> InputCursor<'r> {
     /// touched moments ago, not a whole table ago. `None` also once the
     /// child is exhausted (which closes it).
     pub(crate) fn next_row(&mut self, pull: bool) -> Result<Option<&[taurus_common::Value]>> {
+        Ok(self.next_in_batch(pull)?.map(|(b, i)| b.row(i)))
+    }
+
+    /// [`InputCursor::next_row`] as the input batch and the row's position
+    /// in it: position 0 says the batch was pulled just now, and the rows
+    /// from the position on are the batch's unread ones (a lookup join
+    /// looks ahead over them).
+    pub(crate) fn next_in_batch(&mut self, pull: bool) -> Result<Option<(&RowBatch, usize)>> {
         while self.batch.as_ref().is_none_or(|b| self.next >= b.len()) {
             self.batch = None;
             if !pull {
@@ -173,7 +181,7 @@ impl<'r> InputCursor<'r> {
             }
         }
         self.next += 1;
-        Ok(self.batch.as_ref().map(|b| b.row(self.next - 1)))
+        Ok(self.batch.as_ref().map(|b| (b, self.next - 1)))
     }
 
     pub(crate) fn close(&mut self) {

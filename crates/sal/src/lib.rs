@@ -290,8 +290,13 @@ impl Sal {
         Ok(base + n - 1)
     }
 
-    /// Regular single-page read (the non-NDP scan path — "a regular InnoDB
-    /// scan does not perform batch reads", §I). Default query context: the
+    /// Regular single-page read: what a classical *scan* reads with, one
+    /// leaf after another ("a regular InnoDB scan does not perform batch
+    /// reads", §I), and what any tree walk falls back to for a page the
+    /// pool lacks. A lookup join does not come here for its leaves: it
+    /// resolves a batch of probe keys to leaves first and fetches the
+    /// missing ones through [`Sal::batch_read_ctx`] with a work-free
+    /// descriptor, a chunk to a request. Default query context: the
     /// anonymous tenant, no deadline.
     pub fn read_page(&self, pref: PageRef, at_lsn: Option<Lsn>) -> Result<Arc<Page>> {
         self.read_page_ctx(pref, at_lsn, &QueryCtx::new())
@@ -366,9 +371,11 @@ impl Sal {
         }
     }
 
-    /// NDP batch read (§IV-C4, §VI-2): split by slice, dispatch sub-batches
+    /// Batch read (§IV-C4, §VI-2): split by slice, dispatch sub-batches
     /// concurrently, reassemble in request order. Convenience join-all
-    /// wrapper over [`Sal::batch_read_streaming`].
+    /// wrapper over [`Sal::batch_read_streaming`]. NDP scans stream; the
+    /// caller that waits for the whole batch is a lookup join's leaf
+    /// prefetch, whose descriptor requests no work (whole pages back).
     pub fn batch_read(
         &self,
         space: SpaceId,
