@@ -653,26 +653,32 @@ impl BTree {
     /// reads, appended to `out`: a descent that stops at level 1 names the
     /// child the key falls in and the children after it whose separators
     /// still extend `key`. A group running on into the next level-1 page
-    /// is cut off there.
+    /// is cut off there; the return value says whether the run is provably
+    /// complete (it ended on a separator past the group, or on the tree's
+    /// last leaf).
     ///
-    /// This is a prefetch hint, for the master only: nothing is latched or
-    /// pinned and no leaf is read, so a concurrent split can leave the
-    /// answer short or stale. Whoever fetches these pages must read
-    /// through the tree afterwards all the same.
+    /// Master only, and nothing is latched or pinned here. A caller that
+    /// holds nothing gets a prefetch hint: a concurrent split can leave
+    /// the answer short or stale, and whoever fetches these pages must
+    /// read through the tree afterwards all the same. A caller that holds
+    /// the structure latch shared, with [`TreeStore::current_lsn`] taken
+    /// under it (what [`BTree::collect_leaf_batch`] does for a scan), gets
+    /// the key's leaves as of that cut, and page versions read at that LSN
+    /// hold exactly the records the run held then.
     pub fn leaves_of_key(
         &self,
         store: &dyn TreeStore,
         key: &[u8],
         out: &mut Vec<PageNo>,
-    ) -> Result<()> {
+    ) -> Result<bool> {
         let root = self.root();
         if root == NO_PAGE {
-            return Ok(());
+            return Ok(true);
         }
         let mut page = store.read(root)?;
         if page.is_leaf() {
             out.push(root);
-            return Ok(());
+            return Ok(true);
         }
         while page.level() > 1 {
             page = store.read(self.pick_child(&page, key))?;
@@ -682,11 +688,11 @@ impl BTree {
         for (i, off) in page.slot_offsets().enumerate().skip(first) {
             let rec = RecordView::new(page.record_at(off), &self.node_layout);
             if i > first && !rec.field_bytes(0).starts_with(key) {
-                break;
+                return Ok(true);
             }
             out.push(self.node_child(&rec));
         }
-        Ok(())
+        Ok(page.next() == NO_PAGE)
     }
 
     /// §IV-C4 batch extraction: under the shared structure latch, walk

@@ -280,6 +280,15 @@ metrics_struct! {
     /// trip where the per-row probe paid one round trip per page.
     lookup_prefetch_pages,
     lookup_prefetch_reads,
+    /// Lookup joins: leaf pages taken by NDP key reads (the batched read
+    /// sent with a descriptor and the chunk's probe keys; what comes back
+    /// goes to the join and never enters the pool, so none is a
+    /// `bp_misses`), and the batch reads that carried them.
+    lookup_ndp_pages,
+    lookup_ndp_reads,
+    /// Page Store: records dropped for matching no key of a request's key
+    /// set, before visibility, predicate and projection.
+    ps_records_key_filtered,
 }
 
 /// Per-tenant governance counters: who is consuming NDP admission and

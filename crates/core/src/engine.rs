@@ -164,8 +164,10 @@ pub struct FetchToken {
 }
 
 /// The descriptor of a batch read that asks for no NDP work: the Page
-/// Store's "pure batched read" of whole pages. One for every space, since
-/// it names no columns.
+/// Store's "pure batched read" of whole pages, what a lookup join's leaf
+/// prefetch sends (its NDP key read sends a real one, with the probe
+/// keys: [`crate::scan::KeyRead`]). One for every space, since it names
+/// no columns.
 fn plain_read_descriptor() -> Arc<Vec<u8>> {
     static PLAIN: std::sync::OnceLock<Arc<Vec<u8>>> = std::sync::OnceLock::new();
     PLAIN
@@ -290,8 +292,14 @@ impl SpaceStore {
     pub fn prefetch_chunk_pages(&self) -> Option<usize> {
         match self.replica {
             Some(_) => None,
-            None => Some(LOOKUP_PREFETCH_PAGES_MAX.min(self.bp.capacity() / 4).max(1)),
+            None => Some(self.lookup_chunk_pages()),
         }
+    }
+
+    /// The chunk size of a lookup join's batched key access, in leaves to
+    /// a storage request: the prefetch's and the NDP key read's.
+    pub fn lookup_chunk_pages(&self) -> usize {
+        LOOKUP_PREFETCH_PAGES_MAX.min(self.bp.capacity() / 4).max(1)
     }
 
     /// Is the page cached? No LRU touch, no hit or miss charged.

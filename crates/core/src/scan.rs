@@ -69,7 +69,7 @@ use taurus_common::{
 };
 use taurus_expr::agg::{AggSpec, AggState};
 use taurus_expr::ast::Expr;
-use taurus_expr::descriptor::{NdpAggSpec, NdpDescriptor};
+use taurus_expr::descriptor::{encode_key_set, NdpAggSpec, NdpDescriptor};
 use taurus_expr::vm::{FilterScratch, RecordFilter};
 use taurus_mvcc::ReadView;
 use taurus_page::{DecodePlan, Page, PageType, RecType, RecordLayout, RecordView};
@@ -401,6 +401,18 @@ struct ScanState {
     /// The current record's encoded key, when something asked for it.
     key: Vec<u8>,
     filter_scratch: FilterScratch,
+}
+
+impl ScanState {
+    /// Make a prepared access's state ready for its next run (whatever a
+    /// failed one left behind goes first). `seek_lower`: the run has a
+    /// lower bound to find.
+    fn restart(&mut self, seek_lower: bool) {
+        self.batch.clear();
+        self.examined = 0;
+        self.pages_held = 0;
+        self.seek_lower = seek_lower;
+    }
 }
 
 /// What the record loop does after one record.
@@ -895,7 +907,8 @@ pub struct PointLookup {
 impl PointLookup {
     /// Prepare probes of `index` that deliver `output_cols` of the records
     /// passing `residual` (conjuncts over table columns, as for
-    /// [`scan_ctx`]). Point lookups never qualify for NDP (§IV-B).
+    /// [`scan_ctx`]). A probe is a classical read through the tree and the
+    /// pool; the NDP form of a lookup join's key access is [`KeyRead`].
     pub fn new(
         db: &TaurusDb,
         table: Arc<Table>,
@@ -949,16 +962,380 @@ impl PointLookup {
             qctx: self.qctx,
             c: &self.compiled,
         };
-        // Whatever a failed probe left behind goes first.
         let state = &mut self.state;
-        state.batch.clear();
-        state.examined = 0;
-        state.pages_held = 0;
-        state.seek_lower = true;
+        state.restart(true);
         if regular_scan(&ctx, state, consumer)? {
             ctx.flush(state, consumer)?;
         }
         Ok(())
+    }
+}
+
+/// Encoded keys back to back in one buffer: the probe keys of an outer
+/// batch, in its order. An empty key stands for a key with a NULL in it,
+/// which matches nothing (an encoded key part is never empty).
+#[derive(Default)]
+pub struct KeyList {
+    bytes: Vec<u8>,
+    ends: Vec<usize>,
+}
+
+impl KeyList {
+    pub fn clear(&mut self) {
+        self.bytes.clear();
+        self.ends.clear();
+    }
+
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Append the key of `values` in `tree`'s encoding.
+    pub fn push<'v>(
+        &mut self,
+        tree: &taurus_btree::BTree,
+        values: impl Iterator<Item = &'v Value> + Clone,
+    ) {
+        if !values.clone().any(Value::is_null) {
+            tree.encode_search_key_into(values, &mut self.bytes);
+        }
+        self.ends.push(self.bytes.len());
+    }
+
+    pub fn get(&self, i: usize) -> &[u8] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.bytes[start..self.ends[i]]
+    }
+
+    pub fn iter_from(&self, from: usize) -> impl Iterator<Item = &[u8]> {
+        (from..self.len()).map(|i| self.get(i))
+    }
+}
+
+/// Marks a key of a chunk that [`KeyRead`] did not read for.
+const NOT_SERVED: u32 = u32::MAX;
+
+/// What one [`KeyRead::chunk`] brought back: the inner rows of the keys
+/// it served, found by a key's position in the chunk.
+#[derive(Default)]
+struct JoinBuffer {
+    /// Values of an inner row the join sees; a scanned row carries the
+    /// probe key's columns behind them.
+    width: usize,
+    /// For each key the chunk covers, in probe order: its slot, or
+    /// [`NOT_SERVED`]. Probes of one key share a slot.
+    slot_of: Vec<u32>,
+    /// The served keys' positions in the key list, by key, each key once:
+    /// slot `s` is key `order[s]` of the list.
+    order: Vec<u32>,
+    /// Each slot's rows: the first one's number and how many.
+    groups: Vec<(u32, u32)>,
+    /// The rows, `width` values each, in key order.
+    rows: Vec<Value>,
+}
+
+/// Takes the rows of a key read's pages into the buffer. They arrive in
+/// key order, as the slots are, so finding a row's slot is a merge; a row
+/// of no listed key (a page that came back raw holds every key of the
+/// leaf) falls between two slots and is dropped.
+struct BufferFill<'a> {
+    buffer: &'a mut JoinBuffer,
+    keys: &'a KeyList,
+    tree: &'a taurus_btree::BTree,
+    /// The next slot a row can belong to.
+    slot: usize,
+    row_key: &'a mut Vec<u8>,
+}
+
+impl ScanConsumer for BufferFill<'_> {
+    fn on_row(&mut self, row: &[Value]) -> Result<bool> {
+        let b = &mut *self.buffer;
+        let (inner, key_values) = row.split_at(b.width);
+        self.row_key.clear();
+        self.tree.encode_search_key_into(key_values, self.row_key);
+        let key_of = |slot: usize| self.keys.get(b.order[slot] as usize);
+        while self.slot < b.order.len() && key_of(self.slot) < self.row_key.as_slice() {
+            self.slot += 1;
+        }
+        if self.slot < b.order.len() && key_of(self.slot) == self.row_key.as_slice() {
+            let (first, n) = &mut b.groups[self.slot];
+            if *n == 0 {
+                *first = (b.rows.len() / b.width.max(1)) as u32;
+            }
+            *n += 1;
+            b.rows.extend_from_slice(inner);
+        }
+        Ok(true)
+    }
+
+    fn on_partial(&mut self, _states: Vec<AggState>) -> Result<bool> {
+        Err(Error::Internal(
+            "key read received aggregate partials".into(),
+        ))
+    }
+}
+
+/// The NDP form of a lookup join's batched key access, prepared once per
+/// operator like [`PointLookup`]. Where the prefetch fetches whole leaves
+/// into the pool for the probes to find, a key read sends the chunk's
+/// sorted probe keys beside an NDP descriptor and gets NDP pages back that
+/// hold only the records of those keys, filtered and projected; it takes
+/// them through [`ScanCtx::consume_page`] (which completes whatever came
+/// back raw or ambiguous) into a chunk-local buffer the probes read from.
+/// Nothing of the reply enters the pool (§IV-C3).
+///
+/// The reply *is* the data, so a chunk is a consistent cut: its keys are
+/// resolved to leaves under the shared structure latch with the LSN taken
+/// under it, and the leaves are read at that LSN, as an NDP scan reads its
+/// leaf batches. A key the cut cannot vouch for (a run that is cut off at
+/// the end of its level-1 page, or longer than a chunk) or that needs no
+/// storage read (every leaf resident) is left to the classical probe.
+/// Master only.
+pub struct KeyRead {
+    table: Arc<Table>,
+    /// Delivers the join's inner columns, then the probe key's columns.
+    spec: ScanSpec,
+    view: ReadView,
+    qctx: QueryCtx,
+    compiled: Compiled,
+    state: ScanState,
+    /// The encoded `DESC` section every request of this operator starts
+    /// with; a chunk appends its keys.
+    descriptor: Vec<u8>,
+    buffer: JoinBuffer,
+    /// Scratch: the leaves to read; every covered key's run back to back,
+    /// with each key's part of it; the key of a scanned row.
+    leaves: Vec<PageNo>,
+    runs: Vec<PageNo>,
+    run_of: Vec<(u32, u32)>,
+    row_key: Vec<u8>,
+}
+
+impl KeyRead {
+    /// Prepare key reads of `index` for probe keys of `key_cols` columns
+    /// that deliver `output_cols` of the records passing `choice`'s pushed
+    /// predicate and `residual` (conjuncts over table columns nothing
+    /// below evaluates, as for [`scan_ctx`]).
+    #[allow(clippy::too_many_arguments)]
+    pub fn new(
+        db: &TaurusDb,
+        table: Arc<Table>,
+        index: usize,
+        key_cols: usize,
+        choice: &NdpChoice,
+        output_cols: &[usize],
+        residual: &[Expr],
+        view: &ReadView,
+        qctx: QueryCtx,
+    ) -> Result<KeyRead> {
+        let key = table.index(index).tree.def.effective_key_cols();
+        let probed = key.get(..key_cols).ok_or_else(|| {
+            Error::InvalidState(format!(
+                "{key_cols} probe key columns for an index key of {}",
+                key.len()
+            ))
+        })?;
+        let mut delivered = output_cols.to_vec();
+        delivered.extend_from_slice(probed);
+        let spec = ScanSpec {
+            index,
+            range: ScanRange::full(),
+            ndp: Some(choice.clone()),
+            output_cols: delivered,
+        };
+        let compiled = Compiled::new(&table, &spec, residual, view)?;
+        // A choice that pushes nothing still has a descriptor: the key
+        // set alone is work for the Page Store.
+        let descriptor = match &compiled.descriptor {
+            Some(d) => d.encode(),
+            None => build_descriptor(table.index(index), choice, compiled.watermark)?.encode(),
+        };
+        let state = ScanCtx {
+            db,
+            index: table.index(index),
+            spec: &spec,
+            view,
+            qctx,
+            c: &compiled,
+        }
+        .fresh_state(db.config().scan_batch_rows.clamp(1, POINT_BATCH_ROWS));
+        Ok(KeyRead {
+            table,
+            spec,
+            view: view.clone(),
+            qctx,
+            compiled,
+            state,
+            descriptor,
+            buffer: JoinBuffer {
+                width: output_cols.len(),
+                ..JoinBuffer::default()
+            },
+            leaves: Vec::new(),
+            runs: Vec::new(),
+            run_of: Vec::new(),
+            row_key: Vec::new(),
+        })
+    }
+
+    /// Read for the probe keys `keys[from..]`, as many of them as make one
+    /// chunk of leaves ([`SpaceStore::lookup_chunk_pages`]), and buffer
+    /// what comes back. Returns how many leading keys that covers (at
+    /// least one of any): [`KeyRead::rows_of`] answers for those, by their
+    /// position behind `from`, until the next call.
+    pub fn chunk(&mut self, db: &TaurusDb, keys: &KeyList, from: usize) -> Result<usize> {
+        let index = self.table.index(self.spec.index);
+        let store = index.store.as_ref();
+        let chunk_pages = store.lookup_chunk_pages();
+        let b = &mut self.buffer;
+        b.slot_of.clear();
+        b.order.clear();
+        b.groups.clear();
+        b.rows.clear();
+        self.leaves.clear();
+        self.runs.clear();
+        self.run_of.clear();
+
+        // The cut: which leaves hold each key's records, and the LSN that
+        // is true at, both under the latch no split can cross.
+        let shared = store.structure_latch().read();
+        let lsn = store.current_lsn();
+        for key in keys.iter_from(from) {
+            let run_start = self.runs.len();
+            let mut served = false;
+            if !key.is_empty() {
+                let complete = index.tree.leaves_of_key(store, key, &mut self.runs)?;
+                let run = &self.runs[run_start..];
+                if complete
+                    && run.len() <= chunk_pages
+                    && run.iter().any(|&leaf| !store.is_resident(leaf))
+                {
+                    let new = run.iter().filter(|leaf| !self.leaves.contains(leaf));
+                    if self.leaves.len() + new.count() > chunk_pages {
+                        // This key's leaves belong to the next chunk (a
+                        // chunk that has none yet has room for any run
+                        // that passed the test above).
+                        self.runs.truncate(run_start);
+                        break;
+                    }
+                    for leaf in run {
+                        if !self.leaves.contains(leaf) {
+                            self.leaves.push(*leaf);
+                        }
+                    }
+                    served = true;
+                }
+            }
+            if !served {
+                self.runs.truncate(run_start);
+            }
+            self.run_of
+                .push((run_start as u32, (self.runs.len() - run_start) as u32));
+            b.slot_of.push(if served { 0 } else { NOT_SERVED });
+            if self.leaves.len() >= chunk_pages {
+                break;
+            }
+        }
+        drop(shared);
+        let covered = b.slot_of.len();
+        if self.leaves.is_empty() {
+            return Ok(covered);
+        }
+
+        // Slots: the served keys by key, each key once.
+        let served = (from..from + covered).filter(|i| b.slot_of[i - from] != NOT_SERVED);
+        b.order.extend(served.map(|i| i as u32));
+        b.order.sort_unstable_by_key(|&i| keys.get(i as usize));
+        let mut slots = 0usize;
+        for at in 0..b.order.len() {
+            let i = b.order[at];
+            if slots == 0 || keys.get(b.order[slots - 1] as usize) != keys.get(i as usize) {
+                b.order[slots] = i;
+                slots += 1;
+            }
+            b.slot_of[i as usize - from] = slots as u32 - 1;
+        }
+        b.order.truncate(slots);
+        b.groups.resize(slots, (0, 0));
+
+        // The leaves in key order, which is the order their rows must
+        // reach the buffer in, and the request.
+        self.leaves.clear();
+        for &i in &b.order {
+            let (start, len) = self.run_of[i as usize - from];
+            for &leaf in &self.runs[start as usize..(start + len) as usize] {
+                if !self.leaves.contains(&leaf) {
+                    self.leaves.push(leaf);
+                }
+            }
+        }
+        let listed = b.order.iter().map(|&i| keys.get(i as usize));
+        let mut stream = Vec::with_capacity(
+            self.descriptor.len() + 8 + listed.clone().map(|k| 2 + k.len()).sum::<usize>(),
+        );
+        stream.extend_from_slice(&self.descriptor);
+        encode_key_set(listed, &mut stream);
+        let pages = store.sal().batch_read_ctx(
+            index.tree.def.space,
+            &self.leaves,
+            lsn,
+            Arc::new(stream),
+            &self.qctx,
+        )?;
+        let m = db.metrics();
+        m.add(|m| &m.lookup_ndp_pages, pages.len() as u64);
+        m.add(|m| &m.lookup_ndp_reads, 1);
+
+        let ctx = ScanCtx {
+            db,
+            index,
+            spec: &self.spec,
+            view: &self.view,
+            qctx: self.qctx,
+            c: &self.compiled,
+        };
+        let state = &mut self.state;
+        state.restart(false);
+        let mut fill = BufferFill {
+            buffer: b,
+            keys,
+            tree: &index.tree,
+            slot: 0,
+            row_key: &mut self.row_key,
+        };
+        let bp = store.buffer_pool();
+        for result in pages {
+            ctx.page_boundary(state, &mut fill, "ndp key read page")?;
+            let (page, processed_by_storage) = match result.payload {
+                PagePayload::Ndp(p) => (p, true),
+                PagePayload::Raw(p) => (p, false),
+            };
+            // One frame at a time, for as long as the page is read: the
+            // buffer owns the values it keeps. (None when other scans hold
+            // the whole NDP area; the page is in memory either way.)
+            let _frame = bp.try_alloc_ndp_frame(page.clone());
+            ctx.consume_page(state, &page, processed_by_storage, false, &mut fill)?;
+        }
+        ctx.flush(state, &mut fill)?;
+        Ok(covered)
+    }
+
+    /// The inner rows of the key at position `at` of the last chunk, in
+    /// key order; `None` when the chunk did not read for that key and the
+    /// classical probe must.
+    pub fn rows_of(&self, at: usize) -> Option<impl Iterator<Item = &[Value]>> {
+        let b = &self.buffer;
+        let slot = b.slot_of[at];
+        if slot == NOT_SERVED {
+            return None;
+        }
+        let (first, n) = b.groups[slot as usize];
+        let (first, w) = (first as usize, b.width);
+        Some((first..first + n as usize).map(move |r| &b.rows[r * w..(r + 1) * w]))
     }
 }
 
@@ -993,6 +1370,7 @@ pub fn prefetch_leaves<'k>(
     for key in keys {
         if !key.is_empty() {
             let had = missing.len();
+            // A hint: a run cut short only leaves pages to single reads.
             index.tree.leaves_of_key(store, key, missing)?;
             let mut kept = had;
             for i in had..missing.len() {

@@ -23,7 +23,8 @@ use taurus_expr::eval::{eval, eval_pred};
 use taurus_expr::ir::encode_value;
 use taurus_ndp::ReadView;
 use taurus_ndp::{
-    scan_ctx, BTree, NdpChoice, PointLookup, ScanConsumer, ScanRange, ScanSpec, TaurusDb,
+    scan_ctx, BTree, KeyList, KeyRead, NdpChoice, PointLookup, ScanConsumer, ScanRange, ScanSpec,
+    TaurusDb,
 };
 use taurus_optimizer::plan::{
     AggFuncEx, AggItem, AggScanNode, HashAggNode, JoinType, LookupJoinNode, Plan, ScanNode,
@@ -54,13 +55,18 @@ impl<'a> ExecContext<'a> {
 /// producers run on scoped threads and are joined (or cancelled, on
 /// error/limit) before this returns.
 pub fn execute(plan: &Plan, ctx: &ExecContext<'_>) -> Result<Vec<Row>> {
-    // Debug builds verify the plan before any operator lowers: malformed
-    // plans are rejected here with structured diagnostics
-    // (`Error::Verify`) instead of surfacing mid-scan. Release builds
-    // rely on the same checks having run in CI (`taurus-verify --all`)
-    // plus the typed per-site errors below.
-    #[cfg(debug_assertions)]
+    // The plan is verified before any operator lowers, in every build:
+    // malformed plans (a wire client's, a hand-built tree's) are rejected
+    // here with structured diagnostics (`Error::Verify`) instead of
+    // surfacing mid-scan. This and `RowStream::spawn_plan` are the two
+    // ways into execution, so a statement is verified once.
     taurus_verify::check_plan(plan, ctx.db)?;
+    execute_verified(plan, ctx)
+}
+
+/// [`execute`] for a plan that has passed the gate: the sub-plans a PQ
+/// worker path runs to completion are parts of one.
+pub(crate) fn execute_verified(plan: &Plan, ctx: &ExecContext<'_>) -> Result<Vec<Row>> {
     crossbeam::thread::scope(|s| -> Result<Vec<Row>> {
         let mut root = crate::op::lower(plan, ctx, s)?;
         root.open()?;
@@ -600,7 +606,7 @@ pub(crate) fn exec_hash_agg_partials(
 ) -> Result<AggPartials> {
     let rows = match (&*node.input, range_override) {
         (Plan::Scan(s), ro) => exec_scan(s, ctx, ro)?,
-        (other, None) => execute(other, ctx)?,
+        (other, None) => execute_verified(other, ctx)?,
         (_, Some(_)) => {
             return Err(Error::Internal(
                 "partitioned HashAgg requires a Scan input".into(),
@@ -615,43 +621,6 @@ pub(crate) fn exec_hash_agg_partials(
 }
 
 // --- joins -------------------------------------------------------------------
-
-/// Encoded keys back to back in one buffer. An empty key stands for a key
-/// with a NULL in it, which matches nothing (an encoded key part is never
-/// empty).
-#[derive(Default)]
-struct KeyList {
-    bytes: Vec<u8>,
-    ends: Vec<usize>,
-}
-
-impl KeyList {
-    fn clear(&mut self) {
-        self.bytes.clear();
-        self.ends.clear();
-    }
-
-    fn len(&self) -> usize {
-        self.ends.len()
-    }
-
-    /// Append the key of `values` in `tree`'s encoding.
-    fn push<'v>(&mut self, tree: &BTree, values: impl Iterator<Item = &'v Value> + Clone) {
-        if !values.clone().any(Value::is_null) {
-            tree.encode_search_key_into(values, &mut self.bytes);
-        }
-        self.ends.push(self.bytes.len());
-    }
-
-    fn get(&self, i: usize) -> &[u8] {
-        let start = if i == 0 { 0 } else { self.ends[i - 1] };
-        &self.bytes[start..self.ends[i]]
-    }
-
-    fn iter_from(&self, from: usize) -> impl Iterator<Item = &[u8]> {
-        (from..self.len()).map(|i| self.get(i))
-    }
-}
 
 /// One outer row meeting its inner rows: the `on` residual and the join
 /// type's output, into `emit`. Also the [`ScanConsumer`] of a covering
@@ -758,6 +727,16 @@ impl ScanConsumer for PkCollector<'_> {
 /// a non-covering secondary probe are prefetched the same way. It is how
 /// the join executes, with NDP on or off; a replica resolves and fetches
 /// nothing and keeps its pinned single reads.
+///
+/// What the batched read *asks for* is the optimizer's NDP decision
+/// (`LookupJoinNode::inner_ndp`). With one, a chunk's leaves are read
+/// with the decision's descriptor and the chunk's probe keys
+/// ([`KeyRead`]): the matching, filtered, projected records come back
+/// instead of whole leaves, go into a chunk-local buffer and never into
+/// the pool, and a probe answers from the buffer, in key order as the
+/// index would. The keys that read leaves alone (all their leaves
+/// resident, or a run the cut cannot vouch for) probe through the pool as
+/// without a decision.
 pub(crate) struct LookupProbe<'a> {
     node: &'a LookupJoinNode,
     table: std::sync::Arc<taurus_ndp::Table>,
@@ -777,9 +756,14 @@ pub(crate) struct LookupProbe<'a> {
     /// with the inner predicate run by the scan, a non-covering one the
     /// primary key.
     inner: PointLookup,
+    /// The NDP form of the batched read, when the optimizer decided on it
+    /// (covering accesses only).
+    key_read: Option<KeyRead>,
     /// The probe keys of the outer rows given to `begin`, in their order.
     keys: KeyList,
-    /// `keys[..prefetched]` have had their leaves looked after.
+    /// `keys[chunk_start..prefetched]` are the current chunk: their leaves
+    /// have been looked after, by prefetch or by key read.
+    chunk_start: usize,
     prefetched: usize,
     /// Non-covering: the primary keys the current probe found.
     pks: KeyList,
@@ -794,12 +778,7 @@ pub(crate) struct LookupProbe<'a> {
 impl<'a> LookupProbe<'a> {
     pub(crate) fn new(node: &'a LookupJoinNode, ctx: &ExecContext<'_>) -> Result<LookupProbe<'a>> {
         let table = ctx.db.table(&node.table)?;
-        let mut fetch: Vec<usize> = node.inner_output.clone();
-        for p in &node.inner_predicate {
-            fetch.extend(p.columns());
-        }
-        fetch.sort_unstable();
-        fetch.dedup();
+        let fetch = node.inner_columns();
         let inner_preds: Vec<Expr> = node
             .inner_predicate
             .iter()
@@ -811,8 +790,7 @@ impl<'a> LookupProbe<'a> {
             // lint:allow(panic): fetch was built as a superset of inner_output above
             .map(|c| fetch.iter().position(|f| f == c).expect("subset"))
             .collect();
-        let idx_stored = table.index(node.index).tree.def.stored_cols();
-        let covering = fetch.iter().all(|c| idx_stored.contains(c));
+        let covering = node.covered_by(&table.index(node.index).tree.def);
         let (output_cols, residual): (Vec<usize>, &[Expr]) = if covering {
             (node.inner_output.clone(), &node.inner_predicate)
         } else {
@@ -827,6 +805,25 @@ impl<'a> LookupProbe<'a> {
             &ctx.view,
             ctx.qctx,
         )?;
+        // The decision is the optimizer's; the node's own NDP switch and
+        // a replica's pinned reads overrule it as they do a scan's.
+        let key_read = match &node.inner_ndp {
+            Some(d) if covering && ctx.db.config().ndp.enabled && !ctx.db.is_replica() => {
+                let residual: Vec<Expr> = node.inner_residual().into_iter().cloned().collect();
+                Some(KeyRead::new(
+                    ctx.db,
+                    table.clone(),
+                    node.index,
+                    node.outer_key_cols.len(),
+                    &d.choice,
+                    &node.inner_output,
+                    &residual,
+                    &ctx.view,
+                    ctx.qctx,
+                )?)
+            }
+            _ => None,
+        };
         Ok(LookupProbe {
             node,
             table,
@@ -835,7 +832,9 @@ impl<'a> LookupProbe<'a> {
             out_pos,
             covering,
             inner,
+            key_read,
             keys: KeyList::default(),
+            chunk_start: 0,
             prefetched: 0,
             pks: KeyList::default(),
             missing: Vec::new(),
@@ -851,6 +850,7 @@ impl<'a> LookupProbe<'a> {
     pub(crate) fn begin<'r>(&mut self, orows: impl Iterator<Item = &'r [Value]>) {
         let tree = &self.table.index(self.node.index).tree;
         self.keys.clear();
+        self.chunk_start = 0;
         self.prefetched = 0;
         for orow in orows {
             self.keys
@@ -870,12 +870,16 @@ impl<'a> LookupProbe<'a> {
     ) -> Result<()> {
         let inner_index = self.table.index(self.node.index);
         if i >= self.prefetched {
-            self.prefetched = i + taurus_ndp::prefetch_leaves(
-                inner_index,
-                self.keys.iter_from(i),
-                &ctx.qctx,
-                &mut self.missing,
-            )?;
+            self.chunk_start = i;
+            self.prefetched = i + match &mut self.key_read {
+                Some(key_read) => key_read.chunk(ctx.db, &self.keys, i)?,
+                None => taurus_ndp::prefetch_leaves(
+                    inner_index,
+                    self.keys.iter_from(i),
+                    &ctx.qctx,
+                    &mut self.missing,
+                )?,
+            };
         }
         let mut join = JoinRow {
             node: self.node,
@@ -891,7 +895,15 @@ impl<'a> LookupProbe<'a> {
             return Ok(());
         }
         if self.covering {
-            self.inner.probe(ctx.db, key, &mut join)?;
+            let read = self.key_read.as_ref();
+            match read.and_then(|r| r.rows_of(i - self.chunk_start)) {
+                Some(rows) => {
+                    for row in rows {
+                        join.inner(row)?;
+                    }
+                }
+                None => self.inner.probe(ctx.db, key, &mut join)?,
+            }
             join.finish();
             return Ok(());
         }
@@ -948,7 +960,7 @@ pub(crate) fn exec_lookup_join(
 ) -> Result<Vec<Row>> {
     let outer_rows = match (&*node.outer, outer_range_override) {
         (Plan::Scan(s), ro) => exec_scan(s, ctx, ro)?,
-        (other, None) => execute(other, ctx)?,
+        (other, None) => execute_verified(other, ctx)?,
         (_, Some(_)) => {
             return Err(Error::Internal(
                 "partitioned LookupJoin requires a Scan outer".into(),
@@ -998,9 +1010,9 @@ mod tests {
     /// A plan whose residual predicate references a column the scan does
     /// not deliver must surface as a structured `Error::Verify`, not a
     /// panic (executor threads turning malformed plans into aborts would
-    /// take the whole process down). In debug builds the pre-execution
-    /// gate rejects it before any operator opens; the per-site remap
-    /// produces the same error in release builds.
+    /// take the whole process down). The pre-execution gate rejects it
+    /// before any operator opens; the per-site remap produces the same
+    /// error for callers that come in below the gate.
     #[test]
     fn malformed_residual_column_is_an_error_not_a_panic() {
         let (db, _t) = tiny_db();

@@ -323,6 +323,7 @@ mod tests {
                 inner_output: vec![1],
                 join: JoinType::Inner,
                 inner_predicate: vec![],
+                inner_ndp: None,
             }),
         ];
         for plan in &plans {

@@ -585,6 +585,9 @@ impl QueryBuilder<'_> {
 
     /// The optimized plan this builder lowers to: built, then run through
     /// the §IV-B NDP post-processing pass (when the session has NDP on).
+    /// Builder bugs (and NDP post-processing bugs) are rejected with
+    /// structured diagnostics by the verification gate every executing
+    /// terminal passes; `explain`, which executes nothing, verifies here.
     pub fn plan(&self) -> Result<(Plan, Vec<NdpReport>)> {
         let mut plan = self.build()?;
         let reports = if self.session.ndp {
@@ -592,11 +595,6 @@ impl QueryBuilder<'_> {
         } else {
             Vec::new()
         };
-        // Debug builds verify every built plan — builder bugs (and NDP
-        // post-processing bugs) reject here with structured diagnostics
-        // rather than surfacing downstream.
-        #[cfg(debug_assertions)]
-        taurus_verify::check_plan(&plan, &self.session.db)?;
         Ok((plan, reports))
     }
 
@@ -605,6 +603,7 @@ impl QueryBuilder<'_> {
     /// EXPLAIN: the optimized plan rendering plus per-table NDP reports.
     pub fn explain(&self) -> Result<Explained> {
         let (plan, reports) = self.plan()?;
+        taurus_verify::check_plan(&plan, &self.session.db)?;
         Ok(Explained {
             text: taurus_optimizer::explain(&plan, &self.session.db),
             reports,

@@ -70,10 +70,9 @@ impl RowStream {
         view: ReadView,
         qctx: QueryCtx,
     ) -> RowStream {
-        // Debug builds verify the plan before anything spawns; a
+        // The plan is verified before anything spawns, in every build; a
         // rejected plan surfaces as the stream's first (and only) item,
         // before any operator opens or scan producer starts.
-        #[cfg(debug_assertions)]
         if let Err(e) = taurus_verify::check_plan(&plan, &db) {
             return RowStream::fail(e);
         }
@@ -102,7 +101,6 @@ impl RowStream {
 
     /// A stream that delivers exactly one error: the verification gate's
     /// rejection, produced before any operator or producer existed.
-    #[cfg(debug_assertions)]
     fn fail(e: taurus_common::Error) -> RowStream {
         let (tx, rx) = sync_channel::<Result<Batch>>(1);
         let _ = tx.send(Err(e));

@@ -15,6 +15,17 @@
 //! interprets; [`NdpDescriptor::encode`]/[`NdpDescriptor::decode`] define
 //! the InnoDB plugin's interpretation, and [`fnv64`] provides the
 //! descriptor-cache key (§IV-D1).
+//!
+//! The stream has two sections. The `DESC` section is the descriptor
+//! proper: the same bytes for every request of one table access, which is
+//! what makes it cacheable. A batched key access (a lookup join's NDP key
+//! read) appends a **key-set section** ([`encode_key_set`], [`KeySet`]):
+//! the chunk's sorted probe keys, different in every request. It travels
+//! beside the descriptor, not in it: the Page Store finds where `DESC`
+//! ends ([`NdpDescriptor::section_len`]), hashes and caches that part
+//! alone, and parses and validates the keys per request.
+
+use std::sync::Arc;
 
 use taurus_common::{DataType, Error, Result, TrxId};
 
@@ -104,6 +115,40 @@ impl NdpDescriptor {
     /// Does this descriptor request any NDP work at all?
     pub fn requests_work(&self) -> bool {
         self.projection.is_some() || self.predicate_bitcode.is_some() || self.aggregation.is_some()
+    }
+
+    /// Length of the `DESC` section at the head of `buf`, by a walk over
+    /// its counts that decodes nothing: what precedes an optional key-set
+    /// section, and all the descriptor cache hashes. Agrees with
+    /// [`NdpDescriptor::encode`] on every stream `decode` accepts.
+    pub fn section_len(buf: &[u8]) -> Result<usize> {
+        let err = || Error::Corruption("truncated descriptor".into());
+        if buf.len() < 20 || &buf[..4] != b"DESC" {
+            return Err(Error::Corruption("bad descriptor magic".into()));
+        }
+        let mut at = 20usize;
+        let n_cols = read_u16(buf, &mut at)?;
+        for _ in 0..n_cols {
+            decode_dtype(buf, &mut at)?;
+        }
+        let n_keys = read_u16(buf, &mut at)? as usize;
+        at += 2 * n_keys;
+        // Projection (u16 each), predicate (bytes), aggregation (3-byte
+        // specs, then u16 group columns): a flag, then counted items.
+        for item_len in [&[2usize][..], &[1], &[3, 2]] {
+            let flag = *buf.get(at).ok_or_else(err)?;
+            at += 1;
+            if flag != 0 {
+                for len in item_len {
+                    let n = read_u16(buf, &mut at)? as usize;
+                    at += len * n;
+                }
+            }
+        }
+        if at > buf.len() {
+            return Err(err());
+        }
+        Ok(at)
     }
 
     /// Serialize to the type-less byte stream carried by batch reads.
@@ -286,6 +331,111 @@ impl NdpDescriptor {
     }
 }
 
+const KEYS_MAGIC: &[u8; 4] = b"KEYS";
+
+/// Append a key-set section to a stream that ends with a `DESC` section:
+/// the magic, the count, then each key behind its length. `keys` must be
+/// non-empty encoded keys, strictly ascending, none a prefix of another
+/// (what [`KeySet::parse`] checks on the other side of the wire).
+pub fn encode_key_set<'k>(keys: impl ExactSizeIterator<Item = &'k [u8]>, out: &mut Vec<u8>) {
+    out.extend_from_slice(KEYS_MAGIC);
+    out.extend_from_slice(&(keys.len() as u32).to_le_bytes());
+    for key in keys {
+        push_u16(out, key.len() as u16);
+        out.extend_from_slice(key);
+    }
+}
+
+/// The key set of one batched key access, validated: a record qualifies
+/// when its encoded key starts with one of these keys (a full key, or a
+/// prefix and its key group). The keys stay in the request's byte stream.
+pub struct KeySet {
+    stream: Arc<Vec<u8>>,
+    /// Start and end of each key within `stream`.
+    spans: Vec<(u32, u32)>,
+}
+
+impl KeySet {
+    /// Parse what follows the `DESC` section of `stream`, which ends at
+    /// `at`: nothing (`None`), or one key-set section running to the end
+    /// of the stream. Input from the wire: every count is checked against
+    /// the bytes that are there before anything is sized by it, and a set
+    /// that is not strictly ascending and prefix-free is refused, since
+    /// the plugin's merge relies on both.
+    pub fn parse(stream: &Arc<Vec<u8>>, at: usize) -> Result<Option<KeySet>> {
+        let err = |what: &str| Error::Corruption(format!("key set: {what}"));
+        let buf = stream
+            .get(at..)
+            .ok_or_else(|| err("starts past the stream"))?;
+        if buf.is_empty() {
+            return Ok(None);
+        }
+        if buf.len() < 8 || &buf[..4] != KEYS_MAGIC {
+            return Err(err("bad magic"));
+        }
+        let count = u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]) as usize;
+        // A key takes its length and one byte at the least.
+        if count > (buf.len() - 8) / 3 {
+            return Err(err("count larger than the bytes behind it"));
+        }
+        let mut spans: Vec<(u32, u32)> = Vec::with_capacity(count);
+        let mut pos = 8usize;
+        let mut prev: &[u8] = &[];
+        for _ in 0..count {
+            let len = read_u16(buf, &mut pos).map_err(|_| err("truncated"))? as usize;
+            let key = buf.get(pos..pos + len).ok_or_else(|| err("truncated"))?;
+            if key.is_empty() || key <= prev || (!prev.is_empty() && key.starts_with(prev)) {
+                return Err(err("keys not strictly ascending and prefix-free"));
+            }
+            spans.push(((at + pos) as u32, (at + pos + len) as u32));
+            pos += len;
+            prev = key;
+        }
+        if pos != buf.len() {
+            return Err(err("bytes after the last key"));
+        }
+        Ok(Some(KeySet {
+            stream: stream.clone(),
+            spans,
+        }))
+    }
+
+    pub fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.spans.is_empty()
+    }
+
+    pub fn get(&self, i: usize) -> &[u8] {
+        let (start, end) = self.spans[i];
+        &self.stream[start as usize..end as usize]
+    }
+
+    /// Does listed key `i` sort before `record_key` without being a
+    /// prefix of it? Then it is before every later record's key too.
+    pub fn is_before(&self, i: usize, record_key: &[u8]) -> bool {
+        let key = self.get(i);
+        key < record_key && !record_key.starts_with(key)
+    }
+
+    /// The first listed key that is not [`KeySet::is_before`]
+    /// `record_key`, by binary search (`len()` when all are).
+    pub fn seek(&self, record_key: &[u8]) -> usize {
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.is_before(mid, record_key) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+}
+
 /// FNV-1a over the descriptor bytes — the Page Store descriptor-cache key
 /// ("computed by applying a hash function to the NDP descriptor fields",
 /// §IV-D1).
@@ -396,6 +546,85 @@ mod tests {
         let mut bytes = sample().encode();
         bytes.truncate(bytes.len() / 2);
         assert!(NdpDescriptor::decode(&bytes).is_err());
+    }
+
+    #[test]
+    fn section_len_is_the_encoded_length() {
+        let minimal = NdpDescriptor {
+            index_id: 1,
+            record_dtypes: vec![DataType::Int],
+            key_positions: vec![0],
+            projection: None,
+            predicate_bitcode: None,
+            aggregation: None,
+            low_watermark: 2,
+        };
+        for d in [sample(), minimal] {
+            let mut bytes = d.encode();
+            let len = bytes.len();
+            assert_eq!(NdpDescriptor::section_len(&bytes).unwrap(), len);
+            // Whatever follows the section is not part of it.
+            encode_key_set([&b"k"[..]].into_iter(), &mut bytes);
+            assert_eq!(NdpDescriptor::section_len(&bytes).unwrap(), len);
+            for cut in 0..len {
+                assert!(NdpDescriptor::section_len(&bytes[..cut]).is_err(), "{cut}");
+            }
+        }
+    }
+
+    fn key_set_of(keys: &[&[u8]]) -> Result<Option<KeySet>> {
+        let mut stream = sample().encode();
+        let at = stream.len();
+        encode_key_set(keys.iter().copied(), &mut stream);
+        KeySet::parse(&Arc::new(stream), at)
+    }
+
+    #[test]
+    fn key_set_roundtrip_and_seek() {
+        let keys: [&[u8]; 3] = [b"b", b"d1", b"f"];
+        let set = key_set_of(&keys).unwrap().unwrap();
+        assert_eq!(set.len(), 3);
+        for (i, k) in keys.iter().enumerate() {
+            assert_eq!(set.get(i), *k);
+        }
+        // A record qualifies by prefix: "d10" extends "d1", "d2" does not.
+        assert_eq!(set.seek(b"a"), 0);
+        assert_eq!(set.seek(b"b7"), 0);
+        assert_eq!(set.seek(b"c"), 1);
+        assert_eq!(set.seek(b"d10"), 1);
+        assert_eq!(set.seek(b"d2"), 2);
+        assert_eq!(set.seek(b"g"), 3);
+        // No section at all, and an empty set, are both fine.
+        let stream = Arc::new(sample().encode());
+        assert!(KeySet::parse(&stream, stream.len()).unwrap().is_none());
+        assert!(key_set_of(&[]).unwrap().unwrap().is_empty());
+    }
+
+    #[test]
+    fn key_set_rejects_what_the_merge_cannot_take() {
+        for bad in [
+            &[&b"b"[..], b"a"][..], // descending
+            &[b"a", b"a"],          // duplicate
+            &[b"a", b"ab"],         // one a prefix of another
+            &[b"", b"a"],           // empty key
+        ] {
+            assert!(matches!(key_set_of(bad), Err(Error::Corruption(_))));
+        }
+        let mut stream = sample().encode();
+        let at = stream.len();
+        encode_key_set([&b"a"[..], b"b"].into_iter(), &mut stream);
+        let parse = |s: Vec<u8>| KeySet::parse(&Arc::new(s), at);
+        // Truncated, trailing bytes, wrong magic, a count nothing backs.
+        assert!(parse(stream[..stream.len() - 1].to_vec()).is_err());
+        let mut longer = stream.clone();
+        longer.push(0);
+        assert!(parse(longer).is_err());
+        let mut magic = stream.clone();
+        magic[at] = b'X';
+        assert!(parse(magic).is_err());
+        let mut count = stream.clone();
+        count[at + 4..at + 8].copy_from_slice(&1_000_000u32.to_le_bytes());
+        assert!(parse(count).is_err());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use taurus_expr::ast::Expr;
 use taurus_ndp::TaurusDb;
 
-use crate::plan::{Plan, ScanNode};
+use crate::plan::{NdpDecision, Plan, ScanNode};
 
 /// Render a plan: the logical tree with NDP annotations, followed by the
 /// lowered physical operator pipeline.
@@ -54,8 +54,17 @@ fn render_physical(plan: &Plan, db: &TaurusDb, depth: usize, out: &mut String) {
         }
         Plan::LookupJoin(j) => {
             out.push_str(&format!(
-                "LookupJoin ({:?}, inner {}, streamed outer)\n",
-                j.join, j.table
+                "LookupJoin ({:?}, inner {}, streamed outer){}\n",
+                j.join,
+                j.table,
+                match &j.inner_ndp {
+                    None => " [leaf prefetch]".to_string(),
+                    // A key read's keys always go.
+                    Some(d) => {
+                        let parts = [vec!["keys"], pushed_parts(d)].concat();
+                        format!(" [ndp key read: {}]", parts.join("+"))
+                    }
+                }
             ));
             render_physical(&j.outer, db, depth + 1, out);
         }
@@ -106,27 +115,26 @@ fn index_name(s: &ScanNode, db: &TaurusDb) -> String {
         .unwrap_or_else(|| format!("#{}", s.index))
 }
 
+/// What an NDP decision sends to storage.
+fn pushed_parts(d: &NdpDecision) -> Vec<&'static str> {
+    let mut parts = Vec::new();
+    if d.choice.predicate.is_some() {
+        parts.push("predicate");
+    }
+    if d.choice.projection.is_some() {
+        parts.push("projection");
+    }
+    if d.choice.aggregation.is_some() {
+        parts.push("aggregation");
+    }
+    parts
+}
+
 /// The NDP decision annotation on a physical scan leaf.
 fn ndp_tag(s: &ScanNode) -> String {
-    match &s.ndp {
-        None => " [classical]".to_string(),
-        Some(d) => {
-            let mut parts: Vec<&str> = Vec::new();
-            if d.choice.predicate.is_some() {
-                parts.push("predicate");
-            }
-            if d.choice.projection.is_some() {
-                parts.push("projection");
-            }
-            if d.choice.aggregation.is_some() {
-                parts.push("aggregation");
-            }
-            if parts.is_empty() {
-                " [classical]".to_string()
-            } else {
-                format!(" [ndp: {}]", parts.join("+"))
-            }
-        }
+    match s.ndp.as_ref().map(pushed_parts) {
+        Some(parts) if !parts.is_empty() => format!(" [ndp: {}]", parts.join("+")),
+        _ => " [classical]".to_string(),
     }
 }
 
@@ -228,6 +236,20 @@ fn render(plan: &Plan, db: &TaurusDb, depth: usize, out: &mut String) {
                 "Nested-loop {:?} join: lookup {} per outer row\n",
                 j.join, j.table
             ));
+            if let Some(d) = &j.inner_ndp {
+                line(
+                    depth,
+                    out,
+                    "Using NDP key reads (probe keys sent with the batched leaf read)",
+                );
+                if let Some(p) = &d.choice.predicate {
+                    let p = pretty_expr(p, db, &j.table);
+                    line(depth, out, &format!("Using pushed NDP condition {p}"));
+                }
+                if d.choice.projection.is_some() {
+                    line(depth, out, "Using pushed NDP columns");
+                }
+            }
             render(&j.outer, db, depth + 1, out);
         }
         Plan::HashJoin(j) => {

@@ -18,13 +18,23 @@
 //! scan only if the scan is estimated to cause at least 10,000 pages of
 //! I/O", where pages already resident in the buffer pool do not count
 //! (§VII-C footnote 4 — the reason Q11/Q17/Q19/Q20 see no NDP).
+//!
+//! The inner side of a lookup join is a table access too, and gets the
+//! same rules ([`decide_lookup`]; the paper gives NDP to scans only). Its
+//! reads are point reads batched a chunk of leaves to a request; with a
+//! decision, each request carries the descriptor and the chunk's probe
+//! keys, and storage returns the matching, filtered, projected records
+//! instead of whole leaves. Only a covering access qualifies: the
+//! primary-key fetches behind a non-covering secondary probe want whole
+//! rows.
 
+use taurus_common::NdpConfig;
 use taurus_common::{DataType, Result, Value};
 use taurus_expr::agg::AggSpec;
 use taurus_expr::ast::{CmpOp, Expr};
-use taurus_ndp::{NdpChoice, ScanAggregation, TableStats, TaurusDb};
+use taurus_ndp::{NdpChoice, ScanAggregation, TableIndex, TableStats, TaurusDb};
 
-use crate::plan::{AggScanNode, NdpDecision, Plan, RangeSpec, ScanNode};
+use crate::plan::{AggScanNode, LookupJoinNode, NdpDecision, Plan, RangeSpec, ScanNode};
 
 /// Why a table access did or did not get each NDP feature (EXPLAIN food).
 #[derive(Clone, Debug, Default)]
@@ -63,7 +73,10 @@ fn process(plan: &mut Plan, db: &TaurusDb, out: &mut Vec<NdpReport>) -> Result<(
             let r = decide_scan(scan, Some((group_cols, aggs)), db)?;
             out.push(r);
         }
-        Plan::LookupJoin(j) => process(&mut j.outer, db, out)?,
+        Plan::LookupJoin(j) => {
+            process(&mut j.outer, db, out)?;
+            out.push(decide_lookup(j, db)?);
+        }
         Plan::HashJoin(j) => {
             process(&mut j.left, db, out)?;
             process(&mut j.right, db, out)?;
@@ -97,95 +110,25 @@ fn decide_scan(
         return Ok(report);
     }
 
-    // --- the I/O gate ------------------------------------------------------
-    let leaves = idx.tree.n_leaves() as f64;
     let range_frac = estimate_range_fraction(&node.range, node, &table, &stats);
-    let cached = idx
-        .store
-        .buffer_pool()
-        .count_pages_in_space(idx.tree.def.space)
-        .min(idx.tree.n_leaves() as usize) as f64;
-    // Cached pages reduce expected physical I/O uniformly over the range.
-    let est_io = (leaves * range_frac - cached * range_frac).max(0.0);
-    report.est_io_pages = est_io;
-    report.cached_pages = cached as u64;
-    if est_io < cfg.min_io_pages as f64 {
-        report.gated_by_io = true;
+    if gated_by_io(idx, range_frac, &cfg, &mut report) {
         return Ok(report);
     }
 
-    let dtypes: Vec<DataType> = table.schema.dtypes();
     let mut choice = NdpChoice::default();
-    let mut pushed: Vec<usize> = Vec::new();
-
-    // --- predicate pushdown (§V-B1) ----------------------------------------
-    let eligible: Vec<usize> = node
-        .predicate
-        .iter()
-        .enumerate()
-        .filter(|(_, e)| e.is_ndp_supported(&dtypes) && taurus_expr::compile::lower(e).is_ok())
-        .map(|(i, _)| i)
-        .collect();
-    if !eligible.is_empty() {
-        let ff: f64 = eligible
-            .iter()
-            .map(|&i| estimate_filter_factor(&node.predicate[i], &table, &stats))
-            .product::<f64>()
-            .clamp(0.0005, 1.0);
-        report.filter_factor = ff;
-        if ff <= cfg.predicate_max_filter_factor {
-            let conjuncts: Vec<Expr> = eligible
-                .iter()
-                .map(|&i| node.predicate[i].clone())
-                .collect();
-            choice.predicate = Some(Expr::and(conjuncts));
-            pushed = eligible;
-            report.pushed_predicates = pushed.len();
-        }
-    }
-
-    // --- projection (§V-A) ---------------------------------------------------
+    let pushed = push_predicates(
+        &node.predicate,
+        &table,
+        &stats,
+        &cfg,
+        &mut choice,
+        &mut report,
+    );
     // Needed: declared outputs + columns of residual conjuncts.
     let mut needed: Vec<usize> = node.output.clone();
-    for (i, e) in node.predicate.iter().enumerate() {
-        if !pushed.contains(&i) {
-            needed.extend(e.columns());
-        }
-    }
-    for &k in &table.schema.pk {
-        needed.push(k);
-    }
-    needed.sort_unstable();
-    needed.dedup();
-    let full_width: f64 = stats
-        .columns
-        .iter()
-        .map(|c| c.avg_width.max(1.0))
-        .sum::<f64>()
-        .max(1.0);
-    let kept_width: f64 = needed
-        .iter()
-        .map(|&c| {
-            stats
-                .columns
-                .get(c)
-                .map(|s| s.avg_width.max(1.0))
-                .unwrap_or(8.0)
-        })
-        .sum();
-    report.width_ratio = kept_width / full_width;
-    // Only meaningful when this index stores more than what we need.
-    let stored = idx.tree.def.stored_cols();
-    let narrowing_possible = needed.len() < stored.len();
-    if narrowing_possible && report.width_ratio <= cfg.projection_width_threshold {
-        let keep: Vec<usize> = needed
-            .iter()
-            .copied()
-            .filter(|c| stored.contains(c))
-            .collect();
-        choice.projection = Some(keep);
-        report.projection = true;
-    }
+    needed.extend(residual_columns(&node.predicate, &pushed));
+    needed.extend_from_slice(&table.schema.pk);
+    push_projection(needed, idx, &stats, &cfg, &mut choice, &mut report);
 
     // --- aggregation (§V-C) ---------------------------------------------------
     if let Some((group_cols, aggs)) = agg {
@@ -247,6 +190,152 @@ fn decide_scan(
     if !choice.is_empty() {
         node.ndp = Some(NdpDecision { choice, pushed });
     }
+    Ok(report)
+}
+
+/// The I/O gate (§IV-B): the leaves of `range_frac` of the index that the
+/// pool does not hold. Fills the report; true when that is under
+/// `ndp.min_io_pages`.
+fn gated_by_io(idx: &TableIndex, range_frac: f64, cfg: &NdpConfig, report: &mut NdpReport) -> bool {
+    let leaves = idx.tree.n_leaves() as f64;
+    let cached = idx
+        .store
+        .buffer_pool()
+        .count_pages_in_space(idx.tree.def.space)
+        .min(idx.tree.n_leaves() as usize) as f64;
+    // Cached pages reduce expected physical I/O uniformly over the range.
+    let est_io = (leaves * range_frac - cached * range_frac).max(0.0);
+    report.est_io_pages = est_io;
+    report.cached_pages = cached as u64;
+    report.gated_by_io = est_io < cfg.min_io_pages as f64;
+    report.gated_by_io
+}
+
+/// Predicate pushdown (§V-B1): the allow-listed conjuncts of `predicate`
+/// go to storage together when their estimated filter factor is good
+/// enough. Returns their indices.
+fn push_predicates(
+    predicate: &[Expr],
+    table: &taurus_ndp::Table,
+    stats: &TableStats,
+    cfg: &NdpConfig,
+    choice: &mut NdpChoice,
+    report: &mut NdpReport,
+) -> Vec<usize> {
+    let dtypes: Vec<DataType> = table.schema.dtypes();
+    let eligible: Vec<usize> = predicate
+        .iter()
+        .enumerate()
+        .filter(|(_, e)| e.is_ndp_supported(&dtypes) && taurus_expr::compile::lower(e).is_ok())
+        .map(|(i, _)| i)
+        .collect();
+    if eligible.is_empty() {
+        return eligible;
+    }
+    let ff: f64 = eligible
+        .iter()
+        .map(|&i| estimate_filter_factor(&predicate[i], table, stats))
+        .product::<f64>()
+        .clamp(0.0005, 1.0);
+    report.filter_factor = ff;
+    if ff > cfg.predicate_max_filter_factor {
+        return Vec::new();
+    }
+    choice.predicate = Some(Expr::and(
+        eligible.iter().map(|&i| predicate[i].clone()).collect(),
+    ));
+    report.pushed_predicates = eligible.len();
+    eligible
+}
+
+/// The columns of the conjuncts that were not pushed: the SQL node still
+/// evaluates those, so a projection must keep their columns.
+fn residual_columns<'a>(
+    predicate: &'a [Expr],
+    pushed: &'a [usize],
+) -> impl Iterator<Item = usize> + 'a {
+    predicate
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| !pushed.contains(i))
+        .flat_map(|(_, e)| e.columns())
+}
+
+/// Column projection (§V-A): keep `needed` (table columns, in any order,
+/// repeats allowed) when that is narrow enough against the full row, and
+/// narrower than what the index stores.
+fn push_projection(
+    mut needed: Vec<usize>,
+    idx: &TableIndex,
+    stats: &TableStats,
+    cfg: &NdpConfig,
+    choice: &mut NdpChoice,
+    report: &mut NdpReport,
+) {
+    needed.sort_unstable();
+    needed.dedup();
+    let width = |c: Option<&taurus_ndp::ColumnStats>, unknown: f64| {
+        c.map(|s| s.avg_width.max(1.0)).unwrap_or(unknown)
+    };
+    let full_width: f64 = stats
+        .columns
+        .iter()
+        .map(|c| width(Some(c), 1.0))
+        .sum::<f64>()
+        .max(1.0);
+    let kept_width: f64 = needed
+        .iter()
+        .map(|&c| width(stats.columns.get(c), 8.0))
+        .sum();
+    report.width_ratio = kept_width / full_width;
+    // Only meaningful when this index stores more than what we need.
+    let stored = idx.tree.def.stored_cols();
+    let narrowing_possible = needed.len() < stored.len();
+    if narrowing_possible && report.width_ratio <= cfg.projection_width_threshold {
+        needed.retain(|c| stored.contains(c));
+        choice.projection = Some(needed);
+        report.projection = true;
+    }
+}
+
+/// The NDP decision for the inner side of a lookup join, by the rules a
+/// scan gets: the I/O gate over the whole index (the join's keys are not
+/// known here; an upper bound, since the executor only ever requests the
+/// leaves its probe keys fall on), the §V-B1 allow-list and filter factor
+/// for `inner_predicate`, the §V-A width rule for `inner_output`, the
+/// residual conjuncts' columns and the key. A decision that pushes
+/// nothing is still one: the probe keys alone keep every other record of
+/// a leaf off the wire. No aggregation: the join wants the rows.
+fn decide_lookup(node: &mut LookupJoinNode, db: &TaurusDb) -> Result<NdpReport> {
+    let cfg = &db.config().ndp;
+    let table = db.table(&node.table)?;
+    let idx = table.index(node.index);
+    let stats = table.stats.read().clone();
+    let mut report = NdpReport {
+        table: node.table.clone(),
+        ..Default::default()
+    };
+    node.inner_ndp = None;
+    // A replica's reads are LSN-pinned single reads, and the primary-key
+    // fetches behind a non-covering probe want whole rows.
+    let covering = node.covered_by(&idx.tree.def);
+    if !cfg.enabled || db.is_replica() || !covering || gated_by_io(idx, 1.0, cfg, &mut report) {
+        return Ok(report);
+    }
+    let mut choice = NdpChoice::default();
+    let pushed = push_predicates(
+        &node.inner_predicate,
+        &table,
+        &stats,
+        cfg,
+        &mut choice,
+        &mut report,
+    );
+    let mut needed = node.inner_output.clone();
+    needed.extend(residual_columns(&node.inner_predicate, &pushed));
+    needed.extend(idx.tree.def.effective_key_cols());
+    push_projection(needed, idx, &stats, cfg, &mut choice, &mut report);
+    node.inner_ndp = Some(NdpDecision { choice, pushed });
     Ok(report)
 }
 

@@ -7,7 +7,7 @@
 //! post-processing step*, which annotates table accesses with their
 //! [`NdpChoice`] without touching plan shape.
 
-use taurus_common::Value;
+use taurus_common::{IndexDef, Value};
 use taurus_expr::agg::AggFunc;
 use taurus_expr::ast::Expr;
 use taurus_ndp::NdpChoice;
@@ -182,6 +182,47 @@ pub struct LookupJoinNode {
     pub join: JoinType,
     /// Inner-side access predicate (inner table columns).
     pub inner_predicate: Vec<Expr>,
+    /// Filled in by NDP post-processing when the inner access is worth an
+    /// NDP key read: its batched leaf reads then carry this decision's
+    /// descriptor and the probe keys, and the matching, projected records
+    /// come back instead of whole leaves. `pushed` lists which
+    /// `inner_predicate` conjuncts went to storage. `None` = the leaves
+    /// are prefetched whole. Only a covering access can have one.
+    pub inner_ndp: Option<NdpDecision>,
+}
+
+impl LookupJoinNode {
+    /// The inner table columns the probe reads: `inner_output` and the
+    /// inner predicate's, ascending. The access is covering when the
+    /// chosen index stores them all.
+    pub fn inner_columns(&self) -> Vec<usize> {
+        let mut cols = self.inner_output.clone();
+        for p in &self.inner_predicate {
+            cols.extend(p.columns());
+        }
+        cols.sort_unstable();
+        cols.dedup();
+        cols
+    }
+
+    /// Does `index` store every column the probe reads? Otherwise the
+    /// probe finds primary keys and fetches whole rows behind them.
+    pub fn covered_by(&self, index: &IndexDef) -> bool {
+        let stored = index.stored_cols();
+        self.inner_columns().iter().all(|c| stored.contains(c))
+    }
+
+    /// Inner conjuncts the SQL node must still evaluate on a key read's
+    /// records.
+    pub fn inner_residual(&self) -> Vec<&Expr> {
+        let pushed = self.inner_ndp.as_ref().map(|d| d.pushed.as_slice());
+        self.inner_predicate
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| !pushed.is_some_and(|p| p.contains(i)))
+            .map(|(_, e)| e)
+            .collect()
+    }
 }
 
 /// Hash join; build side is the right child.

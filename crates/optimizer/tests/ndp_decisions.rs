@@ -9,7 +9,9 @@ use taurus_common::{ClusterConfig, DataType, Dec, Value};
 use taurus_expr::ast::Expr;
 use taurus_ndp::TaurusDb;
 use taurus_optimizer::ndp_post::ndp_post_process;
-use taurus_optimizer::plan::{AggFuncEx, AggItem, AggScanNode, Plan, ScanNode};
+use taurus_optimizer::plan::{
+    AggFuncEx, AggItem, AggScanNode, JoinType, LookupJoinNode, Plan, ScanNode,
+};
 
 fn wide_schema() -> Arc<TableSchema> {
     TableSchema::new(
@@ -275,4 +277,183 @@ fn ndp_disabled_config_disables_everything() {
         Plan::Scan(s) => assert!(s.ndp.is_none()),
         _ => unreachable!(),
     }
+}
+
+// --- the inner side of a lookup join -----------------------------------------
+
+/// `t` joined to itself through its primary key (or `index`): the join
+/// wants `price`, the inner predicate is one pushable conjunct (`v < 50`)
+/// and one that is not (a CASE over `id`, off the §V-B1 allow-list).
+fn self_join(index: usize, inner_output: Vec<usize>) -> Plan {
+    Plan::LookupJoin(LookupJoinNode {
+        outer: Box::new(Plan::Scan(ScanNode::new("t", vec![0]))),
+        table: "t".into(),
+        index,
+        outer_key_cols: vec![0],
+        on: None,
+        inner_output,
+        join: JoinType::Inner,
+        inner_predicate: vec![
+            Expr::lt(Expr::col(1), Expr::int(50)),
+            Expr::gt(
+                Expr::Case {
+                    branches: vec![(Expr::lt(Expr::col(0), Expr::int(10)), Expr::int(0))],
+                    else_: Box::new(Expr::int(1)),
+                },
+                Expr::int(0),
+            ),
+        ],
+        inner_ndp: None,
+    })
+}
+
+fn inner_decision(plan: &Plan) -> Option<&taurus_optimizer::plan::NdpDecision> {
+    match plan {
+        Plan::LookupJoin(j) => j.inner_ndp.as_ref(),
+        _ => unreachable!(),
+    }
+}
+
+#[test]
+fn lookup_inner_side_is_decided_by_the_scan_rules() {
+    let db = mk_db(4);
+    load(&db, 2000);
+    let mut plan = self_join(0, vec![2]);
+    let reports = ndp_post_process(&mut plan, &db).unwrap();
+    // The outer scan's report, then the inner side's.
+    assert_eq!(reports.len(), 2);
+    let r = &reports[1];
+    assert!(!r.gated_by_io && r.est_io_pages >= 4.0, "{r:?}");
+    let d = inner_decision(&plan).expect("covering and over the gate");
+    assert_eq!(d.pushed, vec![0], "{d:?}");
+    assert_eq!(r.pushed_predicates, 1);
+    // Output, the residual conjunct's columns and the key: narrow against
+    // two 90-byte pads.
+    assert!(r.projection && r.width_ratio < 0.2, "{r:?}");
+    let keep = d.choice.projection.as_ref().unwrap();
+    for c in [0, 2] {
+        assert!(keep.contains(&c), "{keep:?}");
+    }
+    assert!(!keep.contains(&3) && !keep.contains(&4), "{keep:?}");
+    let text = taurus_optimizer::explain(&plan, &db);
+    assert!(text.contains("Using NDP key reads"), "{text}");
+    assert!(
+        text.contains("[ndp key read: keys+predicate+projection]"),
+        "{text}"
+    );
+}
+
+#[test]
+fn lookup_inner_side_under_the_gate_or_not_covering_keeps_the_prefetch() {
+    // Under the gate.
+    let db = mk_db(10_000);
+    load(&db, 2000);
+    let mut plan = self_join(0, vec![2]);
+    let reports = ndp_post_process(&mut plan, &db).unwrap();
+    assert!(reports[1].gated_by_io);
+    assert!(inner_decision(&plan).is_none());
+    assert!(taurus_optimizer::explain(&plan, &db).contains("[leaf prefetch]"));
+
+    // Resident leaves do not count towards the gate.
+    let db = mk_db(70);
+    let t = load(&db, 2000);
+    let leaves = t.primary.tree.n_leaves();
+    assert!((90..=130).contains(&leaves), "{leaves} leaves");
+    let mut plan = self_join(0, vec![2]);
+    ndp_post_process(&mut plan, &db).unwrap();
+    assert!(inner_decision(&plan).is_some());
+    struct Sink;
+    impl taurus_ndp::ScanConsumer for Sink {
+        fn on_row(&mut self, _r: &[Value]) -> taurus_common::Result<bool> {
+            Ok(true)
+        }
+        fn on_partial(&mut self, _s: Vec<taurus_ndp::AggState>) -> taurus_common::Result<bool> {
+            Ok(true)
+        }
+    }
+    let lower_half = taurus_ndp::ScanSpec {
+        index: 0,
+        range: taurus_ndp::ScanRange {
+            lower: None,
+            upper: Some((t.primary.tree.encode_search_key(&[Value::Int(1000)]), false)),
+        },
+        ndp: None,
+        output_cols: vec![0],
+    };
+    taurus_ndp::scan(&db, &t, &lower_half, &db.read_view(0), &mut Sink).unwrap();
+    let reports = ndp_post_process(&mut plan, &db).unwrap();
+    assert!(
+        reports[1].cached_pages >= 40 && reports[1].gated_by_io,
+        "{:?}",
+        reports[1]
+    );
+    assert!(
+        inner_decision(&plan).is_none(),
+        "a stale decision is cleared"
+    );
+
+    // A secondary that does not store what the join wants.
+    let db = mk_db(1);
+    let t = db.create_table(wide_schema(), &[("t_v", vec![1])]).unwrap();
+    db.bulk_load(
+        &t,
+        (0..2000)
+            .map(|i| {
+                vec![
+                    Value::Int(i),
+                    Value::Int(i % 100),
+                    Value::Decimal(Dec::new(i as i128, 2)),
+                    Value::str("p"),
+                    Value::str("q"),
+                ]
+            })
+            .collect(),
+    )
+    .unwrap();
+    db.buffer_pool().clear();
+    let mut plan = self_join(1, vec![2]);
+    ndp_post_process(&mut plan, &db).unwrap();
+    assert!(inner_decision(&plan).is_none());
+}
+
+/// With nothing to push and nothing to project the decision still stands:
+/// the probe keys alone keep the rest of every leaf off the wire.
+#[test]
+fn lookup_decision_with_an_empty_choice_is_still_a_decision() {
+    let db = mk_db(1);
+    let t = db.create_table(wide_schema(), &[("t_v", vec![1])]).unwrap();
+    db.bulk_load(
+        &t,
+        (0..4000)
+            .map(|i| {
+                vec![
+                    Value::Int(i),
+                    Value::Int(i % 100),
+                    Value::Decimal(Dec::new(i as i128, 2)),
+                    Value::str("p"),
+                    Value::str("q"),
+                ]
+            })
+            .collect(),
+    )
+    .unwrap();
+    db.buffer_pool().clear();
+    // Through the secondary on `v`, which stores (v, id): wanting `id`
+    // only is covering, and there is nothing narrower to keep.
+    let mut plan = Plan::LookupJoin(LookupJoinNode {
+        outer: Box::new(Plan::Scan(ScanNode::new("t", vec![1]))),
+        table: "t".into(),
+        index: 1,
+        outer_key_cols: vec![0],
+        on: None,
+        inner_output: vec![0],
+        join: JoinType::Semi,
+        inner_predicate: vec![],
+        inner_ndp: None,
+    });
+    let reports = ndp_post_process(&mut plan, &db).unwrap();
+    let d = inner_decision(&plan).expect("over the gate");
+    assert!(d.choice.is_empty() && d.pushed.is_empty(), "{d:?}");
+    assert!(!reports[1].projection);
+    assert!(taurus_optimizer::explain(&plan, &db).contains("[ndp key read: keys]"));
 }

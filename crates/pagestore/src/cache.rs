@@ -13,6 +13,14 @@
 //! and aggregate-input plans, all against the record layout. The
 //! cache maps `fnv64(descriptor bytes)` to the prepared entry; collisions
 //! are detected by byte comparison and treated as misses.
+//!
+//! "Descriptor bytes" are the stream's `DESC` section alone. The key set a
+//! batched key access appends is different in every request: inside the
+//! hashed bytes it would make every request a miss and every miss an
+//! entry. The read view's low watermark *is* inside them, so a scan under
+//! a new view is a new entry on every store it touches; the map is
+//! bounded at [`DESCRIPTOR_CACHE_ENTRIES`] and the entry used longest ago
+//! makes room.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -30,6 +38,9 @@ pub struct CachedDescriptor {
     pub desc: NdpDescriptor,
     /// Layout of the source (full) leaf records.
     pub layout: RecordLayout,
+    /// The key columns' positions in them, in key order: what a key-set
+    /// request encodes of every record.
+    pub key_positions: Vec<usize>,
     /// Layout of the records `survivor` writes when projection was
     /// requested: what the compute node reads them with.
     pub proj_layout: Option<RecordLayout>,
@@ -76,6 +87,7 @@ impl CachedDescriptor {
             .collect();
         let agg_inputs = DecodePlan::new(&layout, &agg_cols);
         Ok(CachedDescriptor {
+            key_positions: desc.key_positions.iter().map(|&p| p as usize).collect(),
             desc,
             layout,
             proj_layout,
@@ -87,10 +99,30 @@ impl CachedDescriptor {
     }
 }
 
+/// The most prepared descriptors a Page Store keeps. A statement's table
+/// accesses under one read view are a few dozen entries; the views of the
+/// statements running at once multiply that by a handful.
+pub const DESCRIPTOR_CACHE_ENTRIES: usize = 256;
+
+/// The cached entries and the clock their uses are stamped with.
+#[derive(Default)]
+struct Entries {
+    map: HashMap<u64, (Arc<CachedDescriptor>, u64)>,
+    uses: u64,
+}
+
+impl Entries {
+    /// The stamp of the use being made now.
+    fn tick(&mut self) -> u64 {
+        self.uses += 1;
+        self.uses
+    }
+}
+
 /// The per-Page-Store descriptor cache.
 pub struct DescriptorCache {
     enabled: bool,
-    map: Mutex<HashMap<u64, Arc<CachedDescriptor>>>,
+    entries: Mutex<Entries>,
     metrics: Arc<Metrics>,
 }
 
@@ -98,19 +130,23 @@ impl DescriptorCache {
     pub fn new(enabled: bool, metrics: Arc<Metrics>) -> DescriptorCache {
         DescriptorCache {
             enabled,
-            map: Mutex::new(HashMap::new()),
+            entries: Mutex::new(Entries::default()),
             metrics,
         }
     }
 
-    /// Look up (or prepare and insert) the descriptor. Decode/compile time
-    /// is metered into `ps_desc_decode_ns` so the §IV-D1 "ms → <5 µs"
-    /// effect is measurable.
+    /// Look up (or prepare and insert) the descriptor whose `DESC`
+    /// section is `bytes`. Decode/compile time is metered into
+    /// `ps_desc_decode_ns` so the §IV-D1 "ms → <5 µs" effect is
+    /// measurable.
     pub fn get_or_prepare(&self, bytes: &[u8]) -> Result<Arc<CachedDescriptor>> {
         let key = fnv64(bytes);
         if self.enabled {
-            if let Some(hit) = self.map.lock().get(&key) {
+            let mut entries = self.entries.lock();
+            let now = entries.tick();
+            if let Some((hit, used)) = entries.map.get_mut(&key) {
                 if hit.bytes == bytes {
+                    *used = now;
                     self.metrics.add(|m| &m.ps_desc_cache_hits, 1);
                     return Ok(hit.clone());
                 }
@@ -122,13 +158,23 @@ impl DescriptorCache {
         self.metrics
             .add(|m| &m.ps_desc_decode_ns, t0.elapsed().as_nanos() as u64);
         if self.enabled {
-            self.map.lock().insert(key, prepared.clone());
+            let mut entries = self.entries.lock();
+            if entries.map.len() >= DESCRIPTOR_CACHE_ENTRIES && !entries.map.contains_key(&key) {
+                // A scan of the map, paid by a miss that has just spent
+                // far longer preparing.
+                let oldest = entries.map.iter().min_by_key(|(_, (_, used))| *used);
+                if let Some(oldest) = oldest.map(|(k, _)| *k) {
+                    entries.map.remove(&oldest);
+                }
+            }
+            let now = entries.tick();
+            entries.map.insert(key, (prepared.clone(), now));
         }
         Ok(prepared)
     }
 
     pub fn len(&self) -> usize {
-        self.map.lock().len()
+        self.entries.lock().map.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -136,7 +182,7 @@ impl DescriptorCache {
     }
 
     pub fn clear(&self) {
-        self.map.lock().clear();
+        self.entries.lock().map.clear();
     }
 }
 
@@ -182,6 +228,29 @@ mod tests {
         let b = c.get_or_prepare(&descriptor_bytes(11)).unwrap();
         assert!(!Arc::ptr_eq(&a, &b));
         assert_eq!(c.len(), 2);
+    }
+
+    /// Every read view has its own watermark, and the watermark is part
+    /// of the hashed bytes: the map must not grow with the views a store
+    /// has seen, and a descriptor in steady use must survive the churn.
+    #[test]
+    fn distinct_watermarks_leave_at_most_the_cap_and_a_reused_one_still_hits() {
+        let m = Metrics::shared();
+        let c = DescriptorCache::new(true, m.clone());
+        let steady = descriptor_bytes(1_000_000);
+        let first = c.get_or_prepare(&steady).unwrap();
+        for watermark in 0..10_000 {
+            c.get_or_prepare(&descriptor_bytes(watermark)).unwrap();
+            if watermark % 100 == 0 {
+                let again = c.get_or_prepare(&steady).unwrap();
+                assert!(Arc::ptr_eq(&first, &again), "evicted at {watermark}");
+            }
+            assert!(c.len() <= DESCRIPTOR_CACHE_ENTRIES);
+        }
+        assert_eq!(c.len(), DESCRIPTOR_CACHE_ENTRIES);
+        let s = m.snapshot();
+        assert_eq!(s.ps_desc_cache_hits, 100);
+        assert_eq!(s.ps_desc_cache_misses, 10_001);
     }
 
     #[test]

@@ -11,6 +11,12 @@
 //! is parsed (bounds only), judged, and — if it survives — copied into the
 //! NDP page in chain order. No record becomes a row of values.
 //!
+//! * when the request carries a **key set** (a lookup join's batched key
+//!   access), a record whose key does not start with a listed key is
+//!   dropped first of all, ambiguous or not (an in-place update never
+//!   changes a key): the in-order chain is merged against the sorted keys,
+//!   from a binary search for the page's first record, so no record pays
+//!   for the length of the list;
 //! * records with `trx_id >=` the descriptor watermark are **ambiguous**
 //!   and pass through byte-identical (never projected — §V-A);
 //! * visible delete-marked records are skipped;
@@ -36,7 +42,7 @@ use std::sync::Arc;
 
 use taurus_common::{Error, PageNo, Result, Value};
 use taurus_expr::agg::{encode_states, AggState};
-use taurus_expr::descriptor::NdpAggSpec;
+use taurus_expr::descriptor::{KeySet, NdpAggSpec};
 use taurus_expr::vm::TriBool;
 use taurus_page::{NdpPageBuilder, Page, RecType, RecordView};
 
@@ -46,6 +52,8 @@ use crate::cache::CachedDescriptor;
 #[derive(Clone, Copy, Default, Debug, PartialEq)]
 pub struct PluginStats {
     pub records_in: u64,
+    /// Dropped for matching no key of the request's key set.
+    pub records_key_filtered: u64,
     pub records_filtered: u64,
     pub records_aggregated: u64,
     pub ambiguous: u64,
@@ -57,8 +65,14 @@ pub trait NdpPlugin: Send + Sync {
 
     /// Process one page independently (used when the request carries no
     /// cross-page aggregation, so pages can be handled by concurrent
-    /// workers in any order).
-    fn process_page(&self, cd: &CachedDescriptor, page: &Page) -> Result<(Page, PluginStats)>;
+    /// workers in any order). `keys` is the request's key set, if it
+    /// carries one.
+    fn process_page(
+        &self,
+        cd: &CachedDescriptor,
+        keys: Option<&KeySet>,
+        page: &Page,
+    ) -> Result<(Page, PluginStats)>;
 
     /// Process a whole sub-batch sequentially with cross-page aggregation
     /// (scalar aggregates only, §V-C). One NDP page per input page, each
@@ -66,6 +80,7 @@ pub trait NdpPlugin: Send + Sync {
     fn process_batch(
         &self,
         cd: &CachedDescriptor,
+        keys: Option<&KeySet>,
         pages: &[(PageNo, Arc<Page>)],
     ) -> Result<(Vec<(PageNo, Page)>, PluginStats)>;
 }
@@ -187,6 +202,47 @@ impl<'a> GroupAcc<'a> {
     }
 }
 
+/// A page's in-order record chain merged against a request's sorted key
+/// set: which records extend a listed key.
+struct KeyMerge<'a> {
+    keys: &'a KeySet,
+    /// The first listed key a record of the page can still match: found
+    /// by binary search for the page's first record (`None` until then),
+    /// advanced from there.
+    at: Option<usize>,
+    record_key: Vec<u8>,
+}
+
+impl<'a> KeyMerge<'a> {
+    fn new(keys: &'a KeySet) -> KeyMerge<'a> {
+        KeyMerge {
+            keys,
+            at: None,
+            record_key: Vec::new(),
+        }
+    }
+
+    /// Does the page's next record extend a listed key?
+    fn admits(&mut self, rec: &RecordView<'_>, key_positions: &[usize]) -> bool {
+        let keys = self.keys;
+        // Once every listed key is behind, so is the need to encode one.
+        if self.at == Some(keys.len()) {
+            return false;
+        }
+        self.record_key.clear();
+        rec.key_into(key_positions, &mut self.record_key);
+        let mut at = match self.at {
+            Some(at) => at,
+            None => keys.seek(&self.record_key),
+        };
+        while at < keys.len() && keys.is_before(at, &self.record_key) {
+            at += 1;
+        }
+        self.at = Some(at);
+        at < keys.len() && self.record_key.starts_with(keys.get(at))
+    }
+}
+
 impl InnodbNdpPlugin {
     /// The one record loop behind both entry points. Every page is walked
     /// once, in order, and gives one NDP page, handed to `done` with the
@@ -196,6 +252,7 @@ impl InnodbNdpPlugin {
     /// the carrier over or the batch ends.
     fn run(
         cd: &CachedDescriptor,
+        keys: Option<&KeySet>,
         pages: &[&Page],
         cross_page: bool,
         done: &mut dyn FnMut(usize, Page),
@@ -209,8 +266,12 @@ impl InnodbNdpPlugin {
         // The carrier's page and its index, while a later page is walked.
         let mut held: Option<(usize, NdpPageBuilder)> = None;
         let mut offsets = Vec::new();
+        let mut merge = keys.map(KeyMerge::new);
         for (idx, &page) in pages.iter().enumerate() {
             let mut b = NdpPageBuilder::new(page);
+            if let Some(merge) = &mut merge {
+                merge.at = None;
+            }
             for rec in page.iter_chain() {
                 let rec = RecordView::parse(rec?, &cd.layout)?;
                 let rec_type = rec.rec_type()?;
@@ -220,6 +281,12 @@ impl InnodbNdpPlugin {
                     )));
                 }
                 stats.records_in += 1;
+                if let Some(merge) = &mut merge {
+                    if !merge.admits(&rec, &cd.key_positions) {
+                        stats.records_key_filtered += 1;
+                        continue;
+                    }
+                }
                 if rec.trx_id() >= cd.desc.low_watermark {
                     stats.ambiguous += 1;
                     match &mut acc {
@@ -293,9 +360,14 @@ impl NdpPlugin for InnodbNdpPlugin {
         "innodb"
     }
 
-    fn process_page(&self, cd: &CachedDescriptor, page: &Page) -> Result<(Page, PluginStats)> {
+    fn process_page(
+        &self,
+        cd: &CachedDescriptor,
+        keys: Option<&KeySet>,
+        page: &Page,
+    ) -> Result<(Page, PluginStats)> {
         let mut out = None;
-        let stats = Self::run(cd, &[page], false, &mut |_, ndp| out = Some(ndp))?;
+        let stats = Self::run(cd, keys, &[page], false, &mut |_, ndp| out = Some(ndp))?;
         // lint:allow(panic): `run` gives one NDP page per input page
         Ok((out.expect("one page in, one page out"), stats))
     }
@@ -303,6 +375,7 @@ impl NdpPlugin for InnodbNdpPlugin {
     fn process_batch(
         &self,
         cd: &CachedDescriptor,
+        keys: Option<&KeySet>,
         pages: &[(PageNo, Arc<Page>)],
     ) -> Result<(Vec<(PageNo, Page)>, PluginStats)> {
         let scalar = cd
@@ -312,7 +385,7 @@ impl NdpPlugin for InnodbNdpPlugin {
             .is_some_and(|a| a.group_cols.is_empty());
         let sources: Vec<&Page> = pages.iter().map(|(_, p)| &**p).collect();
         let mut out = Vec::with_capacity(pages.len());
-        let stats = Self::run(cd, &sources, scalar, &mut |idx, ndp| {
+        let stats = Self::run(cd, keys, &sources, scalar, &mut |idx, ndp| {
             out.push((pages[idx].0, ndp))
         })?;
         Ok((out, stats))

@@ -19,10 +19,11 @@ use std::time::Duration;
 use crossbeam::channel::bounded;
 use parking_lot::RwLock;
 use taurus_common::{Error, Lsn, Metrics, PageNo, Result, SliceId, TenantId};
+use taurus_expr::descriptor::{KeySet, NdpDescriptor};
 use taurus_page::Page;
 
 use crate::cache::{CachedDescriptor, DescriptorCache};
-use crate::plugin::{InnodbNdpPlugin, NdpPlugin};
+use crate::plugin::{InnodbNdpPlugin, NdpPlugin, PluginStats};
 use crate::redo::RedoRecord;
 use crate::resource::{Admission, NdpPool, SkipPolicy};
 
@@ -91,7 +92,8 @@ pub struct NdpBatchRequest {
     pub pages: Vec<PageNo>,
     /// Serve page versions as of this LSN.
     pub read_lsn: Lsn,
-    /// The type-less descriptor byte stream (§IV-D).
+    /// The type-less descriptor byte stream (§IV-D): the `DESC` section
+    /// and, for a batched key access, the key-set section behind it.
     pub descriptor: Arc<Vec<u8>>,
     /// Tenant the batch is billed to — drives fair admission and per-
     /// tenant quotas on the NDP pool.
@@ -451,7 +453,11 @@ impl PageStore {
     pub fn serve_ndp_batch(&self, req: &NdpBatchRequest) -> Result<Vec<PageResult>> {
         self.check_fault(req.slice)?;
         let _req = RequestGuard::new(self);
-        let cd = self.cache.get_or_prepare(&req.descriptor)?;
+        // The descriptor is cached by its `DESC` section; a key set is
+        // this request's alone, parsed and validated here.
+        let desc_len = NdpDescriptor::section_len(&req.descriptor)?;
+        let cd = self.cache.get_or_prepare(&req.descriptor[..desc_len])?;
+        let keys = KeySet::parse(&req.descriptor, desc_len)?.map(Arc::new);
         // Materialize the requested versions first (regular read path).
         // The fault policy was already paid once for the whole request.
         let mut pages: Vec<(PageNo, Arc<Page>)> = Vec::with_capacity(req.pages.len());
@@ -466,7 +472,7 @@ impl PageStore {
             .map(|a| a.group_cols.is_empty())
             .unwrap_or(false);
 
-        if !cd.desc.requests_work() {
+        if !cd.desc.requests_work() && keys.is_none() {
             // Pure batched read: no NDP processing requested.
             return Ok(pages
                 .into_iter()
@@ -499,9 +505,19 @@ impl PageStore {
         }
 
         if scalar_agg {
-            return self.serve_scalar_batch(cd, pages, req.tenant);
+            return self.serve_scalar_batch(cd, keys, pages, req.tenant);
         }
-        self.serve_parallel_pages(cd, pages, req.tenant)
+        self.serve_parallel_pages(cd, keys, pages, req.tenant)
+    }
+
+    fn charge_plugin_stats(&self, pages: u64, stats: &PluginStats) {
+        self.metrics.add(|m| &m.ps_pages_processed, pages);
+        self.metrics
+            .add(|m| &m.ps_records_filtered, stats.records_filtered);
+        self.metrics
+            .add(|m| &m.ps_records_aggregated, stats.records_aggregated);
+        self.metrics
+            .add(|m| &m.ps_records_key_filtered, stats.records_key_filtered);
     }
 
     /// Cross-page (scalar) aggregation: the whole sub-batch is one
@@ -509,6 +525,7 @@ impl PageStore {
     fn serve_scalar_batch(
         &self,
         cd: Arc<CachedDescriptor>,
+        keys: Option<Arc<KeySet>>,
         pages: Vec<(PageNo, Arc<Page>)>,
         tenant: TenantId,
     ) -> Result<Vec<PageResult>> {
@@ -532,7 +549,7 @@ impl PageStore {
                     std::thread::sleep(service);
                 }
                 let _cpu = taurus_common::metrics::CpuGuard::new(&metrics.ps_cpu_ns);
-                let out = guarded(|| plugin.process_batch(&cd, &job_pages));
+                let out = guarded(|| plugin.process_batch(&cd, keys.as_deref(), &job_pages));
                 let _ = tx.send(out);
             });
         }
@@ -551,12 +568,7 @@ impl PageStore {
             .map_err(|_| Error::Internal("ndp worker died".into()))?
         {
             Ok((results, stats)) => {
-                self.metrics
-                    .add(|m| &m.ps_pages_processed, results.len() as u64);
-                self.metrics
-                    .add(|m| &m.ps_records_filtered, stats.records_filtered);
-                self.metrics
-                    .add(|m| &m.ps_records_aggregated, stats.records_aggregated);
+                self.charge_plugin_stats(results.len() as u64, &stats);
                 let mut by_no: HashMap<PageNo, Page> = results.into_iter().collect();
                 Ok(pages
                     .into_iter()
@@ -618,6 +630,7 @@ impl PageStore {
     fn serve_parallel_pages(
         &self,
         cd: Arc<CachedDescriptor>,
+        keys: Option<Arc<KeySet>>,
         pages: Vec<(PageNo, Arc<Page>)>,
         tenant: TenantId,
     ) -> Result<Vec<PageResult>> {
@@ -636,6 +649,7 @@ impl PageStore {
                 continue;
             }
             let cd = cd.clone();
+            let keys = keys.clone();
             let plugin = self.plugin.clone();
             let metrics = self.metrics.clone();
             let job_page = page.clone();
@@ -646,7 +660,7 @@ impl PageStore {
                     std::thread::sleep(service);
                 }
                 let _cpu = taurus_common::metrics::CpuGuard::new(&metrics.ps_cpu_ns);
-                let out = guarded(|| plugin.process_page(&cd, &job_page));
+                let out = guarded(|| plugin.process_page(&cd, keys.as_deref(), &job_page));
                 let _ = tx.send((idx, out));
             });
             if ok {
@@ -666,11 +680,7 @@ impl PageStore {
                 .map_err(|_| Error::Internal("ndp worker died".into()))?;
             match out {
                 Ok((ndp_page, stats)) => {
-                    self.metrics.add(|m| &m.ps_pages_processed, 1);
-                    self.metrics
-                        .add(|m| &m.ps_records_filtered, stats.records_filtered);
-                    self.metrics
-                        .add(|m| &m.ps_records_aggregated, stats.records_aggregated);
+                    self.charge_plugin_stats(1, &stats);
                     payloads[idx] = Some(PagePayload::Ndp(Arc::new(ndp_page)));
                 }
                 Err(_) => {
@@ -1079,6 +1089,7 @@ mod tests {
         fn process_page(
             &self,
             _: &CachedDescriptor,
+            _: Option<&KeySet>,
             _: &Page,
         ) -> Result<(Page, crate::plugin::PluginStats)> {
             panic!("plugin failure (expected in this test)")
@@ -1087,6 +1098,7 @@ mod tests {
         fn process_batch(
             &self,
             _: &CachedDescriptor,
+            _: Option<&KeySet>,
             _: &[(PageNo, Arc<Page>)],
         ) -> Result<(Vec<(PageNo, Page)>, crate::plugin::PluginStats)> {
             panic!("plugin failure (expected in this test)")
@@ -1114,7 +1126,10 @@ mod tests {
         ps.create_slice(sid);
         let redo: Vec<RedoRecord> = (0..4).map(|p| new_page_redo(1, p, p as u64 + 1)).collect();
         ps.apply_redo(&redo).unwrap();
-        // One pool job per page, then one job for the whole batch.
+        // One pool job per page, then one job for the whole batch, then a
+        // job per page again for a request whose only work is its key set.
+        let mut keyed = no_work_descriptor().to_vec();
+        taurus_expr::descriptor::encode_key_set([&b"\x01k"[..]].into_iter(), &mut keyed);
         let scalar_agg = Arc::new(
             taurus_expr::descriptor::NdpDescriptor {
                 index_id: 7,
@@ -1130,7 +1145,8 @@ mod tests {
             }
             .encode(),
         );
-        for (served, descriptor) in [work_descriptor(), scalar_agg].into_iter().enumerate() {
+        let descriptors = [work_descriptor(), scalar_agg, Arc::new(keyed)];
+        for (served, descriptor) in descriptors.into_iter().enumerate() {
             let req = NdpBatchRequest {
                 slice: sid,
                 pages: vec![0, 1, 2, 3],

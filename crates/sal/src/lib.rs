@@ -294,10 +294,11 @@ impl Sal {
     /// leaf after another ("a regular InnoDB scan does not perform batch
     /// reads", §I), and what any tree walk falls back to for a page the
     /// pool lacks. A lookup join does not come here for its leaves: it
-    /// resolves a batch of probe keys to leaves first and fetches the
-    /// missing ones through [`Sal::batch_read_ctx`] with a work-free
-    /// descriptor, a chunk to a request. Default query context: the
-    /// anonymous tenant, no deadline.
+    /// resolves a batch of probe keys to leaves first and reads them
+    /// through [`Sal::batch_read_ctx`], a chunk to a request (whole
+    /// leaves under a work-free descriptor, or, as an NDP key read, the
+    /// probed keys' records under a real one). Default query context:
+    /// the anonymous tenant, no deadline.
     pub fn read_page(&self, pref: PageRef, at_lsn: Option<Lsn>) -> Result<Arc<Page>> {
         self.read_page_ctx(pref, at_lsn, &QueryCtx::new())
     }
@@ -374,8 +375,11 @@ impl Sal {
     /// Batch read (§IV-C4, §VI-2): split by slice, dispatch sub-batches
     /// concurrently, reassemble in request order. Convenience join-all
     /// wrapper over [`Sal::batch_read_streaming`]. NDP scans stream; the
-    /// caller that waits for the whole batch is a lookup join's leaf
-    /// prefetch, whose descriptor requests no work (whole pages back).
+    /// caller that waits for the whole batch is a lookup join, with a
+    /// chunk of leaves: its prefetch, whose descriptor requests no work
+    /// (whole pages back), or its NDP key read, whose descriptor stream
+    /// ends in the chunk's probe keys (their records back, in NDP pages
+    /// it consumes in request order).
     pub fn batch_read(
         &self,
         space: SpaceId,

@@ -224,8 +224,7 @@ fn prepare(
                     first_batch(session.stream_plan(plan))
                 }
                 taurus_sql::Statement::Explain(s) => {
-                    let plan = taurus_sql::bind(&session, &s)?;
-                    let text = taurus_optimizer::explain_physical(&plan, session.db());
+                    let text = taurus_sql::explain(&session, &s)?;
                     let lines: Vec<&str> = text.lines().collect();
                     let mut b = RowBatch::with_capacity(1, lines.len());
                     for line in lines {

@@ -52,14 +52,18 @@ pub fn run(session: &Session, text: &str) -> Result<SqlOutput> {
             let plan = bind(session, &s)?;
             Ok(SqlOutput::Rows(session.execute_plan(&plan)?))
         }
-        Statement::Explain(s) => {
-            let plan = bind(session, &s)?;
-            let text = taurus_optimizer::explain_physical(&plan, session.db());
-            Ok(SqlOutput::Explain(
-                text.lines().map(str::to_string).collect(),
-            ))
-        }
+        Statement::Explain(s) => Ok(SqlOutput::Explain(
+            explain(session, &s)?.lines().map(str::to_string).collect(),
+        )),
     }
+}
+
+/// `EXPLAIN`: bind the query exactly like execution would, verify the
+/// plan (execution's gate never sees it) and render the physical plan.
+pub fn explain(session: &Session, stmt: &SelectStmt) -> Result<String> {
+    let plan = bind(session, stmt)?;
+    taurus_verify::check_plan(&plan, session.db())?;
+    Ok(taurus_optimizer::explain_physical(&plan, session.db()))
 }
 
 /// `session.sql("select ...")` — the in-process SQL facade.

@@ -242,6 +242,7 @@ pub fn q4_plan(db: &TaurusDb, pq: Option<usize>) -> Result<Plan> {
         inner_output: vec![],
         join: JoinType::Semi,
         inner_predicate: vec![Expr::lt(Expr::col(11), Expr::col(12))],
+        inner_ndp: None,
     });
     let semi = match pq {
         Some(d) => semi.exchange(d),
@@ -274,6 +275,7 @@ pub fn q5_plan(db: &TaurusDb, pq: Option<usize>) -> Result<Plan> {
         inner_output: vec![2, 5, 6],
         join: JoinType::Inner,
         inner_predicate: vec![],
+        inner_ndp: None,
     });
     let ol = match pq {
         Some(d) => ol.exchange(d),
@@ -548,6 +550,7 @@ fn q11_stages() -> (Plan, Plan) {
         inner_output: vec![0, 2, 3],
         join: JoinType::Inner,
         inner_predicate: vec![],
+        inner_ndp: None,
     });
     let value = Expr::mul(Expr::col(6), Expr::col(5));
     let per_part = hash_agg(ps.clone(), vec![Expr::col(4)], vec![sum(value.clone())]);

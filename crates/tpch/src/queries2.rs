@@ -113,6 +113,7 @@ pub fn q14_plan(db: &TaurusDb, pq: Option<usize>) -> Result<Plan> {
         inner_output: vec![4],
         join: JoinType::Inner,
         inner_predicate: vec![],
+        inner_ndp: None,
     });
     let j = match pq {
         Some(d) => j.exchange(d),
@@ -252,6 +253,7 @@ pub fn q17_plan(db: &TaurusDb, _pq: Option<usize>) -> Result<Plan> {
         inner_output: vec![4, 5],
         join: JoinType::Inner,
         inner_predicate: vec![],
+        inner_ndp: None,
     });
     optimized(j, db)
 }
@@ -382,6 +384,7 @@ pub fn q19_plan(db: &TaurusDb, pq: Option<usize>) -> Result<Plan> {
                 vec![Value::str("AIR"), Value::str("AIR REG")],
             ),
         ],
+        inner_ndp: None,
     });
     let j = match pq {
         Some(d) => j.exchange(d),
@@ -512,6 +515,7 @@ pub fn q21_plan(db: &TaurusDb, _pq: Option<usize>) -> Result<Plan> {
         inner_output: vec![2],
         join: JoinType::Semi,
         inner_predicate: vec![],
+        inner_ndp: None,
     });
     // NOT EXISTS l3: another supplier late in the same order.
     let anti = Plan::LookupJoin(LookupJoinNode {
@@ -523,6 +527,7 @@ pub fn q21_plan(db: &TaurusDb, _pq: Option<usize>) -> Result<Plan> {
         inner_output: vec![2],
         join: JoinType::Anti,
         inner_predicate: vec![Expr::gt(Expr::col(12), Expr::col(11))],
+        inner_ndp: None,
     });
     let g = hash_agg(anti, vec![Expr::col(7)], vec![count_star()]);
     optimized(g.top_n(vec![(1, true), (0, false)], 100), db)
@@ -577,6 +582,7 @@ pub fn q22_plan(db: &TaurusDb, _pq: Option<usize>) -> Result<Plan> {
         inner_output: vec![],
         join: JoinType::Anti,
         inner_predicate: vec![],
+        inner_ndp: None,
     });
     let p = anti.project(vec![cntry(1), Expr::col(2)]);
     let g = hash_agg(p, vec![Expr::col(0)], vec![count_star(), sum(Expr::col(1))]);

@@ -48,6 +48,14 @@ pub enum DiagKind {
     /// The scalar IR and its vectorized twin disagree at the type level
     /// (columns read, register file shape, result register).
     Equivalence,
+    /// A lookup join carries an NDP key-read decision although its inner
+    /// access is not covering (the primary-key fetches behind a secondary
+    /// probe read whole rows).
+    NdpOnNonCovering,
+    /// A lookup join's NDP projection drops a column its key read must
+    /// deliver: an inner output, a residual conjunct's column or a key
+    /// column.
+    NdpProjectionDropsColumn,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]

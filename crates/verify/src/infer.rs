@@ -16,7 +16,9 @@ use std::sync::Arc;
 use taurus_common::{DataType, Value};
 use taurus_expr::ast::Expr;
 use taurus_ndp::{Table, TaurusDb};
-use taurus_optimizer::plan::{AggFuncEx, AggItem, JoinType, Plan, ScanNode};
+use taurus_optimizer::plan::{
+    AggFuncEx, AggItem, JoinType, LookupJoinNode, NdpDecision, Plan, ScanNode,
+};
 
 use crate::diag::{DiagKind, Diagnostic};
 
@@ -208,6 +210,9 @@ fn infer(
                     }
                 }
                 warn_predicate_types(p, &inner_dtypes, &path, diags);
+            }
+            if let Some(d) = &j.inner_ndp {
+                ok &= check_inner_ndp(j, d, &table, &path, diags);
             }
             if let (Some(on), Some(o)) = (&j.on, &outer) {
                 let w = o.len() + j.inner_output.len();
@@ -498,6 +503,67 @@ fn infer_scan(
             })
             .collect(),
     )
+}
+
+/// A lookup join's NDP key-read decision against its node: the access
+/// must be covering, `pushed` must name inner conjuncts, and a projection
+/// must keep what the key read delivers and evaluates. (The pushed
+/// conjuncts' programs are checked with every other predicate of the
+/// plan.)
+fn check_inner_ndp(
+    j: &LookupJoinNode,
+    d: &NdpDecision,
+    table: &Table,
+    path: &str,
+    diags: &mut Vec<Diagnostic>,
+) -> bool {
+    let mut ok = true;
+    let def = &table.index(j.index).tree.def;
+    let stored = def.stored_cols();
+    if let Some(c) = j.inner_columns().iter().find(|c| !stored.contains(c)) {
+        diags.push(Diagnostic::error(
+            DiagKind::NdpOnNonCovering,
+            path,
+            format!(
+                "NDP key read on index {} that does not store inner column {c}",
+                def.name
+            ),
+        ));
+        ok = false;
+    }
+    for &i in &d.pushed {
+        if i >= j.inner_predicate.len() {
+            diags.push(Diagnostic::error(
+                DiagKind::PushedOutOfRange,
+                path,
+                format!(
+                    "NDP decision pushes inner conjunct {i}, but the inner predicate has {}",
+                    j.inner_predicate.len()
+                ),
+            ));
+            ok = false;
+        }
+    }
+    if let Some(keep) = &d.choice.projection {
+        let residual = j.inner_residual().into_iter().flat_map(|e| e.columns());
+        let needed = j
+            .inner_output
+            .iter()
+            .copied()
+            .chain(residual)
+            .chain(def.effective_key_cols());
+        for c in needed {
+            if !keep.contains(&c) {
+                diags.push(Diagnostic::error(
+                    DiagKind::NdpProjectionDropsColumn,
+                    path,
+                    format!("NDP projection {keep:?} drops column {c} the key read needs"),
+                ));
+                ok = false;
+            }
+        }
+    }
+    ok
 }
 
 // --- typing helpers ----------------------------------------------------------

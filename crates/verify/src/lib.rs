@@ -20,9 +20,11 @@
 //!   argument), which lets the vector kernels skip their per-lane
 //!   checked-overflow deferral via `VectorProgram::mark_proven_safe`.
 //!
-//! The executor wires [`check_plan`] as a debug-build gate in front of
-//! plan lowering; the `taurus-verify` binary runs the same checks over
-//! every registry plan and NDP descriptor program in CI.
+//! The executor wires [`check_plan`] as a gate in front of plan lowering,
+//! in every build and once per statement (its two ways into execution,
+//! `execute` and `RowStream::spawn_plan`; `EXPLAIN`, which executes
+//! nothing, calls it itself); the `taurus-verify` binary runs the same
+//! checks over every registry plan and NDP descriptor program in CI.
 
 pub mod absint;
 pub mod diag;

@@ -14,15 +14,16 @@
 //!   kernels skip their checked-overflow deferral) vs. deferring.
 //!
 //! CI runs `taurus-verify --all`; any error-severity diagnostic makes
-//! the process exit non-zero. This is the release-build counterpart of
-//! the `#[cfg(debug_assertions)]` gate in the executor.
+//! the process exit non-zero. The executor's own gate (`check_plan` in
+//! front of `execute` and `RowStream::spawn_plan`, in every build) sees
+//! the plans that are run; this sees all the repo can produce.
 
 use std::process::ExitCode;
 
 use taurus_common::DataType;
 use taurus_expr::ir::IrProgram;
 use taurus_ndp::{build_descriptor, TaurusDb};
-use taurus_optimizer::plan::{Plan, ScanNode};
+use taurus_optimizer::plan::{LookupJoinNode, NdpDecision, Plan, ScanNode};
 use taurus_verify::{verify_plan, Diagnostic, Severity};
 
 /// Per-query tally of what the static analyses concluded.
@@ -126,25 +127,25 @@ fn main() -> ExitCode {
     }
 }
 
-/// Walk every scan in the plan and verify the NDP descriptor it would
-/// ship: build it against the live catalog, then decode and abstractly
-/// interpret its predicate program — exactly the bytes a Page Store's
-/// plugin would cache.
+/// Walk every table access in the plan that carries an NDP decision (a
+/// scan, or the inner side of a lookup join that reads by NDP key reads)
+/// and verify the NDP descriptor it would ship: build it against the live
+/// catalog, then decode and abstractly interpret its predicate program —
+/// exactly the bytes a Page Store's plugin would cache.
 fn check_descriptors(plan: &Plan, db: &TaurusDb, diags: &mut Vec<Diagnostic>, t: &mut Tally) {
-    for_each_scan(plan, &mut |node, path| {
-        let Some(decision) = &node.ndp else { return };
-        let table = match db.table(&node.table) {
+    for_each_decision(plan, &mut |table_name, index, decision, path| {
+        let table = match db.table(table_name) {
             Ok(tb) => tb,
             Err(e) => {
                 diags.push(Diagnostic::error(
                     taurus_verify::DiagKind::UnknownTable,
                     path,
-                    format!("table {}: {e}", node.table),
+                    format!("table {table_name}: {e}"),
                 ));
                 return;
             }
         };
-        let desc = match build_descriptor(table.index(node.index), &decision.choice, 0) {
+        let desc = match build_descriptor(table.index(index), &decision.choice, 0) {
             Ok(d) => d,
             Err(e) => {
                 diags.push(Diagnostic::error(
@@ -211,6 +212,39 @@ fn range_report(plan: &Plan, db: &TaurusDb, t: &mut Tally) {
             t.proven += 1;
         }
     });
+}
+
+fn for_each_decision(plan: &Plan, f: &mut impl FnMut(&str, usize, &NdpDecision, &str)) {
+    for_each_scan(plan, &mut |node, path| {
+        if let Some(decision) = &node.ndp {
+            f(&node.table, node.index, decision, path);
+        }
+    });
+    for_each_lookup(plan, &mut |join| {
+        if let Some(decision) = &join.inner_ndp {
+            f(&join.table, join.index, decision, "LookupJoin");
+        }
+    });
+}
+
+fn for_each_lookup(plan: &Plan, f: &mut impl FnMut(&LookupJoinNode)) {
+    match plan {
+        Plan::Scan(_) | Plan::AggScan(_) => {}
+        Plan::LookupJoin(j) => {
+            f(j);
+            for_each_lookup(&j.outer, f);
+        }
+        Plan::HashJoin(j) => {
+            for_each_lookup(&j.left, f);
+            for_each_lookup(&j.right, f);
+        }
+        Plan::HashAgg(a) => for_each_lookup(&a.input, f),
+        Plan::Project(p) => for_each_lookup(&p.input, f),
+        Plan::Filter(fl) => for_each_lookup(&fl.input, f),
+        Plan::Sort(s) => for_each_lookup(&s.input, f),
+        Plan::Limit { input, .. } => for_each_lookup(input, f),
+        Plan::Exchange(e) => for_each_lookup(&e.child, f),
+    }
 }
 
 fn for_each_scan(plan: &Plan, f: &mut impl FnMut(&ScanNode, &str)) {

@@ -137,9 +137,10 @@
 //! plan would compile (scalar IR and its vectorized twin), and returns
 //! structured [`verify::Diagnostic`]s with plan-path locations instead
 //! of letting a malformed tree surface as an internal error mid-scan.
-//! Debug builds run [`verify::check_plan`] as a gate in front of every
-//! execution entry point; CI runs the `taurus-verify` binary over every
-//! registry plan and NDP descriptor program. The companion range
+//! Every build runs [`verify::check_plan`] as a gate in front of the
+//! execution entry points, once per statement (a plan that arrives over
+//! the wire is verified like any other); CI runs the `taurus-verify`
+//! binary over every registry plan and NDP descriptor program. The companion range
 //! analysis proves TPC-H-style decimal predicates rescale-overflow-free
 //! so the columnar kernels skip their per-lane checked-overflow
 //! deferral (see `DESIGN.md`, "Static verification").

@@ -12,15 +12,24 @@
 //! columns, groups that end behind their carrier, a scalar aggregate
 //! whose carrier moves to a later page), the NDP pages are equal byte for
 //! byte and the statistics are equal.
+//!
+//! A request may carry a key set (a lookup join's batched key access): a
+//! record whose key starts with no listed key is dropped before anything
+//! else looks at it. The oracle says so in one line over decoded values;
+//! the plugin merges the chain against the sorted set. Both run under no
+//! key set, one key, every key, keys that fall between records, prefix
+//! keys (a whole group, over page boundaries) and keys before and after
+//! every record.
 
 use std::sync::Arc;
 
 use taurus::btree::{ScanRange, TreeStore};
+use taurus::common::schema::encode_key;
 use taurus::common::{ClusterConfig, DataType, Date32, Dec, SpaceId, Value};
 use taurus::expr::agg::{encode_states, AggSpec, AggState};
 use taurus::expr::ast::Expr;
 use taurus::expr::compile::lower;
-use taurus::expr::descriptor::{NdpAggSpec, NdpDescriptor};
+use taurus::expr::descriptor::{encode_key_set, KeySet, NdpAggSpec, NdpDescriptor};
 use taurus::expr::vm::TriBool;
 use taurus::ndp::{build_descriptor, TaurusDb};
 use taurus::optimizer::plan::{Plan, ScanNode};
@@ -31,8 +40,14 @@ use taurus::prelude::Session;
 /// The old plugin: every record becomes values, survivors are re-encoded,
 /// emissions are sorted back into chain order. `cross_page` is
 /// `process_batch` on a scalar aggregate; otherwise every page stands
-/// alone, as in `process_page`.
-fn oracle(cd: &CachedDescriptor, pages: &[&Page], cross_page: bool) -> (Vec<Page>, PluginStats) {
+/// alone, as in `process_page`. With `listed` keys, a record whose key
+/// extends none of them does not exist.
+fn oracle(
+    cd: &CachedDescriptor,
+    listed: Option<&[Vec<u8>]>,
+    pages: &[&Page],
+    cross_page: bool,
+) -> (Vec<Page>, PluginStats) {
     let agg = cd.desc.aggregation.as_ref();
     let new_states = || -> Vec<AggState> {
         let specs = agg.map_or(&[][..], |a| &a.specs[..]);
@@ -84,6 +99,13 @@ fn oracle(cd: &CachedDescriptor, pages: &[&Page], cross_page: bool) -> (Vec<Page
         for (seq, rec) in page.iter_chain().enumerate() {
             let rec = RecordView::parse(rec.unwrap(), &cd.layout).unwrap();
             stats.records_in += 1;
+            if let Some(listed) = listed {
+                let key = key_of(cd, &rec);
+                if !listed.iter().any(|k| key.starts_with(k)) {
+                    stats.records_key_filtered += 1;
+                    continue;
+                }
+            }
             let visible = rec.trx_id() < cd.desc.low_watermark;
             if visible && rec.delete_mark() {
                 continue;
@@ -148,21 +170,97 @@ fn oracle(cd: &CachedDescriptor, pages: &[&Page], cross_page: bool) -> (Vec<Page
     (out, stats)
 }
 
+/// The first `n` key columns of `rec`, encoded from its decoded values.
+fn key_prefix(cd: &CachedDescriptor, rec: &RecordView<'_>, n: usize) -> Vec<u8> {
+    let values = rec.values();
+    let (key_values, dtypes): (Vec<Value>, Vec<DataType>) = cd.key_positions[..n]
+        .iter()
+        .map(|&p| (values[p].clone(), cd.layout.dtypes[p]))
+        .unzip();
+    encode_key(&key_values, &dtypes)
+}
+
+fn key_of(cd: &CachedDescriptor, rec: &RecordView<'_>) -> Vec<u8> {
+    key_prefix(cd, rec, cd.key_positions.len())
+}
+
+/// `keys` sorted, without repeats, as a request would carry them.
+fn key_set(mut keys: Vec<Vec<u8>>) -> (Vec<Vec<u8>>, KeySet) {
+    keys.sort();
+    keys.dedup();
+    let mut stream = Vec::new();
+    encode_key_set(keys.iter().map(Vec::as_slice), &mut stream);
+    let set = KeySet::parse(&Arc::new(stream), 0).unwrap().unwrap();
+    (keys, set)
+}
+
+/// Key sets over `pages`, by name: what a chunk of probe keys can look
+/// like from a leaf's point of view.
+fn key_sets(cd: &CachedDescriptor, pages: &[Arc<Page>]) -> Vec<(&'static str, Vec<Vec<u8>>)> {
+    let n_key_cols = cd.key_positions.len();
+    let records: Vec<RecordView<'_>> = pages
+        .iter()
+        .flat_map(|p| p.iter_chain())
+        .map(|rec| RecordView::parse(rec.unwrap(), &cd.layout).unwrap())
+        .collect();
+    let full: Vec<Vec<u8>> = records.iter().map(|r| key_of(cd, r)).collect();
+    let groups: Vec<Vec<u8>> = records.iter().map(|r| key_prefix(cd, r, 1)).collect();
+    let mut sets = vec![("every key", full.clone()), ("no key at all", Vec::new())];
+    if let Some(middle) = full.get(full.len() / 2) {
+        sets.push(("one key", vec![middle.clone()]));
+        // A group's prefix with a byte no key part starts with sorts
+        // behind the group's records and ahead of the next group's.
+        let between = groups.iter().step_by(3).map(|g| [&g[..], &[0xFF]].concat());
+        sets.push(("keys between records", between.collect()));
+        sets.push((
+            "keys before and after every record",
+            vec![vec![0x00], vec![0xFF]],
+        ));
+    }
+    if n_key_cols > 1 && !groups.is_empty() {
+        sets.push(("every third group, by prefix", {
+            let mut distinct = groups.clone();
+            distinct.dedup();
+            distinct.into_iter().step_by(3).collect()
+        }));
+        // Prefix keys and full keys together, never of one group.
+        let mixed = records.iter().enumerate().filter_map(|(i, r)| {
+            let g = groups[i][groups[i].len() - 1] % 3;
+            match g {
+                0 => Some(groups[i].clone()),
+                1 if i % 2 == 0 => Some(key_of(cd, r)),
+                _ => None,
+            }
+        });
+        sets.push(("prefix keys among full keys", mixed.collect()));
+    }
+    sets
+}
+
 fn add(total: &mut PluginStats, page: &PluginStats) {
     total.records_in += page.records_in;
+    total.records_key_filtered += page.records_key_filtered;
     total.records_filtered += page.records_filtered;
     total.records_aggregated += page.records_aggregated;
     total.ambiguous += page.ambiguous;
 }
 
-/// Both entry points against the oracle on `pages`.
-fn compare(cd: &CachedDescriptor, pages: &[Arc<Page>], what: &str) -> PluginStats {
+/// Both entry points against the oracle on `pages`, under the key set
+/// `listed` if there is one.
+fn compare(
+    cd: &CachedDescriptor,
+    listed: Option<Vec<Vec<u8>>>,
+    pages: &[Arc<Page>],
+    what: &str,
+) -> PluginStats {
+    let (listed, keys) = listed.map(key_set).unzip();
+    let (listed, keys) = (listed.as_deref(), keys.as_ref());
     let refs: Vec<&Page> = pages.iter().map(|p| &**p).collect();
     // Page by page.
     let mut total = PluginStats::default();
     for (i, page) in refs.iter().enumerate() {
-        let (want, want_stats) = oracle(cd, &[page], false);
-        let (got, got_stats) = InnodbNdpPlugin.process_page(cd, page).unwrap();
+        let (want, want_stats) = oracle(cd, listed, &[page], false);
+        let (got, got_stats) = InnodbNdpPlugin.process_page(cd, keys, page).unwrap();
         assert_eq!(got_stats, want_stats, "{what}: page {i} statistics");
         assert!(got.bytes() == want[0].bytes(), "{what}: page {i}");
         got.verify_checksum().unwrap();
@@ -179,8 +277,8 @@ fn compare(cd: &CachedDescriptor, pages: &[Arc<Page>], what: &str) -> PluginStat
         .enumerate()
         .map(|(i, p)| (i as u32, p.clone()))
         .collect();
-    let (want, want_stats) = oracle(cd, &refs, scalar);
-    let (mut got, got_stats) = InnodbNdpPlugin.process_batch(cd, &numbered).unwrap();
+    let (want, want_stats) = oracle(cd, listed, &refs, scalar);
+    let (mut got, got_stats) = InnodbNdpPlugin.process_batch(cd, keys, &numbered).unwrap();
     assert_eq!(got_stats, want_stats, "{what}: batch statistics");
     got.sort_by_key(|(no, _)| *no);
     assert_eq!(got.len(), want.len(), "{what}: one NDP page per page");
@@ -220,7 +318,7 @@ fn every_tpch_descriptor_over_every_leaf_of_its_table() {
     taurus::tpch::load(&db, 0.002, 42).unwrap();
     db.buffer_pool().clear();
     let session = Session::new(&db).with_ndp(true);
-    let (mut descriptors, mut filtered, mut survivors) = (0, 0, 0);
+    let (mut descriptors, mut filtered, mut survivors, mut key_filtered) = (0, 0, 0, 0);
     for (name, text) in taurus::sql::tpch_sql::all() {
         let taurus::sql::Statement::Select(select) = taurus::sql::parse(text).unwrap() else {
             panic!("{name} is a SELECT");
@@ -256,17 +354,24 @@ fn every_tpch_descriptor_over_every_leaf_of_its_table() {
                 let desc = build_descriptor(index, &decision.choice, watermark).unwrap();
                 let cd = CachedDescriptor::prepare(&desc.encode()).unwrap();
                 let what = format!("{name} {} watermark {watermark}", node.table);
-                let stats = compare(&cd, &leaves, &what);
+                let stats = compare(&cd, None, &leaves, &what);
                 descriptors += 1;
                 filtered += stats.records_filtered;
                 survivors += stats.records_in - stats.records_filtered - stats.ambiguous;
+                // What a lookup join into this table would send along.
+                for (set, listed) in key_sets(&cd, &leaves) {
+                    if matches!(set, "one key" | "prefix keys among full keys") {
+                        let stats = compare(&cd, Some(listed), &leaves, &format!("{what}, {set}"));
+                        key_filtered += stats.records_key_filtered;
+                    }
+                }
             }
         });
     }
     assert!(descriptors >= 20, "pushed scans: {descriptors}");
     assert!(
-        filtered > 10_000 && survivors > 10_000,
-        "{filtered} / {survivors}"
+        filtered > 10_000 && survivors > 10_000 && key_filtered > 10_000,
+        "{filtered} / {survivors} / {key_filtered}"
     );
 }
 
@@ -555,8 +660,13 @@ fn synthetic_pages_match_the_oracle() {
     let mut total = PluginStats::default();
     for (name, cd) in descriptors() {
         for (input, pages) in &inputs {
-            let stats = compare(&cd, pages, &format!("{name}, {input}"));
+            let stats = compare(&cd, None, pages, &format!("{name}, {input}"));
             add(&mut total, &stats);
+            for (set, listed) in key_sets(&cd, pages) {
+                let what = format!("{name}, {input}, {set}");
+                let stats = compare(&cd, Some(listed), pages, &what);
+                add(&mut total, &stats);
+            }
         }
     }
     // Every fate was exercised.
@@ -564,4 +674,5 @@ fn synthetic_pages_match_the_oracle() {
     assert!(total.records_filtered > 500, "{total:?}");
     assert!(total.records_aggregated > 1_000, "{total:?}");
     assert!(total.ambiguous > 2_000, "{total:?}");
+    assert!(total.records_key_filtered > 10_000, "{total:?}");
 }

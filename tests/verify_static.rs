@@ -13,10 +13,11 @@ use taurus::common::{BatchLayout, DataType, Error, Value};
 use taurus::expr::ast::{CmpOp, Expr};
 use taurus::expr::ir::{IrInstr, IrProgram};
 use taurus::expr::vector::VectorProgram;
+use taurus::ndp::NdpChoice;
 use taurus::ndp::TaurusDb;
 use taurus::optimizer::plan::{
-    AggFuncEx, AggItem, AggScanNode, HashJoinNode, JoinType, NdpDecision, Plan, RangeSpec,
-    ScanNode, SortNode,
+    AggFuncEx, AggItem, AggScanNode, HashJoinNode, JoinType, LookupJoinNode, NdpDecision, Plan,
+    RangeSpec, ScanNode, SortNode,
 };
 use taurus::prelude::Session;
 use taurus::verify::{verify_plan, DiagKind, Severity};
@@ -202,6 +203,131 @@ fn equivalence_is_pinned() {
     assert!(diags
         .iter()
         .any(|d| d.kind == DiagKind::Equivalence && d.severity == Severity::Error));
+}
+
+// --- a lookup join's NDP key-read decision ----------------------------------
+
+/// `orders` semi-joined to `lineitem` through `index`, Q4's shape: the
+/// inner predicate reads `l_commitdate` and `l_receiptdate`, the join
+/// wants `l_suppkey`.
+fn lookup_with_decision(index: usize, decision: NdpDecision) -> Plan {
+    Plan::LookupJoin(LookupJoinNode {
+        outer: Box::new(Plan::Scan(ScanNode::new("orders", vec![0]))),
+        table: "lineitem".into(),
+        index,
+        outer_key_cols: vec![0],
+        on: None,
+        inner_output: vec![2],
+        join: JoinType::Semi,
+        inner_predicate: vec![
+            Expr::lt(Expr::col(11), Expr::col(12)),
+            Expr::lt(Expr::col(4), Expr::dec("24")),
+        ],
+        inner_ndp: Some(decision),
+    })
+}
+
+/// What the optimizer would decide: the date test pushed, and a
+/// projection of the output, the residual's column and the key.
+fn sound_decision() -> NdpDecision {
+    NdpDecision {
+        choice: NdpChoice {
+            projection: Some(vec![0, 2, 3, 4]),
+            predicate: Some(Expr::lt(Expr::col(11), Expr::col(12))),
+            aggregation: None,
+        },
+        pushed: vec![0],
+    }
+}
+
+/// Every way in is gated, in every build profile (run this file with
+/// `--release` too): collect and stream both answer a malformed decision
+/// with the typed error, before anything runs.
+fn assert_rejected(plan: &Plan, kind: DiagKind) {
+    assert!(has_error(plan, kind), "{:?}", kinds(plan));
+    let session = Session::new(catalog());
+    let err = session.execute_plan(plan).unwrap_err();
+    assert!(
+        matches!(&err, Error::Verify(m) if m.contains(&format!("{kind:?}"))),
+        "{err:?}"
+    );
+    let mut stream = session.stream_plan(plan.clone());
+    assert!(matches!(stream.next(), Some(Err(Error::Verify(_)))));
+    assert!(stream.next().is_none());
+}
+
+#[test]
+fn a_sound_key_read_decision_passes() {
+    let plan = lookup_with_decision(0, sound_decision());
+    assert!(
+        !kinds(&plan).iter().any(|(_, s)| *s == Severity::Error),
+        "{:?}",
+        verify_plan(&plan, catalog())
+    );
+    assert!(Session::new(catalog())
+        .execute_plan(&plan)
+        .unwrap()
+        .is_empty());
+}
+
+#[test]
+fn key_read_pushed_index_out_of_range_is_pinned() {
+    let mut d = sound_decision();
+    d.pushed = vec![0, 2];
+    assert_rejected(&lookup_with_decision(0, d), DiagKind::PushedOutOfRange);
+}
+
+#[test]
+fn key_read_projection_must_keep_output_residual_and_key() {
+    // The join's output, the residual conjunct's column, a key column.
+    for dropped in [2, 4, 3] {
+        let mut d = sound_decision();
+        d.choice
+            .projection
+            .as_mut()
+            .unwrap()
+            .retain(|&c| c != dropped);
+        assert_rejected(
+            &lookup_with_decision(0, d),
+            DiagKind::NdpProjectionDropsColumn,
+        );
+    }
+    // Pushing the second conjunct too frees its column.
+    let mut d = sound_decision();
+    d.pushed = vec![0, 1];
+    d.choice.projection = Some(vec![0, 2, 3]);
+    assert!(!has_error(
+        &lookup_with_decision(0, d),
+        DiagKind::NdpProjectionDropsColumn
+    ));
+}
+
+#[test]
+fn key_read_on_a_non_covering_access_is_pinned() {
+    // `i_l_suppkey` stores l_suppkey and the primary key, not the dates.
+    let d = NdpDecision {
+        choice: NdpChoice::default(),
+        pushed: vec![],
+    };
+    assert_rejected(
+        &lookup_with_decision(taurus::tpch::schema::idx::L_SUPPKEY, d),
+        DiagKind::NdpOnNonCovering,
+    );
+}
+
+/// A pushed inner conjunct is compiled like a scan's: its program gets the
+/// same IR checks (here: an operand no comparison takes).
+#[test]
+fn key_read_pushed_conjuncts_get_the_scan_predicate_checks() {
+    let mut plan = lookup_with_decision(0, sound_decision());
+    if let Plan::LookupJoin(j) = &mut plan {
+        j.inner_predicate[0] = Expr::lt(Expr::col(15), Expr::int(5));
+    }
+    let diags = verify_plan(&plan, catalog());
+    assert!(
+        diags.iter().any(|d| d.kind == DiagKind::TypeMismatch),
+        "{diags:?}"
+    );
 }
 
 // --- the gate: rejected plans fail before any operator opens ---------------
