@@ -24,21 +24,13 @@
 //!   the scan, on record bytes; few rows cross, the per-record work
 //!   dominates.
 //!
-//! Run with `cargo bench --bench ablation_row_batch`. The final JSON
-//! blocks are what `BENCH_row_batch.json` and `BENCH_columnar.json` at
-//! the repo root record.
+//! Run with `cargo bench --bench ablation_row_batch`. The JSON block
+//! it prints is what `BENCH_row_batch.json` at the repo root records.
 //!
-//! The columnar extension measures two layers:
-//!
-//! * **filter kernel**: one Q6-shaped predicate over an in-memory
-//!   64k-row batch — `eval_pred` per row (row-major) vs one
-//!   `VectorProgram::eval_batch` (column-at-a-time). This isolates the
-//!   expression-evaluation win from pipeline plumbing.
-//! * **pipeline**: the same three workload shapes end-to-end under
-//!   `BatchLayout::Row` vs `BatchLayout::Columnar` — full scan (column
-//!   materialization + boundary conversion, no filter win available),
-//!   selective filter (selection vectors carry the win), and the
-//!   Q1-style aggregation (filter columnar, breaker converts to rows).
+//! A second table isolates the expression kernel: one Q6-shaped
+//! predicate over an in-memory 64k-row batch, `eval_pred` per row (what
+//! the operators run) vs one `VectorProgram::eval_batch` (column at a
+//! time, what `benchmark/` reports as `expr.vector_filter_ns_per_row`).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -46,13 +38,12 @@ use std::time::Instant;
 use criterion::{black_box, Criterion};
 use taurus_bench::{header, setup};
 use taurus_common::schema::Row;
-use taurus_common::{BatchLayout, ClusterConfig, ColumnBatch, DataType, Date32, Dec, Value};
+use taurus_common::{ClusterConfig, ColumnBatch, DataType, Date32, Dec, Value};
 use taurus_executor::Session;
 use taurus_expr::ast::Expr;
 use taurus_expr::eval::eval_pred;
 use taurus_expr::vector::VectorProgram;
 use taurus_ndp::TaurusDb;
-use taurus_tpch::tpch_queries;
 
 const SF: f64 = 0.01;
 const BATCH_SIZES: [usize; 5] = [1, 64, 256, 1024, 4096];
@@ -129,16 +120,6 @@ fn median_ms(mut f: impl FnMut() -> usize) -> (usize, f64) {
     }
     times.sort_by(|a, b| a.total_cmp(b));
     (n, times[times.len() / 2])
-}
-
-/// Q1's full run (filter → wide aggregation → sort) through the public
-/// query entry point — the aggregation breaker converts columns to rows.
-fn drain_q1(db: &Arc<TaurusDb>) -> usize {
-    let q1 = tpch_queries()
-        .into_iter()
-        .find(|q| q.name == "Q1")
-        .expect("Q1 present");
-    (q1.run)(db, None).unwrap().len()
 }
 
 const KERNEL_ROWS: usize = 64 * 1024;
@@ -264,61 +245,12 @@ fn main() {
     );
     println!("}}");
 
-    // ------- columnar extension: row-major vs column-at-a-time -------
-    header("Ablation: batch layout (row-major vs columnar, batch = 1024)");
+    // ------- filter kernel: row at a time vs column at a time -------
+    header("Ablation: filter kernel (eval_pred per row vs VectorProgram per batch)");
     let (survivors, scalar_ms, vector_ms) = bench_filter_kernel();
     println!(
         "filter kernel ({KERNEL_ROWS} rows, {survivors} survive): scalar {scalar_ms:.2} ms, \
          vector {vector_ms:.2} ms ({:.2}x)",
         scalar_ms / vector_ms
     );
-    println!(
-        "{:>16} {:>12} {:>12} {:>12} {:>10}",
-        "workload", "rows", "row ms", "columnar ms", "speedup"
-    );
-    let mut layout_json: Vec<String> = Vec::new();
-    let workloads: [(&str, fn(&Arc<TaurusDb>) -> usize); 3] = [
-        ("full_scan", drain_full),
-        ("selective_filter", drain_selective),
-        ("q1_agg", drain_q1),
-    ];
-    let mut cfg_row = pipeline_config(1024);
-    cfg_row.batch_layout = BatchLayout::Row;
-    let mut cfg_col = pipeline_config(1024);
-    cfg_col.batch_layout = BatchLayout::Columnar;
-    let row_db = setup(SF, cfg_row);
-    let col_db = setup(SF, cfg_col);
-    for (name, f) in workloads {
-        f(&row_db); // warm both pools
-        f(&col_db);
-        let (row_rows, row_ms) = measure(&row_db, f);
-        let (col_rows, col_ms) = measure(&col_db, f);
-        assert_eq!(row_rows, col_rows, "{name}: layout parity");
-        println!(
-            "{name:>16} {row_rows:>12} {row_ms:>12.1} {col_ms:>12.1} {:>9.2}x",
-            row_ms / col_ms
-        );
-        layout_json.push(format!(
-            "    {{\"workload\": \"{name}\", \"rows_out\": {row_rows}, \"row_median_ms\": {row_ms:.2}, \
-             \"columnar_median_ms\": {col_ms:.2}, \"speedup\": {:.2}}}",
-            row_ms / col_ms
-        ));
-    }
-    println!();
-    println!("--- BENCH_columnar.json ---");
-    println!("{{");
-    println!("  \"bench\": \"ablation_row_batch (columnar extension)\",");
-    println!("  \"workload\": \"TPC-H lineitem SF {SF}, batch 1024, warm buffer pool; kernel: {KERNEL_ROWS}-row Q6-shaped batch\",");
-    println!("  \"samples_per_point\": {SAMPLES},");
-    println!("  \"filter_kernel\": {{");
-    println!("    \"rows\": {KERNEL_ROWS},");
-    println!("    \"survivors\": {survivors},");
-    println!("    \"scalar_median_ms\": {scalar_ms:.3},");
-    println!("    \"vector_median_ms\": {vector_ms:.3},");
-    println!("    \"speedup\": {:.2}", scalar_ms / vector_ms);
-    println!("  }},");
-    println!("  \"pipeline\": [");
-    println!("{}", layout_json.join(",\n"));
-    println!("  ]");
-    println!("}}");
 }

@@ -1,30 +1,12 @@
-//! Column-major batches: the executor's vectorized interchange format.
+//! Column-major batches for the vectorized filter kernel.
 //!
 //! A [`ColumnBatch`] holds one typed vector per column — specialized
 //! `i64`/`Dec`/`Date`/`f64` arrays plus a [`Value`] fallback — each with a
-//! validity bitmap, and an optional **selection vector**: a sorted list of
-//! physical row indices that survive the filters applied so far. Filters
-//! shrink the selection instead of compacting the columns, so a pipeline
-//! of Filter → Project → Limit touches the column payload zero times; only
-//! a pipeline breaker (sort, aggregation, join build, the wire boundary)
-//! pays the gather, via [`ColumnBatch::to_row_batch`].
-//!
-//! Selection-vector lifetime rules (also in DESIGN.md):
-//!
-//! 1. A batch under construction (`push_row`) has **no** selection; setting
-//!    one freezes the physical rows (`push_row` after `set_selection` is a
-//!    debug-assert violation).
-//! 2. Selections only ever shrink: downstream operators intersect, never
-//!    extend. Indices are sorted, unique and in-bounds — every mutation
-//!    site re-checks this in debug builds.
-//! 3. `to_row_batch` / `into_row_batch` resolve the selection (the gather)
-//!    and drop it; the resulting [`RowBatch`] is dense.
-//!
-//! [`Batch`] is the row/column sum type operators exchange; the row-major
-//! [`RowBatch`] remains the boundary format for the wire protocol and all
-//! pipeline breakers.
+//! validity bitmap. It is the input of `taurus_expr::vector::VectorProgram`,
+//! which `benchmark/` times against the row-at-a-time `eval_pred` as
+//! `expr.vector_filter_ns_per_row`. Operators never exchange it: the
+//! executor's only batch type is the row-major [`crate::RowBatch`].
 
-use crate::batch::RowBatch;
 use crate::value::{DataType, Date32, Dec, Value};
 
 /// A fixed-length validity (or truth) bitmap: bit `i` set ⇔ row `i` valid.
@@ -38,16 +20,6 @@ pub struct Bitmap {
 impl Bitmap {
     pub fn new() -> Bitmap {
         Bitmap::default()
-    }
-
-    /// A bitmap of `len` bits, all set to `bit`.
-    pub fn with_len(len: usize, bit: bool) -> Bitmap {
-        let mut b = Bitmap {
-            words: vec![if bit { !0u64 } else { 0 }; len.div_ceil(64)],
-            len,
-        };
-        b.mask_tail();
-        b
     }
 
     /// Zero any bits past `len` (kept as an invariant so word-level ops
@@ -87,11 +59,6 @@ impl Bitmap {
 
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    pub fn clear(&mut self) {
-        self.words.clear();
-        self.len = 0;
     }
 
     pub fn truncate(&mut self, n: usize) {
@@ -305,94 +272,25 @@ impl ColumnVec {
             ColumnVec::Generic { vals, .. } => vals[i].clone(),
         }
     }
-
-    pub fn clear(&mut self) {
-        match self {
-            ColumnVec::Int64 { vals, valid } => {
-                vals.clear();
-                valid.clear();
-            }
-            ColumnVec::Dec { raw, valid, .. } => {
-                raw.clear();
-                valid.clear();
-            }
-            ColumnVec::Date { vals, valid } => {
-                vals.clear();
-                valid.clear();
-            }
-            ColumnVec::F64 { vals, valid } => {
-                vals.clear();
-                valid.clear();
-            }
-            ColumnVec::Generic { vals, valid } => {
-                vals.clear();
-                valid.clear();
-            }
-        }
-    }
-
-    fn truncate(&mut self, n: usize) {
-        match self {
-            ColumnVec::Int64 { vals, valid } => {
-                vals.truncate(n);
-                valid.truncate(n);
-            }
-            ColumnVec::Dec { raw, valid, .. } => {
-                raw.truncate(n);
-                valid.truncate(n);
-            }
-            ColumnVec::Date { vals, valid } => {
-                vals.truncate(n);
-                valid.truncate(n);
-            }
-            ColumnVec::F64 { vals, valid } => {
-                vals.truncate(n);
-                valid.truncate(n);
-            }
-            ColumnVec::Generic { vals, valid } => {
-                vals.truncate(n);
-                valid.truncate(n);
-            }
-        }
-    }
 }
 
-/// A column-major batch with an optional selection vector. Mirrors the
-/// [`RowBatch`] construction API (`with_capacity` / `push_row` / `is_full`
-/// / `clear`) so scans can build either layout behind one interface.
+/// A column-major batch: one typed [`ColumnVec`] per column, all of the
+/// same length.
 #[derive(Clone, Debug)]
 pub struct ColumnBatch {
     len: usize,
-    capacity_rows: usize,
     cols: Vec<ColumnVec>,
-    selection: Option<Vec<u32>>,
 }
 
 impl ColumnBatch {
     /// A batch with one specialized column per declared type.
     pub fn with_capacity(dtypes: &[DataType], capacity_rows: usize) -> ColumnBatch {
-        let capacity_rows = capacity_rows.max(1);
-        let prealloc = capacity_rows.min(crate::batch::DEFAULT_SCAN_BATCH_ROWS);
         ColumnBatch {
             len: 0,
-            capacity_rows,
             cols: dtypes
                 .iter()
-                .map(|dt| ColumnVec::for_dtype(dt, prealloc))
+                .map(|dt| ColumnVec::for_dtype(dt, capacity_rows))
                 .collect(),
-            selection: None,
-        }
-    }
-
-    /// A batch of `width` generic columns (callers without declared types).
-    pub fn generic_with_capacity(width: usize, capacity_rows: usize) -> ColumnBatch {
-        let capacity_rows = capacity_rows.max(1);
-        let prealloc = capacity_rows.min(crate::batch::DEFAULT_SCAN_BATCH_ROWS);
-        ColumnBatch {
-            len: 0,
-            capacity_rows,
-            cols: (0..width).map(|_| ColumnVec::generic(prealloc)).collect(),
-            selection: None,
         }
     }
 
@@ -400,42 +298,20 @@ impl ColumnBatch {
         self.cols.len()
     }
 
-    /// Physical row count (ignores the selection).
     pub fn len(&self) -> usize {
         self.len
     }
 
-    /// Rows visible through the selection (== `len` when none is set).
-    pub fn selected_len(&self) -> usize {
-        match &self.selection {
-            Some(s) => s.len(),
-            None => self.len,
-        }
-    }
-
     pub fn is_empty(&self) -> bool {
-        self.selected_len() == 0
-    }
-
-    pub fn is_full(&self) -> bool {
-        self.len >= self.capacity_rows
-    }
-
-    pub fn capacity_rows(&self) -> usize {
-        self.capacity_rows
+        self.len == 0
     }
 
     pub fn col(&self, i: usize) -> &ColumnVec {
         &self.cols[i]
     }
 
-    /// Append one row across all columns. Only legal before a selection is
-    /// set (rule 1 of the selection lifetime contract).
+    /// Append one row across all columns.
     pub fn push_row(&mut self, row: impl IntoIterator<Item = Value>) {
-        debug_assert!(
-            self.selection.is_none(),
-            "push_row on a batch with a selection"
-        );
         let mut n = 0usize;
         for (col, v) in self.cols.iter_mut().zip(row) {
             col.push(v);
@@ -443,172 +319,6 @@ impl ColumnBatch {
         }
         assert_eq!(n, self.cols.len(), "row width != batch width");
         self.len += 1;
-        self.debug_check();
-    }
-
-    /// The value at (physical row, column).
-    pub fn value_at(&self, col: usize, row: usize) -> Value {
-        self.cols[col].get(row)
-    }
-
-    pub fn selection(&self) -> Option<&[u32]> {
-        self.selection.as_deref()
-    }
-
-    /// Install (or replace) the selection. Indices must be sorted, unique
-    /// and in-bounds; a replacement must be a subset in spirit (callers
-    /// intersect) — debug builds verify the ordering invariants.
-    pub fn set_selection(&mut self, sel: Vec<u32>) {
-        self.selection = Some(sel);
-        self.debug_check();
-    }
-
-    /// Physical row indices visible through the selection, in order.
-    pub fn selected_rows(&self) -> impl Iterator<Item = usize> + '_ {
-        let sel = self.selection.as_deref();
-        (0..self.selected_len()).map(move |i| match sel {
-            Some(s) => s[i] as usize,
-            None => i,
-        })
-    }
-
-    /// Keep only the first `n` *selected* rows (LIMIT). With a selection
-    /// this trims the selection; without one it trims the columns.
-    pub fn truncate_selected(&mut self, n: usize) {
-        match &mut self.selection {
-            Some(s) => s.truncate(n),
-            None => {
-                if n < self.len {
-                    for c in &mut self.cols {
-                        c.truncate(n);
-                    }
-                    self.len = n;
-                }
-            }
-        }
-        self.debug_check();
-    }
-
-    /// A batch of the columns in `keep` order (projection pass-through);
-    /// shares nothing, preserves the selection.
-    pub fn project_cols(&self, keep: &[usize]) -> ColumnBatch {
-        let cb = ColumnBatch {
-            len: self.len,
-            capacity_rows: self.capacity_rows,
-            cols: keep.iter().map(|&k| self.cols[k].clone()).collect(),
-            selection: self.selection.clone(),
-        };
-        cb.debug_check();
-        cb
-    }
-
-    /// Gather into a dense row-major batch, resolving the selection.
-    pub fn to_row_batch(&self) -> RowBatch {
-        let mut out = RowBatch::with_capacity(self.width(), self.selected_len().max(1));
-        for r in self.selected_rows() {
-            out.push_row(self.cols.iter().map(|c| c.get(r)));
-        }
-        out
-    }
-
-    pub fn into_row_batch(self) -> RowBatch {
-        self.to_row_batch()
-    }
-
-    pub fn clear(&mut self) {
-        for c in &mut self.cols {
-            c.clear();
-        }
-        self.len = 0;
-        self.selection = None;
-    }
-
-    /// Debug-build invariants, re-checked at every mutation site: each
-    /// column (and its validity bitmap) is exactly `len` rows; selection
-    /// indices are sorted, unique and in-bounds.
-    #[inline]
-    fn debug_check(&self) {
-        #[cfg(debug_assertions)]
-        {
-            for (i, c) in self.cols.iter().enumerate() {
-                debug_assert_eq!(c.len(), self.len, "column {i} length != batch len");
-                debug_assert_eq!(
-                    c.valid().len(),
-                    self.len,
-                    "column {i} validity bitmap != batch len"
-                );
-            }
-            if let Some(sel) = &self.selection {
-                for w in sel.windows(2) {
-                    debug_assert!(w[0] < w[1], "selection not sorted/unique: {:?}", &w[..2]);
-                }
-                if let Some(&last) = sel.last() {
-                    debug_assert!(
-                        (last as usize) < self.len,
-                        "selection index {last} out of {} rows",
-                        self.len
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// The operator interchange sum type: row-major or column-major. Pipeline
-/// breakers and the wire boundary call [`Batch::into_row_batch`]; pipeline
-/// operators handle both arms.
-#[derive(Clone, Debug)]
-pub enum Batch {
-    Row(RowBatch),
-    Col(ColumnBatch),
-}
-
-impl Batch {
-    pub fn width(&self) -> usize {
-        match self {
-            Batch::Row(b) => b.width(),
-            Batch::Col(b) => b.width(),
-        }
-    }
-
-    /// Rows a consumer will see (selection resolved).
-    pub fn selected_len(&self) -> usize {
-        match self {
-            Batch::Row(b) => b.len(),
-            Batch::Col(b) => b.selected_len(),
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.selected_len() == 0
-    }
-
-    /// Resolve to dense row-major form (the breaker/boundary gather).
-    pub fn into_row_batch(self) -> RowBatch {
-        match self {
-            Batch::Row(b) => b,
-            Batch::Col(b) => b.into_row_batch(),
-        }
-    }
-
-    /// Keep only the first `n` visible rows (LIMIT).
-    pub fn truncate_selected(&mut self, n: usize) {
-        match self {
-            Batch::Row(b) => b.truncate_rows(n),
-            Batch::Col(b) => b.truncate_selected(n),
-        }
-    }
-}
-
-impl From<RowBatch> for Batch {
-    fn from(b: RowBatch) -> Batch {
-        Batch::Row(b)
-    }
-}
-
-impl From<ColumnBatch> for Batch {
-    fn from(b: ColumnBatch) -> Batch {
-        Batch::Col(b)
     }
 }
 
@@ -668,11 +378,11 @@ mod tests {
         for i in 0..5 {
             let want = sample_row(i as i64);
             for (c, w) in want.iter().enumerate() {
-                assert_eq!(cb.value_at(c, i), *w, "({c},{i})");
+                assert_eq!(cb.col(c).get(i), *w, "({c},{i})");
             }
         }
         for c in 0..5 {
-            assert_eq!(cb.value_at(c, 5), Value::Null);
+            assert_eq!(cb.col(c).get(5), Value::Null);
             assert!(!cb.col(c).valid().get(5));
         }
     }
@@ -707,111 +417,9 @@ mod tests {
     }
 
     #[test]
-    fn selection_gather_matches_dense_subset() {
-        let mut cb = ColumnBatch::with_capacity(&dtypes(), 16);
-        for i in 0..10 {
-            cb.push_row(sample_row(i));
-        }
-        cb.set_selection(vec![1, 4, 9]);
-        assert_eq!(cb.selected_len(), 3);
-        assert_eq!(cb.len(), 10);
-        let rb = cb.to_row_batch();
-        assert_eq!(rb.len(), 3);
-        assert_eq!(rb.row(0), sample_row(1).as_slice());
-        assert_eq!(rb.row(1), sample_row(4).as_slice());
-        assert_eq!(rb.row(2), sample_row(9).as_slice());
-    }
-
-    #[test]
-    fn truncate_selected_trims_selection_then_columns() {
-        let mut cb = ColumnBatch::with_capacity(&dtypes(), 16);
-        for i in 0..6 {
-            cb.push_row(sample_row(i));
-        }
-        let mut with_sel = cb.clone();
-        with_sel.set_selection(vec![0, 2, 4, 5]);
-        with_sel.truncate_selected(2);
-        assert_eq!(with_sel.selected_len(), 2);
-        assert_eq!(with_sel.len(), 6); // physical rows untouched
-        cb.truncate_selected(3);
-        assert_eq!(cb.len(), 3);
-        assert_eq!(cb.col(0).valid().len(), 3);
-    }
-
-    #[test]
-    fn project_cols_preserves_selection() {
-        let mut cb = ColumnBatch::with_capacity(&dtypes(), 8);
-        for i in 0..4 {
-            cb.push_row(sample_row(i));
-        }
-        cb.set_selection(vec![1, 3]);
-        let p = cb.project_cols(&[3, 0]);
-        assert_eq!(p.width(), 2);
-        assert_eq!(p.selection(), Some(&[1u32, 3][..]));
-        let rb = p.to_row_batch();
-        assert_eq!(rb.row(0), &[Value::str("row-1"), Value::Int(1)]);
-        assert_eq!(rb.row(1), &[Value::str("row-3"), Value::Int(3)]);
-    }
-
-    #[test]
-    fn batch_enum_boundary_contract() {
-        let mut cb = ColumnBatch::generic_with_capacity(2, 4);
-        cb.push_row(vec![Value::Int(1), Value::str("a")]);
-        cb.push_row(vec![Value::Int(2), Value::str("b")]);
-        cb.set_selection(vec![1]);
-        let mut b: Batch = cb.into();
-        assert_eq!(b.width(), 2);
-        assert_eq!(b.selected_len(), 1);
-        b.truncate_selected(1);
-        let rb = b.into_row_batch();
-        assert_eq!(rb.to_rows(), vec![vec![Value::Int(2), Value::str("b")]]);
-    }
-
-    // --- invariant-assert suite (each debug_assert driven once) -------------
-
-    #[test]
     #[should_panic(expected = "row width != batch width")]
     fn push_row_wrong_width_asserts() {
-        let mut cb = ColumnBatch::generic_with_capacity(3, 4);
+        let mut cb = ColumnBatch::with_capacity(&[DataType::BigInt; 3], 4);
         cb.push_row(vec![Value::Int(1)]);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "push_row on a batch with a selection")]
-    fn push_after_selection_asserts() {
-        let mut cb = ColumnBatch::generic_with_capacity(1, 4);
-        cb.push_row(vec![Value::Int(1)]);
-        cb.set_selection(vec![0]);
-        cb.push_row(vec![Value::Int(2)]);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "selection not sorted/unique")]
-    fn unsorted_selection_asserts() {
-        let mut cb = ColumnBatch::generic_with_capacity(1, 4);
-        cb.push_row(vec![Value::Int(1)]);
-        cb.push_row(vec![Value::Int(2)]);
-        cb.set_selection(vec![1, 0]);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "selection not sorted/unique")]
-    fn duplicate_selection_asserts() {
-        let mut cb = ColumnBatch::generic_with_capacity(1, 4);
-        cb.push_row(vec![Value::Int(1)]);
-        cb.push_row(vec![Value::Int(2)]);
-        cb.set_selection(vec![1, 1]);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "out of")]
-    fn out_of_bounds_selection_asserts() {
-        let mut cb = ColumnBatch::generic_with_capacity(1, 4);
-        cb.push_row(vec![Value::Int(1)]);
-        cb.set_selection(vec![7]);
     }
 }

@@ -29,28 +29,6 @@ fn env_usize_override(var: &str, default: usize) -> usize {
     }
 }
 
-/// Which in-memory layout scan batches use between executor operators.
-/// Both layouts are byte-identical at the wire/result boundary; the CI
-/// matrix runs the full suite under each.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BatchLayout {
-    /// Row-major [`crate::RowBatch`] everywhere (the pre-columnar path).
-    Row,
-    /// Column-major [`crate::ColumnBatch`] from the scan up to the first
-    /// pipeline breaker, with selection-vector filtering.
-    Columnar,
-}
-
-/// `TAURUS_BATCH_LAYOUT` override: `"columnar"` selects
-/// [`BatchLayout::Columnar`]; anything else (including unset/empty) keeps
-/// the row-major default.
-fn batch_layout_env_override() -> BatchLayout {
-    match std::env::var("TAURUS_BATCH_LAYOUT") {
-        Ok(v) if v.trim().eq_ignore_ascii_case("columnar") => BatchLayout::Columnar,
-        _ => BatchLayout::Row,
-    }
-}
-
 /// NDP behaviour knobs (compute-node side decisions + Page Store limits).
 #[derive(Clone, Debug)]
 pub struct NdpConfig {
@@ -322,10 +300,6 @@ pub struct ClusterConfig {
     /// row-at-a-time delivery; the default is
     /// [`crate::batch::DEFAULT_SCAN_BATCH_ROWS`].
     pub scan_batch_rows: usize,
-    /// Scan-batch layout between executor operators (row-major or
-    /// columnar with selection vectors). Env override
-    /// `TAURUS_BATCH_LAYOUT=columnar`; results are identical either way.
-    pub batch_layout: BatchLayout,
     /// Worker threads per Page Store dedicated to NDP (§IV-D2).
     pub pagestore_ndp_threads: usize,
     /// Bounded NDP request queue per Page Store; overflow => best-effort
@@ -359,7 +333,6 @@ impl Default for ClusterConfig {
             n_log_stores: 3,
             buffer_pool_pages: 2048,
             scan_batch_rows: scan_batch_rows_env_override(crate::batch::DEFAULT_SCAN_BATCH_ROWS),
-            batch_layout: batch_layout_env_override(),
             pagestore_ndp_threads: 4,
             pagestore_ndp_queue: 2048,
             pagestore_ndp_service_us: 0,
@@ -389,7 +362,6 @@ impl ClusterConfig {
             // Deliberately tiny and odd: mid-page capacity flushes and
             // partially-filled trailing batches get exercised everywhere.
             scan_batch_rows: scan_batch_rows_env_override(7),
-            batch_layout: batch_layout_env_override(),
             pagestore_ndp_threads: 2,
             pagestore_ndp_queue: 16,
             pagestore_ndp_service_us: 0,
@@ -497,24 +469,6 @@ mod tests {
         let c = ClusterConfig::small_for_tests();
         assert_eq!(c.govern.ndp_tenant_quota, g.ndp_tenant_quota);
         assert_eq!(c.fault.latency_ms, f.latency_ms);
-    }
-
-    #[test]
-    fn batch_layout_defaults_to_row_unless_columnar_requested() {
-        let c = ClusterConfig::small_for_tests();
-        match std::env::var("TAURUS_BATCH_LAYOUT") {
-            Ok(v) if v.trim().eq_ignore_ascii_case("columnar") => {
-                assert_eq!(c.batch_layout, BatchLayout::Columnar);
-            }
-            // Unset, empty or unknown values all keep the row default —
-            // CI legs set unused matrix dimensions to "".
-            _ => assert_eq!(c.batch_layout, BatchLayout::Row),
-        }
-        assert_eq!(
-            ClusterConfig::default().batch_layout,
-            c.batch_layout,
-            "both constructors honor the same override"
-        );
     }
 
     #[test]

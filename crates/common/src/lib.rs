@@ -2,10 +2,10 @@
 //!
 //! This crate holds everything the rest of the workspace agrees on:
 //! SQL values and data types ([`value`]), table schemas and key encoding
-//! ([`schema`]), the row batches of the vectorized result pipeline
-//! ([`batch`]) and their column-major counterpart with validity bitmaps
-//! and selection vectors ([`colbatch`]), byte-keyed hash maps for the
-//! breakers ([`keymap`]), error handling ([`error`]),
+//! ([`schema`]), the row batches operators exchange ([`batch`]), the
+//! column-major batches the vector filter kernel reads ([`colbatch`]),
+//! byte-keyed hash maps for the breakers ([`keymap`]), error handling
+//! ([`error`]),
 //! engine/cluster configuration
 //! ([`config`]) and the metrics registry used to reproduce the paper's
 //! network/CPU measurements ([`metrics`]).
@@ -22,10 +22,9 @@ pub mod schema;
 pub mod value;
 
 pub use batch::RowBatch;
-pub use colbatch::{Batch, Bitmap, ColumnBatch, ColumnVec};
+pub use colbatch::{Bitmap, ColumnBatch, ColumnVec};
 pub use config::{
-    BatchLayout, ClusterConfig, FaultConfig, GovernConfig, NdpConfig, NetworkConfig, ReplicaConfig,
-    ServerConfig,
+    ClusterConfig, FaultConfig, GovernConfig, NdpConfig, NetworkConfig, ReplicaConfig, ServerConfig,
 };
 pub use error::{Error, Result};
 pub use govern::{QueryCtx, TenantId, DEFAULT_TENANT};

@@ -260,13 +260,15 @@ metrics_struct! {
     /// Server: queries refused with the retryable `Overloaded` error
     /// because the worker-permit gate's wait queue was full.
     server_overload_refused,
-    /// Executor: physical rows evaluated by the column-at-a-time
-    /// (vectorized) predicate path — Filter operators, scan residuals
-    /// and Page-Store NDP pushdown all charge it.
+    /// Retired, always 0. It counted the rows the columnar `Filter`
+    /// evaluated column at a time, the only site that ever charged it;
+    /// that path is deleted (one batch layout, `RowBatch`). Still
+    /// declared because `STATS` is scraped by position, the metrics
+    /// manifest is append-only and `benchmark/` reads it.
     vector_eval_rows,
-    /// Executor: selectivity of the most recent vectorized filter, as
-    /// the percentage of a batch's physical rows that survived (set
-    /// absolutely per batch — a gauge, not an accumulating counter).
+    /// Retired, always 0: the survivor percentage of the columnar
+    /// `Filter`'s last batch (a gauge). Still declared for the same
+    /// reasons as `vector_eval_rows`.
     selection_density_pct,
     /// Server: SQL-text queries received over the wire (tag-4 payloads,
     /// including EXPLAIN).

@@ -51,12 +51,9 @@
 //! [`HOLD_PAGES_MAX`] pages have passed without a hand-off, so the first
 //! row of a `LIMIT 1` does not wait for the end of the table.
 //! Deadlines are checked at page boundaries; a consumer's stop is learned
-//! at the next hand-off. Under `ClusterConfig::batch_layout = Columnar`
-//! the batch is a column-major [`ColumnBatch`] (typed vectors + validity
-//! bitmaps) handed over through [`ScanConsumer::on_col_batch`]; otherwise
-//! it is the classical [`RowBatch`], lent by `&mut` through
-//! [`ScanConsumer::on_batch_mut`] so a consumer that keeps the rows can
-//! take the whole batch instead of copying it.
+//! at the next hand-off. The batch is a [`RowBatch`], lent by `&mut`
+//! through [`ScanConsumer::on_batch_mut`] so a consumer that keeps the
+//! rows can take the whole batch instead of copying it.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -64,9 +61,7 @@ use std::time::Instant;
 
 use taurus_btree::{ScanRange, TreeStore};
 use taurus_bufferpool::{BufferPool, NdpFrameGuard};
-use taurus_common::{
-    BatchLayout, ColumnBatch, DataType, Error, Metrics, PageNo, QueryCtx, Result, RowBatch, Value,
-};
+use taurus_common::{Error, Metrics, PageNo, QueryCtx, Result, RowBatch, Value};
 use taurus_expr::agg::{AggSpec, AggState};
 use taurus_expr::ast::Expr;
 use taurus_expr::descriptor::{encode_key_set, NdpAggSpec, NdpDescriptor};
@@ -181,14 +176,6 @@ pub trait ScanConsumer {
     /// the batch to [`ScanConsumer::on_batch`].
     fn on_batch_mut(&mut self, batch: &mut RowBatch) -> Result<bool> {
         self.on_batch(batch)
-    }
-
-    /// A column-major batch (`ClusterConfig::batch_layout = Columnar`).
-    /// The default gathers to row-major and delegates, so layout-blind
-    /// consumers keep working unchanged; hot consumers override this to
-    /// evaluate column-at-a-time without materializing rows.
-    fn on_col_batch(&mut self, batch: &ColumnBatch) -> Result<bool> {
-        self.on_batch(&batch.to_row_batch())
     }
 
     /// Partial aggregate states attached to the just-delivered carrier row.
@@ -336,58 +323,13 @@ struct ScanCtx<'a> {
     c: &'a Compiled,
 }
 
-/// The reusable output batch in whichever layout the cluster config
-/// selected. Both variants share the push/flush/clear lifecycle; only
-/// the flush call site dispatches differently.
-enum OutBatch {
-    Row(RowBatch),
-    Col(ColumnBatch),
-}
-
-impl OutBatch {
-    fn push_row(&mut self, row: impl IntoIterator<Item = Value>) {
-        match self {
-            OutBatch::Row(b) => b.push_row(row),
-            OutBatch::Col(b) => b.push_row(row),
-        }
-    }
-
-    fn is_full(&self) -> bool {
-        match self {
-            OutBatch::Row(b) => b.is_full(),
-            OutBatch::Col(b) => b.is_full(),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        match self {
-            OutBatch::Row(b) => b.is_empty(),
-            OutBatch::Col(b) => b.is_empty(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            OutBatch::Row(b) => b.len(),
-            OutBatch::Col(b) => b.len(),
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            OutBatch::Row(b) => b.clear(),
-            OutBatch::Col(b) => b.clear(),
-        }
-    }
-}
-
 /// The mutable side of a scan: statistics, the one output batch and the
 /// scratch buffers per-record work reuses. Kept apart from [`ScanCtx`] so
 /// delivery can mutate it while record views still borrow the context's
 /// layouts.
 struct ScanState {
     stats: ScanStats,
-    batch: OutBatch,
+    batch: RowBatch,
     /// Visible records examined since the last flush (`rows_scanned`).
     examined: u64,
     /// Page boundaries passed since the last hand-off.
@@ -525,26 +467,9 @@ impl Compiled {
 impl<'a> ScanCtx<'a> {
     /// Scan state whose output batch holds up to `capacity` rows.
     fn fresh_state(&self, capacity: usize) -> ScanState {
-        let width = self.spec.output_cols.len();
-        let batch = match self.db.config().batch_layout {
-            BatchLayout::Row => OutBatch::Row(RowBatch::with_capacity(width, capacity)),
-            BatchLayout::Columnar => {
-                // Output column types come from the table schema —
-                // NDP-projected rows decode to the same logical types, so
-                // one builder serves both paths.
-                let columns = &self.index.tree.def.table.columns;
-                let dtypes: Vec<DataType> = self
-                    .spec
-                    .output_cols
-                    .iter()
-                    .map(|&c| columns[c].dtype)
-                    .collect();
-                OutBatch::Col(ColumnBatch::with_capacity(&dtypes, capacity))
-            }
-        };
         ScanState {
             stats: ScanStats::default(),
-            batch,
+            batch: RowBatch::with_capacity(self.spec.output_cols.len(), capacity),
             examined: 0,
             pages_held: 0,
             seek_lower: self.spec.range.lower.is_some(),
@@ -580,10 +505,7 @@ impl<'a> ScanCtx<'a> {
         state.stats.rows_delivered += state.batch.len() as u64;
         m.add(|m| &m.rows_batched, state.batch.len() as u64);
         m.add(|m| &m.batches_emitted, 1);
-        let keep_going = match &mut state.batch {
-            OutBatch::Row(b) => consumer.on_batch_mut(b)?,
-            OutBatch::Col(b) => consumer.on_col_batch(b)?,
-        };
+        let keep_going = consumer.on_batch_mut(&mut state.batch)?;
         state.batch.clear();
         Ok(keep_going)
     }

@@ -71,8 +71,7 @@ pub(crate) fn execute_verified(plan: &Plan, ctx: &ExecContext<'_>) -> Result<Vec
         let mut root = crate::op::lower(plan, ctx, s)?;
         root.open()?;
         let mut out: Vec<Row> = Vec::new();
-        while let Some(batch) = root.next_batch()? {
-            let mut batch = batch.into_row_batch();
+        while let Some(mut batch) = root.next_batch()? {
             out.reserve(batch.len());
             out.extend(batch.drain_rows());
         }
@@ -424,22 +423,6 @@ impl ScanConsumer for StreamAggConsumer<'_> {
     fn on_batch(&mut self, batch: &RowBatch) -> Result<bool> {
         for row in batch.rows() {
             self.accept(row)?;
-        }
-        Ok(true)
-    }
-
-    // Columnar batches aggregate straight off the column vectors —
-    // `value_at` gathers one cell at a time, no RowBatch is ever built.
-    fn on_col_batch(&mut self, batch: &taurus_common::ColumnBatch) -> Result<bool> {
-        let mut row: Row = Vec::with_capacity(batch.width());
-        let indices: Vec<u32> = match batch.selection() {
-            Some(sel) => sel.to_vec(),
-            None => (0..batch.len() as u32).collect(),
-        };
-        for i in indices {
-            row.clear();
-            row.extend((0..batch.width()).map(|c| batch.value_at(c, i as usize)));
-            self.accept(&row)?;
         }
         Ok(true)
     }

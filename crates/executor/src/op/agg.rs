@@ -4,10 +4,10 @@
 //! and re-emits in batches. Group output order is the encoded-group-key
 //! order, exactly as the Volcano path always produced.
 
-use taurus_common::{Batch, Result};
+use taurus_common::{Result, RowBatch};
 use taurus_optimizer::plan::HashAggNode;
 
-use super::{charge_emit, BatchEmitter, BoxOp, Operator};
+use super::{emit_or_end, BatchEmitter, BoxOp, Operator};
 use crate::exec::{finalize_agg_groups, ExecContext, HashAggAcc};
 
 pub(crate) struct HashAggOp<'r, 'env> {
@@ -44,14 +44,11 @@ impl Operator for HashAggOp<'_, '_> {
         }
     }
 
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
+    fn next_batch(&mut self) -> Result<Option<RowBatch>> {
         if self.out.is_none() {
             let mut acc = HashAggAcc::new(self.node);
             if let Some(child) = &mut self.child {
                 while let Some(b) = child.next_batch()? {
-                    // Pipeline breaker: resolve any selection to dense
-                    // rows at the consumption boundary.
-                    let b = b.into_row_batch();
                     for row in b.rows() {
                         acc.update(row)?;
                     }
@@ -63,14 +60,11 @@ impl Operator for HashAggOp<'_, '_> {
             let rows = finalize_agg_groups(acc.finish())?;
             self.out = Some(BatchEmitter::new(rows, self.ctx.db));
         }
-        match self.out.as_mut().and_then(BatchEmitter::next_batch) {
-            Some(b) => {
-                let b = Batch::Row(b);
-                charge_emit(self.ctx.db, &b);
-                Ok(Some(b))
-            }
-            None => Ok(None),
-        }
+        Ok(self
+            .out
+            .as_mut()
+            .and_then(BatchEmitter::next_batch)
+            .and_then(|b| emit_or_end(self.ctx.db, b)))
     }
 
     fn close(&mut self) {

@@ -6,10 +6,10 @@
 //! merge cannot begin until every worker finishes — so the materialized
 //! hand-off here is the same one the worker protocol always had.
 
-use taurus_common::{Batch, Result};
+use taurus_common::{Result, RowBatch};
 use taurus_optimizer::plan::ExchangeNode;
 
-use super::{charge_emit, BatchEmitter, Operator};
+use super::{emit_or_end, BatchEmitter, Operator};
 use crate::exec::ExecContext;
 use crate::parallel::exec_exchange;
 
@@ -40,15 +40,12 @@ impl Operator for GatherOp<'_> {
         Ok(())
     }
 
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
-        match self.out.as_mut().and_then(BatchEmitter::next_batch) {
-            Some(b) => {
-                let b = Batch::Row(b);
-                charge_emit(self.ctx.db, &b);
-                Ok(Some(b))
-            }
-            None => Ok(None),
-        }
+    fn next_batch(&mut self) -> Result<Option<RowBatch>> {
+        Ok(self
+            .out
+            .as_mut()
+            .and_then(BatchEmitter::next_batch)
+            .and_then(|b| emit_or_end(self.ctx.db, b)))
     }
 
     fn close(&mut self) {

@@ -21,7 +21,7 @@
 //! however large the match fan-out.
 
 use taurus_common::schema::Row;
-use taurus_common::{Batch, KeyMap, Result, RowBatch, Value};
+use taurus_common::{KeyMap, Result, RowBatch, Value};
 use taurus_expr::ir::encode_value;
 use taurus_optimizer::plan::{HashJoinNode, JoinType, LookupJoinNode};
 
@@ -88,9 +88,7 @@ impl<'r, 'env> HashJoinOp<'r, 'env> {
             return Ok(());
         }
         if let Some(right) = &mut self.right {
-            while let Some(b) = right.next_batch()? {
-                // Build side materializes: selections resolve to rows.
-                let mut b = b.into_row_batch();
+            while let Some(mut b) = right.next_batch()? {
                 self.right_rows.reserve(b.len());
                 self.right_rows.extend(b.drain_rows());
             }
@@ -128,7 +126,7 @@ impl Operator for HashJoinOp<'_, '_> {
         Ok(())
     }
 
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
+    fn next_batch(&mut self) -> Result<Option<RowBatch>> {
         self.build_side()?;
         let out_width = match self.node.join {
             JoinType::Inner | JoinType::LeftOuter => self.left_width + self.right_width,
@@ -211,7 +209,7 @@ impl Operator for LookupJoinOp<'_, '_> {
         self.outer.open()
     }
 
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
+    fn next_batch(&mut self) -> Result<Option<RowBatch>> {
         let probe = self
             .probe
             .as_mut()

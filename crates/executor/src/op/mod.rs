@@ -6,9 +6,8 @@
 //! * `open()` acquires resources (spawns the scan producer, builds the
 //!   hash table, materializes the sort input) — it is called exactly once,
 //!   before the first `next_batch()`.
-//! * `next_batch()` pulls the next [`Batch`] of output — row-major or
-//!   column-major with a selection vector — or `None` at end of stream.
-//!   Batches are never empty (selection resolved).
+//! * `next_batch()` pulls the next [`RowBatch`] of output, or `None` at
+//!   end of stream. Batches are never empty.
 //! * `close()` releases resources *early* — in particular it cancels any
 //!   producing scan (dropping the scan channel receiver makes the
 //!   producer's next send fail, which [`taurus_ndp::ScanConsumer`]
@@ -40,7 +39,7 @@ pub(crate) use scan::run_scan_producer;
 
 use crossbeam::thread::Scope;
 use taurus_common::schema::Row;
-use taurus_common::{Batch, Result, RowBatch};
+use taurus_common::{Result, RowBatch};
 use taurus_ndp::TaurusDb;
 use taurus_optimizer::plan::Plan;
 
@@ -48,12 +47,10 @@ use crate::exec::ExecContext;
 
 /// A physical operator: batch-at-a-time pull execution.
 ///
-/// The interchange format is [`Batch`]: scans produce column-major
-/// batches under the columnar layout, `Filter` narrows them by selection
-/// vector without compaction, and pipeline breakers (sort, aggregation,
-/// join build, gather) resolve to dense row-major form at their input.
-/// Row-major batches flow through unchanged, so the two layouts coexist
-/// in one pipeline.
+/// [`RowBatch`] is the only interchange format between operators: scans
+/// hand over the batches the scan core filled on record bytes, streaming
+/// operators filter, project and truncate them in place, and pipeline
+/// breakers (sort, aggregation, join build, gather) consume their rows.
 pub trait Operator {
     /// Stable operator name. `EXPLAIN`'s physical rendering lives in the
     /// optimizer crate and re-states this mapping; the
@@ -65,7 +62,7 @@ pub trait Operator {
     fn open(&mut self) -> Result<()>;
 
     /// Pull the next non-empty batch, or `None` at end of stream.
-    fn next_batch(&mut self) -> Result<Option<Batch>>;
+    fn next_batch(&mut self) -> Result<Option<RowBatch>>;
 
     /// Release resources and cancel producing scans. Idempotent.
     fn close(&mut self);
@@ -172,8 +169,7 @@ impl<'r> InputCursor<'r> {
                 return Ok(None);
             };
             match child.next_batch()? {
-                // Pipeline input resolves to dense rows here.
-                Some(b) => (self.batch, self.next) = (Some(b.into_row_batch()), 0),
+                Some(b) => (self.batch, self.next) = (Some(b), 0),
                 None => {
                     self.close();
                     return Ok(None);
@@ -193,22 +189,17 @@ impl<'r> InputCursor<'r> {
 }
 
 /// Charge the pipeline-traffic counters at an operator's emit site.
-/// Columnar batches charge their *selected* row count — the rows a
-/// consumer will actually see — so the counters read the same under
-/// either layout.
-pub(crate) fn charge_emit(db: &TaurusDb, batch: &Batch) {
-    db.metrics()
-        .add(|m| &m.operator_rows, batch.selected_len() as u64);
+pub(crate) fn charge_emit(db: &TaurusDb, batch: &RowBatch) {
+    db.metrics().add(|m| &m.operator_rows, batch.len() as u64);
     db.metrics().add(|m| &m.operator_batches, 1);
 }
 
 /// Hand an operator's filled output batch up (charging the emit), or
 /// report end of stream when nothing was put in it.
-pub(crate) fn emit_or_end(db: &TaurusDb, out: RowBatch) -> Option<Batch> {
+pub(crate) fn emit_or_end(db: &TaurusDb, out: RowBatch) -> Option<RowBatch> {
     if out.is_empty() {
         return None;
     }
-    let out = Batch::Row(out);
     charge_emit(db, &out);
     Some(out)
 }

@@ -24,14 +24,13 @@
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
 use crossbeam::thread::{Scope, ScopedJoinHandle};
-use taurus_common::colbatch::{Batch, ColumnBatch};
 use taurus_common::metrics::CpuGuard;
 use taurus_common::{QueryCtx, Result, RowBatch, Value};
 use taurus_expr::agg::AggState;
 use taurus_ndp::{scan_ctx, ReadView, ScanConsumer, TaurusDb};
 use taurus_optimizer::plan::{AggScanNode, ScanNode};
 
-use super::{charge_emit, BatchEmitter, Operator};
+use super::{charge_emit, emit_or_end, BatchEmitter, Operator};
 use crate::exec::{
     exec_agg_scan_partials, finalize_agg_groups, scan_residual, scan_spec, ExecContext,
 };
@@ -45,7 +44,7 @@ use crate::stream::STREAM_CHANNEL_BATCHES;
 /// send means the receiver is gone (closed operator, dropped stream):
 /// the consumer returns `false` and the scan terminates early.
 pub(crate) struct ChannelConsumer<'a> {
-    pub(crate) tx: &'a SyncSender<Result<Batch>>,
+    pub(crate) tx: &'a SyncSender<Result<RowBatch>>,
 }
 
 impl ScanConsumer for ChannelConsumer<'_> {
@@ -54,7 +53,7 @@ impl ScanConsumer for ChannelConsumer<'_> {
         // row in a single-row batch.
         let mut out = RowBatch::with_capacity(row.len(), 1);
         out.push_row(row.iter().cloned());
-        Ok(self.tx.send(Ok(Batch::Row(out))).is_ok())
+        Ok(self.tx.send(Ok(out)).is_ok())
     }
 
     fn on_batch_mut(&mut self, batch: &mut RowBatch) -> Result<bool> {
@@ -62,13 +61,7 @@ impl ScanConsumer for ChannelConsumer<'_> {
         let full = std::mem::replace(batch, empty);
         // A closed receiver means the consumer stopped pulling (dropped
         // stream, early break): end the scan without error.
-        Ok(self.tx.send(Ok(Batch::Row(full))).is_ok())
-    }
-
-    fn on_col_batch(&mut self, batch: &ColumnBatch) -> Result<bool> {
-        // Forward column vectors as-is: the whole scan→stream spine stays
-        // column-major.
-        Ok(self.tx.send(Ok(Batch::Col(batch.clone()))).is_ok())
+        Ok(self.tx.send(Ok(full)).is_ok())
     }
 
     fn on_partial(&mut self, _states: Vec<AggState>) -> Result<bool> {
@@ -90,7 +83,7 @@ pub(crate) fn run_scan_producer(
     node: &ScanNode,
     view: ReadView,
     qctx: QueryCtx,
-    tx: &SyncSender<Result<Batch>>,
+    tx: &SyncSender<Result<RowBatch>>,
     visible: Option<usize>,
 ) {
     // The producer is a compute-node thread: its CPU lands in
@@ -142,7 +135,7 @@ pub(crate) struct BatchScanOp<'r, 'scope, 'env> {
     view: ReadView,
     qctx: QueryCtx,
     scope: &'r Scope<'scope, 'env>,
-    rx: Option<Receiver<Result<Batch>>>,
+    rx: Option<Receiver<Result<RowBatch>>>,
     producer: Option<ScopedJoinHandle<'scope, ()>>,
     done: bool,
 }
@@ -188,7 +181,7 @@ impl Operator for BatchScanOp<'_, '_, '_> {
         if self.rx.is_some() || self.done {
             return Ok(());
         }
-        let (tx, rx) = sync_channel::<Result<Batch>>(STREAM_CHANNEL_BATCHES);
+        let (tx, rx) = sync_channel::<Result<RowBatch>>(STREAM_CHANNEL_BATCHES);
         let db = self.db;
         let node = self.node;
         let view = self.view.clone();
@@ -201,7 +194,7 @@ impl Operator for BatchScanOp<'_, '_, '_> {
         Ok(())
     }
 
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
+    fn next_batch(&mut self) -> Result<Option<RowBatch>> {
         let Some(rx) = &self.rx else {
             return Ok(None);
         };
@@ -263,15 +256,12 @@ impl Operator for AggScanOp<'_> {
         Ok(())
     }
 
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
-        match self.out.as_mut().and_then(BatchEmitter::next_batch) {
-            Some(b) => {
-                let b = Batch::Row(b);
-                charge_emit(self.ctx.db, &b);
-                Ok(Some(b))
-            }
-            None => Ok(None),
-        }
+    fn next_batch(&mut self) -> Result<Option<RowBatch>> {
+        Ok(self
+            .out
+            .as_mut()
+            .and_then(BatchEmitter::next_batch)
+            .and_then(|b| emit_or_end(self.ctx.db, b)))
     }
 
     fn close(&mut self) {

@@ -4,11 +4,11 @@
 //! re-emits in batches.
 
 use taurus_common::schema::Row;
-use taurus_common::{Batch, Result};
+use taurus_common::{Result, RowBatch};
 use taurus_ndp::TaurusDb;
 use taurus_optimizer::plan::SortNode;
 
-use super::{charge_emit, BatchEmitter, BoxOp, Operator};
+use super::{emit_or_end, BatchEmitter, BoxOp, Operator};
 use crate::exec::ExecContext;
 
 pub(crate) struct SortOp<'r, 'env> {
@@ -49,13 +49,11 @@ impl Operator for SortOp<'_, '_> {
         }
     }
 
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
+    fn next_batch(&mut self) -> Result<Option<RowBatch>> {
         if self.out.is_none() {
             let mut rows: Vec<Row> = Vec::new();
             if let Some(child) = &mut self.child {
-                while let Some(b) = child.next_batch()? {
-                    // Pipeline breaker: selections resolve to dense rows.
-                    let mut b = b.into_row_batch();
+                while let Some(mut b) = child.next_batch()? {
                     rows.reserve(b.len());
                     rows.extend(b.drain_rows());
                 }
@@ -78,14 +76,11 @@ impl Operator for SortOp<'_, '_> {
             }
             self.out = Some(BatchEmitter::new(rows, self.db));
         }
-        match self.out.as_mut().and_then(BatchEmitter::next_batch) {
-            Some(b) => {
-                let b = Batch::Row(b);
-                charge_emit(self.db, &b);
-                Ok(Some(b))
-            }
-            None => Ok(None),
-        }
+        Ok(self
+            .out
+            .as_mut()
+            .and_then(BatchEmitter::next_batch)
+            .and_then(|b| emit_or_end(self.db, b)))
     }
 
     fn close(&mut self) {

@@ -25,7 +25,7 @@ use std::thread::JoinHandle;
 
 use taurus_common::metrics::CpuGuard;
 use taurus_common::schema::Row;
-use taurus_common::{Batch, QueryCtx, Result, RowBatch};
+use taurus_common::{QueryCtx, Result, RowBatch};
 use taurus_expr::ast::Expr;
 use taurus_ndp::{ReadView, TaurusDb};
 use taurus_optimizer::plan::{Plan, ScanNode};
@@ -49,7 +49,7 @@ pub(crate) const STREAM_CHANNEL_BATCHES: usize = 1;
 /// stream and where pipeline breakers materialize. Always backed by a
 /// live producer thread behind a bounded batch channel.
 pub struct RowStream {
-    rx: Receiver<Result<Batch>>,
+    rx: Receiver<Result<RowBatch>>,
     /// The most recently received batch; rows `..next_row` of it have
     /// been popped by `next()`.
     cur: RowBatch,
@@ -102,7 +102,7 @@ impl RowStream {
     /// A stream that delivers exactly one error: the verification gate's
     /// rejection, produced before any operator or producer existed.
     fn fail(e: taurus_common::Error) -> RowStream {
-        let (tx, rx) = sync_channel::<Result<Batch>>(1);
+        let (tx, rx) = sync_channel::<Result<RowBatch>>(1);
         let _ = tx.send(Err(e));
         RowStream {
             rx,
@@ -115,7 +115,7 @@ impl RowStream {
     /// The general path: lower the plan on the producer thread and pull
     /// its root operator into the stream channel.
     fn spawn_pipeline(db: Arc<TaurusDb>, plan: Plan, view: ReadView, qctx: QueryCtx) -> RowStream {
-        let (tx, rx) = sync_channel::<Result<Batch>>(STREAM_CHANNEL_BATCHES);
+        let (tx, rx) = sync_channel::<Result<RowBatch>>(STREAM_CHANNEL_BATCHES);
         let producer = std::thread::Builder::new()
             .name("taurus-row-stream".into())
             .spawn(move || {
@@ -187,7 +187,7 @@ impl RowStream {
         qctx: QueryCtx,
         visible: Option<usize>,
     ) -> RowStream {
-        let (tx, rx) = sync_channel::<Result<Batch>>(STREAM_CHANNEL_BATCHES);
+        let (tx, rx) = sync_channel::<Result<RowBatch>>(STREAM_CHANNEL_BATCHES);
         let producer = std::thread::Builder::new()
             .name("taurus-row-stream".into())
             .spawn(move || run_scan_producer(&db, &node, view, qctx, &tx, visible))
@@ -211,16 +211,14 @@ impl RowStream {
     /// per-row rematerialization between the scan pipeline and the
     /// socket. Rows already popped by `next()` are not repeated — a
     /// partially-consumed current batch is drained into a fresh batch
-    /// first. `None` means the producer finished cleanly. Columnar
-    /// pipeline batches resolve to dense row-major form right here — the
-    /// wire protocol and every caller above this line are layout-blind.
+    /// first. `None` means the producer finished cleanly.
     pub fn next_batch(&mut self) -> Option<Result<RowBatch>> {
         if self.next_row < self.cur.len() {
             let mut rest = std::mem::replace(&mut self.cur, RowBatch::with_capacity(0, 1));
             rest.discard_front(std::mem::take(&mut self.next_row));
             return Some(Ok(rest));
         }
-        self.rx.recv().ok().map(|r| r.map(Batch::into_row_batch))
+        self.rx.recv().ok()
     }
 }
 
@@ -243,7 +241,7 @@ impl Iterator for RowStream {
             }
             match self.rx.recv() {
                 Ok(Ok(batch)) => {
-                    self.cur = batch.into_row_batch();
+                    self.cur = batch;
                     self.next_row = 0;
                 }
                 Ok(Err(e)) => return Some(Err(e)),

@@ -12,7 +12,8 @@
 //!   runs over raw record bytes.
 //! * [`vector`] — the column-at-a-time twin of [`vm`]: the same IR
 //!   extracted to straight-line form and run over whole batches with
-//!   word-level three-valued bitmaps (the executor's columnar Filter).
+//!   word-level three-valued bitmaps (a measured kernel that no query
+//!   path runs; see the module docs).
 //! * [`util`] — the pre-compiled utility-function library installed on
 //!   every Page Store (§V-B2).
 //! * [`agg`] — aggregate functions, partial states, payload serialization

@@ -13,13 +13,15 @@
 //! helpers (`slot_cmp`/`slot_arith`/...), so every lane computes exactly
 //! what `CompiledPredicate::eval_record` would — parity by construction.
 //!
-//! The program runs on the executor's [`ColumnBatch`]es
-//! ([`VectorProgram::eval_batch`]), where the columns already exist. The
-//! Page Stores do not use it: building columns out of a page's records
-//! (per-record field offsets, one [`Slot`] per cell, a second parse) cost
-//! more than the kernel saved on every TPC-H descriptor, so a pushed
-//! predicate runs through the scalar VM on record bytes
-//! (`taurus-pagestore::plugin`).
+//! The program runs on a [`ColumnBatch`] ([`VectorProgram::eval_batch`]).
+//! No query path runs it: the SQL node evaluates every scan-level
+//! conjunct on record bytes and every plan-level `Filter` row at a time
+//! (`eval_pred`), and the Page Stores run pushed predicates through the
+//! scalar VM on record bytes (`taurus-pagestore::plugin`), because
+//! building columns out of a page's records cost more than the kernel
+//! saved on every TPC-H descriptor. It stays as a measured kernel:
+//! `benchmark/` times it against `eval_pred` as
+//! `expr.vector_filter_ns_per_row`.
 //!
 //! # Shortcut elision
 //!
@@ -38,8 +40,7 @@
 //! Vector evaluation computes eagerly where the scalar VM short-circuits,
 //! so it can hit a runtime error (division by zero, integer overflow) on
 //! a row the scalar path never evaluates. Any lane error fails the whole
-//! batch: callers treat `Err` as "use the scalar path for this batch",
-//! keeping the scalar result authoritative.
+//! batch; the scalar result is the authoritative one.
 
 use taurus_common::colbatch::{Bitmap, ColumnBatch, ColumnVec};
 use taurus_common::{Dec, Error, Result};
@@ -179,21 +180,6 @@ impl BoolVec {
 
     pub fn count_true(&self) -> usize {
         self.truth.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Row indices of the definite-TRUE lanes, ascending — ready to use
-    /// as (or intersect with) a [`ColumnBatch`] selection vector.
-    pub fn true_indices(&self) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.count_true());
-        for (wi, &word) in self.truth.iter().enumerate() {
-            let mut w = word;
-            while w != 0 {
-                let bit = w.trailing_zeros();
-                out.push((wi * 64) as u32 + bit);
-                w &= w - 1;
-            }
-        }
-        out
     }
 }
 
@@ -352,92 +338,12 @@ fn to_bool(r: &VReg<'_>, len: usize) -> Result<BoolVec> {
     }
 }
 
-/// A predicate program in straight-line vector form, run by the
-/// executor's columnar Filter.
+/// A predicate program in straight-line vector form.
 pub struct VectorProgram {
     ops: Box<[VOp]>,
     consts: Box<[ConstSlot]>,
     n_regs: usize,
     ret: u16,
-    /// Set by the static verifier's range analysis (crates/verify) when
-    /// every decimal rescale this program can perform is proven not to
-    /// overflow `i128`. Proven programs run the raw unchecked multiply
-    /// loops; unproven ones pay a per-lane `checked_mul` and defer the
-    /// batch to the generic slot path on overflow (whose `Dec::cmp_dec`
-    /// is overflow-sound), so results never depend on this flag.
-    proven_safe: bool,
-}
-
-/// A typed, read-only view of one straight-line vector op, exposed for
-/// the static verifier's abstract interpreter (`crates/verify`). Mirrors
-/// the private op list without leaking evaluation internals; register
-/// indices are the same as the source IR's.
-#[derive(Clone, Copy, Debug)]
-pub enum VOpView {
-    /// A load of batch column `col`.
-    Load {
-        dst: u16,
-        col: u16,
-    },
-    LoadConst {
-        dst: u16,
-        idx: u16,
-    },
-    Mov {
-        dst: u16,
-        src: u16,
-    },
-    Cmp {
-        dst: u16,
-        a: u16,
-        b: u16,
-    },
-    And {
-        dst: u16,
-        a: u16,
-        b: u16,
-    },
-    Or {
-        dst: u16,
-        a: u16,
-        b: u16,
-    },
-    Not {
-        dst: u16,
-        a: u16,
-    },
-    Arith {
-        dst: u16,
-        a: u16,
-        b: u16,
-    },
-    Neg {
-        dst: u16,
-        a: u16,
-    },
-    IsNull {
-        dst: u16,
-        a: u16,
-    },
-    Like {
-        dst: u16,
-        a: u16,
-        pattern: u16,
-    },
-    InList {
-        dst: u16,
-        a: u16,
-        first: u16,
-        count: u16,
-    },
-    ExtractYear {
-        dst: u16,
-        a: u16,
-    },
-    Substr {
-        dst: u16,
-        a: u16,
-    },
 }
 
 impl VectorProgram {
@@ -499,86 +405,10 @@ impl VectorProgram {
             consts: ir.consts.iter().map(ConstSlot::from_value).collect(),
             n_regs: ir.n_regs as usize,
             ret,
-            proven_safe: false,
         })
     }
 
-    /// Record the verifier's proof that no decimal rescale in this
-    /// program can overflow: comparison kernels then skip the per-lane
-    /// checked-overflow deferral. Only `crates/verify`'s range analysis
-    /// should establish this.
-    pub fn mark_proven_safe(&mut self) {
-        self.proven_safe = true;
-    }
-
-    pub fn is_proven_safe(&self) -> bool {
-        self.proven_safe
-    }
-
-    /// Register count (for the verifier's abstract interpreter).
-    pub fn reg_count(&self) -> usize {
-        self.n_regs
-    }
-
-    /// The register whose value is the program result.
-    pub fn ret_reg(&self) -> u16 {
-        self.ret
-    }
-
-    /// The straight-line op sequence in verifier-view form.
-    pub fn ops_view(&self) -> Vec<VOpView> {
-        self.ops
-            .iter()
-            .map(|op| match *op {
-                VOp::Load { dst, col } => VOpView::Load { dst, col },
-                VOp::LoadConst { dst, idx } => VOpView::LoadConst { dst, idx },
-                VOp::Mov { dst, src } => VOpView::Mov { dst, src },
-                VOp::Cmp { dst, a, b, .. } => VOpView::Cmp { dst, a, b },
-                VOp::And { dst, a, b } => VOpView::And { dst, a, b },
-                VOp::Or { dst, a, b } => VOpView::Or { dst, a, b },
-                VOp::Not { dst, a } => VOpView::Not { dst, a },
-                VOp::Arith { dst, a, b, .. } => VOpView::Arith { dst, a, b },
-                VOp::Neg { dst, a } => VOpView::Neg { dst, a },
-                VOp::IsNull { dst, a, .. } => VOpView::IsNull { dst, a },
-                VOp::Like {
-                    dst, a, pattern, ..
-                } => VOpView::Like { dst, a, pattern },
-                VOp::InList {
-                    dst,
-                    a,
-                    first,
-                    count,
-                    ..
-                } => VOpView::InList {
-                    dst,
-                    a,
-                    first,
-                    count,
-                },
-                VOp::ExtractYear { dst, a } => VOpView::ExtractYear { dst, a },
-                VOp::Substr { dst, a, .. } => VOpView::Substr { dst, a },
-            })
-            .collect()
-    }
-
-    /// Columns this program loads (sorted, deduplicated) — the
-    /// vector-side counterpart of [`IrProgram::columns_used`].
-    pub fn columns_used(&self) -> Vec<u16> {
-        let mut cols: Vec<u16> = self
-            .ops
-            .iter()
-            .filter_map(|op| match op {
-                VOp::Load { col, .. } => Some(*col),
-                _ => None,
-            })
-            .collect();
-        cols.sort_unstable();
-        cols.dedup();
-        cols
-    }
-
-    /// Evaluate over an executor [`ColumnBatch`] (all physical rows; the
-    /// caller intersects the result with any existing selection).
+    /// Evaluate over every row of a [`ColumnBatch`].
     pub fn eval_batch<'a>(&'a self, batch: &'a ColumnBatch) -> Result<BoolVec> {
         let len = batch.len();
         let mut regs: Vec<VReg<'a>> = vec![VReg::Unset; self.n_regs];
@@ -600,13 +430,7 @@ impl VectorProgram {
                 }
                 VOp::Mov { dst, src } => regs[dst as usize] = regs[src as usize].clone(),
                 VOp::Cmp { op, dst, a, b } => {
-                    let r = cmp_vec(
-                        op,
-                        &regs[a as usize],
-                        &regs[b as usize],
-                        len,
-                        self.proven_safe,
-                    )?;
+                    let r = cmp_vec(op, &regs[a as usize], &regs[b as usize], len)?;
                     regs[dst as usize] = VReg::Bool(r);
                 }
                 VOp::And { dst, a, b } => {
@@ -904,13 +728,7 @@ fn column_slots<'a>(cv: &'a ColumnVec, len: usize) -> Vec<Slot<'a>> {
     }
 }
 
-fn cmp_vec(
-    op: CmpOp,
-    ra: &VReg<'_>,
-    rb: &VReg<'_>,
-    len: usize,
-    proven_safe: bool,
-) -> Result<BoolVec> {
+fn cmp_vec(op: CmpOp, ra: &VReg<'_>, rb: &VReg<'_>, len: usize) -> Result<BoolVec> {
     // Typed fast paths first: raw-vector loops, no per-lane slot dispatch.
     // `None` means "shape not specialized" (or a checked rescale deferred
     // the batch) — never a semantic difference — and the generic path
@@ -918,17 +736,17 @@ fn cmp_vec(
     // errors; `slot_cmp`'s `Dec::cmp_dec` is overflow-sound).
     match (ra, rb) {
         (VReg::Col(cv), VReg::Splat(s)) => {
-            if let Some(bv) = cmp_col_const(op, cv, s, len, proven_safe) {
+            if let Some(bv) = cmp_col_const(op, cv, s, len) {
                 return Ok(bv);
             }
         }
         (VReg::Splat(s), VReg::Col(cv)) => {
-            if let Some(bv) = cmp_col_const(op.flip(), cv, s, len, proven_safe) {
+            if let Some(bv) = cmp_col_const(op.flip(), cv, s, len) {
                 return Ok(bv);
             }
         }
         (VReg::Col(ca), VReg::Col(cb)) => {
-            if let Some(bv) = cmp_col_col(op, ca, cb, proven_safe) {
+            if let Some(bv) = cmp_col_col(op, ca, cb) {
                 return Ok(bv);
             }
         }
@@ -972,8 +790,7 @@ fn pow10(scale: u8) -> i128 {
 }
 
 /// Largest upscale exponent for which `i64 as i128 * 10^k` cannot exceed
-/// `i128`: `i64::MAX · 10^19 < i128::MAX` (range analysis soundness
-/// anchor — DESIGN.md "Static verification").
+/// `i128`: `i64::MAX · 10^19 < i128::MAX`.
 const MAX_I64_UPSCALE: u8 = 19;
 
 /// Checked variant of [`cmp_tight`]: any lane whose rescale would
@@ -997,16 +814,10 @@ fn cmp_tight_checked<T: Copy>(
 
 /// Column vs constant, specialized per typed [`ColumnVec`] variant.
 /// Decimal/int mixes pre-align the constant (or fold the per-lane align
-/// multiply into the loop) exactly as `Dec::align` would per lane.
-/// `proven_safe` programs skip the per-lane overflow checks; everything
-/// else runs checked and defers on overflow.
-fn cmp_col_const(
-    op: CmpOp,
-    cv: &ColumnVec,
-    c: &Slot<'_>,
-    len: usize,
-    proven_safe: bool,
-) -> Option<BoolVec> {
+/// multiply into the loop) exactly as `Dec::align` would per lane; a
+/// per-lane rescale that could overflow runs checked and defers on
+/// overflow.
+fn cmp_col_const(op: CmpOp, cv: &ColumnVec, c: &Slot<'_>, len: usize) -> Option<BoolVec> {
     if matches!(c, Slot::Null) {
         // NULL compares to NULL on every lane.
         return Some(BoolVec::with_len(len));
@@ -1033,13 +844,9 @@ fn cmp_col_const(
                 Some(cmp_tight(raw, valid, |v| cmp_holds(op, v.cmp(&cr))))
             } else {
                 let (p, cr) = (pow10(d.scale - scale), d.raw);
-                if proven_safe {
-                    Some(cmp_tight(raw, valid, |v| cmp_holds(op, (v * p).cmp(&cr))))
-                } else {
-                    cmp_tight_checked(raw, valid, |v| {
-                        Some(cmp_holds(op, v.checked_mul(p)?.cmp(&cr)))
-                    })
-                }
+                cmp_tight_checked(raw, valid, |v| {
+                    Some(cmp_holds(op, v.checked_mul(p)?.cmp(&cr)))
+                })
             }
         }
         (ColumnVec::Dec { raw, scale, valid }, Slot::Int(c)) => {
@@ -1056,9 +863,8 @@ fn cmp_col_const(
 
 /// Column vs column for matching typed variants; validity is the
 /// word-level AND of both bitmaps. Decimal pairs of unequal scale
-/// rescale per lane: `proven_safe` programs run the raw multiplies,
-/// unproven ones check and defer on overflow.
-fn cmp_col_col(op: CmpOp, ca: &ColumnVec, cb: &ColumnVec, proven_safe: bool) -> Option<BoolVec> {
+/// rescale per lane, checked, and defer on overflow.
+fn cmp_col_col(op: CmpOp, ca: &ColumnVec, cb: &ColumnVec) -> Option<BoolVec> {
     fn zip<T: Copy, U: Copy>(
         op: CmpOp,
         a: &[T],
@@ -1099,7 +905,7 @@ fn cmp_col_col(op: CmpOp, ca: &ColumnVec, cb: &ColumnVec, proven_safe: bool) -> 
             },
         ) => {
             let (pa, pb) = (pow10(sa.max(sb) - sa), pow10(sa.max(sb) - sb));
-            if proven_safe || (pa == 1 && pb == 1) {
+            if pa == 1 && pb == 1 {
                 return Some(zip(op, a, b, va, vb, |x, y| (x * pa).cmp(&(y * pb))));
             }
             let mut out = BoolVec::with_len(a.len());
@@ -1348,11 +1154,9 @@ mod tests {
     }
 
     /// A decimal comparison whose per-lane rescale overflows `i128` must
-    /// defer to the generic path and still agree with the interpreter —
-    /// and a `proven_safe` program over safe lanes must produce the same
-    /// bits as the default checked program.
+    /// defer to the generic path and still agree with the interpreter.
     #[test]
-    fn overflow_lanes_defer_and_proven_safe_agrees() {
+    fn overflow_lanes_defer_to_the_generic_path() {
         // col1 has scale 2; compare against a scale-30 constant so every
         // lane upscales by 10^28 — raws near i64::MAX then overflow i128.
         let huge = Expr::gt(Expr::col(1), Expr::Lit(Value::Decimal(Dec::new(1, 30))));
@@ -1373,68 +1177,9 @@ mod tests {
             Value::str("B"),
         ]);
         let vp = VectorProgram::from_expr(&huge).unwrap();
-        assert!(!vp.is_proven_safe());
         let bv = vp.eval_batch(&cb).unwrap();
         // i64::MAX / 100 > 10^-30  → true; -0.07 > tiny positive → false.
         assert_eq!(bv.get_lane(0), Some(true));
         assert_eq!(bv.get_lane(1), Some(false));
-
-        // Safe data: checked and proven-safe programs agree bit-for-bit.
-        let p = Expr::gt(Expr::col(1), Expr::dec("0.0505"));
-        let rows = random_rows(200, 0xAB);
-        let cb = batch_of(&rows);
-        let checked = VectorProgram::from_expr(&p).unwrap();
-        let mut proven = VectorProgram::from_expr(&p).unwrap();
-        proven.mark_proven_safe();
-        assert!(proven.is_proven_safe());
-        let a = checked.eval_batch(&cb).unwrap();
-        let b = proven.eval_batch(&cb).unwrap();
-        for i in 0..rows.len() {
-            assert_eq!(a.get_lane(i), b.get_lane(i), "lane {i}");
-        }
-    }
-
-    /// The verifier-facing views expose the same structure the evaluator
-    /// runs: straight-line ops, the IR's registers, the loaded columns.
-    #[test]
-    fn ops_view_mirrors_program() {
-        let p = Expr::and(vec![
-            Expr::gt(Expr::col(0), Expr::int(1)),
-            Expr::lt(Expr::col(2), Expr::date("1995-01-01")),
-        ]);
-        let vp = VectorProgram::from_expr(&p).unwrap();
-        assert_eq!(vp.columns_used(), vec![0, 2]);
-        assert!((vp.ret_reg() as usize) < vp.reg_count());
-        let view = vp.ops_view();
-        assert!(!view.is_empty());
-        let loads: Vec<u16> = view
-            .iter()
-            .filter_map(|o| match o {
-                VOpView::Load { col, .. } => Some(*col),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(loads, vec![0, 2]);
-        // Every register mentioned is in range.
-        for o in &view {
-            if let VOpView::Cmp { dst, a, b } = o {
-                assert!((*dst as usize) < vp.reg_count());
-                assert!((*a as usize) < vp.reg_count());
-                assert!((*b as usize) < vp.reg_count());
-            }
-        }
-    }
-
-    #[test]
-    fn true_indices_are_sorted_and_complete() {
-        let mut b = BoolVec::with_len(200);
-        let mut want = Vec::new();
-        for i in (0..200).step_by(7) {
-            b.set_lane(i, Some(true));
-            want.push(i as u32);
-        }
-        b.set_lane(3, Some(false));
-        assert_eq!(b.true_indices(), want);
-        assert_eq!(b.count_true(), want.len());
     }
 }

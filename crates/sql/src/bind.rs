@@ -2,8 +2,8 @@
 //!
 //! Binding resolves names against the live catalog and lowers the
 //! statement onto the existing plan layer, so everything downstream —
-//! NDP post-processing, columnar execution, `taurus-verify`'s plan gate —
-//! applies to SQL text for free. The lowering contract:
+//! NDP post-processing, `taurus-verify`'s plan gate — applies to SQL
+//! text for free. The lowering contract:
 //!
 //! - each base table in FROM becomes one [`ScanNode`] whose `output` is
 //!   exactly the set of referenced columns (ascending; `[0]` when none),

@@ -4,9 +4,9 @@
 //! typed AST ([`ast`]), and a catalog [`bind`]er that lowers the AST onto
 //! the existing plan layer. Because binding produces ordinary
 //! [`taurus_optimizer::plan::Plan`]s, everything downstream applies to
-//! SQL text unchanged: NDP predicate pushdown, columnar execution, the
-//! static plan verifier's pre-execution gate, and the wire protocol's
-//! streaming replies.
+//! SQL text unchanged: NDP predicate pushdown, the static plan
+//! verifier's pre-execution gate, and the wire protocol's streaming
+//! replies.
 //!
 //! The supported subset is the shape of the paper's workload: SELECT with
 //! INNER/LEFT joins (`FORCE INDEX` requesting lookup joins), WHERE with

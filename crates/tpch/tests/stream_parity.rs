@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use taurus_common::schema::Row;
-use taurus_common::{BatchLayout, ClusterConfig, Value};
+use taurus_common::{ClusterConfig, Value};
 use taurus_executor::Session;
 use taurus_expr::ast::Expr;
 use taurus_ndp::TaurusDb;
@@ -23,16 +23,13 @@ use taurus_tpch::{load, micro_queries, tpch_queries};
 
 const SF: f64 = 0.002;
 
-fn db_custom(batch: Option<usize>, layout: BatchLayout, ndp: bool) -> Arc<TaurusDb> {
+fn db_custom(batch: Option<usize>, ndp: bool) -> Arc<TaurusDb> {
     let mut cfg = ClusterConfig::default();
     cfg.buffer_pool_pages = 256; // far smaller than the data
     cfg.slice_pages = 32;
     cfg.ndp.min_io_pages = 8;
     cfg.ndp.max_pages_look_ahead = 64;
     cfg.ndp.enabled = ndp;
-    // Explicit layout: parity must not depend on the ambient
-    // TAURUS_BATCH_LAYOUT override baked into `default()`.
-    cfg.batch_layout = layout;
     if let Some(b) = batch {
         cfg.scan_batch_rows = b;
     }
@@ -42,7 +39,7 @@ fn db_custom(batch: Option<usize>, layout: BatchLayout, ndp: bool) -> Arc<Taurus
 }
 
 fn db_with_batch(batch: Option<usize>) -> Arc<TaurusDb> {
-    db_custom(batch, BatchLayout::Row, true)
+    db_custom(batch, true)
 }
 
 fn fmt_rows(rows: &[Row]) -> Vec<String> {
@@ -61,27 +58,29 @@ fn fmt_rows(rows: &[Row]) -> Vec<String> {
         .collect()
 }
 
-/// All 22 TPC-H queries (and the micro-benchmark queries): draining the
-/// streamed pipeline equals collecting it, row for row.
+/// All 22 TPC-H queries (and the micro-benchmark queries), NDP on and
+/// off: draining the streamed pipeline equals collecting it, row for row.
 #[test]
 fn stream_equals_collect_for_all_queries() {
-    let db = db_with_batch(None);
-    let session = Session::new(&db);
-    for q in tpch_queries().iter().chain(micro_queries().iter()) {
-        let plan = (q.plan)(&db, None).unwrap_or_else(|e| panic!("{} plan: {e}", q.name));
-        let collected = session
-            .execute_plan(&plan)
-            .unwrap_or_else(|e| panic!("{} collect: {e}", q.name));
-        let streamed: Vec<Row> = session
-            .stream_plan(plan.clone())
-            .map(|r| r.unwrap_or_else(|e| panic!("{} stream: {e}", q.name)))
-            .collect();
-        assert_eq!(
-            fmt_rows(&streamed),
-            fmt_rows(&collected),
-            "{}: stream/collect mismatch",
-            q.name
-        );
+    for ndp in [true, false] {
+        let db = db_custom(None, ndp);
+        let session = Session::new(&db);
+        for q in tpch_queries().iter().chain(micro_queries().iter()) {
+            let plan = (q.plan)(&db, None).unwrap_or_else(|e| panic!("{} plan: {e}", q.name));
+            let collected = session
+                .execute_plan(&plan)
+                .unwrap_or_else(|e| panic!("{} collect (ndp={ndp}): {e}", q.name));
+            let streamed: Vec<Row> = session
+                .stream_plan(plan.clone())
+                .map(|r| r.unwrap_or_else(|e| panic!("{} stream (ndp={ndp}): {e}", q.name)))
+                .collect();
+            assert_eq!(
+                fmt_rows(&streamed),
+                fmt_rows(&collected),
+                "{} (ndp={ndp}): stream/collect mismatch",
+                q.name
+            );
+        }
     }
 }
 
@@ -197,128 +196,5 @@ fn degenerate_batch_matrix() {
             .map(|r| r.unwrap())
             .collect();
         assert_eq!(streamed, collected, "scalar agg over empty @ batch={batch}");
-    }
-}
-
-/// Run every TPC-H + micro query on both databases and demand *exact*
-/// `Value` equality (not formatted-with-rounding equality): the columnar
-/// pipeline only reorders evaluation, never arithmetic, so results must
-/// be byte-identical to the row-major pipeline. The columnar side is
-/// additionally drained through `RowStream` to cover the column→row
-/// boundary conversion in `stream.rs`.
-fn assert_layout_parity(row_db: &Arc<TaurusDb>, col_db: &Arc<TaurusDb>, tag: &str) {
-    assert_eq!(row_db.config().batch_layout, BatchLayout::Row);
-    assert_eq!(col_db.config().batch_layout, BatchLayout::Columnar);
-    let row_session = Session::new(row_db);
-    let col_session = Session::new(col_db);
-    for q in tpch_queries().iter().chain(micro_queries().iter()) {
-        let row_plan = (q.plan)(row_db, None).unwrap_or_else(|e| panic!("{} plan: {e}", q.name));
-        let col_plan = (q.plan)(col_db, None).unwrap();
-        let row_rows = row_session
-            .execute_plan(&row_plan)
-            .unwrap_or_else(|e| panic!("{} row collect ({tag}): {e}", q.name));
-        let col_rows = col_session
-            .execute_plan(&col_plan)
-            .unwrap_or_else(|e| panic!("{} columnar collect ({tag}): {e}", q.name));
-        assert_eq!(
-            col_rows, row_rows,
-            "{} ({tag}): columnar != row-major",
-            q.name
-        );
-        let col_streamed: Vec<Row> = col_session
-            .stream_plan(col_plan)
-            .map(|r| r.unwrap_or_else(|e| panic!("{} columnar stream ({tag}): {e}", q.name)))
-            .collect();
-        assert_eq!(
-            col_streamed, row_rows,
-            "{} ({tag}): columnar stream != row-major",
-            q.name
-        );
-    }
-}
-
-/// All 22 TPC-H queries + micro queries: columnar is byte-equal to
-/// row-major, with NDP pushdown enabled (vectorized Page-Store path) and
-/// disabled (compute-node-only path).
-#[test]
-fn columnar_equals_row_major_all_queries() {
-    for ndp in [true, false] {
-        let row_db = db_custom(None, BatchLayout::Row, ndp);
-        let col_db = db_custom(None, BatchLayout::Columnar, ndp);
-        assert_layout_parity(&row_db, &col_db, if ndp { "ndp=on" } else { "ndp=off" });
-    }
-}
-
-/// PQ (Exchange/Gather) plans under the columnar layout: stream equals
-/// collect, and both equal the row-major result.
-#[test]
-fn columnar_equals_row_major_under_pq() {
-    let row_db = db_custom(None, BatchLayout::Row, true);
-    let col_db = db_custom(None, BatchLayout::Columnar, true);
-    let row_session = Session::new(&row_db);
-    let col_session = Session::new(&col_db);
-    for q in tpch_queries().iter().filter(|q| q.pq_capable) {
-        let row_rows = row_session
-            .execute_plan(&(q.plan)(&row_db, Some(4)).unwrap())
-            .unwrap();
-        let col_plan = (q.plan)(&col_db, Some(4)).unwrap();
-        let col_rows = col_session.execute_plan(&col_plan).unwrap();
-        assert_eq!(col_rows, row_rows, "{}: PQ columnar != row-major", q.name);
-        let col_streamed: Vec<Row> = col_session
-            .stream_plan(col_plan)
-            .map(|r| r.unwrap())
-            .collect();
-        assert_eq!(col_streamed, row_rows, "{}: PQ columnar stream", q.name);
-    }
-}
-
-/// The degenerate-batch matrix, columnar edition: composite shapes at
-/// `scan_batch_rows ∈ {1, 7, 1024}` × NDP on/off must match the
-/// row-major pipeline at the same settings. Batch size 1 exercises
-/// one-row columns + selections; 7 straddles page boundaries oddly; 1024
-/// is the default full-width vector.
-#[test]
-fn columnar_batch_size_matrix() {
-    for batch in [1usize, 7, 1024] {
-        for ndp in [true, false] {
-            let row_db = db_custom(Some(batch), BatchLayout::Row, ndp);
-            let col_db = db_custom(Some(batch), BatchLayout::Columnar, ndp);
-            let row_session = Session::new(&row_db);
-            let col_session = Session::new(&col_db);
-            let shapes = [
-                (
-                    "q1",
-                    q1_plan(&row_db, None).unwrap(),
-                    q1_plan(&col_db, None).unwrap(),
-                ),
-                (
-                    "q3",
-                    q3_plan(&row_db, None).unwrap(),
-                    q3_plan(&col_db, None).unwrap(),
-                ),
-                (
-                    "q12",
-                    q12_plan(&row_db, None).unwrap(),
-                    q12_plan(&col_db, None).unwrap(),
-                ),
-            ];
-            for (name, row_plan, col_plan) in shapes {
-                let row_rows = row_session.execute_plan(&row_plan).unwrap();
-                let col_rows = col_session.execute_plan(&col_plan).unwrap();
-                assert_eq!(
-                    col_rows, row_rows,
-                    "{name} @ batch={batch} ndp={ndp}: columnar != row-major"
-                );
-                // LIMIT through a selection-carrying batch truncates by
-                // *selected* rows, not physical rows.
-                for n in [1usize, 3] {
-                    let lim = col_session
-                        .execute_plan(&col_plan.clone().limit(n))
-                        .unwrap();
-                    let want = n.min(row_rows.len());
-                    assert_eq!(lim, row_rows[..want], "{name} limit {n} @ batch={batch}");
-                }
-            }
-        }
     }
 }

@@ -1,25 +1,19 @@
-//! Abstract interpretation over the scalar register IR and its compiled
-//! vector twin.
+//! Abstract interpretation over the scalar register IR.
 //!
-//! The scalar VM and the column-at-a-time kernels must agree; this
-//! module proves the *shape*-level half of that statically:
+//! The scalar VM runs every compiled predicate, on the SQL node and in
+//! the Page Stores; this module checks its programs' *shape* statically:
 //!
 //! * **Register typing** — every register is written before it is read,
 //!   and the boolean combinators (`And`/`Or`/`Not`, the Kleene
 //!   three-valued merges) only consume boolean-producing registers.
-//! * **Control shape** — branches only jump forward (the straight-line
-//!   extraction in `taurus_expr::vector` depends on it), and the program
+//! * **Control shape** — branches only jump forward, and the program
 //!   ends by returning a boolean-shaped register.
-//! * **Scalar ↔ vector equivalence** — a compiled [`VectorProgram`] reads
-//!   the same columns, uses the same register file, and returns the same
-//!   register as the [`IrProgram`] it was lowered from.
 //!
 //! Like the plan inference, the interpreter is permissive: registers of
 //! unknown type (`Top`) satisfy every demand, so only *definite*
 //! violations are reported.
 
 use taurus_expr::ir::{IrInstr, IrProgram};
-use taurus_expr::vector::{VOpView, VectorProgram};
 use taurus_expr::Expr;
 
 use crate::diag::{DiagKind, Diagnostic};
@@ -148,145 +142,13 @@ pub fn check_ir(ir: &IrProgram, path: &str) -> Vec<Diagnostic> {
     diags
 }
 
-/// Check a compiled vector program via its op view: write-before-read
-/// over the straight-line sequence, boolean shape for the Kleene
-/// combinators, and a written return register.
-pub fn check_vector(vp: &VectorProgram, path: &str) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    let n = vp.reg_count();
-    let mut regs = vec![AbsTy::Unset; n];
-    let read = |regs: &[AbsTy], r: u16, what: &str, i: usize, diags: &mut Vec<Diagnostic>| {
-        if !regs[r as usize].usable() {
-            diags.push(Diagnostic::error(
-                DiagKind::VectorShape,
-                path,
-                format!("vector op {i}: {what} reads r{r} before any write"),
-            ));
-        }
-    };
-    for (i, op) in vp.ops_view().into_iter().enumerate() {
-        match op {
-            VOpView::Load { dst, .. } | VOpView::LoadConst { dst, .. } => {
-                regs[dst as usize] = AbsTy::Scalar;
-            }
-            VOpView::Mov { dst, src } => {
-                read(&regs, src, "Mov", i, &mut diags);
-                regs[dst as usize] = regs[src as usize];
-            }
-            VOpView::Cmp { dst, a, b } => {
-                read(&regs, a, "Cmp", i, &mut diags);
-                read(&regs, b, "Cmp", i, &mut diags);
-                regs[dst as usize] = AbsTy::Bool;
-            }
-            VOpView::And { dst, a, b } | VOpView::Or { dst, a, b } => {
-                for r in [a, b] {
-                    read(&regs, r, "And/Or", i, &mut diags);
-                    if regs[r as usize] == AbsTy::Scalar {
-                        diags.push(Diagnostic::warning(
-                            DiagKind::VectorShape,
-                            path,
-                            format!("vector op {i}: Kleene merge consumes non-boolean r{r}"),
-                        ));
-                    }
-                }
-                regs[dst as usize] = AbsTy::Bool;
-            }
-            VOpView::Not { dst, a } => {
-                read(&regs, a, "Not", i, &mut diags);
-                regs[dst as usize] = AbsTy::Bool;
-            }
-            VOpView::Arith { dst, a, b } => {
-                read(&regs, a, "Arith", i, &mut diags);
-                read(&regs, b, "Arith", i, &mut diags);
-                regs[dst as usize] = AbsTy::Scalar;
-            }
-            VOpView::Neg { dst, a }
-            | VOpView::ExtractYear { dst, a }
-            | VOpView::Substr { dst, a } => {
-                read(&regs, a, "unary op", i, &mut diags);
-                regs[dst as usize] = AbsTy::Scalar;
-            }
-            VOpView::IsNull { dst, a }
-            | VOpView::Like { dst, a, .. }
-            | VOpView::InList { dst, a, .. } => {
-                read(&regs, a, "predicate op", i, &mut diags);
-                regs[dst as usize] = AbsTy::Bool;
-            }
-        }
-    }
-    let ret = vp.ret_reg();
-    if (ret as usize) < n && !regs[ret as usize].usable() {
-        diags.push(Diagnostic::error(
-            DiagKind::VectorShape,
-            path,
-            format!("return register r{ret} is never written"),
-        ));
-    }
-    diags
-}
-
-/// Type-level equivalence between a scalar IR program and the vector
-/// program extracted from it: same columns read, same register file,
-/// same result register.
-pub fn check_equivalence(ir: &IrProgram, vp: &VectorProgram, path: &str) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    let (ic, vc) = (ir.columns_used(), vp.columns_used());
-    if ic != vc {
-        diags.push(Diagnostic::error(
-            DiagKind::Equivalence,
-            path,
-            format!("scalar program reads columns {ic:?}, vector twin reads {vc:?}"),
-        ));
-    }
-    if ir.n_regs as usize != vp.reg_count() {
-        diags.push(Diagnostic::error(
-            DiagKind::Equivalence,
-            path,
-            format!(
-                "register files differ: scalar {} vs vector {}",
-                ir.n_regs,
-                vp.reg_count()
-            ),
-        ));
-    }
-    let ret = match ir.instrs.last() {
-        Some(IrInstr::Ret { src }) => *src,
-        _ => {
-            diags.push(Diagnostic::error(
-                DiagKind::IrShape,
-                path,
-                "scalar program does not end with Ret".into(),
-            ));
-            return diags;
-        }
-    };
-    if ret != vp.ret_reg() {
-        diags.push(Diagnostic::error(
-            DiagKind::Equivalence,
-            path,
-            format!(
-                "result registers differ: scalar r{ret} vs vector r{}",
-                vp.ret_reg()
-            ),
-        ));
-    }
-    diags
-}
-
-/// Full program check for one predicate expression: lower to scalar IR,
-/// compile the vector twin when possible, and run all three checks.
-/// Expressions the vectorizer rejects (CASE, backward shapes) only get
-/// the scalar check — that is a supported fallback, not a defect.
+/// Full program check for one predicate expression: lower it to scalar
+/// IR and check that.
 pub fn check_predicate_programs(e: &Expr, path: &str) -> Vec<Diagnostic> {
-    let Ok(ir) = taurus_expr::compile::lower(e) else {
+    match taurus_expr::compile::lower(e) {
+        Ok(ir) => check_ir(&ir, path),
         // Not NDP-eligible (e.g. register pressure): the executor
         // evaluates the tree directly; nothing to verify here.
-        return Vec::new();
-    };
-    let mut diags = check_ir(&ir, path);
-    if let Ok(vp) = VectorProgram::from_expr(e) {
-        diags.extend(check_vector(&vp, path));
-        diags.extend(check_equivalence(&ir, &vp, path));
+        Err(_) => Vec::new(),
     }
-    diags
 }

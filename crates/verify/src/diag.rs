@@ -10,7 +10,7 @@
 
 use std::fmt;
 
-/// What a diagnostic is about. Append-only: tests pin individual kinds.
+/// What a diagnostic is about. Tests pin individual kinds by name.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum DiagKind {
     /// A scan references a table the catalog does not have.
@@ -43,11 +43,6 @@ pub enum DiagKind {
     TypeMismatch,
     /// A scalar IR program violates the VM's structural contract.
     IrShape,
-    /// A compiled vector program violates the kernel's contract.
-    VectorShape,
-    /// The scalar IR and its vectorized twin disagree at the type level
-    /// (columns read, register file shape, result register).
-    Equivalence,
     /// A lookup join carries an NDP key-read decision although its inner
     /// access is not covering (the primary-key fetches behind a secondary
     /// probe read whole rows).

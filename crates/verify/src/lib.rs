@@ -1,6 +1,6 @@
 //! Static pre-execution verification (`taurus-verify`).
 //!
-//! Three analyses over plans and predicate programs, run *before* any
+//! Two analyses over plans and predicate programs, run *before* any
 //! operator opens:
 //!
 //! * [`infer`] — type / width / nullability inference over every
@@ -10,15 +10,9 @@
 //!   with structured [`Diagnostic`]s carrying plan-path locations —
 //!   the same defects that previously surfaced mid-scan as
 //!   `Error::Internal`.
-//! * [`absint`] — an abstract interpreter over the scalar register IR
-//!   and the compiled straight-line [`VectorProgram`]: write-before-read
-//!   register discipline, Kleene boolean shape for `AND`/`OR`/`NOT`,
-//!   forward-only branches, and scalar↔vector type-level equivalence
-//!   (same columns, same register file, same result register).
-//! * [`range`] — interval analysis over `Int64`/`Dec` columns proving
-//!   predicates rescale-overflow-free (module docs carry the soundness
-//!   argument), which lets the vector kernels skip their per-lane
-//!   checked-overflow deferral via `VectorProgram::mark_proven_safe`.
+//! * [`absint`] — an abstract interpreter over the scalar register IR:
+//!   write-before-read register discipline, Kleene boolean shape for
+//!   `AND`/`OR`/`NOT`, and forward-only branches.
 //!
 //! The executor wires [`check_plan`] as a gate in front of plan lowering,
 //! in every build and once per statement (its two ways into execution,
@@ -29,15 +23,13 @@
 pub mod absint;
 pub mod diag;
 pub mod infer;
-pub mod range;
 
 use taurus_common::{Error, Result};
 use taurus_optimizer::plan::Plan;
 
-pub use absint::{check_equivalence, check_ir, check_predicate_programs, check_vector};
+pub use absint::{check_ir, check_predicate_programs};
 pub use diag::{has_errors, render, DiagKind, Diagnostic, Severity};
 pub use infer::{infer_plan, plan_width, remap_onto, ColType, Inference};
-pub use range::{analyze_predicate, columns_storage_backed, RangeVerdict, MAX_SAFE_UPSCALE};
 
 use taurus_expr::ast::Expr;
 use taurus_ndp::TaurusDb;

@@ -5,13 +5,10 @@
 //!
 //! * all TPC-H and micro registry plans, plus the PQ (fan-out) variant
 //!   of every PQ-capable query — schema/width/nullability inference and
-//!   scalar↔vector program checks (`verify_plan`);
+//!   scalar IR program checks (`verify_plan`);
 //! * every NDP descriptor those plans push: the descriptor must build,
 //!   and its wire-encoded predicate program must decode and pass the
-//!   abstract interpreter — the same bytes a Page Store would execute;
-//! * the range analysis, reported per query: how many residual/filter
-//!   predicates are statically proven rescale-overflow-free (vector
-//!   kernels skip their checked-overflow deferral) vs. deferring.
+//!   abstract interpreter — the same bytes a Page Store would execute.
 //!
 //! CI runs `taurus-verify --all`; any error-severity diagnostic makes
 //! the process exit non-zero. The executor's own gate (`check_plan` in
@@ -20,7 +17,6 @@
 
 use std::process::ExitCode;
 
-use taurus_common::DataType;
 use taurus_expr::ir::IrProgram;
 use taurus_ndp::{build_descriptor, TaurusDb};
 use taurus_optimizer::plan::{LookupJoinNode, NdpDecision, Plan, ScanNode};
@@ -32,8 +28,6 @@ struct Tally {
     errors: usize,
     warnings: usize,
     descriptors: usize,
-    predicates: usize,
-    proven: usize,
 }
 
 fn main() -> ExitCode {
@@ -77,7 +71,6 @@ fn main() -> ExitCode {
             let mut t = Tally::default();
             let mut diags = verify_plan(&plan, &db);
             check_descriptors(&plan, &db, &mut diags, &mut t);
-            range_report(&plan, &db, &mut t);
             for d in &diags {
                 match d.severity {
                     Severity::Error => t.errors += 1,
@@ -92,10 +85,8 @@ fn main() -> ExitCode {
                 }
             } else {
                 println!(
-                    "{label}: ok ({} descriptor(s), {}/{} predicate(s) proven overflow-safe{})",
+                    "{label}: ok ({} descriptor(s){})",
                     t.descriptors,
-                    t.proven,
-                    t.predicates,
                     if t.warnings > 0 {
                         format!(", {} warning(s)", t.warnings)
                     } else {
@@ -106,17 +97,16 @@ fn main() -> ExitCode {
             total.errors += t.errors;
             total.warnings += t.warnings;
             total.descriptors += t.descriptors;
-            total.predicates += t.predicates;
-            total.proven += t.proven;
         }
     }
 
     println!(
-        "taurus-verify: {} plan variant(s), {} NDP descriptor(s), {}/{} predicate(s) proven, {} error(s), {} warning(s)",
-        queries.iter().map(|q| if q.pq_capable { 2 } else { 1 }).sum::<usize>(),
+        "taurus-verify: {} plan variant(s), {} NDP descriptor(s), {} error(s), {} warning(s)",
+        queries
+            .iter()
+            .map(|q| if q.pq_capable { 2 } else { 1 })
+            .sum::<usize>(),
         total.descriptors,
-        total.proven,
-        total.predicates,
         total.errors,
         total.warnings,
     );
@@ -170,50 +160,6 @@ fn check_descriptors(plan: &Plan, db: &TaurusDb, diags: &mut Vec<Diagnostic>, t:
     });
 }
 
-/// Mirror the executor's proven-safe decisions: scan residuals analyzed
-/// in output-position dtype space, `Filter` predicates analyzed over the
-/// inferred schema of a storage-backed input.
-fn range_report(plan: &Plan, db: &TaurusDb, t: &mut Tally) {
-    for_each_scan(plan, &mut |node, _| {
-        let Ok(table) = db.table(&node.table) else {
-            return;
-        };
-        let dtypes: Option<Vec<DataType>> = node
-            .output
-            .iter()
-            .map(|&c| table.schema.columns.get(c).map(|col| col.dtype))
-            .collect();
-        let Some(dtypes) = dtypes else { return };
-        for e in node.residual_conjuncts() {
-            let Ok(remapped) = taurus_verify::remap_onto(
-                e,
-                &node.output,
-                taurus_verify::DiagKind::ResidualNotInOutput,
-                "scan",
-            ) else {
-                continue;
-            };
-            t.predicates += 1;
-            if taurus_verify::analyze_predicate(&remapped, &dtypes).proven {
-                t.proven += 1;
-            }
-        }
-    });
-    for_each_filter(plan, &mut |node| {
-        if !taurus_verify::columns_storage_backed(&node.input) {
-            return;
-        }
-        let Some(schema) = taurus_verify::infer_plan(&node.input, db).schema else {
-            return;
-        };
-        let dtypes: Vec<DataType> = schema.iter().map(|c| c.dtype).collect();
-        t.predicates += 1;
-        if taurus_verify::analyze_predicate(&node.predicate, &dtypes).proven {
-            t.proven += 1;
-        }
-    });
-}
-
 fn for_each_decision(plan: &Plan, f: &mut impl FnMut(&str, usize, &NdpDecision, &str)) {
     for_each_scan(plan, &mut |node, path| {
         if let Some(decision) = &node.ndp {
@@ -262,25 +208,5 @@ fn for_each_scan(plan: &Plan, f: &mut impl FnMut(&ScanNode, &str)) {
         Plan::Sort(s) => for_each_scan(&s.input, f),
         Plan::Limit { input, .. } => for_each_scan(input, f),
         Plan::Exchange(e) => for_each_scan(&e.child, f),
-    }
-}
-
-fn for_each_filter(plan: &Plan, f: &mut impl FnMut(&taurus_optimizer::plan::FilterNode)) {
-    match plan {
-        Plan::Scan(_) | Plan::AggScan(_) => {}
-        Plan::LookupJoin(j) => for_each_filter(&j.outer, f),
-        Plan::HashJoin(j) => {
-            for_each_filter(&j.left, f);
-            for_each_filter(&j.right, f);
-        }
-        Plan::HashAgg(a) => for_each_filter(&a.input, f),
-        Plan::Project(p) => for_each_filter(&p.input, f),
-        Plan::Filter(fl) => {
-            f(fl);
-            for_each_filter(&fl.input, f);
-        }
-        Plan::Sort(s) => for_each_filter(&s.input, f),
-        Plan::Limit { input, .. } => for_each_filter(input, f),
-        Plan::Exchange(e) => for_each_filter(&e.child, f),
     }
 }

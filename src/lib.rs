@@ -49,8 +49,8 @@
 //!
 //! The same sessions also take SQL directly: [`sql`] is a hand-written
 //! lexer + recursive-descent parser and a catalog-aware binder that
-//! lowers onto the very same plan layer, so NDP pushdown, columnar
-//! execution, and the static plan gate apply to SQL text unchanged. All
+//! lowers onto the very same plan layer, so NDP pushdown and the static
+//! plan gate apply to SQL text unchanged. All
 //! 22 TPC-H queries are expressible ([`sql::tpch_sql`]) and
 //! byte-reproduce the hand-built registry plans; malformed text fails
 //! closed with a positioned `Error::Parse`:
@@ -67,27 +67,6 @@
 //! )?;
 //! // `explain select ...` returns the physical plan, one line per row.
 //! # let _ = rows; Ok(()) }
-//! ```
-//!
-//! ## Columnar execution
-//!
-//! Scans can materialize column-major batches instead of rows
-//! (`ClusterConfig::batch_layout`, or `TAURUS_BATCH_LAYOUT=columnar`):
-//! filters then evaluate column-at-a-time over typed vectors and carry
-//! survivors as selection vectors (on the compute node; a Page Store
-//! filters on record bytes). Results are byte-identical in either layout —
-//! the query API above is unchanged (see `DESIGN.md`, "Columnar
-//! execution"):
-//!
-//! ```no_run
-//! use taurus::prelude::*;
-//!
-//! let mut cfg = ClusterConfig::default();
-//! cfg.batch_layout = BatchLayout::Columnar;
-//! let db = TaurusDb::new(cfg);
-//! // Sessions, streams, replicas and the wire protocol all behave
-//! // identically; only the interchange format inside the pipeline
-//! // (and the filter kernels) changed.
 //! ```
 //!
 //! ## Read replicas
@@ -134,16 +113,14 @@
 //! Every plan is checkable *before* it runs: [`verify::verify_plan`]
 //! infers the full output schema (types, widths, nullability) against
 //! the live catalog, abstractly interprets every predicate program the
-//! plan would compile (scalar IR and its vectorized twin), and returns
+//! plan would compile (its scalar register IR), and returns
 //! structured [`verify::Diagnostic`]s with plan-path locations instead
 //! of letting a malformed tree surface as an internal error mid-scan.
 //! Every build runs [`verify::check_plan`] as a gate in front of the
 //! execution entry points, once per statement (a plan that arrives over
 //! the wire is verified like any other); CI runs the `taurus-verify`
-//! binary over every registry plan and NDP descriptor program. The companion range
-//! analysis proves TPC-H-style decimal predicates rescale-overflow-free
-//! so the columnar kernels skip their per-lane checked-overflow
-//! deferral (see `DESIGN.md`, "Static verification").
+//! binary over every registry plan and NDP descriptor program (see
+//! `DESIGN.md`, "Static verification").
 //!
 //! Start with [`prelude`] and `examples/quickstart.rs`; `DESIGN.md` maps
 //! the crate layout onto the paper's architecture (see its "Read
@@ -176,8 +153,8 @@ pub use taurus_verify as verify;
 pub mod prelude {
     pub use taurus_common::schema::{Column, Row, TableSchema};
     pub use taurus_common::{
-        BatchLayout, ClusterConfig, DataType, Date32, Dec, Error, Metrics, MetricsSnapshot,
-        NdpConfig, Result, RowBatch, Value,
+        ClusterConfig, DataType, Date32, Dec, Error, Metrics, MetricsSnapshot, NdpConfig, Result,
+        RowBatch, Value,
     };
     pub use taurus_executor::dsl::{col, date, dec, lit, nth, QExpr};
     pub use taurus_executor::{Agg, Explained, QueryBuilder, QueryRun, RowStream, Session};

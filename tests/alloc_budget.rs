@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use taurus::btree::TreeStore;
 use taurus::common::schema::{Column, TableSchema};
-use taurus::common::{BatchLayout, ClusterConfig, DataType, Dec, Result, RowBatch, Value};
+use taurus::common::{ClusterConfig, DataType, Dec, Result, RowBatch, Value};
 use taurus::expr::ast::Expr;
 use taurus::ndp::{scan, AggState, ScanConsumer, ScanRange, ScanSpec, TaurusDb};
 use taurus::optimizer::plan::{
@@ -129,9 +129,8 @@ impl ScanConsumer for CountRows {
 fn the_row_path_allocates_per_batch_never_per_row() {
     let mut cfg = ClusterConfig::default();
     cfg.buffer_pool_pages = 4096; // everything stays cached
-                                  // The budget is the default row path's, whatever a CI leg's
+                                  // The budget is the default batch size's, whatever a CI leg's
                                   // environment overrides ask of other tests.
-    cfg.batch_layout = BatchLayout::Row;
     cfg.scan_batch_rows = taurus::common::batch::DEFAULT_SCAN_BATCH_ROWS;
     let db = TaurusDb::new(cfg);
     let dec = DataType::Decimal {
@@ -245,7 +244,6 @@ fn key_reads_allocate_per_chunk(join: &Plan) {
     cfg.buffer_pool_pages = 64;
     cfg.ndp.enabled = true;
     cfg.ndp.min_io_pages = 8;
-    cfg.batch_layout = BatchLayout::Row;
     cfg.scan_batch_rows = taurus::common::batch::DEFAULT_SCAN_BATCH_ROWS;
     let db = TaurusDb::new(cfg);
     let facts = TableSchema::new(

@@ -23,9 +23,7 @@ use std::time::{Duration, Instant};
 
 use taurus::btree::TreeStore;
 use taurus::common::schema::{Column, Row, TableSchema};
-use taurus::common::{
-    BatchLayout, ClusterConfig, DataType, Error, MetricsSnapshot, QueryCtx, SliceId, Value,
-};
+use taurus::common::{ClusterConfig, DataType, Error, MetricsSnapshot, QueryCtx, SliceId, Value};
 use taurus::expr::ast::Expr;
 use taurus::ndp::{prefetch_leaves, ScanRange, TaurusDb};
 use taurus::optimizer::ndp_post_process;
@@ -832,10 +830,9 @@ fn runs_the_cut_cannot_vouch_for_fall_back_to_the_probe() {
     assert_eq!(d.lookup_ndp_pages, d.lookup_ndp_reads, "{d:?}");
 }
 
-/// The PQ worker path and the columnar layout share the probe, key reads
-/// included.
+/// The PQ worker path shares the probe, key reads included.
 #[test]
-fn parallel_workers_and_columnar_scans_take_key_reads() {
+fn parallel_workers_take_key_reads() {
     let db = join_db(64, 7);
     db.buffer_pool().clear();
     let plan = with_ndp_decisions(&db, join_plan(0, JoinType::Inner).exchange(3));
@@ -844,17 +841,6 @@ fn parallel_workers_and_columnar_scans_take_key_reads() {
     let mut got = Session::new(&db).execute_plan(&plan).unwrap();
     got.sort_by_key(|r| (r[0].as_int().unwrap(), r[2].as_int().unwrap()));
     assert_eq!(got, expected(0, JoinType::Inner));
-    assert!(delta(&db, &before).lookup_ndp_reads > 0);
-
-    let mut cfg = ClusterConfig::small_for_tests();
-    cfg.batch_layout = BatchLayout::Columnar;
-    cfg.buffer_pool_pages = 16;
-    let db = join_db_with(cfg);
-    db.buffer_pool().clear();
-    let plan = with_ndp_decisions(&db, join_plan(0, JoinType::LeftOuter));
-    let before = db.metrics().snapshot();
-    let got = Session::new(&db).execute_plan(&plan).unwrap();
-    assert_eq!(got, expected(0, JoinType::LeftOuter));
     assert!(delta(&db, &before).lookup_ndp_reads > 0);
 }
 
@@ -1175,22 +1161,4 @@ fn a_writer_splitting_the_leaves_being_read_changes_nothing() {
     );
     assert!(rows_seen > RACE_ROUNDS * (RACE_KEYS * RACE_ROWS_AT_LOAD) as usize / 2);
     assert!(d.lookup_ndp_reads > RACE_ROUNDS as u64, "{d:?}");
-}
-
-/// The layouts agree (the columnar CI leg runs everything above under
-/// `TAURUS_BATCH_LAYOUT=columnar`; this pins it on every leg).
-#[test]
-fn columnar_scans_feed_the_same_probe() {
-    let mut cfg = ClusterConfig::small_for_tests();
-    cfg.batch_layout = BatchLayout::Columnar;
-    cfg.buffer_pool_pages = 16;
-    let db = join_db_with(cfg);
-    db.buffer_pool().clear();
-    let session = Session::new(&db).with_ndp(false);
-    for (index, key_col) in [(0, 0), (1, 2)] {
-        let got = session
-            .execute_plan(&join_plan(index, JoinType::LeftOuter))
-            .unwrap();
-        assert_eq!(got, expected(key_col, JoinType::LeftOuter));
-    }
 }

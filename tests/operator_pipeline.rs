@@ -227,3 +227,57 @@ fn explain_renders_physical_pipeline() {
         assert!(phys.contains(needle), "{needle} missing from:\n{phys}");
     }
 }
+
+/// A plan-level `Filter` is the one Filter path left (the scan core runs
+/// scan conjuncts on record bytes): a runtime error in its predicate comes
+/// out of collect and stream alike, and the guarded form of the same
+/// predicate returns exactly the rows it selects, at batch 1 and 1024.
+#[test]
+fn filter_over_join_surfaces_runtime_errors_and_short_circuits() {
+    use taurus::expr::ast::Expr;
+    // Over the join's [l_orderkey, l_linenumber, l_quantity, o_orderkey,
+    // o_custkey]: `c` is zero on every line number 1.
+    let c = || Expr::sub(Expr::col(1), Expr::int(1));
+    let ratio_over_10 = || Expr::gt(Expr::div(Expr::col(2), c()), Expr::int(10));
+    for batch in [1usize, 1024] {
+        let mut cfg = ClusterConfig::small_for_tests();
+        cfg.buffer_pool_pages = 64;
+        cfg.scan_batch_rows = batch;
+        let db = TaurusDb::new(cfg);
+        taurus::tpch::load(&db, 0.005, 11).unwrap();
+        let session = Session::new(&db);
+
+        let unguarded = join_plan(&db).filter(ratio_over_10());
+        let err = session.execute_plan(&unguarded).unwrap_err();
+        assert!(
+            matches!(err, Error::Arithmetic(_)),
+            "batch {batch}: {err:?}"
+        );
+        let mut stream = session.stream_plan(unguarded);
+        let last = stream.by_ref().find(|r| r.is_err());
+        assert!(
+            matches!(last, Some(Err(Error::Arithmetic(_)))),
+            "batch {batch}: the stream must end in the error, got {last:?}"
+        );
+        assert!(stream.next().is_none(), "batch {batch}");
+
+        let all = session.execute_plan(&join_plan(&db)).unwrap();
+        let want: Vec<Row> = all
+            .into_iter()
+            .filter(|r| {
+                let line = r[1].as_int().unwrap();
+                line == 1 || r[2].as_f64().unwrap() > 10.0 * (line - 1) as f64
+            })
+            .collect();
+        assert!(!want.is_empty(), "batch {batch}");
+        let guarded =
+            join_plan(&db).filter(Expr::or(vec![Expr::eq(c(), Expr::int(0)), ratio_over_10()]));
+        assert_eq!(
+            session.execute_plan(&guarded).unwrap(),
+            want,
+            "batch {batch}"
+        );
+        let streamed: Vec<Row> = session.stream_plan(guarded).map(|r| r.unwrap()).collect();
+        assert_eq!(streamed, want, "batch {batch}");
+    }
+}

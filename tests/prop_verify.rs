@@ -1,10 +1,10 @@
 //! Property tests for the static verifier's gate contract (PR 9):
 //!
 //! * a plan the verifier **accepts** executes without `Error::Internal`
-//!   — under the row and the columnar batch layout, with NDP off and
-//!   with NDP decisions applied (typed runtime errors like `Error::Type`
-//!   are allowed; internal invariant breaks are not) — and when both
-//!   layouts succeed their results are identical;
+//!   — collected and streamed, with NDP off and with NDP decisions
+//!   applied (typed runtime errors like `Error::Type` are allowed;
+//!   internal invariant breaks are not) — and when both succeed their
+//!   results are identical;
 //! * a plan the verifier **rejects** fails *before any operator opens*:
 //!   the collect path returns `Error::Verify`, and the stream path
 //!   delivers it as the first and only item.
@@ -13,29 +13,20 @@ use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 use taurus::common::config::ClusterConfig;
-use taurus::common::{BatchLayout, Error, Value};
+use taurus::common::{Error, Value};
 use taurus::expr::ast::Expr;
 use taurus::ndp::TaurusDb;
 use taurus::optimizer::ndp_post::ndp_post_process;
 use taurus::optimizer::plan::{Plan, ScanNode, SortNode};
 use taurus::prelude::Session;
 
-fn db_with(layout: BatchLayout) -> Arc<TaurusDb> {
-    let mut cfg = ClusterConfig::default();
-    cfg.batch_layout = layout;
-    let db = TaurusDb::new(cfg);
-    taurus::tpch::load(&db, 0.01, 42).unwrap();
-    db
-}
-
 fn row_db() -> &'static Arc<TaurusDb> {
     static DB: OnceLock<Arc<TaurusDb>> = OnceLock::new();
-    DB.get_or_init(|| db_with(BatchLayout::Row))
-}
-
-fn col_db() -> &'static Arc<TaurusDb> {
-    static DB: OnceLock<Arc<TaurusDb>> = OnceLock::new();
-    DB.get_or_init(|| db_with(BatchLayout::Columnar))
+    DB.get_or_init(|| {
+        let db = TaurusDb::new(ClusterConfig::default());
+        taurus::tpch::load(&db, 0.01, 42).unwrap();
+        db
+    })
 }
 
 /// A random (often malformed) comparison conjunct: column indices range
@@ -72,10 +63,11 @@ fn plan() -> impl Strategy<Value = Plan> {
         })
 }
 
-/// Execute on one db; `Ok(None)` = typed runtime rejection (allowed),
-/// `Ok(Some(rows))` = success. Panics the test on `Error::Internal`.
-fn run_checked(db: &Arc<TaurusDb>, plan: &Plan, what: &str) -> Option<Vec<Vec<Value>>> {
-    match Session::new(db).execute_plan(plan) {
+/// Check one execution's outcome: `None` = typed runtime rejection
+/// (allowed), `Some(rows)` = success. Panics the test on
+/// `Error::Internal`.
+fn run_checked(result: Result<Vec<Vec<Value>>, Error>, what: &str) -> Option<Vec<Vec<Value>>> {
+    match result {
         Ok(rows) => Some(rows),
         Err(Error::Internal(msg)) => {
             panic!("verifier-accepted plan hit Error::Internal ({what}): {msg}")
@@ -100,11 +92,10 @@ proptest! {
         }
         for p in &variants {
             if taurus::verify::check_plan(p, row_db()).is_ok() {
-                let a = run_checked(row_db(), p, "row layout");
-                let b = run_checked(col_db(), p, "columnar layout");
-                if let (Some(mut a), Some(mut b)) = (a, b) {
-                    a.sort_by(|x, y| format!("{x:?}").cmp(&format!("{y:?}")));
-                    b.sort_by(|x, y| format!("{x:?}").cmp(&format!("{y:?}")));
+                let session = Session::new(row_db());
+                let a = run_checked(session.execute_plan(p), "collect");
+                let b = run_checked(session.stream_plan(p.clone()).collect(), "stream");
+                if let (Some(a), Some(b)) = (a, b) {
                     prop_assert_eq!(a, b);
                 }
             } else {

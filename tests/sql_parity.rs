@@ -1,14 +1,13 @@
 //! SQL frontend acceptance (PR 10): every TPC-H query expressed as SQL
 //! text produces results **byte-equal** to the hand-built registry plan
-//! it shadows — under the row and the columnar batch layout, with NDP
-//! off and on — and malformed SQL fails closed with a positioned
+//! it shadows, with NDP off and on, and malformed SQL fails closed with a positioned
 //! `Error::Parse` before any operator opens.
 
 use std::sync::{Arc, OnceLock};
 
 use taurus::common::config::ClusterConfig;
 use taurus::common::schema::Row;
-use taurus::common::{BatchLayout, Error, Value};
+use taurus::common::{Error, Value};
 use taurus::ndp::TaurusDb;
 use taurus::prelude::Session;
 use taurus::sql::SessionSqlExt;
@@ -16,24 +15,16 @@ use taurus::tpch;
 
 const SF: f64 = 0.01;
 
-fn db_with(layout: BatchLayout) -> Arc<TaurusDb> {
-    let mut cfg = ClusterConfig::default();
-    cfg.batch_layout = layout;
-    cfg.ndp.enabled = true;
-    cfg.ndp.min_io_pages = 8;
-    let db = TaurusDb::new(cfg);
-    tpch::load(&db, SF, 7).unwrap();
-    db
-}
-
 fn row_db() -> &'static Arc<TaurusDb> {
     static DB: OnceLock<Arc<TaurusDb>> = OnceLock::new();
-    DB.get_or_init(|| db_with(BatchLayout::Row))
-}
-
-fn col_db() -> &'static Arc<TaurusDb> {
-    static DB: OnceLock<Arc<TaurusDb>> = OnceLock::new();
-    DB.get_or_init(|| db_with(BatchLayout::Columnar))
+    DB.get_or_init(|| {
+        let mut cfg = ClusterConfig::default();
+        cfg.ndp.enabled = true;
+        cfg.ndp.min_io_pages = 8;
+        let db = TaurusDb::new(cfg);
+        tpch::load(&db, SF, 7).unwrap();
+        db
+    })
 }
 
 /// Render rows exactly (Display is total for Value).
@@ -86,12 +77,6 @@ fn check_all(db: &'static Arc<TaurusDb>, ndp: bool) {
 fn tpch_sql_matches_registry_row_layout() {
     check_all(row_db(), false);
     check_all(row_db(), true);
-}
-
-#[test]
-fn tpch_sql_matches_registry_columnar_layout() {
-    check_all(col_db(), false);
-    check_all(col_db(), true);
 }
 
 #[test]

@@ -1,18 +1,16 @@
 //! Pinning tests for the static verifier (PR 9).
 //!
 //! One test per `DiagKind`: each malformed plan/program shape must
-//! produce its specific structured diagnostic, error-severity kinds must
-//! reject the plan at the pre-execution gate (before any operator
-//! opens), and the range analysis must prove a real TPC-H decimal
-//! predicate overflow-safe with byte-equal row/columnar parity.
+//! produce its specific structured diagnostic, and error-severity kinds
+//! must reject the plan at the pre-execution gate (before any operator
+//! opens).
 
 use std::sync::{Arc, OnceLock};
 
 use taurus::common::config::ClusterConfig;
-use taurus::common::{BatchLayout, DataType, Error, Value};
+use taurus::common::{Error, Value};
 use taurus::expr::ast::{CmpOp, Expr};
 use taurus::expr::ir::{IrInstr, IrProgram};
-use taurus::expr::vector::VectorProgram;
 use taurus::ndp::NdpChoice;
 use taurus::ndp::TaurusDb;
 use taurus::optimizer::plan::{
@@ -179,32 +177,6 @@ fn ir_shape_is_pinned() {
         .any(|d| d.kind == DiagKind::IrShape && d.severity == Severity::Error));
 }
 
-#[test]
-fn vector_shape_is_pinned() {
-    // The same malformed program survives straight-line extraction (it
-    // is structurally bounds-valid), so the vector checker must catch
-    // the unwritten read on its side of the scalar↔vector boundary too.
-    let vp = VectorProgram::from_ir(&read_before_write_ir()).unwrap();
-    let diags = taurus::verify::check_vector(&vp, "test");
-    assert!(diags
-        .iter()
-        .any(|d| d.kind == DiagKind::VectorShape && d.severity == Severity::Error));
-}
-
-#[test]
-fn equivalence_is_pinned() {
-    // A scalar program and a vector program compiled from *different*
-    // expressions read different columns: the type-level equivalence
-    // check must refuse to treat them as twins.
-    let ir =
-        taurus::expr::compile::lower(&Expr::lt(Expr::col(0), Expr::lit(Value::Int(5)))).unwrap();
-    let vp = VectorProgram::from_expr(&Expr::lt(Expr::col(1), Expr::lit(Value::Int(5)))).unwrap();
-    let diags = taurus::verify::check_equivalence(&ir, &vp, "test");
-    assert!(diags
-        .iter()
-        .any(|d| d.kind == DiagKind::Equivalence && d.severity == Severity::Error));
-}
-
 // --- a lookup join's NDP key-read decision ----------------------------------
 
 /// `orders` semi-joined to `lineitem` through `index`, Q4's shape: the
@@ -357,61 +329,4 @@ fn rejected_plan_fails_stream_before_any_producer_spawns() {
         other => panic!("expected Err(Verify), got {other:?}"),
     }
     assert!(stream.next().is_none());
-}
-
-// --- range analysis: a real TPC-H Dec predicate, proven and byte-equal -----
-
-/// The Q6-shape predicate over scan output [l_quantity, l_extendedprice,
-/// l_discount] — decimal comparisons the range analysis proves
-/// rescale-overflow-free, so the columnar filter kernel runs without its
-/// per-lane checked-overflow deferral.
-fn q6_predicate() -> Expr {
-    Expr::and(vec![
-        Expr::lt(Expr::col(0), Expr::dec("24")),
-        Expr::between(Expr::col(2), Expr::dec("0.05"), Expr::dec("0.07")),
-    ])
-}
-
-fn q6_filter_plan() -> Plan {
-    Plan::Filter(taurus::optimizer::plan::FilterNode {
-        input: Box::new(Plan::Scan(ScanNode::new("lineitem", vec![4, 5, 6]))),
-        predicate: q6_predicate(),
-    })
-}
-
-#[test]
-fn tpch_dec_predicate_is_statically_proven() {
-    let plan = q6_filter_plan();
-    let Plan::Filter(f) = &plan else {
-        unreachable!()
-    };
-    // The executor's two proven-safe preconditions hold for this plan...
-    assert!(taurus::verify::columns_storage_backed(&f.input));
-    let schema = taurus::verify::infer_plan(&f.input, catalog())
-        .schema
-        .unwrap();
-    let dtypes: Vec<DataType> = schema.iter().map(|c| c.dtype).collect();
-    // ...and the analysis itself discharges every comparison leaf.
-    let verdict = taurus::verify::analyze_predicate(&q6_predicate(), &dtypes);
-    assert!(verdict.proven, "deferring leaves: {:?}", verdict.deferring);
-}
-
-#[test]
-fn proven_kernel_parity_row_vs_columnar_is_byte_equal() {
-    let run = |layout: BatchLayout| {
-        let mut cfg = ClusterConfig::default();
-        cfg.batch_layout = layout;
-        let db = TaurusDb::new(cfg);
-        taurus::tpch::load(&db, 0.01, 42).unwrap();
-        let mut rows = Session::new(&db).execute_plan(&q6_filter_plan()).unwrap();
-        rows.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
-        rows
-    };
-    let row_rows = run(BatchLayout::Row);
-    // The columnar run takes FilterOp's vector path with proven_safe set
-    // (asserted above): identical results prove the skipped deferral
-    // never changes a verdict.
-    let col_rows = run(BatchLayout::Columnar);
-    assert!(!row_rows.is_empty());
-    assert_eq!(row_rows, col_rows);
 }
