@@ -291,6 +291,13 @@ metrics_struct! {
     /// Page Store: records dropped for matching no key of a request's key
     /// set, before visibility, predicate and projection.
     ps_records_key_filtered,
+    /// Page Store: definitely visible records dropped by a request's join
+    /// filter (key column NULL or not in the filter).
+    ps_records_join_filtered,
+    /// Hash joins: probe scans that sent a join filter with their batch
+    /// reads, and the distinct build keys those filters were built over.
+    join_filters_sent,
+    join_filter_keys,
 }
 
 /// Per-tenant governance counters: who is consuming NDP admission and

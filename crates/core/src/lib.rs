@@ -9,9 +9,9 @@
 //! * [`scan`] — the scans: the classical page-at-a-time path and the NDP
 //!   path (descriptor build, level-1 batch extraction, buffer-pool overlap
 //!   handling, ordered NDP-page consumption, InnoDB-side completion of
-//!   raw/ambiguous work), the prepared point probe, leaf prefetch and NDP
-//!   key read of a lookup join's batched key access, plus PQ range
-//!   partitioning.
+//!   raw/ambiguous work), a hash join's join filter on its probe scan's
+//!   batch reads, the prepared point probe, leaf prefetch and NDP key read
+//!   of a lookup join's batched key access, plus PQ range partitioning.
 //! * [`replication`] — the catalog/statistics payloads read replicas
 //!   rebuild their state from; the replica engine itself
 //!   ([`TaurusDb::attach_replica`], [`engine::ReplicaState`]) pins every
@@ -29,9 +29,9 @@ pub mod scan;
 
 pub use engine::{ColumnStats, ReplicaState, SpaceStore, Table, TableIndex, TableStats, TaurusDb};
 pub use scan::{
-    build_descriptor, partition_ranges, prefetch_leaves, scan, scan_ctx, KeyList, KeyRead,
-    NdpChoice, PointLookup, ScanAggregation, ScanConsumer, ScanSpec, ScanStats,
-    LOOKUP_PREFETCH_PAGES_MAX,
+    build_descriptor, partition_ranges, prefetch_leaves, scan, scan_ctx, scan_ctx_filtered,
+    JoinFilter, KeyList, KeyRead, NdpChoice, PointLookup, ScanAggregation, ScanConsumer, ScanSpec,
+    ScanStats, LOOKUP_PREFETCH_PAGES_MAX,
 };
 
 // Re-export the vocabulary types users need alongside the engine.

@@ -61,10 +61,12 @@ use std::time::Instant;
 
 use taurus_btree::{ScanRange, TreeStore};
 use taurus_bufferpool::{BufferPool, NdpFrameGuard};
-use taurus_common::{Error, Metrics, PageNo, QueryCtx, Result, RowBatch, Value};
+use taurus_common::{DataType, Error, Metrics, PageNo, QueryCtx, Result, RowBatch, Value};
 use taurus_expr::agg::{AggSpec, AggState};
 use taurus_expr::ast::Expr;
-use taurus_expr::descriptor::{encode_key_set, NdpAggSpec, NdpDescriptor};
+use taurus_expr::descriptor::{
+    encode_join_filter, encode_key_set, KeyBloom, NdpAggSpec, NdpDescriptor,
+};
 use taurus_expr::vm::{FilterScratch, RecordFilter};
 use taurus_mvcc::ReadView;
 use taurus_page::{DecodePlan, Page, PageType, RecType, RecordLayout, RecordView};
@@ -88,6 +90,16 @@ pub const HOLD_PAGES_MAX: u32 = 16;
 /// there is little left to amortize, and the pages of one request all sit
 /// in the pool before the first is probed.
 pub const LOOKUP_PREFETCH_PAGES_MAX: usize = 32;
+
+/// Sizing of a hash join's [`JoinFilter`]: about this many bits a build
+/// key, in whole 64-bit words, never more than [`JOIN_FILTER_MAX_BYTES`],
+/// and [`JOIN_FILTER_PROBES`] bits a key. Ten bits and three probes let
+/// about 1.7 % of the records no key matches through; the cap keeps the
+/// section, which goes with every batch read of the probe scan, under
+/// half a page.
+pub const JOIN_FILTER_BITS_PER_KEY: usize = 10;
+pub const JOIN_FILTER_MAX_BYTES: usize = 8192;
+pub const JOIN_FILTER_PROBES: u32 = 3;
 
 /// Rows in the output batch a [`PointLookup`] keeps for its lifetime. A
 /// key group is a handful of rows (a longer one is handed over in several
@@ -133,6 +145,54 @@ pub struct ScanSpec {
     /// Table columns the scan delivers, in this order. All must be stored
     /// in the chosen index.
     pub output_cols: Vec<usize>,
+}
+
+/// A hash join's build keys, for its probe scan to send with every batch
+/// read ([`scan_ctx_filtered`]): a Bloom filter over the distinct non-NULL
+/// integer keys, sized by [`JOIN_FILTER_BITS_PER_KEY`], and the probe
+/// table's join column it applies to.
+pub struct JoinFilter {
+    column: usize,
+    keys: usize,
+    bloom: KeyBloom,
+}
+
+impl JoinFilter {
+    /// The filter over `keys` (distinct) for the probe table's `column`.
+    pub fn new(column: usize, keys: &[i64]) -> JoinFilter {
+        let words = (keys.len() * JOIN_FILTER_BITS_PER_KEY)
+            .div_ceil(64)
+            .clamp(1, JOIN_FILTER_MAX_BYTES / 8);
+        let mut bloom = KeyBloom::new(words, JOIN_FILTER_PROBES);
+        for &key in keys {
+            bloom.insert(key);
+        }
+        JoinFilter {
+            column,
+            keys: keys.len(),
+            bloom,
+        }
+    }
+
+    /// Append the join-filter section for records of `index` to `stream`.
+    fn encode(&self, index: &TableIndex, stream: &mut Vec<u8>) -> Result<()> {
+        let tree = &index.tree;
+        let pos = tree
+            .def
+            .stored_cols()
+            .iter()
+            .position(|&c| c == self.column);
+        match pos.map(|p| (p, tree.leaf_layout.dtypes[p])) {
+            Some((pos, DataType::Int | DataType::BigInt)) => {
+                encode_join_filter(pos as u16, &self.bloom, stream);
+                Ok(())
+            }
+            _ => Err(Error::InvalidState(format!(
+                "join filter column {} is no integer column of index {}",
+                self.column, tree.def.name
+            ))),
+        }
+    }
 }
 
 /// Receives scan output. Rows arrive in index-key order; aggregate
@@ -787,21 +847,59 @@ pub fn scan_ctx(
     qctx: QueryCtx,
     consumer: &mut dyn ScanConsumer,
 ) -> Result<ScanStats> {
+    scan_ctx_filtered(db, table, spec, residual, view, qctx, None, consumer)
+}
+
+/// [`scan_ctx`] for the probe side of a hash join: with NDP on, `filter`
+/// (the build side's keys) goes behind the descriptor of every batch
+/// read, a scan without an NDP choice of its own included (the filter
+/// alone is work for the Page Store), and Page Stores drop the definitely
+/// visible records it rules out. What comes back any other way (raw and
+/// cached pages, ambiguous records) is delivered unfiltered: the join
+/// above decides every row either way.
+#[allow(clippy::too_many_arguments)]
+pub fn scan_ctx_filtered(
+    db: &TaurusDb,
+    table: &Table,
+    spec: &ScanSpec,
+    residual: &[Expr],
+    view: &ReadView,
+    qctx: QueryCtx,
+    filter: Option<&JoinFilter>,
+    consumer: &mut dyn ScanConsumer,
+) -> Result<ScanStats> {
     let compiled = Compiled::new(table, spec, residual, view)?;
+    let index = table.index(spec.index);
     let ctx = ScanCtx {
         db,
-        index: table.index(spec.index),
+        index,
         spec,
         view,
         qctx,
         c: &compiled,
     };
-    let mut state = ctx.fresh_state(db.config().scan_batch_rows.max(1));
-    let scanned = match &compiled.descriptor {
-        Some(descriptor) if db.config().ndp.enabled => {
-            ndp_scan(&ctx, &mut state, descriptor, consumer)
+    let stream = match (&compiled.descriptor, filter) {
+        _ if !db.config().ndp.enabled => None,
+        (Some(descriptor), None) => Some(descriptor.encode()),
+        (descriptor, Some(filter)) => {
+            let mut stream = match descriptor {
+                Some(d) => d.encode(),
+                None => {
+                    build_descriptor(index, &NdpChoice::default(), compiled.watermark)?.encode()
+                }
+            };
+            filter.encode(index, &mut stream)?;
+            let m = db.metrics();
+            m.add(|m| &m.join_filters_sent, 1);
+            m.add(|m| &m.join_filter_keys, filter.keys as u64);
+            Some(stream)
         }
-        _ => regular_scan(&ctx, &mut state, consumer),
+        (None, None) => None,
+    };
+    let mut state = ctx.fresh_state(db.config().scan_batch_rows.max(1));
+    let scanned = match stream {
+        Some(stream) => ndp_scan(&ctx, &mut state, Arc::new(stream), consumer),
+        None => regular_scan(&ctx, &mut state, consumer),
     };
     // The scan's end is the last flush point (a consumer that stopped has
     // seen its last batch already; a failed scan delivers nothing more).
@@ -1138,9 +1236,12 @@ impl KeyRead {
                 {
                     let new = run.iter().filter(|leaf| !self.leaves.contains(leaf));
                     if self.leaves.len() + new.count() > chunk_pages {
-                        // This key's leaves belong to the next chunk (a
-                        // chunk that has none yet has room for any run
-                        // that passed the test above).
+                        // This key needs a leaf the chunk has no room
+                        // for: it and the keys behind it belong to the
+                        // next chunk (a chunk that has none yet has room
+                        // for any run that passed the test above). Until
+                        // then a full chunk still takes the keys whose
+                        // runs it already reads, so no leaf is read twice.
                         self.runs.truncate(run_start);
                         break;
                     }
@@ -1158,9 +1259,6 @@ impl KeyRead {
             self.run_of
                 .push((run_start as u32, (self.runs.len() - run_start) as u32));
             b.slot_of.push(if served { 0 } else { NOT_SERVED });
-            if self.leaves.len() >= chunk_pages {
-                break;
-            }
         }
         drop(shared);
         let covered = b.slot_of.len();
@@ -1606,11 +1704,10 @@ fn shed_staged_frames(batch: &mut InflightBatch, inflight: &mut VecDeque<Infligh
 fn ndp_scan(
     ctx: &ScanCtx<'_>,
     state: &mut ScanState,
-    descriptor: &NdpDescriptor,
+    descriptor: Arc<Vec<u8>>,
     consumer: &mut dyn ScanConsumer,
 ) -> Result<bool> {
     let bp = ctx.index.store.buffer_pool().clone();
-    let descriptor = Arc::new(descriptor.encode());
     let cfg = ctx.db.config();
     let look_ahead = cfg.ndp.max_pages_look_ahead.max(1);
     let frame_quota = look_ahead.min((bp.capacity() / 2).max(1));

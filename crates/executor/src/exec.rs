@@ -15,6 +15,8 @@
 //! whether the work below happened in a Page Store or on the compute
 //! node.
 
+use std::borrow::Cow;
+
 use taurus_common::schema::Row;
 use taurus_common::{Dec, Error, KeyMap, QueryCtx, Result, RowBatch, Value};
 use taurus_expr::agg::{AggSpec, AggState};
@@ -513,10 +515,18 @@ pub(crate) struct HashAggAcc<'a> {
     /// per row, so states infer their shape from the first value.
     dtypes: Vec<taurus_common::DataType>,
     map: KeyMap<(Row, Vec<AggStateEx>)>,
-    /// The current row's group values and their encoding, reused from row
-    /// to row: a row of an existing group allocates nothing.
-    gvals: Row,
+    /// The current row's encoded group values, reused from row to row: a
+    /// row of an existing group allocates and clones nothing.
     key: Vec<u8>,
+}
+
+/// A group expression's value for `row`: a bare column is read in place,
+/// anything else is evaluated.
+fn group_value<'v>(e: &Expr, row: &'v [Value]) -> Result<Cow<'v, Value>> {
+    Ok(match e {
+        Expr::Col(i) if *i < row.len() => Cow::Borrowed(&row[*i]),
+        e => Cow::Owned(eval(e, row)?),
+    })
 }
 
 impl<'a> HashAggAcc<'a> {
@@ -525,18 +535,14 @@ impl<'a> HashAggAcc<'a> {
             node,
             dtypes: Vec::new(),
             map: KeyMap::default(),
-            gvals: Vec::new(),
             key: Vec::new(),
         }
     }
 
     pub(crate) fn update(&mut self, row: &[Value]) -> Result<()> {
-        self.gvals.clear();
         self.key.clear();
         for e in &self.node.group {
-            let v = eval(e, row)?;
-            encode_value(&v, &mut self.key);
-            self.gvals.push(v);
+            encode_value(group_value(e, row)?.as_ref(), &mut self.key);
         }
         let aggs = &self.node.aggs;
         let fold = |states: &mut [AggStateEx]| -> Result<()> {
@@ -548,13 +554,20 @@ impl<'a> HashAggAcc<'a> {
         match self.map.get_mut(self.key.as_slice()) {
             Some((_, states)) => fold(states),
             None => {
+                // A new group: only now are its values taken (an
+                // expression's evaluated again, once per group).
+                let gvals: Row = self
+                    .node
+                    .group
+                    .iter()
+                    .map(|e| group_value(e, row).map(Cow::into_owned))
+                    .collect::<Result<_>>()?;
                 let mut states: Vec<AggStateEx> = aggs
                     .iter()
                     .map(|i| AggStateEx::new(i, &self.dtypes))
                     .collect();
                 fold(&mut states)?;
-                self.map
-                    .insert(self.key.clone(), (self.gvals.clone(), states));
+                self.map.insert(self.key.clone(), (gvals, states));
                 Ok(())
             }
         }
@@ -1007,6 +1020,66 @@ mod tests {
             matches!(err, Error::Verify(ref m) if m.contains("not in scan output")),
             "{err:?}"
         );
+    }
+
+    /// Group keys read in place and cloned once per group: the groups,
+    /// their order and their values are what evaluating every key of
+    /// every row gives, for CHAR, NULL and Decimal keys and for an
+    /// expression key (which is still evaluated).
+    #[test]
+    fn hash_agg_groups_equal_the_evaluated_keys() {
+        use taurus_common::Dec;
+        let node = HashAggNode {
+            input: Box::new(Plan::Scan(ScanNode::new("t", vec![0]))),
+            group: vec![
+                Expr::col(0),
+                Expr::col(1),
+                Expr::col(2),
+                Expr::add(Expr::col(3), Expr::int(1)),
+            ],
+            aggs: vec![AggItem {
+                func: AggFuncEx::CountStar,
+                input: None,
+            }],
+        };
+        let rows: Vec<Row> = (0..60i64)
+            .map(|i| {
+                vec![
+                    Value::str(["A", "N", "R"][(i % 3) as usize]),
+                    if i % 4 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Int(i % 2)
+                    },
+                    Value::Decimal(Dec::new((i % 5) as i128 * 25, 2)),
+                    Value::Int(i % 2),
+                ]
+            })
+            .collect();
+        let mut acc = HashAggAcc::new(&node);
+        for r in &rows {
+            acc.update(r).unwrap();
+        }
+        let got = finalize_agg_groups(acc.finish()).unwrap();
+
+        let mut want: std::collections::BTreeMap<Vec<u8>, Row> = Default::default();
+        for r in &rows {
+            let gvals: Row = node.group.iter().map(|e| eval(e, r).unwrap()).collect();
+            let mut key = Vec::new();
+            for v in &gvals {
+                encode_value(v, &mut key);
+            }
+            let group = want.entry(key).or_insert_with(|| {
+                let mut g = gvals.clone();
+                g.push(Value::Int(0));
+                g
+            });
+            let n = group.last().unwrap().as_int().unwrap();
+            *group.last_mut().unwrap() = Value::Int(n + 1);
+        }
+        let want: Vec<Row> = want.into_values().collect();
+        assert_eq!(got, want);
+        assert!(got.len() > 20, "{} groups", got.len());
     }
 
     /// Same contract for an AggScan whose GROUP BY column the scan does

@@ -3,7 +3,14 @@
 //! [`HashJoinOp`] is a half-breaker: the build (right) side drains fully
 //! into the hash table on the first pull, the probe (left) side then
 //! streams — a `LIMIT` above stops the probe scan early, and only the
-//! build side is ever materialized.
+//! build side is ever materialized. Both sides open with the join, unless
+//! the optimizer gave it a join filter (`HashJoinNode::filter`): then the
+//! probe scan opens only once the build is drained, with a Bloom filter
+//! over the build keys for its batch reads ([`taurus_ndp::JoinFilter`]),
+//! so the Page Stores keep home the records no build key matches — or
+//! does not open at all when the build has no key. Whatever storage lets
+//! through (false positives, ambiguous records, raw pages) the probe
+//! decides as always.
 //!
 //! [`LookupJoinOp`] streams its outer side and looks each outer row up in
 //! the inner index through the shared [`LookupProbe`] machinery (also used
@@ -23,7 +30,8 @@
 use taurus_common::schema::Row;
 use taurus_common::{KeyMap, Result, RowBatch, Value};
 use taurus_expr::ir::encode_value;
-use taurus_optimizer::plan::{HashJoinNode, JoinType, LookupJoinNode};
+use taurus_ndp::JoinFilter;
+use taurus_optimizer::plan::{HashJoinNode, JoinFilterDecision, JoinType, LookupJoinNode};
 
 use super::{emit_or_end, BoxOp, InputCursor, Operator};
 use crate::exec::{ExecContext, LookupProbe};
@@ -54,6 +62,9 @@ pub(crate) struct HashJoinOp<'r, 'env> {
     built: bool,
     /// The current row's encoded join key (reused across rows).
     key: Vec<u8>,
+    /// The node's join-filter decision: the probe side opens once the
+    /// build is drained.
+    filter: Option<&'env JoinFilterDecision>,
 }
 
 impl<'r, 'env> HashJoinOp<'r, 'env> {
@@ -64,6 +75,9 @@ impl<'r, 'env> HashJoinOp<'r, 'env> {
         right: BoxOp<'r>,
     ) -> HashJoinOp<'r, 'env> {
         HashJoinOp {
+            // `check_plan` has rejected a decision on an outer or anti
+            // join, or on more than one key, before any operator exists.
+            filter: node.filter.as_ref(),
             ctx,
             node,
             left: InputCursor::new(left),
@@ -109,7 +123,44 @@ impl<'r, 'env> HashJoinOp<'r, 'env> {
             }
         }
         self.built = true;
-        Ok(())
+        match self.filter {
+            Some(d) => self.open_probe(d),
+            None => Ok(()),
+        }
+    }
+
+    /// Open the probe side of a join with a join-filter decision, the
+    /// build drained. With `k` distinct integer build keys (only those can
+    /// equal an integer probe key): none, and no probe row can match, so
+    /// the probe never starts; fewer than the probe column's distinct
+    /// values times `ndp.predicate_max_filter_factor` (the paper's
+    /// filter-factor test, `k / ndv` the fraction estimated to survive),
+    /// and the probe scan sends a filter over them; otherwise it opens
+    /// unfiltered.
+    fn open_probe(&mut self, d: &JoinFilterDecision) -> Result<()> {
+        let Some(&rk) = self.node.right_keys.first() else {
+            return self.left.open();
+        };
+        let mut keys: Vec<i64> = self
+            .right_rows
+            .iter()
+            .filter_map(|r| match r.get(rk) {
+                Some(Value::Int(k)) => Some(*k),
+                _ => None,
+            })
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        if keys.is_empty() {
+            self.left.close();
+            return Ok(());
+        }
+        let max_filter_factor = self.ctx.db.config().ndp.predicate_max_filter_factor;
+        if (keys.len() as f64) < d.ndv as f64 * max_filter_factor {
+            self.left.open_filtered(JoinFilter::new(d.column, &keys))
+        } else {
+            self.left.open()
+        }
     }
 }
 
@@ -119,7 +170,11 @@ impl Operator for HashJoinOp<'_, '_> {
     }
 
     fn open(&mut self) -> Result<()> {
-        self.left.open()?;
+        // With a join filter the probe waits for the build (`open_probe`);
+        // the build opens now either way, beside the other joins' builds.
+        if self.filter.is_none() {
+            self.left.open()?;
+        }
         if let Some(r) = &mut self.right {
             r.open()?;
         }

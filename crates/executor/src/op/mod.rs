@@ -40,7 +40,7 @@ pub(crate) use scan::run_scan_producer;
 use crossbeam::thread::Scope;
 use taurus_common::schema::Row;
 use taurus_common::{Result, RowBatch};
-use taurus_ndp::TaurusDb;
+use taurus_ndp::{JoinFilter, TaurusDb};
 use taurus_optimizer::plan::Plan;
 
 use crate::exec::ExecContext;
@@ -60,6 +60,15 @@ pub trait Operator {
 
     /// Acquire resources; called once before the first `next_batch`.
     fn open(&mut self) -> Result<()>;
+
+    /// [`Operator::open`] as the probe side of a hash join with a join
+    /// filter over its build keys. A scan sends the filter with its batch
+    /// reads; any other operator has no use for it (the join above
+    /// decides every row either way) and just opens.
+    fn open_filtered(&mut self, filter: JoinFilter) -> Result<()> {
+        drop(filter);
+        self.open()
+    }
 
     /// Pull the next non-empty batch, or `None` at end of stream.
     fn next_batch(&mut self) -> Result<Option<RowBatch>>;
@@ -141,6 +150,14 @@ impl<'r> InputCursor<'r> {
     pub(crate) fn open(&mut self) -> Result<()> {
         match &mut self.child {
             Some(c) => c.open(),
+            None => Ok(()),
+        }
+    }
+
+    /// [`InputCursor::open`] through [`Operator::open_filtered`].
+    pub(crate) fn open_filtered(&mut self, filter: JoinFilter) -> Result<()> {
+        match &mut self.child {
+            Some(c) => c.open_filtered(filter),
             None => Ok(()),
         }
     }
@@ -294,6 +311,7 @@ mod tests {
                 left_keys: vec![0],
                 right_keys: vec![0],
                 join: JoinType::Inner,
+                filter: None,
             }),
             Plan::HashAgg(HashAggNode {
                 input: Box::new(scan()),

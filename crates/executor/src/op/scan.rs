@@ -27,7 +27,7 @@ use crossbeam::thread::{Scope, ScopedJoinHandle};
 use taurus_common::metrics::CpuGuard;
 use taurus_common::{QueryCtx, Result, RowBatch, Value};
 use taurus_expr::agg::AggState;
-use taurus_ndp::{scan_ctx, ReadView, ScanConsumer, TaurusDb};
+use taurus_ndp::{scan_ctx_filtered, JoinFilter, ReadView, ScanConsumer, TaurusDb};
 use taurus_optimizer::plan::{AggScanNode, ScanNode};
 
 use super::{charge_emit, emit_or_end, BatchEmitter, Operator};
@@ -74,7 +74,8 @@ impl ScanConsumer for ChannelConsumer<'_> {
 /// Run one scan producer to completion: the scan core filters (residual
 /// conjuncts on record bytes) and decodes only the first `visible`
 /// output columns when given (the builder appends predicate-only columns
-/// to a scan's output and hides them behind a prefix projection), errors
+/// to a scan's output and hides them behind a prefix projection), a hash
+/// join's `filter` goes with the batch reads of its probe scan, errors
 /// and panics surface through the channel (a panic must not masquerade
 /// as a clean truncated end-of-stream). Shared by [`BatchScanOp`] and
 /// [`crate::RowStream`]'s bare-scan fast path.
@@ -85,6 +86,7 @@ pub(crate) fn run_scan_producer(
     qctx: QueryCtx,
     tx: &SyncSender<Result<RowBatch>>,
     visible: Option<usize>,
+    filter: Option<&JoinFilter>,
 ) {
     // The producer is a compute-node thread: its CPU lands in
     // `compute_cpu_ns`, like any query thread.
@@ -98,13 +100,14 @@ pub(crate) fn run_scan_producer(
             spec.output_cols.truncate(n);
         }
         let mut consumer = ChannelConsumer { tx };
-        scan_ctx(
+        scan_ctx_filtered(
             ctx.db,
             &table,
             &spec,
             &residual,
             &ctx.view,
             ctx.qctx,
+            filter,
             &mut consumer,
         )?;
         Ok(())
@@ -170,6 +173,23 @@ where
             let _ = h.join();
         }
     }
+
+    /// Spawn the producer, with a hash join's `filter` when it has one.
+    fn start(&mut self, filter: Option<JoinFilter>) {
+        if self.rx.is_some() || self.done {
+            return;
+        }
+        let (tx, rx) = sync_channel::<Result<RowBatch>>(STREAM_CHANNEL_BATCHES);
+        let db = self.db;
+        let node = self.node;
+        let view = self.view.clone();
+        let qctx = self.qctx;
+        self.producer =
+            Some(self.scope.spawn(move |_| {
+                run_scan_producer(db, node, view, qctx, &tx, None, filter.as_ref())
+            }));
+        self.rx = Some(rx);
+    }
 }
 
 impl Operator for BatchScanOp<'_, '_, '_> {
@@ -178,19 +198,12 @@ impl Operator for BatchScanOp<'_, '_, '_> {
     }
 
     fn open(&mut self) -> Result<()> {
-        if self.rx.is_some() || self.done {
-            return Ok(());
-        }
-        let (tx, rx) = sync_channel::<Result<RowBatch>>(STREAM_CHANNEL_BATCHES);
-        let db = self.db;
-        let node = self.node;
-        let view = self.view.clone();
-        let qctx = self.qctx;
-        self.producer = Some(
-            self.scope
-                .spawn(move |_| run_scan_producer(db, node, view, qctx, &tx, None)),
-        );
-        self.rx = Some(rx);
+        self.start(None);
+        Ok(())
+    }
+
+    fn open_filtered(&mut self, filter: JoinFilter) -> Result<()> {
+        self.start(Some(filter));
         Ok(())
     }
 

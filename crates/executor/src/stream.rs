@@ -190,7 +190,7 @@ impl RowStream {
         let (tx, rx) = sync_channel::<Result<RowBatch>>(STREAM_CHANNEL_BATCHES);
         let producer = std::thread::Builder::new()
             .name("taurus-row-stream".into())
-            .spawn(move || run_scan_producer(&db, &node, view, qctx, &tx, visible))
+            .spawn(move || run_scan_producer(&db, &node, view, qctx, &tx, visible, None))
             // lint:allow(panic): thread spawn fails only on OS resource exhaustion
             .expect("spawn row-stream producer");
         RowStream {

@@ -16,14 +16,21 @@
 //! the InnoDB plugin's interpretation, and [`fnv64`] provides the
 //! descriptor-cache key (§IV-D1).
 //!
-//! The stream has two sections. The `DESC` section is the descriptor
-//! proper: the same bytes for every request of one table access, which is
-//! what makes it cacheable. A batched key access (a lookup join's NDP key
-//! read) appends a **key-set section** ([`encode_key_set`], [`KeySet`]):
-//! the chunk's sorted probe keys, different in every request. It travels
-//! beside the descriptor, not in it: the Page Store finds where `DESC`
-//! ends ([`NdpDescriptor::section_len`]), hashes and caches that part
-//! alone, and parses and validates the keys per request.
+//! The stream starts with the `DESC` section, the descriptor proper: the
+//! same bytes for every request of one table access, which is what makes
+//! it cacheable. Behind it come the sections of one request, each
+//! optional, each at most once, in this order ([`Sections`]):
+//!
+//! * a **key-set section** ([`encode_key_set`], [`KeySet`]): a lookup
+//!   join's NDP key read sends the chunk's sorted probe keys;
+//! * a **join-filter section** ([`encode_join_filter`],
+//!   [`JoinFilterSection`]): a hash join's probe scan sends a Bloom filter
+//!   over its build side's keys ([`KeyBloom`]; one hash, [`key_hash`], on
+//!   both sides of the wire) and the record position of its key column.
+//!
+//! They travel beside the descriptor, not in it: the Page Store finds
+//! where `DESC` ends ([`NdpDescriptor::section_len`]), hashes and caches
+//! that part alone, and parses and validates the rest per request.
 
 use std::sync::Arc;
 
@@ -356,20 +363,16 @@ pub struct KeySet {
 }
 
 impl KeySet {
-    /// Parse what follows the `DESC` section of `stream`, which ends at
-    /// `at`: nothing (`None`), or one key-set section running to the end
-    /// of the stream. Input from the wire: every count is checked against
-    /// the bytes that are there before anything is sized by it, and a set
-    /// that is not strictly ascending and prefix-free is refused, since
-    /// the plugin's merge relies on both.
-    pub fn parse(stream: &Arc<Vec<u8>>, at: usize) -> Result<Option<KeySet>> {
+    /// Parse the key-set section that starts at `at` in `stream`; returns
+    /// the set and where the section ends. Input from the wire: every
+    /// count is checked against the bytes that are there before anything
+    /// is sized by it, and a set that is not strictly ascending and
+    /// prefix-free is refused, since the plugin's merge relies on both.
+    pub fn parse(stream: &Arc<Vec<u8>>, at: usize) -> Result<(KeySet, usize)> {
         let err = |what: &str| Error::Corruption(format!("key set: {what}"));
         let buf = stream
             .get(at..)
             .ok_or_else(|| err("starts past the stream"))?;
-        if buf.is_empty() {
-            return Ok(None);
-        }
         if buf.len() < 8 || &buf[..4] != KEYS_MAGIC {
             return Err(err("bad magic"));
         }
@@ -391,13 +394,11 @@ impl KeySet {
             pos += len;
             prev = key;
         }
-        if pos != buf.len() {
-            return Err(err("bytes after the last key"));
-        }
-        Ok(Some(KeySet {
+        let set = KeySet {
             stream: stream.clone(),
             spans,
-        }))
+        };
+        Ok((set, at + pos))
     }
 
     pub fn len(&self) -> usize {
@@ -433,6 +434,177 @@ impl KeySet {
             }
         }
         lo
+    }
+}
+
+/// The hash a join filter sets and tests its bits by, over an integer key
+/// (`Int` and `BigInt` images decode to the same `i64`): the SQL node that
+/// builds the filter and the Page Store that probes it must agree on it
+/// bit for bit. The splitmix64 finalizer.
+pub fn key_hash(key: i64) -> u64 {
+    let mut z = (key as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A Bloom filter over integer keys: `probes` bits a key in whole 64-bit
+/// words, the bits of a key [`key_hash`] and a second hash derived from
+/// it (double hashing), each mapped onto the bit range by a multiply,
+/// not a division. No false negatives: a key that went in is always
+/// found.
+#[derive(Clone, Debug, PartialEq)]
+pub struct KeyBloom {
+    probes: u32,
+    words: Vec<u64>,
+}
+
+impl KeyBloom {
+    /// An empty filter of `words` words (at least one).
+    pub fn new(words: usize, probes: u32) -> KeyBloom {
+        KeyBloom {
+            probes,
+            words: vec![0; words.max(1)],
+        }
+    }
+
+    /// The bit numbers of `key`.
+    fn bits(&self, key: i64) -> impl Iterator<Item = usize> {
+        let h = key_hash(key);
+        let step = h.rotate_left(32) | 1;
+        let range = self.words.len() as u128 * 64;
+        (0..self.probes as u64)
+            .map(move |i| ((h.wrapping_add(i.wrapping_mul(step)) as u128 * range) >> 64) as usize)
+    }
+
+    pub fn insert(&mut self, key: i64) {
+        for bit in self.bits(key) {
+            self.words[bit / 64] |= 1 << (bit % 64);
+        }
+    }
+
+    /// Can `key` have gone in? False means it did not.
+    pub fn may_contain(&self, key: i64) -> bool {
+        self.bits(key)
+            .all(|bit| self.words[bit / 64] & (1 << (bit % 64)) != 0)
+    }
+}
+
+const JOIN_FILTER_MAGIC: &[u8; 4] = b"JFLT";
+
+/// The most probes a join-filter section may ask for of every record.
+pub const JOIN_FILTER_PROBES_MAX: u32 = 8;
+
+/// Append a join-filter section: the magic, the record position of the
+/// probe scan's key column, the probe count, the word count, then the
+/// words.
+pub fn encode_join_filter(pos: u16, bloom: &KeyBloom, out: &mut Vec<u8>) {
+    out.extend_from_slice(JOIN_FILTER_MAGIC);
+    push_u16(out, pos);
+    out.push(bloom.probes as u8);
+    out.extend_from_slice(&(bloom.words.len() as u32).to_le_bytes());
+    for w in &bloom.words {
+        out.extend_from_slice(&w.to_le_bytes());
+    }
+}
+
+/// A request's join filter, validated against the descriptor's record
+/// layout: a definitely visible record qualifies when its key column is
+/// not NULL and its value may be in the filter.
+#[derive(Clone, Debug, PartialEq)]
+pub struct JoinFilterSection {
+    /// Record position of the key column, an `Int` (`width` 4) or a
+    /// `BigInt` (`width` 8).
+    pub pos: usize,
+    pub width: usize,
+    pub bloom: KeyBloom,
+}
+
+impl JoinFilterSection {
+    /// Parse the join-filter section that starts at `at` in `stream`, for
+    /// records of `record_dtypes`; returns it and where it ends. Every
+    /// count is checked against the bytes behind it before anything is
+    /// sized by it.
+    pub fn parse(
+        stream: &[u8],
+        at: usize,
+        record_dtypes: &[DataType],
+    ) -> Result<(JoinFilterSection, usize)> {
+        let err = |what: &str| Error::Corruption(format!("join filter: {what}"));
+        let buf = stream
+            .get(at..)
+            .ok_or_else(|| err("starts past the stream"))?;
+        if buf.len() < 11 || &buf[..4] != JOIN_FILTER_MAGIC {
+            return Err(err("bad magic or truncated"));
+        }
+        let pos = u16::from_le_bytes([buf[4], buf[5]]) as usize;
+        let probes = buf[6] as u32;
+        let n_words = u32::from_le_bytes([buf[7], buf[8], buf[9], buf[10]]) as usize;
+        let width = match record_dtypes.get(pos) {
+            Some(DataType::Int) => 4,
+            Some(DataType::BigInt) => 8,
+            Some(other) => return Err(err(&format!("key column {pos} is {other:?}"))),
+            None => return Err(err(&format!("key column {pos} past the record"))),
+        };
+        if probes == 0 || probes > JOIN_FILTER_PROBES_MAX {
+            return Err(err(&format!("{probes} probes")));
+        }
+        if n_words == 0 || n_words > (buf.len() - 11) / 8 {
+            return Err(err(&format!("{n_words} words")));
+        }
+        let words = buf[11..11 + 8 * n_words]
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+            .collect();
+        let section = JoinFilterSection {
+            pos,
+            width,
+            bloom: KeyBloom { probes, words },
+        };
+        Ok((section, at + 11 + 8 * n_words))
+    }
+}
+
+/// What follows a request's `DESC` section: each section optional, at
+/// most once, in this order.
+#[derive(Default)]
+pub struct Sections {
+    pub keys: Option<KeySet>,
+    pub join_filter: Option<JoinFilterSection>,
+}
+
+impl Sections {
+    /// Parse everything from `at`, where the `DESC` section ends, to the
+    /// end of `stream`, for records of `record_dtypes`. A section that is
+    /// unknown, damaged, repeated or out of order, and bytes that are no
+    /// section, are [`Error::Corruption`].
+    pub fn parse(
+        stream: &Arc<Vec<u8>>,
+        mut at: usize,
+        record_dtypes: &[DataType],
+    ) -> Result<Sections> {
+        let mut out = Sections::default();
+        while at < stream.len() {
+            let magic = stream.get(at..at + 4);
+            if magic == Some(KEYS_MAGIC) && out.keys.is_none() && out.join_filter.is_none() {
+                let (keys, end) = KeySet::parse(stream, at)?;
+                out.keys = Some(keys);
+                at = end;
+            } else if magic == Some(JOIN_FILTER_MAGIC) && out.join_filter.is_none() {
+                let (filter, end) = JoinFilterSection::parse(stream, at, record_dtypes)?;
+                out.join_filter = Some(filter);
+                at = end;
+            } else {
+                return Err(Error::Corruption(format!(
+                    "unknown, repeated or out-of-order section at byte {at}"
+                )));
+            }
+        }
+        Ok(out)
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_none() && self.join_filter.is_none()
     }
 }
 
@@ -576,7 +748,7 @@ mod tests {
         let mut stream = sample().encode();
         let at = stream.len();
         encode_key_set(keys.iter().copied(), &mut stream);
-        KeySet::parse(&Arc::new(stream), at)
+        Ok(Sections::parse(&Arc::new(stream), at, &sample().record_dtypes)?.keys)
     }
 
     #[test]
@@ -596,7 +768,8 @@ mod tests {
         assert_eq!(set.seek(b"g"), 3);
         // No section at all, and an empty set, are both fine.
         let stream = Arc::new(sample().encode());
-        assert!(KeySet::parse(&stream, stream.len()).unwrap().is_none());
+        let none = Sections::parse(&stream, stream.len(), &sample().record_dtypes).unwrap();
+        assert!(none.is_empty());
         assert!(key_set_of(&[]).unwrap().unwrap().is_empty());
     }
 
@@ -613,7 +786,7 @@ mod tests {
         let mut stream = sample().encode();
         let at = stream.len();
         encode_key_set([&b"a"[..], b"b"].into_iter(), &mut stream);
-        let parse = |s: Vec<u8>| KeySet::parse(&Arc::new(s), at);
+        let parse = |s: Vec<u8>| Sections::parse(&Arc::new(s), at, &sample().record_dtypes);
         // Truncated, trailing bytes, wrong magic, a count nothing backs.
         assert!(parse(stream[..stream.len() - 1].to_vec()).is_err());
         let mut longer = stream.clone();
@@ -625,6 +798,99 @@ mod tests {
         let mut count = stream.clone();
         count[at + 4..at + 8].copy_from_slice(&1_000_000u32.to_le_bytes());
         assert!(parse(count).is_err());
+    }
+
+    #[test]
+    fn bloom_finds_every_key_and_few_others() {
+        let keys: Vec<i64> = (0..1000).map(|i| i * 7919 - 300_000).collect();
+        // 10 bits a key, 3 probes: about 1.7 % false positives.
+        let mut bloom = KeyBloom::new(1000 * 10 / 64 + 1, 3);
+        for &k in &keys {
+            bloom.insert(k);
+        }
+        assert!(keys.iter().all(|&k| bloom.may_contain(k)));
+        let others = (0..100_000i64).map(|i| i * 7919 + 1);
+        let false_positives = others.filter(|&k| bloom.may_contain(k)).count();
+        assert!(false_positives < 3_000, "{false_positives}");
+        // A single word still works.
+        let mut tiny = KeyBloom::new(0, 3);
+        tiny.insert(i64::MIN);
+        assert!(tiny.may_contain(i64::MIN) && tiny.words.len() == 1);
+    }
+
+    /// `DESC`, then `sections` (raw bytes), through [`Sections::parse`].
+    fn sections_of(sections: &[u8]) -> Result<Sections> {
+        let mut stream = sample().encode();
+        let at = stream.len();
+        stream.extend_from_slice(sections);
+        Sections::parse(&Arc::new(stream), at, &sample().record_dtypes)
+    }
+
+    fn filter_section(pos: u16, keys: &[i64]) -> Vec<u8> {
+        let mut bloom = KeyBloom::new(2, 3);
+        for &k in keys {
+            bloom.insert(k);
+        }
+        let mut out = Vec::new();
+        encode_join_filter(pos, &bloom, &mut out);
+        out
+    }
+
+    #[test]
+    fn join_filter_roundtrip_alone_and_behind_a_key_set() {
+        let filter = filter_section(1, &[4, -9]);
+        let alone = sections_of(&filter).unwrap();
+        let f = alone.join_filter.unwrap();
+        assert_eq!((f.pos, f.width, f.bloom.words.len()), (1, 4, 2));
+        assert!(f.bloom.may_contain(4) && f.bloom.may_contain(-9));
+        assert!(alone.keys.is_none());
+        let mut both = Vec::new();
+        encode_key_set([&b"a"[..]].into_iter(), &mut both);
+        both.extend_from_slice(&filter_section(0, &[1]));
+        let both = sections_of(&both).unwrap();
+        assert_eq!(both.keys.unwrap().len(), 1);
+        assert_eq!(both.join_filter.unwrap().width, 8);
+    }
+
+    #[test]
+    fn join_filter_sections_refuse_what_they_cannot_vouch_for() {
+        let good = filter_section(0, &[1, 2, 3]);
+        let mut keys = Vec::new();
+        encode_key_set([&b"a"[..]].into_iter(), &mut keys);
+        let with = |at: usize, byte: u8| {
+            let mut s = good.clone();
+            s[at] = byte;
+            s
+        };
+        let words = |n: u32| {
+            let mut s = good.clone();
+            s[7..11].copy_from_slice(&n.to_le_bytes());
+            s
+        };
+        let bad: Vec<(&str, Vec<u8>)> = vec![
+            ("truncated", good[..good.len() - 1].to_vec()),
+            ("truncated header", good[..9].to_vec()),
+            ("more words than bytes", words(3)),
+            ("four billion words", words(u32::MAX)),
+            ("no words", words(0)),
+            ("no probes", with(6, 0)),
+            ("nine probes", with(6, 9)),
+            ("a date column", with(4, 2)),
+            ("past the record", with(4, 5)),
+            ("repeated", [&good[..], &good[..]].concat()),
+            ("out of order", [&good[..], &keys[..]].concat()),
+            ("key set twice", [&keys[..], &keys[..]].concat()),
+            ("unknown magic", with(0, b'X')),
+            ("trailing bytes", [&good[..], &[0u8][..]].concat()),
+        ];
+        for (what, bytes) in bad {
+            assert!(
+                matches!(sections_of(&bytes), Err(Error::Corruption(_))),
+                "{what}"
+            );
+        }
+        assert!(sections_of(&good).is_ok());
+        assert!(sections_of(&[&keys[..], &good[..]].concat()).is_ok());
     }
 
     #[test]

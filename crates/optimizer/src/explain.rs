@@ -12,7 +12,7 @@
 use taurus_expr::ast::Expr;
 use taurus_ndp::TaurusDb;
 
-use crate::plan::{NdpDecision, Plan, ScanNode};
+use crate::plan::{HashJoinNode, NdpDecision, Plan, ScanNode};
 
 /// Render a plan: the logical tree with NDP annotations, followed by the
 /// lowered physical operator pipeline.
@@ -70,8 +70,9 @@ fn render_physical(plan: &Plan, db: &TaurusDb, depth: usize, out: &mut String) {
         }
         Plan::HashJoin(j) => {
             out.push_str(&format!(
-                "HashJoin ({:?}, build right, streamed probe)\n",
-                j.join
+                "HashJoin ({:?}, build right, streamed probe){}\n",
+                j.join,
+                join_filter_tag(j, db)
             ));
             render_physical(&j.left, db, depth + 1, out);
             render_physical(&j.right, db, depth + 1, out);
@@ -128,6 +129,20 @@ fn pushed_parts(d: &NdpDecision) -> Vec<&'static str> {
         parts.push("aggregation");
     }
     parts
+}
+
+/// A hash join's join-filter decision: ` [join filter -> table.column]`
+/// on its line, nothing without one.
+fn join_filter_tag(j: &HashJoinNode, db: &TaurusDb) -> String {
+    let (Some(d), Plan::Scan(probe)) = (&j.filter, &*j.left) else {
+        return String::new();
+    };
+    let column = db
+        .table(&probe.table)
+        .ok()
+        .and_then(|t| t.schema.columns.get(d.column).map(|c| c.name.clone()))
+        .unwrap_or_else(|| format!("col{}", d.column));
+    format!(" [join filter -> {}.{column}]", probe.table)
 }
 
 /// The NDP decision annotation on a physical scan leaf.
@@ -254,7 +269,11 @@ fn render(plan: &Plan, db: &TaurusDb, depth: usize, out: &mut String) {
         }
         Plan::HashJoin(j) => {
             pad(depth, out);
-            out.push_str(&format!("Hash {:?} join\n", j.join));
+            out.push_str(&format!(
+                "Hash {:?} join{}\n",
+                j.join,
+                join_filter_tag(j, db)
+            ));
             render(&j.left, db, depth + 1, out);
             render(&j.right, db, depth + 1, out);
         }

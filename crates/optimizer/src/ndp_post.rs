@@ -27,6 +27,17 @@
 //! instead of whole leaves. Only a covering access qualifies: the
 //! primary-key fetches behind a non-covering secondary probe want whole
 //! rows.
+//!
+//! A fourth decision belongs to a hash join whose probe side is such a
+//! scan: a **join filter** ([`decide_join_filter`]). The join drains its
+//! build side first, and its probe scan's batch reads carry a Bloom filter
+//! over the build keys, so the Page Stores stop shipping records no build
+//! key matches, as a scan's own pushed predicate keeps its rejects home.
+//! It is marked by what can be seen of the plan, not by estimates: an
+//! inner or semi join on one integer key, a probe that is a scan over the
+//! I/O gate, and a build side that filters something (an unfiltered build
+//! lists every key of its table). Whether the filter goes out is decided
+//! at run time from the number of build keys.
 
 use taurus_common::NdpConfig;
 use taurus_common::{DataType, Result, Value};
@@ -34,7 +45,10 @@ use taurus_expr::agg::AggSpec;
 use taurus_expr::ast::{CmpOp, Expr};
 use taurus_ndp::{NdpChoice, ScanAggregation, TableIndex, TableStats, TaurusDb};
 
-use crate::plan::{AggScanNode, LookupJoinNode, NdpDecision, Plan, RangeSpec, ScanNode};
+use crate::plan::{
+    AggScanNode, HashJoinNode, JoinFilterDecision, JoinType, LookupJoinNode, NdpDecision, Plan,
+    RangeSpec, ScanNode,
+};
 
 /// Why a table access did or did not get each NDP feature (EXPLAIN food).
 #[derive(Clone, Debug, Default)]
@@ -78,8 +92,12 @@ fn process(plan: &mut Plan, db: &TaurusDb, out: &mut Vec<NdpReport>) -> Result<(
             out.push(decide_lookup(j, db)?);
         }
         Plan::HashJoin(j) => {
+            let probe_report = out.len();
             process(&mut j.left, db, out)?;
             process(&mut j.right, db, out)?;
+            // A scan's report is the first of its subtree's.
+            let gated = out.get(probe_report).is_none_or(|r| r.gated_by_io);
+            decide_join_filter(j, gated, db)?;
         }
         Plan::HashAgg(a) => process(&mut a.input, db, out)?,
         Plan::Project(p) => process(&mut p.input, db, out)?,
@@ -337,6 +355,37 @@ fn decide_lookup(node: &mut LookupJoinNode, db: &TaurusDb) -> Result<NdpReport> 
     push_projection(needed, idx, &stats, cfg, &mut choice, &mut report);
     node.inner_ndp = Some(NdpDecision { choice, pushed });
     Ok(report)
+}
+
+/// The join-filter decision of a hash join whose probe scan `gated` says
+/// whether the I/O gate kept NDP from: the probe's batch reads carry the
+/// build keys when the join keeps only probe rows that match (inner or
+/// semi) on one key, the probe is a scan of an integer key column that
+/// NDP reads, and the build side filters. A probe scan that pushes
+/// nothing else still qualifies: the filter alone is work, as keys alone
+/// are for a key read.
+fn decide_join_filter(node: &mut HashJoinNode, gated: bool, db: &TaurusDb) -> Result<()> {
+    node.filter = None;
+    let (Plan::Scan(probe), [key]) = (&*node.left, &node.left_keys[..]) else {
+        return Ok(());
+    };
+    let matching_only = matches!(node.join, JoinType::Inner | JoinType::Semi);
+    if !db.config().ndp.enabled || gated || !matching_only || !node.right.holds_predicate() {
+        return Ok(());
+    }
+    let Some(&column) = probe.output.get(*key) else {
+        return Ok(());
+    };
+    let table = db.table(&probe.table)?;
+    if !matches!(
+        table.schema.columns.get(column).map(|c| c.dtype),
+        Some(DataType::Int | DataType::BigInt)
+    ) {
+        return Ok(());
+    }
+    let ndv = table.stats.read().columns.get(column).map_or(0, |c| c.ndv);
+    node.filter = Some(JoinFilterDecision { column, ndv });
+    Ok(())
 }
 
 /// Fraction of the index the range covers (1.0 = full scan).

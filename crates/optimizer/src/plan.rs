@@ -233,6 +233,23 @@ pub struct HashJoinNode {
     pub left_keys: Vec<usize>,
     pub right_keys: Vec<usize>,
     pub join: JoinType,
+    /// Filled in by NDP post-processing when the probe (left) side is an
+    /// NDP scan a join filter can thin out: the join then drains its
+    /// build side first and opens the probe scan with a filter over the
+    /// build keys on every batch read. `None` = both sides open at once,
+    /// and storage ships what the probe scan's own predicate lets through.
+    pub filter: Option<JoinFilterDecision>,
+}
+
+/// A hash join's join-filter decision (see `ndp_post`).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct JoinFilterDecision {
+    /// The probe scan's table column the join key is.
+    pub column: usize,
+    /// Its distinct-value count in the table statistics: `k` build keys
+    /// go out as a filter only when `k < ndv ×
+    /// ndp.predicate_max_filter_factor`.
+    pub ndv: u64,
 }
 
 /// Generic hash aggregation over any input.
@@ -331,6 +348,25 @@ impl Plan {
             child: Box::new(self),
             degree,
         })
+    }
+
+    /// Does the plan drop rows of its tables by a predicate: a scan's (or
+    /// a lookup join's inner access's) or a `Filter`'s? One that does not
+    /// delivers every key its tables hold (a join filter over those drops
+    /// nothing).
+    pub fn holds_predicate(&self) -> bool {
+        match self {
+            Plan::Scan(s) => !s.predicate.is_empty(),
+            Plan::AggScan(a) => !a.scan.predicate.is_empty(),
+            Plan::Filter(_) => true,
+            Plan::LookupJoin(j) => !j.inner_predicate.is_empty() || j.outer.holds_predicate(),
+            Plan::HashJoin(j) => j.left.holds_predicate() || j.right.holds_predicate(),
+            Plan::HashAgg(a) => a.input.holds_predicate(),
+            Plan::Project(p) => p.input.holds_predicate(),
+            Plan::Sort(s) => s.input.holds_predicate(),
+            Plan::Limit { input, .. } => input.holds_predicate(),
+            Plan::Exchange(e) => e.child.holds_predicate(),
+        }
     }
 
     // The static output width of a plan lives in the verifier

@@ -1,6 +1,7 @@
 //! Unit tests for the §IV-B NDP post-processing decisions: the I/O gate,
 //! buffer-pool awareness, the predicate allow-list, the width threshold,
-//! and the §V-C aggregation rules.
+//! the §V-C aggregation rules, lookup joins' key reads and hash joins'
+//! join filters.
 
 use std::sync::Arc;
 
@@ -10,7 +11,8 @@ use taurus_expr::ast::Expr;
 use taurus_ndp::TaurusDb;
 use taurus_optimizer::ndp_post::ndp_post_process;
 use taurus_optimizer::plan::{
-    AggFuncEx, AggItem, AggScanNode, JoinType, LookupJoinNode, Plan, ScanNode,
+    AggFuncEx, AggItem, AggScanNode, HashJoinNode, JoinFilterDecision, JoinType, LookupJoinNode,
+    Plan, ScanNode,
 };
 
 fn wide_schema() -> Arc<TableSchema> {
@@ -456,4 +458,155 @@ fn lookup_decision_with_an_empty_choice_is_still_a_decision() {
     assert!(d.choice.is_empty() && d.pushed.is_empty(), "{d:?}");
     assert!(!reports[1].projection);
     assert!(taurus_optimizer::explain(&plan, &db).contains("[ndp key read: keys]"));
+}
+
+// --- a hash join's join filter -------------------------------------------------
+
+/// `b(id, tag)`: fifty build rows, five tags.
+fn load_build(db: &Arc<TaurusDb>) {
+    let b = db
+        .create_table(
+            TableSchema::new(
+                "b",
+                vec![
+                    Column::new("id", DataType::BigInt),
+                    Column::new("tag", DataType::Int),
+                ],
+                vec![0],
+            ),
+            &[],
+        )
+        .unwrap();
+    db.bulk_load(
+        &b,
+        (0..50)
+            .map(|i| vec![Value::Int(i), Value::Int(i % 5)])
+            .collect(),
+    )
+    .unwrap();
+    db.buffer_pool().clear();
+}
+
+/// `t` (id, v, price) probing `b` (id, tag) on `t`'s output position
+/// `probe_key` = `b.id`, the build kept by `build_pred`.
+fn hash_join(probe_key: usize, join: JoinType, build_pred: Vec<Expr>) -> Plan {
+    Plan::HashJoin(HashJoinNode {
+        left: Box::new(Plan::Scan(ScanNode::new("t", vec![0, 1, 2]))),
+        right: Box::new(Plan::Scan(
+            ScanNode::new("b", vec![0, 1]).with_predicate(build_pred),
+        )),
+        left_keys: vec![probe_key],
+        right_keys: vec![0],
+        join,
+        filter: None,
+    })
+}
+
+fn tag_is_zero() -> Vec<Expr> {
+    vec![Expr::eq(Expr::col(1), Expr::int(0))]
+}
+
+fn join_filter(plan: &Plan) -> Option<JoinFilterDecision> {
+    match plan {
+        Plan::HashJoin(j) => j.filter,
+        _ => None,
+    }
+}
+
+#[test]
+fn join_filter_marks_inner_and_semi_joins_on_an_integer_key_over_a_filtered_build() {
+    let db = mk_db(1);
+    load(&db, 2000);
+    load_build(&db);
+    for (join, marked) in [
+        (JoinType::Inner, true),
+        (JoinType::Semi, true),
+        (JoinType::LeftOuter, false),
+        (JoinType::Anti, false),
+    ] {
+        let mut plan = hash_join(1, join, tag_is_zero());
+        ndp_post_process(&mut plan, &db).unwrap();
+        assert_eq!(join_filter(&plan).is_some(), marked, "{join:?}");
+    }
+    // `v` is an Int with 100 distinct values; `id` a BigInt.
+    let mut plan = hash_join(1, JoinType::Inner, tag_is_zero());
+    ndp_post_process(&mut plan, &db).unwrap();
+    assert_eq!(
+        join_filter(&plan),
+        Some(JoinFilterDecision {
+            column: 1,
+            ndv: 100
+        })
+    );
+    let text = taurus_optimizer::explain(&plan, &db);
+    assert!(
+        text.contains("HashJoin (Inner, build right, streamed probe) [join filter -> t.v]"),
+        "{text}"
+    );
+    assert!(
+        text.contains("Hash Inner join [join filter -> t.v]"),
+        "{text}"
+    );
+    let mut plan = hash_join(0, JoinType::Inner, tag_is_zero());
+    ndp_post_process(&mut plan, &db).unwrap();
+    assert_eq!(join_filter(&plan).map(|d| d.column), Some(0));
+}
+
+#[test]
+fn join_filter_needs_every_property_and_a_stale_one_is_cleared() {
+    let db = mk_db(1);
+    load(&db, 2000);
+    load_build(&db);
+    let undecided = |mut plan: Plan, db: &Arc<TaurusDb>, what: &str| {
+        ndp_post_process(&mut plan, db).unwrap();
+        assert!(join_filter(&plan).is_none(), "{what}");
+        let text = taurus_optimizer::explain(&plan, db);
+        assert!(!text.contains("join filter"), "{what}: {text}");
+    };
+    undecided(
+        hash_join(1, JoinType::Inner, vec![]),
+        &db,
+        "a build without a predicate holds every key",
+    );
+    undecided(
+        hash_join(2, JoinType::Inner, tag_is_zero()),
+        &db,
+        "a decimal key",
+    );
+    let mut two_keys = hash_join(1, JoinType::Inner, tag_is_zero());
+    if let Plan::HashJoin(j) = &mut two_keys {
+        j.left_keys.push(0);
+        j.right_keys.push(1);
+    }
+    undecided(two_keys, &db, "two keys");
+    let mut behind_a_filter = hash_join(1, JoinType::Inner, tag_is_zero());
+    if let Plan::HashJoin(j) = &mut behind_a_filter {
+        *j.left = (*j.left)
+            .clone()
+            .filter(Expr::gt(Expr::col(0), Expr::int(5)));
+    }
+    undecided(behind_a_filter, &db, "a probe that is not a scan");
+
+    // Under the I/O gate, and with NDP off: a decision an earlier pass
+    // left on the node goes.
+    let stale = || {
+        let mut plan = hash_join(1, JoinType::Inner, tag_is_zero());
+        if let Plan::HashJoin(j) = &mut plan {
+            j.filter = Some(JoinFilterDecision {
+                column: 1,
+                ndv: 100,
+            });
+        }
+        plan
+    };
+    let gated = mk_db(10_000);
+    load(&gated, 2000);
+    load_build(&gated);
+    undecided(stale(), &gated, "a probe under the gate");
+    let mut cfg = ClusterConfig::small_for_tests();
+    cfg.ndp.enabled = false;
+    let off = TaurusDb::new(cfg);
+    load(&off, 2000);
+    load_build(&off);
+    undecided(stale(), &off, "NDP off");
 }

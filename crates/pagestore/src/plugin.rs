@@ -20,6 +20,12 @@
 //! * records with `trx_id >=` the descriptor watermark are **ambiguous**
 //!   and pass through byte-identical (never projected — §V-A);
 //! * visible delete-marked records are skipped;
+//! * when the request carries a **join filter** (a hash join's probe scan),
+//!   a visible record whose key column is NULL or misses the filter is
+//!   dropped. Only here, past the watermark: unlike a key-set key, the
+//!   join column is not immutable, so an ambiguous record's bytes may hold
+//!   a value its visible version does not have, and the SQL node rebuilds
+//!   that version before the join judges it;
 //! * visible records are filtered by the compiled predicate, which reads
 //!   column images in place — only definite survivors are kept
 //!   (`False`/`Unknown` rows are what the compute node would discard too);
@@ -42,7 +48,7 @@ use std::sync::Arc;
 
 use taurus_common::{Error, PageNo, Result, Value};
 use taurus_expr::agg::{encode_states, AggState};
-use taurus_expr::descriptor::{KeySet, NdpAggSpec};
+use taurus_expr::descriptor::{JoinFilterSection, KeySet, NdpAggSpec, Sections};
 use taurus_expr::vm::TriBool;
 use taurus_page::{NdpPageBuilder, Page, RecType, RecordView};
 
@@ -57,6 +63,8 @@ pub struct PluginStats {
     pub records_filtered: u64,
     pub records_aggregated: u64,
     pub ambiguous: u64,
+    /// Visible records dropped by the request's join filter.
+    pub records_join_filtered: u64,
 }
 
 /// DBMS-specific NDP processing, loaded into the Page Store framework.
@@ -65,12 +73,12 @@ pub trait NdpPlugin: Send + Sync {
 
     /// Process one page independently (used when the request carries no
     /// cross-page aggregation, so pages can be handled by concurrent
-    /// workers in any order). `keys` is the request's key set, if it
-    /// carries one.
+    /// workers in any order). `sections` is what the request carries
+    /// behind its descriptor.
     fn process_page(
         &self,
         cd: &CachedDescriptor,
-        keys: Option<&KeySet>,
+        sections: &Sections,
         page: &Page,
     ) -> Result<(Page, PluginStats)>;
 
@@ -80,7 +88,7 @@ pub trait NdpPlugin: Send + Sync {
     fn process_batch(
         &self,
         cd: &CachedDescriptor,
-        keys: Option<&KeySet>,
+        sections: &Sections,
         pages: &[(PageNo, Arc<Page>)],
     ) -> Result<(Vec<(PageNo, Page)>, PluginStats)>;
 }
@@ -243,6 +251,25 @@ impl<'a> KeyMerge<'a> {
     }
 }
 
+/// Does a visible record pass the request's join filter? Its key column
+/// is not NULL and its value may be a build key.
+fn join_filter_admits(filter: &JoinFilterSection, rec: &RecordView<'_>) -> bool {
+    if rec.is_null(filter.pos) {
+        return false;
+    }
+    let image = rec.field_bytes(filter.pos);
+    // The record was parsed against the layout the section was checked
+    // against: the image is the column's 4 or 8 bytes.
+    let key = match filter.width {
+        4 => <[u8; 4]>::try_from(image).map(|b| i32::from_le_bytes(b) as i64),
+        _ => <[u8; 8]>::try_from(image).map(i64::from_le_bytes),
+    };
+    match key {
+        Ok(key) => filter.bloom.may_contain(key),
+        Err(_) => true,
+    }
+}
+
 impl InnodbNdpPlugin {
     /// The one record loop behind both entry points. Every page is walked
     /// once, in order, and gives one NDP page, handed to `done` with the
@@ -252,7 +279,7 @@ impl InnodbNdpPlugin {
     /// the carrier over or the batch ends.
     fn run(
         cd: &CachedDescriptor,
-        keys: Option<&KeySet>,
+        sections: &Sections,
         pages: &[&Page],
         cross_page: bool,
         done: &mut dyn FnMut(usize, Page),
@@ -266,7 +293,7 @@ impl InnodbNdpPlugin {
         // The carrier's page and its index, while a later page is walked.
         let mut held: Option<(usize, NdpPageBuilder)> = None;
         let mut offsets = Vec::new();
-        let mut merge = keys.map(KeyMerge::new);
+        let mut merge = sections.keys.as_ref().map(KeyMerge::new);
         for (idx, &page) in pages.iter().enumerate() {
             let mut b = NdpPageBuilder::new(page);
             if let Some(merge) = &mut merge {
@@ -308,6 +335,12 @@ impl InnodbNdpPlugin {
                 }
                 if rec.delete_mark() {
                     continue;
+                }
+                if let Some(filter) = &sections.join_filter {
+                    if !join_filter_admits(filter, &rec) {
+                        stats.records_join_filtered += 1;
+                        continue;
+                    }
                 }
                 if let Some(pred) = &cd.predicate {
                     if pred.eval_record(&rec, &mut offsets)? != TriBool::True {
@@ -363,11 +396,11 @@ impl NdpPlugin for InnodbNdpPlugin {
     fn process_page(
         &self,
         cd: &CachedDescriptor,
-        keys: Option<&KeySet>,
+        sections: &Sections,
         page: &Page,
     ) -> Result<(Page, PluginStats)> {
         let mut out = None;
-        let stats = Self::run(cd, keys, &[page], false, &mut |_, ndp| out = Some(ndp))?;
+        let stats = Self::run(cd, sections, &[page], false, &mut |_, ndp| out = Some(ndp))?;
         // lint:allow(panic): `run` gives one NDP page per input page
         Ok((out.expect("one page in, one page out"), stats))
     }
@@ -375,7 +408,7 @@ impl NdpPlugin for InnodbNdpPlugin {
     fn process_batch(
         &self,
         cd: &CachedDescriptor,
-        keys: Option<&KeySet>,
+        sections: &Sections,
         pages: &[(PageNo, Arc<Page>)],
     ) -> Result<(Vec<(PageNo, Page)>, PluginStats)> {
         let scalar = cd
@@ -385,7 +418,7 @@ impl NdpPlugin for InnodbNdpPlugin {
             .is_some_and(|a| a.group_cols.is_empty());
         let sources: Vec<&Page> = pages.iter().map(|(_, p)| &**p).collect();
         let mut out = Vec::with_capacity(pages.len());
-        let stats = Self::run(cd, keys, &sources, scalar, &mut |idx, ndp| {
+        let stats = Self::run(cd, sections, &sources, scalar, &mut |idx, ndp| {
             out.push((pages[idx].0, ndp))
         })?;
         Ok((out, stats))

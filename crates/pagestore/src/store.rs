@@ -19,7 +19,7 @@ use std::time::Duration;
 use crossbeam::channel::bounded;
 use parking_lot::RwLock;
 use taurus_common::{Error, Lsn, Metrics, PageNo, Result, SliceId, TenantId};
-use taurus_expr::descriptor::{KeySet, NdpDescriptor};
+use taurus_expr::descriptor::{NdpDescriptor, Sections};
 use taurus_page::Page;
 
 use crate::cache::{CachedDescriptor, DescriptorCache};
@@ -453,11 +453,15 @@ impl PageStore {
     pub fn serve_ndp_batch(&self, req: &NdpBatchRequest) -> Result<Vec<PageResult>> {
         self.check_fault(req.slice)?;
         let _req = RequestGuard::new(self);
-        // The descriptor is cached by its `DESC` section; a key set is
-        // this request's alone, parsed and validated here.
+        // The descriptor is cached by its `DESC` section; a key set and a
+        // join filter are this request's alone, parsed and validated here.
         let desc_len = NdpDescriptor::section_len(&req.descriptor)?;
         let cd = self.cache.get_or_prepare(&req.descriptor[..desc_len])?;
-        let keys = KeySet::parse(&req.descriptor, desc_len)?.map(Arc::new);
+        let sections = Arc::new(Sections::parse(
+            &req.descriptor,
+            desc_len,
+            &cd.desc.record_dtypes,
+        )?);
         // Materialize the requested versions first (regular read path).
         // The fault policy was already paid once for the whole request.
         let mut pages: Vec<(PageNo, Arc<Page>)> = Vec::with_capacity(req.pages.len());
@@ -472,7 +476,7 @@ impl PageStore {
             .map(|a| a.group_cols.is_empty())
             .unwrap_or(false);
 
-        if !cd.desc.requests_work() && keys.is_none() {
+        if !cd.desc.requests_work() && sections.is_empty() {
             // Pure batched read: no NDP processing requested.
             return Ok(pages
                 .into_iter()
@@ -505,9 +509,9 @@ impl PageStore {
         }
 
         if scalar_agg {
-            return self.serve_scalar_batch(cd, keys, pages, req.tenant);
+            return self.serve_scalar_batch(cd, sections, pages, req.tenant);
         }
-        self.serve_parallel_pages(cd, keys, pages, req.tenant)
+        self.serve_parallel_pages(cd, sections, pages, req.tenant)
     }
 
     fn charge_plugin_stats(&self, pages: u64, stats: &PluginStats) {
@@ -518,6 +522,8 @@ impl PageStore {
             .add(|m| &m.ps_records_aggregated, stats.records_aggregated);
         self.metrics
             .add(|m| &m.ps_records_key_filtered, stats.records_key_filtered);
+        self.metrics
+            .add(|m| &m.ps_records_join_filtered, stats.records_join_filtered);
     }
 
     /// Cross-page (scalar) aggregation: the whole sub-batch is one
@@ -525,7 +531,7 @@ impl PageStore {
     fn serve_scalar_batch(
         &self,
         cd: Arc<CachedDescriptor>,
-        keys: Option<Arc<KeySet>>,
+        sections: Arc<Sections>,
         pages: Vec<(PageNo, Arc<Page>)>,
         tenant: TenantId,
     ) -> Result<Vec<PageResult>> {
@@ -549,7 +555,7 @@ impl PageStore {
                     std::thread::sleep(service);
                 }
                 let _cpu = taurus_common::metrics::CpuGuard::new(&metrics.ps_cpu_ns);
-                let out = guarded(|| plugin.process_batch(&cd, keys.as_deref(), &job_pages));
+                let out = guarded(|| plugin.process_batch(&cd, &sections, &job_pages));
                 let _ = tx.send(out);
             });
         }
@@ -630,7 +636,7 @@ impl PageStore {
     fn serve_parallel_pages(
         &self,
         cd: Arc<CachedDescriptor>,
-        keys: Option<Arc<KeySet>>,
+        sections: Arc<Sections>,
         pages: Vec<(PageNo, Arc<Page>)>,
         tenant: TenantId,
     ) -> Result<Vec<PageResult>> {
@@ -649,7 +655,7 @@ impl PageStore {
                 continue;
             }
             let cd = cd.clone();
-            let keys = keys.clone();
+            let sections = sections.clone();
             let plugin = self.plugin.clone();
             let metrics = self.metrics.clone();
             let job_page = page.clone();
@@ -660,7 +666,7 @@ impl PageStore {
                     std::thread::sleep(service);
                 }
                 let _cpu = taurus_common::metrics::CpuGuard::new(&metrics.ps_cpu_ns);
-                let out = guarded(|| plugin.process_page(&cd, keys.as_deref(), &job_page));
+                let out = guarded(|| plugin.process_page(&cd, &sections, &job_page));
                 let _ = tx.send((idx, out));
             });
             if ok {
@@ -1089,7 +1095,7 @@ mod tests {
         fn process_page(
             &self,
             _: &CachedDescriptor,
-            _: Option<&KeySet>,
+            _: &Sections,
             _: &Page,
         ) -> Result<(Page, crate::plugin::PluginStats)> {
             panic!("plugin failure (expected in this test)")
@@ -1098,7 +1104,7 @@ mod tests {
         fn process_batch(
             &self,
             _: &CachedDescriptor,
-            _: Option<&KeySet>,
+            _: &Sections,
             _: &[(PageNo, Arc<Page>)],
         ) -> Result<(Vec<(PageNo, Page)>, crate::plugin::PluginStats)> {
             panic!("plugin failure (expected in this test)")

@@ -7,7 +7,7 @@ use taurus_common::{DataType, Metrics, SliceId, SpaceId, TrxId, Value};
 use taurus_expr::agg::{decode_states, AggSpec, AggState};
 use taurus_expr::ast::Expr;
 use taurus_expr::compile::lower;
-use taurus_expr::descriptor::{NdpAggSpec, NdpDescriptor};
+use taurus_expr::descriptor::{NdpAggSpec, NdpDescriptor, Sections};
 use taurus_page::{encode_record, Page, RecType, RecordLayout, RecordMeta, RecordView};
 use taurus_pagestore::{
     CachedDescriptor, InnodbNdpPlugin, NdpBatchRequest, NdpPlugin, PagePayload, PageStore,
@@ -121,7 +121,7 @@ fn paper_example_page_p1_grouped_scalar_single_page() {
     );
     let cd = cached(&desc);
     let (results, stats) = InnodbNdpPlugin
-        .process_batch(&cd, None, &[(0, Arc::new(p1))])
+        .process_batch(&cd, &Sections::default(), &[(0, Arc::new(p1))])
         .unwrap();
     assert_eq!(results.len(), 1);
     let rows = read_ndp_page(&results[0].1, &cd.layout, cd.proj_layout.as_ref());
@@ -182,7 +182,11 @@ fn paper_example_cross_page_p1_p2() {
     );
     let cd = cached(&desc);
     let (results, _) = InnodbNdpPlugin
-        .process_batch(&cd, None, &[(0, Arc::new(p1)), (1, Arc::new(p2))])
+        .process_batch(
+            &cd,
+            &Sections::default(),
+            &[(0, Arc::new(p1)), (1, Arc::new(p2))],
+        )
         .unwrap();
     assert_eq!(results.len(), 2);
     let by_no: std::collections::HashMap<u32, &Page> =
@@ -226,7 +230,9 @@ fn filtering_drops_only_visible_false_rows() {
     let pred = Expr::gt(Expr::col(1), Expr::int(50));
     let desc = descriptor(None, Some(&pred), None);
     let cd = cached(&desc);
-    let (out, stats) = InnodbNdpPlugin.process_page(&cd, None, &p).unwrap();
+    let (out, stats) = InnodbNdpPlugin
+        .process_page(&cd, &Sections::default(), &p)
+        .unwrap();
     let rows = read_ndp_page(&out, &cd.layout, None);
     // Visible true: 1, 5. Ambiguous (any value): 3, 4. Visible false 2: gone.
     assert_eq!(
@@ -245,7 +251,9 @@ fn projection_narrows_visible_rows_only() {
     let p = build_page(1, 0, &[(1, 7, false), (2, 8, true), (3, 9, false)]);
     let desc = descriptor(Some(vec![0]), None, None);
     let cd = cached(&desc);
-    let (out, _) = InnodbNdpPlugin.process_page(&cd, None, &p).unwrap();
+    let (out, _) = InnodbNdpPlugin
+        .process_page(&cd, &Sections::default(), &p)
+        .unwrap();
     let rows = read_ndp_page(&out, &cd.layout, cd.proj_layout.as_ref());
     assert_eq!(rows.len(), 3);
     assert_eq!(
@@ -287,7 +295,9 @@ fn delete_marked_visible_rows_are_skipped() {
     }
     let desc = descriptor(None, Some(&Expr::gt(Expr::col(1), Expr::int(0))), None);
     let cd = cached(&desc);
-    let (out, _) = InnodbNdpPlugin.process_page(&cd, None, &p).unwrap();
+    let (out, _) = InnodbNdpPlugin
+        .process_page(&cd, &Sections::default(), &p)
+        .unwrap();
     let rows = read_ndp_page(&out, &cd.layout, None);
     assert_eq!(rows.iter().map(|r| r.1).collect::<Vec<_>>(), vec![1, 3]);
 }
@@ -315,7 +325,9 @@ fn grouped_aggregation_one_carrier_per_group() {
         }),
     );
     let cd = cached(&desc);
-    let (out, _) = InnodbNdpPlugin.process_page(&cd, None, &p).unwrap();
+    let (out, _) = InnodbNdpPlugin
+        .process_page(&cd, &Sections::default(), &p)
+        .unwrap();
     let rows = read_ndp_page(&out, &cd.layout, None);
     // Group 1: carrier (1,20) payload SUM=10,COUNT=1.
     // Group 2: ambiguous (2,6) passes; carrier (2,5) payload empty partial.
@@ -351,7 +363,9 @@ fn all_rows_filtered_yields_empty_marker() {
     let pred = Expr::gt(Expr::col(1), Expr::int(1000));
     let desc = descriptor(None, Some(&pred), None);
     let cd = cached(&desc);
-    let (out, stats) = InnodbNdpPlugin.process_page(&cd, None, &p).unwrap();
+    let (out, stats) = InnodbNdpPlugin
+        .process_page(&cd, &Sections::default(), &p)
+        .unwrap();
     assert_eq!(out.page_type(), taurus_page::PageType::NdpEmpty);
     assert_eq!(out.byte_len(), taurus_page::HEADER_LEN);
     assert_eq!(stats.records_filtered, 2);
@@ -478,11 +492,11 @@ fn non_ordinary_source_record_is_rejected_on_both_entry_points() {
     for desc in [&filter, &scalar_sum] {
         let cd = cached(desc);
         assert!(matches!(
-            InnodbNdpPlugin.process_page(&cd, None, &p),
+            InnodbNdpPlugin.process_page(&cd, &Sections::default(), &p),
             Err(taurus_common::Error::Corruption(_))
         ));
         assert!(matches!(
-            InnodbNdpPlugin.process_batch(&cd, None, &[(0, Arc::new(p.clone()))]),
+            InnodbNdpPlugin.process_batch(&cd, &Sections::default(), &[(0, Arc::new(p.clone()))]),
             Err(taurus_common::Error::Corruption(_))
         ));
     }

@@ -1,22 +1,29 @@
-//! Hostile key sets at the Page Store.
+//! Hostile key sets and join filters at the Page Store.
 //!
 //! A batch read's descriptor stream is a type-less byte string off the
 //! wire, and behind its `DESC` section it may carry the key set of a
-//! lookup join's batched key access. Whatever is there, arbitrary bytes or
-//! a valid set damaged in one of the ways a set can be (out of order,
-//! a key twice, a key a prefix of another, cut short, a count the bytes do
-//! not back, a million or four billion keys claimed, bytes behind the last
-//! key), `serve_ndp_batch` answers with a typed `Error::Corruption` or
-//! with the correct reply: exactly the records whose key extends a listed
-//! key. Never a panic, never an allocation sized by a count nothing
-//! checked (the four-billion claim would be 32 GB).
+//! lookup join's batched key access and the join filter of a hash join's
+//! probe scan. Whatever is there, arbitrary bytes or a valid set damaged
+//! in one of the ways a set can be (out of order, a key twice, a key a
+//! prefix of another, cut short, a count the bytes do not back, a million
+//! or four billion keys claimed, bytes behind the last key),
+//! `serve_ndp_batch` answers with a typed `Error::Corruption` or with the
+//! correct reply: exactly the records whose key extends a listed key. A
+//! join filter likewise: cut short, more words claimed than sent (four
+//! billion of them), no words, no probes or more than eight, a key column
+//! past the record or not an integer, sent twice, ahead of a key set,
+//! behind an unknown magic or followed by stray bytes is corruption; a
+//! well-formed one keeps exactly the ambiguous records and the visible
+//! ones its Bloom filter may contain. Never a panic, never an allocation
+//! sized by a count nothing checked (the four-billion claim would be
+//! 32 GB).
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use taurus_common::schema::encode_key;
-use taurus_common::{DataType, Error, Metrics, SliceId, SpaceId, Value};
-use taurus_expr::descriptor::{encode_key_set, NdpDescriptor};
+use taurus_common::{DataType, Date32, Error, Metrics, SliceId, SpaceId, Value};
+use taurus_expr::descriptor::{encode_join_filter, encode_key_set, KeyBloom, NdpDescriptor};
 use taurus_page::{encode_record, Page, RecordLayout, RecordMeta, RecordView};
 use taurus_pagestore::{
     NdpBatchRequest, PagePayload, PageStore, PageStoreConfig, RedoBody, RedoRecord,
@@ -28,11 +35,16 @@ const GROUPS_PER_PAGE: i64 = 6;
 const ROWS_PER_GROUP: i64 = 4;
 
 fn dtypes() -> Vec<DataType> {
-    vec![DataType::BigInt, DataType::Int, DataType::BigInt]
+    vec![
+        DataType::BigInt,
+        DataType::Int,
+        DataType::BigInt,
+        DataType::Date,
+    ]
 }
 
-/// `(g, n, val)` records keyed by `(g, n)`: groups of four, every fifth
-/// record newer than the watermark.
+/// `(g, n, val, day)` records keyed by `(g, n)`: groups of four, every
+/// fifth record newer than the watermark, `val` = `g * 10 + n`.
 fn store() -> (Arc<PageStore>, SliceId, Vec<(i64, i64)>) {
     let ps = PageStore::new(
         0,
@@ -59,7 +71,12 @@ fn store() -> (Arc<PageStore>, SliceId, Vec<(i64, i64)>) {
                 let mut rec = Vec::new();
                 encode_record(
                     &layout,
-                    &[Value::Int(g), Value::Int(n), Value::Int(g * 10 + n)],
+                    &[
+                        Value::Int(g),
+                        Value::Int(n),
+                        Value::Int(g * 10 + n),
+                        Value::Date(Date32(9000 + n as i32)),
+                    ],
                     RecordMeta::ordinary(trx),
                     None,
                     &mut rec,
@@ -165,6 +182,26 @@ fn section(keys: &[Vec<u8>]) -> Vec<u8> {
     out
 }
 
+/// A Bloom filter over `keys`, sized as a probe scan sizes one.
+fn bloom_of(keys: &[i64]) -> KeyBloom {
+    let mut bloom = KeyBloom::new(keys.len() * 10 / 64 + 1, 3);
+    for &k in keys {
+        bloom.insert(k);
+    }
+    bloom
+}
+
+fn filter_section(pos: u16, keys: &[i64]) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_join_filter(pos, &bloom_of(keys), &mut out);
+    out
+}
+
+/// The integer columns of a record, by position.
+fn int_columns(g: i64, n: i64) -> [i64; 3] {
+    [g, n, g * 10 + n]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
@@ -257,6 +294,92 @@ proptest! {
             // name a record of this table by a miracle at best.
             Ok(got) if no_section => prop_assert_eq!(got, records),
             Ok(got) => prop_assert!(got.len() < records.len()),
+        }
+    }
+
+    #[test]
+    fn a_well_formed_join_filter_keeps_the_ambiguous_and_what_it_may_contain(
+        keys in proptest::collection::vec(-5i64..600, 0..40),
+        pos in 0u16..3,
+        projection in any::<bool>(),
+        behind_a_key_set in any::<bool>(),
+    ) {
+        let (ps, sid, records) = store();
+        let bloom = bloom_of(&keys);
+        let mut stream = desc_section(projection);
+        // Every group's prefix: a key set that lets every record through.
+        let every: Vec<Vec<u8>> = well_formed(records.iter().map(|&(g, _)| group_key(g)).collect());
+        if behind_a_key_set {
+            stream.extend(section(&every));
+        }
+        encode_join_filter(pos, &bloom, &mut stream);
+        let want: Vec<(i64, i64)> = records
+            .iter()
+            .enumerate()
+            .filter(|&(i, &(g, n))| i % 5 == 4 || bloom.may_contain(int_columns(g, n)[pos as usize]))
+            .map(|(_, &r)| r)
+            .collect();
+        // No false negatives: every record whose value went in is there.
+        for (i, &(g, n)) in records.iter().enumerate() {
+            if keys.contains(&int_columns(g, n)[pos as usize]) {
+                prop_assert!(want.contains(&(g, n)), "record {i}");
+            }
+        }
+        prop_assert_eq!(served(&ps, sid, stream).unwrap(), want);
+    }
+
+    #[test]
+    fn a_damaged_join_filter_is_corruption(
+        keys in proptest::collection::vec(0i64..600, 1..40),
+        damage in 0usize..13,
+        at in any::<u32>(),
+    ) {
+        let (ps, sid, _) = store();
+        let good = filter_section(0, &keys);
+        let words = (good.len() - 11) / 8;
+        let with = |from: usize, bytes: &[u8]| {
+            let mut s = good.clone();
+            s[from..from + bytes.len()].copy_from_slice(bytes);
+            s
+        };
+        let key_set = section(&[group_key(3)]);
+        let at = at as usize;
+        let damaged: Vec<u8> = match damage {
+            0 => good[..1 + at % (good.len() - 1)].to_vec(),
+            1 => with(7, &((words + 1 + at % 9) as u32).to_le_bytes()),
+            2 => with(7, &u32::MAX.to_le_bytes()),
+            3 => with(7, &0u32.to_le_bytes()),
+            4 => with(6, &[0]),
+            5 => with(6, &[9 + (at % 247) as u8]),
+            6 => with(4, &((4 + at % 1000) as u16).to_le_bytes()),
+            7 => with(4, &3u16.to_le_bytes()),
+            8 => [&good[..], &good[..]].concat(),
+            9 => [&good[..], &key_set[..]].concat(),
+            10 => with(at % 4, b"j"),
+            11 => [&good[..], &[0xAB; 7][..1 + at % 7]].concat(),
+            _ => [&key_set[..], &key_set[..], &good[..]].concat(),
+        };
+        let mut stream = desc_section(true);
+        stream.extend(damaged);
+        match served(&ps, sid, stream) {
+            Err(Error::Corruption(_)) => {}
+            other => panic!("damage {damage}: not the typed error: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn arbitrary_bytes_behind_a_join_filter_magic_never_panic(
+        trailer in proptest::collection::vec(any::<u8>(), 0..96),
+    ) {
+        let (ps, sid, records) = store();
+        let mut stream = desc_section(true);
+        stream.extend_from_slice(b"JFLT");
+        stream.extend(&trailer);
+        match served(&ps, sid, stream) {
+            Err(Error::Corruption(_)) => {}
+            Err(other) => panic!("not the typed error: {other:?}"),
+            // A filter can only take records away.
+            Ok(got) => prop_assert!(got.iter().all(|r| records.contains(r))),
         }
     }
 }

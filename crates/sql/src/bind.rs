@@ -1404,6 +1404,7 @@ impl<'a> Binder<'a> {
                     left_keys,
                     right_keys,
                     join: *join,
+                    filter: None,
                 });
                 if !residual.is_empty() {
                     let fr = Frame::Layout {
@@ -1583,6 +1584,7 @@ impl<'a> Binder<'a> {
                     } else {
                         JoinType::Semi
                     },
+                    filter: None,
                 }))
             }
         }

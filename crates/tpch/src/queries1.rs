@@ -44,6 +44,7 @@ pub(crate) fn hash_join(
         left_keys: lk,
         right_keys: rk,
         join,
+        filter: None,
     })
 }
 

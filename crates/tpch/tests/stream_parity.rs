@@ -174,6 +174,7 @@ fn degenerate_batch_matrix() {
             left_keys: vec![0],
             right_keys: vec![0],
             join: JoinType::Inner,
+            filter: None,
         });
         assert!(session.execute_plan(&empty_join).unwrap().is_empty());
         assert_eq!(session.stream_plan(empty_join.clone()).count(), 0);

@@ -51,6 +51,11 @@ pub enum DiagKind {
     /// deliver: an inner output, a residual conjunct's column or a key
     /// column.
     NdpProjectionDropsColumn,
+    /// A hash join carries a join-filter decision it is not eligible for:
+    /// not an inner or semi join on one key, a probe side that is not a
+    /// scan of the decision's integer column, or a build side without a
+    /// predicate.
+    JoinFilterIneligible,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]

@@ -17,7 +17,8 @@ use taurus_common::{DataType, Value};
 use taurus_expr::ast::Expr;
 use taurus_ndp::{Table, TaurusDb};
 use taurus_optimizer::plan::{
-    AggFuncEx, AggItem, JoinType, LookupJoinNode, NdpDecision, Plan, ScanNode,
+    AggFuncEx, AggItem, HashJoinNode, JoinFilterDecision, JoinType, LookupJoinNode, NdpDecision,
+    Plan, ScanNode,
 };
 
 use crate::diag::{DiagKind, Diagnostic};
@@ -280,6 +281,9 @@ fn infer(
                         }
                     }
                 }
+            }
+            if let Some(d) = &j.filter {
+                ok &= check_join_filter(j, d, db, &path, diags);
             }
             if let (Some(l), Some(r)) = (&left, &right) {
                 for (&lk, &rk) in j.left_keys.iter().zip(&j.right_keys) {
@@ -564,6 +568,62 @@ fn check_inner_ndp(
         }
     }
     ok
+}
+
+/// A hash join's join-filter decision against its node: the rules
+/// `ndp_post` marks eligibility by, all of which can be seen in the plan
+/// (only the I/O gate, which depends on the pool, cannot). A filter on an
+/// outer or anti join would drop the probe rows those joins exist to
+/// keep.
+fn check_join_filter(
+    j: &HashJoinNode,
+    d: &JoinFilterDecision,
+    db: &TaurusDb,
+    path: &str,
+    diags: &mut Vec<Diagnostic>,
+) -> bool {
+    let probe_column = match (&*j.left, &j.left_keys[..]) {
+        (Plan::Scan(s), [k]) => s.output.get(*k).map(|&c| (s, c)),
+        _ => None,
+    };
+    let problem = if !matches!(j.join, JoinType::Inner | JoinType::Semi) {
+        Some(format!(
+            "a {:?} join keeps probe rows no build key matches",
+            j.join
+        ))
+    } else if let Some((scan, column)) = probe_column {
+        let dtype = db
+            .table(&scan.table)
+            .ok()
+            .and_then(|t| t.schema.columns.get(column).map(|c| c.dtype));
+        if column != d.column {
+            Some(format!(
+                "the decision names column {} but the probe key is column {column}",
+                d.column
+            ))
+        } else if !matches!(dtype, Some(DataType::Int | DataType::BigInt)) {
+            Some(format!(
+                "the probe key column {column} is {dtype:?}, not an integer"
+            ))
+        } else if !j.right.holds_predicate() {
+            Some("the build side has no predicate, so it holds every key".into())
+        } else {
+            None
+        }
+    } else {
+        Some("the probe side is not a scan joined on one key".into())
+    };
+    match problem {
+        Some(problem) => {
+            diags.push(Diagnostic::error(
+                DiagKind::JoinFilterIneligible,
+                path,
+                format!("join filter: {problem}"),
+            ));
+            false
+        }
+        None => true,
+    }
 }
 
 // --- typing helpers ----------------------------------------------------------

@@ -1,7 +1,7 @@
 //! Where a pass over the 22 TPC-H statements spends its time and its
 //! storage wire, one row per statement, NDP off and on: wall and SQL-node
-//! CPU, read requests, pages shipped raw / NDP-processed / empty, and kB
-//! from and to storage.
+//! CPU, Page-Store CPU, read requests, pages shipped raw / NDP-processed /
+//! empty, and kB from and to storage.
 //!
 //! The cluster has the shape `benchmark/` gives its TPC-H workloads (4 Page
 //! Stores, replication 3, a 175-page pool over ~14 MB of data, a shared
@@ -28,6 +28,7 @@ struct Sizing {
 struct Cost {
     wall_ms: f64,
     cpu_ms: f64,
+    ps_cpu_ms: f64,
     requests: f64,
     raw: f64,
     ndp: f64,
@@ -36,9 +37,10 @@ struct Cost {
     kb_to: f64,
 }
 
-const COLUMNS: [(&str, fn(&Cost) -> f64); 8] = [
+const COLUMNS: [(&str, fn(&Cost) -> f64); 9] = [
     ("wall ms", |c| c.wall_ms),
     ("cpu ms", |c| c.cpu_ms),
+    ("ps cpu ms", |c| c.ps_cpu_ms),
     ("requests", |c| c.requests),
     ("raw", |c| c.raw),
     ("ndp", |c| c.ndp),
@@ -65,6 +67,7 @@ fn run(session: &Session, text: &str) -> Result<Cost> {
     Ok(Cost {
         wall_ms,
         cpu_ms: d.compute_cpu_ns as f64 / 1e6,
+        ps_cpu_ms: d.ps_cpu_ns as f64 / 1e6,
         requests: d.net_read_requests as f64,
         raw: d.pages_shipped_raw as f64,
         ndp: d.pages_shipped_ndp as f64,

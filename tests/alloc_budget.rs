@@ -23,15 +23,18 @@
 //! The Page Store's plugin has the same budget on the other side of the
 //! wire: a page costs it the NDP page's buffer and the predicate's offset
 //! scratch, whatever survives (TPC-H Q1 keeps every `lineitem` record and
-//! nine of its columns, Q6 keeps one record in fifty).
+//! nine of its columns, Q6 keeps one record in fifty), and a join filter
+//! on top of either keeps it at two allocations a page.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use taurus::btree::TreeStore;
 use taurus::common::schema::{Column, TableSchema};
 use taurus::common::{ClusterConfig, DataType, Dec, Result, RowBatch, Value};
 use taurus::expr::ast::Expr;
+use taurus::expr::descriptor::{encode_join_filter, KeyBloom, NdpDescriptor, Sections};
 use taurus::ndp::{scan, AggState, ScanConsumer, ScanRange, ScanSpec, TaurusDb};
 use taurus::optimizer::plan::{
     AggFuncEx, AggItem, HashAggNode, JoinType, LookupJoinNode, Plan, ScanNode,
@@ -351,6 +354,7 @@ fn page_store_plugin_allocates_per_page() {
         let descriptor = taurus::ndp::build_descriptor(index, choice, u64::MAX).unwrap();
         assert!(descriptor.predicate_bitcode.is_some() && descriptor.projection.is_some());
         let cd = CachedDescriptor::prepare(&descriptor.encode()).unwrap();
+        let none = Sections::default();
         assert_within_budget(
             &format!("page store, {name}"),
             records,
@@ -358,12 +362,52 @@ fn page_store_plugin_allocates_per_page() {
             || {
                 let mut seen = 0;
                 for leaf in &leaves {
-                    let (ndp, stats) = InnodbNdpPlugin.process_page(&cd, None, leaf).unwrap();
+                    let (ndp, stats) = InnodbNdpPlugin.process_page(&cd, &none, leaf).unwrap();
                     seen += stats.records_in;
                     assert!(ndp.n_recs() as u64 <= stats.records_in);
                 }
                 assert_eq!(seen, records);
             },
         );
+        page_store_join_filter_allocates_per_page(&descriptor, &leaves, name);
     }
+}
+
+/// The same descriptor and leaves with a join filter over every tenth
+/// `l_orderkey`, as a hash join's probe scan sends it: the filter test is
+/// one more look at each record's bytes, so a page still costs at most
+/// two allocations.
+fn page_store_join_filter_allocates_per_page(
+    descriptor: &NdpDescriptor,
+    leaves: &[Arc<taurus::page::Page>],
+    name: &str,
+) {
+    let pos = descriptor.key_positions[0];
+    let keys: Vec<i64> = (0..2_000).map(|k| k * 10).collect();
+    let mut bloom = KeyBloom::new(keys.len() * 10 / 64 + 1, 3);
+    for &k in &keys {
+        bloom.insert(k);
+    }
+    let mut stream = descriptor.encode();
+    let at = stream.len();
+    encode_join_filter(pos, &bloom, &mut stream);
+    let sections = Sections::parse(&Arc::new(stream), at, &descriptor.record_dtypes).unwrap();
+    let cd = CachedDescriptor::prepare(&descriptor.encode()).unwrap();
+    let run = || {
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let mut join_filtered = 0;
+        for leaf in leaves {
+            let (_, stats) = InnodbNdpPlugin.process_page(&cd, &sections, leaf).unwrap();
+            join_filtered += stats.records_join_filtered;
+        }
+        assert!(join_filtered > 0);
+        ALLOCATIONS.load(Ordering::Relaxed) - before
+    };
+    run();
+    let counts: Vec<u64> = (0..5).map(|_| run()).collect();
+    assert!(
+        counts.iter().all(|&n| n <= 2 * leaves.len() as u64),
+        "page store with a join filter, {name}: {counts:?} allocations for {} pages",
+        leaves.len()
+    );
 }

@@ -31,6 +31,7 @@ fn join_plan(db: &TaurusDb) -> Plan {
         left_keys: vec![0],
         right_keys: vec![0],
         join: JoinType::Inner,
+        filter: None,
     });
     ndp_post_process(&mut plan, db).unwrap();
     plan
@@ -166,6 +167,7 @@ fn left_outer_join_with_empty_build_side_null_pads() {
         left_keys: vec![0],
         right_keys: vec![0],
         join: JoinType::LeftOuter,
+        filter: None,
     });
     ndp_post_process(&mut plan, &db).unwrap();
     assert_eq!(taurus::verify::plan_width(&plan), 4);

@@ -20,6 +20,13 @@
 //! key set, one key, every key, keys that fall between records, prefix
 //! keys (a whole group, over page boundaries) and keys before and after
 //! every record.
+//!
+//! A request may also carry a join filter (a hash join's probe scan): a
+//! visible, live record whose key column is NULL or misses the Bloom
+//! filter is dropped; an ambiguous one is not. The oracle tests the
+//! decoded value, the plugin the column's image in place. Both run under
+//! no filter, one key, every key, a key nothing has, a nullable column,
+//! `Int` and `BigInt` columns, and a filter behind a key set.
 
 use std::sync::Arc;
 
@@ -29,7 +36,10 @@ use taurus::common::{ClusterConfig, DataType, Date32, Dec, SpaceId, Value};
 use taurus::expr::agg::{encode_states, AggSpec, AggState};
 use taurus::expr::ast::Expr;
 use taurus::expr::compile::lower;
-use taurus::expr::descriptor::{encode_key_set, KeySet, NdpAggSpec, NdpDescriptor};
+use taurus::expr::descriptor::{
+    encode_join_filter, encode_key_set, JoinFilterSection, KeyBloom, KeySet, NdpAggSpec,
+    NdpDescriptor, Sections,
+};
 use taurus::expr::vm::TriBool;
 use taurus::ndp::{build_descriptor, TaurusDb};
 use taurus::optimizer::plan::{Plan, ScanNode};
@@ -41,10 +51,13 @@ use taurus::prelude::Session;
 /// emissions are sorted back into chain order. `cross_page` is
 /// `process_batch` on a scalar aggregate; otherwise every page stands
 /// alone, as in `process_page`. With `listed` keys, a record whose key
-/// extends none of them does not exist.
+/// extends none of them does not exist; with a join `filter`, a visible
+/// live record whose key column's value the filter rules out does not
+/// either.
 fn oracle(
     cd: &CachedDescriptor,
     listed: Option<&[Vec<u8>]>,
+    filter: Option<&JoinFilterSection>,
     pages: &[&Page],
     cross_page: bool,
 ) -> (Vec<Page>, PluginStats) {
@@ -109,6 +122,16 @@ fn oracle(
             let visible = rec.trx_id() < cd.desc.low_watermark;
             if visible && rec.delete_mark() {
                 continue;
+            }
+            if let (true, Some(f)) = (visible, filter) {
+                let admitted = match rec.values()[f.pos] {
+                    Value::Int(key) => f.bloom.may_contain(key),
+                    _ => false,
+                };
+                if !admitted {
+                    stats.records_join_filtered += 1;
+                    continue;
+                }
             }
             if let (true, Some(pred)) = (visible, &cd.predicate) {
                 if pred.eval_record(&rec, &mut offsets).unwrap() != TriBool::True {
@@ -190,8 +213,41 @@ fn key_set(mut keys: Vec<Vec<u8>>) -> (Vec<Vec<u8>>, KeySet) {
     keys.dedup();
     let mut stream = Vec::new();
     encode_key_set(keys.iter().map(Vec::as_slice), &mut stream);
-    let set = KeySet::parse(&Arc::new(stream), 0).unwrap().unwrap();
+    let (set, _) = KeySet::parse(&Arc::new(stream), 0).unwrap();
     (keys, set)
+}
+
+/// A join filter on record position `pos` over `keys`, through the wire
+/// format as a probe scan sends it.
+fn join_filter(cd: &CachedDescriptor, pos: usize, keys: &[i64]) -> JoinFilterSection {
+    let mut bloom = KeyBloom::new(keys.len() * 10 / 64 + 1, 3);
+    for &key in keys {
+        bloom.insert(key);
+    }
+    let mut stream = Vec::new();
+    encode_join_filter(pos as u16, &bloom, &mut stream);
+    JoinFilterSection::parse(&stream, 0, &cd.layout.dtypes)
+        .unwrap()
+        .0
+}
+
+/// The distinct non-NULL values of the integer column at `pos` over
+/// `pages`, ascending.
+fn int_values(cd: &CachedDescriptor, pages: &[Arc<Page>], pos: usize) -> Vec<i64> {
+    let mut values: Vec<i64> = pages
+        .iter()
+        .flat_map(|p| p.iter_chain())
+        .filter_map(|rec| {
+            RecordView::parse(rec.unwrap(), &cd.layout)
+                .unwrap()
+                .value(pos)
+                .as_int()
+                .ok()
+        })
+        .collect();
+    values.sort_unstable();
+    values.dedup();
+    values
 }
 
 /// Key sets over `pages`, by name: what a chunk of probe keys can look
@@ -243,24 +299,31 @@ fn add(total: &mut PluginStats, page: &PluginStats) {
     total.records_filtered += page.records_filtered;
     total.records_aggregated += page.records_aggregated;
     total.ambiguous += page.ambiguous;
+    total.records_join_filtered += page.records_join_filtered;
 }
 
 /// Both entry points against the oracle on `pages`, under the key set
-/// `listed` if there is one.
+/// `listed` and the join `filter` if there are any.
 fn compare(
     cd: &CachedDescriptor,
     listed: Option<Vec<Vec<u8>>>,
+    filter: Option<JoinFilterSection>,
     pages: &[Arc<Page>],
     what: &str,
 ) -> PluginStats {
     let (listed, keys) = listed.map(key_set).unzip();
-    let (listed, keys) = (listed.as_deref(), keys.as_ref());
+    let listed = listed.as_deref();
+    let sections = Sections {
+        keys,
+        join_filter: filter,
+    };
+    let filter = sections.join_filter.as_ref();
     let refs: Vec<&Page> = pages.iter().map(|p| &**p).collect();
     // Page by page.
     let mut total = PluginStats::default();
     for (i, page) in refs.iter().enumerate() {
-        let (want, want_stats) = oracle(cd, listed, &[page], false);
-        let (got, got_stats) = InnodbNdpPlugin.process_page(cd, keys, page).unwrap();
+        let (want, want_stats) = oracle(cd, listed, filter, &[page], false);
+        let (got, got_stats) = InnodbNdpPlugin.process_page(cd, &sections, page).unwrap();
         assert_eq!(got_stats, want_stats, "{what}: page {i} statistics");
         assert!(got.bytes() == want[0].bytes(), "{what}: page {i}");
         got.verify_checksum().unwrap();
@@ -277,8 +340,10 @@ fn compare(
         .enumerate()
         .map(|(i, p)| (i as u32, p.clone()))
         .collect();
-    let (want, want_stats) = oracle(cd, listed, &refs, scalar);
-    let (mut got, got_stats) = InnodbNdpPlugin.process_batch(cd, keys, &numbered).unwrap();
+    let (want, want_stats) = oracle(cd, listed, filter, &refs, scalar);
+    let (mut got, got_stats) = InnodbNdpPlugin
+        .process_batch(cd, &sections, &numbered)
+        .unwrap();
     assert_eq!(got_stats, want_stats, "{what}: batch statistics");
     got.sort_by_key(|(no, _)| *no);
     assert_eq!(got.len(), want.len(), "{what}: one NDP page per page");
@@ -318,7 +383,8 @@ fn every_tpch_descriptor_over_every_leaf_of_its_table() {
     taurus::tpch::load(&db, 0.002, 42).unwrap();
     db.buffer_pool().clear();
     let session = Session::new(&db).with_ndp(true);
-    let (mut descriptors, mut filtered, mut survivors, mut key_filtered) = (0, 0, 0, 0);
+    let (mut descriptors, mut filtered, mut survivors) = (0, 0, 0);
+    let (mut key_filtered, mut join_filtered) = (0, 0);
     for (name, text) in taurus::sql::tpch_sql::all() {
         let taurus::sql::Statement::Select(select) = taurus::sql::parse(text).unwrap() else {
             panic!("{name} is a SELECT");
@@ -354,25 +420,50 @@ fn every_tpch_descriptor_over_every_leaf_of_its_table() {
                 let desc = build_descriptor(index, &decision.choice, watermark).unwrap();
                 let cd = CachedDescriptor::prepare(&desc.encode()).unwrap();
                 let what = format!("{name} {} watermark {watermark}", node.table);
-                let stats = compare(&cd, None, &leaves, &what);
+                let stats = compare(&cd, None, None, &leaves, &what);
                 descriptors += 1;
                 filtered += stats.records_filtered;
                 survivors += stats.records_in - stats.records_filtered - stats.ambiguous;
                 // What a lookup join into this table would send along.
                 for (set, listed) in key_sets(&cd, &leaves) {
                     if matches!(set, "one key" | "prefix keys among full keys") {
-                        let stats = compare(&cd, Some(listed), &leaves, &format!("{what}, {set}"));
+                        let what = format!("{what}, {set}");
+                        let stats = compare(&cd, Some(listed), None, &leaves, &what);
                         key_filtered += stats.records_key_filtered;
                     }
+                }
+                // What a hash join's probe scan of this table would send
+                // along: every seventh value of an integer column.
+                if let Some(pos) = filter_column(&cd) {
+                    let keys: Vec<i64> = int_values(&cd, &leaves, pos)
+                        .into_iter()
+                        .step_by(7)
+                        .collect();
+                    let filter = join_filter(&cd, pos, &keys);
+                    let what = format!("{what}, join filter on {pos}");
+                    let stats = compare(&cd, None, Some(filter), &leaves, &what);
+                    join_filtered += stats.records_join_filtered;
                 }
             }
         });
     }
     assert!(descriptors >= 20, "pushed scans: {descriptors}");
     assert!(
-        filtered > 10_000 && survivors > 10_000 && key_filtered > 10_000,
-        "{filtered} / {survivors} / {key_filtered}"
+        filtered > 10_000 && survivors > 10_000 && key_filtered > 10_000 && join_filtered > 10_000,
+        "{filtered} / {survivors} / {key_filtered} / {join_filtered}"
     );
+}
+
+/// An integer column of the records, not the leading key column when
+/// there is another: a join column of the table.
+fn filter_column(cd: &CachedDescriptor) -> Option<usize> {
+    let ints: Vec<usize> = (0..cd.layout.n_cols())
+        .filter(|&p| matches!(cd.layout.dtypes[p], DataType::Int | DataType::BigInt))
+        .collect();
+    ints.iter()
+        .copied()
+        .find(|&p| Some(&p) != cd.key_positions.first())
+        .or(ints.first().copied())
 }
 
 // --- synthetic pages ---------------------------------------------------------
@@ -396,7 +487,7 @@ impl XorShift {
 const WATERMARK: u64 = 100;
 
 /// (group key, varchar ahead of everything kept, second key, aggregate
-/// input, CHAR, varchar between kept columns, date, double)
+/// input, CHAR, varchar between kept columns, date, double, nullable int)
 fn dtypes() -> Vec<DataType> {
     vec![
         DataType::BigInt,
@@ -410,6 +501,7 @@ fn dtypes() -> Vec<DataType> {
         DataType::Varchar(8),
         DataType::Date,
         DataType::Double,
+        DataType::Int,
     ]
 }
 
@@ -501,6 +593,10 @@ fn random_row(rng: &mut XorShift, group: i64, k: i64) -> Vec<Value> {
             maybe(rng, v)
         },
         Value::Double((rng.below(80) - 40) as f64 / 4.0),
+        {
+            let v = Value::Int(rng.below(50) - 10);
+            maybe(rng, v)
+        },
     ]
 }
 
@@ -562,7 +658,7 @@ fn descriptors() -> Vec<(&'static str, CachedDescriptor)> {
         ),
         (
             "project every column",
-            descriptor(Some((0..8).collect()), Some(&pred), None),
+            descriptor(Some((0..9).collect()), Some(&pred), None),
         ),
         (
             "grouped aggregate",
@@ -660,11 +756,16 @@ fn synthetic_pages_match_the_oracle() {
     let mut total = PluginStats::default();
     for (name, cd) in descriptors() {
         for (input, pages) in &inputs {
-            let stats = compare(&cd, None, pages, &format!("{name}, {input}"));
+            let stats = compare(&cd, None, None, pages, &format!("{name}, {input}"));
             add(&mut total, &stats);
             for (set, listed) in key_sets(&cd, pages) {
                 let what = format!("{name}, {input}, {set}");
-                let stats = compare(&cd, Some(listed), pages, &what);
+                let stats = compare(&cd, Some(listed), None, pages, &what);
+                add(&mut total, &stats);
+            }
+            for (set, listed, filter) in join_filters(&cd, pages) {
+                let what = format!("{name}, {input}, join filter: {set}");
+                let stats = compare(&cd, listed, Some(filter), pages, &what);
                 add(&mut total, &stats);
             }
         }
@@ -675,4 +776,52 @@ fn synthetic_pages_match_the_oracle() {
     assert!(total.records_aggregated > 1_000, "{total:?}");
     assert!(total.ambiguous > 2_000, "{total:?}");
     assert!(total.records_key_filtered > 10_000, "{total:?}");
+    assert!(total.records_join_filtered > 10_000, "{total:?}");
+}
+
+/// Join filters over synthetic `pages`, by name, some behind a key set:
+/// on the `Int` second key and the `BigInt` group key, and on the
+/// nullable `Int` column.
+#[allow(clippy::type_complexity)]
+fn join_filters(
+    cd: &CachedDescriptor,
+    pages: &[Arc<Page>],
+) -> Vec<(&'static str, Option<Vec<Vec<u8>>>, JoinFilterSection)> {
+    let ks = int_values(cd, pages, 2);
+    let groups = int_values(cd, pages, 0);
+    let nullable = int_values(cd, pages, 8);
+    let mut out = vec![
+        ("a key nothing has", None, join_filter(cd, 2, &[-1])),
+        ("every key", None, join_filter(cd, 2, &ks)),
+        (
+            "every third group",
+            None,
+            join_filter(
+                cd,
+                0,
+                &groups.iter().copied().step_by(3).collect::<Vec<_>>(),
+            ),
+        ),
+        (
+            "half a nullable column's values",
+            None,
+            join_filter(
+                cd,
+                8,
+                &nullable.iter().copied().step_by(2).collect::<Vec<_>>(),
+            ),
+        ),
+    ];
+    if let Some(&middle) = ks.get(ks.len() / 2) {
+        out.push(("one key", None, join_filter(cd, 2, &[middle])));
+        // Behind a key set of every record: both sections at work.
+        let every = key_sets(cd, pages).swap_remove(0).1;
+        let odd: Vec<i64> = ks.iter().copied().filter(|k| k % 2 == 1).collect();
+        out.push((
+            "odd keys, behind a key set",
+            Some(every),
+            join_filter(cd, 2, &odd),
+        ));
+    }
+    out
 }

@@ -14,8 +14,8 @@ use taurus::expr::ir::{IrInstr, IrProgram};
 use taurus::ndp::NdpChoice;
 use taurus::ndp::TaurusDb;
 use taurus::optimizer::plan::{
-    AggFuncEx, AggItem, AggScanNode, HashJoinNode, JoinType, LookupJoinNode, NdpDecision, Plan,
-    RangeSpec, ScanNode, SortNode,
+    AggFuncEx, AggItem, AggScanNode, HashJoinNode, JoinFilterDecision, JoinType, LookupJoinNode,
+    NdpDecision, Plan, RangeSpec, ScanNode, SortNode,
 };
 use taurus::prelude::Session;
 use taurus::verify::{verify_plan, DiagKind, Severity};
@@ -123,6 +123,7 @@ fn arity_mismatch_is_pinned() {
         left_keys: vec![0],
         right_keys: vec![],
         join: JoinType::Inner,
+        filter: None,
     });
     assert!(has_error(&plan, DiagKind::ArityMismatch));
 }
@@ -329,4 +330,94 @@ fn rejected_plan_fails_stream_before_any_producer_spawns() {
         other => panic!("expected Err(Verify), got {other:?}"),
     }
     assert!(stream.next().is_none());
+}
+
+// --- a hash join's join-filter decision ---------------------------------------
+
+/// `lineitem` (l_orderkey, l_partkey, l_quantity) probing `part` built
+/// over `p_size < 10` on `l_partkey`, Q8's shape, with a join-filter
+/// decision naming the probe table's `column`.
+fn hash_join_with_filter(join: JoinType, column: usize) -> Plan {
+    Plan::HashJoin(HashJoinNode {
+        left: Box::new(Plan::Scan(ScanNode::new("lineitem", vec![0, 1, 4]))),
+        right: Box::new(Plan::Scan(
+            ScanNode::new("part", vec![0, 5])
+                .with_predicate(vec![Expr::lt(Expr::col(5), Expr::int(10))]),
+        )),
+        left_keys: vec![1],
+        right_keys: vec![0],
+        join,
+        filter: Some(JoinFilterDecision { column, ndv: 1000 }),
+    })
+}
+
+fn edit_join(mut plan: Plan, f: impl FnOnce(&mut HashJoinNode)) -> Plan {
+    if let Plan::HashJoin(j) = &mut plan {
+        f(j);
+    }
+    plan
+}
+
+#[test]
+fn a_sound_join_filter_decision_passes() {
+    for join in [JoinType::Inner, JoinType::Semi] {
+        let plan = hash_join_with_filter(join, 1);
+        assert!(
+            !kinds(&plan).iter().any(|(_, s)| *s == Severity::Error),
+            "{:?}",
+            verify_plan(&plan, catalog())
+        );
+        assert!(Session::new(catalog())
+            .execute_plan(&plan)
+            .unwrap()
+            .is_empty());
+    }
+}
+
+/// An outer or anti join keeps the probe rows no build key matches: a
+/// filter would drop rows of its result.
+#[test]
+fn join_filter_on_an_outer_or_anti_join_is_pinned() {
+    for join in [JoinType::LeftOuter, JoinType::Anti] {
+        assert_rejected(
+            &hash_join_with_filter(join, 1),
+            DiagKind::JoinFilterIneligible,
+        );
+    }
+}
+
+#[test]
+fn join_filter_must_name_the_probe_key_column() {
+    assert_rejected(
+        &hash_join_with_filter(JoinType::Inner, 0),
+        DiagKind::JoinFilterIneligible,
+    );
+}
+
+#[test]
+fn join_filter_needs_an_integer_key_one_key_a_probe_scan_and_a_filtered_build() {
+    let sound = || hash_join_with_filter(JoinType::Inner, 1);
+    let ineligible = [
+        // l_quantity, a decimal.
+        edit_join(hash_join_with_filter(JoinType::Inner, 4), |j| {
+            j.left_keys = vec![2]
+        }),
+        edit_join(sound(), |j| {
+            j.left_keys.push(0);
+            j.right_keys.push(1);
+        }),
+        edit_join(sound(), |j| {
+            *j.left = (*j.left)
+                .clone()
+                .filter(Expr::gt(Expr::col(0), Expr::int(5)))
+        }),
+        edit_join(sound(), |j| {
+            if let Plan::Scan(s) = &mut *j.right {
+                s.predicate.clear();
+            }
+        }),
+    ];
+    for plan in &ineligible {
+        assert_rejected(plan, DiagKind::JoinFilterIneligible);
+    }
 }
