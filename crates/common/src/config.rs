@@ -3,8 +3,9 @@
 //! Every tunable the paper names has a field here:
 //! `innodb_ndp_max_pages_look_ahead` (§IV-C4), the ≥10,000-page NDP gate
 //! (§VII-C, scaled down), the Page Store NDP thread pool and queue
-//! (§IV-D2), the descriptor cache toggle (§IV-D1) and the network model
-//! that reproduces the I/O-bound behaviour of §VII-A.
+//! (§IV-D2) and the network model that reproduces the I/O-bound
+//! behaviour of §VII-A. A value only one caller uses is a constant
+//! beside the code that reads it, not a field.
 
 /// `TAURUS_SCAN_BATCH_ROWS` override for [`ClusterConfig::scan_batch_rows`]
 /// (applied by both config constructors). CI runs the whole test suite
@@ -41,18 +42,12 @@ pub struct NdpConfig {
     /// Minimum *estimated physical I/O* (pages not already cached) for a
     /// scan to qualify for NDP. Paper value 10,000; scaled default 64.
     pub min_io_pages: u64,
-    /// Enable NDP column projection when the projected width is at most
-    /// this fraction of the full row width (§V-A "width reduction is high
-    /// enough").
-    pub projection_width_threshold: f64,
     /// Enable NDP predicate pushdown only when the estimated filter factor
     /// (fraction surviving) is at most this value (§V-B1 "sufficiently
     /// selective"). Default 1.0: the paper's own micro-benchmark pushes
     /// predicates with ~0.97 filter factors (Q001), so the gate defaults
     /// open; lower it to study the trade-off.
     pub predicate_max_filter_factor: f64,
-    /// Page Store descriptor cache (§IV-D1).
-    pub descriptor_cache: bool,
     /// How many leaf batches the NDP scan keeps in flight: while batch N
     /// is consumed in logical page order, batches N+1..N+prefetch-1 are
     /// already extracted and their batch reads dispatched across Page
@@ -70,9 +65,7 @@ impl Default for NdpConfig {
             enabled: true,
             max_pages_look_ahead: 1024,
             min_io_pages: 64,
-            projection_width_threshold: 0.8,
             predicate_max_filter_factor: 1.0,
-            descriptor_cache: true,
             prefetch_batches: env_usize_override("TAURUS_PREFETCH_BATCHES", 2),
         }
     }
@@ -92,27 +85,19 @@ pub const STALE_PIN_RETRY: std::time::Duration = std::time::Duration::from_milli
 #[derive(Clone, Debug)]
 pub struct ReplicaConfig {
     /// How long the log tailer sleeps when it has fully caught up with
-    /// the Log Stores, in microseconds. Env override
-    /// `TAURUS_REPLICA_POLL_US`.
+    /// the Log Stores, in microseconds.
     pub poll_interval_us: u64,
     /// Maximum tolerated staleness, in LSNs, before a replica *refuses to
     /// serve* new queries (`Session::query` fails until the tailer
-    /// catches back up). `None` = serve at any lag. Env override
-    /// `TAURUS_REPLICA_MAX_LAG_LSN` (0 or unparsable = unlimited).
+    /// catches back up). `None` = serve at any lag.
     pub max_lag_lsn: Option<u64>,
-    /// Log batches pulled per tailer poll.
-    pub batches_per_poll: usize,
 }
 
 impl Default for ReplicaConfig {
     fn default() -> Self {
         ReplicaConfig {
-            poll_interval_us: env_usize_override("TAURUS_REPLICA_POLL_US", 200) as u64,
-            max_lag_lsn: match std::env::var("TAURUS_REPLICA_MAX_LAG_LSN") {
-                Ok(v) => v.trim().parse::<u64>().ok().filter(|&n| n > 0),
-                Err(_) => None,
-            },
-            batches_per_poll: 64,
+            poll_interval_us: 200,
+            max_lag_lsn: None,
         }
     }
 }
@@ -129,10 +114,10 @@ pub struct ServerConfig {
     pub listen_addr: String,
     /// Worker permits: how many queries may *execute* concurrently
     /// across all sessions. Excess queries queue at the permit gate;
-    /// sessions themselves are not refused by this knob. Defaults above
-    /// the core count because queries spend much of their time blocked
-    /// on the simulated storage wire, not on CPU. Env override
-    /// `TAURUS_SERVER_WORKER_THREADS`.
+    /// sessions themselves are not refused by this knob. Defaults to the
+    /// core count with a floor of 4, because queries spend much of their
+    /// time blocked on the simulated storage wire, not on CPU. Env
+    /// override `TAURUS_SERVER_WORKER_THREADS`.
     pub worker_threads: usize,
     /// Maximum concurrently connected sessions; a connection beyond the
     /// cap is answered with an error frame and closed. Env override
@@ -175,72 +160,22 @@ impl Default for ServerConfig {
     }
 }
 
-/// Resource-governance knobs: per-tenant NDP admission on the Page
-/// Stores and the SAL's retry/backoff discipline. Env overrides follow
-/// the workspace convention (empty/unparsable/zero → default):
-///
-/// - `TAURUS_NDP_TENANT_QUOTA` — per-tenant cap on queued NDP jobs at
-///   each Page Store (`ndp_tenant_quota`; 0 = unlimited, the embedded
-///   default). With a quota, one tenant can occupy at most that many
-///   queue slots; its overflow degrades to raw page reads while other
-///   tenants' pushdown is untouched.
-/// - `TAURUS_NDP_FORCE_SHED` — set to `1` to force the store-level
-///   shed-to-compute decision on every batch (`ndp_force_shed`): the
-///   whole slice is served as raw pages, as if the store's queue were
-///   permanently saturated. A chaos/test knob.
-/// - `TAURUS_READ_RETRY_ROUNDS` — how many full passes over a slice's
-///   replica set a SAL read makes before giving up
-///   (`read_retry_rounds`). Round 1 is the normal failover pass; later
-///   rounds re-visit replicas after a jittered backoff, riding out
-///   brownouts shorter than the query's deadline.
-/// - `TAURUS_READ_BACKOFF_US` — base backoff between retry rounds in
-///   microseconds (`read_backoff_us`); doubled per round, ±50 % jitter,
-///   capped at 250 ms (see `govern::backoff_delay`).
-#[derive(Clone, Debug)]
-pub struct GovernConfig {
-    pub ndp_tenant_quota: usize,
-    pub ndp_force_shed: bool,
-    pub read_retry_rounds: u32,
-    pub read_backoff_us: u64,
-}
-
-impl Default for GovernConfig {
-    fn default() -> Self {
-        GovernConfig {
-            ndp_tenant_quota: match std::env::var("TAURUS_NDP_TENANT_QUOTA") {
-                Ok(v) => v.trim().parse::<usize>().unwrap_or(0),
-                Err(_) => 0,
-            },
-            ndp_force_shed: std::env::var("TAURUS_NDP_FORCE_SHED")
-                .map(|v| v.trim() == "1")
-                .unwrap_or(false),
-            read_retry_rounds: env_usize_override("TAURUS_READ_RETRY_ROUNDS", 2) as u32,
-            read_backoff_us: env_usize_override("TAURUS_READ_BACKOFF_US", 500) as u64,
-        }
-    }
-}
-
 /// Brownout fault injection, applied to the Page Stores a `Sal` builds
 /// (never to directly-constructed stores, so unit tests own their fault
-/// state). All knobs target the single store `TAURUS_FAULT_STORE` names;
-/// with that unset, no fault is injected. Env overrides:
+/// state). The latency targets the single store `TAURUS_FAULT_STORE`
+/// names; with that unset, no store is faulted. Env overrides (CI's
+/// chaos leg):
 ///
 /// - `TAURUS_FAULT_STORE` — index of the Page Store to fault (0-based).
 /// - `TAURUS_FAULT_LATENCY_MS` — added latency per read/NDP request:
 ///   the store stays alive but slow (a brownout), exercising failover,
 ///   deadline and shed paths without errors.
-/// - `TAURUS_FAULT_ERROR_RATE` — percentage (1–100) of read requests
-///   that fail with a retryable error.
-/// - `TAURUS_FAULT_UNTIL_LSN` — reads fail while the target slice's
-///   applied LSN is below this bound (a store stuck in recovery).
 /// - `TAURUS_NDP_SKIP_EVERY_NTH` — apply `SkipPolicy::EveryNth(n)` to
 ///   every store (the chaos leg's page-scoped degradation knob).
 #[derive(Clone, Debug)]
 pub struct FaultConfig {
     pub store: Option<usize>,
     pub latency_ms: u64,
-    pub error_rate: u32,
-    pub until_lsn: u64,
     pub skip_every_nth: u64,
 }
 
@@ -252,14 +187,6 @@ impl Default for FaultConfig {
                 Err(_) => None,
             },
             latency_ms: env_usize_override("TAURUS_FAULT_LATENCY_MS", 0) as u64,
-            error_rate: match std::env::var("TAURUS_FAULT_ERROR_RATE") {
-                Ok(v) => v.trim().parse::<u32>().unwrap_or(0).min(100),
-                Err(_) => 0,
-            },
-            until_lsn: match std::env::var("TAURUS_FAULT_UNTIL_LSN") {
-                Ok(v) => v.trim().parse::<u64>().unwrap_or(0),
-                Err(_) => 0,
-            },
             skip_every_nth: match std::env::var("TAURUS_NDP_SKIP_EVERY_NTH") {
                 Ok(v) => v.trim().parse::<u64>().unwrap_or(0),
                 Err(_) => 0,
@@ -274,8 +201,6 @@ pub struct NetworkConfig {
     /// Shared bandwidth across all compute<->storage transfers, in bytes
     /// per second of simulated wall time. `None` = infinite (metering only).
     pub bandwidth_bytes_per_sec: Option<u64>,
-    /// Fixed per-request latency in microseconds.
-    pub latency_us: u64,
 }
 
 /// Whole-cluster configuration.
@@ -289,8 +214,6 @@ pub struct ClusterConfig {
     pub n_page_stores: usize,
     /// Page Store replicas per slice (paper: 3).
     pub replication: usize,
-    /// Number of Log Store servers (paper: logs written in triplicate).
-    pub n_log_stores: usize,
     /// Compute-node buffer pool capacity, in pages.
     pub buffer_pool_pages: usize,
     /// Rows per scan-result batch: the frontend scan accumulates
@@ -306,20 +229,12 @@ pub struct ClusterConfig {
     /// skip, raw page returned (§IV-D2). Sized to absorb a full batch
     /// (look-ahead) per tenant; shrink it to provoke skips.
     pub pagestore_ndp_queue: usize,
-    /// Simulated NDP service time per page, in microseconds (0 = free).
-    /// Models the storage-side CPU a real store spends filtering and
-    /// projecting one page — at toy scale factors pages are nearly
-    /// empty, which would make the bounded NDP pool an infinitely fast
-    /// server and queue contention unobservable. Sleep-based like the
-    /// network model, so it costs no host CPU.
-    pub pagestore_ndp_service_us: u64,
     /// Page versions retained per page for LSN-versioned batch reads.
     pub pagestore_versions_retained: usize,
     pub ndp: NdpConfig,
     pub network: NetworkConfig,
     pub replica: ReplicaConfig,
     pub server: ServerConfig,
-    pub govern: GovernConfig,
     pub fault: FaultConfig,
 }
 
@@ -330,18 +245,15 @@ impl Default for ClusterConfig {
             slice_pages: 256,
             n_page_stores: env_usize_override("TAURUS_N_PAGE_STORES", 4),
             replication: env_usize_override("TAURUS_REPLICATION", 3),
-            n_log_stores: 3,
             buffer_pool_pages: 2048,
             scan_batch_rows: scan_batch_rows_env_override(crate::batch::DEFAULT_SCAN_BATCH_ROWS),
             pagestore_ndp_threads: 4,
             pagestore_ndp_queue: 2048,
-            pagestore_ndp_service_us: 0,
             pagestore_versions_retained: 8,
             ndp: NdpConfig::default(),
             network: NetworkConfig::default(),
             replica: ReplicaConfig::default(),
             server: ServerConfig::default(),
-            govern: GovernConfig::default(),
             fault: FaultConfig::default(),
         }
     }
@@ -357,14 +269,12 @@ impl ClusterConfig {
             slice_pages: 8,
             n_page_stores: env_usize_override("TAURUS_N_PAGE_STORES", 3),
             replication: env_usize_override("TAURUS_REPLICATION", 2),
-            n_log_stores: 3,
             buffer_pool_pages: 64,
             // Deliberately tiny and odd: mid-page capacity flushes and
             // partially-filled trailing batches get exercised everywhere.
             scan_batch_rows: scan_batch_rows_env_override(7),
             pagestore_ndp_threads: 2,
             pagestore_ndp_queue: 16,
-            pagestore_ndp_service_us: 0,
             pagestore_versions_retained: 8,
             ndp: NdpConfig {
                 min_io_pages: 1,
@@ -374,7 +284,6 @@ impl ClusterConfig {
             network: NetworkConfig::default(),
             replica: ReplicaConfig::default(),
             server: ServerConfig::default(),
-            govern: GovernConfig::default(),
             fault: FaultConfig::default(),
         }
     }
@@ -418,6 +327,9 @@ mod tests {
         assert!(c.ndp.prefetch_batches >= 1);
         assert_eq!(c.ndp.max_pages_look_ahead, 1024);
         assert!(c.ndp.enabled);
+        assert!(c.network.bandwidth_bytes_per_sec.is_none(), "metering only");
+        assert_eq!(c.replica.poll_interval_us, 200);
+        assert!(c.replica.max_lag_lsn.is_none(), "serve at any lag");
     }
 
     #[test]
@@ -446,17 +358,6 @@ mod tests {
 
     #[test]
     fn governance_and_fault_defaults_are_inert() {
-        let g = GovernConfig::default();
-        if !overridden("TAURUS_NDP_TENANT_QUOTA") {
-            assert_eq!(g.ndp_tenant_quota, 0, "quotas off by default");
-        }
-        if std::env::var("TAURUS_NDP_FORCE_SHED").is_err() {
-            assert!(!g.ndp_force_shed);
-        }
-        if !overridden("TAURUS_READ_RETRY_ROUNDS") {
-            assert_eq!(g.read_retry_rounds, 2);
-        }
-        assert!(g.read_retry_rounds >= 1);
         let f = FaultConfig::default();
         if std::env::var("TAURUS_FAULT_STORE")
             .map(|v| v.trim().parse::<usize>().is_err())
@@ -464,11 +365,16 @@ mod tests {
         {
             assert!(f.store.is_none(), "no fault injected by default");
         }
-        assert!(f.error_rate <= 100);
-        // The cluster config carries both, like every other subsystem's.
+        if !overridden("TAURUS_FAULT_LATENCY_MS") {
+            assert_eq!(f.latency_ms, 0);
+        }
+        if !overridden("TAURUS_NDP_SKIP_EVERY_NTH") {
+            assert_eq!(f.skip_every_nth, 0);
+        }
+        // The cluster config carries it, like every other subsystem's.
         let c = ClusterConfig::small_for_tests();
-        assert_eq!(c.govern.ndp_tenant_quota, g.ndp_tenant_quota);
         assert_eq!(c.fault.latency_ms, f.latency_ms);
+        assert_eq!(c.fault.store, f.store);
     }
 
     #[test]

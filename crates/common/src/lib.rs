@@ -24,7 +24,7 @@ pub mod value;
 pub use batch::RowBatch;
 pub use colbatch::{Bitmap, ColumnBatch, ColumnVec};
 pub use config::{
-    ClusterConfig, FaultConfig, GovernConfig, NdpConfig, NetworkConfig, ReplicaConfig, ServerConfig,
+    ClusterConfig, FaultConfig, NdpConfig, NetworkConfig, ReplicaConfig, ServerConfig,
 };
 pub use error::{Error, Result};
 pub use govern::{QueryCtx, TenantId, DEFAULT_TENANT};

@@ -10,7 +10,7 @@
 //! LIKE/SUBSTR/EXTRACT, which is the performance-relevant property of the
 //! paper's native-code generation. Compilation cost is deliberately
 //! non-trivial, which is what makes the descriptor cache (§IV-D1) matter;
-//! see `taurus-pagestore::descriptor_cache`.
+//! see `taurus_pagestore::cache::DescriptorCache`.
 
 use taurus_common::{DataType, Dec, Error, Result, Value};
 use taurus_page::{RecordLayout, RecordView};

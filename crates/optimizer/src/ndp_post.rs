@@ -146,7 +146,7 @@ fn decide_scan(
     let mut needed: Vec<usize> = node.output.clone();
     needed.extend(residual_columns(&node.predicate, &pushed));
     needed.extend_from_slice(&table.schema.pk);
-    push_projection(needed, idx, &stats, &cfg, &mut choice, &mut report);
+    push_projection(needed, idx, &stats, &mut choice, &mut report);
 
     // --- aggregation (§V-C) ---------------------------------------------------
     if let Some((group_cols, aggs)) = agg {
@@ -279,6 +279,11 @@ fn residual_columns<'a>(
         .flat_map(|(_, e)| e.columns())
 }
 
+/// Push a column projection when the projected width is at most this
+/// fraction of the full row width (§V-A "width reduction is high
+/// enough").
+const PROJECTION_WIDTH_THRESHOLD: f64 = 0.8;
+
 /// Column projection (§V-A): keep `needed` (table columns, in any order,
 /// repeats allowed) when that is narrow enough against the full row, and
 /// narrower than what the index stores.
@@ -286,7 +291,6 @@ fn push_projection(
     mut needed: Vec<usize>,
     idx: &TableIndex,
     stats: &TableStats,
-    cfg: &NdpConfig,
     choice: &mut NdpChoice,
     report: &mut NdpReport,
 ) {
@@ -309,7 +313,7 @@ fn push_projection(
     // Only meaningful when this index stores more than what we need.
     let stored = idx.tree.def.stored_cols();
     let narrowing_possible = needed.len() < stored.len();
-    if narrowing_possible && report.width_ratio <= cfg.projection_width_threshold {
+    if narrowing_possible && report.width_ratio <= PROJECTION_WIDTH_THRESHOLD {
         needed.retain(|c| stored.contains(c));
         choice.projection = Some(needed);
         report.projection = true;
@@ -352,7 +356,7 @@ fn decide_lookup(node: &mut LookupJoinNode, db: &TaurusDb) -> Result<NdpReport> 
     let mut needed = node.inner_output.clone();
     needed.extend(residual_columns(&node.inner_predicate, &pushed));
     needed.extend(idx.tree.def.effective_key_cols());
-    push_projection(needed, idx, &stats, cfg, &mut choice, &mut report);
+    push_projection(needed, idx, &stats, &mut choice, &mut report);
     node.inner_ndp = Some(NdpDecision { choice, pushed });
     Ok(report)
 }

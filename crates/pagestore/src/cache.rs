@@ -121,15 +121,13 @@ impl Entries {
 
 /// The per-Page-Store descriptor cache.
 pub struct DescriptorCache {
-    enabled: bool,
     entries: Mutex<Entries>,
     metrics: Arc<Metrics>,
 }
 
 impl DescriptorCache {
-    pub fn new(enabled: bool, metrics: Arc<Metrics>) -> DescriptorCache {
+    pub fn new(metrics: Arc<Metrics>) -> DescriptorCache {
         DescriptorCache {
-            enabled,
             entries: Mutex::new(Entries::default()),
             metrics,
         }
@@ -141,7 +139,7 @@ impl DescriptorCache {
     /// measurable.
     pub fn get_or_prepare(&self, bytes: &[u8]) -> Result<Arc<CachedDescriptor>> {
         let key = fnv64(bytes);
-        if self.enabled {
+        {
             let mut entries = self.entries.lock();
             let now = entries.tick();
             if let Some((hit, used)) = entries.map.get_mut(&key) {
@@ -157,19 +155,17 @@ impl DescriptorCache {
         let prepared = Arc::new(CachedDescriptor::prepare(bytes)?);
         self.metrics
             .add(|m| &m.ps_desc_decode_ns, t0.elapsed().as_nanos() as u64);
-        if self.enabled {
-            let mut entries = self.entries.lock();
-            if entries.map.len() >= DESCRIPTOR_CACHE_ENTRIES && !entries.map.contains_key(&key) {
-                // A scan of the map, paid by a miss that has just spent
-                // far longer preparing.
-                let oldest = entries.map.iter().min_by_key(|(_, (_, used))| *used);
-                if let Some(oldest) = oldest.map(|(k, _)| *k) {
-                    entries.map.remove(&oldest);
-                }
+        let mut entries = self.entries.lock();
+        if entries.map.len() >= DESCRIPTOR_CACHE_ENTRIES && !entries.map.contains_key(&key) {
+            // A scan of the map, paid by a miss that has just spent far
+            // longer preparing.
+            let oldest = entries.map.iter().min_by_key(|(_, (_, used))| *used);
+            if let Some(oldest) = oldest.map(|(k, _)| *k) {
+                entries.map.remove(&oldest);
             }
-            let now = entries.tick();
-            entries.map.insert(key, (prepared.clone(), now));
         }
+        let now = entries.tick();
+        entries.map.insert(key, (prepared.clone(), now));
         Ok(prepared)
     }
 
@@ -210,7 +206,7 @@ mod tests {
     #[test]
     fn second_lookup_hits() {
         let m = Metrics::shared();
-        let c = DescriptorCache::new(true, m.clone());
+        let c = DescriptorCache::new(m.clone());
         let bytes = descriptor_bytes(10);
         let a = c.get_or_prepare(&bytes).unwrap();
         let b = c.get_or_prepare(&bytes).unwrap();
@@ -223,7 +219,7 @@ mod tests {
 
     #[test]
     fn different_descriptors_get_distinct_entries() {
-        let c = DescriptorCache::new(true, Metrics::shared());
+        let c = DescriptorCache::new(Metrics::shared());
         let a = c.get_or_prepare(&descriptor_bytes(10)).unwrap();
         let b = c.get_or_prepare(&descriptor_bytes(11)).unwrap();
         assert!(!Arc::ptr_eq(&a, &b));
@@ -236,7 +232,7 @@ mod tests {
     #[test]
     fn distinct_watermarks_leave_at_most_the_cap_and_a_reused_one_still_hits() {
         let m = Metrics::shared();
-        let c = DescriptorCache::new(true, m.clone());
+        let c = DescriptorCache::new(m.clone());
         let steady = descriptor_bytes(1_000_000);
         let first = c.get_or_prepare(&steady).unwrap();
         for watermark in 0..10_000 {
@@ -254,21 +250,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_cache_always_prepares() {
-        let m = Metrics::shared();
-        let c = DescriptorCache::new(false, m.clone());
-        let bytes = descriptor_bytes(10);
-        c.get_or_prepare(&bytes).unwrap();
-        c.get_or_prepare(&bytes).unwrap();
-        let s = m.snapshot();
-        assert_eq!(s.ps_desc_cache_hits, 0);
-        assert_eq!(s.ps_desc_cache_misses, 2);
-        assert!(c.is_empty());
-    }
-
-    #[test]
     fn prepared_entry_has_compiled_pieces() {
-        let c = DescriptorCache::new(true, Metrics::shared());
+        let c = DescriptorCache::new(Metrics::shared());
         let cd = c.get_or_prepare(&descriptor_bytes(10)).unwrap();
         assert!(cd.predicate.is_some());
         assert!(cd.proj_layout.is_some());
@@ -278,7 +261,7 @@ mod tests {
 
     #[test]
     fn garbage_descriptor_is_error() {
-        let c = DescriptorCache::new(true, Metrics::shared());
+        let c = DescriptorCache::new(Metrics::shared());
         assert!(c.get_or_prepare(b"not a descriptor").is_err());
     }
 }

@@ -55,10 +55,6 @@ pub struct PageStoreConfig {
     pub versions_retained: usize,
     pub ndp_threads: usize,
     pub ndp_queue: usize,
-    /// Simulated per-page NDP service time in microseconds (0 = free);
-    /// see `ClusterConfig::pagestore_ndp_service_us`.
-    pub ndp_service_us: u64,
-    pub descriptor_cache: bool,
     pub slice_pages: u32,
 }
 
@@ -68,8 +64,6 @@ impl Default for PageStoreConfig {
             versions_retained: 8,
             ndp_threads: 4,
             ndp_queue: 64,
-            ndp_service_us: 0,
-            descriptor_cache: true,
             slice_pages: 256,
         }
     }
@@ -199,7 +193,7 @@ impl PageStore {
         Arc::new(PageStore {
             id,
             pool: NdpPool::new(cfg.ndp_threads, cfg.ndp_queue),
-            cache: DescriptorCache::new(cfg.descriptor_cache, metrics.clone()),
+            cache: DescriptorCache::new(metrics.clone()),
             cfg,
             slices: RwLock::new(HashMap::new()),
             plugin,
@@ -218,7 +212,8 @@ impl PageStore {
         self.id
     }
 
-    /// Inject a deterministic skip pattern (tests, resource-control bench).
+    /// Inject a deterministic skip pattern (tests, the `multi_tenant`
+    /// example).
     pub fn set_skip_policy(&self, p: SkipPolicy) {
         *self.skip_policy.write() = p;
     }
@@ -231,21 +226,6 @@ impl PageStore {
 
     pub fn fault(&self) -> FaultPolicy {
         self.fault.read().clone()
-    }
-
-    /// Compatibility wrapper over [`PageStore::set_fault`]: the original
-    /// binary fault switch. `true` installs [`FaultPolicy::Poison`],
-    /// `false` clears any fault.
-    pub fn set_poisoned(&self, poisoned: bool) {
-        self.set_fault(if poisoned {
-            FaultPolicy::Poison
-        } else {
-            FaultPolicy::None
-        });
-    }
-
-    pub fn is_poisoned(&self) -> bool {
-        matches!(&*self.fault.read(), FaultPolicy::Poison)
     }
 
     /// Force store-level shed: every NDP batch degrades to raw page
@@ -548,12 +528,7 @@ impl PageStore {
             let plugin = self.plugin.clone();
             let metrics = self.metrics.clone();
             let job_pages = pages.clone();
-            let service =
-                Duration::from_micros(self.cfg.ndp_service_us).saturating_mul(pages.len() as u32);
             submitted = self.admit(tenant, move || {
-                if !service.is_zero() {
-                    std::thread::sleep(service);
-                }
                 let _cpu = taurus_common::metrics::CpuGuard::new(&metrics.ps_cpu_ns);
                 let out = guarded(|| plugin.process_batch(&cd, &sections, &job_pages));
                 let _ = tx.send(out);
@@ -660,11 +635,7 @@ impl PageStore {
             let metrics = self.metrics.clone();
             let job_page = page.clone();
             let tx = tx.clone();
-            let service = Duration::from_micros(self.cfg.ndp_service_us);
             let ok = self.admit(tenant, move || {
-                if !service.is_zero() {
-                    std::thread::sleep(service);
-                }
                 let _cpu = taurus_common::metrics::CpuGuard::new(&metrics.ps_cpu_ns);
                 let out = guarded(|| plugin.process_page(&cd, &sections, &job_page));
                 let _ = tx.send((idx, out));
@@ -893,7 +864,7 @@ mod tests {
         ps.create_slice(sid);
         ps.apply_redo(&[new_page_redo(1, 0, 1)]).unwrap();
         assert!(ps.read_page(sid, 0, None).is_ok());
-        ps.set_poisoned(true);
+        ps.set_fault(FaultPolicy::Poison);
         assert!(matches!(
             ps.read_page(sid, 0, None),
             Err(Error::InvalidState(_))
@@ -914,7 +885,7 @@ mod tests {
             body: crate::redo::RedoBody::SetNext(9),
         }])
         .unwrap();
-        ps.set_poisoned(false);
+        ps.set_fault(FaultPolicy::None);
         assert_eq!(ps.read_page(sid, 0, None).unwrap().next(), 9);
     }
 
@@ -1023,18 +994,6 @@ mod tests {
         for _ in 0..10 {
             assert!(ps.read_page(sid, 0, None).is_ok());
         }
-    }
-
-    #[test]
-    fn set_poisoned_is_a_fault_policy_wrapper() {
-        let ps = store();
-        assert!(!ps.is_poisoned());
-        ps.set_poisoned(true);
-        assert!(ps.is_poisoned());
-        assert!(matches!(ps.fault(), FaultPolicy::Poison));
-        ps.set_poisoned(false);
-        assert!(!ps.is_poisoned());
-        assert!(matches!(ps.fault(), FaultPolicy::None));
     }
 
     #[test]

@@ -220,6 +220,9 @@ const SLEEP_SLICE: Duration = Duration::from_millis(1);
 /// Page Store distribution before declaring the cluster broken.
 const DISTRIBUTION_DEADLINE: Duration = Duration::from_secs(5);
 
+/// Log batches the tailer pulls from a Log Store per poll.
+const BATCHES_PER_POLL: usize = 64;
+
 /// The boundary read view carried by a commit watermark / load record:
 /// the master's own view ingredients, not an inference — a transaction
 /// that begins before a boundary but first writes after it is listed
@@ -263,9 +266,8 @@ impl Tailer {
 
     fn run(&mut self, stop: &AtomicBool) -> Result<()> {
         let poll = Duration::from_micros(self.db.config().replica.poll_interval_us.max(1));
-        let per_poll = self.db.config().replica.batches_per_poll.max(1);
         while !stop.load(Ordering::SeqCst) {
-            let applied = self.poll_once(per_poll, stop)?;
+            let applied = self.poll_once(stop)?;
             let master = self.db.sal().current_lsn();
             self.metrics
                 .set(|m| &m.replica_lag_lsn, self.db.replica_lag());
@@ -293,12 +295,12 @@ impl Tailer {
     /// One tailer pass: pull a contiguous run of batches from a Log Store
     /// (rotating on empty/gapped reads) and apply it. Returns the number
     /// of records applied.
-    fn poll_once(&mut self, per_poll: usize, stop: &AtomicBool) -> Result<usize> {
+    fn poll_once(&mut self, stop: &AtomicBool) -> Result<usize> {
         let stores = self.db.sal().log_stores().to_vec();
         let mut applied = 0usize;
         for attempt in 0..stores.len() {
             let ls = &stores[(self.ls_cursor + attempt) % stores.len()];
-            let batches = ls.read_from_lsn(self.next_lsn, per_poll);
+            let batches = ls.read_from_lsn(self.next_lsn, BATCHES_PER_POLL);
             let mut progressed = false;
             for (first_lsn, data) in batches {
                 if first_lsn > self.next_lsn {

@@ -37,6 +37,19 @@ const REQ_HEADER_BYTES: u64 = 32;
 const PER_PAGE_ID_BYTES: u64 = 8;
 const PER_PAGE_RESULT_HEADER: u64 = 16;
 
+/// Log Store servers: the paper writes the log in triplicate.
+const N_LOG_STORES: usize = 3;
+
+/// Full passes a read makes over a slice's replica set before giving up.
+/// Round 1 is the normal failover pass; round 2 re-visits the replicas
+/// after a jittered backoff, riding out a brownout shorter than the
+/// query's deadline.
+const READ_RETRY_ROUNDS: u32 = 2;
+
+/// Base backoff between retry rounds: doubled per round, ±50 % jitter,
+/// capped at 250 ms (see `govern::backoff_delay`).
+const READ_BACKOFF: Duration = Duration::from_micros(500);
+
 /// The Storage Abstraction Layer: slice placement, log fan-out, page-read
 /// routing, batch splitting.
 pub struct Sal {
@@ -69,42 +82,28 @@ impl Sal {
             versions_retained: cfg.pagestore_versions_retained,
             ndp_threads: cfg.pagestore_ndp_threads,
             ndp_queue: cfg.pagestore_ndp_queue,
-            ndp_service_us: cfg.pagestore_ndp_service_us,
-            descriptor_cache: cfg.ndp.descriptor_cache,
             slice_pages: cfg.slice_pages,
         };
         let page_stores: Vec<Arc<PageStore>> = (0..cfg.n_page_stores)
             .map(|i| PageStore::new(i, ps_cfg.clone(), metrics.clone()))
             .collect();
-        // Governance + fault injection from config/env (`TAURUS_NDP_*`,
-        // `TAURUS_FAULT_*`) applies only to stores the SAL builds —
-        // directly-constructed stores (unit tests) are never faulted.
-        for ps in &page_stores {
-            if cfg.govern.ndp_tenant_quota > 0 {
-                ps.set_ndp_tenant_quota(cfg.govern.ndp_tenant_quota);
-            }
-            if cfg.govern.ndp_force_shed {
-                ps.set_force_shed(true);
-            }
-            if cfg.fault.skip_every_nth > 0 {
+        // Fault injection from config/env (`TAURUS_FAULT_*`,
+        // `TAURUS_NDP_SKIP_EVERY_NTH`) applies only to stores the SAL
+        // builds — directly-constructed stores (unit tests) are never
+        // faulted.
+        if cfg.fault.skip_every_nth > 0 {
+            for ps in &page_stores {
                 ps.set_skip_policy(SkipPolicy::EveryNth(cfg.fault.skip_every_nth));
             }
         }
-        if let Some(idx) = cfg.fault.store {
-            if let Some(ps) = page_stores.get(idx) {
-                let fault = if cfg.fault.latency_ms > 0 {
-                    FaultPolicy::Latency(Duration::from_millis(cfg.fault.latency_ms))
-                } else if cfg.fault.error_rate > 0 {
-                    FaultPolicy::ErrorRate(cfg.fault.error_rate)
-                } else if cfg.fault.until_lsn > 0 {
-                    FaultPolicy::ErrorUntilLsn(cfg.fault.until_lsn)
-                } else {
-                    FaultPolicy::None
-                };
-                ps.set_fault(fault);
-            }
+        if let Some(ps) = cfg.fault.store.and_then(|idx| page_stores.get(idx)) {
+            ps.set_fault(if cfg.fault.latency_ms > 0 {
+                FaultPolicy::Latency(Duration::from_millis(cfg.fault.latency_ms))
+            } else {
+                FaultPolicy::None
+            });
         }
-        let log_stores = (0..cfg.n_log_stores)
+        let log_stores = (0..N_LOG_STORES)
             .map(|i| Arc::new(LogStore::new(i)))
             .collect();
         let network = Network::new(&cfg.network, metrics.clone());
@@ -244,8 +243,7 @@ impl Sal {
         // replica once instead of all three in sequence. With no wire
         // model an append is a nanosecond-scale memory write and thread
         // spawns would dominate the DML hot path, so append serially.
-        let paced =
-            self.cfg.network.latency_us > 0 || self.cfg.network.bandwidth_bytes_per_sec.is_some();
+        let paced = self.cfg.network.bandwidth_bytes_per_sec.is_some();
         if paced && self.log_stores.len() > 1 {
             std::thread::scope(|s| {
                 // n-1 dispatch threads; the caller serves the last store
@@ -305,7 +303,7 @@ impl Sal {
 
     /// Single-page read under a query context: replica failover inside a
     /// round, then — for *transient* failures only — up to
-    /// `govern.read_retry_rounds` rounds with jittered exponential backoff
+    /// [`READ_RETRY_ROUNDS`] rounds with jittered exponential backoff
     /// between them, the whole thing bounded by the context's deadline.
     /// Every attempted replica is charged identically to the no-retry
     /// path (request bytes + `net_read_requests`; attempts beyond the
@@ -318,16 +316,15 @@ impl Sal {
     ) -> Result<Arc<Page>> {
         let slice = self.slice_of(pref.space, pref.page_no);
         let replicas = self.replicas_for(slice)?;
-        let retry = self.retry_policy(*ctx);
         let mut last_err = Error::NotFound(format!("page {pref:?}"));
         let mut attempt = 0usize;
-        for round in 1..=retry.rounds {
+        for round in 1..=READ_RETRY_ROUNDS {
             if round > 1 {
-                check_deadline(&self.metrics, &retry.ctx, "single-page read retry")?;
-                self.backoff_between_rounds(&retry, round, pref.page_no as u64);
+                check_deadline(&self.metrics, ctx, "single-page read retry")?;
+                backoff_before_round(&self.metrics, round, pref.page_no as u64);
             }
             for &ps in replicas.iter() {
-                check_deadline(&self.metrics, &retry.ctx, "single-page read")?;
+                check_deadline(&self.metrics, ctx, "single-page read")?;
                 charge_read_attempt(
                     &self.metrics,
                     &self.network,
@@ -354,44 +351,15 @@ impl Sal {
         Err(last_err)
     }
 
-    fn retry_policy(&self, ctx: QueryCtx) -> RetryPolicy {
-        RetryPolicy {
-            rounds: self.cfg.govern.read_retry_rounds.max(1),
-            backoff: Duration::from_micros(self.cfg.govern.read_backoff_us),
-            ctx,
-        }
-    }
-
-    /// Jittered exponential backoff before retry round `round` (>= 2),
-    /// metered so starvation under overload is observable.
-    fn backoff_between_rounds(&self, retry: &RetryPolicy, round: u32, seed: u64) {
-        let d = backoff_delay(retry.backoff, round - 1, seed ^ round as u64);
-        if !d.is_zero() {
-            self.metrics.add(|m| &m.read_backoff_waits, 1);
-            std::thread::sleep(d);
-        }
-    }
-
-    /// Batch read (§IV-C4, §VI-2): split by slice, dispatch sub-batches
-    /// concurrently, reassemble in request order. Convenience join-all
-    /// wrapper over [`Sal::batch_read_streaming`]. NDP scans stream; the
-    /// caller that waits for the whole batch is a lookup join, with a
+    /// Batch read (§IV-C4, §VI-2) under a query context (tenant
+    /// attribution, deadline, retry rounds): split by slice, dispatch
+    /// sub-batches concurrently, reassemble in request order. Join-all
+    /// wrapper over [`Sal::batch_read_streaming_ctx`]. NDP scans stream;
+    /// the caller that waits for the whole batch is a lookup join, with a
     /// chunk of leaves: its prefetch, whose descriptor requests no work
     /// (whole pages back), or its NDP key read, whose descriptor stream
     /// ends in the chunk's probe keys (their records back, in NDP pages
     /// it consumes in request order).
-    pub fn batch_read(
-        &self,
-        space: SpaceId,
-        pages: &[PageNo],
-        read_lsn: Lsn,
-        descriptor: Arc<Vec<u8>>,
-    ) -> Result<Vec<PageResult>> {
-        self.batch_read_ctx(space, pages, read_lsn, descriptor, &QueryCtx::new())
-    }
-
-    /// [`Sal::batch_read`] under a query context (tenant attribution,
-    /// deadline, retry rounds).
     pub fn batch_read_ctx(
         &self,
         space: SpaceId,
@@ -418,7 +386,7 @@ impl Sal {
     }
 
     /// Streaming NDP batch read: split `pages` into per-slice sub-batches
-    /// and dispatch each on its own thread, like [`Sal::batch_read`] — but
+    /// and dispatch each on its own thread, like [`Sal::batch_read_ctx`] — but
     /// deliver each sub-batch's [`PageResult`]s through a bounded channel
     /// **as it completes**, so the caller can consume early sub-batches
     /// (and prefetch further leaf batches) while slower Page Stores are
@@ -457,7 +425,7 @@ impl Sal {
         descriptor: Arc<Vec<u8>>,
         ctx: &QueryCtx,
     ) -> Result<BatchReadHandle> {
-        let retry = self.retry_policy(*ctx);
+        let ctx = *ctx;
         // Group into per-slice sub-batches, preserving order within each.
         let mut sub: HashMap<SliceId, Vec<PageNo>> = HashMap::new();
         for &p in pages {
@@ -494,13 +462,13 @@ impl Sal {
                             pages: nos,
                             read_lsn,
                             descriptor,
-                            tenant: retry.ctx.tenant,
+                            tenant: ctx.tenant,
                         };
                         // A panic must surface as this sub-batch's error,
                         // not be swallowed by the handle's join (where it
                         // would masquerade as "page missing from batch").
                         let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            serve_sub_batch(&stores, &req, &network, &metrics, &retry)
+                            serve_sub_batch(&stores, &req, &network, &metrics, &ctx)
                         }))
                         .unwrap_or_else(|panic| {
                             let msg = panic
@@ -540,14 +508,14 @@ fn charge_read_attempt(metrics: &Metrics, network: &Network, attempt: usize, req
     network.transfer(Direction::ToStorage, request_bytes);
 }
 
-/// The read-retry discipline for one query: how many replica-sweep rounds
-/// to run, the base backoff between them, and the query context whose
-/// deadline bounds the whole thing.
-#[derive(Clone, Copy)]
-struct RetryPolicy {
-    rounds: u32,
-    backoff: Duration,
-    ctx: QueryCtx,
+/// Jittered exponential backoff before retry round `round` (>= 2),
+/// metered so starvation under overload is observable.
+fn backoff_before_round(metrics: &Metrics, round: u32, seed: u64) {
+    let d = backoff_delay(READ_BACKOFF, round - 1, seed ^ round as u64);
+    if !d.is_zero() {
+        metrics.add(|m| &m.read_backoff_waits, 1);
+        std::thread::sleep(d);
+    }
 }
 
 /// Is this failure worth another round? Only conditions that can clear on
@@ -562,35 +530,27 @@ fn is_transient(e: &Error) -> bool {
 /// Serve one per-slice sub-batch with replica failover: try each store in
 /// the (rotated) replica order, charging the request per attempt, until
 /// one serves it; meter the result bytes of the successful attempt. For
-/// transient failures, sweep the replicas again (up to `retry.rounds`
-/// rounds) after a jittered backoff; the context's deadline cuts the
-/// loop off wherever it stands.
+/// transient failures, sweep the replicas again (up to
+/// [`READ_RETRY_ROUNDS`] rounds) after a jittered backoff; the context's
+/// deadline cuts the loop off wherever it stands.
 fn serve_sub_batch(
     stores: &[Arc<PageStore>],
     req: &NdpBatchRequest,
     network: &Network,
     metrics: &Metrics,
-    retry: &RetryPolicy,
+    ctx: &QueryCtx,
 ) -> Result<Vec<PageResult>> {
     let request_bytes =
         REQ_HEADER_BYTES + req.descriptor.len() as u64 + PER_PAGE_ID_BYTES * req.pages.len() as u64;
     let mut last_err = Error::Internal("sub-batch had no replicas".into());
     let mut attempt = 0usize;
-    for round in 1..=retry.rounds.max(1) {
+    for round in 1..=READ_RETRY_ROUNDS {
         if round > 1 {
-            check_deadline(metrics, &retry.ctx, "batch read retry")?;
-            let d = backoff_delay(
-                retry.backoff,
-                round - 1,
-                req.slice.seq as u64 ^ round as u64,
-            );
-            if !d.is_zero() {
-                metrics.add(|m| &m.read_backoff_waits, 1);
-                std::thread::sleep(d);
-            }
+            check_deadline(metrics, ctx, "batch read retry")?;
+            backoff_before_round(metrics, round, req.slice.seq as u64);
         }
         for store in stores.iter() {
-            check_deadline(metrics, &retry.ctx, "batch read dispatch")?;
+            check_deadline(metrics, ctx, "batch read dispatch")?;
             charge_read_attempt(metrics, network, attempt, request_bytes);
             attempt += 1;
             match store.serve_ndp_batch(req) {
@@ -903,7 +863,13 @@ mod tests {
         let pages: Vec<PageNo> = (0..12).collect();
         let before = m.snapshot();
         let out = sal
-            .batch_read(space, &pages, sal.current_lsn(), no_work_descriptor())
+            .batch_read_ctx(
+                space,
+                &pages,
+                sal.current_lsn(),
+                no_work_descriptor(),
+                &QueryCtx::new(),
+            )
             .unwrap();
         assert_eq!(out.len(), 12);
         for (i, r) in out.iter().enumerate() {
@@ -917,7 +883,13 @@ mod tests {
     #[test]
     fn batch_read_unknown_slice_fails() {
         let sal = Sal::new(test_cfg(), Metrics::shared());
-        let r = sal.batch_read(SpaceId(9), &[0, 1], 1, no_work_descriptor());
+        let r = sal.batch_read_ctx(
+            SpaceId(9),
+            &[0, 1],
+            1,
+            no_work_descriptor(),
+            &QueryCtx::new(),
+        );
         assert!(r.is_err());
     }
 
@@ -947,7 +919,7 @@ mod tests {
         let slice = SliceId::of(space, 0, 4);
         let replicas = sal.replicas_of(slice).unwrap();
         assert_eq!(replicas.len(), 2);
-        sal.page_stores()[replicas[0]].set_poisoned(true);
+        sal.page_stores()[replicas[0]].set_fault(FaultPolicy::Poison);
         let before = m.snapshot();
         let p = sal.read_page(PageRef::new(space, 0), None).unwrap();
         assert_eq!(p.n_recs(), 1);
@@ -960,7 +932,7 @@ mod tests {
             "request bytes charged per attempted replica"
         );
         assert_eq!(d.pages_shipped_raw, 1, "result shipped once");
-        sal.page_stores()[replicas[0]].set_poisoned(false);
+        sal.page_stores()[replicas[0]].set_fault(FaultPolicy::None);
     }
 
     #[test]
@@ -969,13 +941,25 @@ mod tests {
         let space = SpaceId(6);
         let pages: Vec<PageNo> = (0..12).collect();
         let clean = sal
-            .batch_read(space, &pages, sal.current_lsn(), no_work_descriptor())
+            .batch_read_ctx(
+                space,
+                &pages,
+                sal.current_lsn(),
+                no_work_descriptor(),
+                &QueryCtx::new(),
+            )
             .unwrap();
         // Kill one store: every slice placed on it must fail over.
-        sal.page_stores()[0].set_poisoned(true);
+        sal.page_stores()[0].set_fault(FaultPolicy::Poison);
         let before = m.snapshot();
         let out = sal
-            .batch_read(space, &pages, sal.current_lsn(), no_work_descriptor())
+            .batch_read_ctx(
+                space,
+                &pages,
+                sal.current_lsn(),
+                no_work_descriptor(),
+                &QueryCtx::new(),
+            )
             .unwrap();
         let d = m.snapshot().since(&before);
         assert_eq!(out.len(), 12);
@@ -988,7 +972,7 @@ mod tests {
         // retries are probabilistic per run — but *correctness* is not,
         // and a poisoned store never serves.
         assert_eq!(d.pages_shipped_raw, 12);
-        sal.page_stores()[0].set_poisoned(false);
+        sal.page_stores()[0].set_fault(FaultPolicy::None);
     }
 
     #[test]
@@ -1009,11 +993,17 @@ mod tests {
             }
         }
         assert!(!served_by_2.is_empty(), "rr placement covers store 2");
-        sal.page_stores()[0].set_poisoned(true);
-        sal.page_stores()[1].set_poisoned(true);
+        sal.page_stores()[0].set_fault(FaultPolicy::Poison);
+        sal.page_stores()[1].set_fault(FaultPolicy::Poison);
         let before = m.snapshot();
         let out = sal
-            .batch_read(space, &served_by_2, sal.current_lsn(), no_work_descriptor())
+            .batch_read_ctx(
+                space,
+                &served_by_2,
+                sal.current_lsn(),
+                no_work_descriptor(),
+                &QueryCtx::new(),
+            )
             .unwrap();
         let d = m.snapshot().since(&before);
         assert_eq!(out.len(), served_by_2.len());
@@ -1029,7 +1019,7 @@ mod tests {
             "exactly one successful attempt per sub-batch"
         );
         for ps in sal.page_stores() {
-            ps.set_poisoned(false);
+            ps.set_fault(FaultPolicy::None);
         }
     }
 
@@ -1037,12 +1027,47 @@ mod tests {
     fn batch_read_fails_when_all_replicas_down() {
         let (_m, sal) = populated_sal(8);
         for ps in sal.page_stores() {
-            ps.set_poisoned(true);
+            ps.set_fault(FaultPolicy::Poison);
         }
-        let r = sal.batch_read(SpaceId(8), &[0, 1], sal.current_lsn(), no_work_descriptor());
+        let r = sal.batch_read_ctx(
+            SpaceId(8),
+            &[0, 1],
+            sal.current_lsn(),
+            no_work_descriptor(),
+            &QueryCtx::new(),
+        );
         assert!(r.is_err(), "no replica left to serve");
         for ps in sal.page_stores() {
-            ps.set_poisoned(false);
+            ps.set_fault(FaultPolicy::None);
+        }
+    }
+
+    /// `Sal::new` browns out the store `fault.store` names, and only that
+    /// one; an index past the last store, or no latency, faults nothing.
+    #[test]
+    fn fault_config_browns_out_the_named_store_only() {
+        let faults = |store: Option<usize>, latency_ms: u64| -> Vec<FaultPolicy> {
+            let mut cfg = test_cfg();
+            cfg.fault.store = store;
+            cfg.fault.latency_ms = latency_ms;
+            let sal = Sal::new(cfg, Metrics::shared());
+            sal.page_stores().iter().map(|ps| ps.fault()).collect()
+        };
+        let got = faults(Some(1), 2);
+        assert_eq!(got.len(), 3);
+        for (i, f) in got.iter().enumerate() {
+            match f {
+                FaultPolicy::Latency(d) if i == 1 => assert_eq!(*d, Duration::from_millis(2)),
+                FaultPolicy::None if i != 1 => {}
+                other => panic!("store {i}: {other:?}"),
+            }
+        }
+        for (store, latency_ms) in [(Some(3), 2), (Some(1), 0)] {
+            let got = faults(store, latency_ms);
+            assert!(
+                got.iter().all(|f| matches!(f, FaultPolicy::None)),
+                "store {store:?}, {latency_ms} ms: {got:?}"
+            );
         }
     }
 
@@ -1050,10 +1075,10 @@ mod tests {
     fn transient_failures_get_backoff_retry_rounds() {
         let (m, sal) = populated_sal(20);
         for ps in sal.page_stores() {
-            ps.set_poisoned(true);
+            ps.set_fault(FaultPolicy::Poison);
         }
         let before = m.snapshot();
-        // Default config: 2 retry rounds. All replicas down with a
+        // READ_RETRY_ROUNDS = 2. All replicas down with a
         // transient (InvalidState) error → a second sweep after backoff.
         let r = sal.read_page(PageRef::new(SpaceId(20), 0), None);
         assert!(r.is_err());
@@ -1065,7 +1090,7 @@ mod tests {
         );
         assert_eq!(d.read_retries, 3, "all attempts after the first");
         for ps in sal.page_stores() {
-            ps.set_poisoned(false);
+            ps.set_fault(FaultPolicy::None);
         }
         // NotFound is deterministic: no second round, no backoff.
         let before = m.snapshot();
@@ -1175,7 +1200,13 @@ mod tests {
         drop(handle); // must join all dispatch threads, not hang or leak
                       // A subsequent read on the same SAL works normally.
         let out = sal
-            .batch_read(space, &pages, sal.current_lsn(), no_work_descriptor())
+            .batch_read_ctx(
+                space,
+                &pages,
+                sal.current_lsn(),
+                no_work_descriptor(),
+                &QueryCtx::new(),
+            )
             .unwrap();
         assert_eq!(out.len(), 12);
     }

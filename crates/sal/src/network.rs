@@ -46,7 +46,6 @@ impl RateLimiter {
 /// The metered (and optionally rate-limited) network.
 pub struct Network {
     limiter: Option<RateLimiter>,
-    latency: Duration,
     metrics: Arc<Metrics>,
 }
 
@@ -57,7 +56,6 @@ impl Network {
                 bytes_per_sec: b.max(1),
                 in_flight: AtomicU64::new(0),
             }),
-            latency: Duration::from_micros(cfg.latency_us),
             metrics,
         })
     }
@@ -67,9 +65,6 @@ impl Network {
         match direction {
             Direction::ToStorage => self.metrics.add(|m| &m.net_bytes_to_storage, bytes),
             Direction::FromStorage => self.metrics.add(|m| &m.net_bytes_from_storage, bytes),
-        }
-        if !self.latency.is_zero() {
-            std::thread::sleep(self.latency);
         }
         if let Some(l) = &self.limiter {
             l.acquire(bytes);
@@ -98,7 +93,6 @@ mod tests {
         let m = Metrics::shared();
         let cfg = NetworkConfig {
             bandwidth_bytes_per_sec: Some(1_000_000),
-            latency_us: 0,
         };
         let net = Network::new(&cfg, m);
         let t0 = Instant::now();
@@ -116,7 +110,6 @@ mod tests {
         let m = Metrics::shared();
         let cfg = NetworkConfig {
             bandwidth_bytes_per_sec: Some(1_000_000),
-            latency_us: 0,
         };
         let net = Network::new(&cfg, m);
         let t0 = Instant::now();
@@ -145,7 +138,6 @@ mod tests {
         let m = Metrics::shared();
         let cfg = NetworkConfig {
             bandwidth_bytes_per_sec: Some(1_000_000),
-            latency_us: 0,
         };
         let net = Network::new(&cfg, m);
         crossbeam::thread::scope(|s| {

@@ -19,9 +19,12 @@
 //! 3. **Metrics-name registry** — the `metrics_struct!` declaration list
 //!    (the STATS scrape format) must match `manifests/metrics.txt` in
 //!    order, with unique snake_case names.
-//! 4. **Config-knob documentation** — every `TAURUS_*` environment
-//!    variable referenced by non-test source must be documented in
-//!    `DESIGN.md`.
+//! 4. **Config-knob documentation, both ways** — every `TAURUS_*`
+//!    environment variable referenced by non-test source must be
+//!    documented in `DESIGN.md`, and every `TAURUS_<NAME>` that
+//!    `DESIGN.md` documents must still be read by a Rust source, test or
+//!    example (as a string literal) or set by `.github/workflows/ci.yml`,
+//!    so a removed override cannot stay documented.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -477,36 +480,37 @@ fn knob_docs(root: &Path, violations: &mut Vec<String>) {
         violations.push("DESIGN.md: unreadable".into());
         return;
     };
-    let mut files = Vec::new();
     let Ok(entries) = fs::read_dir(root.join("crates")) else {
         violations.push("crates/: unreadable".into());
         return;
     };
+    // Source files (forward rule) and every Rust file that may read an
+    // override (reverse rule). The linter itself is in neither: its
+    // fixtures mention the pattern.
+    let mut src_files = Vec::new();
+    let mut all_files = Vec::new();
     for entry in entries.flatten() {
         let dir = entry.path();
         if dir.file_name().is_some_and(|n| n == "xtask") {
-            continue; // the linter itself mentions the pattern
+            continue;
         }
-        rust_files(&dir.join("src"), &mut files);
+        rust_files(&dir.join("src"), &mut src_files);
+        rust_files(&dir, &mut all_files);
     }
-    rust_files(&root.join("src"), &mut files);
-    files.sort();
+    rust_files(&root.join("src"), &mut src_files);
+    for dir in ["src", "tests", "examples"] {
+        rust_files(&root.join(dir), &mut all_files);
+    }
+    src_files.sort();
     let mut vars: Vec<(String, String)> = Vec::new();
-    for file in &files {
+    for file in &src_files {
         let Ok(text) = fs::read_to_string(file) else {
             continue;
         };
-        let mut rest = text.as_str();
-        while let Some(pos) = rest.find("\"TAURUS_") {
-            let tail = &rest[pos + 1..];
-            let name: String = tail
-                .chars()
-                .take_while(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || *c == '_')
-                .collect();
-            if name.len() > "TAURUS_".len() && !vars.iter().any(|(v, _)| *v == name) {
+        for name in taurus_names(&text, true) {
+            if !vars.iter().any(|(v, _)| *v == name) {
                 vars.push((name, rel(root, file)));
             }
-            rest = &rest[pos + 1..];
         }
     }
     for (var, file) in &vars {
@@ -516,6 +520,48 @@ fn knob_docs(root: &Path, violations: &mut Vec<String>) {
             ));
         }
     }
+    let rust: String = all_files
+        .iter()
+        .filter_map(|f| fs::read_to_string(f).ok())
+        .collect();
+    let ci = fs::read_to_string(root.join(".github/workflows/ci.yml")).unwrap_or_default();
+    violations.extend(stale_knob_docs(&design, &rust, &ci));
+}
+
+/// The distinct `TAURUS_<NAME>` tokens in `text`, in first-seen order.
+/// With `quoted`, only a token that opens a string literal counts. A
+/// token ending in `_` names a family (`TAURUS_FAULT_*`), not a variable.
+fn taurus_names(text: &str, quoted: bool) -> Vec<String> {
+    const PREFIX: &str = "TAURUS_";
+    let pattern = if quoted { "\"TAURUS_" } else { PREFIX };
+    let mut names: Vec<String> = Vec::new();
+    let mut rest = text;
+    while let Some(pos) = rest.find(pattern) {
+        rest = &rest[pos + pattern.len() - PREFIX.len()..];
+        let name: String = rest
+            .chars()
+            .take_while(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || *c == '_')
+            .collect();
+        if name.len() > PREFIX.len() && !name.ends_with('_') && !names.contains(&name) {
+            names.push(name);
+        }
+        rest = &rest[PREFIX.len()..];
+    }
+    names
+}
+
+/// The reverse of the knob rule: overrides `design` documents that no
+/// string literal in `rust` reads and `ci` does not set.
+fn stale_knob_docs(design: &str, rust: &str, ci: &str) -> Vec<String> {
+    let read = taurus_names(rust, true);
+    let set = taurus_names(ci, false);
+    taurus_names(design, false)
+        .into_iter()
+        .filter(|name| !read.contains(name) && !set.contains(name))
+        .map(|name| {
+            format!("`{name}` is documented in DESIGN.md, but no Rust source, test or CI workflow uses it")
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -562,6 +608,23 @@ mod tests {
         let mut v = Vec::new();
         scan_panics(text, "f.rs", &mut v);
         assert!(v.is_empty(), "{v:?}");
+    }
+
+    #[test]
+    fn documented_knobs_must_still_be_read_or_set() {
+        let design = "| `TAURUS_KEPT` | 1 |\n| `TAURUS_CI_ONLY` | 2 |\n\
+                      | `TAURUS_GONE` | 3 |\nthe `TAURUS_FAULT_*` family, any `TAURUS_*` var";
+        // Quoted through `q`, so this file holds no `TAURUS_*` literal.
+        let rust = format!(
+            "std::env::var({q}TAURUS_KEPT{q}); // TAURUS_GONE read here",
+            q = '"'
+        );
+        let ci = "      TAURUS_CI_ONLY: ${{ matrix.ci_only }}\n";
+        let v = stale_knob_docs(design, &rust, ci);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].starts_with("`TAURUS_GONE`"), "{v:?}");
+        let ci = "      TAURUS_GONE: 1\n      TAURUS_CI_ONLY: 2\n";
+        assert!(stale_knob_docs(design, &rust, ci).is_empty());
     }
 
     #[test]

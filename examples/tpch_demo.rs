@@ -1,15 +1,21 @@
-//! TPC-H demo: loads a small scale factor, runs a selection of queries
-//! with NDP off and on, and prints the paper's three effects per query —
-//! network bytes, SQL-node CPU, and run time.
+//! TPC-H demo: loads a small scale factor, runs every query with NDP off
+//! and on, and prints the paper's three effects per query — network
+//! bytes, SQL-node CPU, and run time (Fig. 5-8) — plus, for the queries
+//! with a parallel plan, the NDP-on run time at PQ degree 8 (Fig. 9).
 //!
 //! The headline Q6 is expressed through the public `Session`/`QueryBuilder`
-//! API (with its EXPLAIN); the full 22-query sweep then runs through the
-//! TPC-H plan-builder registry, which plays the role of MySQL's parser +
-//! join-order search and lowers onto the same executor.
+//! API (with its EXPLAIN); the full 22-query sweep and the §VII-A micro
+//! set (Q0, Q001, Q002) then run through the TPC-H plan-builder registry,
+//! which plays the role of MySQL's parser + join-order search and lowers
+//! onto the same executor.
 //!
 //! Run: `cargo run --release --example tpch_demo`
 
 use taurus::prelude::*;
+
+/// PQ degree of the last column (the paper's Fig. 9 uses 16; scaled to
+/// laptop cores).
+const PQ: usize = 8;
 
 /// TPC-H Q6 through the fluent API.
 fn q6(session: &Session) -> Result<QueryBuilder<'_>> {
@@ -50,7 +56,7 @@ fn main() -> Result<()> {
     );
 
     println!(
-        "\n{:<5} {:>12} {:>12} {:>8} | {:>9} {:>9} {:>8} | {:>9} {:>9} {:>8}",
+        "\n{:<5} {:>12} {:>12} {:>8} | {:>9} {:>9} {:>8} | {:>9} {:>9} {:>8} | {:>7}",
         "query",
         "net off KB",
         "net on KB",
@@ -60,18 +66,19 @@ fn main() -> Result<()> {
         "red%",
         "wall off",
         "wall on",
-        "red%"
+        "red%",
+        "PQ ms"
     );
-    for q in taurus::tpch::tpch_queries() {
-        if !matches!(q.name, "Q1" | "Q3" | "Q6" | "Q12" | "Q14" | "Q15" | "Q19") {
-            continue;
-        }
-        let run = |db: &TaurusDb| -> Result<(u64, f64, f64)> {
+    let micro = taurus::tpch::micro_queries()
+        .into_iter()
+        .filter(|q| matches!(q.name, "Q0" | "Q001" | "Q002"));
+    for q in taurus::tpch::tpch_queries().into_iter().chain(micro) {
+        let run = |db: &TaurusDb, pq: Option<usize>| -> Result<(u64, f64, f64)> {
             let before = db.metrics().snapshot();
             let t0 = std::time::Instant::now();
             {
                 let _cpu = taurus::common::metrics::CpuGuard::new(&db.metrics().compute_cpu_ns);
-                (q.run)(db, None)?;
+                (q.run)(db, pq)?;
             }
             let wall = t0.elapsed().as_secs_f64() * 1e3;
             let d = db.metrics().snapshot().since(&before);
@@ -81,11 +88,16 @@ fn main() -> Result<()> {
                 wall,
             ))
         };
-        let (net_a, cpu_a, wall_a) = run(&off)?;
-        let (net_b, cpu_b, wall_b) = run(&on)?;
+        let (net_a, cpu_a, wall_a) = run(&off, None)?;
+        let (net_b, cpu_b, wall_b) = run(&on, None)?;
+        let pq_ms = if q.pq_capable {
+            format!("{:.1}", run(&on, Some(PQ))?.2)
+        } else {
+            "-".into()
+        };
         let red = |a: f64, b: f64| if a > 0.0 { (1.0 - b / a) * 100.0 } else { 0.0 };
         println!(
-            "{:<5} {:>12} {:>12} {:>7.1}% | {:>9.1} {:>9.1} {:>7.1}% | {:>9.1} {:>9.1} {:>7.1}%",
+            "{:<5} {:>12} {:>12} {:>7.1}% | {:>9.1} {:>9.1} {:>7.1}% | {:>9.1} {:>9.1} {:>7.1}% | {:>7}",
             q.name,
             net_a / 1024,
             net_b / 1024,
@@ -96,6 +108,7 @@ fn main() -> Result<()> {
             wall_a,
             wall_b,
             red(wall_a, wall_b),
+            pq_ms,
         );
     }
     println!("\n(paper, 100 GB: Q6 ~99% network / 91% CPU; Q15 98%/91%; Q14 95%/89%)");

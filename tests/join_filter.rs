@@ -24,7 +24,7 @@ use taurus::expr::ast::Expr;
 use taurus::ndp::TaurusDb;
 use taurus::optimizer::ndp_post_process;
 use taurus::optimizer::plan::{HashJoinNode, JoinType, Plan, ScanNode};
-use taurus::pagestore::SkipPolicy;
+use taurus::pagestore::{FaultPolicy, SkipPolicy};
 use taurus::prelude::Session;
 use taurus::sql::SessionSqlExt;
 
@@ -343,7 +343,11 @@ fn degraded_service_gives_the_same_rows() {
         }),
         ("store 0 poisoned", |ps, i, on| {
             if i == 0 {
-                ps.set_poisoned(on)
+                ps.set_fault(if on {
+                    FaultPolicy::Poison
+                } else {
+                    FaultPolicy::None
+                })
             }
         }),
     ];

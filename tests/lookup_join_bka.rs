@@ -29,7 +29,7 @@ use taurus::ndp::{prefetch_leaves, ScanRange, TaurusDb};
 use taurus::optimizer::ndp_post_process;
 use taurus::optimizer::plan::{JoinType, LookupJoinNode, Plan, ScanNode};
 use taurus::page::{RecordView, NO_PAGE};
-use taurus::pagestore::SkipPolicy;
+use taurus::pagestore::{FaultPolicy, SkipPolicy};
 use taurus::prelude::Session;
 use taurus::sql::SessionSqlExt;
 
@@ -469,13 +469,13 @@ fn preferred_replica_down_mid_join_fails_over_to_the_same_rows() {
     let cfg = db.config();
     let first_slice = SliceId::of(item.primary.tree.def.space, 0, cfg.slice_pages);
     let preferred = db.sal().replicas_of(first_slice).unwrap()[0];
-    db.sal().page_stores()[preferred].set_poisoned(true);
+    db.sal().page_stores()[preferred].set_fault(FaultPolicy::Poison);
     let before = db.metrics().snapshot();
     while let Some(batch) = stream.next_batch() {
         got.extend(batch.unwrap().to_rows());
     }
     let d = delta(&db, &before);
-    db.sal().page_stores()[preferred].set_poisoned(false);
+    db.sal().page_stores()[preferred].set_fault(FaultPolicy::None);
     assert_eq!(got, expected(0, JoinType::Inner));
     assert!(d.lookup_prefetch_reads > 0, "{d:?}");
     assert!(d.read_retries > 0, "nothing had to fail over: {d:?}");
@@ -486,7 +486,7 @@ fn every_replica_down_is_a_typed_error_out_of_the_join() {
     let db = join_db(64, 7);
     warm_outer(&db);
     for ps in db.sal().page_stores() {
-        ps.set_poisoned(true);
+        ps.set_fault(FaultPolicy::Poison);
     }
     let before = db.metrics().snapshot();
     let run = {
@@ -508,7 +508,7 @@ fn every_replica_down_is_a_typed_error_out_of_the_join() {
     assert_eq!(d.lookup_prefetch_reads, 0, "{d:?}");
     assert!(d.read_backoff_waits >= 1, "{d:?}");
     for ps in db.sal().page_stores() {
-        ps.set_poisoned(false);
+        ps.set_fault(FaultPolicy::None);
     }
     // And the cluster is usable again.
     let rows = Session::new(&db)
@@ -536,9 +536,7 @@ fn a_deadline_that_expires_inside_a_prefetch_is_deadline_exceeded() {
     // query's budget, and the join ends with the typed error, promptly.
     warm_outer(&db);
     for ps in db.sal().page_stores() {
-        ps.set_fault(taurus::pagestore::FaultPolicy::Latency(
-            Duration::from_millis(300),
-        ));
+        ps.set_fault(FaultPolicy::Latency(Duration::from_millis(300)));
     }
     let run = {
         let db = db.clone();
@@ -551,7 +549,7 @@ fn a_deadline_that_expires_inside_a_prefetch_is_deadline_exceeded() {
     let err = within_ten_seconds(run).unwrap_err();
     assert!(matches!(err, Error::DeadlineExceeded(_)), "{err:?}");
     for ps in db.sal().page_stores() {
-        ps.set_fault(taurus::pagestore::FaultPolicy::None);
+        ps.set_fault(FaultPolicy::None);
     }
 }
 
@@ -947,13 +945,13 @@ fn preferred_replica_down_mid_join_fails_over_key_reads_to_the_same_rows() {
     let mut got: Vec<Row> = stream.next_batch().unwrap().unwrap().to_rows();
     // The join is under way: take down one store. Batch reads start at
     // any replica of a slice in turn, so some key reads meet it first.
-    db.sal().page_stores()[0].set_poisoned(true);
+    db.sal().page_stores()[0].set_fault(FaultPolicy::Poison);
     let before = db.metrics().snapshot();
     while let Some(batch) = stream.next_batch() {
         got.extend(batch.unwrap().to_rows());
     }
     let d = delta(&db, &before);
-    db.sal().page_stores()[0].set_poisoned(false);
+    db.sal().page_stores()[0].set_fault(FaultPolicy::None);
     assert_eq!(got, expected(0, JoinType::Inner));
     assert!(d.lookup_ndp_reads > 0, "{d:?}");
     assert!(d.read_retries > 0, "nothing had to fail over: {d:?}");
@@ -974,7 +972,7 @@ fn key_reads_surface_storage_faults_as_typed_errors() {
         .unwrap();
 
     for ps in db.sal().page_stores() {
-        ps.set_poisoned(true);
+        ps.set_fault(FaultPolicy::Poison);
     }
     let before = db.metrics().snapshot();
     let run = {
@@ -990,14 +988,12 @@ fn key_reads_surface_storage_faults_as_typed_errors() {
     assert_eq!(d.lookup_ndp_reads, 0, "{d:?}");
     assert!(d.read_backoff_waits >= 1, "{d:?}");
     for ps in db.sal().page_stores() {
-        ps.set_poisoned(false);
+        ps.set_fault(FaultPolicy::None);
     }
 
     // Browned-out stores hold the first key read past the query's budget.
     for ps in db.sal().page_stores() {
-        ps.set_fault(taurus::pagestore::FaultPolicy::Latency(
-            Duration::from_millis(300),
-        ));
+        ps.set_fault(FaultPolicy::Latency(Duration::from_millis(300)));
     }
     let run = {
         let (db, plan) = (db.clone(), plan.clone());
@@ -1010,7 +1006,7 @@ fn key_reads_surface_storage_faults_as_typed_errors() {
     let err = within_ten_seconds(run).unwrap_err();
     assert!(matches!(err, Error::DeadlineExceeded(_)), "{err:?}");
     for ps in db.sal().page_stores() {
-        ps.set_fault(taurus::pagestore::FaultPolicy::None);
+        ps.set_fault(FaultPolicy::None);
     }
     // And the cluster is usable again.
     db.buffer_pool().clear();

@@ -6,6 +6,7 @@
 
 use std::sync::Arc;
 
+use taurus::pagestore::FaultPolicy;
 use taurus::prelude::*;
 
 /// A lineitem-ish table wide enough that NDP projection/predicate pay
@@ -270,7 +271,7 @@ fn ndp_scan_survives_killed_replica() {
     let clean = filtered_query(&session).collect_rows().unwrap();
 
     // Kill replica 0 (every slice has a second copy elsewhere).
-    db.sal().page_stores()[0].set_poisoned(true);
+    db.sal().page_stores()[0].set_fault(FaultPolicy::Poison);
     db.buffer_pool().clear();
     let before = db.metrics().snapshot();
     let failed_over = filtered_query(&session).collect_rows().unwrap();
@@ -283,8 +284,8 @@ fn ndp_scan_survives_killed_replica() {
     );
 
     // All replicas of some slice down → the scan must error, not hang.
-    db.sal().page_stores()[1].set_poisoned(true);
-    db.sal().page_stores()[2].set_poisoned(true);
+    db.sal().page_stores()[1].set_fault(FaultPolicy::Poison);
+    db.sal().page_stores()[2].set_fault(FaultPolicy::Poison);
     db.buffer_pool().clear();
     let err = filtered_query(&session).collect_rows();
     assert!(err.is_err(), "no surviving replica must surface an error");
@@ -292,7 +293,7 @@ fn ndp_scan_survives_killed_replica() {
     assert_eq!(db.metrics().snapshot().ndp_batches_in_flight, 0);
 
     for ps in db.sal().page_stores() {
-        ps.set_poisoned(false);
+        ps.set_fault(FaultPolicy::None);
     }
     db.buffer_pool().clear();
     assert_eq!(
