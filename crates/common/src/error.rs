@@ -69,6 +69,17 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
+/// The message a panic carried, from the payload `catch_unwind` or a
+/// thread join hands back: every thread that turns a panic into an
+/// [`Error::Internal`] reports it through here.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".into())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,5 +88,14 @@ mod tests {
     fn display_includes_class_and_message() {
         let e = Error::Corruption("bad checksum on 3:7".into());
         assert_eq!(e.to_string(), "corruption: bad checksum on 3:7");
+    }
+
+    #[test]
+    fn panic_message_reads_str_and_string_payloads() {
+        let caught = |f: fn()| std::panic::catch_unwind(f).unwrap_err();
+        assert_eq!(panic_message(&*caught(|| panic!("static"))), "static");
+        assert_eq!(panic_message(&*caught(|| panic!("row {}", 7))), "row 7");
+        let other = std::panic::catch_unwind(|| std::panic::panic_any(7u8)).unwrap_err();
+        assert_eq!(panic_message(&*other), "non-string panic payload");
     }
 }

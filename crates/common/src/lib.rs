@@ -26,7 +26,7 @@ pub use colbatch::{Bitmap, ColumnBatch, ColumnVec};
 pub use config::{
     ClusterConfig, FaultConfig, NdpConfig, NetworkConfig, ReplicaConfig, ServerConfig,
 };
-pub use error::{Error, Result};
+pub use error::{panic_message, Error, Result};
 pub use govern::{QueryCtx, TenantId, DEFAULT_TENANT};
 pub use ids::{IndexId, Lsn, PageNo, PageRef, SliceId, SpaceId, TrxId};
 pub use keymap::KeyMap;

@@ -29,9 +29,9 @@ pub mod scan;
 
 pub use engine::{ColumnStats, ReplicaState, SpaceStore, Table, TableIndex, TableStats, TaurusDb};
 pub use scan::{
-    build_descriptor, partition_ranges, prefetch_leaves, scan, scan_ctx, scan_ctx_filtered,
-    JoinFilter, KeyList, KeyRead, NdpChoice, PointLookup, ScanAggregation, ScanConsumer, ScanSpec,
-    ScanStats, LOOKUP_PREFETCH_PAGES_MAX,
+    build_descriptor, partition_ranges, prefetch_leaves, scan, scan_ctx, JoinFilter, KeyList,
+    KeyRead, NdpChoice, PointLookup, ScanAggregation, ScanConsumer, ScanSpec, ScanStats,
+    LOOKUP_PREFETCH_PAGES_MAX,
 };
 
 // Re-export the vocabulary types users need alongside the engine.

@@ -148,7 +148,7 @@ pub struct ScanSpec {
 }
 
 /// A hash join's build keys, for its probe scan to send with every batch
-/// read ([`scan_ctx_filtered`]): a Bloom filter over the distinct non-NULL
+/// read ([`scan_ctx`]): a Bloom filter over the distinct non-NULL
 /// integer keys, sized by [`JOIN_FILTER_BITS_PER_KEY`], and the probe
 /// table's join column it applies to.
 pub struct JoinFilter {
@@ -825,7 +825,7 @@ pub fn scan(
     view: &ReadView,
     consumer: &mut dyn ScanConsumer,
 ) -> Result<ScanStats> {
-    scan_ctx(db, table, spec, &[], view, QueryCtx::new(), consumer)
+    scan_ctx(db, table, spec, &[], view, QueryCtx::new(), None, consumer)
 }
 
 /// Execute a scan under a query context: batch reads are billed to the
@@ -838,27 +838,16 @@ pub fn scan(
 /// below evaluates (everything the NDP choice did not push). The scan
 /// compiles them once and runs them on record bytes, so a record they
 /// reject is never decoded; their columns need not be in `output_cols`.
-pub fn scan_ctx(
-    db: &TaurusDb,
-    table: &Table,
-    spec: &ScanSpec,
-    residual: &[Expr],
-    view: &ReadView,
-    qctx: QueryCtx,
-    consumer: &mut dyn ScanConsumer,
-) -> Result<ScanStats> {
-    scan_ctx_filtered(db, table, spec, residual, view, qctx, None, consumer)
-}
-
-/// [`scan_ctx`] for the probe side of a hash join: with NDP on, `filter`
-/// (the build side's keys) goes behind the descriptor of every batch
-/// read, a scan without an NDP choice of its own included (the filter
-/// alone is work for the Page Store), and Page Stores drop the definitely
-/// visible records it rules out. What comes back any other way (raw and
-/// cached pages, ambiguous records) is delivered unfiltered: the join
-/// above decides every row either way.
+///
+/// `filter` is a hash join's, on its probe scan: with NDP on it goes
+/// behind the descriptor of every batch read (the build side's keys), a
+/// scan without an NDP choice of its own included (the filter alone is
+/// work for the Page Store), and Page Stores drop the definitely visible
+/// records it rules out. What comes back any other way (raw and cached
+/// pages, ambiguous records) is delivered unfiltered: the join above
+/// decides every row either way.
 #[allow(clippy::too_many_arguments)]
-pub fn scan_ctx_filtered(
+pub fn scan_ctx(
     db: &TaurusDb,
     table: &Table,
     spec: &ScanSpec,

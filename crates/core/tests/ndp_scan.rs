@@ -797,6 +797,7 @@ fn rare_match_stops_the_scan_within_a_bounded_number_of_pages() {
             &residual,
             &view,
             taurus_common::QueryCtx::new(),
+            None,
             &mut c,
         )
         .unwrap();

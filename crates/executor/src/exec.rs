@@ -1,32 +1,29 @@
 //! The executor's scan/aggregate/join machinery and the `execute()`
 //! entry point.
 //!
-//! Since the batch-native pull pipeline ([`crate::op`]) landed,
-//! `execute()` is a thin collect over the lowered operator tree: rows
-//! flow batch-at-a-time between operators, only genuine pipeline
-//! breakers (sort, aggregation, hash-join build, PQ gather) materialize,
-//! and `LIMIT` cancels its producing scans instead of truncating a
-//! materialized input. This module keeps the shared execution machinery
-//! the operators (and the PQ worker paths in [`crate::parallel`]) are
-//! built from: NDP-aware scan specs and consumers, streaming/hash
-//! aggregation with partial-merge support, and index lookup probing.
-//! The executor is the "SQL layer" of the paper: it evaluates residual
-//! predicates and merges NDP aggregate partials — without knowing
-//! whether the work below happened in a Page Store or on the compute
-//! node.
+//! `execute()` is a thin collect over the lowered operator tree
+//! ([`crate::op`]): rows flow batch-at-a-time between operators, only
+//! genuine pipeline breakers (sort, aggregation, hash-join build, PQ
+//! gather) materialize, and `LIMIT` cancels its producing scans instead
+//! of truncating a materialized input. This module keeps the machinery
+//! the operators are built from: NDP-aware scan specs, streaming/hash
+//! aggregation with partial-merge support (the partials PQ workers hand
+//! their leader), and index lookup probing. The executor is the "SQL
+//! layer" of the paper: it evaluates residual predicates and merges NDP
+//! aggregate partials — without knowing whether the work below happened
+//! in a Page Store or on the compute node.
 
 use std::borrow::Cow;
 
 use taurus_common::schema::Row;
-use taurus_common::{Dec, Error, KeyMap, QueryCtx, Result, RowBatch, Value};
+use taurus_common::{panic_message, Dec, Error, KeyMap, QueryCtx, Result, RowBatch, Value};
 use taurus_expr::agg::{AggSpec, AggState};
 use taurus_expr::ast::Expr;
 use taurus_expr::eval::{eval, eval_pred};
 use taurus_expr::ir::encode_value;
 use taurus_ndp::ReadView;
 use taurus_ndp::{
-    scan_ctx, BTree, KeyList, KeyRead, NdpChoice, PointLookup, ScanConsumer, ScanRange, ScanSpec,
-    TaurusDb,
+    scan_ctx, BTree, KeyList, KeyRead, PointLookup, ScanConsumer, ScanRange, ScanSpec, TaurusDb,
 };
 use taurus_optimizer::plan::{
     AggFuncEx, AggItem, AggScanNode, HashAggNode, JoinType, LookupJoinNode, Plan, ScanNode,
@@ -63,32 +60,20 @@ pub fn execute(plan: &Plan, ctx: &ExecContext<'_>) -> Result<Vec<Row>> {
     // surfacing mid-scan. This and `RowStream::spawn_plan` are the two
     // ways into execution, so a statement is verified once.
     taurus_verify::check_plan(plan, ctx.db)?;
-    execute_verified(plan, ctx)
+    crossbeam::thread::scope(|s| crate::op::collect(crate::op::lower(plan, ctx, s)?))
+        .map_err(|p| panic_error("executor", &*p))?
 }
 
-/// [`execute`] for a plan that has passed the gate: the sub-plans a PQ
-/// worker path runs to completion are parts of one.
-pub(crate) fn execute_verified(plan: &Plan, ctx: &ExecContext<'_>) -> Result<Vec<Row>> {
-    crossbeam::thread::scope(|s| -> Result<Vec<Row>> {
-        let mut root = crate::op::lower(plan, ctx, s)?;
-        root.open()?;
-        let mut out: Vec<Row> = Vec::new();
-        while let Some(mut batch) = root.next_batch()? {
-            out.reserve(batch.len());
-            out.extend(batch.drain_rows());
-        }
-        root.close();
-        Ok(out)
-    })
-    // lint:allow(panic): a panicking scoped thread already poisoned the scope;
-    // stream/session entry points catch this and surface a stream error
-    .expect("executor scope panicked")
+/// A panic caught on one of a query's threads, as the query's error: it
+/// must surface as a failure, never as a clean (truncated) result.
+pub(crate) fn panic_error(what: &str, payload: &(dyn std::any::Any + Send)) -> Error {
+    Error::Internal(format!("{what} panicked: {}", panic_message(payload)))
 }
 
 // --- scans -------------------------------------------------------------------
 
 /// Resolve a [`RangeSpec`] (literal key values) into encoded bounds.
-fn encode_range(node: &ScanNode, ctx: &ExecContext<'_>) -> Result<ScanRange> {
+pub(crate) fn encode_range(node: &ScanNode, ctx: &ExecContext<'_>) -> Result<ScanRange> {
     let table = ctx.db.table(&node.table)?;
     let tree = &table.index(node.index).tree;
     let enc = |b: &Option<(Vec<Value>, bool)>| {
@@ -101,26 +86,21 @@ fn encode_range(node: &ScanNode, ctx: &ExecContext<'_>) -> Result<ScanRange> {
     })
 }
 
-/// Build the core [`ScanSpec`] for a scan node.
+/// Build the core [`ScanSpec`] for a scan node; a PQ worker bounds it to
+/// its partition's `range_override`.
 pub(crate) fn scan_spec(
     node: &ScanNode,
     ctx: &ExecContext<'_>,
     range_override: Option<ScanRange>,
-    extra_ndp_agg: Option<&NdpChoice>,
 ) -> Result<ScanSpec> {
     let range = match range_override {
         Some(r) => r,
         None => encode_range(node, ctx)?,
     };
-    let ndp = match (&node.ndp, extra_ndp_agg) {
-        (_, Some(full_choice)) => Some(full_choice.clone()),
-        (Some(d), None) => Some(d.choice.clone()),
-        (None, None) => None,
-    };
     Ok(ScanSpec {
         index: node.index,
         range,
-        ndp,
+        ndp: node.ndp.as_ref().map(|d| d.choice.clone()),
         output_cols: node.output.clone(),
     })
 }
@@ -151,47 +131,6 @@ pub(crate) fn remap_to_output(e: &Expr, output: &[usize]) -> Result<Expr> {
         "scan",
     )
     .map_err(|d| Error::Verify(d.to_string()))
-}
-
-#[derive(Default)]
-struct RowCollector {
-    rows: Vec<Row>,
-}
-
-impl ScanConsumer for RowCollector {
-    fn on_row(&mut self, row: &[Value]) -> Result<bool> {
-        self.rows.push(row.to_vec());
-        Ok(true)
-    }
-
-    // Rows move out of the scan's batch; the batch keeps its buffer.
-    fn on_batch_mut(&mut self, batch: &mut RowBatch) -> Result<bool> {
-        self.rows.reserve(batch.len());
-        self.rows.extend(batch.drain_rows());
-        Ok(true)
-    }
-
-    fn on_partial(&mut self, _states: Vec<AggState>) -> Result<bool> {
-        Err(Error::Internal(
-            "plain scan received aggregate partials".into(),
-        ))
-    }
-}
-
-/// Run a plain scan: residual filtering fused into the consumer.
-pub(crate) fn exec_scan(
-    node: &ScanNode,
-    ctx: &ExecContext<'_>,
-    range_override: Option<ScanRange>,
-) -> Result<Vec<Row>> {
-    let table = ctx.db.table(&node.table)?;
-    let spec = scan_spec(node, ctx, range_override, None)?;
-    let residual = scan_residual(node)?;
-    let mut c = RowCollector::default();
-    scan_ctx(
-        ctx.db, &table, &spec, &residual, &ctx.view, ctx.qctx, &mut c,
-    )?;
-    Ok(c.rows)
 }
 
 // --- aggregation -------------------------------------------------------------
@@ -321,7 +260,10 @@ fn fold_input(state: &mut AggStateEx, input: Option<&Expr>, row: &[Value]) -> Re
 /// across PQ workers.
 pub(crate) type AggPartials = Vec<(Vec<u8>, Row, Vec<AggStateEx>)>;
 
-/// Merge partial group lists (leader side of PQ / plain finalize input).
+/// Merge partial group lists (leader side of PQ), groups in the order
+/// they are first seen: given the workers' lists in partition order, an
+/// `AggScan`'s groups come out in index order, as the serial scan emits
+/// them.
 pub(crate) fn merge_partial_groups(parts: Vec<AggPartials>) -> Result<AggPartials> {
     let mut map: KeyMap<(Row, Vec<AggStateEx>)> = KeyMap::default();
     let mut order: Vec<Vec<u8>> = Vec::new();
@@ -340,7 +282,6 @@ pub(crate) fn merge_partial_groups(parts: Vec<AggPartials>) -> Result<AggPartial
             }
         }
     }
-    order.sort_unstable();
     Ok(order
         .into_iter()
         .map(|k| {
@@ -456,7 +397,7 @@ pub(crate) fn exec_agg_scan_partials(
 ) -> Result<AggPartials> {
     let table = ctx.db.table(&node.scan.table)?;
     let dtypes = table.schema.dtypes();
-    let spec = scan_spec(&node.scan, ctx, range_override, None)?;
+    let spec = scan_spec(&node.scan, ctx, range_override)?;
     let group_pos: Vec<usize> = node
         .group_cols
         .iter()
@@ -499,16 +440,16 @@ pub(crate) fn exec_agg_scan_partials(
         c.current = Some((Vec::new(), Vec::new(), c.fresh_states()));
     }
     scan_ctx(
-        ctx.db, &table, &spec, &residual, &ctx.view, ctx.qctx, &mut c,
+        ctx.db, &table, &spec, &residual, &ctx.view, ctx.qctx, None, &mut c,
     )?;
     c.flush();
     Ok(c.done)
 }
 
-/// Streaming accumulator for generic hash aggregation: rows (from any
-/// source — materialized vectors on the PQ worker path, pulled batches in
-/// the operator pipeline) update grouped states one at a time; only the
-/// grouped partials are ever held.
+/// Streaming accumulator for generic hash aggregation: the rows of pulled
+/// batches (the `HashAgg` operator's input, or a PQ worker's range of the
+/// scan) update grouped states one at a time; only the grouped partials
+/// are ever held.
 pub(crate) struct HashAggAcc<'a> {
     node: &'a HashAggNode,
     /// Input dtypes are unknowable in general; agg inputs are evaluated
@@ -590,30 +531,6 @@ impl<'a> HashAggAcc<'a> {
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
     }
-}
-
-/// Run a generic HashAgg, returning mergeable partial groups. When the
-/// input is a scan and `range_override` is given, the scan is bounded (PQ
-/// worker path).
-pub(crate) fn exec_hash_agg_partials(
-    node: &HashAggNode,
-    ctx: &ExecContext<'_>,
-    range_override: Option<ScanRange>,
-) -> Result<AggPartials> {
-    let rows = match (&*node.input, range_override) {
-        (Plan::Scan(s), ro) => exec_scan(s, ctx, ro)?,
-        (other, None) => execute_verified(other, ctx)?,
-        (_, Some(_)) => {
-            return Err(Error::Internal(
-                "partitioned HashAgg requires a Scan input".into(),
-            ))
-        }
-    };
-    let mut acc = HashAggAcc::new(node);
-    for row in rows {
-        acc.update(&row)?;
-    }
-    Ok(acc.finish())
 }
 
 // --- joins -------------------------------------------------------------------
@@ -710,12 +627,12 @@ impl ScanConsumer for PkCollector<'_> {
     }
 }
 
-/// The inner side of a lookup join, shared between the streaming
-/// [`crate::op`] operator and the PQ worker path ([`exec_lookup_join`]):
-/// **batched key access**. The outer rows arrive a batch at a time
-/// ([`LookupProbe::begin`]); their probe keys are encoded once; before a
-/// row is probed, the keys from it onwards are resolved to the leaf pages
-/// their lookups will read and the ones the pool lacks are fetched with
+/// The inner side of a lookup join (the `LookupJoin` operator's, serial
+/// or under a PQ worker): **batched key access**. The outer rows arrive
+/// a batch at a time ([`LookupProbe::begin`]); their probe keys are
+/// encoded once; before a row is probed, the keys from it onwards are
+/// resolved to the leaf pages their lookups will read and the ones the
+/// pool lacks are fetched with
 /// one batch read per chunk ([`taurus_ndp::prefetch_leaves`]), so a probe
 /// finds its pages cached where it used to pay a storage round trip for
 /// each. The probe itself is an index access prepared once
@@ -944,34 +861,6 @@ impl<'a> LookupProbe<'a> {
         join.finish();
         Ok(())
     }
-}
-
-/// Run a lookup join over a materialized outer (PQ worker path, where the
-/// outer scan is range-bounded per worker). The outer rows go to the probe
-/// in runs of a scan batch, as the streaming operator's do.
-pub(crate) fn exec_lookup_join(
-    node: &LookupJoinNode,
-    ctx: &ExecContext<'_>,
-    outer_range_override: Option<ScanRange>,
-) -> Result<Vec<Row>> {
-    let outer_rows = match (&*node.outer, outer_range_override) {
-        (Plan::Scan(s), ro) => exec_scan(s, ctx, ro)?,
-        (other, None) => execute_verified(other, ctx)?,
-        (_, Some(_)) => {
-            return Err(Error::Internal(
-                "partitioned LookupJoin requires a Scan outer".into(),
-            ))
-        }
-    };
-    let mut probe = LookupProbe::new(node, ctx)?;
-    let mut out: Vec<Row> = Vec::new();
-    for run in outer_rows.chunks(ctx.db.config().scan_batch_rows.max(1)) {
-        probe.begin(run.iter().map(Vec::as_slice));
-        for (i, orow) in run.iter().enumerate() {
-            probe.probe(ctx, i, orow, &mut |row| out.push(row.to_vec()))?;
-        }
-    }
-    Ok(out)
 }
 
 #[cfg(test)]

@@ -11,14 +11,18 @@
 //!   `open()/next_batch()/close()` pull contract; batches flow between
 //!   operators, pipeline breakers materialize only at their breaker, and
 //!   `LIMIT`/dropped streams cancel producing scans through channel
-//!   backpressure.
-//! * [`exec`] — shared execution machinery (NDP-aware scan specs and
-//!   consumers, stream/hash aggregation with partial-merge support,
-//!   lookup probing) plus `execute(plan, ctx)`, the materializing
-//!   escape hatch implemented *on top of* the pipeline (the TPC-H
-//!   builders and parity tests use it).
-//! * [`parallel`] — PQ: range partitioning, per-worker partial
-//!   aggregation, leader merge (surfaced as the pipeline's `Gather`).
+//!   backpressure. It is the one way a plan runs: `execute`, a
+//!   [`RowStream`]'s producer and each PQ worker all open, drain and
+//!   close a lowered tree.
+//! * [`exec`] — shared execution machinery (NDP-aware scan specs,
+//!   stream/hash aggregation with partial-merge support, lookup probing)
+//!   plus `execute(plan, ctx)`, the materializing collect over the
+//!   pipeline (the TPC-H builders and parity tests use it).
+//! * [`parallel`] — PQ: range partitioning, workers pulling operators
+//!   over their range of the scan, leader merge (surfaced as the
+//!   pipeline's `Gather`).
+//!
+//! [`Plan`]: taurus_optimizer::plan::Plan
 
 pub mod dsl;
 pub mod exec;
@@ -32,11 +36,8 @@ pub use op::{lower, BoxOp, Operator};
 pub use session::{Agg, Explained, QueryBuilder, Session};
 pub use stream::RowStream;
 
-use taurus_common::metrics::CpuGuard;
 use taurus_common::schema::Row;
-use taurus_common::{MetricsSnapshot, Result};
-use taurus_ndp::TaurusDb;
-use taurus_optimizer::plan::Plan;
+use taurus_common::MetricsSnapshot;
 
 /// A query's results plus the measurements the paper's figures are made of.
 #[derive(Clone, Debug)]
@@ -45,18 +46,4 @@ pub struct QueryRun {
     pub wall: std::time::Duration,
     /// Metrics delta over the run (network bytes, SQL-node CPU, pages...).
     pub delta: MetricsSnapshot,
-}
-
-/// Execute a plan, measuring wall time, SQL-node CPU and network traffic.
-pub fn run_query(db: &TaurusDb, plan: &Plan) -> Result<QueryRun> {
-    let before = db.metrics().snapshot();
-    let t0 = std::time::Instant::now();
-    let rows = {
-        let _cpu = CpuGuard::new(&db.metrics().compute_cpu_ns);
-        let ctx = ExecContext::new(db);
-        execute(plan, &ctx)?
-    };
-    let wall = t0.elapsed();
-    let delta = db.metrics().snapshot().since(&before);
-    Ok(QueryRun { rows, wall, delta })
 }

@@ -1,10 +1,10 @@
 //! Gather: the leader side of parallel query (§VI). The Exchange child
 //! is range-partitioned across worker threads by
-//! [`crate::parallel::exec_exchange`]; Gather is the barrier that merges
-//! per-worker rows or partial aggregate groups and re-emits the merged
-//! result in batches. PQ is inherently a pipeline breaker — the leader
-//! merge cannot begin until every worker finishes — so the materialized
-//! hand-off here is the same one the worker protocol always had.
+//! [`crate::parallel::exec_exchange`], each pulling the operators over
+//! its range; Gather is the barrier that merges per-worker rows or
+//! partial aggregate groups and re-emits the merged result in batches.
+//! PQ is inherently a pipeline breaker — the leader merge cannot begin
+//! until every worker finishes.
 
 use taurus_common::{Result, RowBatch};
 use taurus_optimizer::plan::ExchangeNode;

@@ -13,14 +13,14 @@
 //! decides as always.
 //!
 //! [`LookupJoinOp`] streams its outer side and looks each outer row up in
-//! the inner index through the shared [`LookupProbe`] machinery (also used
-//! by the PQ worker path), so it never materializes anything beyond the
-//! current output batch. The lookups are batched key access: each outer
-//! batch's probe keys are resolved to leaf pages ahead of the probes and
-//! the missing leaves fetched a chunk to a storage request, not one
-//! request per page; with an NDP decision on the inner side the request
-//! carries a descriptor and the probe keys, and the matching records come
-//! back instead of the leaves. See [`LookupProbe`].
+//! the inner index through the [`LookupProbe`] machinery, so it never
+//! materializes anything beyond the current output batch; a PQ worker
+//! runs it over its range of the outer scan. The lookups are batched key
+//! access: each outer batch's probe keys are resolved to leaf pages ahead
+//! of the probes and the missing leaves fetched a chunk to a storage
+//! request, not one request per page; with an NDP decision on the inner
+//! side the request carries a descriptor and the probe keys, and the
+//! matching records come back instead of the leaves. See [`LookupProbe`].
 //!
 //! Both emit at their input's batch boundaries, or earlier when the
 //! output batch is full ([`InputCursor`] keeps the place): what they hand

@@ -24,9 +24,10 @@
 //! Operators borrow the plan and [`ExecContext`] for `'env` and spawn
 //! producer threads on a [`crossbeam::thread::Scope`] so that the whole
 //! tree works with plain references — no `Arc` plumbing through the
-//! executor. [`crate::exec::execute`] is a thin collect over this
-//! pipeline; [`crate::RowStream`] forwards its batches through the
-//! stream channel.
+//! executor. Every entry point runs a plan the same way, [`drain`]:
+//! [`crate::exec::execute`] collects the batches, [`crate::RowStream`]
+//! forwards them through the stream channel, and each PQ worker
+//! ([`crate::parallel`]) pulls the operators over its range of the scan.
 
 mod agg;
 mod gather;
@@ -35,7 +36,8 @@ mod pipe;
 mod scan;
 mod sort;
 
-pub(crate) use scan::run_scan_producer;
+pub(crate) use join::LookupJoinOp;
+pub(crate) use scan::BatchScanOp;
 
 use crossbeam::thread::Scope;
 use taurus_common::schema::Row;
@@ -94,9 +96,9 @@ where
     'scope: 'r,
 {
     Ok(match plan {
-        Plan::Scan(node) => Box::new(scan::BatchScanOp::new(ctx, node, scope)),
+        Plan::Scan(node) => Box::new(BatchScanOp::new(ctx, node, None, scope)),
         Plan::AggScan(node) => Box::new(scan::AggScanOp::new(ctx, node)),
-        Plan::LookupJoin(node) => Box::new(join::LookupJoinOp::new(
+        Plan::LookupJoin(node) => Box::new(LookupJoinOp::new(
             ctx,
             node,
             lower(&node.outer, ctx, scope)?,
@@ -124,6 +126,34 @@ where
         }
         Plan::Exchange(e) => Box::new(gather::GatherOp::new(ctx, e)),
     })
+}
+
+/// Run an operator tree: open it, hand every batch to `sink` until the
+/// tree is drained or `sink` answers `false`, close it. Dropping the tree
+/// on an error closes it as well.
+pub(crate) fn drain(
+    mut root: BoxOp<'_>,
+    mut sink: impl FnMut(RowBatch) -> Result<bool>,
+) -> Result<()> {
+    root.open()?;
+    while let Some(batch) = root.next_batch()? {
+        if !sink(batch)? {
+            break;
+        }
+    }
+    root.close();
+    Ok(())
+}
+
+/// [`drain`] into rows.
+pub(crate) fn collect(root: BoxOp<'_>) -> Result<Vec<Row>> {
+    let mut out: Vec<Row> = Vec::new();
+    drain(root, |mut batch| {
+        out.reserve(batch.len());
+        out.extend(batch.drain_rows());
+        Ok(true)
+    })?;
+    Ok(out)
 }
 
 /// The streamed input of an operator whose output batch can fill before

@@ -1,15 +1,17 @@
 //! Scan leaves of the operator pipeline.
 //!
-//! [`BatchScanOp`] adapts the engine's push-based scan ([`scan`] driving
-//! [`ScanConsumer`] callbacks) to the pull contract: `open()` spawns a
-//! producer thread on the executor's scoped thread pool, the producer
-//! runs the batch-native scan core into a small bounded channel of
-//! [`RowBatch`]es, and `next_batch()` receives from it. The channel *is*
-//! the backpressure: the scan runs at most [`STREAM_CHANNEL_BATCHES`]
+//! [`BatchScanOp`] adapts the engine's push-based scan ([`scan_ctx`]
+//! driving [`ScanConsumer`] callbacks) to the pull contract: `open()`
+//! spawns a producer thread on the executor's scoped thread pool, the
+//! producer runs the batch-native scan core into a small bounded channel
+//! of [`RowBatch`]es, and `next_batch()` receives from it. The channel
+//! *is* the backpressure: the scan runs at most [`STREAM_CHANNEL_BATCHES`]
 //! batches ahead of the consumer, and closing the operator (dropping the
 //! receiver) makes the producer's next send fail — [`ChannelConsumer`]
 //! turns that into the `ScanConsumer` early-stop `false`, terminating
-//! the scan exactly like a row-level stop always has.
+//! the scan exactly like a row-level stop always has. It is every plan's
+//! scan leaf: a bare scan a `RowStream` runs, and a PQ worker's scan,
+//! bounded to the worker's range.
 //!
 //! The scan core does the scan's own filtering (the node's residual
 //! conjuncts run on record bytes) and fills each batch to capacity across
@@ -27,12 +29,12 @@ use crossbeam::thread::{Scope, ScopedJoinHandle};
 use taurus_common::metrics::CpuGuard;
 use taurus_common::{QueryCtx, Result, RowBatch, Value};
 use taurus_expr::agg::AggState;
-use taurus_ndp::{scan_ctx_filtered, JoinFilter, ReadView, ScanConsumer, TaurusDb};
+use taurus_ndp::{scan_ctx, JoinFilter, ReadView, ScanConsumer, ScanRange, TaurusDb};
 use taurus_optimizer::plan::{AggScanNode, ScanNode};
 
 use super::{charge_emit, emit_or_end, BatchEmitter, Operator};
 use crate::exec::{
-    exec_agg_scan_partials, finalize_agg_groups, scan_residual, scan_spec, ExecContext,
+    exec_agg_scan_partials, finalize_agg_groups, panic_error, scan_residual, scan_spec, ExecContext,
 };
 use crate::stream::STREAM_CHANNEL_BATCHES;
 
@@ -72,21 +74,18 @@ impl ScanConsumer for ChannelConsumer<'_> {
 }
 
 /// Run one scan producer to completion: the scan core filters (residual
-/// conjuncts on record bytes) and decodes only the first `visible`
-/// output columns when given (the builder appends predicate-only columns
-/// to a scan's output and hides them behind a prefix projection), a hash
-/// join's `filter` goes with the batch reads of its probe scan, errors
-/// and panics surface through the channel (a panic must not masquerade
-/// as a clean truncated end-of-stream). Shared by [`BatchScanOp`] and
-/// [`crate::RowStream`]'s bare-scan fast path.
-pub(crate) fn run_scan_producer(
+/// conjuncts on record bytes) over the node's range or a PQ worker's
+/// `range`, a hash join's `filter` goes with the batch reads of its probe
+/// scan, errors and panics surface through the channel (a panic must not
+/// masquerade as a clean truncated end-of-stream).
+fn run_scan_producer(
     db: &TaurusDb,
     node: &ScanNode,
     view: ReadView,
     qctx: QueryCtx,
-    tx: &SyncSender<Result<RowBatch>>,
-    visible: Option<usize>,
+    range: Option<ScanRange>,
     filter: Option<&JoinFilter>,
+    tx: &SyncSender<Result<RowBatch>>,
 ) {
     // The producer is a compute-node thread: its CPU lands in
     // `compute_cpu_ns`, like any query thread.
@@ -94,13 +93,10 @@ pub(crate) fn run_scan_producer(
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| -> Result<()> {
         let table = db.table(&node.table)?;
         let ctx = ExecContext { db, view, qctx };
-        let mut spec = scan_spec(node, &ctx, None, None)?;
+        let spec = scan_spec(node, &ctx, range)?;
         let residual = scan_residual(node)?;
-        if let Some(n) = visible {
-            spec.output_cols.truncate(n);
-        }
         let mut consumer = ChannelConsumer { tx };
-        scan_ctx_filtered(
+        scan_ctx(
             ctx.db,
             &table,
             &spec,
@@ -111,23 +107,11 @@ pub(crate) fn run_scan_producer(
             &mut consumer,
         )?;
         Ok(())
-    }));
-    match result {
-        Ok(Ok(())) => {}
+    }))
+    .unwrap_or_else(|panic| Err(panic_error("scan producer", &*panic)));
+    if let Err(e) = result {
         // Receiver may already be gone; nothing else to do then.
-        Ok(Err(e)) => {
-            let _ = tx.send(Err(e));
-        }
-        Err(panic) => {
-            let msg = panic
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".into());
-            let _ = tx.send(Err(taurus_common::Error::Internal(format!(
-                "scan producer panicked: {msg}"
-            ))));
-        }
+        let _ = tx.send(Err(e));
     }
 }
 
@@ -137,6 +121,8 @@ pub(crate) struct BatchScanOp<'r, 'scope, 'env> {
     node: &'env ScanNode,
     view: ReadView,
     qctx: QueryCtx,
+    /// A PQ worker's partition of the node's range.
+    range: Option<ScanRange>,
     scope: &'r Scope<'scope, 'env>,
     rx: Option<Receiver<Result<RowBatch>>>,
     producer: Option<ScopedJoinHandle<'scope, ()>>,
@@ -147,9 +133,11 @@ impl<'r, 'scope, 'env> BatchScanOp<'r, 'scope, 'env>
 where
     'env: 'scope,
 {
+    /// A scan of `node`, over `range` instead of the node's own when given.
     pub(crate) fn new(
         ctx: &'env ExecContext<'env>,
         node: &'env ScanNode,
+        range: Option<ScanRange>,
         scope: &'r Scope<'scope, 'env>,
     ) -> BatchScanOp<'r, 'scope, 'env> {
         BatchScanOp {
@@ -157,6 +145,7 @@ where
             node,
             view: ctx.view.clone(),
             qctx: ctx.qctx,
+            range,
             scope,
             rx: None,
             producer: None,
@@ -184,9 +173,10 @@ where
         let node = self.node;
         let view = self.view.clone();
         let qctx = self.qctx;
+        let range = self.range.take();
         self.producer =
             Some(self.scope.spawn(move |_| {
-                run_scan_producer(db, node, view, qctx, &tx, None, filter.as_ref())
+                run_scan_producer(db, node, view, qctx, range, filter.as_ref(), &tx)
             }));
         self.rx = Some(rx);
     }

@@ -10,10 +10,12 @@
 //! values per thread, and a separate 'leader' thread then aggregates the
 //! partial values."
 //!
-//! Each worker's sub-scan delivers batch-at-a-time into the shared
-//! batch-native consumers (`RowCollector` / `StreamAggConsumer`), so the
-//! per-row hand-off cost inside a worker is the same amortized cost as a
-//! serial scan; the leader then merges whole per-worker results. In the
+//! A worker runs its share the way every plan runs: it pulls operators
+//! ([`crate::op::drain`]) over a `BatchScanOp` bounded to its range. A
+//! `Scan` or `LookupJoin` child drains into rows, a `HashAgg` folds the
+//! pulled batches into grouped partials, and an `AggScan` (index-ordered
+//! aggregation fused onto the scan, with NDP partials) hands back its
+//! partials. The leader then merges whole per-worker results. In the
 //! operator pipeline this whole protocol sits behind the `Gather`
 //! operator — the leader merge is PQ's inherent pipeline breaker, and
 //! the merged result re-emits in batches.
@@ -22,102 +24,53 @@ use taurus_common::metrics::CpuGuard;
 use taurus_common::schema::Row;
 use taurus_common::{Error, Result};
 use taurus_ndp::{partition_ranges, ScanRange};
-use taurus_optimizer::plan::{ExchangeNode, Plan};
+use taurus_optimizer::plan::{ExchangeNode, Plan, ScanNode};
 
 use crate::exec::{
-    exec_agg_scan_partials, exec_hash_agg_partials, exec_lookup_join, exec_scan,
-    finalize_agg_groups, merge_partial_groups, AggPartials, ExecContext,
+    encode_range, exec_agg_scan_partials, finalize_agg_groups, merge_partial_groups, panic_error,
+    AggPartials, ExecContext, HashAggAcc,
 };
+use crate::op::{collect, drain, BatchScanOp, BoxOp, LookupJoinOp};
 
-/// Partition the scan underneath `child` and run one worker per range.
+/// What one worker hands the leader.
+enum WorkerOut {
+    Rows(Vec<Row>),
+    Partials(AggPartials),
+}
+
+/// Partition the scan underneath `node`'s child and run one worker per
+/// range.
 pub(crate) fn exec_exchange(node: &ExchangeNode, ctx: &ExecContext<'_>) -> Result<Vec<Row>> {
     let degree = node.degree.max(1);
-    // Locate the partitionable scan.
-    let scan_node = match &*node.child {
-        Plan::Scan(s) => s,
-        Plan::AggScan(a) => &a.scan,
-        Plan::HashAgg(h) => match &*h.input {
-            Plan::Scan(s) => s,
-            _ => {
-                return Err(Error::InvalidState(
-                    "Exchange(HashAgg) requires a Scan input".into(),
-                ))
-            }
-        },
-        Plan::LookupJoin(j) => match &*j.outer {
-            Plan::Scan(s) => s,
-            _ => {
-                return Err(Error::InvalidState(
-                    "Exchange(LookupJoin) requires a Scan outer".into(),
-                ))
-            }
-        },
-        other => {
-            return Err(Error::InvalidState(format!(
-                "Exchange cannot partition {other:?}"
-            )))
-        }
-    };
+    let scan_node = partitioned_scan(&node.child)?;
     let table = ctx.db.table(&scan_node.table)?;
-    let tree = &table.index(scan_node.index).tree;
-    let enc = |b: &Option<(Vec<taurus_common::Value>, bool)>| {
-        b.as_ref()
-            .map(|(vals, inc)| (tree.encode_search_key(vals), *inc))
-    };
-    let base_range = ScanRange {
-        lower: enc(&scan_node.range.lower),
-        upper: enc(&scan_node.range.upper),
-    };
+    let base_range = encode_range(scan_node, ctx)?;
     let parts = partition_ranges(&table, scan_node.index, &base_range, degree)?;
-
-    enum WorkerOut {
-        Rows(Vec<Row>),
-        Partials(AggPartials),
-    }
 
     let results: Vec<Result<WorkerOut>> = crossbeam::thread::scope(|s| {
         let handles: Vec<_> = parts
-            .iter()
+            .into_iter()
             .map(|range| {
-                let range = range.clone();
-                let child = &node.child;
+                let child = &*node.child;
                 let db = ctx.db;
                 let view = ctx.view.clone();
                 let qctx = ctx.qctx;
                 s.spawn(move |_| -> Result<WorkerOut> {
                     // PQ workers are compute threads (SQL-node CPU).
                     let _cpu = CpuGuard::new(&db.metrics().compute_cpu_ns);
-                    let wctx = ExecContext { db, view, qctx };
-                    match &**child {
-                        Plan::Scan(sn) => Ok(WorkerOut::Rows(exec_scan(sn, &wctx, Some(range))?)),
-                        Plan::AggScan(a) => Ok(WorkerOut::Partials(exec_agg_scan_partials(
-                            a,
-                            &wctx,
-                            Some(range),
-                        )?)),
-                        Plan::HashAgg(h) => Ok(WorkerOut::Partials(exec_hash_agg_partials(
-                            h,
-                            &wctx,
-                            Some(range),
-                        )?)),
-                        Plan::LookupJoin(j) => {
-                            Ok(WorkerOut::Rows(exec_lookup_join(j, &wctx, Some(range))?))
-                        }
-                        // lint:allow(panic): plan shape validated before workers spawn
-                        _ => unreachable!("validated above"),
-                    }
+                    run_worker(child, scan_node, range, &ExecContext { db, view, qctx })
                 })
             })
             .collect();
         handles
             .into_iter()
-            // lint:allow(panic): re-raise a worker panic on the leader; the stream
-            // producer catch_unwind above turns it into a query error
-            .map(|h| h.join().expect("pq worker panicked"))
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| Err(panic_error("pq worker", &*panic)))
+            })
             .collect()
     })
-    // lint:allow(panic): same re-raise as the worker join above
-    .expect("pq scope");
+    .map_err(|panic| panic_error("pq scope", &*panic))?;
 
     // Leader merge: collect every worker's output first (surfacing the
     // first error), then concatenate rows with one exact reservation.
@@ -145,11 +98,78 @@ pub(crate) fn exec_exchange(node: &ExchangeNode, ctx: &ExecContext<'_>) -> Resul
         }
     }
     if saw_partials {
-        let merged = merge_partial_groups(partials)?;
         // A scalar aggregate may produce one group per worker with the
-        // same (empty) key — merge_partial_groups already folded them.
+        // same (empty) key — merge_partial_groups folds them.
+        let mut merged = merge_partial_groups(partials)?;
+        if matches!(*node.child, Plan::HashAgg(_)) {
+            // A HashAgg emits its groups in encoded-key order.
+            merged.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        }
         finalize_agg_groups(merged)
     } else {
         Ok(rows)
     }
+}
+
+/// The scan an Exchange child partitions: the child itself, the scan an
+/// `AggScan` is fused onto, or the `Scan` input of a `HashAgg` or the
+/// `Scan` outer of a `LookupJoin`.
+fn partitioned_scan(child: &Plan) -> Result<&ScanNode> {
+    match child {
+        Plan::Scan(s) => Ok(s),
+        Plan::AggScan(a) => Ok(&a.scan),
+        Plan::HashAgg(h) => match &*h.input {
+            Plan::Scan(s) => Ok(s),
+            _ => Err(Error::InvalidState(
+                "Exchange(HashAgg) requires a Scan input".into(),
+            )),
+        },
+        Plan::LookupJoin(j) => match &*j.outer {
+            Plan::Scan(s) => Ok(s),
+            _ => Err(Error::InvalidState(
+                "Exchange(LookupJoin) requires a Scan outer".into(),
+            )),
+        },
+        other => Err(Error::InvalidState(format!(
+            "Exchange cannot partition {other:?}"
+        ))),
+    }
+}
+
+/// One worker's share of `child`: `scan` (its partitioned scan) bounded
+/// to `range`, pulled through the operators above it.
+fn run_worker(
+    child: &Plan,
+    scan: &ScanNode,
+    range: ScanRange,
+    ctx: &ExecContext<'_>,
+) -> Result<WorkerOut> {
+    if let Plan::AggScan(a) = child {
+        return Ok(WorkerOut::Partials(exec_agg_scan_partials(
+            a,
+            ctx,
+            Some(range),
+        )?));
+    }
+    crossbeam::thread::scope(|s| {
+        let input: BoxOp<'_> = Box::new(BatchScanOp::new(ctx, scan, Some(range), s));
+        Ok(match child {
+            Plan::HashAgg(h) => {
+                let mut acc = HashAggAcc::new(h);
+                drain(input, |batch| {
+                    for row in batch.rows() {
+                        acc.update(row)?;
+                    }
+                    Ok(true)
+                })?;
+                WorkerOut::Partials(acc.finish())
+            }
+            Plan::LookupJoin(j) => {
+                WorkerOut::Rows(collect(Box::new(LookupJoinOp::new(ctx, j, input)))?)
+            }
+            // `partitioned_scan` admitted the child: a bare `Scan`.
+            _ => WorkerOut::Rows(collect(input)?),
+        })
+    })
+    .map_err(|panic| panic_error("pq worker scope", &*panic))?
 }

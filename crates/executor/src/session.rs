@@ -610,11 +610,10 @@ impl QueryBuilder<'_> {
         })
     }
 
-    /// Execute and stream rows. Every plan streams through the operator
-    /// pipeline: plain scans straight from storage, composed plans
-    /// batch-at-a-time from the lowered operator tree (pipeline breakers
-    /// — aggregates, sorts, PQ gather — materialize only at their
-    /// breaker). A full result set is never materialized at the API
+    /// Execute and stream rows. Every plan streams batch-at-a-time from
+    /// its lowered operator tree, a plain scan's from its one scan
+    /// operator (pipeline breakers — aggregates, sorts, PQ gather —
+    /// materialize only at their breaker). A full result set is never materialized at the API
     /// boundary, and dropping the stream cancels the producing scans.
     pub fn stream(self) -> Result<RowStream> {
         let (plan, _) = self.plan()?;

@@ -3,21 +3,20 @@
 //! [`RowStream`] is the default result type of the [`crate::Session`]
 //! facade: a pull-based iterator of rows backed by a producer thread and
 //! a small bounded channel of **row batches** — one channel message per
-//! batch, rows popped locally from the current batch. Since the operator
-//! pipeline landed, *any* plan streams: the producer thread lowers the
-//! plan ([`crate::op::lower`]) and pulls its root operator, so a
-//! sort-free filter/project/limit over a join or aggregate streams
-//! without materializing the full result set. Pipeline breakers
-//! (aggregation, sorts, hash-join builds, PQ gather) materialize at
-//! their breaker *inside* the pipeline and re-emit in batches.
+//! batch, rows popped locally from the current batch. *Any* plan streams,
+//! and every plan the same way: the producer thread lowers the plan
+//! ([`crate::op::lower`]) and drains its root operator into the channel,
+//! so a sort-free filter/project/limit over a join or aggregate streams
+//! without materializing the full result set, and a bare scan is a
+//! one-operator tree. Pipeline breakers (aggregation, sorts, hash-join
+//! builds, PQ gather) materialize at their breaker *inside* the pipeline
+//! and re-emit in batches.
 //!
 //! The pipeline advances only as fast as the stream is pulled. Dropping
 //! the stream closes the channel; the producer's next send fails, it
 //! stops pulling the root operator, and closing the operator tree
 //! cancels every in-flight scan (their own channel receivers disappear,
-//! surfacing as `ScanConsumer` early termination). Bare scans skip the
-//! operator hop entirely and run the scan core straight into the stream
-//! channel — the PR-2 fast path, unchanged.
+//! surfacing as `ScanConsumer` early termination).
 
 use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
@@ -26,12 +25,11 @@ use std::thread::JoinHandle;
 use taurus_common::metrics::CpuGuard;
 use taurus_common::schema::Row;
 use taurus_common::{QueryCtx, Result, RowBatch};
-use taurus_expr::ast::Expr;
 use taurus_ndp::{ReadView, TaurusDb};
-use taurus_optimizer::plan::{Plan, ScanNode};
+use taurus_optimizer::plan::Plan;
 
-use crate::exec::ExecContext;
-use crate::op::{lower, run_scan_producer};
+use crate::exec::{panic_error, ExecContext};
+use crate::op::{drain, lower};
 
 /// How many row batches the producer may run ahead of the consumer. The
 /// look-ahead bound is batch-granular: this many queued batches plus the
@@ -58,12 +56,9 @@ pub struct RowStream {
 }
 
 impl RowStream {
-    /// Spawn a producer thread executing `plan` under `view`, delivering
-    /// row batches through a bounded channel. Bare scans (optionally
-    /// under a prefix projection, which the builder uses to hide
-    /// predicate-only columns) take the direct scan-core fast path;
-    /// everything else lowers to the operator pipeline on the producer
-    /// thread.
+    /// Spawn a producer thread executing `plan` under `view`: it lowers
+    /// the plan to the operator pipeline and drains the root into a
+    /// bounded channel of row batches.
     pub(crate) fn spawn_plan(
         db: Arc<TaurusDb>,
         plan: Plan,
@@ -76,26 +71,44 @@ impl RowStream {
         if let Err(e) = taurus_verify::check_plan(&plan, &db) {
             return RowStream::fail(e);
         }
-        match plan {
-            Plan::Scan(node) => RowStream::spawn_scan(db, node, view, qctx, None),
-            Plan::Project(p) if project_is_prefix(&p.exprs) => {
-                let visible = p.exprs.len();
-                match *p.input {
-                    Plan::Scan(node) if visible <= node.output.len() => {
-                        RowStream::spawn_scan(db, node, view, qctx, Some(visible))
-                    }
-                    other => RowStream::spawn_pipeline(
-                        db,
-                        Plan::Project(taurus_optimizer::plan::ProjectNode {
-                            input: Box::new(other),
-                            exprs: p.exprs,
-                        }),
-                        view,
-                        qctx,
-                    ),
+        let (tx, rx) = sync_channel::<Result<RowBatch>>(STREAM_CHANNEL_BATCHES);
+        let producer = std::thread::Builder::new()
+            .name("taurus-row-stream".into())
+            .spawn(move || {
+                // The producer is a compute-node thread: its CPU lands in
+                // `compute_cpu_ns`, like any query thread.
+                let _cpu = CpuGuard::new(&db.metrics().compute_cpu_ns);
+                let ctx = ExecContext {
+                    db: &db,
+                    view,
+                    qctx,
+                };
+                // A panic must surface as a stream error, not as a clean
+                // (truncated!) end-of-stream: catch it and send it over.
+                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    crossbeam::thread::scope(|s| {
+                        // A failed send means the receiver is gone (dropped
+                        // stream): stop pulling; closing the tree cancels
+                        // every in-flight scan.
+                        drain(lower(&plan, &ctx, s)?, |batch| {
+                            Ok(tx.send(Ok(batch)).is_ok())
+                        })
+                    })
+                }))
+                .and_then(|scoped| scoped)
+                .unwrap_or_else(|panic| Err(panic_error("row-stream producer", &*panic)));
+                if let Err(e) = result {
+                    // Receiver may already be gone; nothing else to do then.
+                    let _ = tx.send(Err(e));
                 }
-            }
-            other => RowStream::spawn_pipeline(db, other, view, qctx),
+            })
+            // lint:allow(panic): thread spawn fails only on OS resource exhaustion
+            .expect("spawn row-stream producer");
+        RowStream {
+            rx,
+            cur: RowBatch::with_capacity(0, 1),
+            next_row: 0,
+            producer: Some(producer),
         }
     }
 
@@ -109,95 +122,6 @@ impl RowStream {
             cur: RowBatch::with_capacity(0, 1),
             next_row: 0,
             producer: None,
-        }
-    }
-
-    /// The general path: lower the plan on the producer thread and pull
-    /// its root operator into the stream channel.
-    fn spawn_pipeline(db: Arc<TaurusDb>, plan: Plan, view: ReadView, qctx: QueryCtx) -> RowStream {
-        let (tx, rx) = sync_channel::<Result<RowBatch>>(STREAM_CHANNEL_BATCHES);
-        let producer = std::thread::Builder::new()
-            .name("taurus-row-stream".into())
-            .spawn(move || {
-                // The producer is a compute-node thread: its CPU lands in
-                // `compute_cpu_ns`, like any query thread.
-                let _cpu = CpuGuard::new(&db.metrics().compute_cpu_ns);
-                // A panic must surface as a stream error, not as a clean
-                // (truncated!) end-of-stream: catch it and send it over.
-                let result =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| -> Result<()> {
-                        let ctx = ExecContext {
-                            db: &db,
-                            view,
-                            qctx,
-                        };
-                        crossbeam::thread::scope(|s| -> Result<()> {
-                            let mut root = lower(&plan, &ctx, s)?;
-                            root.open()?;
-                            while let Some(batch) = root.next_batch()? {
-                                if tx.send(Ok(batch)).is_err() {
-                                    // Receiver gone (dropped stream): stop
-                                    // pulling; closing the tree cancels
-                                    // every in-flight scan.
-                                    break;
-                                }
-                            }
-                            root.close();
-                            Ok(())
-                        })
-                        // lint:allow(panic): inside catch_unwind; re-raising a child
-                        // panic here surfaces it as a stream error below
-                        .expect("stream pipeline scope panicked")
-                    }));
-                match result {
-                    Ok(Ok(())) => {}
-                    // Receiver may already be gone; nothing else to do then.
-                    Ok(Err(e)) => {
-                        let _ = tx.send(Err(e));
-                    }
-                    Err(panic) => {
-                        let msg = panic
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| panic.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".into());
-                        let _ = tx.send(Err(taurus_common::Error::Internal(format!(
-                            "row-stream producer panicked: {msg}"
-                        ))));
-                    }
-                }
-            })
-            // lint:allow(panic): thread spawn fails only on OS resource exhaustion
-            .expect("spawn row-stream producer");
-        RowStream {
-            rx,
-            cur: RowBatch::with_capacity(0, 1),
-            next_row: 0,
-            producer: Some(producer),
-        }
-    }
-
-    /// Fast path for bare scans: run the scan core straight into the
-    /// stream channel (no operator hop). `visible` optionally narrows
-    /// each delivered row to that many leading scan-output columns.
-    pub(crate) fn spawn_scan(
-        db: Arc<TaurusDb>,
-        node: ScanNode,
-        view: ReadView,
-        qctx: QueryCtx,
-        visible: Option<usize>,
-    ) -> RowStream {
-        let (tx, rx) = sync_channel::<Result<RowBatch>>(STREAM_CHANNEL_BATCHES);
-        let producer = std::thread::Builder::new()
-            .name("taurus-row-stream".into())
-            .spawn(move || run_scan_producer(&db, &node, view, qctx, &tx, visible, None))
-            // lint:allow(panic): thread spawn fails only on OS resource exhaustion
-            .expect("spawn row-stream producer");
-        RowStream {
-            rx,
-            cur: RowBatch::with_capacity(0, 1),
-            next_row: 0,
-            producer: Some(producer),
         }
     }
 
@@ -220,14 +144,6 @@ impl RowStream {
         }
         self.rx.recv().ok()
     }
-}
-
-/// Are the projection expressions exactly `col0, col1, ... colN`?
-fn project_is_prefix(exprs: &[Expr]) -> bool {
-    exprs
-        .iter()
-        .enumerate()
-        .all(|(i, e)| matches!(e, Expr::Col(c) if *c == i))
 }
 
 impl Iterator for RowStream {

@@ -60,7 +60,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use taurus_bufferpool::BufferPool;
-use taurus_common::{Error, Lsn, Metrics, PageRef, Result, TrxId};
+use taurus_common::{panic_message, Error, Lsn, Metrics, PageRef, Result, TrxId};
 use taurus_ndp::replication::{CatalogPayload, LoadedPayload};
 use taurus_ndp::TaurusDb;
 use taurus_page::Page;
@@ -106,12 +106,10 @@ impl Replica {
                         tailer.run(&stop)
                     }))
                     .unwrap_or_else(|panic| {
-                        let msg = panic
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| panic.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".into());
-                        Err(Error::Internal(format!("tailer panicked: {msg}")))
+                        Err(Error::Internal(format!(
+                            "tailer panicked: {}",
+                            panic_message(&*panic)
+                        )))
                     });
                     if let Err(e) = result {
                         *last_error.lock() = Some(e.to_string());
@@ -130,8 +128,8 @@ impl Replica {
         })
     }
 
-    /// The replica engine: pass to `Session::new` / `run_query` like any
-    /// database handle.
+    /// The replica engine: pass to `Session::new` like any database
+    /// handle.
     pub fn db(&self) -> &Arc<TaurusDb> {
         &self.db
     }

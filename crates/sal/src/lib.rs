@@ -20,7 +20,8 @@ use std::time::Duration;
 use parking_lot::RwLock;
 use taurus_common::govern::backoff_delay;
 use taurus_common::{
-    ClusterConfig, Error, Lsn, Metrics, PageNo, PageRef, QueryCtx, Result, SliceId, SpaceId,
+    panic_message, ClusterConfig, Error, Lsn, Metrics, PageNo, PageRef, QueryCtx, Result, SliceId,
+    SpaceId,
 };
 use taurus_logstore::LogStore;
 use taurus_page::Page;
@@ -471,13 +472,9 @@ impl Sal {
                             serve_sub_batch(&stores, &req, &network, &metrics, &ctx)
                         }))
                         .unwrap_or_else(|panic| {
-                            let msg = panic
-                                .downcast_ref::<&str>()
-                                .map(|s| s.to_string())
-                                .or_else(|| panic.downcast_ref::<String>().cloned())
-                                .unwrap_or_else(|| "non-string panic payload".into());
                             Err(Error::Internal(format!(
-                                "sal sub-batch dispatch panicked: {msg}"
+                                "sal sub-batch dispatch panicked: {}",
+                                panic_message(&*panic)
                             )))
                         });
                         // A failed send means the handle was dropped

@@ -1,6 +1,6 @@
 //! `taurus-xtask` — offline, dependency-free workspace lints.
 //!
-//! `cargo run -p taurus-xtask -- lint` runs four source-level rules the
+//! `cargo run -p taurus-xtask -- lint` runs five source-level rules the
 //! compiler cannot express, against the workspace this binary lives in:
 //!
 //! 1. **Panic discipline** — no `unwrap()` / `expect()` / `panic!` /
@@ -25,6 +25,9 @@
 //!    `DESIGN.md` documents must still be read by a Rust source, test or
 //!    example (as a string literal) or set by `.github/workflows/ci.yml`,
 //!    so a removed override cannot stay documented.
+//! 5. **One panic-message helper** — a caught panic payload is read by
+//!    `taurus_common::panic_message` and nowhere else:
+//!    `downcast_ref::<&str>()` appears once, in that helper's file.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -59,6 +62,7 @@ fn lint() -> ExitCode {
     append_only_tables(&root, &mut violations);
     metrics_registry(&root, &mut violations);
     knob_docs(&root, &mut violations);
+    panic_downcasts(&root, &mut violations);
 
     if violations.is_empty() {
         println!("taurus-xtask lint: clean");
@@ -564,6 +568,52 @@ fn stale_knob_docs(design: &str, rust: &str, ci: &str) -> Vec<String> {
         .collect()
 }
 
+// --- rule 5: one panic-message helper ---------------------------------------
+
+/// How a panic payload's message is read; only the helper may do it.
+const PANIC_DOWNCAST: &str = "downcast_ref::<&str>()";
+
+/// The file of `taurus_common::panic_message`, the helper.
+const PANIC_HELPER_FILE: &str = "crates/common/src/error.rs";
+
+fn panic_downcasts(root: &Path, violations: &mut Vec<String>) {
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    // The linter itself is exempt: it names the pattern.
+    files.retain(|f| !f.starts_with(root.join("crates/xtask")));
+    files.sort();
+    let sources: Vec<(String, String)> = files
+        .iter()
+        .filter_map(|f| Some((rel(root, f), fs::read_to_string(f).ok()?)))
+        .collect();
+    violations.extend(stray_panic_downcasts(&sources));
+}
+
+/// Every `(file, text)` line that reads a panic payload outside the
+/// helper, and any second copy inside the helper's file.
+fn stray_panic_downcasts(sources: &[(String, String)]) -> Vec<String> {
+    let mut out = Vec::new();
+    for (file, text) in sources {
+        let mut allowed = usize::from(file == PANIC_HELPER_FILE);
+        for (idx, line) in text.lines().enumerate() {
+            if !line.contains(PANIC_DOWNCAST) {
+                continue;
+            }
+            if allowed > 0 {
+                allowed -= 1;
+                continue;
+            }
+            out.push(format!(
+                "{file}:{}: `{PANIC_DOWNCAST}` outside `taurus_common::panic_message`; call the helper",
+                idx + 1
+            ));
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -628,6 +678,31 @@ mod tests {
     }
 
     #[test]
+    fn panic_payloads_are_read_by_the_helper_only() {
+        let helper = format!(
+            "pub fn panic_message(p: &(dyn Any + Send)) -> String {{\n    p.{PANIC_DOWNCAST}.map(|s| s.to_string())\n}}\n"
+        );
+        let copy =
+            format!("let msg = panic\n    .{PANIC_DOWNCAST}\n    .map(|s| s.to_string());\n");
+        let sources = vec![
+            (PANIC_HELPER_FILE.to_string(), helper.clone()),
+            ("crates/sal/src/lib.rs".to_string(), copy),
+            (
+                "crates/executor/src/stream.rs".to_string(),
+                "panic_message(&*p)".into(),
+            ),
+        ];
+        let v = stray_panic_downcasts(&sources);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].starts_with("crates/sal/src/lib.rs:2:"), "{v:?}");
+        // A second copy beside the helper is a copy all the same.
+        let twice = vec![(PANIC_HELPER_FILE.to_string(), format!("{helper}{helper}"))];
+        let v = stray_panic_downcasts(&twice);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].starts_with("crates/common/src/error.rs:5:"), "{v:?}");
+    }
+
+    #[test]
     fn the_workspace_is_lint_clean() {
         let root = workspace_root();
         let mut v = Vec::new();
@@ -635,6 +710,7 @@ mod tests {
         append_only_tables(&root, &mut v);
         metrics_registry(&root, &mut v);
         knob_docs(&root, &mut v);
+        panic_downcasts(&root, &mut v);
         assert!(v.is_empty(), "workspace lint violations:\n{}", v.join("\n"));
     }
 }

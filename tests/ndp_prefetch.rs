@@ -1,10 +1,13 @@
 //! The prefetching NDP read pipeline, end to end: parity with the
 //! serial path across prefetch depths and batch sizes, the in-flight
 //! overlap observable, cancellation from a dropped `RowStream` all the
-//! way down to the SAL dispatch threads, and replica failover under a
-//! killed Page Store.
+//! way down to the SAL dispatch threads (the builder's queries here are a
+//! bare scan under a prefix projection, streamed through the operator
+//! pipeline like any plan), an expired budget under parallel query, and
+//! replica failover under a killed Page Store.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use taurus::pagestore::FaultPolicy;
 use taurus::prelude::*;
@@ -255,6 +258,62 @@ fn parked_streams_do_not_starve_active_scans() {
     drop(parked);
     assert_eq!(db.buffer_pool().ndp_frames_in_use(), 0);
     assert_eq!(db.metrics().snapshot().ndp_batches_in_flight, 0);
+}
+
+/// A parallel query whose budget runs out while browned-out stores hold
+/// its workers' batch reads fails with the typed error, collected or
+/// streamed, and nothing of it outlives the call: no NDP frame held, no
+/// batch in flight, and no worker or scan thread still scanning (the
+/// scan counters are final when the call returns).
+#[test]
+fn expired_budget_under_pq_is_deadline_exceeded_and_leaves_nothing_running() {
+    let mut cfg = ClusterConfig::small_for_tests();
+    cfg.ndp.prefetch_batches = 2;
+    let db = build_db(cfg);
+    let expect = filtered_query(&Session::new(&db)).collect_rows().unwrap();
+    for ps in db.sal().page_stores() {
+        ps.set_fault(FaultPolicy::Latency(Duration::from_millis(300)));
+    }
+    let mut session = Session::new(&db);
+    session.set_query_budget_ms(100);
+    for streamed in [false, true] {
+        db.buffer_pool().clear();
+        let q = filtered_query(&session).parallel(3);
+        let err = if streamed {
+            q.stream().unwrap().collect_rows().unwrap_err()
+        } else {
+            q.collect_rows().unwrap_err()
+        };
+        assert!(
+            matches!(err, Error::DeadlineExceeded(_)),
+            "streamed={streamed}: {err:?}"
+        );
+        let at_return = db.metrics().snapshot();
+        assert_eq!(
+            db.buffer_pool().ndp_frames_in_use(),
+            0,
+            "streamed={streamed}"
+        );
+        assert_eq!(at_return.ndp_batches_in_flight, 0, "streamed={streamed}");
+        // Past the stores' latency: a read still in flight would have
+        // landed, a scan still running would have scanned.
+        std::thread::sleep(Duration::from_millis(400));
+        let d = db.metrics().snapshot().since(&at_return);
+        assert_eq!(
+            (d.rows_scanned, d.net_read_requests),
+            (0, 0),
+            "streamed={streamed}: {d:?}"
+        );
+    }
+    for ps in db.sal().page_stores() {
+        ps.set_fault(FaultPolicy::None);
+    }
+    db.buffer_pool().clear();
+    let rows = filtered_query(&Session::new(&db))
+        .parallel(3)
+        .collect_rows()
+        .unwrap();
+    assert_eq!(rows, expect, "the cluster serves the same rows again");
 }
 
 /// Kill one Page Store replica: every sub-batch placed on it must fail

@@ -41,7 +41,10 @@ fn join_plan(db: &TaurusDb) -> Plan {
 /// core's batch counters: the BatchScan operator re-emits exactly the
 /// batches the scan flushed (no residual, no projection), so
 /// `operator_rows == rows_batched` and `operator_batches ==
-/// batches_emitted`.
+/// batches_emitted`. A stream runs the same tree as `execute`: a bare
+/// scan, and a prefix `Project` over a scan (the builder's way of hiding
+/// predicate-only columns), stream the rows `execute` collects and charge
+/// the same counters, the `Project` once more per row it emits.
 #[test]
 fn operator_counters_pin_against_scan_batches() {
     let db = tpch_db();
@@ -60,6 +63,30 @@ fn operator_counters_pin_against_scan_batches() {
     // of leaves arrive in exactly ceil(rows / batch) batches.
     let batch_rows = db.config().scan_batch_rows as u64;
     assert_eq!(d.operator_batches, lineitem_rows(&db).div_ceil(batch_rows));
+
+    use taurus::expr::ast::Expr;
+    let session = Session::new(&db);
+    // [l_orderkey, l_linenumber] where l_quantity < 10: the predicate's
+    // column is delivered last and hidden.
+    let scan = ScanNode::new("lineitem", vec![0, 3, 4])
+        .with_predicate(vec![Expr::lt(Expr::col(4), Expr::int(10))]);
+    let mut prefix = Plan::Scan(scan).project(vec![Expr::col(0), Expr::col(1)]);
+    ndp_post_process(&mut prefix, &db).unwrap();
+    for (what, plan, emitters) in [("bare scan", plan, 1), ("prefix project", prefix, 2)] {
+        let collected = execute(&plan, &ExecContext::new(&db)).unwrap();
+        let before = db.metrics().snapshot();
+        let streamed: Vec<Row> = session.stream_plan(plan).map(|r| r.unwrap()).collect();
+        let d = db.metrics().snapshot().since(&before);
+        assert_eq!(streamed, collected, "{what}");
+        assert!(!streamed.is_empty(), "{what}");
+        assert_eq!(d.rows_batched, streamed.len() as u64, "{what}");
+        assert_eq!(
+            d.operator_rows,
+            emitters * d.rows_batched,
+            "{what}: each operator emits every row once"
+        );
+        assert_eq!(d.operator_batches, emitters * d.batches_emitted, "{what}");
+    }
 }
 
 /// Through a two-operator pipeline (Limit over BatchScan) each row is
@@ -192,6 +219,88 @@ fn left_outer_join_with_empty_build_side_null_pads() {
     )
     .unwrap();
     assert_eq!(counted, vec![vec![Value::Int(0)]]);
+}
+
+/// Parallel query runs the same operators as the serial plan, over a
+/// range of the scan per worker: every shape an `Exchange` partitions
+/// (`Scan`, `AggScan`, `HashAgg(Scan)`, `LookupJoin(Scan)`), at degrees
+/// 1, 3 and 8, NDP off and on, is byte-equal to its serial plan, through
+/// `execute` and through a stream.
+#[test]
+fn pq_matrix_equals_serial() {
+    use taurus::expr::ast::Expr;
+    use taurus::optimizer::plan::{AggFuncEx, AggItem, AggScanNode, HashAggNode, LookupJoinNode};
+    let db = tpch_db();
+    let agg = |func, input| AggItem { func, input };
+    // lineitem [l_orderkey, l_linenumber, l_quantity] where l_quantity < 25.
+    let lineitem = || {
+        Plan::Scan(
+            ScanNode::new("lineitem", vec![0, 3, 4])
+                .with_predicate(vec![Expr::lt(Expr::col(4), Expr::int(25))]),
+        )
+    };
+    let shapes: Vec<(&str, Plan)> = vec![
+        ("Scan", lineitem()),
+        (
+            "AggScan",
+            Plan::AggScan(AggScanNode {
+                scan: ScanNode::new("lineitem", vec![0, 4]),
+                group_cols: vec![0],
+                aggs: vec![
+                    agg(AggFuncEx::Sum, Some(Expr::col(4))),
+                    agg(AggFuncEx::Avg, Some(Expr::col(4))),
+                    agg(AggFuncEx::CountStar, None),
+                ],
+            }),
+        ),
+        (
+            "HashAgg(Scan)",
+            Plan::HashAgg(HashAggNode {
+                input: Box::new(lineitem()),
+                group: vec![Expr::col(1)],
+                aggs: vec![
+                    agg(AggFuncEx::Sum, Some(Expr::col(2))),
+                    agg(AggFuncEx::Avg, Some(Expr::col(2))),
+                    agg(AggFuncEx::Count, Some(Expr::col(0))),
+                ],
+            }),
+        ),
+        (
+            "LookupJoin(Scan)",
+            Plan::LookupJoin(LookupJoinNode {
+                outer: Box::new(Plan::Scan(ScanNode::new("orders", vec![0, 1]))),
+                table: "lineitem".into(),
+                index: 0,
+                outer_key_cols: vec![0],
+                on: None,
+                inner_output: vec![3, 4],
+                join: JoinType::Inner,
+                inner_predicate: vec![Expr::lt(Expr::col(4), Expr::int(10))],
+                inner_ndp: None,
+            }),
+        ),
+    ];
+    for ndp in [false, true] {
+        let session = Session::new(&db).with_ndp(ndp);
+        for (shape, plan) in &shapes {
+            let mut serial = plan.clone();
+            if ndp {
+                ndp_post_process(&mut serial, &db).unwrap();
+            }
+            let want = session.execute_plan(&serial).unwrap();
+            assert!(!want.is_empty(), "{shape} ndp={ndp}");
+            for degree in [1usize, 3, 8] {
+                let parallel = serial.clone().exchange(degree);
+                let at = format!("{shape} ndp={ndp} degree={degree}");
+                assert_eq!(session.execute_plan(&parallel).unwrap(), want, "{at}");
+                let streamed: Vec<Row> =
+                    session.stream_plan(parallel).map(|r| r.unwrap()).collect();
+                assert_eq!(streamed, want, "{at} streamed");
+            }
+        }
+    }
+    assert_eq!(db.buffer_pool().ndp_frames_in_use(), 0);
+    assert_eq!(db.metrics().snapshot().ndp_batches_in_flight, 0);
 }
 
 /// EXPLAIN renders the lowered physical pipeline alongside the logical
