@@ -39,6 +39,6 @@ pub mod wire;
 
 pub use errcode::{decode_error, encode_error, error_code, is_retryable};
 pub use message::{
-    decode_message, encode_row_batch, read_frame, write_frame, BuilderSpec, ColSel, DmlRequest,
-    Message, Opcode, QueryRequest, WireAggFunc, WireExpr, MASTER_NODE, MAX_FRAME, PROTOCOL_VERSION,
+    decode_message, encode_row_batch, read_frame, write_frame, DmlRequest, Message, Opcode,
+    QueryRequest, MASTER_NODE, MAX_FRAME, PROTOCOL_VERSION,
 };

@@ -10,6 +10,7 @@
 
 use std::io::{self, Read, Write};
 
+use taurus_common::batch::BATCH_MAX_VALUES;
 use taurus_common::schema::Row;
 use taurus_common::{Error, Result, RowBatch, Value};
 
@@ -115,306 +116,6 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<(u8, Vec<u8>)> {
     Ok((op, body))
 }
 
-/// Aggregate functions on the wire, mirroring the builder's `Agg`
-/// constructors. Stable numbering.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u8)]
-pub enum WireAggFunc {
-    CountStar = 0,
-    Count = 1,
-    Sum = 2,
-    Min = 3,
-    Max = 4,
-    Avg = 5,
-}
-
-impl WireAggFunc {
-    fn from_u8(b: u8) -> Result<WireAggFunc> {
-        Ok(match b {
-            0 => WireAggFunc::CountStar,
-            1 => WireAggFunc::Count,
-            2 => WireAggFunc::Sum,
-            3 => WireAggFunc::Min,
-            4 => WireAggFunc::Max,
-            5 => WireAggFunc::Avg,
-            _ => {
-                return Err(Error::Corruption(format!(
-                    "wire: unknown aggregate function {b}"
-                )))
-            }
-        })
-    }
-}
-
-/// A serialized query-builder expression: the 1:1 wire mirror of the
-/// executor facade's `QExpr` (column names resolve server-side, against
-/// the target table's schema).
-#[derive(Clone, Debug, PartialEq)]
-pub enum WireExpr {
-    Col(String),
-    Nth(u32),
-    Lit(Value),
-    /// Comparison: op ∈ {0 Eq, 1 Ne, 2 Lt, 3 Le, 4 Gt, 5 Ge}.
-    Cmp(u8, Box<WireExpr>, Box<WireExpr>),
-    And(Vec<WireExpr>),
-    Or(Vec<WireExpr>),
-    Not(Box<WireExpr>),
-    /// Arithmetic: op ∈ {0 Add, 1 Sub, 2 Mul, 3 Div}.
-    Arith(u8, Box<WireExpr>, Box<WireExpr>),
-    Neg(Box<WireExpr>),
-    Like {
-        expr: Box<WireExpr>,
-        pattern: String,
-        negated: bool,
-    },
-    InList {
-        expr: Box<WireExpr>,
-        list: Vec<Value>,
-        negated: bool,
-    },
-    Between {
-        expr: Box<WireExpr>,
-        lo: Box<WireExpr>,
-        hi: Box<WireExpr>,
-    },
-    IsNull {
-        expr: Box<WireExpr>,
-        negated: bool,
-    },
-    ExtractYear(Box<WireExpr>),
-}
-
-/// Decode-side guard against stack exhaustion from hostile deep nesting.
-const MAX_EXPR_DEPTH: u32 = 64;
-
-fn put_expr(buf: &mut Vec<u8>, e: &WireExpr) {
-    match e {
-        WireExpr::Col(name) => {
-            put_u8(buf, 1);
-            put_str(buf, name);
-        }
-        WireExpr::Nth(i) => {
-            put_u8(buf, 2);
-            put_u32(buf, *i);
-        }
-        WireExpr::Lit(v) => {
-            put_u8(buf, 3);
-            put_value(buf, v);
-        }
-        WireExpr::Cmp(op, a, b) => {
-            put_u8(buf, 4);
-            put_u8(buf, *op);
-            put_expr(buf, a);
-            put_expr(buf, b);
-        }
-        WireExpr::And(xs) => {
-            put_u8(buf, 5);
-            put_u32(buf, xs.len() as u32);
-            xs.iter().for_each(|x| put_expr(buf, x));
-        }
-        WireExpr::Or(xs) => {
-            put_u8(buf, 6);
-            put_u32(buf, xs.len() as u32);
-            xs.iter().for_each(|x| put_expr(buf, x));
-        }
-        WireExpr::Not(a) => {
-            put_u8(buf, 7);
-            put_expr(buf, a);
-        }
-        WireExpr::Arith(op, a, b) => {
-            put_u8(buf, 8);
-            put_u8(buf, *op);
-            put_expr(buf, a);
-            put_expr(buf, b);
-        }
-        WireExpr::Neg(a) => {
-            put_u8(buf, 9);
-            put_expr(buf, a);
-        }
-        WireExpr::Like {
-            expr,
-            pattern,
-            negated,
-        } => {
-            put_u8(buf, 10);
-            put_expr(buf, expr);
-            put_str(buf, pattern);
-            put_u8(buf, *negated as u8);
-        }
-        WireExpr::InList {
-            expr,
-            list,
-            negated,
-        } => {
-            put_u8(buf, 11);
-            put_expr(buf, expr);
-            put_u32(buf, list.len() as u32);
-            list.iter().for_each(|v| put_value(buf, v));
-            put_u8(buf, *negated as u8);
-        }
-        WireExpr::Between { expr, lo, hi } => {
-            put_u8(buf, 12);
-            put_expr(buf, expr);
-            put_expr(buf, lo);
-            put_expr(buf, hi);
-        }
-        WireExpr::IsNull { expr, negated } => {
-            put_u8(buf, 13);
-            put_expr(buf, expr);
-            put_u8(buf, *negated as u8);
-        }
-        WireExpr::ExtractYear(a) => {
-            put_u8(buf, 14);
-            put_expr(buf, a);
-        }
-    }
-}
-
-fn get_expr(cur: &mut Cursor<'_>, depth: u32) -> Result<WireExpr> {
-    if depth > MAX_EXPR_DEPTH {
-        return Err(Error::Corruption(format!(
-            "wire: expression nesting exceeds {MAX_EXPR_DEPTH}"
-        )));
-    }
-    let sub =
-        |cur: &mut Cursor<'_>| -> Result<Box<WireExpr>> { Ok(Box::new(get_expr(cur, depth + 1)?)) };
-    Ok(match cur.u8()? {
-        1 => WireExpr::Col(cur.str()?),
-        2 => WireExpr::Nth(cur.u32()?),
-        3 => WireExpr::Lit(cur.value()?),
-        4 => {
-            let op = cur.u8()?;
-            WireExpr::Cmp(op, sub(cur)?, sub(cur)?)
-        }
-        5 => {
-            let n = cur.u32()?;
-            WireExpr::And(get_expr_vec(cur, n, depth)?)
-        }
-        6 => {
-            let n = cur.u32()?;
-            WireExpr::Or(get_expr_vec(cur, n, depth)?)
-        }
-        7 => WireExpr::Not(sub(cur)?),
-        8 => {
-            let op = cur.u8()?;
-            WireExpr::Arith(op, sub(cur)?, sub(cur)?)
-        }
-        9 => WireExpr::Neg(sub(cur)?),
-        10 => WireExpr::Like {
-            expr: sub(cur)?,
-            pattern: cur.str()?,
-            negated: cur.u8()? != 0,
-        },
-        11 => {
-            let expr = sub(cur)?;
-            let n = cur.u32()?;
-            let mut list = Vec::new();
-            for _ in 0..n {
-                list.push(cur.value()?);
-            }
-            WireExpr::InList {
-                expr,
-                list,
-                negated: cur.u8()? != 0,
-            }
-        }
-        12 => WireExpr::Between {
-            expr: sub(cur)?,
-            lo: sub(cur)?,
-            hi: sub(cur)?,
-        },
-        13 => WireExpr::IsNull {
-            expr: sub(cur)?,
-            negated: cur.u8()? != 0,
-        },
-        14 => WireExpr::ExtractYear(sub(cur)?),
-        t => return Err(Error::Corruption(format!("wire: unknown expr tag {t}"))),
-    })
-}
-
-fn get_expr_vec(cur: &mut Cursor<'_>, n: u32, depth: u32) -> Result<Vec<WireExpr>> {
-    let mut xs = Vec::new();
-    for _ in 0..n {
-        xs.push(get_expr(cur, depth + 1)?);
-    }
-    Ok(xs)
-}
-
-/// A column reference by name or schema position.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ColSel {
-    Name(String),
-    Pos(u32),
-}
-
-fn put_colsel(buf: &mut Vec<u8>, c: &ColSel) {
-    match c {
-        ColSel::Name(n) => {
-            put_u8(buf, 0);
-            put_str(buf, n);
-        }
-        ColSel::Pos(p) => {
-            put_u8(buf, 1);
-            put_u32(buf, *p);
-        }
-    }
-}
-
-fn get_colsel(cur: &mut Cursor<'_>) -> Result<ColSel> {
-    Ok(match cur.u8()? {
-        0 => ColSel::Name(cur.str()?),
-        1 => ColSel::Pos(cur.u32()?),
-        t => {
-            return Err(Error::Corruption(format!(
-                "wire: unknown column selector tag {t}"
-            )))
-        }
-    })
-}
-
-/// A serialized query-builder chain: the wire mirror of
-/// `Session::query(table)` plus the fluent calls. Resolution (names,
-/// index coverage, group-prefix checks) happens server-side, exactly as
-/// it would in-process.
-#[derive(Clone, Debug, PartialEq)]
-pub struct BuilderSpec {
-    pub table: String,
-    pub via_index: Option<String>,
-    /// AND-combined predicate conjuncts.
-    pub filters: Vec<WireExpr>,
-    /// Output columns (empty = builder default: all columns, or
-    /// `group ++ aggs` for aggregates).
-    pub select: Vec<ColSel>,
-    pub group: Vec<ColSel>,
-    pub aggs: Vec<(WireAggFunc, Option<WireExpr>)>,
-    /// `(result position, descending)`.
-    pub order: Vec<(u32, bool)>,
-    pub limit: Option<u64>,
-    /// Parallel-query degree.
-    pub parallel: Option<u32>,
-    /// Session NDP switch for this query.
-    pub ndp: bool,
-}
-
-impl BuilderSpec {
-    /// A plain full-table request; callers then fill in the fluent
-    /// fields they need.
-    pub fn table(name: &str) -> BuilderSpec {
-        BuilderSpec {
-            table: name.to_string(),
-            via_index: None,
-            filters: Vec::new(),
-            select: Vec::new(),
-            group: Vec::new(),
-            aggs: Vec::new(),
-            order: Vec::new(),
-            limit: None,
-            parallel: None,
-            ndp: true,
-        }
-    }
-}
-
 /// A read request.
 #[derive(Clone, Debug, PartialEq)]
 pub enum QueryRequest {
@@ -422,14 +123,12 @@ pub enum QueryRequest {
     /// TPC-H suite is pre-registered by `taurus-server`), optionally
     /// with a parallel-query degree.
     Named { name: String, pq: Option<u32> },
-    /// Execute a serialized builder chain.
-    Builder(BuilderSpec),
     /// MVCC point lookup by primary key.
     Lookup { table: String, pk: Vec<Value> },
     /// SQL text, parsed and bound on the serving node (`taurus-sql`).
-    /// `ndp` mirrors `BuilderSpec::ndp`: whether the binder may apply
-    /// NDP pushdown decisions. Parse/bind failures come back as wire
-    /// error code 1 (Parse) with the positioned diagnostic.
+    /// `ndp` is the session's NDP switch for this statement. Parse and
+    /// bind failures come back as wire error code 1 (Parse) with the
+    /// positioned diagnostic.
     Sql { text: String, ndp: bool },
 }
 
@@ -477,8 +176,15 @@ pub fn encode_row_batch(b: &RowBatch) -> Vec<u8> {
 fn decode_row_batch(cur: &mut Cursor<'_>) -> Result<RowBatch> {
     let width = cur.u32()? as usize;
     let rows = cur.u32()? as usize;
-    // Cheap sanity bound: even all-Null rows cost one byte per value.
-    if width.saturating_mul(rows) > cur.remaining().saturating_mul(2).max(1) {
+    // Every value costs at least one byte (a Null is its tag), and no
+    // batch holds more rows than `RowBatch::with_capacity` gives one of
+    // zero-width rows: a claim past either would cost a loop per row.
+    let impossible = if width == 0 {
+        rows > BATCH_MAX_VALUES
+    } else {
+        width.saturating_mul(rows) > cur.remaining()
+    };
+    if impossible {
         return Err(Error::Corruption(format!(
             "wire: row batch claims {rows} x {width} values in {} bytes",
             cur.remaining()
@@ -570,54 +276,6 @@ fn put_query(buf: &mut Vec<u8>, q: &QueryRequest) {
                 }
             }
         }
-        QueryRequest::Builder(s) => {
-            put_u8(buf, 2);
-            put_str(buf, &s.table);
-            match &s.via_index {
-                None => put_u8(buf, 0),
-                Some(ix) => {
-                    put_u8(buf, 1);
-                    put_str(buf, ix);
-                }
-            }
-            put_u32(buf, s.filters.len() as u32);
-            s.filters.iter().for_each(|f| put_expr(buf, f));
-            put_u32(buf, s.select.len() as u32);
-            s.select.iter().for_each(|c| put_colsel(buf, c));
-            put_u32(buf, s.group.len() as u32);
-            s.group.iter().for_each(|c| put_colsel(buf, c));
-            put_u32(buf, s.aggs.len() as u32);
-            for (f, input) in &s.aggs {
-                put_u8(buf, *f as u8);
-                match input {
-                    None => put_u8(buf, 0),
-                    Some(e) => {
-                        put_u8(buf, 1);
-                        put_expr(buf, e);
-                    }
-                }
-            }
-            put_u32(buf, s.order.len() as u32);
-            for (pos, desc) in &s.order {
-                put_u32(buf, *pos);
-                put_u8(buf, *desc as u8);
-            }
-            match s.limit {
-                None => put_u8(buf, 0),
-                Some(n) => {
-                    put_u8(buf, 1);
-                    put_u64(buf, n);
-                }
-            }
-            match s.parallel {
-                None => put_u8(buf, 0),
-                Some(d) => {
-                    put_u8(buf, 1);
-                    put_u32(buf, d);
-                }
-            }
-            put_u8(buf, s.ndp as u8);
-        }
         QueryRequest::Lookup { table, pk } => {
             put_u8(buf, 3);
             put_str(buf, table);
@@ -641,81 +299,31 @@ fn get_values(cur: &mut Cursor<'_>) -> Result<Vec<Value>> {
     Ok(vs)
 }
 
-/// Decode the tag-2 builder-chain payload (`QueryRequest::Builder`).
-fn get_builder(cur: &mut Cursor<'_>) -> Result<BuilderSpec> {
-    let table = cur.str()?;
-    let via_index = match cur.u8()? {
-        0 => None,
-        _ => Some(cur.str()?),
-    };
-    let filters = {
-        let n = cur.u32()?;
-        get_expr_vec(cur, n, 0)?
-    };
-    let mut select = Vec::new();
-    for _ in 0..cur.u32()? {
-        select.push(get_colsel(cur)?);
-    }
-    let mut group = Vec::new();
-    for _ in 0..cur.u32()? {
-        group.push(get_colsel(cur)?);
-    }
-    let mut aggs = Vec::new();
-    for _ in 0..cur.u32()? {
-        let f = WireAggFunc::from_u8(cur.u8()?)?;
-        let input = match cur.u8()? {
-            0 => None,
-            _ => Some(get_expr(cur, 0)?),
-        };
-        aggs.push((f, input));
-    }
-    let mut order = Vec::new();
-    for _ in 0..cur.u32()? {
-        let pos = cur.u32()?;
-        order.push((pos, cur.u8()? != 0));
-    }
-    let limit = match cur.u8()? {
-        0 => None,
-        _ => Some(cur.u64()?),
-    };
-    let parallel = match cur.u8()? {
-        0 => None,
-        _ => Some(cur.u32()?),
-    };
-    let ndp = cur.u8()? != 0;
-    Ok(BuilderSpec {
-        table,
-        via_index,
-        filters,
-        select,
-        group,
-        aggs,
-        order,
-        limit,
-        parallel,
-        ndp,
-    })
-}
-
 /// Decode a [`QueryRequest`] payload. The leading tag byte is an
 /// append-only published table (`crates/xtask/manifests/query_tags.txt`).
 fn get_query(cur: &mut Cursor<'_>) -> Result<QueryRequest> {
     Ok(match cur.u8()? {
         1 => QueryRequest::Named {
             name: cur.str()?,
-            pq: match cur.u8()? {
-                0 => None,
-                _ => Some(cur.u32()?),
+            pq: match cur.flag()? {
+                false => None,
+                true => Some(cur.u32()?),
             },
         },
-        2 => QueryRequest::Builder(get_builder(cur)?),
+        // Tag 2 carried a serialized `QueryBuilder` chain. It is retired,
+        // never reused, and refused with a typed error naming SQL.
+        2 => {
+            return Err(Error::Unsupported(
+                "wire: query tag 2 (builder chain) is retired; send SQL text (tag 4)".into(),
+            ))
+        }
         3 => QueryRequest::Lookup {
             table: cur.str()?,
             pk: get_values(cur)?,
         },
         4 => QueryRequest::Sql {
             text: cur.str()?,
-            ndp: cur.u8()? != 0,
+            ndp: cur.flag()?,
         },
         t => {
             return Err(Error::Corruption(format!(
@@ -864,69 +472,31 @@ mod tests {
         assert_same_rows(roundtrip(&Message::RowBatch(zw.clone())), &zw);
     }
 
+    /// A row count the payload cannot hold is refused before any row
+    /// decodes: 8 bytes claiming `u32::MAX` zero-width rows, and one byte
+    /// short of a Null per value.
+    #[test]
+    fn impossible_row_counts_refused() {
+        let claim = |width: u32, rows: u32, values: usize| {
+            let mut payload = [width.to_le_bytes(), rows.to_le_bytes()].concat();
+            payload.resize(8 + values, 0);
+            decode_message(Opcode::RowBatch as u8, &payload)
+        };
+        let max = BATCH_MAX_VALUES as u32;
+        for (width, rows, values) in [(0, u32::MAX, 0), (0, max + 1, 0), (3, 2, 5)] {
+            let err = claim(width, rows, values).unwrap_err();
+            assert!(matches!(err, Error::Corruption(_)), "{err}");
+        }
+        assert!(claim(0, max, 0).is_ok() && claim(3, 2, 6).is_ok());
+    }
+
     #[test]
     fn query_requests_roundtrip() {
-        let named = QueryRequest::Named {
-            name: "Q6".into(),
-            pq: Some(4),
-        };
-        let mut spec = BuilderSpec::table("lineitem");
-        spec.via_index = Some("l_shipdate_idx".into());
-        spec.filters = vec![
-            WireExpr::Cmp(
-                2,
-                Box::new(WireExpr::Col("l_quantity".into())),
-                Box::new(WireExpr::Lit(Value::Decimal(Dec::new(2400, 2)))),
-            ),
-            WireExpr::And(vec![
-                WireExpr::IsNull {
-                    expr: Box::new(WireExpr::Nth(3)),
-                    negated: true,
-                },
-                WireExpr::Like {
-                    expr: Box::new(WireExpr::Col("l_comment".into())),
-                    pattern: "%care%".into(),
-                    negated: false,
-                },
-                WireExpr::Between {
-                    expr: Box::new(WireExpr::ExtractYear(Box::new(WireExpr::Col(
-                        "l_shipdate".into(),
-                    )))),
-                    lo: Box::new(WireExpr::Lit(Value::Int(1994))),
-                    hi: Box::new(WireExpr::Lit(Value::Int(1995))),
-                },
-                WireExpr::InList {
-                    expr: Box::new(WireExpr::Col("l_returnflag".into())),
-                    list: vec![Value::str("A"), Value::str("R")],
-                    negated: true,
-                },
-                WireExpr::Not(Box::new(WireExpr::Or(vec![WireExpr::Neg(Box::new(
-                    WireExpr::Arith(
-                        2,
-                        Box::new(WireExpr::Col("l_tax".into())),
-                        Box::new(WireExpr::Lit(Value::Double(2.0))),
-                    ),
-                ))]))),
-            ]),
-        ];
-        spec.select = vec![ColSel::Name("l_orderkey".into()), ColSel::Pos(5)];
-        spec.order = vec![(1, true), (0, false)];
-        spec.limit = Some(10);
-        spec.parallel = Some(2);
-        spec.ndp = false;
-        let agg = {
-            let mut s = BuilderSpec::table("orders");
-            s.group = vec![ColSel::Name("o_orderpriority".into())];
-            s.aggs = vec![
-                (WireAggFunc::CountStar, None),
-                (WireAggFunc::Sum, Some(WireExpr::Col("o_totalprice".into()))),
-            ];
-            s
-        };
         for q in [
-            named,
-            QueryRequest::Builder(spec),
-            QueryRequest::Builder(agg),
+            QueryRequest::Named {
+                name: "Q6".into(),
+                pq: Some(4),
+            },
             QueryRequest::Lookup {
                 table: "orders".into(),
                 pk: vec![Value::Int(42)],
@@ -978,19 +548,6 @@ mod tests {
         oversize.extend_from_slice(&(u32::MAX).to_le_bytes());
         let err = Message::read(&mut io::Cursor::new(oversize)).unwrap_err();
         assert!(err.to_string().contains("length"), "{err}");
-    }
-
-    #[test]
-    fn deep_expr_nesting_refused() {
-        let mut e = WireExpr::Lit(Value::Int(1));
-        for _ in 0..200 {
-            e = WireExpr::Not(Box::new(e));
-        }
-        let mut spec = BuilderSpec::table("t");
-        spec.filters = vec![e];
-        let payload = Message::Query(QueryRequest::Builder(spec)).encode_payload();
-        let err = decode_message(Opcode::Query as u8, &payload).unwrap_err();
-        assert!(err.to_string().contains("nesting"), "{err}");
     }
 
     #[test]

@@ -151,6 +151,19 @@ impl<'a> Cursor<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
+    /// A boolean or an option's presence byte: `0` or `1`, nothing else,
+    /// so every payload that decodes re-encodes to the same bytes.
+    pub fn flag(&mut self) -> Result<bool> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(Error::Corruption(format!(
+                "wire: flag byte {b} at offset {}",
+                self.pos - 1
+            ))),
+        }
+    }
+
     /// A length-prefixed UTF-8 string, borrowed from the frame.
     fn str_ref(&mut self) -> Result<&'a str> {
         let n = self.u32()? as usize;

@@ -13,7 +13,7 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use taurus_common::{Error, Result, Row, TenantId, Value, DEFAULT_TENANT};
-use taurus_protocol::{decode_error, BuilderSpec, DmlRequest, Message, QueryRequest};
+use taurus_protocol::{decode_error, DmlRequest, Message, QueryRequest};
 
 pub struct Client {
     r: BufReader<TcpStream>,
@@ -86,11 +86,6 @@ impl Client {
             name: name.to_string(),
             pq: pq.map(|d| d as u32),
         })
-    }
-
-    /// Run a serialized builder chain.
-    pub fn query_builder(&mut self, spec: BuilderSpec) -> Result<QueryReply> {
-        self.query(QueryRequest::Builder(spec))
     }
 
     /// Run a SQL text statement server-side. The server parses, binds

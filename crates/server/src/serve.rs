@@ -20,12 +20,11 @@ use std::time::{Duration, Instant};
 
 use taurus_common::batch::RowBatch;
 use taurus_common::{Error, Lsn, Result, TenantId, Value};
-use taurus_executor::dsl::{ArithOp, CmpOp, ColRef, QExpr};
-use taurus_executor::{Agg, RowStream, Session};
+use taurus_executor::{RowStream, Session};
 use taurus_ndp::TaurusDb;
 use taurus_protocol::{
-    decode_message, encode_error, encode_row_batch, read_frame, write_frame, BuilderSpec, ColSel,
-    DmlRequest, Message, Opcode, QueryRequest, WireAggFunc, WireExpr, MASTER_NODE,
+    decode_message, encode_error, encode_row_batch, read_frame, write_frame, DmlRequest, Message,
+    Opcode, QueryRequest, MASTER_NODE,
 };
 
 use crate::router::Router;
@@ -162,15 +161,11 @@ pub(crate) fn serve_query_on<W: Write>(
 
 /// A prepared response. The first batch is pulled *before* any frame
 /// is written, so replica-side failures (plan build or first scan
-/// batch) can still fail over to the master cleanly.
-enum Ready {
-    Stream {
-        first: Option<RowBatch>,
-        rest: RowStream,
-    },
-    Row(Option<taurus_common::Row>),
-    /// Small fully-materialized response (EXPLAIN text), one batch.
-    Batch(RowBatch),
+/// batch) can still fail over to the master cleanly. A point lookup's
+/// row and EXPLAIN text are one batch with no stream behind it.
+struct Ready {
+    first: Option<RowBatch>,
+    rest: Option<RowStream>,
 }
 
 fn prepare(
@@ -202,14 +197,13 @@ fn prepare(
             let session = governed(db);
             first_batch(session.stream_plan(plan))
         }
-        QueryRequest::Builder(spec) => {
-            let mut session = governed(db);
-            session.set_ndp(spec.ndp);
-            first_batch(builder_stream(&session, spec)?)
-        }
         QueryRequest::Lookup { table, pk } => {
-            let session = governed(db);
-            Ok(Ready::Row(session.lookup(table, pk)?))
+            let first = governed(db).lookup(table, pk)?.map(|row| {
+                let mut b = RowBatch::with_capacity(row.len(), 1);
+                b.push_row(row);
+                b
+            });
+            Ok(Ready { first, rest: None })
         }
         QueryRequest::Sql { text, ndp } => {
             // Same gate as Named: binding resolves names against this
@@ -230,7 +224,8 @@ fn prepare(
                     for line in lines {
                         b.push_row(vec![Value::str(line)]);
                     }
-                    Ok(Ready::Batch(b))
+                    let first = (!b.is_empty()).then_some(b);
+                    Ok(Ready { first, rest: None })
                 }
             }
         }
@@ -238,150 +233,10 @@ fn prepare(
 }
 
 fn first_batch(mut stream: RowStream) -> Result<Ready> {
-    match stream.next_batch() {
-        Some(Err(e)) => Err(e),
-        Some(Ok(b)) => Ok(Ready::Stream {
-            first: Some(b),
-            rest: stream,
-        }),
-        None => Ok(Ready::Stream {
-            first: None,
-            rest: stream,
-        }),
-    }
-}
-
-/// Rebuild the fluent builder chain from its wire spec and start the
-/// stream. Name resolution and validation run server-side in the
-/// builder itself, exactly as in-process.
-fn builder_stream(session: &Session, spec: &BuilderSpec) -> Result<RowStream> {
-    let mut q = session.query(&spec.table)?;
-    if let Some(ix) = &spec.via_index {
-        q = q.via_index(ix);
-    }
-    for f in &spec.filters {
-        q = q.filter(to_qexpr(f)?);
-    }
-    if !spec.select.is_empty() {
-        q = q.select(spec.select.iter().map(to_colref));
-    }
-    if !spec.group.is_empty() {
-        q = q.group_by(spec.group.iter().map(to_colref));
-    }
-    for (func, input) in &spec.aggs {
-        q = q.agg(to_agg(*func, input.as_ref())?);
-    }
-    for &(pos, desc) in &spec.order {
-        q = q.order_by(pos as usize, desc);
-    }
-    if let Some(n) = spec.limit {
-        q = q.limit(n as usize);
-    }
-    if let Some(d) = spec.parallel {
-        q = q.parallel(d as usize);
-    }
-    q.stream()
-}
-
-fn to_colref(c: &ColSel) -> ColRef {
-    match c {
-        ColSel::Name(n) => ColRef::Name(n.clone()),
-        ColSel::Pos(p) => ColRef::Position(*p as usize),
-    }
-}
-
-fn to_agg(func: WireAggFunc, input: Option<&WireExpr>) -> Result<Agg> {
-    if func == WireAggFunc::CountStar {
-        return Ok(Agg::count_star());
-    }
-    let e = to_qexpr(input.ok_or_else(|| {
-        Error::Corruption(format!(
-            "wire: aggregate {func:?} requires an input expression"
-        ))
-    })?)?;
-    Ok(match func {
-        // lint:allow(panic): CountStar early-returned above
-        WireAggFunc::CountStar => unreachable!(),
-        WireAggFunc::Count => Agg::count(e),
-        WireAggFunc::Sum => Agg::sum(e),
-        WireAggFunc::Min => Agg::min(e),
-        WireAggFunc::Max => Agg::max(e),
-        WireAggFunc::Avg => Agg::avg(e),
-    })
-}
-
-fn to_qexpr(e: &WireExpr) -> Result<QExpr> {
-    fn boxed(e: &WireExpr) -> Result<Box<QExpr>> {
-        Ok(Box::new(to_qexpr(e)?))
-    }
-    Ok(match e {
-        WireExpr::Col(name) => QExpr::Col(name.clone()),
-        WireExpr::Nth(i) => QExpr::Nth(*i as usize),
-        WireExpr::Lit(v) => QExpr::Lit(v.clone()),
-        WireExpr::Cmp(op, a, b) => QExpr::Cmp(cmp_op(*op)?, boxed(a)?, boxed(b)?),
-        WireExpr::And(xs) => QExpr::And(xs.iter().map(to_qexpr).collect::<Result<_>>()?),
-        WireExpr::Or(xs) => QExpr::Or(xs.iter().map(to_qexpr).collect::<Result<_>>()?),
-        WireExpr::Not(a) => QExpr::Not(boxed(a)?),
-        WireExpr::Arith(op, a, b) => QExpr::Arith(arith_op(*op)?, boxed(a)?, boxed(b)?),
-        WireExpr::Neg(a) => QExpr::Neg(boxed(a)?),
-        WireExpr::Like {
-            expr,
-            pattern,
-            negated,
-        } => QExpr::Like {
-            expr: boxed(expr)?,
-            pattern: pattern.clone(),
-            negated: *negated,
-        },
-        WireExpr::InList {
-            expr,
-            list,
-            negated,
-        } => QExpr::InList {
-            expr: boxed(expr)?,
-            list: list.clone(),
-            negated: *negated,
-        },
-        WireExpr::Between { expr, lo, hi } => QExpr::Between {
-            expr: boxed(expr)?,
-            lo: boxed(lo)?,
-            hi: boxed(hi)?,
-        },
-        WireExpr::IsNull { expr, negated } => QExpr::IsNull {
-            expr: boxed(expr)?,
-            negated: *negated,
-        },
-        WireExpr::ExtractYear(a) => QExpr::ExtractYear(boxed(a)?),
-    })
-}
-
-fn cmp_op(b: u8) -> Result<CmpOp> {
-    Ok(match b {
-        0 => CmpOp::Eq,
-        1 => CmpOp::Ne,
-        2 => CmpOp::Lt,
-        3 => CmpOp::Le,
-        4 => CmpOp::Gt,
-        5 => CmpOp::Ge,
-        t => {
-            return Err(Error::Corruption(format!(
-                "wire: unknown comparison op {t}"
-            )))
-        }
-    })
-}
-
-fn arith_op(b: u8) -> Result<ArithOp> {
-    Ok(match b {
-        0 => ArithOp::Add,
-        1 => ArithOp::Sub,
-        2 => ArithOp::Mul,
-        3 => ArithOp::Div,
-        t => {
-            return Err(Error::Corruption(format!(
-                "wire: unknown arithmetic op {t}"
-            )))
-        }
+    let first = stream.next_batch().transpose()?;
+    Ok(Ready {
+        first,
+        rest: Some(stream),
     })
 }
 
@@ -399,54 +254,32 @@ fn send_ready<W: Write>(
     Router::count_route(state.metrics(), node);
     let mut rows = 0u64;
     let mut batches = 0u64;
-    match ready {
-        Ready::Row(found) => {
-            if let Some(row) = found {
-                let mut b = RowBatch::with_capacity(row.len(), 1);
-                b.push_row(row);
-                write_batch(state, w, &b)?;
-                rows = 1;
-                batches = 1;
-            }
+    let (mut next, mut rest) = (ready.first, ready.rest);
+    while let Some(b) = next {
+        rows += b.len() as u64;
+        batches += 1;
+        write_batch(state, w, &b)?;
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            // Budget burned (e.g. by a slow client sink): answer with the
+            // retryable deadline error and drop `rest` on return,
+            // cancelling the producing scan.
+            state.metrics().add(|m| &m.deadline_exceeded, 1);
+            return send_error(
+                state,
+                w,
+                &Error::DeadlineExceeded(format!(
+                    "query execution exceeded session_read_timeout_ms ({} ms)",
+                    state.cfg.session_read_timeout_ms
+                )),
+            );
         }
-        Ready::Batch(b) => {
-            if !b.is_empty() {
-                rows = b.len() as u64;
-                batches = 1;
-                write_batch(state, w, &b)?;
-            }
-        }
-        Ready::Stream { first, mut rest } => {
-            let mut next = first;
-            while let Some(b) = next {
-                rows += b.len() as u64;
-                batches += 1;
-                write_batch(state, w, &b)?;
-                if deadline.is_some_and(|d| Instant::now() >= d) {
-                    // Budget burned (e.g. by a slow client sink): answer
-                    // with the retryable deadline error and drop `rest`
-                    // on return, cancelling the producing scan.
-                    state.metrics().add(|m| &m.deadline_exceeded, 1);
-                    return send_error(
-                        state,
-                        w,
-                        &Error::DeadlineExceeded(format!(
-                            "query execution exceeded session_read_timeout_ms ({} ms)",
-                            state.cfg.session_read_timeout_ms
-                        )),
-                    );
-                }
-                next = match rest.next_batch() {
-                    Some(Ok(b)) => Some(b),
-                    Some(Err(e)) => {
-                        // Mid-stream engine error: the Error frame is
-                        // the response terminator (no EndOfStream).
-                        return send_error(state, w, &e);
-                    }
-                    None => None,
-                };
-            }
-        }
+        next = match rest.as_mut().and_then(RowStream::next_batch) {
+            Some(Ok(b)) => Some(b),
+            // Mid-stream engine error: the Error frame is the response
+            // terminator (no EndOfStream).
+            Some(Err(e)) => return send_error(state, w, &e),
+            None => None,
+        };
     }
     write_flush(
         w,
@@ -585,7 +418,10 @@ mod tests {
         // serve path must notice the refusal and re-run on the master.
         replica.detach();
         let mut out = Vec::new();
-        let req = QueryRequest::Builder(BuilderSpec::table("t"));
+        let req = QueryRequest::Sql {
+            text: "select * from t".into(),
+            ndp: false,
+        };
         serve_query_on(
             &state,
             &mut out,
@@ -613,7 +449,10 @@ mod tests {
         let master = seeded_master();
         let state = ServerState::new(master, Vec::new(), PlanRegistry::new());
         let mut out = Vec::new();
-        let req = QueryRequest::Builder(BuilderSpec::table("no_such_table"));
+        let req = QueryRequest::Sql {
+            text: "select * from no_such_table".into(),
+            ndp: false,
+        };
         let (db, node) = state.router.route_read(0);
         serve_query_on(
             &state,
@@ -629,46 +468,10 @@ mod tests {
         let Message::Error { code, message } = &frames[0] else {
             panic!("expected Error frame, got {:?}", frames[0]);
         };
-        // NameResolution per the errcode table; message is client-safe.
-        assert_eq!(*code, 7, "{message}");
+        // SQL bind failures are Parse per the errcode table; the
+        // message is client-safe.
+        assert_eq!(*code, 1, "{message}");
         assert!(message.contains("no_such_table"));
         assert_eq!(state.metrics().snapshot().server_errors_sent, 1);
-    }
-
-    #[test]
-    fn wire_expr_translation_roundtrips_through_the_builder() {
-        let master = seeded_master();
-        let state = ServerState::new(master, Vec::new(), PlanRegistry::new());
-        let mut spec = BuilderSpec::table("t");
-        spec.filters.push(WireExpr::Cmp(
-            4, // Gt
-            Box::new(WireExpr::Col("v".into())),
-            Box::new(WireExpr::Lit(Value::Int(40))),
-        ));
-        spec.select = vec![ColSel::Name("id".into())];
-        spec.order = vec![(0, true)];
-        let mut out = Vec::new();
-        let (db, node) = state.router.route_read(0);
-        serve_query_on(
-            &state,
-            &mut out,
-            &QueryRequest::Builder(spec),
-            db,
-            node,
-            taurus_common::DEFAULT_TENANT,
-        )
-        .unwrap();
-        let frames = decode_frames(&out);
-        let rows: Vec<_> = frames
-            .iter()
-            .filter_map(|f| match f {
-                Message::RowBatch(b) => Some(b.to_rows()),
-                _ => None,
-            })
-            .flatten()
-            .collect();
-        // v > 40 → ids 5..9, descending.
-        let want: Vec<_> = (5..10i64).rev().map(|i| vec![Value::Int(i)]).collect();
-        assert_eq!(rows, want);
     }
 }

@@ -16,8 +16,9 @@ use taurus_expr::ast::{ArithOp, CmpOp};
 use crate::ast::*;
 use crate::lexer::{lex, parse_err, Pos, Tok, Token};
 
-/// Nesting bound for expressions and subqueries, aligned with the wire
-/// protocol's `MAX_EXPR_DEPTH`.
+/// Nesting bound for expressions and subqueries. SQL text is the only
+/// expression language a wire client sends, so this is the guard that
+/// keeps hostile nesting from overflowing a serving thread's stack.
 const MAX_DEPTH: usize = 64;
 
 /// Parse one statement (`SELECT ...` or `EXPLAIN SELECT ...`, with an

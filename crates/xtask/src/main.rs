@@ -15,7 +15,9 @@
 //!    Each is parsed out of its source of truth and compared against a
 //!    pinned manifest under `crates/xtask/manifests/`; renumbering or
 //!    removing an entry fails, and adding one forces a deliberate
-//!    manifest update in the same commit.
+//!    manifest update in the same commit. A `N Name retired` line marks
+//!    an entry taken out of service: its name may have no decode arm and
+//!    no other entry may take `N`.
 //! 3. **Metrics-name registry** — the `metrics_struct!` declaration list
 //!    (the STATS scrape format) must match `manifests/metrics.txt` in
 //!    order, with unique snake_case names.
@@ -239,38 +241,46 @@ fn has_reason(comment: &str) -> bool {
 // --- rule 2: append-only tables ---------------------------------------------
 
 fn append_only_tables(root: &Path, violations: &mut Vec<String>) {
-    // Wire error codes: `N => Error::Name(` arms of decode_error.
-    let errcode_src = root.join("crates/protocol/src/errcode.rs");
-    let parsed = parse_code_arms(&errcode_src, "=> Error::", violations);
-    check_table(root, "errcodes.txt", "wire error code", &parsed, violations);
-
-    // Wire frame opcodes: `N => Opcode::Name,` arms of Opcode::from_u8.
-    let message_src = root.join("crates/protocol/src/message.rs");
-    let parsed = parse_code_arms(&message_src, "=> Opcode::", violations);
-    check_table(root, "wire_opcodes.txt", "wire opcode", &parsed, violations);
-
-    // Query-request payload tags: `N => QueryRequest::Name` arms of
-    // get_query (the Query frame's leading tag byte).
-    let parsed = parse_code_arms(&message_src, "=> QueryRequest::", violations);
-    check_table(
-        root,
-        "query_tags.txt",
-        "query request tag",
-        &parsed,
-        violations,
-    );
-
-    // NDP bitcode opcodes: `IrInstr::Name ... => { out.push(N);` pairs
-    // in encode_instr.
-    let ir_src = root.join("crates/expr/src/ir.rs");
-    let parsed = parse_ir_opcodes(&ir_src, violations);
-    check_table(
-        root,
-        "ir_opcodes.txt",
-        "bitcode opcode",
-        &parsed,
-        violations,
-    );
+    let src = |file: &str| root.join("crates").join(file);
+    let tables = [
+        // Wire error codes: `N => Error::Name(` arms of decode_error.
+        (
+            "errcodes.txt",
+            "wire error code",
+            parse_code_arms(&src("protocol/src/errcode.rs"), "=> Error::", violations),
+        ),
+        // Wire frame opcodes: `N => Opcode::Name,` arms of Opcode::from_u8.
+        (
+            "wire_opcodes.txt",
+            "wire opcode",
+            parse_code_arms(&src("protocol/src/message.rs"), "=> Opcode::", violations),
+        ),
+        // Query-request payload tags: `N => QueryRequest::Name` arms of
+        // get_query (the Query frame's leading tag byte).
+        (
+            "query_tags.txt",
+            "query request tag",
+            parse_code_arms(
+                &src("protocol/src/message.rs"),
+                "=> QueryRequest::",
+                violations,
+            ),
+        ),
+        // NDP bitcode opcodes: `IrInstr::Name ... => { out.push(N);` pairs
+        // in encode_instr.
+        (
+            "ir_opcodes.txt",
+            "bitcode opcode",
+            parse_ir_opcodes(&src("expr/src/ir.rs"), violations),
+        ),
+    ];
+    for (manifest, what, parsed) in tables {
+        let path = root.join("crates/xtask/manifests").join(manifest);
+        match fs::read_to_string(&path) {
+            Ok(text) => violations.extend(table_violations(manifest, what, &text, &parsed)),
+            Err(_) => violations.push(format!("{}: unreadable manifest", path.display())),
+        }
+    }
 }
 
 /// Parse `<integer> <arrow-prefix><Name><non-ident>` arms anywhere in a
@@ -345,54 +355,68 @@ fn parse_ir_opcodes(path: &Path, violations: &mut Vec<String>) -> Vec<(u32, Stri
     out
 }
 
-/// Compare a parsed (code, name) table against its pinned manifest.
-fn check_table(
-    root: &Path,
+/// The violations of one pinned manifest `text` against the source's
+/// `parsed` (code, name) arms. A `N Name` line pins a live entry; a
+/// `N Name retired` line pins a retired one, whose name must have no
+/// decode arm and whose code no other entry may take.
+fn table_violations(
     manifest: &str,
     what: &str,
+    text: &str,
     parsed: &[(u32, String)],
-    violations: &mut Vec<String>,
-) {
-    let path = root.join("crates/xtask/manifests").join(manifest);
-    let Ok(text) = fs::read_to_string(&path) else {
-        violations.push(format!("{}: unreadable manifest", path.display()));
-        return;
-    };
+) -> Vec<String> {
+    let mut out = Vec::new();
     let mut pinned: Vec<(u32, String)> = Vec::new();
+    let mut retired: Vec<(u32, String)> = Vec::new();
     for line in text.lines() {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let mut it = line.splitn(2, ' ');
+        let fields: Vec<&str> = line.split_whitespace().collect();
         match (
-            it.next().and_then(|c| c.parse::<u32>().ok()),
-            it.next().map(str::trim),
+            fields.first().and_then(|c| c.parse::<u32>().ok()),
+            &fields[1..],
         ) {
-            (Some(code), Some(name)) if !name.is_empty() => pinned.push((code, name.to_string())),
-            _ => violations.push(format!("{manifest}: malformed line {line:?}")),
+            (Some(code), [name]) => pinned.push((code, name.to_string())),
+            (Some(code), [name, "retired"]) => retired.push((code, name.to_string())),
+            _ => out.push(format!("{manifest}: malformed line {line:?}")),
         }
     }
     if parsed.is_empty() {
-        violations.push(format!(
+        out.push(format!(
             "{manifest}: parsed no {what}s from source — parser broken?"
         ));
-        return;
+        return out;
     }
     for (code, name) in &pinned {
         match parsed.iter().find(|(_, n)| n == name) {
-            None => violations.push(format!(
+            None => out.push(format!(
                 "{manifest}: pinned {what} {code} {name} removed from source (append-only table)"
             )),
-            Some((c, _)) if c != code => violations.push(format!(
+            Some((c, _)) if c != code => out.push(format!(
                 "{manifest}: {what} {name} renumbered {code} -> {c} (append-only table)"
             )),
             _ => {}
         }
     }
+    for (code, name) in &retired {
+        if parsed.iter().any(|(_, n)| n == name) {
+            out.push(format!(
+                "{manifest}: retired {what} {code} {name} has a decode arm again"
+            ));
+        }
+        let mut others = pinned.iter().chain(parsed);
+        if let Some((_, other)) = others.find(|(c, n)| c == code && n != name) {
+            out.push(format!(
+                "{manifest}: {what} {code} is retired ({name}) but reused by {other}"
+            ));
+        }
+    }
     for (code, name) in parsed {
-        if !pinned.iter().any(|(_, n)| n == name) {
-            violations.push(format!(
+        let known = pinned.iter().chain(&retired).any(|(_, n)| n == name);
+        if !known {
+            out.push(format!(
                 "{manifest}: source {what} {code} {name} not pinned — append it to the manifest"
             ));
         }
@@ -402,12 +426,13 @@ fn check_table(
     sorted.sort();
     for w in sorted.windows(2) {
         if w[0].0 == w[1].0 {
-            violations.push(format!(
+            out.push(format!(
                 "{what} {} assigned twice: {} and {}",
                 w[0].0, w[0].1, w[1].1
             ));
         }
     }
+    out
 }
 
 // --- rule 3: metrics registry ------------------------------------------------
@@ -675,6 +700,24 @@ mod tests {
         assert!(v[0].starts_with("`TAURUS_GONE`"), "{v:?}");
         let ci = "      TAURUS_GONE: 1\n      TAURUS_CI_ONLY: 2\n";
         assert!(stale_knob_docs(design, &rust, ci).is_empty());
+    }
+
+    #[test]
+    fn retired_manifest_entries_stay_retired() {
+        let manifest = "# header\n1 Named\n2 Builder retired\n3 Lookup\n";
+        let check = |manifest: &str, arms: &[(u32, &str)]| {
+            let parsed: Vec<(u32, String)> =
+                arms.iter().map(|(c, n)| (*c, n.to_string())).collect();
+            table_violations("t.txt", "tag", manifest, &parsed)
+        };
+        assert!(check(manifest, &[(1, "Named"), (3, "Lookup")]).is_empty());
+        // The retired name comes back with a decode arm.
+        let v = check(manifest, &[(1, "Named"), (2, "Builder"), (3, "Lookup")]);
+        assert_eq!(v, ["t.txt: retired tag 2 Builder has a decode arm again"]);
+        // A new entry takes the retired number, in source and manifest.
+        let reused = format!("{manifest}2 Scan\n");
+        let v = check(&reused, &[(1, "Named"), (2, "Scan"), (3, "Lookup")]);
+        assert_eq!(v, ["t.txt: tag 2 is retired (Builder) but reused by Scan"]);
     }
 
     #[test]

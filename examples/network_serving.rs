@@ -2,7 +2,7 @@
 //!
 //! Starts a `Server` fronting a master plus one log-tailing read
 //! replica, then drives it with the wire `Client`: named TPC-H plans,
-//! a builder-serialized query, a point lookup, a write — and shows
+//! an ad-hoc SQL statement, a point lookup, a write — and shows
 //! read-your-writes stickiness (after the INSERT, reads pin to the
 //! master until the replica's visible LSN catches up to the client's
 //! commit LSN) plus the STATS scrape an operator would poll.
@@ -12,7 +12,7 @@
 use std::time::Duration;
 
 use taurus::prelude::*;
-use taurus::protocol::{BuilderSpec, DmlRequest, WireAggFunc};
+use taurus::protocol::DmlRequest;
 
 fn main() -> Result<()> {
     let mut cfg = ClusterConfig::default();
@@ -59,19 +59,14 @@ fn main() -> Result<()> {
         );
     }
 
-    // A builder-serialized query: COUNT(*) of cheap line items.
-    let mut spec = BuilderSpec::table("lineitem");
-    spec.filters.push(taurus::protocol::WireExpr::Cmp(
-        2, // Lt
-        Box::new(taurus::protocol::WireExpr::Col("l_quantity".into())),
-        Box::new(taurus::protocol::WireExpr::Lit(Value::Decimal(Dec::new(
-            500, 2,
-        )))),
-    ));
-    spec.aggs.push((WireAggFunc::CountStar, None));
-    let reply = client.query_builder(spec)?;
+    // Ad-hoc SQL text, parsed and bound on the serving node: COUNT(*)
+    // of cheap line items.
+    let reply = client.query_sql(
+        "select count(*) from lineitem where l_quantity < 5.00",
+        true,
+    )?;
     println!(
-        "builder COUNT(l_quantity < 5.00) = {} (node {})",
+        "SQL COUNT(l_quantity < 5.00) = {} (node {})",
         reply.rows[0][0], reply.node
     );
 

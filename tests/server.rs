@@ -1,16 +1,16 @@
 //! Serving-layer integration tests: end-to-end TPC-H parity over a real
 //! socket, lag-aware replica routing under concurrent DML,
-//! read-your-LSN stickiness, disconnect-driven scan cancellation, and
-//! the session cap.
+//! read-your-LSN stickiness, disconnect-driven scan cancellation, the
+//! session cap, and the retired builder-chain query tag.
 
+use std::io::BufReader;
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use taurus::prelude::*;
-use taurus::protocol::{
-    BuilderSpec, ColSel, DmlRequest, Message, QueryRequest, WireAggFunc, WireExpr, MASTER_NODE,
-};
+use taurus::protocol::{write_frame, DmlRequest, Message, Opcode, QueryRequest, MASTER_NODE};
 
 const WAIT: Duration = Duration::from_secs(20);
 
@@ -37,16 +37,12 @@ fn acct_schema() -> Arc<TableSchema> {
     )
 }
 
-fn sum_bal_spec() -> BuilderSpec {
-    let mut spec = BuilderSpec::table("acct");
-    spec.aggs = vec![(WireAggFunc::Sum, Some(WireExpr::Col("bal".into())))];
-    spec
-}
+const SUM_BAL: &str = "select sum(bal) from acct";
 
 /// End-to-end parity: a TPC-H subset served over the socket decodes to
 /// exactly the rows the same plan produces in-process, for named
-/// queries, a serialized builder chain, and a point lookup. Also pins
-/// the STATS scrape format.
+/// queries, SQL text against the same in-process builder chain, and a
+/// point lookup. Also pins the STATS scrape format.
 #[test]
 fn tpch_over_socket_matches_in_process() {
     let mut cfg = ephemeral(ClusterConfig::default());
@@ -69,7 +65,7 @@ fn tpch_over_socket_matches_in_process() {
         assert_eq!(got.node, MASTER_NODE);
     }
 
-    // Serialized builder chain vs the same fluent chain in-process.
+    // SQL text over the wire vs the same fluent chain in-process.
     let want = session
         .query("orders")
         .unwrap()
@@ -79,18 +75,13 @@ fn tpch_over_socket_matches_in_process() {
         .collect_rows()
         .unwrap();
     assert!(!want.is_empty());
-    let mut spec = BuilderSpec::table("orders");
-    spec.filters.push(WireExpr::Cmp(
-        2, // Lt
-        Box::new(WireExpr::Col("o_custkey".into())),
-        Box::new(WireExpr::Lit(Value::Int(50))),
-    ));
-    spec.select = vec![
-        ColSel::Name("o_orderkey".into()),
-        ColSel::Name("o_custkey".into()),
-    ];
-    spec.order = vec![(0, false)];
-    let got = client.query_builder(spec).unwrap();
+    let got = client
+        .query_sql(
+            "select o_orderkey, o_custkey from orders where o_custkey < 50 \
+             order by o_orderkey",
+            true,
+        )
+        .unwrap();
     assert_eq!(got.rows, want);
 
     // Point lookup parity: fetch a known pk over the wire.
@@ -254,7 +245,7 @@ fn replica_routing_holds_invariants_under_concurrent_writer() {
     };
 
     for round in 0..25 {
-        let reply = client.query_builder(sum_bal_spec()).unwrap();
+        let reply = client.query_sql(SUM_BAL, true).unwrap();
         let sum = reply.rows[0][0].as_int().unwrap();
         assert_eq!(
             sum, total,
@@ -271,7 +262,7 @@ fn replica_routing_holds_invariants_under_concurrent_writer() {
     }
     let mut nodes = std::collections::HashSet::new();
     for _ in 0..12 {
-        let reply = client.query_builder(sum_bal_spec()).unwrap();
+        let reply = client.query_sql(SUM_BAL, true).unwrap();
         assert_eq!(reply.rows[0][0].as_int().unwrap(), total);
         nodes.insert(reply.node);
     }
@@ -360,14 +351,11 @@ fn client_drop_mid_stream_cancels_the_scan() {
     let mut client = Client::connect(&addr).unwrap();
     // A selective-but-passing filter keeps the scan on the NDP path
     // while producing the full table as result frames.
-    let mut spec = BuilderSpec::table("lineitem");
-    spec.filters.push(WireExpr::Cmp(
-        4, // Gt
-        Box::new(WireExpr::Col("l_orderkey".into())),
-        Box::new(WireExpr::Lit(Value::Int(0))),
-    ));
     client
-        .send(&Message::Query(QueryRequest::Builder(spec)))
+        .send(&Message::Query(QueryRequest::Sql {
+            text: "select * from lineitem where l_orderkey > 0".into(),
+            ndp: true,
+        }))
         .unwrap();
     // Read exactly one result frame, then vanish.
     match client.recv().unwrap() {
@@ -461,7 +449,7 @@ fn detached_replica_leaves_rotation_mid_session() {
     // Both nodes serve before the detach.
     let mut nodes = std::collections::HashSet::new();
     for _ in 0..6 {
-        let reply = client.query_builder(sum_bal_spec()).unwrap();
+        let reply = client.query_sql(SUM_BAL, true).unwrap();
         assert_eq!(reply.rows[0][0].as_int().unwrap(), 1600);
         nodes.insert(reply.node);
     }
@@ -469,11 +457,63 @@ fn detached_replica_leaves_rotation_mid_session() {
 
     replica.detach();
     for round in 0..8 {
-        let reply = client.query_builder(sum_bal_spec()).unwrap();
+        let reply = client.query_sql(SUM_BAL, true).unwrap();
         assert_eq!(reply.rows[0][0].as_int().unwrap(), 1600, "round {round}");
         assert_eq!(
             reply.node, MASTER_NODE,
             "round {round} hit a detached replica"
         );
     }
+}
+
+/// Query tag 2 (the retired builder chain) is refused with wire error
+/// code 8 (Unsupported) naming SQL as its replacement, and the same
+/// connection goes on to answer SQL text.
+#[test]
+fn retired_builder_tag_is_refused_and_the_session_keeps_serving() {
+    let db = TaurusDb::new(ephemeral(ClusterConfig::small_for_tests()));
+    let table = db.create_table(acct_schema(), &[]).unwrap();
+    db.bulk_load(&table, vec![vec![Value::Int(1), Value::Int(10)]])
+        .unwrap();
+    let (_handle, addr) = start_server(&db, Vec::new());
+
+    let mut w = TcpStream::connect(&addr).unwrap();
+    let mut r = BufReader::new(w.try_clone().unwrap());
+    let hello = Message::Hello {
+        client: "retired-tag".into(),
+        tenant: 0,
+    };
+    hello.write(&mut w).unwrap();
+    assert!(matches!(
+        Message::read(&mut r).unwrap(),
+        Message::Welcome { .. }
+    ));
+
+    // The head of a former builder request for `acct`: tag 2, then the
+    // table name.
+    let mut payload = vec![2u8];
+    payload.extend_from_slice(&4u32.to_le_bytes());
+    payload.extend_from_slice(b"acct");
+    write_frame(&mut w, Opcode::Query, &payload).unwrap();
+    match Message::read(&mut r).unwrap() {
+        Message::Error { code, message } => {
+            assert_eq!(code, 8, "{message}");
+            assert!(message.contains("tag 4"), "{message}");
+        }
+        other => panic!("expected an Error frame, got {other:?}"),
+    }
+
+    let sql = Message::Query(QueryRequest::Sql {
+        text: SUM_BAL.into(),
+        ndp: false,
+    });
+    sql.write(&mut w).unwrap();
+    match Message::read(&mut r).unwrap() {
+        Message::RowBatch(b) => assert_eq!(b.to_rows(), vec![vec![Value::Int(10)]]),
+        other => panic!("expected a RowBatch, got {other:?}"),
+    }
+    assert!(matches!(
+        Message::read(&mut r).unwrap(),
+        Message::EndOfStream { rows: 1, .. }
+    ));
 }
