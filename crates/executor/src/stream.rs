@@ -112,9 +112,9 @@ impl RowStream {
         }
     }
 
-    /// A stream that delivers exactly one error: the verification gate's
-    /// rejection, produced before any operator or producer existed.
-    fn fail(e: taurus_common::Error) -> RowStream {
+    /// A stream that delivers exactly one error: a refusal produced
+    /// before any operator or producer existed.
+    pub(crate) fn fail(e: taurus_common::Error) -> RowStream {
         let (tx, rx) = sync_channel::<Result<RowBatch>>(1);
         let _ = tx.send(Err(e));
         RowStream {

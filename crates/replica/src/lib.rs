@@ -70,9 +70,10 @@ use taurus_sal::Sal;
 /// A read replica: the replica engine plus its log tailer.
 ///
 /// Create with [`Replica::attach`], query through `Session::new(r.db())`
-/// — the whole `Session`/`QueryBuilder` facade works unchanged, NDP scans
-/// included. Dropping (or [`Replica::detach`]) stops the tailer and marks
-/// the engine detached; queries then fail until re-attachment.
+/// — SQL text and prebuilt plans work unchanged, NDP scans included.
+/// Dropping (or [`Replica::detach`]) stops the tailer and marks the
+/// engine detached; the session's execution entries then refuse until
+/// re-attachment.
 pub struct Replica {
     db: Arc<TaurusDb>,
     stop: Arc<AtomicBool>,

@@ -184,9 +184,6 @@ fn prepare(
     };
     match req {
         QueryRequest::Named { name, pq } => {
-            // stream_plan has no serveability gate of its own; refuse
-            // stale replicas here the way Session::query would.
-            db.check_serveable()?;
             let plan_fn = state.registry.get(name).ok_or_else(|| {
                 Error::NotFound(format!(
                     "no plan registered under `{name}` (known: {})",
@@ -206,10 +203,6 @@ fn prepare(
             Ok(Ready { first, rest: None })
         }
         QueryRequest::Sql { text, ndp } => {
-            // Same gate as Named: binding resolves names against this
-            // node's catalog and execution scans it, so a stale replica
-            // refuses before any work (then fails over to the master).
-            db.check_serveable()?;
             let mut session = governed(db);
             session.set_ndp(*ndp);
             match taurus_sql::parse(text)? {

@@ -6,18 +6,26 @@
 //! text for free. The lowering contract:
 //!
 //! - each base table in FROM becomes one [`ScanNode`] whose `output` is
-//!   exactly the set of referenced columns (ascending; `[0]` when none),
-//!   and whose `predicate` holds the single-table WHERE/ON conjuncts in
-//!   written order, lowered over *table* columns;
+//!   exactly the set of referenced columns (ascending; `[0]` when none,
+//!   or a secondary index's leading key column), and whose `predicate`
+//!   holds the single-table WHERE/ON conjuncts in written order, lowered
+//!   over *table* columns; `FORCE INDEX (i)` on a scanned table scans
+//!   through `i`, which must store every column the query reads;
 //! - `JOIN ... ON` lowers left-deep in written order: plain joins become
 //!   [`HashJoinNode`]s keyed by the ON equalities, `FORCE INDEX (...)`
 //!   on the right side requests a [`LookupJoinNode`] through that index,
 //!   correlating the equality conjuncts that cover the index key prefix;
 //! - `[NOT] EXISTS` / `[NOT] IN (SELECT ...)` WHERE conjuncts become
 //!   Semi/Anti joins appended after the FROM tree, in written order;
-//! - grouping lowers to [`HashAggNode`] with layout `groups ++ aggs`,
-//!   HAVING filters that layout, and the SELECT list projects it
-//!   (identity projections are elided);
+//! - grouping lowers to a node with layout `groups ++ aggs`: an
+//!   [`AggScanNode`] when the block is one bare scan of a base table (no
+//!   join, subquery join or residual filter), the aggregates are not
+//!   DISTINCT, and the GROUP BY items are bare columns that, in order,
+//!   are a prefix of the scanned index's key (an empty GROUP BY is one) —
+//!   rows then arrive grouped, and NDP may push the aggregation to the
+//!   Page Stores (§V-C); a [`HashAggNode`] otherwise. HAVING filters that
+//!   layout, and the SELECT list projects it (identity projections are
+//!   elided);
 //! - ORDER BY resolves against SELECT output positions; with LIMIT it
 //!   becomes a top-N sort.
 //!
@@ -34,9 +42,10 @@ use taurus_executor::Session;
 use taurus_expr::ast::{CmpOp, Expr};
 use taurus_ndp::engine::Table;
 use taurus_ndp::TaurusDb;
-use taurus_optimizer::ndp_post::ndp_post_process;
+use taurus_optimizer::ndp_post::{ndp_post_process, NdpReport};
 use taurus_optimizer::plan::{
-    AggFuncEx, AggItem, HashAggNode, HashJoinNode, JoinType, LookupJoinNode, Plan, ScanNode,
+    AggFuncEx, AggItem, AggScanNode, HashAggNode, HashJoinNode, JoinType, LookupJoinNode, Plan,
+    ScanNode,
 };
 use taurus_verify::{infer_plan, plan_width};
 
@@ -49,17 +58,28 @@ const MAX_SUBQUERY_DEPTH: usize = 8;
 
 /// Bind a SELECT against the session's catalog and lower it to a plan.
 ///
-/// Mirrors the query-builder facade: NDP post-processing runs when the
-/// session has NDP enabled. The plan is verified
-/// (`taurus_verify::check_plan`) where it is executed, once, in every
-/// build; [`crate::explain`], which executes nothing, verifies itself.
+/// NDP post-processing runs when the session has NDP enabled. The plan
+/// is verified (`taurus_verify::check_plan`) where it is executed, once,
+/// in every build; [`crate::explain`], which executes nothing, verifies
+/// itself.
 pub fn bind(session: &Session, stmt: &SelectStmt) -> Result<Plan> {
+    Ok(bind_reported(session, stmt)?.0)
+}
+
+/// [`bind`], plus the NDP pass's report for each table access
+/// (pre-order; none with NDP off).
+pub(crate) fn bind_reported(
+    session: &Session,
+    stmt: &SelectStmt,
+) -> Result<(Plan, Vec<NdpReport>)> {
     let mut b = Binder { session, depth: 0 };
     let (mut plan, _) = b.bind_select(stmt)?;
-    if session.ndp() {
-        ndp_post_process(&mut plan, session.db())?;
-    }
-    Ok(plan)
+    let reports = if session.ndp() {
+        ndp_post_process(&mut plan, session.db())?
+    } else {
+        Vec::new()
+    };
+    Ok((plan, reports))
 }
 
 // ---------------------------------------------------------------------------
@@ -1248,6 +1268,32 @@ fn resolve_index(table: &Table, ident: &Ident) -> Result<usize> {
     })
 }
 
+/// A scan through a secondary index reads only what that index stores
+/// (`key ++ pk`): a query column outside it is reported by name, at the
+/// `FORCE INDEX`, rather than as an execution-time failure.
+fn check_index_coverage(table: &Table, index: usize, cols: &[usize], force: &Ident) -> Result<()> {
+    let def = &table.index(index).tree.def;
+    let stored = def.stored_cols();
+    let Some(&missing) = cols.iter().find(|c| !stored.contains(c)) else {
+        return Ok(());
+    };
+    let name = |c: usize| table.schema.columns[c].name.as_str();
+    Err(parse_err(
+        force.pos,
+        format!(
+            "column `{}` is not stored in secondary index `{}` (stored: {}); \
+             scan via the primary index instead",
+            name(missing),
+            def.name,
+            stored
+                .iter()
+                .map(|&c| name(c))
+                .collect::<Vec<_>>()
+                .join(", "),
+        ),
+    ))
+}
+
 /// Resolve a column reference over the atoms in `[lo, hi)`.
 fn resolve_col(
     atoms: &[Atom],
@@ -1336,23 +1382,26 @@ impl<'a> Binder<'a> {
                 let a = &atoms[*i];
                 match &a.kind {
                     AtomKind::Base { table, force } => {
-                        if let Some(fi) = force {
-                            return Err(parse_err(
-                                fi.pos,
-                                "FORCE INDEX is only supported on the right side of a JOIN",
-                            ));
-                        }
+                        let index = match force {
+                            Some(fi) => resolve_index(table, fi)?,
+                            None => 0,
+                        };
+                        let def = &table.index(index).tree.def;
                         let output: Vec<usize> = if a.usage.is_empty() {
-                            vec![0]
+                            vec![if def.is_primary { 0 } else { def.key_cols[0] }]
                         } else {
                             a.usage.keys().copied().collect()
                         };
+                        if let Some(fi) = force {
+                            check_index_coverage(table, index, &output, fi)?;
+                        }
                         let fr = Frame::Table { atoms, atom: *i };
                         let preds = scan_preds[*i]
                             .iter()
                             .map(|e| self.lower_expr(e, &fr))
                             .collect::<Result<Vec<_>>>()?;
-                        let mut scan = ScanNode::new(&table.schema.name, output.clone());
+                        let mut scan =
+                            ScanNode::new(&table.schema.name, output.clone()).with_index(index);
                         if !preds.is_empty() {
                             scan = scan.with_predicate(preds);
                         }
@@ -2118,6 +2167,58 @@ impl<'a> Binder<'a> {
         }
     }
 
+    /// Index-order aggregation: a block that is one bare scan of a base
+    /// table, grouped by bare columns that are a prefix of the scanned
+    /// index's key (an empty GROUP BY is one), aggregates during the scan
+    /// as an [`AggScanNode`] — rows arrive grouped, and the NDP pass may
+    /// push the aggregation to the Page Stores (§V-C). Anything else is a
+    /// [`HashAggNode`]. Both lay their output out as `groups ++ aggs`.
+    fn aggregate(
+        plan: Plan,
+        atoms: &[Atom],
+        layout: &[(usize, usize)],
+        groups: &[Expr],
+        aggs: &[AggItem],
+    ) -> Plan {
+        if let (
+            Plan::Scan(scan),
+            [Atom {
+                kind: AtomKind::Base { table, .. },
+                ..
+            }],
+        ) = (&plan, atoms)
+        {
+            // The layout of a lone base table's scan is its table columns.
+            let table_col = |p: usize| layout[p].1;
+            let group_cols: Option<Vec<usize>> = groups
+                .iter()
+                .map(|g| match g {
+                    Expr::Col(p) => Some(table_col(*p)),
+                    _ => None,
+                })
+                .collect();
+            let key = table.index(scan.index).tree.def.effective_key_cols();
+            if let Some(group_cols) = group_cols.filter(|g| key.starts_with(g)) {
+                return Plan::AggScan(AggScanNode {
+                    scan: scan.clone(),
+                    group_cols,
+                    aggs: aggs
+                        .iter()
+                        .map(|a| AggItem {
+                            func: a.func,
+                            input: a.input.as_ref().map(|e| e.remap_columns(&table_col)),
+                        })
+                        .collect(),
+                });
+            }
+        }
+        Plan::HashAgg(HashAggNode {
+            input: Box::new(plan),
+            group: groups.to_vec(),
+            aggs: aggs.to_vec(),
+        })
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn lower_output(
         &mut self,
@@ -2204,11 +2305,7 @@ impl<'a> Binder<'a> {
                 });
                 width = groups.len() + 1;
             } else {
-                plan = Plan::HashAgg(HashAggNode {
-                    input: Box::new(plan),
-                    group: groups.clone(),
-                    aggs: set.items.clone(),
-                });
+                plan = Self::aggregate(plan, atoms, layout, &groups, &set.items);
                 width = groups.len() + set.items.len();
             }
 
@@ -2377,6 +2474,142 @@ mod tests {
             let plan = try_bind(sql).unwrap_or_else(|e| panic!("{sql}: {e:?}"));
             taurus_verify::check_plan(&plan, db()).unwrap_or_else(|e| panic!("{sql}: {e:?}"));
         }
+    }
+
+    /// How many of the plan's scans aggregate (`AggScan`s).
+    fn agg_scans(plan: &Plan) -> usize {
+        let mut n = 0;
+        plan.for_each_scan(&mut |_, agg| n += usize::from(agg));
+        n
+    }
+
+    /// The `AggScan` under the plan's output operators (and a join's
+    /// probe side), with no `HashAgg` above it.
+    fn agg_scan(plan: &Plan) -> &AggScanNode {
+        match plan {
+            Plan::AggScan(a) => a,
+            Plan::HashJoin(j) => agg_scan(&j.left),
+            Plan::Project(x) => agg_scan(&x.input),
+            Plan::Filter(x) => agg_scan(&x.input),
+            Plan::Sort(x) => agg_scan(&x.input),
+            Plan::Limit { input, .. } => agg_scan(input),
+            other => panic!("no AggScan in {other:?}"),
+        }
+    }
+
+    fn tpch(name: &str) -> &'static str {
+        crate::tpch_sql::sql_for(name).unwrap()
+    }
+
+    #[test]
+    fn index_ordered_aggregation_lowers_to_agg_scan() {
+        let lineitem = db().table("lineitem").unwrap();
+        for sql in [
+            "select count(*) from lineitem",
+            tpch("Q6"),
+            tpch("Q18"),
+            "select count(*) from lineitem force index (i_l_suppkey) where l_suppkey <= 5",
+        ] {
+            let plan = try_bind(sql).unwrap_or_else(|e| panic!("{sql}: {e:?}"));
+            assert_eq!(agg_scans(&plan), 1, "{sql}: {plan:?}");
+            agg_scan(&plan);
+            taurus_verify::check_plan(&plan, db()).unwrap_or_else(|e| panic!("{sql}: {e:?}"));
+        }
+        // Q6's aggregate input is remapped onto table columns
+        // (l_extendedprice = 5, l_discount = 6).
+        let q6 = try_bind(tpch("Q6")).unwrap();
+        let a = agg_scan(&q6);
+        assert!(a.group_cols.is_empty());
+        assert_eq!(
+            a.aggs[0].input,
+            Some(Expr::mul(Expr::col(5), Expr::col(6))),
+            "{a:?}"
+        );
+        // Q18's derived table groups by l_orderkey, the primary key's
+        // leading column, and sums l_quantity.
+        let q18 = try_bind(tpch("Q18")).unwrap();
+        let a = agg_scan(&q18);
+        assert_eq!(a.group_cols, [0]);
+        assert_eq!(a.aggs[0].input, Some(Expr::col(4)));
+        // FORCE INDEX chooses the index the aggregation scans.
+        let counted = try_bind(
+            "select count(*) from lineitem force index (i_l_suppkey) where l_suppkey <= 5",
+        )
+        .unwrap();
+        assert_eq!(
+            Some(agg_scan(&counted).scan.index),
+            lineitem.find_index("i_l_suppkey")
+        );
+    }
+
+    #[test]
+    fn other_aggregation_blocks_stay_hash_aggregates() {
+        for sql in [
+            // GROUP BY (l_returnflag, l_linestatus): not a key prefix.
+            tpch("Q1"),
+            // The key's columns, but not in key order.
+            "select l_linenumber, l_orderkey, count(*) from lineitem \
+             group by l_linenumber, l_orderkey",
+            // A key-prefix group over an expression.
+            "select l_orderkey + 1, count(*) from lineitem group by l_orderkey + 1",
+            "select count(distinct l_suppkey) from lineitem",
+            // A key-prefix group above a join.
+            "select c_custkey, count(*) from customer join orders \
+             on c_custkey = o_custkey group by c_custkey",
+        ] {
+            let plan = try_bind(sql).unwrap_or_else(|e| panic!("{sql}: {e:?}"));
+            assert_eq!(agg_scans(&plan), 0, "{sql}: {plan:?}");
+        }
+    }
+
+    #[test]
+    fn agg_scans_take_the_ndp_aggregation_decision() {
+        let mut cfg = ClusterConfig::default();
+        cfg.ndp.enabled = true;
+        cfg.ndp.min_io_pages = 1;
+        let db = TaurusDb::new(cfg);
+        taurus_tpch::load(&db, 0.001, 7).unwrap();
+        db.buffer_pool().clear();
+        let session = Session::new(&db);
+        let choice = |name: &str| {
+            let Statement::Select(s) = crate::parser::parse(tpch(name)).unwrap() else {
+                panic!("{name} is a SELECT");
+            };
+            let plan = bind(&session, &s).unwrap();
+            let d = agg_scan(&plan).scan.ndp.clone();
+            d.unwrap_or_else(|| panic!("{name}: the scan is pushed"))
+                .choice
+        };
+        // Q18's bare-column, predicate-free aggregation goes to storage...
+        let q18 = choice("Q18");
+        assert!(q18.aggregation.is_some(), "{q18:?}");
+        // ...Q6's expression input keeps it on the SQL node, with its
+        // predicate and projection pushed.
+        let q6 = choice("Q6");
+        assert!(q6.aggregation.is_none(), "{q6:?}");
+        assert!(q6.predicate.is_some() && q6.projection.is_some(), "{q6:?}");
+    }
+
+    #[test]
+    fn force_index_scans_through_the_named_index() {
+        let sql = "select l_suppkey, l_orderkey from lineitem force index (i_l_suppkey) \
+                   where l_suppkey <= 3";
+        let plan = try_bind(sql).unwrap();
+        let mut index = None;
+        plan.for_each_scan(&mut |s, _| index = Some(s.index));
+        assert_eq!(
+            index,
+            db().table("lineitem").unwrap().find_index("i_l_suppkey")
+        );
+        // Rows come back in the secondary index's key order.
+        let rows = Session::new(db()).execute_plan(&plan).unwrap();
+        assert!(!rows.is_empty());
+        assert!(rows.windows(2).all(|w| w[0][0].cmp_total(&w[1][0]).is_le()));
+
+        let m = bind_err("select l_comment from lineitem force index (i_l_suppkey)");
+        assert!(m.contains("column `l_comment`"), "{m}");
+        assert!(m.contains("secondary index `i_l_suppkey`"), "{m}");
+        assert!(m.contains("line 1, col 45"), "{m}");
     }
 
     #[test]

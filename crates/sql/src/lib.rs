@@ -9,7 +9,8 @@
 //! replies.
 //!
 //! The supported subset is the shape of the paper's workload: SELECT with
-//! INNER/LEFT joins (`FORCE INDEX` requesting lookup joins), WHERE with
+//! INNER/LEFT joins (`FORCE INDEX` choosing the index a table is scanned
+//! through, or requesting a lookup join on a join's right side), WHERE with
 //! `[NOT] EXISTS` / `[NOT] IN (SELECT ...)` / scalar subqueries, GROUP BY
 //! with the standard aggregates (plus a single `COUNT(DISTINCT ...)`),
 //! HAVING, ORDER BY, LIMIT, and derived tables. All 22 TPC-H queries are
@@ -37,7 +38,7 @@ use taurus_executor::Session;
 /// What one SQL statement produced.
 pub enum SqlOutput {
     Rows(Vec<Row>),
-    /// `EXPLAIN`: the physical plan rendering, one line per entry.
+    /// `EXPLAIN`: the plan rendering, one line per entry.
     Explain(Vec<String>),
 }
 
@@ -45,7 +46,7 @@ pub enum SqlOutput {
 ///
 /// `EXPLAIN SELECT ...` binds the query exactly like execution would
 /// (including NDP post-processing when the session has NDP enabled) and
-/// returns the physical plan text instead of rows.
+/// returns the plan text instead of rows.
 pub fn run(session: &Session, text: &str) -> Result<SqlOutput> {
     match parse(text)? {
         Statement::Select(s) => {
@@ -59,11 +60,30 @@ pub fn run(session: &Session, text: &str) -> Result<SqlOutput> {
 }
 
 /// `EXPLAIN`: bind the query exactly like execution would, verify the
-/// plan (execution's gate never sees it) and render the physical plan.
+/// plan (execution's gate never sees it) and render it: the logical tree
+/// with the paper's Listing-2 annotations (`Using pushed NDP condition /
+/// columns / aggregate`), the physical pipeline, and one line per table
+/// access saying why the NDP pass decided what it did.
 pub fn explain(session: &Session, stmt: &SelectStmt) -> Result<String> {
-    let plan = bind(session, stmt)?;
+    let (plan, reports) = bind::bind_reported(session, stmt)?;
     taurus_verify::check_plan(&plan, session.db())?;
-    Ok(taurus_optimizer::explain_physical(&plan, session.db()))
+    let mut text = taurus_optimizer::explain(&plan, session.db());
+    for r in &reports {
+        text.push_str(&format!(
+            "   [{}] est_io={:.0} pages, filter_factor={:.3}, projection={}, aggregate={}{}\n",
+            r.table,
+            r.est_io_pages,
+            r.filter_factor,
+            r.projection,
+            r.aggregation,
+            if r.gated_by_io {
+                " (NDP gated: below min-IO threshold)"
+            } else {
+                ""
+            },
+        ));
+    }
+    Ok(text)
 }
 
 /// `session.sql("select ...")` — the in-process SQL facade.

@@ -4,10 +4,14 @@
 //! registry's hand-built `qN_plan` (crates/tpch) under every batch layout
 //! and NDP setting — the parity suite in `tests/sql_parity.rs` holds the
 //! frontend to that. Most texts lower to the *identical* plan; a few
-//! (Q2, Q12, Q14, Q22) produce a result-equal variant (the binder
+//! produce a result-equal variant. Q2, Q12, Q14 and Q22: the binder
 //! aggregates over compound expressions directly where the registry
-//! projects first), which is byte-equal because the hash aggregate
-//! finalizes in encoded-group-key order and sorts are stable.
+//! projects first, which is byte-equal because the hash aggregate
+//! finalizes in encoded-group-key order and sorts are stable. Q6 and
+//! Q18's derived table: the binder aggregates during the `lineitem` scan
+//! (`AggScan`, groups in primary-key order) where the registry hash
+//! aggregates over the scan; Q6 has one group, and Q18 joins and sorts
+//! above its aggregation.
 //!
 //! Multi-phase registry queries (Q11, Q15, Q17, Q20, Q22) are expressed
 //! as their registry **main-stage plan** — the part the paper pushes

@@ -5,8 +5,8 @@
 //! compute node completes the work — results never change, only where the
 //! CPU burns. This example injects increasing skip rates and shows the
 //! work migrating from the storage side to the SQL node. The query itself
-//! is ordinary `Session` API — the caller neither knows nor cares which
-//! side did the filtering.
+//! is ordinary SQL through a `Session` — the caller neither knows nor
+//! cares which side did the filtering.
 //!
 //! Run: `cargo run --release --example multi_tenant`
 
@@ -24,12 +24,10 @@ fn main() -> Result<()> {
     taurus::tpch::load(&db, 0.02, 3)?;
 
     let session = Session::new(&db);
-    let count_cheap_items = || -> Result<QueryRun> {
-        session
-            .query("lineitem")?
-            .filter(col("l_quantity").lt(Dec::new(2500, 2)))
-            .agg(Agg::count_star())
-            .run()
+    let count_cheap_items = || {
+        QueryRun::measure(&db, || {
+            session.sql("select count(*) from lineitem where l_quantity < 25.00")
+        })
     };
 
     println!(

@@ -1,8 +1,9 @@
 //! Three-level parallelism (§VI): PQ workers on the SQL node, SAL fan-out
 //! across Page Stores, and NDP worker pools inside each Page Store — all
-//! active at once on one COUNT(*) scan. Through the `Session` API the
-//! whole machine is two knobs: `.parallel(degree)` and the session NDP
-//! switch.
+//! active at once on the §VII-A micro-benchmark's COUNT(*) scans (Q0: the
+//! whole table, Q001: a shipdate filter, Q002: a secondary-index range).
+//! Each runs as the registry's plan at PQ degree 1 and 8, with its NDP
+//! decisions kept or cleared.
 //!
 //! Run: `cargo run --release --example parallel_scan`
 
@@ -21,32 +22,36 @@ fn main() -> Result<()> {
     taurus::tpch::load(&db, 0.02, 1)?;
 
     println!(
-        "{:<28} {:>10} {:>12} {:>14}",
-        "configuration", "count", "wall (ms)", "bytes (KB)"
+        "{:<6} {:<28} {:>10} {:>12} {:>14}",
+        "query", "configuration", "count", "wall (ms)", "bytes (KB)"
     );
-    for (label, ndp, pq) in [
-        ("serial, NDP off", false, None),
-        ("PQ=8, NDP off", false, Some(8)),
-        ("serial, NDP on", true, None),
-        ("PQ=8, NDP on (3 levels)", true, Some(8)),
-    ] {
-        db.buffer_pool().clear();
-        let session = Session::new(&db).with_ndp(ndp);
-        let mut q = session
-            .query("lineitem")?
-            .filter(col("l_shipdate").lt(date("1998-07-01")))
-            .agg(Agg::count_star());
-        if let Some(d) = pq {
-            q = q.parallel(d);
+    let session = Session::new(&db);
+    let micro = taurus::tpch::micro_queries()
+        .into_iter()
+        .filter(|q| matches!(q.name, "Q0" | "Q001" | "Q002"));
+    for q in micro {
+        for (label, ndp, pq) in [
+            ("serial, NDP off", false, None),
+            ("PQ=8, NDP off", false, Some(8)),
+            ("serial, NDP on", true, None),
+            ("PQ=8, NDP on (3 levels)", true, Some(8)),
+        ] {
+            // Cold pool first: the NDP pass gates on expected physical I/O.
+            db.buffer_pool().clear();
+            let mut plan = (q.plan)(&db, pq)?;
+            if !ndp {
+                plan.for_each_scan_mut(&mut |scan, _| scan.ndp = None);
+            }
+            let run = QueryRun::measure(&db, || session.execute_plan(&plan))?;
+            println!(
+                "{:<6} {:<28} {:>10} {:>12.1} {:>14}",
+                q.name,
+                label,
+                run.rows[0][0],
+                run.wall.as_secs_f64() * 1e3,
+                run.delta.net_bytes_from_storage / 1024
+            );
         }
-        let run = q.run()?;
-        println!(
-            "{:<28} {:>10} {:>12.1} {:>14}",
-            label,
-            run.rows[0][0],
-            run.wall.as_secs_f64() * 1e3,
-            run.delta.net_bytes_from_storage / 1024
-        );
     }
     println!("\nLevels engaged in the last run:");
     println!("  1. SQL node:   8 PQ worker threads over range partitions");

@@ -1,5 +1,5 @@
 //! Quickstart: the paper's §III worked example, through the public
-//! `Session`/`QueryBuilder` API.
+//! `Session` API and SQL text.
 //!
 //! Creates the `Worker` table, loads rows, and runs the Listing-1 query
 //! (`SELECT AVG(salary) FROM Worker WHERE age < 40 AND joindate >= '2010-01-01'
@@ -57,17 +57,10 @@ fn main() -> Result<()> {
     db.bulk_load(&table, rows)?;
     db.buffer_pool().clear(); // cold start
 
-    // The Listing-1 query, built fluently against column *names*.
-    let start = Date32::parse("2010-01-01").unwrap();
-    let listing1 = |session: &Session| -> Result<QueryRun> {
-        session
-            .query("worker")?
-            .filter(col("age").lt(40))
-            .filter(col("joindate").ge(start))
-            .filter(col("joindate").lt(start.add_years(1)))
-            .agg(Agg::avg("salary"))
-            .run()
-    };
+    // The Listing-1 query, as SQL text against column *names*.
+    const LISTING1: &str = "select avg(salary) from worker \
+         where age < 40 and joindate >= date '2010-01-01' and joindate < date '2011-01-01'";
+    let listing1 = |session: &Session| QueryRun::measure(&db, || session.sql(LISTING1));
 
     // NDP off: the session-level optimizer switch forces the classical
     // scan path (results never change, only where the work happens).
@@ -84,19 +77,14 @@ fn main() -> Result<()> {
         );
     }
 
-    // NDP on (the default): the same query text; the builder routes the
+    // NDP on (the default): the same query text; the binder routes the
     // plan through the §IV-B post-processing pass automatically.
     db.buffer_pool().clear();
     let session = Session::new(&db);
     println!("\n-- EXPLAIN (with NDP annotations, cf. the paper's Listing 2) --");
-    let explained = session
-        .query("worker")?
-        .filter(col("age").lt(40))
-        .filter(col("joindate").ge(start))
-        .filter(col("joindate").lt(start.add_years(1)))
-        .agg(Agg::avg("salary"))
-        .explain()?;
-    print!("{explained}");
+    for line in session.sql(&format!("explain {LISTING1}"))? {
+        println!("{}", line[0]);
+    }
 
     let run = listing1(&session)?;
     println!("\n-- NDP on --");
@@ -115,13 +103,10 @@ fn main() -> Result<()> {
     // Streaming: pull a handful of rows; the scan stops when the stream
     // is dropped — no 50,000-row materialization.
     println!("\n-- first 3 workers under 25, streamed --");
-    for row in session
-        .query("worker")?
-        .select(["id", "age", "name"])
-        .filter(col("age").lt(25))
-        .stream()?
-        .take(3)
-    {
+    let Statement::Select(young) = parse("select id, age, name from worker where age < 25")? else {
+        unreachable!("a SELECT");
+    };
+    for row in session.stream_plan(bind(&session, &young)?).take(3) {
         println!("{:?}", row?);
     }
     Ok(())

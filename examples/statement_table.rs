@@ -12,9 +12,7 @@
 //! Run: `cargo run --release --example statement_table` (about a minute),
 //! or with `--quick` for SF 0.002 and a 70-page pool (a few seconds).
 
-use taurus::common::metrics::CpuGuard;
 use taurus::prelude::*;
-use taurus::sql::SessionSqlExt;
 
 struct Sizing {
     sf: f64,
@@ -55,17 +53,10 @@ fn median(mut xs: Vec<f64>) -> f64 {
 }
 
 fn run(session: &Session, text: &str) -> Result<Cost> {
-    let db = session.db();
-    let before = db.metrics().snapshot();
-    let t0 = std::time::Instant::now();
-    {
-        let _cpu = CpuGuard::new(&db.metrics().compute_cpu_ns);
-        session.sql(text)?;
-    }
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let d = db.metrics().snapshot().since(&before);
+    let run = QueryRun::measure(session.db(), || session.sql(text))?;
+    let d = run.delta;
     Ok(Cost {
-        wall_ms,
+        wall_ms: run.wall.as_secs_f64() * 1e3,
         cpu_ms: d.compute_cpu_ns as f64 / 1e6,
         ps_cpu_ms: d.ps_cpu_ns as f64 / 1e6,
         requests: d.net_read_requests as f64,

@@ -3,11 +3,11 @@
 //! bytes, SQL-node CPU, and run time (Fig. 5-8) — plus, for the queries
 //! with a parallel plan, the NDP-on run time at PQ degree 8 (Fig. 9).
 //!
-//! The headline Q6 is expressed through the public `Session`/`QueryBuilder`
-//! API (with its EXPLAIN); the full 22-query sweep and the §VII-A micro
-//! set (Q0, Q001, Q002) then run through the TPC-H plan-builder registry,
-//! which plays the role of MySQL's parser + join-order search and lowers
-//! onto the same executor.
+//! The headline Q6 runs as SQL text through the public `Session` API
+//! (with its EXPLAIN); the full 22-query sweep and the §VII-A micro set
+//! (Q0, Q001, Q002) then run through the TPC-H plan-builder registry,
+//! which plays the role of MySQL's join-order search and lowers onto the
+//! same executor.
 //!
 //! Run: `cargo run --release --example tpch_demo`
 
@@ -16,17 +16,6 @@ use taurus::prelude::*;
 /// PQ degree of the last column (the paper's Fig. 9 uses 16; scaled to
 /// laptop cores).
 const PQ: usize = 8;
-
-/// TPC-H Q6 through the fluent API.
-fn q6(session: &Session) -> Result<QueryBuilder<'_>> {
-    Ok(session
-        .query("lineitem")?
-        .filter(col("l_shipdate").ge(date("1994-01-01")))
-        .filter(col("l_shipdate").lt(date("1995-01-01")))
-        .filter(col("l_discount").between(dec("0.05"), dec("0.07")))
-        .filter(col("l_quantity").lt(24))
-        .agg(Agg::sum(col("l_extendedprice").mul(col("l_discount")))))
-}
 
 fn main() -> Result<()> {
     let sf = 0.01;
@@ -45,9 +34,12 @@ fn main() -> Result<()> {
 
     // Q6 through the public API, with its NDP-annotated EXPLAIN.
     let session = Session::new(&on);
-    println!("\n-- Q6 via Session/QueryBuilder --");
-    print!("{}", q6(&session)?.explain()?);
-    let run = q6(&session)?.run()?;
+    let q6 = taurus::sql::tpch_sql::sql_for("Q6").expect("Q6 has SQL text");
+    println!("\n-- Q6 via Session::sql --");
+    for line in session.sql(&format!("explain {q6}"))? {
+        println!("{}", line[0]);
+    }
+    let run = QueryRun::measure(&on, || session.sql(q6))?;
     println!(
         "revenue = {}   ({} KB from storage, {:.1} ms SQL CPU)",
         run.rows[0][0],
@@ -74,18 +66,11 @@ fn main() -> Result<()> {
         .filter(|q| matches!(q.name, "Q0" | "Q001" | "Q002"));
     for q in taurus::tpch::tpch_queries().into_iter().chain(micro) {
         let run = |db: &TaurusDb, pq: Option<usize>| -> Result<(u64, f64, f64)> {
-            let before = db.metrics().snapshot();
-            let t0 = std::time::Instant::now();
-            {
-                let _cpu = taurus::common::metrics::CpuGuard::new(&db.metrics().compute_cpu_ns);
-                (q.run)(db, pq)?;
-            }
-            let wall = t0.elapsed().as_secs_f64() * 1e3;
-            let d = db.metrics().snapshot().since(&before);
+            let run = QueryRun::measure(db, || (q.run)(db, pq))?;
             Ok((
-                d.net_bytes_from_storage,
-                d.compute_cpu_ns as f64 / 1e6,
-                wall,
+                run.delta.net_bytes_from_storage,
+                run.delta.compute_cpu_ns as f64 / 1e6,
+                run.wall.as_secs_f64() * 1e3,
             ))
         };
         let (net_a, cpu_a, wall_a) = run(&off, None)?;

@@ -3,8 +3,10 @@
 //! Loads the deterministic TPC-H dataset, then reads `;`-terminated
 //! statements from stdin and prints one row per line with `|`-separated
 //! values (doubles fixed to 4 decimals, so output is byte-stable across
-//! runs and batch layouts). `EXPLAIN SELECT ...` prints the physical
-//! plan, one line per row. Errors print the positioned diagnostic on
+//! runs and batch layouts). `EXPLAIN SELECT ...` prints the plan, one
+//! line per row: the logical tree with the paper's Listing-2 NDP
+//! annotations, the physical pipeline, and the NDP pass's report for
+//! each table access. Errors print the positioned diagnostic on
 //! stderr and the shell keeps going — exactly the fail-closed contract
 //! the server applies to wire SQL.
 //!

@@ -8,11 +8,17 @@
 //!
 //! ## The query API
 //!
-//! The public surface is a session-scoped query facade. Callers name
-//! tables and columns; NDP pushdown, read-view selection, and
+//! The public surface is a [`prelude::Session`] plus SQL text. Callers
+//! name tables and columns; NDP pushdown, read-view selection, and
 //! partial-aggregate merging are internal decisions — the API-level
 //! mirror of the paper's claim that "the MySQL query execution layers
-//! above the storage engine are unaware of NDP processing":
+//! above the storage engine are unaware of NDP processing". [`sql`] is a
+//! hand-written lexer + recursive-descent parser and a catalog-aware
+//! binder that lowers onto the plan layer, so NDP pushdown and the static
+//! plan gate apply to SQL text unchanged. All 22 TPC-H queries are
+//! expressible ([`sql::tpch_sql`]) and byte-reproduce the hand-built
+//! registry plans; malformed text fails closed with a positioned
+//! `Error::Parse`:
 //!
 //! ```no_run
 //! use taurus::prelude::*;
@@ -20,54 +26,38 @@
 //! # fn demo(db: &std::sync::Arc<TaurusDb>) -> Result<()> {
 //! let session = Session::new(db);
 //!
-//! // Scalar aggregate: AVG pushes down as SUM+COUNT when worthwhile.
-//! let rows = session
-//!     .query("worker")?
-//!     .filter(col("age").lt(40))
-//!     .agg(Agg::avg("salary"))
-//!     .collect_rows()?;
+//! // Scalar aggregate over one table: it aggregates during the scan, and
+//! // AVG pushes down to the Page Stores as SUM+COUNT when worthwhile.
+//! let rows = session.sql("select avg(salary) from worker where age < 40")?;
 //!
-//! // Streaming scan: rows are pulled from storage on demand; dropping
-//! // the stream early stops the scan. No full materialization.
-//! for row in session
-//!     .query("worker")?
-//!     .select(["id", "name"])
-//!     .filter(col("age").ge(60))
-//!     .stream()?
-//!     .take(10)
-//! {
-//!     println!("{:?}", row?);
-//! }
-//!
-//! // EXPLAIN shows the Listing-2-style NDP annotations and the
-//! // optimizer's per-table decision reports.
-//! println!("{}", session.query("worker")?.filter(col("age").lt(40)).explain()?);
-//! # Ok(()) }
-//! ```
-//!
-//! ## SQL text
-//!
-//! The same sessions also take SQL directly: [`sql`] is a hand-written
-//! lexer + recursive-descent parser and a catalog-aware binder that
-//! lowers onto the very same plan layer, so NDP pushdown and the static
-//! plan gate apply to SQL text unchanged. All
-//! 22 TPC-H queries are expressible ([`sql::tpch_sql`]) and
-//! byte-reproduce the hand-built registry plans; malformed text fails
-//! closed with a positioned `Error::Parse`:
-//!
-//! ```no_run
-//! use taurus::prelude::*;
-//!
-//! # fn demo(db: &std::sync::Arc<TaurusDb>) -> Result<()> {
-//! let session = Session::new(db);
-//! let rows = session.sql(
+//! // Joins, grouping, ORDER BY: the same entry point.
+//! let by_nation = session.sql(
 //!     "select n_name, count(*) from customer \
 //!      join nation on c_nationkey = n_nationkey \
 //!      group by n_name order by n_name",
 //! )?;
-//! // `explain select ...` returns the physical plan, one line per row.
-//! # let _ = rows; Ok(()) }
+//!
+//! // EXPLAIN: the Listing-2-style NDP annotations, the physical pipeline
+//! // and the optimizer's per-table decision reports, one line per row.
+//! for line in session.sql("explain select avg(salary) from worker where age < 40")? {
+//!     println!("{}", line[0]);
+//! }
+//!
+//! // Streaming: bind, then pull rows from storage on demand; dropping
+//! // the stream early stops the scan. No full materialization.
+//! let Statement::Select(select) = parse("select id, name from worker where age >= 60")? else {
+//!     unreachable!("a SELECT")
+//! };
+//! for row in session.stream_plan(bind(&session, &select)?).take(10) {
+//!     println!("{:?}", row?);
+//! }
+//! # let _ = (rows, by_nation); Ok(()) }
 //! ```
+//!
+//! Hand-built plan trees (`taurus::optimizer::plan`) run through the same
+//! session ([`prelude::Session::execute_plan`] /
+//! [`prelude::Session::stream_plan`]): the TPC-H plan builders, parallel
+//! query (`Plan::exchange`) and the parity tests use them.
 //!
 //! ## Read replicas
 //!
@@ -82,10 +72,7 @@
 //! # fn demo(db: &std::sync::Arc<TaurusDb>) -> Result<()> {
 //! let replica = Replica::attach(db);
 //! replica.wait_caught_up(std::time::Duration::from_secs(5))?;
-//! let rows = Session::new(replica.db())
-//!     .query("worker")?
-//!     .agg(Agg::count_star())
-//!     .collect_rows()?;
+//! let rows = Session::new(replica.db()).sql("select count(*) from worker")?;
 //! # let _ = rows; Ok(()) }
 //! ```
 //!
@@ -124,10 +111,7 @@
 //!
 //! Start with [`prelude`] and `examples/quickstart.rs`; `DESIGN.md` maps
 //! the crate layout onto the paper's architecture (see its "Read
-//! replicas" section for the replication design). Hand-built plan trees
-//! (`taurus::optimizer::plan`) and `execute(plan, ctx)` remain available
-//! as the internal lowering target — the TPC-H plan builders and parity
-//! tests use them — but applications should not need them.
+//! replicas" section for the replication design).
 
 pub use taurus_btree as btree;
 pub use taurus_bufferpool as bufferpool;
@@ -148,19 +132,18 @@ pub use taurus_sql as sql;
 pub use taurus_tpch as tpch;
 pub use taurus_verify as verify;
 
-/// The commonly-used surface of the whole system: the session/query
-/// facade, schema DDL types, and values.
+/// The commonly-used surface of the whole system: sessions and SQL, schema
+/// DDL types, and values.
 pub mod prelude {
     pub use taurus_common::schema::{Column, Row, TableSchema};
     pub use taurus_common::{
         ClusterConfig, DataType, Date32, Dec, Error, Metrics, MetricsSnapshot, NdpConfig, Result,
         RowBatch, Value,
     };
-    pub use taurus_executor::dsl::{col, date, dec, lit, nth, QExpr};
-    pub use taurus_executor::{Agg, Explained, QueryBuilder, QueryRun, RowStream, Session};
+    pub use taurus_executor::{QueryRun, RowStream, Session};
     pub use taurus_ndp::{Table, TaurusDb};
     pub use taurus_replica::Replica;
     pub use taurus_server::{tpch_registry, Client, QueryReply, Server, ServerHandle};
-    pub use taurus_sql::{SessionSqlExt, SqlOutput};
+    pub use taurus_sql::{bind, parse, SessionSqlExt, SqlOutput, Statement};
     pub use taurus_verify::{check_plan, verify_plan, Diagnostic};
 }

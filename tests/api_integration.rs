@@ -1,6 +1,5 @@
 //! Cross-crate integration through the public `taurus` API: DDL, DML,
-//! transactions, the `Session`/`QueryBuilder` facade, EXPLAIN, and
-//! streaming execution.
+//! transactions, `Session` + SQL text, EXPLAIN, and streaming execution.
 
 use taurus::prelude::*;
 
@@ -48,43 +47,45 @@ fn worker_db() -> (std::sync::Arc<TaurusDb>, std::sync::Arc<Table>) {
     (db, t)
 }
 
-/// The §III Listing-1 query through the facade.
-fn listing1(session: &Session) -> Result<QueryBuilder<'_>> {
-    let start = Date32::parse("2010-01-01").unwrap();
-    Ok(session
-        .query("worker")?
-        .filter(col("age").lt(40))
-        .filter(col("joindate").ge(start))
-        .filter(col("joindate").lt(start.add_years(1)))
-        .agg(Agg::avg("salary")))
+/// The §III Listing-1 query.
+const LISTING1: &str = "select avg(salary) from worker \
+     where age < 40 and joindate >= date '2010-01-01' and joindate < date '2011-01-01'";
+
+/// `EXPLAIN` output as text, one plan line per row.
+fn explain(session: &Session, text: &str) -> String {
+    let lines = session.sql(&format!("explain {text}")).unwrap();
+    lines.iter().map(|l| format!("{}\n", l[0])).collect()
 }
 
 #[test]
 fn explain_prints_listing2_annotations() {
     let (db, _t) = worker_db();
-    let session = Session::new(&db);
-    let explained = listing1(&session).unwrap().explain().unwrap();
-    let text = explained.to_string();
+    let text = explain(&Session::new(&db), LISTING1);
     assert!(text.contains("Using pushed NDP condition"), "{text}");
     assert!(text.contains("Using pushed NDP columns"), "{text}");
     assert!(text.contains("Using pushed NDP aggregate"), "{text}");
     assert!(text.contains("joindate"), "column names resolved: {text}");
-    assert!(text.contains("est_io"), "reports rendered: {text}");
-    assert_eq!(explained.reports.len(), 1);
-    assert!(explained.reports[0].aggregation);
+    assert!(text.contains("Physical pipeline"), "{text}");
+    assert!(text.contains("AggScan on worker"), "{text}");
+    // One report line per table access.
+    let reports: Vec<&str> = text.lines().filter(|l| l.contains("est_io")).collect();
+    assert_eq!(reports.len(), 1, "{text}");
+    assert!(reports[0].contains("[worker]"), "{text}");
+    assert!(reports[0].contains("aggregate=true"), "{text}");
 }
 
 #[test]
 fn listing1_avg_matches_with_and_without_ndp() {
     let (db, _t) = worker_db();
-    let plain = listing1(&Session::new(&db).with_ndp(false))
-        .unwrap()
-        .run()
-        .unwrap();
+    let session = Session::new(&db).with_ndp(false);
+    let plain = QueryRun::measure(&db, || session.sql(LISTING1)).unwrap();
     db.buffer_pool().clear();
-    let ndp = listing1(&Session::new(&db)).unwrap().run().unwrap();
+    let session = Session::new(&db);
+    let ndp = QueryRun::measure(&db, || session.sql(LISTING1)).unwrap();
     assert_eq!(plain.rows, ndp.rows);
     assert!(matches!(ndp.rows[0][0], Value::Decimal(_)));
+    // With NDP on, the Page Stores did the aggregating.
+    assert!(ndp.delta.ps_records_aggregated > 0, "{:?}", ndp.delta);
 }
 
 #[test]
@@ -142,11 +143,7 @@ fn transactions_commit_rollback_through_api() {
 
     // The same visibility through a filtered query.
     let rows = session_after
-        .query("worker")
-        .unwrap()
-        .select(["id", "name"])
-        .filter(col("id").ge(99_000i64))
-        .collect_rows()
+        .sql("select id, name from worker where id >= 99000")
         .unwrap();
     assert_eq!(rows.len(), 1);
     assert_eq!(rows[0][0], Value::Int(99_991));
@@ -175,15 +172,14 @@ fn ndp_gate_respects_min_io_pages() {
     )
     .unwrap();
     let session = Session::new(&db2);
-    let explained = listing1(&session).unwrap().explain().unwrap();
-    assert!(explained.reports[0].gated_by_io);
+    let text = explain(&session, LISTING1);
     assert!(
-        !explained.text.contains("Using pushed NDP"),
-        "{}",
-        explained.text
+        text.contains("(NDP gated: below min-IO threshold)"),
+        "{text}"
     );
+    assert!(!text.contains("Using pushed NDP"), "{text}");
     // The gated query still runs (classical path) and returns a result.
-    let rows = listing1(&session).unwrap().collect_rows().unwrap();
+    let rows = session.sql(LISTING1).unwrap();
     assert_eq!(rows.len(), 1);
 }
 
@@ -200,16 +196,14 @@ fn row_stream_over_lineitem_does_not_materialize() {
     db.buffer_pool().clear();
 
     let session = Session::new(&db);
+    const Q: &str = "select l_orderkey, l_linenumber, l_quantity from lineitem";
+    let Statement::Select(select) = parse(Q).unwrap() else {
+        panic!("a SELECT");
+    };
+    let stream = || session.stream_plan(bind(&session, &select).unwrap());
     let before = db.metrics().snapshot();
     let mut streamed: Vec<Row> = Vec::new();
-    for row in session
-        .query("lineitem")
-        .unwrap()
-        .select(["l_orderkey", "l_linenumber", "l_quantity"])
-        .stream()
-        .unwrap()
-        .take(10)
-    {
+    for row in stream().take(10) {
         streamed.push(row.unwrap());
     }
     let delta = db.metrics().snapshot().since(&before);
@@ -229,20 +223,8 @@ fn row_stream_over_lineitem_does_not_materialize() {
     );
 
     // The same stream, fully drained, equals the materializing terminal.
-    let all_streamed: Vec<Row> = session
-        .query("lineitem")
-        .unwrap()
-        .select(["l_orderkey", "l_linenumber", "l_quantity"])
-        .stream()
-        .unwrap()
-        .collect_rows()
-        .unwrap();
-    let all_collected = session
-        .query("lineitem")
-        .unwrap()
-        .select(["l_orderkey", "l_linenumber", "l_quantity"])
-        .collect_rows()
-        .unwrap();
+    let all_streamed: Vec<Row> = stream().collect_rows().unwrap();
+    let all_collected = session.sql(Q).unwrap();
     assert_eq!(all_streamed.len(), total as usize);
     assert_eq!(all_streamed, all_collected);
 }

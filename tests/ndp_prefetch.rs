@@ -1,14 +1,17 @@
 //! The prefetching NDP read pipeline, end to end: parity with the
 //! serial path across prefetch depths and batch sizes, the in-flight
 //! overlap observable, cancellation from a dropped `RowStream` all the
-//! way down to the SAL dispatch threads (the builder's queries here are a
-//! bare scan under a prefix projection, streamed through the operator
-//! pipeline like any plan), an expired budget under parallel query, and
-//! replica failover under a killed Page Store.
+//! way down to the SAL dispatch threads (the queries here are a bare scan
+//! under a projection, streamed through the operator pipeline like any
+//! plan), an expired budget under parallel query, and replica failover
+//! under a killed Page Store.
 
 use std::sync::Arc;
 use std::time::Duration;
 
+use taurus::expr::ast::Expr;
+use taurus::optimizer::ndp_post::ndp_post_process;
+use taurus::optimizer::plan::{Plan, ScanNode};
 use taurus::pagestore::FaultPolicy;
 use taurus::prelude::*;
 
@@ -55,12 +58,13 @@ fn build_db(mut cfg: ClusterConfig) -> Arc<TaurusDb> {
     db
 }
 
-fn filtered_query<'a>(session: &'a Session) -> QueryBuilder<'a> {
-    session
-        .query("items")
-        .unwrap()
-        .select(["id", "price"])
-        .filter(col("qty").lt(30))
+const FILTERED: &str = "select id, price from items where qty < 30";
+
+fn stream(session: &Session, text: &str) -> RowStream {
+    let Statement::Select(select) = parse(text).unwrap() else {
+        panic!("not a SELECT: {text}");
+    };
+    session.stream_plan(bind(session, &select).unwrap())
 }
 
 /// stream == collect at every (prefetch_batches, scan_batch_rows) corner,
@@ -76,13 +80,9 @@ fn prefetch_matrix_stream_equals_collect() {
             cfg.scan_batch_rows = batch_rows;
             let db = build_db(cfg);
             let session = Session::new(&db);
-            let collected = filtered_query(&session).collect_rows().unwrap();
+            let collected = session.sql(FILTERED).unwrap();
             db.buffer_pool().clear();
-            let streamed: Vec<Row> = filtered_query(&session)
-                .stream()
-                .unwrap()
-                .collect_rows()
-                .unwrap();
+            let streamed: Vec<Row> = stream(&session, FILTERED).collect_rows().unwrap();
             assert_eq!(
                 streamed, collected,
                 "stream/collect diverged at prefetch={prefetch} batch={batch_rows}"
@@ -112,7 +112,7 @@ fn prefetch_overlaps_fetch_with_consumption() {
     cfg.ndp.prefetch_batches = 2;
     let db = build_db(cfg);
     let session = Session::new(&db);
-    let rows = filtered_query(&session).collect_rows().unwrap();
+    let rows = session.sql(FILTERED).unwrap();
     assert!(rows.len() > 1000);
     let s = db.metrics().snapshot();
     assert!(
@@ -127,7 +127,7 @@ fn prefetch_overlaps_fetch_with_consumption() {
     cfg.ndp.prefetch_batches = 1;
     let db = build_db(cfg);
     let session = Session::new(&db);
-    filtered_query(&session).collect_rows().unwrap();
+    session.sql(FILTERED).unwrap();
     assert_eq!(db.metrics().snapshot().ndp_batches_in_flight_peak, 1);
 }
 
@@ -141,7 +141,7 @@ fn dropped_stream_cancels_prefetch_pipeline() {
         cfg.ndp.prefetch_batches = prefetch;
         let db = build_db(cfg);
         let session = Session::new(&db);
-        let mut stream = filtered_query(&session).stream().unwrap();
+        let mut stream = stream(&session, FILTERED);
         // Pull a handful of rows, then abandon the stream mid-batch.
         for _ in 0..5 {
             stream.next().unwrap().unwrap();
@@ -177,16 +177,10 @@ fn mid_batch_limit_over_ndp_aggregate_scan() {
         cfg.scan_batch_rows = batch_rows;
         let db = build_db(cfg);
         let session = Session::new(&db);
-        fn agg<'a>(s: &'a Session) -> QueryBuilder<'a> {
-            s.query("items")
-                .unwrap()
-                .filter(col("qty").lt(30))
-                .agg(Agg::sum("price"))
-                .agg(Agg::count_star())
-        }
-        let collected = agg(&session).collect_rows().unwrap();
+        const AGG: &str = "select sum(price), count(*) from items where qty < 30";
+        let collected = session.sql(AGG).unwrap();
         db.buffer_pool().clear();
-        let mut stream = agg(&session).limit(1).stream().unwrap();
+        let mut stream = stream(&session, &format!("{AGG} limit 1"));
         let first = stream.next().unwrap().unwrap();
         drop(stream);
         assert_eq!(vec![first], collected, "batch={batch_rows}");
@@ -209,7 +203,7 @@ fn concurrent_scans_share_a_tiny_pool() {
     // can stage at once.
     let db = build_db(cfg);
     let session = Session::new(&db);
-    let expect = filtered_query(&session).collect_rows().unwrap();
+    let expect = session.sql(FILTERED).unwrap();
     db.buffer_pool().clear();
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..12)
@@ -218,7 +212,7 @@ fn concurrent_scans_share_a_tiny_pool() {
                 let expect = &expect;
                 s.spawn(move || {
                     let session = Session::new(db);
-                    let rows = filtered_query(&session).collect_rows().unwrap();
+                    let rows = session.sql(FILTERED).unwrap();
                     assert_eq!(&rows, expect);
                 })
             })
@@ -241,23 +235,37 @@ fn parked_streams_do_not_starve_active_scans() {
     cfg.ndp.prefetch_batches = 2;
     let db = build_db(cfg);
     let session = Session::new(&db);
-    let expect = filtered_query(&session).collect_rows().unwrap();
+    let expect = session.sql(FILTERED).unwrap();
     db.buffer_pool().clear();
     // Park 8 streams after one row each: each holds its channel
     // backpressure plus whatever look-ahead frames it staged.
     let mut parked = Vec::new();
     for _ in 0..8 {
-        let mut s = filtered_query(&session).stream().unwrap();
+        let mut s = stream(&session, FILTERED);
         s.next().unwrap().unwrap();
         parked.push(s);
     }
     // The active scan completes correctly regardless of what the parked
     // scans pinned.
-    let rows = filtered_query(&session).collect_rows().unwrap();
+    let rows = session.sql(FILTERED).unwrap();
     assert_eq!(rows, expect);
     drop(parked);
     assert_eq!(db.buffer_pool().ndp_frames_in_use(), 0);
     assert_eq!(db.metrics().snapshot().ndp_batches_in_flight, 0);
+}
+
+/// `FILTERED` as a hand-built plan whose scan runs under PQ degree 3,
+/// through NDP batch reads (decided over a cold pool).
+fn pq_filtered(db: &TaurusDb) -> Plan {
+    let scan = ScanNode::new("items", vec![0, 2, 1])
+        .with_predicate(vec![Expr::lt(Expr::col(1), Expr::int(30))]);
+    let mut plan = Plan::Scan(scan)
+        .exchange(3)
+        .project(vec![Expr::col(0), Expr::col(1)]);
+    db.buffer_pool().clear();
+    ndp_post_process(&mut plan, db).unwrap();
+    plan.for_each_scan(&mut |s, _| assert!(s.ndp.is_some(), "the scan is pushed"));
+    plan
 }
 
 /// A parallel query whose budget runs out while browned-out stores hold
@@ -270,19 +278,22 @@ fn expired_budget_under_pq_is_deadline_exceeded_and_leaves_nothing_running() {
     let mut cfg = ClusterConfig::small_for_tests();
     cfg.ndp.prefetch_batches = 2;
     let db = build_db(cfg);
-    let expect = filtered_query(&Session::new(&db)).collect_rows().unwrap();
+    let expect = Session::new(&db).sql(FILTERED).unwrap();
     for ps in db.sal().page_stores() {
         ps.set_fault(FaultPolicy::Latency(Duration::from_millis(300)));
     }
     let mut session = Session::new(&db);
     session.set_query_budget_ms(100);
+    let parallel = pq_filtered(&db);
     for streamed in [false, true] {
         db.buffer_pool().clear();
-        let q = filtered_query(&session).parallel(3);
         let err = if streamed {
-            q.stream().unwrap().collect_rows().unwrap_err()
+            session
+                .stream_plan(parallel.clone())
+                .collect_rows()
+                .unwrap_err()
         } else {
-            q.collect_rows().unwrap_err()
+            session.execute_plan(&parallel).unwrap_err()
         };
         assert!(
             matches!(err, Error::DeadlineExceeded(_)),
@@ -309,10 +320,7 @@ fn expired_budget_under_pq_is_deadline_exceeded_and_leaves_nothing_running() {
         ps.set_fault(FaultPolicy::None);
     }
     db.buffer_pool().clear();
-    let rows = filtered_query(&Session::new(&db))
-        .parallel(3)
-        .collect_rows()
-        .unwrap();
+    let rows = Session::new(&db).execute_plan(&parallel).unwrap();
     assert_eq!(rows, expect, "the cluster serves the same rows again");
 }
 
@@ -327,13 +335,13 @@ fn ndp_scan_survives_killed_replica() {
     cfg.ndp.prefetch_batches = 2;
     let db = build_db(cfg);
     let session = Session::new(&db);
-    let clean = filtered_query(&session).collect_rows().unwrap();
+    let clean = session.sql(FILTERED).unwrap();
 
     // Kill replica 0 (every slice has a second copy elsewhere).
     db.sal().page_stores()[0].set_fault(FaultPolicy::Poison);
     db.buffer_pool().clear();
     let before = db.metrics().snapshot();
-    let failed_over = filtered_query(&session).collect_rows().unwrap();
+    let failed_over = session.sql(FILTERED).unwrap();
     let d = db.metrics().snapshot().since(&before);
     assert_eq!(failed_over, clean, "failover changed scan results");
     assert!(
@@ -346,7 +354,7 @@ fn ndp_scan_survives_killed_replica() {
     db.sal().page_stores()[1].set_fault(FaultPolicy::Poison);
     db.sal().page_stores()[2].set_fault(FaultPolicy::Poison);
     db.buffer_pool().clear();
-    let err = filtered_query(&session).collect_rows();
+    let err = session.sql(FILTERED);
     assert!(err.is_err(), "no surviving replica must surface an error");
     assert_eq!(db.buffer_pool().ndp_frames_in_use(), 0);
     assert_eq!(db.metrics().snapshot().ndp_batches_in_flight, 0);
@@ -356,7 +364,7 @@ fn ndp_scan_survives_killed_replica() {
     }
     db.buffer_pool().clear();
     assert_eq!(
-        filtered_query(&session).collect_rows().unwrap(),
+        session.sql(FILTERED).unwrap(),
         clean,
         "revived cluster serves again"
     );

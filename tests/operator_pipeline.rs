@@ -167,12 +167,7 @@ fn dropped_stream_over_join_stops_producer() {
     // works on the same session.
     let d2 = db.metrics().snapshot().since(&before);
     assert_eq!(d.rows_scanned, d2.rows_scanned);
-    assert!(!session
-        .query("region")
-        .unwrap()
-        .collect_rows()
-        .unwrap()
-        .is_empty());
+    assert!(!session.sql("select * from region").unwrap().is_empty());
 }
 
 /// A LEFT OUTER hash join whose build side produces no rows must still
@@ -309,16 +304,15 @@ fn pq_matrix_equals_serial() {
 fn explain_renders_physical_pipeline() {
     let db = tpch_db();
     let session = Session::new(&db);
-    let explained = session
-        .query("lineitem")
+    let text: String = session
+        .sql(
+            "explain select l_orderkey, l_quantity from lineitem where l_quantity < 10 \
+             order by l_orderkey limit 7",
+        )
         .unwrap()
-        .select(["l_orderkey", "l_quantity"])
-        .filter(col("l_quantity").lt(10i64))
-        .order_by(0, false)
-        .limit(7)
-        .explain()
-        .unwrap();
-    let text = explained.to_string();
+        .iter()
+        .map(|line| format!("{}\n", line[0]))
+        .collect();
     assert!(text.contains("Physical pipeline"), "{text}");
     assert!(
         text.contains(&format!("batch = {} rows", db.config().scan_batch_rows)),

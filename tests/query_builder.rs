@@ -1,10 +1,9 @@
-//! `QueryBuilder` error paths and builder-vs-legacy-plan parity.
-//!
-//! The parity tests are the one sanctioned place outside the optimizer /
-//! executor internals that still hand-builds `Plan` trees: they pin the
-//! builder's lowering to the legacy `execute(plan, ctx)` path.
+//! Session queries through SQL text: name errors, scans through a named
+//! index, SQL-vs-hand-built-plan parity, and the streaming terminals
+//! (LIMIT mid-batch, dropped, empty and fully drained streams).
 
 use taurus::executor::{execute, ExecContext};
+use taurus::expr::ast::Expr;
 use taurus::optimizer::ndp_post::ndp_post_process;
 use taurus::optimizer::plan::{AggFuncEx, AggItem, AggScanNode, Plan, ScanNode};
 use taurus::prelude::*;
@@ -18,160 +17,71 @@ fn tpch_db() -> std::sync::Arc<TaurusDb> {
     db
 }
 
+/// Bind a SELECT and stream it.
+fn stream(session: &Session, text: &str) -> RowStream {
+    let Statement::Select(select) = parse(text).unwrap() else {
+        panic!("not a SELECT: {text}");
+    };
+    session.stream_plan(bind(session, &select).unwrap())
+}
+
+/// The positioned diagnostic a statement fails with.
+fn parse_error(session: &Session, text: &str) -> String {
+    match session.sql(text) {
+        Err(Error::Parse(m)) => m,
+        other => panic!("{text}: expected a positioned parse error, got {other:?}"),
+    }
+}
+
 // --- error paths -------------------------------------------------------------
 
 #[test]
 fn unknown_table_is_name_resolution_error() {
     let db = tpch_db();
-    let session = Session::new(&db);
-    let err = match session.query("lineitems") {
-        Err(e) => e,
-        Ok(_) => panic!("unknown table accepted"),
-    };
-    assert!(matches!(err, Error::NameResolution(_)), "{err}");
-    assert!(err.to_string().contains("lineitems"), "{err}");
-    // The message helps: it lists what does exist.
-    assert!(err.to_string().contains("lineitem"), "{err}");
+    let m = parse_error(&Session::new(&db), "select * from lineitems");
+    assert!(m.contains("unknown table `lineitems`"), "{m}");
+    assert!(m.contains("line 1, col 15"), "{m}");
 }
 
 #[test]
 fn unknown_column_name_is_name_resolution_error() {
     let db = tpch_db();
     let session = Session::new(&db);
-    // In a filter...
-    let err = session
-        .query("lineitem")
-        .unwrap()
-        .filter(col("l_shipdat").lt(date("1998-01-01")))
-        .collect_rows()
-        .unwrap_err();
-    assert!(matches!(err, Error::NameResolution(_)), "{err}");
-    assert!(err.to_string().contains("l_shipdat"), "{err}");
-    // ...in a select...
-    let err = session
-        .query("lineitem")
-        .unwrap()
-        .select(["l_orderkey", "l_oops"])
-        .collect_rows()
-        .unwrap_err();
-    assert!(matches!(err, Error::NameResolution(_)), "{err}");
-    // ...and in an aggregate input.
-    let err = session
-        .query("lineitem")
-        .unwrap()
-        .agg(Agg::sum("l_oops"))
-        .collect_rows()
-        .unwrap_err();
-    assert!(matches!(err, Error::NameResolution(_)), "{err}");
-}
-
-#[test]
-fn out_of_range_column_position_is_name_resolution_error() {
-    let db = tpch_db();
-    let session = Session::new(&db);
-    // lineitem has 16 columns; position 16 is out of range.
-    let err = session
-        .query("lineitem")
-        .unwrap()
-        .select([0usize, 16])
-        .collect_rows()
-        .unwrap_err();
-    assert!(matches!(err, Error::NameResolution(_)), "{err}");
-    assert!(err.to_string().contains("16"), "{err}");
-    let err = session
-        .query("lineitem")
-        .unwrap()
-        .filter(nth(99).lt(1i64))
-        .collect_rows()
-        .unwrap_err();
-    assert!(matches!(err, Error::NameResolution(_)), "{err}");
+    // In a filter, in a select list, and in an aggregate input.
+    for (text, col) in [
+        (
+            "select * from lineitem where l_shipdat < date '1998-01-01'",
+            "l_shipdat",
+        ),
+        ("select l_orderkey, l_oops from lineitem", "l_oops"),
+        ("select sum(l_oops) from lineitem", "l_oops"),
+    ] {
+        let m = parse_error(&session, text);
+        assert!(m.contains(&format!("unknown column `{col}`")), "{m}");
+    }
 }
 
 #[test]
 fn unknown_index_is_name_resolution_error() {
     let db = tpch_db();
-    let session = Session::new(&db);
-    let err = session
-        .query("lineitem")
-        .unwrap()
-        .via_index("i_no_such_index")
-        .collect_rows()
-        .unwrap_err();
-    assert!(matches!(err, Error::NameResolution(_)), "{err}");
-}
-
-#[test]
-fn group_by_non_key_prefix_is_unsupported() {
-    let db = tpch_db();
-    let session = Session::new(&db);
-    // lineitem's primary key is (l_orderkey, l_linenumber); grouping by
-    // l_returnflag cannot stream in index order.
-    let err = session
-        .query("lineitem")
-        .unwrap()
-        .group_by(["l_returnflag"])
-        .agg(Agg::count_star())
-        .collect_rows()
-        .unwrap_err();
-    assert!(matches!(err, Error::Unsupported(_)), "{err}");
-    assert!(err.to_string().contains("prefix"), "{err}");
-    // (l_linenumber) alone is not a prefix either — order matters.
-    let err = session
-        .query("lineitem")
-        .unwrap()
-        .group_by(["l_linenumber"])
-        .agg(Agg::count_star())
-        .collect_rows()
-        .unwrap_err();
-    assert!(matches!(err, Error::Unsupported(_)), "{err}");
+    let m = parse_error(
+        &Session::new(&db),
+        "select * from lineitem force index (i_no_such_index)",
+    );
+    assert!(
+        m.contains("unknown index `i_no_such_index` on table `lineitem`"),
+        "{m}"
+    );
 }
 
 #[test]
 fn order_by_out_of_range_position_is_rejected() {
     let db = tpch_db();
-    let session = Session::new(&db);
-    let err = session
-        .query("lineitem")
-        .unwrap()
-        .select(["l_orderkey"])
-        .order_by(3, false)
-        .collect_rows()
-        .unwrap_err();
-    assert!(matches!(err, Error::NameResolution(_)), "{err}");
-}
-
-#[test]
-fn first_error_wins_and_chain_stays_fluent() {
-    let db = tpch_db();
-    let session = Session::new(&db);
-    // Every stage after the bad column still chains; the terminal reports
-    // the first failure.
-    let err = session
-        .query("lineitem")
-        .unwrap()
-        .filter(col("nope").lt(1i64))
-        .select(["also_nope"])
-        .group_by(["l_returnflag"])
-        .agg(Agg::count_star())
-        .collect_rows()
-        .unwrap_err();
-    assert!(err.to_string().contains("nope"), "{err}");
-}
-
-#[test]
-fn select_combined_with_aggregation_is_unsupported() {
-    let db = tpch_db();
-    let session = Session::new(&db);
-    let err = session
-        .query("lineitem")
-        .unwrap()
-        .select(["l_quantity"])
-        .group_by(["l_orderkey"])
-        .agg(Agg::sum("l_quantity"))
-        .collect_rows()
-        .unwrap_err();
-    assert!(matches!(err, Error::Unsupported(_)), "{err}");
-    assert!(err.to_string().contains("select()"), "{err}");
+    let m = parse_error(
+        &Session::new(&db),
+        "select l_orderkey from lineitem order by 3",
+    );
+    assert!(m.contains("must appear in the SELECT list"), "{m}");
 }
 
 #[test]
@@ -179,28 +89,23 @@ fn secondary_index_coverage_checked_at_build_time() {
     let db = tpch_db();
     let session = Session::new(&db);
     // i_l_partkey stores only (l_partkey, l_orderkey, l_linenumber);
-    // l_comment is not covered — the builder must say so by name.
-    let err = session
-        .query("lineitem")
-        .unwrap()
-        .via_index("i_l_partkey")
-        .select(["l_partkey", "l_comment"])
-        .collect_rows()
-        .unwrap_err();
-    assert!(matches!(err, Error::Unsupported(_)), "{err}");
-    assert!(err.to_string().contains("l_comment"), "{err}");
-    assert!(err.to_string().contains("i_l_partkey"), "{err}");
-    // A covered query through the same index works.
+    // l_comment is not covered — the binder must say so by name.
+    let m = parse_error(
+        &session,
+        "select l_partkey, l_comment from lineitem force index (i_l_partkey)",
+    );
+    assert!(m.contains("l_comment"), "{m}");
+    assert!(m.contains("i_l_partkey"), "{m}");
+    assert!(m.contains("line 1, col 56"), "{m}");
+    // A covered query through the same index works...
     let rows = session
-        .query("lineitem")
-        .unwrap()
-        .via_index("i_l_partkey")
-        .select(["l_partkey", "l_orderkey"])
-        .filter(col("l_partkey").le(2i64))
-        .collect_rows()
+        .sql(
+            "select l_partkey, l_orderkey from lineitem force index (i_l_partkey) \
+             where l_partkey <= 2",
+        )
         .unwrap();
     assert!(!rows.is_empty());
-    // Rows arrive in the secondary index's key order.
+    // ...and its rows arrive in the secondary index's key order.
     let keys: Vec<i64> = rows.iter().map(|r| r[0].as_int().unwrap()).collect();
     let mut sorted = keys.clone();
     sorted.sort_unstable();
@@ -237,56 +142,20 @@ fn session_refresh_keeps_transaction_identity() {
     db.rollback(trx).unwrap();
 }
 
-// --- parity with the legacy plan path ---------------------------------------
+// --- parity with hand-built plans -------------------------------------------
 
-/// Hand-built legacy plan, optimized and executed through the raw
+/// Hand-built plan, optimized and executed through the raw
 /// `execute(plan, ctx)` layer.
-fn run_legacy(db: &TaurusDb, mut plan: Plan) -> Vec<Row> {
+fn run_hand_built(db: &TaurusDb, mut plan: Plan) -> Vec<Row> {
     ndp_post_process(&mut plan, db).unwrap();
     execute(&plan, &ExecContext::new(db)).unwrap()
 }
 
 #[test]
-fn builder_scan_equals_legacy_plan() {
+fn sql_group_agg_equals_agg_scan_plan() {
     let db = tpch_db();
-    // Legacy: SELECT l_orderkey, l_quantity FROM lineitem
-    //         WHERE l_shipdate >= '1995-06-01'
-    let legacy = run_legacy(
-        &db,
-        Plan::Project(taurus::optimizer::plan::ProjectNode {
-            input: Box::new(Plan::Scan(
-                ScanNode::new("lineitem", vec![0, 4, 10]).with_predicate(vec![
-                    taurus::expr::ast::Expr::ge(
-                        taurus::expr::ast::Expr::col(10),
-                        taurus::expr::ast::Expr::date("1995-06-01"),
-                    ),
-                ]),
-            )),
-            exprs: vec![
-                taurus::expr::ast::Expr::col(0),
-                taurus::expr::ast::Expr::col(1),
-            ],
-        }),
-    );
-    db.buffer_pool().clear();
-    let session = Session::new(&db);
-    let built = session
-        .query("lineitem")
-        .unwrap()
-        .select(["l_orderkey", "l_quantity"])
-        .filter(col("l_shipdate").ge(date("1995-06-01")))
-        .collect_rows()
-        .unwrap();
-    assert!(!built.is_empty());
-    assert_eq!(built, legacy);
-}
-
-#[test]
-fn builder_group_agg_equals_legacy_plan() {
-    let db = tpch_db();
-    // Legacy: SELECT l_orderkey, SUM(l_quantity), COUNT(*) FROM lineitem
-    //         GROUP BY l_orderkey  (a key prefix -> AggScan)
-    let legacy = run_legacy(
+    // GROUP BY a key prefix aggregates during the scan.
+    let hand_built = run_hand_built(
         &db,
         Plan::AggScan(AggScanNode {
             scan: ScanNode::new("lineitem", vec![0, 4]),
@@ -294,7 +163,7 @@ fn builder_group_agg_equals_legacy_plan() {
             aggs: vec![
                 AggItem {
                     func: AggFuncEx::Sum,
-                    input: Some(taurus::expr::ast::Expr::col(4)),
+                    input: Some(Expr::col(4)),
                 },
                 AggItem {
                     func: AggFuncEx::CountStar,
@@ -304,57 +173,11 @@ fn builder_group_agg_equals_legacy_plan() {
         }),
     );
     db.buffer_pool().clear();
-    let session = Session::new(&db);
-    let built = session
-        .query("lineitem")
-        .unwrap()
-        .group_by(["l_orderkey"])
-        .agg(Agg::sum("l_quantity"))
-        .agg(Agg::count_star())
-        .collect_rows()
+    let rows = Session::new(&db)
+        .sql("select l_orderkey, sum(l_quantity), count(*) from lineitem group by l_orderkey")
         .unwrap();
-    assert!(!built.is_empty());
-    assert_eq!(built, legacy);
-}
-
-#[test]
-fn builder_parallel_equals_serial() {
-    let db = tpch_db();
-    let session = Session::new(&db);
-    let q = |degree: Option<usize>| {
-        let mut q = session
-            .query("lineitem")
-            .unwrap()
-            .filter(col("l_shipdate").lt(date("1997-01-01")))
-            .agg(Agg::count_star())
-            .agg(Agg::sum("l_extendedprice"));
-        if let Some(d) = degree {
-            q = q.parallel(d);
-        }
-        q.collect_rows().unwrap()
-    };
-    let serial = q(None);
-    let parallel = q(Some(4));
-    assert_eq!(serial, parallel);
-    assert!(serial[0][0].as_int().unwrap() > 0);
-}
-
-#[test]
-fn builder_ndp_on_equals_off() {
-    let db = tpch_db();
-    let q = |session: &Session| {
-        session
-            .query("lineitem")
-            .unwrap()
-            .select(["l_orderkey", "l_shipdate", "l_quantity"])
-            .filter(col("l_quantity").lt(Dec::new(1000, 2)))
-            .collect_rows()
-            .unwrap()
-    };
-    let off = q(&Session::new(&db).with_ndp(false));
-    db.buffer_pool().clear();
-    let on = q(&Session::new(&db));
-    assert_eq!(off, on);
+    assert!(!rows.is_empty());
+    assert_eq!(rows, hand_built);
 }
 
 // --- batched streaming ---------------------------------------------------
@@ -365,19 +188,14 @@ fn builder_ndp_on_equals_off() {
 fn limit_lands_mid_batch() {
     let db = tpch_db();
     let session = Session::new(&db);
-    let q = || {
-        session
-            .query("lineitem")
-            .unwrap()
-            .select(["l_orderkey", "l_linenumber", "l_quantity"])
-    };
-    let all = q().collect_rows().unwrap();
+    const Q: &str = "select l_orderkey, l_linenumber, l_quantity from lineitem";
+    let all = session.sql(Q).unwrap();
     for n in [1usize, 7, 10, 20] {
-        let lim = q().limit(n).collect_rows().unwrap();
+        let lim = session.sql(&format!("{Q} limit {n}")).unwrap();
         assert_eq!(lim.len(), n);
         assert_eq!(lim, all[..n], "limit {n} must be a prefix");
         // The streaming path agrees with the materializing path.
-        let streamed: Vec<Row> = q().stream().unwrap().take(n).map(|r| r.unwrap()).collect();
+        let streamed: Vec<Row> = stream(&session, Q).take(n).map(|r| r.unwrap()).collect();
         assert_eq!(streamed, all[..n]);
     }
 }
@@ -388,45 +206,34 @@ fn limit_lands_mid_batch() {
 fn stream_dropped_mid_batch_unblocks_producer() {
     let db = tpch_db();
     let session = Session::new(&db);
-    let mut stream = session.query("lineitem").unwrap().stream().unwrap();
+    let mut stream = stream(&session, "select * from lineitem");
     for _ in 0..3 {
         stream.next().unwrap().unwrap();
     }
     drop(stream); // joins the producer; must not hang
-    let rows = session.query("region").unwrap().collect_rows().unwrap();
+    let rows = session.sql("select * from region").unwrap();
     assert!(!rows.is_empty(), "session survives a dropped stream");
 }
 
-/// A stream whose residual filters everything ends cleanly: no rows, no
+/// A stream whose filter rejects everything ends cleanly: no rows, no
 /// error, producer joined.
 #[test]
 fn empty_stream_terminates() {
     let db = tpch_db();
     let session = Session::new(&db);
-    let mut stream = session
-        .query("lineitem")
-        .unwrap()
-        .filter(col("l_orderkey").lt(0i64))
-        .stream()
-        .unwrap();
+    let mut stream = stream(&session, "select * from lineitem where l_orderkey < 0");
     assert!(stream.next().is_none());
 }
 
-/// Full-stream drain equals collect_rows (one batch boundary cannot drop
-/// or duplicate rows).
+/// Full-stream drain equals collect (one batch boundary cannot drop or
+/// duplicate rows).
 #[test]
 fn stream_drain_equals_collect() {
     let db = tpch_db();
     let session = Session::new(&db);
-    let q = || {
-        session
-            .query("orders")
-            .unwrap()
-            .select(["o_orderkey", "o_totalprice"])
-            .filter(col("o_orderkey").le(500i64))
-    };
-    let collected = q().collect_rows().unwrap();
-    let streamed: Vec<Row> = q().stream().unwrap().map(|r| r.unwrap()).collect();
+    const Q: &str = "select o_orderkey, o_totalprice from orders where o_orderkey <= 500";
+    let collected = session.sql(Q).unwrap();
+    let streamed: Vec<Row> = stream(&session, Q).map(|r| r.unwrap()).collect();
     assert_eq!(streamed, collected);
     assert!(!collected.is_empty());
 }
@@ -434,14 +241,8 @@ fn stream_drain_equals_collect() {
 #[test]
 fn order_by_and_limit_shape_results() {
     let db = tpch_db();
-    let session = Session::new(&db);
-    let rows = session
-        .query("orders")
-        .unwrap()
-        .select(["o_orderkey", "o_totalprice"])
-        .order_by(1, true)
-        .limit(5)
-        .collect_rows()
+    let rows = Session::new(&db)
+        .sql("select o_orderkey, o_totalprice from orders order by o_totalprice desc limit 5")
         .unwrap();
     assert_eq!(rows.len(), 5);
     for w in rows.windows(2) {

@@ -41,15 +41,32 @@ fn acct_db(cfg: ClusterConfig, n: i64, with_secondary: bool) -> (Arc<TaurusDb>, 
     (db, table)
 }
 
+const ALL: &str = "select * from acct";
+const SUM_BAL: &str = "select sum(bal) from acct";
+
 fn sum_bal(db: &Arc<TaurusDb>) -> i64 {
-    let session = Session::new(db);
-    let rows = session
-        .query("acct")
+    Session::new(db).sql(SUM_BAL).unwrap()[0][0]
+        .as_int()
         .unwrap()
-        .agg(Agg::sum("bal"))
-        .collect_rows()
-        .unwrap();
-    rows[0][0].as_int().unwrap()
+}
+
+/// `select * from acct`, streamed.
+fn stream_all(session: &Session) -> RowStream {
+    let Statement::Select(select) = parse(ALL).unwrap() else {
+        panic!("a SELECT");
+    };
+    session.stream_plan(bind(session, &select).unwrap())
+}
+
+/// The error a refused stream yields as its one item.
+fn stream_err(session: &Session) -> Error {
+    let mut stream = stream_all(session);
+    let err = stream.next().expect("a refusal").unwrap_err();
+    assert!(
+        stream.next().is_none(),
+        "a refusal is the stream's one item"
+    );
+    err
 }
 
 #[test]
@@ -59,26 +76,12 @@ fn replica_serves_loaded_table_and_catches_up() {
     replica.wait_caught_up(WAIT).unwrap();
 
     // Full parity: collect and stream, master vs replica.
-    let master_rows = Session::new(&db)
-        .query("acct")
-        .unwrap()
-        .collect_rows()
-        .unwrap();
+    let master_rows = Session::new(&db).sql(ALL).unwrap();
     let rdb = replica.db();
     assert!(rdb.is_replica());
-    let replica_rows = Session::new(rdb)
-        .query("acct")
-        .unwrap()
-        .collect_rows()
-        .unwrap();
+    let replica_rows = Session::new(rdb).sql(ALL).unwrap();
     assert_eq!(master_rows, replica_rows);
-    let streamed: Vec<Row> = Session::new(rdb)
-        .query("acct")
-        .unwrap()
-        .stream()
-        .unwrap()
-        .collect::<Result<_>>()
-        .unwrap();
+    let streamed = stream_all(&Session::new(rdb)).collect_rows().unwrap();
     assert_eq!(master_rows, streamed);
 
     // Replica sees committed DML only after its boundary replicates, and a
@@ -90,23 +93,13 @@ fn replica_serves_loaded_table_and_catches_up() {
     db.commit(trx);
     replica.wait_caught_up(WAIT).unwrap();
     assert_eq!(
-        rsession
-            .query("acct")
-            .unwrap()
-            .collect_rows()
-            .unwrap()
-            .len(),
+        rsession.sql(ALL).unwrap().len(),
         64,
         "old session keeps its snapshot"
     );
     rsession.refresh();
     assert_eq!(
-        rsession
-            .query("acct")
-            .unwrap()
-            .collect_rows()
-            .unwrap()
-            .len(),
+        rsession.sql(ALL).unwrap().len(),
         65,
         "refreshed session sees the replicated commit"
     );
@@ -135,11 +128,7 @@ fn tables_created_after_attach_replicate_too() {
     assert_eq!(sum_bal(replica.db()), 4000);
     // Secondary-index scans replicate as well (key cols, spaces, shape).
     let via_sec = Session::new(replica.db())
-        .query("acct")
-        .unwrap()
-        .via_index("i_bal")
-        .select(["bal"])
-        .collect_rows()
+        .sql("select bal from acct force index (i_bal)")
         .unwrap();
     assert_eq!(via_sec.len(), 40);
 }
@@ -247,7 +236,8 @@ fn replica_is_read_only_and_rejects_trx_sessions() {
     ));
     // A transaction-bound session makes no sense on a read-only node.
     let s = Session::for_trx(rdb, trx);
-    assert!(matches!(s.query("acct"), Err(Error::Unsupported(_))));
+    assert!(matches!(s.sql(ALL), Err(Error::Unsupported(_))));
+    assert!(matches!(s.sql(SUM_BAL), Err(Error::Unsupported(_))));
     // SAL-level enforcement too: the attachment refuses log writes.
     assert!(rdb.sal().is_read_only());
 }
@@ -259,13 +249,18 @@ fn detached_replica_refuses_queries() {
     replica.wait_caught_up(WAIT).unwrap();
     assert_eq!(sum_bal(replica.db()), 800);
     replica.detach();
-    let err = match Session::new(replica.db()).query("acct") {
-        Ok(_) => panic!("detached replica served a query"),
-        Err(e) => e,
-    };
-    match err {
-        Error::InvalidState(m) => assert!(m.contains("detached"), "unexpected message: {m}"),
-        other => panic!("expected InvalidState, got {other:?}"),
+    // Every execution entry refuses: SQL, a streamed plan, a lookup.
+    let session = Session::new(replica.db());
+    for err in [
+        session.sql(ALL).unwrap_err(),
+        session.sql(SUM_BAL).unwrap_err(),
+        stream_err(&session),
+        session.lookup("acct", &[Value::Int(0)]).unwrap_err(),
+    ] {
+        match err {
+            Error::InvalidState(m) => assert!(m.contains("detached"), "unexpected message: {m}"),
+            other => panic!("expected InvalidState, got {other:?}"),
+        }
     }
 }
 
@@ -292,19 +287,22 @@ fn lag_beyond_max_lag_refuses_queries_until_caught_up() {
         db.commit(trx);
     }
     assert!(replica.lag() > 4);
-    let err = match Session::new(replica.db()).query("acct") {
-        Ok(_) => panic!("lagging replica served a query"),
-        Err(e) => e,
-    };
-    match err {
-        Error::InvalidState(m) => assert!(m.contains("lag"), "unexpected message: {m}"),
-        other => panic!("expected InvalidState, got {other:?}"),
+    let session = Session::new(replica.db());
+    for err in [
+        session.sql(ALL).unwrap_err(),
+        session.sql(SUM_BAL).unwrap_err(),
+        stream_err(&session),
+    ] {
+        match err {
+            Error::InvalidState(m) => assert!(m.contains("lag"), "unexpected message: {m}"),
+            other => panic!("expected InvalidState, got {other:?}"),
+        }
     }
     let snap = replica.db().metrics().snapshot();
     assert!(snap.replica_lag_lsn > 0 || replica.lag() > 0);
     // Once the tailer catches back up, service resumes.
     replica.wait_caught_up(WAIT).unwrap();
-    assert!(Session::new(replica.db()).query("acct").is_ok());
+    assert_eq!(Session::new(replica.db()).sql(ALL).unwrap().len(), 14);
 }
 
 /// The acceptance gate: a replica attached to a live cluster serves all
@@ -410,14 +408,7 @@ fn tpch_queries_on_replica_match_master_snapshot() {
                 "{name}: replica result differs from master snapshot (ndp={ndp})"
             );
             // Interleave a consistency probe on the churned table.
-            let sum = Session::new(rdb)
-                .query("acct")
-                .unwrap()
-                .agg(Agg::sum("bal"))
-                .collect_rows()
-                .unwrap()[0][0]
-                .as_int()
-                .unwrap();
+            let sum = sum_bal(rdb);
             assert_eq!(sum, 1600, "torn side-table snapshot during {name}");
         }
         stop.store(true, Ordering::SeqCst);
@@ -518,14 +509,8 @@ fn concurrent_writer_never_tears_replica_snapshots() {
             let session = Session::new(&rdb);
             // The pushed-down aggregate and the row stream must agree with
             // each other and with the invariant.
-            let collected = session.query("acct").unwrap().collect_rows().unwrap();
-            let streamed: Vec<Row> = session
-                .query("acct")
-                .unwrap()
-                .stream()
-                .unwrap()
-                .collect::<Result<_>>()
-                .unwrap();
+            let collected = session.sql(ALL).unwrap();
+            let streamed = stream_all(&session).collect_rows().unwrap();
             assert_eq!(
                 collected, streamed,
                 "stream/collect diverged (batch={batch_rows}, prefetch={prefetch}, round={round})"
@@ -538,28 +523,15 @@ fn concurrent_writer_never_tears_replica_snapshots() {
                  round={round}, rows={})",
                 collected.len()
             );
-            let agg = session
-                .query("acct")
-                .unwrap()
-                .agg(Agg::sum("bal"))
-                .collect_rows()
-                .unwrap();
+            let agg = session.sql(SUM_BAL).unwrap();
             assert_eq!(agg[0][0].as_int().unwrap(), total, "aggregate path tore");
         }
         stop.store(true, Ordering::SeqCst);
         writer.join().unwrap();
         // Quiesced: replica converges to the master's final state.
         replica.wait_caught_up(WAIT).unwrap();
-        let master_rows = Session::new(&db)
-            .query("acct")
-            .unwrap()
-            .collect_rows()
-            .unwrap();
-        let replica_rows = Session::new(&rdb)
-            .query("acct")
-            .unwrap()
-            .collect_rows()
-            .unwrap();
+        let master_rows = Session::new(&db).sql(ALL).unwrap();
+        let replica_rows = Session::new(&rdb).sql(ALL).unwrap();
         assert_eq!(master_rows, replica_rows);
     }
 }

@@ -65,23 +65,12 @@ fn tpch_over_socket_matches_in_process() {
         assert_eq!(got.node, MASTER_NODE);
     }
 
-    // SQL text over the wire vs the same fluent chain in-process.
-    let want = session
-        .query("orders")
-        .unwrap()
-        .filter(col("o_custkey").lt(50))
-        .select(["o_orderkey", "o_custkey"])
-        .order_by(0, false)
-        .collect_rows()
-        .unwrap();
+    // SQL text over the wire vs the same text in-process.
+    const ADHOC: &str =
+        "select o_orderkey, o_custkey from orders where o_custkey < 50 order by o_orderkey";
+    let want = session.sql(ADHOC).unwrap();
     assert!(!want.is_empty());
-    let got = client
-        .query_sql(
-            "select o_orderkey, o_custkey from orders where o_custkey < 50 \
-             order by o_orderkey",
-            true,
-        )
-        .unwrap();
+    let got = client.query_sql(ADHOC, true).unwrap();
     assert_eq!(got.rows, want);
 
     // Point lookup parity: fetch a known pk over the wire.

@@ -1,7 +1,8 @@
 //! SQL frontend acceptance (PR 10): every TPC-H query expressed as SQL
 //! text produces results **byte-equal** to the hand-built registry plan
 //! it shadows, with NDP off and on, and malformed SQL fails closed with a positioned
-//! `Error::Parse` before any operator opens.
+//! `Error::Parse` before any operator opens. The §VII-A micro-benchmark's
+//! COUNT(*) scans are held to their registry plans the same way.
 
 use std::sync::{Arc, OnceLock};
 
@@ -51,14 +52,25 @@ fn fmt_rows(rows: &[Row]) -> String {
 fn registry_rows(db: &Arc<TaurusDb>, name: &str) -> Vec<Row> {
     let q = tpch::tpch_queries()
         .into_iter()
+        .chain(tpch::micro_queries())
         .find(|q| q.name == name)
         .unwrap();
     let plan = (q.plan)(db, None).unwrap();
     taurus::executor::execute(&plan, &taurus::executor::ExecContext::new(db)).unwrap()
 }
 
+/// The micro-benchmark's Q0 and Q001 as SQL text: both aggregate during
+/// a lineitem scan, as their registry plans do.
+const MICRO: [(&str, &str); 2] = [
+    ("Q0", "select count(*) from lineitem"),
+    (
+        "Q001",
+        "select count(*) from lineitem where l_shipdate < date '1998-07-01'",
+    ),
+];
+
 fn check_all(db: &'static Arc<TaurusDb>, ndp: bool) {
-    for (name, text) in taurus::sql::tpch_sql::all() {
+    for (name, text) in taurus::sql::tpch_sql::all().into_iter().chain(MICRO) {
         let mut session = Session::new(db);
         session.set_ndp(ndp);
         let got = session
