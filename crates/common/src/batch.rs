@@ -199,6 +199,17 @@ impl RowBatch {
         Ok(())
     }
 
+    /// Move every row of `other` (of the same width) behind this batch's
+    /// rows, leaving `other` empty with its allocation. Nothing is cloned.
+    pub fn append(&mut self, other: &mut RowBatch) {
+        assert_eq!(
+            self.width, other.width,
+            "row width mismatch in RowBatch::append"
+        );
+        self.values.append(&mut other.values);
+        self.len += std::mem::take(&mut other.len);
+    }
+
     /// Drop all rows, keeping the allocation for reuse.
     pub fn clear(&mut self) {
         self.values.clear();

@@ -22,13 +22,8 @@ pub enum Error {
     /// Operation rejected in the current state (e.g. write in a read-only
     /// transaction, descriptor/page version no longer retained).
     InvalidState(String),
-    /// A name (table, column, index) failed to resolve against the
-    /// catalog, or a positional column reference was out of range. Raised
-    /// by the query-builder facade before any plan is constructed.
-    NameResolution(String),
-    /// The requested query shape is valid SQL but outside what the engine
-    /// executes (e.g. a GROUP BY that is not a prefix of the chosen index
-    /// key, which streaming aggregation requires).
+    /// The request is well-formed but outside what the engine serves
+    /// (e.g. a retired wire request kind).
     Unsupported(String),
     /// Catch-all for internal invariant breaks; always a bug.
     Internal(String),
@@ -57,7 +52,6 @@ impl fmt::Display for Error {
             Error::Corruption(m) => write!(f, "corruption: {m}"),
             Error::NotFound(m) => write!(f, "not found: {m}"),
             Error::InvalidState(m) => write!(f, "invalid state: {m}"),
-            Error::NameResolution(m) => write!(f, "name resolution: {m}"),
             Error::Unsupported(m) => write!(f, "unsupported: {m}"),
             Error::Internal(m) => write!(f, "internal error: {m}"),
             Error::Overloaded(m) => write!(f, "overloaded: {m}"),

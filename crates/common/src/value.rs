@@ -106,6 +106,27 @@ const POW10: [i128; 31] = {
     t
 };
 
+/// The finest scale decimal arithmetic produces: what `POW10` can rescale
+/// to.
+pub const DEC_MAX_SCALE: u8 = 30;
+
+fn dec_overflow() -> Error {
+    Error::Arithmetic("decimal overflow".into())
+}
+
+/// `a * b` unless it overflows. Raws that fit in `i64` (every decimal
+/// column and most results) cannot, and skip the 128-bit overflow check.
+fn mul_raw(a: i128, b: i128) -> Option<i128> {
+    match (i64::try_from(a), i64::try_from(b)) {
+        (Ok(a), Ok(b)) => Some(a as i128 * b as i128),
+        _ => a.checked_mul(b),
+    }
+}
+
+fn dec_or_overflow(raw: Option<i128>, scale: u8) -> Result<Dec> {
+    raw.map(|raw| Dec { raw, scale }).ok_or_else(dec_overflow)
+}
+
 impl Dec {
     pub fn new(raw: i128, scale: u8) -> Self {
         Dec { raw, scale }
@@ -212,6 +233,56 @@ impl Dec {
         }
     }
 
+    // The `checked_*` forms are SQL arithmetic as the expression
+    // evaluators run it: a result whose scale passes [`DEC_MAX_SCALE`] or
+    // whose raw value leaves `i128` is an `Error::Arithmetic` rather than
+    // a wrapped value or a panic, so every evaluator fails the same row
+    // the same way.
+
+    pub fn checked_add(self, o: Dec) -> Result<Dec> {
+        let (a, b, scale) = Dec::checked_align(self, o)?;
+        dec_or_overflow(a.checked_add(b), scale)
+    }
+
+    pub fn checked_sub(self, o: Dec) -> Result<Dec> {
+        let (a, b, scale) = Dec::checked_align(self, o)?;
+        dec_or_overflow(a.checked_sub(b), scale)
+    }
+
+    pub fn checked_mul(self, o: Dec) -> Result<Dec> {
+        let scale = self.scale as usize + o.scale as usize;
+        if scale > DEC_MAX_SCALE as usize {
+            return Err(dec_overflow());
+        }
+        dec_or_overflow(mul_raw(self.raw, o.raw), scale as u8)
+    }
+
+    pub fn checked_div(self, o: Dec) -> Result<Dec> {
+        if o.raw == 0 {
+            return Err(Error::Arithmetic("decimal division by zero".into()));
+        }
+        if self.scale.max(o.scale) as usize + 4 > DEC_MAX_SCALE as usize {
+            return Err(dec_overflow());
+        }
+        let num = mul_raw(self.raw, POW10[4 + o.scale as usize]);
+        dec_or_overflow(num.and_then(|n| n.checked_div(o.raw)), self.scale + 4)
+    }
+
+    fn checked_align(a: Dec, b: Dec) -> Result<(i128, i128, u8)> {
+        let scale = a.scale.max(b.scale);
+        if scale > DEC_MAX_SCALE {
+            return Err(dec_overflow());
+        }
+        let up = |d: Dec| match scale - d.scale {
+            0 => Some(d.raw),
+            by => mul_raw(d.raw, POW10[by as usize]),
+        };
+        match (up(a), up(b)) {
+            (Some(a), Some(b)) => Ok((a, b, scale)),
+            _ => Err(dec_overflow()),
+        }
+    }
+
     /// Total order across scales, *without* the silent wrap `align` would
     /// risk: upscaling multiplies the raw value by up to 10^30, which can
     /// exceed `i128`. If the upscale of one side overflows, that side's
@@ -221,7 +292,10 @@ impl Dec {
     /// bit-identical even on extreme operands.
     pub fn cmp_dec(self, o: Dec) -> Ordering {
         let scale = self.scale.max(o.scale);
-        let up = |d: Dec| d.raw.checked_mul(POW10[(scale - d.scale) as usize]);
+        let up = |d: Dec| match scale - d.scale {
+            0 => Some(d.raw),
+            by => mul_raw(d.raw, POW10[by as usize]),
+        };
         match (up(self), up(o)) {
             (Some(a), Some(b)) => a.cmp(&b),
             // `self` overflowed: |self| > i128::MAX ≥ |b upscaled|.

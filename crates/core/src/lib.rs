@@ -30,7 +30,7 @@ pub mod scan;
 pub use engine::{ColumnStats, ReplicaState, SpaceStore, Table, TableIndex, TableStats, TaurusDb};
 pub use scan::{
     build_descriptor, partition_ranges, prefetch_leaves, scan, scan_ctx, JoinFilter, KeyList,
-    KeyRead, NdpChoice, PointLookup, ScanAggregation, ScanConsumer, ScanSpec, ScanStats,
+    KeyRead, NdpChoice, PointLookup, ScanAgg, ScanAggregation, ScanConsumer, ScanSpec, ScanStats,
     LOOKUP_PREFETCH_PAGES_MAX,
 };
 
@@ -41,3 +41,4 @@ pub use taurus_common::{
 };
 pub use taurus_expr::agg::{AggFunc, AggSpec, AggState};
 pub use taurus_mvcc::ReadView;
+pub use taurus_pagestore::GROUP_TABLE_GROUPS;

@@ -62,7 +62,7 @@ use std::time::Instant;
 use taurus_btree::{ScanRange, TreeStore};
 use taurus_bufferpool::{BufferPool, NdpFrameGuard};
 use taurus_common::{DataType, Error, Metrics, PageNo, QueryCtx, Result, RowBatch, Value};
-use taurus_expr::agg::{AggSpec, AggState};
+use taurus_expr::agg::{AggFunc, AggInput, AggSpec, AggState};
 use taurus_expr::ast::Expr;
 use taurus_expr::descriptor::{
     encode_join_filter, encode_key_set, KeyBloom, NdpAggSpec, NdpDescriptor,
@@ -110,9 +110,18 @@ const POINT_BATCH_ROWS: usize = 64;
 /// Aggregation requested from a scan (column refs are *table* columns).
 #[derive(Clone, Debug)]
 pub struct ScanAggregation {
-    pub specs: Vec<AggSpec>,
-    /// GROUP BY columns; must be a prefix of the chosen index key.
+    pub specs: Vec<ScanAgg>,
+    /// GROUP BY columns, in any order.
     pub group_cols: Vec<usize>,
+}
+
+/// One aggregate a scan asks storage for: a storage-side function over an
+/// expression of table columns (`None` for COUNT(*)). A bare column goes
+/// to the descriptor as a column, anything else as an IR program.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ScanAgg {
+    pub func: AggFunc,
+    pub input: Option<Expr>,
 }
 
 /// The optimizer's per-table-access NDP decision (§IV-B): any subset of
@@ -279,16 +288,34 @@ pub fn build_descriptor(
             })
     };
     let key_positions: Vec<u16> = tree.key_positions.iter().map(|&p| p as u16).collect();
+    // An expression over table columns as IR bitcode over record
+    // positions.
+    let bitcode = |e: &Expr| -> Result<Vec<u8>> {
+        for c in e.columns() {
+            pos_of(c)?;
+        }
+        // lint:allow(panic): every referenced column was just resolved
+        let remapped = e.remap_columns(&|c| pos_of(c).expect("checked above") as usize);
+        Ok(taurus_expr::compile::lower(&remapped)?.encode_bitcode())
+    };
     let projection = match &choice.projection {
         None => None,
         Some(cols) => {
             let mut keep: Vec<u16> = cols.iter().map(|&c| pos_of(c)).collect::<Result<_>>()?;
             keep.extend_from_slice(&key_positions);
+            // A carrier goes out projected, and the SQL node folds its own
+            // values and reads its group: every column an input reads and
+            // every group column stays.
             if let Some(agg) = &choice.aggregation {
-                for s in &agg.specs {
-                    if let Some(c) = s.col {
-                        keep.push(pos_of(c as usize)?);
-                    }
+                for c in agg
+                    .specs
+                    .iter()
+                    .flat_map(|s| s.input.iter().flat_map(Expr::columns))
+                {
+                    keep.push(pos_of(c)?);
+                }
+                for &g in &agg.group_cols {
+                    keep.push(pos_of(g)?);
                 }
             }
             keep.sort_unstable();
@@ -296,18 +323,7 @@ pub fn build_descriptor(
             Some(keep)
         }
     };
-    let predicate_bitcode = match &choice.predicate {
-        None => None,
-        Some(e) => {
-            let remapped = e.remap_columns(&|c| {
-                stored
-                    .iter()
-                    .position(|&s| s == c)
-                    .expect("predicate col stored")
-            });
-            Some(taurus_expr::compile::lower(&remapped)?.encode_bitcode())
-        }
-    };
+    let predicate_bitcode = choice.predicate.as_ref().map(bitcode).transpose()?;
     let aggregation = match &choice.aggregation {
         None => None,
         Some(a) => Some(NdpAggSpec {
@@ -315,12 +331,14 @@ pub fn build_descriptor(
                 .specs
                 .iter()
                 .map(|s| {
+                    let input = match &s.input {
+                        None => AggInput::Star,
+                        Some(Expr::Col(c)) => AggInput::Col(pos_of(*c)?),
+                        Some(e) => AggInput::Program(bitcode(e)?),
+                    };
                     Ok(AggSpec {
                         func: s.func,
-                        col: match s.col {
-                            Some(c) => Some(pos_of(c as usize)?),
-                            None => None,
-                        },
+                        input,
                     })
                 })
                 .collect::<Result<_>>()?,

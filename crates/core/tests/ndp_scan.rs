@@ -8,9 +8,11 @@ use std::sync::Arc;
 
 use taurus_common::schema::{Column, TableSchema};
 use taurus_common::{ClusterConfig, DataType, Date32, Dec, Value};
-use taurus_expr::agg::{AggSpec, AggState};
+use taurus_expr::agg::{AggFunc, AggInput, AggSpec, AggState};
 use taurus_expr::ast::Expr;
-use taurus_ndp::{scan, NdpChoice, ScanAggregation, ScanConsumer, ScanRange, ScanSpec, TaurusDb};
+use taurus_ndp::{
+    scan, NdpChoice, ScanAgg, ScanAggregation, ScanConsumer, ScanRange, ScanSpec, TaurusDb,
+};
 use taurus_pagestore::SkipPolicy;
 
 fn schema() -> Arc<TableSchema> {
@@ -65,6 +67,20 @@ fn fresh_db(rows: i64) -> (Arc<TaurusDb>, Arc<taurus_ndp::Table>) {
     (db, t)
 }
 
+/// `specs` over table columns as a scan asks storage for them.
+fn scan_aggs(specs: &[AggSpec]) -> Vec<ScanAgg> {
+    specs
+        .iter()
+        .map(|s| ScanAgg {
+            func: s.func,
+            input: match s.input {
+                AggInput::Col(c) => Some(Expr::col(c as usize)),
+                _ => None,
+            },
+        })
+        .collect()
+}
+
 /// Collects rows and merges partials onto running aggregate states.
 struct Collector {
     rows: Vec<Vec<Value>>,
@@ -91,7 +107,7 @@ impl Collector {
         let states = specs
             .iter()
             .zip(&dtypes)
-            .map(|(s, dt)| AggState::new(s, *dt))
+            .map(|(s, dt)| AggState::new(s.func, *dt))
             .collect();
         Collector {
             rows: Vec::new(),
@@ -260,7 +276,7 @@ fn scalar_aggregation_pushdown_matches() {
     };
     let all2 = run(&db, &t, &ref_spec, Collector::plain());
     let mut expect_count = 0i64;
-    let mut expect_sum = AggState::new(&specs[1], dtypes[1]);
+    let mut expect_sum = AggState::new(specs[1].func, dtypes[1]);
     for r in &all2.rows {
         if r[0].cmp_sql(&Value::Int(25)) == Some(std::cmp::Ordering::Less) {
             expect_count += 1;
@@ -276,7 +292,7 @@ fn scalar_aggregation_pushdown_matches() {
         ndp: Some(NdpChoice {
             predicate: Some(pred),
             aggregation: Some(ScanAggregation {
-                specs: specs.clone(),
+                specs: scan_aggs(&specs),
                 group_cols: vec![],
             }),
             ..Default::default()
@@ -327,7 +343,7 @@ fn grouped_aggregation_pushdown_matches() {
         range: ScanRange::full(),
         ndp: Some(NdpChoice {
             aggregation: Some(ScanAggregation {
-                specs: specs.clone(),
+                specs: scan_aggs(&specs),
                 group_cols: vec![0],
             }),
             ..Default::default()
@@ -358,8 +374,8 @@ fn grouped_aggregation_pushdown_matches() {
         }
         fn reset(&mut self) {
             self.states = vec![
-                AggState::new(&AggSpec::sum(2), Some(DataType::Int)),
-                AggState::new(&AggSpec::count_star(), None),
+                AggState::new(AggFunc::Sum, Some(DataType::Int)),
+                AggState::new(AggFunc::CountStar, None),
             ];
         }
     }
@@ -936,16 +952,7 @@ fn batch_size_is_invisible_in_results_stats_and_partial_order() {
             projection: Some(vec![0, 2]),
             predicate: Some(Expr::lt(Expr::col(2), Expr::int(40))),
             aggregation: Some(ScanAggregation {
-                specs: vec![
-                    AggSpec {
-                        func: taurus_ndp::AggFunc::Sum,
-                        col: Some(2),
-                    },
-                    AggSpec {
-                        func: taurus_ndp::AggFunc::CountStar,
-                        col: None,
-                    },
-                ],
+                specs: scan_aggs(&[AggSpec::sum(2), AggSpec::count_star()]),
                 group_cols: vec![0],
             }),
         }),

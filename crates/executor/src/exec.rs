@@ -17,13 +17,13 @@ use std::borrow::Cow;
 
 use taurus_common::schema::Row;
 use taurus_common::{panic_message, Dec, Error, KeyMap, QueryCtx, Result, RowBatch, Value};
-use taurus_expr::agg::{AggSpec, AggState};
+use taurus_expr::agg::{AggFunc, AggState};
 use taurus_expr::ast::Expr;
 use taurus_expr::eval::{eval, eval_pred};
 use taurus_expr::ir::encode_value;
 use taurus_ndp::ReadView;
 use taurus_ndp::{
-    scan_ctx, BTree, KeyList, KeyRead, PointLookup, ScanConsumer, ScanRange, ScanSpec, TaurusDb,
+    BTree, KeyList, KeyRead, PointLookup, ScanConsumer, ScanRange, ScanSpec, TaurusDb,
 };
 use taurus_optimizer::plan::{
     AggFuncEx, AggItem, AggScanNode, HashAggNode, JoinType, LookupJoinNode, Plan, ScanNode,
@@ -147,19 +147,13 @@ impl AggStateEx {
         let input_dtype = item.input.as_ref().and_then(|e| e.dtype(dtypes).ok());
         match item.func {
             AggFuncEx::Avg => AggStateEx::Avg {
-                sum: AggState::new(
-                    &AggSpec {
-                        func: taurus_expr::agg::AggFunc::Sum,
-                        col: None,
-                    },
-                    input_dtype,
-                ),
+                sum: AggState::new(AggFunc::Sum, input_dtype),
                 count: 0,
             },
             f => {
                 // lint:allow(panic): AVG was decomposed to SUM+COUNT above
                 let func = f.storage_func().expect("non-AVG");
-                AggStateEx::Simple(AggState::new(&AggSpec { func, col: None }, input_dtype))
+                AggStateEx::Simple(AggState::new(func, input_dtype))
             }
         }
     }
@@ -262,8 +256,9 @@ pub(crate) type AggPartials = Vec<(Vec<u8>, Row, Vec<AggStateEx>)>;
 
 /// Merge partial group lists (leader side of PQ), groups in the order
 /// they are first seen: given the workers' lists in partition order, an
-/// `AggScan`'s groups come out in index order, as the serial scan emits
-/// them.
+/// index-ordered `AggScan`'s groups come out in index order, as the serial
+/// scan emits them. (The caller sorts what must come out in encoded-key
+/// order.)
 pub(crate) fn merge_partial_groups(parts: Vec<AggPartials>) -> Result<AggPartials> {
     let mut map: KeyMap<(Row, Vec<AggStateEx>)> = KeyMap::default();
     let mut order: Vec<Vec<u8>> = Vec::new();
@@ -302,163 +297,56 @@ pub(crate) fn finalize_agg_groups(partials: AggPartials) -> Result<Vec<Row>> {
         .collect())
 }
 
-/// Stream-aggregating consumer for `AggScan` (group = index prefix, so
-/// rows arrive grouped; partials attach to the current group).
-struct StreamAggConsumer<'a> {
-    /// Positions of group columns within the delivered row.
-    group_pos: Vec<usize>,
-    /// Agg input expressions remapped to delivered-row positions.
-    inputs: Vec<Option<Expr>>,
-    items: &'a [AggItem],
-    dtypes: Vec<taurus_common::DataType>,
-    current: Option<(Vec<u8>, Row, Vec<AggStateEx>)>,
-    done: AggPartials,
-    /// The current row's encoded group key (reused: a row of the current
-    /// group allocates nothing).
-    key: Vec<u8>,
-}
-
-impl StreamAggConsumer<'_> {
-    fn fresh_states(&self) -> Vec<AggStateEx> {
-        self.items
-            .iter()
-            .map(|i| AggStateEx::new(i, &self.dtypes))
-            .collect()
-    }
-
-    fn flush(&mut self) {
-        if let Some(g) = self.current.take() {
-            self.done.push(g);
-        }
-    }
-
-    fn accept(&mut self, row: &[Value]) -> Result<()> {
-        self.key.clear();
-        for &p in &self.group_pos {
-            encode_value(&row[p], &mut self.key);
-        }
-        let switch = match &self.current {
-            Some((k, _, _)) => *k != self.key,
-            None => true,
-        };
-        if switch {
-            self.flush();
-            let gvals: Row = self.group_pos.iter().map(|&p| row[p].clone()).collect();
-            self.current = Some((self.key.clone(), gvals, self.fresh_states()));
-        }
-        // lint:allow(panic): the branch above just installed current for this key
-        let (_, _, states) = self.current.as_mut().expect("set above");
-        for (st, input) in states.iter_mut().zip(&self.inputs) {
-            fold_input(st, input.as_ref(), row)?;
-        }
-        Ok(())
-    }
-}
-
-impl ScanConsumer for StreamAggConsumer<'_> {
-    // The scan flushes its batch before any `on_partial`, so the carrier
-    // row is always in `current` by the time partials arrive.
-    fn on_row(&mut self, row: &[Value]) -> Result<bool> {
-        self.accept(row)?;
-        Ok(true)
-    }
-
-    fn on_batch(&mut self, batch: &RowBatch) -> Result<bool> {
-        for row in batch.rows() {
-            self.accept(row)?;
-        }
-        Ok(true)
-    }
-
-    fn on_partial(&mut self, states: Vec<AggState>) -> Result<bool> {
-        let (_, _, mine) = self
-            .current
-            .as_mut()
-            .ok_or_else(|| Error::Internal("partial before carrier row".into()))?;
-        let mut at = 0usize;
-        for m in mine.iter_mut() {
-            at += m.merge_partial(&states[at..])?;
-        }
-        if at != states.len() {
-            return Err(Error::Internal(format!(
-                "storage sent {} partial states, consumed {at}",
-                states.len()
-            )));
-        }
-        Ok(true)
-    }
-}
-
-/// Run an AggScan, returning mergeable partial groups.
-pub(crate) fn exec_agg_scan_partials(
-    node: &AggScanNode,
-    ctx: &ExecContext<'_>,
-    range_override: Option<ScanRange>,
-) -> Result<AggPartials> {
-    let table = ctx.db.table(&node.scan.table)?;
-    let dtypes = table.schema.dtypes();
-    let spec = scan_spec(&node.scan, ctx, range_override)?;
-    let group_pos: Vec<usize> = node
-        .group_cols
+/// The group expression of an `AggScan`'s group column `c`: its position
+/// in the delivered row.
+fn agg_scan_group(node: &AggScanNode, c: usize) -> Result<Expr> {
+    node.scan
+        .output
         .iter()
-        .map(|c| {
-            node.scan.output.iter().position(|o| o == c).ok_or_else(|| {
-                Error::Verify(
-                    taurus_verify::Diagnostic::error(
-                        taurus_verify::DiagKind::GroupColNotInOutput,
-                        "AggScan",
-                        format!("group column {c} not in scan output {:?}", node.scan.output),
-                    )
-                    .to_string(),
+        .position(|&o| o == c)
+        .map(Expr::Col)
+        .ok_or_else(|| {
+            Error::Verify(
+                taurus_verify::Diagnostic::error(
+                    taurus_verify::DiagKind::GroupColNotInOutput,
+                    "AggScan",
+                    format!("group column {c} not in scan output {:?}", node.scan.output),
                 )
-            })
+                .to_string(),
+            )
         })
-        .collect::<Result<_>>()?;
-    let inputs: Vec<Option<Expr>> = node
-        .aggs
-        .iter()
-        .map(|a| {
-            a.input
-                .as_ref()
-                .map(|e| remap_to_output(e, &node.scan.output))
-                .transpose()
-        })
-        .collect::<Result<_>>()?;
-    let residual = scan_residual(&node.scan)?;
-    let scalar = node.group_cols.is_empty();
-    let mut c = StreamAggConsumer {
-        group_pos,
-        inputs,
-        items: &node.aggs,
-        dtypes,
-        current: None,
-        done: Vec::new(),
-        key: Vec::new(),
-    };
-    if scalar {
-        // Scalar aggregation always has exactly one group.
-        c.current = Some((Vec::new(), Vec::new(), c.fresh_states()));
-    }
-    scan_ctx(
-        ctx.db, &table, &spec, &residual, &ctx.view, ctx.qctx, None, &mut c,
-    )?;
-    c.flush();
-    Ok(c.done)
 }
 
-/// Streaming accumulator for generic hash aggregation: the rows of pulled
-/// batches (the `HashAgg` operator's input, or a PQ worker's range of the
-/// scan) update grouped states one at a time; only the grouped partials
-/// are ever held.
+/// Streaming accumulator for grouped aggregation: the rows of pulled
+/// batches (a `HashAgg`'s input, an `AggScan`'s scan, or a PQ worker's
+/// range of either) update grouped states one at a time; only the grouped
+/// partials are ever held. Groups are keyed by their encoded values, and
+/// the group of the last row is looked at first. An `AggScan`'s storage
+/// partials merge into the group of the row delivered just before them
+/// (their carrier). Groups come out in encoded-key order, except an
+/// `AggScan`'s whose GROUP BY follows its index: those arrive, and stay, in
+/// index order.
 pub(crate) struct HashAggAcc<'a> {
-    node: &'a HashAggNode,
-    /// Input dtypes are unknowable in general; agg inputs are evaluated
-    /// per row, so states infer their shape from the first value.
+    /// The group expressions and the aggregates, over the input row.
+    group: Cow<'a, [Expr]>,
+    aggs: Cow<'a, [AggItem]>,
+    /// The input row's types, where known (an `AggScan`'s). A `HashAgg`'s
+    /// input types are unknowable in general; its states infer their shape
+    /// from the first value.
     dtypes: Vec<taurus_common::DataType>,
-    map: KeyMap<(Row, Vec<AggStateEx>)>,
+    /// Groups in the order first seen, and where each key's is (unless
+    /// `index_ordered`).
+    groups: AggPartials,
+    slots: KeyMap<usize>,
+    /// The group of the last row.
+    last: Option<usize>,
     /// The current row's encoded group values, reused from row to row: a
     /// row of an existing group allocates and clones nothing.
     key: Vec<u8>,
+    /// The rows arrive grouped, in index order (an `AggScan` whose GROUP
+    /// BY follows its index): groups skip the map, and keep their
+    /// first-seen order instead of being sorted by key.
+    index_ordered: bool,
 }
 
 /// A group expression's value for `row`: a bare column is read in place,
@@ -473,63 +361,139 @@ fn group_value<'v>(e: &Expr, row: &'v [Value]) -> Result<Cow<'v, Value>> {
 impl<'a> HashAggAcc<'a> {
     pub(crate) fn new(node: &'a HashAggNode) -> HashAggAcc<'a> {
         HashAggAcc {
-            node,
+            group: Cow::Borrowed(&node.group),
+            aggs: Cow::Borrowed(&node.aggs),
             dtypes: Vec::new(),
-            map: KeyMap::default(),
+            groups: Vec::new(),
+            slots: KeyMap::default(),
+            last: None,
             key: Vec::new(),
+            index_ordered: false,
         }
+    }
+
+    /// The accumulator of an `AggScan`, over the rows its scan delivers.
+    pub(crate) fn for_agg_scan(node: &AggScanNode, db: &TaurusDb) -> Result<HashAggAcc<'a>> {
+        let table = db.table(&node.scan.table)?;
+        let dtypes = table.schema.dtypes();
+        let group = node
+            .group_cols
+            .iter()
+            .map(|&c| agg_scan_group(node, c))
+            .collect::<Result<Vec<_>>>()?;
+        let aggs = node
+            .aggs
+            .iter()
+            .map(|a| {
+                Ok(AggItem {
+                    func: a.func,
+                    input: match &a.input {
+                        Some(e) => Some(remap_to_output(e, &node.scan.output)?),
+                        None => None,
+                    },
+                })
+            })
+            .collect::<Result<Vec<_>>>()?;
+        Ok(HashAggAcc {
+            group: Cow::Owned(group),
+            aggs: Cow::Owned(aggs),
+            dtypes: node
+                .scan
+                .output
+                .iter()
+                .map(|&c| {
+                    dtypes.get(c).copied().ok_or_else(|| {
+                        Error::Verify(format!(
+                            "scan output column {c} not in {}",
+                            table.schema.name
+                        ))
+                    })
+                })
+                .collect::<Result<_>>()?,
+            groups: Vec::new(),
+            slots: KeyMap::default(),
+            last: None,
+            key: Vec::new(),
+            index_ordered: node.index_ordered(db),
+        })
+    }
+
+    fn fresh_states(&self) -> Vec<AggStateEx> {
+        self.aggs
+            .iter()
+            .map(|i| AggStateEx::new(i, &self.dtypes))
+            .collect()
     }
 
     pub(crate) fn update(&mut self, row: &[Value]) -> Result<()> {
         self.key.clear();
-        for e in &self.node.group {
+        for e in self.group.iter() {
             encode_value(group_value(e, row)?.as_ref(), &mut self.key);
         }
-        let aggs = &self.node.aggs;
-        let fold = |states: &mut [AggStateEx]| -> Result<()> {
-            for (st, item) in states.iter_mut().zip(aggs) {
-                fold_input(st, item.input.as_ref(), row)?;
-            }
-            Ok(())
+        let same = self.last.filter(|&g| self.groups[g].0 == self.key);
+        // Rows in index order arrive grouped: a key other than the last
+        // row's is a new group, and the map is never needed.
+        let known = || match self.index_ordered {
+            true => None,
+            false => self.slots.get(self.key.as_slice()).copied(),
         };
-        match self.map.get_mut(self.key.as_slice()) {
-            Some((_, states)) => fold(states),
+        let g = match same.or_else(known) {
+            Some(g) => g,
             None => {
                 // A new group: only now are its values taken (an
                 // expression's evaluated again, once per group).
                 let gvals: Row = self
-                    .node
                     .group
                     .iter()
                     .map(|e| group_value(e, row).map(Cow::into_owned))
                     .collect::<Result<_>>()?;
-                let mut states: Vec<AggStateEx> = aggs
-                    .iter()
-                    .map(|i| AggStateEx::new(i, &self.dtypes))
-                    .collect();
-                fold(&mut states)?;
-                self.map.insert(self.key.clone(), (gvals, states));
-                Ok(())
+                let states = self.fresh_states();
+                let g = self.groups.len();
+                if !self.index_ordered {
+                    self.slots.insert(self.key.clone(), g);
+                }
+                self.groups.push((self.key.clone(), gvals, states));
+                g
             }
+        };
+        self.last = Some(g);
+        for (st, item) in self.groups[g].2.iter_mut().zip(self.aggs.iter()) {
+            fold_input(st, item.input.as_ref(), row)?;
         }
+        Ok(())
     }
 
-    /// Grouped partials in encoded-key order (deterministic regardless of
-    /// hash-map iteration order).
-    pub(crate) fn finish(self) -> AggPartials {
-        if self.map.is_empty() && self.node.group.is_empty() {
-            // Scalar aggregate over an empty input: one all-initial group.
-            let states: Vec<AggStateEx> = self
-                .node
-                .aggs
-                .iter()
-                .map(|i| AggStateEx::new(i, &self.dtypes))
-                .collect();
-            return vec![(Vec::new(), Vec::new(), states)];
+    /// Merge a storage partial into the group of the row delivered just
+    /// before it.
+    pub(crate) fn merge_partial(&mut self, states: &[AggState]) -> Result<()> {
+        let g = self
+            .last
+            .ok_or_else(|| Error::Internal("partial before carrier row".into()))?;
+        let mut at = 0usize;
+        for m in self.groups[g].2.iter_mut() {
+            at += m.merge_partial(&states[at..])?;
         }
-        let mut out: AggPartials = self.map.into_iter().map(|(k, (g, s))| (k, g, s)).collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
+        if at != states.len() {
+            return Err(Error::Internal(format!(
+                "storage sent {} partial states, consumed {at}",
+                states.len()
+            )));
+        }
+        Ok(())
+    }
+
+    /// The grouped partials, in their output order (deterministic
+    /// regardless of hash-map iteration order).
+    pub(crate) fn finish(mut self) -> AggPartials {
+        if self.groups.is_empty() && self.group.is_empty() {
+            // Scalar aggregate over an empty input: one all-initial group.
+            let states = self.fresh_states();
+            self.groups.push((Vec::new(), Vec::new(), states));
+        }
+        if !self.index_ordered {
+            self.groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        }
+        self.groups
     }
 }
 
@@ -982,7 +946,7 @@ mod tests {
             group_cols: vec![2], // not in scan output
             aggs: Vec::new(),
         };
-        let err = exec_agg_scan_partials(&node, &ctx, None).unwrap_err();
+        let err = HashAggAcc::for_agg_scan(&node, &db).err().unwrap();
         assert!(
             matches!(err, Error::Verify(ref m) if m.contains("group column")),
             "{err:?}"

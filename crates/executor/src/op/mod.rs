@@ -37,7 +37,7 @@ mod scan;
 mod sort;
 
 pub(crate) use join::LookupJoinOp;
-pub(crate) use scan::BatchScanOp;
+pub(crate) use scan::{drain_agg_scan, BatchScanOp};
 
 use crossbeam::thread::Scope;
 use taurus_common::schema::Row;
@@ -97,7 +97,7 @@ where
 {
     Ok(match plan {
         Plan::Scan(node) => Box::new(BatchScanOp::new(ctx, node, None, scope)),
-        Plan::AggScan(node) => Box::new(scan::AggScanOp::new(ctx, node)),
+        Plan::AggScan(node) => Box::new(scan::AggScanOp::new(ctx, node, scope)),
         Plan::LookupJoin(node) => Box::new(LookupJoinOp::new(
             ctx,
             node,

@@ -13,12 +13,12 @@
 //! A worker runs its share the way every plan runs: it pulls operators
 //! ([`crate::op::drain`]) over a `BatchScanOp` bounded to its range. A
 //! `Scan` or `LookupJoin` child drains into rows, a `HashAgg` folds the
-//! pulled batches into grouped partials, and an `AggScan` (index-ordered
-//! aggregation fused onto the scan, with NDP partials) hands back its
-//! partials. The leader then merges whole per-worker results. In the
-//! operator pipeline this whole protocol sits behind the `Gather`
-//! operator — the leader merge is PQ's inherent pipeline breaker, and
-//! the merged result re-emits in batches.
+//! pulled batches into grouped partials, and an `AggScan` (aggregation
+//! fused onto the scan, with NDP partials) hands back its partials. The
+//! leader then merges whole per-worker results. In the operator pipeline
+//! this whole protocol sits behind the `Gather` operator — the leader
+//! merge is PQ's inherent pipeline breaker, and the merged result
+//! re-emits in batches.
 
 use taurus_common::metrics::CpuGuard;
 use taurus_common::schema::Row;
@@ -27,10 +27,10 @@ use taurus_ndp::{partition_ranges, ScanRange};
 use taurus_optimizer::plan::{ExchangeNode, Plan, ScanNode};
 
 use crate::exec::{
-    encode_range, exec_agg_scan_partials, finalize_agg_groups, merge_partial_groups, panic_error,
-    AggPartials, ExecContext, HashAggAcc,
+    encode_range, finalize_agg_groups, merge_partial_groups, panic_error, AggPartials, ExecContext,
+    HashAggAcc,
 };
-use crate::op::{collect, drain, BatchScanOp, BoxOp, LookupJoinOp};
+use crate::op::{collect, drain, drain_agg_scan, BatchScanOp, BoxOp, LookupJoinOp};
 
 /// What one worker hands the leader.
 enum WorkerOut {
@@ -101,8 +101,14 @@ pub(crate) fn exec_exchange(node: &ExchangeNode, ctx: &ExecContext<'_>) -> Resul
         // A scalar aggregate may produce one group per worker with the
         // same (empty) key — merge_partial_groups folds them.
         let mut merged = merge_partial_groups(partials)?;
-        if matches!(*node.child, Plan::HashAgg(_)) {
-            // A HashAgg emits its groups in encoded-key order.
+        let key_order = match &*node.child {
+            Plan::HashAgg(_) => true,
+            Plan::AggScan(a) => !a.index_ordered(ctx.db),
+            _ => false,
+        };
+        if key_order {
+            // A HashAgg, and an AggScan whose GROUP BY does not follow its
+            // index, emit their groups in encoded-key order.
             merged.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         }
         finalize_agg_groups(merged)
@@ -144,15 +150,16 @@ fn run_worker(
     range: ScanRange,
     ctx: &ExecContext<'_>,
 ) -> Result<WorkerOut> {
-    if let Plan::AggScan(a) = child {
-        return Ok(WorkerOut::Partials(exec_agg_scan_partials(
-            a,
-            ctx,
-            Some(range),
-        )?));
-    }
     crossbeam::thread::scope(|s| {
-        let input: BoxOp<'_> = Box::new(BatchScanOp::new(ctx, scan, Some(range), s));
+        let mut scan_op = BatchScanOp::new(ctx, scan, Some(range), s);
+        if let Plan::AggScan(a) = child {
+            return Ok(WorkerOut::Partials(drain_agg_scan(
+                a,
+                ctx.db,
+                &mut scan_op,
+            )?));
+        }
+        let input: BoxOp<'_> = Box::new(scan_op);
         Ok(match child {
             Plan::HashAgg(h) => {
                 let mut acc = HashAggAcc::new(h);

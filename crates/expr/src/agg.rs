@@ -50,71 +50,117 @@ impl AggFunc {
     }
 }
 
-/// One aggregate requested over a table access: the function and its input
-/// column (a *table* column index; `None` only for COUNT(*)).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// What an aggregate of a descriptor folds, per record: nothing (COUNT(*)
+/// counts the record), one column's value, or the value of an IR program
+/// (`crate::ir` bitcode) over the record. Column references are record
+/// positions.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum AggInput {
+    Star,
+    Col(u16),
+    Program(Vec<u8>),
+}
+
+/// One aggregate requested over a table access: the function and its
+/// input.
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct AggSpec {
     pub func: AggFunc,
-    pub col: Option<u16>,
+    pub input: AggInput,
 }
+
+/// Encoded input kinds: one byte behind the function byte.
+const INPUT_STAR: u8 = 0;
+const INPUT_COL: u8 = 1;
+const INPUT_PROGRAM: u8 = 2;
 
 impl AggSpec {
     pub fn count_star() -> AggSpec {
         AggSpec {
             func: AggFunc::CountStar,
-            col: None,
+            input: AggInput::Star,
+        }
+    }
+
+    /// `func` over the column at record position `col`.
+    pub fn of_col(func: AggFunc, col: u16) -> AggSpec {
+        AggSpec {
+            func,
+            input: AggInput::Col(col),
         }
     }
 
     pub fn sum(col: u16) -> AggSpec {
-        AggSpec {
-            func: AggFunc::Sum,
-            col: Some(col),
-        }
+        AggSpec::of_col(AggFunc::Sum, col)
     }
 
     pub fn min(col: u16) -> AggSpec {
-        AggSpec {
-            func: AggFunc::Min,
-            col: Some(col),
-        }
+        AggSpec::of_col(AggFunc::Min, col)
     }
 
     pub fn max(col: u16) -> AggSpec {
-        AggSpec {
-            func: AggFunc::Max,
-            col: Some(col),
-        }
+        AggSpec::of_col(AggFunc::Max, col)
     }
 
     pub fn count(col: u16) -> AggSpec {
-        AggSpec {
-            func: AggFunc::Count,
-            col: Some(col),
+        AggSpec::of_col(AggFunc::Count, col)
+    }
+
+    /// The function byte, the input kind, then the column (`u16`) or the
+    /// program (its `u16` length, then its bitcode).
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        out.push(self.func as u8);
+        match &self.input {
+            AggInput::Star => out.push(INPUT_STAR),
+            AggInput::Col(c) => {
+                out.push(INPUT_COL);
+                out.extend_from_slice(&c.to_le_bytes());
+            }
+            AggInput::Program(bc) => {
+                out.push(INPUT_PROGRAM);
+                out.extend_from_slice(&(bc.len() as u16).to_le_bytes());
+                out.extend_from_slice(bc);
+            }
         }
     }
 
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        out.push(self.func as u8);
-        match self.col {
-            Some(c) => out.extend_from_slice(&c.to_le_bytes()),
-            None => out.extend_from_slice(&u16::MAX.to_le_bytes()),
-        }
+    /// How many bytes the spec at `at` takes, by its kind and length
+    /// fields alone (a descriptor's section walk; nothing is checked
+    /// against the bytes' end).
+    pub fn encoded_len(buf: &[u8], at: usize) -> Result<usize> {
+        let err = || Error::Corruption("truncated agg spec".into());
+        let u16_at = |i: usize| {
+            buf.get(i..i + 2)
+                .map(|b| u16::from_le_bytes([b[0], b[1]]) as usize)
+                .ok_or_else(err)
+        };
+        Ok(match *buf.get(at + 1).ok_or_else(err)? {
+            INPUT_STAR => 2,
+            INPUT_COL => 4,
+            INPUT_PROGRAM => 4 + u16_at(at + 2)?,
+            other => return Err(Error::Corruption(format!("bad agg input kind {other}"))),
+        })
     }
 
     pub fn decode(buf: &[u8], at: &mut usize) -> Result<AggSpec> {
         let err = || Error::Corruption("truncated agg spec".into());
         let func = AggFunc::from_u8(*buf.get(*at).ok_or_else(err)?)?;
-        *at += 1;
-        let raw = u16::from_le_bytes(buf.get(*at..*at + 2).ok_or_else(err)?.try_into().unwrap());
-        *at += 2;
-        let col = if raw == u16::MAX { None } else { Some(raw) };
-        if col.is_none() && func != AggFunc::CountStar {
-            return Err(Error::Corruption(
-                "non-COUNT(*) aggregate without column".into(),
-            ));
+        let kind = *buf.get(*at + 1).ok_or_else(err)?;
+        let len = AggSpec::encoded_len(buf, *at)?;
+        let body = buf.get(*at + 2..*at + len).ok_or_else(err)?;
+        *at += len;
+        let input = match kind {
+            INPUT_STAR => AggInput::Star,
+            INPUT_COL => AggInput::Col(u16::from_le_bytes([body[0], body[1]])),
+            _ => AggInput::Program(body[2..].to_vec()),
+        };
+        if (input == AggInput::Star) != (func == AggFunc::CountStar) {
+            return Err(Error::Corruption(format!(
+                "{} with input {input:?}",
+                func.name()
+            )));
         }
-        Ok(AggSpec { func, col })
+        Ok(AggSpec { func, input })
     }
 }
 
@@ -131,10 +177,10 @@ pub enum AggState {
 }
 
 impl AggState {
-    /// Fresh state for `spec` over an input column of type `dtype`
-    /// (`None` for COUNT(*)).
-    pub fn new(spec: &AggSpec, dtype: Option<DataType>) -> AggState {
-        match spec.func {
+    /// Fresh state for `func` over an input of type `dtype` (`None` for
+    /// COUNT(*), and for an input whose type is left to its first value).
+    pub fn new(func: AggFunc, dtype: Option<DataType>) -> AggState {
+        match func {
             AggFunc::CountStar | AggFunc::Count => AggState::Count(0),
             AggFunc::Sum => match dtype {
                 Some(DataType::Double) => AggState::SumF64 {
@@ -164,6 +210,15 @@ impl AggState {
                 if !v.is_null() {
                     *n += 1;
                 }
+            }
+            // A sum typed by its first value (see `new`) that meets a
+            // double sums doubles.
+            AggState::SumDec { seen: false, .. } if matches!(v, Value::Double(_)) => {
+                *self = AggState::SumF64 {
+                    sum: 0.0,
+                    seen: false,
+                };
+                self.update(v);
             }
             AggState::SumDec { raw, scale, seen } => {
                 if let Ok(d) = v.as_dec() {
@@ -249,6 +304,15 @@ impl AggState {
             (AggState::SumF64 { sum: a, seen: za }, AggState::SumF64 { sum: b, seen: zb }) => {
                 *a += b;
                 *za |= zb;
+            }
+            // A sum that has seen no value is the identity, whichever kind
+            // it is: a state typed by its first value (see `new`) that met
+            // none is still a `SumDec`, while its peer may be typed a
+            // double by its input's type.
+            (AggState::SumF64 { .. }, AggState::SumDec { seen: false, .. })
+            | (AggState::SumDec { .. }, AggState::SumF64 { seen: false, .. }) => {}
+            (a @ AggState::SumDec { seen: false, .. }, b @ AggState::SumF64 { .. }) => {
+                *a = b.clone();
             }
             (AggState::Min(a), AggState::Min(b)) => {
                 if let Some(v) = b {
@@ -383,14 +447,13 @@ impl AggState {
     }
 }
 
-/// Serialize a full set of partial states (one aggregate record payload).
-pub fn encode_states(states: &[AggState]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(states.len() * 12 + 1);
+/// Serialize a full set of partial states (one aggregate record payload),
+/// appended to `out`.
+pub fn encode_states(states: &[AggState], out: &mut Vec<u8>) {
     out.push(states.len() as u8);
     for s in states {
-        s.encode(&mut out);
+        s.encode(out);
     }
-    out
 }
 
 /// Decode a payload written by [`encode_states`].
@@ -420,8 +483,7 @@ mod tests {
     fn paper_example_page_p1() {
         // §V-C: P1 = {(1,2),(2,10)?,(3,7),(4,8)?,(5,2)}; visible rows
         // 2 + 7 + 2, with the sum attached to the last visible record.
-        let spec = AggSpec::sum(1);
-        let mut st = AggState::new(&spec, Some(DataType::BigInt));
+        let mut st = AggState::new(AggFunc::Sum, Some(DataType::BigInt));
         for v in [2i64, 7, 2] {
             st.update(&Value::Int(v));
         }
@@ -437,12 +499,11 @@ mod tests {
     fn cross_page_merge_matches_paper_numbers() {
         // §V-C cross-page example: NDP(P1) partial = 2+7+2 = 11,
         // NDP(P2) partial = 10+5+9 = 24, total visible sum = 35.
-        let spec = AggSpec::sum(1);
-        let mut p1 = AggState::new(&spec, Some(DataType::BigInt));
+        let mut p1 = AggState::new(AggFunc::Sum, Some(DataType::BigInt));
         for v in [2i64, 7, 2] {
             p1.update(&Value::Int(v));
         }
-        let mut p2 = AggState::new(&spec, Some(DataType::BigInt));
+        let mut p2 = AggState::new(AggFunc::Sum, Some(DataType::BigInt));
         for v in [10i64, 5, 9] {
             p2.update(&Value::Int(v));
         }
@@ -452,8 +513,8 @@ mod tests {
 
     #[test]
     fn count_star_vs_count_nulls() {
-        let mut star = AggState::new(&AggSpec::count_star(), None);
-        let mut cnt = AggState::new(&AggSpec::count(0), Some(DataType::Int));
+        let mut star = AggState::new(AggFunc::CountStar, None);
+        let mut cnt = AggState::new(AggFunc::Count, Some(DataType::Int));
         for v in [Value::Int(1), Value::Null, Value::Int(3)] {
             star.update(&Value::Int(1)); // row counter
             cnt.update(&v);
@@ -464,9 +525,8 @@ mod tests {
 
     #[test]
     fn sum_decimal_scale_preserved() {
-        let spec = AggSpec::sum(0);
         let mut st = AggState::new(
-            &spec,
+            AggFunc::Sum,
             Some(DataType::Decimal {
                 precision: 15,
                 scale: 2,
@@ -480,9 +540,8 @@ mod tests {
 
     #[test]
     fn sum_of_nothing_is_null() {
-        let spec = AggSpec::sum(0);
         let st = AggState::new(
-            &spec,
+            AggFunc::Sum,
             Some(DataType::Decimal {
                 precision: 15,
                 scale: 2,
@@ -493,13 +552,13 @@ mod tests {
 
     #[test]
     fn min_max_with_merge() {
-        let mut mn = AggState::new(&AggSpec::min(0), Some(DataType::Varchar(10)));
-        let mut mx = AggState::new(&AggSpec::max(0), Some(DataType::Varchar(10)));
+        let mut mn = AggState::new(AggFunc::Min, Some(DataType::Varchar(10)));
+        let mut mx = AggState::new(AggFunc::Max, Some(DataType::Varchar(10)));
         for s in ["pear", "apple", "melon"] {
             mn.update(&Value::str(s));
             mx.update(&Value::str(s));
         }
-        let mut mn2 = AggState::new(&AggSpec::min(0), Some(DataType::Varchar(10)));
+        let mut mn2 = AggState::new(AggFunc::Min, Some(DataType::Varchar(10)));
         mn2.update(&Value::str("aardvark"));
         mn.merge(&mn2).unwrap();
         assert_eq!(mn.finalize(), Value::str("aardvark"));
@@ -526,6 +585,32 @@ mod tests {
         assert_eq!(s1.finalize(), Value::Decimal(Dec::parse("4.0000").unwrap()));
     }
 
+    /// A sum typed by its first value that met none merges with a sum
+    /// typed a double, in either direction, and a sum that met a value
+    /// is never replaced.
+    #[test]
+    fn unseen_sums_merge_as_identity_across_kinds() {
+        let untyped = AggState::new(AggFunc::Sum, None);
+        let mut doubles = AggState::new(AggFunc::Sum, Some(DataType::Double));
+        doubles.update(&Value::Double(1.5));
+        let mut a = doubles.clone();
+        a.merge(&untyped).unwrap();
+        assert_eq!(a, doubles);
+        let mut b = untyped.clone();
+        b.merge(&doubles).unwrap();
+        assert_eq!(b, doubles);
+        let mut empty = AggState::new(AggFunc::Sum, Some(DataType::Double));
+        empty.merge(&untyped).unwrap();
+        assert_eq!(empty.finalize(), Value::Null);
+        let mut ints = AggState::new(AggFunc::Sum, None);
+        ints.update(&Value::Int(2));
+        let before = ints.clone();
+        ints.merge(&AggState::new(AggFunc::Sum, Some(DataType::Double)))
+            .unwrap();
+        assert_eq!(ints, before);
+        assert!(ints.clone().merge(&doubles).is_err(), "seen on both sides");
+    }
+
     #[test]
     fn payload_roundtrip() {
         let states = vec![
@@ -542,7 +627,8 @@ mod tests {
             AggState::Min(Some(Value::str("ACME"))),
             AggState::Max(None),
         ];
-        let buf = encode_states(&states);
+        let mut buf = Vec::new();
+        encode_states(&states, &mut buf);
         assert_eq!(decode_states(&buf).unwrap(), states);
         assert!(decode_states(&buf[..buf.len() - 1]).is_err());
     }
@@ -555,14 +641,45 @@ mod tests {
             AggSpec::min(0),
             AggSpec::max(9),
             AggSpec::count(2),
+            AggSpec {
+                func: AggFunc::Sum,
+                input: AggInput::Program(vec![7, 8, 9]),
+            },
         ];
         let mut buf = Vec::new();
         for s in &specs {
+            let at = buf.len();
             s.encode(&mut buf);
+            assert_eq!(AggSpec::encoded_len(&buf, at).unwrap(), buf.len() - at);
         }
         let mut at = 0;
         for s in &specs {
             assert_eq!(&AggSpec::decode(&buf, &mut at).unwrap(), s);
         }
+        assert_eq!(at, buf.len());
+        for cut in 0..buf.len() {
+            let mut at = 0;
+            let whole = (0..specs.len()).all(|_| AggSpec::decode(&buf[..cut], &mut at).is_ok());
+            assert!(!whole, "{cut}");
+        }
+    }
+
+    #[test]
+    fn agg_spec_refuses_inputs_its_function_cannot_take() {
+        for (func, input) in [
+            (AggFunc::Sum, AggInput::Star),
+            (AggFunc::CountStar, AggInput::Col(1)),
+        ] {
+            let mut buf = Vec::new();
+            AggSpec { func, input }.encode(&mut buf);
+            assert!(matches!(
+                AggSpec::decode(&buf, &mut 0),
+                Err(Error::Corruption(_))
+            ));
+        }
+        assert!(
+            AggSpec::decode(&[2, 9, 0, 0], &mut 0).is_err(),
+            "unknown kind"
+        );
     }
 }

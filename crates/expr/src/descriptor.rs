@@ -36,17 +36,17 @@ use std::sync::Arc;
 
 use taurus_common::{DataType, Error, Result, TrxId};
 
-use crate::agg::AggSpec;
+use crate::agg::{AggInput, AggSpec};
+use crate::ir::IrProgram;
 
 /// Aggregation request within a descriptor.
 #[derive(Clone, Debug, PartialEq)]
 pub struct NdpAggSpec {
-    /// Aggregates to maintain; `col` fields are record positions.
+    /// Aggregates to maintain; their inputs read record positions.
     pub specs: Vec<AggSpec>,
-    /// GROUP BY columns as record positions. Must be a prefix of the index
-    /// key (§V-C: "the index access chosen must satisfy the grouping
-    /// column requirement"). Empty = scalar aggregation, which also enables
-    /// cross-page aggregation within a batch request.
+    /// GROUP BY columns as record positions, in any order: a page keeps a
+    /// table of its groups (see the plugin). Empty = scalar aggregation,
+    /// which also enables cross-page aggregation within a batch request.
     pub group_cols: Vec<u16>,
 }
 
@@ -83,6 +83,19 @@ fn read_u16(buf: &[u8], at: &mut usize) -> Result<u16> {
         .ok_or_else(|| Error::Corruption("truncated descriptor".into()))?;
     *at += 2;
     Ok(u16::from_le_bytes(s.try_into().unwrap()))
+}
+
+/// An item's presence flag: 0 or 1, anything else is damage (it would
+/// not encode back to itself).
+fn read_flag(buf: &[u8], at: &mut usize) -> Result<bool> {
+    let flag = match buf.get(*at) {
+        Some(0) => false,
+        Some(1) => true,
+        Some(other) => return Err(Error::Corruption(format!("descriptor flag {other}"))),
+        None => return Err(Error::Corruption("truncated descriptor".into())),
+    };
+    *at += 1;
+    Ok(flag)
 }
 
 fn encode_dtype(dt: &DataType, out: &mut Vec<u8>) {
@@ -140,17 +153,23 @@ impl NdpDescriptor {
         }
         let n_keys = read_u16(buf, &mut at)? as usize;
         at += 2 * n_keys;
-        // Projection (u16 each), predicate (bytes), aggregation (3-byte
-        // specs, then u16 group columns): a flag, then counted items.
-        for item_len in [&[2usize][..], &[1], &[3, 2]] {
-            let flag = *buf.get(at).ok_or_else(err)?;
-            at += 1;
-            if flag != 0 {
-                for len in item_len {
-                    let n = read_u16(buf, &mut at)? as usize;
-                    at += len * n;
-                }
+        // Projection (u16 each), predicate (bytes): a flag, then counted
+        // items.
+        for item_len in [2usize, 1] {
+            if read_flag(buf, &mut at)? {
+                let n = read_u16(buf, &mut at)? as usize;
+                at += item_len * n;
             }
+        }
+        // Aggregation: a flag, then counted specs of their own lengths,
+        // then counted u16 group columns.
+        if read_flag(buf, &mut at)? {
+            let n = read_u16(buf, &mut at)?;
+            for _ in 0..n {
+                at += AggSpec::encoded_len(buf, at)?;
+            }
+            let n = read_u16(buf, &mut at)? as usize;
+            at += 2 * n;
         }
         if at > buf.len() {
             return Err(err());
@@ -226,9 +245,7 @@ impl NdpDescriptor {
         for _ in 0..n_keys {
             key_positions.push(read_u16(buf, &mut at)?);
         }
-        let has_proj = *buf.get(at).ok_or_else(err)? != 0;
-        at += 1;
-        let projection = if has_proj {
+        let projection = if read_flag(buf, &mut at)? {
             let n = read_u16(buf, &mut at)? as usize;
             let mut keep = Vec::with_capacity(n);
             for _ in 0..n {
@@ -238,9 +255,7 @@ impl NdpDescriptor {
         } else {
             None
         };
-        let has_pred = *buf.get(at).ok_or_else(err)? != 0;
-        at += 1;
-        let predicate_bitcode = if has_pred {
+        let predicate_bitcode = if read_flag(buf, &mut at)? {
             let n = read_u16(buf, &mut at)? as usize;
             let bc = buf.get(at..at + n).ok_or_else(err)?.to_vec();
             at += n;
@@ -248,9 +263,7 @@ impl NdpDescriptor {
         } else {
             None
         };
-        let has_agg = *buf.get(at).ok_or_else(err)? != 0;
-        at += 1;
-        let aggregation = if has_agg {
+        let aggregation = if read_flag(buf, &mut at)? {
             let n = read_u16(buf, &mut at)? as usize;
             let mut specs = Vec::with_capacity(n);
             for _ in 0..n {
@@ -311,26 +324,29 @@ impl NdpDescriptor {
         }
         if let Some(agg) = &self.aggregation {
             for s in &agg.specs {
-                if let Some(c) = s.col {
+                let cols = match &s.input {
+                    AggInput::Star => Vec::new(),
+                    AggInput::Col(c) => vec![*c],
+                    AggInput::Program(bc) => IrProgram::decode_bitcode(bc)?.columns_used(),
+                };
+                for c in cols {
                     in_range(c)?;
-                    // Aggregated columns must survive projection: the
-                    // carrier record's own values feed the executor.
-                    if let Some(keep) = &self.projection {
-                        if !keep.contains(&c) {
-                            return Err(Error::Corruption(format!(
-                                "aggregate input {c} dropped by projection"
-                            )));
-                        }
+                    // What an input reads must survive projection: the
+                    // carrier record's own values are folded by the SQL
+                    // node.
+                    if self.projection.as_ref().is_some_and(|k| !k.contains(&c)) {
+                        return Err(Error::Corruption(format!(
+                            "aggregate input column {c} dropped by projection"
+                        )));
                     }
                 }
             }
-            for (i, &g) in agg.group_cols.iter().enumerate() {
+            for &g in &agg.group_cols {
                 in_range(g)?;
-                // GROUP BY must be an index-key prefix.
-                if self.key_positions.get(i) != Some(&g) {
-                    return Err(Error::Corruption(
-                        "GROUP BY columns are not an index-key prefix".into(),
-                    ));
+                if self.projection.as_ref().is_some_and(|k| !k.contains(&g)) {
+                    return Err(Error::Corruption(format!(
+                        "group column {g} dropped by projection"
+                    )));
                 }
             }
         }
@@ -687,19 +703,18 @@ mod tests {
     }
 
     #[test]
-    fn validation_catches_group_by_non_prefix() {
+    fn group_columns_need_not_follow_the_key_but_must_survive_projection() {
         let mut d = sample();
         d.aggregation = Some(NdpAggSpec {
             specs: vec![AggSpec::count_star()],
-            group_cols: vec![2],
-        });
-        assert!(d.validate().is_err());
-        // A proper key prefix passes.
-        d.aggregation = Some(NdpAggSpec {
-            specs: vec![AggSpec::count_star()],
-            group_cols: vec![0],
+            group_cols: vec![2, 0],
         });
         d.validate().unwrap();
+        d.aggregation = Some(NdpAggSpec {
+            specs: vec![AggSpec::count_star()],
+            group_cols: vec![4],
+        });
+        assert!(d.validate().is_err(), "col 4 is not in the projection");
     }
 
     #[test]
@@ -710,6 +725,56 @@ mod tests {
             group_cols: vec![],
         });
         assert!(d.validate().is_err(), "col 4 is not in the projection");
+        // A program's columns are checked the same way.
+        let program = |e: &Expr| AggSpec {
+            func: crate::agg::AggFunc::Sum,
+            input: AggInput::Program(lower(e).unwrap().encode_bitcode()),
+        };
+        let over = |c| Expr::mul(Expr::col(3), Expr::col(c));
+        for (c, ok) in [(1, true), (4, false), (9, false)] {
+            d.aggregation = Some(NdpAggSpec {
+                specs: vec![program(&over(c))],
+                group_cols: vec![],
+            });
+            assert_eq!(d.validate().is_ok(), ok, "col {c}");
+        }
+    }
+
+    #[test]
+    fn program_inputs_roundtrip_and_are_walked_by_their_length() {
+        let mut d = sample();
+        let bc = lower(&Expr::mul(
+            Expr::col(3),
+            Expr::sub(Expr::int(1), Expr::col(1)),
+        ))
+        .unwrap()
+        .encode_bitcode();
+        d.aggregation = Some(NdpAggSpec {
+            specs: vec![
+                AggSpec {
+                    func: crate::agg::AggFunc::Sum,
+                    input: AggInput::Program(bc.clone()),
+                },
+                AggSpec::count_star(),
+                AggSpec {
+                    func: crate::agg::AggFunc::Max,
+                    input: AggInput::Program(bc),
+                },
+            ],
+            group_cols: vec![2],
+        });
+        let bytes = d.encode();
+        assert_eq!(NdpDescriptor::decode(&bytes).unwrap(), d);
+        assert_eq!(NdpDescriptor::section_len(&bytes).unwrap(), bytes.len());
+        // Damaged bitcode inside a valid frame is refused by decode.
+        let mut damaged = bytes.clone();
+        let magic = damaged.windows(4).position(|w| w == b"NDP1").unwrap();
+        let spec = damaged[magic + 4..]
+            .windows(4)
+            .position(|w| w == b"NDP1")
+            .unwrap();
+        damaged[magic + 4 + spec] = b'X';
+        assert!(NdpDescriptor::decode(&damaged).is_err());
     }
 
     #[test]

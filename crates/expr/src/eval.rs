@@ -215,10 +215,10 @@ pub fn arith(op: ArithOp, a: &Value, b: &Value) -> Result<Value> {
         _ => {
             let (x, y) = (a.as_dec()?, b.as_dec()?);
             Decimal(match op {
-                ArithOp::Add => x.add(y),
-                ArithOp::Sub => x.sub(y),
-                ArithOp::Mul => x.mul(y),
-                ArithOp::Div => x.div(y)?,
+                ArithOp::Add => x.checked_add(y)?,
+                ArithOp::Sub => x.checked_sub(y)?,
+                ArithOp::Mul => x.checked_mul(y)?,
+                ArithOp::Div => x.checked_div(y)?,
             })
         }
     })

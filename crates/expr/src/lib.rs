@@ -29,7 +29,7 @@ pub mod util;
 pub mod vector;
 pub mod vm;
 
-pub use agg::{decode_states, encode_states, AggFunc, AggSpec, AggState};
+pub use agg::{decode_states, encode_states, AggFunc, AggInput, AggSpec, AggState};
 pub use ast::{ArithOp, CmpOp, Expr};
 pub use compile::lower;
 pub use descriptor::{fnv64, NdpAggSpec, NdpDescriptor};

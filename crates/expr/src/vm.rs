@@ -282,6 +282,33 @@ impl CompiledPredicate {
     /// already in `offsets` (several predicates over one record share one
     /// `fill_offsets`).
     fn eval_at(&self, rec: &RecordView<'_>, offsets: &[u32]) -> Result<TriBool> {
+        Ok(match slot_bool(&self.run(rec, offsets)?)? {
+            None => TriBool::Unknown,
+            Some(true) => TriBool::True,
+            Some(false) => TriBool::False,
+        })
+    }
+
+    /// The program's result over raw record bytes as a value: an
+    /// aggregate input a Page Store folds. `offsets` must hold `rec`'s
+    /// field offsets ([`RecordView::fill_offsets`]; the programs of one
+    /// record share them). Fields are read in place, and only the result
+    /// becomes a [`Value`], the one `crate::eval::eval` gives over the
+    /// decoded record (an error where it errs).
+    pub fn eval_value(&self, rec: &RecordView<'_>, offsets: &[u32]) -> Result<Value> {
+        Ok(match self.run(rec, offsets)? {
+            Slot::Null => Value::Null,
+            Slot::Int(v) => Value::Int(v),
+            Slot::Dec(d) => Value::Decimal(d),
+            Slot::Date(d) => Value::Date(taurus_common::Date32(d)),
+            Slot::Bytes(b) => Value::str(std::str::from_utf8(b).unwrap_or("\u{fffd}")),
+            Slot::F64(v) => Value::Double(v),
+        })
+    }
+
+    /// Run the program over `rec` (field offsets in `offsets`) to its
+    /// `Ret`: the returned register.
+    fn run<'r>(&'r self, rec: &RecordView<'r>, offsets: &[u32]) -> Result<Slot<'r>> {
         let mut regs: [Slot<'_>; MAX_REGS] = [Slot::Null; MAX_REGS];
         let mut pc = 0usize;
         loop {
@@ -406,13 +433,7 @@ impl CompiledPredicate {
                     }
                 }
                 Op::Jmp { target } => pc = target as usize,
-                Op::Ret { src } => {
-                    return Ok(match slot_bool(&regs[src as usize])? {
-                        None => TriBool::Unknown,
-                        Some(true) => TriBool::True,
-                        Some(false) => TriBool::False,
-                    });
-                }
+                Op::Ret { src } => return Ok(regs[src as usize]),
             }
         }
     }
@@ -544,10 +565,10 @@ pub(crate) fn slot_arith<'a>(op: ArithOp, a: &Slot<'a>, b: &Slot<'a>) -> Result<
             let x = slot_dec(a)?;
             let y = slot_dec(b)?;
             Dec(match op {
-                ArithOp::Add => x.add(y),
-                ArithOp::Sub => x.sub(y),
-                ArithOp::Mul => x.mul(y),
-                ArithOp::Div => x.div(y)?,
+                ArithOp::Add => x.checked_add(y)?,
+                ArithOp::Sub => x.checked_sub(y)?,
+                ArithOp::Mul => x.checked_mul(y)?,
+                ArithOp::Div => x.checked_div(y)?,
             })
         }
     })

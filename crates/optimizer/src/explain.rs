@@ -1,6 +1,8 @@
 //! EXPLAIN output, shaped like the paper's Listing 2: table accesses that
 //! received NDP annotations print `Using pushed NDP condition (...)`,
-//! `Using pushed NDP columns`, and `Using pushed NDP aggregate`.
+//! `Using pushed NDP columns`, and `Using pushed NDP aggregate (...)`,
+//! which names how the Page Stores group: in `index order`, or in a
+//! `per-page hash` table.
 //!
 //! Alongside the logical tree, EXPLAIN renders the **physical operator
 //! pipeline** the executor lowers the plan to ([`explain_physical`]):
@@ -12,7 +14,7 @@
 use taurus_expr::ast::Expr;
 use taurus_ndp::TaurusDb;
 
-use crate::plan::{HashJoinNode, NdpDecision, Plan, ScanNode};
+use crate::plan::{AggScanNode, HashJoinNode, NdpDecision, Plan, ScanNode};
 
 /// Render a plan: the logical tree with NDP annotations, followed by the
 /// lowered physical operator pipeline.
@@ -183,7 +185,14 @@ fn pretty_expr(e: &Expr, db: &TaurusDb, table: &str) -> String {
     s
 }
 
-fn render_scan(s: &ScanNode, db: &TaurusDb, depth: usize, out: &mut String, agg: bool) {
+/// A scan, and the aggregation fused onto it if it is an `AggScan`'s.
+fn render_scan(
+    s: &ScanNode,
+    db: &TaurusDb,
+    depth: usize,
+    out: &mut String,
+    agg: Option<&AggScanNode>,
+) {
     pad(depth, out);
     let index_name = db
         .table(&s.table)
@@ -211,8 +220,16 @@ fn render_scan(s: &ScanNode, db: &TaurusDb, depth: usize, out: &mut String, agg:
             if d.choice.projection.is_some() {
                 line(depth, out, "Using pushed NDP columns");
             }
-            if d.choice.aggregation.is_some() {
-                line(depth, out, "Using pushed NDP aggregate");
+            if let (Some(_), Some(a)) = (&d.choice.aggregation, agg) {
+                let grouping = match a.index_ordered(db) {
+                    true => "index order",
+                    false => "per-page hash",
+                };
+                line(
+                    depth,
+                    out,
+                    &format!("Using pushed NDP aggregate ({grouping})"),
+                );
             }
             let residual = s.residual_conjuncts();
             if !residual.is_empty() {
@@ -236,15 +253,15 @@ fn render_scan(s: &ScanNode, db: &TaurusDb, depth: usize, out: &mut String, agg:
             }
         }
     }
-    if agg {
+    if agg.is_some() {
         line(depth, out, "Aggregate during scan");
     }
 }
 
 fn render(plan: &Plan, db: &TaurusDb, depth: usize, out: &mut String) {
     match plan {
-        Plan::Scan(s) => render_scan(s, db, depth, out, false),
-        Plan::AggScan(a) => render_scan(&a.scan, db, depth, out, true),
+        Plan::Scan(s) => render_scan(s, db, depth, out, None),
+        Plan::AggScan(a) => render_scan(&a.scan, db, depth, out, Some(a)),
         Plan::LookupJoin(j) => {
             pad(depth, out);
             out.push_str(&format!(

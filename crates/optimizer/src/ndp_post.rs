@@ -11,8 +11,11 @@
 //! * **column projection** — only if the width reduction clears the
 //!   threshold (§V-A);
 //! * **aggregation** — only on an [`crate::plan::AggScanNode`] (the last
-//!   and only table of its block) with no residual predicates, bare-column
-//!   inputs, and an index-satisfied GROUP BY (§V-C);
+//!   and only table of its block) with no residual predicates, inputs the
+//!   Page Stores can compute ([`storage_aggs`]), and few enough groups a
+//!   leaf by the catalog's estimate ([`GROUPS_PER_LEAF_THRESHOLD`]): a GROUP
+//!   BY that follows the index is folded group after group, any other in a
+//!   per-page table of at most [`GROUP_TABLE_GROUPS`] groups (§V-C);
 //!
 //! all gated by the *estimated physical I/O* rule: "NDP is enabled on a
 //! scan only if the scan is estimated to cause at least 10,000 pages of
@@ -41,13 +44,15 @@
 
 use taurus_common::NdpConfig;
 use taurus_common::{DataType, Result, Value};
-use taurus_expr::agg::AggSpec;
+use taurus_expr::agg::AggFunc;
 use taurus_expr::ast::{CmpOp, Expr};
-use taurus_ndp::{NdpChoice, ScanAggregation, TableIndex, TableStats, TaurusDb};
+use taurus_ndp::{
+    NdpChoice, ScanAgg, ScanAggregation, TableIndex, TableStats, TaurusDb, GROUP_TABLE_GROUPS,
+};
 
 use crate::plan::{
-    AggScanNode, HashJoinNode, JoinFilterDecision, JoinType, LookupJoinNode, NdpDecision, Plan,
-    RangeSpec, ScanNode,
+    AggItem, AggScanNode, HashJoinNode, JoinFilterDecision, JoinType, LookupJoinNode, NdpDecision,
+    Plan, RangeSpec, ScanNode,
 };
 
 /// Why a table access did or did not get each NDP feature (EXPLAIN food).
@@ -62,6 +67,10 @@ pub struct NdpReport {
     pub projection: bool,
     pub width_ratio: f64,
     pub aggregation: bool,
+    /// For an aggregating access: the estimated groups a leaf's records
+    /// form, and the most that pushes.
+    pub groups_per_leaf: f64,
+    pub group_limit: f64,
 }
 
 /// Run the pass over a finalized plan. Returns one report per table access
@@ -109,10 +118,9 @@ fn process(plan: &mut Plan, db: &TaurusDb, out: &mut Vec<NdpReport>) -> Result<(
     Ok(())
 }
 
-#[allow(clippy::type_complexity)]
 fn decide_scan(
     node: &mut ScanNode,
-    agg: Option<(&Vec<usize>, &Vec<crate::plan::AggItem>)>,
+    agg: Option<(&Vec<usize>, &Vec<AggItem>)>,
     db: &TaurusDb,
 ) -> Result<NdpReport> {
     let cfg = db.config().ndp.clone();
@@ -153,55 +161,18 @@ fn decide_scan(
         let residual_empty = pushed.len() == node.predicate.len();
         let range_covered =
             matches!((&node.range.lower, &node.range.upper), (None, None)) || !pushed.is_empty();
-        let inputs_are_columns = aggs.iter().all(|a| {
-            let col_input = matches!(&a.input, None | Some(Expr::Col(_)));
-            // AVG decomposes into SUM + COUNT ("the calculation of AVG is
-            // pushed down as well", §III) — pushable iff its input is a
-            // bare column.
-            col_input
-                && (a.func.storage_func().is_some()
-                    || (a.func == crate::plan::AggFuncEx::Avg && a.input.is_some()))
-        });
-        let key_cols = &idx.tree.def.key_cols;
-        let group_is_prefix = group_cols.len() <= key_cols.len()
-            && group_cols.iter().zip(key_cols.iter()).all(|(a, b)| a == b);
-        if residual_empty && range_covered && inputs_are_columns && group_is_prefix {
-            let mut specs: Vec<AggSpec> = Vec::with_capacity(aggs.len());
-            for a in aggs {
-                let col = a.input.as_ref().map(|e| match e {
-                    Expr::Col(c) => *c as u16,
-                    _ => unreachable!("checked"),
-                });
-                match a.func.storage_func() {
-                    Some(f) => specs.push(AggSpec { func: f, col }),
-                    None => {
-                        // AVG -> SUM + COUNT pair.
-                        let c = col.expect("checked");
-                        specs.push(AggSpec {
-                            func: taurus_expr::agg::AggFunc::Sum,
-                            col: Some(c),
-                        });
-                        specs.push(AggSpec {
-                            func: taurus_expr::agg::AggFunc::Count,
-                            col: Some(c),
-                        });
-                    }
-                }
-            }
+        let dtypes = table.schema.dtypes();
+        let specs = storage_aggs(aggs, &dtypes);
+        let index_ordered = idx.tree.def.effective_key_cols().starts_with(group_cols);
+        estimate_groups(group_cols, index_ordered, idx, &stats, &mut report);
+        let few_groups = report.groups_per_leaf <= report.group_limit;
+        if let (true, true, Some(specs), true) = (residual_empty, range_covered, specs, few_groups)
+        {
             choice.aggregation = Some(ScanAggregation {
                 specs,
                 group_cols: group_cols.clone(),
             });
             report.aggregation = true;
-            // Group columns must survive projection for the carrier rows.
-            if let Some(keep) = &mut choice.projection {
-                for g in group_cols {
-                    if !keep.contains(g) {
-                        keep.push(*g);
-                    }
-                }
-                keep.sort_unstable();
-            }
         }
     }
 
@@ -209,6 +180,69 @@ fn decide_scan(
         node.ndp = Some(NdpDecision { choice, pushed });
     }
     Ok(report)
+}
+
+/// The storage form of a block's aggregates: each as its storage-side
+/// function, AVG as a SUM and a COUNT of its input ("the calculation of
+/// AVG is pushed down as well", §III). `None` when an input is not one
+/// the Page Stores can compute: off the §V-B1 allow-list, or not lowerable
+/// to IR.
+pub fn storage_aggs(aggs: &[AggItem], dtypes: &[DataType]) -> Option<Vec<ScanAgg>> {
+    let mut specs = Vec::with_capacity(aggs.len());
+    for a in aggs {
+        if let Some(e) = &a.input {
+            if !e.is_ndp_supported(dtypes) || taurus_expr::compile::lower(e).is_err() {
+                return None;
+            }
+        }
+        let input = a.input.clone();
+        match a.func.storage_func() {
+            Some(func) => specs.push(ScanAgg { func, input }),
+            None if input.is_some() => {
+                specs.push(ScanAgg {
+                    func: AggFunc::Sum,
+                    input: input.clone(),
+                });
+                specs.push(ScanAgg {
+                    func: AggFunc::Count,
+                    input,
+                });
+            }
+            None => return None,
+        }
+    }
+    Some(specs)
+}
+
+/// Push aggregation when a leaf's records fall into at most this fraction
+/// of as many groups: below it a page's partials replace most of its rows.
+const GROUPS_PER_LEAF_THRESHOLD: f64 = 0.5;
+
+/// The catalog's estimate of how many groups one leaf's records form, and
+/// the most [`GROUPS_PER_LEAF_THRESHOLD`] allows, into the report. Input
+/// grouped in index order spreads the table's groups over its leaves, and
+/// the Page Store folds them one after another; any other GROUP BY can
+/// meet every group on every leaf, and at most one a record, and is
+/// folded in a per-page table of [`GROUP_TABLE_GROUPS`] groups, so more
+/// than that never push.
+fn estimate_groups(
+    group_cols: &[usize],
+    index_ordered: bool,
+    idx: &TableIndex,
+    stats: &TableStats,
+    report: &mut NdpReport,
+) {
+    let rows = stats.row_count.max(1) as f64;
+    let rows_per_leaf = rows / idx.tree.n_leaves().max(1) as f64;
+    let ndv: f64 = group_cols
+        .iter()
+        .map(|&c| stats.columns.get(c).map_or(rows, |s| s.ndv.max(1) as f64))
+        .product();
+    let limit = rows_per_leaf * GROUPS_PER_LEAF_THRESHOLD;
+    (report.groups_per_leaf, report.group_limit) = match index_ordered {
+        true => (rows_per_leaf * ndv.min(rows) / rows, limit),
+        false => (ndv.min(rows_per_leaf), limit.min(GROUP_TABLE_GROUPS as f64)),
+    };
 }
 
 /// The I/O gate (§IV-B): the leaves of `range_frac` of the index that the

@@ -10,7 +10,7 @@
 use taurus_common::{IndexDef, Value};
 use taurus_expr::agg::AggFunc;
 use taurus_expr::ast::Expr;
-use taurus_ndp::NdpChoice;
+use taurus_ndp::{NdpChoice, TaurusDb};
 
 /// Key-range endpoints for an index access, as literal key values (a
 /// prefix of the index key).
@@ -147,11 +147,28 @@ impl AggFuncEx {
 #[derive(Clone, Debug)]
 pub struct AggScanNode {
     pub scan: ScanNode,
-    /// GROUP BY columns (table columns). Must be empty (scalar) or a
-    /// prefix of the chosen index key; output order is group order.
+    /// GROUP BY columns (table columns), in any order. Groups come out in
+    /// index order when they are a prefix of the scanned index's key
+    /// ([`AggScanNode::index_ordered`]; empty is one), in encoded-key
+    /// order otherwise.
     pub group_cols: Vec<usize>,
     /// Aggregates; inputs are expressions over *table* columns.
     pub aggs: Vec<AggItem>,
+}
+
+impl AggScanNode {
+    /// Does the GROUP BY follow the scanned index, so that rows arrive
+    /// grouped and groups come out in index order?
+    pub fn index_ordered(&self, db: &TaurusDb) -> bool {
+        db.table(&self.scan.table).is_ok_and(|t| {
+            let index = t.index(self.scan.index);
+            index
+                .tree
+                .def
+                .effective_key_cols()
+                .starts_with(&self.group_cols)
+        })
+    }
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

@@ -234,34 +234,116 @@ fn aggregation_pushes_avg_as_sum_count() {
     }
 }
 
+/// `g(batch, id, tag, slot, pad)` keyed on (batch, id): 2000 narrow rows
+/// (over 48 a leaf), 40 batches of 50 in key order, 3 tags and 24 slots
+/// scattered over every leaf.
+fn load_grouped(db: &Arc<TaurusDb>) -> Arc<taurus_ndp::Table> {
+    let schema = TableSchema::new(
+        "g",
+        vec![
+            Column::new("batch", DataType::BigInt),
+            Column::new("id", DataType::BigInt),
+            Column::new("tag", DataType::Int),
+            Column::new("slot", DataType::Int),
+            Column::new("pad", DataType::Varchar(100)),
+        ],
+        vec![0, 1],
+    );
+    let g = db.create_table(schema, &[]).unwrap();
+    let rows = (0..2000i64)
+        .map(|i| {
+            vec![
+                Value::Int(i / 50),
+                Value::Int(i),
+                Value::Int(i % 3),
+                Value::Int(i % 24),
+                Value::str(format!("{:0>10}", i)),
+            ]
+        })
+        .collect();
+    db.bulk_load(&g, rows).unwrap();
+    db.buffer_pool().clear();
+    g
+}
+
+/// Aggregation goes to storage when the catalog estimates few groups a
+/// leaf: a GROUP BY that follows the index spreads its groups over the
+/// leaves, any other can meet all of them on every leaf.
 #[test]
-fn grouping_must_be_index_prefix() {
+fn grouping_pushes_by_the_estimated_groups_per_leaf() {
+    let db = mk_db(1);
+    load_grouped(&db);
+    let decide = |group_cols: Vec<usize>| {
+        let mut plan = Plan::AggScan(AggScanNode {
+            scan: ScanNode::new("g", vec![0, 1, 2, 3]),
+            group_cols,
+            aggs: vec![
+                AggItem {
+                    func: AggFuncEx::CountStar,
+                    input: None,
+                },
+                AggItem {
+                    func: AggFuncEx::Sum,
+                    input: Some(Expr::mul(Expr::col(1), Expr::int(2))),
+                },
+            ],
+        });
+        let report = ndp_post_process(&mut plan, &db).unwrap().remove(0);
+        assert!(report.group_limit > 0.0, "{report:?}");
+        assert!(
+            (report.groups_per_leaf <= report.group_limit) == report.aggregation,
+            "{report:?}"
+        );
+        report
+    };
+    // 40 batches in key order: a leaf holds few of them.
+    let r = decide(vec![0]);
+    assert!(r.aggregation, "{r:?}");
+    // 3 tags on every leaf: hashed per page.
+    let r = decide(vec![2]);
+    assert!(r.aggregation, "{r:?}");
+    assert_eq!(r.groups_per_leaf, 3.0, "{r:?}");
+    // 24 slots on every leaf: under half a leaf's rows, but more than a
+    // page's group table holds, so each page would send carriers and
+    // partials for most of its rows.
+    let r = decide(vec![3]);
+    assert!(!r.aggregation, "{r:?}");
+    assert_eq!(r.groups_per_leaf, 24.0, "{r:?}");
+    assert_eq!(
+        r.group_limit,
+        taurus_ndp::GROUP_TABLE_GROUPS as f64,
+        "{r:?}"
+    );
+    // The table's capacity bounds hashed grouping only.
+    assert!(decide(vec![0]).group_limit > 24.0);
+    // A group a record, in key order or not: refused.
+    for group_cols in [vec![0, 1], vec![1, 0]] {
+        let r = decide(group_cols);
+        assert!(!r.aggregation, "{r:?}");
+    }
+}
+
+/// An input off the §V-B1 allow-list keeps the aggregation home.
+#[test]
+fn aggregation_needs_inputs_storage_can_compute() {
     let db = mk_db(1);
     load(&db, 2000);
-    // GROUP BY a non-key column: no aggregation pushdown.
-    let mut plan = Plan::AggScan(AggScanNode {
-        scan: ScanNode::new("t", vec![1, 2])
-            .with_predicate(vec![Expr::lt(Expr::col(1), Expr::int(50))]),
-        group_cols: vec![1],
-        aggs: vec![AggItem {
-            func: AggFuncEx::CountStar,
-            input: None,
-        }],
-    });
-    let reports = ndp_post_process(&mut plan, &db).unwrap();
-    assert!(!reports[0].aggregation, "non-prefix GROUP BY must not push");
-    // GROUP BY the key prefix: pushes.
-    let mut plan2 = Plan::AggScan(AggScanNode {
-        scan: ScanNode::new("t", vec![0, 1, 2])
-            .with_predicate(vec![Expr::lt(Expr::col(1), Expr::int(50))]),
-        group_cols: vec![0],
-        aggs: vec![AggItem {
-            func: AggFuncEx::CountStar,
-            input: None,
-        }],
-    });
-    let reports2 = ndp_post_process(&mut plan2, &db).unwrap();
-    assert!(reports2[0].aggregation);
+    let case = Expr::Case {
+        branches: vec![(Expr::lt(Expr::col(1), Expr::int(10)), Expr::col(2))],
+        else_: Box::new(Expr::dec("0")),
+    };
+    for (input, pushed) in [(Expr::mul(Expr::col(2), Expr::col(1)), true), (case, false)] {
+        let mut plan = Plan::AggScan(AggScanNode {
+            scan: ScanNode::new("t", vec![1, 2]),
+            group_cols: vec![],
+            aggs: vec![AggItem {
+                func: AggFuncEx::Sum,
+                input: Some(input),
+            }],
+        });
+        let reports = ndp_post_process(&mut plan, &db).unwrap();
+        assert_eq!(reports[0].aggregation, pushed, "{:?}", reports[0]);
+    }
 }
 
 #[test]

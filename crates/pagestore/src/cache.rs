@@ -9,8 +9,9 @@
 //! reduced the average decoding time to less than 5 microseconds."
 //!
 //! Here the expensive step is [`CachedDescriptor::prepare`]: descriptor
-//! decode + IR validation + VM compilation and the byte-level projection
-//! and aggregate-input plans, all against the record layout. The
+//! decode + IR validation + VM compilation (the predicate and every
+//! aggregate input program) and the byte-level projection and
+//! aggregate-input plans, all against the record layout. The
 //! cache maps `fnv64(descriptor bytes)` to the prepared entry; collisions
 //! are detected by byte comparison and treated as misses.
 //!
@@ -27,9 +28,12 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use taurus_common::{Metrics, Result};
+use taurus_expr::agg::AggInput;
 use taurus_expr::descriptor::{fnv64, NdpDescriptor};
 use taurus_expr::vm::CompiledPredicate;
 use taurus_page::{DecodePlan, ProjectionPlan, RecordLayout};
+
+use crate::plugin::GroupTable;
 
 /// A descriptor after the expensive decode + JIT step, ready for record
 /// processing: everything the plugin needs to work on record bytes is
@@ -50,12 +54,16 @@ pub struct CachedDescriptor {
     /// How a survivor's bytes are written into the NDP page: the kept
     /// columns when projection was requested, the whole record otherwise.
     pub survivor: ProjectionPlan,
-    /// The aggregate input columns, in the order of the aggregates that
-    /// have one (COUNT(*) has none; no columns without aggregation): all a
-    /// fold decodes of a record.
-    pub agg_inputs: DecodePlan,
+    /// How a fold reads each aggregate's input, in aggregate order (none
+    /// without aggregation).
+    pub agg_inputs: Vec<AggRead>,
+    /// The columns of the [`AggRead::Col`] inputs, in their order: all a
+    /// fold decodes of a record besides what programs read in place.
+    pub agg_cols: DecodePlan,
     /// The raw bytes (collision detection + diagnostics).
     pub bytes: Vec<u8>,
+    /// Aggregation tables of finished walks, for the next ones.
+    pub(crate) group_tables: Mutex<Vec<GroupTable>>,
 }
 
 impl CachedDescriptor {
@@ -69,23 +77,31 @@ impl CachedDescriptor {
             .map(|keep| keep.iter().map(|&k| k as usize).collect());
         let proj_layout = keep.as_ref().map(|keep| layout.project(keep));
         let survivor = ProjectionPlan::new(&layout, keep.as_deref());
-        let predicate = match &desc.predicate_bitcode {
-            Some(bc) => {
-                let ir = taurus_expr::ir::IrProgram::decode_bitcode(bc)?;
-                // Descriptor column references are already record
-                // positions: identity map.
-                let identity: Vec<u16> = (0..layout.n_cols() as u16).collect();
-                Some(CompiledPredicate::compile(&ir, &layout, &identity)?)
-            }
-            None => None,
+        // Descriptor column references are already record positions:
+        // programs compile under the identity map.
+        let identity: Vec<u16> = (0..layout.n_cols() as u16).collect();
+        let compile = |bc: &[u8]| {
+            let ir = taurus_expr::ir::IrProgram::decode_bitcode(bc)?;
+            CompiledPredicate::compile(&ir, &layout, &identity)
         };
-        let agg_cols: Vec<usize> = desc
+        let predicate = desc.predicate_bitcode.as_deref().map(compile).transpose()?;
+        let mut agg_cols = Vec::new();
+        let agg_inputs = desc
             .aggregation
             .iter()
             .flat_map(|agg| &agg.specs)
-            .filter_map(|s| s.col.map(usize::from))
-            .collect();
-        let agg_inputs = DecodePlan::new(&layout, &agg_cols);
+            .map(|s| {
+                Ok(match &s.input {
+                    AggInput::Star => AggRead::Star,
+                    AggInput::Col(c) => {
+                        agg_cols.push(*c as usize);
+                        AggRead::Col
+                    }
+                    AggInput::Program(bc) => AggRead::Program(compile(bc)?),
+                })
+            })
+            .collect::<Result<_>>()?;
+        let agg_cols = DecodePlan::new(&layout, &agg_cols);
         Ok(CachedDescriptor {
             key_positions: desc.key_positions.iter().map(|&p| p as usize).collect(),
             desc,
@@ -94,9 +110,21 @@ impl CachedDescriptor {
             predicate,
             survivor,
             agg_inputs,
+            agg_cols,
             bytes: bytes.to_vec(),
+            group_tables: Mutex::new(Vec::new()),
         })
     }
+}
+
+/// How a fold reads one aggregate's input of a record.
+pub enum AggRead {
+    /// COUNT(*): the record counts.
+    Star,
+    /// The next column of [`CachedDescriptor::agg_cols`].
+    Col,
+    /// A program over the record's bytes, compiled once per descriptor.
+    Program(CompiledPredicate),
 }
 
 /// The most prepared descriptors a Page Store keeps. A statement's table
@@ -255,7 +283,7 @@ mod tests {
         let cd = c.get_or_prepare(&descriptor_bytes(10)).unwrap();
         assert!(cd.predicate.is_some());
         assert!(cd.proj_layout.is_some());
-        assert_eq!(cd.agg_inputs.n_cols(), 0);
+        assert!(cd.agg_inputs.is_empty());
         assert_eq!(cd.layout.n_cols(), 2);
     }
 

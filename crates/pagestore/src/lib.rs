@@ -19,7 +19,7 @@ pub mod resource;
 pub mod store;
 
 pub use cache::{CachedDescriptor, DescriptorCache};
-pub use plugin::{InnodbNdpPlugin, NdpPlugin, PluginStats};
+pub use plugin::{InnodbNdpPlugin, NdpPlugin, PluginStats, GROUP_TABLE_GROUPS};
 pub use redo::{RedoBody, RedoRecord};
 pub use resource::{Admission, NdpPool, SkipPolicy};
 pub use store::{

@@ -34,12 +34,20 @@
 //!   every column is kept, the kept columns' images otherwise — the bytes
 //!   re-encoding its decoded values would give;
 //! * with aggregation, survivors are folded into per-group state instead,
-//!   the group's partial attached to its **last visible** record (the
-//!   paper's `((5,2), 9)` carrier convention: the carrier's own values are
-//!   *not* in the payload — they reach the executor as a regular row). The
-//!   carrier candidate is held as a view into the source page, a fold
-//!   decodes only the aggregate input columns, and a group change is
-//!   detected on the group columns' images;
+//!   each group's partial attached to its **last visible** record on the
+//!   page (the paper's `((5,2), 9)` carrier convention: the carrier's own
+//!   values are *not* in the payload — they reach the executor as a
+//!   regular row). A page keeps a table of its groups ([`GroupTable`]),
+//!   keyed on the group columns' images, of at most
+//!   [`GROUP_TABLE_GROUPS`] groups: when it is full, the group updated
+//!   longest ago goes out early as carrier + partial, so a page with many
+//!   groups costs more records on the wire, never a wrong answer, and
+//!   input grouped in index order (one group at a time) goes out exactly
+//!   as a flush at every group change would send it. A fold decodes only
+//!   the bare-column inputs and runs each input program over the record's
+//!   bytes ([`AggRead`]); a program that errs fails the page, which then
+//!   goes back raw. Records leave the page in chain order: each carrier
+//!   where it sits, ambiguous records between them;
 //! * with no GROUP BY, aggregation crosses pages *within one request*
 //!   (§V-C case 2), the payload landing on the last page that has a
 //!   visible row.
@@ -47,12 +55,12 @@
 use std::sync::Arc;
 
 use taurus_common::{Error, PageNo, Result, Value};
-use taurus_expr::agg::{encode_states, AggState};
+use taurus_expr::agg::{encode_states, AggInput, AggState};
 use taurus_expr::descriptor::{JoinFilterSection, KeySet, NdpAggSpec, Sections};
 use taurus_expr::vm::TriBool;
 use taurus_page::{NdpPageBuilder, Page, RecType, RecordView};
 
-use crate::cache::CachedDescriptor;
+use crate::cache::{AggRead, CachedDescriptor};
 
 /// Per-page statistics reported by the plugin.
 #[derive(Clone, Copy, Default, Debug, PartialEq)]
@@ -96,117 +104,318 @@ pub trait NdpPlugin: Send + Sync {
 /// The MySQL/InnoDB plugin.
 pub struct InnodbNdpPlugin;
 
-/// Aggregation state of one walk: the running group, its carrier
-/// candidate and what must go out behind the carrier.
-struct GroupAcc<'a> {
-    cd: &'a CachedDescriptor,
-    spec: &'a NdpAggSpec,
-    states: Vec<AggState>,
-    /// Group-column images of the running group (`has_key`), and the
-    /// buffer the next record's are built in.
-    key: Vec<u8>,
-    probe: Vec<u8>,
-    has_key: bool,
-    /// The group's last visible survivor so far, in its source page.
-    carrier: Option<RecordView<'a>>,
-    /// Ambiguous records behind the carrier on the carrier's page: they
-    /// go out once it is known whether the carrier does.
-    trailing: Vec<&'a [u8]>,
+/// The most groups a page's [`GroupTable`] holds at once. Input grouped
+/// in index order needs one; the optimizer pushes a hashed GROUP BY only
+/// when it estimates at most this many groups a leaf (`ndp_post`), and a
+/// page with more loses only compactness.
+pub const GROUP_TABLE_GROUPS: usize = 16;
+
+/// One record of a page's aggregated output, in chain order.
+#[derive(Clone, Copy)]
+enum Out {
+    /// Bytes of [`GroupTable::bytes`] (an ambiguous record, or a carrier
+    /// that went out early with its partial), written as they are.
+    Bytes(usize, usize),
+    /// The carrier of the group in this table slot, with its partial.
+    Carrier(usize),
+    /// A carrier a later survivor of its group took over: folded.
+    Folded,
 }
 
-impl<'a> GroupAcc<'a> {
-    fn new(cd: &'a CachedDescriptor, spec: &'a NdpAggSpec) -> GroupAcc<'a> {
-        let mut acc = GroupAcc {
-            cd,
-            spec,
-            states: Vec::with_capacity(spec.specs.len()),
-            key: Vec::new(),
-            probe: Vec::new(),
-            has_key: false,
-            carrier: None,
-            trailing: Vec::new(),
-        };
-        acc.reset_states();
-        acc
-    }
+/// One group of a [`GroupTable`].
+#[derive(Default)]
+struct Group {
+    /// The group columns' NULL flags and images ([`group_key`]).
+    key: Vec<u8>,
+    states: Vec<AggState>,
+    /// The group's last visible survivor so far: its bytes, and its
+    /// entry in the output (of the held page when `held`).
+    carrier: Vec<u8>,
+    at: usize,
+    held: bool,
+    /// When the group last took a survivor (the table's clock).
+    used: u64,
+}
 
-    fn reset_states(&mut self) {
-        self.states.clear();
-        self.states.extend(self.spec.specs.iter().map(|s| {
-            let dt = s.col.map(|c| self.cd.layout.dtypes[c as usize]);
-            AggState::new(s, dt)
-        }));
-    }
+/// The aggregation state of one walk: the groups of the page, its output
+/// so far, and the scratch a fold and a payload need. Everything in it is
+/// owned (records are copied in), so a descriptor keeps used tables for
+/// the next walk and a page of aggregation allocates nothing of its own.
+#[derive(Default)]
+pub(crate) struct GroupTable {
+    /// Group slots; the first `live` are in use.
+    groups: Vec<Group>,
+    live: usize,
+    /// The slot that took the last survivor (looked at first).
+    last: usize,
+    clock: u64,
+    out: Vec<Out>,
+    /// The output of the page a scalar carrier is held on, and its index.
+    held: Vec<Out>,
+    held_page: Option<usize>,
+    bytes: Vec<u8>,
+    probe: Vec<u8>,
+    payload: Vec<u8>,
+    offsets: Vec<u32>,
+}
 
-    /// Does `rec` start a new group? Compares the group columns' NULL
-    /// flags and images with the running group's and makes `rec`'s the
-    /// running ones. Never with no GROUP BY.
-    fn starts_new_group(&mut self, rec: &RecordView<'_>) -> bool {
-        if self.spec.group_cols.is_empty() {
-            return false;
+/// The group columns' NULL flags and images of `rec`, into `out`.
+fn group_key(rec: &RecordView<'_>, group_cols: &[u16], out: &mut Vec<u8>) {
+    out.clear();
+    for &g in group_cols {
+        let g = g as usize;
+        if rec.is_null(g) {
+            out.push(0);
+        } else {
+            let image = rec.field_bytes(g);
+            out.push(1);
+            out.extend_from_slice(&(image.len() as u16).to_le_bytes());
+            out.extend_from_slice(image);
         }
-        self.probe.clear();
-        for &g in &self.spec.group_cols {
-            let g = g as usize;
-            if rec.is_null(g) {
-                self.probe.push(0);
-            } else {
-                let image = rec.field_bytes(g);
-                self.probe.push(1);
-                self.probe
-                    .extend_from_slice(&(image.len() as u16).to_le_bytes());
-                self.probe.extend_from_slice(image);
+    }
+}
+
+/// Fold `rec`, a record that stopped being its group's carrier, into
+/// `states`.
+fn fold(
+    cd: &CachedDescriptor,
+    states: &mut [AggState],
+    rec: RecordView<'_>,
+    offsets: &mut Vec<u32>,
+) -> Result<()> {
+    let mut cols = cd.agg_cols.values(rec);
+    let mut filled = false;
+    for (st, read) in states.iter_mut().zip(&cd.agg_inputs) {
+        match read {
+            AggRead::Star => st.update(&Value::Int(1)),
+            // lint:allow(panic): `agg_cols` holds one column per `Col` input
+            AggRead::Col => st.update(&cols.next().expect("planned input")),
+            AggRead::Program(p) => {
+                if !filled {
+                    rec.fill_offsets(offsets);
+                    filled = true;
+                }
+                st.update(&p.eval_value(&rec, offsets)?);
             }
         }
-        let changed = self.has_key && self.probe != self.key;
-        std::mem::swap(&mut self.key, &mut self.probe);
-        self.has_key = true;
-        changed
+    }
+    Ok(())
+}
+
+impl GroupTable {
+    /// Make a table taken from the pool ready for a walk.
+    fn reset(&mut self) {
+        self.live = 0;
+        self.held_page = None;
+        self.held.clear();
+        self.out.clear();
+        self.bytes.clear();
     }
 
-    /// Fold a record that stopped being the carrier into the states.
-    fn fold(&mut self, rec: RecordView<'_>) {
-        let mut inputs = self.cd.agg_inputs.values(rec);
-        for (st, spec) in self.states.iter_mut().zip(&self.spec.specs) {
-            match spec.col {
-                // lint:allow(panic): the plan holds one column per aggregate with an input
-                Some(_) => st.update(&inputs.next().expect("planned input")),
-                None => st.update(&Value::Int(1)),
-            }
+    /// Start a page's output. The bytes of a held page stay.
+    fn begin_page(&mut self) {
+        self.out.clear();
+        if self.held_page.is_none() {
+            self.bytes.clear();
         }
     }
 
-    /// `rec` survived: it becomes the carrier. The previous one is folded
-    /// and will not go out, so what trailed it goes out now, into `page`
-    /// (the builder of the previous carrier's page).
-    fn take_over(
+    /// An ambiguous record: it goes out as it is, where it sits.
+    fn push_raw(&mut self, raw: &[u8]) {
+        let at = self.bytes.len();
+        self.bytes.extend_from_slice(raw);
+        self.out.push(Out::Bytes(at, self.bytes.len()));
+    }
+
+    /// The slot of the group `self.probe` keys, claimed (and its states
+    /// fresh) if the group is new; a full table first sends its group
+    /// updated longest ago out early.
+    fn slot_of_probe(
         &mut self,
-        rec: RecordView<'a>,
-        page: &mut NdpPageBuilder,
+        cd: &CachedDescriptor,
+        spec: &NdpAggSpec,
         stats: &mut PluginStats,
-    ) {
-        if let Some(old) = self.carrier.replace(rec) {
-            self.fold(old);
-            stats.records_aggregated += 1;
+    ) -> Result<usize> {
+        let live = &self.groups[..self.live];
+        if live.get(self.last).is_some_and(|g| g.key == self.probe) {
+            return Ok(self.last);
         }
-        for raw in self.trailing.drain(..) {
-            page.push_record(raw);
+        if let Some(g) = live.iter().position(|g| g.key == self.probe) {
+            return Ok(g);
         }
+        let slot = if self.live < GROUP_TABLE_GROUPS {
+            if self.groups.len() == self.live {
+                self.groups.push(Group::default());
+            }
+            self.live += 1;
+            self.live - 1
+        } else {
+            let (oldest, _) = live
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, g)| g.used)
+                // lint:allow(panic): a full table has groups
+                .expect("a full table");
+            self.write_out(cd, oldest, stats)?;
+            oldest
+        };
+        let g = &mut self.groups[slot];
+        g.key.clear();
+        g.key.extend_from_slice(&self.probe);
+        g.carrier.clear();
+        g.held = false;
+        g.states.clear();
+        g.states.extend(spec.specs.iter().map(|s| {
+            let dtype = match s.input {
+                AggInput::Col(c) => Some(cd.layout.dtypes[c as usize]),
+                // A program's result is typed by its first value.
+                AggInput::Star | AggInput::Program(_) => None,
+            };
+            AggState::new(s.func, dtype)
+        }));
+        Ok(slot)
     }
 
-    /// End the running group: its carrier goes out with the partial as
-    /// payload, then what trailed it.
-    fn flush(&mut self, page: &mut NdpPageBuilder, stats: &mut PluginStats) -> Result<()> {
-        if let Some(carrier) = self.carrier.take() {
-            let payload = encode_states(&self.states);
-            page.push_projected(&self.cd.survivor, carrier, Some(&payload))?;
+    /// Send group `slot` out now, where its carrier sits: the carrier
+    /// and its partial are written into `bytes`, and the slot is free.
+    fn write_out(
+        &mut self,
+        cd: &CachedDescriptor,
+        slot: usize,
+        stats: &mut PluginStats,
+    ) -> Result<()> {
+        let g = &self.groups[slot];
+        self.payload.clear();
+        encode_states(&g.states, &mut self.payload);
+        let at = self.bytes.len();
+        let carrier = RecordView::parse(&g.carrier, &cd.layout)?;
+        cd.survivor
+            .write(carrier, Some(&self.payload), &mut self.bytes)?;
+        self.out[g.at] = Out::Bytes(at, self.bytes.len());
+        stats.records_aggregated += 1;
+        Ok(())
+    }
+
+    /// A visible survivor: it becomes its group's carrier, and the
+    /// carrier it takes over is folded. When that one sat on a held page,
+    /// the held page is complete and goes to `done`.
+    #[allow(clippy::too_many_arguments)]
+    fn survivor(
+        &mut self,
+        cd: &CachedDescriptor,
+        spec: &NdpAggSpec,
+        rec: RecordView<'_>,
+        pages: &[&Page],
+        stats: &mut PluginStats,
+        done: &mut dyn FnMut(usize, Page),
+    ) -> Result<()> {
+        group_key(&rec, &spec.group_cols, &mut self.probe);
+        let slot = self.slot_of_probe(cd, spec, stats)?;
+        self.last = slot;
+        self.clock += 1;
+        let g = &mut self.groups[slot];
+        g.used = self.clock;
+        if !g.carrier.is_empty() {
+            let old = RecordView::parse(&g.carrier, &cd.layout)?;
+            fold(cd, &mut g.states, old, &mut self.offsets)?;
             stats.records_aggregated += 1;
-            self.reset_states();
+            if g.held {
+                self.held[g.at] = Out::Folded;
+            } else {
+                self.out[g.at] = Out::Folded;
+            }
         }
-        for raw in self.trailing.drain(..) {
-            page.push_record(raw);
+        g.carrier.clear();
+        g.carrier.extend_from_slice(rec.raw());
+        g.at = self.out.len();
+        let was_held = std::mem::replace(&mut g.held, false);
+        self.out.push(Out::Carrier(slot));
+        if was_held {
+            if let Some(idx) = self.held_page.take() {
+                let held = std::mem::take(&mut self.held);
+                let page = self.write_page(cd, &held, pages[idx], stats)?;
+                self.held = held;
+                done(idx, page);
+            }
         }
         Ok(())
+    }
+
+    /// The page `idx` is walked. Unless `cross_page`, its groups end
+    /// with it and it goes to `done`; with `cross_page` (one group) a
+    /// page that holds the carrier waits for a later page to take it
+    /// over or for the walk to end ([`GroupTable::finish`]).
+    fn end_page(
+        &mut self,
+        cd: &CachedDescriptor,
+        pages: &[&Page],
+        idx: usize,
+        cross_page: bool,
+        stats: &mut PluginStats,
+        done: &mut dyn FnMut(usize, Page),
+    ) -> Result<()> {
+        let holds_carrier = self.groups[..self.live]
+            .iter()
+            .any(|g| !g.carrier.is_empty() && !g.held);
+        if cross_page && holds_carrier {
+            std::mem::swap(&mut self.out, &mut self.held);
+            self.held_page = Some(idx);
+            for g in &mut self.groups[..self.live] {
+                g.held = true;
+            }
+            return Ok(());
+        }
+        let out = std::mem::take(&mut self.out);
+        let page = self.write_page(cd, &out, pages[idx], stats)?;
+        self.out = out;
+        if !cross_page {
+            self.live = 0;
+        }
+        done(idx, page);
+        Ok(())
+    }
+
+    /// The walk is over: a held page goes out with the partial.
+    fn finish(
+        &mut self,
+        cd: &CachedDescriptor,
+        pages: &[&Page],
+        stats: &mut PluginStats,
+        done: &mut dyn FnMut(usize, Page),
+    ) -> Result<()> {
+        if let Some(idx) = self.held_page.take() {
+            let held = std::mem::take(&mut self.held);
+            let page = self.write_page(cd, &held, pages[idx], stats)?;
+            self.held = held;
+            done(idx, page);
+        }
+        Ok(())
+    }
+
+    /// The NDP page of `src` that `out` describes.
+    fn write_page(
+        &mut self,
+        cd: &CachedDescriptor,
+        out: &[Out],
+        src: &Page,
+        stats: &mut PluginStats,
+    ) -> Result<Page> {
+        let mut b = NdpPageBuilder::new(src);
+        for &o in out {
+            match o {
+                Out::Bytes(start, end) => b.push_record(&self.bytes[start..end]),
+                Out::Carrier(slot) => {
+                    let g = &self.groups[slot];
+                    self.payload.clear();
+                    encode_states(&g.states, &mut self.payload);
+                    let carrier = RecordView::parse(&g.carrier, &cd.layout)?;
+                    b.push_projected(&cd.survivor, carrier, Some(&self.payload))?;
+                    stats.records_aggregated += 1;
+                }
+                Out::Folded => {}
+            }
+        }
+        Ok(b.finish(src.lsn()))
     }
 }
 
@@ -285,17 +494,22 @@ impl InnodbNdpPlugin {
         done: &mut dyn FnMut(usize, Page),
     ) -> Result<PluginStats> {
         let mut stats = PluginStats::default();
-        let mut acc = cd
-            .desc
-            .aggregation
-            .as_ref()
-            .map(|spec| GroupAcc::new(cd, spec));
-        // The carrier's page and its index, while a later page is walked.
-        let mut held: Option<(usize, NdpPageBuilder)> = None;
+        let mut agg = cd.desc.aggregation.as_ref().map(|spec| {
+            let mut table = cd.group_tables.lock().pop().unwrap_or_default();
+            table.reset();
+            (spec, table)
+        });
         let mut offsets = Vec::new();
         let mut merge = sections.keys.as_ref().map(KeyMerge::new);
         for (idx, &page) in pages.iter().enumerate() {
-            let mut b = NdpPageBuilder::new(page);
+            // Without aggregation survivors go straight into the page.
+            let mut b = match &mut agg {
+                None => Some(NdpPageBuilder::new(page)),
+                Some((_, table)) => {
+                    table.begin_page();
+                    None
+                }
+            };
             if let Some(merge) = &mut merge {
                 merge.at = None;
             }
@@ -316,20 +530,10 @@ impl InnodbNdpPlugin {
                 }
                 if rec.trx_id() >= cd.desc.low_watermark {
                     stats.ambiguous += 1;
-                    match &mut acc {
-                        Some(acc) => {
-                            if acc.starts_new_group(&rec) {
-                                acc.flush(&mut b, &mut stats)?;
-                            }
-                            // Behind a carrier on this page it waits for
-                            // the carrier's fate.
-                            if acc.carrier.is_some() && held.is_none() {
-                                acc.trailing.push(rec.raw());
-                            } else {
-                                b.push_record(rec.raw());
-                            }
-                        }
-                        None => b.push_record(rec.raw()),
+                    match (&mut b, &mut agg) {
+                        (Some(b), _) => b.push_record(rec.raw()),
+                        (None, Some((_, table))) => table.push_raw(rec.raw()),
+                        (None, None) => {}
                     }
                     continue;
                 }
@@ -348,41 +552,25 @@ impl InnodbNdpPlugin {
                         continue;
                     }
                 }
-                match &mut acc {
-                    Some(acc) => {
-                        if acc.starts_new_group(&rec) {
-                            acc.flush(&mut b, &mut stats)?;
-                        }
-                        match held.take() {
-                            // The carrier moves here from an earlier
-                            // page, which is now complete.
-                            Some((held_idx, mut held_page)) => {
-                                acc.take_over(rec, &mut held_page, &mut stats);
-                                done(held_idx, held_page.finish(pages[held_idx].lsn()));
-                            }
-                            None => acc.take_over(rec, &mut b, &mut stats),
-                        }
+                match (&mut b, &mut agg) {
+                    (Some(b), _) => b.push_projected(&cd.survivor, rec, None)?,
+                    (None, Some((spec, table))) => {
+                        table.survivor(cd, spec, rec, pages, &mut stats, done)?
                     }
-                    None => b.push_projected(&cd.survivor, rec, None)?,
+                    (None, None) => {}
                 }
             }
-            if let Some(acc) = &mut acc {
-                if !cross_page {
-                    // Groups do not span pages.
-                    acc.flush(&mut b, &mut stats)?;
-                    acc.has_key = false;
-                } else if acc.carrier.is_some() && held.is_none() {
-                    // The carrier is on this page: a later one may still
-                    // take it over.
-                    held = Some((idx, b));
-                    continue;
+            match (b, &mut agg) {
+                (Some(b), _) => done(idx, b.finish(page.lsn())),
+                (None, Some((_, table))) => {
+                    table.end_page(cd, pages, idx, cross_page, &mut stats, done)?
                 }
+                (None, None) => {}
             }
-            done(idx, b.finish(page.lsn()));
         }
-        if let (Some((held_idx, mut held_page)), Some(acc)) = (held, &mut acc) {
-            acc.flush(&mut held_page, &mut stats)?;
-            done(held_idx, held_page.finish(pages[held_idx].lsn()));
+        if let Some((_, mut table)) = agg {
+            table.finish(cd, pages, &mut stats, done)?;
+            cd.group_tables.lock().push(table);
         }
         Ok(stats)
     }

@@ -9,7 +9,10 @@
 use taurus_common::Error;
 
 /// The wire code for an error variant. Codes are a published contract:
-/// append-only, never renumbered.
+/// append-only, never renumbered. Code 7 (`NameResolution`, the retired
+/// query builder's name errors) stays reserved: SQL reports names as a
+/// positioned `Parse` error, and a 7 from the wire decodes as an unknown
+/// code.
 pub fn error_code(e: &Error) -> u16 {
     match e {
         Error::Parse(_) => 1,
@@ -18,7 +21,6 @@ pub fn error_code(e: &Error) -> u16 {
         Error::Corruption(_) => 4,
         Error::NotFound(_) => 5,
         Error::InvalidState(_) => 6,
-        Error::NameResolution(_) => 7,
         Error::Unsupported(_) => 8,
         Error::Internal(_) => 9,
         Error::Overloaded(_) => 10,
@@ -45,7 +47,6 @@ pub fn encode_error(e: &Error) -> (u16, String) {
         | Error::Corruption(m)
         | Error::NotFound(m)
         | Error::InvalidState(m)
-        | Error::NameResolution(m)
         | Error::Unsupported(m)
         | Error::Internal(m)
         | Error::Overloaded(m)
@@ -67,7 +68,6 @@ pub fn decode_error(code: u16, message: String) -> Error {
         4 => Error::Corruption(message),
         5 => Error::NotFound(message),
         6 => Error::InvalidState(message),
-        7 => Error::NameResolution(message),
         8 => Error::Unsupported(message),
         9 => Error::Internal(message),
         10 => Error::Overloaded(message),
@@ -92,7 +92,6 @@ mod tests {
             Error::Corruption("c".into()),
             Error::NotFound("n".into()),
             Error::InvalidState("i".into()),
-            Error::NameResolution("r".into()),
             Error::Unsupported("u".into()),
             Error::Internal("x".into()),
             Error::Overloaded("o".into()),
@@ -106,9 +105,10 @@ mod tests {
         let codes: Vec<u16> = all_variants().iter().map(error_code).collect();
         // Published contract — these exact numbers, in declaration order.
         // Append-only: codes 1–9 predate the governance variants and must
-        // never shift under them.
-        assert_eq!(codes[..9], [1, 2, 3, 4, 5, 6, 7, 8, 9]);
-        assert_eq!(codes, vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]);
+        // never shift under them; 7 is reserved.
+        assert_eq!(codes[..8], [1, 2, 3, 4, 5, 6, 8, 9]);
+        assert_eq!(codes, vec![1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12]);
+        assert!(matches!(decode_error(7, "r".into()), Error::Internal(m) if m.contains("7")));
     }
 
     #[test]

@@ -20,12 +20,13 @@
 //! - grouping lowers to a node with layout `groups ++ aggs`: an
 //!   [`AggScanNode`] when the block is one bare scan of a base table (no
 //!   join, subquery join or residual filter), the aggregates are not
-//!   DISTINCT, and the GROUP BY items are bare columns that, in order,
-//!   are a prefix of the scanned index's key (an empty GROUP BY is one) —
-//!   rows then arrive grouped, and NDP may push the aggregation to the
-//!   Page Stores (§V-C); a [`HashAggNode`] otherwise. HAVING filters that
-//!   layout, and the SELECT list projects it (identity projections are
-//!   elided);
+//!   DISTINCT, and the GROUP BY items are bare columns (or there are
+//!   none), and NDP may push the aggregation to the Page Stores (§V-C); a
+//!   [`HashAggNode`] otherwise. The prefix rule is an output-order rule:
+//!   an `AggScan` whose GROUP BY is a prefix of the scanned index's key
+//!   emits its groups in index order, any other in encoded-key order, as
+//!   the `HashAgg` it replaces would. HAVING filters that layout, and the
+//!   SELECT list projects it (identity projections are elided);
 //! - ORDER BY resolves against SELECT output positions; with LIMIT it
 //!   becomes a top-N sort.
 //!
@@ -2167,12 +2168,14 @@ impl<'a> Binder<'a> {
         }
     }
 
-    /// Index-order aggregation: a block that is one bare scan of a base
-    /// table, grouped by bare columns that are a prefix of the scanned
-    /// index's key (an empty GROUP BY is one), aggregates during the scan
-    /// as an [`AggScanNode`] — rows arrive grouped, and the NDP pass may
-    /// push the aggregation to the Page Stores (§V-C). Anything else is a
-    /// [`HashAggNode`]. Both lay their output out as `groups ++ aggs`.
+    /// Scan aggregation: a block that is one bare scan of a base table,
+    /// grouped by bare columns (or not grouped), aggregates during the
+    /// scan as an [`AggScanNode`], and the NDP pass may push the
+    /// aggregation to the Page Stores (§V-C). Its groups come out in index
+    /// order when the GROUP BY is a prefix of the scanned index's key, in
+    /// encoded-key order otherwise — the order the [`HashAggNode`] it
+    /// replaces gives them. Anything else is a [`HashAggNode`]. Both lay
+    /// their output out as `groups ++ aggs`.
     fn aggregate(
         plan: Plan,
         atoms: &[Atom],
@@ -2183,7 +2186,7 @@ impl<'a> Binder<'a> {
         if let (
             Plan::Scan(scan),
             [Atom {
-                kind: AtomKind::Base { table, .. },
+                kind: AtomKind::Base { .. },
                 ..
             }],
         ) = (&plan, atoms)
@@ -2197,8 +2200,7 @@ impl<'a> Binder<'a> {
                     _ => None,
                 })
                 .collect();
-            let key = table.index(scan.index).tree.def.effective_key_cols();
-            if let Some(group_cols) = group_cols.filter(|g| key.starts_with(g)) {
+            if let Some(group_cols) = group_cols {
                 return Plan::AggScan(AggScanNode {
                     scan: scan.clone(),
                     group_cols,
@@ -2542,16 +2544,80 @@ mod tests {
         );
     }
 
+    /// A GROUP BY of bare columns that does not follow the index lowers
+    /// to an `AggScan` too; its groups come out in encoded-key order, as
+    /// the `HashAgg` it replaces gives them.
     #[test]
-    fn other_aggregation_blocks_stay_hash_aggregates() {
+    fn hashed_aggregation_lowers_to_agg_scan() {
+        let session = Session::new(db());
         for sql in [
             // GROUP BY (l_returnflag, l_linestatus): not a key prefix.
             tpch("Q1"),
             // The key's columns, but not in key order.
             "select l_linenumber, l_orderkey, count(*) from lineitem \
              group by l_linenumber, l_orderkey",
+        ] {
+            let plan = try_bind(sql).unwrap_or_else(|e| panic!("{sql}: {e:?}"));
+            assert_eq!(agg_scans(&plan), 1, "{sql}: {plan:?}");
+            assert!(!agg_scan(&plan).index_ordered(db()), "{sql}");
+            taurus_verify::check_plan(&plan, db()).unwrap_or_else(|e| panic!("{sql}: {e:?}"));
+            // The rows, and their order, are the HashAgg's.
+            let Plan::AggScan(a) = strip_outputs(&plan) else {
+                panic!("{sql}: {plan:?}")
+            };
+            let hashed = Plan::HashAgg(HashAggNode {
+                input: Box::new(Plan::Scan(a.scan.clone())),
+                group: a
+                    .group_cols
+                    .iter()
+                    .map(|&c| Expr::col(a.scan.output.iter().position(|&o| o == c).unwrap()))
+                    .collect(),
+                aggs: a
+                    .aggs
+                    .iter()
+                    .map(|i| AggItem {
+                        func: i.func,
+                        input: i.input.as_ref().map(|e| {
+                            e.remap_columns(&|c| {
+                                a.scan.output.iter().position(|&o| o == c).unwrap()
+                            })
+                        }),
+                    })
+                    .collect(),
+            });
+            let want = session.execute_plan(&hashed).unwrap();
+            let got = session.execute_plan(&Plan::AggScan(a.clone())).unwrap();
+            assert!(got.len() > 1, "{sql}");
+            assert_eq!(got, want, "{sql}");
+        }
+        // Q1's second product is an input of its own.
+        let q1 = try_bind(tpch("Q1")).unwrap();
+        let a = agg_scan(&q1);
+        assert_eq!(a.group_cols, [8, 9]);
+        assert!(a
+            .aggs
+            .iter()
+            .any(|i| matches!(&i.input, Some(Expr::Arith(..)))));
+    }
+
+    /// The plan under its output operators.
+    fn strip_outputs(plan: &Plan) -> &Plan {
+        match plan {
+            Plan::Project(x) => strip_outputs(&x.input),
+            Plan::Filter(x) => strip_outputs(&x.input),
+            Plan::Sort(x) => strip_outputs(&x.input),
+            Plan::Limit { input, .. } => strip_outputs(input),
+            other => other,
+        }
+    }
+
+    #[test]
+    fn other_aggregation_blocks_stay_hash_aggregates() {
+        for sql in [
             // A key-prefix group over an expression.
             "select l_orderkey + 1, count(*) from lineitem group by l_orderkey + 1",
+            // Q22's group is a `substring`.
+            tpch("Q22"),
             "select count(distinct l_suppkey) from lineitem",
             // A key-prefix group above a join.
             "select c_custkey, count(*) from customer join orders \
@@ -2568,7 +2634,8 @@ mod tests {
         cfg.ndp.enabled = true;
         cfg.ndp.min_io_pages = 1;
         let db = TaurusDb::new(cfg);
-        taurus_tpch::load(&db, 0.001, 7).unwrap();
+        // The benchmark's scale: 50 suppliers.
+        taurus_tpch::load(&db, 0.005, 7).unwrap();
         db.buffer_pool().clear();
         let session = Session::new(&db);
         let choice = |name: &str| {
@@ -2580,14 +2647,41 @@ mod tests {
             d.unwrap_or_else(|| panic!("{name}: the scan is pushed"))
                 .choice
         };
-        // Q18's bare-column, predicate-free aggregation goes to storage...
+        // Q18's bare-column, predicate-free aggregation goes to storage,
+        // and so do Q6's and Q1's expression inputs, with their
+        // predicates and projections.
         let q18 = choice("Q18");
         assert!(q18.aggregation.is_some(), "{q18:?}");
-        // ...Q6's expression input keeps it on the SQL node, with its
-        // predicate and projection pushed.
-        let q6 = choice("Q6");
-        assert!(q6.aggregation.is_none(), "{q6:?}");
-        assert!(q6.predicate.is_some() && q6.projection.is_some(), "{q6:?}");
+        for name in ["Q6", "Q1"] {
+            let c = choice(name);
+            let agg = c
+                .aggregation
+                .as_ref()
+                .unwrap_or_else(|| panic!("{name}: {c:?}"));
+            assert!(
+                agg.specs
+                    .iter()
+                    .any(|s| matches!(&s.input, Some(Expr::Arith(..)))),
+                "{name}: {c:?}"
+            );
+            assert!(
+                c.predicate.is_some() && c.projection.is_some(),
+                "{name}: {c:?}"
+            );
+        }
+        // Q15 groups by l_suppkey: every leaf meets about as many
+        // suppliers as it has rows, so the estimate keeps it home.
+        let Statement::Select(q15) = crate::parser::parse(tpch("Q15")).unwrap() else {
+            panic!("Q15 is a SELECT");
+        };
+        let (plan, reports) = bind_reported(&session, &q15).unwrap();
+        assert!(agg_scan(&plan)
+            .scan
+            .ndp
+            .as_ref()
+            .is_some_and(|d| d.choice.aggregation.is_none()));
+        let r = reports.iter().find(|r| r.group_limit > 0.0).unwrap();
+        assert!(!r.aggregation && r.groups_per_leaf > r.group_limit, "{r:?}");
     }
 
     #[test]

@@ -69,8 +69,17 @@ pub fn explain(session: &Session, stmt: &SelectStmt) -> Result<String> {
     taurus_verify::check_plan(&plan, session.db())?;
     let mut text = taurus_optimizer::explain(&plan, session.db());
     for r in &reports {
+        // An aggregating access says how many groups a leaf is estimated
+        // to form against the most that pushes.
+        let groups = match r.group_limit > 0.0 {
+            true => format!(
+                " (groups/leaf {:.1}, limit {:.1})",
+                r.groups_per_leaf, r.group_limit
+            ),
+            false => String::new(),
+        };
         text.push_str(&format!(
-            "   [{}] est_io={:.0} pages, filter_factor={:.3}, projection={}, aggregate={}{}\n",
+            "   [{}] est_io={:.0} pages, filter_factor={:.3}, projection={}, aggregate={}{groups}{}\n",
             r.table,
             r.est_io_pages,
             r.filter_factor,

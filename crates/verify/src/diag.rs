@@ -56,6 +56,12 @@ pub enum DiagKind {
     /// scan of the decision's integer column, or a build side without a
     /// predicate.
     JoinFilterIneligible,
+    /// An `AggScan` whose scan pushes an aggregation that is not the
+    /// storage form of its aggregates: a different count after the AVG →
+    /// SUM + COUNT split, a different function or input, or different
+    /// group columns. Storage would compute partials the SQL node merges
+    /// into the wrong states.
+    AggPushdownMismatch,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]

@@ -15,10 +15,11 @@ use std::sync::Arc;
 
 use taurus_common::{DataType, Value};
 use taurus_expr::ast::Expr;
-use taurus_ndp::{Table, TaurusDb};
+use taurus_ndp::{ScanAggregation, Table, TaurusDb};
+use taurus_optimizer::ndp_post::storage_aggs;
 use taurus_optimizer::plan::{
-    AggFuncEx, AggItem, HashJoinNode, JoinFilterDecision, JoinType, LookupJoinNode, NdpDecision,
-    Plan, ScanNode,
+    AggFuncEx, AggItem, AggScanNode, HashJoinNode, JoinFilterDecision, JoinType, LookupJoinNode,
+    NdpDecision, Plan, ScanNode,
 };
 
 use crate::diag::{DiagKind, Diagnostic};
@@ -149,6 +150,14 @@ fn infer(
                     }
                 }
                 out.push(agg_coltype(item, &dtypes));
+            }
+            let pushed = a
+                .scan
+                .ndp
+                .as_ref()
+                .and_then(|d| d.choice.aggregation.as_ref());
+            if let Some(pushed) = pushed {
+                ok &= check_pushed_aggregation(a, pushed, &dtypes, &path, diags);
             }
             let _ = scan_schema;
             ok.then_some(out)
@@ -507,6 +516,59 @@ fn infer_scan(
             })
             .collect(),
     )
+}
+
+/// An `AggScan`'s pushed aggregation against its aggregates: it must be
+/// their storage form ([`storage_aggs`]), spec for spec, over the same
+/// group columns — what the SQL node merges the partials into.
+fn check_pushed_aggregation(
+    a: &AggScanNode,
+    pushed: &ScanAggregation,
+    dtypes: &[DataType],
+    path: &str,
+    diags: &mut Vec<Diagnostic>,
+) -> bool {
+    let problem = match storage_aggs(&a.aggs, dtypes) {
+        None => Some("an aggregate input storage cannot compute".to_string()),
+        Some(want) if want.len() != pushed.specs.len() => Some(format!(
+            "{} storage aggregates for the {} the AVG split gives",
+            pushed.specs.len(),
+            want.len()
+        )),
+        Some(want) => want
+            .iter()
+            .zip(&pushed.specs)
+            .enumerate()
+            .find(|(_, (w, p))| w != p)
+            .map(|(i, (w, p))| {
+                format!(
+                    "storage aggregate {i} is {} over {:?}, the SQL node merges {} over {:?}",
+                    p.func.name(),
+                    p.input,
+                    w.func.name(),
+                    w.input
+                )
+            })
+            .or_else(|| {
+                (pushed.group_cols != a.group_cols).then(|| {
+                    format!(
+                        "storage groups by {:?}, the SQL node by {:?}",
+                        pushed.group_cols, a.group_cols
+                    )
+                })
+            }),
+    };
+    match problem {
+        Some(problem) => {
+            diags.push(Diagnostic::error(
+                DiagKind::AggPushdownMismatch,
+                path,
+                format!("pushed aggregation: {problem}"),
+            ));
+            false
+        }
+        None => true,
+    }
 }
 
 /// A lookup join's NDP key-read decision against its node: the access

@@ -7,8 +7,9 @@
 //!   of every PQ-capable query — schema/width/nullability inference and
 //!   scalar IR program checks (`verify_plan`);
 //! * every NDP descriptor those plans push: the descriptor must build,
-//!   and its wire-encoded predicate program must decode and pass the
-//!   abstract interpreter — the same bytes a Page Store would execute.
+//!   and its wire-encoded predicate and aggregate input programs must
+//!   decode and pass the abstract interpreter — the same bytes a Page
+//!   Store would execute.
 //!
 //! CI runs `taurus-verify --all`; any error-severity diagnostic makes
 //! the process exit non-zero. The executor's own gate (`check_plan` in
@@ -17,6 +18,7 @@
 
 use std::process::ExitCode;
 
+use taurus_expr::agg::AggInput;
 use taurus_expr::ir::IrProgram;
 use taurus_ndp::{build_descriptor, TaurusDb};
 use taurus_optimizer::plan::{LookupJoinNode, NdpDecision, Plan, ScanNode};
@@ -120,8 +122,9 @@ fn main() -> ExitCode {
 /// Walk every table access in the plan that carries an NDP decision (a
 /// scan, or the inner side of a lookup join that reads by NDP key reads)
 /// and verify the NDP descriptor it would ship: build it against the live
-/// catalog, then decode and abstractly interpret its predicate program —
-/// exactly the bytes a Page Store's plugin would cache.
+/// catalog, then decode and abstractly interpret its predicate and
+/// aggregate input programs — exactly the bytes a Page Store's plugin
+/// would cache.
 fn check_descriptors(plan: &Plan, db: &TaurusDb, diags: &mut Vec<Diagnostic>, t: &mut Tally) {
     for_each_decision(plan, &mut |table_name, index, decision, path| {
         let table = match db.table(table_name) {
@@ -147,13 +150,19 @@ fn check_descriptors(plan: &Plan, db: &TaurusDb, diags: &mut Vec<Diagnostic>, t:
             }
         };
         t.descriptors += 1;
-        if let Some(bitcode) = &desc.predicate_bitcode {
+        let inputs = desc.aggregation.iter().flat_map(|a| &a.specs);
+        let programs = inputs.filter_map(|s| match &s.input {
+            AggInput::Program(bitcode) => Some(("aggregate input", bitcode)),
+            _ => None,
+        });
+        let predicate = desc.predicate_bitcode.iter().map(|b| ("predicate", b));
+        for (what, bitcode) in predicate.chain(programs) {
             match IrProgram::decode_bitcode(bitcode) {
                 Ok(ir) => diags.extend(taurus_verify::check_ir(&ir, path)),
                 Err(e) => diags.push(Diagnostic::error(
                     taurus_verify::DiagKind::IrShape,
                     path,
-                    format!("descriptor predicate bitcode does not decode: {e}"),
+                    format!("descriptor {what} bitcode does not decode: {e}"),
                 )),
             }
         }

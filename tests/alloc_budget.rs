@@ -23,8 +23,9 @@
 //! The Page Store's plugin has the same budget on the other side of the
 //! wire: a page costs it the NDP page's buffer and the predicate's offset
 //! scratch, whatever survives (TPC-H Q1 keeps every `lineitem` record and
-//! nine of its columns, Q6 keeps one record in fifty), and a join filter
-//! on top of either keeps it at two allocations a page.
+//! folds them into three groups a page, Q6 keeps one record in fifty and
+//! folds them into one), so an aggregated page costs at most two
+//! allocations, and a join filter on top of either keeps it there.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -354,8 +355,30 @@ fn page_store_plugin_allocates_per_page() {
         let choice = &scan.ndp.as_ref().expect("the scan is pushed").choice;
         let descriptor = taurus::ndp::build_descriptor(index, choice, u64::MAX).unwrap();
         assert!(descriptor.predicate_bitcode.is_some() && descriptor.projection.is_some());
+        assert!(
+            descriptor.aggregation.is_some(),
+            "{name} aggregates in storage"
+        );
         let cd = CachedDescriptor::prepare(&descriptor.encode()).unwrap();
         let none = Sections::default();
+        // An aggregated page costs the NDP page's buffer and the
+        // predicate's offset scratch: the group table, the carriers'
+        // bytes and the payload buffer are the descriptor's, reused from
+        // page to page.
+        let run = || {
+            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            for leaf in &leaves {
+                InnodbNdpPlugin.process_page(&cd, &none, leaf).unwrap();
+            }
+            ALLOCATIONS.load(Ordering::Relaxed) - before
+        };
+        run();
+        let counts: Vec<u64> = (0..5).map(|_| run()).collect();
+        assert!(
+            counts.iter().all(|&n| n <= 2 * leaves.len() as u64),
+            "page store, {name}: {counts:?} allocations for {} aggregated pages",
+            leaves.len()
+        );
         assert_within_budget(
             &format!("page store, {name}"),
             records,

@@ -63,15 +63,35 @@ fn explain_prints_listing2_annotations() {
     let text = explain(&Session::new(&db), LISTING1);
     assert!(text.contains("Using pushed NDP condition"), "{text}");
     assert!(text.contains("Using pushed NDP columns"), "{text}");
-    assert!(text.contains("Using pushed NDP aggregate"), "{text}");
+    // A scalar aggregate is one group: index order.
+    assert!(
+        text.contains("Using pushed NDP aggregate (index order)"),
+        "{text}"
+    );
     assert!(text.contains("joindate"), "column names resolved: {text}");
     assert!(text.contains("Physical pipeline"), "{text}");
-    assert!(text.contains("AggScan on worker"), "{text}");
-    // One report line per table access.
+    assert!(
+        text.contains("AggScan on worker via worker_pk [ndp: predicate+projection+aggregation]"),
+        "{text}"
+    );
+    // One report line per table access, with the group estimate.
     let reports: Vec<&str> = text.lines().filter(|l| l.contains("est_io")).collect();
     assert_eq!(reports.len(), 1, "{text}");
     assert!(reports[0].contains("[worker]"), "{text}");
-    assert!(reports[0].contains("aggregate=true"), "{text}");
+    assert!(
+        reports[0].contains("aggregate=true (groups/leaf "),
+        "{text}"
+    );
+    assert!(reports[0].contains(", limit "), "{text}");
+    // Grouped off the key by 50 ages, about as many as a leaf's rows:
+    // the estimate refuses, and says why.
+    let by_age = explain(
+        &Session::new(&db),
+        "select age, count(*), sum(salary * 2) from worker group by age",
+    );
+    assert!(!by_age.contains("Using pushed NDP aggregate"), "{by_age}");
+    let report = by_age.lines().find(|l| l.contains("est_io")).unwrap();
+    assert!(report.contains("aggregate=false (groups/leaf "), "{by_age}");
 }
 
 #[test]
@@ -85,6 +105,62 @@ fn listing1_avg_matches_with_and_without_ndp() {
     assert_eq!(plain.rows, ndp.rows);
     assert!(matches!(ndp.rows[0][0], Value::Decimal(_)));
     // With NDP on, the Page Stores did the aggregating.
+    assert!(ndp.delta.ps_records_aggregated > 0, "{:?}", ndp.delta);
+}
+
+/// Sums and averages of expressions over a DOUBLE column, grouped off
+/// the key: the Page Stores type a program's sum by its first value, the
+/// SQL node by the expression's type, and the two must merge. Group 2's
+/// inputs are all NULL and group 9 has about one row a page (a carrier
+/// with nothing folded), so many partials arrive having seen no value.
+#[test]
+fn double_sums_match_with_and_without_ndp() {
+    let mut cfg = ClusterConfig::small_for_tests();
+    cfg.ndp.min_io_pages = 1;
+    let db = TaurusDb::new(cfg);
+    let schema = TableSchema::new(
+        "sensor",
+        vec![
+            Column::new("id", DataType::BigInt),
+            Column::new("g", DataType::Int),
+            Column::new("d", DataType::Double),
+            Column::new("pad", DataType::Varchar(120)),
+        ],
+        vec![0],
+    );
+    let t = db.create_table(schema, &[]).unwrap();
+    let rows: Vec<Row> = (0..2000i64)
+        .map(|i| {
+            let g = if i % 97 == 0 { 9 } else { i % 3 };
+            let d = if g == 2 || i % 5 == 0 {
+                Value::Null
+            } else {
+                Value::Double(i as f64 * 0.25)
+            };
+            vec![
+                Value::Int(i),
+                Value::Int(g),
+                d,
+                Value::str(format!("reading {i} with a long padding text")),
+            ]
+        })
+        .collect();
+    db.bulk_load(&t, rows).unwrap();
+    const Q: &str = "select g, sum(d * 2), avg(d + 1), sum(d), count(*) from sensor group by g";
+    db.buffer_pool().clear();
+    let plain = Session::new(&db).with_ndp(false).sql(Q).unwrap();
+    db.buffer_pool().clear();
+    let session = Session::new(&db);
+    assert!(
+        explain(&session, Q).contains("Using pushed NDP aggregate (per-page hash)"),
+        "{}",
+        explain(&session, Q)
+    );
+    db.buffer_pool().clear();
+    let ndp = QueryRun::measure(&db, || session.sql(Q)).unwrap();
+    assert_eq!(plain, ndp.rows);
+    assert_eq!(ndp.rows.len(), 4);
+    assert_eq!(ndp.rows[2][1], Value::Null, "group 2 saw no value");
     assert!(ndp.delta.ps_records_aggregated > 0, "{:?}", ndp.delta);
 }
 

@@ -321,6 +321,33 @@ fn explain_renders_physical_pipeline() {
     assert!(text.contains("TopN(7)"), "{text}");
     assert!(text.contains("BatchScan on lineitem"), "{text}");
 
+    // Q1's grouped aggregation goes to the Page Stores with NDP on.
+    let mut cfg = ClusterConfig::small_for_tests();
+    cfg.buffer_pool_pages = 64;
+    cfg.ndp.min_io_pages = 8;
+    let ndp_db = TaurusDb::new(cfg);
+    taurus::tpch::load(&ndp_db, 0.005, 11).unwrap();
+    ndp_db.buffer_pool().clear();
+    let q1 = taurus::sql::tpch_sql::sql_for("Q1").unwrap();
+    let text: String = Session::new(&ndp_db)
+        .with_ndp(true)
+        .sql(&format!("explain {q1}"))
+        .unwrap()
+        .iter()
+        .map(|line| format!("{}\n", line[0]))
+        .collect();
+    assert!(
+        text.contains(
+            "AggScan on lineitem via lineitem_pk [ndp: predicate+projection+aggregation]"
+        ),
+        "{text}"
+    );
+    assert!(
+        text.contains("Using pushed NDP aggregate (per-page hash)"),
+        "{text}"
+    );
+    assert!(!text.contains("HashAgg"), "{text}");
+
     // The physical tree names every operator of a composite plan.
     let phys = taurus::optimizer::explain_physical(&join_plan(&db).limit(3), &db);
     for needle in [

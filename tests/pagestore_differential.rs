@@ -1,17 +1,21 @@
 //! The Page Store plugin against what it replaced, byte for byte.
 //!
 //! The plugin works on record bytes: survivors are copied, carriers are
-//! views into the source page, output goes out in chain order. The oracle
-//! below is the previous semantics in their plainest form: decode every
-//! record to values, re-encode survivors with `encode_record`, collect
-//! emissions with their chain position and sort. For the NDP descriptor
-//! of every pushed scan of the 22 TPC-H statements over every leaf of its
-//! table, and for synthetic pages built to hit what TPC-H data never does
-//! (a watermark that splits the page, delete marks, NULLs in kept and
-//! dropped columns, stale bytes under a NULL, varchars around the kept
-//! columns, groups that end behind their carrier, a scalar aggregate
-//! whose carrier moves to a later page), the NDP pages are equal byte for
-//! byte and the statistics are equal.
+//! kept as bytes, aggregate inputs are decoded columns or IR programs run
+//! over the record, output goes out in chain order. The oracle below is
+//! the semantics in their plainest form: decode every record to values,
+//! run aggregate inputs through the tree-walking evaluator, keep a page's
+//! groups in a list keyed by their values, re-encode survivors with
+//! `encode_record`, collect emissions with their chain position and sort.
+//! For the NDP descriptor of every pushed scan of the 22 TPC-H statements
+//! over every leaf of its table, and for synthetic pages built to hit
+//! what TPC-H data never does (a watermark that splits the page, delete
+//! marks, NULLs in kept and dropped columns and in group keys, stale
+//! bytes under a NULL, varchars around the kept columns, groups that end
+//! behind their carrier, groups interleaved on a page and spanning pages,
+//! more groups on a page than its table holds, ambiguous records between
+//! carriers, a scalar aggregate whose carrier moves to a later page), the
+//! NDP pages are equal byte for byte and the statistics are equal.
 //!
 //! A request may carry a key set (a lookup join's batched key access): a
 //! record whose key starts with no listed key is dropped before anything
@@ -33,22 +37,28 @@ use std::sync::Arc;
 use taurus::btree::{ScanRange, TreeStore};
 use taurus::common::schema::encode_key;
 use taurus::common::{ClusterConfig, DataType, Date32, Dec, SpaceId, Value};
-use taurus::expr::agg::{encode_states, AggSpec, AggState};
+use taurus::expr::agg::{encode_states, AggFunc, AggInput, AggSpec, AggState};
 use taurus::expr::ast::Expr;
 use taurus::expr::compile::lower;
 use taurus::expr::descriptor::{
     encode_join_filter, encode_key_set, JoinFilterSection, KeyBloom, KeySet, NdpAggSpec,
     NdpDescriptor, Sections,
 };
+use taurus::expr::eval::eval;
 use taurus::expr::vm::TriBool;
 use taurus::ndp::{build_descriptor, TaurusDb};
 use taurus::optimizer::plan::{Plan, ScanNode};
 use taurus::page::{encode_record, NdpPageBuilder, Page, RecType, RecordMeta, RecordView, NO_PAGE};
+use taurus::pagestore::plugin::GROUP_TABLE_GROUPS;
 use taurus::pagestore::{CachedDescriptor, InnodbNdpPlugin, NdpPlugin, PluginStats};
 use taurus::prelude::Session;
 
 /// The old plugin: every record becomes values, survivors are re-encoded,
-/// emissions are sorted back into chain order. `cross_page` is
+/// emissions are sorted back into chain order. `inputs` are the
+/// aggregates' inputs over record positions (`None` for COUNT(*)), run by
+/// the tree-walking evaluator over the decoded record. Grouped, a page
+/// stands alone and keeps at most [`GROUP_TABLE_GROUPS`] groups, the one
+/// updated longest ago going out when a new one comes; `cross_page` is
 /// `process_batch` on a scalar aggregate; otherwise every page stands
 /// alone, as in `process_page`. With `listed` keys, a record whose key
 /// extends none of them does not exist; with a join `filter`, a visible
@@ -56,6 +66,7 @@ use taurus::prelude::Session;
 /// either.
 fn oracle(
     cd: &CachedDescriptor,
+    inputs: &[Option<Expr>],
     listed: Option<&[Vec<u8>]>,
     filter: Option<&JoinFilterSection>,
     pages: &[&Page],
@@ -66,7 +77,13 @@ fn oracle(
         let specs = agg.map_or(&[][..], |a| &a.specs[..]);
         specs
             .iter()
-            .map(|s| AggState::new(s, s.col.map(|c| cd.layout.dtypes[c as usize])))
+            .map(|s| {
+                let dtype = match s.input {
+                    AggInput::Col(c) => Some(cd.layout.dtypes[c as usize]),
+                    _ => None,
+                };
+                AggState::new(s.func, dtype)
+            })
             .collect()
     };
     let encode = |values: &[Value], rec: &RecordView<'_>, payload: Option<&[u8]>| -> Vec<u8> {
@@ -91,23 +108,27 @@ fn oracle(
         encode_record(layout, &kept, meta, payload, &mut out).unwrap();
         out
     };
+    /// A group, its carrier (page, chain position, values, view) and
+    /// when it last took a survivor.
+    struct Group<'p> {
+        key: Vec<Value>,
+        states: Vec<AggState>,
+        carrier: Option<(usize, usize, Vec<Value>, RecordView<'p>)>,
+        used: u64,
+    }
     let mut stats = PluginStats::default();
     let mut emitted: Vec<Vec<(usize, Vec<u8>)>> = vec![Vec::new(); pages.len()];
-    let mut states = new_states();
-    let mut key: Option<Vec<Value>> = None;
-    // (page, chain position, values, view)
-    let mut carrier: Option<(usize, usize, Vec<Value>, RecordView<'_>)> = None;
+    let mut groups: Vec<Group<'_>> = Vec::new();
+    let mut clock = 0u64;
     let mut offsets = Vec::new();
-    macro_rules! flush {
-        () => {
-            if let Some((pi, seq, values, rec)) = carrier.take() {
-                let payload = encode_states(&states);
-                emitted[pi].push((seq, encode(&values, &rec, Some(&payload))));
-                stats.records_aggregated += 1;
-            }
-            states = new_states();
-        };
-    }
+    let emit = |g: Group<'_>, emitted: &mut Vec<Vec<(usize, Vec<u8>)>>, stats: &mut PluginStats| {
+        if let Some((pi, seq, values, rec)) = g.carrier {
+            let mut payload = Vec::new();
+            encode_states(&g.states, &mut payload);
+            emitted[pi].push((seq, encode(&values, &rec, Some(&payload))));
+            stats.records_aggregated += 1;
+        }
+    };
     for (pi, page) in pages.iter().enumerate() {
         for (seq, rec) in page.iter_chain().enumerate() {
             let rec = RecordView::parse(rec.unwrap(), &cd.layout).unwrap();
@@ -120,10 +141,15 @@ fn oracle(
                 }
             }
             let visible = rec.trx_id() < cd.desc.low_watermark;
-            if visible && rec.delete_mark() {
+            if !visible {
+                stats.ambiguous += 1;
+                emitted[pi].push((seq, rec.raw().to_vec()));
                 continue;
             }
-            if let (true, Some(f)) = (visible, filter) {
+            if rec.delete_mark() {
+                continue;
+            }
+            if let Some(f) = filter {
                 let admitted = match rec.values()[f.pos] {
                     Value::Int(key) => f.bloom.may_contain(key),
                     _ => false,
@@ -133,50 +159,59 @@ fn oracle(
                     continue;
                 }
             }
-            if let (true, Some(pred)) = (visible, &cd.predicate) {
+            if let Some(pred) = &cd.predicate {
                 if pred.eval_record(&rec, &mut offsets).unwrap() != TriBool::True {
                     stats.records_filtered += 1;
                     continue;
                 }
             }
             let values = rec.values();
-            if let Some(a) = agg {
-                let k: Vec<Value> = a
-                    .group_cols
-                    .iter()
-                    .map(|&g| values[g as usize].clone())
-                    .collect();
-                if key.as_ref().is_some_and(|running| *running != k) {
-                    flush!();
-                }
-                key = Some(k);
-            }
-            if !visible {
-                stats.ambiguous += 1;
-                emitted[pi].push((seq, rec.raw().to_vec()));
-            } else if let Some(a) = agg {
-                if let Some((_, _, old, _)) = carrier.replace((pi, seq, values, rec)) {
-                    for (st, spec) in states.iter_mut().zip(&a.specs) {
-                        match spec.col {
-                            Some(c) => st.update(&old[c as usize]),
-                            None => st.update(&Value::Int(1)),
-                        }
-                    }
-                    stats.records_aggregated += 1;
-                }
-            } else {
+            let Some(a) = agg else {
                 emitted[pi].push((seq, encode(&values, &rec, None)));
+                continue;
+            };
+            let key: Vec<Value> = a
+                .group_cols
+                .iter()
+                .map(|&g| values[g as usize].clone())
+                .collect();
+            clock += 1;
+            let gi = match groups.iter().position(|g| g.key == key) {
+                Some(gi) => gi,
+                None => {
+                    if groups.len() == GROUP_TABLE_GROUPS {
+                        let oldest = (0..groups.len()).min_by_key(|&i| groups[i].used).unwrap();
+                        emit(groups.remove(oldest), &mut emitted, &mut stats);
+                    }
+                    groups.push(Group {
+                        key,
+                        states: new_states(),
+                        carrier: None,
+                        used: 0,
+                    });
+                    groups.len() - 1
+                }
+            };
+            let g = &mut groups[gi];
+            g.used = clock;
+            if let Some((_, _, old, _)) = g.carrier.replace((pi, seq, values, rec)) {
+                for (st, input) in g.states.iter_mut().zip(inputs) {
+                    match input {
+                        Some(e) => st.update(&eval(e, &old).unwrap()),
+                        None => st.update(&Value::Int(1)),
+                    }
+                }
+                stats.records_aggregated += 1;
             }
         }
-        if agg.is_some() && !cross_page {
-            flush!();
-            key = None;
+        if !cross_page {
+            for g in groups.drain(..) {
+                emit(g, &mut emitted, &mut stats);
+            }
         }
     }
-    if let Some((pi, seq, values, rec)) = carrier.take() {
-        let payload = encode_states(&states);
-        emitted[pi].push((seq, encode(&values, &rec, Some(&payload))));
-        stats.records_aggregated += 1;
+    for g in groups.drain(..) {
+        emit(g, &mut emitted, &mut stats);
     }
     let out = pages
         .iter()
@@ -306,6 +341,7 @@ fn add(total: &mut PluginStats, page: &PluginStats) {
 /// `listed` and the join `filter` if there are any.
 fn compare(
     cd: &CachedDescriptor,
+    inputs: &[Option<Expr>],
     listed: Option<Vec<Vec<u8>>>,
     filter: Option<JoinFilterSection>,
     pages: &[Arc<Page>],
@@ -322,7 +358,7 @@ fn compare(
     // Page by page.
     let mut total = PluginStats::default();
     for (i, page) in refs.iter().enumerate() {
-        let (want, want_stats) = oracle(cd, listed, filter, &[page], false);
+        let (want, want_stats) = oracle(cd, inputs, listed, filter, &[page], false);
         let (got, got_stats) = InnodbNdpPlugin.process_page(cd, &sections, page).unwrap();
         assert_eq!(got_stats, want_stats, "{what}: page {i} statistics");
         assert!(got.bytes() == want[0].bytes(), "{what}: page {i}");
@@ -340,7 +376,7 @@ fn compare(
         .enumerate()
         .map(|(i, p)| (i as u32, p.clone()))
         .collect();
-    let (want, want_stats) = oracle(cd, listed, filter, &refs, scalar);
+    let (want, want_stats) = oracle(cd, inputs, listed, filter, &refs, scalar);
     let (mut got, got_stats) = InnodbNdpPlugin
         .process_batch(cd, &sections, &numbered)
         .unwrap();
@@ -385,6 +421,7 @@ fn every_tpch_descriptor_over_every_leaf_of_its_table() {
     let session = Session::new(&db).with_ndp(true);
     let (mut descriptors, mut filtered, mut survivors) = (0, 0, 0);
     let (mut key_filtered, mut join_filtered) = (0, 0);
+    let (mut aggregated, mut programs) = (0, 0);
     for (name, text) in taurus::sql::tpch_sql::all() {
         let taurus::sql::Statement::Select(select) = taurus::sql::parse(text).unwrap() else {
             panic!("{name} is a SELECT");
@@ -416,11 +453,28 @@ fn every_tpch_descriptor_over_every_leaf_of_its_table() {
                 .map(|rec| RecordView::new(rec.unwrap(), &index.tree.leaf_layout).trx_id())
                 .collect();
             trx_ids.sort_unstable();
+            // The aggregates' inputs over record positions.
+            let stored = index.tree.def.stored_cols();
+            let inputs: Vec<Option<Expr>> = decision
+                .choice
+                .aggregation
+                .iter()
+                .flat_map(|a| &a.specs)
+                .map(|s| {
+                    let pos = |c| stored.iter().position(|&s| s == c).unwrap();
+                    s.input.as_ref().map(|e| e.remap_columns(&pos))
+                })
+                .collect();
+            aggregated += usize::from(!inputs.is_empty());
+            programs += inputs
+                .iter()
+                .filter(|e| matches!(e, Some(e) if !matches!(e, Expr::Col(_))))
+                .count();
             for watermark in [u64::MAX, trx_ids[trx_ids.len() / 2]] {
                 let desc = build_descriptor(index, &decision.choice, watermark).unwrap();
                 let cd = CachedDescriptor::prepare(&desc.encode()).unwrap();
                 let what = format!("{name} {} watermark {watermark}", node.table);
-                let stats = compare(&cd, None, None, &leaves, &what);
+                let stats = compare(&cd, &inputs, None, None, &leaves, &what);
                 descriptors += 1;
                 filtered += stats.records_filtered;
                 survivors += stats.records_in - stats.records_filtered - stats.ambiguous;
@@ -428,7 +482,7 @@ fn every_tpch_descriptor_over_every_leaf_of_its_table() {
                 for (set, listed) in key_sets(&cd, &leaves) {
                     if matches!(set, "one key" | "prefix keys among full keys") {
                         let what = format!("{what}, {set}");
-                        let stats = compare(&cd, Some(listed), None, &leaves, &what);
+                        let stats = compare(&cd, &inputs, Some(listed), None, &leaves, &what);
                         key_filtered += stats.records_key_filtered;
                     }
                 }
@@ -441,13 +495,19 @@ fn every_tpch_descriptor_over_every_leaf_of_its_table() {
                         .collect();
                     let filter = join_filter(&cd, pos, &keys);
                     let what = format!("{what}, join filter on {pos}");
-                    let stats = compare(&cd, None, Some(filter), &leaves, &what);
+                    let stats = compare(&cd, &inputs, None, Some(filter), &leaves, &what);
                     join_filtered += stats.records_join_filtered;
                 }
             }
         });
     }
     assert!(descriptors >= 20, "pushed scans: {descriptors}");
+    // Q1, Q6, Q18 and Listing 1's shapes aggregate; Q1's and Q6's inputs
+    // are programs.
+    assert!(
+        aggregated >= 3 && programs >= 3,
+        "{aggregated} aggregating scans, {programs} program inputs"
+    );
     assert!(
         filtered > 10_000 && survivors > 10_000 && key_filtered > 10_000 && join_filtered > 10_000,
         "{filtered} / {survivors} / {key_filtered} / {join_filtered}"
@@ -505,11 +565,34 @@ fn dtypes() -> Vec<DataType> {
     ]
 }
 
+/// An aggregate of a synthetic descriptor: its function and its input over
+/// record positions (`None` for COUNT(*)).
+type Agg = (AggFunc, Option<Expr>);
+
+/// The prepared descriptor, and its aggregates' inputs for the oracle.
 fn descriptor(
     projection: Option<Vec<u16>>,
     predicate: Option<&Expr>,
-    aggregation: Option<NdpAggSpec>,
-) -> CachedDescriptor {
+    aggregation: Option<(&[Agg], Vec<u16>)>,
+) -> (CachedDescriptor, Vec<Option<Expr>>) {
+    let inputs: Vec<Option<Expr>> = aggregation
+        .iter()
+        .flat_map(|(aggs, _)| aggs.iter().map(|(_, input)| input.clone()))
+        .collect();
+    let aggregation = aggregation.map(|(aggs, group_cols)| NdpAggSpec {
+        specs: aggs
+            .iter()
+            .map(|(func, input)| AggSpec {
+                func: *func,
+                input: match input {
+                    None => AggInput::Star,
+                    Some(Expr::Col(c)) => AggInput::Col(*c as u16),
+                    Some(e) => AggInput::Program(lower(e).unwrap().encode_bitcode()),
+                },
+            })
+            .collect(),
+        group_cols,
+    });
     let bytes = NdpDescriptor {
         index_id: 7,
         record_dtypes: dtypes(),
@@ -520,7 +603,7 @@ fn descriptor(
         low_watermark: WATERMARK,
     }
     .encode();
-    CachedDescriptor::prepare(&bytes).unwrap()
+    (CachedDescriptor::prepare(&bytes).unwrap(), inputs)
 }
 
 /// What a synthetic record is, besides its values.
@@ -625,7 +708,8 @@ fn random_pages(
         .collect()
 }
 
-fn descriptors() -> Vec<(&'static str, CachedDescriptor)> {
+#[allow(clippy::type_complexity)]
+fn descriptors() -> Vec<(&'static str, (CachedDescriptor, Vec<Option<Expr>>))> {
     let dec = |s: &str| Expr::dec(s);
     // NULL inputs make it UNKNOWN, which drops the record like FALSE.
     let pred = Expr::or(vec![
@@ -635,16 +719,32 @@ fn descriptors() -> Vec<(&'static str, CachedDescriptor)> {
             Expr::like(Expr::col(5), "a%"),
         ]),
     ]);
-    let sums = |group_cols: Vec<u16>| NdpAggSpec {
-        specs: vec![
-            AggSpec::sum(3),
-            AggSpec::count_star(),
-            AggSpec::count(6),
-            AggSpec::min(7),
-            AggSpec::max(4),
-        ],
-        group_cols,
-    };
+    let col = |c| Some(Expr::col(c));
+    let sums: &[Agg] = &[
+        (AggFunc::Sum, col(3)),
+        (AggFunc::CountStar, None),
+        (AggFunc::Count, col(6)),
+        (AggFunc::Min, col(7)),
+        (AggFunc::Max, col(4)),
+    ];
+    // Programs over a decimal and a nullable int, a date, a double: NULL
+    // inputs, decimal scales, date and double arithmetic.
+    let programs: &[Agg] = &[
+        (AggFunc::Sum, Some(Expr::mul(Expr::col(3), Expr::col(8)))),
+        (
+            AggFunc::Sum,
+            Some(Expr::mul(
+                Expr::col(3),
+                Expr::sub(Expr::int(1), Expr::col(3)),
+            )),
+        ),
+        (AggFunc::Count, Some(Expr::add(Expr::col(3), Expr::col(3)))),
+        (AggFunc::Max, Some(Expr::add(Expr::col(6), Expr::int(30)))),
+        (AggFunc::Min, Some(Expr::mul(Expr::col(7), Expr::int(2)))),
+        (AggFunc::Sum, Some(Expr::sub(Expr::col(7), Expr::col(8)))),
+        (AggFunc::CountStar, None),
+    ];
+    let few_groups = Expr::lt(Expr::col(8), Expr::int(0));
     vec![
         ("filter only", descriptor(None, Some(&pred), None)),
         ("project", descriptor(Some(vec![0, 2, 3, 5]), None, None)),
@@ -662,31 +762,65 @@ fn descriptors() -> Vec<(&'static str, CachedDescriptor)> {
         ),
         (
             "grouped aggregate",
-            descriptor(None, None, Some(sums(vec![0]))),
+            descriptor(None, None, Some((sums, vec![0]))),
         ),
         (
             "grouped aggregate, filtered and projected",
             descriptor(
                 Some(vec![0, 2, 3, 4, 6, 7]),
                 Some(&pred),
-                Some(sums(vec![0])),
+                Some((sums, vec![0])),
             ),
         ),
         (
             "aggregate grouped by the whole key",
-            descriptor(Some(vec![0, 2, 3, 4, 6, 7]), None, Some(sums(vec![0, 2]))),
+            descriptor(Some(vec![0, 2, 3, 4, 6, 7]), None, Some((sums, vec![0, 2]))),
         ),
         (
             "scalar aggregate",
-            descriptor(None, None, Some(sums(vec![]))),
+            descriptor(None, None, Some((sums, vec![]))),
         ),
         (
             "scalar aggregate, filtered and projected",
             descriptor(
                 Some(vec![0, 2, 3, 4, 5, 6, 7]),
                 Some(&pred),
-                Some(sums(vec![])),
+                Some((sums, vec![])),
             ),
+        ),
+        (
+            "program inputs, grouped by the key prefix",
+            descriptor(
+                Some(vec![0, 2, 3, 6, 7, 8]),
+                None,
+                Some((programs, vec![0])),
+            ),
+        ),
+        (
+            "program inputs, scalar",
+            descriptor(None, Some(&pred), Some((programs, vec![]))),
+        ),
+        // Off the key: a page's groups interleave, and come and go
+        // through its table.
+        (
+            "hashed on a nullable int: NULL keys, more groups than the table",
+            descriptor(None, None, Some((programs, vec![8]))),
+        ),
+        (
+            "hashed on a nullable int, filtered to fewer groups than the table",
+            descriptor(
+                Some(vec![0, 2, 3, 6, 7, 8]),
+                Some(&few_groups),
+                Some((programs, vec![8])),
+            ),
+        ),
+        (
+            "hashed on a CHAR and a date",
+            descriptor(None, Some(&pred), Some((sums, vec![4, 6]))),
+        ),
+        (
+            "hashed on the key reversed: a group a record",
+            descriptor(Some(vec![0, 2, 3, 4, 6, 7]), None, Some((sums, vec![2, 0]))),
         ),
     ]
 }
@@ -754,18 +888,18 @@ fn synthetic_pages_match_the_oracle() {
     inputs.push(("an empty page", vec![page_of(0, &[])]));
 
     let mut total = PluginStats::default();
-    for (name, cd) in descriptors() {
+    for (name, (cd, aggs)) in descriptors() {
         for (input, pages) in &inputs {
-            let stats = compare(&cd, None, None, pages, &format!("{name}, {input}"));
+            let stats = compare(&cd, &aggs, None, None, pages, &format!("{name}, {input}"));
             add(&mut total, &stats);
             for (set, listed) in key_sets(&cd, pages) {
                 let what = format!("{name}, {input}, {set}");
-                let stats = compare(&cd, Some(listed), None, pages, &what);
+                let stats = compare(&cd, &aggs, Some(listed), None, pages, &what);
                 add(&mut total, &stats);
             }
             for (set, listed, filter) in join_filters(&cd, pages) {
                 let what = format!("{name}, {input}, join filter: {set}");
-                let stats = compare(&cd, listed, Some(filter), pages, &what);
+                let stats = compare(&cd, &aggs, listed, Some(filter), pages, &what);
                 add(&mut total, &stats);
             }
         }

@@ -9,6 +9,11 @@
 //! took the residual over. A guarded and an unguarded division cover the
 //! error side: a record the VM cannot decide must surface exactly the
 //! tree-walker's error, and a guard must keep it from surfacing at all.
+//!
+//! The value-returning entry of the same VM, which a Page Store folds
+//! aggregate inputs with, agrees with the tree-walker value for value on
+//! every aggregate input of the TPC-H statements, and on NULL inputs and
+//! decimal overflow.
 
 use std::sync::Arc;
 
@@ -16,8 +21,10 @@ use taurus::btree::{ScanRange, TreeStore};
 use taurus::common::schema::{Column, TableSchema};
 use taurus::common::{ClusterConfig, DataType, Dec, Error, Result, Value};
 use taurus::expr::ast::Expr;
-use taurus::expr::eval::eval_pred;
-use taurus::expr::vm::{FilterScratch, RecordFilter};
+use taurus::expr::compile::lower;
+use taurus::expr::eval::{eval, eval_pred};
+use taurus::expr::ir::encode_value;
+use taurus::expr::vm::{CompiledPredicate, FilterScratch, RecordFilter};
 use taurus::ndp::{Table, TaurusDb};
 use taurus::optimizer::plan::Plan;
 use taurus::page::{RecordView, NO_PAGE};
@@ -194,4 +201,122 @@ fn guarded_division_never_fails_and_unguarded_division_fails_alike() {
         by_tree_walker(&[ratio_small()], &row),
         Err(Error::Arithmetic(_))
     ));
+}
+
+/// The aggregate inputs `plan`'s scans aggregate (over table columns).
+fn agg_inputs(plan: &Plan, out: &mut Vec<(String, Expr)>) {
+    match plan {
+        Plan::AggScan(a) => {
+            let inputs = a.aggs.iter().filter_map(|i| i.input.clone());
+            out.extend(inputs.map(|e| (a.scan.table.clone(), e)));
+        }
+        Plan::Scan(_) => {}
+        Plan::LookupJoin(j) => agg_inputs(&j.outer, out),
+        Plan::HashJoin(j) => {
+            agg_inputs(&j.left, out);
+            agg_inputs(&j.right, out);
+        }
+        Plan::HashAgg(a) => agg_inputs(&a.input, out),
+        Plan::Project(p) => agg_inputs(&p.input, out),
+        Plan::Filter(f) => agg_inputs(&f.input, out),
+        Plan::Sort(s) => agg_inputs(&s.input, out),
+        Plan::Limit { input, .. } => agg_inputs(input, out),
+        Plan::Exchange(e) => agg_inputs(&e.child, out),
+    }
+}
+
+/// `e`'s value on every record of `table`'s primary index through the
+/// value-returning VM a Page Store folds inputs with, against the
+/// tree-walker on the decoded record: the same value, encoded byte for
+/// byte the same, or the same class of error. Returns (records, NULLs,
+/// errors).
+fn compare_values(table: &Table, e: &Expr, what: &str) -> (usize, usize, usize) {
+    let index = &table.primary;
+    let layout = &index.tree.leaf_layout;
+    let identity: Vec<u16> = (0..layout.n_cols() as u16).collect();
+    let program = CompiledPredicate::compile(&lower(e).unwrap(), layout, &identity).unwrap();
+    let mut offsets = Vec::new();
+    let (mut records, mut nulls, mut errors) = (0, 0, 0);
+    let mut page = index
+        .tree
+        .seek_leaf(index.store.as_ref(), &ScanRange::full())
+        .unwrap()
+        .unwrap();
+    loop {
+        for rec in page.iter_chain() {
+            let rec = RecordView::parse(rec.unwrap(), layout).unwrap();
+            rec.fill_offsets(&mut offsets);
+            let vm = program.eval_value(&rec, &offsets);
+            let tree = eval(e, &rec.values());
+            match (&vm, &tree) {
+                (Ok(a), Ok(b)) => {
+                    let (mut x, mut y) = (Vec::new(), Vec::new());
+                    encode_value(a, &mut x);
+                    encode_value(b, &mut y);
+                    assert_eq!(x, y, "{what}: record {records}: {a:?} vs {b:?}");
+                    nulls += a.is_null() as usize;
+                }
+                (Err(a), Err(b)) => {
+                    assert_eq!(
+                        std::mem::discriminant(a),
+                        std::mem::discriminant(b),
+                        "{what}: record {records}"
+                    );
+                    errors += 1;
+                }
+                _ => panic!("{what}: record {records}: {vm:?} vs {tree:?}"),
+            }
+            records += 1;
+        }
+        match page.next() {
+            NO_PAGE => return (records, nulls, errors),
+            next => page = index.store.read(next).unwrap(),
+        }
+    }
+}
+
+#[test]
+fn the_value_vm_agrees_with_the_tree_walker_on_every_aggregate_input() {
+    let db = TaurusDb::new(ClusterConfig::default());
+    taurus::tpch::load(&db, 0.002, 11).unwrap();
+    let session = Session::new(&db).with_ndp(false);
+    let mut inputs = Vec::new();
+    for (name, text) in taurus::sql::tpch_sql::all() {
+        let taurus::sql::Statement::Select(select) = taurus::sql::parse(text).unwrap() else {
+            panic!("{name} is a SELECT");
+        };
+        agg_inputs(&taurus::sql::bind(&session, &select).unwrap(), &mut inputs);
+    }
+    let programs = inputs
+        .iter()
+        .filter(|(_, e)| !matches!(e, Expr::Col(_)))
+        .count();
+    // Q1's two products, Q6's, Q15's.
+    assert!(programs >= 4, "{inputs:?}");
+    for (table, e) in &inputs {
+        let (records, _, errors) = compare_values(&db.table(table).unwrap(), e, &format!("{e}"));
+        assert!(
+            records > 1000 && errors == 0,
+            "{e}: {records} records, {errors} errors"
+        );
+    }
+
+    // NULL inputs, and decimals that leave `i128` or the finest scale:
+    // NULL on both sides, an `Arithmetic` error on both sides.
+    let (_db, t) = division_table();
+    let b = || Expr::col(2);
+    let huge = Expr::lit(Value::Decimal(Dec::new(10i128.pow(37), 0)));
+    let scale_32 = (0..15).fold(b(), |p, _| Expr::mul(p, b()));
+    for (e, nulls, overflows) in [
+        (Expr::mul(b(), Expr::col(1)), true, false),
+        (Expr::mul(b(), Expr::sub(Expr::int(1), b())), true, false),
+        (Expr::mul(huge, b()), true, true),
+        (scale_32, true, true),
+        (Expr::div(b(), Expr::col(1)), true, true),
+    ] {
+        let (records, null, errors) = compare_values(&t, &e, &format!("{e}"));
+        assert_eq!(records, 300);
+        assert_eq!(null > 0, nulls, "{e}");
+        assert_eq!(errors > 0, overflows, "{e}");
+    }
 }

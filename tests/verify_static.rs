@@ -11,8 +11,8 @@ use taurus::common::config::ClusterConfig;
 use taurus::common::{Error, Value};
 use taurus::expr::ast::{CmpOp, Expr};
 use taurus::expr::ir::{IrInstr, IrProgram};
-use taurus::ndp::NdpChoice;
 use taurus::ndp::TaurusDb;
+use taurus::ndp::{AggFunc, NdpChoice, ScanAgg, ScanAggregation};
 use taurus::optimizer::plan::{
     AggFuncEx, AggItem, AggScanNode, HashJoinNode, JoinFilterDecision, JoinType, LookupJoinNode,
     NdpDecision, Plan, RangeSpec, ScanNode, SortNode,
@@ -420,4 +420,104 @@ fn join_filter_needs_an_integer_key_one_key_a_probe_scan_and_a_filtered_build() 
     for plan in &ineligible {
         assert_rejected(plan, DiagKind::JoinFilterIneligible);
     }
+}
+
+// --- a pushed aggregation against its AggScan --------------------------------
+
+/// Q1's shape over `lineitem`: grouped by (l_returnflag, l_linestatus),
+/// with a bare-column SUM, an AVG, an expression input and a COUNT(*).
+fn q1_like(pushed: ScanAggregation) -> Plan {
+    let disc_price = Expr::mul(Expr::col(5), Expr::sub(Expr::int(1), Expr::col(6)));
+    Plan::AggScan(AggScanNode {
+        scan: ScanNode {
+            ndp: Some(NdpDecision {
+                choice: NdpChoice {
+                    aggregation: Some(pushed),
+                    ..NdpChoice::default()
+                },
+                pushed: vec![],
+            }),
+            ..ScanNode::new("lineitem", vec![4, 5, 6, 8, 9])
+        },
+        group_cols: vec![8, 9],
+        aggs: vec![
+            AggItem {
+                func: AggFuncEx::Sum,
+                input: Some(Expr::col(4)),
+            },
+            AggItem {
+                func: AggFuncEx::Avg,
+                input: Some(Expr::col(5)),
+            },
+            AggItem {
+                func: AggFuncEx::Sum,
+                input: Some(disc_price),
+            },
+            AggItem {
+                func: AggFuncEx::CountStar,
+                input: None,
+            },
+        ],
+    })
+}
+
+/// The storage form of `q1_like`'s aggregates: AVG as a SUM and a COUNT.
+fn q1_storage_form() -> ScanAggregation {
+    let disc_price = Expr::mul(Expr::col(5), Expr::sub(Expr::int(1), Expr::col(6)));
+    let agg = |func, input| ScanAgg { func, input };
+    ScanAggregation {
+        specs: vec![
+            agg(AggFunc::Sum, Some(Expr::col(4))),
+            agg(AggFunc::Sum, Some(Expr::col(5))),
+            agg(AggFunc::Count, Some(Expr::col(5))),
+            agg(AggFunc::Sum, Some(disc_price)),
+            agg(AggFunc::CountStar, None),
+        ],
+        group_cols: vec![8, 9],
+    }
+}
+
+#[test]
+fn a_pushed_aggregation_in_storage_form_passes() {
+    let plan = q1_like(q1_storage_form());
+    assert!(
+        !kinds(&plan).iter().any(|(_, s)| *s == Severity::Error),
+        "{:?}",
+        verify_plan(&plan, catalog())
+    );
+    assert!(Session::new(catalog())
+        .execute_plan(&plan)
+        .unwrap()
+        .is_empty());
+}
+
+#[test]
+fn a_pushed_aggregation_that_is_not_the_storage_form_is_pinned() {
+    let mutated = |f: fn(&mut ScanAggregation)| {
+        let mut pushed = q1_storage_form();
+        f(&mut pushed);
+        q1_like(pushed)
+    };
+    // The AVG's COUNT dropped: its SUM would be divided by nothing.
+    assert_rejected(
+        &mutated(|p| {
+            p.specs.remove(2);
+        }),
+        DiagKind::AggPushdownMismatch,
+    );
+    // Two inputs swapped: each SUM would fold the other's column.
+    assert_rejected(
+        &mutated(|p| p.specs.swap(0, 1)),
+        DiagKind::AggPushdownMismatch,
+    );
+    // A function changed under the same input.
+    assert_rejected(
+        &mutated(|p| p.specs[1].func = AggFunc::Max),
+        DiagKind::AggPushdownMismatch,
+    );
+    // An extra group column: storage would split the SQL node's groups.
+    assert_rejected(
+        &mutated(|p| p.group_cols.push(10)),
+        DiagKind::AggPushdownMismatch,
+    );
 }
