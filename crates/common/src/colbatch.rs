@@ -3,7 +3,7 @@
 //! A [`ColumnBatch`] holds one typed vector per column — specialized
 //! `i64`/`Dec`/`Date`/`f64` arrays plus a [`Value`] fallback — each with a
 //! validity bitmap. It is the input of `taurus_expr::vector::VectorProgram`,
-//! which `benchmark/` times against the row-at-a-time `eval_pred` as
+//! which `benchmark/` times against the row-at-a-time tree-walker as
 //! `expr.vector_filter_ns_per_row`. Operators never exchange it: the
 //! executor's only batch type is the row-major [`crate::RowBatch`].
 

@@ -408,11 +408,6 @@ impl Metrics {
 }
 
 impl MetricsSnapshot {
-    /// Total pages shipped over the network, any kind.
-    pub fn pages_shipped(&self) -> u64 {
-        self.pages_shipped_raw + self.pages_shipped_ndp + self.pages_shipped_empty
-    }
-
     /// Percentage reduction of `get(self)` relative to `get(baseline)`:
     /// the formula behind every "reduction" figure in §VII.
     pub fn reduction_pct(

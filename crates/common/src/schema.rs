@@ -73,12 +73,6 @@ impl TableSchema {
     pub fn dtypes(&self) -> Vec<DataType> {
         self.columns.iter().map(|c| c.dtype).collect()
     }
-
-    /// Estimated full-row width in bytes — the denominator of the
-    /// optimizer's NDP-projection benefit calculation (§V-A).
-    pub fn estimated_row_width(&self) -> usize {
-        self.columns.iter().map(|c| c.dtype.estimated_width()).sum()
-    }
 }
 
 /// One B+ tree. For the primary index the leaf records store the full row

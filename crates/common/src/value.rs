@@ -60,17 +60,6 @@ impl DataType {
         }
     }
 
-    pub fn is_numeric(&self) -> bool {
-        matches!(
-            self,
-            DataType::Int | DataType::BigInt | DataType::Decimal { .. } | DataType::Double
-        )
-    }
-
-    pub fn is_string(&self) -> bool {
-        matches!(self, DataType::Char(_) | DataType::Varchar(_))
-    }
-
     /// Compact tag used when serializing descriptors.
     pub fn tag(&self) -> u8 {
         match self {

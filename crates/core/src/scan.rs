@@ -33,8 +33,8 @@
 //! panic or a hang); whatever predicate work storage did not do — the
 //! pushed predicate on raw, cached and ambiguous records, and the
 //! executor's residual conjuncts on every record — runs on its bytes
-//! ([`RecordFilter`]: compiled per scan, the tree-walker behind it for
-//! what the VM cannot decide); and only a survivor is decoded, by a
+//! ([`RecordFilter`]: each conjunct compiled once per scan and run on the
+//! record VM); and only a survivor is decoded, by a
 //! per-scan [`DecodePlan`], straight into the output batch. The record's
 //! key is encoded only when a range check or the undo lookup of an
 //! invisible record needs it, into a reused buffer; a range is checked
@@ -67,7 +67,7 @@ use taurus_expr::ast::Expr;
 use taurus_expr::descriptor::{
     encode_join_filter, encode_key_set, KeyBloom, NdpAggSpec, NdpDescriptor,
 };
-use taurus_expr::vm::{FilterScratch, RecordFilter};
+use taurus_expr::vm::RecordFilter;
 use taurus_mvcc::ReadView;
 use taurus_page::{DecodePlan, Page, PageType, RecType, RecordLayout, RecordView};
 use taurus_pagestore::PagePayload;
@@ -296,7 +296,7 @@ pub fn build_descriptor(
         }
         // lint:allow(panic): every referenced column was just resolved
         let remapped = e.remap_columns(&|c| pos_of(c).expect("checked above") as usize);
-        Ok(taurus_expr::compile::lower(&remapped)?.encode_bitcode())
+        taurus_expr::compile::lower_for_ndp(&remapped)?.encode_bitcode()
     };
     let projection = match &choice.projection {
         None => None,
@@ -420,7 +420,8 @@ struct ScanState {
     seek_lower: bool,
     /// The current record's encoded key, when something asked for it.
     key: Vec<u8>,
-    filter_scratch: FilterScratch,
+    /// The current record's field offsets, for the record filters.
+    offsets: Vec<u32>,
 }
 
 impl ScanState {
@@ -519,7 +520,7 @@ impl Compiled {
                         .iter()
                         .map(|&kp| in_proj(kp, "key"))
                         .collect::<Result<_>>()?,
-                    residual: RecordFilter::new(&residual_in_proj, &layout),
+                    residual: RecordFilter::new(&residual_in_proj, &layout)?,
                 };
                 Some((layout, shape))
             }
@@ -533,10 +534,10 @@ impl Compiled {
             full: Shape {
                 plan: DecodePlan::new(full_layout, &out_pos),
                 key_pos: tree.key_positions.clone(),
-                residual: RecordFilter::new(&residual, full_layout),
+                residual: RecordFilter::new(&residual, full_layout)?,
             },
             proj,
-            pushed: RecordFilter::new(&pushed, full_layout),
+            pushed: RecordFilter::new(&pushed, full_layout)?,
             descriptor,
         })
     }
@@ -552,7 +553,7 @@ impl<'a> ScanCtx<'a> {
             pages_held: 0,
             seek_lower: self.spec.range.lower.is_some(),
             key: Vec::new(),
-            filter_scratch: FilterScratch::default(),
+            offsets: Vec::new(),
         }
     }
 
@@ -626,7 +627,7 @@ impl<'a> ScanCtx<'a> {
         consumer: &mut dyn ScanConsumer,
     ) -> Result<bool> {
         state.examined += 1;
-        if !shape.residual.is_empty() && !shape.residual.passes(&rec, &mut state.filter_scratch)? {
+        if !shape.residual.is_empty() && !shape.residual.passes(&rec, &mut state.offsets)? {
             return Ok(true);
         }
         state.batch.push_row(shape.plan.values(rec));
@@ -689,8 +690,7 @@ impl<'a> ScanCtx<'a> {
             state.seek_lower = false;
         }
         if rec.delete_mark()
-            || (!self.c.pushed.is_empty()
-                && !self.c.pushed.passes(&rec, &mut state.filter_scratch)?)
+            || (!self.c.pushed.is_empty() && !self.c.pushed.passes(&rec, &mut state.offsets)?)
         {
             return Ok(Step::Next);
         }

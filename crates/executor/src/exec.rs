@@ -11,7 +11,10 @@
 //! their leader), and index lookup probing. The executor is the "SQL
 //! layer" of the paper: it evaluates residual predicates and merges NDP
 //! aggregate partials — without knowing whether the work below happened
-//! in a Page Store or on the compute node.
+//! in a Page Store or on the compute node. Every expression an operator
+//! evaluates is compiled once, when the tree is lowered, and runs on the
+//! record VM ([`RowExpr`], [`JoinPrograms`]), the engine scans and Page
+//! Stores run.
 
 use std::borrow::Cow;
 
@@ -19,8 +22,8 @@ use taurus_common::schema::Row;
 use taurus_common::{panic_message, Dec, Error, KeyMap, QueryCtx, Result, RowBatch, Value};
 use taurus_expr::agg::{AggFunc, AggState};
 use taurus_expr::ast::Expr;
-use taurus_expr::eval::{eval, eval_pred};
 use taurus_expr::ir::encode_value;
+use taurus_expr::vm::CompiledPredicate;
 use taurus_ndp::ReadView;
 use taurus_ndp::{
     BTree, KeyList, KeyRead, PointLookup, ScanConsumer, ScanRange, ScanSpec, TaurusDb,
@@ -239,13 +242,40 @@ impl AggStateEx {
     }
 }
 
-/// Fold one row into one aggregate: COUNT(*) counts the row, a bare
-/// column is read in place, anything else is evaluated.
-fn fold_input(state: &mut AggStateEx, input: Option<&Expr>, row: &[Value]) -> Result<()> {
+/// An operator's expression over its input row, compiled once when the
+/// tree is lowered: a bare column is read in place (there is nothing to
+/// evaluate), anything else is a program the record VM runs over the row.
+#[derive(Clone)]
+pub(crate) enum RowExpr {
+    Col(usize),
+    Program(CompiledPredicate),
+}
+
+impl RowExpr {
+    pub(crate) fn new(e: &Expr) -> Result<RowExpr> {
+        Ok(match e {
+            Expr::Col(i) => RowExpr::Col(*i),
+            e => RowExpr::Program(CompiledPredicate::for_rows(e)?),
+        })
+    }
+
+    pub(crate) fn value<'v>(&self, row: &'v [Value]) -> Result<Cow<'v, Value>> {
+        Ok(match self {
+            RowExpr::Col(i) => Cow::Borrowed(
+                row.get(*i)
+                    .ok_or_else(|| Error::Internal(format!("column {i} out of row range")))?,
+            ),
+            RowExpr::Program(p) => Cow::Owned(p.eval_row(row)?),
+        })
+    }
+}
+
+/// Fold one row into one aggregate: COUNT(*) counts the row, anything
+/// else folds its input's value.
+fn fold_input(state: &mut AggStateEx, input: Option<&RowExpr>, row: &[Value]) -> Result<()> {
     match input {
         None => state.update(&Value::Int(1)),
-        Some(Expr::Col(i)) if *i < row.len() => state.update(&row[*i]),
-        Some(e) => state.update(&eval(e, row)?),
+        Some(e) => state.update(e.value(row)?.as_ref()),
     }
     Ok(())
 }
@@ -325,15 +355,18 @@ fn agg_scan_group(node: &AggScanNode, c: usize) -> Result<Expr> {
 /// partials merge into the group of the row delivered just before them
 /// (their carrier). Groups come out in encoded-key order, except an
 /// `AggScan`'s whose GROUP BY follows its index: those arrive, and stay, in
-/// index order.
-pub(crate) struct HashAggAcc<'a> {
-    /// The group expressions and the aggregates, over the input row.
-    group: Cow<'a, [Expr]>,
-    aggs: Cow<'a, [AggItem]>,
-    /// The input row's types, where known (an `AggScan`'s). A `HashAgg`'s
-    /// input types are unknowable in general; its states infer their shape
-    /// from the first value.
-    dtypes: Vec<taurus_common::DataType>,
+/// index order. It is cloned fresh for each PQ worker.
+#[derive(Clone)]
+pub(crate) struct HashAggAcc {
+    /// The group expressions and the aggregates' inputs, over the input
+    /// row.
+    group: Vec<RowExpr>,
+    inputs: Vec<Option<RowExpr>>,
+    /// The states a new group starts from. They are typed by the input
+    /// row's types where those are known (an `AggScan`'s); a `HashAgg`'s
+    /// input types are unknowable in general, and its states infer their
+    /// shape from the first value.
+    fresh: Vec<AggStateEx>,
     /// Groups in the order first seen, and where each key's is (unless
     /// `index_ordered`).
     groups: AggPartials,
@@ -349,31 +382,36 @@ pub(crate) struct HashAggAcc<'a> {
     index_ordered: bool,
 }
 
-/// A group expression's value for `row`: a bare column is read in place,
-/// anything else is evaluated.
-fn group_value<'v>(e: &Expr, row: &'v [Value]) -> Result<Cow<'v, Value>> {
-    Ok(match e {
-        Expr::Col(i) if *i < row.len() => Cow::Borrowed(&row[*i]),
-        e => Cow::Owned(eval(e, row)?),
-    })
-}
-
-impl<'a> HashAggAcc<'a> {
-    pub(crate) fn new(node: &'a HashAggNode) -> HashAggAcc<'a> {
-        HashAggAcc {
-            group: Cow::Borrowed(&node.group),
-            aggs: Cow::Borrowed(&node.aggs),
-            dtypes: Vec::new(),
+impl HashAggAcc {
+    /// An accumulator over input rows of types `dtypes` (where known):
+    /// its expressions compiled, nothing accumulated.
+    fn build(
+        group: &[Expr],
+        aggs: &[AggItem],
+        dtypes: &[taurus_common::DataType],
+        index_ordered: bool,
+    ) -> Result<HashAggAcc> {
+        Ok(HashAggAcc {
+            group: group.iter().map(RowExpr::new).collect::<Result<_>>()?,
+            inputs: aggs
+                .iter()
+                .map(|a| a.input.as_ref().map(RowExpr::new).transpose())
+                .collect::<Result<_>>()?,
+            fresh: aggs.iter().map(|i| AggStateEx::new(i, dtypes)).collect(),
             groups: Vec::new(),
             slots: KeyMap::default(),
             last: None,
             key: Vec::new(),
-            index_ordered: false,
-        }
+            index_ordered,
+        })
+    }
+
+    pub(crate) fn new(node: &HashAggNode) -> Result<HashAggAcc> {
+        HashAggAcc::build(&node.group, &node.aggs, &[], false)
     }
 
     /// The accumulator of an `AggScan`, over the rows its scan delivers.
-    pub(crate) fn for_agg_scan(node: &AggScanNode, db: &TaurusDb) -> Result<HashAggAcc<'a>> {
+    pub(crate) fn for_agg_scan(node: &AggScanNode, db: &TaurusDb) -> Result<HashAggAcc> {
         let table = db.table(&node.scan.table)?;
         let dtypes = table.schema.dtypes();
         let group = node
@@ -394,41 +432,26 @@ impl<'a> HashAggAcc<'a> {
                 })
             })
             .collect::<Result<Vec<_>>>()?;
-        Ok(HashAggAcc {
-            group: Cow::Owned(group),
-            aggs: Cow::Owned(aggs),
-            dtypes: node
-                .scan
-                .output
-                .iter()
-                .map(|&c| {
-                    dtypes.get(c).copied().ok_or_else(|| {
-                        Error::Verify(format!(
-                            "scan output column {c} not in {}",
-                            table.schema.name
-                        ))
-                    })
-                })
-                .collect::<Result<_>>()?,
-            groups: Vec::new(),
-            slots: KeyMap::default(),
-            last: None,
-            key: Vec::new(),
-            index_ordered: node.index_ordered(db),
-        })
-    }
-
-    fn fresh_states(&self) -> Vec<AggStateEx> {
-        self.aggs
+        let output_dtypes = node
+            .scan
+            .output
             .iter()
-            .map(|i| AggStateEx::new(i, &self.dtypes))
-            .collect()
+            .map(|&c| {
+                dtypes.get(c).copied().ok_or_else(|| {
+                    Error::Verify(format!(
+                        "scan output column {c} not in {}",
+                        table.schema.name
+                    ))
+                })
+            })
+            .collect::<Result<Vec<_>>>()?;
+        HashAggAcc::build(&group, &aggs, &output_dtypes, node.index_ordered(db))
     }
 
     pub(crate) fn update(&mut self, row: &[Value]) -> Result<()> {
         self.key.clear();
-        for e in self.group.iter() {
-            encode_value(group_value(e, row)?.as_ref(), &mut self.key);
+        for e in &self.group {
+            encode_value(e.value(row)?.as_ref(), &mut self.key);
         }
         let same = self.last.filter(|&g| self.groups[g].0 == self.key);
         // Rows in index order arrive grouped: a key other than the last
@@ -445,9 +468,9 @@ impl<'a> HashAggAcc<'a> {
                 let gvals: Row = self
                     .group
                     .iter()
-                    .map(|e| group_value(e, row).map(Cow::into_owned))
+                    .map(|e| e.value(row).map(Cow::into_owned))
                     .collect::<Result<_>>()?;
-                let states = self.fresh_states();
+                let states = self.fresh.clone();
                 let g = self.groups.len();
                 if !self.index_ordered {
                     self.slots.insert(self.key.clone(), g);
@@ -457,8 +480,8 @@ impl<'a> HashAggAcc<'a> {
             }
         };
         self.last = Some(g);
-        for (st, item) in self.groups[g].2.iter_mut().zip(self.aggs.iter()) {
-            fold_input(st, item.input.as_ref(), row)?;
+        for (st, input) in self.groups[g].2.iter_mut().zip(&self.inputs) {
+            fold_input(st, input.as_ref(), row)?;
         }
         Ok(())
     }
@@ -487,7 +510,7 @@ impl<'a> HashAggAcc<'a> {
     pub(crate) fn finish(mut self) -> AggPartials {
         if self.groups.is_empty() && self.group.is_empty() {
             // Scalar aggregate over an empty input: one all-initial group.
-            let states = self.fresh_states();
+            let states = self.fresh.clone();
             self.groups.push((Vec::new(), Vec::new(), states));
         }
         if !self.index_ordered {
@@ -499,12 +522,41 @@ impl<'a> HashAggAcc<'a> {
 
 // --- joins -------------------------------------------------------------------
 
+/// A lookup join's expressions, compiled once when the tree is lowered:
+/// the `on` residual over the joined row (outer ++ inner), and the inner
+/// predicates a non-covering probe runs over the row it fetched. (A
+/// covering probe's inner predicates run in its scan.)
+#[derive(Clone)]
+pub(crate) struct JoinPrograms {
+    on: Option<CompiledPredicate>,
+    inner: Vec<CompiledPredicate>,
+}
+
+impl JoinPrograms {
+    pub(crate) fn new(node: &LookupJoinNode) -> Result<JoinPrograms> {
+        let fetch = node.inner_columns();
+        Ok(JoinPrograms {
+            on: node
+                .on
+                .as_ref()
+                .map(CompiledPredicate::for_rows)
+                .transpose()?,
+            inner: node
+                .inner_predicate
+                .iter()
+                .map(|e| CompiledPredicate::for_rows(&remap_to_output(e, &fetch)?))
+                .collect::<Result<_>>()?,
+        })
+    }
+}
+
 /// One outer row meeting its inner rows: the `on` residual and the join
 /// type's output, into `emit`. Also the [`ScanConsumer`] of a covering
 /// probe, so inner rows go from the scan's batch to the output without a
 /// stop in between.
 struct JoinRow<'x> {
     node: &'x LookupJoinNode,
+    on: Option<&'x CompiledPredicate>,
     orow: &'x [Value],
     /// Scratch for the joined row (outer ++ inner).
     combined: &'x mut Vec<Value>,
@@ -520,8 +572,8 @@ impl JoinRow<'_> {
         self.combined.clear();
         self.combined.extend_from_slice(self.orow);
         self.combined.extend_from_slice(irow);
-        if let Some(on) = &self.node.on {
-            if eval_pred(on, self.combined)? != Some(true) {
+        if let Some(on) = self.on {
+            if !on.row_passes(self.combined)? {
                 return Ok(());
             }
         }
@@ -621,8 +673,9 @@ pub(crate) struct LookupProbe<'a> {
     /// requested outputs + predicate columns (the `on` references inner
     /// columns via inner_output only).
     fetch: Vec<usize>,
-    /// Inner-side predicates remapped onto `fetch` positions.
-    inner_preds: Vec<Expr>,
+    /// The `on` residual, and the inner-side predicates over `fetch`
+    /// positions.
+    programs: JoinPrograms,
     /// `inner_output` positions within `fetch`.
     out_pos: Vec<usize>,
     /// When the chosen (secondary) index does not store every needed
@@ -653,14 +706,13 @@ pub(crate) struct LookupProbe<'a> {
 }
 
 impl<'a> LookupProbe<'a> {
-    pub(crate) fn new(node: &'a LookupJoinNode, ctx: &ExecContext<'_>) -> Result<LookupProbe<'a>> {
+    pub(crate) fn new(
+        node: &'a LookupJoinNode,
+        programs: JoinPrograms,
+        ctx: &ExecContext<'_>,
+    ) -> Result<LookupProbe<'a>> {
         let table = ctx.db.table(&node.table)?;
         let fetch = node.inner_columns();
-        let inner_preds: Vec<Expr> = node
-            .inner_predicate
-            .iter()
-            .map(|e| remap_to_output(e, &fetch))
-            .collect::<Result<_>>()?;
         let out_pos: Vec<usize> = node
             .inner_output
             .iter()
@@ -705,7 +757,7 @@ impl<'a> LookupProbe<'a> {
             node,
             table,
             fetch,
-            inner_preds,
+            programs,
             out_pos,
             covering,
             inner,
@@ -760,6 +812,7 @@ impl<'a> LookupProbe<'a> {
         }
         let mut join = JoinRow {
             node: self.node,
+            on: self.programs.on.as_ref(),
             orow,
             combined: &mut self.combined,
             matched: false,
@@ -812,8 +865,8 @@ impl<'a> LookupProbe<'a> {
             self.projected.clear();
             self.projected
                 .extend(self.fetch.iter().map(|&f| full[f].clone()));
-            for p in &self.inner_preds {
-                if eval_pred(p, &self.projected)? != Some(true) {
+            for p in &self.programs.inner {
+                if !p.row_passes(&self.projected)? {
                     continue 'rows;
                 }
             }
@@ -909,7 +962,7 @@ mod tests {
                 ]
             })
             .collect();
-        let mut acc = HashAggAcc::new(&node);
+        let mut acc = HashAggAcc::new(&node).unwrap();
         for r in &rows {
             acc.update(r).unwrap();
         }
@@ -917,7 +970,11 @@ mod tests {
 
         let mut want: std::collections::BTreeMap<Vec<u8>, Row> = Default::default();
         for r in &rows {
-            let gvals: Row = node.group.iter().map(|e| eval(e, r).unwrap()).collect();
+            let gvals: Row = node
+                .group
+                .iter()
+                .map(|e| taurus_expr::eval::eval(e, r).unwrap())
+                .collect();
             let mut key = Vec::new();
             for v in &gvals {
                 encode_value(v, &mut key);

@@ -12,7 +12,8 @@ use crate::exec::{finalize_agg_groups, ExecContext, HashAggAcc};
 
 pub(crate) struct HashAggOp<'r, 'env> {
     ctx: &'env ExecContext<'env>,
-    node: &'env HashAggNode,
+    /// The accumulator, its expressions compiled; taken by the first pull.
+    acc: Option<HashAggAcc>,
     child: Option<BoxOp<'r>>,
     out: Option<BatchEmitter>,
 }
@@ -22,13 +23,13 @@ impl<'r, 'env> HashAggOp<'r, 'env> {
         ctx: &'env ExecContext<'env>,
         node: &'env HashAggNode,
         child: BoxOp<'r>,
-    ) -> HashAggOp<'r, 'env> {
-        HashAggOp {
+    ) -> Result<HashAggOp<'r, 'env>> {
+        Ok(HashAggOp {
             ctx,
-            node,
+            acc: Some(HashAggAcc::new(node)?),
             child: Some(child),
             out: None,
-        }
+        })
     }
 }
 
@@ -45,8 +46,7 @@ impl Operator for HashAggOp<'_, '_> {
     }
 
     fn next_batch(&mut self) -> Result<Option<RowBatch>> {
-        if self.out.is_none() {
-            let mut acc = HashAggAcc::new(self.node);
+        if let Some(mut acc) = self.acc.take() {
             if let Some(child) = &mut self.child {
                 while let Some(b) = child.next_batch()? {
                     for row in b.rows() {

@@ -11,21 +11,27 @@ use taurus_optimizer::plan::ExchangeNode;
 
 use super::{emit_or_end, BatchEmitter, Operator};
 use crate::exec::ExecContext;
-use crate::parallel::exec_exchange;
+use crate::parallel::{exec_exchange, WorkerPrep};
 
 pub(crate) struct GatherOp<'env> {
     ctx: &'env ExecContext<'env>,
     node: &'env ExchangeNode,
+    /// The child's expressions, compiled once for every worker.
+    prep: WorkerPrep<'env>,
     out: Option<BatchEmitter>,
 }
 
 impl<'env> GatherOp<'env> {
-    pub(crate) fn new(ctx: &'env ExecContext<'env>, node: &'env ExchangeNode) -> GatherOp<'env> {
-        GatherOp {
+    pub(crate) fn new(
+        ctx: &'env ExecContext<'env>,
+        node: &'env ExchangeNode,
+    ) -> taurus_common::Result<GatherOp<'env>> {
+        Ok(GatherOp {
             ctx,
             node,
+            prep: WorkerPrep::new(&node.child, ctx.db)?,
             out: None,
-        }
+        })
     }
 }
 
@@ -35,7 +41,7 @@ impl Operator for GatherOp<'_> {
     }
 
     fn open(&mut self) -> Result<()> {
-        let rows = exec_exchange(self.node, self.ctx)?;
+        let rows = exec_exchange(self.node, self.ctx, &self.prep)?;
         self.out = Some(BatchEmitter::new(rows, self.ctx.db));
         Ok(())
     }

@@ -34,7 +34,7 @@ use taurus_ndp::JoinFilter;
 use taurus_optimizer::plan::{HashJoinNode, JoinFilterDecision, JoinType, LookupJoinNode};
 
 use super::{emit_or_end, BoxOp, InputCursor, Operator};
-use crate::exec::{ExecContext, LookupProbe};
+use crate::exec::{ExecContext, JoinPrograms, LookupProbe};
 
 /// Encode `row`'s join key (the values at `cols`) into `key`, reusing its
 /// allocation. `false` when a key value is NULL: such a row matches
@@ -235,6 +235,8 @@ pub(crate) struct LookupJoinOp<'r, 'env> {
     node: &'env LookupJoinNode,
     outer: InputCursor<'r>,
     outer_width: usize,
+    /// The join's compiled expressions, handed to the probe on open.
+    programs: Option<JoinPrograms>,
     probe: Option<LookupProbe<'env>>,
 }
 
@@ -242,6 +244,7 @@ impl<'r, 'env> LookupJoinOp<'r, 'env> {
     pub(crate) fn new(
         ctx: &'env ExecContext<'env>,
         node: &'env LookupJoinNode,
+        programs: JoinPrograms,
         outer: BoxOp<'r>,
     ) -> LookupJoinOp<'r, 'env> {
         LookupJoinOp {
@@ -249,6 +252,7 @@ impl<'r, 'env> LookupJoinOp<'r, 'env> {
             node,
             outer: InputCursor::new(outer),
             outer_width: taurus_verify::plan_width(&node.outer),
+            programs: Some(programs),
             probe: None,
         }
     }
@@ -260,7 +264,11 @@ impl Operator for LookupJoinOp<'_, '_> {
     }
 
     fn open(&mut self) -> Result<()> {
-        self.probe = Some(LookupProbe::new(self.node, self.ctx)?);
+        let programs = self
+            .programs
+            .take()
+            .ok_or_else(|| taurus_common::Error::Internal("LookupJoin opened twice".into()))?;
+        self.probe = Some(LookupProbe::new(self.node, programs, self.ctx)?);
         self.outer.open()
     }
 

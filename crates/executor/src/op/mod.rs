@@ -45,7 +45,7 @@ use taurus_common::{Result, RowBatch};
 use taurus_ndp::{JoinFilter, TaurusDb};
 use taurus_optimizer::plan::Plan;
 
-use crate::exec::ExecContext;
+use crate::exec::{ExecContext, JoinPrograms};
 
 /// A physical operator: batch-at-a-time pull execution.
 ///
@@ -97,10 +97,11 @@ where
 {
     Ok(match plan {
         Plan::Scan(node) => Box::new(BatchScanOp::new(ctx, node, None, scope)),
-        Plan::AggScan(node) => Box::new(scan::AggScanOp::new(ctx, node, scope)),
+        Plan::AggScan(node) => Box::new(scan::AggScanOp::new(ctx, node, scope)?),
         Plan::LookupJoin(node) => Box::new(LookupJoinOp::new(
             ctx,
             node,
+            JoinPrograms::new(node)?,
             lower(&node.outer, ctx, scope)?,
         )),
         Plan::HashJoin(node) => Box::new(join::HashJoinOp::new(
@@ -113,18 +114,18 @@ where
             ctx,
             node,
             lower(&node.input, ctx, scope)?,
-        )),
+        )?),
         Plan::Project(p) => Box::new(pipe::ProjectOp::new(
             ctx,
             &p.exprs,
             lower(&p.input, ctx, scope)?,
-        )),
-        Plan::Filter(f) => Box::new(pipe::FilterOp::new(ctx, f, lower(&f.input, ctx, scope)?)),
+        )?),
+        Plan::Filter(f) => Box::new(pipe::FilterOp::new(ctx, f, lower(&f.input, ctx, scope)?)?),
         Plan::Sort(s) => Box::new(sort::SortOp::new(ctx, s, lower(&s.input, ctx, scope)?)),
         Plan::Limit { input, n } => {
             Box::new(pipe::LimitOp::new(ctx, *n, lower(input, ctx, scope)?))
         }
-        Plan::Exchange(e) => Box::new(gather::GatherOp::new(ctx, e)),
+        Plan::Exchange(e) => Box::new(gather::GatherOp::new(ctx, e)?),
     })
 }
 
@@ -318,6 +319,22 @@ mod tests {
             func: AggFuncEx::CountStar,
             input: None,
         }
+    }
+
+    /// An expression that does not compile (an IN list past the IR's u16
+    /// constant pool) fails the plan when it is lowered, before any
+    /// operator opens and any scan starts.
+    #[test]
+    fn an_expression_that_does_not_compile_fails_at_lower() {
+        let db = tiny_db();
+        let ctx = ExecContext::new(&db);
+        let list = (0..70_000).map(taurus_common::Value::Int).collect();
+        let plan = scan().filter(Expr::in_list(Expr::col(1), list));
+        let err = crossbeam::thread::scope(|s| lower(&plan, &ctx, s).err()).unwrap();
+        assert!(
+            matches!(err, Some(taurus_common::Error::InvalidState(_))),
+            "{err:?}"
+        );
     }
 
     /// `explain_physical` (optimizer crate) re-states the name mapping

@@ -7,20 +7,24 @@
 //! its budget is spent it *closes* its child subtree, which cancels the
 //! producing scans (pull backpressure all the way into `ScanConsumer`
 //! early termination) instead of truncating a fully materialized input.
+//! `Filter`'s predicate and `Project`'s expressions are compiled when the
+//! operator is lowered and run on the record VM.
+
+use std::borrow::Cow;
 
 use taurus_common::{Result, RowBatch};
 use taurus_expr::ast::Expr;
-use taurus_expr::eval::{eval, eval_pred};
+use taurus_expr::vm::CompiledPredicate;
 use taurus_ndp::TaurusDb;
 use taurus_optimizer::plan::FilterNode;
 
 use super::{charge_emit, BoxOp, Operator};
-use crate::exec::ExecContext;
+use crate::exec::{ExecContext, RowExpr};
 
 /// Residual row filter over any input.
 pub(crate) struct FilterOp<'r, 'env> {
     db: &'env TaurusDb,
-    predicate: &'env Expr,
+    predicate: CompiledPredicate,
     child: BoxOp<'r>,
 }
 
@@ -29,12 +33,12 @@ impl<'r, 'env> FilterOp<'r, 'env> {
         ctx: &'env ExecContext<'env>,
         node: &'env FilterNode,
         child: BoxOp<'r>,
-    ) -> FilterOp<'r, 'env> {
-        FilterOp {
+    ) -> Result<FilterOp<'r, 'env>> {
+        Ok(FilterOp {
             db: ctx.db,
-            predicate: &node.predicate,
+            predicate: CompiledPredicate::for_rows(&node.predicate)?,
             child,
-        }
+        })
     }
 }
 
@@ -54,7 +58,7 @@ impl Operator for FilterOp<'_, '_> {
             };
             // Filtered in place: survivors move to the front of the batch
             // they arrived in.
-            rb.retain_rows(|row| Ok(eval_pred(self.predicate, row)? == Some(true)))?;
+            rb.retain_rows(|row| self.predicate.row_passes(row))?;
             if !rb.is_empty() {
                 charge_emit(self.db, &rb);
                 return Ok(Some(rb));
@@ -70,7 +74,7 @@ impl Operator for FilterOp<'_, '_> {
 /// Per-row expression projection.
 pub(crate) struct ProjectOp<'r, 'env> {
     db: &'env TaurusDb,
-    exprs: &'env [Expr],
+    exprs: Vec<RowExpr>,
     child: BoxOp<'r>,
 }
 
@@ -79,12 +83,12 @@ impl<'r, 'env> ProjectOp<'r, 'env> {
         ctx: &'env ExecContext<'env>,
         exprs: &'env [Expr],
         child: BoxOp<'r>,
-    ) -> ProjectOp<'r, 'env> {
-        ProjectOp {
+    ) -> Result<ProjectOp<'r, 'env>> {
+        Ok(ProjectOp {
             db: ctx.db,
-            exprs,
+            exprs: exprs.iter().map(RowExpr::new).collect::<Result<_>>()?,
             child,
-        }
+        })
     }
 }
 
@@ -103,7 +107,7 @@ impl Operator for ProjectOp<'_, '_> {
         };
         let mut out = RowBatch::with_capacity(self.exprs.len(), rb.len());
         for row in rb.rows() {
-            out.try_push_row(self.exprs.iter().map(|e| eval(e, row)))?;
+            out.try_push_row(self.exprs.iter().map(|e| e.value(row).map(Cow::into_owned)))?;
         }
         charge_emit(self.db, &out);
         Ok(Some(out))

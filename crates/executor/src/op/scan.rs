@@ -319,14 +319,12 @@ impl Drop for BatchScanOp<'_, '_, '_> {
 }
 
 /// Open an `AggScan`'s scan and pull it to its end into the node's
-/// accumulator, each partial merged behind its carrier row: the groups,
-/// in their output order.
+/// accumulator `acc`, each partial merged behind its carrier row: the
+/// groups, in their output order.
 pub(crate) fn drain_agg_scan(
-    node: &AggScanNode,
-    db: &TaurusDb,
+    mut acc: HashAggAcc,
     scan: &mut BatchScanOp<'_, '_, '_>,
 ) -> Result<AggPartials> {
-    let mut acc = HashAggAcc::for_agg_scan(node, db)?;
     scan.open()?;
     while let Some(msg) = scan.next_msg()? {
         let mut partials = msg.partials.iter().peekable();
@@ -346,7 +344,8 @@ pub(crate) fn drain_agg_scan(
 /// batch-at-a-time.
 pub(crate) struct AggScanOp<'r, 'scope, 'env> {
     ctx: &'env ExecContext<'env>,
-    node: &'env AggScanNode,
+    /// The accumulator, its expressions compiled; taken on open.
+    acc: Option<HashAggAcc>,
     scan: BatchScanOp<'r, 'scope, 'env>,
     out: Option<BatchEmitter>,
 }
@@ -359,13 +358,13 @@ where
         ctx: &'env ExecContext<'env>,
         node: &'env AggScanNode,
         scope: &'r Scope<'scope, 'env>,
-    ) -> AggScanOp<'r, 'scope, 'env> {
-        AggScanOp {
+    ) -> Result<AggScanOp<'r, 'scope, 'env>> {
+        Ok(AggScanOp {
             ctx,
-            node,
+            acc: Some(HashAggAcc::for_agg_scan(node, ctx.db)?),
             scan: BatchScanOp::new(ctx, &node.scan, None, scope),
             out: None,
-        }
+        })
     }
 }
 
@@ -377,7 +376,11 @@ impl Operator for AggScanOp<'_, '_, '_> {
     /// The whole scan runs here, as it always has: whatever opens after
     /// this operator (a join's other side) finds the pool the scan left.
     fn open(&mut self) -> Result<()> {
-        let partials = drain_agg_scan(self.node, self.ctx.db, &mut self.scan)?;
+        let acc = self
+            .acc
+            .take()
+            .ok_or_else(|| taurus_common::Error::Internal("AggScan opened twice".into()))?;
+        let partials = drain_agg_scan(acc, &mut self.scan)?;
         let rows = finalize_agg_groups(partials)?;
         self.out = Some(BatchEmitter::new(rows, self.ctx.db));
         Ok(())

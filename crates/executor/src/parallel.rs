@@ -23,12 +23,12 @@
 use taurus_common::metrics::CpuGuard;
 use taurus_common::schema::Row;
 use taurus_common::{Error, Result};
-use taurus_ndp::{partition_ranges, ScanRange};
-use taurus_optimizer::plan::{ExchangeNode, Plan, ScanNode};
+use taurus_ndp::{partition_ranges, ScanRange, TaurusDb};
+use taurus_optimizer::plan::{ExchangeNode, LookupJoinNode, Plan, ScanNode};
 
 use crate::exec::{
     encode_range, finalize_agg_groups, merge_partial_groups, panic_error, AggPartials, ExecContext,
-    HashAggAcc,
+    HashAggAcc, JoinPrograms,
 };
 use crate::op::{collect, drain, drain_agg_scan, BatchScanOp, BoxOp, LookupJoinOp};
 
@@ -38,9 +38,39 @@ enum WorkerOut {
     Partials(AggPartials),
 }
 
+/// What a worker runs above its scan, its expressions compiled when the
+/// Exchange is lowered (before any worker's scan starts): each worker
+/// gets a copy.
+#[derive(Clone)]
+pub(crate) enum WorkerPrep<'env> {
+    /// A bare `Scan`.
+    Rows,
+    /// A `HashAgg`'s accumulator.
+    HashAgg(HashAggAcc),
+    /// An `AggScan`'s accumulator.
+    AggScan(HashAggAcc),
+    /// A `LookupJoin` and its expressions.
+    Join(&'env LookupJoinNode, JoinPrograms),
+}
+
+impl<'env> WorkerPrep<'env> {
+    pub(crate) fn new(child: &'env Plan, db: &TaurusDb) -> Result<WorkerPrep<'env>> {
+        Ok(match child {
+            Plan::HashAgg(h) => WorkerPrep::HashAgg(HashAggAcc::new(h)?),
+            Plan::AggScan(a) => WorkerPrep::AggScan(HashAggAcc::for_agg_scan(a, db)?),
+            Plan::LookupJoin(j) => WorkerPrep::Join(j, JoinPrograms::new(j)?),
+            _ => WorkerPrep::Rows,
+        })
+    }
+}
+
 /// Partition the scan underneath `node`'s child and run one worker per
-/// range.
-pub(crate) fn exec_exchange(node: &ExchangeNode, ctx: &ExecContext<'_>) -> Result<Vec<Row>> {
+/// range, each with a copy of `prep`.
+pub(crate) fn exec_exchange(
+    node: &ExchangeNode,
+    ctx: &ExecContext<'_>,
+    prep: &WorkerPrep<'_>,
+) -> Result<Vec<Row>> {
     let degree = node.degree.max(1);
     let scan_node = partitioned_scan(&node.child)?;
     let table = ctx.db.table(&scan_node.table)?;
@@ -51,14 +81,14 @@ pub(crate) fn exec_exchange(node: &ExchangeNode, ctx: &ExecContext<'_>) -> Resul
         let handles: Vec<_> = parts
             .into_iter()
             .map(|range| {
-                let child = &*node.child;
                 let db = ctx.db;
                 let view = ctx.view.clone();
                 let qctx = ctx.qctx;
+                let prep = prep.clone();
                 s.spawn(move |_| -> Result<WorkerOut> {
                     // PQ workers are compute threads (SQL-node CPU).
                     let _cpu = CpuGuard::new(&db.metrics().compute_cpu_ns);
-                    run_worker(child, scan_node, range, &ExecContext { db, view, qctx })
+                    run_worker(prep, scan_node, range, &ExecContext { db, view, qctx })
                 })
             })
             .collect();
@@ -142,28 +172,20 @@ fn partitioned_scan(child: &Plan) -> Result<&ScanNode> {
     }
 }
 
-/// One worker's share of `child`: `scan` (its partitioned scan) bounded
-/// to `range`, pulled through the operators above it.
+/// One worker's share of the Exchange's child: `scan` (its partitioned
+/// scan) bounded to `range`, pulled through what `prep` runs above it.
 fn run_worker(
-    child: &Plan,
+    prep: WorkerPrep<'_>,
     scan: &ScanNode,
     range: ScanRange,
     ctx: &ExecContext<'_>,
 ) -> Result<WorkerOut> {
     crossbeam::thread::scope(|s| {
         let mut scan_op = BatchScanOp::new(ctx, scan, Some(range), s);
-        if let Plan::AggScan(a) = child {
-            return Ok(WorkerOut::Partials(drain_agg_scan(
-                a,
-                ctx.db,
-                &mut scan_op,
-            )?));
-        }
-        let input: BoxOp<'_> = Box::new(scan_op);
-        Ok(match child {
-            Plan::HashAgg(h) => {
-                let mut acc = HashAggAcc::new(h);
-                drain(input, |batch| {
+        Ok(match prep {
+            WorkerPrep::AggScan(acc) => WorkerOut::Partials(drain_agg_scan(acc, &mut scan_op)?),
+            WorkerPrep::HashAgg(mut acc) => {
+                drain(Box::new(scan_op), |batch| {
                     for row in batch.rows() {
                         acc.update(row)?;
                     }
@@ -171,11 +193,13 @@ fn run_worker(
                 })?;
                 WorkerOut::Partials(acc.finish())
             }
-            Plan::LookupJoin(j) => {
-                WorkerOut::Rows(collect(Box::new(LookupJoinOp::new(ctx, j, input)))?)
+            WorkerPrep::Join(j, programs) => {
+                let input: BoxOp<'_> = Box::new(scan_op);
+                WorkerOut::Rows(collect(Box::new(LookupJoinOp::new(
+                    ctx, j, programs, input,
+                )))?)
             }
-            // `partitioned_scan` admitted the child: a bare `Scan`.
-            _ => WorkerOut::Rows(collect(input)?),
+            WorkerPrep::Rows => WorkerOut::Rows(collect(Box::new(scan_op))?),
         })
     })
     .map_err(|panic| panic_error("pq worker scope", &*panic))?

@@ -84,10 +84,6 @@ impl Session {
         self
     }
 
-    pub fn set_tenant(&mut self, tenant: TenantId) {
-        self.tenant = tenant;
-    }
-
     /// Set a wall-clock budget applied to each query individually: the
     /// deadline is stamped when execution starts, and scans/reads past it
     /// fail with `Error::DeadlineExceeded` instead of stalling on a

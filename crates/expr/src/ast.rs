@@ -425,16 +425,24 @@ impl Expr {
     /// arbitrary arithmetic on the storage side are excluded, mirroring the
     /// paper's conservative stance (user-defined functions are the paper's
     /// example; we exclude the constructs our VM does not implement).
+    ///
+    /// A string constant must fit the bitcode's u16 length: a longer one
+    /// stays with the SQL node.
     pub fn is_ndp_supported(&self, input: &[DataType]) -> bool {
+        let fits = |v: &Value| !matches!(v, Value::Str(s) if s.len() > u16::MAX as usize);
         match self {
             Expr::Col(i) => input.get(*i).is_some(),
-            Expr::Lit(_) => true,
+            Expr::Lit(v) => fits(v),
             Expr::Cmp(_, a, b) => a.is_ndp_supported(input) && b.is_ndp_supported(input),
             Expr::And(xs) | Expr::Or(xs) => xs.iter().all(|x| x.is_ndp_supported(input)),
             Expr::Not(a) | Expr::Neg(a) => a.is_ndp_supported(input),
             Expr::Arith(_, a, b) => a.is_ndp_supported(input) && b.is_ndp_supported(input),
-            Expr::Like { expr, .. } => expr.is_ndp_supported(input),
-            Expr::InList { expr, .. } => expr.is_ndp_supported(input),
+            Expr::Like { expr, pattern, .. } => {
+                pattern.len() <= u16::MAX as usize && expr.is_ndp_supported(input)
+            }
+            Expr::InList { expr, list, .. } => {
+                list.iter().all(fits) && expr.is_ndp_supported(input)
+            }
             Expr::Between { expr, lo, hi } => {
                 expr.is_ndp_supported(input)
                     && lo.is_ndp_supported(input)

@@ -662,7 +662,7 @@ mod tests {
             ],
             key_positions: vec![0, 1],
             projection: Some(vec![0, 1, 2, 3]),
-            predicate_bitcode: Some(pred.encode_bitcode()),
+            predicate_bitcode: Some(pred.encode_bitcode().unwrap()),
             aggregation: Some(NdpAggSpec {
                 specs: vec![AggSpec::sum(3), AggSpec::count_star()],
                 group_cols: vec![],
@@ -728,7 +728,7 @@ mod tests {
         // A program's columns are checked the same way.
         let program = |e: &Expr| AggSpec {
             func: crate::agg::AggFunc::Sum,
-            input: AggInput::Program(lower(e).unwrap().encode_bitcode()),
+            input: AggInput::Program(lower(e).unwrap().encode_bitcode().unwrap()),
         };
         let over = |c| Expr::mul(Expr::col(3), Expr::col(c));
         for (c, ok) in [(1, true), (4, false), (9, false)] {
@@ -748,7 +748,8 @@ mod tests {
             Expr::sub(Expr::int(1), Expr::col(1)),
         ))
         .unwrap()
-        .encode_bitcode();
+        .encode_bitcode()
+        .unwrap();
         d.aggregation = Some(NdpAggSpec {
             specs: vec![
                 AggSpec {

@@ -2,13 +2,13 @@
 //!
 //! This is the paper's "Classical (non-LLVM) MySQL predicate evaluation
 //! [that] proceeds by traversing a tree of various expression nodes"
-//! (§V-B2) — used by the SQL executor for residual predicates, projection
-//! expressions and for completing NDP work on the compute node. It is the
-//! semantic reference the compiled VM must agree with.
+//! (§V-B2). Nothing runs it while a query runs: scans, operators and Page
+//! Stores all run the record VM ([`crate::vm`]). It is the semantic
+//! reference — the oracle the VM's parity tests compare against.
 
 use std::cmp::Ordering;
 
-use taurus_common::{Dec, Error, Result, Value};
+use taurus_common::{Date32, Dec, Error, Result, Value};
 
 use crate::ast::{ArithOp, CmpOp, Expr};
 use crate::util;
@@ -69,7 +69,7 @@ pub fn eval(expr: &Expr, row: &[Value]) -> Result<Value> {
         }
         Expr::Neg(a) => match eval(a, row)? {
             Value::Null => Value::Null,
-            Value::Int(v) => Value::Int(-v),
+            Value::Int(v) => Value::Int(util::neg_int(v)?),
             Value::Decimal(d) => Value::Decimal(d.neg()),
             Value::Double(d) => Value::Double(-d),
             other => return Err(Error::Type(format!("cannot negate {other:?}"))),
@@ -119,8 +119,13 @@ pub fn eval(expr: &Expr, row: &[Value]) -> Result<Value> {
             let v = eval(expr, row)?;
             let l = eval(lo, row)?;
             let h = eval(hi, row)?;
-            match (v.cmp_sql(&l), v.cmp_sql(&h)) {
-                (Some(a), Some(b)) => bool_val(a != Ordering::Less && b != Ordering::Greater),
+            // `lo <= v AND v <= hi` (MySQL's definition): a definite
+            // FALSE on either side is FALSE even when the other is NULL.
+            let ge = v.cmp_sql(&l).map(|o| o != Ordering::Less);
+            let le = v.cmp_sql(&h).map(|o| o != Ordering::Greater);
+            match (ge, le) {
+                (Some(false), _) | (_, Some(false)) => bool_val(false),
+                (Some(true), Some(true)) => bool_val(true),
                 _ => Value::Null,
             }
         }
@@ -199,8 +204,8 @@ pub fn arith(op: ArithOp, a: &Value, b: &Value) -> Result<Value> {
             })
         }
         (Date(d), Int(n)) => match op {
-            ArithOp::Add => Date(d.add_days(*n as i32)),
-            ArithOp::Sub => Date(d.add_days(-(*n as i32))),
+            ArithOp::Add => Date(Date32(util::add_days(d.0, *n)?)),
+            ArithOp::Sub => Date(Date32(util::add_days(d.0, n.wrapping_neg())?)),
             _ => return Err(Error::Type("date arithmetic supports +/- days".into())),
         },
         (Int(x), Int(y)) if matches!(op, ArithOp::Add | ArithOp::Sub | ArithOp::Mul) => {

@@ -215,20 +215,30 @@ fn read_u16(buf: &[u8], at: &mut usize) -> Result<u16> {
 }
 
 impl IrProgram {
-    /// Serialize to the descriptor's bitcode byte string.
-    pub fn encode_bitcode(&self) -> Vec<u8> {
+    /// Serialize to the descriptor's bitcode byte string. Counts and
+    /// string lengths are u16 on the wire: a program past either fails
+    /// here rather than wrapping into bytes that decode as something else.
+    pub fn encode_bitcode(&self) -> Result<Vec<u8>> {
+        let count = |n: usize, what: &str| {
+            u16::try_from(n).map_err(|_| {
+                Error::InvalidState(format!("bitcode: {n} {what} exceed the u16 encoding"))
+            })
+        };
         let mut out = Vec::with_capacity(64 + self.instrs.len() * 8);
         out.extend_from_slice(MAGIC);
         push_u16(&mut out, self.n_regs);
-        push_u16(&mut out, self.consts.len() as u16);
+        push_u16(&mut out, count(self.consts.len(), "constants")?);
         for c in &self.consts {
+            if let Value::Str(s) = c {
+                count(s.len(), "string constant bytes")?;
+            }
             encode_value(c, &mut out);
         }
-        push_u16(&mut out, self.instrs.len() as u16);
+        push_u16(&mut out, count(self.instrs.len(), "instructions")?);
         for ins in &self.instrs {
             encode_instr(ins, &mut out);
         }
-        out
+        Ok(out)
     }
 
     /// Decode bitcode received inside an NDP descriptor.
@@ -637,7 +647,7 @@ mod tests {
     #[test]
     fn bitcode_roundtrip() {
         let p = sample_program();
-        let bytes = p.encode_bitcode();
+        let bytes = p.encode_bitcode().unwrap();
         let back = IrProgram::decode_bitcode(&bytes).unwrap();
         assert_eq!(p, back);
     }
@@ -689,9 +699,31 @@ mod tests {
     fn decode_rejects_garbage() {
         assert!(IrProgram::decode_bitcode(b"XXXX").is_err());
         assert!(IrProgram::decode_bitcode(b"NDP1").is_err());
-        let mut bytes = sample_program().encode_bitcode();
+        let mut bytes = sample_program().encode_bitcode().unwrap();
         bytes.truncate(bytes.len() - 3);
         assert!(IrProgram::decode_bitcode(&bytes).is_err());
+    }
+
+    /// A string constant past the u16 length fails to encode rather than
+    /// wrap its length, which would decode the literal's own bytes as
+    /// instructions.
+    #[test]
+    fn long_string_constants_fail_closed() {
+        let long = "a".repeat(70_000);
+        let p = crate::compile::lower(&crate::Expr::eq(
+            crate::Expr::col(0),
+            crate::Expr::str(&long),
+        ))
+        .unwrap();
+        assert!(p.encode_bitcode().is_err());
+        let fits = "a".repeat(u16::MAX as usize);
+        let p = crate::compile::lower(&crate::Expr::eq(
+            crate::Expr::col(0),
+            crate::Expr::str(&fits),
+        ))
+        .unwrap();
+        let back = IrProgram::decode_bitcode(&p.encode_bitcode().unwrap()).unwrap();
+        assert_eq!(back, p);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! the compute-node interpreter so both sides produce bit-identical results
 //! (the paper's §V-B2 correctness requirement).
 
-use taurus_common::{Date32, Dec};
+use taurus_common::{Date32, Dec, Error, Result};
 
 /// Identifiers of library functions callable from the IR.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -65,11 +65,31 @@ pub fn extract_year(days: i32) -> i64 {
     Date32(days).year() as i64
 }
 
-/// SUBSTRING over bytes, 1-based `from`, clamped to the text bounds.
+/// SUBSTRING over bytes, 1-based `from`, clamped to the text bounds. A
+/// cut through a multi-byte character gives the empty string.
 pub fn substr(text: &[u8], from: usize, len: usize) -> &[u8] {
     let start = from.saturating_sub(1).min(text.len());
-    let end = (start + len).min(text.len());
-    &text[start..end]
+    let end = start.saturating_add(len).min(text.len());
+    let cut = &text[start..end];
+    match std::str::from_utf8(cut) {
+        Ok(_) => cut,
+        Err(_) => &[],
+    }
+}
+
+/// `date + n` days over a raw day count; a result outside the date range
+/// is an arithmetic error.
+pub fn add_days(days: i32, n: i64) -> Result<i32> {
+    i32::try_from(n)
+        .ok()
+        .and_then(|n| days.checked_add(n))
+        .ok_or_else(|| Error::Arithmetic("date out of range".into()))
+}
+
+/// Integer negation; `-i64::MIN` is an overflow.
+pub fn neg_int(v: i64) -> Result<i64> {
+    v.checked_neg()
+        .ok_or_else(|| Error::Arithmetic("integer overflow".into()))
 }
 
 /// Compare two decimals with potentially different scales — the analogue of

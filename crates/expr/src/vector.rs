@@ -14,13 +14,13 @@
 //! what `CompiledPredicate::eval_record` would — parity by construction.
 //!
 //! The program runs on a [`ColumnBatch`] ([`VectorProgram::eval_batch`]).
-//! No query path runs it: the SQL node evaluates every scan-level
-//! conjunct on record bytes and every plan-level `Filter` row at a time
-//! (`eval_pred`), and the Page Stores run pushed predicates through the
-//! scalar VM on record bytes (`taurus-pagestore::plugin`), because
-//! building columns out of a page's records cost more than the kernel
-//! saved on every TPC-H descriptor. It stays as a measured kernel:
-//! `benchmark/` times it against `eval_pred` as
+//! No query path runs it: the SQL node runs every scan-level conjunct on
+//! record bytes and every operator's expressions row at a time on the
+//! scalar VM, and the Page Stores run pushed predicates through the same
+//! VM on record bytes (`taurus-pagestore::plugin`), because building
+//! columns out of a page's records cost more than the kernel saved on
+//! every TPC-H descriptor. It stays as a measured kernel: `benchmark/`
+//! times it against the tree-walker's `eval_pred` (the tests' oracle) as
 //! `expr.vector_filter_ns_per_row`.
 //!
 //! # Shortcut elision
@@ -454,7 +454,7 @@ impl VectorProgram {
                 VOp::Neg { dst, a } => {
                     let r = unary_cells(&regs[a as usize], len, |s| match s {
                         Slot::Null => Ok(Slot::Null),
-                        Slot::Int(v) => Ok(Slot::Int(-v)),
+                        Slot::Int(v) => Ok(Slot::Int(util::neg_int(v)?)),
                         Slot::Dec(d) => Ok(Slot::Dec(d.neg())),
                         Slot::F64(v) => Ok(Slot::F64(-v)),
                         other => Err(Error::Type(format!("cannot negate {other:?}"))),
@@ -545,14 +545,11 @@ impl VectorProgram {
                         if matches!(v, Slot::Null) {
                             continue;
                         }
-                        let mut found = false;
-                        for c in &list {
-                            if slot_cmp(&v, c)? == Some(std::cmp::Ordering::Equal) {
-                                found = true;
-                                break;
-                            }
-                        }
-                        out.set_lane(i, Some(found != negated));
+                        let found = list
+                            .iter()
+                            .any(|c| slot_cmp(&v, c) == Some(std::cmp::Ordering::Equal));
+                        let saw_null = list.iter().any(|c| matches!(c, Slot::Null));
+                        out.set_lane(i, (found || !saw_null).then_some(found != negated));
                     }
                     regs[dst as usize] = VReg::Bool(out);
                 }
@@ -755,12 +752,12 @@ fn cmp_vec(op: CmpOp, ra: &VReg<'_>, rb: &VReg<'_>, len: usize) -> Result<BoolVe
     let a = lanes(ra, len)?;
     let b = lanes(rb, len)?;
     if a.is_splat() && b.is_splat() {
-        let v = slot_cmp(&a.at(0), &b.at(0))?.map(|ord| cmp_holds(op, ord));
+        let v = slot_cmp(&a.at(0), &b.at(0)).map(|ord| cmp_holds(op, ord));
         return Ok(BoolVec::splat(len, v));
     }
     let mut out = BoolVec::with_len(len);
     for i in 0..len {
-        if let Some(ord) = slot_cmp(&a.at(i), &b.at(i))? {
+        if let Some(ord) = slot_cmp(&a.at(i), &b.at(i)) {
             out.set_lane(i, Some(cmp_holds(op, ord)));
         }
     }

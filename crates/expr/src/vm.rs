@@ -1,16 +1,21 @@
-//! The Page Store execution engine — this reproduction's LLVM JIT (§V-B2,
-//! steps 3–4).
+//! The record VM — this reproduction's LLVM JIT (§V-B2, steps 3–4), and
+//! the one engine that evaluates expressions while a query runs.
 //!
 //! A Page Store receives IR bitcode inside an NDP descriptor, validates it,
 //! and *compiles* it against the concrete record layout of the index being
-//! scanned: column references become resolved `(record position, type)`
-//! field loads, constants are pre-decoded, and branch targets are checked.
-//! The resulting [`CompiledPredicate`] runs directly over raw record bytes
-//! — no row materialization — calling the pre-compiled utility library for
+//! scanned: column references become resolved record positions, constants
+//! are pre-decoded, and branch targets are checked. The resulting
+//! [`CompiledPredicate`] runs directly over raw record bytes — no row
+//! materialization — calling the pre-compiled utility library for
 //! LIKE/SUBSTR/EXTRACT, which is the performance-relevant property of the
 //! paper's native-code generation. Compilation cost is deliberately
 //! non-trivial, which is what makes the descriptor cache (§IV-D1) matter;
 //! see `taurus_pagestore::cache::DescriptorCache`.
+//!
+//! The SQL node runs the same programs: a scan's residual conjuncts over
+//! record bytes ([`RecordFilter`]), and every operator's expressions over
+//! decoded rows ([`CompiledPredicate::for_rows`]). The tree-walker in
+//! `crate::eval` is the semantic reference the tests hold the VM to.
 
 use taurus_common::{DataType, Dec, Error, Result, Value};
 use taurus_page::{RecordLayout, RecordView};
@@ -67,6 +72,7 @@ impl ConstSlot {
         }
     }
 
+    #[inline]
     pub(crate) fn as_slot(&self) -> Slot<'_> {
         match self {
             ConstSlot::Null => Slot::Null,
@@ -86,7 +92,6 @@ enum Op {
     LoadField {
         dst: u16,
         pos: u16,
-        dtype: DataType,
     },
     LoadConst {
         dst: u16,
@@ -170,12 +175,62 @@ enum Op {
     },
 }
 
-/// A predicate compiled against one record layout.
+/// A program compiled against where its column loads read: the fields of
+/// one record layout (scans, Page Stores) or the values of a decoded row
+/// (the SQL node's operators). Either way it is the same IR run by the
+/// same loop, [`CompiledPredicate::run`].
+#[derive(Clone)]
 pub struct CompiledPredicate {
     ops: Box<[Op]>,
     consts: Box<[ConstSlot]>,
-    /// Register count (bounded by [`MAX_REGS`]); kept for introspection.
+    /// Register count; kept for introspection.
     pub n_regs: usize,
+}
+
+/// Where a program's column loads read from. Two impls, one per field
+/// source; [`CompiledPredicate::run`] is generic over them, so each
+/// source gets its own copy of the loop.
+pub(crate) trait Fields<'a> {
+    fn load(&self, pos: u16) -> Result<Slot<'a>>;
+}
+
+/// A record's fields in place: its bytes and their offsets
+/// ([`RecordView::fill_offsets`]).
+struct RecordFields<'v, 'a> {
+    rec: &'v RecordView<'a>,
+    offsets: &'v [u32],
+}
+
+impl<'a> Fields<'a> for RecordFields<'_, 'a> {
+    #[inline]
+    fn load(&self, pos: u16) -> Result<Slot<'a>> {
+        let pos = pos as usize;
+        Ok(if self.rec.is_null(pos) {
+            Slot::Null
+        } else {
+            let s = self.offsets[pos] as usize;
+            let e = self.offsets[pos + 1] as usize;
+            load_field(&self.rec.backing()[s..e], self.rec.layout().dtypes[pos])
+        })
+    }
+}
+
+/// A decoded row: column `i` is the row's value `i`.
+impl<'a> Fields<'a> for &'a [Value] {
+    #[inline]
+    fn load(&self, pos: u16) -> Result<Slot<'a>> {
+        let v = self
+            .get(pos as usize)
+            .ok_or_else(|| Error::Internal(format!("column {pos} out of row range")))?;
+        Ok(match v {
+            Value::Null => Slot::Null,
+            Value::Int(x) => Slot::Int(*x),
+            Value::Decimal(d) => Slot::Dec(*d),
+            Value::Date(d) => Slot::Date(d.0),
+            Value::Str(s) => Slot::Bytes(s.as_bytes()),
+            Value::Double(x) => Slot::F64(*x),
+        })
+    }
 }
 
 impl CompiledPredicate {
@@ -188,31 +243,37 @@ impl CompiledPredicate {
         layout: &RecordLayout,
         col_map: &[u16],
     ) -> Result<CompiledPredicate> {
+        Self::build(ir, |col| {
+            let pos = *col_map
+                .get(col as usize)
+                .ok_or_else(|| Error::InvalidState(format!("descriptor col {col} unmapped")))?;
+            if pos == u16::MAX || pos as usize >= layout.n_cols() {
+                return Err(Error::InvalidState(format!(
+                    "descriptor col {col} not present in record layout"
+                )));
+            }
+            Ok(pos)
+        })
+    }
+
+    /// Lower `e` and compile it for decoded rows: the program an operator
+    /// runs ([`CompiledPredicate::eval_row`], [`CompiledPredicate::row_passes`]).
+    /// Any expression compiles; the register budget ([`MAX_REGS`]) binds
+    /// only programs shipped to a Page Store.
+    pub fn for_rows(e: &Expr) -> Result<CompiledPredicate> {
+        Self::build(&crate::compile::lower(e)?, Ok)
+    }
+
+    /// Validate `ir` and resolve its column loads through `pos_of`.
+    fn build(ir: &IrProgram, pos_of: impl Fn(u16) -> Result<u16>) -> Result<CompiledPredicate> {
         ir.validate()?;
-        if ir.n_regs as usize > MAX_REGS {
-            return Err(Error::InvalidState(format!(
-                "program uses {} registers, max {MAX_REGS}",
-                ir.n_regs
-            )));
-        }
         let mut ops = Vec::with_capacity(ir.instrs.len());
         for (i, ins) in ir.instrs.iter().enumerate() {
             let op = match *ins {
-                IrInstr::LoadCol { dst, col } => {
-                    let pos = *col_map.get(col as usize).ok_or_else(|| {
-                        Error::InvalidState(format!("descriptor col {col} unmapped"))
-                    })?;
-                    if pos == u16::MAX || pos as usize >= layout.n_cols() {
-                        return Err(Error::InvalidState(format!(
-                            "descriptor col {col} not present in record layout"
-                        )));
-                    }
-                    Op::LoadField {
-                        dst,
-                        pos,
-                        dtype: layout.dtypes[pos as usize],
-                    }
-                }
+                IrInstr::LoadCol { dst, col } => Op::LoadField {
+                    dst,
+                    pos: pos_of(col)?,
+                },
                 IrInstr::LoadConst { dst, idx } => Op::LoadConst { dst, idx },
                 IrInstr::Mov { dst, src } => Op::Mov { dst, src },
                 IrInstr::Cmp { op, dst, a, b } => Op::Cmp { op, dst, a, b },
@@ -282,11 +343,13 @@ impl CompiledPredicate {
     /// already in `offsets` (several predicates over one record share one
     /// `fill_offsets`).
     fn eval_at(&self, rec: &RecordView<'_>, offsets: &[u32]) -> Result<TriBool> {
-        Ok(match slot_bool(&self.run(rec, offsets)?)? {
-            None => TriBool::Unknown,
-            Some(true) => TriBool::True,
-            Some(false) => TriBool::False,
-        })
+        Ok(
+            match slot_bool(&self.run(&RecordFields { rec, offsets })?)? {
+                None => TriBool::Unknown,
+                Some(true) => TriBool::True,
+                Some(false) => TriBool::False,
+            },
+        )
     }
 
     /// The program's result over raw record bytes as a value: an
@@ -296,40 +359,49 @@ impl CompiledPredicate {
     /// becomes a [`Value`], the one `crate::eval::eval` gives over the
     /// decoded record (an error where it errs).
     pub fn eval_value(&self, rec: &RecordView<'_>, offsets: &[u32]) -> Result<Value> {
-        Ok(match self.run(rec, offsets)? {
-            Slot::Null => Value::Null,
-            Slot::Int(v) => Value::Int(v),
-            Slot::Dec(d) => Value::Decimal(d),
-            Slot::Date(d) => Value::Date(taurus_common::Date32(d)),
-            Slot::Bytes(b) => Value::str(std::str::from_utf8(b).unwrap_or("\u{fffd}")),
-            Slot::F64(v) => Value::Double(v),
-        })
+        Ok(slot_value(self.run(&RecordFields { rec, offsets })?))
     }
 
-    /// Run the program over `rec` (field offsets in `offsets`) to its
-    /// `Ret`: the returned register.
-    fn run<'r>(&'r self, rec: &RecordView<'r>, offsets: &[u32]) -> Result<Slot<'r>> {
-        let mut regs: [Slot<'_>; MAX_REGS] = [Slot::Null; MAX_REGS];
+    /// The program's result over a decoded row (a program from
+    /// [`CompiledPredicate::for_rows`]): what `crate::eval::eval` gives,
+    /// or an error of the same kind.
+    pub fn eval_row(&self, row: &[Value]) -> Result<Value> {
+        Ok(slot_value(self.run(&row)?))
+    }
+
+    /// Is the program TRUE over a decoded row? NULL and FALSE are not.
+    pub fn row_passes(&self, row: &[Value]) -> Result<bool> {
+        Ok(slot_bool(&self.run(&row)?)? == Some(true))
+    }
+
+    /// Run the program over `src` to its `Ret`: the returned register.
+    /// The register file is on the stack when the program fits
+    /// [`MAX_REGS`], and no larger than a small program needs. The cell
+    /// helpers the loop calls (`slot_*`, `load_field`, ...) are
+    /// `#[inline]`: without it each copy of this generic loop may call
+    /// them out of line, about a fifth slower per record.
+    fn run<'r, F: Fields<'r>>(&'r self, src: &F) -> Result<Slot<'r>> {
+        match self.n_regs {
+            0..=16 => self.exec(&mut [Slot::Null; 16], src),
+            17..=MAX_REGS => self.exec(&mut [Slot::Null; MAX_REGS], src),
+            n => self.exec(&mut vec![Slot::Null; n], src),
+        }
+    }
+
+    #[inline]
+    fn exec<'r, F: Fields<'r>>(&'r self, regs: &mut [Slot<'r>], src: &F) -> Result<Slot<'r>> {
         let mut pc = 0usize;
         loop {
             let op = self.ops[pc];
             pc += 1;
             match op {
-                Op::LoadField { dst, pos, dtype } => {
-                    regs[dst as usize] = if rec.is_null(pos as usize) {
-                        Slot::Null
-                    } else {
-                        let s = offsets[pos as usize] as usize;
-                        let e = offsets[pos as usize + 1] as usize;
-                        load_field(&rec.backing()[s..e], dtype)
-                    };
-                }
+                Op::LoadField { dst, pos } => regs[dst as usize] = src.load(pos)?,
                 Op::LoadConst { dst, idx } => {
                     regs[dst as usize] = self.consts[idx as usize].as_slot();
                 }
                 Op::Mov { dst, src } => regs[dst as usize] = regs[src as usize],
                 Op::Cmp { op, dst, a, b } => {
-                    regs[dst as usize] = match slot_cmp(&regs[a as usize], &regs[b as usize])? {
+                    regs[dst as usize] = match slot_cmp(&regs[a as usize], &regs[b as usize]) {
                         None => Slot::Null,
                         Some(ord) => bool_slot(cmp_holds(op, ord)),
                     };
@@ -354,7 +426,7 @@ impl CompiledPredicate {
                 Op::Neg { dst, a } => {
                     regs[dst as usize] = match regs[a as usize] {
                         Slot::Null => Slot::Null,
-                        Slot::Int(v) => Slot::Int(-v),
+                        Slot::Int(v) => Slot::Int(util::neg_int(v)?),
                         Slot::Dec(d) => Slot::Dec(d.neg()),
                         Slot::F64(v) => Slot::F64(-v),
                         other => return Err(Error::Type(format!("cannot negate {other:?}"))),
@@ -397,15 +469,22 @@ impl CompiledPredicate {
                     regs[dst as usize] = if matches!(v, Slot::Null) {
                         Slot::Null
                     } else {
-                        let mut found = false;
-                        for i in first..first + count {
-                            let c = self.consts[i as usize].as_slot();
-                            if slot_cmp(&v, &c)? == Some(std::cmp::Ordering::Equal) {
+                        // SQL's IN: no match against a list holding a
+                        // NULL is NULL.
+                        let (mut found, mut saw_null) = (false, false);
+                        for c in &self.consts[first as usize..(first + count) as usize] {
+                            if matches!(c, ConstSlot::Null) {
+                                saw_null = true;
+                            } else if slot_cmp(&v, &c.as_slot()) == Some(std::cmp::Ordering::Equal)
+                            {
                                 found = true;
                                 break;
                             }
                         }
-                        bool_slot(found != negated)
+                        match (found, saw_null) {
+                            (false, true) => Slot::Null,
+                            _ => bool_slot(found != negated),
+                        }
                     };
                 }
                 Op::ExtractYear { dst, a } => {
@@ -448,6 +527,20 @@ fn forward_only(at: usize, target: u16) -> Result<()> {
     Ok(())
 }
 
+/// A result register as the [`Value`] the interpreter gives.
+#[inline]
+fn slot_value(s: Slot<'_>) -> Value {
+    match s {
+        Slot::Null => Value::Null,
+        Slot::Int(v) => Value::Int(v),
+        Slot::Dec(d) => Value::Decimal(d),
+        Slot::Date(d) => Value::Date(taurus_common::Date32(d)),
+        Slot::Bytes(b) => Value::str(std::str::from_utf8(b).unwrap_or("\u{fffd}")),
+        Slot::F64(v) => Value::Double(v),
+    }
+}
+
+#[inline]
 pub(crate) fn load_field<'a>(bytes: &'a [u8], dtype: DataType) -> Slot<'a> {
     match dtype {
         DataType::Int => Slot::Int(i32::from_le_bytes(bytes[..4].try_into().unwrap()) as i64),
@@ -465,10 +558,12 @@ pub(crate) fn load_field<'a>(bytes: &'a [u8], dtype: DataType) -> Slot<'a> {
     }
 }
 
+#[inline]
 pub(crate) fn bool_slot<'a>(b: bool) -> Slot<'a> {
     Slot::Int(b as i64)
 }
 
+#[inline]
 pub(crate) fn slot_bool(s: &Slot<'_>) -> Result<Option<bool>> {
     match s {
         Slot::Null => Ok(None),
@@ -479,6 +574,7 @@ pub(crate) fn slot_bool(s: &Slot<'_>) -> Result<Option<bool>> {
     }
 }
 
+#[inline]
 fn tri_and<'a>(a: Option<bool>, b: Option<bool>) -> Slot<'a> {
     match (a, b) {
         (Some(false), _) | (_, Some(false)) => bool_slot(false),
@@ -487,6 +583,7 @@ fn tri_and<'a>(a: Option<bool>, b: Option<bool>) -> Slot<'a> {
     }
 }
 
+#[inline]
 fn tri_or<'a>(a: Option<bool>, b: Option<bool>) -> Slot<'a> {
     match (a, b) {
         (Some(true), _) | (_, Some(true)) => bool_slot(true),
@@ -495,6 +592,7 @@ fn tri_or<'a>(a: Option<bool>, b: Option<bool>) -> Slot<'a> {
     }
 }
 
+#[inline]
 pub(crate) fn cmp_holds(op: CmpOp, ord: std::cmp::Ordering) -> bool {
     use std::cmp::Ordering::*;
     match op {
@@ -507,9 +605,12 @@ pub(crate) fn cmp_holds(op: CmpOp, ord: std::cmp::Ordering) -> bool {
     }
 }
 
-pub(crate) fn slot_cmp(a: &Slot<'_>, b: &Slot<'_>) -> Result<Option<std::cmp::Ordering>> {
+/// SQL comparison, as `Value::cmp_sql`: `None` for a NULL side or
+/// incomparable types.
+#[inline]
+pub(crate) fn slot_cmp(a: &Slot<'_>, b: &Slot<'_>) -> Option<std::cmp::Ordering> {
     use Slot::*;
-    Ok(match (a, b) {
+    match (a, b) {
         (Null, _) | (_, Null) => None,
         (Int(x), Int(y)) => Some(x.cmp(y)),
         (Dec(x), Dec(y)) => Some(util::decimal_cmp(*x, *y)),
@@ -522,10 +623,11 @@ pub(crate) fn slot_cmp(a: &Slot<'_>, b: &Slot<'_>) -> Result<Option<std::cmp::Or
         (Int(x), F64(y)) => (*x as f64).partial_cmp(y),
         (F64(x), Dec(y)) => x.partial_cmp(&y.to_f64()),
         (Dec(x), F64(y)) => x.to_f64().partial_cmp(y),
-        (x, y) => return Err(Error::Type(format!("cannot compare {x:?} and {y:?}"))),
-    })
+        _ => None,
+    }
 }
 
+#[inline]
 pub(crate) fn slot_arith<'a>(op: ArithOp, a: &Slot<'a>, b: &Slot<'a>) -> Result<Slot<'a>> {
     use Slot::*;
     if matches!(a, Null) || matches!(b, Null) {
@@ -548,8 +650,8 @@ pub(crate) fn slot_arith<'a>(op: ArithOp, a: &Slot<'a>, b: &Slot<'a>) -> Result<
             })
         }
         (Date(d), Int(n)) => match op {
-            ArithOp::Add => Date(d + *n as i32),
-            ArithOp::Sub => Date(d - *n as i32),
+            ArithOp::Add => Date(util::add_days(*d, *n)?),
+            ArithOp::Sub => Date(util::add_days(*d, n.wrapping_neg())?),
             _ => return Err(Error::Type("date arithmetic supports +/- days".into())),
         },
         (Int(x), Int(y)) if matches!(op, ArithOp::Add | ArithOp::Sub | ArithOp::Mul) => {
@@ -574,6 +676,7 @@ pub(crate) fn slot_arith<'a>(op: ArithOp, a: &Slot<'a>, b: &Slot<'a>) -> Result<
     })
 }
 
+#[inline]
 fn slot_f64(s: &Slot<'_>) -> Result<f64> {
     match s {
         Slot::F64(x) => Ok(*x),
@@ -583,6 +686,7 @@ fn slot_f64(s: &Slot<'_>) -> Result<f64> {
     }
 }
 
+#[inline]
 fn slot_dec(s: &Slot<'_>) -> Result<Dec> {
     match s {
         Slot::Dec(d) => Ok(*d),
@@ -594,84 +698,42 @@ fn slot_dec(s: &Slot<'_>) -> Result<Dec> {
 /// Predicate conjuncts a scan evaluates over raw record bytes before it
 /// builds a single `Value`: each conjunct is lowered and compiled against
 /// the record layout once, the way a Page Store prepares a pushed
-/// predicate.
-///
-/// The tree-walking evaluator stays the authority. A conjunct the IR
-/// cannot express, and any record on which the VM errors, goes through
-/// [`crate::eval::eval_pred`], so verdicts and errors are the
-/// tree-walker's. Conjuncts run in order and a record is dropped at the
-/// first one that is not TRUE, so a later conjunct never sees a record an
+/// predicate. Conjuncts run in order and a record is dropped at the first
+/// one that is not TRUE, so a later conjunct never sees a record an
 /// earlier one rejected.
 pub struct RecordFilter {
-    conjuncts: Vec<FilterConjunct>,
-    n_cols: usize,
-}
-
-struct FilterConjunct {
-    compiled: Option<CompiledPredicate>,
-    /// The conjunct over record positions, and the positions it reads.
-    expr: Expr,
-    cols: Vec<usize>,
-}
-
-/// Per-scan scratch of a [`RecordFilter`]: field offsets for the VM and
-/// one decoded row for the fallback.
-#[derive(Default)]
-pub struct FilterScratch {
-    offsets: Vec<u32>,
-    row: Vec<Value>,
+    conjuncts: Vec<CompiledPredicate>,
 }
 
 impl RecordFilter {
     /// Compile `conjuncts` (column references are record positions of
     /// `layout`).
-    pub fn new(conjuncts: &[Expr], layout: &RecordLayout) -> RecordFilter {
+    pub fn new(conjuncts: &[Expr], layout: &RecordLayout) -> Result<RecordFilter> {
         // Nothing to compile against for a scan without a predicate (a
         // lookup join's probe builds one of these per outer row).
         let identity: Vec<u16> = match conjuncts.is_empty() {
             true => Vec::new(),
             false => (0..layout.n_cols() as u16).collect(),
         };
-        RecordFilter {
+        Ok(RecordFilter {
             conjuncts: conjuncts
                 .iter()
-                .map(|e| FilterConjunct {
-                    compiled: crate::compile::lower(e)
-                        .and_then(|ir| CompiledPredicate::compile(&ir, layout, &identity))
-                        .ok(),
-                    expr: e.clone(),
-                    cols: e.columns(),
-                })
-                .collect(),
-            n_cols: layout.n_cols(),
-        }
+                .map(|e| CompiledPredicate::compile(&crate::compile::lower(e)?, layout, &identity))
+                .collect::<Result<_>>()?,
+        })
     }
 
     pub fn is_empty(&self) -> bool {
         self.conjuncts.is_empty()
     }
 
-    /// Is every conjunct TRUE on `rec`?
-    pub fn passes(&self, rec: &RecordView<'_>, scratch: &mut FilterScratch) -> Result<bool> {
-        rec.fill_offsets(&mut scratch.offsets);
+    /// Is every conjunct TRUE on `rec`? A VM error is the scan's error.
+    /// `offsets` is the scan's reusable buffer for the record's field
+    /// offsets.
+    pub fn passes(&self, rec: &RecordView<'_>, offsets: &mut Vec<u32>) -> Result<bool> {
+        rec.fill_offsets(offsets);
         for c in &self.conjuncts {
-            let verdict = match &c.compiled {
-                Some(p) => p.eval_at(rec, &scratch.offsets).ok(),
-                None => None,
-            };
-            let passed = match verdict {
-                Some(v) => v == TriBool::True,
-                None => {
-                    // Only the referenced positions are decoded; the
-                    // expression reads no other.
-                    scratch.row.resize(self.n_cols, Value::Null);
-                    for &col in &c.cols {
-                        scratch.row[col] = rec.value(col);
-                    }
-                    crate::eval::eval_pred(&c.expr, &scratch.row)? == Some(true)
-                }
-            };
-            if !passed {
+            if c.eval_at(rec, offsets)? != TriBool::True {
                 return Ok(false);
             }
         }

@@ -185,13 +185,13 @@ fn decide_scan(
 /// The storage form of a block's aggregates: each as its storage-side
 /// function, AVG as a SUM and a COUNT of its input ("the calculation of
 /// AVG is pushed down as well", §III). `None` when an input is not one
-/// the Page Stores can compute: off the §V-B1 allow-list, or not lowerable
-/// to IR.
+/// the Page Stores can compute: off the §V-B1 allow-list, or a program
+/// past the descriptor's register budget.
 pub fn storage_aggs(aggs: &[AggItem], dtypes: &[DataType]) -> Option<Vec<ScanAgg>> {
     let mut specs = Vec::with_capacity(aggs.len());
     for a in aggs {
         if let Some(e) = &a.input {
-            if !e.is_ndp_supported(dtypes) || taurus_expr::compile::lower(e).is_err() {
+            if !e.is_ndp_supported(dtypes) || taurus_expr::compile::lower_for_ndp(e).is_err() {
                 return None;
             }
         }
@@ -264,8 +264,10 @@ fn gated_by_io(idx: &TableIndex, range_frac: f64, cfg: &NdpConfig, report: &mut 
 }
 
 /// Predicate pushdown (§V-B1): the allow-listed conjuncts of `predicate`
-/// go to storage together when their estimated filter factor is good
-/// enough. Returns their indices.
+/// go to storage together, as one program within the descriptor's
+/// register budget, when their estimated filter factor is good enough.
+/// Returns their indices; a conjunct the budget leaves out stays a
+/// residual.
 fn push_predicates(
     predicate: &[Expr],
     table: &taurus_ndp::Table,
@@ -275,12 +277,17 @@ fn push_predicates(
     report: &mut NdpReport,
 ) -> Vec<usize> {
     let dtypes: Vec<DataType> = table.schema.dtypes();
-    let eligible: Vec<usize> = predicate
-        .iter()
-        .enumerate()
-        .filter(|(_, e)| e.is_ndp_supported(&dtypes) && taurus_expr::compile::lower(e).is_ok())
-        .map(|(i, _)| i)
-        .collect();
+    let mut eligible: Vec<usize> = Vec::new();
+    for (i, e) in predicate.iter().enumerate() {
+        if !e.is_ndp_supported(&dtypes) {
+            continue;
+        }
+        eligible.push(i);
+        let pushed = Expr::and(eligible.iter().map(|&i| predicate[i].clone()).collect());
+        if taurus_expr::compile::lower_for_ndp(&pushed).is_err() {
+            eligible.pop();
+        }
+    }
     if eligible.is_empty() {
         return eligible;
     }

@@ -170,10 +170,6 @@ impl Page {
         PageType::from_u16(self.page_type_raw()).expect("validated")
     }
 
-    pub fn set_page_type(&mut self, t: PageType) {
-        self.set_page_type_raw(t as u16);
-    }
-
     pub fn is_leaf(&self) -> bool {
         self.level() == 0
     }

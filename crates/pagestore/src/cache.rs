@@ -82,6 +82,7 @@ impl CachedDescriptor {
         let identity: Vec<u16> = (0..layout.n_cols() as u16).collect();
         let compile = |bc: &[u8]| {
             let ir = taurus_expr::ir::IrProgram::decode_bitcode(bc)?;
+            taurus_expr::compile::check_regs(&ir)?;
             CompiledPredicate::compile(&ir, &layout, &identity)
         };
         let predicate = desc.predicate_bitcode.as_deref().map(compile).transpose()?;
@@ -224,7 +225,7 @@ mod tests {
             record_dtypes: vec![DataType::BigInt, DataType::Int],
             key_positions: vec![0],
             projection: Some(vec![0, 1]),
-            predicate_bitcode: Some(pred.encode_bitcode()),
+            predicate_bitcode: Some(pred.encode_bitcode().unwrap()),
             aggregation: None,
             low_watermark: watermark,
         }

@@ -82,6 +82,9 @@ struct PoolState {
     /// Last tenant a worker served; the next pop scans strictly after it
     /// (wrapping), which is what makes draining fair round-robin.
     rr_cursor: TenantId,
+    /// Outstanding [`NdpPool::hold_workers`] guards: while there are any,
+    /// workers take no job (until shutdown).
+    holds: usize,
     shutdown: bool,
 }
 
@@ -128,7 +131,8 @@ impl Shared {
     fn worker_loop(&self) {
         let mut st = self.lock();
         loop {
-            if let Some(job) = st.pop_next() {
+            let held = st.holds > 0 && !st.shutdown;
+            if let Some(job) = (!held).then(|| st.pop_next()).flatten() {
                 drop(st);
                 self.space_cv.notify_one();
                 // A panicking job costs that job, not this worker: the
@@ -171,6 +175,7 @@ impl NdpPool {
                 queues: BTreeMap::new(),
                 queued: 0,
                 rr_cursor: 0,
+                holds: 0,
                 shutdown: false,
             }),
             jobs_cv: Condvar::new(),
@@ -207,9 +212,15 @@ impl NdpPool {
         self.tenant_quota.store(quota, Ordering::Relaxed);
     }
 
-    /// Jobs currently queued (not counting running jobs).
-    pub fn queue_len(&self) -> usize {
-        self.shared.lock().queued
+    /// Test hook: hold the workers. Until the guard drops, they take no
+    /// queued job, so submissions queue up and admission (quota, queue
+    /// bound) meets a queue that is really there, whatever the timing.
+    #[doc(hidden)]
+    pub fn hold_workers(&self) -> WorkerHold {
+        self.shared.lock().holds += 1;
+        WorkerHold {
+            shared: self.shared.clone(),
+        }
     }
 
     /// Is the queue saturated? The store-level shed signal: when true, a
@@ -284,6 +295,20 @@ impl NdpPool {
     /// Blocking submit for the anonymous tenant.
     pub fn submit(&self, job: impl FnOnce() + Send + 'static) -> bool {
         self.submit_for(DEFAULT_TENANT, job)
+    }
+}
+
+/// The guard of [`NdpPool::hold_workers`]: dropping it lets the workers
+/// go on.
+#[doc(hidden)]
+pub struct WorkerHold {
+    shared: Arc<Shared>,
+}
+
+impl Drop for WorkerHold {
+    fn drop(&mut self) {
+        self.shared.lock().holds -= 1;
+        self.shared.jobs_cv.notify_all();
     }
 }
 
@@ -362,6 +387,31 @@ mod tests {
         assert!(pool.try_submit(move || tx.send(()).unwrap()));
         rx.recv_timeout(Duration::from_secs(5))
             .expect("the worker survived the panicking job");
+    }
+
+    #[test]
+    fn held_workers_leave_jobs_queued_until_released() {
+        let pool = NdpPool::new(2, 8);
+        let hold = pool.hold_workers();
+        pool.set_tenant_quota(1);
+        let (tx, rx) = bounded(4);
+        let tx2 = tx.clone();
+        assert_eq!(
+            pool.try_submit_for(1, move || tx2.send(()).unwrap()),
+            Admission::Admitted
+        );
+        // The first job is still queued, so the quota refuses the second.
+        assert_eq!(pool.try_submit_for(1, || {}), Admission::QuotaExceeded);
+        assert!(rx.recv_timeout(Duration::from_millis(50)).is_err());
+        drop(hold);
+        rx.recv_timeout(Duration::from_secs(5))
+            .expect("released workers run the queued job");
+        // A pool dropped while held still drains and joins.
+        let held = NdpPool::new(1, 4);
+        let _hold = held.hold_workers();
+        assert!(held.try_submit(move || tx.send(()).unwrap()));
+        drop(held);
+        rx.recv_timeout(Duration::from_secs(5)).unwrap();
     }
 
     #[test]

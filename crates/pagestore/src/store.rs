@@ -243,6 +243,13 @@ impl PageStore {
         self.pool.set_tenant_quota(quota);
     }
 
+    /// Test hook: hold this store's NDP workers until the guard drops
+    /// ([`NdpPool::hold_workers`]).
+    #[doc(hidden)]
+    pub fn hold_ndp_workers(&self) -> crate::resource::WorkerHold {
+        self.pool.hold_workers()
+    }
+
     /// Evaluate the installed fault policy at a read entry point.
     /// `slice` contextualizes [`FaultPolicy::ErrorUntilLsn`]. Called once
     /// per request (not per page) so injected latency models one slow
@@ -302,19 +309,11 @@ impl PageStore {
         self.active_requests_peak.load(Ordering::Relaxed)
     }
 
-    pub fn descriptor_cache_len(&self) -> usize {
-        self.cache.len()
-    }
-
     pub fn create_slice(&self, slice: SliceId) {
         self.slices.write().entry(slice).or_insert_with(|| Slice {
             pages: HashMap::new(),
             applied_lsn: 0,
         });
-    }
-
-    pub fn has_slice(&self, slice: SliceId) -> bool {
-        self.slices.read().contains_key(&slice)
     }
 
     pub fn applied_lsn(&self, slice: SliceId) -> Lsn {

@@ -55,7 +55,7 @@ fn descriptor(
         record_dtypes: dtypes(),
         key_positions: vec![0],
         projection,
-        predicate_bitcode: predicate.map(|e| lower(e).unwrap().encode_bitcode()),
+        predicate_bitcode: predicate.map(|e| lower(e).unwrap().encode_bitcode().unwrap()),
         aggregation,
         low_watermark: WATERMARK,
     }

@@ -49,7 +49,7 @@ fn lineitem() -> Vec<DataType> {
 }
 
 fn program(e: &Expr) -> AggInput {
-    AggInput::Program(lower(e).unwrap().encode_bitcode())
+    AggInput::Program(lower(e).unwrap().encode_bitcode().unwrap())
 }
 
 fn agg(func: AggFunc, input: AggInput) -> AggSpec {
@@ -67,7 +67,7 @@ fn descriptor(
         record_dtypes: lineitem(),
         key_positions: vec![0, 3],
         projection,
-        predicate_bitcode: predicate.map(|p| lower(&p).unwrap().encode_bitcode()),
+        predicate_bitcode: predicate.map(|p| lower(&p).unwrap().encode_bitcode().unwrap()),
         aggregation: Some(NdpAggSpec { specs, group_cols }),
         low_watermark: 77,
     }
@@ -160,6 +160,7 @@ fn hostile() -> Vec<(&'static str, NdpDescriptor, fn(&Error) -> bool)> {
             n_regs,
         }
         .encode_bitcode()
+        .unwrap()
     };
     let with = |bitcode: Vec<u8>| {
         descriptor(
@@ -172,7 +173,8 @@ fn hostile() -> Vec<(&'static str, NdpDescriptor, fn(&Error) -> bool)> {
     let load = |dst, col| IrInstr::LoadCol { dst, col };
     let mut truncated = lower(&Expr::mul(Expr::col(5), Expr::col(6)))
         .unwrap()
-        .encode_bitcode();
+        .encode_bitcode()
+        .unwrap();
     truncated.truncate(truncated.len() - 3);
     vec![
         (

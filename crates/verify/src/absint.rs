@@ -147,8 +147,9 @@ pub fn check_ir(ir: &IrProgram, path: &str) -> Vec<Diagnostic> {
 pub fn check_predicate_programs(e: &Expr, path: &str) -> Vec<Diagnostic> {
     match taurus_expr::compile::lower(e) {
         Ok(ir) => check_ir(&ir, path),
-        // Not NDP-eligible (e.g. register pressure): the executor
-        // evaluates the tree directly; nothing to verify here.
+        // Past the IR's u16 bounds (a 65,536-item IN list): the
+        // executor fails the statement when it compiles; nothing to
+        // verify here.
         Err(_) => Vec::new(),
     }
 }

@@ -1,6 +1,6 @@
 //! `taurus-xtask` — offline, dependency-free workspace lints.
 //!
-//! `cargo run -p taurus-xtask -- lint` runs five source-level rules the
+//! `cargo run -p taurus-xtask -- lint` runs six source-level rules the
 //! compiler cannot express, against the workspace this binary lives in:
 //!
 //! 1. **Panic discipline** — no `unwrap()` / `expect()` / `panic!` /
@@ -30,6 +30,12 @@
 //! 5. **One panic-message helper** — a caught panic payload is read by
 //!    `taurus_common::panic_message` and nowhere else:
 //!    `downcast_ref::<&str>()` appears once, in that helper's file.
+//! 6. **One expression engine at run time** — the record VM evaluates
+//!    every expression a query runs; the tree-walker in
+//!    `crates/expr/src/eval.rs` is the tests' oracle. Outside that file
+//!    no non-test workspace source (`crates/*/src`, `src/`, `examples/`)
+//!    names `eval_pred` or `eval::eval` (nor imports from `eval::{..}`).
+//!    `#[cfg(test)]` items and test targets are exempt.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -65,6 +71,7 @@ fn lint() -> ExitCode {
     metrics_registry(&root, &mut violations);
     knob_docs(&root, &mut violations);
     panic_downcasts(&root, &mut violations);
+    one_expression_engine(&root, &mut violations);
 
     if violations.is_empty() {
         println!("taurus-xtask lint: clean");
@@ -159,16 +166,16 @@ fn panic_discipline(root: &Path, violations: &mut Vec<String>) {
     }
 }
 
-/// Scan one file. `#[cfg(test)]` items (modules or single functions) are
-/// skipped by brace tracking: from the attribute, everything up to the
-/// end of the item it covers is test-only code.
-fn scan_panics(text: &str, file: &str, violations: &mut Vec<String>) {
-    let lines: Vec<&str> = text.lines().collect();
+/// The lines of `text` outside `#[cfg(test)]` items, with their 0-based
+/// line numbers. Test items (modules or single functions) are skipped by
+/// brace tracking: from the attribute, everything up to the end of the
+/// item it covers is test-only code.
+fn non_test_lines(text: &str) -> Vec<(usize, &str)> {
+    let mut out = Vec::new();
     let mut skip_depth: i32 = 0; // brace depth inside a #[cfg(test)] item
     let mut skipping = false;
     let mut pending_cfg_test = false;
-    let mut prev_allow = false;
-    for (idx, raw) in lines.iter().enumerate() {
+    for (idx, raw) in text.lines().enumerate() {
         let trimmed = raw.trim_start();
         if !skipping && !pending_cfg_test && trimmed.starts_with("#[cfg(test)]") {
             pending_cfg_test = true;
@@ -200,6 +207,16 @@ fn scan_panics(text: &str, file: &str, violations: &mut Vec<String>) {
             }
             continue;
         }
+        out.push((idx, raw));
+    }
+    out
+}
+
+/// Scan one file's non-test lines for panics.
+fn scan_panics(text: &str, file: &str, violations: &mut Vec<String>) {
+    let mut prev_allow = false;
+    for (idx, raw) in non_test_lines(text) {
+        let trimmed = raw.trim_start();
         // Doc and plain comments cannot panic. An allow marker stays in
         // effect through the rest of a contiguous comment block, so the
         // reason may continue onto following `//` lines.
@@ -639,6 +656,58 @@ fn stray_panic_downcasts(sources: &[(String, String)]) -> Vec<String> {
     out
 }
 
+// --- rule 6: one expression engine at run time ------------------------------
+
+/// What names the tree-walking interpreter: its entry points, or an
+/// import list from its module.
+const TREE_WALKER_CALLS: &[&str] = &["eval_pred", "eval::eval", "eval::{"];
+
+/// The interpreter's own file.
+const TREE_WALKER_FILE: &str = "crates/expr/src/eval.rs";
+
+fn one_expression_engine(root: &Path, violations: &mut Vec<String>) {
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "examples"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    // Test targets are exempt, and so is the linter: it names the calls.
+    files.retain(|f| {
+        let r = f.strip_prefix(root).unwrap_or(f);
+        !r.starts_with("crates/xtask")
+            && !r
+                .components()
+                .any(|c| c.as_os_str() == "tests" || c.as_os_str() == "benches")
+    });
+    files.sort();
+    let sources: Vec<(String, String)> = files
+        .iter()
+        .filter_map(|f| Some((rel(root, f), fs::read_to_string(f).ok()?)))
+        .collect();
+    violations.extend(tree_walker_calls(&sources));
+}
+
+/// Every `(file, text)` non-test code line outside the interpreter's file
+/// that names it.
+fn tree_walker_calls(sources: &[(String, String)]) -> Vec<String> {
+    let mut out = Vec::new();
+    for (file, text) in sources {
+        if file == TREE_WALKER_FILE {
+            continue;
+        }
+        for (idx, raw) in non_test_lines(text) {
+            let stripped = strip_strings(raw);
+            let code = stripped.split("//").next().unwrap_or("");
+            if let Some(pat) = TREE_WALKER_CALLS.iter().find(|p| code.contains(*p)) {
+                out.push(format!(
+                    "{file}:{}: `{pat}` outside `{TREE_WALKER_FILE}`: run expressions on the record VM (`CompiledPredicate`); the tree-walker is the tests' oracle",
+                    idx + 1
+                ));
+            }
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -746,6 +815,31 @@ mod tests {
     }
 
     #[test]
+    fn only_tests_run_the_tree_walker() {
+        let exec = "use taurus_expr::eval::{eval, eval_pred};\n\
+                    fn f() {}\n\
+                    /// Same as `eval_pred` would give.\n\
+                    fn g(e: &Expr, r: &[Value]) -> bool {\n\
+                    \x20   taurus_expr::eval::eval_pred(e, r).is_ok()\n\
+                    }\n\
+                    #[cfg(test)]\n\
+                    mod tests {\n\
+                    \x20   fn oracle() { crate::eval::eval(e, r); }\n\
+                    }\n";
+        let sources = vec![
+            ("crates/executor/src/exec.rs".to_string(), exec.to_string()),
+            (
+                TREE_WALKER_FILE.to_string(),
+                "pub fn eval_pred() {}\n".to_string(),
+            ),
+        ];
+        let v = tree_walker_calls(&sources);
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(v[0].starts_with("crates/executor/src/exec.rs:1:"), "{v:?}");
+        assert!(v[1].starts_with("crates/executor/src/exec.rs:5:"), "{v:?}");
+    }
+
+    #[test]
     fn the_workspace_is_lint_clean() {
         let root = workspace_root();
         let mut v = Vec::new();
@@ -754,6 +848,7 @@ mod tests {
         metrics_registry(&root, &mut v);
         knob_docs(&root, &mut v);
         panic_downcasts(&root, &mut v);
+        one_expression_engine(&root, &mut v);
         assert!(v.is_empty(), "workspace lint violations:\n{}", v.join("\n"));
     }
 }

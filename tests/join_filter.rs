@@ -16,7 +16,7 @@
 //! counts the process's scan and storage threads.
 
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use taurus::common::schema::{Column, Row, TableSchema};
 use taurus::common::{ClusterConfig, DataType, MetricsSnapshot, Value};
@@ -317,7 +317,10 @@ fn limit_over_a_filtered_join_leaves_nothing_running() {
 
 /// Whatever share of the work storage declines, or a store that is down,
 /// the filtered join gives the same rows: a page that comes back raw
-/// holds every record, and the probe sorts them out.
+/// holds every record, and the probe sorts them out. In the quota case
+/// the stores' NDP workers are held until a job has been refused, so the
+/// first job of a batch is still queued when the next one asks, on every
+/// run.
 #[test]
 fn degraded_service_gives_the_same_rows() {
     let _serial = serial();
@@ -360,10 +363,25 @@ fn degraded_service_gives_the_same_rows() {
             let plan = with_decisions(&db, join_plan(1, tag_below(1), join));
             db.buffer_pool().clear();
             let before = db.metrics().snapshot();
-            let got = Session::new(&db)
-                .with_tenant(7)
-                .execute_plan(&plan)
-                .unwrap();
+            let run = || Session::new(&db).with_tenant(7).execute_plan(&plan);
+            let got = match what.contains("quota") {
+                false => run(),
+                true => std::thread::scope(|s| {
+                    let stores = db.sal().page_stores();
+                    let held: Vec<_> = stores.iter().map(|ps| ps.hold_ndp_workers()).collect();
+                    let query = s.spawn(run);
+                    let start = Instant::now();
+                    while delta(&db, &before).ps_ndp_quota_rejected == 0
+                        && !query.is_finished()
+                        && start.elapsed() < Duration::from_secs(20)
+                    {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    drop(held);
+                    query.join().unwrap()
+                }),
+            }
+            .unwrap();
             let d = delta(&db, &before);
             assert_eq!(got, expected(1, 1, join), "{what} {join:?}");
             assert_eq!(d.join_filters_sent, 1, "{what}: {d:?}");

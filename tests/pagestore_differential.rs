@@ -587,7 +587,7 @@ fn descriptor(
                 input: match input {
                     None => AggInput::Star,
                     Some(Expr::Col(c)) => AggInput::Col(*c as u16),
-                    Some(e) => AggInput::Program(lower(e).unwrap().encode_bitcode()),
+                    Some(e) => AggInput::Program(lower(e).unwrap().encode_bitcode().unwrap()),
                 },
             })
             .collect(),
@@ -598,7 +598,7 @@ fn descriptor(
         record_dtypes: dtypes(),
         key_positions: vec![0, 2],
         projection,
-        predicate_bitcode: predicate.map(|e| lower(e).unwrap().encode_bitcode()),
+        predicate_bitcode: predicate.map(|e| lower(e).unwrap().encode_bitcode().unwrap()),
         aggregation,
         low_watermark: WATERMARK,
     }

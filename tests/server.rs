@@ -183,6 +183,98 @@ fn sql_over_socket_matches_in_process_and_fails_closed() {
 /// transaction-consistent snapshot (the transfer invariant holds no
 /// matter which node serves), and once the writer stops, the rotation
 /// spreads reads across master and both replicas.
+/// A served table of 3000 notes (`g` cycles through 500 values) whose
+/// scans push down at any size.
+fn note_server() -> (Arc<TaurusDb>, ServerHandle, String) {
+    let mut cfg = ephemeral(ClusterConfig::small_for_tests());
+    cfg.ndp.min_io_pages = 1;
+    let db = TaurusDb::new(cfg);
+    let schema = TableSchema::new(
+        "note",
+        vec![
+            Column::new("id", DataType::BigInt),
+            Column::new("g", DataType::Int),
+            Column::new("txt", DataType::Varchar(100)),
+        ],
+        vec![0],
+    );
+    let t = db.create_table(schema, &[]).unwrap();
+    let rows = (0..3000i64)
+        .map(|i| {
+            let txt = format!("note {i} with some padding text");
+            vec![Value::Int(i), Value::Int(i % 500), Value::str(txt)]
+        })
+        .collect();
+    db.bulk_load(&t, rows).unwrap();
+    let (handle, addr) = start_server(&db, Vec::new());
+    (db, handle, addr)
+}
+
+/// `text` over the wire with NDP on returns the rows the in-process
+/// session returns with NDP off (both from a cold pool); its EXPLAIN.
+fn wire_ndp_on_matches_off(db: &Arc<TaurusDb>, addr: &str, text: &str) -> (Vec<Row>, String) {
+    db.buffer_pool().clear();
+    let want = Session::new(db).with_ndp(false).sql(text).unwrap();
+    db.buffer_pool().clear();
+    let got = Client::connect(addr)
+        .unwrap()
+        .query_sql(text, true)
+        .unwrap();
+    assert_eq!(got.rows, want, "NDP on over the wire differs from NDP off");
+    let explain = Session::new(db).sql(&format!("explain {text}")).unwrap();
+    let explain = explain.iter().map(|l| format!("{}\n", l[0])).collect();
+    (want, explain)
+}
+
+/// A string constant longer than the bitcode's u16 length stays with the
+/// SQL node, and the pushed rest of the predicate still goes: pushed, its
+/// length would wrap in the descriptor and the Page Store would read its
+/// bytes as instructions.
+#[test]
+fn a_long_string_literal_gives_the_same_rows_with_ndp_on_and_off() {
+    let (db, _handle, addr) = note_server();
+    let long = "a".repeat(70_000);
+    let text = format!("select id, g from note where g < 5 and txt <> '{long}' order by id");
+    let (rows, explain) = wire_ndp_on_matches_off(&db, &addr, &text);
+    assert_eq!(rows.len(), 30);
+    assert!(
+        explain.contains("Using pushed NDP condition (g < 5)"),
+        "{explain:.400}"
+    );
+    assert!(
+        explain.contains("Residual condition: (txt <> 'aaaa"),
+        "{explain:.400}"
+    );
+}
+
+/// An expression past the descriptor's register budget (a 40-way OR of
+/// ranges, about 280 registers) is not pushed, and runs on the SQL
+/// node's record VM: the same rows with NDP on and off.
+#[test]
+fn an_expression_past_the_register_budget_runs_as_a_residual() {
+    let (db, _handle, addr) = note_server();
+    let or = (0..40)
+        .map(|i| format!("g between {} and {}", i * 10, i * 10 + 1))
+        .collect::<Vec<_>>()
+        .join(" or ");
+    let text = format!("select id, g from note where txt like 'note%' and ({or}) order by id");
+    let (rows, explain) = wire_ndp_on_matches_off(&db, &addr, &text);
+    assert_eq!(rows.len(), 480);
+    assert!(
+        explain.contains("Using pushed NDP condition (txt LIKE 'note%')"),
+        "{explain}"
+    );
+    assert!(
+        explain.contains("Residual condition: ((g BETWEEN 0 AND 1) OR"),
+        "{explain}"
+    );
+    let pushed = explain
+        .lines()
+        .find(|l| l.contains("Using pushed NDP condition"))
+        .unwrap_or_default();
+    assert!(!pushed.contains("BETWEEN"), "{explain}");
+}
+
 #[test]
 fn replica_routing_holds_invariants_under_concurrent_writer() {
     let mut cfg = ephemeral(ClusterConfig::small_for_tests());
