@@ -298,6 +298,10 @@ metrics_struct! {
     /// reads, and the distinct build keys those filters were built over.
     join_filters_sent,
     join_filter_keys,
+    /// Threads statements spawned on the SQL node: scan producers, PQ
+    /// workers and SAL sub-batch dispatches (one each). A query's own
+    /// operators run on the thread that asks for its rows.
+    sql_threads_spawned,
 }
 
 /// Per-tenant governance counters: who is consuming NDP admission and

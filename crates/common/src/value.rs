@@ -622,22 +622,43 @@ impl Value {
             DataType::Date => {
                 Value::Date(Date32(i32::from_le_bytes(bytes[..4].try_into().unwrap())))
             }
-            // CHAR columns strip their space padding on read (MySQL
-            // semantics), so compute-node rows and storage-side byte slices
-            // compare identically.
-            DataType::Char(_) => {
-                // Trailing spaces are ASCII, so dropping them first leaves
-                // the rest valid UTF-8 exactly when the whole image was.
-                let len = bytes.iter().rposition(|&b| b != b' ').map_or(0, |p| p + 1);
-                Value::Str(Arc::from(
-                    std::str::from_utf8(&bytes[..len]).unwrap_or("\u{fffd}"),
-                ))
-            }
-            DataType::Varchar(_) => {
-                Value::Str(Arc::from(std::str::from_utf8(bytes).unwrap_or("\u{fffd}")))
+            DataType::Char(_) | DataType::Varchar(_) => {
+                let text = string_text(dtype, bytes).unwrap_or_default();
+                Value::Str(Arc::from(std::str::from_utf8(text).unwrap_or("\u{fffd}")))
             }
             DataType::Double => Value::Double(f64::from_le_bytes(bytes[..8].try_into().unwrap())),
         }
+    }
+
+    /// [`Value::decode_column`] for a column whose last decoded value is
+    /// `prev`: a string column that repeats it (a flag, a status, a mode:
+    /// runs of equal values are common) shares its `Arc` instead of
+    /// allocating a copy, and `prev` is kept as the column's last string.
+    pub fn decode_column_after(dtype: &DataType, bytes: &[u8], prev: &mut Value) -> Value {
+        let Some(text) = string_text(dtype, bytes) else {
+            return Value::decode_column(dtype, bytes);
+        };
+        if !matches!(prev, Value::Str(s) if s.as_bytes() == text) {
+            *prev = Value::decode_column(dtype, bytes);
+        }
+        prev.clone()
+    }
+}
+
+/// The text of a string column's byte image, `None` for other types.
+/// CHAR columns strip their space padding on read (MySQL semantics), so
+/// compute-node rows and storage-side byte slices compare identically.
+/// (Trailing spaces are ASCII, so dropping them leaves the rest valid
+/// UTF-8 exactly when the whole image was; an image that is not decodes
+/// to U+FFFD.)
+fn string_text<'b>(dtype: &DataType, bytes: &'b [u8]) -> Option<&'b [u8]> {
+    match dtype {
+        DataType::Char(_) => {
+            let len = bytes.iter().rposition(|&b| b != b' ').map_or(0, |p| p + 1);
+            Some(&bytes[..len])
+        }
+        DataType::Varchar(_) => Some(bytes),
+        _ => None,
     }
 }
 

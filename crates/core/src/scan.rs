@@ -420,6 +420,9 @@ struct ScanState {
     seek_lower: bool,
     /// The current record's encoded key, when something asked for it.
     key: Vec<u8>,
+    /// Each output column's last decoded string, shared by the records
+    /// that repeat it ([`DecodePlan::values_after`]).
+    last_strings: Vec<Value>,
     /// The current record's field offsets, for the record filters.
     offsets: Vec<u32>,
 }
@@ -553,6 +556,7 @@ impl<'a> ScanCtx<'a> {
             pages_held: 0,
             seek_lower: self.spec.range.lower.is_some(),
             key: Vec::new(),
+            last_strings: vec![Value::Null; self.spec.output_cols.len()],
             offsets: Vec::new(),
         }
     }
@@ -630,7 +634,9 @@ impl<'a> ScanCtx<'a> {
         if !shape.residual.is_empty() && !shape.residual.passes(&rec, &mut state.offsets)? {
             return Ok(true);
         }
-        state.batch.push_row(shape.plan.values(rec));
+        state
+            .batch
+            .push_row(shape.plan.values_after(rec, &mut state.last_strings));
         if state.batch.is_full() {
             return self.flush(state, consumer);
         }
@@ -1704,8 +1710,8 @@ fn shed_staged_frames(batch: &mut InflightBatch, inflight: &mut VecDeque<Infligh
 /// at half the pool) *split* across the in-flight batches so look-ahead
 /// can never exhaust the NDP area. Frames release as each page drains.
 ///
-/// Cancellation: when the consumer stops (dropped `RowStream`, satisfied
-/// LIMIT), the in-flight queue drops on return — releasing every staged
+/// Cancellation: when the consumer stops (a sink that answered `false`,
+/// satisfied LIMIT), the in-flight queue drops on return — releasing every staged
 /// frame and joining every SAL sub-batch dispatch thread before the scan
 /// returns to its caller. Returns false when the consumer asked to stop.
 fn ndp_scan(

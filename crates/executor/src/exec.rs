@@ -1,20 +1,21 @@
-//! The executor's scan/aggregate/join machinery and the `execute()`
-//! entry point.
+//! The executor's scan/aggregate/join machinery and [`run`], the one way
+//! into execution.
 //!
-//! `execute()` is a thin collect over the lowered operator tree
-//! ([`crate::op`]): rows flow batch-at-a-time between operators, only
-//! genuine pipeline breakers (sort, aggregation, hash-join build, PQ
-//! gather) materialize, and `LIMIT` cancels its producing scans instead
-//! of truncating a materialized input. This module keeps the machinery
-//! the operators are built from: NDP-aware scan specs, streaming/hash
-//! aggregation with partial-merge support (the partials PQ workers hand
-//! their leader), and index lookup probing. The executor is the "SQL
-//! layer" of the paper: it evaluates residual predicates and merges NDP
-//! aggregate partials — without knowing whether the work below happened
-//! in a Page Store or on the compute node. Every expression an operator
-//! evaluates is compiled once, when the tree is lowered, and runs on the
-//! record VM ([`RowExpr`], [`JoinPrograms`]), the engine scans and Page
-//! Stores run.
+//! `run()` verifies a plan, lowers it to the operator tree
+//! ([`crate::op`]) and drains the root on the calling thread into a sink:
+//! rows flow batch-at-a-time between operators, only genuine pipeline
+//! breakers (sort, aggregation, hash-join build, PQ gather) materialize,
+//! and `LIMIT` (or a sink answering `false`) cancels the producing scans
+//! instead of truncating a materialized input. `execute()` collects
+//! through it. This module keeps the machinery the operators are built
+//! from: NDP-aware scan specs, streaming/hash aggregation with
+//! partial-merge support (the partials PQ workers hand their leader), and
+//! index lookup probing. The executor is the "SQL layer" of the paper: it
+//! evaluates residual predicates and merges NDP aggregate partials —
+//! without knowing whether the work below happened in a Page Store or on
+//! the compute node. Every expression an operator evaluates is compiled
+//! once, when the tree is lowered, and runs on the record VM
+//! ([`RowExpr`], [`JoinPrograms`]), the engine scans and Page Stores run.
 
 use std::borrow::Cow;
 
@@ -26,7 +27,8 @@ use taurus_expr::ir::encode_value;
 use taurus_expr::vm::CompiledPredicate;
 use taurus_ndp::ReadView;
 use taurus_ndp::{
-    BTree, KeyList, KeyRead, PointLookup, ScanConsumer, ScanRange, ScanSpec, TaurusDb,
+    scan_ctx, BTree, JoinFilter, KeyList, KeyRead, PointLookup, ScanConsumer, ScanRange, ScanSpec,
+    TaurusDb,
 };
 use taurus_optimizer::plan::{
     AggFuncEx, AggItem, AggScanNode, HashAggNode, JoinType, LookupJoinNode, Plan, ScanNode,
@@ -52,19 +54,39 @@ impl<'a> ExecContext<'a> {
     }
 }
 
-/// Execute a plan to completion: lower it to the batch-native pull
-/// pipeline ([`crate::op`]) and collect every emitted batch. Scan
-/// producers run on scoped threads and are joined (or cancelled, on
-/// error/limit) before this returns.
-pub fn execute(plan: &Plan, ctx: &ExecContext<'_>) -> Result<Vec<Row>> {
+/// Run a plan on the calling thread: verify it, lower it to the
+/// batch-native pull pipeline ([`crate::op`]) and hand every batch its
+/// root emits to `sink`, until the plan is drained or `sink` answers
+/// `false` (which closes the tree and cancels every producing scan). It is
+/// the one way into execution: [`execute`], `Session::{execute_plan,
+/// run_plan}` and the server all come through here. Scan producers and PQ
+/// workers run on scoped threads and are joined before this returns,
+/// whatever happened; a panic anywhere in the pipeline or in `sink` is
+/// the query's `Error::Internal`, never an unwind out of here or a clean
+/// (truncated) result. The caller's thread is charged to nothing here: a
+/// caller that counts SQL-node CPU holds its own `CpuGuard`.
+pub fn run(
+    plan: &Plan,
+    ctx: &ExecContext<'_>,
+    sink: impl FnMut(RowBatch) -> Result<bool>,
+) -> Result<()> {
     // The plan is verified before any operator lowers, in every build:
     // malformed plans (a wire client's, a hand-built tree's) are rejected
     // here with structured diagnostics (`Error::Verify`) instead of
-    // surfacing mid-scan. This and `RowStream::spawn_plan` are the two
-    // ways into execution, so a statement is verified once.
+    // surfacing mid-scan.
     taurus_verify::check_plan(plan, ctx.db)?;
-    crossbeam::thread::scope(|s| crate::op::collect(crate::op::lower(plan, ctx, s)?))
-        .map_err(|p| panic_error("executor", &*p))?
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        crossbeam::thread::scope(|s| crate::op::drain(crate::op::lower(plan, ctx, s)?, sink))
+    }))
+    .and_then(|scoped| scoped)
+    .unwrap_or_else(|panic| Err(panic_error("query", &*panic)))
+}
+
+/// [`run`] a plan to completion, collecting its rows.
+pub fn execute(plan: &Plan, ctx: &ExecContext<'_>) -> Result<Vec<Row>> {
+    let mut rows: Vec<Row> = Vec::new();
+    run(plan, ctx, crate::op::append_to(&mut rows))?;
+    Ok(rows)
 }
 
 /// A panic caught on one of a query's threads, as the query's error: it
@@ -106,6 +128,26 @@ pub(crate) fn scan_spec(
         ndp: node.ndp.as_ref().map(|d| d.choice.clone()),
         output_cols: node.output.clone(),
     })
+}
+
+/// Run `node`'s scan on the calling thread, over a PQ worker's `range`
+/// when given, into `consumer`: the scan core filters (the residual
+/// conjuncts on record bytes), and a hash join's `filter` goes with the
+/// batch reads of its probe scan.
+pub(crate) fn scan_into(
+    ctx: &ExecContext<'_>,
+    node: &ScanNode,
+    range: Option<ScanRange>,
+    filter: Option<&JoinFilter>,
+    consumer: &mut dyn ScanConsumer,
+) -> Result<()> {
+    let table = ctx.db.table(&node.table)?;
+    let spec = scan_spec(node, ctx, range)?;
+    let residual = scan_residual(node)?;
+    scan_ctx(
+        ctx.db, &table, &spec, &residual, &ctx.view, ctx.qctx, filter, consumer,
+    )?;
+    Ok(())
 }
 
 /// The conjuncts of a scan node the scan must still evaluate (everything
@@ -347,15 +389,17 @@ fn agg_scan_group(node: &AggScanNode, c: usize) -> Result<Expr> {
         })
 }
 
-/// Streaming accumulator for grouped aggregation: the rows of pulled
-/// batches (a `HashAgg`'s input, an `AggScan`'s scan, or a PQ worker's
-/// range of either) update grouped states one at a time; only the grouped
-/// partials are ever held. Groups are keyed by their encoded values, and
-/// the group of the last row is looked at first. An `AggScan`'s storage
-/// partials merge into the group of the row delivered just before them
-/// (their carrier). Groups come out in encoded-key order, except an
-/// `AggScan`'s whose GROUP BY follows its index: those arrive, and stay, in
-/// index order. It is cloned fresh for each PQ worker.
+/// Streaming accumulator for grouped aggregation: the rows of a
+/// `HashAgg`'s pulled input batches, or of the scan it consumes (an
+/// `AggScan`'s, or a PQ worker's range of either; see its
+/// [`ScanConsumer`] impl), update grouped states one at a time; only the
+/// grouped partials are ever held. Groups are keyed by their encoded
+/// values, and the group of the last row is looked at first. An
+/// `AggScan`'s storage partials merge into the group of the row delivered
+/// just before them (their carrier). Groups come out in encoded-key
+/// order, except an `AggScan`'s whose GROUP BY follows its index: those
+/// arrive, and stay, in index order. It is cloned fresh for each PQ
+/// worker.
 #[derive(Clone)]
 pub(crate) struct HashAggAcc {
     /// The group expressions and the aggregates' inputs, over the input
@@ -517,6 +561,31 @@ impl HashAggAcc {
             self.groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         }
         self.groups
+    }
+}
+
+/// An accumulator is the consumer of the scan it aggregates (an
+/// `AggScan`'s, or a PQ worker's range of a `HashAgg`'s or `AggScan`'s):
+/// the scan folds straight into it on the thread that runs the scan. The
+/// scan hands its batch over at every carrier row, ahead of the carrier's
+/// storage partial, so a partial merges into the group of the last row
+/// folded.
+impl ScanConsumer for HashAggAcc {
+    fn on_row(&mut self, row: &[Value]) -> Result<bool> {
+        self.update(row)?;
+        Ok(true)
+    }
+
+    fn on_batch(&mut self, batch: &RowBatch) -> Result<bool> {
+        for row in batch.rows() {
+            self.update(row)?;
+        }
+        Ok(true)
+    }
+
+    fn on_partial(&mut self, states: Vec<AggState>) -> Result<bool> {
+        self.merge_partial(&states)?;
+        Ok(true)
     }
 }
 
@@ -990,6 +1059,70 @@ mod tests {
         let want: Vec<Row> = want.into_values().collect();
         assert_eq!(got, want);
         assert!(got.len() > 20, "{} groups", got.len());
+    }
+
+    /// `run` is the query's one panic boundary: a panic in an operator on
+    /// the calling thread, or in the sink, comes back as
+    /// `Error::Internal`, and by then the scan producers are joined and
+    /// every NDP frame and batch read of the cancelled scan is returned.
+    #[test]
+    fn a_panic_in_the_pipeline_or_the_sink_is_an_internal_error() {
+        let mut cfg = ClusterConfig::small_for_tests();
+        cfg.page_size = 2048;
+        cfg.ndp.prefetch_batches = 2;
+        let db = TaurusDb::new(cfg);
+        let schema = TableSchema::new(
+            "wide",
+            vec![
+                Column::new("id", DataType::BigInt),
+                Column::new("pad", DataType::Varchar(60)),
+            ],
+            vec![0],
+        );
+        let t = db.create_table(schema, &[]).unwrap();
+        let rows = (0..4000i64)
+            .map(|i| {
+                vec![
+                    Value::Int(i),
+                    Value::str(format!("row {i} padded to span pages")),
+                ]
+            })
+            .collect();
+        db.bulk_load(&t, rows).unwrap();
+        let mut plan = Plan::Scan(
+            ScanNode::new("wide", vec![0, 1])
+                .with_predicate(vec![Expr::ge(Expr::col(0), Expr::int(0))]),
+        );
+        taurus_optimizer::ndp_post::ndp_post_process(&mut plan, &db).unwrap();
+        plan.for_each_scan(&mut |s, _| assert!(s.ndp.is_some(), "the scan is pushed"));
+        for in_sink in [false, true] {
+            db.buffer_pool().clear();
+            let ctx = ExecContext::new(&db);
+            let mut batches = 0;
+            crate::op::PANIC_AT_EMIT.with(|p| p.set(!in_sink));
+            let err = run(&plan, &ctx, |_| {
+                batches += 1;
+                if in_sink && batches == 2 {
+                    panic!("injected sink panic");
+                }
+                Ok(true)
+            })
+            .unwrap_err();
+            assert!(
+                matches!(&err, Error::Internal(m) if m.contains("injected")),
+                "in_sink={in_sink}: {err:?}"
+            );
+            assert_eq!(db.buffer_pool().ndp_frames_in_use(), 0, "in_sink={in_sink}");
+            let at_return = db.metrics().snapshot();
+            assert_eq!(at_return.ndp_batches_in_flight, 0, "in_sink={in_sink}");
+            // Nothing is left scanning: the counters are final.
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            let d = db.metrics().snapshot().since(&at_return);
+            assert_eq!((d.rows_scanned, d.net_read_requests), (0, 0), "{d:?}");
+        }
+        // The database serves the plan again, in full.
+        let rows = execute(&plan, &ExecContext::new(&db)).unwrap();
+        assert_eq!(rows.len(), 4000);
     }
 
     /// Same contract for an AggScan whose GROUP BY column the scan does

@@ -3,24 +3,23 @@
 //!
 //! * [`session`] — the **public API**: [`Session`] owns the MVCC read
 //!   view and runs plans — bound from SQL text by `taurus_sql`, or built
-//!   by hand — behind one serveability gate; [`RowStream`] streams *any*
-//!   plan's results batch-at-a-time; [`QueryRun::measure`] times a query
-//!   the way the paper's figures do.
+//!   by hand — behind one serveability gate, collected
+//!   (`execute_plan`) or batch by batch into a sink (`run_plan`);
+//!   [`QueryRun::measure`] times a query the way the paper's figures do.
 //! * [`op`] — the physical operator pipeline: every [`Plan`] variant
 //!   lowers to an [`op::Operator`] with the
 //!   `open()/next_batch()/close()` pull contract; batches flow between
 //!   operators, pipeline breakers materialize only at their breaker, and
-//!   `LIMIT`/dropped streams cancel producing scans through channel
-//!   backpressure. It is the one way a plan runs: `execute`, a
-//!   [`RowStream`]'s producer and each PQ worker all open, drain and
-//!   close a lowered tree.
-//! * [`exec`] — shared execution machinery (NDP-aware scan specs,
-//!   stream/hash aggregation with partial-merge support, lookup probing)
-//!   plus `execute(plan, ctx)`, the materializing collect over the
-//!   pipeline (the TPC-H plan builders and parity tests use it).
+//!   `LIMIT` or a sink that answers `false` cancels producing scans
+//!   through channel backpressure.
+//! * [`exec`] — [`run`], the one way into execution: it verifies a plan,
+//!   lowers it, and drains the root on the calling thread into a sink
+//!   (`execute` collects through it, and so do the sessions and the
+//!   server). Plus the shared machinery: NDP-aware scan specs,
+//!   stream/hash aggregation with partial-merge support, lookup probing.
 //! * [`parallel`] — PQ: range partitioning, workers pulling operators
-//!   over their range of the scan, leader merge (surfaced as the
-//!   pipeline's `Gather`).
+//!   over their range of the scan (or folding it into an accumulator),
+//!   leader merge (surfaced as the pipeline's `Gather`).
 //!
 //! [`Plan`]: taurus_optimizer::plan::Plan
 
@@ -28,12 +27,10 @@ pub mod exec;
 pub mod op;
 pub mod parallel;
 pub mod session;
-pub mod stream;
 
-pub use exec::{execute, ExecContext};
+pub use exec::{execute, run, ExecContext};
 pub use op::{lower, BoxOp, Operator};
 pub use session::Session;
-pub use stream::RowStream;
 
 use std::time::{Duration, Instant};
 

@@ -6,6 +6,7 @@
 //! PQ is inherently a pipeline breaker — the leader merge cannot begin
 //! until every worker finishes.
 
+use crossbeam::thread::Scope;
 use taurus_common::{Result, RowBatch};
 use taurus_optimizer::plan::ExchangeNode;
 
@@ -13,21 +14,25 @@ use super::{emit_or_end, BatchEmitter, Operator};
 use crate::exec::ExecContext;
 use crate::parallel::{exec_exchange, WorkerPrep};
 
-pub(crate) struct GatherOp<'env> {
+pub(crate) struct GatherOp<'r, 'scope, 'env> {
     ctx: &'env ExecContext<'env>,
+    /// The query's scope, the workers' home.
+    scope: &'r Scope<'scope, 'env>,
     node: &'env ExchangeNode,
     /// The child's expressions, compiled once for every worker.
     prep: WorkerPrep<'env>,
     out: Option<BatchEmitter>,
 }
 
-impl<'env> GatherOp<'env> {
+impl<'r, 'scope, 'env> GatherOp<'r, 'scope, 'env> {
     pub(crate) fn new(
         ctx: &'env ExecContext<'env>,
         node: &'env ExchangeNode,
-    ) -> taurus_common::Result<GatherOp<'env>> {
+        scope: &'r Scope<'scope, 'env>,
+    ) -> taurus_common::Result<GatherOp<'r, 'scope, 'env>> {
         Ok(GatherOp {
             ctx,
+            scope,
             node,
             prep: WorkerPrep::new(&node.child, ctx.db)?,
             out: None,
@@ -35,13 +40,13 @@ impl<'env> GatherOp<'env> {
     }
 }
 
-impl Operator for GatherOp<'_> {
+impl Operator for GatherOp<'_, '_, '_> {
     fn name(&self) -> &'static str {
         "Gather"
     }
 
     fn open(&mut self) -> Result<()> {
-        let rows = exec_exchange(self.node, self.ctx, &self.prep)?;
+        let rows = exec_exchange(self.node, self.ctx, &self.prep, self.scope)?;
         self.out = Some(BatchEmitter::new(rows, self.ctx.db));
         Ok(())
     }

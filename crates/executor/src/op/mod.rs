@@ -3,9 +3,9 @@
 //! Every [`Plan`] variant lowers to a physical [`Operator`] with the
 //! Volcano-with-batches contract:
 //!
-//! * `open()` acquires resources (spawns the scan producer, builds the
-//!   hash table, materializes the sort input) — it is called exactly once,
-//!   before the first `next_batch()`.
+//! * `open()` acquires resources (spawns the scan producer, folds an
+//!   `AggScan`'s whole scan, builds the hash table, materializes the sort
+//!   input) — it is called exactly once, before the first `next_batch()`.
 //! * `next_batch()` pulls the next [`RowBatch`] of output, or `None` at
 //!   end of stream. Batches are never empty.
 //! * `close()` releases resources *early* — in particular it cancels any
@@ -17,17 +17,17 @@
 //!
 //! Pull backpressure replaces materialized `Vec<Row>` hand-offs: a
 //! `Limit` that stops pulling stops the scan (§IV-C batch reads stop
-//! being issued), and `RowStream` can stream *any* sort-free prefix of a
-//! plan — the pipeline breakers (sort, aggregation, hash-join build,
-//! PQ gather) materialize at their breaker and re-emit in batches.
+//! being issued), and a sink that answers `false` stops *any* sort-free
+//! prefix of a plan — the pipeline breakers (sort, aggregation, hash-join
+//! build, PQ gather) materialize at their breaker and re-emit in batches.
 //!
 //! Operators borrow the plan and [`ExecContext`] for `'env` and spawn
 //! producer threads on a [`crossbeam::thread::Scope`] so that the whole
 //! tree works with plain references — no `Arc` plumbing through the
-//! executor. Every entry point runs a plan the same way, [`drain`]:
-//! [`crate::exec::execute`] collects the batches, [`crate::RowStream`]
-//! forwards them through the stream channel, and each PQ worker
-//! ([`crate::parallel`]) pulls the operators over its range of the scan.
+//! executor. Every plan runs the same way, [`drain`] on the thread that
+//! asks for its rows: [`crate::exec::run`] drains the root into its
+//! caller's sink, and each PQ worker ([`crate::parallel`]) pulls the
+//! operators over its range of the scan.
 
 mod agg;
 mod gather;
@@ -37,7 +37,7 @@ mod scan;
 mod sort;
 
 pub(crate) use join::LookupJoinOp;
-pub(crate) use scan::{drain_agg_scan, BatchScanOp};
+pub(crate) use scan::BatchScanOp;
 
 use crossbeam::thread::Scope;
 use taurus_common::schema::Row;
@@ -85,7 +85,8 @@ pub trait Operator {
 pub type BoxOp<'r> = Box<dyn Operator + 'r>;
 
 /// Lower a logical plan to its physical operator tree. Scan leaves spawn
-/// their producers on `scope` when opened.
+/// their producers, and a `Gather` its PQ workers, on `scope` when
+/// opened.
 pub fn lower<'r, 'scope, 'env>(
     plan: &'env Plan,
     ctx: &'env ExecContext<'env>,
@@ -97,7 +98,7 @@ where
 {
     Ok(match plan {
         Plan::Scan(node) => Box::new(BatchScanOp::new(ctx, node, None, scope)),
-        Plan::AggScan(node) => Box::new(scan::AggScanOp::new(ctx, node, scope)?),
+        Plan::AggScan(node) => Box::new(scan::AggScanOp::new(ctx, node)?),
         Plan::LookupJoin(node) => Box::new(LookupJoinOp::new(
             ctx,
             node,
@@ -125,7 +126,7 @@ where
         Plan::Limit { input, n } => {
             Box::new(pipe::LimitOp::new(ctx, *n, lower(input, ctx, scope)?))
         }
-        Plan::Exchange(e) => Box::new(gather::GatherOp::new(ctx, e)?),
+        Plan::Exchange(e) => Box::new(gather::GatherOp::new(ctx, e, scope)?),
     })
 }
 
@@ -149,12 +150,17 @@ pub(crate) fn drain(
 /// [`drain`] into rows.
 pub(crate) fn collect(root: BoxOp<'_>) -> Result<Vec<Row>> {
     let mut out: Vec<Row> = Vec::new();
-    drain(root, |mut batch| {
+    drain(root, append_to(&mut out))?;
+    Ok(out)
+}
+
+/// A sink that moves every batch's rows onto the end of `out`.
+pub(crate) fn append_to(out: &mut Vec<Row>) -> impl FnMut(RowBatch) -> Result<bool> + '_ {
+    |mut batch| {
         out.reserve(batch.len());
         out.extend(batch.drain_rows());
         Ok(true)
-    })?;
-    Ok(out)
+    }
 }
 
 /// The streamed input of an operator whose output batch can fill before
@@ -236,8 +242,19 @@ impl<'r> InputCursor<'r> {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Test hook: the next emit on this thread panics, as a bug in an
+    /// operator would.
+    pub(crate) static PANIC_AT_EMIT: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
 /// Charge the pipeline-traffic counters at an operator's emit site.
 pub(crate) fn charge_emit(db: &TaurusDb, batch: &RowBatch) {
+    #[cfg(test)]
+    if PANIC_AT_EMIT.with(|p| p.replace(false)) {
+        panic!("injected operator panic");
+    }
     db.metrics().add(|m| &m.operator_rows, batch.len() as u64);
     db.metrics().add(|m| &m.operator_batches, 1);
 }

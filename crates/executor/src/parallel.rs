@@ -10,16 +10,17 @@
 //! values per thread, and a separate 'leader' thread then aggregates the
 //! partial values."
 //!
-//! A worker runs its share the way every plan runs: it pulls operators
-//! ([`crate::op::drain`]) over a `BatchScanOp` bounded to its range. A
-//! `Scan` or `LookupJoin` child drains into rows, a `HashAgg` folds the
-//! pulled batches into grouped partials, and an `AggScan` (aggregation
-//! fused onto the scan, with NDP partials) hands back its partials. The
-//! leader then merges whole per-worker results. In the operator pipeline
-//! this whole protocol sits behind the `Gather` operator — the leader
-//! merge is PQ's inherent pipeline breaker, and the merged result
-//! re-emits in batches.
+//! A worker runs its share on its own thread. A `Scan` or `LookupJoin`
+//! child pulls operators ([`crate::op::drain`]) over a `BatchScanOp`
+//! bounded to its range and drains into rows; a `HashAgg` over a scan,
+//! or an `AggScan` (aggregation fused onto the scan, with NDP partials),
+//! runs its range of the scan straight into its accumulator and hands
+//! back the grouped partials. The leader then merges whole per-worker
+//! results. In the operator pipeline this whole protocol sits behind the
+//! `Gather` operator — the leader merge is PQ's inherent pipeline breaker,
+//! and the merged result re-emits in batches.
 
+use crossbeam::thread::Scope;
 use taurus_common::metrics::CpuGuard;
 use taurus_common::schema::Row;
 use taurus_common::{Error, Result};
@@ -27,10 +28,10 @@ use taurus_ndp::{partition_ranges, ScanRange, TaurusDb};
 use taurus_optimizer::plan::{ExchangeNode, LookupJoinNode, Plan, ScanNode};
 
 use crate::exec::{
-    encode_range, finalize_agg_groups, merge_partial_groups, panic_error, AggPartials, ExecContext,
+    encode_range, finalize_agg_groups, merge_partial_groups, scan_into, AggPartials, ExecContext,
     HashAggAcc, JoinPrograms,
 };
-use crate::op::{collect, drain, drain_agg_scan, BatchScanOp, BoxOp, LookupJoinOp};
+use crate::op::{collect, BatchScanOp, LookupJoinOp};
 
 /// What one worker hands the leader.
 enum WorkerOut {
@@ -45,10 +46,9 @@ enum WorkerOut {
 pub(crate) enum WorkerPrep<'env> {
     /// A bare `Scan`.
     Rows,
-    /// A `HashAgg`'s accumulator.
-    HashAgg(HashAggAcc),
-    /// An `AggScan`'s accumulator.
-    AggScan(HashAggAcc),
+    /// The accumulator of a `HashAgg` over the scan, or of an `AggScan`:
+    /// the worker's range of the scan folds straight into it.
+    Agg(HashAggAcc),
     /// A `LookupJoin` and its expressions.
     Join(&'env LookupJoinNode, JoinPrograms),
 }
@@ -56,8 +56,8 @@ pub(crate) enum WorkerPrep<'env> {
 impl<'env> WorkerPrep<'env> {
     pub(crate) fn new(child: &'env Plan, db: &TaurusDb) -> Result<WorkerPrep<'env>> {
         Ok(match child {
-            Plan::HashAgg(h) => WorkerPrep::HashAgg(HashAggAcc::new(h)?),
-            Plan::AggScan(a) => WorkerPrep::AggScan(HashAggAcc::for_agg_scan(a, db)?),
+            Plan::HashAgg(h) => WorkerPrep::Agg(HashAggAcc::new(h)?),
+            Plan::AggScan(a) => WorkerPrep::Agg(HashAggAcc::for_agg_scan(a, db)?),
             Plan::LookupJoin(j) => WorkerPrep::Join(j, JoinPrograms::new(j)?),
             _ => WorkerPrep::Rows,
         })
@@ -65,11 +65,12 @@ impl<'env> WorkerPrep<'env> {
 }
 
 /// Partition the scan underneath `node`'s child and run one worker per
-/// range, each with a copy of `prep`.
-pub(crate) fn exec_exchange(
-    node: &ExchangeNode,
-    ctx: &ExecContext<'_>,
-    prep: &WorkerPrep<'_>,
+/// range on the query's scope, each with a copy of `prep`.
+pub(crate) fn exec_exchange<'env>(
+    node: &'env ExchangeNode,
+    ctx: &'env ExecContext<'env>,
+    prep: &WorkerPrep<'env>,
+    s: &Scope<'_, 'env>,
 ) -> Result<Vec<Row>> {
     let degree = node.degree.max(1);
     let scan_node = partitioned_scan(&node.child)?;
@@ -77,30 +78,28 @@ pub(crate) fn exec_exchange(
     let base_range = encode_range(scan_node, ctx)?;
     let parts = partition_ranges(&table, scan_node.index, &base_range, degree)?;
 
-    let results: Vec<Result<WorkerOut>> = crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = parts
-            .into_iter()
-            .map(|range| {
-                let db = ctx.db;
-                let view = ctx.view.clone();
-                let qctx = ctx.qctx;
-                let prep = prep.clone();
-                s.spawn(move |_| -> Result<WorkerOut> {
-                    // PQ workers are compute threads (SQL-node CPU).
-                    let _cpu = CpuGuard::new(&db.metrics().compute_cpu_ns);
-                    run_worker(prep, scan_node, range, &ExecContext { db, view, qctx })
-                })
+    let handles: Vec<_> = parts
+        .into_iter()
+        .map(|range| {
+            let prep = prep.clone();
+            ctx.db.metrics().add(|m| &m.sql_threads_spawned, 1);
+            s.spawn(move |s| -> Result<WorkerOut> {
+                // PQ workers are compute threads (SQL-node CPU).
+                let _cpu = CpuGuard::new(&ctx.db.metrics().compute_cpu_ns);
+                run_worker(prep, scan_node, range, ctx, s)
             })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|panic| Err(panic_error("pq worker", &*panic)))
-            })
-            .collect()
-    })
-    .map_err(|panic| panic_error("pq scope", &*panic))?;
+        })
+        .collect();
+    // A worker's panic goes on unwinding on this thread, up to the query's
+    // one panic boundary in `exec::run`, whose scope joins every other
+    // worker on the way.
+    let results: Vec<Result<WorkerOut>> = handles
+        .into_iter()
+        .map(|h| {
+            h.join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        })
+        .collect();
 
     // Leader merge: collect every worker's output first (surfacing the
     // first error), then concatenate rows with one exact reservation.
@@ -173,34 +172,31 @@ fn partitioned_scan(child: &Plan) -> Result<&ScanNode> {
 }
 
 /// One worker's share of the Exchange's child: `scan` (its partitioned
-/// scan) bounded to `range`, pulled through what `prep` runs above it.
-fn run_worker(
-    prep: WorkerPrep<'_>,
-    scan: &ScanNode,
+/// scan) bounded to `range`, run through what `prep` runs above it. A
+/// scan that is pulled gets its producer on the query's scope `s`.
+fn run_worker<'env>(
+    prep: WorkerPrep<'env>,
+    scan: &'env ScanNode,
     range: ScanRange,
-    ctx: &ExecContext<'_>,
+    ctx: &'env ExecContext<'env>,
+    s: &Scope<'_, 'env>,
 ) -> Result<WorkerOut> {
-    crossbeam::thread::scope(|s| {
-        let mut scan_op = BatchScanOp::new(ctx, scan, Some(range), s);
-        Ok(match prep {
-            WorkerPrep::AggScan(acc) => WorkerOut::Partials(drain_agg_scan(acc, &mut scan_op)?),
-            WorkerPrep::HashAgg(mut acc) => {
-                drain(Box::new(scan_op), |batch| {
-                    for row in batch.rows() {
-                        acc.update(row)?;
-                    }
-                    Ok(true)
-                })?;
-                WorkerOut::Partials(acc.finish())
-            }
-            WorkerPrep::Join(j, programs) => {
-                let input: BoxOp<'_> = Box::new(scan_op);
-                WorkerOut::Rows(collect(Box::new(LookupJoinOp::new(
-                    ctx, j, programs, input,
-                )))?)
-            }
-            WorkerPrep::Rows => WorkerOut::Rows(collect(Box::new(scan_op))?),
-        })
+    Ok(match prep {
+        WorkerPrep::Agg(mut acc) => {
+            scan_into(ctx, scan, Some(range), None, &mut acc)?;
+            WorkerOut::Partials(acc.finish())
+        }
+        WorkerPrep::Join(j, programs) => {
+            let input = Box::new(BatchScanOp::new(ctx, scan, Some(range), s));
+            WorkerOut::Rows(collect(Box::new(LookupJoinOp::new(
+                ctx, j, programs, input,
+            )))?)
+        }
+        WorkerPrep::Rows => WorkerOut::Rows(collect(Box::new(BatchScanOp::new(
+            ctx,
+            scan,
+            Some(range),
+            s,
+        )))?),
     })
-    .map_err(|panic| panic_error("pq worker scope", &*panic))?
 }

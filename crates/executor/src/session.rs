@@ -3,19 +3,23 @@
 //! A session is a database handle plus the MVCC read view all of its
 //! queries share. Queries reach it as SQL text (`taurus_sql`: parse, bind
 //! against this session's catalog, execute here) or as prebuilt
-//! [`Plan`]s ([`Session::execute_plan`] / [`Session::stream_plan`]):
+//! [`Plan`]s, collected ([`Session::execute_plan`]) or handed batch by
+//! batch to a sink on the calling thread ([`Session::run_plan`]):
 //!
 //! ```no_run
 //! # use taurus_executor::Session;
 //! # use taurus_optimizer::plan::{Plan, ScanNode};
 //! # fn demo(db: &std::sync::Arc<taurus_ndp::TaurusDb>) -> taurus_common::Result<()> {
 //! let session = Session::new(db);
-//! // Columns 0 and 3 of every `worker` row, in primary-key order.
+//! // Columns 0 and 3 of the first 10 `worker` rows, in primary-key order:
+//! // the sink answers `false` once it has them, which cancels the scan.
 //! let scan = Plan::Scan(ScanNode::new("worker", vec![0, 3]));
-//! for row in session.stream_plan(scan).take(10) {
-//!     println!("{:?}", row?);
-//! }
-//! # Ok(()) }
+//! let mut rows = Vec::new();
+//! session.run_plan(&scan, |mut batch| {
+//!     rows.extend(batch.drain_rows().take(10 - rows.len()));
+//!     Ok(rows.len() < 10)
+//! })?;
+//! # let _ = rows; Ok(()) }
 //! ```
 //!
 //! The paper's encapsulation claim — "the MySQL query execution layers
@@ -28,7 +32,7 @@
 //! benchmarks).
 //!
 //! Every execution entry point ([`Session::execute_plan`],
-//! [`Session::stream_plan`], [`Session::lookup`]) passes one serveability
+//! [`Session::run_plan`], [`Session::lookup`]) passes one serveability
 //! gate before any scan starts: on a read replica, a detached node, one
 //! lagging beyond `replica.max_lag_lsn`, or a transaction-bound session is
 //! refused rather than served a stale or meaningless snapshot.
@@ -36,12 +40,11 @@
 use std::sync::Arc;
 
 use taurus_common::schema::Row;
-use taurus_common::{Error, QueryCtx, Result, TenantId, TrxId};
+use taurus_common::{Error, QueryCtx, Result, RowBatch, TenantId, TrxId};
 use taurus_ndp::{ReadView, TaurusDb};
 use taurus_optimizer::plan::Plan;
 
-use crate::exec::{execute, ExecContext};
-use crate::stream::RowStream;
+use crate::exec::{execute, run, ExecContext};
 
 /// A session: a database handle plus the MVCC read view all of its
 /// queries share. Create one per logical "connection"/snapshot.
@@ -142,24 +145,26 @@ impl Session {
     /// pipeline.
     pub fn execute_plan(&self, plan: &Plan) -> Result<Vec<Row>> {
         self.check_serveable()?;
-        let ctx = ExecContext {
+        execute(plan, &self.exec_ctx())
+    }
+
+    /// Run a [`Plan`] under this session's read view on the calling
+    /// thread, handing each batch to `sink` as the pipeline emits it. Any
+    /// plan runs this way; pipeline breakers materialize at their breaker
+    /// inside the pipeline, and a `sink` that answers `false` stops the
+    /// plan and cancels its producing scans. A refusal (the serveability
+    /// gate, the plan verifier) is the error, before any operator opens.
+    pub fn run_plan(&self, plan: &Plan, sink: impl FnMut(RowBatch) -> Result<bool>) -> Result<()> {
+        self.check_serveable()?;
+        run(plan, &self.exec_ctx(), sink)
+    }
+
+    fn exec_ctx(&self) -> ExecContext<'_> {
+        ExecContext {
             db: &self.db,
             view: self.view.clone(),
             qctx: self.query_ctx(),
-        };
-        execute(plan, &ctx)
-    }
-
-    /// Stream a [`Plan`] under this session's read view. Any plan
-    /// streams; pipeline breakers materialize at their breaker inside the
-    /// pipeline, and dropping the stream cancels the producing scans. A
-    /// refusal (the serveability gate, the plan verifier) is the stream's
-    /// one item, before any operator opens.
-    pub fn stream_plan(&self, plan: Plan) -> RowStream {
-        if let Err(e) = self.check_serveable() {
-            return RowStream::fail(e);
         }
-        RowStream::spawn_plan(self.db.clone(), plan, self.view.clone(), self.query_ctx())
     }
 
     /// MVCC point lookup under this session's read view.

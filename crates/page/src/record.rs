@@ -506,14 +506,41 @@ impl DecodePlan {
     /// The planned columns of `rec` (a view over the layout the plan was
     /// built for), NULL-aware, equal to `rec.value(pos)` for each.
     pub fn values<'a>(&'a self, rec: RecordView<'a>) -> impl ExactSizeIterator<Item = Value> + 'a {
+        self.images(rec).map(|(c, image)| match image {
+            None => Value::Null,
+            Some(bytes) => Value::decode_column(&c.dtype, bytes),
+        })
+    }
+
+    /// [`DecodePlan::values`] for one record of a run: `prev` holds each
+    /// planned column's last string, which a repeat shares
+    /// ([`Value::decode_column_after`]).
+    pub fn values_after<'a>(
+        &'a self,
+        rec: RecordView<'a>,
+        prev: &'a mut [Value],
+    ) -> impl ExactSizeIterator<Item = Value> + 'a {
+        self.images(rec)
+            .zip(prev)
+            .map(|((c, image), prev)| match image {
+                None => Value::Null,
+                Some(bytes) => Value::decode_column_after(&c.dtype, bytes, prev),
+            })
+    }
+
+    /// Each planned column of `rec` with its byte image (`None`: NULL).
+    fn images<'a>(
+        &'a self,
+        rec: RecordView<'a>,
+    ) -> impl ExactSizeIterator<Item = (&'a PlanCol, Option<&'a [u8]>)> + 'a {
         let mut vars = VarPrefix::default();
         self.cols.iter().map(move |c| {
             if rec.is_null(c.pos) {
-                return Value::Null;
+                return (c, None);
             }
             let at = c.fixed_off + vars.upto(&rec, c.var_before);
             let len = c.width.unwrap_or_else(|| rec.var_len(c.var_before));
-            Value::decode_column(&c.dtype, &rec.bytes[at..at + len])
+            (c, Some(&rec.bytes[at..at + len]))
         })
     }
 }
@@ -706,6 +733,7 @@ pub fn set_trx_id(page: &mut [u8], rec_at: usize, trx_id: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use taurus_common::{Date32, Dec};
 
     fn lineitem_ish_layout() -> RecordLayout {
@@ -764,6 +792,43 @@ mod tests {
         assert_eq!(view.values(), vals);
         assert!(view.is_null(1) && view.is_null(2) && view.is_null(4) && view.is_null(5));
         assert!(!view.is_null(0));
+    }
+
+    /// A run of records decoded with the previous strings kept gives what
+    /// decoding each alone gives, NULLs and CHAR padding included, and a
+    /// repeated string is the previous record's `Arc`, not a copy.
+    #[test]
+    fn decoding_a_run_shares_repeated_strings() {
+        let layout = lineitem_ish_layout();
+        let plan = DecodePlan::new(&layout, &[4, 0, 5]);
+        let rows = [
+            ("R", Some("carefully final packages")),
+            ("R", Some("carefully final packages")),
+            ("N", None),
+            ("N", Some("carefully final packages")),
+            ("N", Some("carefully final")),
+        ];
+        let mut prev = vec![Value::Null; plan.n_cols()];
+        let mut last: Option<Vec<Value>> = None;
+        for (i, (flag, comment)) in rows.into_iter().enumerate() {
+            let mut vals = sample_values();
+            vals[0] = Value::Int(i as i64);
+            vals[4] = Value::str(flag);
+            vals[5] = comment.map_or(Value::Null, Value::str);
+            let mut buf = Vec::new();
+            encode_record(&layout, &vals, RecordMeta::ordinary(1), None, &mut buf).unwrap();
+            let view = RecordView::new(&buf, &layout);
+            let got: Vec<Value> = plan.values_after(view, &mut prev).collect();
+            assert_eq!(got, plan.values(view).collect::<Vec<_>>(), "record {i}");
+            if let Some(last) = &last {
+                for c in [0, 2] {
+                    if let (Value::Str(a), Value::Str(b)) = (&got[c], &last[c]) {
+                        assert_eq!(a == b, Arc::ptr_eq(a, b), "record {i} column {c}");
+                    }
+                }
+            }
+            last = Some(got);
+        }
     }
 
     #[test]

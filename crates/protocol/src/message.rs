@@ -158,7 +158,7 @@ pub enum Message {
 }
 
 /// Encode a [`RowBatch`] payload straight from the executor's batch —
-/// the serving path calls this on each `RowStream::next_batch` result,
+/// the serving path calls this on each batch a query's pipeline emits,
 /// so rows go scan pipeline → batch → socket with no intermediate
 /// per-row representation.
 pub fn encode_row_batch(b: &RowBatch) -> Vec<u8> {

@@ -450,6 +450,7 @@ impl Sal {
         let (tx, rx) = crossbeam::channel::bounded::<Result<Vec<PageResult>>>(jobs.len().max(1));
         let mut threads = Vec::with_capacity(jobs.len());
         for (slice, nos, stores) in jobs {
+            self.metrics.add(|m| &m.sql_threads_spawned, 1);
             let descriptor = descriptor.clone();
             let network = self.network.clone();
             let metrics = self.metrics.clone();

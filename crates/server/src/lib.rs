@@ -18,11 +18,12 @@
 //!   LSN — so a client always reads its own writes. A replica that
 //!   refuses between routing and execution is retried on the master
 //!   transparently (`server_failovers` counts these).
-//! - **Results** stream: each `RowStream::next_batch` is encoded
-//!   straight into one RowBatch frame. A client that disconnects
-//!   mid-stream makes the socket write fail, which drops the
-//!   `RowStream` — the existing backpressure path then cancels the
-//!   producing scan and frees its NDP frames.
+//! - **Results** stream: a query runs on its session's thread, and each
+//!   batch its pipeline emits is encoded straight into one RowBatch
+//!   frame from inside the query's sink. A client that disconnects
+//!   mid-stream makes the socket write fail, the sink answers `false`,
+//!   and the existing backpressure path cancels the producing scan and
+//!   frees its NDP frames.
 //!
 //! [`client::Client`] is the matching blocking client; the
 //! `taurus-server` / `taurus-smoke` binaries wrap both around the TPC-H

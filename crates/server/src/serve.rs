@@ -2,15 +2,18 @@
 //!
 //! Error discipline, in order of severity:
 //! - **I/O errors** (disconnect, read timeout, unreadable framing) end
-//!   the session. Any in-flight [`RowStream`] is dropped on the way
-//!   out, which cancels the producing scan and returns its NDP frames —
-//!   a slow or vanished client cannot pin buffer-pool memory.
+//!   the session. Result frames are written from inside the running
+//!   query, so a failed write stops it there: the sink answers `false`,
+//!   which cancels the producing scan and returns its NDP frames — a
+//!   slow or vanished client cannot pin buffer-pool memory.
 //! - **Decode errors** (unknown opcode, corrupt payload) and **engine
 //!   errors** answer with an Error frame and keep the session alive.
 //! - **Replica refusals** after routing (detached, or lag crossed the
-//!   bound between `route_read` and execution) retry once on the
-//!   master, invisibly to the client except for `node` in the
-//!   end-of-stream frame.
+//!   bound between `route_read` and execution), and any other replica
+//!   error before the first result frame, retry once on the master,
+//!   invisibly to the client except for `node` in the end-of-stream
+//!   frame. Once a frame is out, an error ends the response with an
+//!   Error frame instead.
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::TcpStream;
@@ -19,9 +22,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use taurus_common::batch::RowBatch;
+use taurus_common::metrics::CpuGuard;
 use taurus_common::{Error, Lsn, Result, TenantId, Value};
-use taurus_executor::{RowStream, Session};
+use taurus_executor::Session;
 use taurus_ndp::TaurusDb;
+use taurus_optimizer::plan::Plan;
 use taurus_protocol::{
     decode_message, encode_error, encode_row_batch, read_frame, write_frame, DmlRequest, Message,
     Opcode, QueryRequest, MASTER_NODE,
@@ -116,64 +121,121 @@ pub(crate) fn serve_connection(stream: TcpStream, state: &Arc<ServerState>) {
     }
 }
 
-/// Serve one read on a routed node, falling back to the master when a
-/// replica refuses. Split out (and generic over the sink) so failover
-/// is unit-testable without sockets.
+/// Serve one read on a routed node, falling back to the master when the
+/// replica fails before the first frame. Split out (and generic over the
+/// sink) so failover is unit-testable without sockets.
 pub(crate) fn serve_query_on<W: Write>(
     state: &ServerState,
     w: &mut W,
     req: &QueryRequest,
     db: Arc<TaurusDb>,
-    node: u32,
+    mut node: u32,
     tenant: TenantId,
 ) -> std::io::Result<()> {
     // One execution deadline for the whole response, stamped before plan
     // build: `session_read_timeout_ms` bounds query execution too, so a
     // browned-out Page Store cannot stall a session past the same budget
     // that already bounds socket reads. The session's per-query budget
-    // makes scans fail fast; the send loop double-checks between batches
-    // and cancels the producer (RowStream drop) on expiry.
+    // makes scans fail fast; the sink double-checks after each batch and
+    // stops the query on expiry.
     let deadline = (state.cfg.session_read_timeout_ms > 0)
         .then(|| Instant::now() + Duration::from_millis(state.cfg.session_read_timeout_ms));
     if matches!(req, QueryRequest::Sql { .. }) {
         state.metrics().add(|m| &m.sql_queries, 1);
     }
-    // SQL diagnostics are counted where the request finally fails (after
-    // any failover), so one refused statement is one `sql_parse_errors`.
-    let refuse = |state: &ServerState, w: &mut W, e: &Error| {
-        if matches!(req, QueryRequest::Sql { .. }) && matches!(e, Error::Parse(_)) {
-            state.metrics().add(|m| &m.sql_parse_errors, 1);
-        }
-        send_error(state, w, e)
+    let mut out = Response {
+        state,
+        w,
+        deadline,
+        rows: 0,
+        batches: 0,
+        io: None,
     };
-    match prepare(state, &db, req, tenant) {
-        Ok(ready) => send_ready(state, w, ready, node, deadline),
-        Err(_) if node != MASTER_NODE => {
-            state.metrics().add(|m| &m.server_failovers, 1);
-            match prepare(state, &state.router.master_db(), req, tenant) {
-                Ok(ready) => send_ready(state, w, ready, MASTER_NODE, deadline),
-                Err(e) => refuse(state, w, &e),
-            }
+    let mut result = answer(state, &db, req, tenant, &mut |b| out.send(b));
+    if result.is_err() && out.batches == 0 && out.io.is_none() && node != MASTER_NODE {
+        state.metrics().add(|m| &m.server_failovers, 1);
+        node = MASTER_NODE;
+        let master = state.router.master_db();
+        result = answer(state, &master, req, tenant, &mut |b| out.send(b));
+    }
+    // The node that answered: it sent a frame, or finished without one.
+    if out.batches > 0 || result.is_ok() {
+        Router::count_route(state.metrics(), node);
+    }
+    if let Some(e) = out.io {
+        return Err(e);
+    }
+    match result {
+        Ok(()) => {
+            let (rows, batches) = (out.rows, out.batches);
+            write_flush(
+                out.w,
+                &Message::EndOfStream {
+                    rows,
+                    batches,
+                    node,
+                },
+            )
         }
-        Err(e) => refuse(state, w, &e),
+        // Mid-stream: the Error frame is the response terminator (no
+        // EndOfStream).
+        Err(e) if out.batches > 0 => send_error(state, out.w, &e),
+        // SQL diagnostics are counted where the request finally fails
+        // (after any failover), so one refused statement is one
+        // `sql_parse_errors`.
+        Err(e) => {
+            if matches!(req, QueryRequest::Sql { .. }) && matches!(e, Error::Parse(_)) {
+                state.metrics().add(|m| &m.sql_parse_errors, 1);
+            }
+            send_error(state, out.w, &e)
+        }
     }
 }
 
-/// A prepared response. The first batch is pulled *before* any frame
-/// is written, so replica-side failures (plan build or first scan
-/// batch) can still fail over to the master cleanly. A point lookup's
-/// row and EXPLAIN text are one batch with no stream behind it.
-struct Ready {
-    first: Option<RowBatch>,
-    rest: Option<RowStream>,
+/// A response being written: RowBatch frames as the query emits them.
+struct Response<'a, W: Write> {
+    state: &'a ServerState,
+    w: &'a mut W,
+    deadline: Option<Instant>,
+    rows: u64,
+    batches: u64,
+    /// The write that failed: the query stopped there, and the session
+    /// ends with it.
+    io: Option<std::io::Error>,
 }
 
-fn prepare(
+impl<W: Write> Response<'_, W> {
+    /// The query's sink: write `b` as one frame, then check the deadline.
+    fn send(&mut self, b: RowBatch) -> Result<bool> {
+        if let Err(e) = write_batch(self.state, self.w, &b) {
+            self.io = Some(e);
+            return Ok(false);
+        }
+        self.rows += b.len() as u64;
+        self.batches += 1;
+        if self.deadline.is_some_and(|d| Instant::now() >= d) {
+            // Budget burned (e.g. by a slow client sink): the retryable
+            // deadline error ends the response and stops the query.
+            self.state.metrics().add(|m| &m.deadline_exceeded, 1);
+            return Err(Error::DeadlineExceeded(format!(
+                "query execution exceeded session_read_timeout_ms ({} ms)",
+                self.state.cfg.session_read_timeout_ms
+            )));
+        }
+        Ok(true)
+    }
+}
+
+/// Answer `req` on `db`, handing each result batch to `sink`. A point
+/// lookup's row and EXPLAIN text are one batch; a query runs on this
+/// thread, its batches written as it emits them.
+fn answer(
     state: &ServerState,
     db: &Arc<TaurusDb>,
     req: &QueryRequest,
     tenant: TenantId,
-) -> Result<Ready> {
+    sink: &mut dyn FnMut(RowBatch) -> Result<bool>,
+) -> Result<()> {
     // Every serving session runs under the connection's tenant and the
     // server's execution budget: scans bill the tenant on the Page-Store
     // side and stop with DeadlineExceeded instead of stalling.
@@ -191,16 +253,15 @@ fn prepare(
                 ))
             })?;
             let plan = plan_fn(db, pq.map(|d| d as usize))?;
-            let session = governed(db);
-            first_batch(session.stream_plan(plan))
+            run_charged(&governed(db), &plan, sink)
         }
         QueryRequest::Lookup { table, pk } => {
-            let first = governed(db).lookup(table, pk)?.map(|row| {
+            if let Some(row) = governed(db).lookup(table, pk)? {
                 let mut b = RowBatch::with_capacity(row.len(), 1);
                 b.push_row(row);
-                b
-            });
-            Ok(Ready { first, rest: None })
+                sink(b)?;
+            }
+            Ok(())
         }
         QueryRequest::Sql { text, ndp } => {
             let mut session = governed(db);
@@ -208,7 +269,7 @@ fn prepare(
             match taurus_sql::parse(text)? {
                 taurus_sql::Statement::Select(s) => {
                     let plan = taurus_sql::bind(&session, &s)?;
-                    first_batch(session.stream_plan(plan))
+                    run_charged(&session, &plan, sink)
                 }
                 taurus_sql::Statement::Explain(s) => {
                     let text = taurus_sql::explain(&session, &s)?;
@@ -217,71 +278,26 @@ fn prepare(
                     for line in lines {
                         b.push_row(vec![Value::str(line)]);
                     }
-                    let first = (!b.is_empty()).then_some(b);
-                    Ok(Ready { first, rest: None })
+                    if !b.is_empty() {
+                        sink(b)?;
+                    }
+                    Ok(())
                 }
             }
         }
     }
 }
 
-fn first_batch(mut stream: RowStream) -> Result<Ready> {
-    let first = stream.next_batch().transpose()?;
-    Ok(Ready {
-        first,
-        rest: Some(stream),
-    })
-}
-
-/// Stream a prepared response out: RowBatch frames, then EndOfStream —
-/// or an Error frame as the terminator if the scan fails mid-way or the
-/// execution deadline expires between batches (returning early drops
-/// the [`RowStream`], which cancels the producing scan).
-fn send_ready<W: Write>(
-    state: &ServerState,
-    w: &mut W,
-    ready: Ready,
-    node: u32,
-    deadline: Option<Instant>,
-) -> std::io::Result<()> {
-    Router::count_route(state.metrics(), node);
-    let mut rows = 0u64;
-    let mut batches = 0u64;
-    let (mut next, mut rest) = (ready.first, ready.rest);
-    while let Some(b) = next {
-        rows += b.len() as u64;
-        batches += 1;
-        write_batch(state, w, &b)?;
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            // Budget burned (e.g. by a slow client sink): answer with the
-            // retryable deadline error and drop `rest` on return,
-            // cancelling the producing scan.
-            state.metrics().add(|m| &m.deadline_exceeded, 1);
-            return send_error(
-                state,
-                w,
-                &Error::DeadlineExceeded(format!(
-                    "query execution exceeded session_read_timeout_ms ({} ms)",
-                    state.cfg.session_read_timeout_ms
-                )),
-            );
-        }
-        next = match rest.as_mut().and_then(RowStream::next_batch) {
-            Some(Ok(b)) => Some(b),
-            // Mid-stream engine error: the Error frame is the response
-            // terminator (no EndOfStream).
-            Some(Err(e)) => return send_error(state, w, &e),
-            None => None,
-        };
-    }
-    write_flush(
-        w,
-        &Message::EndOfStream {
-            rows,
-            batches,
-            node,
-        },
-    )
+/// Run `plan` on this thread into `sink`, its CPU charged as SQL-node CPU
+/// (`compute_cpu_ns`) — the operators', and the encoding and writing of
+/// the frames the sink sends.
+fn run_charged(
+    session: &Session,
+    plan: &Plan,
+    sink: &mut dyn FnMut(RowBatch) -> Result<bool>,
+) -> Result<()> {
+    let _cpu = CpuGuard::new(&session.db().metrics().compute_cpu_ns);
+    session.run_plan(plan, sink)
 }
 
 fn write_batch<W: Write>(state: &ServerState, w: &mut W, b: &RowBatch) -> std::io::Result<()> {
@@ -368,7 +384,7 @@ fn write_flush<W: Write>(w: &mut W, m: &Message) -> std::io::Result<()> {
 mod tests {
     use super::*;
     use crate::PlanRegistry;
-    use taurus_common::{ClusterConfig, Column, DataType, Row, TableSchema, Value};
+    use taurus_common::{ClusterConfig, Column, DataType, Row, TableSchema, Value, DEFAULT_TENANT};
     use taurus_replica::Replica;
 
     fn seeded_master() -> Arc<TaurusDb> {
@@ -435,6 +451,89 @@ mod tests {
         assert_eq!(snap.server_failovers, 1);
         assert_eq!(snap.server_routed_master, 1);
         assert_eq!(snap.server_routed_replica, 0);
+    }
+
+    /// A writer whose first write takes `delay`: a client slow to take
+    /// the first frame.
+    struct SlowFirstWrite {
+        out: Vec<u8>,
+        delay: Option<Duration>,
+    }
+
+    impl Write for SlowFirstWrite {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if let Some(d) = self.delay.take() {
+                std::thread::sleep(d);
+            }
+            self.out.write(buf)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// An error after the first RowBatch frame ends the response with an
+    /// Error frame: no EndOfStream, no failover to the master (the
+    /// client already has rows from the replica), and no row sent twice.
+    /// Two errors: one the query hits mid-scan (a division by zero at
+    /// `id = 500`, after 71 batches of 7 rows), and the execution budget
+    /// running out while the client takes the first frame.
+    #[test]
+    fn error_after_the_first_frame_ends_the_response_without_failover() {
+        let mut cfg = ClusterConfig::small_for_tests();
+        cfg.server.session_read_timeout_ms = 200;
+        let master = TaurusDb::new(cfg);
+        let t = master
+            .create_table(
+                TableSchema::new("t", vec![Column::new("id", DataType::BigInt)], vec![0]),
+                &[],
+            )
+            .unwrap();
+        let rows: Vec<Row> = (0..1000i64).map(|i| vec![Value::Int(i)]).collect();
+        master.bulk_load(&t, rows).unwrap();
+        let replica = Replica::attach(&master);
+        replica.wait_caught_up(Duration::from_secs(10)).unwrap();
+        let state = ServerState::new(master.clone(), vec![replica.clone()], PlanRegistry::new());
+        let sql = |text: &str| QueryRequest::Sql {
+            text: text.into(),
+            ndp: false,
+        };
+        let cases = [
+            (sql("select id, 1000 / (id - 500) from t"), None, 0),
+            (sql("select id from t"), Some(Duration::from_millis(300)), 1),
+        ];
+        for (req, delay, deadlines) in cases {
+            let before = master.metrics().snapshot();
+            let mut w = SlowFirstWrite {
+                out: Vec::new(),
+                delay,
+            };
+            let replica_db = replica.db().clone();
+            serve_query_on(&state, &mut w, &req, replica_db, 1, DEFAULT_TENANT).unwrap();
+            let frames = decode_frames(&w.out);
+            let (last, batches) = frames.split_last().unwrap();
+            assert!(matches!(last, Message::Error { .. }), "{last:?}");
+            assert!(
+                !batches.is_empty(),
+                "{req:?}: an error after the first frame"
+            );
+            let mut ids = Vec::new();
+            for f in batches {
+                let Message::RowBatch(b) = f else {
+                    panic!("{req:?}: a RowBatch before the Error frame, got {f:?}");
+                };
+                ids.extend(b.rows().map(|r| r[0].as_int().unwrap()));
+            }
+            let prefix: Vec<i64> = (0..ids.len() as i64).collect();
+            assert_eq!(ids, prefix, "{req:?}: each row once, in order");
+            let d = master.metrics().snapshot().since(&before);
+            assert_eq!(d.server_failovers, 0, "{req:?}");
+            assert_eq!(d.server_routed_replica, 1, "{req:?}");
+            assert_eq!(d.server_routed_master, 0, "{req:?}");
+            assert_eq!(d.server_errors_sent, 1, "{req:?}");
+            assert_eq!(d.deadline_exceeded, deadlines, "{req:?}");
+        }
     }
 
     #[test]

@@ -2,17 +2,17 @@
 //!
 //! Every TPC-H (and micro-benchmark) query's main-stage plan must produce
 //! identical rows whether collected via `execute()` (a thin collect over
-//! the pipeline) or drained through `RowStream` (the same pipeline behind
-//! the bounded batch channel). A degenerate-batch matrix re-runs the
-//! composite shapes — join, aggregate, sort, LIMIT landing mid-batch,
-//! empty inputs, dropped-stream cancellation — at `scan_batch_rows ∈
+//! the pipeline) or handed batch by batch to a sink (`Session::run_plan`,
+//! the same pipeline). A degenerate-batch matrix re-runs the composite
+//! shapes — join, aggregate, sort, LIMIT landing mid-batch, empty inputs,
+//! a sink that stops early — at `scan_batch_rows ∈
 //! {1, 7, 1024}` so row-at-a-time, tiny-odd, and default batch sizes all
 //! exercise the same edges.
 
 use std::sync::Arc;
 
 use taurus_common::schema::Row;
-use taurus_common::{ClusterConfig, Value};
+use taurus_common::{ClusterConfig, Result, Value};
 use taurus_executor::Session;
 use taurus_expr::ast::Expr;
 use taurus_ndp::TaurusDb;
@@ -42,6 +42,17 @@ fn db_with_batch(batch: Option<usize>) -> Arc<TaurusDb> {
     db_custom(batch, true)
 }
 
+/// `plan`'s rows through `Session::run_plan`, at most `n` of them: the
+/// sink stops the query once it has them.
+fn sink_rows(session: &Session, plan: &Plan, n: usize) -> Result<Vec<Row>> {
+    let mut rows = Vec::new();
+    session.run_plan(plan, |mut batch| {
+        rows.extend(batch.drain_rows().take(n - rows.len()));
+        Ok(rows.len() < n)
+    })?;
+    Ok(rows)
+}
+
 fn fmt_rows(rows: &[Row]) -> Vec<String> {
     rows.iter()
         .map(|r| {
@@ -59,7 +70,8 @@ fn fmt_rows(rows: &[Row]) -> Vec<String> {
 }
 
 /// All 22 TPC-H queries (and the micro-benchmark queries), NDP on and
-/// off: draining the streamed pipeline equals collecting it, row for row.
+/// off: a sink taking every batch of the pipeline sees what collecting it
+/// gives, row for row.
 #[test]
 fn stream_equals_collect_for_all_queries() {
     for ndp in [true, false] {
@@ -70,10 +82,8 @@ fn stream_equals_collect_for_all_queries() {
             let collected = session
                 .execute_plan(&plan)
                 .unwrap_or_else(|e| panic!("{} collect (ndp={ndp}): {e}", q.name));
-            let streamed: Vec<Row> = session
-                .stream_plan(plan.clone())
-                .map(|r| r.unwrap_or_else(|e| panic!("{} stream (ndp={ndp}): {e}", q.name)))
-                .collect();
+            let streamed = sink_rows(&session, &plan, usize::MAX)
+                .unwrap_or_else(|e| panic!("{} stream (ndp={ndp}): {e}", q.name));
             assert_eq!(
                 fmt_rows(&streamed),
                 fmt_rows(&collected),
@@ -93,10 +103,7 @@ fn stream_equals_collect_under_pq() {
     for q in tpch_queries().iter().filter(|q| q.pq_capable) {
         let plan = (q.plan)(&db, Some(4)).unwrap();
         let collected = session.execute_plan(&plan).unwrap();
-        let streamed: Vec<Row> = session
-            .stream_plan(plan.clone())
-            .map(|r| r.unwrap())
-            .collect();
+        let streamed = sink_rows(&session, &plan, usize::MAX).unwrap();
         assert_eq!(
             fmt_rows(&streamed),
             fmt_rows(&collected),
@@ -131,10 +138,7 @@ fn degenerate_batch_matrix() {
         for (name, plan) in &plans {
             // Stream == collect at this batch size.
             let collected = session.execute_plan(plan).unwrap();
-            let streamed: Vec<Row> = session
-                .stream_plan(plan.clone())
-                .map(|r| r.unwrap())
-                .collect();
+            let streamed = sink_rows(&session, plan, usize::MAX).unwrap();
             assert_eq!(
                 fmt_rows(&streamed),
                 fmt_rows(&collected),
@@ -151,18 +155,16 @@ fn degenerate_batch_matrix() {
                     fmt_rows(&collected[..want]),
                     "{name} limit {n} must be a prefix @ batch={batch}"
                 );
-                let streamed_lim: Vec<Row> = session
-                    .stream_plan(plan.clone().limit(n))
-                    .map(|r| r.unwrap())
-                    .collect();
+                let streamed_lim = sink_rows(&session, &plan.clone().limit(n), usize::MAX).unwrap();
                 assert_eq!(fmt_rows(&streamed_lim), fmt_rows(&limited));
+                // A sink that stops after n rows sees the same prefix.
+                let stopped = sink_rows(&session, plan, n).unwrap();
+                assert_eq!(fmt_rows(&stopped), fmt_rows(&limited));
             }
-            // Dropped-stream cancellation: pull one row, drop; the
-            // producer (and every scan under it) must stop and join —
-            // the test hanging here is the regression.
-            let mut stream = session.stream_plan(plan.clone());
-            let _ = stream.next();
-            drop(stream);
+            // A sink that stops after one row: every scan under the plan
+            // must stop and join — the test hanging here is the
+            // regression.
+            assert_eq!(sink_rows(&session, plan, 1).unwrap().len(), 1);
             // The session stays fully usable afterwards.
             let again = session.execute_plan(plan).unwrap();
             assert_eq!(fmt_rows(&again), fmt_rows(&collected));
@@ -177,9 +179,10 @@ fn degenerate_batch_matrix() {
             filter: None,
         });
         assert!(session.execute_plan(&empty_join).unwrap().is_empty());
-        assert_eq!(session.stream_plan(empty_join.clone()).count(), 0);
+        let no_batch = |_| panic!("an empty result hands its sink nothing");
+        session.run_plan(&empty_join, no_batch).unwrap();
         let empty_sorted = empty_join.clone().sort(vec![(0, false)]);
-        assert_eq!(session.stream_plan(empty_sorted).count(), 0);
+        session.run_plan(&empty_sorted, no_batch).unwrap();
         // Scalar aggregate over an empty input: exactly one group
         // (COUNT = 0), streamed and collected alike.
         let scalar_agg = Plan::HashAgg(HashAggNode {
@@ -192,10 +195,7 @@ fn degenerate_batch_matrix() {
         });
         let collected = session.execute_plan(&scalar_agg).unwrap();
         assert_eq!(collected, vec![vec![Value::Int(0)]]);
-        let streamed: Vec<Row> = session
-            .stream_plan(scalar_agg.clone())
-            .map(|r| r.unwrap())
-            .collect();
+        let streamed = sink_rows(&session, &scalar_agg, usize::MAX).unwrap();
         assert_eq!(streamed, collected, "scalar agg over empty @ batch={batch}");
     }
 }

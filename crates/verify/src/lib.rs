@@ -15,9 +15,9 @@
 //!   `AND`/`OR`/`NOT`, and forward-only branches.
 //!
 //! The executor wires [`check_plan`] as a gate in front of plan lowering,
-//! in every build and once per statement (its two ways into execution,
-//! `execute` and `RowStream::spawn_plan`; `EXPLAIN`, which executes
-//! nothing, calls it itself); the `taurus-verify` binary runs the same
+//! in every build and once per statement (in `exec::run`, its one way
+//! into execution; `EXPLAIN`, which executes nothing, calls it itself);
+//! the `taurus-verify` binary runs the same
 //! checks over every registry plan and NDP descriptor program in CI.
 
 pub mod absint;

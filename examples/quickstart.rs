@@ -100,14 +100,20 @@ fn main() -> Result<()> {
         run.delta.pages_shipped_ndp, run.delta.pages_shipped_empty, run.delta.pages_shipped_raw
     );
 
-    // Streaming: pull a handful of rows; the scan stops when the stream
-    // is dropped — no 50,000-row materialization.
+    // Streaming: take batches on this thread as the pipeline emits them;
+    // the scan stops when the sink answers `false` — no 50,000-row
+    // materialization.
     println!("\n-- first 3 workers under 25, streamed --");
     let Statement::Select(young) = parse("select id, age, name from worker where age < 25")? else {
         unreachable!("a SELECT");
     };
-    for row in session.stream_plan(bind(&session, &young)?).take(3) {
-        println!("{:?}", row?);
-    }
+    let mut shown = 0;
+    session.run_plan(&bind(&session, &young)?, |batch| {
+        for row in batch.rows().take(3 - shown) {
+            println!("{row:?}");
+            shown += 1;
+        }
+        Ok(shown < 3)
+    })?;
     Ok(())
 }

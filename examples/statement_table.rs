@@ -1,7 +1,8 @@
 //! Where a pass over the 22 TPC-H statements spends its time and its
 //! storage wire, one row per statement, NDP off and on: wall and SQL-node
 //! CPU, Page-Store CPU, read requests, pages shipped raw / NDP-processed /
-//! empty, and kB from and to storage.
+//! empty, kB from and to storage, and the threads the statement spawned on
+//! the SQL node (scan producers, PQ workers, SAL sub-batch dispatches).
 //!
 //! The cluster has the shape `benchmark/` gives its TPC-H workloads (4 Page
 //! Stores, replication 3, a 175-page pool over ~14 MB of data, a shared
@@ -33,9 +34,10 @@ struct Cost {
     empty: f64,
     kb_from: f64,
     kb_to: f64,
+    threads: f64,
 }
 
-const COLUMNS: [(&str, fn(&Cost) -> f64); 9] = [
+const COLUMNS: [(&str, fn(&Cost) -> f64); 10] = [
     ("wall ms", |c| c.wall_ms),
     ("cpu ms", |c| c.cpu_ms),
     ("ps cpu ms", |c| c.ps_cpu_ms),
@@ -45,6 +47,7 @@ const COLUMNS: [(&str, fn(&Cost) -> f64); 9] = [
     ("empty", |c| c.empty),
     ("kB from", |c| c.kb_from),
     ("kB to", |c| c.kb_to),
+    ("threads", |c| c.threads),
 ];
 
 fn median(mut xs: Vec<f64>) -> f64 {
@@ -65,6 +68,7 @@ fn run(session: &Session, text: &str) -> Result<Cost> {
         empty: d.pages_shipped_empty as f64,
         kb_from: d.net_bytes_from_storage as f64 / 1e3,
         kb_to: d.net_bytes_to_storage as f64 / 1e3,
+        threads: d.sql_threads_spawned as f64,
     })
 }
 

@@ -13,7 +13,7 @@
 //!
 //! CI runs `taurus-verify --all`; any error-severity diagnostic makes
 //! the process exit non-zero. The executor's own gate (`check_plan` in
-//! front of `execute` and `RowStream::spawn_plan`, in every build) sees
+//! front of `exec::run`, in every build) sees
 //! the plans that are run; this sees all the repo can produce.
 
 use std::process::ExitCode;

@@ -43,20 +43,23 @@
 //!     println!("{}", line[0]);
 //! }
 //!
-//! // Streaming: bind, then pull rows from storage on demand; dropping
-//! // the stream early stops the scan. No full materialization.
+//! // Streaming: bind, then take rows batch by batch as the pipeline
+//! // emits them, on this thread; a sink that answers `false` stops the
+//! // scan. No full materialization.
 //! let Statement::Select(select) = parse("select id, name from worker where age >= 60")? else {
 //!     unreachable!("a SELECT")
 //! };
-//! for row in session.stream_plan(bind(&session, &select)?).take(10) {
-//!     println!("{:?}", row?);
-//! }
+//! let mut first = Vec::new();
+//! session.run_plan(&bind(&session, &select)?, |mut batch| {
+//!     first.extend(batch.drain_rows().take(10 - first.len()));
+//!     Ok(first.len() < 10)
+//! })?;
 //! # let _ = (rows, by_nation); Ok(()) }
 //! ```
 //!
 //! Hand-built plan trees (`taurus::optimizer::plan`) run through the same
 //! session ([`prelude::Session::execute_plan`] /
-//! [`prelude::Session::stream_plan`]): the TPC-H plan builders, parallel
+//! [`prelude::Session::run_plan`]): the TPC-H plan builders, parallel
 //! query (`Plan::exchange`) and the parity tests use them.
 //!
 //! ## Read replicas
@@ -140,7 +143,7 @@ pub mod prelude {
         ClusterConfig, DataType, Date32, Dec, Error, Metrics, MetricsSnapshot, NdpConfig, Result,
         RowBatch, Value,
     };
-    pub use taurus_executor::{QueryRun, RowStream, Session};
+    pub use taurus_executor::{QueryRun, Session};
     pub use taurus_ndp::{Table, TaurusDb};
     pub use taurus_replica::Replica;
     pub use taurus_server::{tpch_registry, Client, QueryReply, Server, ServerHandle};

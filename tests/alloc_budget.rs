@@ -178,16 +178,11 @@ fn the_row_path_allocates_per_batch_never_per_row() {
         assert_eq!(rows.0, ROWS);
     });
 
-    // --- the served path: producer thread, channel, drained batches ---------
+    // --- the served path: scan producer, channel, batches into a sink -----
     let session = Session::new(&db).with_ndp(false);
+    let scan = Plan::Scan(ScanNode::new("facts", vec![0, 1, 2, 3]));
     assert_within_budget("streamed scan", ROWS, PER_ROW_BUDGET, || {
-        let mut stream = session.stream_plan(Plan::Scan(ScanNode::new("facts", vec![0, 1, 2, 3])));
-        let mut rows = 0;
-        while let Some(batch) = stream.next_batch() {
-            let batch = batch.unwrap();
-            rows += batch.len() as u64;
-        }
-        assert_eq!(rows, ROWS);
+        assert_eq!(sink_rows(&session, &scan), ROWS);
     });
 
     // --- a breaker: hash aggregation over four groups -----------------------
@@ -225,16 +220,23 @@ fn the_row_path_allocates_per_batch_never_per_row() {
         inner_ndp: None,
     });
     assert_within_budget("lookup join", ROWS, PER_PROBE_BUDGET, || {
-        let mut stream = session.stream_plan(join.clone());
-        let mut rows = 0;
-        while let Some(batch) = stream.next_batch() {
-            rows += batch.unwrap().len() as u64;
-        }
-        assert_eq!(rows, ROWS);
+        assert_eq!(sink_rows(&session, &join), ROWS);
     });
 
     key_reads_allocate_per_chunk(&join);
     page_store_plugin_allocates_per_page();
+}
+
+/// How many rows `plan` hands a sink that counts them.
+fn sink_rows(session: &Session, plan: &Plan) -> u64 {
+    let mut rows = 0;
+    session
+        .run_plan(plan, |batch| {
+            rows += batch.len() as u64;
+            Ok(true)
+        })
+        .unwrap();
+    rows
 }
 
 /// The same join through NDP key reads (a pool the table does not fit, so
@@ -286,12 +288,7 @@ fn key_reads_allocate_per_chunk(join: &Plan) {
     let run = || {
         db.buffer_pool().clear();
         let before = db.metrics().snapshot();
-        let mut stream = session.stream_plan(join.clone());
-        let mut rows = 0;
-        while let Some(batch) = stream.next_batch() {
-            rows += batch.unwrap().len() as u64;
-        }
-        assert_eq!(rows, ROWS);
+        assert_eq!(sink_rows(&session, &join), ROWS);
         assert!(db.metrics().snapshot().since(&before).lookup_ndp_reads > 0);
     };
     run();

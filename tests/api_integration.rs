@@ -276,12 +276,20 @@ fn row_stream_over_lineitem_does_not_materialize() {
     let Statement::Select(select) = parse(Q).unwrap() else {
         panic!("a SELECT");
     };
-    let stream = || session.stream_plan(bind(&session, &select).unwrap());
+    let plan = bind(&session, &select).unwrap();
+    // The rows of the batches a sink takes, until it has `n`.
+    let stream = |n: usize| {
+        let mut rows: Vec<Row> = Vec::new();
+        session
+            .run_plan(&plan, |mut batch| {
+                rows.extend(batch.drain_rows().take(n - rows.len()));
+                Ok(rows.len() < n)
+            })
+            .unwrap();
+        rows
+    };
     let before = db.metrics().snapshot();
-    let mut streamed: Vec<Row> = Vec::new();
-    for row in stream().take(10) {
-        streamed.push(row.unwrap());
-    }
+    let streamed = stream(10);
     let delta = db.metrics().snapshot().since(&before);
     assert_eq!(streamed.len(), 10);
     assert!(streamed.iter().all(|r| r.len() == 3));
@@ -299,7 +307,7 @@ fn row_stream_over_lineitem_does_not_materialize() {
     );
 
     // The same stream, fully drained, equals the materializing terminal.
-    let all_streamed: Vec<Row> = stream().collect_rows().unwrap();
+    let all_streamed = stream(usize::MAX);
     let all_collected = session.sql(Q).unwrap();
     assert_eq!(all_streamed.len(), total as usize);
     assert_eq!(all_streamed, all_collected);

@@ -280,9 +280,7 @@ fn scan_threads() -> Vec<String> {
             tasks
                 .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
                 .map(|name| name.trim().to_string())
-                .filter(|name| {
-                    name.starts_with("taurus-row-str") || name.starts_with("sal-subbatch")
-                })
+                .filter(|name| name.starts_with("sal-subbatch"))
                 .collect()
         })
         .unwrap_or_default()
@@ -297,10 +295,15 @@ fn limit_over_a_filtered_join_leaves_nothing_running() {
         assert!(decided(&plan));
         db.buffer_pool().clear();
         let before = db.metrics().snapshot();
-        let mut stream = Session::new(&db).stream_plan(plan.limit(3));
-        let first = stream.next_batch().unwrap().unwrap();
-        assert!(first.len() <= 3);
-        drop(stream);
+        let mut batches = 0;
+        Session::new(&db)
+            .run_plan(&plan.limit(3), |first| {
+                assert!(first.len() <= 3);
+                batches += 1;
+                Ok(false)
+            })
+            .unwrap();
+        assert_eq!(batches, 1, "batch={batch_rows}");
         let d = delta(&db, &before);
         assert_eq!(d.join_filters_sent, 1, "batch={batch_rows}");
         assert_eq!(

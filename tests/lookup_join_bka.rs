@@ -459,22 +459,26 @@ fn delta(db: &TaurusDb, before: &MetricsSnapshot) -> MetricsSnapshot {
 fn preferred_replica_down_mid_join_fails_over_to_the_same_rows() {
     let db = join_db(16, 7);
     db.buffer_pool().clear();
-    let mut stream = Session::new(&db)
-        .with_ndp(false)
-        .stream_plan(join_plan(0, JoinType::Inner));
-    let mut got: Vec<Row> = stream.next_batch().unwrap().unwrap().to_rows();
-    // The join is under way (and parked on the stream's backpressure):
-    // take down the store single reads of `item`'s first slice go to first.
     let item = db.table("item").unwrap();
     let cfg = db.config();
     let first_slice = SliceId::of(item.primary.tree.def.space, 0, cfg.slice_pages);
     let preferred = db.sal().replicas_of(first_slice).unwrap()[0];
-    db.sal().page_stores()[preferred].set_fault(FaultPolicy::Poison);
-    let before = db.metrics().snapshot();
-    while let Some(batch) = stream.next_batch() {
-        got.extend(batch.unwrap().to_rows());
-    }
-    let d = delta(&db, &before);
+    let mut got: Vec<Row> = Vec::new();
+    let mut before = None;
+    Session::new(&db)
+        .with_ndp(false)
+        .run_plan(&join_plan(0, JoinType::Inner), |batch| {
+            got.extend(batch.to_rows());
+            // The join is under way (and parked on the sink): take down
+            // the store single reads of `item`'s first slice go to first.
+            if before.is_none() {
+                db.sal().page_stores()[preferred].set_fault(FaultPolicy::Poison);
+                before = Some(db.metrics().snapshot());
+            }
+            Ok(true)
+        })
+        .unwrap();
+    let d = delta(&db, &before.unwrap());
     db.sal().page_stores()[preferred].set_fault(FaultPolicy::None);
     assert_eq!(got, expected(0, JoinType::Inner));
     assert!(d.lookup_prefetch_reads > 0, "{d:?}");
@@ -941,16 +945,22 @@ fn preferred_replica_down_mid_join_fails_over_key_reads_to_the_same_rows() {
     let db = join_db(16, 7);
     db.buffer_pool().clear();
     let plan = with_ndp_decisions(&db, join_plan(0, JoinType::Inner));
-    let mut stream = Session::new(&db).stream_plan(plan);
-    let mut got: Vec<Row> = stream.next_batch().unwrap().unwrap().to_rows();
-    // The join is under way: take down one store. Batch reads start at
-    // any replica of a slice in turn, so some key reads meet it first.
-    db.sal().page_stores()[0].set_fault(FaultPolicy::Poison);
-    let before = db.metrics().snapshot();
-    while let Some(batch) = stream.next_batch() {
-        got.extend(batch.unwrap().to_rows());
-    }
-    let d = delta(&db, &before);
+    let mut got: Vec<Row> = Vec::new();
+    let mut before = None;
+    Session::new(&db)
+        .run_plan(&plan, |batch| {
+            got.extend(batch.to_rows());
+            // The join is under way: take down one store. Batch reads
+            // start at any replica of a slice in turn, so some key reads
+            // meet it first.
+            if before.is_none() {
+                db.sal().page_stores()[0].set_fault(FaultPolicy::Poison);
+                before = Some(db.metrics().snapshot());
+            }
+            Ok(true)
+        })
+        .unwrap();
+    let d = delta(&db, &before.unwrap());
     db.sal().page_stores()[0].set_fault(FaultPolicy::None);
     assert_eq!(got, expected(0, JoinType::Inner));
     assert!(d.lookup_ndp_reads > 0, "{d:?}");

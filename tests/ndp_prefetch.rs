@@ -1,10 +1,10 @@
 //! The prefetching NDP read pipeline, end to end: parity with the
 //! serial path across prefetch depths and batch sizes, the in-flight
-//! overlap observable, cancellation from a dropped `RowStream` all the
+//! overlap observable, cancellation from a sink that stops early all the
 //! way down to the SAL dispatch threads (the queries here are a bare scan
-//! under a projection, streamed through the operator pipeline like any
-//! plan), an expired budget under parallel query, and replica failover
-//! under a killed Page Store.
+//! under a projection, run through the operator pipeline like any plan),
+//! an expired budget under parallel query, and replica failover under a
+//! killed Page Store.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -60,11 +60,27 @@ fn build_db(mut cfg: ClusterConfig) -> Arc<TaurusDb> {
 
 const FILTERED: &str = "select id, price from items where qty < 30";
 
-fn stream(session: &Session, text: &str) -> RowStream {
+fn bound(session: &Session, text: &str) -> Plan {
     let Statement::Select(select) = parse(text).unwrap() else {
         panic!("not a SELECT: {text}");
     };
-    session.stream_plan(bind(session, &select).unwrap())
+    bind(session, &select).unwrap()
+}
+
+/// Run `plan` through `Session::run_plan`, keeping at most `n` rows: the
+/// sink stops the query once it has them.
+fn run_rows(session: &Session, plan: &Plan, n: usize) -> Result<Vec<Row>> {
+    let mut rows = Vec::new();
+    session.run_plan(plan, |mut batch| {
+        rows.extend(batch.drain_rows().take(n - rows.len()));
+        Ok(rows.len() < n)
+    })?;
+    Ok(rows)
+}
+
+/// Bind `text` and run it, keeping at most `n` rows.
+fn stream(session: &Session, text: &str, n: usize) -> Vec<Row> {
+    run_rows(session, &bound(session, text), n).unwrap()
 }
 
 /// stream == collect at every (prefetch_batches, scan_batch_rows) corner,
@@ -82,7 +98,7 @@ fn prefetch_matrix_stream_equals_collect() {
             let session = Session::new(&db);
             let collected = session.sql(FILTERED).unwrap();
             db.buffer_pool().clear();
-            let streamed: Vec<Row> = stream(&session, FILTERED).collect_rows().unwrap();
+            let streamed = stream(&session, FILTERED, usize::MAX);
             assert_eq!(
                 streamed, collected,
                 "stream/collect diverged at prefetch={prefetch} batch={batch_rows}"
@@ -131,9 +147,10 @@ fn prefetch_overlaps_fetch_with_consumption() {
     assert_eq!(db.metrics().snapshot().ndp_batches_in_flight_peak, 1);
 }
 
-/// Dropping the stream mid-scan must cancel the prefetcher: NDP frames
-/// all released, the in-flight gauge back to zero, and no storage thread
-/// left running (joined via the RowStream → operator → scan → SAL chain).
+/// A sink that stops mid-scan must cancel the prefetcher: NDP frames all
+/// released, the in-flight gauge back to zero, and no storage thread left
+/// running (joined via the operator → scan → SAL chain) once the call
+/// returns.
 #[test]
 fn dropped_stream_cancels_prefetch_pipeline() {
     for prefetch in [1usize, 2, 8] {
@@ -141,12 +158,9 @@ fn dropped_stream_cancels_prefetch_pipeline() {
         cfg.ndp.prefetch_batches = prefetch;
         let db = build_db(cfg);
         let session = Session::new(&db);
-        let mut stream = stream(&session, FILTERED);
-        // Pull a handful of rows, then abandon the stream mid-batch.
-        for _ in 0..5 {
-            stream.next().unwrap().unwrap();
-        }
-        drop(stream); // joins the producer: scan fully unwound here
+        // Take a handful of rows, then stop mid-batch; the call joins
+        // the producer: the scan is fully unwound when it returns.
+        assert_eq!(stream(&session, FILTERED, 5).len(), 5);
         let s = db.metrics().snapshot();
         assert_eq!(
             db.buffer_pool().ndp_frames_in_use(),
@@ -160,14 +174,14 @@ fn dropped_stream_cancels_prefetch_pipeline() {
         let total = db.table("items").unwrap().stats.read().row_count;
         assert!(
             s.rows_scanned < total / 2,
-            "dropped stream kept scanning: {} of {total} rows",
+            "stopped query kept scanning: {} of {total} rows",
             s.rows_scanned
         );
     }
 }
 
 /// LIMIT satisfied mid-batch over an NDP aggregate scan: the aggregate
-/// pipeline breaker runs its scan to completion, the stream stops after
+/// pipeline breaker runs its scan to completion, the sink stops after
 /// one group — and the prefetcher unwinds cleanly either way.
 #[test]
 fn mid_batch_limit_over_ndp_aggregate_scan() {
@@ -180,10 +194,8 @@ fn mid_batch_limit_over_ndp_aggregate_scan() {
         const AGG: &str = "select sum(price), count(*) from items where qty < 30";
         let collected = session.sql(AGG).unwrap();
         db.buffer_pool().clear();
-        let mut stream = stream(&session, &format!("{AGG} limit 1"));
-        let first = stream.next().unwrap().unwrap();
-        drop(stream);
-        assert_eq!(vec![first], collected, "batch={batch_rows}");
+        let first = stream(&session, &format!("{AGG} limit 1"), 1);
+        assert_eq!(first, collected, "batch={batch_rows}");
         assert_eq!(db.buffer_pool().ndp_frames_in_use(), 0);
         assert_eq!(db.metrics().snapshot().ndp_batches_in_flight, 0);
     }
@@ -225,10 +237,10 @@ fn concurrent_scans_share_a_tiny_pool() {
     assert_eq!(db.metrics().snapshot().ndp_batches_in_flight, 0);
 }
 
-/// Streams that stop being polled park their scans mid-backpressure
-/// with staged look-ahead frames still held. An active scan must not
-/// fail (or hang) because parked streams pin the NDP area — it degrades
-/// to unaccounted consumption and completes with correct results.
+/// Queries whose sinks block park their scans mid-backpressure with
+/// staged look-ahead frames still held. An active scan must not fail (or
+/// hang) because parked queries pin the NDP area — it degrades to
+/// unaccounted consumption and completes with correct results.
 #[test]
 fn parked_streams_do_not_starve_active_scans() {
     let mut cfg = ClusterConfig::small_for_tests();
@@ -237,19 +249,38 @@ fn parked_streams_do_not_starve_active_scans() {
     let session = Session::new(&db);
     let expect = session.sql(FILTERED).unwrap();
     db.buffer_pool().clear();
-    // Park 8 streams after one row each: each holds its channel
-    // backpressure plus whatever look-ahead frames it staged.
-    let mut parked = Vec::new();
-    for _ in 0..8 {
-        let mut s = stream(&session, FILTERED);
-        s.next().unwrap().unwrap();
-        parked.push(s);
-    }
-    // The active scan completes correctly regardless of what the parked
-    // scans pinned.
-    let rows = session.sql(FILTERED).unwrap();
-    assert_eq!(rows, expect);
-    drop(parked);
+    let plan = bound(&session, FILTERED);
+    std::thread::scope(|s| {
+        // Park 8 queries, each on its own thread, blocked in its sink
+        // after one batch: each holds its scan's channel backpressure
+        // plus whatever look-ahead frames it staged.
+        let (parked_tx, parked) = std::sync::mpsc::channel();
+        let mut release = Vec::new();
+        for _ in 0..8 {
+            let (go, wait) = std::sync::mpsc::channel::<()>();
+            release.push(go);
+            let parked_tx = parked_tx.clone();
+            let (session, plan) = (&session, &plan);
+            s.spawn(move || {
+                session
+                    .run_plan(plan, |batch| {
+                        assert!(!batch.is_empty());
+                        parked_tx.send(()).unwrap();
+                        let _ = wait.recv();
+                        Ok(false)
+                    })
+                    .unwrap();
+            });
+        }
+        for _ in 0..8 {
+            parked.recv().unwrap();
+        }
+        // The active scan completes correctly regardless of what the
+        // parked scans pinned.
+        let rows = session.sql(FILTERED).unwrap();
+        assert_eq!(rows, expect);
+        drop(release);
+    });
     assert_eq!(db.buffer_pool().ndp_frames_in_use(), 0);
     assert_eq!(db.metrics().snapshot().ndp_batches_in_flight, 0);
 }
@@ -270,7 +301,7 @@ fn pq_filtered(db: &TaurusDb) -> Plan {
 
 /// A parallel query whose budget runs out while browned-out stores hold
 /// its workers' batch reads fails with the typed error, collected or
-/// streamed, and nothing of it outlives the call: no NDP frame held, no
+/// run into a sink, and nothing of it outlives the call: no NDP frame held, no
 /// batch in flight, and no worker or scan thread still scanning (the
 /// scan counters are final when the call returns).
 #[test]
@@ -288,10 +319,7 @@ fn expired_budget_under_pq_is_deadline_exceeded_and_leaves_nothing_running() {
     for streamed in [false, true] {
         db.buffer_pool().clear();
         let err = if streamed {
-            session
-                .stream_plan(parallel.clone())
-                .collect_rows()
-                .unwrap_err()
+            run_rows(&session, &parallel, usize::MAX).unwrap_err()
         } else {
             session.execute_plan(&parallel).unwrap_err()
         };

@@ -1,6 +1,6 @@
 //! The batch-native pull pipeline, observed from the outside: operator
-//! traffic counters, LIMIT cancelling producing scans, dropped streams
-//! stopping mid-plan producers, and the physical EXPLAIN tree.
+//! traffic counters, LIMIT cancelling producing scans, a sink that stops
+//! early stopping mid-plan producers, and the physical EXPLAIN tree.
 
 use taurus::executor::{execute, ExecContext};
 use taurus::optimizer::ndp_post::ndp_post_process;
@@ -14,6 +14,17 @@ fn tpch_db() -> std::sync::Arc<TaurusDb> {
     taurus::tpch::load(&db, 0.005, 11).unwrap();
     db.buffer_pool().clear();
     db
+}
+
+/// Run `plan` through `Session::run_plan`, keeping at most `n` rows: the
+/// sink stops the query once it has them.
+fn run_rows(session: &Session, plan: &Plan, n: usize) -> Result<Vec<Row>> {
+    let mut rows = Vec::new();
+    session.run_plan(plan, |mut batch| {
+        rows.extend(batch.drain_rows().take(n - rows.len()));
+        Ok(rows.len() < n)
+    })?;
+    Ok(rows)
 }
 
 fn lineitem_rows(db: &TaurusDb) -> u64 {
@@ -41,10 +52,10 @@ fn join_plan(db: &TaurusDb) -> Plan {
 /// core's batch counters: the BatchScan operator re-emits exactly the
 /// batches the scan flushed (no residual, no projection), so
 /// `operator_rows == rows_batched` and `operator_batches ==
-/// batches_emitted`. A stream runs the same tree as `execute`: a bare
-/// scan, and a prefix `Project` over a scan (the builder's way of hiding
-/// predicate-only columns), stream the rows `execute` collects and charge
-/// the same counters, the `Project` once more per row it emits.
+/// batches_emitted`. A sink sees what `execute` collects: a bare scan,
+/// and a prefix `Project` over a scan (the builder's way of hiding
+/// predicate-only columns), hand a sink the rows `execute` collects and
+/// charge the same counters, the `Project` once more per row it emits.
 #[test]
 fn operator_counters_pin_against_scan_batches() {
     let db = tpch_db();
@@ -75,7 +86,7 @@ fn operator_counters_pin_against_scan_batches() {
     for (what, plan, emitters) in [("bare scan", plan, 1), ("prefix project", prefix, 2)] {
         let collected = execute(&plan, &ExecContext::new(&db)).unwrap();
         let before = db.metrics().snapshot();
-        let streamed: Vec<Row> = session.stream_plan(plan).map(|r| r.unwrap()).collect();
+        let streamed = run_rows(&session, &plan, usize::MAX).unwrap();
         let d = db.metrics().snapshot().since(&before);
         assert_eq!(streamed, collected, "{what}");
         assert!(!streamed.is_empty(), "{what}");
@@ -137,10 +148,10 @@ fn limit_over_join_cancels_probe_scan() {
     );
 }
 
-/// Acceptance: `RowStream` streams a sort-free filter/limit plan over a
-/// join without materializing the full result set — dropping the stream
-/// early stops the producer (and its scans), observed through the scan
-/// counters freezing short of the full table.
+/// Acceptance: a sink takes a sort-free filter/limit plan over a join
+/// batch by batch without materializing the full result set — a sink that
+/// stops early stops the pipeline (and its scans), observed through the
+/// scan counters freezing short of the full table.
 #[test]
 fn dropped_stream_over_join_stops_producer() {
     let db = tpch_db();
@@ -151,16 +162,14 @@ fn dropped_stream_over_join_stops_producer() {
         taurus::expr::ast::Expr::int(0),
     ));
     let before = db.metrics().snapshot();
-    let mut stream = session.stream_plan(plan);
-    for _ in 0..3 {
-        stream.next().unwrap().unwrap();
-    }
-    drop(stream); // joins the producer; hanging here is the regression
+    // Returns once the producers are joined; hanging here is the
+    // regression.
+    assert_eq!(run_rows(&session, &plan, 3).unwrap().len(), 3);
     let d = db.metrics().snapshot().since(&before);
     let orders = db.table("orders").unwrap().stats.read().row_count;
     assert!(
         d.rows_scanned < orders + total / 2,
-        "dropped stream must stop the probe scan: {} rows scanned",
+        "a stopped query must stop the probe scan: {} rows scanned",
         d.rows_scanned
     );
     // Producer is joined: the counters are final. A fresh query still
@@ -288,8 +297,7 @@ fn pq_matrix_equals_serial() {
                 let parallel = serial.clone().exchange(degree);
                 let at = format!("{shape} ndp={ndp} degree={degree}");
                 assert_eq!(session.execute_plan(&parallel).unwrap(), want, "{at}");
-                let streamed: Vec<Row> =
-                    session.stream_plan(parallel).map(|r| r.unwrap()).collect();
+                let streamed = run_rows(&session, &parallel, usize::MAX).unwrap();
                 assert_eq!(streamed, want, "{at} streamed");
             }
         }
@@ -385,13 +393,11 @@ fn filter_over_join_surfaces_runtime_errors_and_short_circuits() {
             matches!(err, Error::Arithmetic(_)),
             "batch {batch}: {err:?}"
         );
-        let mut stream = session.stream_plan(unguarded);
-        let last = stream.by_ref().find(|r| r.is_err());
+        let last = run_rows(&session, &unguarded, usize::MAX);
         assert!(
-            matches!(last, Some(Err(Error::Arithmetic(_)))),
-            "batch {batch}: the stream must end in the error, got {last:?}"
+            matches!(last, Err(Error::Arithmetic(_))),
+            "batch {batch}: the run must end in the error, got {last:?}"
         );
-        assert!(stream.next().is_none(), "batch {batch}");
 
         let all = session.execute_plan(&join_plan(&db)).unwrap();
         let want: Vec<Row> = all
@@ -409,7 +415,7 @@ fn filter_over_join_surfaces_runtime_errors_and_short_circuits() {
             want,
             "batch {batch}"
         );
-        let streamed: Vec<Row> = session.stream_plan(guarded).map(|r| r.unwrap()).collect();
+        let streamed = run_rows(&session, &guarded, usize::MAX).unwrap();
         assert_eq!(streamed, want, "batch {batch}");
     }
 }

@@ -6,8 +6,8 @@
 //!   internal invariant breaks are not) — and when both succeed their
 //!   results are identical;
 //! * a plan the verifier **rejects** fails *before any operator opens*:
-//!   the collect path returns `Error::Verify`, and the stream path
-//!   delivers it as the first and only item.
+//!   the collect path returns `Error::Verify`, and so does the sink path
+//!   (`Session::run_plan`), whose sink is never handed a batch.
 
 use std::sync::{Arc, OnceLock};
 
@@ -66,6 +66,16 @@ fn plan() -> impl Strategy<Value = Plan> {
 /// Check one execution's outcome: `None` = typed runtime rejection
 /// (allowed), `Some(rows)` = success. Panics the test on
 /// `Error::Internal`.
+/// `plan`'s rows, through `Session::run_plan` and a sink.
+fn run_sink(session: &Session, plan: &Plan) -> Result<Vec<Vec<Value>>, Error> {
+    let mut rows = Vec::new();
+    session.run_plan(plan, |mut batch| {
+        rows.extend(batch.drain_rows());
+        Ok(true)
+    })?;
+    Ok(rows)
+}
+
 fn run_checked(result: Result<Vec<Vec<Value>>, Error>, what: &str) -> Option<Vec<Vec<Value>>> {
     match result {
         Ok(rows) => Some(rows),
@@ -94,7 +104,7 @@ proptest! {
             if taurus::verify::check_plan(p, row_db()).is_ok() {
                 let session = Session::new(row_db());
                 let a = run_checked(session.execute_plan(p), "collect");
-                let b = run_checked(session.stream_plan(p.clone()).collect(), "stream");
+                let b = run_checked(run_sink(&session, p), "sink");
                 if let (Some(a), Some(b)) = (a, b) {
                     prop_assert_eq!(a, b);
                 }
@@ -104,14 +114,13 @@ proptest! {
                     Err(Error::Verify(_)) => {}
                     other => panic!("expected Err(Verify), got {other:?}"),
                 }
-                // Stream path: the rejection is the one and only item,
-                // delivered before any producer thread spawned.
-                let mut stream = Session::new(row_db()).stream_plan(p.clone());
-                match stream.next() {
-                    Some(Err(Error::Verify(_))) => {}
-                    other => panic!("expected first stream item Err(Verify), got {other:?}"),
+                // Sink path: the rejection is the error, returned before
+                // the sink is handed anything.
+                let session = Session::new(row_db());
+                match session.run_plan(p, |_| panic!("a rejected plan hands its sink nothing")) {
+                    Err(Error::Verify(_)) => {}
+                    other => panic!("expected Err(Verify), got {other:?}"),
                 }
-                prop_assert!(stream.next().is_none());
             }
         }
     }

@@ -1,6 +1,7 @@
 //! Session queries through SQL text: name errors, scans through a named
 //! index, SQL-vs-hand-built-plan parity, and the streaming terminals
-//! (LIMIT mid-batch, dropped, empty and fully drained streams).
+//! (LIMIT mid-batch, a sink that stops early, empty and fully drained
+//! runs).
 
 use taurus::executor::{execute, ExecContext};
 use taurus::expr::ast::Expr;
@@ -17,12 +18,18 @@ fn tpch_db() -> std::sync::Arc<TaurusDb> {
     db
 }
 
-/// Bind a SELECT and stream it.
-fn stream(session: &Session, text: &str) -> RowStream {
+/// Bind a SELECT and run it through `Session::run_plan`, keeping at most
+/// `n` rows: the sink stops the query once it has them.
+fn stream(session: &Session, text: &str, n: usize) -> Result<Vec<Row>> {
     let Statement::Select(select) = parse(text).unwrap() else {
         panic!("not a SELECT: {text}");
     };
-    session.stream_plan(bind(session, &select).unwrap())
+    let mut rows = Vec::new();
+    session.run_plan(&bind(session, &select).unwrap(), |mut batch| {
+        rows.extend(batch.drain_rows().take(n - rows.len()));
+        Ok(rows.len() < n)
+    })?;
+    Ok(rows)
 }
 
 /// The positioned diagnostic a statement fails with.
@@ -195,34 +202,36 @@ fn limit_lands_mid_batch() {
         assert_eq!(lim.len(), n);
         assert_eq!(lim, all[..n], "limit {n} must be a prefix");
         // The streaming path agrees with the materializing path.
-        let streamed: Vec<Row> = stream(&session, Q).take(n).map(|r| r.unwrap()).collect();
+        let streamed = stream(&session, Q, n).unwrap();
         assert_eq!(streamed, all[..n]);
     }
 }
 
-/// Dropping a stream mid-batch must unblock the producer thread and join
-/// it (the test hanging = regression); the session stays usable.
+/// A sink that stops mid-batch must unblock the scan producer and join it
+/// (the test hanging = regression); the session stays usable.
 #[test]
 fn stream_dropped_mid_batch_unblocks_producer() {
     let db = tpch_db();
     let session = Session::new(&db);
-    let mut stream = stream(&session, "select * from lineitem");
-    for _ in 0..3 {
-        stream.next().unwrap().unwrap();
-    }
-    drop(stream); // joins the producer; must not hang
+    // Returns once the producer is joined; must not hang.
+    let rows = stream(&session, "select * from lineitem", 3).unwrap();
+    assert_eq!(rows.len(), 3);
     let rows = session.sql("select * from region").unwrap();
-    assert!(!rows.is_empty(), "session survives a dropped stream");
+    assert!(!rows.is_empty(), "session survives a stopped query");
 }
 
-/// A stream whose filter rejects everything ends cleanly: no rows, no
+/// A query whose filter rejects everything ends cleanly: no rows, no
 /// error, producer joined.
 #[test]
 fn empty_stream_terminates() {
     let db = tpch_db();
     let session = Session::new(&db);
-    let mut stream = stream(&session, "select * from lineitem where l_orderkey < 0");
-    assert!(stream.next().is_none());
+    let rows = stream(
+        &session,
+        "select * from lineitem where l_orderkey < 0",
+        usize::MAX,
+    );
+    assert!(rows.unwrap().is_empty());
 }
 
 /// Full-stream drain equals collect (one batch boundary cannot drop or
@@ -233,7 +242,7 @@ fn stream_drain_equals_collect() {
     let session = Session::new(&db);
     const Q: &str = "select o_orderkey, o_totalprice from orders where o_orderkey <= 500";
     let collected = session.sql(Q).unwrap();
-    let streamed: Vec<Row> = stream(&session, Q).map(|r| r.unwrap()).collect();
+    let streamed = stream(&session, Q, usize::MAX).unwrap();
     assert_eq!(streamed, collected);
     assert!(!collected.is_empty());
 }

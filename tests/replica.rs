@@ -50,23 +50,30 @@ fn sum_bal(db: &Arc<TaurusDb>) -> i64 {
         .unwrap()
 }
 
-/// `select * from acct`, streamed.
-fn stream_all(session: &Session) -> RowStream {
+/// `select * from acct`, run through `Session::run_plan`: the batches
+/// its sink was handed, as rows.
+fn stream_all(session: &Session) -> Result<Vec<Row>> {
     let Statement::Select(select) = parse(ALL).unwrap() else {
         panic!("a SELECT");
     };
-    session.stream_plan(bind(session, &select).unwrap())
+    let mut rows = Vec::new();
+    session.run_plan(&bind(session, &select).unwrap(), |mut batch| {
+        rows.extend(batch.drain_rows());
+        Ok(true)
+    })?;
+    Ok(rows)
 }
 
-/// The error a refused stream yields as its one item.
+/// The error a refused run returns, before its sink sees a batch.
 fn stream_err(session: &Session) -> Error {
-    let mut stream = stream_all(session);
-    let err = stream.next().expect("a refusal").unwrap_err();
-    assert!(
-        stream.next().is_none(),
-        "a refusal is the stream's one item"
-    );
-    err
+    let Statement::Select(select) = parse(ALL).unwrap() else {
+        panic!("a SELECT");
+    };
+    session
+        .run_plan(&bind(session, &select).unwrap(), |_| {
+            panic!("a refused query hands its sink nothing")
+        })
+        .unwrap_err()
 }
 
 #[test]
@@ -81,7 +88,7 @@ fn replica_serves_loaded_table_and_catches_up() {
     assert!(rdb.is_replica());
     let replica_rows = Session::new(rdb).sql(ALL).unwrap();
     assert_eq!(master_rows, replica_rows);
-    let streamed = stream_all(&Session::new(rdb)).collect_rows().unwrap();
+    let streamed = stream_all(&Session::new(rdb)).unwrap();
     assert_eq!(master_rows, streamed);
 
     // Replica sees committed DML only after its boundary replicates, and a
@@ -510,7 +517,7 @@ fn concurrent_writer_never_tears_replica_snapshots() {
             // The pushed-down aggregate and the row stream must agree with
             // each other and with the invariant.
             let collected = session.sql(ALL).unwrap();
-            let streamed = stream_all(&session).collect_rows().unwrap();
+            let streamed = stream_all(&session).unwrap();
             assert_eq!(
                 collected, streamed,
                 "stream/collect diverged (batch={batch_rows}, prefetch={prefetch}, round={round})"

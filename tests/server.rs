@@ -598,3 +598,125 @@ fn retired_builder_tag_is_refused_and_the_session_keeps_serving() {
         Message::EndOfStream { rows: 1, .. }
     ));
 }
+
+// --- threads a statement spawns -------------------------------------------
+
+/// `t(id, g, v)`: 2,000 rows in 7 groups of `g`, which is not a key
+/// column, so a GROUP BY on it hashes.
+fn spawn_db() -> Arc<TaurusDb> {
+    let mut cfg = ephemeral(ClusterConfig::small_for_tests());
+    cfg.ndp.enabled = false;
+    cfg.buffer_pool_pages = 1024;
+    let db = TaurusDb::new(cfg);
+    let schema = TableSchema::new(
+        "t",
+        vec![
+            Column::new("id", DataType::BigInt),
+            Column::new("g", DataType::Int),
+            Column::new("v", DataType::BigInt),
+        ],
+        vec![0],
+    );
+    let t = db.create_table(schema, &[]).unwrap();
+    let rows = (0..2000i64)
+        .map(|i| vec![Value::Int(i), Value::Int(i % 7), Value::Int(i * 3)])
+        .collect();
+    db.bulk_load(&t, rows).unwrap();
+    db
+}
+
+/// `select g, sum(v), count(*) from t group by g` as an `AggScan`.
+fn agg_scan() -> taurus::optimizer::plan::Plan {
+    use taurus::expr::ast::Expr;
+    use taurus::optimizer::plan::{AggFuncEx, AggItem, AggScanNode, Plan, ScanNode};
+    Plan::AggScan(AggScanNode {
+        scan: ScanNode::new("t", vec![1, 2]),
+        group_cols: vec![1],
+        aggs: vec![
+            AggItem {
+                func: AggFuncEx::Sum,
+                input: Some(Expr::col(2)),
+            },
+            AggItem {
+                func: AggFuncEx::CountStar,
+                input: None,
+            },
+        ],
+    })
+}
+
+fn exchange_over_agg_scan(
+    _db: &TaurusDb,
+    pq: Option<usize>,
+) -> Result<taurus::optimizer::plan::Plan> {
+    Ok(agg_scan().exchange(pq.unwrap_or(1)))
+}
+
+/// Threads a statement spawns on the SQL node (`sql_threads_spawned`),
+/// pinned with NDP off over a warm pool (so no batch read dispatches a
+/// sub-batch thread): a query's operators run on the thread that asks for
+/// its rows, so a bare scan spawns its scan producer and nothing else, an
+/// `AggScan` folds its scan on that thread too and spawns nothing, and an
+/// `Exchange(d)` over one spawns its `d` workers, each folding its range
+/// of the scan itself. In process and over the wire alike.
+#[test]
+fn statement_thread_spawns_are_pinned() {
+    use taurus::optimizer::plan::Plan;
+    let db = spawn_db();
+    let mut registry = taurus::server::PlanRegistry::new();
+    registry.register("xagg", exchange_over_agg_scan);
+    let handle = Server::start(&db, Vec::new(), registry).unwrap();
+    let mut client = Client::connect(&handle.local_addr().to_string()).unwrap();
+    let session = Session::new(&db);
+    let spawned = |run: &mut dyn FnMut() -> usize| {
+        let before = db.metrics().snapshot();
+        let rows = run();
+        let d = db.metrics().snapshot().since(&before);
+        assert_eq!(d.net_read_requests, 0, "the pool is warm");
+        (rows, d.sql_threads_spawned)
+    };
+    // Warm the pool.
+    assert_eq!(session.sql("select * from t").unwrap().len(), 2000);
+
+    let scan = Plan::Scan(taurus::optimizer::plan::ScanNode::new("t", vec![0, 1, 2]));
+    let sorted = agg_scan().sort(vec![(0, false)]);
+    let in_process = |plan: &Plan| session.execute_plan(plan).unwrap().len();
+    assert_eq!(spawned(&mut || in_process(&scan)), (2000, 1), "bare Scan");
+    assert_eq!(
+        spawned(&mut || in_process(&sorted)),
+        (7, 0),
+        "Sort(AggScan)"
+    );
+    for d in [1u64, 3] {
+        let plan = agg_scan().exchange(d as usize);
+        assert_eq!(spawned(&mut || in_process(&plan)), (7, d), "Exchange({d})");
+    }
+
+    const GROUPED: &str = "select g, sum(v), count(*) from t group by g order by g";
+    let explained = client
+        .query_sql(&format!("explain {GROUPED}"), false)
+        .unwrap();
+    let text: Vec<String> = explained.rows.iter().map(|r| r[0].to_string()).collect();
+    let text = text.join("\n");
+    assert!(
+        text.contains("AggScan") && !text.contains("HashAgg"),
+        "{text}"
+    );
+    let mut wire = |text: &str| client.query_sql(text, false).unwrap().rows.len();
+    assert_eq!(
+        spawned(&mut || wire("select * from t")),
+        (2000, 1),
+        "wire Scan"
+    );
+    assert_eq!(spawned(&mut || wire(GROUPED)), (7, 0), "wire Sort(AggScan)");
+    for d in [1u64, 3] {
+        let mut named = || {
+            client
+                .query_named("xagg", Some(d as usize))
+                .unwrap()
+                .rows
+                .len()
+        };
+        assert_eq!(spawned(&mut named), (7, d), "wire Exchange({d})");
+    }
+}

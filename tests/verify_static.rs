@@ -214,7 +214,7 @@ fn sound_decision() -> NdpDecision {
 }
 
 /// Every way in is gated, in every build profile (run this file with
-/// `--release` too): collect and stream both answer a malformed decision
+/// `--release` too): collect and a sink both answer a malformed decision
 /// with the typed error, before anything runs.
 fn assert_rejected(plan: &Plan, kind: DiagKind) {
     assert!(has_error(plan, kind), "{:?}", kinds(plan));
@@ -224,9 +224,10 @@ fn assert_rejected(plan: &Plan, kind: DiagKind) {
         matches!(&err, Error::Verify(m) if m.contains(&format!("{kind:?}"))),
         "{err:?}"
     );
-    let mut stream = session.stream_plan(plan.clone());
-    assert!(matches!(stream.next(), Some(Err(Error::Verify(_)))));
-    assert!(stream.next().is_none());
+    let err = session
+        .run_plan(plan, |_| panic!("a rejected plan hands its sink nothing"))
+        .unwrap_err();
+    assert!(matches!(err, Error::Verify(_)), "{err:?}");
 }
 
 #[test]
@@ -322,14 +323,17 @@ fn rejected_plan_fails_stream_before_any_producer_spawns() {
         ScanNode::new("lineitem", vec![0])
             .with_predicate(vec![Expr::lt(Expr::col(4), Expr::dec("24"))]),
     );
-    let session = Session::new(catalog());
-    let mut stream = session.stream_plan(plan);
-    // The stream's first (and only) item is the verifier's rejection.
-    match stream.next() {
-        Some(Err(Error::Verify(msg))) => assert!(msg.contains("residual")),
+    // A catalog of its own: no other test's query moves its counters.
+    let db = TaurusDb::new(ClusterConfig::default());
+    taurus::tpch::schema::create_all(&db).unwrap();
+    let session = Session::new(&db);
+    // The verifier's rejection is the run's error: the sink sees nothing
+    // and no thread is spawned.
+    match session.run_plan(&plan, |_| panic!("a rejected plan hands its sink nothing")) {
+        Err(Error::Verify(msg)) => assert!(msg.contains("residual")),
         other => panic!("expected Err(Verify), got {other:?}"),
     }
-    assert!(stream.next().is_none());
+    assert_eq!(db.metrics().snapshot().sql_threads_spawned, 0);
 }
 
 // --- a hash join's join-filter decision ---------------------------------------
