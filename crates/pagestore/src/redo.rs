@@ -122,49 +122,70 @@ impl RedoRecord {
     /// Apply to a page image, stamping the LSN. `None` result = page freed.
     /// System records must be filtered out by the caller.
     pub fn apply(&self, page: &mut Option<Page>) -> Result<()> {
-        if self.body.is_system() {
-            return Err(Error::Internal(format!(
-                "system record {:?} applied to a page",
-                self.body
-            )));
-        }
         match &self.body {
             RedoBody::NewPage(img) => {
                 let mut p = Page::from_bytes(img.clone())?;
                 p.set_lsn(self.lsn);
                 *page = Some(p);
-                return Ok(());
+                Ok(())
             }
             RedoBody::FreePage => {
                 *page = None;
-                return Ok(());
+                Ok(())
             }
-            _ => {}
+            body if body.is_system() => Err(Error::Internal(format!(
+                "system record {body:?} applied to a page"
+            ))),
+            body => {
+                let p = page.as_mut().ok_or_else(|| {
+                    Error::Corruption(format!(
+                        "redo {body:?} for missing page {:?}:{}",
+                        self.space, self.page_no
+                    ))
+                })?;
+                self.apply_to(p)
+            }
         }
-        let p = page.as_mut().ok_or_else(|| {
-            Error::Corruption(format!(
-                "redo {:?} for missing page {:?}:{}",
-                self.body, self.space, self.page_no
-            ))
-        })?;
+    }
+
+    /// Apply one in-place change to a page image, stamping the LSN. The
+    /// change is checked against the page before it touches it: one that
+    /// does not fit is `Corruption` and leaves the page as it was.
+    /// `NewPage`, `FreePage` and system records have no in-place form.
+    pub fn apply_to(&self, p: &mut Page) -> Result<()> {
+        let misfit = |what: &str| {
+            Err(Error::Corruption(format!(
+                "redo {what} at lsn {} does not fit page {:?}:{}",
+                self.lsn, self.space, self.page_no
+            )))
+        };
         match &self.body {
             RedoBody::InsertRecord { slot_idx, rec } => {
+                if *slot_idx > p.n_slots() {
+                    return misfit("InsertRecord");
+                }
                 p.insert_at_slot(*slot_idx as usize, rec)?;
             }
             RedoBody::SetDeleteMark { rec_at, mark } => {
+                if *rec_at as usize >= p.byte_len() {
+                    return misfit("SetDeleteMark");
+                }
                 taurus_page::record::set_delete_mark(p.raw_mut(), *rec_at as usize, *mark);
             }
             RedoBody::WriteBytes { at, bytes } => {
                 let at = *at as usize;
                 if at + bytes.len() > p.byte_len() {
-                    return Err(Error::Corruption("WriteBytes out of page".into()));
+                    return misfit("WriteBytes");
                 }
                 p.raw_mut()[at..at + bytes.len()].copy_from_slice(bytes);
             }
             RedoBody::SetNext(n) => p.set_next(*n),
             RedoBody::SetPrev(n) => p.set_prev(*n),
-            // lint:allow(panic): apply() matched those variants before dispatching here
-            _ => unreachable!("NewPage/FreePage/system handled above"),
+            body => {
+                return Err(Error::Internal(format!(
+                    "redo {body:?} has no in-place form"
+                )))
+            }
         }
         p.set_lsn(self.lsn);
         Ok(())

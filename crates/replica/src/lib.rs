@@ -391,7 +391,7 @@ impl Tailer {
                 self.db
                     .apply_replicated_shape(r.space, *root, *height, *n_leaves)?;
             }
-            _ => self.apply_page_redo(r),
+            _ => self.apply_page_redo(r)?,
         }
         Ok(())
     }
@@ -467,43 +467,80 @@ impl Tailer {
     /// pages advance to the newest applied state (stamped with the record
     /// LSN — the version-pin check depends on it), uncached pages are left
     /// to the pinned read path. `NewPage` images always install: the
-    /// master's bulk-load flood warms the replica cache for free.
-    fn apply_page_redo(&self, r: &RedoRecord) {
+    /// master's bulk-load flood warms the replica cache for free. A record
+    /// that does not fit its page (or image that does not decode) is an
+    /// error, which detaches the replica.
+    fn apply_page_redo(&self, r: &RedoRecord) -> Result<()> {
         let bp: &Arc<BufferPool> = self.db.buffer_pool();
         let pref = PageRef::new(r.space, r.page_no);
         match &r.body {
             RedoBody::NewPage(img) => {
-                if let Ok(mut p) = Page::from_bytes(img.clone()) {
-                    p.set_lsn(r.lsn);
-                    bp.insert(pref, Arc::new(p));
-                }
+                let mut p = Page::from_bytes(img.clone())?;
+                p.set_lsn(r.lsn);
+                bp.insert(pref, Arc::new(p));
             }
             RedoBody::FreePage => bp.remove(pref),
-            body => {
-                bp.update(pref, |pg| {
-                    match body {
-                        RedoBody::InsertRecord { slot_idx, rec } => {
-                            pg.insert_at_slot(*slot_idx as usize, rec)
-                                .expect("replica bp mirror insert");
-                        }
-                        RedoBody::SetDeleteMark { rec_at, mark } => {
-                            taurus_page::record::set_delete_mark(
-                                pg.raw_mut(),
-                                *rec_at as usize,
-                                *mark,
-                            );
-                        }
-                        RedoBody::WriteBytes { at, bytes } => {
-                            let at = *at as usize;
-                            pg.raw_mut()[at..at + bytes.len()].copy_from_slice(bytes);
-                        }
-                        RedoBody::SetNext(n) => pg.set_next(*n),
-                        RedoBody::SetPrev(n) => pg.set_prev(*n),
-                        _ => unreachable!("NewPage/FreePage/system handled by caller"),
-                    }
-                    pg.set_lsn(r.lsn);
-                });
+            _ => {
+                let mut applied = Ok(());
+                bp.update(pref, |pg| applied = r.apply_to(pg));
+                applied?;
             }
         }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use taurus_common::{ClusterConfig, SpaceId};
+
+    use super::*;
+
+    /// A change read from the log that does not fit the cached page it
+    /// targets is a typed error (which detaches the replica), not a
+    /// panic on the tailer, and the cached page stays as it was.
+    #[test]
+    fn page_redo_that_does_not_fit_is_corruption() {
+        let master = TaurusDb::new(ClusterConfig::default());
+        let mut tailer = Tailer::new(TaurusDb::attach_replica(master.sal()));
+        let (space, page_no) = (SpaceId(1), 5);
+        let page = Page::new_index(1024, space, page_no, 9, 0);
+        let pref = PageRef::new(space, page_no);
+        let bp = tailer.db.buffer_pool().clone();
+        bp.insert(pref, Arc::new(page.clone()));
+        let redo = |lsn, body| RedoRecord {
+            lsn,
+            space,
+            page_no,
+            body,
+        };
+        let bad = [
+            RedoBody::WriteBytes {
+                at: 1020,
+                bytes: vec![0xff; 8],
+            },
+            RedoBody::SetDeleteMark {
+                rec_at: 1024,
+                mark: true,
+            },
+            RedoBody::InsertRecord {
+                slot_idx: 3,
+                rec: vec![0; 16],
+            },
+            RedoBody::NewPage(vec![1, 2, 3]),
+        ];
+        for (lsn, body) in (1..).zip(bad) {
+            let r = redo(lsn, body);
+            match tailer.apply(&r) {
+                Err(Error::Corruption(_)) => {}
+                other => panic!("{:?}: {other:?}", r.body),
+            }
+            assert_eq!(*bp.get(pref).unwrap(), page, "{:?}", r.body);
+        }
+        // A change that fits applies and stamps the record's LSN.
+        let r = redo(9, RedoBody::SetNext(6));
+        tailer.apply(&r).unwrap();
+        let cached = bp.get(pref).unwrap();
+        assert_eq!((cached.next(), cached.lsn()), (6, 9));
     }
 }

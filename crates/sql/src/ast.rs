@@ -179,6 +179,54 @@ impl SqlExpr {
     pub fn new(kind: ExprKind, pos: Pos) -> SqlExpr {
         SqlExpr { kind, pos }
     }
+
+    /// Visit each direct sub-expression in written order, stopping at the
+    /// first error (the one-level form of `taurus_expr::ast::Expr::walk`).
+    /// Subqueries are not entered: `IN (SELECT ...)`'s one child is its
+    /// left side, and `EXISTS` and scalar subqueries have none.
+    pub(crate) fn try_for_each_child<E>(
+        &self,
+        mut f: impl FnMut(&SqlExpr) -> Result<(), E>,
+    ) -> Result<(), E> {
+        match &self.kind {
+            ExprKind::Column { .. }
+            | ExprKind::Lit(_)
+            | ExprKind::Agg { arg: None, .. }
+            | ExprKind::Exists { .. }
+            | ExprKind::Scalar(_) => Ok(()),
+            ExprKind::Cmp(_, a, b)
+            | ExprKind::And(a, b)
+            | ExprKind::Or(a, b)
+            | ExprKind::Arith(_, a, b) => {
+                f(a)?;
+                f(b)
+            }
+            ExprKind::Not(a)
+            | ExprKind::Neg(a)
+            | ExprKind::ExtractYear(a)
+            | ExprKind::Agg { arg: Some(a), .. }
+            | ExprKind::Like { expr: a, .. }
+            | ExprKind::IsNull { expr: a, .. }
+            | ExprKind::Substr { expr: a, .. }
+            | ExprKind::InSelect { expr: a, .. } => f(a),
+            ExprKind::InList { expr, list, .. } => {
+                f(expr)?;
+                list.iter().try_for_each(f)
+            }
+            ExprKind::Between { expr, lo, hi } => {
+                f(expr)?;
+                f(lo)?;
+                f(hi)
+            }
+            ExprKind::Case { branches, else_ } => {
+                for (c, v) in branches {
+                    f(c)?;
+                    f(v)?;
+                }
+                f(else_)
+            }
+        }
+    }
 }
 
 fn lit_to_string(v: &Value) -> String {

@@ -6,17 +6,27 @@
 //! text for free. The lowering contract:
 //!
 //! - each base table in FROM becomes one [`ScanNode`] whose `output` is
-//!   exactly the set of referenced columns (ascending; `[0]` when none,
-//!   or a secondary index's leading key column), and whose `predicate`
-//!   holds the single-table WHERE/ON conjuncts in written order, lowered
-//!   over *table* columns; `FORCE INDEX (i)` on a scanned table scans
-//!   through `i`, which must store every column the query reads;
+//!   the columns the plan above it reads plus those its predicate reads
+//!   (ascending; `[0]` when none, or a secondary index's leading key
+//!   column), and whose `predicate` holds the single-table WHERE/ON
+//!   conjuncts in written order, lowered over *table* columns; `FORCE
+//!   INDEX (i)` on a scanned table scans through `i`, which must store
+//!   every column the query reads;
 //! - `JOIN ... ON` lowers left-deep in written order: plain joins become
 //!   [`HashJoinNode`]s keyed by the ON equalities, `FORCE INDEX (...)`
 //!   on the right side requests a [`LookupJoinNode`] through that index,
-//!   correlating the equality conjuncts that cover the index key prefix;
-//! - `[NOT] EXISTS` / `[NOT] IN (SELECT ...)` WHERE conjuncts become
-//!   Semi/Anti joins appended after the FROM tree, in written order;
+//!   correlating the equality conjuncts that cover the index key prefix.
+//!   A lookup's `inner_output` is what the plan above it reads: a column
+//!   read only by its pushed `inner_predicate` is not in it;
+//! - `[NOT] EXISTS (SELECT ... FROM t WHERE ...)` binds through the same
+//!   lookup analysis: `t` is an atom in a scope nested in the outer
+//!   query's (unqualified names resolve to `t` first, its alias may repeat
+//!   an outer one, no outer clause sees it), its WHERE is classified as a
+//!   lookup join's ON, and the index is the forced one or the one whose
+//!   key prefix the correlations cover best. It becomes a Semi/Anti
+//!   [`LookupJoinNode`], and `[NOT] IN (SELECT ...)` a Semi/Anti
+//!   [`HashJoinNode`], appended after the FROM tree and the residual
+//!   WHERE, in written order;
 //! - grouping lowers to a node with layout `groups ++ aggs`: an
 //!   [`AggScanNode`] when the block is one bare scan of a base table (no
 //!   join, subquery join or residual filter), the aggregates are not
@@ -34,10 +44,13 @@
 //! the same taxonomy the parser uses, so one wire error code covers the
 //! whole frontend.
 
+// Name scopes are lists of atom ranges; a one-scope list is meant.
+#![allow(clippy::single_range_in_vec_init)]
+
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 use std::sync::Arc;
 
-use taurus_common::schema::TableSchema;
 use taurus_common::{DataType, Error, Result, Value};
 use taurus_executor::Session;
 use taurus_expr::ast::{CmpOp, Expr};
@@ -141,9 +154,10 @@ struct Atom {
     alias: String,
     pos: Pos,
     kind: AtomKind,
-    /// Referenced table/derived columns → reference count. Keys (sorted)
-    /// become the scan output / lookup `inner_output`.
-    usage: BTreeMap<usize, usize>,
+    /// The columns the plan above this atom reads; the atom's own pushed
+    /// conjuncts do not count. A lookup's `inner_output`, and with its
+    /// predicate's columns a scan's `output`.
+    usage: BTreeSet<usize>,
     /// On the right side of a LEFT JOIN: WHERE conjuncts must not be
     /// pushed below the join.
     right_of_left: bool,
@@ -202,18 +216,20 @@ struct FromCx<'s> {
     atoms: Vec<Atom>,
     /// Derived-table plans, taken exactly once at lowering.
     derived_plans: Vec<Option<Plan>>,
-    /// Per-atom single-table conjuncts (ON-derived first, then WHERE),
-    /// lowered over table columns for base atoms.
-    scan_preds: Vec<Vec<&'s SqlExpr>>,
-    /// Like `scan_preds` but for derived atoms: becomes a Filter directly
-    /// above the derived plan, before any join.
-    atom_filters: Vec<Vec<&'s SqlExpr>>,
+    /// Per-atom single-atom conjuncts (ON-derived first, then WHERE): a
+    /// base atom's scan or lookup predicate, lowered over table columns,
+    /// or a Filter directly above a derived atom's plan, before any join.
+    preds: Vec<Vec<&'s SqlExpr>>,
 }
 
 impl<'s> FromCx<'s> {
-    fn push_atom(&mut self, atom: Atom) -> Result<usize> {
-        if let Some(other) = self.atoms.iter().find(|a| a.alias == atom.alias) {
-            let _ = other;
+    /// Add an atom whose alias must be unique among the atoms from
+    /// `scope_start` on (its scope).
+    fn push_atom(&mut self, atom: Atom, scope_start: usize) -> Result<usize> {
+        if self.atoms[scope_start..]
+            .iter()
+            .any(|a| a.alias == atom.alias)
+        {
             return Err(parse_err(
                 atom.pos,
                 format!("duplicate table alias `{}`", atom.alias),
@@ -221,9 +237,33 @@ impl<'s> FromCx<'s> {
         }
         self.atoms.push(atom);
         self.derived_plans.push(None);
-        self.scan_preds.push(Vec::new());
-        self.atom_filters.push(Vec::new());
+        self.preds.push(Vec::new());
         Ok(self.atoms.len() - 1)
+    }
+
+    /// The (atom, column) pairs `e` reads, resolved through `scopes`.
+    fn refs(
+        &self,
+        e: &SqlExpr,
+        scopes: &[Range<usize>],
+        allow_agg: bool,
+    ) -> Result<BTreeSet<(usize, usize)>> {
+        let mut refs = BTreeSet::new();
+        col_refs(e, &self.atoms, scopes, allow_agg, &mut refs)?;
+        Ok(refs)
+    }
+
+    fn use_cols(&mut self, refs: impl IntoIterator<Item = (usize, usize)>) {
+        for (a, c) in refs {
+            self.atoms[a].usage.insert(c);
+        }
+    }
+
+    /// Record that the plan above the atoms reads every column `e` reads.
+    fn read(&mut self, e: &SqlExpr, scopes: &[Range<usize>], allow_agg: bool) -> Result<()> {
+        let refs = self.refs(e, scopes, allow_agg)?;
+        self.use_cols(refs);
+        Ok(())
     }
 }
 
@@ -242,30 +282,27 @@ enum FromNode<'s> {
     },
     Lookup {
         left: Box<FromNode<'s>>,
-        atom: usize,
-        index: usize,
-        join: JoinType,
-        /// Outer (atom, col) per consumed index key column, in key order.
-        key: Vec<(usize, usize)>,
-        residual: Vec<&'s SqlExpr>,
+        lookup: Lookup<'s>,
     },
+}
+
+/// A classified lookup join into one base atom: `JOIN t FORCE INDEX (i)
+/// ON ...` in FROM, or a correlated `[NOT] EXISTS` as a Semi/Anti join.
+struct Lookup<'s> {
+    atom: usize,
+    index: usize,
+    join: JoinType,
+    /// Outer (atom, col) per consumed index key column, in key order.
+    key: Vec<(usize, usize)>,
+    residual: Vec<&'s SqlExpr>,
+    /// Where the residual's names resolve, innermost first.
+    scopes: Vec<Range<usize>>,
 }
 
 /// A WHERE-level subquery conjunct, lowered to a Semi/Anti join after the
 /// FROM tree.
 enum SubJoin<'s> {
-    Exists {
-        negated: bool,
-        table: Arc<Table>,
-        index: usize,
-        /// Outer (atom, col) per consumed index key column, in key order.
-        key: Vec<(usize, usize)>,
-        inner_alias: String,
-        inner_preds: Vec<&'s SqlExpr>,
-        residual: Vec<&'s SqlExpr>,
-        /// Inner columns referenced by residual conjuncts, ascending.
-        inner_out: Vec<usize>,
-    },
+    Lookup(Lookup<'s>),
     InSelect {
         pos: Pos,
         negated: bool,
@@ -281,24 +318,12 @@ enum Frame<'a> {
     /// Scan / lookup-inner predicate: positions are table columns of one
     /// base atom.
     Table { atoms: &'a [Atom], atom: usize },
-    /// EXISTS inner predicate: table columns of the subquery's table.
-    ExistsTable {
-        schema: &'a TableSchema,
-        alias: &'a str,
-    },
-    /// Row layout after FROM lowering: positions index `layout`.
+    /// A row layout: positions index `layout`, names resolve through
+    /// `scopes`.
     Layout {
         atoms: &'a [Atom],
+        scopes: &'a [Range<usize>],
         layout: &'a [(usize, usize)],
-    },
-    /// EXISTS residual: outer layout ++ the subquery's `inner_out`
-    /// columns.
-    ExistsCombined {
-        atoms: &'a [Atom],
-        layout: &'a [(usize, usize)],
-        schema: &'a TableSchema,
-        alias: &'a str,
-        inner_out: &'a [usize],
     },
 }
 
@@ -308,21 +333,23 @@ impl Frame<'_> {
             Frame::Table { atoms, atom } => (0..atoms[*atom].width())
                 .map(|c| atoms[*atom].col_dtype(c))
                 .collect(),
-            Frame::ExistsTable { schema, .. } => schema.dtypes(),
-            Frame::Layout { atoms, layout } => {
+            Frame::Layout { atoms, layout, .. } => {
                 layout.iter().map(|&(a, c)| atoms[a].col_dtype(c)).collect()
             }
-            Frame::ExistsCombined {
+        }
+    }
+
+    /// The position a column reference lowers to.
+    fn resolve(&self, qualifier: Option<&Ident>, name: &Ident) -> Result<usize> {
+        match self {
+            Frame::Table { atoms, atom } => {
+                Ok(resolve_col(atoms, &[*atom..*atom + 1], qualifier, name)?.1)
+            }
+            Frame::Layout {
                 atoms,
+                scopes,
                 layout,
-                schema,
-                inner_out,
-                ..
-            } => layout
-                .iter()
-                .map(|&(a, c)| atoms[a].col_dtype(c))
-                .chain(inner_out.iter().map(|&c| schema.columns[c].dtype))
-                .collect(),
+            } => pos_in(layout, resolve_col(atoms, scopes, qualifier, name)?),
         }
     }
 }
@@ -364,30 +391,67 @@ fn conjuncts(e: Option<&SqlExpr>) -> Vec<&SqlExpr> {
 /// Does the expression contain an aggregate call (not descending into
 /// subqueries)?
 fn contains_agg(e: &SqlExpr) -> bool {
+    matches!(e.kind, ExprKind::Agg { .. })
+        || e.try_for_each_child(|c| if contains_agg(c) { Err(()) } else { Ok(()) })
+            .is_err()
+}
+
+/// Resolve every column `e` reads into `refs`. Rejects subqueries, and
+/// aggregates unless `allow_agg` (an aggregate's input is a plain
+/// expression again).
+fn col_refs(
+    e: &SqlExpr,
+    atoms: &[Atom],
+    scopes: &[Range<usize>],
+    allow_agg: bool,
+    refs: &mut BTreeSet<(usize, usize)>,
+) -> Result<()> {
     match &e.kind {
-        ExprKind::Agg { .. } => true,
-        ExprKind::Column { .. } | ExprKind::Lit(_) => false,
-        ExprKind::Cmp(_, a, b) | ExprKind::And(a, b) | ExprKind::Or(a, b) => {
-            contains_agg(a) || contains_agg(b)
+        ExprKind::Column { qualifier, name } => {
+            refs.insert(resolve_col(atoms, scopes, qualifier.as_ref(), name)?);
+            return Ok(());
         }
-        ExprKind::Arith(_, a, b) => contains_agg(a) || contains_agg(b),
-        ExprKind::Not(a) | ExprKind::Neg(a) | ExprKind::ExtractYear(a) => contains_agg(a),
-        ExprKind::Like { expr, .. }
-        | ExprKind::IsNull { expr, .. }
-        | ExprKind::Substr { expr, .. } => contains_agg(expr),
-        ExprKind::InList { expr, list, .. } => contains_agg(expr) || list.iter().any(contains_agg),
-        ExprKind::Between { expr, lo, hi } => {
-            contains_agg(expr) || contains_agg(lo) || contains_agg(hi)
+        ExprKind::Agg { .. } if !allow_agg => {
+            return Err(parse_err(
+                e.pos,
+                "aggregates are not allowed in this clause",
+            ))
         }
-        ExprKind::Case { branches, else_ } => {
-            branches
-                .iter()
-                .any(|(c, v)| contains_agg(c) || contains_agg(v))
-                || contains_agg(else_)
+        ExprKind::Exists { .. } | ExprKind::InSelect { .. } => {
+            return Err(parse_err(
+                e.pos,
+                "subqueries are only supported as top-level WHERE conjuncts",
+            ))
         }
-        ExprKind::InSelect { expr, .. } => contains_agg(expr),
-        ExprKind::Exists { .. } | ExprKind::Scalar(_) => false,
+        _ => {}
     }
+    let allow_agg = allow_agg && !matches!(e.kind, ExprKind::Agg { .. });
+    e.try_for_each_child(|c| col_refs(c, atoms, scopes, allow_agg, refs))
+}
+
+/// An EXISTS subquery's SELECT list and WHERE hold plain expressions: an
+/// aggregate would make it one row whatever its WHERE says, and nested
+/// subqueries are not supported.
+fn plain_in_exists(e: &SqlExpr) -> Result<()> {
+    if matches!(
+        e.kind,
+        ExprKind::Agg { .. }
+            | ExprKind::Exists { .. }
+            | ExprKind::InSelect { .. }
+            | ExprKind::Scalar(_)
+    ) {
+        return Err(parse_err(
+            e.pos,
+            "this expression is not supported inside an EXISTS subquery",
+        ));
+    }
+    e.try_for_each_child(plain_in_exists)
+}
+
+/// The one atom every reference in `refs` reads, if there is one.
+fn single_atom(refs: &BTreeSet<(usize, usize)>) -> Option<usize> {
+    let (first, last) = (refs.first()?.0, refs.last()?.0);
+    (first == last).then_some(first)
 }
 
 fn stmt_pos(s: &SelectStmt) -> Pos {
@@ -445,10 +509,12 @@ impl<'a> Binder<'a> {
         let mut cx = FromCx {
             atoms: Vec::new(),
             derived_plans: Vec::new(),
-            scan_preds: Vec::new(),
-            atom_filters: Vec::new(),
+            preds: Vec::new(),
         };
         let fnode = self.analyze_from(&s.from[0], &mut cx, false)?;
+        // The outer query's scope: the FROM atoms. EXISTS tables join
+        // later, each in a scope of its own no outer clause sees.
+        let from = [0..cx.atoms.len()];
 
         // WHERE: route each conjunct to a scan predicate, a residual
         // filter, or a Semi/Anti subquery join.
@@ -457,7 +523,9 @@ impl<'a> Binder<'a> {
         for conj in conjuncts(s.where_.as_ref()) {
             match &conj.kind {
                 ExprKind::Exists { select, negated } => {
-                    sub_joins.push(self.analyze_exists(conj.pos, select, *negated, &mut cx)?);
+                    let lookup =
+                        self.exists_join(conj.pos, select, *negated, &mut cx, from[0].clone())?;
+                    sub_joins.push(SubJoin::Lookup(lookup));
                 }
                 ExprKind::InSelect {
                     expr,
@@ -473,8 +541,8 @@ impl<'a> Binder<'a> {
                             ))
                         }
                     };
-                    let hit = resolve_col(&cx.atoms, 0, cx.atoms.len(), qual, name)?;
-                    *cx.atoms[hit.0].usage.entry(hit.1).or_insert(0) += 1;
+                    let hit = resolve_col(&cx.atoms, &from, qual, name)?;
+                    cx.use_cols([hit]);
                     sub_joins.push(SubJoin::InSelect {
                         pos: conj.pos,
                         negated: *negated,
@@ -483,14 +551,13 @@ impl<'a> Binder<'a> {
                     });
                 }
                 _ => {
-                    let mut set = BTreeSet::new();
-                    self.walk_refs(conj, &mut cx, 0, usize::MAX, false, &mut set)?;
-                    match (set.len(), set.iter().next()) {
-                        (1, Some(&i)) if !cx.atoms[i].right_of_left => match cx.atoms[i].kind {
-                            AtomKind::Base { .. } => cx.scan_preds[i].push(conj),
-                            AtomKind::Derived { .. } => cx.atom_filters[i].push(conj),
-                        },
-                        _ => residual_where.push(conj),
+                    let refs = cx.refs(conj, &from, false)?;
+                    match single_atom(&refs) {
+                        Some(i) if !cx.atoms[i].right_of_left => cx.preds[i].push(conj),
+                        _ => {
+                            cx.use_cols(refs);
+                            residual_where.push(conj);
+                        }
                     }
                 }
             }
@@ -501,18 +568,15 @@ impl<'a> Binder<'a> {
         for (i, item) in s.items.iter().enumerate() {
             match item {
                 SelectItem::Wildcard(_) => {
-                    for a in cx.atoms.iter_mut() {
-                        for c in 0..a.width() {
-                            *a.usage.entry(c).or_insert(0) += 1;
-                        }
+                    for a in &mut cx.atoms[from[0].clone()] {
+                        a.usage.extend(0..a.width());
                     }
                 }
                 SelectItem::Expr { expr, alias } => {
                     if let Some(al) = alias {
                         aliases.push((al.name.clone(), i));
                     }
-                    let mut set = BTreeSet::new();
-                    self.walk_refs(expr, &mut cx, 0, usize::MAX, true, &mut set)?;
+                    cx.read(expr, &from, true)?;
                 }
             }
         }
@@ -521,27 +585,23 @@ impl<'a> Binder<'a> {
         // alias means that item's expression.
         let mut group_eff: Vec<&SqlExpr> = Vec::new();
         for g in &s.group_by {
-            let eff = self.effective_expr(g, s, &aliases, &cx)?;
+            let eff = self.effective_expr(g, s, &aliases, &cx.atoms[from[0].clone()])?;
             if contains_agg(eff) {
                 return Err(parse_err(g.pos, "aggregates are not allowed in GROUP BY"));
             }
-            let mut set = BTreeSet::new();
-            self.walk_refs(eff, &mut cx, 0, usize::MAX, false, &mut set)?;
+            cx.read(eff, &from, false)?;
             group_eff.push(eff);
         }
 
         if let Some(h) = &s.having {
-            let mut set = BTreeSet::new();
-            self.walk_refs(h, &mut cx, 0, usize::MAX, true, &mut set)?;
+            cx.read(h, &from, true)?;
         }
 
         // ORDER BY: an alias reference needs no usage of its own.
         for (oe, _) in &s.order_by {
-            if self.alias_ref(oe, &aliases).is_some() {
-                continue;
+            if self.alias_ref(oe, &aliases).is_none() {
+                cx.read(oe, &from, true)?;
             }
-            let mut set = BTreeSet::new();
-            self.walk_refs(oe, &mut cx, 0, usize::MAX, true, &mut set)?;
         }
 
         // -- lowering -------------------------------------------------------
@@ -549,21 +609,16 @@ impl<'a> Binder<'a> {
         let FromCx {
             atoms,
             mut derived_plans,
-            scan_preds,
-            atom_filters,
+            preds,
         } = cx;
 
-        let (mut plan, layout) = self.lower_from(
-            &fnode,
-            &atoms,
-            &mut derived_plans,
-            &scan_preds,
-            &atom_filters,
-        )?;
+        let (mut plan, layout) =
+            self.lower_from(&fnode, &atoms, &mut derived_plans, &preds, &from)?;
 
         if !residual_where.is_empty() {
             let fr = Frame::Layout {
                 atoms: &atoms,
+                scopes: &from,
                 layout: &layout,
             };
             let lowered = residual_where
@@ -574,10 +629,10 @@ impl<'a> Binder<'a> {
         }
 
         for sj in &sub_joins {
-            plan = self.lower_sub_join(plan, sj, &atoms, &layout)?;
+            plan = self.lower_sub_join(plan, sj, &atoms, &preds, &layout)?;
         }
 
-        self.lower_output(plan, s, &atoms, &layout, &aliases, &group_eff)
+        self.lower_output(plan, s, &atoms, &layout, &from, &aliases, &group_eff)
     }
 
     /// Resolve a GROUP BY/HAVING-style expression through SELECT aliases:
@@ -588,7 +643,7 @@ impl<'a> Binder<'a> {
         e: &'s SqlExpr,
         s: &'s SelectStmt,
         aliases: &[(String, usize)],
-        cx: &FromCx<'s>,
+        atoms: &[Atom],
     ) -> Result<&'s SqlExpr> {
         let name = match &e.kind {
             ExprKind::Column {
@@ -597,8 +652,7 @@ impl<'a> Binder<'a> {
             } => name,
             _ => return Ok(e),
         };
-        let in_atoms = cx
-            .atoms
+        let in_atoms = atoms
             .iter()
             .any(|a| !matches!(a.find_col(&name.name), ColHit::None));
         if in_atoms {
@@ -632,81 +686,31 @@ impl<'a> Binder<'a> {
         None
     }
 
-    /// Record column usage for every reference in `e`, collecting the set
-    /// of atoms touched. Rejects misplaced subqueries/aggregates.
-    fn walk_refs(
-        &mut self,
-        e: &SqlExpr,
-        cx: &mut FromCx<'_>,
-        lo: usize,
-        hi: usize,
-        allow_agg: bool,
-        set: &mut BTreeSet<usize>,
-    ) -> Result<()> {
-        let hi = hi.min(cx.atoms.len());
-        match &e.kind {
-            ExprKind::Column { qualifier, name } => {
-                let (a, c) = resolve_col(&cx.atoms, lo, hi, qualifier.as_ref(), name)?;
-                *cx.atoms[a].usage.entry(c).or_insert(0) += 1;
-                set.insert(a);
-                Ok(())
-            }
-            ExprKind::Lit(_) => Ok(()),
-            ExprKind::Cmp(_, a, b) | ExprKind::And(a, b) | ExprKind::Or(a, b) => {
-                self.walk_refs(a, cx, lo, hi, allow_agg, set)?;
-                self.walk_refs(b, cx, lo, hi, allow_agg, set)
-            }
-            ExprKind::Arith(_, a, b) => {
-                self.walk_refs(a, cx, lo, hi, allow_agg, set)?;
-                self.walk_refs(b, cx, lo, hi, allow_agg, set)
-            }
-            ExprKind::Not(a) | ExprKind::Neg(a) | ExprKind::ExtractYear(a) => {
-                self.walk_refs(a, cx, lo, hi, allow_agg, set)
-            }
-            ExprKind::Like { expr, .. }
-            | ExprKind::IsNull { expr, .. }
-            | ExprKind::Substr { expr, .. } => self.walk_refs(expr, cx, lo, hi, allow_agg, set),
-            ExprKind::InList { expr, list, .. } => {
-                self.walk_refs(expr, cx, lo, hi, allow_agg, set)?;
-                for v in list {
-                    self.walk_refs(v, cx, lo, hi, allow_agg, set)?;
-                }
-                Ok(())
-            }
-            ExprKind::Between { expr, lo: l, hi: h } => {
-                self.walk_refs(expr, cx, lo, hi, allow_agg, set)?;
-                self.walk_refs(l, cx, lo, hi, allow_agg, set)?;
-                self.walk_refs(h, cx, lo, hi, allow_agg, set)
-            }
-            ExprKind::Case { branches, else_ } => {
-                for (c, v) in branches {
-                    self.walk_refs(c, cx, lo, hi, allow_agg, set)?;
-                    self.walk_refs(v, cx, lo, hi, allow_agg, set)?;
-                }
-                self.walk_refs(else_, cx, lo, hi, allow_agg, set)
-            }
-            ExprKind::Agg { arg, .. } => {
-                if !allow_agg {
-                    return Err(parse_err(
-                        e.pos,
-                        "aggregates are not allowed in this clause",
-                    ));
-                }
-                match arg {
-                    // Aggregate inputs are plain expressions again.
-                    Some(a) => self.walk_refs(a, cx, lo, hi, false, set),
-                    None => Ok(()),
-                }
-            }
-            ExprKind::Scalar(_) => Ok(()), // bound (and executed) at lowering
-            ExprKind::Exists { .. } | ExprKind::InSelect { .. } => Err(parse_err(
-                e.pos,
-                "subqueries are only supported as top-level WHERE conjuncts",
-            )),
-        }
-    }
-
     // -- FROM analysis ------------------------------------------------------
+
+    /// A base-table atom for `name [AS alias] [FORCE INDEX (i)]`.
+    fn base_atom(
+        &self,
+        name: &Ident,
+        alias: &Option<Ident>,
+        force_index: &Option<Ident>,
+        right_of_left: bool,
+    ) -> Result<Atom> {
+        let table = self
+            .db()
+            .table(&name.name)
+            .map_err(|_| parse_err(name.pos, format!("unknown table `{}`", name.name)))?;
+        Ok(Atom {
+            alias: alias.as_ref().unwrap_or(name).name.clone(),
+            pos: name.pos,
+            kind: AtomKind::Base {
+                table,
+                force: force_index.clone(),
+            },
+            usage: BTreeSet::new(),
+            right_of_left,
+        })
+    }
 
     fn analyze_from<'s>(
         &mut self,
@@ -720,38 +724,27 @@ impl<'a> Binder<'a> {
                 alias,
                 force_index,
             } => {
-                let table = self
-                    .db()
-                    .table(&name.name)
-                    .map_err(|_| parse_err(name.pos, format!("unknown table `{}`", name.name)))?;
-                let alias_s = alias.as_ref().unwrap_or(name).name.clone();
-                let i = cx.push_atom(Atom {
-                    alias: alias_s,
-                    pos: name.pos,
-                    kind: AtomKind::Base {
-                        table,
-                        force: force_index.clone(),
-                    },
-                    usage: BTreeMap::new(),
-                    right_of_left,
-                })?;
-                Ok(FromNode::Atom(i))
+                let atom = self.base_atom(name, alias, force_index, right_of_left)?;
+                Ok(FromNode::Atom(cx.push_atom(atom, 0)?))
             }
             TableRef::Derived { select, alias } => {
                 let (plan, names) = self.bind_select(select)?;
                 let width = plan_width(&plan);
                 let dtypes = plan_dtypes(&plan, self.db());
-                let i = cx.push_atom(Atom {
-                    alias: alias.name.clone(),
-                    pos: alias.pos,
-                    kind: AtomKind::Derived {
-                        names,
-                        dtypes,
-                        width,
+                let i = cx.push_atom(
+                    Atom {
+                        alias: alias.name.clone(),
+                        pos: alias.pos,
+                        kind: AtomKind::Derived {
+                            names,
+                            dtypes,
+                            width,
+                        },
+                        usage: BTreeSet::new(),
+                        right_of_left,
                     },
-                    usage: BTreeMap::new(),
-                    right_of_left,
-                })?;
+                    0,
+                )?;
                 cx.derived_plans[i] = Some(plan);
                 Ok(FromNode::Atom(i))
             }
@@ -769,248 +762,101 @@ impl<'a> Binder<'a> {
                     JoinKind::Left => JoinType::LeftOuter,
                 };
                 let right_rol = right_of_left || *kind == JoinKind::Left;
+                let rnode = self.analyze_from(right, cx, right_rol)?;
+                let scope = [l0..cx.atoms.len()];
                 // FORCE INDEX on a plain right-side table requests a
                 // lookup join through that index.
-                if let TableRef::Table {
-                    force_index: Some(fi),
-                    ..
-                } = &**right
+                if let (
+                    TableRef::Table {
+                        force_index: Some(fi),
+                        ..
+                    },
+                    FromNode::Atom(ai),
+                ) = (&**right, &rnode)
                 {
-                    let fi = fi.clone();
-                    let rnode = self.analyze_from(right, cx, right_rol)?;
-                    let ai = match rnode {
-                        FromNode::Atom(i) => i,
-                        _ => unreachable!("table ref lowers to an atom"),
-                    };
-                    let (index, key, residual) =
-                        self.analyze_lookup_on(on, cx, l0, l1, ai, &fi, join)?;
-                    Ok(FromNode::Lookup {
-                        left: Box::new(lnode),
-                        atom: ai,
-                        index,
+                    let no_key = parse_err(
+                        fi.pos,
+                        format!(
+                            "FORCE INDEX (`{}`) needs a join equality on the index's leading key \
+                             column",
+                            fi.name
+                        ),
+                    );
+                    let lookup = analyze_lookup(
+                        conjuncts(Some(on)),
+                        cx,
+                        *ai,
+                        scope.to_vec(),
+                        Some(fi),
                         join,
-                        key,
-                        residual,
-                    })
-                } else {
-                    let rnode = self.analyze_from(right, cx, right_rol)?;
-                    let r1 = cx.atoms.len();
-                    let (keys, residual) = self.analyze_hash_on(on, cx, l0, l1, r1, join)?;
-                    Ok(FromNode::Hash {
+                        no_key,
+                    )?;
+                    return Ok(FromNode::Lookup {
                         left: Box::new(lnode),
-                        right: Box::new(rnode),
-                        join,
-                        keys,
-                        residual,
-                    })
+                        lookup,
+                    });
                 }
-            }
-        }
-    }
-
-    /// Is `e` a plain column resolving inside `[lo, hi)`? No usage is
-    /// recorded here; classification decides that.
-    fn plain_col(
-        &self,
-        e: &SqlExpr,
-        atoms: &[Atom],
-        lo: usize,
-        hi: usize,
-    ) -> Option<(usize, usize)> {
-        if let ExprKind::Column { qualifier, name } = &e.kind {
-            return resolve_col(atoms, lo, hi, qualifier.as_ref(), name).ok();
-        }
-        None
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn analyze_hash_on<'s>(
-        &mut self,
-        on: &'s SqlExpr,
-        cx: &mut FromCx<'s>,
-        l0: usize,
-        l1: usize,
-        r1: usize,
-        join: JoinType,
-    ) -> Result<(Vec<((usize, usize), (usize, usize))>, Vec<&'s SqlExpr>)> {
-        let mut keys = Vec::new();
-        let mut residual = Vec::new();
-        let mut parts = Vec::new();
-        flatten_and(on, &mut parts);
-        for conj in parts {
-            if let ExprKind::Cmp(CmpOp::Eq, a, b) = &conj.kind {
-                let ra = self.plain_col(a, &cx.atoms, l0, r1);
-                let rb = self.plain_col(b, &cx.atoms, l0, r1);
-                if let (Some(ka), Some(kb)) = (ra, rb) {
-                    let (lk, rk) = if ka.0 < l1 && kb.0 >= l1 {
-                        (ka, kb)
-                    } else if kb.0 < l1 && ka.0 >= l1 {
-                        (kb, ka)
-                    } else {
-                        // Same-side equality: fall through to the general
-                        // routing below.
-                        self.route_on_conjunct(conj, cx, l0, l1, r1, join, &mut residual)?;
-                        continue;
-                    };
-                    *cx.atoms[lk.0].usage.entry(lk.1).or_insert(0) += 1;
-                    *cx.atoms[rk.0].usage.entry(rk.1).or_insert(0) += 1;
-                    keys.push((lk, rk));
-                    continue;
+                let mut keys = Vec::new();
+                let mut residual = Vec::new();
+                for conj in conjuncts(Some(on)) {
+                    if let ExprKind::Cmp(CmpOp::Eq, a, b) = &conj.kind {
+                        let ka = plain_col(a, &cx.atoms, &scope);
+                        let kb = plain_col(b, &cx.atoms, &scope);
+                        // An equality between the two sides is a key; a
+                        // same-side one is routed like any conjunct.
+                        let key = match (ka, kb) {
+                            (Some(ka), Some(kb)) if ka.0 < l1 && kb.0 >= l1 => Some((ka, kb)),
+                            (Some(ka), Some(kb)) if kb.0 < l1 && ka.0 >= l1 => Some((kb, ka)),
+                            _ => None,
+                        };
+                        if let Some((lk, rk)) = key {
+                            cx.use_cols([lk, rk]);
+                            keys.push((lk, rk));
+                            continue;
+                        }
+                    }
+                    route_join_conjunct(conj, cx, &scope, l1, join, &mut residual)?;
                 }
-            }
-            self.route_on_conjunct(conj, cx, l0, l1, r1, join, &mut residual)?;
-        }
-        if keys.is_empty() {
-            return Err(parse_err(
-                on.pos,
-                "JOIN ... ON needs at least one equality between the two sides",
-            ));
-        }
-        Ok((keys, residual))
-    }
-
-    /// Route a non-equi ON conjunct: single-side conjuncts push to the
-    /// scan (ON semantics allow that even under LEFT JOIN for the right
-    /// side); anything else is residual, which only inner joins support.
-    #[allow(clippy::too_many_arguments)]
-    fn route_on_conjunct<'s>(
-        &mut self,
-        conj: &'s SqlExpr,
-        cx: &mut FromCx<'s>,
-        l0: usize,
-        l1: usize,
-        r1: usize,
-        join: JoinType,
-        residual: &mut Vec<&'s SqlExpr>,
-    ) -> Result<()> {
-        let mut set = BTreeSet::new();
-        self.walk_refs(conj, cx, l0, r1, false, &mut set)?;
-        let all_right = set.iter().all(|&i| i >= l1);
-        let all_left = set.iter().all(|&i| i < l1);
-        if set.len() == 1 && (all_right || (all_left && join == JoinType::Inner)) {
-            let i = *set.iter().next().expect("nonempty");
-            match cx.atoms[i].kind {
-                AtomKind::Base { .. } => cx.scan_preds[i].push(conj),
-                AtomKind::Derived { .. } => cx.atom_filters[i].push(conj),
-            }
-            return Ok(());
-        }
-        if join != JoinType::Inner {
-            return Err(parse_err(
-                conj.pos,
-                "this ON condition is not supported for LEFT JOIN",
-            ));
-        }
-        residual.push(conj);
-        Ok(())
-    }
-
-    /// Classify the ON clause of a lookup join: equalities covering the
-    /// forced index's key prefix correlate the lookup; the rest stays as
-    /// scan predicates (single-side) or the residual `on`.
-    #[allow(clippy::type_complexity, clippy::too_many_arguments)]
-    fn analyze_lookup_on<'s>(
-        &mut self,
-        on: &'s SqlExpr,
-        cx: &mut FromCx<'s>,
-        l0: usize,
-        l1: usize,
-        ai: usize,
-        force: &Ident,
-        join: JoinType,
-    ) -> Result<(usize, Vec<(usize, usize)>, Vec<&'s SqlExpr>)> {
-        let table = match &cx.atoms[ai].kind {
-            AtomKind::Base { table, .. } => table.clone(),
-            AtomKind::Derived { .. } => unreachable!("lookup inner is a base table"),
-        };
-        let index = resolve_index(&table, force)?;
-        let key_cols = table.index(index).tree.def.key_cols.clone();
-
-        let mut parts = Vec::new();
-        flatten_and(on, &mut parts);
-
-        // Pass 1: equality candidates (inner col → first outer ref).
-        let mut cand: BTreeMap<usize, (usize, (usize, usize))> = BTreeMap::new();
-        for (ci, conj) in parts.iter().enumerate() {
-            if let ExprKind::Cmp(CmpOp::Eq, a, b) = &conj.kind {
-                let ra = self.plain_col(a, &cx.atoms, l0, ai + 1);
-                let rb = self.plain_col(b, &cx.atoms, l0, ai + 1);
-                if let (Some(ka), Some(kb)) = (ra, rb) {
-                    let (inner, outer) = if ka.0 == ai && kb.0 < l1 {
-                        (ka.1, kb)
-                    } else if kb.0 == ai && ka.0 < l1 {
-                        (kb.1, ka)
-                    } else {
-                        continue;
-                    };
-                    cand.entry(inner).or_insert((ci, outer));
+                if keys.is_empty() {
+                    return Err(parse_err(
+                        on.pos,
+                        "JOIN ... ON needs at least one equality between the two sides",
+                    ));
                 }
+                Ok(FromNode::Hash {
+                    left: Box::new(lnode),
+                    right: Box::new(rnode),
+                    join,
+                    keys,
+                    residual,
+                })
             }
         }
-
-        // Consume the key prefix.
-        let mut key = Vec::new();
-        let mut consumed = BTreeSet::new();
-        for &kc in &key_cols {
-            match cand.get(&kc) {
-                Some(&(ci, outer)) => {
-                    consumed.insert(ci);
-                    key.push(outer);
-                }
-                None => break,
-            }
-        }
-        if key.is_empty() {
-            return Err(parse_err(
-                force.pos,
-                format!(
-                    "FORCE INDEX (`{}`) needs a join equality on the index's leading key column",
-                    force.name
-                ),
-            ));
-        }
-        for &(_, outer) in cand.values().filter(|(ci, _)| consumed.contains(ci)) {
-            *cx.atoms[outer.0].usage.entry(outer.1).or_insert(0) += 1;
-        }
-
-        // Pass 2: everything not consumed, in written order.
-        let mut residual = Vec::new();
-        for (ci, conj) in parts.iter().enumerate() {
-            if consumed.contains(&ci) {
-                continue;
-            }
-            self.route_on_conjunct(conj, cx, l0, l1, ai + 1, join, &mut residual)?;
-        }
-        Ok((index, key, residual))
     }
 
-    // -- EXISTS analysis ----------------------------------------------------
-
-    fn analyze_exists<'s>(
+    /// `[NOT] EXISTS (SELECT ... FROM t WHERE ...)` is a Semi/Anti lookup
+    /// join into `t`, classified by [`analyze_lookup`]. `t` is an
+    /// atom in a scope of its own, nested in the outer query's (`outer`):
+    /// its names shadow the outer ones, its alias may repeat an outer
+    /// alias, and no outer clause sees it.
+    fn exists_join<'s>(
         &mut self,
         pos: Pos,
         sub: &'s SelectStmt,
         negated: bool,
         cx: &mut FromCx<'s>,
-    ) -> Result<SubJoin<'s>> {
-        if sub.from.len() != 1 {
+        outer: Range<usize>,
+    ) -> Result<Lookup<'s>> {
+        let [TableRef::Table {
+            name,
+            alias,
+            force_index,
+        }] = &sub.from[..]
+        else {
             return Err(parse_err(
                 pos,
                 "an EXISTS subquery must scan a single base table",
             ));
-        }
-        let (name, alias, force) = match &sub.from[0] {
-            TableRef::Table {
-                name,
-                alias,
-                force_index,
-            } => (name, alias, force_index),
-            _ => {
-                return Err(parse_err(
-                    pos,
-                    "an EXISTS subquery must scan a single base table",
-                ))
-            }
         };
         if !sub.group_by.is_empty()
             || sub.having.is_some()
@@ -1022,234 +868,149 @@ impl<'a> Binder<'a> {
                 "an EXISTS subquery cannot use GROUP BY, HAVING, ORDER BY, or LIMIT",
             ));
         }
-        let table = self
-            .db()
-            .table(&name.name)
-            .map_err(|_| parse_err(name.pos, format!("unknown table `{}`", name.name)))?;
-        let inner_alias = alias.as_ref().unwrap_or(name).name.clone();
-
-        let parts = conjuncts(sub.where_.as_ref());
-
-        // Pass 1: correlation candidates inner-col → outer (atom, col).
-        let mut cand: BTreeMap<usize, (usize, (usize, usize))> = BTreeMap::new();
-        for (ci, conj) in parts.iter().enumerate() {
-            if let ExprKind::Cmp(CmpOp::Eq, a, b) = &conj.kind {
-                let sa = self.exists_side(a, &table.schema, &inner_alias, &cx.atoms)?;
-                let sb = self.exists_side(b, &table.schema, &inner_alias, &cx.atoms)?;
-                match (sa, sb) {
-                    (Some(ExistsSide::Inner(ic)), Some(ExistsSide::Outer(oc)))
-                    | (Some(ExistsSide::Outer(oc)), Some(ExistsSide::Inner(ic))) => {
-                        cand.entry(ic).or_insert((ci, oc));
-                    }
-                    _ => {}
-                }
+        let atom = self.base_atom(name, alias, force_index, false)?;
+        let ai = cx.push_atom(atom, cx.atoms.len())?;
+        let scopes = vec![ai..ai + 1, outer];
+        // The SELECT list only has to make sense: no plan reads it.
+        for item in &sub.items {
+            if let SelectItem::Expr { expr, .. } = item {
+                plain_in_exists(expr)?;
+                cx.refs(expr, &scopes, false)?;
             }
         }
-
-        // Index: forced, or the one whose key prefix the correlations
-        // cover best (ties to the lowest ordinal).
-        let index = match force {
-            Some(fi) => resolve_index(&table, fi)?,
-            None => {
-                let mut best = (0usize, 0usize);
-                for i in 0..=table.secondaries.len() {
-                    let kc = &table.index(i).tree.def.key_cols;
-                    let cov = kc.iter().take_while(|c| cand.contains_key(c)).count();
-                    if cov > best.1 {
-                        best = (i, cov);
-                    }
-                }
-                if best.1 == 0 {
-                    return Err(parse_err(
-                        pos,
-                        "an EXISTS subquery needs an equality between an indexed inner column \
-                         and the outer query",
-                    ));
-                }
-                best.0
-            }
+        let conds = conjuncts(sub.where_.as_ref());
+        for c in &conds {
+            plain_in_exists(c)?;
+        }
+        let no_key = parse_err(
+            pos,
+            "an EXISTS subquery needs an equality between an indexed inner column and the outer \
+             query",
+        );
+        let join = if negated {
+            JoinType::Anti
+        } else {
+            JoinType::Semi
         };
-
-        let key_cols = table.index(index).tree.def.key_cols.clone();
-        let mut key = Vec::new();
-        let mut consumed = BTreeSet::new();
-        for &kc in &key_cols {
-            match cand.get(&kc) {
-                Some(&(ci, outer)) => {
-                    consumed.insert(ci);
-                    key.push(outer);
-                }
-                None => break,
-            }
-        }
-        if key.is_empty() {
-            return Err(parse_err(
-                pos,
-                "an EXISTS subquery needs an equality between an indexed inner column and the \
-                 outer query",
-            ));
-        }
-        for &(_, outer) in cand.values().filter(|(ci, _)| consumed.contains(ci)) {
-            *cx.atoms[outer.0].usage.entry(outer.1).or_insert(0) += 1;
-        }
-
-        // Pass 2: inner-only conjuncts → inner predicate; mixed → residual
-        // (recording outer usage and the inner columns the residual needs).
-        let mut inner_preds = Vec::new();
-        let mut residual = Vec::new();
-        let mut inner_cols = BTreeSet::new();
-        for (ci, conj) in parts.iter().enumerate() {
-            if consumed.contains(&ci) {
-                continue;
-            }
-            let mut inner_here = BTreeSet::new();
-            let mut outer_here = false;
-            self.exists_refs(
-                conj,
-                &table.schema,
-                &inner_alias,
-                cx,
-                &mut inner_here,
-                &mut outer_here,
-            )?;
-            if outer_here {
-                inner_cols.extend(inner_here.iter().copied());
-                residual.push(*conj);
-            } else {
-                inner_preds.push(*conj);
-            }
-        }
-
-        Ok(SubJoin::Exists {
-            negated,
-            table,
-            index,
-            key,
-            inner_alias,
-            inner_preds,
-            residual,
-            inner_out: inner_cols.into_iter().collect(),
-        })
-    }
-
-    /// Which side of the EXISTS scope does a plain column land on?
-    fn exists_side(
-        &self,
-        e: &SqlExpr,
-        schema: &TableSchema,
-        inner_alias: &str,
-        atoms: &[Atom],
-    ) -> Result<Option<ExistsSide>> {
-        let (qualifier, name) = match &e.kind {
-            ExprKind::Column { qualifier, name } => (qualifier.as_ref(), name),
-            _ => return Ok(None),
-        };
-        match qualifier {
-            Some(q) if q.name == inner_alias => {
-                let c = schema.col_index(&name.name).map_err(|_| {
-                    parse_err(
-                        name.pos,
-                        format!("unknown column `{}` in `{inner_alias}`", name.name),
-                    )
-                })?;
-                Ok(Some(ExistsSide::Inner(c)))
-            }
-            Some(_) => Ok(resolve_col(atoms, 0, atoms.len(), qualifier, name)
-                .ok()
-                .map(ExistsSide::Outer)),
-            None => {
-                if let Ok(c) = schema.col_index(&name.name) {
-                    return Ok(Some(ExistsSide::Inner(c)));
-                }
-                Ok(resolve_col(atoms, 0, atoms.len(), None, name)
-                    .ok()
-                    .map(ExistsSide::Outer))
-            }
-        }
-    }
-
-    /// Walk an EXISTS-scope conjunct: inner refs collect into
-    /// `inner_here`, outer refs record usage and set `outer_here`.
-    fn exists_refs(
-        &mut self,
-        e: &SqlExpr,
-        schema: &TableSchema,
-        inner_alias: &str,
-        cx: &mut FromCx<'_>,
-        inner_here: &mut BTreeSet<usize>,
-        outer_here: &mut bool,
-    ) -> Result<()> {
-        match &e.kind {
-            ExprKind::Column { .. } => {
-                match self.exists_side(e, schema, inner_alias, &cx.atoms)? {
-                    Some(ExistsSide::Inner(c)) => {
-                        inner_here.insert(c);
-                        Ok(())
-                    }
-                    Some(ExistsSide::Outer((a, c))) => {
-                        *cx.atoms[a].usage.entry(c).or_insert(0) += 1;
-                        *outer_here = true;
-                        Ok(())
-                    }
-                    None => {
-                        // Re-resolve for the error message.
-                        if let ExprKind::Column { qualifier, name } = &e.kind {
-                            resolve_col(&cx.atoms, 0, cx.atoms.len(), qualifier.as_ref(), name)?;
-                        }
-                        Ok(())
-                    }
-                }
-            }
-            ExprKind::Agg { .. }
-            | ExprKind::Exists { .. }
-            | ExprKind::InSelect { .. }
-            | ExprKind::Scalar(_) => Err(parse_err(
-                e.pos,
-                "this expression is not supported inside an EXISTS subquery",
-            )),
-            ExprKind::Lit(_) => Ok(()),
-            ExprKind::Cmp(_, a, b) | ExprKind::And(a, b) | ExprKind::Or(a, b) => {
-                self.exists_refs(a, schema, inner_alias, cx, inner_here, outer_here)?;
-                self.exists_refs(b, schema, inner_alias, cx, inner_here, outer_here)
-            }
-            ExprKind::Arith(_, a, b) => {
-                self.exists_refs(a, schema, inner_alias, cx, inner_here, outer_here)?;
-                self.exists_refs(b, schema, inner_alias, cx, inner_here, outer_here)
-            }
-            ExprKind::Not(a) | ExprKind::Neg(a) | ExprKind::ExtractYear(a) => {
-                self.exists_refs(a, schema, inner_alias, cx, inner_here, outer_here)
-            }
-            ExprKind::Like { expr, .. }
-            | ExprKind::IsNull { expr, .. }
-            | ExprKind::Substr { expr, .. } => {
-                self.exists_refs(expr, schema, inner_alias, cx, inner_here, outer_here)
-            }
-            ExprKind::InList { expr, list, .. } => {
-                self.exists_refs(expr, schema, inner_alias, cx, inner_here, outer_here)?;
-                for v in list {
-                    self.exists_refs(v, schema, inner_alias, cx, inner_here, outer_here)?;
-                }
-                Ok(())
-            }
-            ExprKind::Between { expr, lo, hi } => {
-                self.exists_refs(expr, schema, inner_alias, cx, inner_here, outer_here)?;
-                self.exists_refs(lo, schema, inner_alias, cx, inner_here, outer_here)?;
-                self.exists_refs(hi, schema, inner_alias, cx, inner_here, outer_here)
-            }
-            ExprKind::Case { branches, else_ } => {
-                for (c, v) in branches {
-                    self.exists_refs(c, schema, inner_alias, cx, inner_here, outer_here)?;
-                    self.exists_refs(v, schema, inner_alias, cx, inner_here, outer_here)?;
-                }
-                self.exists_refs(else_, schema, inner_alias, cx, inner_here, outer_here)
-            }
-        }
+        analyze_lookup(conds, cx, ai, scopes, force_index.as_ref(), join, no_key)
     }
 }
 
-enum ExistsSide {
-    Inner(usize),
-    Outer((usize, usize)),
+/// Classify the conditions of a lookup join into `atom` (a FROM
+/// join's ON, or an EXISTS subquery's WHERE), resolving names through
+/// `scopes`. Equalities between the inner table and the outer side
+/// that cover a prefix of the index's key correlate the lookup; the
+/// index is the forced one or, with none forced, the one whose key
+/// prefix they cover best (`no_key` when they cover none). The other
+/// conjuncts route as [`route_join_conjunct`] says.
+fn analyze_lookup<'s>(
+    conds: Vec<&'s SqlExpr>,
+    cx: &mut FromCx<'s>,
+    atom: usize,
+    scopes: Vec<Range<usize>>,
+    force: Option<&Ident>,
+    join: JoinType,
+    no_key: Error,
+) -> Result<Lookup<'s>> {
+    let table = match &cx.atoms[atom].kind {
+        AtomKind::Base { table, .. } => table.clone(),
+        AtomKind::Derived { .. } => unreachable!("lookup inner is a base table"),
+    };
+
+    // Pass 1: equality candidates (inner col → first outer ref).
+    let mut cand: BTreeMap<usize, (usize, (usize, usize))> = BTreeMap::new();
+    for (ci, conj) in conds.iter().enumerate() {
+        if let ExprKind::Cmp(CmpOp::Eq, a, b) = &conj.kind {
+            let ka = plain_col(a, &cx.atoms, &scopes);
+            let kb = plain_col(b, &cx.atoms, &scopes);
+            let (inner, outer) = match (ka, kb) {
+                (Some(ka), Some(kb)) if ka.0 == atom && kb.0 != atom => (ka.1, kb),
+                (Some(ka), Some(kb)) if kb.0 == atom && ka.0 != atom => (kb.1, ka),
+                _ => continue,
+            };
+            cand.entry(inner).or_insert((ci, outer));
+        }
+    }
+    let covered = |i: usize| -> Vec<&(usize, (usize, usize))> {
+        let key_cols = &table.index(i).tree.def.key_cols;
+        key_cols.iter().map_while(|kc| cand.get(kc)).collect()
+    };
+    let index = match force {
+        Some(fi) => resolve_index(&table, fi)?,
+        // Reversed, so a tie goes to the lowest ordinal.
+        None => (0..=table.secondaries.len())
+            .rev()
+            .max_by_key(|&i| covered(i).len())
+            .unwrap_or(0),
+    };
+
+    // Consume the key prefix.
+    let consumed = covered(index);
+    if consumed.is_empty() {
+        return Err(no_key);
+    }
+    let key: Vec<(usize, usize)> = consumed.iter().map(|&&(_, outer)| outer).collect();
+    let consumed: BTreeSet<usize> = consumed.iter().map(|&&(ci, _)| ci).collect();
+    cx.use_cols(key.iter().copied());
+
+    // Pass 2: everything not consumed, in written order.
+    let mut residual = Vec::new();
+    for (ci, conj) in conds.into_iter().enumerate() {
+        if !consumed.contains(&ci) {
+            route_join_conjunct(conj, cx, &scopes, atom, join, &mut residual)?;
+        }
+    }
+    Ok(Lookup {
+        atom,
+        index,
+        join,
+        key,
+        residual,
+        scopes,
+    })
+}
+
+/// Is `e` a plain column resolving in `scopes`? No usage is recorded here;
+/// classification decides that.
+fn plain_col(e: &SqlExpr, atoms: &[Atom], scopes: &[Range<usize>]) -> Option<(usize, usize)> {
+    match &e.kind {
+        ExprKind::Column { qualifier, name } => {
+            resolve_col(atoms, scopes, qualifier.as_ref(), name).ok()
+        }
+        _ => None,
+    }
+}
+
+/// Route a join conjunct that is not a join key. One that reads one atom
+/// pushes to that atom's scan if the atom is on the inner side (from
+/// `inner_lo` on; ON semantics allow that even under LEFT JOIN), or under
+/// an inner join; anything else is the join's residual, which LEFT JOIN
+/// does not support. So a Semi/Anti join keeps an outer-only condition in
+/// its `on`.
+fn route_join_conjunct<'s>(
+    conj: &'s SqlExpr,
+    cx: &mut FromCx<'s>,
+    scopes: &[Range<usize>],
+    inner_lo: usize,
+    join: JoinType,
+    residual: &mut Vec<&'s SqlExpr>,
+) -> Result<()> {
+    let refs = cx.refs(conj, scopes, false)?;
+    if let Some(i) = single_atom(&refs) {
+        if i >= inner_lo || join == JoinType::Inner {
+            cx.preds[i].push(conj);
+            return Ok(());
+        }
+    }
+    if join == JoinType::LeftOuter {
+        return Err(parse_err(
+            conj.pos,
+            "this ON condition is not supported for LEFT JOIN",
+        ));
+    }
+    cx.use_cols(refs);
+    residual.push(conj);
+    Ok(())
 }
 
 /// Resolve `FORCE INDEX (name)` / EXISTS index names: `primary` (any
@@ -1295,58 +1056,65 @@ fn check_index_coverage(table: &Table, index: usize, cols: &[usize], force: &Ide
     ))
 }
 
-/// Resolve a column reference over the atoms in `[lo, hi)`.
+/// Resolve a column reference through `scopes`, innermost first: it
+/// binds in the first scope that has its qualifier or, unqualified, a
+/// column of its name, so an EXISTS table's names shadow the outer
+/// query's. Within a scope a name must be unambiguous.
 fn resolve_col(
     atoms: &[Atom],
-    lo: usize,
-    hi: usize,
+    scopes: &[Range<usize>],
     qualifier: Option<&Ident>,
     name: &Ident,
 ) -> Result<(usize, usize)> {
-    let hi = hi.min(atoms.len());
-    if let Some(q) = qualifier {
-        let a = atoms[lo..hi]
-            .iter()
-            .position(|a| a.alias == q.name)
-            .map(|i| i + lo)
-            .ok_or_else(|| parse_err(q.pos, format!("unknown table or alias `{}`", q.name)))?;
-        return match atoms[a].find_col(&name.name) {
-            ColHit::One(c) => Ok((a, c)),
-            ColHit::None => Err(parse_err(
-                name.pos,
-                format!("unknown column `{}` in `{}`", name.name, q.name),
-            )),
-            ColHit::Many => Err(parse_err(
-                name.pos,
-                format!("ambiguous column `{}` in `{}`", name.name, q.name),
-            )),
-        };
-    }
-    let mut found: Option<(usize, usize)> = None;
-    for (i, a) in atoms[lo..hi].iter().enumerate() {
-        match a.find_col(&name.name) {
-            ColHit::None => {}
-            ColHit::Many => {
-                return Err(parse_err(
+    for scope in scopes {
+        if let Some(q) = qualifier {
+            let Some(a) = scope.clone().find(|&a| atoms[a].alias == q.name) else {
+                continue;
+            };
+            return match atoms[a].find_col(&name.name) {
+                ColHit::One(c) => Ok((a, c)),
+                ColHit::None => Err(parse_err(
                     name.pos,
-                    format!("ambiguous column `{}` in `{}`", name.name, a.alias),
-                ))
-            }
-            ColHit::One(c) => {
-                if let Some((prev, _)) = found {
+                    format!("unknown column `{}` in `{}`", name.name, q.name),
+                )),
+                ColHit::Many => Err(parse_err(
+                    name.pos,
+                    format!("ambiguous column `{}` in `{}`", name.name, q.name),
+                )),
+            };
+        }
+        let mut found: Option<(usize, usize)> = None;
+        for a in scope.clone() {
+            match atoms[a].find_col(&name.name) {
+                ColHit::None => {}
+                ColHit::Many => {
                     return Err(parse_err(
                         name.pos,
-                        format!(
-                            "ambiguous column `{}` (in `{}` and `{}`)",
-                            name.name, atoms[prev].alias, a.alias
-                        ),
-                    ));
+                        format!("ambiguous column `{}` in `{}`", name.name, atoms[a].alias),
+                    ))
                 }
-                found = Some((i + lo, c));
+                ColHit::One(c) => {
+                    if let Some((prev, _)) = found {
+                        return Err(parse_err(
+                            name.pos,
+                            format!(
+                                "ambiguous column `{}` (in `{}` and `{}`)",
+                                name.name, atoms[prev].alias, atoms[a].alias
+                            ),
+                        ));
+                    }
+                    found = Some((a, c));
+                }
             }
         }
+        if let Some(hit) = found {
+            return Ok(hit);
+        }
     }
-    found.ok_or_else(|| parse_err(name.pos, format!("unknown column `{}`", name.name)))
+    Err(match qualifier {
+        Some(q) => parse_err(q.pos, format!("unknown table or alias `{}`", q.name)),
+        None => parse_err(name.pos, format!("unknown column `{}`", name.name)),
+    })
 }
 
 /// An inner-join residual merges into a top-level lookup join's `on`;
@@ -1375,8 +1143,8 @@ impl<'a> Binder<'a> {
         node: &FromNode<'_>,
         atoms: &[Atom],
         derived: &mut [Option<Plan>],
-        scan_preds: &[Vec<&SqlExpr>],
-        atom_filters: &[Vec<&SqlExpr>],
+        preds: &[Vec<&SqlExpr>],
+        from: &[Range<usize>],
     ) -> Result<(Plan, Vec<(usize, usize)>)> {
         match node {
             FromNode::Atom(i) => {
@@ -1387,20 +1155,30 @@ impl<'a> Binder<'a> {
                             Some(fi) => resolve_index(table, fi)?,
                             None => 0,
                         };
+                        let fr = Frame::Table { atoms, atom: *i };
+                        let preds = preds[*i]
+                            .iter()
+                            .map(|e| self.lower_expr(e, &fr))
+                            .collect::<Result<Vec<_>>>()?;
+                        // A scan outputs what its predicate reads too
+                        // (`ResidualNotInOutput`).
+                        let mut cols = a.usage.clone();
+                        for p in &preds {
+                            p.walk(&mut |x| {
+                                if let Expr::Col(c) = x {
+                                    cols.insert(*c);
+                                }
+                            });
+                        }
                         let def = &table.index(index).tree.def;
-                        let output: Vec<usize> = if a.usage.is_empty() {
+                        let output: Vec<usize> = if cols.is_empty() {
                             vec![if def.is_primary { 0 } else { def.key_cols[0] }]
                         } else {
-                            a.usage.keys().copied().collect()
+                            cols.into_iter().collect()
                         };
                         if let Some(fi) = force {
                             check_index_coverage(table, index, &output, fi)?;
                         }
-                        let fr = Frame::Table { atoms, atom: *i };
-                        let preds = scan_preds[*i]
-                            .iter()
-                            .map(|e| self.lower_expr(e, &fr))
-                            .collect::<Result<Vec<_>>>()?;
                         let mut scan =
                             ScanNode::new(&table.schema.name, output.clone()).with_index(index);
                         if !preds.is_empty() {
@@ -1414,12 +1192,13 @@ impl<'a> Binder<'a> {
                             .take()
                             .expect("derived plan is lowered exactly once");
                         let layout: Vec<(usize, usize)> = (0..*width).map(|c| (*i, c)).collect();
-                        if !atom_filters[*i].is_empty() {
+                        if !preds[*i].is_empty() {
                             let fr = Frame::Layout {
                                 atoms,
+                                scopes: from,
                                 layout: &layout,
                             };
-                            let preds = atom_filters[*i]
+                            let preds = preds[*i]
                                 .iter()
                                 .map(|e| self.lower_expr(e, &fr))
                                 .collect::<Result<Vec<_>>>()?;
@@ -1436,8 +1215,8 @@ impl<'a> Binder<'a> {
                 keys,
                 residual,
             } => {
-                let (lp, ll) = self.lower_from(left, atoms, derived, scan_preds, atom_filters)?;
-                let (rp, rl) = self.lower_from(right, atoms, derived, scan_preds, atom_filters)?;
+                let (lp, ll) = self.lower_from(left, atoms, derived, preds, from)?;
+                let (rp, rl) = self.lower_from(right, atoms, derived, preds, from)?;
                 let left_keys = keys
                     .iter()
                     .map(|(lk, _)| pos_in(&ll, *lk))
@@ -1459,6 +1238,7 @@ impl<'a> Binder<'a> {
                 if !residual.is_empty() {
                     let fr = Frame::Layout {
                         atoms,
+                        scopes: from,
                         layout: &layout,
                     };
                     let preds = residual
@@ -1469,59 +1249,75 @@ impl<'a> Binder<'a> {
                 }
                 Ok((plan, layout))
             }
-            FromNode::Lookup {
-                left,
-                atom,
-                index,
-                join,
-                key,
-                residual,
-            } => {
-                let (lp, ll) = self.lower_from(left, atoms, derived, scan_preds, atom_filters)?;
-                let a = &atoms[*atom];
-                let table = match &a.kind {
-                    AtomKind::Base { table, .. } => table.clone(),
-                    AtomKind::Derived { .. } => unreachable!("lookup inner is a base table"),
-                };
-                let outer_key_cols = key
-                    .iter()
-                    .map(|k| pos_in(&ll, *k))
-                    .collect::<Result<Vec<_>>>()?;
-                let inner_output: Vec<usize> = a.usage.keys().copied().collect();
-                let fr = Frame::Table { atoms, atom: *atom };
-                let inner_predicate = scan_preds[*atom]
-                    .iter()
-                    .map(|e| self.lower_expr(e, &fr))
-                    .collect::<Result<Vec<_>>>()?;
-                let mut layout = ll;
-                layout.extend(inner_output.iter().map(|&c| (*atom, c)));
-                let on = if residual.is_empty() {
-                    None
-                } else {
-                    let fr = Frame::Layout {
-                        atoms,
-                        layout: &layout,
-                    };
-                    let preds = residual
-                        .iter()
-                        .map(|e| self.lower_expr(e, &fr))
-                        .collect::<Result<Vec<_>>>()?;
-                    Some(Expr::and(preds))
-                };
-                let plan = Plan::LookupJoin(LookupJoinNode {
-                    outer: Box::new(lp),
-                    table: table.schema.name.clone(),
-                    index: *index,
-                    outer_key_cols,
-                    on,
-                    inner_output,
-                    join: *join,
-                    inner_predicate,
-                    inner_ndp: None,
-                });
-                Ok((plan, layout))
+            FromNode::Lookup { left, lookup } => {
+                let (lp, ll) = self.lower_from(left, atoms, derived, preds, from)?;
+                self.lower_lookup(lp, ll, lookup, atoms, preds)
             }
         }
+    }
+
+    /// Lower a lookup join from `outer` (laid out as `layout`). Its `on`
+    /// reads `layout ++ inner_output`, which is also what an inner or
+    /// left join outputs; a Semi/Anti join outputs `layout`.
+    fn lower_lookup(
+        &mut self,
+        outer: Plan,
+        mut layout: Vec<(usize, usize)>,
+        lookup: &Lookup<'_>,
+        atoms: &[Atom],
+        preds: &[Vec<&SqlExpr>],
+    ) -> Result<(Plan, Vec<(usize, usize)>)> {
+        let a = &atoms[lookup.atom];
+        let table = match &a.kind {
+            AtomKind::Base { table, .. } => table,
+            AtomKind::Derived { .. } => unreachable!("lookup inner is a base table"),
+        };
+        let outer_key_cols = lookup
+            .key
+            .iter()
+            .map(|k| pos_in(&layout, *k))
+            .collect::<Result<Vec<_>>>()?;
+        let inner_output: Vec<usize> = a.usage.iter().copied().collect();
+        let fr = Frame::Table {
+            atoms,
+            atom: lookup.atom,
+        };
+        let inner_predicate = preds[lookup.atom]
+            .iter()
+            .map(|e| self.lower_expr(e, &fr))
+            .collect::<Result<Vec<_>>>()?;
+        let outer_width = layout.len();
+        layout.extend(inner_output.iter().map(|&c| (lookup.atom, c)));
+        let on = if lookup.residual.is_empty() {
+            None
+        } else {
+            let fr = Frame::Layout {
+                atoms,
+                scopes: &lookup.scopes,
+                layout: &layout,
+            };
+            let preds = lookup
+                .residual
+                .iter()
+                .map(|e| self.lower_expr(e, &fr))
+                .collect::<Result<Vec<_>>>()?;
+            Some(Expr::and(preds))
+        };
+        if matches!(lookup.join, JoinType::Semi | JoinType::Anti) {
+            layout.truncate(outer_width);
+        }
+        let plan = Plan::LookupJoin(LookupJoinNode {
+            outer: Box::new(outer),
+            table: table.schema.name.clone(),
+            index: lookup.index,
+            outer_key_cols,
+            on,
+            inner_output,
+            join: lookup.join,
+            inner_predicate,
+            inner_ndp: None,
+        });
+        Ok((plan, layout))
     }
 
     fn lower_sub_join(
@@ -1529,115 +1325,65 @@ impl<'a> Binder<'a> {
         plan: Plan,
         sj: &SubJoin<'_>,
         atoms: &[Atom],
+        preds: &[Vec<&SqlExpr>],
         layout: &[(usize, usize)],
     ) -> Result<Plan> {
-        match sj {
-            SubJoin::Exists {
-                negated,
-                table,
-                index,
-                key,
-                inner_alias,
-                inner_preds,
-                residual,
-                inner_out,
-            } => {
-                let outer_key_cols = key
-                    .iter()
-                    .map(|k| pos_in(layout, *k))
-                    .collect::<Result<Vec<_>>>()?;
-                let tfr = Frame::ExistsTable {
-                    schema: &table.schema,
-                    alias: inner_alias,
-                };
-                let inner_predicate = inner_preds
-                    .iter()
-                    .map(|e| self.lower_expr(e, &tfr))
-                    .collect::<Result<Vec<_>>>()?;
-                let on = if residual.is_empty() {
-                    None
-                } else {
-                    let cfr = Frame::ExistsCombined {
-                        atoms,
-                        layout,
-                        schema: &table.schema,
-                        alias: inner_alias,
-                        inner_out,
-                    };
-                    let preds = residual
-                        .iter()
-                        .map(|e| self.lower_expr(e, &cfr))
-                        .collect::<Result<Vec<_>>>()?;
-                    Some(Expr::and(preds))
-                };
-                Ok(Plan::LookupJoin(LookupJoinNode {
-                    outer: Box::new(plan),
-                    table: table.schema.name.clone(),
-                    index: *index,
-                    outer_key_cols,
-                    on,
-                    inner_output: inner_out.clone(),
-                    join: if *negated {
-                        JoinType::Anti
-                    } else {
-                        JoinType::Semi
-                    },
-                    inner_predicate,
-                    inner_ndp: None,
-                }))
+        let (pos, negated, left, select) = match sj {
+            SubJoin::Lookup(lookup) => {
+                return Ok(self
+                    .lower_lookup(plan, layout.to_vec(), lookup, atoms, preds)?
+                    .0)
             }
             SubJoin::InSelect {
                 pos,
                 negated,
                 left,
                 select,
-            } => {
-                let (rplan, _) = self.bind_select(select)?;
-                if plan_width(&rplan) != 1 {
-                    return Err(parse_err(
-                        *pos,
-                        "an IN (SELECT ...) subquery must return exactly one column",
-                    ));
-                }
-                // A trailing single-column projection folds into the join
-                // key; the registry plans join against the pre-projection
-                // input directly.
-                let (rplan, rk) = match rplan {
-                    Plan::Project(p) => {
-                        if let [Expr::Col(k)] = p.exprs[..] {
-                            (*p.input, k)
-                        } else {
-                            (Plan::Project(p), 0)
-                        }
-                    }
-                    other => (other, 0),
-                };
-                let lfam = family(&atoms[left.0].col_dtype(left.1));
-                let rdts = plan_dtypes(&rplan, self.db());
-                if family(&rdts[rk]) != lfam {
-                    return Err(parse_err(
-                        *pos,
-                        format!(
-                            "type mismatch: cannot compare a {} column to a {} subquery",
-                            family_name(lfam),
-                            family_name(family(&rdts[rk]))
-                        ),
-                    ));
-                }
-                Ok(Plan::HashJoin(HashJoinNode {
-                    left: Box::new(plan),
-                    right: Box::new(rplan),
-                    left_keys: vec![pos_in(layout, *left)?],
-                    right_keys: vec![rk],
-                    join: if *negated {
-                        JoinType::Anti
-                    } else {
-                        JoinType::Semi
-                    },
-                    filter: None,
-                }))
-            }
+            } => (*pos, *negated, *left, select),
+        };
+        let (rplan, _) = self.bind_select(select)?;
+        if plan_width(&rplan) != 1 {
+            return Err(parse_err(
+                pos,
+                "an IN (SELECT ...) subquery must return exactly one column",
+            ));
         }
+        // A trailing single-column projection folds into the join key; the
+        // registry plans join against the pre-projection input directly.
+        let (rplan, rk) = match rplan {
+            Plan::Project(p) => {
+                if let [Expr::Col(k)] = p.exprs[..] {
+                    (*p.input, k)
+                } else {
+                    (Plan::Project(p), 0)
+                }
+            }
+            other => (other, 0),
+        };
+        let lfam = family(&atoms[left.0].col_dtype(left.1));
+        let rdts = plan_dtypes(&rplan, self.db());
+        if family(&rdts[rk]) != lfam {
+            return Err(parse_err(
+                pos,
+                format!(
+                    "type mismatch: cannot compare a {} column to a {} subquery",
+                    family_name(lfam),
+                    family_name(family(&rdts[rk]))
+                ),
+            ));
+        }
+        Ok(Plan::HashJoin(HashJoinNode {
+            left: Box::new(plan),
+            right: Box::new(rplan),
+            left_keys: vec![pos_in(layout, left)?],
+            right_keys: vec![rk],
+            join: if negated {
+                JoinType::Anti
+            } else {
+                JoinType::Semi
+            },
+            filter: None,
+        }))
     }
 }
 
@@ -1652,82 +1398,6 @@ fn pos_in(layout: &[(usize, usize)], key: (usize, usize)) -> Result<usize> {
 // Scalar expression lowering.
 
 impl<'a> Binder<'a> {
-    fn resolve_in_frame(&self, fr: &Frame<'_>, e: &SqlExpr) -> Result<usize> {
-        let (qualifier, name) = match &e.kind {
-            ExprKind::Column { qualifier, name } => (qualifier.as_ref(), name),
-            _ => unreachable!("resolve_in_frame on a column"),
-        };
-        match fr {
-            Frame::Table { atoms, atom } => {
-                let a = &atoms[*atom];
-                if let Some(q) = qualifier {
-                    if q.name != a.alias {
-                        return Err(parse_err(
-                            q.pos,
-                            format!("unknown table or alias `{}`", q.name),
-                        ));
-                    }
-                }
-                match a.find_col(&name.name) {
-                    ColHit::One(c) => Ok(c),
-                    _ => Err(parse_err(
-                        name.pos,
-                        format!("unknown column `{}` in `{}`", name.name, a.alias),
-                    )),
-                }
-            }
-            Frame::ExistsTable { schema, alias } => {
-                if let Some(q) = qualifier {
-                    if q.name != *alias {
-                        return Err(parse_err(
-                            q.pos,
-                            format!("unknown table or alias `{}`", q.name),
-                        ));
-                    }
-                }
-                schema.col_index(&name.name).map_err(|_| {
-                    parse_err(
-                        name.pos,
-                        format!("unknown column `{}` in `{alias}`", name.name),
-                    )
-                })
-            }
-            Frame::Layout { atoms, layout } => {
-                let key = resolve_col(atoms, 0, atoms.len(), qualifier, name)?;
-                pos_in(layout, key)
-            }
-            Frame::ExistsCombined {
-                atoms,
-                layout,
-                schema,
-                alias,
-                inner_out,
-            } => {
-                // Inner scope shadows the outer one, as in the analysis.
-                let inner = match qualifier {
-                    Some(q) if q.name == *alias => {
-                        Some(schema.col_index(&name.name).map_err(|_| {
-                            parse_err(
-                                name.pos,
-                                format!("unknown column `{}` in `{alias}`", name.name),
-                            )
-                        })?)
-                    }
-                    Some(_) => None,
-                    None => schema.col_index(&name.name).ok(),
-                };
-                if let Some(c) = inner {
-                    let i = inner_out.iter().position(|&x| x == c).ok_or_else(|| {
-                        Error::Internal("binder: EXISTS residual column not collected".into())
-                    })?;
-                    return Ok(layout.len() + i);
-                }
-                let key = resolve_col(atoms, 0, atoms.len(), qualifier, name)?;
-                pos_in(layout, key)
-            }
-        }
-    }
-
     fn dtype_of(&self, e: &Expr, fr: &Frame<'_>) -> Option<DataType> {
         e.dtype(&fr.dtypes()).ok()
     }
@@ -1757,7 +1427,9 @@ impl<'a> Binder<'a> {
 
     fn lower_expr(&mut self, e: &SqlExpr, fr: &Frame<'_>) -> Result<Expr> {
         match &e.kind {
-            ExprKind::Column { .. } => Ok(Expr::Col(self.resolve_in_frame(fr, e)?)),
+            ExprKind::Column { qualifier, name } => {
+                Ok(Expr::Col(fr.resolve(qualifier.as_ref(), name)?))
+            }
             ExprKind::Lit(v) => Ok(Expr::Lit(v.clone())),
             ExprKind::Cmp(op, a, b) => {
                 let la = self.lower_expr(a, fr)?;
@@ -2022,41 +1694,13 @@ impl<'a> Binder<'a> {
             }
             return Ok(());
         }
-        match &e.kind {
-            ExprKind::Column { .. } | ExprKind::Lit(_) | ExprKind::Scalar(_) => Ok(()),
-            ExprKind::Cmp(_, a, b) | ExprKind::And(a, b) | ExprKind::Or(a, b) => {
-                self.collect_aggs(a, fr, set)?;
-                self.collect_aggs(b, fr, set)
-            }
-            ExprKind::Arith(_, a, b) => {
-                self.collect_aggs(a, fr, set)?;
-                self.collect_aggs(b, fr, set)
-            }
-            ExprKind::Not(a) | ExprKind::Neg(a) | ExprKind::ExtractYear(a) => {
-                self.collect_aggs(a, fr, set)
-            }
-            ExprKind::Like { expr, .. }
-            | ExprKind::IsNull { expr, .. }
-            | ExprKind::Substr { expr, .. } => self.collect_aggs(expr, fr, set),
-            ExprKind::InList { expr, .. } => self.collect_aggs(expr, fr, set),
-            ExprKind::Between { expr, lo, hi } => {
-                self.collect_aggs(expr, fr, set)?;
-                self.collect_aggs(lo, fr, set)?;
-                self.collect_aggs(hi, fr, set)
-            }
-            ExprKind::Case { branches, else_ } => {
-                for (c, v) in branches {
-                    self.collect_aggs(c, fr, set)?;
-                    self.collect_aggs(v, fr, set)?;
-                }
-                self.collect_aggs(else_, fr, set)
-            }
-            ExprKind::Agg { .. } => unreachable!("handled above"),
-            ExprKind::Exists { .. } | ExprKind::InSelect { .. } => Err(parse_err(
+        if let ExprKind::Exists { .. } | ExprKind::InSelect { .. } = e.kind {
+            return Err(parse_err(
                 e.pos,
                 "subqueries are only supported as top-level WHERE conjuncts",
-            )),
+            ));
         }
+        e.try_for_each_child(|c| self.collect_aggs(c, fr, set))
     }
 
     /// Lower an expression in aggregation context: aggregate calls and
@@ -2228,10 +1872,15 @@ impl<'a> Binder<'a> {
         s: &SelectStmt,
         atoms: &[Atom],
         layout: &[(usize, usize)],
+        from: &[Range<usize>],
         aliases: &[(String, usize)],
         group_eff: &[&SqlExpr],
     ) -> Result<(Plan, Vec<String>)> {
-        let fr = Frame::Layout { atoms, layout };
+        let fr = Frame::Layout {
+            atoms,
+            scopes: from,
+            layout,
+        };
         let items_agg = s.items.iter().any(|it| match it {
             SelectItem::Wildcard(_) => false,
             SelectItem::Expr { expr, .. } => contains_agg(expr),
@@ -2704,6 +2353,193 @@ mod tests {
         assert!(m.contains("column `l_comment`"), "{m}");
         assert!(m.contains("secondary index `i_l_suppkey`"), "{m}");
         assert!(m.contains("line 1, col 45"), "{m}");
+    }
+
+    /// The plan's lookup joins, outermost first.
+    fn lookups(plan: &Plan) -> Vec<&LookupJoinNode> {
+        let mut out = Vec::new();
+        let mut stack = vec![plan];
+        while let Some(p) = stack.pop() {
+            match p {
+                Plan::LookupJoin(j) => {
+                    out.push(j);
+                    stack.push(&j.outer);
+                }
+                Plan::HashJoin(j) => stack.extend([&*j.right, &*j.left]),
+                Plan::HashAgg(a) => stack.push(&a.input),
+                Plan::Project(x) => stack.push(&x.input),
+                Plan::Filter(x) => stack.push(&x.input),
+                Plan::Sort(x) => stack.push(&x.input),
+                Plan::Limit { input, .. } => stack.push(input),
+                Plan::Exchange(e) => stack.push(&e.child),
+                Plan::Scan(_) | Plan::AggScan(_) => {}
+            }
+        }
+        out
+    }
+
+    /// EXISTS and `JOIN ... FORCE INDEX` bind through one lookup path, so
+    /// both follow one output rule: a lookup outputs what the plan above
+    /// it reads, not what only its own pushed conjuncts read.
+    #[test]
+    fn lookups_output_only_what_the_plan_above_reads() {
+        let lineitem = db().table("lineitem").unwrap();
+        let col = |name: &str| lineitem.schema.col_index(name).unwrap();
+        for (q, want) in [("Q4", vec![vec![]]), ("Q22", vec![vec![]])] {
+            let plan = try_bind(tpch(q)).unwrap();
+            let got: Vec<_> = lookups(&plan)
+                .iter()
+                .map(|j| j.inner_output.clone())
+                .collect();
+            assert_eq!(got, want, "{q}: {plan:?}");
+        }
+        // Q21: NOT EXISTS l3 above EXISTS l2; each reads l_suppkey in its
+        // residual, and l3's date comparison is pushed.
+        let q21 = try_bind(tpch("Q21")).unwrap();
+        let q21 = lookups(&q21);
+        let joins: Vec<_> = q21
+            .iter()
+            .map(|j| (j.join, j.inner_output.clone()))
+            .collect();
+        let suppkey = vec![col("l_suppkey")];
+        assert_eq!(
+            joins,
+            [(JoinType::Anti, suppkey.clone()), (JoinType::Semi, suppkey)]
+        );
+        assert_eq!(q21[0].inner_predicate.len(), 1);
+        // Q19's FROM lookup: l_shipinstruct and l_shipmode are read by its
+        // inner predicate only.
+        let q19 = try_bind(tpch("Q19")).unwrap();
+        let [j] = lookups(&q19)[..] else {
+            panic!("{q19:?}")
+        };
+        assert_eq!(j.inner_predicate.len(), 2, "{j:?}");
+        for name in ["l_shipinstruct", "l_shipmode"] {
+            assert!(!j.inner_output.contains(&col(name)), "{name}: {j:?}");
+        }
+        for name in ["l_quantity", "l_extendedprice", "l_discount"] {
+            assert!(j.inner_output.contains(&col(name)), "{name}: {j:?}");
+        }
+    }
+
+    #[test]
+    fn exists_names_resolve_to_the_subquery_first() {
+        // `l_quantity` is a column of both scopes: it is the subquery's, so
+        // it is pushed into the probe instead of comparing outer rows.
+        let plan = try_bind(
+            "select count(*) from lineitem where exists (select * from lineitem as l2 \
+             where l2.l_orderkey = lineitem.l_orderkey and l_quantity > 49)",
+        )
+        .unwrap();
+        let [j] = lookups(&plan)[..] else {
+            panic!("{plan:?}")
+        };
+        assert_eq!((j.inner_predicate.len(), &j.on), (1, &None), "{j:?}");
+        taurus_verify::check_plan(&plan, db()).unwrap();
+
+        // The subquery's table may be one the outer FROM reads, unaliased:
+        // it binds as if it had an alias of its own.
+        let bare = try_bind(
+            "select count(*) from orders join lineitem on o_orderkey = l_orderkey \
+             where exists (select * from orders where o_orderkey = l_orderkey \
+             and o_orderstatus = 'F')",
+        )
+        .unwrap();
+        let aliased = try_bind(
+            "select count(*) from orders join lineitem on o_orderkey = l_orderkey \
+             where exists (select * from orders as o2 where o2.o_orderkey = l_orderkey \
+             and o2.o_orderstatus = 'F')",
+        )
+        .unwrap();
+        assert_eq!(format!("{bare:?}"), format!("{aliased:?}"));
+        taurus_verify::check_plan(&bare, db()).unwrap();
+    }
+
+    #[test]
+    fn exists_probes_the_forced_index() {
+        let lineitem = db().table("lineitem").unwrap();
+        // Both correlations cover one key column, of the primary index
+        // and of `i_l_suppkey`: unforced, the tie goes to the primary.
+        let sql = |force: &str| {
+            format!(
+                "select count(*) from orders join lineitem as l1 on o_orderkey = l1.l_orderkey \
+                 where exists (select * from lineitem {force} where lineitem.l_orderkey = \
+                 o_orderkey and l_suppkey = l1.l_suppkey)"
+            )
+        };
+        let index = |sql: &str| {
+            let plan = try_bind(sql).unwrap_or_else(|e| panic!("{sql}: {e:?}"));
+            taurus_verify::check_plan(&plan, db()).unwrap_or_else(|e| panic!("{sql}: {e:?}"));
+            let ls = lookups(&plan);
+            assert_eq!(ls.len(), 1, "{plan:?}");
+            Some(ls[0].index)
+        };
+        assert_eq!(index(&sql("")), Some(0));
+        assert_eq!(
+            index(&sql("force index (i_l_suppkey)")),
+            lineitem.find_index("i_l_suppkey")
+        );
+    }
+
+    #[test]
+    fn exists_diagnostics_are_positioned() {
+        for (sql, msg, col) in [
+            (
+                "select count(*) from orders where exists (select * from \
+                 (select l_orderkey from lineitem) as t where t.l_orderkey = o_orderkey)",
+                "an EXISTS subquery must scan a single base table",
+                35,
+            ),
+            (
+                "select count(*) from orders where not exists (select l_orderkey from \
+                 lineitem where l_orderkey = o_orderkey group by l_orderkey)",
+                "an EXISTS subquery cannot use GROUP BY, HAVING, ORDER BY, or LIMIT",
+                35,
+            ),
+            (
+                "select count(*) from orders where exists (select * from lineitem \
+                 where l_comment = o_comment)",
+                "an EXISTS subquery needs an equality between an indexed inner column \
+                 and the outer query",
+                35,
+            ),
+            (
+                "select count(*) from orders where exists (select * from lineitem \
+                 where l_orderkey = o_orderkey and max(l_quantity) > 1)",
+                "this expression is not supported inside an EXISTS subquery",
+                100,
+            ),
+        ] {
+            let m = bind_err(sql);
+            assert!(m.contains(msg), "{sql}: {m}");
+            assert!(m.contains(&format!("line 1, col {col}:")), "{sql}: {m}");
+        }
+    }
+
+    /// An EXISTS subquery's SELECT list is resolved in its scopes, though
+    /// no plan reads it.
+    #[test]
+    fn exists_select_list_is_checked() {
+        for (sql, msg, col) in [
+            // An ungrouped aggregate makes the subquery one row whatever its
+            // WHERE says, so a semi join would drop orders it must keep.
+            (
+                "select count(*) from orders where exists (select count(*) from lineitem \
+                 where l_orderkey = o_orderkey and l_quantity > 49)",
+                "this expression is not supported inside an EXISTS subquery",
+                50,
+            ),
+            (
+                "select count(*) from orders where exists (select no_such_col from lineitem \
+                 where l_orderkey = o_orderkey)",
+                "unknown column `no_such_col`",
+                50,
+            ),
+        ] {
+            let m = bind_err(sql);
+            assert!(m.contains(msg), "{sql}: {m}");
+            assert!(m.contains(&format!("line 1, col {col}:")), "{sql}: {m}");
+        }
     }
 
     #[test]

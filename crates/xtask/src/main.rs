@@ -36,7 +36,13 @@
 //!    no non-test workspace source (`crates/*/src`, `src/`, `examples/`)
 //!    names `eval_pred` or `eval::eval` (nor imports from `eval::{..}`).
 //!    `#[cfg(test)]` items and test targets are exempt.
+//!
+//! `cargo run -p taurus-xtask -- loc` prints the non-test Rust lines
+//! (lines outside `#[cfg(test)]` items, as rules 1, 5 and 6 read them) of
+//! each crate's `crates/<name>/src` and of `src/`, and their total.
+//! `tests/`, `examples/` and `benchmark/` are not counted.
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -46,8 +52,9 @@ fn main() -> ExitCode {
     let cmd = args.first().map(String::as_str).unwrap_or("lint");
     match cmd {
         "lint" => lint(),
+        "loc" => loc(),
         other => {
-            eprintln!("unknown command {other:?}; usage: taurus-xtask lint");
+            eprintln!("unknown command {other:?}; usage: taurus-xtask lint | loc");
             ExitCode::FAILURE
         }
     }
@@ -83,6 +90,41 @@ fn lint() -> ExitCode {
         }
         ExitCode::FAILURE
     }
+}
+
+/// Print [`loc_by_crate`] for the workspace, then the total.
+fn loc() -> ExitCode {
+    let root = workspace_root();
+    let mut files = Vec::new();
+    for dir in ["crates", "src"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    let sources: Vec<(String, String)> = files
+        .iter()
+        .filter_map(|f| Some((rel(&root, f), fs::read_to_string(f).ok()?)))
+        .collect();
+    let counts = loc_by_crate(&sources);
+    for (krate, n) in &counts {
+        println!("{n:>7}  {krate}");
+    }
+    println!("{:>7}  total", counts.values().sum::<usize>());
+    ExitCode::SUCCESS
+}
+
+/// Non-test lines per crate: a file under `crates/<name>/src/` counts
+/// toward `crates/<name>`, one under `src/` toward `src`, and any other
+/// (a crate's `tests/`, say) is not counted.
+fn loc_by_crate(sources: &[(String, String)]) -> BTreeMap<String, usize> {
+    let mut out = BTreeMap::new();
+    for (file, text) in sources {
+        let krate = match file.split('/').collect::<Vec<_>>()[..] {
+            ["crates", name, "src", ..] => format!("crates/{name}"),
+            ["src", ..] => "src".to_string(),
+            _ => continue,
+        };
+        *out.entry(krate).or_insert(0) += non_test_lines(text).len();
+    }
+    out
 }
 
 // --- shared helpers ----------------------------------------------------------
@@ -837,6 +879,22 @@ mod tests {
         assert_eq!(v.len(), 2, "{v:?}");
         assert!(v[0].starts_with("crates/executor/src/exec.rs:1:"), "{v:?}");
         assert!(v[1].starts_with("crates/executor/src/exec.rs:5:"), "{v:?}");
+    }
+
+    #[test]
+    fn loc_counts_non_test_lines_per_crate() {
+        let lib = "fn a() {}\n\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\n// end\n";
+        let sources = [
+            ("crates/sql/src/lib.rs", lib),
+            ("crates/sql/src/bind/mod.rs", "fn b() {}\n"),
+            ("crates/sql/tests/parity.rs", "fn c() {}\n"),
+            ("src/lib.rs", "fn d() {}\n#[cfg(test)]\nfn e() {}\n"),
+            ("examples/demo.rs", "fn main() {}\n"),
+        ]
+        .map(|(f, t)| (f.to_string(), t.to_string()));
+        let counts = loc_by_crate(&sources);
+        let want = [("crates/sql".to_string(), 4), ("src".to_string(), 1)];
+        assert_eq!(counts, BTreeMap::from(want));
     }
 
     #[test]

@@ -133,3 +133,35 @@ fn malformed_sql_fails_closed_in_process() {
         }
     }
 }
+
+/// A correlated NOT EXISTS whose residual reads both scopes (the probed
+/// line's price against the outer order's total) returns the same rows
+/// with NDP off and on, and EXISTS and NOT EXISTS split the orders.
+#[test]
+fn exists_residual_over_both_scopes_matches_with_and_without_ndp() {
+    let sql = |not: &str| {
+        format!(
+            "select o_orderkey from orders where {not} exists (select * from lineitem \
+             where l_orderkey = o_orderkey and l_extendedprice * 4 > o_totalprice) \
+             order by o_orderkey"
+        )
+    };
+    let run = |sql: &str, ndp: bool| {
+        let mut session = Session::new(row_db());
+        session.set_ndp(ndp);
+        session.sql(sql).unwrap()
+    };
+    let mut split = 0;
+    for not in ["not", ""] {
+        let off = run(&sql(not), false);
+        assert!(!off.is_empty(), "{not} exists");
+        assert_eq!(
+            fmt_rows(&off),
+            fmt_rows(&run(&sql(not), true)),
+            "{not} exists"
+        );
+        split += off.len();
+    }
+    let orders = run("select count(*) from orders", false);
+    assert_eq!(fmt_rows(&orders), split.to_string());
+}
