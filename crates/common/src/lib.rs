@@ -1,7 +1,8 @@
 //! Shared foundation types for the Taurus NDP reproduction.
 //!
 //! This crate holds everything the rest of the workspace agrees on:
-//! SQL values and data types ([`value`]), table schemas and key encoding
+//! SQL values and data types ([`value`]), the byte codec every format
+//! that crosses a tier is written and read with ([`codec`]), table schemas and key encoding
 //! ([`schema`]), the row batches operators exchange ([`batch`]), the
 //! column-major batches the vector filter kernel reads ([`colbatch`]),
 //! byte-keyed hash maps for the breakers ([`keymap`]), error handling
@@ -11,6 +12,7 @@
 //! network/CPU measurements ([`metrics`]).
 
 pub mod batch;
+pub mod codec;
 pub mod colbatch;
 pub mod config;
 pub mod error;

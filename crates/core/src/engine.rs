@@ -947,7 +947,7 @@ impl TaurusDb {
                 lsn: 0,
                 space: SpaceId(0),
                 page_no: 0,
-                body: RedoBody::SysLoaded(payload.encode()),
+                body: RedoBody::SysLoaded(payload.encode()?),
             }])?;
         }
         *table.stats.write() = stats;

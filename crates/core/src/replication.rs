@@ -14,12 +14,15 @@
 //!   statistics, so a replica makes the *same* NDP decisions the master
 //!   would.
 //!
-//! Encodings are little-endian and length-prefixed, like the redo wire
-//! format one layer down; `Value`s reuse the expression IR codec.
+//! Encodings are little-endian and length-prefixed through the shared
+//! codec (`taurus_common::codec`), like the redo format one layer down;
+//! `Value`s take the IR's layout (`u16` string lengths).
 
+use taurus_common::codec::{
+    put_dtype, put_f64, put_flag, put_str, put_u32, put_u64, put_value16, Cursor,
+};
 use taurus_common::schema::{Column, TableSchema};
-use taurus_common::{DataType, Error, PageNo, Result, Value};
-use taurus_expr::ir::{decode_value, encode_value};
+use taurus_common::{PageNo, Result, Value};
 
 use crate::engine::{ColumnStats, TableStats};
 
@@ -67,124 +70,38 @@ pub struct LoadedPayload {
     pub low_limit: u64,
 }
 
-// --- primitive writers/readers ----------------------------------------------
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn err() -> Error {
-    Error::Corruption("truncated replication payload".into())
-}
-
-fn take<'a>(buf: &'a [u8], at: &mut usize, n: usize) -> Result<&'a [u8]> {
-    let s = buf.get(*at..*at + n).ok_or_else(err)?;
-    *at += n;
-    Ok(s)
-}
-
-fn get_u32(buf: &[u8], at: &mut usize) -> Result<u32> {
-    Ok(u32::from_le_bytes(take(buf, at, 4)?.try_into().unwrap()))
-}
-
-fn get_u64(buf: &[u8], at: &mut usize) -> Result<u64> {
-    Ok(u64::from_le_bytes(take(buf, at, 8)?.try_into().unwrap()))
-}
-
-fn get_f64(buf: &[u8], at: &mut usize) -> Result<f64> {
-    Ok(f64::from_bits(get_u64(buf, at)?))
-}
-
-fn get_str(buf: &[u8], at: &mut usize) -> Result<String> {
-    let n = get_u32(buf, at)? as usize;
-    String::from_utf8(take(buf, at, n)?.to_vec())
-        .map_err(|_| Error::Corruption("non-utf8 name in replication payload".into()))
-}
-
-fn put_dtype(out: &mut Vec<u8>, dt: DataType) {
-    match dt {
-        DataType::Int => out.push(0),
-        DataType::BigInt => out.push(1),
-        DataType::Decimal { precision, scale } => {
-            out.push(2);
-            out.push(precision);
-            out.push(scale);
-        }
-        DataType::Date => out.push(3),
-        DataType::Char(n) => {
-            out.push(4);
-            out.extend_from_slice(&n.to_le_bytes());
-        }
-        DataType::Varchar(n) => {
-            out.push(5);
-            out.extend_from_slice(&n.to_le_bytes());
-        }
-        DataType::Double => out.push(6),
-    }
-}
-
-fn get_dtype(buf: &[u8], at: &mut usize) -> Result<DataType> {
-    Ok(match take(buf, at, 1)?[0] {
-        0 => DataType::Int,
-        1 => DataType::BigInt,
-        2 => {
-            let p = take(buf, at, 2)?;
-            DataType::Decimal {
-                precision: p[0],
-                scale: p[1],
-            }
-        }
-        3 => DataType::Date,
-        4 => DataType::Char(u16::from_le_bytes(take(buf, at, 2)?.try_into().unwrap())),
-        5 => DataType::Varchar(u16::from_le_bytes(take(buf, at, 2)?.try_into().unwrap())),
-        6 => DataType::Double,
-        t => return Err(Error::Corruption(format!("bad dtype tag {t}"))),
-    })
-}
-
-fn put_opt_value(out: &mut Vec<u8>, v: &Option<Value>) {
-    match v {
-        None => out.push(0),
-        Some(v) => {
-            out.push(1);
-            encode_value(v, out);
-        }
-    }
-}
-
-fn get_opt_value(buf: &[u8], at: &mut usize) -> Result<Option<Value>> {
-    Ok(match take(buf, at, 1)?[0] {
-        0 => None,
-        _ => Some(decode_value(buf, at)?),
-    })
-}
-
 fn put_usizes(out: &mut Vec<u8>, v: &[usize]) {
     put_u32(out, v.len() as u32);
-    for &x in v {
-        put_u32(out, x as u32);
-    }
+    v.iter().for_each(|&x| put_u32(out, x as u32));
 }
 
-fn get_usizes(buf: &[u8], at: &mut usize) -> Result<Vec<usize>> {
-    let n = get_u32(buf, at)? as usize;
-    (0..n).map(|_| Ok(get_u32(buf, at)? as usize)).collect()
+fn get_usizes(cur: &mut Cursor<'_>) -> Result<Vec<usize>> {
+    let n = cur.count(4)?;
+    cur.list(n, |cur| Ok(cur.u32()? as usize))
+}
+
+/// An optional statistic: a presence flag, then the value in the IR's
+/// layout.
+fn put_opt_value(out: &mut Vec<u8>, v: &Option<Value>) -> Result<()> {
+    put_flag(out, v.is_some());
+    v.as_ref().map_or(Ok(()), |v| put_value16(out, v))
+}
+
+fn get_opt_value(cur: &mut Cursor<'_>) -> Result<Option<Value>> {
+    Ok(match cur.flag()? {
+        false => None,
+        true => Some(cur.value16()?),
+    })
 }
 
 // --- payload codecs ----------------------------------------------------------
+
+/// The least bytes a column, an index, a tree shape and a column's
+/// statistics take: what a count of them is checked against.
+const MIN_COLUMN_BYTES: usize = 4 + 1 + 1;
+const MIN_INDEX_BYTES: usize = 4 + 8 + 4 + 4 + 1;
+const SHAPE_BYTES: usize = 16;
+const MIN_STATS_BYTES: usize = 1 + 1 + 8 + 8;
 
 impl CatalogPayload {
     pub fn from_parts(schema: &TableSchema, indexes: Vec<IndexMeta>) -> CatalogPayload {
@@ -203,7 +120,7 @@ impl CatalogPayload {
         for c in &self.columns {
             put_str(&mut out, &c.name);
             put_dtype(&mut out, c.dtype);
-            out.push(c.nullable as u8);
+            put_flag(&mut out, c.nullable);
         }
         put_usizes(&mut out, &self.pk);
         put_u32(&mut out, self.indexes.len() as u32);
@@ -212,38 +129,34 @@ impl CatalogPayload {
             put_u64(&mut out, ix.index_id);
             put_u32(&mut out, ix.space);
             put_usizes(&mut out, &ix.key_cols);
-            out.push(ix.is_primary as u8);
+            put_flag(&mut out, ix.is_primary);
         }
         out
     }
 
     pub fn decode(buf: &[u8]) -> Result<CatalogPayload> {
-        let at = &mut 0usize;
-        let name = get_str(buf, at)?;
-        let n_cols = get_u32(buf, at)? as usize;
-        let mut columns = Vec::with_capacity(n_cols);
-        for _ in 0..n_cols {
-            let cname = get_str(buf, at)?;
-            let dtype = get_dtype(buf, at)?;
-            let nullable = take(buf, at, 1)?[0] != 0;
-            columns.push(Column {
-                name: cname,
-                dtype,
-                nullable,
-            });
-        }
-        let pk = get_usizes(buf, at)?;
-        let n_ix = get_u32(buf, at)? as usize;
-        let mut indexes = Vec::with_capacity(n_ix);
-        for _ in 0..n_ix {
-            indexes.push(IndexMeta {
-                name: get_str(buf, at)?,
-                index_id: get_u64(buf, at)?,
-                space: get_u32(buf, at)?,
-                key_cols: get_usizes(buf, at)?,
-                is_primary: take(buf, at, 1)?[0] != 0,
-            });
-        }
+        let cur = &mut Cursor::new(buf);
+        let name = cur.str()?;
+        let n_cols = cur.count(MIN_COLUMN_BYTES)?;
+        let columns = cur.list(n_cols, |cur| {
+            Ok(Column {
+                name: cur.str()?,
+                dtype: cur.dtype()?,
+                nullable: cur.flag()?,
+            })
+        })?;
+        let pk = get_usizes(cur)?;
+        let n_ix = cur.count(MIN_INDEX_BYTES)?;
+        let indexes = cur.list(n_ix, |cur| {
+            Ok(IndexMeta {
+                name: cur.str()?,
+                index_id: cur.u64()?,
+                space: cur.u32()?,
+                key_cols: get_usizes(cur)?,
+                is_primary: cur.flag()?,
+            })
+        })?;
+        cur.done()?;
         Ok(CatalogPayload {
             name,
             columns,
@@ -254,7 +167,9 @@ impl CatalogPayload {
 }
 
 impl LoadedPayload {
-    pub fn encode(&self) -> Vec<u8> {
+    /// Fails only on a statistic whose string does not fit the IR
+    /// value layout's `u16` length.
+    pub fn encode(&self) -> Result<Vec<u8>> {
         let mut out = Vec::with_capacity(128);
         put_str(&mut out, &self.table);
         put_u32(&mut out, self.shapes.len() as u32);
@@ -269,50 +184,45 @@ impl LoadedPayload {
         put_f64(&mut out, self.stats.avg_row_width);
         put_u32(&mut out, self.stats.columns.len() as u32);
         for c in &self.stats.columns {
-            put_opt_value(&mut out, &c.min);
-            put_opt_value(&mut out, &c.max);
+            put_opt_value(&mut out, &c.min)?;
+            put_opt_value(&mut out, &c.max)?;
             put_u64(&mut out, c.ndv);
             put_f64(&mut out, c.avg_width);
         }
         put_u32(&mut out, self.active.len() as u32);
-        for &a in &self.active {
-            put_u64(&mut out, a);
-        }
+        self.active.iter().for_each(|&a| put_u64(&mut out, a));
         put_u64(&mut out, self.low_limit);
-        out
+        Ok(out)
     }
 
     pub fn decode(buf: &[u8]) -> Result<LoadedPayload> {
-        let at = &mut 0usize;
-        let table = get_str(buf, at)?;
-        let n_shapes = get_u32(buf, at)? as usize;
-        let mut shapes = Vec::with_capacity(n_shapes);
-        for _ in 0..n_shapes {
-            shapes.push(TreeShape {
-                space: get_u32(buf, at)?,
-                root: get_u32(buf, at)?,
-                height: get_u32(buf, at)?,
-                n_leaves: get_u32(buf, at)?,
-            });
-        }
-        let row_count = get_u64(buf, at)?;
-        let leaf_pages = get_u64(buf, at)?;
-        let avg_row_width = get_f64(buf, at)?;
-        let n_cols = get_u32(buf, at)? as usize;
-        let mut columns = Vec::with_capacity(n_cols);
-        for _ in 0..n_cols {
-            columns.push(ColumnStats {
-                min: get_opt_value(buf, at)?,
-                max: get_opt_value(buf, at)?,
-                ndv: get_u64(buf, at)?,
-                avg_width: get_f64(buf, at)?,
-            });
-        }
-        let n_active = get_u32(buf, at)? as usize;
-        let active = (0..n_active)
-            .map(|_| get_u64(buf, at))
-            .collect::<Result<_>>()?;
-        let low_limit = get_u64(buf, at)?;
+        let cur = &mut Cursor::new(buf);
+        let table = cur.str()?;
+        let n_shapes = cur.count(SHAPE_BYTES)?;
+        let shapes = cur.list(n_shapes, |cur| {
+            Ok(TreeShape {
+                space: cur.u32()?,
+                root: cur.u32()?,
+                height: cur.u32()?,
+                n_leaves: cur.u32()?,
+            })
+        })?;
+        let row_count = cur.u64()?;
+        let leaf_pages = cur.u64()?;
+        let avg_row_width = cur.f64()?;
+        let n_cols = cur.count(MIN_STATS_BYTES)?;
+        let columns = cur.list(n_cols, |cur| {
+            Ok(ColumnStats {
+                min: get_opt_value(cur)?,
+                max: get_opt_value(cur)?,
+                ndv: cur.u64()?,
+                avg_width: cur.f64()?,
+            })
+        })?;
+        let n_active = cur.count(8)?;
+        let active = cur.list(n_active, Cursor::u64)?;
+        let low_limit = cur.u64()?;
+        cur.done()?;
         Ok(LoadedPayload {
             table,
             shapes,
@@ -331,7 +241,7 @@ impl LoadedPayload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use taurus_common::Dec;
+    use taurus_common::{DataType, Dec, Error};
 
     #[test]
     fn catalog_payload_roundtrip() {
@@ -408,7 +318,7 @@ mod tests {
                 ],
             },
         };
-        let d = LoadedPayload::decode(&p.encode()).unwrap();
+        let d = LoadedPayload::decode(&p.encode().unwrap()).unwrap();
         assert_eq!(d.table, "t");
         assert_eq!(d.shapes, p.shapes);
         assert_eq!(d.stats.row_count, 100);
@@ -416,6 +326,79 @@ mod tests {
         assert_eq!(d.stats.columns[0].min, Some(Value::Int(1)));
         assert_eq!(d.stats.columns[1].min, p.stats.columns[1].min);
         assert_eq!(d.stats.columns[1].max, None);
+    }
+
+    fn corrupt<T>(r: Result<T>) -> bool {
+        matches!(r, Err(Error::Corruption(_)))
+    }
+
+    /// Eight bytes used to ask for a multi-gigabyte allocation: every
+    /// count is checked against the bytes behind it first.
+    #[test]
+    fn hostile_counts_are_corruption_not_an_abort() {
+        let max = [0xff; 4];
+        let empty = [0u8; 4];
+        // Columns, then indexes (no name, no columns, no pk).
+        assert!(corrupt(CatalogPayload::decode(&[empty, max].concat())));
+        assert!(corrupt(CatalogPayload::decode(
+            &[empty, empty, empty, max].concat()
+        )));
+        // Tree shapes, then column statistics.
+        assert!(corrupt(LoadedPayload::decode(&[empty, max].concat())));
+        let stats = [&empty[..], &empty, &[0; 24], &max].concat();
+        assert!(corrupt(LoadedPayload::decode(&stats)));
+    }
+
+    /// Flag bytes are 0 or 1, and a payload is all of its bytes.
+    #[test]
+    fn flags_are_strict_and_trailing_bytes_refused() {
+        let schema = TableSchema::new("t", vec![Column::new("a", DataType::Int)], vec![0]);
+        let ix = IndexMeta {
+            name: String::new(),
+            index_id: 1,
+            space: 2,
+            key_cols: vec![],
+            is_primary: true,
+        };
+        let cat = CatalogPayload::from_parts(&schema, vec![ix]).encode();
+        // name (5) + count (4) + column name (5) + dtype (1): nullable.
+        let nullable = 15;
+        let primary = cat.len() - 1;
+        for at in [nullable, primary] {
+            let mut bad = cat.clone();
+            bad[at] = 2;
+            assert!(corrupt(CatalogPayload::decode(&bad)), "flag at {at}");
+        }
+        let loaded = LoadedPayload {
+            table: String::new(),
+            shapes: vec![],
+            stats: TableStats {
+                row_count: 0,
+                leaf_pages: 0,
+                avg_row_width: 0.0,
+                columns: vec![ColumnStats {
+                    min: None,
+                    max: Some(Value::Int(1)),
+                    ndv: 1,
+                    avg_width: 8.0,
+                }],
+            },
+            active: vec![],
+            low_limit: 1,
+        }
+        .encode()
+        .unwrap();
+        // table (4) + shapes (4) + row count, leaves, width (24) + count (4).
+        let min_flag = 36;
+        for flag in [min_flag, min_flag + 1] {
+            let mut bad = loaded.clone();
+            bad[flag] = 2;
+            assert!(corrupt(LoadedPayload::decode(&bad)), "flag at {flag}");
+        }
+        assert!(corrupt(CatalogPayload::decode(&[&cat[..], &[0]].concat())));
+        assert!(corrupt(LoadedPayload::decode(
+            &[&loaded[..], &[0]].concat()
+        )));
     }
 
     #[test]

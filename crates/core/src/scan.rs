@@ -1311,7 +1311,7 @@ impl KeyRead {
             self.descriptor.len() + 8 + listed.clone().map(|k| 2 + k.len()).sum::<usize>(),
         );
         stream.extend_from_slice(&self.descriptor);
-        encode_key_set(listed, &mut stream);
+        encode_key_set(listed, &mut stream)?;
         let pages = store.sal().batch_read_ctx(
             index.tree.def.space,
             &self.leaves,

@@ -19,11 +19,11 @@
 
 use std::borrow::Cow;
 
+use taurus_common::codec::put_value16;
 use taurus_common::schema::Row;
 use taurus_common::{panic_message, Dec, Error, KeyMap, QueryCtx, Result, RowBatch, Value};
 use taurus_expr::agg::{AggFunc, AggState};
 use taurus_expr::ast::Expr;
-use taurus_expr::ir::encode_value;
 use taurus_expr::vm::CompiledPredicate;
 use taurus_ndp::ReadView;
 use taurus_ndp::{
@@ -495,7 +495,7 @@ impl HashAggAcc {
     pub(crate) fn update(&mut self, row: &[Value]) -> Result<()> {
         self.key.clear();
         for e in &self.group {
-            encode_value(e.value(row)?.as_ref(), &mut self.key);
+            put_value16(&mut self.key, e.value(row)?.as_ref())?;
         }
         let same = self.last.filter(|&g| self.groups[g].0 == self.key);
         // Rows in index order arrive grouped: a key other than the last
@@ -1046,7 +1046,7 @@ mod tests {
                 .collect();
             let mut key = Vec::new();
             for v in &gvals {
-                encode_value(v, &mut key);
+                put_value16(&mut key, v).unwrap();
             }
             let group = want.entry(key).or_insert_with(|| {
                 let mut g = gvals.clone();

@@ -27,9 +27,9 @@
 //! up is bounded by the batch capacity however wide the joined rows and
 //! however large the match fan-out.
 
+use taurus_common::codec::put_value16;
 use taurus_common::schema::Row;
 use taurus_common::{KeyMap, Result, RowBatch, Value};
-use taurus_expr::ir::encode_value;
 use taurus_ndp::JoinFilter;
 use taurus_optimizer::plan::{HashJoinNode, JoinFilterDecision, JoinType, LookupJoinNode};
 
@@ -38,16 +38,17 @@ use crate::exec::{ExecContext, JoinPrograms, LookupProbe};
 
 /// Encode `row`'s join key (the values at `cols`) into `key`, reusing its
 /// allocation. `false` when a key value is NULL: such a row matches
-/// nothing and is never entered into the table.
-fn join_key(row: &[Value], cols: &[usize], key: &mut Vec<u8>) -> bool {
+/// nothing and is never entered into the table. A string past the key
+/// encoding's `u16` length is a typed error.
+fn join_key(row: &[Value], cols: &[usize], key: &mut Vec<u8>) -> Result<bool> {
     key.clear();
     for &p in cols {
         if row[p].is_null() {
-            return false;
+            return Ok(false);
         }
-        encode_value(&row[p], key);
+        put_value16(key, &row[p])?;
     }
-    true
+    Ok(true)
 }
 
 pub(crate) struct HashJoinOp<'r, 'env> {
@@ -111,7 +112,7 @@ impl<'r, 'env> HashJoinOp<'r, 'env> {
             r.close();
         }
         for (i, r) in self.right_rows.iter().enumerate() {
-            if !join_key(r, &self.node.right_keys, &mut self.key) {
+            if !join_key(r, &self.node.right_keys, &mut self.key)? {
                 continue;
             }
             // Only a key seen for the first time is copied into the table.
@@ -193,7 +194,7 @@ impl Operator for HashJoinOp<'_, '_> {
             let Some(l) = self.left.next_row(out.is_empty())? else {
                 break;
             };
-            let matches = if join_key(l, &self.node.left_keys, &mut self.key) {
+            let matches = if join_key(l, &self.node.left_keys, &mut self.key)? {
                 self.build.get(self.key.as_slice())
             } else {
                 None
@@ -302,5 +303,25 @@ impl Operator for LookupJoinOp<'_, '_> {
     fn close(&mut self) {
         self.outer.close();
         self.probe = None;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use taurus_common::Error;
+
+    /// A key string past the key encoding's `u16` length is a typed
+    /// error, not a wrapped length that collides with another key; a
+    /// NULL key matches nothing.
+    #[test]
+    fn join_keys_fail_closed_past_their_width() {
+        let mut key = Vec::new();
+        let long = [Value::str("k".repeat(70_000))];
+        let err = join_key(&long, &[0], &mut key).unwrap_err();
+        assert!(matches!(err, Error::InvalidState(_)), "{err}");
+        assert!(!join_key(&[Value::Null], &[0], &mut key).unwrap());
+        assert!(join_key(&[Value::str("abc")], &[0], &mut key).unwrap());
+        assert_eq!(key, [4, 3, 0, b'a', b'b', b'c']);
     }
 }

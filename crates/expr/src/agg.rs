@@ -7,11 +7,13 @@
 //! values per thread" (§III). AVG therefore never ships as a state of its
 //! own: the planner decomposes it into SUM + COUNT and divides at finalize.
 //! States serialize into the aggregate-record payload using the same value
-//! encoding as the descriptor bitcode.
+//! layout as the descriptor bitcode (`taurus_common::codec`, `u16` string
+//! lengths).
 
+use taurus_common::codec::{
+    put_bytes16, put_f64, put_flag, put_i128, put_i64, put_u16, put_u8, put_value16, Cursor,
+};
 use taurus_common::{DataType, Dec, Error, Result, Value};
-
-use crate::ir::{decode_value, encode_value};
 
 /// Aggregate functions a descriptor can request. (AVG is decomposed by the
 /// optimizer before it reaches a descriptor.)
@@ -107,52 +109,48 @@ impl AggSpec {
     }
 
     /// The function byte, the input kind, then the column (`u16`) or the
-    /// program (its `u16` length, then its bitcode).
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        out.push(self.func as u8);
+    /// program (its `u16` length, then its bitcode). A program past the
+    /// `u16` length is a typed error.
+    pub fn encode(&self, out: &mut Vec<u8>) -> Result<()> {
+        put_u8(out, self.func as u8);
         match &self.input {
-            AggInput::Star => out.push(INPUT_STAR),
+            AggInput::Star => put_u8(out, INPUT_STAR),
             AggInput::Col(c) => {
-                out.push(INPUT_COL);
-                out.extend_from_slice(&c.to_le_bytes());
+                put_u8(out, INPUT_COL);
+                put_u16(out, *c);
             }
             AggInput::Program(bc) => {
-                out.push(INPUT_PROGRAM);
-                out.extend_from_slice(&(bc.len() as u16).to_le_bytes());
-                out.extend_from_slice(bc);
+                put_u8(out, INPUT_PROGRAM);
+                put_bytes16(out, bc, "aggregate input program bytes")?;
             }
         }
+        Ok(())
     }
 
-    /// How many bytes the spec at `at` takes, by its kind and length
-    /// fields alone (a descriptor's section walk; nothing is checked
-    /// against the bytes' end).
-    pub fn encoded_len(buf: &[u8], at: usize) -> Result<usize> {
-        let err = || Error::Corruption("truncated agg spec".into());
-        let u16_at = |i: usize| {
-            buf.get(i..i + 2)
-                .map(|b| u16::from_le_bytes([b[0], b[1]]) as usize)
-                .ok_or_else(err)
-        };
-        Ok(match *buf.get(at + 1).ok_or_else(err)? {
-            INPUT_STAR => 2,
-            INPUT_COL => 4,
-            INPUT_PROGRAM => 4 + u16_at(at + 2)?,
+    /// Step over one spec by its kind and length fields alone (a
+    /// descriptor's section walk).
+    pub fn skip(cur: &mut Cursor<'_>) -> Result<()> {
+        cur.u8()?;
+        match cur.u8()? {
+            INPUT_STAR => {}
+            INPUT_COL => {
+                cur.u16()?;
+            }
+            INPUT_PROGRAM => {
+                cur.bytes16()?;
+            }
             other => return Err(Error::Corruption(format!("bad agg input kind {other}"))),
-        })
+        }
+        Ok(())
     }
 
-    pub fn decode(buf: &[u8], at: &mut usize) -> Result<AggSpec> {
-        let err = || Error::Corruption("truncated agg spec".into());
-        let func = AggFunc::from_u8(*buf.get(*at).ok_or_else(err)?)?;
-        let kind = *buf.get(*at + 1).ok_or_else(err)?;
-        let len = AggSpec::encoded_len(buf, *at)?;
-        let body = buf.get(*at + 2..*at + len).ok_or_else(err)?;
-        *at += len;
-        let input = match kind {
+    pub fn decode(cur: &mut Cursor<'_>) -> Result<AggSpec> {
+        let func = AggFunc::from_u8(cur.u8()?)?;
+        let input = match cur.u8()? {
             INPUT_STAR => AggInput::Star,
-            INPUT_COL => AggInput::Col(u16::from_le_bytes([body[0], body[1]])),
-            _ => AggInput::Program(body[2..].to_vec()),
+            INPUT_COL => AggInput::Col(cur.u16()?),
+            INPUT_PROGRAM => AggInput::Program(cur.bytes16()?.to_vec()),
+            other => return Err(Error::Corruption(format!("bad agg input kind {other}"))),
         };
         if (input == AggInput::Star) != (func == AggFunc::CountStar) {
             return Err(Error::Corruption(format!(
@@ -374,100 +372,77 @@ impl AggState {
 
     // --- payload serialization (aggregate-record suffix) -------------------
 
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    /// A kind tag, then the state; a MIN/MAX string past the `u16` length
+    /// is a typed error.
+    pub fn encode(&self, out: &mut Vec<u8>) -> Result<()> {
         match self {
             AggState::Count(n) => {
-                out.push(0);
-                out.extend_from_slice(&n.to_le_bytes());
+                put_u8(out, 0);
+                put_i64(out, *n);
             }
             AggState::SumDec { raw, scale, seen } => {
-                out.push(1);
-                out.extend_from_slice(&raw.to_le_bytes());
-                out.push(*scale);
-                out.push(*seen as u8);
+                put_u8(out, 1);
+                put_i128(out, *raw);
+                put_u8(out, *scale);
+                put_flag(out, *seen);
             }
             AggState::SumF64 { sum, seen } => {
-                out.push(2);
-                out.extend_from_slice(&sum.to_bits().to_le_bytes());
-                out.push(*seen as u8);
+                put_u8(out, 2);
+                put_f64(out, *sum);
+                put_flag(out, *seen);
             }
             AggState::Min(v) => {
-                out.push(3);
-                encode_value(&v.clone().unwrap_or(Value::Null), out);
+                put_u8(out, 3);
+                put_value16(out, v.as_ref().unwrap_or(&Value::Null))?;
             }
             AggState::Max(v) => {
-                out.push(4);
-                encode_value(&v.clone().unwrap_or(Value::Null), out);
+                put_u8(out, 4);
+                put_value16(out, v.as_ref().unwrap_or(&Value::Null))?;
             }
         }
+        Ok(())
     }
 
-    pub fn decode(buf: &[u8], at: &mut usize) -> Result<AggState> {
-        let err = || Error::Corruption("truncated agg state".into());
-        let tag = *buf.get(*at).ok_or_else(err)?;
-        *at += 1;
-        Ok(match tag {
-            0 => {
-                let n =
-                    i64::from_le_bytes(buf.get(*at..*at + 8).ok_or_else(err)?.try_into().unwrap());
-                *at += 8;
-                AggState::Count(n)
-            }
-            1 => {
-                let raw = i128::from_le_bytes(
-                    buf.get(*at..*at + 16).ok_or_else(err)?.try_into().unwrap(),
-                );
-                *at += 16;
-                let scale = *buf.get(*at).ok_or_else(err)?;
-                let seen = *buf.get(*at + 1).ok_or_else(err)? != 0;
-                *at += 2;
-                AggState::SumDec { raw, scale, seen }
-            }
-            2 => {
-                let bits =
-                    u64::from_le_bytes(buf.get(*at..*at + 8).ok_or_else(err)?.try_into().unwrap());
-                *at += 8;
-                let seen = *buf.get(*at).ok_or_else(err)? != 0;
-                *at += 1;
-                AggState::SumF64 {
-                    sum: f64::from_bits(bits),
-                    seen,
-                }
-            }
-            3 => {
-                let v = decode_value(buf, at)?;
-                AggState::Min(if v.is_null() { None } else { Some(v) })
-            }
-            4 => {
-                let v = decode_value(buf, at)?;
-                AggState::Max(if v.is_null() { None } else { Some(v) })
-            }
+    pub fn decode(cur: &mut Cursor<'_>) -> Result<AggState> {
+        let extreme = |v: Value| if v.is_null() { None } else { Some(v) };
+        Ok(match cur.u8()? {
+            0 => AggState::Count(cur.i64()?),
+            1 => AggState::SumDec {
+                raw: cur.i128()?,
+                scale: cur.u8()?,
+                seen: cur.flag()?,
+            },
+            2 => AggState::SumF64 {
+                sum: cur.f64()?,
+                seen: cur.flag()?,
+            },
+            3 => AggState::Min(extreme(cur.value16()?)),
+            4 => AggState::Max(extreme(cur.value16()?)),
             other => return Err(Error::Corruption(format!("bad agg state tag {other}"))),
         })
     }
 }
 
 /// Serialize a full set of partial states (one aggregate record payload),
-/// appended to `out`.
-pub fn encode_states(states: &[AggState], out: &mut Vec<u8>) {
-    out.push(states.len() as u8);
-    for s in states {
-        s.encode(out);
-    }
+/// appended to `out`: a `u8` count, then the states. More than 255
+/// states, or a state [`AggState::encode`] refuses, is a typed error.
+pub fn encode_states(states: &[AggState], out: &mut Vec<u8>) -> Result<()> {
+    let n = u8::try_from(states.len()).map_err(|_| {
+        Error::InvalidState(format!(
+            "{} aggregate states exceed the u8 encoding",
+            states.len()
+        ))
+    })?;
+    put_u8(out, n);
+    states.iter().try_for_each(|s| s.encode(out))
 }
 
-/// Decode a payload written by [`encode_states`].
+/// Decode a payload written by [`encode_states`]: all of `buf`.
 pub fn decode_states(buf: &[u8]) -> Result<Vec<AggState>> {
-    let err = || Error::Corruption("truncated agg payload".into());
-    let n = *buf.first().ok_or_else(err)? as usize;
-    let mut at = 1usize;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(AggState::decode(buf, &mut at)?);
-    }
-    if at != buf.len() {
-        return Err(Error::Corruption("trailing bytes in agg payload".into()));
-    }
+    let mut cur = Cursor::new(buf);
+    let n = cur.u8()?;
+    let out = cur.list(n as usize, AggState::decode)?;
+    cur.done()?;
     Ok(out)
 }
 
@@ -628,9 +603,63 @@ mod tests {
             AggState::Max(None),
         ];
         let mut buf = Vec::new();
-        encode_states(&states, &mut buf);
+        encode_states(&states, &mut buf).unwrap();
         assert_eq!(decode_states(&buf).unwrap(), states);
         assert!(decode_states(&buf[..buf.len() - 1]).is_err());
+    }
+
+    /// `seen` is a flag byte (0 or 1).
+    #[test]
+    fn seen_flags_are_strict() {
+        for state in [
+            AggState::SumDec {
+                raw: 5,
+                scale: 1,
+                seen: true,
+            },
+            AggState::SumF64 {
+                sum: 1.0,
+                seen: false,
+            },
+        ] {
+            let mut buf = Vec::new();
+            encode_states(std::slice::from_ref(&state), &mut buf).unwrap();
+            assert_eq!(decode_states(&buf).unwrap(), std::slice::from_ref(&state));
+            let last = buf.len() - 1;
+            buf[last] = 2;
+            assert!(
+                matches!(decode_states(&buf), Err(Error::Corruption(_))),
+                "{state:?}"
+            );
+        }
+    }
+
+    /// Counts and lengths past their width are typed errors, not wraps.
+    #[test]
+    fn oversize_states_and_programs_fail_closed() {
+        let mut buf = Vec::new();
+        let many = vec![AggState::Count(1); 256];
+        assert!(matches!(
+            encode_states(&many, &mut buf),
+            Err(Error::InvalidState(_))
+        ));
+        encode_states(&many[..255], &mut buf).unwrap();
+        assert_eq!(decode_states(&buf).unwrap().len(), 255);
+        let long = Value::str("x".repeat(70_000));
+        for state in [AggState::Min(Some(long.clone())), AggState::Max(Some(long))] {
+            assert!(matches!(
+                encode_states(&[state], &mut Vec::new()),
+                Err(Error::InvalidState(_))
+            ));
+        }
+        let program = AggSpec {
+            func: AggFunc::Sum,
+            input: AggInput::Program(vec![0; 70_000]),
+        };
+        assert!(matches!(
+            program.encode(&mut Vec::new()),
+            Err(Error::InvalidState(_))
+        ));
     }
 
     #[test]
@@ -648,18 +677,19 @@ mod tests {
         ];
         let mut buf = Vec::new();
         for s in &specs {
-            let at = buf.len();
-            s.encode(&mut buf);
-            assert_eq!(AggSpec::encoded_len(&buf, at).unwrap(), buf.len() - at);
+            s.encode(&mut buf).unwrap();
         }
-        let mut at = 0;
+        let mut walk = Cursor::new(&buf);
+        let mut cur = Cursor::new(&buf);
         for s in &specs {
-            assert_eq!(&AggSpec::decode(&buf, &mut at).unwrap(), s);
+            AggSpec::skip(&mut walk).unwrap();
+            assert_eq!(&AggSpec::decode(&mut cur).unwrap(), s);
+            assert_eq!(walk.pos(), cur.pos());
         }
-        assert_eq!(at, buf.len());
+        cur.done().unwrap();
         for cut in 0..buf.len() {
-            let mut at = 0;
-            let whole = (0..specs.len()).all(|_| AggSpec::decode(&buf[..cut], &mut at).is_ok());
+            let mut cur = Cursor::new(&buf[..cut]);
+            let whole = (0..specs.len()).all(|_| AggSpec::decode(&mut cur).is_ok());
             assert!(!whole, "{cut}");
         }
     }
@@ -671,14 +701,14 @@ mod tests {
             (AggFunc::CountStar, AggInput::Col(1)),
         ] {
             let mut buf = Vec::new();
-            AggSpec { func, input }.encode(&mut buf);
+            AggSpec { func, input }.encode(&mut buf).unwrap();
             assert!(matches!(
-                AggSpec::decode(&buf, &mut 0),
+                AggSpec::decode(&mut Cursor::new(&buf)),
                 Err(Error::Corruption(_))
             ));
         }
         assert!(
-            AggSpec::decode(&[2, 9, 0, 0], &mut 0).is_err(),
+            AggSpec::decode(&mut Cursor::new(&[2, 9, 0, 0])).is_err(),
             "unknown kind"
         );
     }

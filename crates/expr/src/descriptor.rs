@@ -34,6 +34,9 @@
 
 use std::sync::Arc;
 
+use taurus_common::codec::{
+    len16, put_bytes16, put_dtype, put_flag, put_u16, put_u32, put_u64, put_u8, Cursor,
+};
 use taurus_common::{DataType, Error, Result, TrxId};
 
 use crate::agg::{AggInput, AggSpec};
@@ -73,63 +76,7 @@ pub struct NdpDescriptor {
     pub low_watermark: TrxId,
 }
 
-fn push_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn read_u16(buf: &[u8], at: &mut usize) -> Result<u16> {
-    let s = buf
-        .get(*at..*at + 2)
-        .ok_or_else(|| Error::Corruption("truncated descriptor".into()))?;
-    *at += 2;
-    Ok(u16::from_le_bytes(s.try_into().unwrap()))
-}
-
-/// An item's presence flag: 0 or 1, anything else is damage (it would
-/// not encode back to itself).
-fn read_flag(buf: &[u8], at: &mut usize) -> Result<bool> {
-    let flag = match buf.get(*at) {
-        Some(0) => false,
-        Some(1) => true,
-        Some(other) => return Err(Error::Corruption(format!("descriptor flag {other}"))),
-        None => return Err(Error::Corruption("truncated descriptor".into())),
-    };
-    *at += 1;
-    Ok(flag)
-}
-
-fn encode_dtype(dt: &DataType, out: &mut Vec<u8>) {
-    out.push(dt.tag());
-    match dt {
-        DataType::Decimal { precision, scale } => {
-            out.push(*precision);
-            out.push(*scale);
-        }
-        DataType::Char(n) | DataType::Varchar(n) => push_u16(out, *n),
-        _ => {}
-    }
-}
-
-fn decode_dtype(buf: &[u8], at: &mut usize) -> Result<DataType> {
-    let err = || Error::Corruption("truncated descriptor dtype".into());
-    let tag = *buf.get(*at).ok_or_else(err)?;
-    *at += 1;
-    Ok(match tag {
-        0 => DataType::Int,
-        1 => DataType::BigInt,
-        2 => {
-            let precision = *buf.get(*at).ok_or_else(err)?;
-            let scale = *buf.get(*at + 1).ok_or_else(err)?;
-            *at += 2;
-            DataType::Decimal { precision, scale }
-        }
-        3 => DataType::Date,
-        4 => DataType::Char(read_u16(buf, at)?),
-        5 => DataType::Varchar(read_u16(buf, at)?),
-        6 => DataType::Double,
-        other => return Err(Error::Corruption(format!("bad dtype tag {other}"))),
-    })
-}
+const DESC_MAGIC: &[u8; 4] = b"DESC";
 
 impl NdpDescriptor {
     /// Does this descriptor request any NDP work at all?
@@ -142,142 +89,107 @@ impl NdpDescriptor {
     /// section, and all the descriptor cache hashes. Agrees with
     /// [`NdpDescriptor::encode`] on every stream `decode` accepts.
     pub fn section_len(buf: &[u8]) -> Result<usize> {
-        let err = || Error::Corruption("truncated descriptor".into());
-        if buf.len() < 20 || &buf[..4] != b"DESC" {
-            return Err(Error::Corruption("bad descriptor magic".into()));
+        let mut cur = Cursor::new(buf);
+        cur.magic(DESC_MAGIC, "descriptor")?;
+        cur.take(16)?; // index id, low watermark
+        for _ in 0..cur.u16()? {
+            cur.dtype()?;
         }
-        let mut at = 20usize;
-        let n_cols = read_u16(buf, &mut at)?;
-        for _ in 0..n_cols {
-            decode_dtype(buf, &mut at)?;
+        let n_keys = cur.u16()? as usize;
+        cur.take(2 * n_keys)?;
+        if cur.flag()? {
+            let n = cur.u16()? as usize;
+            cur.take(2 * n)?;
         }
-        let n_keys = read_u16(buf, &mut at)? as usize;
-        at += 2 * n_keys;
-        // Projection (u16 each), predicate (bytes): a flag, then counted
-        // items.
-        for item_len in [2usize, 1] {
-            if read_flag(buf, &mut at)? {
-                let n = read_u16(buf, &mut at)? as usize;
-                at += item_len * n;
+        if cur.flag()? {
+            cur.bytes16()?;
+        }
+        if cur.flag()? {
+            for _ in 0..cur.u16()? {
+                AggSpec::skip(&mut cur)?;
             }
+            let n = cur.u16()? as usize;
+            cur.take(2 * n)?;
         }
-        // Aggregation: a flag, then counted specs of their own lengths,
-        // then counted u16 group columns.
-        if read_flag(buf, &mut at)? {
-            let n = read_u16(buf, &mut at)?;
-            for _ in 0..n {
-                at += AggSpec::encoded_len(buf, at)?;
-            }
-            let n = read_u16(buf, &mut at)? as usize;
-            at += 2 * n;
-        }
-        if at > buf.len() {
-            return Err(err());
-        }
-        Ok(at)
+        Ok(cur.pos())
     }
 
     /// Serialize to the type-less byte stream carried by batch reads.
+    /// Counts and lengths are `u16`s; [`NdpDescriptor::validate`] refuses
+    /// a descriptor with one past that, and encoding one anyway stops at
+    /// the field that does not fit: a truncated stream every decoder
+    /// refuses, never a wrapped length.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
-        out.extend_from_slice(b"DESC");
-        out.extend_from_slice(&self.index_id.to_le_bytes());
-        out.extend_from_slice(&self.low_watermark.to_le_bytes());
-        push_u16(&mut out, self.record_dtypes.len() as u16);
-        for dt in &self.record_dtypes {
-            encode_dtype(dt, &mut out);
-        }
-        push_u16(&mut out, self.key_positions.len() as u16);
-        for k in &self.key_positions {
-            push_u16(&mut out, *k);
-        }
-        match &self.projection {
-            None => out.push(0),
-            Some(keep) => {
-                out.push(1);
-                push_u16(&mut out, keep.len() as u16);
-                for k in keep {
-                    push_u16(&mut out, *k);
-                }
-            }
-        }
-        match &self.predicate_bitcode {
-            None => out.push(0),
-            Some(bc) => {
-                out.push(1);
-                push_u16(&mut out, bc.len() as u16);
-                out.extend_from_slice(bc);
-            }
-        }
-        match &self.aggregation {
-            None => out.push(0),
-            Some(agg) => {
-                out.push(1);
-                push_u16(&mut out, agg.specs.len() as u16);
-                for s in &agg.specs {
-                    s.encode(&mut out);
-                }
-                push_u16(&mut out, agg.group_cols.len() as u16);
-                for g in &agg.group_cols {
-                    push_u16(&mut out, *g);
-                }
-            }
-        }
+        let _ = self.encode_into(&mut out);
         out
     }
 
-    /// Decode and structurally validate a descriptor byte stream.
+    fn encode_into(&self, out: &mut Vec<u8>) -> Result<()> {
+        let u16s = |out: &mut Vec<u8>, v: &[u16], what: &str| -> Result<()> {
+            put_u16(out, len16(v.len(), what)?);
+            v.iter().for_each(|&x| put_u16(out, x));
+            Ok(())
+        };
+        out.extend_from_slice(DESC_MAGIC);
+        put_u64(out, self.index_id);
+        put_u64(out, self.low_watermark);
+        put_u16(out, len16(self.record_dtypes.len(), "descriptor columns")?);
+        for &dt in &self.record_dtypes {
+            put_dtype(out, dt);
+        }
+        u16s(out, &self.key_positions, "descriptor key columns")?;
+        put_flag(out, self.projection.is_some());
+        if let Some(keep) = &self.projection {
+            u16s(out, keep, "descriptor projection")?;
+        }
+        put_flag(out, self.predicate_bitcode.is_some());
+        if let Some(bc) = &self.predicate_bitcode {
+            put_bytes16(out, bc, "predicate bitcode bytes")?;
+        }
+        put_flag(out, self.aggregation.is_some());
+        if let Some(agg) = &self.aggregation {
+            put_u16(out, len16(agg.specs.len(), "descriptor aggregates")?);
+            for s in &agg.specs {
+                s.encode(out)?;
+            }
+            u16s(out, &agg.group_cols, "descriptor group columns")?;
+        }
+        Ok(())
+    }
+
+    /// Decode and structurally validate a descriptor byte stream: all of
+    /// `buf`, which is one `DESC` section.
     pub fn decode(buf: &[u8]) -> Result<NdpDescriptor> {
-        let err = || Error::Corruption("truncated descriptor".into());
-        if buf.len() < 20 || &buf[..4] != b"DESC" {
-            return Err(Error::Corruption("bad descriptor magic".into()));
-        }
-        let index_id = u64::from_le_bytes(buf[4..12].try_into().unwrap());
-        let low_watermark = u64::from_le_bytes(buf[12..20].try_into().unwrap());
-        let mut at = 20usize;
-        let n_cols = read_u16(buf, &mut at)? as usize;
-        let mut record_dtypes = Vec::with_capacity(n_cols);
-        for _ in 0..n_cols {
-            record_dtypes.push(decode_dtype(buf, &mut at)?);
-        }
-        let n_keys = read_u16(buf, &mut at)? as usize;
-        let mut key_positions = Vec::with_capacity(n_keys);
-        for _ in 0..n_keys {
-            key_positions.push(read_u16(buf, &mut at)?);
-        }
-        let projection = if read_flag(buf, &mut at)? {
-            let n = read_u16(buf, &mut at)? as usize;
-            let mut keep = Vec::with_capacity(n);
-            for _ in 0..n {
-                keep.push(read_u16(buf, &mut at)?);
-            }
-            Some(keep)
-        } else {
-            None
+        let mut cur = Cursor::new(buf);
+        cur.magic(DESC_MAGIC, "descriptor")?;
+        let index_id = cur.u64()?;
+        let low_watermark = cur.u64()?;
+        let u16s = |cur: &mut Cursor<'_>| -> Result<Vec<u16>> {
+            let n = cur.u16()?;
+            cur.list(n as usize, Cursor::u16)
         };
-        let predicate_bitcode = if read_flag(buf, &mut at)? {
-            let n = read_u16(buf, &mut at)? as usize;
-            let bc = buf.get(at..at + n).ok_or_else(err)?.to_vec();
-            at += n;
-            Some(bc)
-        } else {
-            None
+        let n_cols = cur.u16()?;
+        let record_dtypes = cur.list(n_cols as usize, Cursor::dtype)?;
+        let key_positions = u16s(&mut cur)?;
+        let projection = match cur.flag()? {
+            true => Some(u16s(&mut cur)?),
+            false => None,
         };
-        let aggregation = if read_flag(buf, &mut at)? {
-            let n = read_u16(buf, &mut at)? as usize;
-            let mut specs = Vec::with_capacity(n);
-            for _ in 0..n {
-                specs.push(AggSpec::decode(buf, &mut at)?);
-            }
-            let ng = read_u16(buf, &mut at)? as usize;
-            let mut group_cols = Vec::with_capacity(ng);
-            for _ in 0..ng {
-                group_cols.push(read_u16(buf, &mut at)?);
-            }
-            Some(NdpAggSpec { specs, group_cols })
-        } else {
-            None
+        let predicate_bitcode = match cur.flag()? {
+            true => Some(cur.bytes16()?.to_vec()),
+            false => None,
         };
+        let aggregation = match cur.flag()? {
+            true => {
+                let n = cur.u16()?;
+                let specs = cur.list(n as usize, AggSpec::decode)?;
+                let group_cols = u16s(&mut cur)?;
+                Some(NdpAggSpec { specs, group_cols })
+            }
+            false => None,
+        };
+        cur.done()?;
         let d = NdpDescriptor {
             index_id,
             record_dtypes,
@@ -292,8 +204,16 @@ impl NdpDescriptor {
     }
 
     /// Cross-field validation (the plugin's defensive checks).
+    /// Every count and length must fit the `u16` it is encoded in.
     pub fn validate(&self) -> Result<()> {
-        let n = self.record_dtypes.len() as u16;
+        let n = len16(self.record_dtypes.len(), "descriptor columns")?;
+        len16(self.key_positions.len(), "descriptor key columns")?;
+        if let Some(keep) = &self.projection {
+            len16(keep.len(), "descriptor projection")?;
+        }
+        if let Some(bc) = &self.predicate_bitcode {
+            len16(bc.len(), "predicate bitcode bytes")?;
+        }
         let in_range = |c: u16| -> Result<()> {
             if c >= n {
                 return Err(Error::Corruption(format!(
@@ -323,11 +243,16 @@ impl NdpDescriptor {
             }
         }
         if let Some(agg) = &self.aggregation {
+            len16(agg.specs.len(), "descriptor aggregates")?;
+            len16(agg.group_cols.len(), "descriptor group columns")?;
             for s in &agg.specs {
                 let cols = match &s.input {
                     AggInput::Star => Vec::new(),
                     AggInput::Col(c) => vec![*c],
-                    AggInput::Program(bc) => IrProgram::decode_bitcode(bc)?.columns_used(),
+                    AggInput::Program(bc) => {
+                        len16(bc.len(), "aggregate input program bytes")?;
+                        IrProgram::decode_bitcode(bc)?.columns_used()
+                    }
                 };
                 for c in cols {
                     in_range(c)?;
@@ -357,16 +282,18 @@ impl NdpDescriptor {
 const KEYS_MAGIC: &[u8; 4] = b"KEYS";
 
 /// Append a key-set section to a stream that ends with a `DESC` section:
-/// the magic, the count, then each key behind its length. `keys` must be
-/// non-empty encoded keys, strictly ascending, none a prefix of another
-/// (what [`KeySet::parse`] checks on the other side of the wire).
-pub fn encode_key_set<'k>(keys: impl ExactSizeIterator<Item = &'k [u8]>, out: &mut Vec<u8>) {
+/// the magic, the count, then each key behind its `u16` length (a longer
+/// key is a typed error). `keys` must be non-empty encoded keys, strictly
+/// ascending, none a prefix of another (what [`KeySet::parse`] checks on
+/// the other side of the wire).
+pub fn encode_key_set<'k>(
+    keys: impl ExactSizeIterator<Item = &'k [u8]>,
+    out: &mut Vec<u8>,
+) -> Result<()> {
     out.extend_from_slice(KEYS_MAGIC);
-    out.extend_from_slice(&(keys.len() as u32).to_le_bytes());
-    for key in keys {
-        push_u16(out, key.len() as u16);
-        out.extend_from_slice(key);
-    }
+    put_u32(out, keys.len() as u32);
+    keys.into_iter()
+        .try_for_each(|key| put_bytes16(out, key, "key-set key bytes"))
 }
 
 /// The key set of one batched key access, validated: a record qualifies
@@ -385,36 +312,28 @@ impl KeySet {
     /// is sized by it, and a set that is not strictly ascending and
     /// prefix-free is refused, since the plugin's merge relies on both.
     pub fn parse(stream: &Arc<Vec<u8>>, at: usize) -> Result<(KeySet, usize)> {
-        let err = |what: &str| Error::Corruption(format!("key set: {what}"));
-        let buf = stream
-            .get(at..)
-            .ok_or_else(|| err("starts past the stream"))?;
-        if buf.len() < 8 || &buf[..4] != KEYS_MAGIC {
-            return Err(err("bad magic"));
-        }
-        let count = u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]) as usize;
+        let mut cur = Cursor::new(stream);
+        cur.take(at)?;
+        cur.magic(KEYS_MAGIC, "key set")?;
         // A key takes its length and one byte at the least.
-        if count > (buf.len() - 8) / 3 {
-            return Err(err("count larger than the bytes behind it"));
-        }
+        let count = cur.count(3)?;
         let mut spans: Vec<(u32, u32)> = Vec::with_capacity(count);
-        let mut pos = 8usize;
         let mut prev: &[u8] = &[];
         for _ in 0..count {
-            let len = read_u16(buf, &mut pos).map_err(|_| err("truncated"))? as usize;
-            let key = buf.get(pos..pos + len).ok_or_else(|| err("truncated"))?;
+            let key = cur.bytes16()?;
             if key.is_empty() || key <= prev || (!prev.is_empty() && key.starts_with(prev)) {
-                return Err(err("keys not strictly ascending and prefix-free"));
+                return Err(Error::Corruption(
+                    "key set: keys not strictly ascending and prefix-free".into(),
+                ));
             }
-            spans.push(((at + pos) as u32, (at + pos + len) as u32));
-            pos += len;
+            spans.push(((cur.pos() - key.len()) as u32, cur.pos() as u32));
             prev = key;
         }
         let set = KeySet {
             stream: stream.clone(),
             spans,
         };
-        Ok((set, at + pos))
+        Ok((set, cur.pos()))
     }
 
     pub fn len(&self) -> usize {
@@ -516,12 +435,10 @@ pub const JOIN_FILTER_PROBES_MAX: u32 = 8;
 /// words.
 pub fn encode_join_filter(pos: u16, bloom: &KeyBloom, out: &mut Vec<u8>) {
     out.extend_from_slice(JOIN_FILTER_MAGIC);
-    push_u16(out, pos);
-    out.push(bloom.probes as u8);
-    out.extend_from_slice(&(bloom.words.len() as u32).to_le_bytes());
-    for w in &bloom.words {
-        out.extend_from_slice(&w.to_le_bytes());
-    }
+    put_u16(out, pos);
+    put_u8(out, bloom.probes as u8);
+    put_u32(out, bloom.words.len() as u32);
+    bloom.words.iter().for_each(|&w| put_u64(out, w));
 }
 
 /// A request's join filter, validated against the descriptor's record
@@ -547,15 +464,12 @@ impl JoinFilterSection {
         record_dtypes: &[DataType],
     ) -> Result<(JoinFilterSection, usize)> {
         let err = |what: &str| Error::Corruption(format!("join filter: {what}"));
-        let buf = stream
-            .get(at..)
-            .ok_or_else(|| err("starts past the stream"))?;
-        if buf.len() < 11 || &buf[..4] != JOIN_FILTER_MAGIC {
-            return Err(err("bad magic or truncated"));
-        }
-        let pos = u16::from_le_bytes([buf[4], buf[5]]) as usize;
-        let probes = buf[6] as u32;
-        let n_words = u32::from_le_bytes([buf[7], buf[8], buf[9], buf[10]]) as usize;
+        let mut cur = Cursor::new(stream);
+        cur.take(at)?;
+        cur.magic(JOIN_FILTER_MAGIC, "join filter")?;
+        let pos = cur.u16()? as usize;
+        let probes = cur.u8()? as u32;
+        let n_words = cur.count(8)?;
         let width = match record_dtypes.get(pos) {
             Some(DataType::Int) => 4,
             Some(DataType::BigInt) => 8,
@@ -565,19 +479,16 @@ impl JoinFilterSection {
         if probes == 0 || probes > JOIN_FILTER_PROBES_MAX {
             return Err(err(&format!("{probes} probes")));
         }
-        if n_words == 0 || n_words > (buf.len() - 11) / 8 {
-            return Err(err(&format!("{n_words} words")));
+        if n_words == 0 {
+            return Err(err("no words"));
         }
-        let words = buf[11..11 + 8 * n_words]
-            .chunks_exact(8)
-            .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
-            .collect();
+        let words = cur.list(n_words, Cursor::u64)?;
         let section = JoinFilterSection {
             pos,
             width,
             bloom: KeyBloom { probes, words },
         };
-        Ok((section, at + 11 + 8 * n_words))
+        Ok((section, cur.pos()))
     }
 }
 
@@ -778,9 +689,32 @@ mod tests {
         assert!(NdpDescriptor::decode(&damaged).is_err());
     }
 
+    /// A section past a `u16` count or length is refused by `validate`,
+    /// and `encode` stops at it: a truncated stream, never a wrapped
+    /// length that decodes as something else.
+    #[test]
+    fn oversize_sections_are_refused_before_they_wrap() {
+        let mut d = sample();
+        d.predicate_bitcode = Some(vec![0; 70_000]);
+        assert!(matches!(d.validate(), Err(Error::InvalidState(_))));
+        assert!(NdpDescriptor::decode(&d.encode()).is_err());
+        assert!(NdpDescriptor::section_len(&d.encode()).is_err());
+        let mut d = sample();
+        d.projection = None;
+        d.key_positions = vec![0; 70_000];
+        assert!(matches!(d.validate(), Err(Error::InvalidState(_))));
+        assert!(NdpDescriptor::decode(&d.encode()).is_err());
+        let long = vec![b'k'; 70_000];
+        let mut out = Vec::new();
+        let err = encode_key_set([&long[..]].into_iter(), &mut out).unwrap_err();
+        assert!(matches!(err, Error::InvalidState(_)), "{err}");
+    }
+
     #[test]
     fn decode_rejects_garbage() {
         assert!(NdpDescriptor::decode(b"????????").is_err());
+        let longer = [&sample().encode()[..], &[0]].concat();
+        assert!(NdpDescriptor::decode(&longer).is_err(), "trailing bytes");
         let mut bytes = sample().encode();
         bytes.truncate(bytes.len() / 2);
         assert!(NdpDescriptor::decode(&bytes).is_err());
@@ -802,7 +736,7 @@ mod tests {
             let len = bytes.len();
             assert_eq!(NdpDescriptor::section_len(&bytes).unwrap(), len);
             // Whatever follows the section is not part of it.
-            encode_key_set([&b"k"[..]].into_iter(), &mut bytes);
+            encode_key_set([&b"k"[..]].into_iter(), &mut bytes).unwrap();
             assert_eq!(NdpDescriptor::section_len(&bytes).unwrap(), len);
             for cut in 0..len {
                 assert!(NdpDescriptor::section_len(&bytes[..cut]).is_err(), "{cut}");
@@ -813,7 +747,7 @@ mod tests {
     fn key_set_of(keys: &[&[u8]]) -> Result<Option<KeySet>> {
         let mut stream = sample().encode();
         let at = stream.len();
-        encode_key_set(keys.iter().copied(), &mut stream);
+        encode_key_set(keys.iter().copied(), &mut stream).unwrap();
         Ok(Sections::parse(&Arc::new(stream), at, &sample().record_dtypes)?.keys)
     }
 
@@ -851,7 +785,7 @@ mod tests {
         }
         let mut stream = sample().encode();
         let at = stream.len();
-        encode_key_set([&b"a"[..], b"b"].into_iter(), &mut stream);
+        encode_key_set([&b"a"[..], b"b"].into_iter(), &mut stream).unwrap();
         let parse = |s: Vec<u8>| Sections::parse(&Arc::new(s), at, &sample().record_dtypes);
         // Truncated, trailing bytes, wrong magic, a count nothing backs.
         assert!(parse(stream[..stream.len() - 1].to_vec()).is_err());
@@ -911,7 +845,7 @@ mod tests {
         assert!(f.bloom.may_contain(4) && f.bloom.may_contain(-9));
         assert!(alone.keys.is_none());
         let mut both = Vec::new();
-        encode_key_set([&b"a"[..]].into_iter(), &mut both);
+        encode_key_set([&b"a"[..]].into_iter(), &mut both).unwrap();
         both.extend_from_slice(&filter_section(0, &[1]));
         let both = sections_of(&both).unwrap();
         assert_eq!(both.keys.unwrap().len(), 1);
@@ -922,7 +856,7 @@ mod tests {
     fn join_filter_sections_refuse_what_they_cannot_vouch_for() {
         let good = filter_section(0, &[1, 2, 3]);
         let mut keys = Vec::new();
-        encode_key_set([&b"a"[..]].into_iter(), &mut keys);
+        encode_key_set([&b"a"[..]].into_iter(), &mut keys).unwrap();
         let with = |at: usize, byte: u8| {
             let mut s = good.clone();
             s[at] = byte;

@@ -8,7 +8,8 @@
 //! byte string that travels inside the NDP descriptor and is decoded and
 //! "JIT-compiled" ([`crate::vm`]) on the Page Store.
 
-use taurus_common::{Date32, Dec, Error, Result, Value};
+use taurus_common::codec::{len16, put_flag, put_u16, put_u8, put_value16, Cursor};
+use taurus_common::{Error, Result, Value};
 
 use crate::ast::{ArithOp, CmpOp};
 
@@ -136,128 +137,39 @@ impl IrProgram {
     }
 }
 
-// --- value (de)serialization — shared with aggregate-state payloads -------
-
-/// Append a tagged binary encoding of `v`.
-pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
-    match v {
-        Value::Null => out.push(0),
-        Value::Int(x) => {
-            out.push(1);
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        Value::Decimal(d) => {
-            out.push(2);
-            out.extend_from_slice(&d.raw.to_le_bytes());
-            out.push(d.scale);
-        }
-        Value::Date(d) => {
-            out.push(3);
-            out.extend_from_slice(&d.0.to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(4);
-            out.extend_from_slice(&(s.len() as u16).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        }
-        Value::Double(x) => {
-            out.push(5);
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-    }
-}
-
-/// Decode a value written by [`encode_value`], advancing `at`.
-pub fn decode_value(buf: &[u8], at: &mut usize) -> Result<Value> {
-    let err = || Error::Corruption("truncated value encoding".into());
-    let tag = *buf.get(*at).ok_or_else(err)?;
-    *at += 1;
-    let take = |at: &mut usize, n: usize| -> Result<&[u8]> {
-        let s = buf.get(*at..*at + n).ok_or_else(err)?;
-        *at += n;
-        Ok(s)
-    };
-    Ok(match tag {
-        0 => Value::Null,
-        1 => Value::Int(i64::from_le_bytes(take(at, 8)?.try_into().unwrap())),
-        2 => {
-            let raw = i128::from_le_bytes(take(at, 16)?.try_into().unwrap());
-            let scale = take(at, 1)?[0];
-            Value::Decimal(Dec { raw, scale })
-        }
-        3 => Value::Date(Date32(i32::from_le_bytes(take(at, 4)?.try_into().unwrap()))),
-        4 => {
-            let len = u16::from_le_bytes(take(at, 2)?.try_into().unwrap()) as usize;
-            let bytes = take(at, len)?;
-            Value::Str(std::str::from_utf8(bytes).map_err(|_| err())?.into())
-        }
-        5 => Value::Double(f64::from_bits(u64::from_le_bytes(
-            take(at, 8)?.try_into().unwrap(),
-        ))),
-        other => return Err(Error::Corruption(format!("bad value tag {other}"))),
-    })
-}
-
 // --- bitcode (de)serialization ---------------------------------------------
 
 const MAGIC: &[u8; 4] = b"NDP1";
-
-fn push_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn read_u16(buf: &[u8], at: &mut usize) -> Result<u16> {
-    let s = buf
-        .get(*at..*at + 2)
-        .ok_or_else(|| Error::Corruption("truncated bitcode".into()))?;
-    *at += 2;
-    Ok(u16::from_le_bytes(s.try_into().unwrap()))
-}
 
 impl IrProgram {
     /// Serialize to the descriptor's bitcode byte string. Counts and
     /// string lengths are u16 on the wire: a program past either fails
     /// here rather than wrapping into bytes that decode as something else.
     pub fn encode_bitcode(&self) -> Result<Vec<u8>> {
-        let count = |n: usize, what: &str| {
-            u16::try_from(n).map_err(|_| {
-                Error::InvalidState(format!("bitcode: {n} {what} exceed the u16 encoding"))
-            })
-        };
         let mut out = Vec::with_capacity(64 + self.instrs.len() * 8);
         out.extend_from_slice(MAGIC);
-        push_u16(&mut out, self.n_regs);
-        push_u16(&mut out, count(self.consts.len(), "constants")?);
+        put_u16(&mut out, self.n_regs);
+        put_u16(&mut out, len16(self.consts.len(), "bitcode constants")?);
         for c in &self.consts {
-            if let Value::Str(s) = c {
-                count(s.len(), "string constant bytes")?;
-            }
-            encode_value(c, &mut out);
+            put_value16(&mut out, c)?;
         }
-        push_u16(&mut out, count(self.instrs.len(), "instructions")?);
+        put_u16(&mut out, len16(self.instrs.len(), "bitcode instructions")?);
         for ins in &self.instrs {
             encode_instr(ins, &mut out);
         }
         Ok(out)
     }
 
-    /// Decode bitcode received inside an NDP descriptor.
+    /// Decode bitcode received inside an NDP descriptor: all of `buf`.
     pub fn decode_bitcode(buf: &[u8]) -> Result<IrProgram> {
-        if buf.len() < 4 || &buf[..4] != MAGIC {
-            return Err(Error::Corruption("bad bitcode magic".into()));
-        }
-        let mut at = 4usize;
-        let n_regs = read_u16(buf, &mut at)?;
-        let n_consts = read_u16(buf, &mut at)? as usize;
-        let mut consts = Vec::with_capacity(n_consts);
-        for _ in 0..n_consts {
-            consts.push(decode_value(buf, &mut at)?);
-        }
-        let n_instrs = read_u16(buf, &mut at)? as usize;
-        let mut instrs = Vec::with_capacity(n_instrs);
-        for _ in 0..n_instrs {
-            instrs.push(decode_instr(buf, &mut at)?);
-        }
+        let mut cur = Cursor::new(buf);
+        cur.magic(MAGIC, "bitcode")?;
+        let n_regs = cur.u16()?;
+        let n_consts = cur.u16()?;
+        let consts = cur.list(n_consts as usize, Cursor::value16)?;
+        let n_instrs = cur.u16()?;
+        let instrs = cur.list(n_instrs as usize, decode_instr)?;
+        cur.done()?;
         let prog = IrProgram {
             instrs,
             consts,
@@ -400,60 +312,60 @@ fn encode_instr(ins: &IrInstr, out: &mut Vec<u8>) {
     match *ins {
         IrInstr::LoadCol { dst, col } => {
             out.push(0);
-            push_u16(out, dst);
-            push_u16(out, col);
+            put_u16(out, dst);
+            put_u16(out, col);
         }
         IrInstr::LoadConst { dst, idx } => {
             out.push(1);
-            push_u16(out, dst);
-            push_u16(out, idx);
+            put_u16(out, dst);
+            put_u16(out, idx);
         }
         IrInstr::Mov { dst, src } => {
             out.push(2);
-            push_u16(out, dst);
-            push_u16(out, src);
+            put_u16(out, dst);
+            put_u16(out, src);
         }
         IrInstr::Cmp { op, dst, a, b } => {
             out.push(3);
-            out.push(cmp_code(op));
-            push_u16(out, dst);
-            push_u16(out, a);
-            push_u16(out, b);
+            put_u8(out, cmp_code(op));
+            put_u16(out, dst);
+            put_u16(out, a);
+            put_u16(out, b);
         }
         IrInstr::And { dst, a, b } => {
             out.push(4);
-            push_u16(out, dst);
-            push_u16(out, a);
-            push_u16(out, b);
+            put_u16(out, dst);
+            put_u16(out, a);
+            put_u16(out, b);
         }
         IrInstr::Or { dst, a, b } => {
             out.push(5);
-            push_u16(out, dst);
-            push_u16(out, a);
-            push_u16(out, b);
+            put_u16(out, dst);
+            put_u16(out, a);
+            put_u16(out, b);
         }
         IrInstr::Not { dst, a } => {
             out.push(6);
-            push_u16(out, dst);
-            push_u16(out, a);
+            put_u16(out, dst);
+            put_u16(out, a);
         }
         IrInstr::Arith { op, dst, a, b } => {
             out.push(7);
-            out.push(arith_code(op));
-            push_u16(out, dst);
-            push_u16(out, a);
-            push_u16(out, b);
+            put_u8(out, arith_code(op));
+            put_u16(out, dst);
+            put_u16(out, a);
+            put_u16(out, b);
         }
         IrInstr::Neg { dst, a } => {
             out.push(8);
-            push_u16(out, dst);
-            push_u16(out, a);
+            put_u16(out, dst);
+            put_u16(out, a);
         }
         IrInstr::IsNull { dst, a, negated } => {
             out.push(9);
-            out.push(negated as u8);
-            push_u16(out, dst);
-            push_u16(out, a);
+            put_flag(out, negated);
+            put_u16(out, dst);
+            put_u16(out, a);
         }
         IrInstr::Like {
             dst,
@@ -462,10 +374,10 @@ fn encode_instr(ins: &IrInstr, out: &mut Vec<u8>) {
             negated,
         } => {
             out.push(10);
-            out.push(negated as u8);
-            push_u16(out, dst);
-            push_u16(out, a);
-            push_u16(out, pattern);
+            put_flag(out, negated);
+            put_u16(out, dst);
+            put_u16(out, a);
+            put_u16(out, pattern);
         }
         IrInstr::InList {
             dst,
@@ -475,139 +387,127 @@ fn encode_instr(ins: &IrInstr, out: &mut Vec<u8>) {
             negated,
         } => {
             out.push(11);
-            out.push(negated as u8);
-            push_u16(out, dst);
-            push_u16(out, a);
-            push_u16(out, first);
-            push_u16(out, count);
+            put_flag(out, negated);
+            put_u16(out, dst);
+            put_u16(out, a);
+            put_u16(out, first);
+            put_u16(out, count);
         }
         IrInstr::ExtractYear { dst, a } => {
             out.push(12);
-            push_u16(out, dst);
-            push_u16(out, a);
+            put_u16(out, dst);
+            put_u16(out, a);
         }
         IrInstr::Substr { dst, a, from, len } => {
             out.push(13);
-            push_u16(out, dst);
-            push_u16(out, a);
-            push_u16(out, from);
-            push_u16(out, len);
+            put_u16(out, dst);
+            put_u16(out, a);
+            put_u16(out, from);
+            put_u16(out, len);
         }
         IrInstr::BrFalse { cond, target } => {
             out.push(14);
-            push_u16(out, cond);
-            push_u16(out, target);
+            put_u16(out, cond);
+            put_u16(out, target);
         }
         IrInstr::BrTrue { cond, target } => {
             out.push(15);
-            push_u16(out, cond);
-            push_u16(out, target);
+            put_u16(out, cond);
+            put_u16(out, target);
         }
         IrInstr::Jmp { target } => {
             out.push(16);
-            push_u16(out, target);
+            put_u16(out, target);
         }
         IrInstr::Ret { src } => {
             out.push(17);
-            push_u16(out, src);
+            put_u16(out, src);
         }
     }
 }
 
-fn decode_instr(buf: &[u8], at: &mut usize) -> Result<IrInstr> {
-    let err = || Error::Corruption("truncated bitcode instr".into());
-    let op = *buf.get(*at).ok_or_else(err)?;
-    *at += 1;
-    let mut flag = 0u8;
-    if matches!(op, 3 | 7 | 9 | 10 | 11) {
-        flag = *buf.get(*at).ok_or_else(err)?;
-        *at += 1;
-    }
-    Ok(match op {
+fn decode_instr(cur: &mut Cursor<'_>) -> Result<IrInstr> {
+    Ok(match cur.u8()? {
         0 => IrInstr::LoadCol {
-            dst: read_u16(buf, at)?,
-            col: read_u16(buf, at)?,
+            dst: cur.u16()?,
+            col: cur.u16()?,
         },
         1 => IrInstr::LoadConst {
-            dst: read_u16(buf, at)?,
-            idx: read_u16(buf, at)?,
+            dst: cur.u16()?,
+            idx: cur.u16()?,
         },
         2 => IrInstr::Mov {
-            dst: read_u16(buf, at)?,
-            src: read_u16(buf, at)?,
+            dst: cur.u16()?,
+            src: cur.u16()?,
         },
         3 => IrInstr::Cmp {
-            op: cmp_from(flag)?,
-            dst: read_u16(buf, at)?,
-            a: read_u16(buf, at)?,
-            b: read_u16(buf, at)?,
+            op: cmp_from(cur.u8()?)?,
+            dst: cur.u16()?,
+            a: cur.u16()?,
+            b: cur.u16()?,
         },
         4 => IrInstr::And {
-            dst: read_u16(buf, at)?,
-            a: read_u16(buf, at)?,
-            b: read_u16(buf, at)?,
+            dst: cur.u16()?,
+            a: cur.u16()?,
+            b: cur.u16()?,
         },
         5 => IrInstr::Or {
-            dst: read_u16(buf, at)?,
-            a: read_u16(buf, at)?,
-            b: read_u16(buf, at)?,
+            dst: cur.u16()?,
+            a: cur.u16()?,
+            b: cur.u16()?,
         },
         6 => IrInstr::Not {
-            dst: read_u16(buf, at)?,
-            a: read_u16(buf, at)?,
+            dst: cur.u16()?,
+            a: cur.u16()?,
         },
         7 => IrInstr::Arith {
-            op: arith_from(flag)?,
-            dst: read_u16(buf, at)?,
-            a: read_u16(buf, at)?,
-            b: read_u16(buf, at)?,
+            op: arith_from(cur.u8()?)?,
+            dst: cur.u16()?,
+            a: cur.u16()?,
+            b: cur.u16()?,
         },
         8 => IrInstr::Neg {
-            dst: read_u16(buf, at)?,
-            a: read_u16(buf, at)?,
+            dst: cur.u16()?,
+            a: cur.u16()?,
         },
         9 => IrInstr::IsNull {
-            negated: flag != 0,
-            dst: read_u16(buf, at)?,
-            a: read_u16(buf, at)?,
+            negated: cur.flag()?,
+            dst: cur.u16()?,
+            a: cur.u16()?,
         },
         10 => IrInstr::Like {
-            negated: flag != 0,
-            dst: read_u16(buf, at)?,
-            a: read_u16(buf, at)?,
-            pattern: read_u16(buf, at)?,
+            negated: cur.flag()?,
+            dst: cur.u16()?,
+            a: cur.u16()?,
+            pattern: cur.u16()?,
         },
         11 => IrInstr::InList {
-            negated: flag != 0,
-            dst: read_u16(buf, at)?,
-            a: read_u16(buf, at)?,
-            first: read_u16(buf, at)?,
-            count: read_u16(buf, at)?,
+            negated: cur.flag()?,
+            dst: cur.u16()?,
+            a: cur.u16()?,
+            first: cur.u16()?,
+            count: cur.u16()?,
         },
         12 => IrInstr::ExtractYear {
-            dst: read_u16(buf, at)?,
-            a: read_u16(buf, at)?,
+            dst: cur.u16()?,
+            a: cur.u16()?,
         },
         13 => IrInstr::Substr {
-            dst: read_u16(buf, at)?,
-            a: read_u16(buf, at)?,
-            from: read_u16(buf, at)?,
-            len: read_u16(buf, at)?,
+            dst: cur.u16()?,
+            a: cur.u16()?,
+            from: cur.u16()?,
+            len: cur.u16()?,
         },
         14 => IrInstr::BrFalse {
-            cond: read_u16(buf, at)?,
-            target: read_u16(buf, at)?,
+            cond: cur.u16()?,
+            target: cur.u16()?,
         },
         15 => IrInstr::BrTrue {
-            cond: read_u16(buf, at)?,
-            target: read_u16(buf, at)?,
+            cond: cur.u16()?,
+            target: cur.u16()?,
         },
-        16 => IrInstr::Jmp {
-            target: read_u16(buf, at)?,
-        },
-        17 => IrInstr::Ret {
-            src: read_u16(buf, at)?,
-        },
+        16 => IrInstr::Jmp { target: cur.u16()? },
+        17 => IrInstr::Ret { src: cur.u16()? },
         other => return Err(Error::Corruption(format!("bad opcode {other}"))),
     })
 }
@@ -615,6 +515,7 @@ fn decode_instr(buf: &[u8], at: &mut usize) -> Result<IrInstr> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use taurus_common::{Date32, Dec};
 
     fn sample_program() -> IrProgram {
         // col0 > 1 ? (short-circuit) col1 >= 2 : ret false  — Listing 4 shape.
@@ -664,13 +565,13 @@ mod tests {
         ];
         let mut buf = Vec::new();
         for v in &vals {
-            encode_value(v, &mut buf);
+            put_value16(&mut buf, v).unwrap();
         }
-        let mut at = 0;
+        let mut cur = Cursor::new(&buf);
         for v in &vals {
-            assert_eq!(&decode_value(&buf, &mut at).unwrap(), v);
+            assert_eq!(&cur.value16().unwrap(), v);
         }
-        assert_eq!(at, buf.len());
+        cur.done().unwrap();
     }
 
     #[test]
@@ -724,6 +625,51 @@ mod tests {
         .unwrap();
         let back = IrProgram::decode_bitcode(&p.encode_bitcode().unwrap()).unwrap();
         assert_eq!(back, p);
+    }
+
+    /// `negated` is a flag byte (0 or 1), and bitcode is all of its bytes.
+    #[test]
+    fn negated_flags_are_strict_and_trailing_bytes_refused() {
+        let negating = [
+            IrInstr::IsNull {
+                dst: 0,
+                a: 0,
+                negated: true,
+            },
+            IrInstr::Like {
+                dst: 0,
+                a: 0,
+                pattern: 0,
+                negated: false,
+            },
+            IrInstr::InList {
+                dst: 0,
+                a: 0,
+                first: 0,
+                count: 1,
+                negated: true,
+            },
+        ];
+        for ins in negating {
+            let p = IrProgram {
+                instrs: vec![ins, IrInstr::Ret { src: 0 }],
+                consts: vec![Value::str("a%")],
+                n_regs: 1,
+            };
+            let bytes = p.encode_bitcode().unwrap();
+            assert_eq!(IrProgram::decode_bitcode(&bytes).unwrap(), p);
+            // Magic, registers, one constant (tag, u16 length, 2 bytes),
+            // instruction count, then the opcode: the flag follows.
+            let flag = 4 + 2 + 2 + 5 + 2 + 1;
+            let mut bad = bytes.clone();
+            bad[flag] = 2;
+            assert!(
+                matches!(IrProgram::decode_bitcode(&bad), Err(Error::Corruption(_))),
+                "{ins:?}"
+            );
+            let longer = [&bytes[..], &[0]].concat();
+            assert!(IrProgram::decode_bitcode(&longer).is_err(), "{ins:?}");
+        }
     }
 
     #[test]

@@ -286,7 +286,7 @@ impl GroupTable {
     ) -> Result<()> {
         let g = &self.groups[slot];
         self.payload.clear();
-        encode_states(&g.states, &mut self.payload);
+        encode_states(&g.states, &mut self.payload)?;
         let at = self.bytes.len();
         let carrier = RecordView::parse(&g.carrier, &cd.layout)?;
         cd.survivor
@@ -407,7 +407,7 @@ impl GroupTable {
                 Out::Carrier(slot) => {
                     let g = &self.groups[slot];
                     self.payload.clear();
-                    encode_states(&g.states, &mut self.payload);
+                    encode_states(&g.states, &mut self.payload)?;
                     let carrier = RecordView::parse(&g.carrier, &cd.layout)?;
                     b.push_projected(&cd.survivor, carrier, Some(&self.payload))?;
                     stats.records_aggregated += 1;

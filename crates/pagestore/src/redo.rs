@@ -6,6 +6,7 @@
 //! NDP batch reads request "page versions matching the LSN value"
 //! (§IV-C4) while the B+ tree keeps changing.
 
+use taurus_common::codec::{put_bytes, put_flag, put_u16, put_u32, put_u64, put_u8, Cursor};
 use taurus_common::{Error, Lsn, PageNo, Result, SliceId, SpaceId, TrxId};
 use taurus_page::Page;
 
@@ -193,64 +194,56 @@ impl RedoRecord {
 
     // --- wire encoding (for Log Stores and network byte accounting) -------
 
+    /// Header (LSN, space, page), a body tag, then the body; byte payloads
+    /// carry `u32` lengths (a page image at most).
     pub fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.lsn.to_le_bytes());
-        out.extend_from_slice(&self.space.0.to_le_bytes());
-        out.extend_from_slice(&self.page_no.to_le_bytes());
+        put_u64(out, self.lsn);
+        put_u32(out, self.space.0);
+        put_u32(out, self.page_no);
         match &self.body {
             RedoBody::NewPage(img) => {
-                out.push(0);
-                out.extend_from_slice(&(img.len() as u32).to_le_bytes());
-                out.extend_from_slice(img);
+                put_u8(out, 0);
+                put_bytes(out, img);
             }
             RedoBody::InsertRecord { slot_idx, rec } => {
-                out.push(1);
-                out.extend_from_slice(&slot_idx.to_le_bytes());
-                out.extend_from_slice(&(rec.len() as u32).to_le_bytes());
-                out.extend_from_slice(rec);
+                put_u8(out, 1);
+                put_u16(out, *slot_idx);
+                put_bytes(out, rec);
             }
             RedoBody::SetDeleteMark { rec_at, mark } => {
-                out.push(2);
-                out.extend_from_slice(&rec_at.to_le_bytes());
-                out.push(*mark as u8);
+                put_u8(out, 2);
+                put_u16(out, *rec_at);
+                put_flag(out, *mark);
             }
             RedoBody::WriteBytes { at, bytes } => {
-                out.push(3);
-                out.extend_from_slice(&at.to_le_bytes());
-                out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                out.extend_from_slice(bytes);
+                put_u8(out, 3);
+                put_u16(out, *at);
+                put_bytes(out, bytes);
             }
             RedoBody::SetNext(n) => {
-                out.push(4);
-                out.extend_from_slice(&n.to_le_bytes());
+                put_u8(out, 4);
+                put_u32(out, *n);
             }
             RedoBody::SetPrev(n) => {
-                out.push(5);
-                out.extend_from_slice(&n.to_le_bytes());
+                put_u8(out, 5);
+                put_u32(out, *n);
             }
-            RedoBody::FreePage => out.push(6),
+            RedoBody::FreePage => put_u8(out, 6),
             RedoBody::SysCatalog(p) => {
-                out.push(7);
-                out.extend_from_slice(&(p.len() as u32).to_le_bytes());
-                out.extend_from_slice(p);
+                put_u8(out, 7);
+                put_bytes(out, p);
             }
             RedoBody::SysLoaded(p) => {
-                out.push(8);
-                out.extend_from_slice(&(p.len() as u32).to_le_bytes());
-                out.extend_from_slice(p);
+                put_u8(out, 8);
+                put_bytes(out, p);
             }
             RedoBody::SysUndo { key, writer, prev } => {
-                out.push(9);
-                out.extend_from_slice(&writer.to_le_bytes());
-                out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-                out.extend_from_slice(key);
-                match prev {
-                    None => out.push(0),
-                    Some(img) => {
-                        out.push(1);
-                        out.extend_from_slice(&(img.len() as u32).to_le_bytes());
-                        out.extend_from_slice(img);
-                    }
+                put_u8(out, 9);
+                put_u64(out, *writer);
+                put_bytes(out, key);
+                put_flag(out, prev.is_some());
+                if let Some(img) = prev {
+                    put_bytes(out, img);
                 }
             }
             RedoBody::SysTrxEnd {
@@ -259,126 +252,76 @@ impl RedoRecord {
                 active,
                 low_limit,
             } => {
-                out.push(10);
-                out.extend_from_slice(&trx.to_le_bytes());
-                out.push(*aborted as u8);
-                out.extend_from_slice(&low_limit.to_le_bytes());
-                out.extend_from_slice(&(active.len() as u32).to_le_bytes());
-                for a in active {
-                    out.extend_from_slice(&a.to_le_bytes());
-                }
+                put_u8(out, 10);
+                put_u64(out, *trx);
+                put_flag(out, *aborted);
+                put_u64(out, *low_limit);
+                put_u32(out, active.len() as u32);
+                active.iter().for_each(|a| put_u64(out, *a));
             }
             RedoBody::SysShape {
                 root,
                 height,
                 n_leaves,
             } => {
-                out.push(11);
-                out.extend_from_slice(&root.to_le_bytes());
-                out.extend_from_slice(&height.to_le_bytes());
-                out.extend_from_slice(&n_leaves.to_le_bytes());
+                put_u8(out, 11);
+                put_u32(out, *root);
+                put_u32(out, *height);
+                put_u32(out, *n_leaves);
             }
         }
     }
 
-    pub fn decode(buf: &[u8], at: &mut usize) -> Result<RedoRecord> {
-        let err = || Error::Corruption("truncated redo record".into());
-        let take = |at: &mut usize, n: usize| -> Result<&[u8]> {
-            let s = buf.get(*at..*at + n).ok_or_else(err)?;
-            *at += n;
-            Ok(s)
-        };
-        // Fixed-width readers: `take(n)` sliced exactly n bytes, so the
-        // array conversions below cannot fail.
-        let r_u16 = |at: &mut usize| -> Result<u16> {
-            // lint:allow(panic): take(2) returned exactly 2 bytes
-            Ok(u16::from_le_bytes(take(at, 2)?.try_into().unwrap()))
-        };
-        let r_u32 = |at: &mut usize| -> Result<u32> {
-            // lint:allow(panic): take(4) returned exactly 4 bytes
-            Ok(u32::from_le_bytes(take(at, 4)?.try_into().unwrap()))
-        };
-        let r_u64 = |at: &mut usize| -> Result<u64> {
-            // lint:allow(panic): take(8) returned exactly 8 bytes
-            Ok(u64::from_le_bytes(take(at, 8)?.try_into().unwrap()))
-        };
-        let lsn = r_u64(at)?;
-        let space = SpaceId(r_u32(at)?);
-        let page_no = r_u32(at)?;
-        let tag = take(at, 1)?[0];
-        let body = match tag {
-            0 => {
-                let n = r_u32(at)? as usize;
-                RedoBody::NewPage(take(at, n)?.to_vec())
-            }
-            1 => {
-                let slot_idx = r_u16(at)?;
-                let n = r_u32(at)? as usize;
-                RedoBody::InsertRecord {
-                    slot_idx,
-                    rec: take(at, n)?.to_vec(),
-                }
-            }
-            2 => {
-                let rec_at = r_u16(at)?;
-                let mark = take(at, 1)?[0] != 0;
-                RedoBody::SetDeleteMark { rec_at, mark }
-            }
-            3 => {
-                let a = r_u16(at)?;
-                let n = r_u32(at)? as usize;
-                RedoBody::WriteBytes {
-                    at: a,
-                    bytes: take(at, n)?.to_vec(),
-                }
-            }
-            4 => RedoBody::SetNext(r_u32(at)?),
-            5 => RedoBody::SetPrev(r_u32(at)?),
+    /// Decode one record written by [`RedoRecord::encode`].
+    pub fn decode(cur: &mut Cursor<'_>) -> Result<RedoRecord> {
+        let lsn = cur.u64()?;
+        let space = SpaceId(cur.u32()?);
+        let page_no = cur.u32()?;
+        let bytes = |cur: &mut Cursor<'_>| cur.bytes().map(<[u8]>::to_vec);
+        let body = match cur.u8()? {
+            0 => RedoBody::NewPage(bytes(cur)?),
+            1 => RedoBody::InsertRecord {
+                slot_idx: cur.u16()?,
+                rec: bytes(cur)?,
+            },
+            2 => RedoBody::SetDeleteMark {
+                rec_at: cur.u16()?,
+                mark: cur.flag()?,
+            },
+            3 => RedoBody::WriteBytes {
+                at: cur.u16()?,
+                bytes: bytes(cur)?,
+            },
+            4 => RedoBody::SetNext(cur.u32()?),
+            5 => RedoBody::SetPrev(cur.u32()?),
             6 => RedoBody::FreePage,
-            7 => {
-                let n = r_u32(at)? as usize;
-                RedoBody::SysCatalog(take(at, n)?.to_vec())
-            }
-            8 => {
-                let n = r_u32(at)? as usize;
-                RedoBody::SysLoaded(take(at, n)?.to_vec())
-            }
-            9 => {
-                let writer = r_u64(at)?;
-                let kn = r_u32(at)? as usize;
-                let key = take(at, kn)?.to_vec();
-                let prev = match take(at, 1)?[0] {
-                    0 => None,
-                    _ => {
-                        let pn = r_u32(at)? as usize;
-                        Some(take(at, pn)?.to_vec())
-                    }
-                };
-                RedoBody::SysUndo { key, writer, prev }
-            }
+            7 => RedoBody::SysCatalog(bytes(cur)?),
+            8 => RedoBody::SysLoaded(bytes(cur)?),
+            9 => RedoBody::SysUndo {
+                writer: cur.u64()?,
+                key: bytes(cur)?,
+                prev: match cur.flag()? {
+                    false => None,
+                    true => Some(bytes(cur)?),
+                },
+            },
             10 => {
-                let trx = r_u64(at)?;
-                let aborted = take(at, 1)?[0] != 0;
-                let low_limit = r_u64(at)?;
-                let n = r_u32(at)? as usize;
-                let active = (0..n).map(|_| r_u64(at)).collect::<Result<_>>()?;
+                let trx = cur.u64()?;
+                let aborted = cur.flag()?;
+                let low_limit = cur.u64()?;
+                let n = cur.count(8)?;
                 RedoBody::SysTrxEnd {
                     trx,
                     aborted,
-                    active,
+                    active: cur.list(n, Cursor::u64)?,
                     low_limit,
                 }
             }
-            11 => {
-                let root = r_u32(at)?;
-                let height = r_u32(at)?;
-                let n_leaves = r_u32(at)?;
-                RedoBody::SysShape {
-                    root,
-                    height,
-                    n_leaves,
-                }
-            }
+            11 => RedoBody::SysShape {
+                root: cur.u32()?,
+                height: cur.u32()?,
+                n_leaves: cur.u32()?,
+            },
             other => return Err(Error::Corruption(format!("bad redo tag {other}"))),
         };
         Ok(RedoRecord {
@@ -392,27 +335,27 @@ impl RedoRecord {
     /// Serialize a batch (one Log Store append / one SAL distribution).
     pub fn encode_batch(records: &[RedoRecord]) -> Vec<u8> {
         let mut out = Vec::with_capacity(records.len() * 32);
-        out.extend_from_slice(&(records.len() as u32).to_le_bytes());
+        put_u32(&mut out, records.len() as u32);
         for r in records {
             r.encode(&mut out);
         }
         out
     }
 
+    /// Decode a whole batch written by [`RedoRecord::encode_batch`]. A
+    /// record takes its 17-byte header at the least, so a count the bytes
+    /// cannot hold is refused before anything is sized by it.
     pub fn decode_batch(buf: &[u8]) -> Result<Vec<RedoRecord>> {
-        if buf.len() < 4 {
-            return Err(Error::Corruption("truncated redo batch".into()));
-        }
-        // lint:allow(panic): length >= 4 checked above
-        let n = u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize;
-        let mut at = 4usize;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(RedoRecord::decode(buf, &mut at)?);
-        }
+        let mut cur = Cursor::new(buf);
+        let n = cur.count(REDO_HEADER_BYTES)?;
+        let out = cur.list(n, RedoRecord::decode)?;
+        cur.done()?;
         Ok(out)
     }
 }
+
+/// LSN, space, page number and body tag: the least a record takes.
+const REDO_HEADER_BYTES: usize = 8 + 4 + 4 + 1;
 
 #[cfg(test)]
 mod tests {
@@ -529,6 +472,67 @@ mod tests {
                 let mut page = None;
                 assert!(r.apply(&mut page).is_err());
             }
+        }
+    }
+
+    fn one(body: RedoBody) -> Vec<u8> {
+        RedoRecord::encode_batch(&[RedoRecord {
+            lsn: 1,
+            space: SpaceId(1),
+            page_no: 2,
+            body,
+        }])
+    }
+
+    fn corrupt(bytes: &[u8]) -> bool {
+        matches!(RedoRecord::decode_batch(bytes), Err(Error::Corruption(_)))
+    }
+
+    /// A count the bytes cannot hold is refused before anything is sized
+    /// by it (four bytes used to ask for a 309 GB allocation).
+    #[test]
+    fn hostile_counts_are_corruption_not_an_abort() {
+        assert!(corrupt(&[0xff; 4]));
+        assert!(corrupt(&[2, 0, 0, 0]));
+        let mut end = one(RedoBody::SysTrxEnd {
+            trx: 1,
+            aborted: false,
+            active: vec![],
+            low_limit: 2,
+        });
+        let n = end.len();
+        end[n - 4..].copy_from_slice(&[0xff; 4]);
+        assert!(corrupt(&end));
+    }
+
+    /// Flag bytes are 0 or 1, and a batch is all of its bytes.
+    #[test]
+    fn flags_are_strict_and_trailing_bytes_refused() {
+        // Batch count (4) + LSN, space, page (16) + tag (1) go first.
+        let mark = one(RedoBody::SetDeleteMark {
+            rec_at: 9,
+            mark: true,
+        });
+        let undo = one(RedoBody::SysUndo {
+            key: vec![1],
+            writer: 3,
+            prev: None,
+        });
+        let end = one(RedoBody::SysTrxEnd {
+            trx: 1,
+            aborted: true,
+            active: vec![],
+            low_limit: 2,
+        });
+        for (mut bytes, flag_at) in [(mark.clone(), 23), (undo.clone(), 34), (end, 29)] {
+            assert!(RedoRecord::decode_batch(&bytes).is_ok());
+            assert!(bytes[flag_at] <= 1);
+            bytes[flag_at] = 2;
+            assert!(corrupt(&bytes), "flag at {flag_at}");
+        }
+        for mut bytes in [mark, undo] {
+            bytes.push(0);
+            assert!(corrupt(&bytes));
         }
     }
 

@@ -1093,7 +1093,7 @@ mod tests {
         // One pool job per page, then one job for the whole batch, then a
         // job per page again for a request whose only work is its key set.
         let mut keyed = no_work_descriptor().to_vec();
-        taurus_expr::descriptor::encode_key_set([&b"\x01k"[..]].into_iter(), &mut keyed);
+        taurus_expr::descriptor::encode_key_set([&b"\x01k"[..]].into_iter(), &mut keyed).unwrap();
         let scalar_agg = Arc::new(
             taurus_expr::descriptor::NdpDescriptor {
                 index_id: 7,

@@ -10,7 +10,10 @@
 //! descriptor that stands: `NdpDescriptor::section_len` finds the end of
 //! exactly what `decode` reads, every descriptor `decode` accepts encodes
 //! back to the same bytes, and `CachedDescriptor::prepare` compiles it or
-//! refuses it with `Corruption` / `InvalidState`. Never a panic.
+//! refuses it with `Corruption` / `InvalidState`. Never a panic. IR
+//! bitcode alone holds to the same: arbitrary or damaged bitcode is
+//! refused with `Corruption`, and a program that decodes encodes back to
+//! its bytes.
 
 use proptest::prelude::*;
 use taurus_common::{DataType, Error, Value};
@@ -232,8 +235,43 @@ fn check(buf: &[u8]) {
     }
 }
 
+/// The bitcode the seeds carry (predicates and aggregate inputs), and
+/// predicates with strings, LIKE, IN lists and negations.
+fn bitcode_seeds() -> Vec<Vec<u8>> {
+    let mut out: Vec<Vec<u8>> = Vec::new();
+    for d in tpch() {
+        out.extend(d.predicate_bitcode.clone());
+        for s in d.aggregation.unwrap().specs {
+            if let AggInput::Program(bc) = s.input {
+                out.push(bc);
+            }
+        }
+    }
+    let strings = Expr::or(vec![
+        Expr::like(Expr::col(13), "%AIR_"),
+        Expr::not_like(Expr::col(14), "DELIVER%"),
+        Expr::in_list(Expr::col(8), vec![Value::str("R"), Value::str("A")]),
+        Expr::not(Expr::eq(Expr::col(9), Expr::str("F"))),
+    ]);
+    out.push(lower(&strings).unwrap().encode_bitcode().unwrap());
+    out
+}
+
+/// Bitcode on its own: a refusal is `Corruption`, and an accepted
+/// program is exactly its bytes.
+fn check_bitcode(buf: &[u8]) {
+    match IrProgram::decode_bitcode(buf) {
+        Err(e) => prop_assert!(matches!(e, Error::Corruption(_)), "bitcode: {e:?}"),
+        Ok(p) => prop_assert_eq!(&p.encode_bitcode().unwrap()[..], buf),
+    }
+}
+
 #[test]
 fn every_seed_stands_or_is_refused_as_it_should_be() {
+    for bc in bitcode_seeds() {
+        IrProgram::decode_bitcode(&bc).unwrap();
+        check_bitcode(&bc);
+    }
     for d in tpch() {
         let bytes = d.encode();
         assert_eq!(NdpDescriptor::section_len(&bytes).unwrap(), bytes.len());
@@ -302,5 +340,37 @@ proptest! {
             }
         }
         check(&buf);
+    }
+
+    #[test]
+    fn arbitrary_bitcode_never_panics(
+        body in proptest::collection::vec(any::<u8>(), 0..96),
+        magic in any::<bool>(),
+    ) {
+        let mut buf = Vec::new();
+        if magic {
+            buf.extend_from_slice(b"NDP1");
+        }
+        buf.extend(body);
+        check_bitcode(&buf);
+    }
+
+    #[test]
+    fn damaged_bitcode_is_refused_or_stands(
+        seed in 0usize..64,
+        damage in 0usize..4,
+        at in any::<u32>(),
+        byte in any::<u8>(),
+    ) {
+        let seeds = bitcode_seeds();
+        let mut buf = seeds[seed % seeds.len()].clone();
+        let at = at as usize % buf.len();
+        match damage {
+            0 => buf[at] = byte,
+            1 => buf[at] ^= 1 << (byte % 8),
+            2 => buf.truncate(at),
+            _ => buf.insert(at, byte),
+        }
+        check_bitcode(&buf);
     }
 }

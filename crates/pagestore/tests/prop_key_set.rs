@@ -178,7 +178,7 @@ fn well_formed(mut keys: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
 
 fn section(keys: &[Vec<u8>]) -> Vec<u8> {
     let mut out = Vec::new();
-    encode_key_set(keys.iter().map(Vec::as_slice), &mut out);
+    encode_key_set(keys.iter().map(Vec::as_slice), &mut out).unwrap();
     out
 }
 

@@ -4,8 +4,8 @@
 //! The paper's architecture exists to serve many concurrent clients
 //! from shared storage; this crate is the client-facing half of that
 //! contract, deliberately engine-free: it depends only on
-//! `taurus-common` (values, batches, errors) so thin clients never link
-//! the storage engine.
+//! `taurus-common` (values, batches, errors, the byte codec) so thin
+//! clients never link the storage engine.
 //!
 //! ## Frame layout
 //!
@@ -35,7 +35,6 @@
 
 pub mod errcode;
 pub mod message;
-pub mod wire;
 
 pub use errcode::{decode_error, encode_error, error_code, is_retryable};
 pub use message::{

@@ -11,10 +11,11 @@
 use std::io::{self, Read, Write};
 
 use taurus_common::batch::BATCH_MAX_VALUES;
+use taurus_common::codec::{
+    put_flag, put_str, put_u16, put_u32, put_u64, put_u8, put_value, Cursor,
+};
 use taurus_common::schema::Row;
 use taurus_common::{Error, Result, RowBatch, Value};
-
-use crate::wire::{put_str, put_u16, put_u32, put_u64, put_u8, put_value, Cursor};
 
 /// Bumped only on incompatible layout changes; a mismatch is refused at
 /// frame level, before any payload is interpreted.
@@ -77,12 +78,21 @@ impl Opcode {
     }
 }
 
-/// Write one frame: length prefix, version, opcode, payload.
+/// Write one frame: length prefix, version, opcode, payload. A payload
+/// past [`MAX_FRAME`] is refused before a byte is written, so no length
+/// prefix inside it or in front of it can wrap.
 pub fn write_frame(w: &mut impl Write, op: Opcode, payload: &[u8]) -> io::Result<()> {
-    debug_assert!(payload.len() <= MAX_FRAME);
-    let len = (payload.len() + 2) as u32;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(&[PROTOCOL_VERSION, op as u8])?;
+    if payload.len() > MAX_FRAME {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("wire: {} byte payload exceeds the frame cap", payload.len()),
+        ));
+    }
+    let mut hdr = Vec::with_capacity(6);
+    put_u32(&mut hdr, payload.len() as u32 + 2);
+    put_u8(&mut hdr, PROTOCOL_VERSION);
+    put_u8(&mut hdr, op as u8);
+    w.write_all(&hdr)?;
     w.write_all(payload)
 }
 
@@ -93,7 +103,10 @@ pub fn write_frame(w: &mut impl Write, op: Opcode, payload: &[u8]) -> io::Result
 pub fn read_frame(r: &mut impl Read) -> io::Result<(u8, Vec<u8>)> {
     let mut hdr = [0u8; 4];
     r.read_exact(&mut hdr)?;
-    let len = u32::from_le_bytes(hdr) as usize;
+    let len = Cursor::new(&hdr)
+        .u32()
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
+        as usize;
     if !(2..=MAX_FRAME + 2).contains(&len) {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -268,12 +281,9 @@ fn put_query(buf: &mut Vec<u8>, q: &QueryRequest) {
         QueryRequest::Named { name, pq } => {
             put_u8(buf, 1);
             put_str(buf, name);
-            match pq {
-                None => put_u8(buf, 0),
-                Some(d) => {
-                    put_u8(buf, 1);
-                    put_u32(buf, *d);
-                }
+            put_flag(buf, pq.is_some());
+            if let Some(d) = pq {
+                put_u32(buf, *d);
             }
         }
         QueryRequest::Lookup { table, pk } => {
@@ -285,18 +295,15 @@ fn put_query(buf: &mut Vec<u8>, q: &QueryRequest) {
         QueryRequest::Sql { text, ndp } => {
             put_u8(buf, 4);
             put_str(buf, text);
-            put_u8(buf, *ndp as u8);
+            put_flag(buf, *ndp);
         }
     }
 }
 
+/// A counted list of values; each takes its tag byte at the least.
 fn get_values(cur: &mut Cursor<'_>) -> Result<Vec<Value>> {
-    let n = cur.u32()?;
-    let mut vs = Vec::new();
-    for _ in 0..n {
-        vs.push(cur.value()?);
-    }
-    Ok(vs)
+    let n = cur.count(1)?;
+    cur.list(n, Cursor::value)
 }
 
 /// Decode a [`QueryRequest`] payload. The leading tag byte is an

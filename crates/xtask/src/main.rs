@@ -1,6 +1,6 @@
 //! `taurus-xtask` — offline, dependency-free workspace lints.
 //!
-//! `cargo run -p taurus-xtask -- lint` runs six source-level rules the
+//! `cargo run -p taurus-xtask -- lint` runs seven source-level rules the
 //! compiler cannot express, against the workspace this binary lives in:
 //!
 //! 1. **Panic discipline** — no `unwrap()` / `expect()` / `panic!` /
@@ -36,9 +36,14 @@
 //!    no non-test workspace source (`crates/*/src`, `src/`, `examples/`)
 //!    names `eval_pred` or `eval::eval` (nor imports from `eval::{..}`).
 //!    `#[cfg(test)]` items and test targets are exempt.
+//! 7. **One byte codec** — the six formats that cross a tier (wire
+//!    frames, redo records, replication payloads, the NDP descriptor's
+//!    sections, IR bitcode, aggregate partials) are written and read
+//!    through `taurus_common::codec`. The non-test code of their files
+//!    names no `from_le_bytes`, `to_le_bytes` or `try_into().unwrap()`.
 //!
 //! `cargo run -p taurus-xtask -- loc` prints the non-test Rust lines
-//! (lines outside `#[cfg(test)]` items, as rules 1, 5 and 6 read them) of
+//! (lines outside `#[cfg(test)]` items, as rules 1, 5, 6 and 7 read them) of
 //! each crate's `crates/<name>/src` and of `src/`, and their total.
 //! `tests/`, `examples/` and `benchmark/` are not counted.
 
@@ -79,6 +84,7 @@ fn lint() -> ExitCode {
     knob_docs(&root, &mut violations);
     panic_downcasts(&root, &mut violations);
     one_expression_engine(&root, &mut violations);
+    one_byte_codec(&root, &mut violations);
 
     if violations.is_empty() {
         println!("taurus-xtask lint: clean");
@@ -750,6 +756,50 @@ fn tree_walker_calls(sources: &[(String, String)]) -> Vec<String> {
     out
 }
 
+// --- rule 7: one byte codec ---------------------------------------------------
+
+/// The files of the formats that cross a tier.
+const CODEC_FORMAT_FILES: &[&str] = &[
+    "crates/protocol/src/message.rs",
+    "crates/pagestore/src/redo.rs",
+    "crates/core/src/replication.rs",
+    "crates/expr/src/descriptor.rs",
+    "crates/expr/src/ir.rs",
+    "crates/expr/src/agg.rs",
+];
+
+/// What a hand-rolled codec reads or writes bytes with.
+const HAND_ROLLED_CODEC: &[&str] = &["from_le_bytes", "to_le_bytes", "try_into().unwrap()"];
+
+fn one_byte_codec(root: &Path, violations: &mut Vec<String>) {
+    let mut sources = Vec::new();
+    for file in CODEC_FORMAT_FILES {
+        match fs::read_to_string(root.join(file)) {
+            Ok(text) => sources.push((file.to_string(), text)),
+            Err(_) => violations.push(format!("{file}: unreadable")),
+        }
+    }
+    violations.extend(hand_rolled_codecs(&sources));
+}
+
+/// Every `(file, text)` non-test code line that converts bytes by hand.
+fn hand_rolled_codecs(sources: &[(String, String)]) -> Vec<String> {
+    let mut out = Vec::new();
+    for (file, text) in sources {
+        for (idx, raw) in non_test_lines(text) {
+            let stripped = strip_strings(raw);
+            let code = stripped.split("//").next().unwrap_or("");
+            if let Some(pat) = HAND_ROLLED_CODEC.iter().find(|p| code.contains(*p)) {
+                out.push(format!(
+                    "{file}:{}: `{pat}` in a format's codec: write and read through `taurus_common::codec`",
+                    idx + 1
+                ));
+            }
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -898,6 +948,30 @@ mod tests {
     }
 
     #[test]
+    fn formats_read_and_write_through_the_codec() {
+        let redo = "fn encode(out: &mut Vec<u8>) {\n\
+                    \x20   out.extend_from_slice(&lsn.to_le_bytes());\n\
+                    \x20   // from_le_bytes in a comment is fine\n\
+                    \x20   let n = u32::from_le_bytes(b[..4].try_into().unwrap());\n\
+                    }\n\
+                    #[cfg(test)]\n\
+                    mod tests {\n\
+                    \x20   fn t() { let b = 7u32.to_le_bytes(); }\n\
+                    }\n";
+        let sources = vec![
+            ("crates/pagestore/src/redo.rs".to_string(), redo.to_string()),
+            (
+                "crates/expr/src/ir.rs".to_string(),
+                "let v = cur.u32()?; // not u32::from_le_bytes\n".to_string(),
+            ),
+        ];
+        let v = hand_rolled_codecs(&sources);
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(v[0].starts_with("crates/pagestore/src/redo.rs:2:"), "{v:?}");
+        assert!(v[1].starts_with("crates/pagestore/src/redo.rs:4:"), "{v:?}");
+    }
+
+    #[test]
     fn the_workspace_is_lint_clean() {
         let root = workspace_root();
         let mut v = Vec::new();
@@ -907,6 +981,7 @@ mod tests {
         knob_docs(&root, &mut v);
         panic_downcasts(&root, &mut v);
         one_expression_engine(&root, &mut v);
+        one_byte_codec(&root, &mut v);
         assert!(v.is_empty(), "workspace lint violations:\n{}", v.join("\n"));
     }
 }

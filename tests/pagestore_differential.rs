@@ -124,7 +124,7 @@ fn oracle(
     let emit = |g: Group<'_>, emitted: &mut Vec<Vec<(usize, Vec<u8>)>>, stats: &mut PluginStats| {
         if let Some((pi, seq, values, rec)) = g.carrier {
             let mut payload = Vec::new();
-            encode_states(&g.states, &mut payload);
+            encode_states(&g.states, &mut payload).unwrap();
             emitted[pi].push((seq, encode(&values, &rec, Some(&payload))));
             stats.records_aggregated += 1;
         }
@@ -247,7 +247,7 @@ fn key_set(mut keys: Vec<Vec<u8>>) -> (Vec<Vec<u8>>, KeySet) {
     keys.sort();
     keys.dedup();
     let mut stream = Vec::new();
-    encode_key_set(keys.iter().map(Vec::as_slice), &mut stream);
+    encode_key_set(keys.iter().map(Vec::as_slice), &mut stream).unwrap();
     let (set, _) = KeySet::parse(&Arc::new(stream), 0).unwrap();
     (keys, set)
 }

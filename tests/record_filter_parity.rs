@@ -18,12 +18,12 @@
 use std::sync::Arc;
 
 use taurus::btree::{ScanRange, TreeStore};
+use taurus::common::codec::put_value;
 use taurus::common::schema::{Column, TableSchema};
 use taurus::common::{ClusterConfig, DataType, Dec, Error, Result, Value};
 use taurus::expr::ast::Expr;
 use taurus::expr::compile::lower;
 use taurus::expr::eval::{eval, eval_pred};
-use taurus::expr::ir::encode_value;
 use taurus::expr::vm::{CompiledPredicate, RecordFilter};
 use taurus::ndp::{Table, TaurusDb};
 use taurus::optimizer::plan::Plan;
@@ -251,8 +251,8 @@ fn compare_values(table: &Table, e: &Expr, what: &str) -> (usize, usize, usize) 
             match (&vm, &tree) {
                 (Ok(a), Ok(b)) => {
                     let (mut x, mut y) = (Vec::new(), Vec::new());
-                    encode_value(a, &mut x);
-                    encode_value(b, &mut y);
+                    put_value(&mut x, a);
+                    put_value(&mut y, b);
                     assert_eq!(x, y, "{what}: record {records}: {a:?} vs {b:?}");
                     nulls += a.is_null() as usize;
                 }
@@ -425,7 +425,7 @@ fn outcome(r: &Result<Value>) -> std::result::Result<Vec<u8>, std::mem::Discrimi
     match r {
         Ok(v) => {
             let mut b = Vec::new();
-            encode_value(v, &mut b);
+            put_value(&mut b, v);
             Ok(b)
         }
         Err(e) => Err(std::mem::discriminant(e)),

@@ -271,6 +271,27 @@ fn detached_replica_refuses_queries() {
     }
 }
 
+/// A damaged log batch (a record count no bytes back) detaches the
+/// replica with the decode error in `last_error`; the node lives on.
+#[test]
+fn a_damaged_log_batch_detaches_the_replica() {
+    let (db, _) = acct_db(ClusterConfig::small_for_tests(), 8, false);
+    let replica = Replica::attach(&db);
+    replica.wait_caught_up(WAIT).unwrap();
+    let next = db.sal().current_lsn() + 1;
+    for ls in db.sal().log_stores() {
+        ls.append(&[0xff; 4], next, next);
+    }
+    let err = replica.wait_for_lsn(next, WAIT).unwrap_err();
+    assert!(err.to_string().contains("tailer died"), "{err}");
+    let last = replica.last_error().unwrap();
+    assert!(last.starts_with("corruption:"), "{last}");
+    match Session::new(replica.db()).sql(SUM_BAL).unwrap_err() {
+        Error::InvalidState(m) => assert!(m.contains("detached"), "{m}"),
+        other => panic!("expected InvalidState, got {other:?}"),
+    }
+}
+
 #[test]
 fn lag_beyond_max_lag_refuses_queries_until_caught_up() {
     let mut cfg = ClusterConfig::small_for_tests();

@@ -165,3 +165,24 @@ fn exists_residual_over_both_scopes_matches_with_and_without_ndp() {
     let orders = run("select count(*) from orders", false);
     assert_eq!(fmt_rows(&orders), split.to_string());
 }
+
+/// A GROUP BY key past the hash key encoding's `u16` string length is a
+/// typed error, with NDP off and on, instead of a wrapped length that
+/// collides with another group.
+#[test]
+fn a_group_key_past_its_encoding_is_a_typed_error() {
+    let long = "a".repeat(70_000);
+    for ndp in [false, true] {
+        let mut session = Session::new(row_db());
+        session.set_ndp(ndp);
+        let sql = format!("select '{long}' as k, count(*) from nation group by k");
+        match session.sql(&sql) {
+            Err(Error::InvalidState(m)) => assert!(m.contains("u16"), "{m}"),
+            other => panic!("ndp {ndp}: {:?}", other.map(|rows| rows.len())),
+        }
+        let short = session
+            .sql("select 'a' as k, count(*) from nation group by k")
+            .unwrap();
+        assert_eq!(fmt_rows(&short), "a|25");
+    }
+}
