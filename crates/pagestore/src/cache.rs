@@ -116,6 +116,15 @@ impl CachedDescriptor {
             group_tables: Mutex::new(Vec::new()),
         })
     }
+
+    /// Does the descriptor ask for a scalar aggregate, the one NDP work
+    /// that folds across the pages of a request (§V-C case 2)?
+    pub(crate) fn cross_page(&self) -> bool {
+        self.desc
+            .aggregation
+            .as_ref()
+            .is_some_and(|a| a.group_cols.is_empty())
+    }
 }
 
 /// How a fold reads one aggregate's input of a record.

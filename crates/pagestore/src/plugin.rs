@@ -6,6 +6,11 @@
 //! accepts an NDP descriptor as a type-less byte stream, which an NDP
 //! plugin interprets."
 //!
+//! The framework makes one call, [`NdpPlugin::run`], over a unit of NDP
+//! work: one page, or a whole sub-batch when a scalar aggregate folds
+//! across it. Each finished NDP page is handed back by index as it is
+//! complete.
+//!
 //! [`InnodbNdpPlugin`] walks each page's record chain once and works on
 //! record bytes throughout ("without row materialization", §V-B): a record
 //! is parsed (bounds only), judged, and — if it survives — copied into the
@@ -54,7 +59,7 @@
 
 use std::sync::Arc;
 
-use taurus_common::{Error, PageNo, Result, Value};
+use taurus_common::{Error, Result, Value};
 use taurus_expr::agg::{encode_states, AggInput, AggState};
 use taurus_expr::descriptor::{JoinFilterSection, KeySet, NdpAggSpec, Sections};
 use taurus_expr::vm::TriBool;
@@ -77,28 +82,18 @@ pub struct PluginStats {
 
 /// DBMS-specific NDP processing, loaded into the Page Store framework.
 pub trait NdpPlugin: Send + Sync {
-    fn name(&self) -> &'static str;
-
-    /// Process one page independently (used when the request carries no
-    /// cross-page aggregation, so pages can be handled by concurrent
-    /// workers in any order). `sections` is what the request carries
-    /// behind its descriptor.
-    fn process_page(
+    /// Process `pages`, one NDP page for each, handed to `done` with the
+    /// page's index as soon as it is complete. `sections` is what the
+    /// request carries behind its descriptor. Pages stand alone unless
+    /// the descriptor asks for a scalar aggregate, which folds across
+    /// all of them (§V-C case 2).
+    fn run(
         &self,
         cd: &CachedDescriptor,
         sections: &Sections,
-        page: &Page,
-    ) -> Result<(Page, PluginStats)>;
-
-    /// Process a whole sub-batch sequentially with cross-page aggregation
-    /// (scalar aggregates only, §V-C). One NDP page per input page, each
-    /// with its page number, in the order they were completed.
-    fn process_batch(
-        &self,
-        cd: &CachedDescriptor,
-        sections: &Sections,
-        pages: &[(PageNo, Arc<Page>)],
-    ) -> Result<(Vec<(PageNo, Page)>, PluginStats)>;
+        pages: &[Arc<Page>],
+        done: &mut dyn FnMut(usize, Page),
+    ) -> Result<PluginStats>;
 }
 
 /// The MySQL/InnoDB plugin.
@@ -305,7 +300,7 @@ impl GroupTable {
         cd: &CachedDescriptor,
         spec: &NdpAggSpec,
         rec: RecordView<'_>,
-        pages: &[&Page],
+        pages: &[Arc<Page>],
         stats: &mut PluginStats,
         done: &mut dyn FnMut(usize, Page),
     ) -> Result<()> {
@@ -333,7 +328,7 @@ impl GroupTable {
         if was_held {
             if let Some(idx) = self.held_page.take() {
                 let held = std::mem::take(&mut self.held);
-                let page = self.write_page(cd, &held, pages[idx], stats)?;
+                let page = self.write_page(cd, &held, &pages[idx], stats)?;
                 self.held = held;
                 done(idx, page);
             }
@@ -348,7 +343,7 @@ impl GroupTable {
     fn end_page(
         &mut self,
         cd: &CachedDescriptor,
-        pages: &[&Page],
+        pages: &[Arc<Page>],
         idx: usize,
         cross_page: bool,
         stats: &mut PluginStats,
@@ -366,7 +361,7 @@ impl GroupTable {
             return Ok(());
         }
         let out = std::mem::take(&mut self.out);
-        let page = self.write_page(cd, &out, pages[idx], stats)?;
+        let page = self.write_page(cd, &out, &pages[idx], stats)?;
         self.out = out;
         if !cross_page {
             self.live = 0;
@@ -379,13 +374,13 @@ impl GroupTable {
     fn finish(
         &mut self,
         cd: &CachedDescriptor,
-        pages: &[&Page],
+        pages: &[Arc<Page>],
         stats: &mut PluginStats,
         done: &mut dyn FnMut(usize, Page),
     ) -> Result<()> {
         if let Some(idx) = self.held_page.take() {
             let held = std::mem::take(&mut self.held);
-            let page = self.write_page(cd, &held, pages[idx], stats)?;
+            let page = self.write_page(cd, &held, &pages[idx], stats)?;
             self.held = held;
             done(idx, page);
         }
@@ -479,20 +474,20 @@ fn join_filter_admits(filter: &JoinFilterSection, rec: &RecordView<'_>) -> bool 
     }
 }
 
-impl InnodbNdpPlugin {
-    /// The one record loop behind both entry points. Every page is walked
-    /// once, in order, and gives one NDP page, handed to `done` with the
-    /// page's index as soon as it is complete. Aggregation state ends with
-    /// each page unless `cross_page` (scalar aggregation over a batch): then
-    /// the page holding the carrier stays open until a later page takes
-    /// the carrier over or the batch ends.
+impl NdpPlugin for InnodbNdpPlugin {
+    /// The one record loop. Every page is walked once, in order, and gives
+    /// one NDP page, handed to `done` as soon as it is complete.
+    /// Aggregation state ends with each page unless the aggregate is
+    /// scalar: then the page holding the carrier stays open until a later
+    /// page takes the carrier over or the batch ends.
     fn run(
+        &self,
         cd: &CachedDescriptor,
         sections: &Sections,
-        pages: &[&Page],
-        cross_page: bool,
+        pages: &[Arc<Page>],
         done: &mut dyn FnMut(usize, Page),
     ) -> Result<PluginStats> {
+        let cross_page = cd.cross_page();
         let mut stats = PluginStats::default();
         let mut agg = cd.desc.aggregation.as_ref().map(|spec| {
             let mut table = cd.group_tables.lock().pop().unwrap_or_default();
@@ -501,7 +496,7 @@ impl InnodbNdpPlugin {
         });
         let mut offsets = Vec::new();
         let mut merge = sections.keys.as_ref().map(KeyMerge::new);
-        for (idx, &page) in pages.iter().enumerate() {
+        for (idx, page) in pages.iter().enumerate() {
             // Without aggregation survivors go straight into the page.
             let mut b = match &mut agg {
                 None => Some(NdpPageBuilder::new(page)),
@@ -573,42 +568,5 @@ impl InnodbNdpPlugin {
             cd.group_tables.lock().push(table);
         }
         Ok(stats)
-    }
-}
-
-impl NdpPlugin for InnodbNdpPlugin {
-    fn name(&self) -> &'static str {
-        "innodb"
-    }
-
-    fn process_page(
-        &self,
-        cd: &CachedDescriptor,
-        sections: &Sections,
-        page: &Page,
-    ) -> Result<(Page, PluginStats)> {
-        let mut out = None;
-        let stats = Self::run(cd, sections, &[page], false, &mut |_, ndp| out = Some(ndp))?;
-        // lint:allow(panic): `run` gives one NDP page per input page
-        Ok((out.expect("one page in, one page out"), stats))
-    }
-
-    fn process_batch(
-        &self,
-        cd: &CachedDescriptor,
-        sections: &Sections,
-        pages: &[(PageNo, Arc<Page>)],
-    ) -> Result<(Vec<(PageNo, Page)>, PluginStats)> {
-        let scalar = cd
-            .desc
-            .aggregation
-            .as_ref()
-            .is_some_and(|a| a.group_cols.is_empty());
-        let sources: Vec<&Page> = pages.iter().map(|(_, p)| &**p).collect();
-        let mut out = Vec::with_capacity(pages.len());
-        let stats = Self::run(cd, sections, &sources, scalar, &mut |idx, ndp| {
-            out.push((pages[idx].0, ndp))
-        })?;
-        Ok((out, stats))
     }
 }

@@ -5,12 +5,14 @@
 //! queue, and wait for their turn. NDP processing does not block regular
 //! page reads/writes, and is treated as a best-effort activity."
 //!
-//! The pool's queue is bounded: when it is full, [`NdpPool::try_submit`]
-//! fails and the Page Store returns the raw page instead — the page-scoped
-//! best-effort fallback that makes NDP benefit "not all-or-nothing". A
-//! pluggable [`SkipPolicy`] lets tests and benchmarks inject deterministic
-//! skip patterns (every Nth page, all pages, none) to verify the compute
-//! node completes the work identically.
+//! The Page Store submits one job per unit of NDP work (a page, or a
+//! scalar aggregate's whole request), never blocking: the queue is
+//! bounded, and when it is full [`NdpPool::try_submit_for`] refuses and
+//! the unit's pages go back raw — the best-effort fallback that makes NDP
+//! benefit "not all-or-nothing". A pluggable [`SkipPolicy`] lets tests
+//! and benchmarks inject deterministic skip patterns (every Nth unit, all
+//! units, none) to verify the compute node completes the work
+//! identically.
 //!
 //! ## Multi-tenant admission
 //!
@@ -32,7 +34,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use taurus_common::{PageNo, TenantId, DEFAULT_TENANT};
+use taurus_common::{TenantId, DEFAULT_TENANT};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -41,14 +43,16 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 pub enum SkipPolicy {
     /// Normal operation: skip only on real queue pressure.
     None,
-    /// Skip NDP for every page (always return raw).
+    /// Skip NDP for every unit (always return raw).
     All,
-    /// Skip every k-th page (k >= 1), counting from the store's start.
+    /// Skip every k-th unit (k >= 1), counting from the store's start.
     EveryNth(u64),
 }
 
 impl SkipPolicy {
-    pub fn should_skip(&self, counter: &AtomicU64, _page: PageNo) -> bool {
+    /// Should the next unit of NDP work ship raw? `counter` counts the
+    /// units the store has asked about.
+    pub fn should_skip(&self, counter: &AtomicU64) -> bool {
         match self {
             SkipPolicy::None => false,
             SkipPolicy::All => true,
@@ -116,8 +120,6 @@ struct Shared {
     state: Mutex<PoolState>,
     /// Workers wait here for queued jobs.
     jobs_cv: Condvar,
-    /// Blocking submitters wait here for queue space.
-    space_cv: Condvar,
 }
 
 impl Shared {
@@ -134,7 +136,6 @@ impl Shared {
             let held = st.holds > 0 && !st.shutdown;
             if let Some(job) = (!held).then(|| st.pop_next()).flatten() {
                 drop(st);
-                self.space_cv.notify_one();
                 // A panicking job costs that job, not this worker: the
                 // pool keeps its strength. (The job runs outside the
                 // lock, and whoever waits for it sees its channel close.)
@@ -179,7 +180,6 @@ impl NdpPool {
                 shutdown: false,
             }),
             jobs_cv: Condvar::new(),
-            space_cv: Condvar::new(),
         });
         let mut workers = Vec::with_capacity(threads);
         for i in 0..threads {
@@ -266,36 +266,6 @@ impl NdpPool {
     pub fn try_submit(&self, job: impl FnOnce() + Send + 'static) -> bool {
         self.try_submit_for(DEFAULT_TENANT, job) == Admission::Admitted
     }
-
-    /// Blocking submit — used for the sequential cross-page-aggregation
-    /// job, which represents the whole batch and should wait its turn in
-    /// the queue rather than degrade to N raw pages. Exempt from the
-    /// tenant quota (one job per batch is already bounded by the
-    /// caller's batch fan-out).
-    pub fn submit_for(&self, tenant: TenantId, job: impl FnOnce() + Send + 'static) -> bool {
-        let mut st = self.shared.lock();
-        while st.queued >= self.cap && !st.shutdown {
-            // lint:allow(panic): poisoned pool mutex is unrecoverable
-            st = self.shared.space_cv.wait(st).unwrap();
-        }
-        if st.shutdown {
-            return false;
-        }
-        st.queues
-            .entry(tenant)
-            .or_default()
-            .push_back(Box::new(job));
-        st.queued += 1;
-        drop(st);
-        self.accepted.fetch_add(1, Ordering::Relaxed);
-        self.shared.jobs_cv.notify_one();
-        true
-    }
-
-    /// Blocking submit for the anonymous tenant.
-    pub fn submit(&self, job: impl FnOnce() + Send + 'static) -> bool {
-        self.submit_for(DEFAULT_TENANT, job)
-    }
 }
 
 /// The guard of [`NdpPool::hold_workers`]: dropping it lets the workers
@@ -316,7 +286,6 @@ impl Drop for NdpPool {
     fn drop(&mut self) {
         self.shared.lock().shutdown = true;
         self.shared.jobs_cv.notify_all();
-        self.shared.space_cv.notify_all();
         // Workers drain every queued job before exiting (pop-then-check),
         // preserving the old channel-disconnect semantics.
         for w in self.workers.drain(..) {
@@ -418,13 +387,13 @@ mod tests {
     fn skip_policy_every_nth() {
         let c = AtomicU64::new(0);
         let p = SkipPolicy::EveryNth(3);
-        let skips: Vec<bool> = (0..9).map(|i| p.should_skip(&c, i)).collect();
+        let skips: Vec<bool> = (0..9).map(|_| p.should_skip(&c)).collect();
         assert_eq!(
             skips,
             vec![true, false, false, true, false, false, true, false, false]
         );
-        assert!(SkipPolicy::All.should_skip(&c, 0));
-        assert!(!SkipPolicy::None.should_skip(&c, 0));
+        assert!(SkipPolicy::All.should_skip(&c));
+        assert!(!SkipPolicy::None.should_skip(&c));
     }
 
     #[test]

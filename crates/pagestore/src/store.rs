@@ -6,9 +6,13 @@
 //! "those page versions matching the LSN value" captured under the B-tree
 //! latches (§IV-C4), shielding the batch from concurrent tree changes.
 //!
-//! NDP processing runs on the dedicated bounded pool ([`crate::resource`]);
-//! any page that cannot be processed (queue full, injected skip, plugin
-//! error) is returned **raw** and the compute node finishes the job.
+//! NDP processing runs on the dedicated bounded pool ([`crate::resource`]),
+//! one job per *unit* of work: a page, or a whole request when a scalar
+//! aggregate folds across it. Every reply starts as the raw pages; a unit
+//! that completes replaces its pages with NDP pages, and any unit that
+//! does not (injected skip, queue full, tenant quota, plugin error or
+//! panic) leaves them **raw** for the compute node to finish. A no-work
+//! read and a shed batch are that raw reply as it stands.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -136,24 +140,18 @@ pub struct PageStore {
     /// NDP queue saturation), whole batches degrade to raw page reads up
     /// front instead of racing per-page submissions against a full queue.
     force_shed: AtomicBool,
-    /// Requests currently being served by this store and the high-water
-    /// mark — per-request queue accounting so the compute/storage overlap
-    /// of prefetching scans is observable on the storage side.
-    active_requests: AtomicU64,
-    active_requests_peak: AtomicU64,
 }
 
 /// RAII accounting for one in-flight request on one Page Store: charges
-/// the store-local and cluster-wide in-flight gauges (+ peaks) for
-/// exactly the serving duration, on every exit path.
+/// the cluster-wide in-flight gauge (+ peak) for exactly the serving
+/// duration, on every exit path, so the compute/storage overlap of
+/// prefetching scans is observable on the storage side.
 struct RequestGuard<'a> {
     store: &'a PageStore,
 }
 
 impl<'a> RequestGuard<'a> {
     fn new(store: &'a PageStore) -> RequestGuard<'a> {
-        let now = store.active_requests.fetch_add(1, Ordering::Relaxed) + 1;
-        store.active_requests_peak.fetch_max(now, Ordering::Relaxed);
         store.metrics.gauge_inc(
             |m| &m.ps_requests_in_flight,
             |m| &m.ps_requests_in_flight_peak,
@@ -164,7 +162,6 @@ impl<'a> RequestGuard<'a> {
 
 impl Drop for RequestGuard<'_> {
     fn drop(&mut self) {
-        self.store.active_requests.fetch_sub(1, Ordering::Relaxed);
         self.store.metrics.sub(|m| &m.ps_requests_in_flight, 1);
     }
 }
@@ -203,8 +200,6 @@ impl PageStore {
             fault: RwLock::new(FaultPolicy::None),
             fault_rng: AtomicU64::new(0x9E3779B97F4A7C15 ^ id as u64),
             force_shed: AtomicBool::new(false),
-            active_requests: AtomicU64::new(0),
-            active_requests_peak: AtomicU64::new(0),
         })
     }
 
@@ -297,16 +292,6 @@ impl PageStore {
                 self.id
             ))),
         }
-    }
-
-    /// Requests currently being served by this store.
-    pub fn active_requests(&self) -> u64 {
-        self.active_requests.load(Ordering::Relaxed)
-    }
-
-    /// High-water mark of concurrently-served requests since startup.
-    pub fn active_requests_peak(&self) -> u64 {
-        self.active_requests_peak.load(Ordering::Relaxed)
     }
 
     pub fn create_slice(&self, slice: SliceId) {
@@ -412,21 +397,6 @@ impl PageStore {
         }
     }
 
-    /// Version-pin check: can this store serve `page_no` exactly as of
-    /// `lsn`? `false` once retention trimmed every version at or below
-    /// the pin. Diagnostic surface for operators/tests probing whether a
-    /// lagging reader's pin is still inside the retention horizon; the
-    /// read path itself signals the same condition through
-    /// [`PageStore::read_page`]'s trimmed-version error.
-    pub fn has_version_at(&self, slice: SliceId, page_no: PageNo, lsn: Lsn) -> bool {
-        let slices = self.slices.read();
-        slices
-            .get(&slice)
-            .and_then(|s| s.pages.get(&page_no))
-            .map(|c| c.versions.iter().any(|(l, _)| *l <= lsn))
-            .unwrap_or(false)
-    }
-
     /// Serve an NDP batch read (§IV-D). Every page comes back either NDP-
     /// processed or raw; the response preserves request order.
     pub fn serve_ndp_batch(&self, req: &NdpBatchRequest) -> Result<Vec<PageResult>> {
@@ -443,29 +413,25 @@ impl PageStore {
         )?);
         // Materialize the requested versions first (regular read path).
         // The fault policy was already paid once for the whole request.
-        let mut pages: Vec<(PageNo, Arc<Page>)> = Vec::with_capacity(req.pages.len());
-        for &no in &req.pages {
-            pages.push((no, self.read_page_inner(req.slice, no, Some(req.read_lsn))?));
-        }
-
-        let scalar_agg = cd
-            .desc
-            .aggregation
-            .as_ref()
-            .map(|a| a.group_cols.is_empty())
-            .unwrap_or(false);
-
+        let pages = req
+            .pages
+            .iter()
+            .map(|&no| self.read_page_inner(req.slice, no, Some(req.read_lsn)))
+            .collect::<Result<Vec<_>>>()?;
+        // Every page goes back raw unless NDP work on it completes.
+        let mut reply: Vec<PageResult> = req
+            .pages
+            .iter()
+            .zip(&pages)
+            .map(|(&page_no, p)| PageResult {
+                page_no,
+                payload: PagePayload::Raw(p.clone()),
+            })
+            .collect();
         if !cd.desc.requests_work() && sections.is_empty() {
             // Pure batched read: no NDP processing requested.
-            return Ok(pages
-                .into_iter()
-                .map(|(page_no, p)| PageResult {
-                    page_no,
-                    payload: PagePayload::Raw(p),
-                })
-                .collect());
+            return Ok(reply);
         }
-
         // Store-level shed-to-compute: when the store is saturated (NDP
         // queue full) or the operator forced it, the whole batch degrades
         // to raw page reads up front — the compute node finishes the work
@@ -478,19 +444,76 @@ impl PageStore {
                 .tenant(req.tenant)
                 .pages_shed
                 .fetch_add(n, Ordering::Relaxed);
-            return Ok(pages
-                .into_iter()
-                .map(|(page_no, p)| PageResult {
-                    page_no,
-                    payload: PagePayload::Raw(p),
-                })
-                .collect());
+            return Ok(reply);
         }
+        self.run_units(cd, sections, pages, req.tenant, &mut reply)?;
+        Ok(reply)
+    }
 
-        if scalar_agg {
-            return self.serve_scalar_batch(cd, sections, pages, req.tenant);
+    /// The NDP work of a batch, one pool job per *unit*: the whole batch
+    /// when a scalar aggregate folds across it (§V-C case 2), one page
+    /// otherwise, processed "concurrently, independently, and in any
+    /// order" (§IV-D). A unit the skip policy, the queue or the tenant's
+    /// quota turns away, or whose plugin call fails, leaves its pages raw
+    /// in `reply` (§IV-D2); a unit that completes replaces them with its
+    /// NDP pages.
+    fn run_units(
+        &self,
+        cd: Arc<CachedDescriptor>,
+        sections: Arc<Sections>,
+        pages: Vec<Arc<Page>>,
+        tenant: TenantId,
+        reply: &mut [PageResult],
+    ) -> Result<()> {
+        let unit = if cd.cross_page() {
+            pages.len().max(1)
+        } else {
+            1
+        };
+        let pages = Arc::new(pages);
+        let (tx, rx) = bounded(pages.len().div_ceil(unit).max(1));
+        let mut admitted = 0usize;
+        for start in (0..pages.len()).step_by(unit) {
+            let end = (start + unit).min(pages.len());
+            let skip = self.skip_policy.read().should_skip(&self.skip_counter);
+            let (cd, sections, pages, tx) =
+                (cd.clone(), sections.clone(), pages.clone(), tx.clone());
+            let (plugin, metrics) = (self.plugin.clone(), self.metrics.clone());
+            let job = move || {
+                let _cpu = taurus_common::metrics::CpuGuard::new(&metrics.ps_cpu_ns);
+                let mut done = Vec::with_capacity(end - start);
+                let out = guarded(|| {
+                    plugin.run(&cd, &sections, &pages[start..end], &mut |i, ndp| {
+                        done.push((start + i, ndp))
+                    })
+                });
+                let _ = tx.send((end - start, out.map(|stats| (done, stats))));
+            };
+            if !skip && self.admit(tenant, job) {
+                admitted += 1;
+            } else {
+                self.metrics
+                    .add(|m| &m.ps_ndp_skipped, (end - start) as u64);
+            }
         }
-        self.serve_parallel_pages(cd, sections, pages, req.tenant)
+        // Only the jobs hold senders now: should one end without
+        // reporting, `recv` fails instead of waiting forever.
+        drop(tx);
+        for _ in 0..admitted {
+            let (len, out) = rx
+                .recv()
+                .map_err(|_| Error::Internal("ndp worker died".into()))?;
+            match out {
+                Ok((done, stats)) => {
+                    self.charge_plugin_stats(done.len() as u64, &stats);
+                    for (idx, ndp) in done {
+                        reply[idx].payload = PagePayload::Ndp(Arc::new(ndp));
+                    }
+                }
+                Err(_) => self.metrics.add(|m| &m.ps_ndp_skipped, len as u64),
+            }
+        }
+        Ok(())
     }
 
     fn charge_plugin_stats(&self, pages: u64, stats: &PluginStats) {
@@ -503,79 +526,6 @@ impl PageStore {
             .add(|m| &m.ps_records_key_filtered, stats.records_key_filtered);
         self.metrics
             .add(|m| &m.ps_records_join_filtered, stats.records_join_filtered);
-    }
-
-    /// Cross-page (scalar) aggregation: the whole sub-batch is one
-    /// sequential job on the NDP pool (§V-C case 2).
-    fn serve_scalar_batch(
-        &self,
-        cd: Arc<CachedDescriptor>,
-        sections: Arc<Sections>,
-        pages: Vec<(PageNo, Arc<Page>)>,
-        tenant: TenantId,
-    ) -> Result<Vec<PageResult>> {
-        // Resource control applies to the whole cross-page job: a scalar
-        // aggregation batch is one unit of NDP work.
-        let skip_all = {
-            let policy = self.skip_policy.read();
-            matches!(&*policy, SkipPolicy::All)
-                || policy.should_skip(&self.skip_counter, pages.first().map(|p| p.0).unwrap_or(0))
-        };
-        let (tx, rx) = bounded(1);
-        let mut submitted = false;
-        if !skip_all {
-            let plugin = self.plugin.clone();
-            let metrics = self.metrics.clone();
-            let job_pages = pages.clone();
-            submitted = self.admit(tenant, move || {
-                let _cpu = taurus_common::metrics::CpuGuard::new(&metrics.ps_cpu_ns);
-                let out = guarded(|| plugin.process_batch(&cd, &sections, &job_pages));
-                let _ = tx.send(out);
-            });
-        }
-        if !submitted {
-            self.metrics.add(|m| &m.ps_ndp_skipped, pages.len() as u64);
-            return Ok(pages
-                .into_iter()
-                .map(|(page_no, p)| PageResult {
-                    page_no,
-                    payload: PagePayload::Raw(p),
-                })
-                .collect());
-        }
-        match rx
-            .recv()
-            .map_err(|_| Error::Internal("ndp worker died".into()))?
-        {
-            Ok((results, stats)) => {
-                self.charge_plugin_stats(results.len() as u64, &stats);
-                let mut by_no: HashMap<PageNo, Page> = results.into_iter().collect();
-                Ok(pages
-                    .into_iter()
-                    .map(|(page_no, raw)| match by_no.remove(&page_no) {
-                        Some(ndp) => PageResult {
-                            page_no,
-                            payload: PagePayload::Ndp(Arc::new(ndp)),
-                        },
-                        None => PageResult {
-                            page_no,
-                            payload: PagePayload::Raw(raw),
-                        },
-                    })
-                    .collect())
-            }
-            Err(_) => {
-                // Plugin failure: degrade to raw pages, never fail the read.
-                self.metrics.add(|m| &m.ps_ndp_skipped, pages.len() as u64);
-                Ok(pages
-                    .into_iter()
-                    .map(|(page_no, p)| PageResult {
-                        page_no,
-                        payload: PagePayload::Raw(p),
-                    })
-                    .collect())
-            }
-        }
     }
 
     /// Tenant-attributed admission: submit one NDP job and charge the
@@ -602,77 +552,6 @@ impl PageStore {
             }
             Admission::QueueFull => false,
         }
-    }
-
-    /// Independent pages: one pool job each, processed "concurrently,
-    /// independently, and in any order" (§IV-D); results re-ordered to
-    /// match the request.
-    fn serve_parallel_pages(
-        &self,
-        cd: Arc<CachedDescriptor>,
-        sections: Arc<Sections>,
-        pages: Vec<(PageNo, Arc<Page>)>,
-        tenant: TenantId,
-    ) -> Result<Vec<PageResult>> {
-        let n = pages.len();
-        let (tx, rx) = bounded(n.max(1));
-        let mut payloads: Vec<Option<PagePayload>> = vec![None; n];
-        let mut submitted = 0usize;
-        for (idx, (no, page)) in pages.iter().enumerate() {
-            let skip = {
-                let policy = self.skip_policy.read();
-                policy.should_skip(&self.skip_counter, *no)
-            };
-            if skip {
-                self.metrics.add(|m| &m.ps_ndp_skipped, 1);
-                payloads[idx] = Some(PagePayload::Raw(page.clone()));
-                continue;
-            }
-            let cd = cd.clone();
-            let sections = sections.clone();
-            let plugin = self.plugin.clone();
-            let metrics = self.metrics.clone();
-            let job_page = page.clone();
-            let tx = tx.clone();
-            let ok = self.admit(tenant, move || {
-                let _cpu = taurus_common::metrics::CpuGuard::new(&metrics.ps_cpu_ns);
-                let out = guarded(|| plugin.process_page(&cd, &sections, &job_page));
-                let _ = tx.send((idx, out));
-            });
-            if ok {
-                submitted += 1;
-            } else {
-                // Queue full: best-effort skip (§IV-D2).
-                self.metrics.add(|m| &m.ps_ndp_skipped, 1);
-                payloads[idx] = Some(PagePayload::Raw(page.clone()));
-            }
-        }
-        // Only the jobs hold senders now: should one end without
-        // reporting, `recv` fails instead of waiting forever.
-        drop(tx);
-        for _ in 0..submitted {
-            let (idx, out) = rx
-                .recv()
-                .map_err(|_| Error::Internal("ndp worker died".into()))?;
-            match out {
-                Ok((ndp_page, stats)) => {
-                    self.charge_plugin_stats(1, &stats);
-                    payloads[idx] = Some(PagePayload::Ndp(Arc::new(ndp_page)));
-                }
-                Err(_) => {
-                    self.metrics.add(|m| &m.ps_ndp_skipped, 1);
-                    payloads[idx] = Some(PagePayload::Raw(pages[idx].1.clone()));
-                }
-            }
-        }
-        Ok(pages
-            .iter()
-            .zip(payloads)
-            .map(|((no, raw), p)| PageResult {
-                page_no: *no,
-                payload: p.unwrap_or_else(|| PagePayload::Raw(raw.clone())),
-            })
-            .collect())
     }
 }
 
@@ -795,18 +674,23 @@ mod tests {
             .unwrap();
         }
         // Retention holds the two newest versions (13, 14).
-        assert!(ps.has_version_at(sid, 0, 14));
-        assert!(ps.has_version_at(sid, 0, 13));
-        assert!(!ps.has_version_at(sid, 0, 12), "trimmed below the horizon");
-        assert!(!ps.has_version_at(sid, 0, 9), "before the page existed");
-        assert!(!ps.has_version_at(sid, 1, 9), "page never existed");
-        // A pinned read below the horizon names the retention boundary.
-        match ps.read_page(sid, 0, Some(11)) {
-            Err(Error::InvalidState(m)) => {
-                assert!(m.contains("oldest retained lsn 13"), "message: {m}")
+        assert_eq!(ps.read_page(sid, 0, Some(14)).unwrap().lsn(), 14);
+        assert_eq!(ps.read_page(sid, 0, Some(13)).unwrap().lsn(), 13);
+        // A pinned read below the horizon names the retention boundary,
+        // whether the pin is trimmed or from before the page existed.
+        for pin in [12, 9] {
+            match ps.read_page(sid, 0, Some(pin)) {
+                Err(Error::InvalidState(m)) => {
+                    assert!(m.contains("oldest retained lsn 13"), "message: {m}")
+                }
+                other => panic!("pin {pin}: expected InvalidState, got {other:?}"),
             }
-            other => panic!("expected InvalidState, got {other:?}"),
         }
+        // A page that never existed is not found.
+        assert!(matches!(
+            ps.read_page(sid, 1, Some(9)),
+            Err(Error::NotFound(_))
+        ));
     }
 
     #[test]
@@ -894,7 +778,7 @@ mod tests {
         let sid = SliceId::of(SpaceId(1), 0, 8);
         ps.create_slice(sid);
         ps.apply_redo(&[new_page_redo(1, 0, 1)]).unwrap();
-        assert_eq!(ps.active_requests_peak(), 0);
+        assert_eq!(ps.metrics.snapshot().ps_requests_in_flight_peak, 0);
         // A no-work descriptor: served inline as raw, still accounted.
         let req = NdpBatchRequest {
             slice: sid,
@@ -904,8 +788,12 @@ mod tests {
             tenant: taurus_common::DEFAULT_TENANT,
         };
         ps.serve_ndp_batch(&req).unwrap();
-        assert_eq!(ps.active_requests(), 0, "gauge balanced after serving");
-        assert_eq!(ps.active_requests_peak(), 1);
+        let snap = ps.metrics.snapshot();
+        assert_eq!(
+            snap.ps_requests_in_flight, 0,
+            "gauge balanced after serving"
+        );
+        assert_eq!(snap.ps_requests_in_flight_peak, 1);
     }
 
     #[test]
@@ -1046,32 +934,22 @@ mod tests {
     struct PanickingPlugin;
 
     impl NdpPlugin for PanickingPlugin {
-        fn name(&self) -> &'static str {
-            "panicking"
-        }
-
-        fn process_page(
+        fn run(
             &self,
             _: &CachedDescriptor,
             _: &Sections,
-            _: &Page,
-        ) -> Result<(Page, crate::plugin::PluginStats)> {
-            panic!("plugin failure (expected in this test)")
-        }
-
-        fn process_batch(
-            &self,
-            _: &CachedDescriptor,
-            _: &Sections,
-            _: &[(PageNo, Arc<Page>)],
-        ) -> Result<(Vec<(PageNo, Page)>, crate::plugin::PluginStats)> {
+            _: &[Arc<Page>],
+            _: &mut dyn FnMut(usize, Page),
+        ) -> Result<crate::plugin::PluginStats> {
             panic!("plugin failure (expected in this test)")
         }
     }
 
     /// A panic inside an NDP job degrades the page (or the scalar batch)
-    /// to raw like any plugin error: the request returns, and the pool
-    /// keeps every worker for the requests after it.
+    /// to raw like any plugin error: the request returns the pages read,
+    /// and the pool keeps every worker for the requests after it. (The
+    /// panicking-plugin outcome of `tests/storage_parity.rs`, which cannot
+    /// load a plugin of its own.)
     #[test]
     fn a_panicking_plugin_degrades_to_raw_pages_and_keeps_the_pool() {
         const THREADS: usize = 2;
@@ -1126,10 +1004,22 @@ mod tests {
                 .expect("the request must not wait for a job that panicked")
                 .expect("a plugin panic degrades, it does not fail the read");
             assert_eq!(out.len(), 4);
-            assert!(out.iter().all(|r| matches!(r.payload, PagePayload::Raw(_))));
+            // The reply is the pages read, byte for byte.
+            for (no, r) in (0..4).zip(&out) {
+                let PagePayload::Raw(p) = &r.payload else {
+                    panic!("page {no} came back processed");
+                };
+                assert_eq!(r.page_no, no);
+                assert!(p.bytes() == ps.read_page(sid, no, Some(4)).unwrap().bytes());
+            }
             let snap = ps.metrics.snapshot();
             assert_eq!(snap.ps_ndp_skipped, 4 * (served as u64 + 1));
             assert_eq!(snap.ps_pages_processed, 0);
+            let records = snap.ps_records_filtered
+                + snap.ps_records_aggregated
+                + snap.ps_records_key_filtered
+                + snap.ps_records_join_filtered;
+            assert_eq!((snap.ps_ndp_shed, records), (0, 0));
         }
         // Full strength: THREADS jobs that each wait for all the others.
         let barrier = Arc::new(std::sync::Barrier::new(THREADS));

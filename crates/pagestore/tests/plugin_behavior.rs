@@ -11,7 +11,7 @@ use taurus_expr::descriptor::{NdpAggSpec, NdpDescriptor, Sections};
 use taurus_page::{encode_record, Page, RecType, RecordLayout, RecordMeta, RecordView};
 use taurus_pagestore::{
     CachedDescriptor, InnodbNdpPlugin, NdpBatchRequest, NdpPlugin, PagePayload, PageStore,
-    PageStoreConfig, RedoBody, RedoRecord, SkipPolicy,
+    PageStoreConfig, PluginStats, RedoBody, RedoRecord, SkipPolicy,
 };
 
 const WATERMARK: TrxId = 100;
@@ -64,6 +64,29 @@ fn descriptor(
 
 fn cached(bytes: &[u8]) -> CachedDescriptor {
     CachedDescriptor::prepare(bytes).unwrap()
+}
+
+/// One plugin call over `pages`: their NDP pages, in page order.
+fn process(
+    cd: &CachedDescriptor,
+    pages: &[Arc<Page>],
+) -> taurus_common::Result<(Vec<Page>, PluginStats)> {
+    let mut out: Vec<Option<Page>> = pages.iter().map(|_| None).collect();
+    let stats = InnodbNdpPlugin.run(cd, &Sections::default(), pages, &mut |i, ndp| {
+        assert!(out[i].replace(ndp).is_none(), "page {i} done twice")
+    })?;
+    Ok((
+        out.into_iter()
+            .map(|p| p.expect("every page done"))
+            .collect(),
+        stats,
+    ))
+}
+
+/// [`process`] on one page.
+fn process_one(cd: &CachedDescriptor, page: &Page) -> (Page, PluginStats) {
+    let (mut out, stats) = process(cd, &[Arc::new(page.clone())]).unwrap();
+    (out.remove(0), stats)
 }
 
 /// Decode an NDP page into (rec_type, id, val?, agg_payload) tuples for
@@ -120,11 +143,9 @@ fn paper_example_page_p1_grouped_scalar_single_page() {
         }),
     );
     let cd = cached(&desc);
-    let (results, stats) = InnodbNdpPlugin
-        .process_batch(&cd, &Sections::default(), &[(0, Arc::new(p1))])
-        .unwrap();
+    let (results, stats) = process(&cd, &[Arc::new(p1)]).unwrap();
     assert_eq!(results.len(), 1);
-    let rows = read_ndp_page(&results[0].1, &cd.layout, cd.proj_layout.as_ref());
+    let rows = read_ndp_page(&results[0], &cd.layout, cd.proj_layout.as_ref());
     assert_eq!(rows.len(), 3);
     assert_eq!(
         (rows[0].0, rows[0].1, rows[0].2),
@@ -181,24 +202,16 @@ fn paper_example_cross_page_p1_p2() {
         }),
     );
     let cd = cached(&desc);
-    let (results, _) = InnodbNdpPlugin
-        .process_batch(
-            &cd,
-            &Sections::default(),
-            &[(0, Arc::new(p1)), (1, Arc::new(p2))],
-        )
-        .unwrap();
+    let (results, _) = process(&cd, &[Arc::new(p1), Arc::new(p2)]).unwrap();
     assert_eq!(results.len(), 2);
-    let by_no: std::collections::HashMap<u32, &Page> =
-        results.iter().map(|(no, p)| (*no, p)).collect();
     // Page 0 kept only its ambiguous rows.
-    let rows0 = read_ndp_page(by_no[&0], &cd.layout, None);
+    let rows0 = read_ndp_page(&results[0], &cd.layout, None);
     assert_eq!(
         rows0.iter().map(|r| (r.0, r.1)).collect::<Vec<_>>(),
         vec![(RecType::Ordinary, 2), (RecType::Ordinary, 4)]
     );
     // Page 1 holds the carrier with the cross-page partial.
-    let rows1 = read_ndp_page(by_no[&1], &cd.layout, None);
+    let rows1 = read_ndp_page(&results[1], &cd.layout, None);
     assert_eq!(rows1.len(), 2);
     assert_eq!((rows1[0].0, rows1[0].1), (RecType::Ordinary, 12));
     assert_eq!(
@@ -230,9 +243,7 @@ fn filtering_drops_only_visible_false_rows() {
     let pred = Expr::gt(Expr::col(1), Expr::int(50));
     let desc = descriptor(None, Some(&pred), None);
     let cd = cached(&desc);
-    let (out, stats) = InnodbNdpPlugin
-        .process_page(&cd, &Sections::default(), &p)
-        .unwrap();
+    let (out, stats) = process_one(&cd, &p);
     let rows = read_ndp_page(&out, &cd.layout, None);
     // Visible true: 1, 5. Ambiguous (any value): 3, 4. Visible false 2: gone.
     assert_eq!(
@@ -251,9 +262,7 @@ fn projection_narrows_visible_rows_only() {
     let p = build_page(1, 0, &[(1, 7, false), (2, 8, true), (3, 9, false)]);
     let desc = descriptor(Some(vec![0]), None, None);
     let cd = cached(&desc);
-    let (out, _) = InnodbNdpPlugin
-        .process_page(&cd, &Sections::default(), &p)
-        .unwrap();
+    let (out, _) = process_one(&cd, &p);
     let rows = read_ndp_page(&out, &cd.layout, cd.proj_layout.as_ref());
     assert_eq!(rows.len(), 3);
     assert_eq!(
@@ -295,9 +304,7 @@ fn delete_marked_visible_rows_are_skipped() {
     }
     let desc = descriptor(None, Some(&Expr::gt(Expr::col(1), Expr::int(0))), None);
     let cd = cached(&desc);
-    let (out, _) = InnodbNdpPlugin
-        .process_page(&cd, &Sections::default(), &p)
-        .unwrap();
+    let (out, _) = process_one(&cd, &p);
     let rows = read_ndp_page(&out, &cd.layout, None);
     assert_eq!(rows.iter().map(|r| r.1).collect::<Vec<_>>(), vec![1, 3]);
 }
@@ -325,9 +332,7 @@ fn grouped_aggregation_one_carrier_per_group() {
         }),
     );
     let cd = cached(&desc);
-    let (out, _) = InnodbNdpPlugin
-        .process_page(&cd, &Sections::default(), &p)
-        .unwrap();
+    let (out, _) = process_one(&cd, &p);
     let rows = read_ndp_page(&out, &cd.layout, None);
     // Group 1: carrier (1,20) payload SUM=10,COUNT=1.
     // Group 2: ambiguous (2,6) passes; carrier (2,5) payload empty partial.
@@ -363,9 +368,7 @@ fn all_rows_filtered_yields_empty_marker() {
     let pred = Expr::gt(Expr::col(1), Expr::int(1000));
     let desc = descriptor(None, Some(&pred), None);
     let cd = cached(&desc);
-    let (out, stats) = InnodbNdpPlugin
-        .process_page(&cd, &Sections::default(), &p)
-        .unwrap();
+    let (out, stats) = process_one(&cd, &p);
     assert_eq!(out.page_type(), taurus_page::PageType::NdpEmpty);
     assert_eq!(out.byte_len(), taurus_page::HEADER_LEN);
     assert_eq!(stats.records_filtered, 2);
@@ -461,7 +464,8 @@ fn batch_without_work_returns_raw_pages() {
 }
 
 /// A source page is a regular leaf: a record of any other type on it is
-/// corruption, whichever way the page reaches the plugin. Nothing of such
+/// corruption, in a page that stands alone or in a scalar aggregate's
+/// batch. Nothing of such
 /// a page is folded into an aggregate, and the store ships it raw.
 #[test]
 fn non_ordinary_source_record_is_rejected_on_both_entry_points() {
@@ -492,11 +496,7 @@ fn non_ordinary_source_record_is_rejected_on_both_entry_points() {
     for desc in [&filter, &scalar_sum] {
         let cd = cached(desc);
         assert!(matches!(
-            InnodbNdpPlugin.process_page(&cd, &Sections::default(), &p),
-            Err(taurus_common::Error::Corruption(_))
-        ));
-        assert!(matches!(
-            InnodbNdpPlugin.process_batch(&cd, &Sections::default(), &[(0, Arc::new(p.clone()))]),
+            process(&cd, &[Arc::new(p.clone())]),
             Err(taurus_common::Error::Corruption(_))
         ));
     }

@@ -8,7 +8,11 @@
 //! located … and concurrently sends the sub-batches to Page Stores, with
 //! the effect that multiple Page Stores are engaged in parallel" (§VI-2).
 //!
-//! Every byte crossing this layer is metered by [`network::Network`].
+//! Every read, a single page or a slice's sub-batch, goes through one
+//! replica failover loop (`with_failover`): replicas in order, every
+//! attempt charged as a request, backoff-retry rounds for transient
+//! failures, the query's deadline checked before every attempt. Every
+//! byte crossing this layer is metered by [`network::Network`].
 
 pub mod network;
 
@@ -302,13 +306,10 @@ impl Sal {
         self.read_page_ctx(pref, at_lsn, &QueryCtx::new())
     }
 
-    /// Single-page read under a query context: replica failover inside a
-    /// round, then — for *transient* failures only — up to
-    /// [`READ_RETRY_ROUNDS`] rounds with jittered exponential backoff
-    /// between them, the whole thing bounded by the context's deadline.
-    /// Every attempted replica is charged identically to the no-retry
-    /// path (request bytes + `net_read_requests`; attempts beyond the
-    /// first count as `read_retries`).
+    /// Single-page read under a query context, through the SAL's one
+    /// failover loop ([`with_failover`]): the slice's replicas in
+    /// placement order, retry rounds for transient failures, the context's
+    /// deadline. The page is shipped once, from the replica that served.
     pub fn read_page_ctx(
         &self,
         pref: PageRef,
@@ -317,39 +318,22 @@ impl Sal {
     ) -> Result<Arc<Page>> {
         let slice = self.slice_of(pref.space, pref.page_no);
         let replicas = self.replicas_for(slice)?;
-        let mut last_err = Error::NotFound(format!("page {pref:?}"));
-        let mut attempt = 0usize;
-        for round in 1..=READ_RETRY_ROUNDS {
-            if round > 1 {
-                check_deadline(&self.metrics, ctx, "single-page read retry")?;
-                backoff_before_round(&self.metrics, round, pref.page_no as u64);
-            }
-            for &ps in replicas.iter() {
-                check_deadline(&self.metrics, ctx, "single-page read")?;
-                charge_read_attempt(
-                    &self.metrics,
-                    &self.network,
-                    attempt,
-                    REQ_HEADER_BYTES + PER_PAGE_ID_BYTES,
-                );
-                attempt += 1;
-                match self.page_stores[ps].read_page(slice, pref.page_no, at_lsn) {
-                    Ok(p) => {
-                        self.network.transfer(
-                            Direction::FromStorage,
-                            p.byte_len() as u64 + PER_PAGE_RESULT_HEADER,
-                        );
-                        self.metrics.add(|m| &m.pages_shipped_raw, 1);
-                        return Ok(p);
-                    }
-                    Err(e) => last_err = e,
-                }
-            }
-            if !is_transient(&last_err) {
-                break;
-            }
-        }
-        Err(last_err)
+        let p = with_failover(
+            &replicas,
+            &self.metrics,
+            &self.network,
+            ctx,
+            "single-page read",
+            pref.page_no as u64,
+            REQ_HEADER_BYTES + PER_PAGE_ID_BYTES,
+            |&ps| self.page_stores[ps].read_page(slice, pref.page_no, at_lsn),
+        )?;
+        self.network.transfer(
+            Direction::FromStorage,
+            p.byte_len() as u64 + PER_PAGE_RESULT_HEADER,
+        );
+        self.metrics.add(|m| &m.pages_shipped_raw, 1);
+        Ok(p)
     }
 
     /// Batch read (§IV-C4, §VI-2) under a query context (tenant
@@ -427,10 +411,16 @@ impl Sal {
         ctx: &QueryCtx,
     ) -> Result<BatchReadHandle> {
         let ctx = *ctx;
-        // Group into per-slice sub-batches, preserving order within each.
-        let mut sub: HashMap<SliceId, Vec<PageNo>> = HashMap::new();
+        // Group into per-slice sub-batches, preserving order within each
+        // and ordered by each slice's first page, so the same read always
+        // dispatches the same way.
+        let mut sub: Vec<(SliceId, Vec<PageNo>)> = Vec::new();
         for &p in pages {
-            sub.entry(self.slice_of(space, p)).or_default().push(p);
+            let slice = self.slice_of(space, p);
+            match sub.iter_mut().find(|(s, _)| *s == slice) {
+                Some((_, nos)) => nos.push(p),
+                None => sub.push((slice, vec![p])),
+            }
         }
         // Resolve placements up front: an unknown slice fails the whole
         // read before any thread is spawned.
@@ -470,7 +460,21 @@ impl Sal {
                         // not be swallowed by the handle's join (where it
                         // would masquerade as "page missing from batch").
                         let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            serve_sub_batch(&stores, &req, &network, &metrics, &ctx)
+                            let request_bytes = REQ_HEADER_BYTES
+                                + req.descriptor.len() as u64
+                                + PER_PAGE_ID_BYTES * req.pages.len() as u64;
+                            let out = with_failover(
+                                &stores,
+                                &metrics,
+                                &network,
+                                &ctx,
+                                "batch read",
+                                req.slice.seq as u64,
+                                request_bytes,
+                                |store| store.serve_ndp_batch(&req),
+                            )?;
+                            ship_reply(&out, &network, &metrics);
+                            Ok(out)
                         }))
                         .unwrap_or_else(|panic| {
                             Err(Error::Internal(format!(
@@ -493,27 +497,54 @@ impl Sal {
     }
 }
 
-/// Wire accounting for one read attempt against one replica, shared by
-/// the single-page and sub-batch failover loops so they cannot drift:
-/// every attempted replica is a real request (request bytes + a
+/// The SAL's one replica failover loop, behind every read: try each
+/// replica in order until `attempt` gets an answer from one. Every
+/// attempt is a real request (`request_bytes` on the wire and a
 /// `net_read_requests` count — a silent retry is not free), and attempts
-/// beyond the first count as `read_retries`.
-fn charge_read_attempt(metrics: &Metrics, network: &Network, attempt: usize, request_bytes: u64) {
-    metrics.add(|m| &m.net_read_requests, 1);
-    if attempt > 0 {
-        metrics.add(|m| &m.read_retries, 1);
+/// beyond the first count as `read_retries`. For *transient* failures
+/// only, the replicas are swept again, up to [`READ_RETRY_ROUNDS`]
+/// rounds, after a jittered exponential backoff from `seed` (metered in
+/// `read_backoff_waits`). The context's deadline, checked before every
+/// attempt and every backoff under the label `what`, cuts the loop off
+/// wherever it stands. The caller charges the answer.
+#[allow(clippy::too_many_arguments)]
+fn with_failover<R, T>(
+    replicas: &[R],
+    metrics: &Metrics,
+    network: &Network,
+    ctx: &QueryCtx,
+    what: &str,
+    seed: u64,
+    request_bytes: u64,
+    mut attempt: impl FnMut(&R) -> Result<T>,
+) -> Result<T> {
+    let mut last_err = None;
+    for round in 1..=READ_RETRY_ROUNDS {
+        if round > 1 {
+            check_deadline(metrics, ctx, what)?;
+            let d = backoff_delay(READ_BACKOFF, round - 1, seed ^ round as u64);
+            if !d.is_zero() {
+                metrics.add(|m| &m.read_backoff_waits, 1);
+                std::thread::sleep(d);
+            }
+        }
+        for (i, replica) in replicas.iter().enumerate() {
+            check_deadline(metrics, ctx, what)?;
+            metrics.add(|m| &m.net_read_requests, 1);
+            if round > 1 || i > 0 {
+                metrics.add(|m| &m.read_retries, 1);
+            }
+            network.transfer(Direction::ToStorage, request_bytes);
+            match attempt(replica) {
+                Ok(out) => return Ok(out),
+                Err(e) => last_err = Some(e),
+            }
+        }
+        if !last_err.as_ref().is_some_and(is_transient) {
+            break;
+        }
     }
-    network.transfer(Direction::ToStorage, request_bytes);
-}
-
-/// Jittered exponential backoff before retry round `round` (>= 2),
-/// metered so starvation under overload is observable.
-fn backoff_before_round(metrics: &Metrics, round: u32, seed: u64) {
-    let d = backoff_delay(READ_BACKOFF, round - 1, seed ^ round as u64);
-    if !d.is_zero() {
-        metrics.add(|m| &m.read_backoff_waits, 1);
-        std::thread::sleep(d);
-    }
+    Err(last_err.unwrap_or_else(|| Error::Internal(format!("{what} had no replicas"))))
 }
 
 /// Is this failure worth another round? Only conditions that can clear on
@@ -525,61 +556,26 @@ fn is_transient(e: &Error) -> bool {
     matches!(e, Error::InvalidState(_) | Error::Overloaded(_))
 }
 
-/// Serve one per-slice sub-batch with replica failover: try each store in
-/// the (rotated) replica order, charging the request per attempt, until
-/// one serves it; meter the result bytes of the successful attempt. For
-/// transient failures, sweep the replicas again (up to
-/// [`READ_RETRY_ROUNDS`] rounds) after a jittered backoff; the context's
-/// deadline cuts the loop off wherever it stands.
-fn serve_sub_batch(
-    stores: &[Arc<PageStore>],
-    req: &NdpBatchRequest,
-    network: &Network,
-    metrics: &Metrics,
-    ctx: &QueryCtx,
-) -> Result<Vec<PageResult>> {
-    let request_bytes =
-        REQ_HEADER_BYTES + req.descriptor.len() as u64 + PER_PAGE_ID_BYTES * req.pages.len() as u64;
-    let mut last_err = Error::Internal("sub-batch had no replicas".into());
-    let mut attempt = 0usize;
-    for round in 1..=READ_RETRY_ROUNDS {
-        if round > 1 {
-            check_deadline(metrics, ctx, "batch read retry")?;
-            backoff_before_round(metrics, round, req.slice.seq as u64);
-        }
-        for store in stores.iter() {
-            check_deadline(metrics, ctx, "batch read dispatch")?;
-            charge_read_attempt(metrics, network, attempt, request_bytes);
-            attempt += 1;
-            match store.serve_ndp_batch(req) {
-                Ok(out) => {
-                    let mut bytes = 0u64;
-                    for r in &out {
-                        bytes += r.payload.byte_len() as u64 + PER_PAGE_RESULT_HEADER;
-                        match &r.payload {
-                            PagePayload::Ndp(p) => {
-                                if p.page_type() == taurus_page::PageType::NdpEmpty {
-                                    metrics.add(|m| &m.pages_shipped_empty, 1);
-                                } else {
-                                    metrics.add(|m| &m.pages_shipped_ndp, 1);
-                                }
-                            }
-                            PagePayload::Raw(_) => {
-                                metrics.add(|m| &m.pages_shipped_raw, 1);
-                            }
-                        }
-                    }
-                    network.transfer(Direction::FromStorage, bytes);
-                    return Ok(out);
+/// Meter a sub-batch's answer: each page by what it is, and the bytes
+/// shipped back.
+fn ship_reply(out: &[PageResult], network: &Network, metrics: &Metrics) {
+    let mut bytes = 0u64;
+    for r in out {
+        bytes += r.payload.byte_len() as u64 + PER_PAGE_RESULT_HEADER;
+        match &r.payload {
+            PagePayload::Ndp(p) => {
+                if p.page_type() == taurus_page::PageType::NdpEmpty {
+                    metrics.add(|m| &m.pages_shipped_empty, 1);
+                } else {
+                    metrics.add(|m| &m.pages_shipped_ndp, 1);
                 }
-                Err(e) => last_err = e,
+            }
+            PagePayload::Raw(_) => {
+                metrics.add(|m| &m.pages_shipped_raw, 1);
             }
         }
-        if !is_transient(&last_err) {
-            break;
-        }
     }
-    Err(last_err)
+    network.transfer(Direction::FromStorage, bytes);
 }
 
 /// Deadline check that meters expiries (shared by the in-line read path
@@ -1019,6 +1015,33 @@ mod tests {
         for ps in sal.page_stores() {
             ps.set_fault(FaultPolicy::None);
         }
+    }
+
+    /// Sub-batches dispatch in the order of their slices' first pages, so
+    /// which replica each one starts on is the same for the same read:
+    /// with a store down, every fresh cluster retries the same number of
+    /// times.
+    #[test]
+    fn sub_batch_dispatch_is_deterministic() {
+        let retries: Vec<u64> = (0..20)
+            .map(|_| {
+                let (m, sal) = populated_sal(23);
+                // Slices {0..3} and {4..7} both have a replica on store 1.
+                sal.page_stores()[1].set_fault(FaultPolicy::Poison);
+                let pages: Vec<PageNo> = (0..8).collect();
+                let before = m.snapshot();
+                sal.batch_read_ctx(
+                    SpaceId(23),
+                    &pages,
+                    sal.current_lsn(),
+                    no_work_descriptor(),
+                    &QueryCtx::new(),
+                )
+                .unwrap();
+                m.snapshot().since(&before).read_retries
+            })
+            .collect();
+        assert!(retries.iter().all(|&r| r == retries[0]), "{retries:?}");
     }
 
     #[test]

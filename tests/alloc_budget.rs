@@ -364,8 +364,10 @@ fn page_store_plugin_allocates_per_page() {
         // page to page.
         let run = || {
             let before = ALLOCATIONS.load(Ordering::Relaxed);
-            for leaf in &leaves {
-                InnodbNdpPlugin.process_page(&cd, &none, leaf).unwrap();
+            for leaf in leaves.chunks(1) {
+                InnodbNdpPlugin
+                    .run(&cd, &none, leaf, &mut |_, _| ())
+                    .unwrap();
             }
             ALLOCATIONS.load(Ordering::Relaxed) - before
         };
@@ -382,10 +384,13 @@ fn page_store_plugin_allocates_per_page() {
             PER_ROW_BUDGET,
             || {
                 let mut seen = 0;
-                for leaf in &leaves {
-                    let (ndp, stats) = InnodbNdpPlugin.process_page(&cd, &none, leaf).unwrap();
+                for leaf in leaves.chunks(1) {
+                    let mut recs = 0;
+                    let stats = InnodbNdpPlugin
+                        .run(&cd, &none, leaf, &mut |_, ndp| recs = ndp.n_recs())
+                        .unwrap();
                     seen += stats.records_in;
-                    assert!(ndp.n_recs() as u64 <= stats.records_in);
+                    assert!(recs as u64 <= stats.records_in);
                 }
                 assert_eq!(seen, records);
             },
@@ -417,8 +422,10 @@ fn page_store_join_filter_allocates_per_page(
     let run = || {
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         let mut join_filtered = 0;
-        for leaf in leaves {
-            let (_, stats) = InnodbNdpPlugin.process_page(&cd, &sections, leaf).unwrap();
+        for leaf in leaves.chunks(1) {
+            let stats = InnodbNdpPlugin
+                .run(&cd, &sections, leaf, &mut |_, _| ())
+                .unwrap();
             join_filtered += stats.records_join_filtered;
         }
         assert!(join_filtered > 0);

@@ -59,8 +59,8 @@ use taurus::prelude::Session;
 /// the tree-walking evaluator over the decoded record. Grouped, a page
 /// stands alone and keeps at most [`GROUP_TABLE_GROUPS`] groups, the one
 /// updated longest ago going out when a new one comes; `cross_page` is
-/// `process_batch` on a scalar aggregate; otherwise every page stands
-/// alone, as in `process_page`. With `listed` keys, a record whose key
+/// a batch under a scalar aggregate; otherwise every page stands alone.
+/// With `listed` keys, a record whose key
 /// extends none of them does not exist; with a join `filter`, a visible
 /// live record whose key column's value the filter rules out does not
 /// either.
@@ -337,8 +337,25 @@ fn add(total: &mut PluginStats, page: &PluginStats) {
     total.records_join_filtered += page.records_join_filtered;
 }
 
-/// Both entry points against the oracle on `pages`, under the key set
-/// `listed` and the join `filter` if there are any.
+/// One plugin call over `pages`: their NDP pages, in page order.
+fn run(
+    cd: &CachedDescriptor,
+    sections: &Sections,
+    pages: &[Arc<Page>],
+) -> (Vec<Page>, PluginStats) {
+    let mut out: Vec<Option<Page>> = pages.iter().map(|_| None).collect();
+    let stats = InnodbNdpPlugin
+        .run(cd, sections, pages, &mut |i, ndp| {
+            assert!(out[i].replace(ndp).is_none(), "page {i} done twice")
+        })
+        .unwrap();
+    let out = out.into_iter().map(|p| p.expect("one NDP page per page"));
+    (out.collect(), stats)
+}
+
+/// The plugin against the oracle on `pages`, page by page and as one
+/// batch, under the key set `listed` and the join `filter` if there are
+/// any.
 fn compare(
     cd: &CachedDescriptor,
     inputs: &[Option<Expr>],
@@ -359,10 +376,10 @@ fn compare(
     let mut total = PluginStats::default();
     for (i, page) in refs.iter().enumerate() {
         let (want, want_stats) = oracle(cd, inputs, listed, filter, &[page], false);
-        let (got, got_stats) = InnodbNdpPlugin.process_page(cd, &sections, page).unwrap();
+        let (got, got_stats) = run(cd, &sections, &pages[i..=i]);
         assert_eq!(got_stats, want_stats, "{what}: page {i} statistics");
-        assert!(got.bytes() == want[0].bytes(), "{what}: page {i}");
-        got.verify_checksum().unwrap();
+        assert!(got[0].bytes() == want[0].bytes(), "{what}: page {i}");
+        got[0].verify_checksum().unwrap();
         add(&mut total, &got_stats);
     }
     // As one batch (cross-page when the aggregate is scalar).
@@ -371,19 +388,11 @@ fn compare(
         .aggregation
         .as_ref()
         .is_some_and(|a| a.group_cols.is_empty());
-    let numbered: Vec<(u32, Arc<Page>)> = pages
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (i as u32, p.clone()))
-        .collect();
     let (want, want_stats) = oracle(cd, inputs, listed, filter, &refs, scalar);
-    let (mut got, got_stats) = InnodbNdpPlugin
-        .process_batch(cd, &sections, &numbered)
-        .unwrap();
+    let (got, got_stats) = run(cd, &sections, pages);
     assert_eq!(got_stats, want_stats, "{what}: batch statistics");
-    got.sort_by_key(|(no, _)| *no);
     assert_eq!(got.len(), want.len(), "{what}: one NDP page per page");
-    for ((no, got), want) in got.iter().zip(&want) {
+    for (no, (got, want)) in got.iter().zip(&want).enumerate() {
         assert!(got.bytes() == want.bytes(), "{what}: batch page {no}");
     }
     total
