@@ -302,6 +302,9 @@ metrics_struct! {
     /// workers and SAL sub-batch dispatches (one each). A query's own
     /// operators run on the thread that asks for its rows.
     sql_threads_spawned,
+    /// Page Store: groups complete on their page whose outputs did not
+    /// make a pushed HAVING `True`, dropped with their carriers.
+    ps_groups_dropped_by_having,
 }
 
 /// Per-tenant governance counters: who is consuming NDP admission and

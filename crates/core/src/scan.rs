@@ -113,6 +113,11 @@ pub struct ScanAggregation {
     pub specs: Vec<ScanAgg>,
     /// GROUP BY columns, in any order.
     pub group_cols: Vec<usize>,
+    /// HAVING conjuncts the Page Stores apply to the groups complete on a
+    /// page, over a group's outputs: its `group_cols` values, then the
+    /// final value of each of `specs`. Only for a GROUP BY that is a prefix
+    /// of the index key; the SQL node still applies the whole HAVING.
+    pub having: Option<Expr>,
 }
 
 /// One aggregate a scan asks storage for: a storage-side function over an
@@ -347,6 +352,12 @@ pub fn build_descriptor(
                 .iter()
                 .map(|&c| pos_of(c))
                 .collect::<Result<_>>()?,
+            // Over a group's outputs, not table columns: nothing to remap.
+            having: a
+                .having
+                .as_ref()
+                .map(|e| taurus_expr::compile::lower_for_ndp(e)?.encode_bitcode())
+                .transpose()?,
         }),
     };
     let d = NdpDescriptor {

@@ -294,6 +294,7 @@ fn scalar_aggregation_pushdown_matches() {
             aggregation: Some(ScanAggregation {
                 specs: scan_aggs(&specs),
                 group_cols: vec![],
+                having: None,
             }),
             ..Default::default()
         }),
@@ -345,6 +346,7 @@ fn grouped_aggregation_pushdown_matches() {
             aggregation: Some(ScanAggregation {
                 specs: scan_aggs(&specs),
                 group_cols: vec![0],
+                having: None,
             }),
             ..Default::default()
         }),
@@ -954,6 +956,7 @@ fn batch_size_is_invisible_in_results_stats_and_partial_order() {
             aggregation: Some(ScanAggregation {
                 specs: scan_aggs(&[AggSpec::sum(2), AggSpec::count_star()]),
                 group_cols: vec![0],
+                having: None,
             }),
         }),
         output_cols: vec![0, 2],

@@ -10,7 +10,12 @@
 //! so the Page Stores keep home the records no build key matches — or
 //! does not open at all when the build has no key. Whatever storage lets
 //! through (false positives, ambiguous records, raw pages) the probe
-//! decides as always.
+//! decides as always. The other way round, a probe side that hands up its
+//! first row only once it has read all its input (an aggregation or a
+//! sort, under row-wise filters: Q18's derived table) is read before the
+//! build opens; when it has no row, no row can come out whatever the join
+//! type, and the build side, with the storage reads behind it, never
+//! starts.
 //!
 //! [`LookupJoinOp`] streams its outer side and looks each outer row up in
 //! the inner index through the [`LookupProbe`] machinery, so it never
@@ -31,7 +36,7 @@ use taurus_common::codec::put_value16;
 use taurus_common::schema::Row;
 use taurus_common::{KeyMap, Result, RowBatch, Value};
 use taurus_ndp::JoinFilter;
-use taurus_optimizer::plan::{HashJoinNode, JoinFilterDecision, JoinType, LookupJoinNode};
+use taurus_optimizer::plan::{HashJoinNode, JoinFilterDecision, JoinType, LookupJoinNode, Plan};
 
 use super::{emit_or_end, BoxOp, InputCursor, Operator};
 use crate::exec::{ExecContext, JoinPrograms, LookupProbe};
@@ -66,6 +71,20 @@ pub(crate) struct HashJoinOp<'r, 'env> {
     /// The node's join-filter decision: the probe side opens once the
     /// build is drained.
     filter: Option<&'env JoinFilterDecision>,
+    /// The probe side drains its input before its first row: it is read
+    /// first, and the build opens only if it has a row.
+    probe_first: bool,
+}
+
+/// Does `plan` hand up its first row only once its whole input is read: a
+/// breaker at its root, under row-wise filters and projections?
+fn drains_first(plan: &Plan) -> bool {
+    match plan {
+        Plan::Filter(f) => drains_first(&f.input),
+        Plan::Project(p) => drains_first(&p.input),
+        Plan::AggScan(_) | Plan::HashAgg(_) | Plan::Sort(_) => true,
+        _ => false,
+    }
 }
 
 impl<'r, 'env> HashJoinOp<'r, 'env> {
@@ -79,6 +98,7 @@ impl<'r, 'env> HashJoinOp<'r, 'env> {
             // `check_plan` has rejected a decision on an outer or anti
             // join, or on more than one key, before any operator exists.
             filter: node.filter.as_ref(),
+            probe_first: node.filter.is_none() && drains_first(&node.left),
             ctx,
             node,
             left: InputCursor::new(left),
@@ -97,10 +117,21 @@ impl<'r, 'env> HashJoinOp<'r, 'env> {
         }
     }
 
-    /// Drain the build side into the hash table (first pull only).
+    /// Drain the build side into the hash table (first pull only). A
+    /// probe side read first that has no row leaves it unopened.
     fn build_side(&mut self) -> Result<()> {
         if self.built {
             return Ok(());
+        }
+        if self.probe_first {
+            if !self.left.has_row()? {
+                self.right = None;
+                self.built = true;
+                return Ok(());
+            }
+            if let Some(right) = &mut self.right {
+                right.open()?;
+            }
         }
         if let Some(right) = &mut self.right {
             while let Some(mut b) = right.next_batch()? {
@@ -172,11 +203,12 @@ impl Operator for HashJoinOp<'_, '_> {
 
     fn open(&mut self) -> Result<()> {
         // With a join filter the probe waits for the build (`open_probe`);
-        // the build opens now either way, beside the other joins' builds.
+        // a probe read first has the build wait for it (`build_side`);
+        // otherwise both open now, beside the other joins' builds.
         if self.filter.is_none() {
             self.left.open()?;
         }
-        if let Some(r) = &mut self.right {
+        if let (false, Some(r)) = (self.probe_first, &mut self.right) {
             r.open()?;
         }
         Ok(())

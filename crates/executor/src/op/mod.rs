@@ -234,6 +234,16 @@ impl<'r> InputCursor<'r> {
         Ok(self.batch.as_ref().map(|b| (b, self.next - 1)))
     }
 
+    /// Is there an unread input row? Pulls the child until there is one
+    /// or it ends (which closes it); the row stays unread.
+    pub(crate) fn has_row(&mut self) -> Result<bool> {
+        if self.next_in_batch(true)?.is_none() {
+            return Ok(false);
+        }
+        self.next -= 1;
+        Ok(true)
+    }
+
     pub(crate) fn close(&mut self) {
         if let Some(mut c) = self.child.take() {
             c.close();

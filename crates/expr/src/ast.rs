@@ -289,13 +289,18 @@ impl Expr {
 
     /// Rewrite column references through `map` (old position -> new).
     pub fn remap_columns(&self, map: &impl Fn(usize) -> usize) -> Expr {
-        let rebox = |e: &Expr| Box::new(e.remap_columns(map));
+        self.substitute_columns(&|i| Expr::Col(map(i)))
+    }
+
+    /// Replace each column reference `i` with the expression `map(i)`.
+    pub fn substitute_columns(&self, map: &impl Fn(usize) -> Expr) -> Expr {
+        let rebox = |e: &Expr| Box::new(e.substitute_columns(map));
         match self {
-            Expr::Col(i) => Expr::Col(map(*i)),
+            Expr::Col(i) => map(*i),
             Expr::Lit(v) => Expr::Lit(v.clone()),
             Expr::Cmp(op, a, b) => Expr::Cmp(*op, rebox(a), rebox(b)),
-            Expr::And(xs) => Expr::And(xs.iter().map(|x| x.remap_columns(map)).collect()),
-            Expr::Or(xs) => Expr::Or(xs.iter().map(|x| x.remap_columns(map)).collect()),
+            Expr::And(xs) => Expr::And(xs.iter().map(|x| x.substitute_columns(map)).collect()),
+            Expr::Or(xs) => Expr::Or(xs.iter().map(|x| x.substitute_columns(map)).collect()),
             Expr::Not(a) => Expr::Not(rebox(a)),
             Expr::Arith(op, a, b) => Expr::Arith(*op, rebox(a), rebox(b)),
             Expr::Neg(a) => Expr::Neg(rebox(a)),
@@ -329,7 +334,7 @@ impl Expr {
             Expr::Case { branches, else_ } => Expr::Case {
                 branches: branches
                     .iter()
-                    .map(|(c, v)| (c.remap_columns(map), v.remap_columns(map)))
+                    .map(|(c, v)| (c.substitute_columns(map), v.substitute_columns(map)))
                     .collect(),
                 else_: rebox(else_),
             },

@@ -31,6 +31,12 @@
 //! They travel beside the descriptor, not in it: the Page Store finds
 //! where `DESC` ends ([`NdpDescriptor::section_len`]), hashes and caches
 //! that part alone, and parses and validates the rest per request.
+//!
+//! The aggregation section may end with a **pushed HAVING**
+//! ([`NdpAggSpec::having`]): a program over a group's outputs that the
+//! plugin runs once per group complete on its page. Its presence is the
+//! value 2 of the aggregation flag byte, so a descriptor without one keeps
+//! its bytes, and its cache key, exactly.
 
 use std::sync::Arc;
 
@@ -51,7 +57,19 @@ pub struct NdpAggSpec {
     /// table of its groups (see the plugin). Empty = scalar aggregation,
     /// which also enables cross-page aggregation within a batch request.
     pub group_cols: Vec<u16>,
+    /// Pushed HAVING conjuncts as IR bitcode over a group's outputs: the
+    /// group columns' values in `group_cols` order, then each of `specs`'
+    /// final values. Only for a GROUP BY that is a prefix of the index key
+    /// (groups then arrive one after another); a group complete on its
+    /// page that does not make it `True` is dropped there.
+    pub having: Option<Vec<u8>>,
 }
+
+/// The aggregation flag byte: no aggregation, aggregation, aggregation
+/// with a pushed HAVING.
+const AGG_NONE: u8 = 0;
+const AGG_GROUPS: u8 = 1;
+const AGG_HAVING: u8 = 2;
 
 /// The descriptor shipped with every NDP batch read.
 #[derive(Clone, Debug, PartialEq)]
@@ -104,12 +122,16 @@ impl NdpDescriptor {
         if cur.flag()? {
             cur.bytes16()?;
         }
-        if cur.flag()? {
+        let agg = agg_flag(&mut cur)?;
+        if agg != AGG_NONE {
             for _ in 0..cur.u16()? {
                 AggSpec::skip(&mut cur)?;
             }
             let n = cur.u16()? as usize;
             cur.take(2 * n)?;
+        }
+        if agg == AGG_HAVING {
+            cur.bytes16()?;
         }
         Ok(cur.pos())
     }
@@ -147,13 +169,25 @@ impl NdpDescriptor {
         if let Some(bc) = &self.predicate_bitcode {
             put_bytes16(out, bc, "predicate bitcode bytes")?;
         }
-        put_flag(out, self.aggregation.is_some());
+        put_u8(
+            out,
+            match &self.aggregation {
+                None => AGG_NONE,
+                Some(NdpAggSpec { having: None, .. }) => AGG_GROUPS,
+                Some(NdpAggSpec {
+                    having: Some(_), ..
+                }) => AGG_HAVING,
+            },
+        );
         if let Some(agg) = &self.aggregation {
             put_u16(out, len16(agg.specs.len(), "descriptor aggregates")?);
             for s in &agg.specs {
                 s.encode(out)?;
             }
             u16s(out, &agg.group_cols, "descriptor group columns")?;
+            if let Some(having) = &agg.having {
+                put_bytes16(out, having, "HAVING bitcode bytes")?;
+            }
         }
         Ok(())
     }
@@ -180,14 +214,22 @@ impl NdpDescriptor {
             true => Some(cur.bytes16()?.to_vec()),
             false => None,
         };
-        let aggregation = match cur.flag()? {
-            true => {
+        let aggregation = match agg_flag(&mut cur)? {
+            AGG_NONE => None,
+            flag => {
                 let n = cur.u16()?;
                 let specs = cur.list(n as usize, AggSpec::decode)?;
                 let group_cols = u16s(&mut cur)?;
-                Some(NdpAggSpec { specs, group_cols })
+                let having = match flag {
+                    AGG_HAVING => Some(cur.bytes16()?.to_vec()),
+                    _ => None,
+                };
+                Some(NdpAggSpec {
+                    specs,
+                    group_cols,
+                    having,
+                })
             }
-            false => None,
         };
         cur.done()?;
         let d = NdpDescriptor {
@@ -274,8 +316,44 @@ impl NdpDescriptor {
                     )));
                 }
             }
+            if let Some(having) = &agg.having {
+                self.validate_having(agg, having)?;
+            }
         }
         Ok(())
+    }
+
+    /// A pushed HAVING needs groups that arrive one after another (a
+    /// GROUP BY that is a non-empty prefix of the index key) and reads
+    /// only a group's outputs.
+    fn validate_having(&self, agg: &NdpAggSpec, having: &[u8]) -> Result<()> {
+        len16(having.len(), "HAVING bitcode bytes")?;
+        if agg.group_cols.is_empty() || !self.key_positions.starts_with(&agg.group_cols) {
+            return Err(Error::Corruption(format!(
+                "HAVING over groups {:?} that do not follow the key {:?}",
+                agg.group_cols, self.key_positions
+            )));
+        }
+        let outputs = agg.group_cols.len() + agg.specs.len();
+        let program = IrProgram::decode_bitcode(having)?;
+        if let Some(c) = program
+            .columns_used()
+            .into_iter()
+            .find(|&c| c as usize >= outputs)
+        {
+            return Err(Error::Corruption(format!(
+                "HAVING reads output {c} of a group's {outputs}"
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// The aggregation flag byte, refused past [`AGG_HAVING`].
+fn agg_flag(cur: &mut Cursor<'_>) -> Result<u8> {
+    match cur.u8()? {
+        flag @ (AGG_NONE | AGG_GROUPS | AGG_HAVING) => Ok(flag),
+        other => Err(Error::Corruption(format!("aggregation flag byte {other}"))),
     }
 }
 
@@ -577,6 +655,7 @@ mod tests {
             aggregation: Some(NdpAggSpec {
                 specs: vec![AggSpec::sum(3), AggSpec::count_star()],
                 group_cols: vec![],
+                having: None,
             }),
             low_watermark: 17,
         }
@@ -619,11 +698,13 @@ mod tests {
         d.aggregation = Some(NdpAggSpec {
             specs: vec![AggSpec::count_star()],
             group_cols: vec![2, 0],
+            having: None,
         });
         d.validate().unwrap();
         d.aggregation = Some(NdpAggSpec {
             specs: vec![AggSpec::count_star()],
             group_cols: vec![4],
+            having: None,
         });
         assert!(d.validate().is_err(), "col 4 is not in the projection");
     }
@@ -634,6 +715,7 @@ mod tests {
         d.aggregation = Some(NdpAggSpec {
             specs: vec![AggSpec::sum(4)],
             group_cols: vec![],
+            having: None,
         });
         assert!(d.validate().is_err(), "col 4 is not in the projection");
         // A program's columns are checked the same way.
@@ -646,6 +728,7 @@ mod tests {
             d.aggregation = Some(NdpAggSpec {
                 specs: vec![program(&over(c))],
                 group_cols: vec![],
+                having: None,
             });
             assert_eq!(d.validate().is_ok(), ok, "col {c}");
         }
@@ -674,6 +757,7 @@ mod tests {
                 },
             ],
             group_cols: vec![2],
+            having: None,
         });
         let bytes = d.encode();
         assert_eq!(NdpDescriptor::decode(&bytes).unwrap(), d);
@@ -709,6 +793,74 @@ mod tests {
         let err = encode_key_set([&long[..]].into_iter(), &mut out).unwrap_err();
         assert!(matches!(err, Error::InvalidState(_)), "{err}");
     }
+
+    /// A descriptor grouped by its key's first column, with a HAVING over
+    /// (group, SUM).
+    fn with_having() -> NdpDescriptor {
+        let mut d = sample();
+        d.aggregation = Some(NdpAggSpec {
+            specs: vec![AggSpec::sum(3)],
+            group_cols: vec![0],
+            having: Some(
+                lower(&Expr::gt(Expr::col(1), Expr::int(300)))
+                    .unwrap()
+                    .encode_bitcode()
+                    .unwrap(),
+            ),
+        });
+        d
+    }
+
+    #[test]
+    fn a_having_rides_behind_the_group_columns_and_only_on_key_groups() {
+        let d = with_having();
+        let bytes = d.encode();
+        assert_eq!(NdpDescriptor::decode(&bytes).unwrap(), d);
+        assert_eq!(NdpDescriptor::section_len(&bytes).unwrap(), bytes.len());
+        // Without it, the bytes are the descriptor's without a HAVING:
+        // the flag byte says 1 instead of 2, and nothing follows.
+        let mut plain = d.clone();
+        plain.aggregation.as_mut().unwrap().having = None;
+        let plain_bytes = plain.encode();
+        let having_len = 2 + d
+            .aggregation
+            .as_ref()
+            .unwrap()
+            .having
+            .as_ref()
+            .unwrap()
+            .len();
+        assert_eq!(plain_bytes.len() + having_len, bytes.len());
+        // Behind the flag: the spec count, the spec, the group count and
+        // the group column.
+        let flag = plain_bytes.len() - 1 - 2 - AGG_SPEC_SUM_LEN - 2 - 2;
+        assert_eq!((plain_bytes[flag], bytes[flag]), (AGG_GROUPS, AGG_HAVING));
+        // A flag past 2, groups off the key, no groups, and an output past
+        // the group's are refused.
+        let mut flag3 = bytes.clone();
+        flag3[flag] = 3;
+        assert!(matches!(
+            NdpDescriptor::decode(&flag3),
+            Err(Error::Corruption(_))
+        ));
+        assert!(NdpDescriptor::section_len(&flag3).is_err());
+        for group_cols in [vec![1], vec![], vec![1, 0]] {
+            let mut bad = d.clone();
+            bad.aggregation.as_mut().unwrap().group_cols = group_cols;
+            assert!(matches!(bad.validate(), Err(Error::Corruption(_))));
+        }
+        let mut past = d.clone();
+        past.aggregation.as_mut().unwrap().having =
+            Some(lower(&Expr::col(2)).unwrap().encode_bitcode().unwrap());
+        assert!(matches!(past.validate(), Err(Error::Corruption(_))));
+        // The whole key groups too.
+        let mut whole = d;
+        whole.aggregation.as_mut().unwrap().group_cols = vec![0, 1];
+        whole.validate().unwrap();
+    }
+
+    /// An encoded `SUM(col)` spec: function, input kind, column.
+    const AGG_SPEC_SUM_LEN: usize = 4;
 
     #[test]
     fn decode_rejects_garbage() {

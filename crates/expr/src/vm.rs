@@ -264,6 +264,18 @@ impl CompiledPredicate {
         Self::build(&crate::compile::lower(e)?, Ok)
     }
 
+    /// Compile a descriptor's program for decoded rows of `width` values
+    /// (a pushed HAVING, over a group's outputs). A load past the row is
+    /// [`Error::Corruption`].
+    pub fn for_row_program(ir: &IrProgram, width: usize) -> Result<CompiledPredicate> {
+        Self::build(ir, |col| match (col as usize) < width {
+            true => Ok(col),
+            false => Err(Error::Corruption(format!(
+                "program reads value {col} of a {width}-value row"
+            ))),
+        })
+    }
+
     /// Validate `ir` and resolve its column loads through `pos_of`.
     fn build(ir: &IrProgram, pos_of: impl Fn(u16) -> Result<u16>) -> Result<CompiledPredicate> {
         ir.validate()?;

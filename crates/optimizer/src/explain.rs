@@ -2,7 +2,8 @@
 //! received NDP annotations print `Using pushed NDP condition (...)`,
 //! `Using pushed NDP columns`, and `Using pushed NDP aggregate (...)`,
 //! which names how the Page Stores group: in `index order`, or in a
-//! `per-page hash` table.
+//! `per-page hash` table. An aggregation that carries HAVING conjuncts
+//! adds `Using pushed NDP having`.
 //!
 //! Alongside the logical tree, EXPLAIN renders the **physical operator
 //! pipeline** the executor lowers the plan to ([`explain_physical`]):
@@ -220,7 +221,7 @@ fn render_scan(
             if d.choice.projection.is_some() {
                 line(depth, out, "Using pushed NDP columns");
             }
-            if let (Some(_), Some(a)) = (&d.choice.aggregation, agg) {
+            if let (Some(pushed), Some(a)) = (&d.choice.aggregation, agg) {
                 let grouping = match a.index_ordered(db) {
                     true => "index order",
                     false => "per-page hash",
@@ -230,6 +231,9 @@ fn render_scan(
                     out,
                     &format!("Using pushed NDP aggregate ({grouping})"),
                 );
+                if pushed.having.is_some() {
+                    line(depth, out, "Using pushed NDP having");
+                }
             }
             let residual = s.residual_conjuncts();
             if !residual.is_empty() {

@@ -16,6 +16,16 @@
 //!   leaf by the catalog's estimate ([`GROUPS_PER_LEAF_THRESHOLD`]): a GROUP
 //!   BY that follows the index is folded group after group, any other in a
 //!   per-page table of at most [`GROUP_TABLE_GROUPS`] groups (§V-C);
+//! * **HAVING**, carried one step past §V-C: when the `AggScan`'s GROUP BY
+//!   follows the index and a `Filter` sits right above it, the Filter's
+//!   conjuncts that the Page Stores can judge from a group's outputs
+//!   ([`storage_having`]) go with the aggregation ([`decide_having`]).
+//!   Groups arrive one after another, so a group that neither starts nor
+//!   ends its page, and no ambiguous record carries, is complete there,
+//!   and the plugin drops it when those conjuncts are not `True` for it.
+//!   The Filter stays: boundary groups and raw pages reach it as before.
+//!   One program run per finished group is all it costs, so there is no
+//!   estimate to pass;
 //!
 //! all gated by the *estimated physical I/O* rule: "NDP is enabled on a
 //! scan only if the scan is estimated to cause at least 10,000 pages of
@@ -51,8 +61,8 @@ use taurus_ndp::{
 };
 
 use crate::plan::{
-    AggItem, AggScanNode, HashJoinNode, JoinFilterDecision, JoinType, LookupJoinNode, NdpDecision,
-    Plan, RangeSpec, ScanNode,
+    AggFuncEx, AggItem, AggScanNode, HashJoinNode, JoinFilterDecision, JoinType, LookupJoinNode,
+    NdpDecision, Plan, RangeSpec, ScanNode,
 };
 
 /// Why a table access did or did not get each NDP feature (EXPLAIN food).
@@ -71,6 +81,8 @@ pub struct NdpReport {
     /// form, and the most that pushes.
     pub groups_per_leaf: f64,
     pub group_limit: f64,
+    /// The aggregation carries HAVING conjuncts for complete groups.
+    pub having: bool,
 }
 
 /// Run the pass over a finalized plan. Returns one report per table access
@@ -110,7 +122,13 @@ fn process(plan: &mut Plan, db: &TaurusDb, out: &mut Vec<NdpReport>) -> Result<(
         }
         Plan::HashAgg(a) => process(&mut a.input, db, out)?,
         Plan::Project(p) => process(&mut p.input, db, out)?,
-        Plan::Filter(p) => process(&mut p.input, db, out)?,
+        Plan::Filter(p) => {
+            let scan_report = out.len();
+            process(&mut p.input, db, out)?;
+            if let (Plan::AggScan(a), Some(r)) = (&mut *p.input, out.get_mut(scan_report)) {
+                r.having = decide_having(&p.predicate, a, db)?;
+            }
+        }
         Plan::Sort(s) => process(&mut s.input, db, out)?,
         Plan::Limit { input, .. } => process(input, db, out)?,
         Plan::Exchange(e) => process(&mut e.child, db, out)?,
@@ -171,6 +189,7 @@ fn decide_scan(
             choice.aggregation = Some(ScanAggregation {
                 specs,
                 group_cols: group_cols.clone(),
+                having: None,
             });
             report.aggregation = true;
         }
@@ -212,6 +231,114 @@ pub fn storage_aggs(aggs: &[AggItem], dtypes: &[DataType]) -> Option<Vec<ScanAgg
         }
     }
     Some(specs)
+}
+
+/// The HAVING decision of an `AggScan` whose rows `filter` judges: when
+/// its aggregation went to storage grouped in index order, the conjuncts
+/// of `filter` whose [`storage_having`] form is on the §V-B1 allow-list
+/// go with it, as one program within the descriptor's register budget.
+/// Returns whether any did.
+fn decide_having(filter: &Expr, a: &mut AggScanNode, db: &TaurusDb) -> Result<bool> {
+    let index_ordered = !a.group_cols.is_empty() && a.index_ordered(db);
+    let Some(agg) = a
+        .scan
+        .ndp
+        .as_mut()
+        .and_then(|d| d.choice.aggregation.as_mut())
+    else {
+        return Ok(false);
+    };
+    agg.having = None;
+    if !index_ordered {
+        return Ok(false);
+    }
+    let table = db.table(&a.scan.table)?;
+    let outputs = grouped_dtypes(&agg.group_cols, &agg.specs, &table.schema.dtypes());
+    let mut pushed: Vec<Expr> = Vec::new();
+    for c in conjuncts(filter) {
+        let Some(e) = storage_having(c, &a.aggs, a.group_cols.len()) else {
+            continue;
+        };
+        if !e.is_ndp_supported(&outputs) {
+            continue;
+        }
+        pushed.push(e);
+        if taurus_expr::compile::lower_for_ndp(&Expr::and(pushed.clone())).is_err() {
+            pushed.pop();
+        }
+    }
+    if pushed.is_empty() {
+        return Ok(false);
+    }
+    agg.having = Some(Expr::and(pushed));
+    Ok(true)
+}
+
+/// The conjuncts of a predicate: the parts of an AND, or the predicate.
+pub fn conjuncts(e: &Expr) -> &[Expr] {
+    match e {
+        Expr::And(xs) => xs,
+        e => std::slice::from_ref(e),
+    }
+}
+
+/// A HAVING conjunct over an `AggScan`'s output row (its `n_group` group
+/// columns, then one value per aggregate of `aggs`) in the form a Page
+/// Store evaluates: over a group's outputs there, the group columns and
+/// then the storage aggregates [`storage_aggs`] makes of `aggs`, an AVG
+/// as its SUM divided by its COUNT (the SQL node's AVG, to the digit).
+/// `None` when it reads a SUM or an AVG over an expression: a Page Store
+/// types such a sum by its first value, the SQL node by the expression's
+/// type, and their finals may differ in scale.
+pub fn storage_having(conjunct: &Expr, aggs: &[AggItem], n_group: usize) -> Option<Expr> {
+    let mut first_state = Vec::with_capacity(aggs.len());
+    let mut states = n_group;
+    for a in aggs {
+        first_state.push(states);
+        states += if a.func == AggFuncEx::Avg { 2 } else { 1 };
+    }
+    let readable = conjunct
+        .columns()
+        .into_iter()
+        .all(|c| match c.checked_sub(n_group) {
+            None => true,
+            Some(j) => aggs.get(j).is_some_and(|a| {
+                let summed = matches!(a.func, AggFuncEx::Sum | AggFuncEx::Avg);
+                !summed || matches!(a.input, Some(Expr::Col(_)))
+            }),
+        });
+    if !readable {
+        return None;
+    }
+    Some(
+        conjunct.substitute_columns(&|c| match c.checked_sub(n_group) {
+            None => Expr::Col(c),
+            Some(j) => {
+                let s = first_state[j];
+                match aggs[j].func {
+                    AggFuncEx::Avg => Expr::div(Expr::Col(s), Expr::Col(s + 1)),
+                    _ => Expr::Col(s),
+                }
+            }
+        }),
+    )
+}
+
+/// The types of a group's outputs at a Page Store: its group columns',
+/// then each storage aggregate's final value's.
+fn grouped_dtypes(group_cols: &[usize], specs: &[ScanAgg], dtypes: &[DataType]) -> Vec<DataType> {
+    let col = |c: usize| dtypes.get(c).copied().unwrap_or(DataType::BigInt);
+    let spec = |s: &ScanAgg| match (s.func, &s.input) {
+        (AggFunc::Sum | AggFunc::Min | AggFunc::Max, Some(e)) => {
+            e.dtype(dtypes).unwrap_or(DataType::BigInt)
+        }
+        _ => DataType::BigInt,
+    };
+    group_cols
+        .iter()
+        .map(|&c| col(c))
+        .chain(specs.iter().map(spec))
+        .collect()
 }
 
 /// Push aggregation when a leaf's records fall into at most this fraction

@@ -9,8 +9,9 @@
 //! reduced the average decoding time to less than 5 microseconds."
 //!
 //! Here the expensive step is [`CachedDescriptor::prepare`]: descriptor
-//! decode + IR validation + VM compilation (the predicate and every
-//! aggregate input program) and the byte-level projection and
+//! decode + IR validation + VM compilation (the predicate, every
+//! aggregate input program and a pushed HAVING) and the byte-level
+//! projection and
 //! aggregate-input plans, all against the record layout. The
 //! cache maps `fnv64(descriptor bytes)` to the prepared entry; collisions
 //! are detected by byte comparison and treated as misses.
@@ -60,6 +61,12 @@ pub struct CachedDescriptor {
     /// The columns of the [`AggRead::Col`] inputs, in their order: all a
     /// fold decodes of a record besides what programs read in place.
     pub agg_cols: DecodePlan,
+    /// The pushed HAVING, compiled for a group's outputs (its group
+    /// columns' values, then its final states), if one was sent.
+    pub having: Option<CompiledPredicate>,
+    /// The group columns, in GROUP BY order: what a HAVING reads of a
+    /// group's carrier.
+    pub group_values: DecodePlan,
     /// The raw bytes (collision detection + diagnostics).
     pub bytes: Vec<u8>,
     /// Aggregation tables of finished walks, for the next ones.
@@ -103,6 +110,18 @@ impl CachedDescriptor {
             })
             .collect::<Result<_>>()?;
         let agg_cols = DecodePlan::new(&layout, &agg_cols);
+        let mut group_cols = Vec::new();
+        let mut having = None;
+        if let Some(agg) = &desc.aggregation {
+            group_cols.extend(agg.group_cols.iter().map(|&g| g as usize));
+            if let Some(bc) = &agg.having {
+                let ir = taurus_expr::ir::IrProgram::decode_bitcode(bc)?;
+                taurus_expr::compile::check_regs(&ir)?;
+                let outputs = agg.group_cols.len() + agg.specs.len();
+                having = Some(CompiledPredicate::for_row_program(&ir, outputs)?);
+            }
+        }
+        let group_values = DecodePlan::new(&layout, &group_cols);
         Ok(CachedDescriptor {
             key_positions: desc.key_positions.iter().map(|&p| p as usize).collect(),
             desc,
@@ -112,6 +131,8 @@ impl CachedDescriptor {
             survivor,
             agg_inputs,
             agg_cols,
+            having,
+            group_values,
             bytes: bytes.to_vec(),
             group_tables: Mutex::new(Vec::new()),
         })

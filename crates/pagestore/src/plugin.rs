@@ -53,6 +53,14 @@
 //!   bytes ([`AggRead`]); a program that errs fails the page, which then
 //!   goes back raw. Records leave the page in chain order: each carrier
 //!   where it sits, ambiguous records between them;
+//! * with a pushed HAVING (only on a GROUP BY that is a prefix of the
+//!   key, so groups come one after another), a group **complete** on its
+//!   page is judged where it is folded: its key is neither the page's
+//!   first record's nor its last record's, whatever their kind, and no
+//!   ambiguous record carries it. When its outputs (group columns, then
+//!   its states with the carrier folded in, finalized) do not make the
+//!   HAVING `True`, neither carrier nor partial leaves the page. Every
+//!   other group goes out as before, for the SQL node to merge and judge;
 //! * with no GROUP BY, aggregation crosses pages *within one request*
 //!   (§V-C case 2), the payload landing on the last page that has a
 //!   visible row.
@@ -78,6 +86,8 @@ pub struct PluginStats {
     pub ambiguous: u64,
     /// Visible records dropped by the request's join filter.
     pub records_join_filtered: u64,
+    /// Groups complete on their page that the pushed HAVING dropped.
+    pub groups_dropped_by_having: u64,
 }
 
 /// DBMS-specific NDP processing, loaded into the Page Store framework.
@@ -130,6 +140,10 @@ struct Group {
     held: bool,
     /// When the group last took a survivor (the table's clock).
     used: u64,
+    /// The page may not hold all of the group: its first or last record,
+    /// or an ambiguous record, carries the group's key. The SQL node may
+    /// find more of it there, so a HAVING cannot judge it.
+    open: bool,
 }
 
 /// The aggregation state of one walk: the groups of the page, its output
@@ -152,6 +166,13 @@ pub(crate) struct GroupTable {
     probe: Vec<u8>,
     payload: Vec<u8>,
     offsets: Vec<u32>,
+    /// With a pushed HAVING: the group key of the page's first record and
+    /// of its last ambiguous record (empty: none yet; a key is never
+    /// empty), and the scratch a group's outputs are built in.
+    first_key: Vec<u8>,
+    ambiguous_key: Vec<u8>,
+    final_states: Vec<AggState>,
+    outputs: Vec<Value>,
 }
 
 /// The group columns' NULL flags and images of `rec`, into `out`.
@@ -213,6 +234,62 @@ impl GroupTable {
         if self.held_page.is_none() {
             self.bytes.clear();
         }
+        self.ambiguous_key.clear();
+    }
+
+    /// With a pushed HAVING, what completeness needs of every record of a
+    /// page, of any kind: the first record's group, and the groups of
+    /// ambiguous records, are open. Groups arrive in key order, so a
+    /// group an ambiguous record belongs to is the live one with its key
+    /// or the next one to start.
+    fn note_record(
+        &mut self,
+        spec: &NdpAggSpec,
+        rec: &RecordView<'_>,
+        first: bool,
+        ambiguous: bool,
+    ) {
+        if first {
+            group_key(rec, &spec.group_cols, &mut self.first_key);
+        }
+        if ambiguous {
+            group_key(rec, &spec.group_cols, &mut self.ambiguous_key);
+            for g in &mut self.groups[..self.live] {
+                g.open |= g.key == self.ambiguous_key;
+            }
+        }
+    }
+
+    /// Does group `slot`, once it is known whether it is open, go no
+    /// further? With a pushed HAVING, a group that is not open is
+    /// complete on its page: all of it that the SQL node will ever fold
+    /// is in its states and its carrier. A complete group whose outputs
+    /// (its group columns' values, then its states with the carrier
+    /// folded in, finalized, as the SQL node's `Filter` sees them) do not
+    /// make the HAVING `True` is dropped.
+    fn fails_having(&mut self, cd: &CachedDescriptor, slot: usize) -> Result<bool> {
+        let (Some(having), g) = (&cd.having, &self.groups[slot]) else {
+            return Ok(false);
+        };
+        if g.open {
+            return Ok(false);
+        }
+        let carrier = RecordView::parse(&g.carrier, &cd.layout)?;
+        self.final_states.clone_from(&g.states);
+        fold(cd, &mut self.final_states, carrier, &mut self.offsets)?;
+        self.outputs.clear();
+        self.outputs.extend(cd.group_values.values(carrier));
+        self.outputs
+            .extend(self.final_states.iter().map(AggState::finalize));
+        Ok(!having.row_passes(&self.outputs)?)
+    }
+
+    /// Leave group `slot` out of the page: its carrier, like the records
+    /// folded into it, goes nowhere.
+    fn drop_group(&mut self, slot: usize, stats: &mut PluginStats) {
+        self.out[self.groups[slot].at] = Out::Folded;
+        stats.records_aggregated += 1;
+        stats.groups_dropped_by_having += 1;
     }
 
     /// An ambiguous record: it goes out as it is, where it sits.
@@ -259,6 +336,7 @@ impl GroupTable {
         g.key.extend_from_slice(&self.probe);
         g.carrier.clear();
         g.held = false;
+        g.open = g.key == self.first_key || g.key == self.ambiguous_key;
         g.states.clear();
         g.states.extend(spec.specs.iter().map(|s| {
             let dtype = match s.input {
@@ -273,12 +351,18 @@ impl GroupTable {
 
     /// Send group `slot` out now, where its carrier sits: the carrier
     /// and its partial are written into `bytes`, and the slot is free.
+    /// The group a new one evicts does not reach the page's last record:
+    /// with a pushed HAVING, groups arrive in key order.
     fn write_out(
         &mut self,
         cd: &CachedDescriptor,
         slot: usize,
         stats: &mut PluginStats,
     ) -> Result<()> {
+        if self.fails_having(cd, slot)? {
+            self.drop_group(slot, stats);
+            return Ok(());
+        }
         let g = &self.groups[slot];
         self.payload.clear();
         encode_states(&g.states, &mut self.payload)?;
@@ -336,19 +420,34 @@ impl GroupTable {
         Ok(())
     }
 
-    /// The page `idx` is walked. Unless `cross_page`, its groups end
-    /// with it and it goes to `done`; with `cross_page` (one group) a
-    /// page that holds the carrier waits for a later page to take it
-    /// over or for the walk to end ([`GroupTable::finish`]).
+    /// The page `idx` is walked, `last` its last record. Unless
+    /// `cross_page`, its groups end with it and it goes to `done`, less
+    /// the groups a pushed HAVING drops (the last record's is open); with
+    /// `cross_page` (one group) a page that holds the carrier waits for a
+    /// later page to take it over or for the walk to end
+    /// ([`GroupTable::finish`]).
+    #[allow(clippy::too_many_arguments)]
     fn end_page(
         &mut self,
         cd: &CachedDescriptor,
+        spec: &NdpAggSpec,
         pages: &[Arc<Page>],
         idx: usize,
         cross_page: bool,
+        last: Option<RecordView<'_>>,
         stats: &mut PluginStats,
         done: &mut dyn FnMut(usize, Page),
     ) -> Result<()> {
+        if let (Some(_), Some(last)) = (&cd.having, last) {
+            group_key(&last, &spec.group_cols, &mut self.probe);
+            for slot in 0..self.live {
+                let g = &mut self.groups[slot];
+                g.open |= g.key == self.probe;
+                if self.fails_having(cd, slot)? {
+                    self.drop_group(slot, stats);
+                }
+            }
+        }
         let holds_carrier = self.groups[..self.live]
             .iter()
             .any(|g| !g.carrier.is_empty() && !g.held);
@@ -496,7 +595,10 @@ impl NdpPlugin for InnodbNdpPlugin {
         });
         let mut offsets = Vec::new();
         let mut merge = sections.keys.as_ref().map(KeyMerge::new);
+        let having = cd.having.is_some();
         for (idx, page) in pages.iter().enumerate() {
+            // With a pushed HAVING: the page's last record so far.
+            let mut last = None;
             // Without aggregation survivors go straight into the page.
             let mut b = match &mut agg {
                 None => Some(NdpPageBuilder::new(page)),
@@ -517,6 +619,11 @@ impl NdpPlugin for InnodbNdpPlugin {
                     )));
                 }
                 stats.records_in += 1;
+                if let (true, Some((spec, table))) = (having, &mut agg) {
+                    let ambiguous = rec.trx_id() >= cd.desc.low_watermark;
+                    table.note_record(spec, &rec, last.is_none(), ambiguous);
+                    last = Some(rec);
+                }
                 if let Some(merge) = &mut merge {
                     if !merge.admits(&rec, &cd.key_positions) {
                         stats.records_key_filtered += 1;
@@ -557,8 +664,8 @@ impl NdpPlugin for InnodbNdpPlugin {
             }
             match (b, &mut agg) {
                 (Some(b), _) => done(idx, b.finish(page.lsn())),
-                (None, Some((_, table))) => {
-                    table.end_page(cd, pages, idx, cross_page, &mut stats, done)?
+                (None, Some((spec, table))) => {
+                    table.end_page(cd, spec, pages, idx, cross_page, last, &mut stats, done)?
                 }
                 (None, None) => {}
             }

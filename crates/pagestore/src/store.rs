@@ -526,6 +526,10 @@ impl PageStore {
             .add(|m| &m.ps_records_key_filtered, stats.records_key_filtered);
         self.metrics
             .add(|m| &m.ps_records_join_filtered, stats.records_join_filtered);
+        self.metrics.add(
+            |m| &m.ps_groups_dropped_by_having,
+            stats.groups_dropped_by_having,
+        );
     }
 
     /// Tenant-attributed admission: submit one NDP job and charge the
@@ -982,6 +986,7 @@ mod tests {
                 aggregation: Some(taurus_expr::descriptor::NdpAggSpec {
                     specs: vec![taurus_expr::agg::AggSpec::count_star()],
                     group_cols: vec![],
+                    having: None,
                 }),
                 low_watermark: 100,
             }

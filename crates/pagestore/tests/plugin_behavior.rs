@@ -140,6 +140,7 @@ fn paper_example_page_p1_grouped_scalar_single_page() {
         Some(NdpAggSpec {
             specs: vec![AggSpec::sum(1)],
             group_cols: vec![],
+            having: None,
         }),
     );
     let cd = cached(&desc);
@@ -199,6 +200,7 @@ fn paper_example_cross_page_p1_p2() {
         Some(NdpAggSpec {
             specs: vec![AggSpec::sum(1)],
             group_cols: vec![],
+            having: None,
         }),
     );
     let cd = cached(&desc);
@@ -329,6 +331,7 @@ fn grouped_aggregation_one_carrier_per_group() {
         Some(NdpAggSpec {
             specs: vec![AggSpec::sum(1), AggSpec::count_star()],
             group_cols: vec![0],
+            having: None,
         }),
     );
     let cd = cached(&desc);
@@ -490,6 +493,7 @@ fn non_ordinary_source_record_is_rejected_on_both_entry_points() {
         Some(NdpAggSpec {
             specs: vec![AggSpec::sum(1)],
             group_cols: vec![],
+            having: None,
         }),
     );
     let filter = descriptor(None, Some(&Expr::gt(Expr::col(1), Expr::int(0))), None);

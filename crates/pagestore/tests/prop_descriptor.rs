@@ -13,7 +13,9 @@
 //! refuses it with `Corruption` / `InvalidState`. Never a panic. IR
 //! bitcode alone holds to the same: arbitrary or damaged bitcode is
 //! refused with `Corruption`, and a program that decodes encodes back to
-//! its bytes.
+//! its bytes. The aggregation section may end with a pushed HAVING (Q18's
+//! shape); one on groups that do not follow the key, or that reads past a
+//! group's outputs, is refused as `Corruption` when it is decoded.
 
 use proptest::prelude::*;
 use taurus_common::{DataType, Error, Value};
@@ -71,9 +73,25 @@ fn descriptor(
         key_positions: vec![0, 3],
         projection,
         predicate_bitcode: predicate.map(|p| lower(&p).unwrap().encode_bitcode().unwrap()),
-        aggregation: Some(NdpAggSpec { specs, group_cols }),
+        aggregation: Some(NdpAggSpec {
+            specs,
+            group_cols,
+            having: None,
+        }),
         low_watermark: 77,
     }
+}
+
+fn bitcode(e: &Expr) -> Vec<u8> {
+    lower(e).unwrap().encode_bitcode().unwrap()
+}
+
+/// `d` with a pushed HAVING.
+fn with_having(mut d: NdpDescriptor, having: Vec<u8>) -> NdpDescriptor {
+    if let Some(agg) = &mut d.aggregation {
+        agg.having = Some(having);
+    }
+    d
 }
 
 /// The aggregating descriptors of the TPC-H statements and of Listing 1,
@@ -130,12 +148,16 @@ fn tpch() -> Vec<NdpDescriptor> {
             vec![agg(AggFunc::Sum, program(&disc_price()))],
             vec![2],
         ),
-        // Q18's derived table: in index order, no predicate.
-        descriptor(
-            Some(vec![0, 3, 4]),
-            None,
-            vec![agg(AggFunc::Sum, col(4))],
-            vec![0],
+        // Q18's derived table: in index order, no predicate, and its
+        // HAVING over (l_orderkey, sum(l_quantity)).
+        with_having(
+            descriptor(
+                Some(vec![0, 3, 4]),
+                None,
+                vec![agg(AggFunc::Sum, col(4))],
+                vec![0],
+            ),
+            bitcode(&Expr::gt(Expr::col(1), Expr::int(300))),
         ),
         // Listing 1 and COUNT(*): scalar, AVG split.
         descriptor(
@@ -179,7 +201,77 @@ fn hostile() -> Vec<(&'static str, NdpDescriptor, fn(&Error) -> bool)> {
         .encode_bitcode()
         .unwrap();
     truncated.truncate(truncated.len() - 3);
+    // Grouped by l_orderkey, the key's first column: (group, SUM).
+    let grouped = || {
+        descriptor(
+            None,
+            None,
+            vec![agg(AggFunc::Sum, AggInput::Col(4))],
+            vec![0],
+        )
+    };
+    let having = |d: NdpDescriptor, bc: Vec<u8>| with_having(d, bc);
+    let over_sum = || bitcode(&Expr::gt(Expr::col(1), Expr::int(300)));
+    let off_key = || {
+        descriptor(
+            None,
+            None,
+            vec![agg(AggFunc::Sum, AggInput::Col(4))],
+            vec![3],
+        )
+    };
+    let scalar = || {
+        descriptor(
+            None,
+            None,
+            vec![agg(AggFunc::Sum, AggInput::Col(4))],
+            vec![],
+        )
+    };
     vec![
+        (
+            "a HAVING on groups off the key",
+            having(off_key(), over_sum()),
+            |e| matches!(e, Error::Corruption(_)),
+        ),
+        (
+            "a HAVING on a scalar aggregate",
+            having(scalar(), over_sum()),
+            |e| matches!(e, Error::Corruption(_)),
+        ),
+        (
+            "a HAVING past a group's outputs",
+            having(grouped(), bitcode(&Expr::gt(Expr::col(2), Expr::int(300)))),
+            |e| matches!(e, Error::Corruption(_)),
+        ),
+        (
+            "a HAVING with a backward branch",
+            having(
+                grouped(),
+                raw(
+                    vec![
+                        load(0, 1),
+                        IrInstr::Jmp { target: 0 },
+                        IrInstr::Ret { src: 0 },
+                    ],
+                    1,
+                ),
+            ),
+            |e| matches!(e, Error::Corruption(_)),
+        ),
+        (
+            "a HAVING that is no program",
+            having(grouped(), b"NDP1????".to_vec()),
+            |e| matches!(e, Error::Corruption(_)),
+        ),
+        (
+            "a HAVING of 65 registers",
+            having(
+                grouped(),
+                raw(vec![load(64, 1), IrInstr::Ret { src: 64 }], 65),
+            ),
+            |e| matches!(e, Error::InvalidState(_)),
+        ),
         (
             "65 registers",
             with(raw(vec![load(64, 5), IrInstr::Ret { src: 64 }], 65)),

@@ -79,12 +79,13 @@ pub fn explain(session: &Session, stmt: &SelectStmt) -> Result<String> {
             false => String::new(),
         };
         text.push_str(&format!(
-            "   [{}] est_io={:.0} pages, filter_factor={:.3}, projection={}, aggregate={}{groups}{}\n",
+            "   [{}] est_io={:.0} pages, filter_factor={:.3}, projection={}, aggregate={}{groups}, having={}{}\n",
             r.table,
             r.est_io_pages,
             r.filter_factor,
             r.projection,
             r.aggregation,
+            r.having,
             if r.gated_by_io {
                 " (NDP gated: below min-IO threshold)"
             } else {

@@ -62,6 +62,13 @@ pub enum DiagKind {
     /// group columns. Storage would compute partials the SQL node merges
     /// into the wrong states.
     AggPushdownMismatch,
+    /// An `AggScan` whose pushed aggregation carries HAVING conjuncts it
+    /// may not: a GROUP BY that is not a prefix of the index key (groups
+    /// then do not arrive one after another, and none is ever complete on
+    /// its page), a conjunct reading past a group's outputs, or one that
+    /// is not the storage form of a conjunct of the `Filter` right above
+    /// the scan (storage would drop groups the SQL node keeps).
+    HavingPushdownIneligible,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use taurus_common::{DataType, Value};
 use taurus_expr::ast::Expr;
 use taurus_ndp::{ScanAggregation, Table, TaurusDb};
-use taurus_optimizer::ndp_post::storage_aggs;
+use taurus_optimizer::ndp_post::{conjuncts, storage_aggs, storage_having};
 use taurus_optimizer::plan::{
     AggFuncEx, AggItem, AggScanNode, HashJoinNode, JoinFilterDecision, JoinType, LookupJoinNode,
     NdpDecision, Plan, ScanNode,
@@ -110,58 +110,7 @@ fn infer(
 ) -> Option<Vec<ColType>> {
     match plan {
         Plan::Scan(s) => infer_scan(s, db, &format!("{prefix}Scan({})", s.table), diags),
-        Plan::AggScan(a) => {
-            let path = format!("{prefix}AggScan({})", a.scan.table);
-            let scan_schema = infer_scan(&a.scan, db, &path, diags)?;
-            let table = db.table(&a.scan.table).ok()?;
-            let dtypes = table.schema.dtypes();
-            let mut ok = true;
-            let mut out: Vec<ColType> = Vec::with_capacity(a.group_cols.len() + a.aggs.len());
-            for &g in &a.group_cols {
-                if !a.scan.output.contains(&g) {
-                    diags.push(Diagnostic::error(
-                        DiagKind::GroupColNotInOutput,
-                        &path,
-                        format!("group column {g} not in scan output {:?}", a.scan.output),
-                    ));
-                    ok = false;
-                } else if g < table.schema.columns.len() {
-                    let c = &table.schema.columns[g];
-                    out.push(ColType {
-                        dtype: c.dtype,
-                        nullable: c.nullable,
-                    });
-                }
-            }
-            for (i, item) in a.aggs.iter().enumerate() {
-                if let Some(e) = &item.input {
-                    for c in e.columns() {
-                        if !a.scan.output.contains(&c) {
-                            diags.push(Diagnostic::error(
-                                DiagKind::AggInputNotInOutput,
-                                &path,
-                                format!(
-                                    "aggregate {i} input references column {c} not in scan output {:?}",
-                                    a.scan.output
-                                ),
-                            ));
-                            ok = false;
-                        }
-                    }
-                }
-                out.push(agg_coltype(item, &dtypes));
-            }
-            let pushed = a
-                .scan
-                .ndp
-                .as_ref()
-                .and_then(|d| d.choice.aggregation.as_ref());
-            if let Some(pushed) = pushed {
-                ok &= check_pushed_aggregation(a, pushed, &dtypes, &path, diags);
-            }
-            let _ = scan_schema;
-            ok.then_some(out)
-        }
+        Plan::AggScan(a) => infer_agg_scan(a, None, db, prefix, diags),
         Plan::LookupJoin(j) => {
             let path = format!("{prefix}LookupJoin({})", j.table);
             let outer = infer(&j.outer, db, &format!("{path}.outer/"), diags);
@@ -358,7 +307,12 @@ fn infer(
         }
         Plan::Filter(f) => {
             let path = format!("{prefix}Filter");
-            let input = infer(&f.input, db, &format!("{path}/"), diags)?;
+            let input = match &*f.input {
+                Plan::AggScan(a) => {
+                    infer_agg_scan(a, Some(&f.predicate), db, &format!("{path}/"), diags)
+                }
+                input => infer(input, db, &format!("{path}/"), diags),
+            }?;
             let ok = check_expr_cols(&f.predicate, input.len(), &path, "predicate", diags);
             let dtypes: Vec<DataType> = input.iter().map(|c| c.dtype).collect();
             warn_predicate_types(&f.predicate, &dtypes, &path, diags);
@@ -518,6 +472,71 @@ fn infer_scan(
     )
 }
 
+/// An `AggScan`'s output schema; `filter` is the predicate of the
+/// `Filter` right above it, if one is.
+fn infer_agg_scan(
+    a: &AggScanNode,
+    filter: Option<&Expr>,
+    db: &TaurusDb,
+    prefix: &str,
+    diags: &mut Vec<Diagnostic>,
+) -> Option<Vec<ColType>> {
+    let path = format!("{prefix}AggScan({})", a.scan.table);
+    let scan_schema = infer_scan(&a.scan, db, &path, diags)?;
+    let table = db.table(&a.scan.table).ok()?;
+    let dtypes = table.schema.dtypes();
+    let mut ok = true;
+    let mut out: Vec<ColType> = Vec::with_capacity(a.group_cols.len() + a.aggs.len());
+    for &g in &a.group_cols {
+        if !a.scan.output.contains(&g) {
+            diags.push(Diagnostic::error(
+                DiagKind::GroupColNotInOutput,
+                &path,
+                format!("group column {g} not in scan output {:?}", a.scan.output),
+            ));
+            ok = false;
+        } else if g < table.schema.columns.len() {
+            let c = &table.schema.columns[g];
+            out.push(ColType {
+                dtype: c.dtype,
+                nullable: c.nullable,
+            });
+        }
+    }
+    for (i, item) in a.aggs.iter().enumerate() {
+        if let Some(e) = &item.input {
+            for c in e.columns() {
+                if !a.scan.output.contains(&c) {
+                    diags.push(Diagnostic::error(
+                        DiagKind::AggInputNotInOutput,
+                        &path,
+                        format!(
+                            "aggregate {i} input references column {c} not in scan output {:?}",
+                            a.scan.output
+                        ),
+                    ));
+                    ok = false;
+                }
+            }
+        }
+        out.push(agg_coltype(item, &dtypes));
+    }
+    let pushed = a
+        .scan
+        .ndp
+        .as_ref()
+        .and_then(|d| d.choice.aggregation.as_ref());
+    if let Some(pushed) = pushed {
+        ok &= check_pushed_aggregation(a, pushed, &dtypes, &path, diags);
+        if let Some(having) = &pushed.having {
+            let index_ordered = !a.group_cols.is_empty() && a.index_ordered(db);
+            ok &= check_pushed_having(a, pushed, having, filter, index_ordered, &path, diags);
+        }
+    }
+    let _ = scan_schema;
+    ok.then_some(out)
+}
+
 /// An `AggScan`'s pushed aggregation against its aggregates: it must be
 /// their storage form ([`storage_aggs`]), spec for spec, over the same
 /// group columns — what the SQL node merges the partials into.
@@ -564,6 +583,50 @@ fn check_pushed_aggregation(
                 DiagKind::AggPushdownMismatch,
                 path,
                 format!("pushed aggregation: {problem}"),
+            ));
+            false
+        }
+        None => true,
+    }
+}
+
+/// An `AggScan`'s pushed HAVING: only on a GROUP BY that follows the
+/// index (`index_ordered`, groups arrive one after another), reading only
+/// a group's outputs (its group columns, then the storage aggregates),
+/// and each conjunct the storage form ([`storage_having`]) of a conjunct
+/// of `filter`, the `Filter` right above the scan that keeps judging
+/// every group the Page Stores let through.
+fn check_pushed_having(
+    a: &AggScanNode,
+    pushed: &ScanAggregation,
+    having: &Expr,
+    filter: Option<&Expr>,
+    index_ordered: bool,
+    path: &str,
+    diags: &mut Vec<Diagnostic>,
+) -> bool {
+    let outputs = pushed.group_cols.len() + pushed.specs.len();
+    let implied = |c: &Expr| {
+        filter.is_some_and(|f| {
+            conjuncts(f)
+                .iter()
+                .any(|fc| storage_having(fc, &a.aggs, a.group_cols.len()).as_ref() == Some(c))
+        })
+    };
+    let problem = if !index_ordered {
+        Some("on a GROUP BY that does not follow the index".to_string())
+    } else if let Some(c) = having.columns().into_iter().find(|&c| c >= outputs) {
+        Some(format!("reads output {c} of a group's {outputs}"))
+    } else {
+        let foreign = conjuncts(having).iter().find(|c| !implied(c));
+        foreign.map(|c| format!("{c} is no conjunct of the Filter above the scan"))
+    };
+    match problem {
+        Some(problem) => {
+            diags.push(Diagnostic::error(
+                DiagKind::HavingPushdownIneligible,
+                path,
+                format!("pushed HAVING {problem}"),
             ));
             false
         }

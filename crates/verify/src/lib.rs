@@ -73,7 +73,17 @@ fn collect_predicates(plan: &Plan, f: &mut impl FnMut(&Expr, &str)) {
     };
     match plan {
         Plan::Scan(s) => scan(s, f),
-        Plan::AggScan(a) => scan(&a.scan, f),
+        Plan::AggScan(a) => {
+            scan(&a.scan, f);
+            let pushed = a
+                .scan
+                .ndp
+                .as_ref()
+                .and_then(|d| d.choice.aggregation.as_ref());
+            if let Some(having) = pushed.and_then(|p| p.having.as_ref()) {
+                f(having, "pushed HAVING");
+            }
+        }
         Plan::LookupJoin(j) => {
             collect_predicates(&j.outer, f);
             for p in &j.inner_predicate {

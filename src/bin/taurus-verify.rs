@@ -122,9 +122,9 @@ fn main() -> ExitCode {
 /// Walk every table access in the plan that carries an NDP decision (a
 /// scan, or the inner side of a lookup join that reads by NDP key reads)
 /// and verify the NDP descriptor it would ship: build it against the live
-/// catalog, then decode and abstractly interpret its predicate and
-/// aggregate input programs — exactly the bytes a Page Store's plugin
-/// would cache.
+/// catalog, then decode and abstractly interpret its predicate, aggregate
+/// input and pushed HAVING programs — exactly the bytes a Page Store's
+/// plugin would cache.
 fn check_descriptors(plan: &Plan, db: &TaurusDb, diags: &mut Vec<Diagnostic>, t: &mut Tally) {
     for_each_decision(plan, &mut |table_name, index, decision, path| {
         let table = match db.table(table_name) {
@@ -156,7 +156,9 @@ fn check_descriptors(plan: &Plan, db: &TaurusDb, diags: &mut Vec<Diagnostic>, t:
             _ => None,
         });
         let predicate = desc.predicate_bitcode.iter().map(|b| ("predicate", b));
-        for (what, bitcode) in predicate.chain(programs) {
+        let having = desc.aggregation.iter().flat_map(|a| &a.having);
+        let having = having.map(|b| ("pushed HAVING", b));
+        for (what, bitcode) in predicate.chain(programs).chain(having) {
             match IrProgram::decode_bitcode(bitcode) {
                 Ok(ir) => diags.extend(taurus_verify::check_ir(&ir, path)),
                 Err(e) => diags.push(Diagnostic::error(

@@ -369,6 +369,7 @@ fn descriptor() -> NdpDescriptor {
                 },
             ],
             group_cols: vec![2, 0],
+            having: None,
         }),
         low_watermark: 17,
     }

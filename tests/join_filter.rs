@@ -6,8 +6,9 @@
 //! What must hold: the rows are the unfiltered join's byte for byte, for
 //! every join type (only inner and semi joins get a filter), on `Int`
 //! and `BigInt` key columns with NULLs, in any batch size and from any
-//! pool; a build without keys starts no probe scan and a build holding
-//! every key sends no filter; a `LIMIT` above leaves nothing running;
+//! pool; a build without keys starts no probe scan, a probe that reads
+//! all its input before its first row and has none starts no build scan,
+//! and a build holding every key sends no filter; a `LIMIT` above leaves nothing running;
 //! storage that declines the work gives the same rows; a writer changing
 //! the join column under the scan changes nothing a read view can see;
 //! and the 22 TPC-H statements equal their NDP-off results.
@@ -249,6 +250,55 @@ fn an_empty_build_starts_no_probe_scan() {
         // probe's leaves.
         assert!(pages[0] <= build_leaves + 2, "{join:?}: {pages:?}");
         assert!(pages[1] >= pages[0] + probe_leaves, "{join:?}: {pages:?}");
+    }
+}
+
+/// A probe side that reads all its input before its first row (here a
+/// sort) is read before the build opens: with no row, no join type can
+/// emit one, and the build's leaves are never read. With rows, the join
+/// is what it always was.
+#[test]
+fn an_empty_probe_that_drains_first_starts_no_build_scan() {
+    let _serial = serial();
+    let db = join_db(16, 7);
+    let build_leaves = db.table("build").unwrap().primary.tree.n_leaves() as u64;
+    let probe_leaves = db.table("probe").unwrap().primary.tree.n_leaves() as u64;
+    let sorted_join = |ids_below: i64, join: JoinType| {
+        let probe = ScanNode::new("probe", vec![0, 1, 2])
+            .with_predicate(vec![Expr::lt(Expr::col(0), Expr::int(ids_below))]);
+        Plan::HashJoin(HashJoinNode {
+            left: Box::new(Plan::Scan(probe).sort(vec![(0, false)])),
+            right: Box::new(Plan::Scan(
+                ScanNode::new("build", vec![0, 1, 2]).with_predicate(vec![tag_below(10)]),
+            )),
+            left_keys: vec![1],
+            right_keys: vec![1],
+            join,
+            filter: None,
+        })
+    };
+    let session = Session::new(&db).with_ndp(false);
+    for join in JOIN_TYPES {
+        let mut pages = Vec::new();
+        for ids_below in [0, PROBES] {
+            db.buffer_pool().clear();
+            let before = db.metrics().snapshot();
+            let rows = session.execute_plan(&sorted_join(ids_below, join)).unwrap();
+            let want = match ids_below {
+                0 => Vec::new(),
+                _ => expected(1, 10, join),
+            };
+            assert_eq!(rows, want, "{join:?}, ids below {ids_below}");
+            let d = delta(&db, &before);
+            pages.push(d.pages_shipped_raw + d.pages_shipped_ndp + d.pages_shipped_empty);
+        }
+        // The probe's leaves and upper levels only; with rows, the
+        // build's leaves too.
+        assert!(pages[0] <= probe_leaves + 2, "{join:?}: {pages:?}");
+        assert!(
+            pages[1] >= probe_leaves + build_leaves,
+            "{join:?}: {pages:?}"
+        );
     }
 }
 

@@ -1,7 +1,8 @@
 //! The storage tier's read path, pinned: one fixed slice read through the
 //! SAL under every way a Page Store can answer it — no work asked, each
 //! kind of NDP work, each skip policy, a forced shed and a tenant-quota
-//! refusal. For each outcome the table pins every page's payload kind
+//! refusal (and a pushed HAVING, healthy and under a skip policy). For
+//! each outcome the table pins every page's payload kind
 //! (`R`aw, `N`DP, `E`mpty marker), a digest of the reply's bytes, and
 //! what the read moved in the Page-Store and SAL counters.
 //!
@@ -205,7 +206,7 @@ fn serve(name: &str, setup: Setup, stream: Vec<u8>) -> String {
 fn counters(d: &MetricsSnapshot) -> String {
     format!(
         "skipped={} shed={} processed={} filtered={} aggregated={} key_filtered={} \
-         join_filtered={} requests={} retries={} raw={} ndp={} empty={}",
+         join_filtered={} requests={} retries={} raw={} ndp={} empty={} having_dropped={}",
         d.ps_ndp_skipped,
         d.ps_ndp_shed,
         d.ps_pages_processed,
@@ -218,22 +219,25 @@ fn counters(d: &MetricsSnapshot) -> String {
         d.pages_shipped_raw,
         d.pages_shipped_ndp,
         d.pages_shipped_empty,
+        d.ps_groups_dropped_by_having,
     )
 }
 
 const PINNED: &str = "\
-no-work        RRRRRR 0c722649af58ac8c skipped=0 shed=0 processed=0 filtered=0 aggregated=0 key_filtered=0 join_filtered=0 requests=2 retries=1 raw=6 ndp=0 empty=0
-filter+project NNNNEN 69470b55c3eb2bc7 skipped=0 shed=0 processed=6 filtered=37 aggregated=0 key_filtered=0 join_filtered=0 requests=2 retries=1 raw=0 ndp=5 empty=1
-key-set        NNNEEN 33bd1556a7853722 skipped=0 shed=0 processed=6 filtered=0 aggregated=0 key_filtered=62 join_filtered=0 requests=2 retries=1 raw=0 ndp=4 empty=2
-join-filter    NNNNNN b2ccd70a64af6d9d skipped=0 shed=0 processed=6 filtered=6 aggregated=0 key_filtered=0 join_filtered=36 requests=2 retries=1 raw=0 ndp=6 empty=0
-hash-agg       NNNNNN fc5aa274087d4711 skipped=0 shed=0 processed=6 filtered=12 aggregated=47 key_filtered=0 join_filtered=0 requests=2 retries=1 raw=0 ndp=6 empty=0
-index-agg      NNNNNN 9d338cd0e9a3b9c3 skipped=0 shed=0 processed=6 filtered=0 aggregated=59 key_filtered=0 join_filtered=0 requests=2 retries=1 raw=0 ndp=6 empty=0
-scalar-agg     NNNNEN c3f89c6f0093c65b skipped=0 shed=0 processed=6 filtered=37 aggregated=22 key_filtered=0 join_filtered=0 requests=2 retries=1 raw=0 ndp=5 empty=1
-scalar-skip-3  RRRRRR 0c722649af58ac8c skipped=6 shed=0 processed=0 filtered=0 aggregated=0 key_filtered=0 join_filtered=0 requests=2 retries=1 raw=6 ndp=0 empty=0
-skip-3         RNNREN f3dd253d3cdc8756 skipped=2 shed=0 processed=4 filtered=29 aggregated=0 key_filtered=0 join_filtered=0 requests=2 retries=1 raw=2 ndp=3 empty=1
-skip-all       RRRRRR 0c722649af58ac8c skipped=6 shed=0 processed=0 filtered=0 aggregated=0 key_filtered=0 join_filtered=0 requests=2 retries=1 raw=6 ndp=0 empty=0
-shed           RRRRRR 0c722649af58ac8c skipped=0 shed=6 processed=0 filtered=0 aggregated=0 key_filtered=0 join_filtered=0 requests=2 retries=1 raw=6 ndp=0 empty=0
-quota          NRRRRR bc086ba20057227e skipped=5 shed=0 processed=1 filtered=4 aggregated=0 key_filtered=0 join_filtered=0 requests=2 retries=1 raw=5 ndp=1 empty=0
+no-work        RRRRRR 0c722649af58ac8c skipped=0 shed=0 processed=0 filtered=0 aggregated=0 key_filtered=0 join_filtered=0 requests=2 retries=1 raw=6 ndp=0 empty=0 having_dropped=0
+filter+project NNNNEN 69470b55c3eb2bc7 skipped=0 shed=0 processed=6 filtered=37 aggregated=0 key_filtered=0 join_filtered=0 requests=2 retries=1 raw=0 ndp=5 empty=1 having_dropped=0
+key-set        NNNEEN 33bd1556a7853722 skipped=0 shed=0 processed=6 filtered=0 aggregated=0 key_filtered=62 join_filtered=0 requests=2 retries=1 raw=0 ndp=4 empty=2 having_dropped=0
+join-filter    NNNNNN b2ccd70a64af6d9d skipped=0 shed=0 processed=6 filtered=6 aggregated=0 key_filtered=0 join_filtered=36 requests=2 retries=1 raw=0 ndp=6 empty=0 having_dropped=0
+hash-agg       NNNNNN fc5aa274087d4711 skipped=0 shed=0 processed=6 filtered=12 aggregated=47 key_filtered=0 join_filtered=0 requests=2 retries=1 raw=0 ndp=6 empty=0 having_dropped=0
+index-agg      NNNNNN 9d338cd0e9a3b9c3 skipped=0 shed=0 processed=6 filtered=0 aggregated=59 key_filtered=0 join_filtered=0 requests=2 retries=1 raw=0 ndp=6 empty=0 having_dropped=0
+index-having   NNNNNN 7030abbd6add3d3b skipped=0 shed=0 processed=6 filtered=0 aggregated=59 key_filtered=0 join_filtered=0 requests=2 retries=1 raw=0 ndp=6 empty=0 having_dropped=6
+having-skip-3  RNNRNN 2d62103013400f7d skipped=2 shed=0 processed=4 filtered=0 aggregated=40 key_filtered=0 join_filtered=0 requests=2 retries=1 raw=2 ndp=4 empty=0 having_dropped=3
+scalar-agg     NNNNEN c3f89c6f0093c65b skipped=0 shed=0 processed=6 filtered=37 aggregated=22 key_filtered=0 join_filtered=0 requests=2 retries=1 raw=0 ndp=5 empty=1 having_dropped=0
+scalar-skip-3  RRRRRR 0c722649af58ac8c skipped=6 shed=0 processed=0 filtered=0 aggregated=0 key_filtered=0 join_filtered=0 requests=2 retries=1 raw=6 ndp=0 empty=0 having_dropped=0
+skip-3         RNNREN f3dd253d3cdc8756 skipped=2 shed=0 processed=4 filtered=29 aggregated=0 key_filtered=0 join_filtered=0 requests=2 retries=1 raw=2 ndp=3 empty=1 having_dropped=0
+skip-all       RRRRRR 0c722649af58ac8c skipped=6 shed=0 processed=0 filtered=0 aggregated=0 key_filtered=0 join_filtered=0 requests=2 retries=1 raw=6 ndp=0 empty=0 having_dropped=0
+shed           RRRRRR 0c722649af58ac8c skipped=0 shed=6 processed=0 filtered=0 aggregated=0 key_filtered=0 join_filtered=0 requests=2 retries=1 raw=6 ndp=0 empty=0 having_dropped=0
+quota          NRRRRR bc086ba20057227e skipped=5 shed=0 processed=1 filtered=4 aggregated=0 key_filtered=0 join_filtered=0 requests=2 retries=1 raw=5 ndp=1 empty=0 having_dropped=0
 ";
 
 #[test]
@@ -270,6 +274,7 @@ fn every_outcome_of_a_slice_read_is_pinned() {
         Some(NdpAggSpec {
             specs: vec![AggSpec::sum(3), revenue.clone(), AggSpec::count_star()],
             group_cols: vec![2],
+            having: None,
         }),
     );
     let index_order = descriptor(
@@ -278,6 +283,23 @@ fn every_outcome_of_a_slice_read_is_pinned() {
         Some(NdpAggSpec {
             specs: vec![AggSpec::sum(3)],
             group_cols: vec![0],
+            having: None,
+        }),
+    );
+    // Orders end with their pages; the two inside each page are complete
+    // there unless an ambiguous record carries them.
+    let index_having = descriptor(
+        Some(vec![0, 1, 3]),
+        None,
+        Some(NdpAggSpec {
+            specs: vec![AggSpec::sum(3)],
+            group_cols: vec![0],
+            having: Some(
+                lower(&Expr::gt(Expr::col(1), Expr::int(100)))
+                    .unwrap()
+                    .encode_bitcode()
+                    .unwrap(),
+            ),
         }),
     );
     let scalar = descriptor(
@@ -286,6 +308,7 @@ fn every_outcome_of_a_slice_read_is_pinned() {
         Some(NdpAggSpec {
             specs: vec![revenue, AggSpec::count_star()],
             group_cols: vec![],
+            having: None,
         }),
     );
     let table = [
@@ -295,6 +318,8 @@ fn every_outcome_of_a_slice_read_is_pinned() {
         serve("join-filter", Setup::Healthy, join_filter),
         serve("hash-agg", Setup::Healthy, hashed),
         serve("index-agg", Setup::Healthy, index_order),
+        serve("index-having", Setup::Healthy, index_having.clone()),
+        serve("having-skip-3", Setup::Skip(3), index_having),
         serve("scalar-agg", Setup::Healthy, scalar.clone()),
         serve("scalar-skip-3", Setup::Skip(3), scalar),
         serve("skip-3", Setup::Skip(3), filter_and_project()),

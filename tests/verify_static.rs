@@ -478,6 +478,7 @@ fn q1_storage_form() -> ScanAggregation {
             agg(AggFunc::CountStar, None),
         ],
         group_cols: vec![8, 9],
+        having: None,
     }
 }
 
@@ -524,4 +525,75 @@ fn a_pushed_aggregation_that_is_not_the_storage_form_is_pinned() {
         &mutated(|p| p.group_cols.push(10)),
         DiagKind::AggPushdownMismatch,
     );
+}
+
+// --- a pushed HAVING against its AggScan and the Filter above it -------------
+
+/// Q18's derived table: `lineitem` grouped by `l_orderkey` (the key's
+/// first column, so in index order) with `sum(l_quantity)`, pushed with
+/// `having`, under `Filter(sum > 300)` when `filtered`.
+fn q18_like(having: Option<Expr>, filtered: bool) -> Plan {
+    let over_300 = Expr::gt(Expr::col(1), Expr::int(300));
+    let scan = Plan::AggScan(AggScanNode {
+        scan: ScanNode {
+            ndp: Some(NdpDecision {
+                choice: NdpChoice {
+                    aggregation: Some(ScanAggregation {
+                        specs: vec![ScanAgg {
+                            func: AggFunc::Sum,
+                            input: Some(Expr::col(4)),
+                        }],
+                        group_cols: vec![0],
+                        having,
+                    }),
+                    ..NdpChoice::default()
+                },
+                pushed: vec![],
+            }),
+            ..ScanNode::new("lineitem", vec![0, 4])
+        },
+        group_cols: vec![0],
+        aggs: vec![AggItem {
+            func: AggFuncEx::Sum,
+            input: Some(Expr::col(4)),
+        }],
+    });
+    match filtered {
+        true => scan.filter(over_300),
+        false => scan,
+    }
+}
+
+#[test]
+fn a_pushed_having_the_filter_above_implies_passes() {
+    let plan = q18_like(Some(Expr::gt(Expr::col(1), Expr::int(300))), true);
+    assert!(
+        !kinds(&plan).iter().any(|(_, s)| *s == Severity::Error),
+        "{:?}",
+        verify_plan(&plan, catalog())
+    );
+    assert!(Session::new(catalog())
+        .execute_plan(&plan)
+        .unwrap()
+        .is_empty());
+}
+
+#[test]
+fn a_pushed_having_it_may_not_carry_is_pinned() {
+    // On a hashed AggScan (Q1's groups, off the index): no group is ever
+    // complete on its page.
+    let mut hashed = q1_storage_form();
+    hashed.having = Some(Expr::gt(Expr::col(2), Expr::int(0)));
+    let hashed = q1_like(hashed).filter(Expr::gt(Expr::col(2), Expr::int(0)));
+    assert_rejected(&hashed, DiagKind::HavingPushdownIneligible);
+    // Stricter than the Filter above: storage would drop groups the SQL
+    // node keeps.
+    let stricter = q18_like(Some(Expr::gt(Expr::col(1), Expr::int(400))), true);
+    assert_rejected(&stricter, DiagKind::HavingPushdownIneligible);
+    // No Filter above at all.
+    let bare = q18_like(Some(Expr::gt(Expr::col(1), Expr::int(300))), false);
+    assert_rejected(&bare, DiagKind::HavingPushdownIneligible);
+    // Past a group's outputs (the group column, then one SUM).
+    let past = q18_like(Some(Expr::gt(Expr::col(2), Expr::int(300))), true);
+    assert_rejected(&past, DiagKind::HavingPushdownIneligible);
 }
