@@ -305,6 +305,10 @@ metrics_struct! {
     /// Page Store: groups complete on their page whose outputs did not
     /// make a pushed HAVING `True`, dropped with their carriers.
     ps_groups_dropped_by_having,
+    /// Page Store: records placed on the NDP pages that replaced raw ones
+    /// in a reply (survivors, carriers and ambiguous records alike; a
+    /// degraded unit ships raw pages and counts nothing).
+    ps_ndp_records_shipped,
 }
 
 /// Per-tenant governance counters: who is consuming NDP admission and

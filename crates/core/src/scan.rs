@@ -382,20 +382,35 @@ struct Shape {
     residual: RecordFilter,
 }
 
+/// Whether a table access sends Page Stores a descriptor, and so can
+/// receive NDP pages.
+#[derive(Clone, Copy)]
+enum NdpReads {
+    /// Never: NDP is off, or the access is a point lookup.
+    Off,
+    /// When its NDP choice pushes work (an NDP scan).
+    Choice,
+    /// Always, a bare descriptor when its choice pushes nothing: the key
+    /// set of a key read or the join filter of a probe scan is work
+    /// enough.
+    Always,
+}
+
 /// What a table access compiles to, for any range of its index: resolved
 /// **once per scan**, or once per [`PointLookup`] for all of its probes.
 /// Layouts, decode plans and compiled filters are borrowed from here,
 /// never rebuilt per page or per record.
 struct Compiled {
-    watermark: u64,
-    /// Full-layout (ordinary) records.
+    /// Stored-layout records: leaves, and the ambiguous records of an NDP
+    /// page.
     full: Shape,
-    /// Projected-layout records, when the NDP choice projects.
-    proj: Option<(RecordLayout, Shape)>,
+    /// NDP records (the columns the descriptor keeps under the NDP
+    /// header), when the access sends a descriptor.
+    ndp: Option<(RecordLayout, Shape)>,
     /// The pushed predicate over full-layout records, for what storage
     /// did not filter: raw and cached pages, ambiguous records.
     pushed: RecordFilter,
-    /// The descriptor shipped to Page Stores (NDP scans only).
+    /// The descriptor shipped to Page Stores, when the access sends one.
     descriptor: Option<NdpDescriptor>,
 }
 
@@ -461,7 +476,13 @@ enum Step {
 }
 
 impl Compiled {
-    fn new(table: &Table, spec: &ScanSpec, residual: &[Expr], view: &ReadView) -> Result<Compiled> {
+    fn new(
+        table: &Table,
+        spec: &ScanSpec,
+        residual: &[Expr],
+        view: &ReadView,
+        reads: NdpReads,
+    ) -> Result<Compiled> {
         let index = table.index(spec.index);
         let tree = &index.tree;
         let stored = tree.def.stored_cols();
@@ -496,15 +517,18 @@ impl Compiled {
             ));
         }
         let watermark = view.low_watermark();
-        let descriptor = match choice {
-            Some(c) => Some(build_descriptor(index, c, watermark)?),
-            None => None,
+        let descriptor = match (reads, choice) {
+            (NdpReads::Off, _) | (NdpReads::Choice, None) => None,
+            (_, Some(c)) => Some(build_descriptor(index, c, watermark)?),
+            (NdpReads::Always, None) => {
+                Some(build_descriptor(index, &NdpChoice::default(), watermark)?)
+            }
         };
         let full_layout = &tree.leaf_layout;
-        let proj = match descriptor.as_ref().and_then(|d| d.projection.as_ref()) {
+        let ndp = match &descriptor {
             None => None,
-            Some(keep) => {
-                let keep: Vec<usize> = keep.iter().map(|&k| k as usize).collect();
+            Some(d) => {
+                let keep = d.kept_positions();
                 let in_proj = |p: usize, what: &str| {
                     keep.iter().position(|&k| k == p).ok_or_else(|| {
                         Error::InvalidState(format!(
@@ -544,13 +568,12 @@ impl Compiled {
             None => Vec::new(),
         };
         Ok(Compiled {
-            watermark,
             full: Shape {
                 plan: DecodePlan::new(full_layout, &out_pos),
                 key_pos: tree.key_positions.clone(),
                 residual: RecordFilter::new(&residual, full_layout)?,
             },
-            proj,
+            ndp,
             pushed: RecordFilter::new(&pushed, full_layout)?,
             descriptor,
         })
@@ -749,21 +772,14 @@ impl<'a> ScanCtx<'a> {
             }
             return Ok(true);
         }
-        // An NDP page: mixed record types (§IV-C2), NDP records in the
-        // projected layout when the choice projects.
-        let full_layout = self.layout();
-        let (ndp_layout, ndp_shape) = match &self.c.proj {
-            Some((l, s)) => (l, s),
-            None => (full_layout, &self.c.full),
-        };
+        // An NDP page: mixed record types (§IV-C2). NDP records are the
+        // visible survivors and carriers, in the NDP layout; an ordinary
+        // record is one storage could not judge.
         for rec in page.iter_chain() {
             let bytes = rec?;
-            // The chain walk vouches for the fixed header, which is all
-            // the type and trx id need.
-            let probe = RecordView::new(bytes, full_layout);
-            let rec_type = probe.rec_type()?;
-            let (rec, shape) = match rec_type {
-                RecType::Ordinary if probe.trx_id() >= self.c.watermark => {
+            let rec_type = RecordView::peek_type(bytes)?;
+            let (rec, shape) = match (rec_type, &self.c.ndp) {
+                (RecType::Ordinary, _) => {
                     // Ambiguous: InnoDB does visibility/undo/predicate.
                     match self.process_full_record(state, bytes, check_range, consumer)? {
                         Step::Next => continue,
@@ -772,11 +788,10 @@ impl<'a> ScanCtx<'a> {
                     }
                 }
                 // Visible survivor: storage already filtered it.
-                RecType::Ordinary => (RecordView::parse(bytes, full_layout)?, &self.c.full),
-                RecType::NdpProjection | RecType::NdpAggregate => {
-                    (RecordView::parse(bytes, ndp_layout)?, ndp_shape)
+                (RecType::NdpProjection | RecType::NdpAggregate, Some((layout, shape))) => {
+                    (RecordView::parse(bytes, layout)?, shape)
                 }
-                other => {
+                (other, _) => {
                     return Err(Error::Corruption(format!(
                         "unexpected record type {other:?} in NDP page"
                     )))
@@ -892,7 +907,12 @@ pub fn scan_ctx(
     filter: Option<&JoinFilter>,
     consumer: &mut dyn ScanConsumer,
 ) -> Result<ScanStats> {
-    let compiled = Compiled::new(table, spec, residual, view)?;
+    let reads = match (db.config().ndp.enabled, filter) {
+        (false, _) => NdpReads::Off,
+        (true, None) => NdpReads::Choice,
+        (true, Some(_)) => NdpReads::Always,
+    };
+    let compiled = Compiled::new(table, spec, residual, view, reads)?;
     let index = table.index(spec.index);
     let ctx = ScanCtx {
         db,
@@ -903,22 +923,16 @@ pub fn scan_ctx(
         c: &compiled,
     };
     let stream = match (&compiled.descriptor, filter) {
-        _ if !db.config().ndp.enabled => None,
+        (None, _) => None,
         (Some(descriptor), None) => Some(descriptor.encode()),
-        (descriptor, Some(filter)) => {
-            let mut stream = match descriptor {
-                Some(d) => d.encode(),
-                None => {
-                    build_descriptor(index, &NdpChoice::default(), compiled.watermark)?.encode()
-                }
-            };
+        (Some(descriptor), Some(filter)) => {
+            let mut stream = descriptor.encode();
             filter.encode(index, &mut stream)?;
             let m = db.metrics();
             m.add(|m| &m.join_filters_sent, 1);
             m.add(|m| &m.join_filter_keys, filter.keys as u64);
             Some(stream)
         }
-        (None, None) => None,
     };
     let mut state = ctx.fresh_state(db.config().scan_batch_rows.max(1));
     let scanned = match stream {
@@ -968,7 +982,7 @@ impl PointLookup {
             ndp: None,
             output_cols,
         };
-        let compiled = Compiled::new(&table, &spec, residual, view)?;
+        let compiled = Compiled::new(&table, &spec, residual, view, NdpReads::Off)?;
         let state = ScanCtx {
             db,
             index: table.index(index),
@@ -1191,12 +1205,12 @@ impl KeyRead {
             ndp: Some(choice.clone()),
             output_cols: delivered,
         };
-        let compiled = Compiled::new(&table, &spec, residual, view)?;
         // A choice that pushes nothing still has a descriptor: the key
         // set alone is work for the Page Store.
+        let compiled = Compiled::new(&table, &spec, residual, view, NdpReads::Always)?;
         let descriptor = match &compiled.descriptor {
             Some(d) => d.encode(),
-            None => build_descriptor(table.index(index), choice, compiled.watermark)?.encode(),
+            None => return Err(Error::Internal("key read without a descriptor".into())),
         };
         let state = ScanCtx {
             db,

@@ -102,6 +102,16 @@ impl NdpDescriptor {
         self.projection.is_some() || self.predicate_bitcode.is_some() || self.aggregation.is_some()
     }
 
+    /// The record positions the NDP records a Page Store writes under this
+    /// descriptor keep, in record order: the projection, or every column
+    /// when it does not project.
+    pub fn kept_positions(&self) -> Vec<usize> {
+        match &self.projection {
+            Some(keep) => keep.iter().map(|&k| k as usize).collect(),
+            None => (0..self.record_dtypes.len()).collect(),
+        }
+    }
+
     /// Length of the `DESC` section at the head of `buf`, by a walk over
     /// its counts that decodes nothing: what precedes an optional key-set
     /// section, and all the descriptor cache hashes. Agrees with

@@ -3,9 +3,9 @@
 //!
 //! * [`record`] — the row format: a compact header carrying the
 //!   `REC_STATUS_*` record type (Listing 3 of the paper, including the two
-//!   new NDP codes), delete mark, heap number, transaction id and the
-//!   next-record chain pointer; then a null bitmap, variable-length array
-//!   and the column images.
+//!   new NDP codes), delete mark and the next-record chain pointer, plus
+//!   heap number and transaction id on a stored record; then a null
+//!   bitmap, variable-length array and the column images.
 //! * [`page`] — fixed-size (default 16 KB) index pages: FIL-style header,
 //!   record heap, key-ordered record chain and a dense slot directory for
 //!   in-page binary search.

@@ -7,6 +7,17 @@
 //! are consumed sequentially, never searched), and a page whose records
 //! were all filtered out is shipped as a header-only [`PageType::NdpEmpty`]
 //! marker "without requiring explicit materialization".
+//!
+//! Its records come in two shapes, told apart by the record type:
+//! * `NdpProjection` and `NdpAggregate` records, every visible survivor
+//!   and every group's carrier, in the 3-byte NDP header over the columns
+//!   the descriptor keeps (all of them when it does not project): the
+//!   reader parses them under the descriptor's projected layout
+//!   ([`RecordLayout::project`](crate::RecordLayout::project));
+//! * `Ordinary` records, byte for byte the stored records the Page Store
+//!   could not judge against the low watermark. On an NDP page `Ordinary`
+//!   means ambiguous: the reader parses it under the stored layout and
+//!   completes visibility, undo and the predicate itself.
 
 use taurus_common::{Lsn, Result};
 
@@ -118,10 +129,13 @@ mod tests {
         p
     }
 
+    /// One record of type `t` over a BIGINT column `l` describes: NDP
+    /// types under the NDP layout.
     fn small_rec(l: &RecordLayout, k: i64, t: RecType) -> Vec<u8> {
+        let ndp = l.project(&[0]);
         let mut b = Vec::new();
         encode_record(
-            l,
+            if t.is_ndp() { &ndp } else { l },
             &[Value::Int(k)],
             RecordMeta {
                 rec_type: t,
@@ -143,6 +157,7 @@ mod tests {
     #[test]
     fn ndp_page_preserves_identity_and_order() {
         let l = RecordLayout::new(vec![DataType::BigInt]);
+        let ndp = l.project(&[0]);
         let mut b = NdpPageBuilder::new(&src_page());
         for k in [1i64, 5, 9] {
             b.push_record(&small_rec(&l, k, RecType::NdpProjection));
@@ -158,7 +173,7 @@ mod tests {
         let keys: Vec<i64> = p
             .iter_chain()
             .map(|rec| {
-                RecordView::parse(rec.unwrap(), &l)
+                RecordView::parse(rec.unwrap(), &ndp)
                     .unwrap()
                     .value(0)
                     .as_int()
@@ -175,26 +190,29 @@ mod tests {
         // §IV-C2: "A mix of regular records and NDP records can co-exist
         // in an NDP page."
         let l = RecordLayout::new(vec![DataType::BigInt]);
+        let ndp = l.project(&[0]);
         let mut b = NdpPageBuilder::new(&src_page());
         b.push_record(&small_rec(&l, 1, RecType::Ordinary));
         b.push_record(&small_rec(&l, 2, RecType::NdpProjection));
         b.push_record(&small_rec(&l, 3, RecType::NdpAggregate));
         let p = b.finish(1);
-        let types: Vec<RecType> = p
+        // The type says the layout: the stored header on the ordinary
+        // record, the NDP header on the others.
+        let records: Vec<(RecType, usize, i64)> = p
             .iter_chain()
             .map(|rec| {
-                RecordView::parse(rec.unwrap(), &l)
-                    .unwrap()
-                    .rec_type()
-                    .unwrap()
+                let bytes = rec.unwrap();
+                let t = RecordView::peek_type(bytes).unwrap();
+                let v = RecordView::parse(bytes, if t.is_ndp() { &ndp } else { &l }).unwrap();
+                (t, v.total_len(), v.value(0).as_int().unwrap())
             })
             .collect();
         assert_eq!(
-            types,
+            records,
             vec![
-                RecType::Ordinary,
-                RecType::NdpProjection,
-                RecType::NdpAggregate
+                (RecType::Ordinary, 13 + 1 + 8, 1),
+                (RecType::NdpProjection, 3 + 1 + 8, 2),
+                (RecType::NdpAggregate, 3 + 1 + 8 + 2 + 2, 3)
             ]
         );
     }

@@ -21,7 +21,7 @@ use std::cmp::Ordering;
 
 use taurus_common::{Error, Lsn, PageNo, Result, SpaceId};
 
-use crate::record::{RecordView, REC_HDR_LEN};
+use crate::record::{RecordView, NDP_REC_HDR_LEN};
 
 /// Sentinel for "no neighbour page".
 pub const NO_PAGE: PageNo = u32::MAX;
@@ -427,7 +427,10 @@ impl<'a> ChainIter<'a> {
         if seen == n {
             return Err(format!("record chain runs past the page's {n} records"));
         }
-        if cur < HEADER_LEN || cur + REC_HDR_LEN > self.heap_end {
+        // The walk vouches for the info byte and `next`, the header every
+        // record shape starts with; parsing under the layout the record's
+        // type names checks the rest.
+        if cur < HEADER_LEN || cur + NDP_REC_HDR_LEN > self.heap_end {
             return Err(format!("record pointer {cur} outside the record heap"));
         }
         if self.has_slots && self.page.slot_at(seen) as usize != cur {

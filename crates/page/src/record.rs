@@ -1,6 +1,8 @@
 //! The record (row) format.
 //!
-//! Layout of one record inside a page:
+//! A record has one of two header shapes. A stored record (the B+ tree's
+//! own pages, the redo log, and the ambiguous `Ordinary` records an NDP
+//! page passes through) carries the full 13-byte header:
 //!
 //! ```text
 //! +--------+---------+----------+---------+-------------+------------------+
@@ -10,15 +12,33 @@
 //! +--------+---------+----------+---------+-------------+------------------+
 //! | column images (fixed-width columns occupy their width even when NULL) |
 //! +------------------------------------------------------------------------+
-//! | [NDP aggregate records only] u16 payload length + opaque payload       |
-//! +------------------------------------------------------------------------+
+//! ```
+//!
+//! An NDP record (`NdpProjection`, `NdpAggregate`) is what a Page Store
+//! writes for a visible survivor or a group's carrier. Visibility was
+//! judged against the read view's low watermark where it was written, so
+//! it ships without heap number and trx id, in a 3-byte header:
+//!
+//! ```text
+//! +--------+---------+-------------+------------------+
+//! | info   | next    | null bitmap | var-length array |
+//! | 1 byte | 2 bytes | ceil(n/8)   | 2 bytes per      |
+//! |        |         |             | varchar column   |
+//! +--------+---------+-------------+------------------+
+//! | column images, as above                           |
+//! +---------------------------------------------------+
+//! | [NdpAggregate only] u16 payload length + payload  |
+//! +---------------------------------------------------+
 //! ```
 //!
 //! `info` packs the record type in its low 3 bits — the values of the
 //! paper's Listing 3 (`REC_STATUS_ORDINARY` … `REC_STATUS_NDP_AGGREGATE`)
-//! — and the delete mark in bit 3. `next` is the in-page offset of the next
-//! record in key order (0 = end of chain), which is what keeps NDP pages
-//! consumable by the unchanged page-cursor code path (§IV-C2).
+//! — and the delete mark in bit 3; the type says which header follows.
+//! `next` is the in-page offset of the next record in key order (0 = end
+//! of chain), which is what keeps NDP pages consumable by the unchanged
+//! page-cursor code path (§IV-C2). A [`RecordLayout`] knows its header
+//! shape: [`RecordLayout::new`] describes stored records,
+//! [`RecordLayout::project`] NDP records.
 
 use taurus_common::schema::encode_key_part_image;
 use taurus_common::{DataType, Error, Result, Value};
@@ -56,11 +76,19 @@ impl RecType {
             other => return Err(Error::Corruption(format!("bad record type {other}"))),
         })
     }
+
+    /// Is this one of the two types a Page Store writes, in the NDP header?
+    #[inline]
+    pub fn is_ndp(self) -> bool {
+        matches!(self, RecType::NdpProjection | RecType::NdpAggregate)
+    }
 }
 
 const DELETE_MARK_BIT: u8 = 0x08;
-/// Fixed header length before the null bitmap.
+/// Fixed header length of a stored record, before the null bitmap.
 pub const REC_HDR_LEN: usize = 13;
+/// Fixed header length of an NDP record: the info byte and `next`.
+pub const NDP_REC_HDR_LEN: usize = 3;
 
 /// Non-column metadata carried by every record.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -82,16 +110,22 @@ impl RecordMeta {
     }
 }
 
-/// Describes the columns physically present in a record, in record order.
+/// Describes the columns physically present in a record, in record order,
+/// and the header in front of them.
 ///
-/// A full-table layout describes ordinary records; a *projected* layout
-/// (subset of columns) describes `NdpProjection` records. Both kinds can
-/// coexist in one NDP page, disambiguated by the record type (§IV-C2).
+/// A full-table layout describes stored records; a *projected* layout
+/// (any subset of the columns, all of them included) describes NDP records.
+/// Both kinds coexist in one NDP page, disambiguated by the record type
+/// (§IV-C2).
 #[derive(Clone, Debug, PartialEq)]
 pub struct RecordLayout {
     pub dtypes: Vec<DataType>,
     pub n_var: usize,
+    /// [`REC_HDR_LEN`] or [`NDP_REC_HDR_LEN`]: where the null bitmap starts.
+    hdr_len: usize,
     bitmap_len: usize,
+    /// Where the var-length array starts: `hdr_len + bitmap_len`.
+    varlen_at: usize,
     /// For each column, plus one entry for the end of the data: where its
     /// image starts when every varchar before it is empty (header
     /// included). A column's real offset adds the lengths of the
@@ -107,7 +141,12 @@ pub struct RecordLayout {
 }
 
 impl RecordLayout {
+    /// The layout of stored records of these columns.
     pub fn new(dtypes: Vec<DataType>) -> Self {
+        RecordLayout::with_header(dtypes, REC_HDR_LEN)
+    }
+
+    fn with_header(dtypes: Vec<DataType>, hdr_len: usize) -> Self {
         let var_max: Vec<u16> = dtypes
             .iter()
             .filter_map(|dt| match dt {
@@ -119,7 +158,7 @@ impl RecordLayout {
         let bitmap_len = dtypes.len().div_ceil(8);
         let mut fixed_off = Vec::with_capacity(dtypes.len() + 1);
         let mut var_before = Vec::with_capacity(dtypes.len() + 1);
-        let mut off = (REC_HDR_LEN + bitmap_len + 2 * n_var) as u32;
+        let mut off = (hdr_len + bitmap_len + 2 * n_var) as u32;
         let mut vars = 0u16;
         for dt in &dtypes {
             fixed_off.push(off);
@@ -134,7 +173,9 @@ impl RecordLayout {
         RecordLayout {
             dtypes,
             n_var,
+            hdr_len,
             bitmap_len,
+            varlen_at: hdr_len + bitmap_len,
             fixed_off,
             var_before,
             var_max,
@@ -142,15 +183,24 @@ impl RecordLayout {
     }
 
     /// Header length = fixed header + null bitmap + var-length array.
+    #[inline]
     pub fn header_len(&self) -> usize {
-        REC_HDR_LEN + self.bitmap_len + 2 * self.n_var
+        self.varlen_at + 2 * self.n_var
     }
 
+    /// Does this layout describe NDP records (the 3-byte header)?
+    #[inline]
+    pub fn is_ndp(&self) -> bool {
+        self.hdr_len == NDP_REC_HDR_LEN
+    }
+
+    #[inline]
     pub fn n_cols(&self) -> usize {
         self.dtypes.len()
     }
 
     /// Column `col`'s entry in the var-length array, if it is a varchar.
+    #[inline]
     fn var_slot(&self, col: usize) -> Option<usize> {
         match self.dtypes[col] {
             DataType::Varchar(_) => Some(self.var_before[col] as usize),
@@ -158,15 +208,21 @@ impl RecordLayout {
         }
     }
 
-    /// Build the layout for a projected subset (`keep` = positions into
-    /// this layout, in record order).
+    /// The layout of the NDP records a Page Store writes of these records
+    /// when it keeps the columns `keep` (positions into this layout, in
+    /// record order; every position keeps every column).
     pub fn project(&self, keep: &[usize]) -> RecordLayout {
-        RecordLayout::new(keep.iter().map(|&i| self.dtypes[i]).collect())
+        RecordLayout::with_header(
+            keep.iter().map(|&i| self.dtypes[i]).collect(),
+            NDP_REC_HDR_LEN,
+        )
     }
 }
 
 /// Encode a record. `agg_payload` must be `Some` iff
-/// `meta.rec_type == RecType::NdpAggregate`.
+/// `meta.rec_type == RecType::NdpAggregate`, and the record type must fit
+/// the layout's header: an NDP type under an NDP layout, which writes no
+/// heap number or trx id, any other under a stored one.
 pub fn encode_record(
     layout: &RecordLayout,
     values: &[Value],
@@ -180,12 +236,19 @@ pub fn encode_record(
         meta.rec_type == RecType::NdpAggregate,
         "aggregate payload presence must match record type"
     );
+    debug_assert_eq!(
+        meta.rec_type.is_ndp(),
+        layout.is_ndp(),
+        "record type must match the layout's header"
+    );
     let start = out.len();
     let info = (meta.rec_type as u8) | if meta.delete_mark { DELETE_MARK_BIT } else { 0 };
     out.push(info);
     out.extend_from_slice(&0u16.to_le_bytes()); // next: fixed up by the page
-    out.extend_from_slice(&meta.heap_no.to_le_bytes());
-    out.extend_from_slice(&meta.trx_id.to_le_bytes());
+    if !layout.is_ndp() {
+        out.extend_from_slice(&meta.heap_no.to_le_bytes());
+        out.extend_from_slice(&meta.trx_id.to_le_bytes());
+    }
     // Null bitmap.
     let bitmap_at = out.len();
     out.resize(bitmap_at + layout.bitmap_len, 0);
@@ -245,11 +308,12 @@ impl<'a> RecordView<'a> {
     }
 
     /// A view over bytes read from a page, checked once: the header fits,
-    /// the info byte holds a known record type and no stray bits, every
-    /// varchar length is within its declared maximum, and the column
-    /// images (plus an aggregate payload) end inside `bytes`. After this
-    /// every accessor stays in bounds; a damaged record is
-    /// [`Error::Corruption`], never a panic.
+    /// the info byte holds a known record type whose header is the
+    /// layout's (an NDP type under an NDP layout, any other under a stored
+    /// one) and no stray bits, every varchar length is within its declared
+    /// maximum, and the column images (plus an aggregate payload) end
+    /// inside `bytes`. After this every accessor stays in bounds; a
+    /// damaged record is [`Error::Corruption`], never a panic.
     pub fn parse(bytes: &'a [u8], layout: &'a RecordLayout) -> Result<Self> {
         if bytes.len() < layout.header_len() {
             return Err(corrupt(format_args!(
@@ -263,6 +327,12 @@ impl<'a> RecordView<'a> {
             return Err(corrupt(format_args!("info byte {:#04x}", bytes[0])));
         }
         let rec_type = v.rec_type()?;
+        if rec_type.is_ndp() != layout.is_ndp() {
+            return Err(corrupt(format_args!(
+                "{rec_type:?} record read with a {} layout",
+                if layout.is_ndp() { "NDP" } else { "stored" }
+            )));
+        }
         let mut end = layout.fixed_off[layout.n_cols()] as usize;
         for (vi, &max) in layout.var_max.iter().enumerate() {
             let len = v.var_len(vi);
@@ -288,42 +358,65 @@ impl<'a> RecordView<'a> {
         Ok(v)
     }
 
+    #[inline]
     pub fn rec_type(&self) -> Result<RecType> {
         RecType::from_u8(self.bytes[0] & 0x07)
     }
 
+    /// The type of the record `bytes` begins with, which says the layout
+    /// to parse it with: read from the info byte alone.
+    #[inline]
+    pub fn peek_type(bytes: &[u8]) -> Result<RecType> {
+        match bytes.first() {
+            Some(&info) => RecType::from_u8(info & 0x07),
+            None => Err(corrupt(format_args!("no info byte"))),
+        }
+    }
+
+    #[inline]
     fn is_aggregate(&self) -> bool {
         self.bytes[0] & 0x07 == RecType::NdpAggregate as u8
     }
 
+    #[inline]
     pub fn delete_mark(&self) -> bool {
         self.bytes[0] & DELETE_MARK_BIT != 0
     }
 
+    #[inline]
     pub fn next_offset(&self) -> u16 {
         u16::from_le_bytes([self.bytes[1], self.bytes[2]])
     }
 
+    /// The heap number of a stored record (an NDP record has none).
+    #[inline]
     pub fn heap_no(&self) -> u16 {
+        debug_assert!(!self.layout.is_ndp(), "an NDP record has no heap number");
         u16::from_le_bytes([self.bytes[3], self.bytes[4]])
     }
 
+    /// The trx id of a stored record (an NDP record has none).
+    #[inline]
     pub fn trx_id(&self) -> u64 {
+        debug_assert!(!self.layout.is_ndp(), "an NDP record has no trx id");
         u64::from_le_bytes(self.bytes[5..13].try_into().unwrap())
     }
 
+    #[inline]
     pub fn is_null(&self, col: usize) -> bool {
-        self.bytes[REC_HDR_LEN + col / 8] & (1 << (col % 8)) != 0
+        self.bytes[self.layout.hdr_len + col / 8] & (1 << (col % 8)) != 0
     }
 
+    #[inline]
     fn var_len(&self, vi: usize) -> usize {
-        let at = REC_HDR_LEN + self.layout.bitmap_len + 2 * vi;
+        let at = self.layout.varlen_at + 2 * vi;
         u16::from_le_bytes([self.bytes[at], self.bytes[at + 1]]) as usize
     }
 
     /// Byte offset (within the record) where column `col`'s image starts;
     /// `col == n_cols` gives the end of the column data. Constant for
     /// columns ahead of the first varchar.
+    #[inline]
     fn col_offset(&self, col: usize) -> usize {
         let vars: usize = (0..self.layout.var_before[col] as usize)
             .map(|vi| self.var_len(vi))
@@ -331,6 +424,7 @@ impl<'a> RecordView<'a> {
         self.layout.fixed_off[col] as usize + vars
     }
 
+    #[inline]
     fn col_len(&self, col: usize) -> usize {
         match self.layout.var_slot(col) {
             Some(vi) => self.var_len(vi),
@@ -340,6 +434,7 @@ impl<'a> RecordView<'a> {
 
     /// Raw image of column `col` (empty for NULL varchar; zeroed bytes for
     /// NULL fixed-width columns — check [`RecordView::is_null`] first).
+    #[inline]
     pub fn field_bytes(&self, col: usize) -> &'a [u8] {
         let off = self.col_offset(col);
         &self.bytes[off..off + self.col_len(col)]
@@ -381,6 +476,7 @@ impl<'a> RecordView<'a> {
     }
 
     /// Length of the column-data portion (header through last column).
+    #[inline]
     fn data_end(&self) -> usize {
         self.col_offset(self.layout.n_cols())
     }
@@ -546,10 +642,10 @@ impl DecodePlan {
 }
 
 /// How a Page Store writes a surviving record into an NDP page without
-/// decoding it: the header, a re-packed NULL bitmap, the kept varchars'
-/// length entries and the kept column images are copied from the source
-/// record's bytes. The result is byte for byte what [`encode_record`]
-/// gives for the kept columns' decoded values under
+/// decoding it: an NDP header, a re-packed NULL bitmap, the kept
+/// varchars' length entries and the kept column images copied from the
+/// source record's bytes. The result is byte for byte what
+/// [`encode_record`] gives for the kept columns' decoded values under
 /// [`RecordLayout::project`]: a NULL fixed-width column is written as
 /// zeros and a NULL varchar with no bytes, whatever the source holds
 /// there. (A CHAR or varchar image that is not UTF-8 is copied as it is,
@@ -557,8 +653,6 @@ impl DecodePlan {
 /// holds one.)
 #[derive(Clone, Debug)]
 pub struct ProjectionPlan {
-    /// Type of the records written without an aggregate payload.
-    rec_type: RecType,
     src_bitmap_len: usize,
     out_bitmap_len: usize,
     /// The kept columns, in output order.
@@ -569,7 +663,7 @@ pub struct ProjectionPlan {
     /// Maximal runs of kept columns that are neighbours in the source
     /// record, so a record without NULLs is copied run by run.
     runs: Vec<Run>,
-    /// Every column is kept: a record without NULLs is copied whole.
+    /// Every column is kept: a record without NULLs keeps its body whole.
     identity: bool,
 }
 
@@ -585,18 +679,10 @@ struct Run {
 }
 
 impl ProjectionPlan {
-    /// Plan writing the columns `keep` (positions in `layout`, in output
-    /// order) of records shaped by `layout`; `None` keeps the record as
-    /// it is, for a descriptor that only filters or aggregates.
-    pub fn new(layout: &RecordLayout, keep: Option<&[usize]>) -> ProjectionPlan {
-        let all: Vec<usize>;
-        let (rec_type, keep) = match keep {
-            Some(keep) => (RecType::NdpProjection, keep),
-            None => {
-                all = (0..layout.n_cols()).collect();
-                (RecType::Ordinary, &all[..])
-            }
-        };
+    /// Plan writing the columns `keep` (positions in `layout`, a stored
+    /// layout, in output order) of records shaped by `layout`.
+    pub fn new(layout: &RecordLayout, keep: &[usize]) -> ProjectionPlan {
+        debug_assert!(!layout.is_ndp(), "a Page Store projects stored records");
         let mut runs: Vec<Run> = Vec::new();
         for (i, &pos) in keep.iter().enumerate() {
             match runs.last_mut() {
@@ -613,7 +699,6 @@ impl ProjectionPlan {
             }
         }
         ProjectionPlan {
-            rec_type,
             src_bitmap_len: layout.bitmap_len,
             out_bitmap_len: keep.len().div_ceil(8),
             cols: keep.iter().map(|&pos| PlanCol::of(layout, pos)).collect(),
@@ -627,10 +712,10 @@ impl ProjectionPlan {
     }
 
     /// Append `rec` (a view over the layout the plan was built for),
-    /// reduced to the kept columns, to `out`. With `agg_payload` the
-    /// record is written as an [`RecType::NdpAggregate`] carrier. The
-    /// delete mark is not carried over: only visible, live records
-    /// survive NDP processing.
+    /// reduced to the kept columns, to `out` as an
+    /// [`RecType::NdpProjection`] record, or with `agg_payload` as an
+    /// [`RecType::NdpAggregate`] carrier. The delete mark is not carried
+    /// over: only visible, live records survive NDP processing.
     pub fn write(
         &self,
         rec: RecordView<'_>,
@@ -644,22 +729,17 @@ impl ProjectionPlan {
                     .map_err(|_| Error::Internal("aggregate payload too large".into()))?;
                 (RecType::NdpAggregate, Some((len, p)))
             }
-            None => (self.rec_type, None),
+            None => (RecType::NdpProjection, None),
         };
         let src = rec.bytes;
-        let start = out.len();
+        // `next` stays 0: the page chains the record when it places it.
+        out.extend_from_slice(&[rec_type as u8, 0, 0]);
         let no_nulls = src[REC_HDR_LEN..REC_HDR_LEN + self.src_bitmap_len]
             .iter()
             .all(|&b| b == 0);
         if no_nulls && self.identity {
-            out.extend_from_slice(&src[..rec.data_end()]);
-            out[start] = rec_type as u8;
+            out.extend_from_slice(&src[REC_HDR_LEN..rec.data_end()]);
         } else {
-            // `next` stays 0: the page chains the record when it places it.
-            let mut header = [0u8; REC_HDR_LEN];
-            header[0] = rec_type as u8;
-            header[3..].copy_from_slice(&src[3..REC_HDR_LEN]);
-            out.extend_from_slice(&header);
             let bitmap_at = out.len();
             out.resize(bitmap_at + self.out_bitmap_len, 0);
             let src_varlen_at = REC_HDR_LEN + self.src_bitmap_len;
@@ -833,7 +913,7 @@ mod tests {
 
     #[test]
     fn aggregate_record_carries_payload() {
-        let layout = lineitem_ish_layout();
+        let layout = lineitem_ish_layout().project(&[0, 1, 2, 3, 4, 5]);
         let vals = sample_values();
         let meta = RecordMeta {
             rec_type: RecType::NdpAggregate,
@@ -875,6 +955,13 @@ mod tests {
         let mut fullbuf = Vec::new();
         encode_record(&full, &vals, RecordMeta::ordinary(5), None, &mut fullbuf).unwrap();
         assert!(buf.len() < fullbuf.len());
+        // Every column kept: the same body behind a 10-byte shorter header.
+        let all = full.project(&[0, 1, 2, 3, 4, 5]);
+        let mut ndp = Vec::new();
+        encode_record(&all, &vals, meta, None, &mut ndp).unwrap();
+        assert_eq!(ndp.len() + REC_HDR_LEN - NDP_REC_HDR_LEN, fullbuf.len());
+        assert_eq!(ndp[NDP_REC_HDR_LEN..], fullbuf[REC_HDR_LEN..]);
+        assert_eq!(RecordView::parse(&ndp, &all).unwrap().values(), vals);
     }
 
     #[test]
@@ -938,15 +1025,22 @@ mod tests {
             assert!(rejected(&bad), "varchar length {len}");
         }
         // An aggregate record whose payload overruns.
+        let ndp = layout.project(&[0, 1, 2, 3, 4, 5]);
+        let ndp_rejected =
+            |bytes: &[u8]| matches!(RecordView::parse(bytes, &ndp), Err(Error::Corruption(_)));
         let mut agg = Vec::new();
         let meta = RecordMeta {
             rec_type: RecType::NdpAggregate,
             ..RecordMeta::ordinary(7)
         };
-        encode_record(&layout, &sample_values(), meta, Some(&[1, 2, 3]), &mut agg).unwrap();
-        assert!(RecordView::parse(&agg, &layout).is_ok());
-        assert!(rejected(&agg[..agg.len() - 1]));
-        assert!(rejected(&agg[..agg.len() - 4]));
+        encode_record(&ndp, &sample_values(), meta, Some(&[1, 2, 3]), &mut agg).unwrap();
+        assert!(RecordView::parse(&agg, &ndp).is_ok());
+        assert!(ndp_rejected(&agg[..agg.len() - 1]));
+        assert!(ndp_rejected(&agg[..agg.len() - 4]));
+        // The type decides the header: neither layout reads the other's
+        // records.
+        assert!(rejected(&agg));
+        assert!(ndp_rejected(&buf));
     }
 
     #[test]

@@ -46,14 +46,17 @@ pub struct CachedDescriptor {
     /// The key columns' positions in them, in key order: what a key-set
     /// request encodes of every record.
     pub key_positions: Vec<usize>,
-    /// Layout of the records `survivor` writes when projection was
-    /// requested: what the compute node reads them with.
-    pub proj_layout: Option<RecordLayout>,
+    /// Layout of the NDP records `survivor` writes (the kept columns
+    /// under the NDP header; every column when the descriptor does not
+    /// project): what a reply's `NdpProjection` and `NdpAggregate`
+    /// records are read with.
+    pub ndp_layout: RecordLayout,
     /// Compiled predicate, if filtering was requested; it runs on the
     /// record's bytes.
     pub predicate: Option<CompiledPredicate>,
     /// How a survivor's bytes are written into the NDP page: the kept
-    /// columns when projection was requested, the whole record otherwise.
+    /// columns when projection was requested, every column otherwise,
+    /// always behind the NDP header.
     pub survivor: ProjectionPlan,
     /// How a fold reads each aggregate's input, in aggregate order (none
     /// without aggregation).
@@ -78,12 +81,9 @@ impl CachedDescriptor {
     pub fn prepare(bytes: &[u8]) -> Result<CachedDescriptor> {
         let desc = NdpDescriptor::decode(bytes)?;
         let layout = RecordLayout::new(desc.record_dtypes.clone());
-        let keep: Option<Vec<usize>> = desc
-            .projection
-            .as_ref()
-            .map(|keep| keep.iter().map(|&k| k as usize).collect());
-        let proj_layout = keep.as_ref().map(|keep| layout.project(keep));
-        let survivor = ProjectionPlan::new(&layout, keep.as_deref());
+        let keep = desc.kept_positions();
+        let ndp_layout = layout.project(&keep);
+        let survivor = ProjectionPlan::new(&layout, &keep);
         // Descriptor column references are already record positions:
         // programs compile under the identity map.
         let identity: Vec<u16> = (0..layout.n_cols() as u16).collect();
@@ -126,7 +126,7 @@ impl CachedDescriptor {
             key_positions: desc.key_positions.iter().map(|&p| p as usize).collect(),
             desc,
             layout,
-            proj_layout,
+            ndp_layout,
             predicate,
             survivor,
             agg_inputs,
@@ -313,9 +313,10 @@ mod tests {
         let c = DescriptorCache::new(Metrics::shared());
         let cd = c.get_or_prepare(&descriptor_bytes(10)).unwrap();
         assert!(cd.predicate.is_some());
-        assert!(cd.proj_layout.is_some());
+        assert!(cd.ndp_layout.is_ndp() && !cd.layout.is_ndp());
         assert!(cd.agg_inputs.is_empty());
         assert_eq!(cd.layout.n_cols(), 2);
+        assert_eq!(cd.ndp_layout.n_cols(), 2);
     }
 
     #[test]

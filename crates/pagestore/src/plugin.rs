@@ -23,7 +23,8 @@
 //!   from a binary search for the page's first record, so no record pays
 //!   for the length of the list;
 //! * records with `trx_id >=` the descriptor watermark are **ambiguous**
-//!   and pass through byte-identical (never projected — §V-A);
+//!   and pass through byte-identical, stored header and all (never
+//!   projected — §V-A): on an NDP page, `Ordinary` means ambiguous;
 //! * visible delete-marked records are skipped;
 //! * when the request carries a **join filter** (a hash join's probe scan),
 //!   a visible record whose key column is NULL or misses the filter is
@@ -35,9 +36,11 @@
 //!   column images in place — only definite survivors are kept
 //!   (`False`/`Unknown` rows are what the compute node would discard too);
 //! * a survivor is written by the descriptor's
-//!   [`ProjectionPlan`](taurus_page::ProjectionPlan): its own bytes when
-//!   every column is kept, the kept columns' images otherwise — the bytes
-//!   re-encoding its decoded values would give;
+//!   [`ProjectionPlan`](taurus_page::ProjectionPlan) as an `NdpProjection`
+//!   record: the 3-byte NDP header (no heap number or trx id: its
+//!   visibility is settled here) over the kept columns' images, every
+//!   column when the descriptor does not project — the bytes re-encoding
+//!   its decoded values would give;
 //! * with aggregation, survivors are folded into per-group state instead,
 //!   each group's partial attached to its **last visible** record on the
 //!   page (the paper's `((5,2), 9)` carrier convention: the carrier's own

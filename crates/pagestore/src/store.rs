@@ -506,6 +506,8 @@ impl PageStore {
             match out {
                 Ok((done, stats)) => {
                     self.charge_plugin_stats(done.len() as u64, &stats);
+                    let records = done.iter().map(|(_, ndp)| ndp.n_recs() as u64).sum();
+                    self.metrics.add(|m| &m.ps_ndp_records_shipped, records);
                     for (idx, ndp) in done {
                         reply[idx].payload = PagePayload::Ndp(Arc::new(ndp));
                     }

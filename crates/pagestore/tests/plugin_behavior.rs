@@ -90,20 +90,20 @@ fn process_one(cd: &CachedDescriptor, page: &Page) -> (Page, PluginStats) {
 }
 
 /// Decode an NDP page into (rec_type, id, val?, agg_payload) tuples for
-/// assertions. `val` is None for records whose layout dropped it.
+/// assertions: ambiguous records under the stored layout `full`, NDP
+/// records under `ndp`. `val` is None for records whose layout dropped it.
 fn read_ndp_page(
     page: &Page,
     full: &RecordLayout,
-    proj: Option<&RecordLayout>,
+    ndp: &RecordLayout,
 ) -> Vec<(RecType, i64, Option<i64>, Option<Vec<AggState>>)> {
     page.iter_chain()
         .map(|rec| {
             let bytes = rec.unwrap();
-            let probe = RecordView::new(bytes, full);
-            let rt = probe.rec_type().unwrap();
+            let rt = RecordView::peek_type(bytes).unwrap();
             let l = match rt {
                 RecType::Ordinary => full,
-                RecType::NdpProjection | RecType::NdpAggregate => proj.unwrap_or(full),
+                RecType::NdpProjection | RecType::NdpAggregate => ndp,
                 other => panic!("unexpected record type {other:?}"),
             };
             let v = RecordView::parse(bytes, l).unwrap();
@@ -146,7 +146,7 @@ fn paper_example_page_p1_grouped_scalar_single_page() {
     let cd = cached(&desc);
     let (results, stats) = process(&cd, &[Arc::new(p1)]).unwrap();
     assert_eq!(results.len(), 1);
-    let rows = read_ndp_page(&results[0], &cd.layout, cd.proj_layout.as_ref());
+    let rows = read_ndp_page(&results[0], &cd.layout, &cd.ndp_layout);
     assert_eq!(rows.len(), 3);
     assert_eq!(
         (rows[0].0, rows[0].1, rows[0].2),
@@ -207,13 +207,13 @@ fn paper_example_cross_page_p1_p2() {
     let (results, _) = process(&cd, &[Arc::new(p1), Arc::new(p2)]).unwrap();
     assert_eq!(results.len(), 2);
     // Page 0 kept only its ambiguous rows.
-    let rows0 = read_ndp_page(&results[0], &cd.layout, None);
+    let rows0 = read_ndp_page(&results[0], &cd.layout, &cd.ndp_layout);
     assert_eq!(
         rows0.iter().map(|r| (r.0, r.1)).collect::<Vec<_>>(),
         vec![(RecType::Ordinary, 2), (RecType::Ordinary, 4)]
     );
     // Page 1 holds the carrier with the cross-page partial.
-    let rows1 = read_ndp_page(&results[1], &cd.layout, None);
+    let rows1 = read_ndp_page(&results[1], &cd.layout, &cd.ndp_layout);
     assert_eq!(rows1.len(), 2);
     assert_eq!((rows1[0].0, rows1[0].1), (RecType::Ordinary, 12));
     assert_eq!(
@@ -246,15 +246,24 @@ fn filtering_drops_only_visible_false_rows() {
     let desc = descriptor(None, Some(&pred), None);
     let cd = cached(&desc);
     let (out, stats) = process_one(&cd, &p);
-    let rows = read_ndp_page(&out, &cd.layout, None);
+    let rows = read_ndp_page(&out, &cd.layout, &cd.ndp_layout);
     // Visible true: 1, 5. Ambiguous (any value): 3, 4. Visible false 2: gone.
     assert_eq!(
         rows.iter().map(|r| r.1).collect::<Vec<_>>(),
         vec![1, 3, 4, 5]
     );
     assert_eq!(stats.records_filtered, 1);
-    // Ambiguous rows keep their Ordinary type and full bytes.
-    assert!(rows.iter().all(|r| r.0 == RecType::Ordinary));
+    // Visible survivors are NDP records over every column; ambiguous rows
+    // keep their Ordinary type and full bytes.
+    assert_eq!(
+        rows.iter().map(|r| r.0).collect::<Vec<_>>(),
+        [
+            RecType::NdpProjection,
+            RecType::Ordinary,
+            RecType::Ordinary,
+            RecType::NdpProjection
+        ]
+    );
 }
 
 #[test]
@@ -265,7 +274,7 @@ fn projection_narrows_visible_rows_only() {
     let desc = descriptor(Some(vec![0]), None, None);
     let cd = cached(&desc);
     let (out, _) = process_one(&cd, &p);
-    let rows = read_ndp_page(&out, &cd.layout, cd.proj_layout.as_ref());
+    let rows = read_ndp_page(&out, &cd.layout, &cd.ndp_layout);
     assert_eq!(rows.len(), 3);
     assert_eq!(
         (rows[0].0, rows[0].1, rows[0].2),
@@ -307,7 +316,7 @@ fn delete_marked_visible_rows_are_skipped() {
     let desc = descriptor(None, Some(&Expr::gt(Expr::col(1), Expr::int(0))), None);
     let cd = cached(&desc);
     let (out, _) = process_one(&cd, &p);
-    let rows = read_ndp_page(&out, &cd.layout, None);
+    let rows = read_ndp_page(&out, &cd.layout, &cd.ndp_layout);
     assert_eq!(rows.iter().map(|r| r.1).collect::<Vec<_>>(), vec![1, 3]);
 }
 
@@ -336,7 +345,7 @@ fn grouped_aggregation_one_carrier_per_group() {
     );
     let cd = cached(&desc);
     let (out, _) = process_one(&cd, &p);
-    let rows = read_ndp_page(&out, &cd.layout, None);
+    let rows = read_ndp_page(&out, &cd.layout, &cd.ndp_layout);
     // Group 1: carrier (1,20) payload SUM=10,COUNT=1.
     // Group 2: ambiguous (2,6) passes; carrier (2,5) payload empty partial.
     // Group 3: carrier (3,1).
@@ -476,7 +485,7 @@ fn non_ordinary_source_record_is_rejected_on_both_entry_points() {
     let mut p = build_page(1, 0, &[(1, 10, false), (2, 20, false)]);
     let mut b = Vec::new();
     encode_record(
-        &l,
+        &l.project(&[0, 1]),
         &[Value::Int(3), Value::Int(30)],
         RecordMeta {
             rec_type: RecType::NdpProjection,

@@ -26,7 +26,8 @@ use taurus_common::{DataType, Date32, Error, Metrics, SliceId, SpaceId, Value};
 use taurus_expr::descriptor::{encode_join_filter, encode_key_set, KeyBloom, NdpDescriptor};
 use taurus_page::{encode_record, Page, RecordLayout, RecordMeta, RecordView};
 use taurus_pagestore::{
-    NdpBatchRequest, PagePayload, PageStore, PageStoreConfig, RedoBody, RedoRecord,
+    CachedDescriptor, NdpBatchRequest, PagePayload, PageStore, PageStoreConfig, RedoBody,
+    RedoRecord,
 };
 
 const WATERMARK: u64 = 100;
@@ -130,15 +131,24 @@ fn served(ps: &PageStore, sid: SliceId, stream: Vec<u8>) -> taurus_common::Resul
         descriptor: Arc::new(stream),
         tenant: taurus_common::DEFAULT_TENANT,
     };
-    let full = RecordLayout::new(dtypes());
+    let reply = ps.serve_ndp_batch(&req)?;
+    // Served, so the descriptor is sound: it says the reply's layouts.
+    let desc_len = NdpDescriptor::section_len(&req.descriptor)?;
+    let cd = CachedDescriptor::prepare(&req.descriptor[..desc_len])?;
     let mut out = Vec::new();
-    for result in ps.serve_ndp_batch(&req)? {
+    for result in reply {
         let PagePayload::Ndp(page) = result.payload else {
             panic!("nothing degrades here: a key set is work, and the pool is idle");
         };
         for rec in page.iter_chain() {
-            // Projected or not, the key columns lead the record.
-            let rec = RecordView::new(rec.unwrap(), &full);
+            // Ambiguous records come back stored, the others as NDP
+            // records; projected or not, the key columns lead.
+            let bytes = rec.unwrap();
+            let layout = match RecordView::peek_type(bytes)?.is_ndp() {
+                true => &cd.ndp_layout,
+                false => &cd.layout,
+            };
+            let rec = RecordView::parse(bytes, layout).unwrap();
             out.push((
                 rec.value(0).as_int().unwrap(),
                 rec.value(1).as_int().unwrap(),

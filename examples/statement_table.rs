@@ -1,8 +1,9 @@
 //! Where a pass over the 22 TPC-H statements spends its time and its
 //! storage wire, one row per statement, NDP off and on: wall and SQL-node
 //! CPU, Page-Store CPU, read requests, pages shipped raw / NDP-processed /
-//! empty, kB from and to storage, and the threads the statement spawned on
-//! the SQL node (scan producers, PQ workers, SAL sub-batch dispatches).
+//! empty, the records on those NDP pages, kB from and to storage, and the
+//! threads the statement spawned on the SQL node (scan producers, PQ
+//! workers, SAL sub-batch dispatches).
 //!
 //! The cluster has the shape `benchmark/` gives its TPC-H workloads (4 Page
 //! Stores, replication 3, a 175-page pool over ~14 MB of data, a shared
@@ -32,12 +33,13 @@ struct Cost {
     raw: f64,
     ndp: f64,
     empty: f64,
+    ndp_recs: f64,
     kb_from: f64,
     kb_to: f64,
     threads: f64,
 }
 
-const COLUMNS: [(&str, fn(&Cost) -> f64); 10] = [
+const COLUMNS: [(&str, fn(&Cost) -> f64); 11] = [
     ("wall ms", |c| c.wall_ms),
     ("cpu ms", |c| c.cpu_ms),
     ("ps cpu ms", |c| c.ps_cpu_ms),
@@ -45,6 +47,7 @@ const COLUMNS: [(&str, fn(&Cost) -> f64); 10] = [
     ("raw", |c| c.raw),
     ("ndp", |c| c.ndp),
     ("empty", |c| c.empty),
+    ("ndp recs", |c| c.ndp_recs),
     ("kB from", |c| c.kb_from),
     ("kB to", |c| c.kb_to),
     ("threads", |c| c.threads),
@@ -66,6 +69,7 @@ fn run(session: &Session, text: &str) -> Result<Cost> {
         raw: d.pages_shipped_raw as f64,
         ndp: d.pages_shipped_ndp as f64,
         empty: d.pages_shipped_empty as f64,
+        ndp_recs: d.ps_ndp_records_shipped as f64,
         kb_from: d.net_bytes_from_storage as f64 / 1e3,
         kb_to: d.net_bytes_to_storage as f64 / 1e3,
         threads: d.sql_threads_spawned as f64,

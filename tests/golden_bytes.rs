@@ -1,10 +1,12 @@
 //! Golden bytes, one test per binary format that crosses a tier: wire
 //! frames, redo batches, replication payloads, the NDP descriptor stream
-//! (`DESC` + `KEYS` + `JFLT`), IR bitcode and aggregate partial states.
+//! (`DESC` + `KEYS` + `JFLT`), IR bitcode, aggregate partial states and
+//! the NDP page a Page Store returns.
 //!
 //! Each sample is encoded and compared against hex pinned from the
 //! encoders as they stood before the formats moved onto one shared
-//! codec; then the pinned hex is decoded and must give the sample (or
+//! codec (the NDP page: as it stood when its records took the 3-byte NDP
+//! header); then the pinned hex is decoded and must give the sample (or
 //! re-encode to the same bytes, for types without `PartialEq`). A change
 //! to any of these bytes changes what is on a wire, in the log or in a
 //! descriptor-cache key, so it must be deliberate.
@@ -21,6 +23,10 @@ use taurus::expr::ir::{IrInstr, IrProgram};
 use taurus::expr::{ArithOp, CmpOp};
 use taurus::ndp::replication::{CatalogPayload, IndexMeta, LoadedPayload, TreeShape};
 use taurus::ndp::{ColumnStats, TableStats};
+use taurus::page::{
+    encode_record, NdpPageBuilder, Page, PageType, ProjectionPlan, RecType, RecordLayout,
+    RecordMeta, RecordView,
+};
 use taurus::pagestore::{RedoBody, RedoRecord};
 use taurus::protocol::{decode_message, Message, QueryRequest};
 
@@ -430,6 +436,112 @@ fn aggregate_states_of_every_kind_are_pinned() {
     assert_eq!(decode_states(&unhex(AGG_STATES)).unwrap(), states);
 }
 
+/// Stored records `(id BIGINT, n INT, note VARCHAR(10), day DATE)`, and
+/// an NDP page of them that keeps `(id, n, note)`: a survivor with a NULL
+/// and a varchar, an ambiguous record as it is stored, a group's carrier
+/// with its partial; then the empty marker of the same source page.
+fn ndp_pages() -> (RecordLayout, Vec<AggState>, Page, Page) {
+    let stored = RecordLayout::new(vec![
+        DataType::BigInt,
+        DataType::Int,
+        DataType::Varchar(10),
+        DataType::Date,
+    ]);
+    let rows = [
+        (1, Value::Null, "ab", 3),
+        (2, Value::Int(5), "c", 120),
+        (3, Value::Int(7), "xyz", 4),
+    ];
+    let mut src = Page::new_index(4096, SpaceId(6), 21, 7, 0);
+    src.set_prev(20);
+    src.set_next(22);
+    for (id, n, note, trx) in rows {
+        let mut rec = Vec::new();
+        let values = [
+            Value::Int(id),
+            n,
+            Value::str(note),
+            Value::Date(Date32(9000)),
+        ];
+        encode_record(&stored, &values, RecordMeta::ordinary(trx), None, &mut rec).unwrap();
+        src.append_record(&rec).unwrap();
+    }
+    let states = vec![AggState::Count(2), AggState::Max(Some(Value::Int(9)))];
+    let payload = appended(|b| encode_states(&states, b));
+    let plan = ProjectionPlan::new(&stored, &[0, 1, 2]);
+    let mut b = NdpPageBuilder::new(&src);
+    for (i, rec) in src.iter_chain().enumerate() {
+        let rec = RecordView::parse(rec.unwrap(), &stored).unwrap();
+        match i {
+            0 => b.push_projected(&plan, rec, None).unwrap(),
+            1 => b.push_record(rec.raw()),
+            _ => b.push_projected(&plan, rec, Some(&payload)).unwrap(),
+        }
+    }
+    let page = b.finish(555);
+    let empty = NdpPageBuilder::new(&src).finish(556);
+    (stored, states, page, empty)
+}
+
+#[test]
+fn ndp_page_with_every_record_shape_is_pinned() {
+    let (stored, states, page, empty) = ndp_pages();
+    assert_hex("NDP page", page.bytes(), NDP_PAGE);
+    assert_hex("NDP empty marker", empty.bytes(), NDP_EMPTY);
+
+    let page = Page::from_bytes(unhex(NDP_PAGE)).unwrap();
+    page.verify_checksum().unwrap();
+    assert_eq!(page.page_type(), PageType::Ndp);
+    assert_eq!((page.page_no(), page.prev(), page.next()), (21, 20, 22));
+    let ndp = stored.project(&[0, 1, 2]);
+    let mut got = Vec::new();
+    for rec in page.iter_chain() {
+        let bytes = rec.unwrap();
+        let t = RecordView::peek_type(bytes).unwrap();
+        let rec = RecordView::parse(bytes, if t.is_ndp() { &ndp } else { &stored }).unwrap();
+        let trx = (!t.is_ndp()).then(|| (rec.heap_no(), rec.trx_id()));
+        let partial = rec.agg_payload().map(|p| decode_states(p).unwrap());
+        got.push((t, rec.total_len(), rec.values(), trx, partial));
+    }
+    let note = |s: &str| Value::str(s);
+    assert_eq!(
+        got,
+        vec![
+            (
+                RecType::NdpProjection,
+                3 + 1 + 2 + 8 + 4 + 2,
+                vec![Value::Int(1), Value::Null, note("ab")],
+                None,
+                None
+            ),
+            (
+                RecType::Ordinary,
+                13 + 1 + 2 + 8 + 4 + 1 + 4,
+                vec![
+                    Value::Int(2),
+                    Value::Int(5),
+                    note("c"),
+                    Value::Date(Date32(9000))
+                ],
+                Some((1, 120)),
+                None
+            ),
+            (
+                RecType::NdpAggregate,
+                3 + 1 + 2 + 8 + 4 + 3 + 2 + appended(|b| encode_states(&states, b)).len(),
+                vec![Value::Int(3), Value::Int(7), note("xyz")],
+                None,
+                Some(states)
+            ),
+        ]
+    );
+
+    let empty = Page::from_bytes(unhex(NDP_EMPTY)).unwrap();
+    empty.verify_checksum().unwrap();
+    assert_eq!((empty.page_type(), empty.n_recs()), (PageType::NdpEmpty, 0));
+    assert_eq!(empty.iter_chain().count(), 0);
+}
+
 const QUERY_FRAME: &str = "43000000010303060000006f7264657273060000000001f9ffffffffffffff02c7cfffffffffffffffffffffffffffff02032823000004030000006ec3a9050000000000000440";
 const SQL_FRAME: &str = "100000000103040800000073656c656374203101";
 const ROW_BATCH_FRAME: &str = "3c000000010403000000020000000001f9ffffffffffffff02c7cfffffffffffffffffffffffffffff02032823000004030000006ec3a9050000000000000440";
@@ -439,3 +551,5 @@ const LOADED_PAYLOAD: &str = "060000006f7264657273010000000700000009000000020000
 const BITCODE: &str = "4e445031080006000105000000000000000404002561625f02960000000000000000000000000000000203fdffffff05000000000000e0bf001200000000010001010000000202000000030303000000010004040003000300050400040003000604000400070205000000010008050005000901060005000a000600020001000b0106000000020002000c070002000d07000200010003000e060011000f04001100101100110600";
 const DESCRIPTOR_STREAM: &str = "444553432a0000000000000011000000000000000700010003020f02040a00052c0006020000000100010400000001000200030001a8004e445031080006000105000000000000000404002561625f02960000000000000000000000000000000203fdffffff05000000000000e0bf001200000000010001010000000202000000030303000000010004040003000300050400040003000604000400070205000000010008050005000901060005000a000600020001000b0106000000020002000c070002000d07000200010003000e060011000f040011001011001106000103000000020103000402a8004e445031080006000105000000000000000404002561625f02960000000000000000000000000000000203fdffffff05000000000000e0bf001200000000010001010000000202000000030303000000010004040003000300050400040003000604000400070205000000010008050005000901060005000a000600020001000b0106000000020002000c070002000d07000200010003000e060011000f040011001011001106000200020000004b45595302000000020061310100624a464c540100030200000000000002000180000000000010080800";
 const AGG_STATES: &str = "08002a0000000000000001c01dfeffffffffffffffffffffffffff020101000000000000000000000000000000000000020000000000000440010304040041434d45030004034d0000000400";
+const NDP_PAGE: &str = "d1b78bdc15000000060000002b0200000000000001000000070000000000000014000000160000000300900030000000044400020200010000000000000000000000616200650001007800000000000000000100020000000000000005000000632823000005000000030003000000000000000700000078797a14000200020000000000000004010900000000000000";
+const NDP_EMPTY: &str = "aa02822b15000000060000002c0200000000000002000000070000000000000014000000160000000000300000000000";

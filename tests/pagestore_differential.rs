@@ -116,40 +116,34 @@ fn oracle(
             })
             .collect()
     };
-    let encode = |values: &[Value], rec: &RecordView<'_>, payload: Option<&[u8]>| -> Vec<u8> {
-        let (layout, kept) = match (&cd.proj_layout, &cd.desc.projection) {
-            (Some(pl), Some(keep)) => (
-                pl,
-                keep.iter().map(|&k| values[k as usize].clone()).collect(),
-            ),
-            _ => (&cd.layout, values.to_vec()),
-        };
+    // Survivors and carriers are NDP records over the kept columns, every
+    // column when the descriptor does not project.
+    let encode = |values: &[Value], payload: Option<&[u8]>| -> Vec<u8> {
+        let keep = cd.desc.kept_positions();
+        let kept: Vec<Value> = keep.iter().map(|&k| values[k].clone()).collect();
         let meta = RecordMeta {
-            rec_type: match (payload, &cd.desc.projection) {
-                (Some(_), _) => RecType::NdpAggregate,
-                (None, Some(_)) => RecType::NdpProjection,
-                (None, None) => RecType::Ordinary,
+            rec_type: match payload {
+                Some(_) => RecType::NdpAggregate,
+                None => RecType::NdpProjection,
             },
-            delete_mark: false,
-            heap_no: rec.heap_no(),
-            trx_id: rec.trx_id(),
+            ..RecordMeta::ordinary(0)
         };
         let mut out = Vec::new();
-        encode_record(layout, &kept, meta, payload, &mut out).unwrap();
+        encode_record(&cd.ndp_layout, &kept, meta, payload, &mut out).unwrap();
         out
     };
-    /// A group, its carrier (page, chain position, values, view) and
-    /// when it last took a survivor.
-    struct Group<'p> {
+    /// A group, its carrier (page, chain position, values) and when it
+    /// last took a survivor.
+    struct Group {
         key: Vec<Value>,
         states: Vec<AggState>,
-        carrier: Option<(usize, usize, Vec<Value>, RecordView<'p>)>,
+        carrier: Option<(usize, usize, Vec<Value>)>,
         used: u64,
     }
     let inputs = &plain.inputs;
     let mut stats = PluginStats::default();
     let mut emitted: Vec<Vec<(usize, Vec<u8>)>> = vec![Vec::new(); pages.len()];
-    let mut groups: Vec<Group<'_>> = Vec::new();
+    let mut groups: Vec<Group> = Vec::new();
     let mut clock = 0u64;
     let mut offsets = Vec::new();
     // Each page's groups that are not complete on it: its first and last
@@ -173,8 +167,8 @@ fn oracle(
                 .collect()
         })
         .collect();
-    let fails_having = |g: &Group<'_>| -> bool {
-        let (Some(having), Some((pi, _, values, _))) = (&plain.having, &g.carrier) else {
+    let fails_having = |g: &Group| -> bool {
+        let (Some(having), Some((pi, _, values))) = (&plain.having, &g.carrier) else {
             return false;
         };
         if open[*pi].contains(&g.key) {
@@ -191,16 +185,16 @@ fn oracle(
         outputs.extend(states.iter().map(AggState::finalize));
         eval(having, &outputs).unwrap() != Value::Int(1)
     };
-    let emit = |g: Group<'_>, emitted: &mut Vec<Vec<(usize, Vec<u8>)>>, stats: &mut PluginStats| {
+    let emit = |g: Group, emitted: &mut Vec<Vec<(usize, Vec<u8>)>>, stats: &mut PluginStats| {
         if fails_having(&g) {
             stats.records_aggregated += 1;
             stats.groups_dropped_by_having += 1;
             return;
         }
-        if let Some((pi, seq, values, rec)) = g.carrier {
+        if let Some((pi, seq, values)) = g.carrier {
             let mut payload = Vec::new();
             encode_states(&g.states, &mut payload).unwrap();
-            emitted[pi].push((seq, encode(&values, &rec, Some(&payload))));
+            emitted[pi].push((seq, encode(&values, Some(&payload))));
             stats.records_aggregated += 1;
         }
     };
@@ -242,7 +236,7 @@ fn oracle(
             }
             let values = rec.values();
             let Some(a) = agg else {
-                emitted[pi].push((seq, encode(&values, &rec, None)));
+                emitted[pi].push((seq, encode(&values, None)));
                 continue;
             };
             let key: Vec<Value> = a
@@ -269,7 +263,7 @@ fn oracle(
             };
             let g = &mut groups[gi];
             g.used = clock;
-            if let Some((_, _, old, _)) = g.carrier.replace((pi, seq, values, rec)) {
+            if let Some((_, _, old)) = g.carrier.replace((pi, seq, values)) {
                 for (st, input) in g.states.iter_mut().zip(inputs) {
                     match input {
                         Some(e) => st.update(&eval(e, &old).unwrap()),
@@ -1228,7 +1222,14 @@ fn sql_answer(cd: &CachedDescriptor, plain: &Plain, shipped: &[(bool, Page)]) ->
     let mut offsets = Vec::new();
     for (raw, page) in shipped {
         for rec in page.iter_chain() {
-            let rec = RecordView::parse(rec.unwrap(), &cd.layout).unwrap();
+            // Carriers in the NDP layout (every column: nothing projects
+            // here), the rest as stored.
+            let bytes = rec.unwrap();
+            let layout = match RecordView::peek_type(bytes).unwrap().is_ndp() {
+                true => &cd.ndp_layout,
+                false => &cd.layout,
+            };
+            let rec = RecordView::parse(bytes, layout).unwrap();
             let partial = rec.agg_payload().map(|p| decode_states(p).unwrap());
             if partial.is_none() {
                 // Raw, or ambiguous on an NDP page: the SQL node judges.

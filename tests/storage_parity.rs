@@ -4,7 +4,9 @@
 //! refusal (and a pushed HAVING, healthy and under a skip policy). For
 //! each outcome the table pins every page's payload kind
 //! (`R`aw, `N`DP, `E`mpty marker), a digest of the reply's bytes, and
-//! what the read moved in the Page-Store and SAL counters.
+//! what the read moved in the Page-Store and SAL counters; and that
+//! `ps_ndp_records_shipped` counts exactly the records on the reply's NDP
+//! pages.
 //!
 //! Each outcome runs on a fresh two-store cluster whose slice has its
 //! first replica down, so every read also fails over once. A change to
@@ -181,6 +183,15 @@ fn serve(name: &str, setup: Setup, stream: Vec<u8>) -> String {
     let d = metrics.snapshot().since(&before);
     let mut kinds = String::new();
     let mut bytes = Vec::new();
+    // Every record on an NDP page that reached the reply, and no other.
+    let shipped: u64 = reply
+        .iter()
+        .map(|r| match &r.payload {
+            PagePayload::Ndp(p) => p.n_recs() as u64,
+            PagePayload::Raw(_) => 0,
+        })
+        .sum();
+    assert_eq!(d.ps_ndp_records_shipped, shipped, "{name}");
     for r in &reply {
         bytes.extend_from_slice(&r.page_no.to_le_bytes());
         let page = match &r.payload {
@@ -225,19 +236,19 @@ fn counters(d: &MetricsSnapshot) -> String {
 
 const PINNED: &str = "\
 no-work        RRRRRR 0c722649af58ac8c skipped=0 shed=0 processed=0 filtered=0 aggregated=0 key_filtered=0 join_filtered=0 requests=2 retries=1 raw=6 ndp=0 empty=0 having_dropped=0
-filter+project NNNNEN 69470b55c3eb2bc7 skipped=0 shed=0 processed=6 filtered=37 aggregated=0 key_filtered=0 join_filtered=0 requests=2 retries=1 raw=0 ndp=5 empty=1 having_dropped=0
-key-set        NNNEEN 33bd1556a7853722 skipped=0 shed=0 processed=6 filtered=0 aggregated=0 key_filtered=62 join_filtered=0 requests=2 retries=1 raw=0 ndp=4 empty=2 having_dropped=0
-join-filter    NNNNNN b2ccd70a64af6d9d skipped=0 shed=0 processed=6 filtered=6 aggregated=0 key_filtered=0 join_filtered=36 requests=2 retries=1 raw=0 ndp=6 empty=0 having_dropped=0
-hash-agg       NNNNNN fc5aa274087d4711 skipped=0 shed=0 processed=6 filtered=12 aggregated=47 key_filtered=0 join_filtered=0 requests=2 retries=1 raw=0 ndp=6 empty=0 having_dropped=0
-index-agg      NNNNNN 9d338cd0e9a3b9c3 skipped=0 shed=0 processed=6 filtered=0 aggregated=59 key_filtered=0 join_filtered=0 requests=2 retries=1 raw=0 ndp=6 empty=0 having_dropped=0
-index-having   NNNNNN 7030abbd6add3d3b skipped=0 shed=0 processed=6 filtered=0 aggregated=59 key_filtered=0 join_filtered=0 requests=2 retries=1 raw=0 ndp=6 empty=0 having_dropped=6
-having-skip-3  RNNRNN 2d62103013400f7d skipped=2 shed=0 processed=4 filtered=0 aggregated=40 key_filtered=0 join_filtered=0 requests=2 retries=1 raw=2 ndp=4 empty=0 having_dropped=3
-scalar-agg     NNNNEN c3f89c6f0093c65b skipped=0 shed=0 processed=6 filtered=37 aggregated=22 key_filtered=0 join_filtered=0 requests=2 retries=1 raw=0 ndp=5 empty=1 having_dropped=0
+filter+project NNNNEN cf4066678edfe69c skipped=0 shed=0 processed=6 filtered=37 aggregated=0 key_filtered=0 join_filtered=0 requests=2 retries=1 raw=0 ndp=5 empty=1 having_dropped=0
+key-set        NNNEEN 5c24e532ffa32378 skipped=0 shed=0 processed=6 filtered=0 aggregated=0 key_filtered=62 join_filtered=0 requests=2 retries=1 raw=0 ndp=4 empty=2 having_dropped=0
+join-filter    NNNNNN 1399dc0230eec576 skipped=0 shed=0 processed=6 filtered=6 aggregated=0 key_filtered=0 join_filtered=36 requests=2 retries=1 raw=0 ndp=6 empty=0 having_dropped=0
+hash-agg       NNNNNN 5b8e4b95e7be8781 skipped=0 shed=0 processed=6 filtered=12 aggregated=47 key_filtered=0 join_filtered=0 requests=2 retries=1 raw=0 ndp=6 empty=0 having_dropped=0
+index-agg      NNNNNN ebd0fc26eaef1170 skipped=0 shed=0 processed=6 filtered=0 aggregated=59 key_filtered=0 join_filtered=0 requests=2 retries=1 raw=0 ndp=6 empty=0 having_dropped=0
+index-having   NNNNNN 76d7b8d91e6604ea skipped=0 shed=0 processed=6 filtered=0 aggregated=59 key_filtered=0 join_filtered=0 requests=2 retries=1 raw=0 ndp=6 empty=0 having_dropped=6
+having-skip-3  RNNRNN 6a7fb4a167d53bd2 skipped=2 shed=0 processed=4 filtered=0 aggregated=40 key_filtered=0 join_filtered=0 requests=2 retries=1 raw=2 ndp=4 empty=0 having_dropped=3
+scalar-agg     NNNNEN 87bc75b71fe1093c skipped=0 shed=0 processed=6 filtered=37 aggregated=22 key_filtered=0 join_filtered=0 requests=2 retries=1 raw=0 ndp=5 empty=1 having_dropped=0
 scalar-skip-3  RRRRRR 0c722649af58ac8c skipped=6 shed=0 processed=0 filtered=0 aggregated=0 key_filtered=0 join_filtered=0 requests=2 retries=1 raw=6 ndp=0 empty=0 having_dropped=0
-skip-3         RNNREN f3dd253d3cdc8756 skipped=2 shed=0 processed=4 filtered=29 aggregated=0 key_filtered=0 join_filtered=0 requests=2 retries=1 raw=2 ndp=3 empty=1 having_dropped=0
+skip-3         RNNREN 6bba7e2c6e97f27a skipped=2 shed=0 processed=4 filtered=29 aggregated=0 key_filtered=0 join_filtered=0 requests=2 retries=1 raw=2 ndp=3 empty=1 having_dropped=0
 skip-all       RRRRRR 0c722649af58ac8c skipped=6 shed=0 processed=0 filtered=0 aggregated=0 key_filtered=0 join_filtered=0 requests=2 retries=1 raw=6 ndp=0 empty=0 having_dropped=0
 shed           RRRRRR 0c722649af58ac8c skipped=0 shed=6 processed=0 filtered=0 aggregated=0 key_filtered=0 join_filtered=0 requests=2 retries=1 raw=6 ndp=0 empty=0 having_dropped=0
-quota          NRRRRR bc086ba20057227e skipped=5 shed=0 processed=1 filtered=4 aggregated=0 key_filtered=0 join_filtered=0 requests=2 retries=1 raw=5 ndp=1 empty=0 having_dropped=0
+quota          NRRRRR 3a42bb3d23c1d361 skipped=5 shed=0 processed=1 filtered=4 aggregated=0 key_filtered=0 join_filtered=0 requests=2 retries=1 raw=5 ndp=1 empty=0 having_dropped=0
 ";
 
 #[test]
