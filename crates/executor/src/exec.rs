@@ -33,6 +33,7 @@ use taurus_ndp::{
 use taurus_optimizer::plan::{
     AggFuncEx, AggItem, AggScanNode, HashAggNode, JoinType, LookupJoinNode, Plan, ScanNode,
 };
+use taurus_verify::DiagKind;
 
 /// Execution context for one query.
 pub struct ExecContext<'a> {
@@ -143,39 +144,22 @@ pub(crate) fn scan_into(
 ) -> Result<()> {
     let table = ctx.db.table(&node.table)?;
     let spec = scan_spec(node, ctx, range)?;
-    let residual = scan_residual(node)?;
+    // Residuals run on record bytes: their columns need not be output.
+    let residual: Vec<Expr> = node.residual_conjuncts().into_iter().cloned().collect();
     scan_ctx(
         ctx.db, &table, &spec, &residual, &ctx.view, ctx.qctx, filter, consumer,
     )?;
     Ok(())
 }
 
-/// The conjuncts of a scan node the scan must still evaluate (everything
-/// the NDP choice did not push), over table columns: the scan core runs
-/// them on record bytes, before a row exists. Each must read only columns
-/// the node delivers — a plan-level contract the verifier states; a
-/// violation is reported here exactly as the pre-execution gate would.
-pub(crate) fn scan_residual(node: &ScanNode) -> Result<Vec<Expr>> {
-    node.residual_conjuncts()
-        .into_iter()
-        .map(|e| remap_to_output(e, &node.output).map(|_| e.clone()))
-        .collect()
-}
-
-/// Map table-column expressions onto scan-output positions, delegating
-/// to the verifier's shared definition ([`taurus_verify::remap_onto`]).
-/// A column the scan does not deliver is a malformed plan — reported as
-/// [`Error::Verify`] with the same structured diagnostic the
+/// Map table-column expressions onto delivered positions, delegating to
+/// the verifier's shared definition ([`taurus_verify::remap_onto`]). A
+/// column `output` does not hold is a malformed plan — reported as
+/// [`Error::Verify`] with the structured diagnostic `kind` the
 /// pre-execution gate produces, never a panic (plans can reach the
 /// executor from hand-built trees, not just the vetted builder).
-pub(crate) fn remap_to_output(e: &Expr, output: &[usize]) -> Result<Expr> {
-    taurus_verify::remap_onto(
-        e,
-        output,
-        taurus_verify::DiagKind::ResidualNotInOutput,
-        "scan",
-    )
-    .map_err(|d| Error::Verify(d.to_string()))
+pub(crate) fn remap_to_output(e: &Expr, output: &[usize], kind: DiagKind) -> Result<Expr> {
+    taurus_verify::remap_onto(e, output, kind, "scan").map_err(|d| Error::Verify(d.to_string()))
 }
 
 // --- aggregation -------------------------------------------------------------
@@ -470,7 +454,11 @@ impl HashAggAcc {
                 Ok(AggItem {
                     func: a.func,
                     input: match &a.input {
-                        Some(e) => Some(remap_to_output(e, &node.scan.output)?),
+                        Some(e) => Some(remap_to_output(
+                            e,
+                            &node.scan.output,
+                            DiagKind::AggInputNotInOutput,
+                        )?),
                         None => None,
                     },
                 })
@@ -613,7 +601,10 @@ impl JoinPrograms {
             inner: node
                 .inner_predicate
                 .iter()
-                .map(|e| CompiledPredicate::for_rows(&remap_to_output(e, &fetch)?))
+                .map(|e| {
+                    let e = remap_to_output(e, &fetch, DiagKind::ColumnOutOfRange)?;
+                    CompiledPredicate::for_rows(&e)
+                })
                 .collect::<Result<_>>()?,
         })
     }
@@ -978,21 +969,47 @@ mod tests {
         (db, t)
     }
 
-    /// A plan whose residual predicate references a column the scan does
-    /// not deliver must surface as a structured `Error::Verify`, not a
-    /// panic (executor threads turning malformed plans into aborts would
-    /// take the whole process down). The pre-execution gate rejects it
-    /// before any operator opens; the per-site remap produces the same
-    /// error for callers that come in below the gate.
+    /// A scan whose residual conjunct reads a column its secondary index
+    /// does not store must surface as a typed error, not a panic
+    /// (executor threads turning malformed plans into aborts would take
+    /// the whole process down). The pre-execution gate rejects it before
+    /// any operator opens; the scan core refuses it for callers that come
+    /// in below the gate.
     #[test]
     fn malformed_residual_column_is_an_error_not_a_panic() {
-        let (db, _t) = tiny_db();
+        let db = TaurusDb::new(ClusterConfig::small_for_tests());
+        let schema = TableSchema::new(
+            "u",
+            (0..3)
+                .map(|i| Column::new(&format!("c{i}"), DataType::BigInt))
+                .collect(),
+            vec![0],
+        );
+        let t = db.create_table(schema, &[("i_c1", vec![1])]).unwrap();
+        db.bulk_load(&t, (0..20i64).map(|i| vec![Value::Int(i); 3]).collect())
+            .unwrap();
         let ctx = ExecContext::new(&db);
-        let mut node = ScanNode::new("t", vec![0, 1]);
-        node.predicate = vec![Expr::gt(Expr::col(2), Expr::int(5))]; // col 2 not in output
-        let err = execute(&Plan::Scan(node), &ctx).unwrap_err();
+        // i_c1 stores (c1, c0); c2 is read only by the residual.
+        let node = ScanNode::new("u", vec![1])
+            .with_index(1)
+            .with_predicate(vec![Expr::gt(Expr::col(2), Expr::int(5))]);
+        let err = execute(&Plan::Scan(node.clone()), &ctx).unwrap_err();
         assert!(
-            matches!(err, Error::Verify(ref m) if m.contains("not in scan output")),
+            matches!(err, Error::Verify(ref m) if m.contains("PredicateNotStored")),
+            "{err:?}"
+        );
+        struct Discard;
+        impl ScanConsumer for Discard {
+            fn on_row(&mut self, _: &[Value]) -> Result<bool> {
+                Ok(true)
+            }
+            fn on_partial(&mut self, _: Vec<AggState>) -> Result<bool> {
+                Ok(true)
+            }
+        }
+        let err = scan_into(&ctx, &node, None, None, &mut Discard).unwrap_err();
+        assert!(
+            matches!(err, Error::InvalidState(ref m) if m.contains("not stored in index")),
             "{err:?}"
         );
     }

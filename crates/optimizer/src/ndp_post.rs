@@ -168,10 +168,10 @@ fn decide_scan(
         &mut choice,
         &mut report,
     );
-    // Needed: declared outputs + columns of residual conjuncts.
+    // Needed: declared outputs, the residual conjuncts' columns and the key.
     let mut needed: Vec<usize> = node.output.clone();
     needed.extend(residual_columns(&node.predicate, &pushed));
-    needed.extend_from_slice(&table.schema.pk);
+    needed.extend(idx.tree.def.effective_key_cols());
     push_projection(needed, idx, &stats, &mut choice, &mut report);
 
     // --- aggregation (§V-C) ---------------------------------------------------

@@ -47,8 +47,9 @@ pub struct ScanNode {
     pub range: RangeSpec,
     /// Conjuncts of the access-level predicate (table columns).
     pub predicate: Vec<Expr>,
-    /// Table columns delivered by the scan, in order. Must cover every
-    /// column referenced by `predicate` conjuncts that could stay residual.
+    /// Table columns delivered by the scan, in order: what the plan above
+    /// reads. A column only `predicate` reads need not be here (residual
+    /// conjuncts run on record bytes), but the index must store it.
     pub output: Vec<usize>,
     /// Filled in by NDP post-processing; `None` until then (or when NDP is
     /// not worthwhile). `pushed` lists which `predicate` conjuncts went to

@@ -148,6 +148,34 @@ fn unselective_predicate_not_pushed_but_projection_is() {
     }
 }
 
+/// A scan's projection keeps its output, its residual conjuncts' columns
+/// and the key, and drops a column only its pushed conjuncts read (the
+/// Page Store has judged those): the plan above reads neither predicate
+/// column, so neither is in the scan's output.
+#[test]
+fn scan_projection_keeps_residual_columns_and_drops_pushed_only_ones() {
+    let db = mk_db(1);
+    load(&db, 2000);
+    let pushed = Expr::lt(Expr::col(1), Expr::int(5));
+    let residual = Expr::gt(
+        Expr::Case {
+            branches: vec![(Expr::lt(Expr::col(2), Expr::dec("1.00")), Expr::int(1))],
+            else_: Box::new(Expr::int(0)),
+        },
+        Expr::int(0),
+    );
+    let mut plan = Plan::Scan(ScanNode::new("t", vec![3]).with_predicate(vec![pushed, residual]));
+    ndp_post_process(&mut plan, &db).unwrap();
+    let Plan::Scan(s) = &plan else { unreachable!() };
+    let d = s.ndp.as_ref().expect("ndp fires");
+    assert_eq!(d.pushed, [0]);
+    // id (the key), price (the residual's), pad1 (the output); not v.
+    assert_eq!(d.choice.projection.as_deref(), Some(&[0, 2, 3][..]));
+    let t = db.table("t").unwrap();
+    let desc = taurus_ndp::build_descriptor(t.index(0), &d.choice, 0).unwrap();
+    assert_eq!(desc.kept_positions(), [0, 2, 3]);
+}
+
 #[test]
 fn case_predicate_stays_residual() {
     let db = mk_db(1);

@@ -6,12 +6,13 @@
 //! text for free. The lowering contract:
 //!
 //! - each base table in FROM becomes one [`ScanNode`] whose `output` is
-//!   the columns the plan above it reads plus those its predicate reads
-//!   (ascending; `[0]` when none, or a secondary index's leading key
-//!   column), and whose `predicate` holds the single-table WHERE/ON
-//!   conjuncts in written order, lowered over *table* columns; `FORCE
-//!   INDEX (i)` on a scanned table scans through `i`, which must store
-//!   every column the query reads;
+//!   the columns the plan above it reads (ascending; `[0]` when none, or
+//!   a secondary index's leading key column), and whose `predicate` holds
+//!   the single-table WHERE/ON conjuncts in written order, lowered over
+//!   *table* columns. A column only the predicate reads is not in the
+//!   output: the scan runs the conjuncts on record bytes. `FORCE INDEX
+//!   (i)` on a scanned table scans through `i`, which must store every
+//!   column the scan reads, its predicate's included;
 //! - `JOIN ... ON` lowers left-deep in written order: plain joins become
 //!   [`HashJoinNode`]s keyed by the ON equalities, `FORCE INDEX (...)`
 //!   on the right side requests a [`LookupJoinNode`] through that index,
@@ -1031,9 +1032,14 @@ fn resolve_index(table: &Table, ident: &Ident) -> Result<usize> {
 }
 
 /// A scan through a secondary index reads only what that index stores
-/// (`key ++ pk`): a query column outside it is reported by name, at the
-/// `FORCE INDEX`, rather than as an execution-time failure.
-fn check_index_coverage(table: &Table, index: usize, cols: &[usize], force: &Ident) -> Result<()> {
+/// (`key ++ pk`): a column the scan reads outside it is reported by name,
+/// at the `FORCE INDEX`, rather than as an execution-time failure.
+fn check_index_coverage(
+    table: &Table,
+    index: usize,
+    cols: &BTreeSet<usize>,
+    force: &Ident,
+) -> Result<()> {
     let def = &table.index(index).tree.def;
     let stored = def.stored_cols();
     let Some(&missing) = cols.iter().find(|c| !stored.contains(c)) else {
@@ -1160,24 +1166,17 @@ impl<'a> Binder<'a> {
                             .iter()
                             .map(|e| self.lower_expr(e, &fr))
                             .collect::<Result<Vec<_>>>()?;
-                        // A scan outputs what its predicate reads too
-                        // (`ResidualNotInOutput`).
-                        let mut cols = a.usage.clone();
-                        for p in &preds {
-                            p.walk(&mut |x| {
-                                if let Expr::Col(c) = x {
-                                    cols.insert(*c);
-                                }
-                            });
-                        }
                         let def = &table.index(index).tree.def;
-                        let output: Vec<usize> = if cols.is_empty() {
+                        let output: Vec<usize> = if a.usage.is_empty() {
                             vec![if def.is_primary { 0 } else { def.key_cols[0] }]
                         } else {
-                            cols.into_iter().collect()
+                            a.usage.iter().copied().collect()
                         };
                         if let Some(fi) = force {
-                            check_index_coverage(table, index, &output, fi)?;
+                            // Its predicate reads the index's records too.
+                            let read = output.iter().copied();
+                            let read = read.chain(preds.iter().flat_map(Expr::columns));
+                            check_index_coverage(table, index, &read.collect(), fi)?;
                         }
                         let mut scan =
                             ScanNode::new(&table.schema.name, output.clone()).with_index(index);
@@ -2353,6 +2352,41 @@ mod tests {
         assert!(m.contains("column `l_comment`"), "{m}");
         assert!(m.contains("secondary index `i_l_suppkey`"), "{m}");
         assert!(m.contains("line 1, col 45"), "{m}");
+        // A column only the scan's own predicate reads is not in its
+        // output, but the scan reads it from the index's records all the
+        // same: it is reported by name and position too.
+        let m = bind_err(
+            "select l_suppkey from lineitem force index (i_l_suppkey) \
+             where l_quantity < 2 and l_suppkey <= 5",
+        );
+        assert!(m.contains("column `l_quantity`"), "{m}");
+        assert!(m.contains("secondary index `i_l_suppkey`"), "{m}");
+        assert!(m.contains("line 1, col 45"), "{m}");
+    }
+
+    /// A scan outputs what the plan above it reads, as a lookup does: a
+    /// column its own predicate alone reads stays out.
+    #[test]
+    fn scans_output_only_what_the_plan_above_reads() {
+        for (q, table, gone, kept) in [
+            ("Q13", "orders", "o_comment", "o_custkey"),
+            ("Q1", "lineitem", "l_shipdate", "l_tax"),
+        ] {
+            let plan = try_bind(tpch(q)).unwrap();
+            let t = db().table(table).unwrap();
+            let col = |name: &str| t.schema.col_index(name).unwrap();
+            let mut outputs = Vec::new();
+            plan.for_each_scan(&mut |s, _| {
+                if s.table == table {
+                    outputs.push(s.output.clone());
+                }
+            });
+            let [output] = &outputs[..] else {
+                panic!("{q}: {plan:?}")
+            };
+            assert!(!output.contains(&col(gone)), "{q}: {output:?}");
+            assert!(output.contains(&col(kept)), "{q}: {output:?}");
+        }
     }
 
     /// The plan's lookup joins, outermost first.
@@ -2379,8 +2413,8 @@ mod tests {
     }
 
     /// EXISTS and `JOIN ... FORCE INDEX` bind through one lookup path, so
-    /// both follow one output rule: a lookup outputs what the plan above
-    /// it reads, not what only its own pushed conjuncts read.
+    /// both follow the scans' output rule: a lookup outputs what the plan
+    /// above it reads, not what only its own pushed conjuncts read.
     #[test]
     fn lookups_output_only_what_the_plan_above_reads() {
         let lineitem = db().table("lineitem").unwrap();

@@ -19,9 +19,12 @@ pub enum DiagKind {
     UnknownIndex,
     /// A column position is out of range for the schema/input it indexes.
     ColumnOutOfRange,
-    /// A residual predicate conjunct references a column the scan does
-    /// not deliver (the executor cannot remap it onto output positions).
-    ResidualNotInOutput,
+    /// A scan predicate conjunct reads a column the scanned index does not
+    /// store (a secondary index stores its key ++ pk). The scan runs its
+    /// residual conjuncts, and the Page Store its pushed ones, on the
+    /// index's record bytes; a conjunct's columns need not be in the
+    /// scan's output.
+    PredicateNotStored,
     /// An AggScan GROUP BY column is not delivered by its scan.
     GroupColNotInOutput,
     /// An AggScan aggregate input references a column its scan does not
@@ -47,9 +50,9 @@ pub enum DiagKind {
     /// access is not covering (the primary-key fetches behind a secondary
     /// probe read whole rows).
     NdpOnNonCovering,
-    /// A lookup join's NDP projection drops a column its key read must
-    /// deliver: an inner output, a residual conjunct's column or a key
-    /// column.
+    /// An NDP projection drops a column its access must deliver or
+    /// evaluate: a scan's output, a lookup join's inner output, a residual
+    /// conjunct's column or a key column of the index.
     NdpProjectionDropsColumn,
     /// A hash join carries a join-filter decision it is not eligible for:
     /// not an inner or semi join on one key, a probe side that is not a
@@ -147,12 +150,12 @@ mod tests {
     #[test]
     fn display_carries_kind_path_and_detail() {
         let d = Diagnostic::error(
-            DiagKind::ResidualNotInOutput,
+            DiagKind::PredicateNotStored,
             "Sort/Scan(lineitem)",
-            "column 5 not in scan output [0, 1]".into(),
+            "predicate column 5 not stored in index i_l_suppkey".into(),
         );
         let s = d.to_string();
-        assert!(s.contains("ResidualNotInOutput"), "{s}");
+        assert!(s.contains("PredicateNotStored"), "{s}");
         assert!(s.contains("Sort/Scan(lineitem)"), "{s}");
         assert!(s.contains("column 5"), "{s}");
         assert!(s.starts_with("error"), "{s}");

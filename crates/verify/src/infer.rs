@@ -4,13 +4,14 @@
 //! The inference is deliberately *permissive*: error-severity
 //! diagnostics are raised only for structural violations that the
 //! executor could not turn into a well-typed result — column positions
-//! out of range, residual/group/aggregate references the scan does not
-//! deliver (the paths that previously surfaced mid-execution as
-//! `Error::Internal`), key prefixes longer than the index key, and
-//! mismatched join-key arity. Type-level doubts (comparing a string to a
-//! number) are warnings: the runtime rejects those with a typed
-//! `Error::Type` of its own.
+//! out of range, predicate columns the scanned index does not store,
+//! group/aggregate references the scan does not deliver (the paths that
+//! previously surfaced mid-execution as `Error::Internal`), key prefixes
+//! longer than the index key, and mismatched join-key arity. Type-level
+//! doubts (comparing a string to a number) are warnings: the runtime
+//! rejects those with a typed `Error::Type` of its own.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use taurus_common::{DataType, Value};
@@ -424,22 +425,37 @@ fn infer_scan(
             }
         }
     }
-    // The executor remaps residual conjuncts onto output positions; a
-    // residual column the scan does not deliver used to surface as
-    // `Error::Internal` mid-scan. Reject it here instead.
-    for p in s.residual_conjuncts() {
-        for c in p.columns() {
-            if c < ncols && !s.output.contains(&c) {
+    // The scan runs its residual conjuncts on the index's record bytes, and
+    // the Page Store its pushed ones: every column they read must be one
+    // the index stores. The primary index stores every column, a
+    // secondary one key ++ pk.
+    let def = &table.index(s.index).tree.def;
+    if !def.is_primary {
+        let stored = def.stored_cols();
+        for p in &s.predicate {
+            let mut cols = p.columns().into_iter();
+            if let Some(c) = cols.find(|c| *c < ncols && !stored.contains(c)) {
                 diags.push(Diagnostic::error(
-                    DiagKind::ResidualNotInOutput,
+                    DiagKind::PredicateNotStored,
                     path,
-                    format!("residual column {c} not in scan output {:?}", s.output),
+                    format!("predicate column {c} not stored in index {}", def.name),
                 ));
                 ok = false;
             }
         }
     }
-    let keylen = table.index(s.index).tree.def.effective_key_cols().len();
+    // A projection keeps what the scan delivers and evaluates.
+    if let Some(keep) = s.ndp.as_ref().and_then(|d| d.choice.projection.as_ref()) {
+        let residual = s.residual_conjuncts().into_iter().flat_map(Expr::columns);
+        let needed = s
+            .output
+            .iter()
+            .copied()
+            .chain(residual)
+            .chain(def.effective_key_cols());
+        ok &= check_projection_keeps(keep, needed, "scan", path, diags);
+    }
+    let keylen = def.effective_key_cols().len();
     for (bound, which) in [(&s.range.lower, "lower"), (&s.range.upper, "upper")] {
         if let Some((vals, _)) = bound {
             if vals.len() > keylen {
@@ -681,18 +697,30 @@ fn check_inner_ndp(
             .copied()
             .chain(residual)
             .chain(def.effective_key_cols());
-        for c in needed {
-            if !keep.contains(&c) {
-                diags.push(Diagnostic::error(
-                    DiagKind::NdpProjectionDropsColumn,
-                    path,
-                    format!("NDP projection {keep:?} drops column {c} the key read needs"),
-                ));
-                ok = false;
-            }
-        }
+        ok &= check_projection_keeps(keep, needed, "key read", path, diags);
     }
     ok
+}
+
+/// An NDP projection `keep` against the columns its access (`what`)
+/// delivers and evaluates: its output, its residual conjuncts' columns
+/// and its index key.
+fn check_projection_keeps(
+    keep: &[usize],
+    needed: impl Iterator<Item = usize>,
+    what: &str,
+    path: &str,
+    diags: &mut Vec<Diagnostic>,
+) -> bool {
+    let dropped: BTreeSet<usize> = needed.filter(|c| !keep.contains(c)).collect();
+    for c in &dropped {
+        diags.push(Diagnostic::error(
+            DiagKind::NdpProjectionDropsColumn,
+            path,
+            format!("NDP projection {keep:?} drops column {c} the {what} needs"),
+        ));
+    }
+    dropped.is_empty()
 }
 
 /// A hash join's join-filter decision against its node: the rules

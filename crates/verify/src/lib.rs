@@ -5,8 +5,9 @@
 //!
 //! * [`infer`] — type / width / nullability inference over every
 //!   [`Plan`] shape against the live catalog. Structural violations
-//!   (residual or GROUP BY columns the scan does not deliver, positions
-//!   out of range, key prefixes longer than the index key) are rejected
+//!   (predicate columns the scanned index does not store, GROUP BY
+//!   columns the scan does not deliver, positions out of range, key
+//!   prefixes longer than the index key) are rejected
 //!   with structured [`Diagnostic`]s carrying plan-path locations —
 //!   the same defects that previously surfaced mid-scan as
 //!   `Error::Internal`.
@@ -18,7 +19,8 @@
 //! in every build and once per statement (in `exec::run`, its one way
 //! into execution; `EXPLAIN`, which executes nothing, calls it itself);
 //! the `taurus-verify` binary runs the same
-//! checks over every registry plan and NDP descriptor program in CI.
+//! checks over every registry plan, the TPC-H SQL texts as the binder
+//! lowers them, and every NDP descriptor program in CI.
 
 pub mod absint;
 pub mod diag;

@@ -4,8 +4,10 @@
 //! (the crate) over every plan the repo can produce:
 //!
 //! * all TPC-H and micro registry plans, plus the PQ (fan-out) variant
-//!   of every PQ-capable query — schema/width/nullability inference and
-//!   scalar IR program checks (`verify_plan`);
+//!   of every PQ-capable query, and the plans that ship: the 22 TPC-H
+//!   SQL texts bound by `taurus_sql::bind`, with NDP off and on —
+//!   schema/width/nullability inference and scalar IR program checks
+//!   (`verify_plan`);
 //! * every NDP descriptor those plans push: the descriptor must build,
 //!   and its wire-encoded predicate and aggregate input programs must
 //!   decode and pass the abstract interpreter — the same bytes a Page
@@ -18,10 +20,13 @@
 
 use std::process::ExitCode;
 
+use taurus::prelude::Session;
+use taurus::sql::Statement;
+use taurus_common::Result;
 use taurus_expr::agg::AggInput;
 use taurus_expr::ir::IrProgram;
 use taurus_ndp::{build_descriptor, TaurusDb};
-use taurus_optimizer::plan::{LookupJoinNode, NdpDecision, Plan, ScanNode};
+use taurus_optimizer::plan::{LookupJoinNode, NdpDecision, Plan};
 use taurus_verify::{verify_plan, Diagnostic, Severity};
 
 /// Per-query tally of what the static analyses concluded.
@@ -47,67 +52,74 @@ fn main() -> ExitCode {
 
     let mut queries = taurus::tpch::tpch_queries();
     queries.extend(taurus::tpch::micro_queries());
-
-    let mut total = Tally::default();
-    let mut failed = 0usize;
+    // The main-stage plan, with NDP decisions applied; PQ-capable queries
+    // are verified again in their fanned-out (Exchange) form.
+    let mut plans: Vec<(String, Result<Plan>)> = Vec::new();
     for q in &queries {
-        // The main-stage plan, with NDP decisions applied; PQ-capable
-        // queries are verified again in their fanned-out (Exchange) form.
-        let variants: Vec<(String, Option<usize>)> = if q.pq_capable {
-            vec![
-                (q.name.to_string(), None),
-                (format!("{}[pq]", q.name), Some(4)),
-            ]
-        } else {
-            vec![(q.name.to_string(), None)]
-        };
-        for (label, pq) in variants {
-            let plan = match (q.plan)(&db, pq) {
-                Ok(p) => p,
-                Err(e) => {
-                    eprintln!("{label}: plan construction failed: {e}");
-                    failed += 1;
-                    continue;
+        plans.push((q.name.to_string(), (q.plan)(&db, None)));
+        if q.pq_capable {
+            plans.push((format!("{}[pq]", q.name), (q.plan)(&db, Some(4))));
+        }
+    }
+    // The plans that ship: each TPC-H text as a session binds it.
+    for ndp in [false, true] {
+        let session = Session::new(&db).with_ndp(ndp);
+        for (name, text) in taurus::sql::tpch_sql::all() {
+            let plan = taurus::sql::parse(text).and_then(|stmt| match stmt {
+                Statement::Select(select) | Statement::Explain(select) => {
+                    taurus::sql::bind(&session, &select)
                 }
-            };
-            let mut t = Tally::default();
-            let mut diags = verify_plan(&plan, &db);
-            check_descriptors(&plan, &db, &mut diags, &mut t);
-            for d in &diags {
-                match d.severity {
-                    Severity::Error => t.errors += 1,
-                    Severity::Warning => t.warnings += 1,
-                }
-            }
-            if t.errors > 0 {
-                failed += 1;
-                eprintln!("{label}: FAILED");
-                for d in diags.iter().filter(|d| d.severity == Severity::Error) {
-                    eprintln!("  {d}");
-                }
-            } else {
-                println!(
-                    "{label}: ok ({} descriptor(s){})",
-                    t.descriptors,
-                    if t.warnings > 0 {
-                        format!(", {} warning(s)", t.warnings)
-                    } else {
-                        String::new()
-                    }
-                );
-            }
-            total.errors += t.errors;
-            total.warnings += t.warnings;
-            total.descriptors += t.descriptors;
+            });
+            let ndp = if ndp { "on" } else { "off" };
+            plans.push((format!("{name}[sql, ndp {ndp}]"), plan));
         }
     }
 
+    let mut total = Tally::default();
+    let mut failed = 0usize;
+    for (label, plan) in &plans {
+        let plan = match plan {
+            Ok(p) => p,
+            Err(e) => {
+                eprintln!("{label}: plan construction failed: {e}");
+                failed += 1;
+                continue;
+            }
+        };
+        let mut t = Tally::default();
+        let mut diags = verify_plan(plan, &db);
+        check_descriptors(plan, &db, &mut diags, &mut t);
+        for d in &diags {
+            match d.severity {
+                Severity::Error => t.errors += 1,
+                Severity::Warning => t.warnings += 1,
+            }
+        }
+        if t.errors > 0 {
+            failed += 1;
+            eprintln!("{label}: FAILED");
+            for d in diags.iter().filter(|d| d.severity == Severity::Error) {
+                eprintln!("  {d}");
+            }
+        } else {
+            println!(
+                "{label}: ok ({} descriptor(s){})",
+                t.descriptors,
+                if t.warnings > 0 {
+                    format!(", {} warning(s)", t.warnings)
+                } else {
+                    String::new()
+                }
+            );
+        }
+        total.errors += t.errors;
+        total.warnings += t.warnings;
+        total.descriptors += t.descriptors;
+    }
+
     println!(
-        "taurus-verify: {} plan variant(s), {} NDP descriptor(s), {} error(s), {} warning(s)",
-        queries
-            .iter()
-            .map(|q| if q.pq_capable { 2 } else { 1 })
-            .sum::<usize>(),
+        "taurus-verify: {} plan(s), {} NDP descriptor(s), {} error(s), {} warning(s)",
+        plans.len(),
         total.descriptors,
         total.errors,
         total.warnings,
@@ -172,8 +184,9 @@ fn check_descriptors(plan: &Plan, db: &TaurusDb, diags: &mut Vec<Diagnostic>, t:
 }
 
 fn for_each_decision(plan: &Plan, f: &mut impl FnMut(&str, usize, &NdpDecision, &str)) {
-    for_each_scan(plan, &mut |node, path| {
+    plan.for_each_scan(&mut |node, agg| {
         if let Some(decision) = &node.ndp {
+            let path = if agg { "AggScan" } else { "Scan" };
             f(&node.table, node.index, decision, path);
         }
     });
@@ -201,23 +214,5 @@ fn for_each_lookup(plan: &Plan, f: &mut impl FnMut(&LookupJoinNode)) {
         Plan::Sort(s) => for_each_lookup(&s.input, f),
         Plan::Limit { input, .. } => for_each_lookup(input, f),
         Plan::Exchange(e) => for_each_lookup(&e.child, f),
-    }
-}
-
-fn for_each_scan(plan: &Plan, f: &mut impl FnMut(&ScanNode, &str)) {
-    match plan {
-        Plan::Scan(s) => f(s, "Scan"),
-        Plan::AggScan(a) => f(&a.scan, "AggScan"),
-        Plan::LookupJoin(j) => for_each_scan(&j.outer, f),
-        Plan::HashJoin(j) => {
-            for_each_scan(&j.left, f);
-            for_each_scan(&j.right, f);
-        }
-        Plan::HashAgg(a) => for_each_scan(&a.input, f),
-        Plan::Project(p) => for_each_scan(&p.input, f),
-        Plan::Filter(fl) => for_each_scan(&fl.input, f),
-        Plan::Sort(s) => for_each_scan(&s.input, f),
-        Plan::Limit { input, .. } => for_each_scan(input, f),
-        Plan::Exchange(e) => for_each_scan(&e.child, f),
     }
 }

@@ -4,12 +4,15 @@
 //! `Error::Parse` before any operator opens. The §VII-A micro-benchmark's
 //! COUNT(*) scans are held to their registry plans the same way.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 use taurus::common::config::ClusterConfig;
 use taurus::common::schema::Row;
 use taurus::common::{Error, Value};
 use taurus::ndp::TaurusDb;
+use taurus::pagestore::SkipPolicy;
 use taurus::prelude::Session;
 use taurus::sql::SessionSqlExt;
 use taurus::tpch;
@@ -164,6 +167,154 @@ fn exists_residual_over_both_scopes_matches_with_and_without_ndp() {
     }
     let orders = run("select count(*) from orders", false);
     assert_eq!(fmt_rows(&orders), split.to_string());
+}
+
+/// Two shapes whose `orders` predicate columns are in no scan output,
+/// each with the number of its conjuncts that stay residual with NDP on:
+/// Q13's LEFT JOIN, which tests `o_comment` in its ON, and a scan with a
+/// pushed conjunct and a residual one, neither column selected.
+const NARROWED: [(&str, usize); 2] = [
+    (
+        "select c_custkey, count(o_orderkey) from customer \
+         left join orders on c_custkey = o_custkey \
+           and o_comment not like '%special%requests%' \
+         group by c_custkey order by c_custkey",
+        0,
+    ),
+    (
+        "select o_orderkey, o_custkey from orders \
+         where o_totalprice > 50000 \
+           and case when o_comment like '%special%' then 1 else 0 end = 0 \
+         order by o_orderkey",
+        1,
+    ),
+];
+
+/// Rows with NDP off and on under one read view, after checking that
+/// with NDP on the `orders` scan pushes a conjunct, keeps `residual`
+/// ones, and has no column its predicate reads in its output.
+fn off_and_on(session: &mut Session, (text, residual): (&str, usize)) -> (Vec<Row>, Vec<Row>) {
+    let taurus::sql::Statement::Select(select) = taurus::sql::parse(text).unwrap() else {
+        panic!("{text}")
+    };
+    session.set_ndp(true);
+    let plan = taurus::sql::bind(session, &select).unwrap();
+    let mut orders = 0;
+    plan.for_each_scan(&mut |s, _| {
+        if s.table == "orders" {
+            orders += 1;
+            let d = s.ndp.as_ref().expect("the orders scan is NDP");
+            assert!(!d.pushed.is_empty(), "{s:?}");
+            assert_eq!(s.residual_conjuncts().len(), residual, "{s:?}");
+            for p in &s.predicate {
+                for c in p.columns() {
+                    assert!(!s.output.contains(&c), "{s:?}");
+                }
+            }
+        }
+    });
+    assert_eq!(orders, 1, "{plan:?}");
+    let on = session.execute_plan(&plan).unwrap();
+    session.set_ndp(false);
+    let off = session.sql(text).unwrap();
+    (off, on)
+}
+
+/// The narrowed scans meet every way a Page Store serves a page: NDP
+/// off (raw pages), NDP on, every third page skipped (shipped raw), and
+/// a writer rewriting `o_comment` in place under the scan (its records
+/// come back ambiguous, and the SQL node runs the residual on the
+/// version the view sees). The rows are equal in every case.
+#[test]
+fn narrowed_scans_match_under_every_serving_outcome() {
+    let mut cfg = ClusterConfig::default();
+    cfg.ndp.enabled = true;
+    cfg.ndp.min_io_pages = 1;
+    cfg.buffer_pool_pages = 16;
+    cfg.pagestore_versions_retained = 256;
+    let db = TaurusDb::new(cfg);
+    tpch::load(&db, 0.002, 7).unwrap();
+    let stores = db.sal().page_stores();
+    let mut session = Session::new(&db);
+    for shape @ (text, _) in NARROWED {
+        let (off, on) = off_and_on(&mut session, shape);
+        assert!(!off.is_empty(), "{text}");
+        assert_eq!(fmt_rows(&off), fmt_rows(&on), "NDP on: {text}");
+        for ps in stores.iter() {
+            ps.set_skip_policy(SkipPolicy::EveryNth(3));
+        }
+        let before = db.metrics().snapshot();
+        let (_, skipped) = off_and_on(&mut session, shape);
+        assert!(db.metrics().snapshot().ps_ndp_skipped > before.ps_ndp_skipped);
+        for ps in stores.iter() {
+            ps.set_skip_policy(SkipPolicy::None);
+        }
+        assert_eq!(
+            fmt_rows(&off),
+            fmt_rows(&skipped),
+            "every 3rd skipped: {text}"
+        );
+    }
+
+    let orders = db.table("orders").unwrap();
+    let comment = orders.schema.col_index("o_comment").unwrap();
+    let keys: Vec<Value> = session
+        .sql("select o_orderkey from orders")
+        .unwrap()
+        .into_iter()
+        .map(|r| r[0].clone())
+        .collect();
+    let stop = Arc::new(AtomicBool::new(false));
+    let writer = {
+        let (db, orders, stop) = (db.clone(), orders.clone(), stop.clone());
+        std::thread::spawn(move || {
+            let mut state = 0x9E37_79B9_7F4A_7C15u64;
+            let mut commits = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                let trx = db.begin();
+                for _ in 0..8 {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    let key = (state % keys.len() as u64) as usize;
+                    let view = db.read_view(trx);
+                    let mut row = db
+                        .lookup_row(&orders, &view, &keys[key..=key])
+                        .unwrap()
+                        .unwrap();
+                    // Same length, so the record is rewritten in place;
+                    // a comment flips in and out of both predicates.
+                    let old = row[comment].as_str().unwrap().to_string();
+                    let new = match old.contains("special") {
+                        true => "x".repeat(old.len()),
+                        false => format!("{:x<1$}", "special requests", old.len()),
+                    };
+                    row[comment] = Value::str(&new[..old.len()]);
+                    db.update_row(&orders, trx, &row).unwrap();
+                }
+                db.commit(trx);
+                commits += 1;
+            }
+            commits
+        })
+    };
+    let before = db.metrics().snapshot();
+    for round in 0..4 {
+        let mut session = Session::new(&db);
+        // Let the writer commit past this view before the scans start.
+        std::thread::sleep(Duration::from_millis(20));
+        for shape @ (text, _) in NARROWED {
+            let (off, on) = off_and_on(&mut session, shape);
+            assert_eq!(fmt_rows(&off), fmt_rows(&on), "round {round}: {text}");
+        }
+    }
+    stop.store(true, Ordering::Relaxed);
+    let commits = writer.join().unwrap();
+    // The race was on: the writer committed throughout, and the Page
+    // Stores served NDP pages under it.
+    assert!(commits > 10, "{commits} commits");
+    let d = db.metrics().snapshot().since(&before);
+    assert!(d.pages_shipped_ndp > 0, "{d:?}");
 }
 
 /// A GROUP BY key past the hash key encoding's `u16` string length is a

@@ -61,15 +61,37 @@ fn column_out_of_range_is_pinned() {
     assert!(has_error(&plan, DiagKind::ColumnOutOfRange));
 }
 
-#[test]
-fn residual_not_in_output_is_pinned() {
-    // Predicate over l_quantity (col 4), but the scan only delivers col
-    // 0 — the executor could never remap the residual.
-    let plan = Plan::Scan(
-        ScanNode::new("lineitem", vec![0])
+/// `lineitem` through `index`, delivering `l_suppkey` (col 2), with a
+/// residual conjunct over `l_quantity` (col 4) that nothing above reads.
+fn scan_with_residual(index: usize) -> Plan {
+    Plan::Scan(
+        ScanNode::new("lineitem", vec![2])
+            .with_index(index)
             .with_predicate(vec![Expr::lt(Expr::col(4), Expr::dec("24"))]),
+    )
+}
+
+#[test]
+fn a_residual_outside_the_output_verifies() {
+    // The scan runs the residual on the primary index's record bytes,
+    // which store every column.
+    let plan = scan_with_residual(0);
+    assert!(
+        verify_plan(&plan, catalog()).is_empty(),
+        "{:?}",
+        kinds(&plan)
     );
-    assert!(has_error(&plan, DiagKind::ResidualNotInOutput));
+    assert!(Session::new(catalog())
+        .execute_plan(&plan)
+        .unwrap()
+        .is_empty());
+}
+
+#[test]
+fn predicate_not_stored_is_pinned() {
+    // `i_l_suppkey` stores l_suppkey and the primary key, not l_quantity.
+    let plan = scan_with_residual(taurus::tpch::schema::idx::L_SUPPKEY);
+    assert!(has_error(&plan, DiagKind::PredicateNotStored));
 }
 
 #[test]
@@ -277,6 +299,40 @@ fn key_read_projection_must_keep_output_residual_and_key() {
 }
 
 #[test]
+fn scan_projection_must_keep_output_residual_and_key() {
+    // `lineitem` delivering l_suppkey: the date test pushed, l_quantity's
+    // residual kept, and a projection of the output, the residual's
+    // column and the key.
+    let scan = |projection: Vec<usize>, pushed: Vec<usize>| {
+        let mut s = ScanNode::new("lineitem", vec![2]).with_predicate(vec![
+            Expr::lt(Expr::col(11), Expr::col(12)),
+            Expr::lt(Expr::col(4), Expr::dec("24")),
+        ]);
+        s.ndp = Some(NdpDecision {
+            choice: NdpChoice {
+                projection: Some(projection),
+                predicate: Some(Expr::lt(Expr::col(11), Expr::col(12))),
+                aggregation: None,
+            },
+            pushed,
+        });
+        Plan::Scan(s)
+    };
+    assert!(verify_plan(&scan(vec![0, 2, 3, 4], vec![0]), catalog()).is_empty());
+    // The scan's output, the residual conjunct's column, a key column.
+    for dropped in [2, 4, 3] {
+        let mut keep = vec![0, 2, 3, 4];
+        keep.retain(|&c| c != dropped);
+        assert_rejected(&scan(keep, vec![0]), DiagKind::NdpProjectionDropsColumn);
+    }
+    // Pushing the second conjunct too frees its column.
+    assert!(!has_error(
+        &scan(vec![0, 2, 3], vec![0, 1]),
+        DiagKind::NdpProjectionDropsColumn
+    ));
+}
+
+#[test]
 fn key_read_on_a_non_covering_access_is_pinned() {
     // `i_l_suppkey` stores l_suppkey and the primary key, not the dates.
     let d = NdpDecision {
@@ -308,10 +364,7 @@ fn key_read_pushed_conjuncts_get_the_scan_predicate_checks() {
 
 #[test]
 fn rejected_plan_fails_collect_before_execution() {
-    let plan = Plan::Scan(
-        ScanNode::new("lineitem", vec![0])
-            .with_predicate(vec![Expr::lt(Expr::col(4), Expr::dec("24"))]),
-    );
+    let plan = scan_with_residual(taurus::tpch::schema::idx::L_SUPPKEY);
     let session = Session::new(catalog());
     let err = session.execute_plan(&plan).unwrap_err();
     assert!(matches!(err, Error::Verify(_)), "got {err:?}");
@@ -319,10 +372,7 @@ fn rejected_plan_fails_collect_before_execution() {
 
 #[test]
 fn rejected_plan_fails_stream_before_any_producer_spawns() {
-    let plan = Plan::Scan(
-        ScanNode::new("lineitem", vec![0])
-            .with_predicate(vec![Expr::lt(Expr::col(4), Expr::dec("24"))]),
-    );
+    let plan = scan_with_residual(taurus::tpch::schema::idx::L_SUPPKEY);
     // A catalog of its own: no other test's query moves its counters.
     let db = TaurusDb::new(ClusterConfig::default());
     taurus::tpch::schema::create_all(&db).unwrap();
@@ -330,7 +380,7 @@ fn rejected_plan_fails_stream_before_any_producer_spawns() {
     // The verifier's rejection is the run's error: the sink sees nothing
     // and no thread is spawned.
     match session.run_plan(&plan, |_| panic!("a rejected plan hands its sink nothing")) {
-        Err(Error::Verify(msg)) => assert!(msg.contains("residual")),
+        Err(Error::Verify(msg)) => assert!(msg.contains("PredicateNotStored")),
         other => panic!("expected Err(Verify), got {other:?}"),
     }
     assert_eq!(db.metrics().snapshot().sql_threads_spawned, 0);
