@@ -775,12 +775,31 @@ impl<'a> ScanCtx<'a> {
         // An NDP page: mixed record types (§IV-C2). NDP records are the
         // visible survivors and carriers, in the NDP layout; an ordinary
         // record is one storage could not judge.
+        let mut ambiguous = 0;
+        let more = self.consume_ndp_records(state, page, check_range, consumer, &mut ambiguous);
+        if ambiguous > 0 {
+            self.db.metrics().add(|m| &m.ambiguous_records, ambiguous);
+        }
+        more
+    }
+
+    /// The records of an NDP page, counting in `ambiguous` the ordinary
+    /// ones it meets.
+    fn consume_ndp_records(
+        &self,
+        state: &mut ScanState,
+        page: &Page,
+        check_range: bool,
+        consumer: &mut dyn ScanConsumer,
+        ambiguous: &mut u64,
+    ) -> Result<bool> {
         for rec in page.iter_chain() {
             let bytes = rec?;
             let rec_type = RecordView::peek_type(bytes)?;
             let (rec, shape) = match (rec_type, &self.c.ndp) {
                 (RecType::Ordinary, _) => {
                     // Ambiguous: InnoDB does visibility/undo/predicate.
+                    *ambiguous += 1;
                     match self.process_full_record(state, bytes, check_range, consumer)? {
                         Step::Next => continue,
                         Step::Stop => return Ok(false),

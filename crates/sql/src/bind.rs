@@ -9,16 +9,27 @@
 //!   the columns the plan above it reads (ascending; `[0]` when none, or
 //!   a secondary index's leading key column), and whose `predicate` holds
 //!   the single-table WHERE/ON conjuncts in written order, lowered over
-//!   *table* columns. A column only the predicate reads is not in the
-//!   output: the scan runs the conjuncts on record bytes. `FORCE INDEX
-//!   (i)` on a scanned table scans through `i`, which must store every
-//!   column the scan reads, its predicate's included;
-//! - `JOIN ... ON` lowers left-deep in written order: plain joins become
+//!   *table* columns, then the predicates implied by residual WHERE ORs
+//!   (below). A column only the predicate reads is not in the output: the
+//!   scan runs the conjuncts on record bytes. `FORCE INDEX (i)` on a
+//!   scanned table scans through `i`, which must store every column the
+//!   scan reads, its predicate's included;
+//! - a residual WHERE conjunct that is an OR implies, for each atom that
+//!   every disjunct reads through a conjunct of its own, the OR of those
+//!   conjuncts ([`implied_by_or`]): Q7's nation pair filters both
+//!   `nation` scans. The OR itself stays residual, so rows cannot change;
+//!   a LEFT JOIN's null-producing side gets nothing;
+//! - `JOIN ... ON` lowers in written order, left-deep, except that an
+//!   inner join over a filtered right input whose keys read one atom of
+//!   its left input moves down next to that atom when an inner join
+//!   builds on it ([`reassociate`]: `(A ⋈ X) ⋈ r` becomes `A ⋈ (X ⋈
+//!   r)`, so `X`'s scan can take a join filter). Plain joins become
 //!   [`HashJoinNode`]s keyed by the ON equalities, `FORCE INDEX (...)`
 //!   on the right side requests a [`LookupJoinNode`] through that index,
 //!   correlating the equality conjuncts that cover the index key prefix.
 //!   A lookup's `inner_output` is what the plan above it reads: a column
-//!   read only by its pushed `inner_predicate` is not in it;
+//!   read only by its pushed `inner_predicate` is not in it. `SELECT *`
+//!   lists FROM's columns in written order whatever the join order;
 //! - `[NOT] EXISTS (SELECT ... FROM t WHERE ...)` binds through the same
 //!   lookup analysis: `t` is an atom in a scope nested in the outer
 //!   query's (unqualified names resolve to `t` first, its alias may repeat
@@ -280,6 +291,9 @@ enum FromNode<'s> {
         /// written order.
         keys: Vec<((usize, usize), (usize, usize))>,
         residual: Vec<&'s SqlExpr>,
+        /// The one atom of `left` that `keys` and `residual` read, if
+        /// they read only one.
+        left_atom: Option<usize>,
     },
     Lookup {
         left: Box<FromNode<'s>>,
@@ -389,12 +403,17 @@ fn conjuncts(e: Option<&SqlExpr>) -> Vec<&SqlExpr> {
     out
 }
 
-/// Does the expression contain an aggregate call (not descending into
+/// Does the expression contain a node `hit` accepts (not descending into
 /// subqueries)?
-fn contains_agg(e: &SqlExpr) -> bool {
-    matches!(e.kind, ExprKind::Agg { .. })
-        || e.try_for_each_child(|c| if contains_agg(c) { Err(()) } else { Ok(()) })
+fn contains(e: &SqlExpr, hit: fn(&ExprKind) -> bool) -> bool {
+    hit(&e.kind)
+        || e.try_for_each_child(|c| if contains(c, hit) { Err(()) } else { Ok(()) })
             .is_err()
+}
+
+/// Does the expression contain an aggregate call?
+fn contains_agg(e: &SqlExpr) -> bool {
+    contains(e, |k| matches!(k, ExprKind::Agg { .. }))
 }
 
 /// Resolve every column `e` reads into `refs`. Rejects subqueries, and
@@ -520,6 +539,7 @@ impl<'a> Binder<'a> {
         // WHERE: route each conjunct to a scan predicate, a residual
         // filter, or a Semi/Anti subquery join.
         let mut residual_where: Vec<&SqlExpr> = Vec::new();
+        let mut implied: Vec<(usize, SqlExpr)> = Vec::new();
         let mut sub_joins: Vec<SubJoin<'_>> = Vec::new();
         for conj in conjuncts(s.where_.as_ref()) {
             match &conj.kind {
@@ -556,6 +576,9 @@ impl<'a> Binder<'a> {
                     match single_atom(&refs) {
                         Some(i) if !cx.atoms[i].right_of_left => cx.preds[i].push(conj),
                         _ => {
+                            if let ExprKind::Or(..) = conj.kind {
+                                implied.extend(implied_by_or(conj, &cx, &from)?);
+                            }
                             cx.use_cols(refs);
                             residual_where.push(conj);
                         }
@@ -612,6 +635,11 @@ impl<'a> Binder<'a> {
             mut derived_plans,
             preds,
         } = cx;
+        let mut preds: Vec<Vec<&SqlExpr>> = preds;
+        for (a, e) in &implied {
+            preds[*a].push(e);
+        }
+        let fnode = reassociate(fnode, &|n| holds_predicate(n, &preds, &derived_plans));
 
         let (mut plan, layout) =
             self.lower_from(&fnode, &atoms, &mut derived_plans, &preds, &from)?;
@@ -824,12 +852,19 @@ impl<'a> Binder<'a> {
                         "JOIN ... ON needs at least one equality between the two sides",
                     ));
                 }
+                let mut left_reads: BTreeSet<(usize, usize)> =
+                    keys.iter().map(|&(lk, _)| lk).collect();
+                for conj in &residual {
+                    let refs = cx.refs(conj, &scope, false)?;
+                    left_reads.extend(refs.into_iter().filter(|&(a, _)| a < l1));
+                }
                 Ok(FromNode::Hash {
                     left: Box::new(lnode),
                     right: Box::new(rnode),
                     join,
                     keys,
                     residual,
+                    left_atom: single_atom(&left_reads),
                 })
             }
         }
@@ -1012,6 +1047,195 @@ fn route_join_conjunct<'s>(
     cx.use_cols(refs);
     residual.push(conj);
     Ok(())
+}
+
+/// The single-atom predicates a residual WHERE conjunct `or` implies:
+/// for each atom that every disjunct reads through at least one conjunct
+/// of its own, the OR over the disjuncts of those conjuncts. A disjunct
+/// is TRUE only when each of its conjuncts is, so a row `or` keeps passes
+/// every implied predicate, NULLs included, and they can filter the
+/// atoms' scans while `or` stays residual. An atom on a LEFT JOIN's
+/// null-producing side implies nothing, as WHERE routing pushes nothing
+/// there, and a conjunct with a scalar subquery counts for no atom, so
+/// the subquery still runs once.
+fn implied_by_or(
+    or: &SqlExpr,
+    cx: &FromCx<'_>,
+    from: &[Range<usize>],
+) -> Result<Vec<(usize, SqlExpr)>> {
+    let mut disjuncts = Vec::new();
+    flatten_or(or, &mut disjuncts);
+    // Per disjunct, each atom's conjuncts that read only it.
+    let mut parts: Vec<BTreeMap<usize, Vec<&SqlExpr>>> = Vec::new();
+    for d in disjuncts {
+        let mut by_atom: BTreeMap<usize, Vec<&SqlExpr>> = BTreeMap::new();
+        for c in conjuncts(Some(d)) {
+            if contains(c, |k| matches!(k, ExprKind::Scalar(_))) {
+                continue;
+            }
+            if let Some(a) = single_atom(&cx.refs(c, from, false)?) {
+                by_atom.entry(a).or_default().push(c);
+            }
+        }
+        parts.push(by_atom);
+    }
+    let fold = |op: fn(Box<SqlExpr>, Box<SqlExpr>) -> ExprKind, es: Vec<SqlExpr>| {
+        es.into_iter()
+            .reduce(|a, b| SqlExpr {
+                kind: op(Box::new(a), Box::new(b)),
+                pos: or.pos,
+            })
+            .expect("every disjunct has a conjunct on the atom")
+    };
+    Ok(parts[0]
+        .keys()
+        .filter(|&&a| !cx.atoms[a].right_of_left && parts.iter().all(|p| p.contains_key(&a)))
+        .map(|&a| {
+            let per_disjunct = parts
+                .iter()
+                .map(|p| fold(ExprKind::And, p[&a].iter().map(|&c| c.clone()).collect()))
+                .collect();
+            (a, fold(ExprKind::Or, per_disjunct))
+        })
+        .collect())
+}
+
+/// Does the FROM node lower to a plan that holds a predicate? The same
+/// test as [`Plan::holds_predicate`], which `decide_join_filter` applies
+/// to a hash join's build side, so a join the binder moves onto a filtered
+/// build is one the NDP pass can give a join filter.
+fn holds_predicate(node: &FromNode<'_>, preds: &[Vec<&SqlExpr>], derived: &[Option<Plan>]) -> bool {
+    let holds = |n: &FromNode<'_>| holds_predicate(n, preds, derived);
+    match node {
+        FromNode::Atom(i) => {
+            !preds[*i].is_empty() || derived[*i].as_ref().is_some_and(Plan::holds_predicate)
+        }
+        FromNode::Hash {
+            left,
+            right,
+            residual,
+            ..
+        } => !residual.is_empty() || holds(left) || holds(right),
+        FromNode::Lookup { left, lookup } => !preds[lookup.atom].is_empty() || holds(left),
+    }
+}
+
+/// Re-associate inner hash joins, top down. An inner join whose right
+/// (build) input holds a predicate, and whose keys and residual read one
+/// atom `X` of its left input, moves down to sit on `X` when `X` is the
+/// right input of an inner hash join reached through inner joins only
+/// (below a LEFT JOIN, `r` would drop rows the join must keep or
+/// NULL-extend): `(A ⋈ X) ⋈ r` becomes `A ⋈ (X ⋈ r)`. `X`'s scan is then
+/// the probe beside a filtered build, where the NDP pass can send it a
+/// join filter.
+/// After a move the node is tried again, so a dimension that a move made
+/// filtered can move in turn; then its inputs are. Columns resolve through
+/// `(atom, col)` layouts, so lowering needs nothing else.
+fn reassociate<'s>(
+    mut node: FromNode<'s>,
+    filtered: &dyn Fn(&FromNode<'_>) -> bool,
+) -> FromNode<'s> {
+    let node = loop {
+        match move_down(node, filtered) {
+            Ok(moved) => node = moved,
+            Err(stays) => break stays,
+        }
+    };
+    match node {
+        FromNode::Hash {
+            left,
+            right,
+            join,
+            keys,
+            residual,
+            left_atom,
+        } => FromNode::Hash {
+            left: Box::new(reassociate(*left, filtered)),
+            right: Box::new(reassociate(*right, filtered)),
+            join,
+            keys,
+            residual,
+            left_atom,
+        },
+        FromNode::Lookup { left, lookup } => FromNode::Lookup {
+            left: Box::new(reassociate(*left, filtered)),
+            lookup,
+        },
+        atom @ FromNode::Atom(_) => atom,
+    }
+}
+
+/// One move of [`reassociate`] at `node`: `Ok` with the tree after it,
+/// `Err` with `node` unchanged when the rule does not fire.
+fn move_down<'s>(
+    node: FromNode<'s>,
+    filtered: &dyn Fn(&FromNode<'_>) -> bool,
+) -> std::result::Result<FromNode<'s>, FromNode<'s>> {
+    match node {
+        FromNode::Hash {
+            mut left,
+            right,
+            join: JoinType::Inner,
+            keys,
+            residual,
+            left_atom: Some(x),
+        } if filtered(&right) => {
+            let mut moving = Some(FromNode::Hash {
+                left: Box::new(FromNode::Atom(x)),
+                right,
+                join: JoinType::Inner,
+                keys,
+                residual,
+                left_atom: Some(x),
+            });
+            attach(&mut left, x, &mut moving);
+            match moving {
+                None => Ok(*left),
+                // No inner join builds on `x`: the join stays.
+                Some(FromNode::Hash {
+                    right,
+                    keys,
+                    residual,
+                    ..
+                }) => Err(FromNode::Hash {
+                    left,
+                    right,
+                    join: JoinType::Inner,
+                    keys,
+                    residual,
+                    left_atom: Some(x),
+                }),
+                Some(_) => unreachable!("the moving join is a hash join"),
+            }
+        }
+        other => Err(other),
+    }
+}
+
+/// Put `join` (taking it) in place of atom `x` where `x` is the right
+/// input of an inner hash join under `node`, walking inner joins only.
+fn attach<'s>(node: &mut FromNode<'s>, x: usize, join: &mut Option<FromNode<'s>>) {
+    match node {
+        FromNode::Hash {
+            left,
+            right,
+            join: JoinType::Inner,
+            ..
+        } => {
+            if matches!(**right, FromNode::Atom(a) if a == x) {
+                **right = join.take().expect("an atom appears once");
+                return;
+            }
+            attach(left, x, join);
+            if join.is_some() {
+                attach(right, x, join);
+            }
+        }
+        FromNode::Lookup { left, lookup } if lookup.join == JoinType::Inner => {
+            attach(left, x, join)
+        }
+        _ => {}
+    }
 }
 
 /// Resolve `FORCE INDEX (name)` / EXISTS index names: `primary` (any
@@ -1213,6 +1437,7 @@ impl<'a> Binder<'a> {
                 join,
                 keys,
                 residual,
+                ..
             } => {
                 let (lp, ll) = self.lower_from(left, atoms, derived, preds, from)?;
                 let (rp, rl) = self.lower_from(right, atoms, derived, preds, from)?;
@@ -1975,10 +2200,14 @@ impl<'a> Binder<'a> {
             width = layout.len();
             for item in &s.items {
                 match item {
+                    // FROM's columns in written order, whatever order
+                    // re-associated joins lay them out in.
                     SelectItem::Wildcard(_) => {
-                        for (i, &(a, c)) in layout.iter().enumerate() {
-                            exprs.push(Expr::Col(i));
-                            names.push(atoms[a].col_name(c));
+                        for a in from[0].clone() {
+                            for c in 0..atoms[a].width() {
+                                exprs.push(Expr::Col(pos_in(layout, (a, c))?));
+                                names.push(atoms[a].col_name(c));
+                            }
                         }
                     }
                     SelectItem::Expr { expr, alias } => {
@@ -2447,7 +2676,9 @@ mod tests {
         let [j] = lookups(&q19)[..] else {
             panic!("{q19:?}")
         };
-        assert_eq!(j.inner_predicate.len(), 2, "{j:?}");
+        // Its two conjuncts, and the `l_quantity` ranges its residual OR
+        // implies.
+        assert_eq!(j.inner_predicate.len(), 3, "{j:?}");
         for name in ["l_shipinstruct", "l_shipmode"] {
             assert!(!j.inner_output.contains(&col(name)), "{name}: {j:?}");
         }
@@ -2595,5 +2826,211 @@ mod tests {
             }
         }
         assert!(has_filter_above_join(&plan), "{plan:?}");
+    }
+
+    /// The plan's join tree: a scan is its table, a hash join `(probe ⋈
+    /// build)`, a lookup join `(outer ⋈L inner)`; the operators above and
+    /// between them are skipped.
+    fn shape(plan: &Plan) -> String {
+        match plan {
+            Plan::Scan(s) => s.table.clone(),
+            Plan::AggScan(a) => a.scan.table.clone(),
+            Plan::HashJoin(j) => format!("({} ⋈ {})", shape(&j.left), shape(&j.right)),
+            Plan::LookupJoin(j) => format!("({} ⋈L {})", shape(&j.outer), j.table),
+            Plan::HashAgg(a) => shape(&a.input),
+            Plan::Project(x) => shape(&x.input),
+            Plan::Filter(x) => shape(&x.input),
+            Plan::Sort(x) => shape(&x.input),
+            Plan::Limit { input, .. } => shape(input),
+            Plan::Exchange(e) => shape(&e.child),
+        }
+    }
+
+    /// A catalog with NDP on and no I/O gate, so every eligible hash join
+    /// takes a join filter decision.
+    fn ndp_db() -> &'static Arc<TaurusDb> {
+        static DB: OnceLock<Arc<TaurusDb>> = OnceLock::new();
+        DB.get_or_init(|| {
+            let mut cfg = ClusterConfig::default();
+            cfg.ndp.enabled = true;
+            cfg.ndp.min_io_pages = 1;
+            let db = TaurusDb::new(cfg);
+            taurus_tpch::load(&db, 0.001, 7).expect("load tiny tpch");
+            db
+        })
+    }
+
+    /// The join tree `sql` binds to, and its EXPLAIN's join filter tags
+    /// in plan order, with NDP on.
+    fn ndp_shape(sql: &str) -> (String, Vec<String>) {
+        let Statement::Select(s) = crate::parser::parse(sql).unwrap() else {
+            panic!("{sql} is a SELECT");
+        };
+        let session = Session::new(ndp_db());
+        let plan = bind(&session, &s).unwrap_or_else(|e| panic!("{sql}: {e:?}"));
+        taurus_verify::check_plan(&plan, ndp_db()).unwrap_or_else(|e| panic!("{sql}: {e:?}"));
+        let text = crate::explain(&session, &s).unwrap();
+        let logical = text.split("Physical pipeline").next().unwrap();
+        let filters = logical
+            .match_indices("[join filter -> ")
+            .map(|(i, _)| {
+                let tag = &logical[i..];
+                tag[..=tag.find(']').unwrap()].to_string()
+            })
+            .collect();
+        (shape(&plan), filters)
+    }
+
+    /// Q7 and Q8: a filtered dimension joins next to the table it keys
+    /// on, so `lineitem` (Q7) and `orders` (Q7, Q8) probe filtered builds
+    /// and get join filters.
+    #[test]
+    fn a_filtered_dimension_joins_next_to_the_table_it_keys_on() {
+        let (q7, f7) = ndp_shape(tpch("Q7"));
+        assert_eq!(
+            q7,
+            "((lineitem ⋈ (supplier ⋈ nation)) ⋈ (orders ⋈ (customer ⋈ nation)))"
+        );
+        // With no I/O gate the dimension scans under them get one too.
+        assert_eq!(
+            f7,
+            [
+                "[join filter -> lineitem.l_suppkey]",
+                "[join filter -> supplier.s_nationkey]",
+                "[join filter -> orders.o_custkey]",
+                "[join filter -> customer.c_nationkey]"
+            ]
+        );
+        let (q8, f8) = ndp_shape(tpch("Q8"));
+        assert_eq!(
+            q8,
+            "((((lineitem ⋈ part) ⋈ (orders ⋈ (customer ⋈ (nation ⋈ region)))) ⋈ supplier) \
+             ⋈ nation)"
+        );
+        assert_eq!(
+            f8,
+            [
+                "[join filter -> lineitem.l_partkey]",
+                "[join filter -> orders.o_custkey]",
+                "[join filter -> customer.c_nationkey]",
+                "[join filter -> nation.n_regionkey]"
+            ]
+        );
+    }
+
+    /// Q7's OR over both nations implies a predicate on each nation
+    /// scan; the OR itself stays above the joins.
+    #[test]
+    fn an_or_over_two_atoms_filters_each_of_their_scans() {
+        let plan = try_bind(tpch("Q7")).unwrap();
+        let nation = db().table("nation").unwrap();
+        let n_name = nation.schema.col_index("n_name").unwrap();
+        let pair = |a: &str, b: &str| {
+            Expr::or(vec![
+                Expr::eq(Expr::col(n_name), Expr::lit(Value::str(a))),
+                Expr::eq(Expr::col(n_name), Expr::lit(Value::str(b))),
+            ])
+        };
+        let mut preds = Vec::new();
+        plan.for_each_scan(&mut |s, _| {
+            if s.table == "nation" {
+                preds.push(s.predicate.clone());
+            }
+        });
+        assert_eq!(
+            preds,
+            [
+                vec![pair("FRANCE", "GERMANY")],
+                vec![pair("GERMANY", "FRANCE")]
+            ]
+        );
+        fn or_filters(p: &Plan) -> usize {
+            match p {
+                Plan::Filter(f) => {
+                    usize::from(matches!(f.predicate, Expr::Or(_))) + or_filters(&f.input)
+                }
+                Plan::HashJoin(j) => or_filters(&j.left) + or_filters(&j.right),
+                Plan::HashAgg(a) => or_filters(&a.input),
+                Plan::Project(x) => or_filters(&x.input),
+                Plan::Sort(x) => or_filters(&x.input),
+                _ => 0,
+            }
+        }
+        assert_eq!(or_filters(&plan), 1, "{plan:?}");
+    }
+
+    /// A move changes the join order, not what `SELECT *` lists: the
+    /// FROM's columns in written order.
+    #[test]
+    fn select_star_keeps_written_column_order_after_a_move() {
+        let from = "from customer join nation on c_nationkey = n_nationkey \
+                    join orders on c_custkey = o_custkey \
+                    join region on n_regionkey = r_regionkey \
+                    where r_name = 'ASIA' and c_custkey < 40";
+        let star = try_bind(&format!("select * {from}")).unwrap();
+        assert_eq!(
+            shape(&star),
+            "((customer ⋈ (nation ⋈ region)) ⋈ orders)",
+            "{star:?}"
+        );
+        let names: Vec<String> = ["customer", "nation", "orders", "region"]
+            .iter()
+            .flat_map(|t| db().table(t).unwrap().schema.columns.clone())
+            .map(|c| c.name)
+            .collect();
+        let listed = try_bind(&format!("select {} {from}", names.join(", "))).unwrap();
+        let session = Session::new(db());
+        let rows = session.execute_plan(&star).unwrap();
+        assert!(!rows.is_empty());
+        assert_eq!(rows, session.execute_plan(&listed).unwrap());
+    }
+
+    /// Where the re-association must not fire, the written left-deep
+    /// order stays.
+    #[test]
+    fn joins_stay_in_written_order_where_a_move_is_not_allowed() {
+        for (sql, want) in [
+            // The dimension keys on two atoms (`lineitem`, `customer`):
+            // Q5's `supplier` join stays, though `nation ⋈ region` moved
+            // onto `supplier` below it.
+            (
+                tpch("Q5"),
+                "(((orders ⋈L lineitem) ⋈ customer) ⋈ (supplier ⋈ (nation ⋈ region)))",
+            ),
+            // An unfiltered dimension: Q10's `nation`.
+            (tpch("Q10"), "(((lineitem ⋈ orders) ⋈ customer) ⋈ nation)"),
+            // The table the filtered dimension keys on is a LEFT JOIN's
+            // null-producing side: `orders ⟕ (customer ⋈ nation)` would
+            // keep the orders of other nations' customers.
+            (
+                "select o_orderkey, n_name from orders \
+                 left join customer on o_custkey = c_custkey \
+                 join nation on c_nationkey = n_nationkey \
+                 where n_name = 'FRANCE'",
+                "((orders ⋈ customer) ⋈ nation)",
+            ),
+            // A residual ON conjunct reads a third atom (`nation`) besides
+            // the one the key reads (`customer`).
+            (
+                "select o_orderkey from nation \
+                 join customer on n_nationkey = c_nationkey \
+                 join orders on c_custkey = o_custkey and o_totalprice > n_nationkey \
+                 where o_orderstatus = 'F'",
+                "((nation ⋈ customer) ⋈ orders)",
+            ),
+        ] {
+            assert_eq!(ndp_shape(sql).0, want, "{sql}");
+        }
+        // The same residual over the moved join's own atoms moves with it.
+        assert_eq!(
+            ndp_shape(
+                "select o_orderkey from nation \
+                 join customer on n_nationkey = c_nationkey \
+                 join orders on c_custkey = o_custkey and o_totalprice > c_acctbal \
+                 where o_orderstatus = 'F'"
+            )
+            .0,
+            "(nation ⋈ (customer ⋈ orders))"
+        );
     }
 }

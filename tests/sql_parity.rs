@@ -9,8 +9,8 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use taurus::common::config::ClusterConfig;
-use taurus::common::schema::Row;
-use taurus::common::{Error, Value};
+use taurus::common::schema::{Column, Row, TableSchema};
+use taurus::common::{DataType, Error, Value};
 use taurus::ndp::TaurusDb;
 use taurus::pagestore::SkipPolicy;
 use taurus::prelude::Session;
@@ -311,10 +311,157 @@ fn narrowed_scans_match_under_every_serving_outcome() {
     stop.store(true, Ordering::Relaxed);
     let commits = writer.join().unwrap();
     // The race was on: the writer committed throughout, and the Page
-    // Stores served NDP pages under it.
+    // Stores served NDP pages under it, some records on them ambiguous.
     assert!(commits > 10, "{commits} commits");
     let d = db.metrics().snapshot().since(&before);
     assert!(d.pages_shipped_ndp > 0, "{d:?}");
+    assert!(d.ambiguous_records > 0, "{d:?}");
+}
+
+// --- implied single-atom predicates ------------------------------------------
+
+const T1_ROWS: i64 = 1500;
+const T2_ROWS: i64 = 3000;
+const T3_ROWS: i64 = 1000;
+
+/// `t1(id, g, a)`, `a` NULL in every 7th row; `t2(id, t1id, b)`, `b`
+/// NULL in every 5th; `t3(id, t2id, c)`, at most one a `t2` row, `c` NULL
+/// in every 3rd. Each has a pad, so the tables span pages.
+fn t1_row(id: i64) -> (i64, Option<i64>) {
+    (id / 2, (id % 7 != 0).then_some(id % 11))
+}
+fn t2_row(id: i64) -> (i64, Option<i64>) {
+    ((id * 7) % T1_ROWS, (id % 5 != 0).then_some(id % 4))
+}
+fn t3_row(id: i64) -> (i64, Option<i64>) {
+    ((id * 3) % T2_ROWS, (id % 3 != 0).then_some(id % 6))
+}
+
+fn nullable_db(batch_rows: usize) -> Arc<TaurusDb> {
+    let mut cfg = ClusterConfig::small_for_tests();
+    cfg.ndp.enabled = true;
+    cfg.scan_batch_rows = batch_rows;
+    let db = TaurusDb::new(cfg);
+    let tables: [(&str, [&str; 2], i64, fn(i64) -> (i64, Option<i64>)); 3] = [
+        ("t1", ["g", "a"], T1_ROWS, t1_row),
+        ("t2", ["t1id", "b"], T2_ROWS, t2_row),
+        ("t3", ["t2id", "c"], T3_ROWS, t3_row),
+    ];
+    for (name, [fk, nullable], rows, row) in tables {
+        let schema = TableSchema::new(
+            name,
+            vec![
+                Column::new("id", DataType::BigInt),
+                Column::new(fk, DataType::BigInt),
+                Column::nullable(nullable, DataType::Int),
+                Column::new("pad", DataType::Varchar(30)),
+            ],
+            vec![0],
+        );
+        let t = db.create_table(schema, &[]).unwrap();
+        let rows = (0..rows).map(|id| {
+            let (fk, v) = row(id);
+            vec![
+                Value::Int(id),
+                Value::Int(fk),
+                v.map_or(Value::Null, Value::Int),
+                Value::str("p".repeat(24)),
+            ]
+        });
+        db.bulk_load(&t, rows.collect()).unwrap();
+    }
+    db
+}
+
+/// An OR over `t1`, `t2` and the LEFT-joined `t3`, with `IS NULL` in its
+/// disjuncts. Every disjunct reads each atom; pushed below the LEFT JOIN,
+/// `t3`'s implied predicate would turn a `t3` row it drops into a NULL
+/// row that the second and third disjuncts keep.
+const IMPLIED_OR: &str = "(t1.a is null and t2.b = 2 and t3.c = 4) \
+     or (t1.a = 2 and t2.b is null and t3.c is null) \
+     or (t1.a > 8 and t3.id is null and t2.b = 3)";
+
+fn implied_sql(cond: &str) -> String {
+    format!(
+        "select t1.id, t2.id, t3.id from t1 join t2 on t1.id = t2.t1id \
+         left join t3 on t2.id = t3.t2id where {cond} order by t1.id, t2.id"
+    )
+}
+
+/// What `implied_sql(IMPLIED_OR)` means, worked out from the generators
+/// in three-valued logic: a comparison with NULL is never TRUE.
+fn implied_expected() -> Vec<Row> {
+    let t3_of: std::collections::HashMap<i64, (i64, Option<i64>)> = (0..T3_ROWS)
+        .map(|id| {
+            let (t2id, c) = t3_row(id);
+            (t2id, (id, c))
+        })
+        .collect();
+    let mut out = Vec::new();
+    for t2 in 0..T2_ROWS {
+        let (t1, b) = t2_row(t2);
+        let (_, a) = t1_row(t1);
+        let (t3, c) = match t3_of.get(&t2) {
+            Some(&(id, c)) => (Some(id), c),
+            None => (None, None),
+        };
+        let keep = (a.is_none() && b == Some(2) && c == Some(4))
+            || (a == Some(2) && b.is_none() && c.is_none())
+            || (a.is_some_and(|a| a > 8) && t3.is_none() && b == Some(3));
+        if keep {
+            out.push((t1, t2, t3));
+        }
+    }
+    out.sort();
+    out.into_iter()
+        .map(|(t1, t2, t3)| {
+            vec![
+                Value::Int(t1),
+                Value::Int(t2),
+                t3.map_or(Value::Null, Value::Int),
+            ]
+        })
+        .collect()
+}
+
+/// A residual OR implies a predicate on each inner-joined atom every
+/// disjunct reads (`t1`, `t2`), none on the LEFT JOIN's null-producing
+/// side (`t3`), and the rows stay those of the OR alone: NDP off = on,
+/// in every batch size, = the same condition written as a CASE (no
+/// implied predicate) = the generators.
+#[test]
+fn implied_predicates_keep_null_semantics() {
+    let want = fmt_rows(&implied_expected());
+    assert!(want.lines().count() > 100, "{want}");
+    for batch_rows in [1, 7, 1024] {
+        let db = nullable_db(batch_rows);
+        let mut session = Session::new(&db);
+        let or_sql = implied_sql(IMPLIED_OR);
+        let case_sql = implied_sql(&format!("case when {IMPLIED_OR} then 1 else 0 end = 1"));
+        let scan_preds = |sql: &str| {
+            let taurus::sql::Statement::Select(s) = taurus::sql::parse(sql).unwrap() else {
+                panic!("{sql}")
+            };
+            let plan = taurus::sql::bind(&session, &s).unwrap();
+            let mut preds = Vec::new();
+            plan.for_each_scan(&mut |s, _| preds.push((s.table.clone(), s.predicate.len())));
+            preds
+        };
+        let implied = [
+            ("t1".to_string(), 1),
+            ("t2".to_string(), 1),
+            ("t3".to_string(), 0),
+        ];
+        assert_eq!(scan_preds(&or_sql), implied);
+        assert!(scan_preds(&case_sql).iter().all(|(_, n)| *n == 0));
+        for ndp in [false, true] {
+            session.set_ndp(ndp);
+            for sql in [&or_sql, &case_sql] {
+                let got = fmt_rows(&session.sql(sql).unwrap());
+                assert_eq!(got, want, "batch {batch_rows}, ndp {ndp}: {sql}");
+            }
+        }
+    }
 }
 
 /// A GROUP BY key past the hash key encoding's `u16` string length is a
