@@ -29,8 +29,8 @@ pub mod scan;
 
 pub use engine::{ColumnStats, ReplicaState, SpaceStore, Table, TableIndex, TableStats, TaurusDb};
 pub use scan::{
-    build_descriptor, partition_ranges, prefetch_leaves, scan, scan_ctx, JoinFilter, KeyList,
-    KeyRead, NdpChoice, PointLookup, ScanAgg, ScanAggregation, ScanConsumer, ScanSpec, ScanStats,
+    build_descriptor, partition_ranges, prefetch_leaves, scan, scan_ctx, AggItem, JoinFilter,
+    KeyList, KeyRead, NdpChoice, PointLookup, ScanAggregation, ScanConsumer, ScanSpec, ScanStats,
     LOOKUP_PREFETCH_PAGES_MAX,
 };
 

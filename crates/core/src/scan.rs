@@ -110,7 +110,7 @@ const POINT_BATCH_ROWS: usize = 64;
 /// Aggregation requested from a scan (column refs are *table* columns).
 #[derive(Clone, Debug)]
 pub struct ScanAggregation {
-    pub specs: Vec<ScanAgg>,
+    pub specs: Vec<AggItem>,
     /// GROUP BY columns, in any order.
     pub group_cols: Vec<usize>,
     /// HAVING conjuncts the Page Stores apply to the groups complete on a
@@ -120,11 +120,12 @@ pub struct ScanAggregation {
     pub having: Option<Expr>,
 }
 
-/// One aggregate a scan asks storage for: a storage-side function over an
-/// expression of table columns (`None` for COUNT(*)). A bare column goes
-/// to the descriptor as a column, anything else as an IR program.
+/// One aggregate: a function over an expression (`None` for COUNT(*)),
+/// the same from a plan's aggregation down to the Page Store. Asked of a
+/// scan, the expression is over table columns, and a bare column goes to
+/// the descriptor as a column, anything else as an IR program.
 #[derive(Clone, Debug, PartialEq)]
-pub struct ScanAgg {
+pub struct AggItem {
     pub func: AggFunc,
     pub input: Option<Expr>,
 }

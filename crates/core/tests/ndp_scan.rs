@@ -11,7 +11,7 @@ use taurus_common::{ClusterConfig, DataType, Date32, Dec, Value};
 use taurus_expr::agg::{AggFunc, AggInput, AggSpec, AggState};
 use taurus_expr::ast::Expr;
 use taurus_ndp::{
-    scan, NdpChoice, ScanAgg, ScanAggregation, ScanConsumer, ScanRange, ScanSpec, TaurusDb,
+    scan, AggItem, NdpChoice, ScanAggregation, ScanConsumer, ScanRange, ScanSpec, TaurusDb,
 };
 use taurus_pagestore::SkipPolicy;
 
@@ -68,10 +68,10 @@ fn fresh_db(rows: i64) -> (Arc<TaurusDb>, Arc<taurus_ndp::Table>) {
 }
 
 /// `specs` over table columns as a scan asks storage for them.
-fn scan_aggs(specs: &[AggSpec]) -> Vec<ScanAgg> {
+fn scan_aggs(specs: &[AggSpec]) -> Vec<AggItem> {
     specs
         .iter()
-        .map(|s| ScanAgg {
+        .map(|s| AggItem {
             func: s.func,
             input: match s.input {
                 AggInput::Col(c) => Some(Expr::col(c as usize)),

@@ -21,8 +21,8 @@ use std::borrow::Cow;
 
 use taurus_common::codec::put_value16;
 use taurus_common::schema::Row;
-use taurus_common::{panic_message, Dec, Error, KeyMap, QueryCtx, Result, RowBatch, Value};
-use taurus_expr::agg::{AggFunc, AggState};
+use taurus_common::{panic_message, Error, KeyMap, QueryCtx, Result, RowBatch, Value};
+use taurus_expr::agg::AggState;
 use taurus_expr::ast::Expr;
 use taurus_expr::vm::CompiledPredicate;
 use taurus_ndp::ReadView;
@@ -31,7 +31,7 @@ use taurus_ndp::{
     TaurusDb,
 };
 use taurus_optimizer::plan::{
-    AggFuncEx, AggItem, AggScanNode, HashAggNode, JoinType, LookupJoinNode, Plan, ScanNode,
+    AggItem, AggScanNode, HashAggNode, JoinType, LookupJoinNode, Plan, ScanNode,
 };
 use taurus_verify::DiagKind;
 
@@ -164,110 +164,6 @@ pub(crate) fn remap_to_output(e: &Expr, output: &[usize], kind: DiagKind) -> Res
 
 // --- aggregation -------------------------------------------------------------
 
-/// Executor-side aggregate state (supports AVG via SUM+COUNT).
-#[derive(Clone, Debug)]
-pub(crate) enum AggStateEx {
-    Simple(AggState),
-    Avg { sum: AggState, count: i64 },
-}
-
-impl AggStateEx {
-    pub(crate) fn new(item: &AggItem, dtypes: &[taurus_common::DataType]) -> AggStateEx {
-        let input_dtype = item.input.as_ref().and_then(|e| e.dtype(dtypes).ok());
-        match item.func {
-            AggFuncEx::Avg => AggStateEx::Avg {
-                sum: AggState::new(AggFunc::Sum, input_dtype),
-                count: 0,
-            },
-            f => {
-                // lint:allow(panic): AVG was decomposed to SUM+COUNT above
-                let func = f.storage_func().expect("non-AVG");
-                AggStateEx::Simple(AggState::new(func, input_dtype))
-            }
-        }
-    }
-
-    pub(crate) fn update(&mut self, v: &Value) {
-        match self {
-            AggStateEx::Simple(s) => s.update(v),
-            AggStateEx::Avg { sum, count } => {
-                if !v.is_null() {
-                    sum.update(v);
-                    *count += 1;
-                }
-            }
-        }
-    }
-
-    /// Merge storage partials. An AVG state consumes *two* storage states
-    /// (SUM + COUNT — the §III decomposition); others consume one.
-    /// Returns how many were consumed.
-    pub(crate) fn merge_partial(&mut self, others: &[AggState]) -> Result<usize> {
-        match self {
-            AggStateEx::Simple(s) => {
-                s.merge(
-                    others
-                        .first()
-                        .ok_or_else(|| Error::Internal("missing storage partial".into()))?,
-                )?;
-                Ok(1)
-            }
-            AggStateEx::Avg { sum, count } => {
-                let (s, c) = match others {
-                    [s, c, ..] => (s, c),
-                    _ => return Err(Error::Internal("AVG needs SUM+COUNT partials".into())),
-                };
-                sum.merge(s)?;
-                match c {
-                    AggState::Count(n) => *count += n,
-                    other => {
-                        return Err(Error::Internal(format!("AVG count partial is {other:?}")))
-                    }
-                }
-                Ok(2)
-            }
-        }
-    }
-
-    pub(crate) fn merge_ex(&mut self, other: &AggStateEx) -> Result<()> {
-        match (self, other) {
-            (AggStateEx::Simple(a), AggStateEx::Simple(b)) => a.merge(b),
-            (AggStateEx::Avg { sum: s1, count: c1 }, AggStateEx::Avg { sum: s2, count: c2 }) => {
-                s1.merge(s2)?;
-                *c1 += c2;
-                Ok(())
-            }
-            _ => Err(Error::Internal("mismatched executor agg states".into())),
-        }
-    }
-
-    pub(crate) fn finalize(&self) -> Value {
-        match self {
-            AggStateEx::Simple(s) => s.finalize(),
-            AggStateEx::Avg { sum, count } => {
-                if *count == 0 {
-                    return Value::Null;
-                }
-                match sum.finalize() {
-                    Value::Null => Value::Null,
-                    Value::Int(v) => Value::Decimal(
-                        Dec::from_int(v)
-                            .div(Dec::from_int(*count))
-                            // lint:allow(panic): a finalized group saw >= 1 row, count != 0
-                            .expect("count>0"),
-                    ),
-                    Value::Decimal(d) => {
-                        // lint:allow(panic): a finalized group saw >= 1 row, count != 0
-                        Value::Decimal(d.div(Dec::from_int(*count)).expect("count>0"))
-                    }
-                    Value::Double(d) => Value::Double(d / *count as f64),
-                    other => other,
-                }
-            }
-        }
-    }
-}
-
 /// An operator's expression over its input row, compiled once when the
 /// tree is lowered: a bare column is read in place (there is nothing to
 /// evaluate), anything else is a program the record VM runs over the row.
@@ -298,7 +194,7 @@ impl RowExpr {
 
 /// Fold one row into one aggregate: COUNT(*) counts the row, anything
 /// else folds its input's value.
-fn fold_input(state: &mut AggStateEx, input: Option<&RowExpr>, row: &[Value]) -> Result<()> {
+fn fold_input(state: &mut AggState, input: Option<&RowExpr>, row: &[Value]) -> Result<()> {
     match input {
         None => state.update(&Value::Int(1)),
         Some(e) => state.update(e.value(row)?.as_ref()),
@@ -308,7 +204,7 @@ fn fold_input(state: &mut AggStateEx, input: Option<&RowExpr>, row: &[Value]) ->
 
 /// Partially-aggregated groups keyed by encoded group values; mergeable
 /// across PQ workers.
-pub(crate) type AggPartials = Vec<(Vec<u8>, Row, Vec<AggStateEx>)>;
+pub(crate) type AggPartials = Vec<(Vec<u8>, Row, Vec<AggState>)>;
 
 /// Merge partial group lists (leader side of PQ), groups in the order
 /// they are first seen: given the workers' lists in partition order, an
@@ -316,7 +212,7 @@ pub(crate) type AggPartials = Vec<(Vec<u8>, Row, Vec<AggStateEx>)>;
 /// scan emits them. (The caller sorts what must come out in encoded-key
 /// order.)
 pub(crate) fn merge_partial_groups(parts: Vec<AggPartials>) -> Result<AggPartials> {
-    let mut map: KeyMap<(Row, Vec<AggStateEx>)> = KeyMap::default();
+    let mut map: KeyMap<(Row, Vec<AggState>)> = KeyMap::default();
     let mut order: Vec<Vec<u8>> = Vec::new();
     for part in parts {
         for (key, gvals, states) in part {
@@ -327,7 +223,7 @@ pub(crate) fn merge_partial_groups(parts: Vec<AggPartials>) -> Result<AggPartial
                 }
                 Some((_, mine)) => {
                     for (m, s) in mine.iter_mut().zip(&states) {
-                        m.merge_ex(s)?;
+                        m.merge(s)?;
                     }
                 }
             }
@@ -394,7 +290,7 @@ pub(crate) struct HashAggAcc {
     /// row's types where those are known (an `AggScan`'s); a `HashAgg`'s
     /// input types are unknowable in general, and its states infer their
     /// shape from the first value.
-    fresh: Vec<AggStateEx>,
+    fresh: Vec<AggState>,
     /// Groups in the order first seen, and where each key's is (unless
     /// `index_ordered`).
     groups: AggPartials,
@@ -425,7 +321,10 @@ impl HashAggAcc {
                 .iter()
                 .map(|a| a.input.as_ref().map(RowExpr::new).transpose())
                 .collect::<Result<_>>()?,
-            fresh: aggs.iter().map(|i| AggStateEx::new(i, dtypes)).collect(),
+            fresh: aggs
+                .iter()
+                .map(|a| AggState::new(a.func, a.input.as_ref().and_then(|e| e.dtype(dtypes).ok())))
+                .collect(),
             groups: Vec::new(),
             slots: KeyMap::default(),
             last: None,
@@ -519,20 +418,21 @@ impl HashAggAcc {
     }
 
     /// Merge a storage partial into the group of the row delivered just
-    /// before it.
+    /// before it: one state per aggregate, in the plan's order.
     pub(crate) fn merge_partial(&mut self, states: &[AggState]) -> Result<()> {
         let g = self
             .last
             .ok_or_else(|| Error::Internal("partial before carrier row".into()))?;
-        let mut at = 0usize;
-        for m in self.groups[g].2.iter_mut() {
-            at += m.merge_partial(&states[at..])?;
-        }
-        if at != states.len() {
+        let mine = &mut self.groups[g].2;
+        if states.len() != mine.len() {
             return Err(Error::Internal(format!(
-                "storage sent {} partial states, consumed {at}",
-                states.len()
+                "storage sent {} partial states for {} aggregates",
+                states.len(),
+                mine.len()
             )));
+        }
+        for (m, s) in mine.iter_mut().zip(states) {
+            m.merge(s)?;
         }
         Ok(())
     }
@@ -1030,7 +930,7 @@ mod tests {
                 Expr::add(Expr::col(3), Expr::int(1)),
             ],
             aggs: vec![AggItem {
-                func: AggFuncEx::CountStar,
+                func: taurus_optimizer::plan::AggFunc::CountStar,
                 input: None,
             }],
         };

@@ -7,7 +7,7 @@
 use taurus_common::{Result, RowBatch};
 use taurus_optimizer::plan::HashAggNode;
 
-use super::{emit_or_end, BatchEmitter, BoxOp, Operator};
+use super::{check_deadline, emit_or_end, BatchEmitter, BoxOp, Operator};
 use crate::exec::{finalize_agg_groups, ExecContext, HashAggAcc};
 
 pub(crate) struct HashAggOp<'r, 'env> {
@@ -49,6 +49,7 @@ impl Operator for HashAggOp<'_, '_> {
         if let Some(mut acc) = self.acc.take() {
             if let Some(child) = &mut self.child {
                 while let Some(b) = child.next_batch()? {
+                    check_deadline(self.ctx, "aggregation")?;
                     for row in b.rows() {
                         acc.update(row)?;
                     }

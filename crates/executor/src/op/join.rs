@@ -38,7 +38,7 @@ use taurus_common::{KeyMap, Result, RowBatch, Value};
 use taurus_ndp::JoinFilter;
 use taurus_optimizer::plan::{HashJoinNode, JoinFilterDecision, JoinType, LookupJoinNode, Plan};
 
-use super::{emit_or_end, BoxOp, InputCursor, Operator};
+use super::{check_deadline, emit_or_end, BoxOp, InputCursor, Operator};
 use crate::exec::{ExecContext, JoinPrograms, LookupProbe};
 
 /// Encode `row`'s join key (the values at `cols`) into `key`, reusing its
@@ -135,6 +135,7 @@ impl<'r, 'env> HashJoinOp<'r, 'env> {
         }
         if let Some(right) = &mut self.right {
             while let Some(mut b) = right.next_batch()? {
+                check_deadline(self.ctx, "hash join build")?;
                 self.right_rows.reserve(b.len());
                 self.right_rows.extend(b.drain_rows());
             }
@@ -216,6 +217,7 @@ impl Operator for HashJoinOp<'_, '_> {
 
     fn next_batch(&mut self) -> Result<Option<RowBatch>> {
         self.build_side()?;
+        check_deadline(self.ctx, "hash join probe")?;
         let out_width = match self.node.join {
             JoinType::Inner | JoinType::LeftOuter => self.left_width + self.right_width,
             JoinType::Semi | JoinType::Anti => self.left_width,

@@ -147,11 +147,29 @@ pub(crate) fn drain(
     Ok(())
 }
 
-/// [`drain`] into rows.
-pub(crate) fn collect(root: BoxOp<'_>) -> Result<Vec<Row>> {
+/// [`drain`] into rows: a PQ worker's output, which Gather merges, with
+/// the deadline checked once per batch.
+pub(crate) fn collect(ctx: &ExecContext<'_>, root: BoxOp<'_>) -> Result<Vec<Row>> {
     let mut out: Vec<Row> = Vec::new();
-    drain(root, append_to(&mut out))?;
+    {
+        let mut append = append_to(&mut out);
+        drain(root, |batch| {
+            check_deadline(ctx, "gather")?;
+            append(batch)
+        })?;
+    }
     Ok(out)
+}
+
+/// A pipeline breaker's deadline check, once per input batch (a join
+/// probe's once per output batch). Scans check at their page boundaries,
+/// but a breaker can run long between two of them on rows already read:
+/// sorting, folding, building or joining them. An expiry is counted as a
+/// scan's is.
+pub(crate) fn check_deadline(ctx: &ExecContext<'_>, what: &str) -> Result<()> {
+    ctx.qctx
+        .check(what)
+        .inspect_err(|_| ctx.db.metrics().add(|m| &m.deadline_exceeded, 1))
 }
 
 /// A sink that moves every batch's rows onto the end of `out`.
@@ -317,7 +335,7 @@ mod tests {
     use taurus_expr::ast::Expr;
     use taurus_ndp::TaurusDb;
     use taurus_optimizer::plan::{
-        AggFuncEx, AggItem, AggScanNode, HashAggNode, HashJoinNode, JoinType, LookupJoinNode,
+        AggFunc, AggItem, AggScanNode, HashAggNode, HashJoinNode, JoinType, LookupJoinNode,
         ScanNode,
     };
 
@@ -343,7 +361,7 @@ mod tests {
 
     fn count_star() -> AggItem {
         AggItem {
-            func: AggFuncEx::CountStar,
+            func: AggFunc::CountStar,
             input: None,
         }
     }

@@ -9,10 +9,9 @@ use std::cmp::Ordering;
 
 use taurus_common::schema::Row;
 use taurus_common::{Result, RowBatch};
-use taurus_ndp::TaurusDb;
 use taurus_optimizer::plan::SortNode;
 
-use super::{emit_or_end, BatchEmitter, BoxOp, Operator};
+use super::{check_deadline, emit_or_end, BatchEmitter, BoxOp, Operator};
 use crate::exec::ExecContext;
 
 /// The sort order of `keys`: (position, descending) pairs, earlier keys
@@ -77,7 +76,7 @@ impl<'k> TopN<'k> {
 }
 
 pub(crate) struct SortOp<'r, 'env> {
-    db: &'env TaurusDb,
+    ctx: &'env ExecContext<'env>,
     node: &'env SortNode,
     child: Option<BoxOp<'r>>,
     out: Option<BatchEmitter>,
@@ -90,7 +89,7 @@ impl<'r, 'env> SortOp<'r, 'env> {
         child: BoxOp<'r>,
     ) -> SortOp<'r, 'env> {
         SortOp {
-            db: ctx.db,
+            ctx,
             node,
             child: Some(child),
             out: None,
@@ -107,6 +106,7 @@ impl<'r, 'env> SortOp<'r, 'env> {
             Some(limit) => {
                 let mut top = TopN::new(keys, limit);
                 while let Some(mut b) = child.next_batch()? {
+                    check_deadline(self.ctx, "TopN")?;
                     top.push(b.drain_rows());
                 }
                 Ok(top.finish())
@@ -114,6 +114,7 @@ impl<'r, 'env> SortOp<'r, 'env> {
             None => {
                 let mut rows: Vec<Row> = Vec::new();
                 while let Some(mut b) = child.next_batch()? {
+                    check_deadline(self.ctx, "sort")?;
                     rows.reserve(b.len());
                     rows.extend(b.drain_rows());
                 }
@@ -146,13 +147,13 @@ impl Operator for SortOp<'_, '_> {
             if let Some(mut c) = self.child.take() {
                 c.close();
             }
-            self.out = Some(BatchEmitter::new(rows, self.db));
+            self.out = Some(BatchEmitter::new(rows, self.ctx.db));
         }
         Ok(self
             .out
             .as_mut()
             .and_then(BatchEmitter::next_batch)
-            .and_then(|b| emit_or_end(self.db, b)))
+            .and_then(|b| emit_or_end(self.ctx.db, b)))
     }
 
     fn close(&mut self) {

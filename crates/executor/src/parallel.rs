@@ -188,15 +188,14 @@ fn run_worker<'env>(
         }
         WorkerPrep::Join(j, programs) => {
             let input = Box::new(BatchScanOp::new(ctx, scan, Some(range), s));
-            WorkerOut::Rows(collect(Box::new(LookupJoinOp::new(
-                ctx, j, programs, input,
-            )))?)
+            WorkerOut::Rows(collect(
+                ctx,
+                Box::new(LookupJoinOp::new(ctx, j, programs, input)),
+            )?)
         }
-        WorkerPrep::Rows => WorkerOut::Rows(collect(Box::new(BatchScanOp::new(
+        WorkerPrep::Rows => WorkerOut::Rows(collect(
             ctx,
-            scan,
-            Some(range),
-            s,
-        )))?),
+            Box::new(BatchScanOp::new(ctx, scan, Some(range), s)),
+        )?),
     })
 }

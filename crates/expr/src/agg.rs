@@ -4,8 +4,9 @@
 //! [`AggState`] attached to the group's last surviving record (the paper's
 //! `((5,2), 9)` example), and the compute node merges partials — including
 //! across PQ workers, where "AVG is computed by keeping SUM and COUNT
-//! values per thread" (§III). AVG therefore never ships as a state of its
-//! own: the planner decomposes it into SUM + COUNT and divides at finalize.
+//! values per thread" (§III). AVG therefore has no function or state of its
+//! own: the SQL binder writes it as a SUM and a COUNT of its input and
+//! divides them above the aggregation.
 //! States serialize into the aggregate-record payload using the same value
 //! layout as the descriptor bitcode (`taurus_common::codec`, `u16` string
 //! lengths).

@@ -9,7 +9,7 @@ pub mod plan;
 pub use explain::{explain, explain_physical};
 pub use ndp_post::{estimate_filter_factor, ndp_post_process, NdpReport};
 pub use plan::{
-    AggFuncEx, AggItem, AggScanNode, ExchangeNode, FilterNode, HashAggNode, HashJoinNode,
+    AggFunc, AggItem, AggScanNode, ExchangeNode, FilterNode, HashAggNode, HashJoinNode,
     JoinFilterDecision, JoinType, LookupJoinNode, NdpDecision, Plan, ProjectNode, RangeSpec,
     ScanNode, SortNode,
 };

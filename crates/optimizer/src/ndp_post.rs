@@ -12,14 +12,15 @@
 //!   threshold (§V-A);
 //! * **aggregation** — only on an [`crate::plan::AggScanNode`] (the last
 //!   and only table of its block) with no residual predicates, inputs the
-//!   Page Stores can compute ([`storage_aggs`]), and few enough groups a
-//!   leaf by the catalog's estimate ([`GROUPS_PER_LEAF_THRESHOLD`]): a GROUP
-//!   BY that follows the index is folded group after group, any other in a
-//!   per-page table of at most [`GROUP_TABLE_GROUPS`] groups (§V-C);
+//!   Page Stores can compute ([`storage_can_compute`]), and few enough
+//!   groups a leaf by the catalog's estimate
+//!   ([`GROUPS_PER_LEAF_THRESHOLD`]): a GROUP BY that follows the index is
+//!   folded group after group, any other in a per-page table of at most
+//!   [`GROUP_TABLE_GROUPS`] groups (§V-C);
 //! * **HAVING**, carried one step past §V-C: when the `AggScan`'s GROUP BY
 //!   follows the index and a `Filter` sits right above it, the Filter's
 //!   conjuncts that the Page Stores can judge from a group's outputs
-//!   ([`storage_having`]) go with the aggregation ([`decide_having`]).
+//!   ([`storage_can_judge`]) go with the aggregation ([`decide_having`]).
 //!   Groups arrive one after another, so a group that neither starts nor
 //!   ends its page, and no ambiguous record carries, is complete there,
 //!   and the plugin drops it when those conjuncts are not `True` for it.
@@ -57,12 +58,12 @@ use taurus_common::{DataType, Result, Value};
 use taurus_expr::agg::AggFunc;
 use taurus_expr::ast::{CmpOp, Expr};
 use taurus_ndp::{
-    NdpChoice, ScanAgg, ScanAggregation, TableIndex, TableStats, TaurusDb, GROUP_TABLE_GROUPS,
+    NdpChoice, ScanAggregation, TableIndex, TableStats, TaurusDb, GROUP_TABLE_GROUPS,
 };
 
 use crate::plan::{
-    AggFuncEx, AggItem, AggScanNode, HashJoinNode, JoinFilterDecision, JoinType, LookupJoinNode,
-    NdpDecision, Plan, RangeSpec, ScanNode,
+    AggItem, AggScanNode, HashJoinNode, JoinFilterDecision, JoinType, LookupJoinNode, NdpDecision,
+    Plan, RangeSpec, ScanNode,
 };
 
 /// Why a table access did or did not get each NDP feature (EXPLAIN food).
@@ -179,15 +180,13 @@ fn decide_scan(
         let residual_empty = pushed.len() == node.predicate.len();
         let range_covered =
             matches!((&node.range.lower, &node.range.upper), (None, None)) || !pushed.is_empty();
-        let dtypes = table.schema.dtypes();
-        let specs = storage_aggs(aggs, &dtypes);
+        let computable = storage_can_compute(aggs, &table.schema.dtypes());
         let index_ordered = idx.tree.def.effective_key_cols().starts_with(group_cols);
         estimate_groups(group_cols, index_ordered, idx, &stats, &mut report);
         let few_groups = report.groups_per_leaf <= report.group_limit;
-        if let (true, true, Some(specs), true) = (residual_empty, range_covered, specs, few_groups)
-        {
+        if residual_empty && range_covered && computable && few_groups {
             choice.aggregation = Some(ScanAggregation {
-                specs,
+                specs: aggs.clone(),
                 group_cols: group_cols.clone(),
                 having: None,
             });
@@ -201,43 +200,24 @@ fn decide_scan(
     Ok(report)
 }
 
-/// The storage form of a block's aggregates: each as its storage-side
-/// function, AVG as a SUM and a COUNT of its input ("the calculation of
-/// AVG is pushed down as well", §III). `None` when an input is not one
-/// the Page Stores can compute: off the §V-B1 allow-list, or a program
-/// past the descriptor's register budget.
-pub fn storage_aggs(aggs: &[AggItem], dtypes: &[DataType]) -> Option<Vec<ScanAgg>> {
-    let mut specs = Vec::with_capacity(aggs.len());
-    for a in aggs {
-        if let Some(e) = &a.input {
-            if !e.is_ndp_supported(dtypes) || taurus_expr::compile::lower_for_ndp(e).is_err() {
-                return None;
-            }
-        }
-        let input = a.input.clone();
-        match a.func.storage_func() {
-            Some(func) => specs.push(ScanAgg { func, input }),
-            None if input.is_some() => {
-                specs.push(ScanAgg {
-                    func: AggFunc::Sum,
-                    input: input.clone(),
-                });
-                specs.push(ScanAgg {
-                    func: AggFunc::Count,
-                    input,
-                });
-            }
-            None => return None,
-        }
-    }
-    Some(specs)
+/// Can the Page Stores compute every one of a block's aggregates? Each
+/// is pushed as it is (the binder has already written an AVG as a SUM
+/// over a COUNT, §III), so only the inputs are judged: `false` for one
+/// off the §V-B1 allow-list, or a program past the descriptor's register
+/// budget.
+pub fn storage_can_compute(aggs: &[AggItem], dtypes: &[DataType]) -> bool {
+    aggs.iter().all(|a| {
+        a.input.as_ref().is_none_or(|e| {
+            e.is_ndp_supported(dtypes) && taurus_expr::compile::lower_for_ndp(e).is_ok()
+        })
+    })
 }
 
 /// The HAVING decision of an `AggScan` whose rows `filter` judges: when
 /// its aggregation went to storage grouped in index order, the conjuncts
-/// of `filter` whose [`storage_having`] form is on the §V-B1 allow-list
-/// go with it, as one program within the descriptor's register budget.
-/// Returns whether any did.
+/// of `filter` that [`storage_can_judge`] and that are on the §V-B1
+/// allow-list go with it, as one program within the descriptor's
+/// register budget. Returns whether any did.
 fn decide_having(filter: &Expr, a: &mut AggScanNode, db: &TaurusDb) -> Result<bool> {
     let index_ordered = !a.group_cols.is_empty() && a.index_ordered(db);
     let Some(agg) = a
@@ -256,13 +236,10 @@ fn decide_having(filter: &Expr, a: &mut AggScanNode, db: &TaurusDb) -> Result<bo
     let outputs = grouped_dtypes(&agg.group_cols, &agg.specs, &table.schema.dtypes());
     let mut pushed: Vec<Expr> = Vec::new();
     for c in conjuncts(filter) {
-        let Some(e) = storage_having(c, &a.aggs, a.group_cols.len()) else {
-            continue;
-        };
-        if !e.is_ndp_supported(&outputs) {
+        if !storage_can_judge(c, &a.aggs, a.group_cols.len()) || !c.is_ndp_supported(&outputs) {
             continue;
         }
-        pushed.push(e);
+        pushed.push(c.clone());
         if taurus_expr::compile::lower_for_ndp(&Expr::and(pushed.clone())).is_err() {
             pushed.pop();
         }
@@ -282,53 +259,29 @@ pub fn conjuncts(e: &Expr) -> &[Expr] {
     }
 }
 
-/// A HAVING conjunct over an `AggScan`'s output row (its `n_group` group
-/// columns, then one value per aggregate of `aggs`) in the form a Page
-/// Store evaluates: over a group's outputs there, the group columns and
-/// then the storage aggregates [`storage_aggs`] makes of `aggs`, an AVG
-/// as its SUM divided by its COUNT (the SQL node's AVG, to the digit).
-/// `None` when it reads a SUM or an AVG over an expression: a Page Store
-/// types such a sum by its first value, the SQL node by the expression's
-/// type, and their finals may differ in scale.
-pub fn storage_having(conjunct: &Expr, aggs: &[AggItem], n_group: usize) -> Option<Expr> {
-    let mut first_state = Vec::with_capacity(aggs.len());
-    let mut states = n_group;
-    for a in aggs {
-        first_state.push(states);
-        states += if a.func == AggFuncEx::Avg { 2 } else { 1 };
-    }
-    let readable = conjunct
+/// Can a Page Store judge a HAVING conjunct over an `AggScan`'s output
+/// row (its `n_group` group columns, then one value per aggregate of
+/// `aggs`)? A group's outputs there are the same columns in the same
+/// order, so the conjunct goes as it is. Not when it reads a SUM over an
+/// expression: a Page Store types such a sum by its first value, the SQL
+/// node by the expression's type, and their finals may differ in scale.
+pub fn storage_can_judge(conjunct: &Expr, aggs: &[AggItem], n_group: usize) -> bool {
+    conjunct
         .columns()
         .into_iter()
         .all(|c| match c.checked_sub(n_group) {
             None => true,
-            Some(j) => aggs.get(j).is_some_and(|a| {
-                let summed = matches!(a.func, AggFuncEx::Sum | AggFuncEx::Avg);
-                !summed || matches!(a.input, Some(Expr::Col(_)))
-            }),
-        });
-    if !readable {
-        return None;
-    }
-    Some(
-        conjunct.substitute_columns(&|c| match c.checked_sub(n_group) {
-            None => Expr::Col(c),
-            Some(j) => {
-                let s = first_state[j];
-                match aggs[j].func {
-                    AggFuncEx::Avg => Expr::div(Expr::Col(s), Expr::Col(s + 1)),
-                    _ => Expr::Col(s),
-                }
-            }
-        }),
-    )
+            Some(j) => aggs
+                .get(j)
+                .is_some_and(|a| a.func != AggFunc::Sum || matches!(a.input, Some(Expr::Col(_)))),
+        })
 }
 
 /// The types of a group's outputs at a Page Store: its group columns',
 /// then each storage aggregate's final value's.
-fn grouped_dtypes(group_cols: &[usize], specs: &[ScanAgg], dtypes: &[DataType]) -> Vec<DataType> {
+fn grouped_dtypes(group_cols: &[usize], specs: &[AggItem], dtypes: &[DataType]) -> Vec<DataType> {
     let col = |c: usize| dtypes.get(c).copied().unwrap_or(DataType::BigInt);
-    let spec = |s: &ScanAgg| match (s.func, &s.input) {
+    let spec = |s: &AggItem| match (s.func, &s.input) {
         (AggFunc::Sum | AggFunc::Min | AggFunc::Max, Some(e)) => {
             e.dtype(dtypes).unwrap_or(DataType::BigInt)
         }

@@ -8,9 +8,15 @@
 //! [`NdpChoice`] without touching plan shape.
 
 use taurus_common::{IndexDef, Value};
-use taurus_expr::agg::AggFunc;
 use taurus_expr::ast::Expr;
 use taurus_ndp::{NdpChoice, TaurusDb};
+
+// A plan's aggregates are the ones its scans ask the Page Stores for: AVG
+// is a SUM over a COUNT by the time a plan exists (the SQL binder writes
+// it so), so every aggregation, in the SQL node or in storage, folds and
+// merges the same states.
+pub use taurus_expr::agg::AggFunc;
+pub use taurus_ndp::AggItem;
 
 /// Key-range endpoints for an index access, as literal key values (a
 /// prefix of the index key).
@@ -104,41 +110,6 @@ impl ScanNode {
                 .map(|(_, e)| e)
                 .collect(),
         }
-    }
-}
-
-/// Aggregate item: function + input expression over table/input columns
-/// (`None` for COUNT(*)). AVG is decomposed by builders that feed
-/// [`Plan::Exchange`]; elsewhere the executor handles it as SUM/COUNT.
-#[derive(Clone, Debug)]
-pub struct AggItem {
-    pub func: AggFuncEx,
-    pub input: Option<Expr>,
-}
-
-/// Aggregate functions at the plan level (superset of the storage-side
-/// [`AggFunc`]: AVG exists only here).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum AggFuncEx {
-    CountStar,
-    Count,
-    Sum,
-    Min,
-    Max,
-    Avg,
-}
-
-impl AggFuncEx {
-    /// The storage-side function, if directly pushable.
-    pub fn storage_func(&self) -> Option<AggFunc> {
-        Some(match self {
-            AggFuncEx::CountStar => AggFunc::CountStar,
-            AggFuncEx::Count => AggFunc::Count,
-            AggFuncEx::Sum => AggFunc::Sum,
-            AggFuncEx::Min => AggFunc::Min,
-            AggFuncEx::Max => AggFunc::Max,
-            AggFuncEx::Avg => return None,
-        })
     }
 }
 

@@ -11,7 +11,7 @@ use taurus_expr::ast::Expr;
 use taurus_ndp::TaurusDb;
 use taurus_optimizer::ndp_post::ndp_post_process;
 use taurus_optimizer::plan::{
-    AggFuncEx, AggItem, AggScanNode, HashJoinNode, JoinFilterDecision, JoinType, LookupJoinNode,
+    AggFunc, AggItem, AggScanNode, HashJoinNode, JoinFilterDecision, JoinType, LookupJoinNode,
     Plan, ScanNode,
 };
 
@@ -219,7 +219,7 @@ fn aggregation_requires_no_residual() {
         scan: ScanNode::new("t", vec![1, 2]).with_predicate(vec![case]),
         group_cols: vec![],
         aggs: vec![AggItem {
-            func: AggFuncEx::Sum,
+            func: AggFunc::Sum,
             input: Some(Expr::col(2)),
         }],
     });
@@ -228,38 +228,6 @@ fn aggregation_requires_no_residual() {
         !reports[0].aggregation,
         "residual CASE must block aggregation pushdown (§V-C)"
     );
-}
-
-#[test]
-fn aggregation_pushes_avg_as_sum_count() {
-    let db = mk_db(1);
-    load(&db, 2000);
-    let mut plan = Plan::AggScan(AggScanNode {
-        scan: ScanNode::new("t", vec![1, 2])
-            .with_predicate(vec![Expr::lt(Expr::col(1), Expr::int(50))]),
-        group_cols: vec![],
-        aggs: vec![AggItem {
-            func: AggFuncEx::Avg,
-            input: Some(Expr::col(2)),
-        }],
-    });
-    let reports = ndp_post_process(&mut plan, &db).unwrap();
-    assert!(reports[0].aggregation);
-    match &plan {
-        Plan::AggScan(a) => {
-            let agg = a
-                .scan
-                .ndp
-                .as_ref()
-                .unwrap()
-                .choice
-                .aggregation
-                .as_ref()
-                .unwrap();
-            assert_eq!(agg.specs.len(), 2, "AVG decomposes into SUM + COUNT");
-        }
-        _ => unreachable!(),
-    }
 }
 
 /// `g(batch, id, tag, slot, pad)` keyed on (batch, id): 2000 narrow rows
@@ -307,11 +275,11 @@ fn grouping_pushes_by_the_estimated_groups_per_leaf() {
             group_cols,
             aggs: vec![
                 AggItem {
-                    func: AggFuncEx::CountStar,
+                    func: AggFunc::CountStar,
                     input: None,
                 },
                 AggItem {
-                    func: AggFuncEx::Sum,
+                    func: AggFunc::Sum,
                     input: Some(Expr::mul(Expr::col(1), Expr::int(2))),
                 },
             ],
@@ -365,7 +333,7 @@ fn aggregation_needs_inputs_storage_can_compute() {
             scan: ScanNode::new("t", vec![1, 2]),
             group_cols: vec![],
             aggs: vec![AggItem {
-                func: AggFuncEx::Sum,
+                func: AggFunc::Sum,
                 input: Some(input),
             }],
         });

@@ -70,7 +70,7 @@ use taurus_ndp::engine::Table;
 use taurus_ndp::TaurusDb;
 use taurus_optimizer::ndp_post::{ndp_post_process, NdpReport};
 use taurus_optimizer::plan::{
-    AggFuncEx, AggItem, AggScanNode, HashAggNode, HashJoinNode, JoinType, LookupJoinNode, Plan,
+    AggFunc, AggItem, AggScanNode, HashAggNode, HashJoinNode, JoinType, LookupJoinNode, Plan,
     ScanNode,
 };
 use taurus_verify::{infer_plan, plan_width};
@@ -1861,26 +1861,25 @@ struct AggSet {
 
 impl AggSet {
     fn push(&mut self, item: AggItem) {
-        if !self
-            .items
-            .iter()
-            .any(|a| a.func == item.func && a.input == item.input)
-        {
+        if !self.items.contains(&item) {
             self.items.push(item);
         }
     }
 }
 
-fn mk_agg_item(func: AggName, input: Option<Expr>) -> AggItem {
-    let f = match (func, &input) {
-        (AggName::Count, None) => AggFuncEx::CountStar,
-        (AggName::Count, Some(_)) => AggFuncEx::Count,
-        (AggName::Sum, _) => AggFuncEx::Sum,
-        (AggName::Min, _) => AggFuncEx::Min,
-        (AggName::Max, _) => AggFuncEx::Max,
-        (AggName::Avg, _) => AggFuncEx::Avg,
-    };
-    AggItem { func: f, input }
+/// The aggregates a call of `func` folds (`star` for COUNT(*)): its own,
+/// or for AVG a SUM and a COUNT of its input, which its value divides.
+/// "The calculation of AVG is pushed down as well" (§III) as those two,
+/// so AVG is decided here once, and nothing below the binder knows it.
+fn agg_funcs(func: AggName, star: bool) -> &'static [AggFunc] {
+    match (func, star) {
+        (AggName::Count, true) => &[AggFunc::CountStar],
+        (AggName::Count, false) => &[AggFunc::Count],
+        (AggName::Sum, _) => &[AggFunc::Sum],
+        (AggName::Min, _) => &[AggFunc::Min],
+        (AggName::Max, _) => &[AggFunc::Max],
+        (AggName::Avg, _) => &[AggFunc::Sum, AggFunc::Count],
+    }
 }
 
 impl<'a> Binder<'a> {
@@ -1914,7 +1913,12 @@ impl<'a> Binder<'a> {
                     }
                 }
             } else {
-                set.push(mk_agg_item(*func, input));
+                for &func in agg_funcs(*func, input.is_none()) {
+                    set.push(AggItem {
+                        func,
+                        input: input.clone(),
+                    });
+                }
             }
             return Ok(());
         }
@@ -1928,8 +1932,9 @@ impl<'a> Binder<'a> {
     }
 
     /// Lower an expression in aggregation context: aggregate calls and
-    /// whole group expressions become positions into `groups ++ aggs`;
-    /// an ungrouped bare column is the classic aggregate-misuse error.
+    /// whole group expressions become positions into `groups ++ aggs` (an
+    /// AVG its SUM's divided by its COUNT's); an ungrouped bare column is
+    /// the classic aggregate-misuse error.
     fn lower_agg_expr(
         &mut self,
         e: &SqlExpr,
@@ -1950,13 +1955,20 @@ impl<'a> Binder<'a> {
             if *distinct {
                 return Ok(Expr::Col(groups.len()));
             }
-            let item = mk_agg_item(*func, input);
-            let i = set
-                .items
-                .iter()
-                .position(|a| a.func == item.func && a.input == item.input)
-                .ok_or_else(|| Error::Internal("binder: aggregate not collected".into()))?;
-            return Ok(Expr::Col(groups.len() + i));
+            let cols = agg_funcs(*func, input.is_none()).iter().map(|&func| {
+                let item = AggItem {
+                    func,
+                    input: input.clone(),
+                };
+                set.items
+                    .iter()
+                    .position(|a| *a == item)
+                    .map(|i| Expr::Col(groups.len() + i))
+            });
+            return cols
+                .collect::<Option<Vec<_>>>()
+                .and_then(|cols| cols.into_iter().reduce(Expr::div))
+                .ok_or_else(|| Error::Internal("binder: aggregate not collected".into()));
         }
         if !contains_agg(e) {
             let low = self.lower_expr(e, fr)?;
@@ -2174,7 +2186,7 @@ impl<'a> Binder<'a> {
                     input: Box::new(plan),
                     group: (0..groups.len()).map(Expr::Col).collect(),
                     aggs: vec![AggItem {
-                        func: AggFuncEx::CountStar,
+                        func: AggFunc::CountStar,
                         input: None,
                     }],
                 });
@@ -2559,6 +2571,58 @@ mod tests {
             .is_some_and(|d| d.choice.aggregation.is_none()));
         let r = reports.iter().find(|r| r.group_limit > 0.0).unwrap();
         assert!(!r.aggregation && r.groups_per_leaf > r.group_limit, "{r:?}");
+    }
+
+    /// An AVG is a SUM over a COUNT of its input from the binder down:
+    /// the SUM a query also asks for is shared, the Project divides, and
+    /// storage is asked for the plan's aggregates one for one (Q1's three
+    /// AVGs make its eight aggregates nine, not eleven).
+    #[test]
+    fn avg_is_its_sum_over_its_count() {
+        let mut cfg = ClusterConfig::default();
+        cfg.ndp.enabled = true;
+        cfg.ndp.min_io_pages = 1;
+        let db = TaurusDb::new(cfg);
+        taurus_tpch::load(&db, 0.002, 7).unwrap();
+        db.buffer_pool().clear();
+        let session = Session::new(&db);
+        let bound = |sql: &str| {
+            let Statement::Select(s) = crate::parser::parse(sql).unwrap() else {
+                panic!("{sql} is a SELECT");
+            };
+            bind(&session, &s).unwrap()
+        };
+        let plan = bound("select sum(l_quantity), avg(l_quantity) from lineitem");
+        let Plan::Project(p) = &plan else {
+            panic!("{plan:?}")
+        };
+        assert_eq!(
+            p.exprs,
+            vec![Expr::col(0), Expr::div(Expr::col(0), Expr::col(1))]
+        );
+        let a = agg_scan(&plan);
+        let quantity = Some(Expr::col(4));
+        assert_eq!(
+            a.aggs,
+            vec![
+                AggItem {
+                    func: AggFunc::Sum,
+                    input: quantity.clone(),
+                },
+                AggItem {
+                    func: AggFunc::Count,
+                    input: quantity,
+                },
+            ]
+        );
+        let pushed = |plan: &Plan| {
+            let d = agg_scan(plan).scan.ndp.clone();
+            d.and_then(|d| d.choice.aggregation)
+                .unwrap_or_else(|| panic!("{plan:?}"))
+                .specs
+        };
+        assert_eq!(pushed(&plan), a.aggs);
+        assert_eq!(pushed(&bound(tpch("Q1"))).len(), 9);
     }
 
     #[test]

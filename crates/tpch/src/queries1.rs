@@ -12,23 +12,23 @@ use taurus_expr::ast::Expr;
 use taurus_ndp::TaurusDb;
 use taurus_optimizer::ndp_post::ndp_post_process;
 use taurus_optimizer::plan::{
-    AggFuncEx, AggItem, HashAggNode, HashJoinNode, JoinType, LookupJoinNode, Plan, ScanNode,
+    AggFunc, AggItem, HashAggNode, HashJoinNode, JoinType, LookupJoinNode, Plan, ScanNode,
 };
 
-pub(crate) fn agg(func: AggFuncEx, input: Option<Expr>) -> AggItem {
+pub(crate) fn agg(func: AggFunc, input: Option<Expr>) -> AggItem {
     AggItem { func, input }
 }
 
 pub(crate) fn sum(e: Expr) -> AggItem {
-    agg(AggFuncEx::Sum, Some(e))
+    agg(AggFunc::Sum, Some(e))
 }
 
-pub(crate) fn avg(e: Expr) -> AggItem {
-    agg(AggFuncEx::Avg, Some(e))
+pub(crate) fn count(e: Expr) -> AggItem {
+    agg(AggFunc::Count, Some(e))
 }
 
 pub(crate) fn count_star() -> AggItem {
-    agg(AggFuncEx::CountStar, None)
+    agg(AggFunc::CountStar, None)
 }
 
 pub(crate) fn hash_join(
@@ -92,6 +92,10 @@ pub fn q1_plan(db: &TaurusDb, pq: Option<usize>) -> Result<Plan> {
     // Scan output: [qty, ep, disc, tax, rf, ls, sd] -> positions 0..6.
     let scan = ScanNode::new("lineitem", vec![4, 5, 6, 7, 8, 9, 10])
         .with_predicate(vec![Expr::le(Expr::col(10), Expr::date("1998-09-02"))]);
+    // Each AVG is a SUM over a COUNT: the SUMs of quantity and price are
+    // the report's own, the discount's is extra. Output: [rf, ls, sum_qty,
+    // sum_base_price, sum_disc_price, sum_charge, n_qty, n_price,
+    // sum_disc, n_disc, count_order].
     let agg_plan = hash_agg(
         Plan::Scan(scan),
         vec![Expr::col(4), Expr::col(5)],
@@ -106,9 +110,10 @@ pub fn q1_plan(db: &TaurusDb, pq: Option<usize>) -> Result<Plan> {
                 Expr::mul(Expr::col(1), Expr::sub(Expr::int(1), Expr::col(2))),
                 Expr::add(Expr::int(1), Expr::col(3)),
             )),
-            avg(Expr::col(0)),
-            avg(Expr::col(1)),
-            avg(Expr::col(2)),
+            count(Expr::col(0)),
+            count(Expr::col(1)),
+            sum(Expr::col(2)),
+            count(Expr::col(2)),
             count_star(),
         ],
     );
@@ -116,7 +121,20 @@ pub fn q1_plan(db: &TaurusDb, pq: Option<usize>) -> Result<Plan> {
         Some(d) => agg_plan.exchange(d),
         None => agg_plan,
     };
-    optimized(agg_plan.sort(vec![(0, false), (1, false)]), db)
+    let avg = |s: usize, n: usize| Expr::div(Expr::col(s), Expr::col(n));
+    let report = agg_plan.project(vec![
+        Expr::col(0),
+        Expr::col(1),
+        Expr::col(2),
+        Expr::col(3),
+        Expr::col(4),
+        Expr::col(5),
+        avg(2, 6),
+        avg(3, 7),
+        avg(8, 9),
+        Expr::col(10),
+    ]);
+    optimized(report.sort(vec![(0, false), (1, false)]), db)
 }
 
 // --- Q2: minimum cost supplier ----------------------------------------------
@@ -153,7 +171,7 @@ pub fn q2_plan(db: &TaurusDb, _pq: Option<usize>) -> Result<Plan> {
     let mins = hash_agg(
         euro_chain(false),
         vec![Expr::col(0)],
-        vec![agg(AggFuncEx::Min, Some(Expr::col(2)))],
+        vec![agg(AggFunc::Min, Some(Expr::col(2)))],
     );
     // Qualifying parts.
     let parts = Plan::Scan(ScanNode::new("part", vec![0, 2, 4, 5]).with_predicate(vec![

@@ -7,12 +7,10 @@ use taurus_common::schema::Row;
 use taurus_common::{Dec, Result, Value};
 use taurus_expr::ast::Expr;
 use taurus_ndp::TaurusDb;
-use taurus_optimizer::plan::{
-    AggFuncEx, AggScanNode, JoinType, LookupJoinNode, Plan, RangeSpec, ScanNode,
-};
+use taurus_optimizer::plan::{AggScanNode, JoinType, LookupJoinNode, Plan, RangeSpec, ScanNode};
 
 use crate::queries1::{
-    agg, avg, count_star, finish, hash_agg, hash_join, optimized, run_plan, sum, volume,
+    count, count_star, finish, hash_agg, hash_join, optimized, run_plan, sum, volume,
 };
 use crate::schema::idx;
 
@@ -82,11 +80,7 @@ pub fn q13_plan(db: &TaurusDb, _pq: Option<usize>) -> Result<Plan> {
     );
     // LEFT OUTER: [c_ck0, o_ok1, o_ck2, o_comment3]
     let j = hash_join(customer, orders, vec![0], vec![1], JoinType::LeftOuter);
-    let per_cust = hash_agg(
-        j,
-        vec![Expr::col(0)],
-        vec![agg(AggFuncEx::Count, Some(Expr::col(1)))],
-    );
+    let per_cust = hash_agg(j, vec![Expr::col(0)], vec![count(Expr::col(1))]);
     let dist = hash_agg(per_cust, vec![Expr::col(1)], vec![count_star()]);
     optimized(dist.sort(vec![(1, true), (0, true)]), db)
 }
@@ -553,7 +547,8 @@ pub fn q22_plan(db: &TaurusDb, _pq: Option<usize>) -> Result<Plan> {
         from: 1,
         len: 2,
     };
-    // Phase 1: average positive balance among the country codes.
+    // Phase 1: average positive balance among the country codes, its
+    // SUM over its COUNT.
     let avg_bal = finish(
         hash_agg(
             Plan::Scan(ScanNode::new("customer", vec![4, 5]).with_predicate(vec![
@@ -561,8 +556,9 @@ pub fn q22_plan(db: &TaurusDb, _pq: Option<usize>) -> Result<Plan> {
                 Expr::in_list(cntry(4), codes.clone()),
             ])),
             vec![],
-            vec![avg(Expr::col(1))],
-        ),
+            vec![sum(Expr::col(1)), count(Expr::col(1))],
+        )
+        .project(vec![Expr::div(Expr::col(0), Expr::col(1))]),
         db,
     )?;
     let threshold = avg_bal[0][0].clone();

@@ -189,7 +189,7 @@ fn degenerate_batch_matrix() {
             input: Box::new(empty_lineitem()),
             group: vec![],
             aggs: vec![taurus_optimizer::plan::AggItem {
-                func: taurus_optimizer::plan::AggFuncEx::CountStar,
+                func: taurus_optimizer::plan::AggFunc::CountStar,
                 input: None,
             }],
         });

@@ -9,9 +9,15 @@
 //! * **Control shape** — branches only jump forward, and the program
 //!   ends by returning a boolean-shaped register.
 //!
-//! Like the plan inference, the interpreter is permissive: registers of
-//! unknown type (`Top`) satisfy every demand, so only *definite*
-//! violations are reported.
+//! Branches only jump forward, so one pass in program order sees every
+//! path into an instruction before it: the register types on entry are
+//! those of every path joined (the fall-through and each branch to it).
+//! Like the plan inference, the interpreter is permissive: a register
+//! whose paths disagree on its type (`Top`) satisfies every demand, and
+//! one written on some path is not unset, so only *definite* violations
+//! are reported.
+
+use std::collections::BTreeMap;
 
 use taurus_expr::ir::{IrInstr, IrProgram};
 use taurus_expr::Expr;
@@ -27,6 +33,10 @@ enum AbsTy {
     Bool,
     /// Any scalar value (column, constant, arithmetic result).
     Scalar,
+    /// Paths into the instruction disagree: a boolean on one, a scalar
+    /// on another (a short-circuit exit's constant 0 or 1 against the
+    /// merged boolean of the fall-through).
+    Top,
 }
 
 impl AbsTy {
@@ -34,6 +44,32 @@ impl AbsTy {
     /// the VM coerces integers — but `Unset` is a definite bug.
     fn usable(self) -> bool {
         self != AbsTy::Unset
+    }
+
+    /// The type on entry to an instruction two paths reach.
+    fn join(self, other: AbsTy) -> AbsTy {
+        match (self, other) {
+            (a, b) if a == b => a,
+            (AbsTy::Unset, t) | (t, AbsTy::Unset) => t,
+            _ => AbsTy::Top,
+        }
+    }
+}
+
+/// Join the register types of one more path into `into`.
+fn join_into(into: &mut [AbsTy], from: &[AbsTy]) {
+    for (a, &b) in into.iter_mut().zip(from) {
+        *a = a.join(b);
+    }
+}
+
+/// A branch to `target` carries `regs` there.
+fn join_branch(branched: &mut BTreeMap<usize, Vec<AbsTy>>, target: u16, regs: &[AbsTy]) {
+    match branched.get_mut(&(target as usize)) {
+        Some(seen) => join_into(seen, regs),
+        None => {
+            branched.insert(target as usize, regs.to_vec());
+        }
     }
 }
 
@@ -50,7 +86,13 @@ pub fn check_ir(ir: &IrProgram, path: &str) -> Vec<Diagnostic> {
         ));
         return diags;
     }
+    // The register types along the fall-through path (`falls`: whether
+    // it reaches the next instruction), and those the branches seen so
+    // far carry to each later target, joined. An instruction no path
+    // reaches is checked with every register `Top`.
     let mut regs = vec![AbsTy::Unset; ir.n_regs as usize];
+    let mut falls = true;
+    let mut branched: BTreeMap<usize, Vec<AbsTy>> = BTreeMap::new();
     let read = |regs: &[AbsTy], r: u16, what: &str, pc: usize, diags: &mut Vec<Diagnostic>| {
         if !regs[r as usize].usable() {
             diags.push(Diagnostic::error(
@@ -61,6 +103,13 @@ pub fn check_ir(ir: &IrProgram, path: &str) -> Vec<Diagnostic> {
         }
     };
     for (pc, ins) in ir.instrs.iter().enumerate() {
+        match (falls, branched.remove(&pc)) {
+            (true, Some(b)) => join_into(&mut regs, &b),
+            (false, Some(b)) => regs = b,
+            (false, None) => regs.fill(AbsTy::Top),
+            (true, None) => {}
+        }
+        falls = true;
         match *ins {
             IrInstr::LoadCol { dst, .. } | IrInstr::LoadConst { dst, .. } => {
                 regs[dst as usize] = AbsTy::Scalar;
@@ -124,6 +173,7 @@ pub fn check_ir(ir: &IrProgram, path: &str) -> Vec<Diagnostic> {
                         format!("instr {pc}: backward branch to {target}"),
                     ));
                 }
+                join_branch(&mut branched, target, &regs);
             }
             IrInstr::Jmp { target } => {
                 if (target as usize) <= pc {
@@ -133,9 +183,12 @@ pub fn check_ir(ir: &IrProgram, path: &str) -> Vec<Diagnostic> {
                         format!("instr {pc}: backward jump to {target}"),
                     ));
                 }
+                join_branch(&mut branched, target, &regs);
+                falls = false;
             }
             IrInstr::Ret { src } => {
                 read(&regs, src, "Ret", pc, &mut diags);
+                falls = false;
             }
         }
     }
@@ -151,5 +204,63 @@ pub fn check_predicate_programs(e: &Expr, path: &str) -> Vec<Diagnostic> {
         // executor fails the statement when it compiles; nothing to
         // verify here.
         Err(_) => Vec::new(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use taurus_expr::ir::{IrInstr, IrProgram};
+    use taurus_expr::Expr;
+
+    use super::check_ir;
+    use crate::diag::Severity;
+
+    /// An OR of ANDs: each AND's result register is the merged boolean on
+    /// its fall-through path and the constant 0 on its short-circuit exit,
+    /// and the OR that merges them is no misuse.
+    #[test]
+    fn an_or_of_ands_is_boolean_on_every_path() {
+        let pair = |a: &str, b: &str| {
+            Expr::and(vec![
+                Expr::eq(Expr::col(0), Expr::str(a)),
+                Expr::eq(Expr::col(1), Expr::str(b)),
+            ])
+        };
+        let e = Expr::or(vec![pair("a", "b"), pair("c", "d")]);
+        let ir = taurus_expr::compile::lower(&e).unwrap();
+        assert!(
+            ir.instrs.iter().any(|i| matches!(i, IrInstr::Or { .. })),
+            "{ir:?}"
+        );
+        assert_eq!(check_ir(&ir, "t"), vec![]);
+    }
+
+    /// A column is a scalar on every path: an OR over it still warns.
+    #[test]
+    fn an_or_over_a_column_warns() {
+        let ir = IrProgram {
+            instrs: vec![
+                IrInstr::LoadCol { dst: 0, col: 0 },
+                IrInstr::Cmp {
+                    op: taurus_expr::ast::CmpOp::Eq,
+                    dst: 1,
+                    a: 0,
+                    b: 0,
+                },
+                IrInstr::Or { dst: 2, a: 0, b: 1 },
+                IrInstr::Ret { src: 2 },
+            ],
+            consts: vec![],
+            n_regs: 3,
+        };
+        let diags = check_ir(&ir, "t");
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].severity, Severity::Warning);
+        assert!(
+            diags[0]
+                .message
+                .contains("Kleene merge consumes non-boolean r0"),
+            "{diags:?}"
+        );
     }
 }

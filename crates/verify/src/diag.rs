@@ -59,18 +59,17 @@ pub enum DiagKind {
     /// scan of the decision's integer column, or a build side without a
     /// predicate.
     JoinFilterIneligible,
-    /// An `AggScan` whose scan pushes an aggregation that is not the
-    /// storage form of its aggregates: a different count after the AVG →
-    /// SUM + COUNT split, a different function or input, or different
-    /// group columns. Storage would compute partials the SQL node merges
+    /// An `AggScan` whose scan pushes an aggregation that is not its
+    /// aggregates: a different count, a different function or input, or
+    /// different group columns, or an input storage cannot compute. Storage would compute partials the SQL node merges
     /// into the wrong states.
     AggPushdownMismatch,
     /// An `AggScan` whose pushed aggregation carries HAVING conjuncts it
     /// may not: a GROUP BY that is not a prefix of the index key (groups
     /// then do not arrive one after another, and none is ever complete on
     /// its page), a conjunct reading past a group's outputs, or one that
-    /// is not the storage form of a conjunct of the `Filter` right above
-    /// the scan (storage would drop groups the SQL node keeps).
+    /// is not a conjunct of the `Filter` right above the scan a Page Store
+    /// can judge (storage would drop groups the SQL node keeps).
     HavingPushdownIneligible,
 }
 

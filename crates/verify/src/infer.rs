@@ -17,9 +17,9 @@ use std::sync::Arc;
 use taurus_common::{DataType, Value};
 use taurus_expr::ast::Expr;
 use taurus_ndp::{ScanAggregation, Table, TaurusDb};
-use taurus_optimizer::ndp_post::{conjuncts, storage_aggs, storage_having};
+use taurus_optimizer::ndp_post::{conjuncts, storage_can_compute, storage_can_judge};
 use taurus_optimizer::plan::{
-    AggFuncEx, AggItem, AggScanNode, HashJoinNode, JoinFilterDecision, JoinType, LookupJoinNode,
+    AggFunc, AggItem, AggScanNode, HashJoinNode, JoinFilterDecision, JoinType, LookupJoinNode,
     NdpDecision, Plan, ScanNode,
 };
 
@@ -553,9 +553,10 @@ fn infer_agg_scan(
     ok.then_some(out)
 }
 
-/// An `AggScan`'s pushed aggregation against its aggregates: it must be
-/// their storage form ([`storage_aggs`]), spec for spec, over the same
-/// group columns — what the SQL node merges the partials into.
+/// An `AggScan`'s pushed aggregation against its aggregates: storage must
+/// be able to compute them ([`storage_can_compute`]), and the pushed specs
+/// must be those aggregates, one for one, over the same group columns —
+/// what the SQL node merges the partials into.
 fn check_pushed_aggregation(
     a: &AggScanNode,
     pushed: &ScanAggregation,
@@ -563,14 +564,16 @@ fn check_pushed_aggregation(
     path: &str,
     diags: &mut Vec<Diagnostic>,
 ) -> bool {
-    let problem = match storage_aggs(&a.aggs, dtypes) {
-        None => Some("an aggregate input storage cannot compute".to_string()),
-        Some(want) if want.len() != pushed.specs.len() => Some(format!(
-            "{} storage aggregates for the {} the AVG split gives",
+    let problem = if !storage_can_compute(&a.aggs, dtypes) {
+        Some("an aggregate input storage cannot compute".to_string())
+    } else if a.aggs.len() != pushed.specs.len() {
+        Some(format!(
+            "{} storage aggregates for the SQL node's {}",
             pushed.specs.len(),
-            want.len()
-        )),
-        Some(want) => want
+            a.aggs.len()
+        ))
+    } else {
+        a.aggs
             .iter()
             .zip(&pushed.specs)
             .enumerate()
@@ -591,7 +594,7 @@ fn check_pushed_aggregation(
                         pushed.group_cols, a.group_cols
                     )
                 })
-            }),
+            })
     };
     match problem {
         Some(problem) => {
@@ -609,9 +612,9 @@ fn check_pushed_aggregation(
 /// An `AggScan`'s pushed HAVING: only on a GROUP BY that follows the
 /// index (`index_ordered`, groups arrive one after another), reading only
 /// a group's outputs (its group columns, then the storage aggregates),
-/// and each conjunct the storage form ([`storage_having`]) of a conjunct
-/// of `filter`, the `Filter` right above the scan that keeps judging
-/// every group the Page Stores let through.
+/// and each conjunct one of `filter`, the `Filter` right above the scan
+/// that keeps judging every group the Page Stores let through, that a
+/// Page Store can judge ([`storage_can_judge`]).
 fn check_pushed_having(
     a: &AggScanNode,
     pushed: &ScanAggregation,
@@ -623,11 +626,8 @@ fn check_pushed_having(
 ) -> bool {
     let outputs = pushed.group_cols.len() + pushed.specs.len();
     let implied = |c: &Expr| {
-        filter.is_some_and(|f| {
-            conjuncts(f)
-                .iter()
-                .any(|fc| storage_having(fc, &a.aggs, a.group_cols.len()).as_ref() == Some(c))
-        })
+        filter.is_some_and(|f| conjuncts(f).contains(c))
+            && storage_can_judge(c, &a.aggs, a.group_cols.len())
     };
     let problem = if !index_ordered {
         Some("on a GROUP BY that does not follow the index".to_string())
@@ -816,8 +816,8 @@ fn expr_coltype(e: &Expr, input: &[ColType]) -> ColType {
 fn agg_coltype(item: &AggItem, input: &[DataType]) -> ColType {
     let in_dt = item.input.as_ref().and_then(|e| e.dtype(input).ok());
     let dtype = match item.func {
-        AggFuncEx::CountStar | AggFuncEx::Count => DataType::BigInt,
-        AggFuncEx::Sum => match in_dt {
+        AggFunc::CountStar | AggFunc::Count => DataType::BigInt,
+        AggFunc::Sum => match in_dt {
             Some(DataType::Decimal { scale, .. }) => DataType::Decimal {
                 precision: 30,
                 scale,
@@ -825,22 +825,11 @@ fn agg_coltype(item: &AggItem, input: &[DataType]) -> ColType {
             Some(DataType::Double) => DataType::Double,
             _ => DataType::BigInt,
         },
-        AggFuncEx::Min | AggFuncEx::Max => in_dt.unwrap_or(DataType::BigInt),
-        AggFuncEx::Avg => match in_dt {
-            Some(DataType::Double) => DataType::Double,
-            Some(DataType::Decimal { scale, .. }) => DataType::Decimal {
-                precision: 30,
-                scale: scale.saturating_add(4),
-            },
-            _ => DataType::Decimal {
-                precision: 30,
-                scale: 4,
-            },
-        },
+        AggFunc::Min | AggFunc::Max => in_dt.unwrap_or(DataType::BigInt),
     };
     ColType {
         dtype,
-        nullable: !matches!(item.func, AggFuncEx::CountStar | AggFuncEx::Count),
+        nullable: !matches!(item.func, AggFunc::CountStar | AggFunc::Count),
     }
 }
 

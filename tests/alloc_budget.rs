@@ -38,7 +38,7 @@ use taurus::expr::ast::Expr;
 use taurus::expr::descriptor::{encode_join_filter, KeyBloom, NdpDescriptor, Sections};
 use taurus::ndp::{scan, AggState, ScanConsumer, ScanRange, ScanSpec, TaurusDb};
 use taurus::optimizer::plan::{
-    AggFuncEx, AggItem, HashAggNode, JoinType, LookupJoinNode, Plan, ScanNode,
+    AggFunc, AggItem, HashAggNode, JoinType, LookupJoinNode, Plan, ScanNode,
 };
 use taurus::page::NO_PAGE;
 use taurus::pagestore::{CachedDescriptor, InnodbNdpPlugin, NdpPlugin};
@@ -191,11 +191,11 @@ fn the_row_path_allocates_per_batch_never_per_row() {
         group: vec![Expr::col(0)],
         aggs: vec![
             AggItem {
-                func: AggFuncEx::Sum,
+                func: AggFunc::Sum,
                 input: Some(Expr::col(1)),
             },
             AggItem {
-                func: AggFuncEx::CountStar,
+                func: AggFunc::CountStar,
                 input: None,
             },
         ],

@@ -215,7 +215,7 @@ fn left_outer_join_with_empty_build_side_null_pads() {
             input: Box::new(plan),
             group: vec![],
             aggs: vec![taurus::optimizer::plan::AggItem {
-                func: taurus::optimizer::plan::AggFuncEx::Count,
+                func: taurus::optimizer::plan::AggFunc::Count,
                 input: Some(Expr::col(3)),
             }],
         }),
@@ -229,11 +229,13 @@ fn left_outer_join_with_empty_build_side_null_pads() {
 /// range of the scan per worker: every shape an `Exchange` partitions
 /// (`Scan`, `AggScan`, `HashAgg(Scan)`, `LookupJoin(Scan)`), at degrees
 /// 1, 3 and 8, NDP off and on, is byte-equal to its serial plan, through
-/// `execute` and through a stream.
+/// `execute` and through a stream. The aggregating shapes carry an AVG as
+/// the binder writes it, a SUM and a COUNT that a `Project` above the
+/// `Exchange` divides, so it is computed from the merged states.
 #[test]
 fn pq_matrix_equals_serial() {
     use taurus::expr::ast::Expr;
-    use taurus::optimizer::plan::{AggFuncEx, AggItem, AggScanNode, HashAggNode, LookupJoinNode};
+    use taurus::optimizer::plan::{AggFunc, AggItem, AggScanNode, HashAggNode, LookupJoinNode};
     let db = tpch_db();
     let agg = |func, input| AggItem { func, input };
     // lineitem [l_orderkey, l_linenumber, l_quantity] where l_quantity < 25.
@@ -243,19 +245,27 @@ fn pq_matrix_equals_serial() {
                 .with_predicate(vec![Expr::lt(Expr::col(4), Expr::int(25))]),
         )
     };
-    let shapes: Vec<(&str, Plan)> = vec![
-        ("Scan", lineitem()),
+    // [group, SUM(x), SUM(x) / COUNT(x), the last aggregate].
+    let avg = Some(vec![
+        Expr::col(0),
+        Expr::col(1),
+        Expr::div(Expr::col(1), Expr::col(2)),
+        Expr::col(3),
+    ]);
+    let shapes: Vec<(&str, Plan, Option<Vec<Expr>>)> = vec![
+        ("Scan", lineitem(), None),
         (
             "AggScan",
             Plan::AggScan(AggScanNode {
                 scan: ScanNode::new("lineitem", vec![0, 4]),
                 group_cols: vec![0],
                 aggs: vec![
-                    agg(AggFuncEx::Sum, Some(Expr::col(4))),
-                    agg(AggFuncEx::Avg, Some(Expr::col(4))),
-                    agg(AggFuncEx::CountStar, None),
+                    agg(AggFunc::Sum, Some(Expr::col(4))),
+                    agg(AggFunc::Count, Some(Expr::col(4))),
+                    agg(AggFunc::CountStar, None),
                 ],
             }),
+            avg.clone(),
         ),
         (
             "HashAgg(Scan)",
@@ -263,11 +273,12 @@ fn pq_matrix_equals_serial() {
                 input: Box::new(lineitem()),
                 group: vec![Expr::col(1)],
                 aggs: vec![
-                    agg(AggFuncEx::Sum, Some(Expr::col(2))),
-                    agg(AggFuncEx::Avg, Some(Expr::col(2))),
-                    agg(AggFuncEx::Count, Some(Expr::col(0))),
+                    agg(AggFunc::Sum, Some(Expr::col(2))),
+                    agg(AggFunc::Count, Some(Expr::col(2))),
+                    agg(AggFunc::Count, Some(Expr::col(0))),
                 ],
             }),
+            avg,
         ),
         (
             "LookupJoin(Scan)",
@@ -282,19 +293,24 @@ fn pq_matrix_equals_serial() {
                 inner_predicate: vec![Expr::lt(Expr::col(4), Expr::int(10))],
                 inner_ndp: None,
             }),
+            None,
         ),
     ];
     for ndp in [false, true] {
         let session = Session::new(&db).with_ndp(ndp);
-        for (shape, plan) in &shapes {
+        for (shape, plan, project) in &shapes {
+            let above = |p: Plan| match project {
+                Some(exprs) => p.project(exprs.clone()),
+                None => p,
+            };
             let mut serial = plan.clone();
             if ndp {
                 ndp_post_process(&mut serial, &db).unwrap();
             }
-            let want = session.execute_plan(&serial).unwrap();
+            let want = session.execute_plan(&above(serial.clone())).unwrap();
             assert!(!want.is_empty(), "{shape} ndp={ndp}");
             for degree in [1usize, 3, 8] {
-                let parallel = serial.clone().exchange(degree);
+                let parallel = above(serial.clone().exchange(degree));
                 let at = format!("{shape} ndp={ndp} degree={degree}");
                 assert_eq!(session.execute_plan(&parallel).unwrap(), want, "{at}");
                 let streamed = run_rows(&session, &parallel, usize::MAX).unwrap();
@@ -418,4 +434,32 @@ fn filter_over_join_surfaces_runtime_errors_and_short_circuits() {
         let streamed = run_rows(&session, &guarded, usize::MAX).unwrap();
         assert_eq!(streamed, want, "batch {batch}");
     }
+}
+
+/// A breaker runs long between two of its scans' page boundaries: this
+/// self-join of `lineitem` on a three-valued column makes each probe row
+/// a third of the table's worth of join rows, all folded by one COUNT.
+/// Sort, aggregation, the hash join's build and probe and Gather check
+/// the deadline once per batch, so the statement fails with
+/// `DeadlineExceeded` within twice its budget, over a warm pool.
+#[test]
+fn a_breaker_stops_at_the_deadline() {
+    const BUDGET_MS: u64 = 200;
+    let db = TaurusDb::new(ClusterConfig::default());
+    taurus::tpch::load(&db, 0.002, 7).unwrap();
+    let mut session = Session::new(&db).with_ndp(false);
+    let count = "select count(*) from lineitem";
+    session.sql(count).unwrap();
+    let warm = QueryRun::measure(&db, || session.sql(count)).unwrap();
+    assert_eq!(warm.delta.bp_misses, 0, "{:?}", warm.delta);
+    session.set_query_budget_ms(BUDGET_MS);
+    let start = std::time::Instant::now();
+    let r = session
+        .sql("select count(*) from lineitem a join lineitem b on a.l_returnflag = b.l_returnflag");
+    let took = start.elapsed();
+    assert!(matches!(r, Err(Error::DeadlineExceeded(_))), "{r:?}");
+    assert!(
+        took < std::time::Duration::from_millis(2 * BUDGET_MS),
+        "failed after {took:?}"
+    );
 }

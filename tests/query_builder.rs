@@ -6,7 +6,7 @@
 use taurus::executor::{execute, ExecContext};
 use taurus::expr::ast::Expr;
 use taurus::optimizer::ndp_post::ndp_post_process;
-use taurus::optimizer::plan::{AggFuncEx, AggItem, AggScanNode, Plan, ScanNode};
+use taurus::optimizer::plan::{AggFunc, AggItem, AggScanNode, Plan, ScanNode};
 use taurus::prelude::*;
 
 fn tpch_db() -> std::sync::Arc<TaurusDb> {
@@ -169,11 +169,11 @@ fn sql_group_agg_equals_agg_scan_plan() {
             group_cols: vec![0],
             aggs: vec![
                 AggItem {
-                    func: AggFuncEx::Sum,
+                    func: AggFunc::Sum,
                     input: Some(Expr::col(4)),
                 },
                 AggItem {
-                    func: AggFuncEx::CountStar,
+                    func: AggFunc::CountStar,
                     input: None,
                 },
             ],

@@ -528,9 +528,11 @@ fn operator_exprs<'p>(plan: &'p Plan, out: &mut Vec<&'p Expr>) {
 
 /// The census behind "one engine at run time": with NDP off and on, every
 /// expression an operator of the 22 TPC-H statements evaluates compiles
-/// to a record-VM program, 161 of 161 (SF 0.005). Four of them are CASE
-/// (Q8's projection, Q12's two SUM inputs, Q14's SUM input), and four are
-/// predicates the binder implies from a residual OR (one on each of Q7's
+/// to a record-VM program, 172 of 172 (SF 0.005). Q1 has 19 of them: its
+/// predicate, its eight aggregate inputs (each AVG's SUM and COUNT) and
+/// the ten columns of its Project, three of them an AVG's division. Four
+/// are CASE (Q8's projection, Q12's two SUM inputs, Q14's SUM input), and
+/// four are predicates the binder implies from a residual OR (one on each of Q7's
 /// `nation` scans, Q19's `part` scan and its `lineitem` lookup). The
 /// largest program is Q19's.
 #[test]
@@ -558,7 +560,7 @@ fn every_tpch_operator_expression_compiles() {
             }
         }
         eprintln!("ndp {ndp}: {exprs} of {exprs} operator expressions compiled ({cases} CASE, at most {max_regs} registers)");
-        assert_eq!((exprs, cases), (161, 4), "ndp {ndp}");
+        assert_eq!((exprs, cases), (172, 4), "ndp {ndp}");
         assert!(max_regs <= 64, "ndp {ndp}: {max_regs} registers");
     }
 }

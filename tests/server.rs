@@ -628,17 +628,17 @@ fn spawn_db() -> Arc<TaurusDb> {
 /// `select g, sum(v), count(*) from t group by g` as an `AggScan`.
 fn agg_scan() -> taurus::optimizer::plan::Plan {
     use taurus::expr::ast::Expr;
-    use taurus::optimizer::plan::{AggFuncEx, AggItem, AggScanNode, Plan, ScanNode};
+    use taurus::optimizer::plan::{AggFunc, AggItem, AggScanNode, Plan, ScanNode};
     Plan::AggScan(AggScanNode {
         scan: ScanNode::new("t", vec![1, 2]),
         group_cols: vec![1],
         aggs: vec![
             AggItem {
-                func: AggFuncEx::Sum,
+                func: AggFunc::Sum,
                 input: Some(Expr::col(2)),
             },
             AggItem {
-                func: AggFuncEx::CountStar,
+                func: AggFunc::CountStar,
                 input: None,
             },
         ],

@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use taurus::common::config::ClusterConfig;
 use taurus::common::schema::{Column, Row, TableSchema};
-use taurus::common::{DataType, Error, Value};
+use taurus::common::{DataType, Dec, Error, Value};
 use taurus::ndp::TaurusDb;
 use taurus::pagestore::SkipPolicy;
 use taurus::prelude::Session;
@@ -482,5 +482,159 @@ fn a_group_key_past_its_encoding_is_a_typed_error() {
             .sql("select 'a' as k, count(*) from nation group by k")
             .unwrap();
         assert_eq!(fmt_rows(&short), "a|25");
+    }
+}
+
+/// `m(g, id, i, d, f, pad)` keyed on (g, id): ten rows a group, `i` an
+/// INT, `d` a DECIMAL(12, 2) and `f` a DOUBLE, each NULL in some rows and
+/// all three NULL in every row of group 5.
+const M_ROWS: i64 = 2000;
+
+fn m_row(id: i64) -> (i64, Option<i64>, Option<i128>, Option<f64>) {
+    let g = id / 10;
+    let all_null = g == 5;
+    let i = (!all_null && id % 3 != 0).then_some(g % 30 + id % 10);
+    let d = (!all_null && id % 4 != 0).then_some(((id * 37) % 1000 + g * 100) as i128);
+    let f = (!all_null && id % 5 != 0).then_some((id % 13) as f64 * 0.25);
+    (g, i, d, f)
+}
+
+fn avg_db(batch_rows: usize) -> Arc<TaurusDb> {
+    let mut cfg = ClusterConfig::small_for_tests();
+    cfg.ndp.enabled = true;
+    cfg.scan_batch_rows = batch_rows;
+    let db = TaurusDb::new(cfg);
+    let schema = TableSchema::new(
+        "m",
+        vec![
+            Column::new("g", DataType::BigInt),
+            Column::new("id", DataType::BigInt),
+            Column::nullable("i", DataType::Int),
+            Column::nullable(
+                "d",
+                DataType::Decimal {
+                    precision: 12,
+                    scale: 2,
+                },
+            ),
+            Column::nullable("f", DataType::Double),
+            Column::new("pad", DataType::Varchar(30)),
+        ],
+        vec![0, 1],
+    );
+    let t = db.create_table(schema, &[]).unwrap();
+    let rows = (0..M_ROWS).map(|id| {
+        let (g, i, d, f) = m_row(id);
+        vec![
+            Value::Int(g),
+            Value::Int(id),
+            i.map_or(Value::Null, Value::Int),
+            d.map_or(Value::Null, |raw| Value::Decimal(Dec::new(raw, 2))),
+            f.map_or(Value::Null, Value::Double),
+            Value::str("p".repeat(24)),
+        ]
+    });
+    db.bulk_load(&t, rows.collect()).unwrap();
+    db
+}
+
+/// The sums and counts of `i`, `d` and `f` over the generator rows of
+/// each group (`None`: every row), as the averages they divide to: an
+/// INT's and a DECIMAL's a decimal four digits finer, a DOUBLE's a
+/// double, and NULL for a group with no value.
+fn avg_oracle(group: Option<i64>) -> Vec<Value> {
+    let (mut si, mut ni, mut sd, mut nd, mut sf, mut nf) = (0i64, 0i64, 0i128, 0i64, 0f64, 0i64);
+    for id in 0..M_ROWS {
+        let (g, i, d, f) = m_row(id);
+        if group.is_some_and(|want| want != g) {
+            continue;
+        }
+        if let Some(i) = i {
+            (si, ni) = (si + i, ni + 1);
+        }
+        if let Some(d) = d {
+            (sd, nd) = (sd + d, nd + 1);
+        }
+        if let Some(f) = f {
+            (sf, nf) = (sf + f, nf + 1);
+        }
+    }
+    let dec = |sum: Dec, n: i64| match n {
+        0 => Value::Null,
+        n => Value::Decimal(sum.div(Dec::from_int(n)).unwrap()),
+    };
+    vec![
+        dec(Dec::from_int(si), ni),
+        dec(Dec::new(sd, 2), nd),
+        match nf {
+            0 => Value::Null,
+            n => Value::Double(sf / n as f64),
+        },
+    ]
+}
+
+/// AVG is its SUM over its COUNT from the binder down: a scalar AVG, a
+/// grouped one whose all-NULL group gives NULL, an index-ordered GROUP BY
+/// whose `having avg(i) > 20` goes to the Page Stores, and an ORDER BY
+/// over an AVG, over INT, DECIMAL and DOUBLE columns with NULLs. NDP off
+/// = on, in every batch size, = the sums and counts of the generator
+/// rows.
+#[test]
+fn avg_is_sum_over_count_with_and_without_ndp() {
+    const SCALAR: &str = "select avg(i), avg(d), avg(f) from m";
+    const GROUPED: &str = "select g, avg(i), avg(d), avg(f) from m group by g order by g";
+    const HAVING: &str =
+        "select g, avg(i), avg(d), avg(f) from m group by g having avg(i) > 20 order by g";
+    const ORDERED: &str =
+        "select g, avg(i), avg(d), avg(f) from m group by g order by avg(f) desc, g limit 12";
+    let groups: Vec<Row> = (0..M_ROWS / 10)
+        .map(|g| {
+            let mut row = vec![Value::Int(g)];
+            row.extend(avg_oracle(Some(g)));
+            row
+        })
+        .collect();
+    let grouped = |keep: &dyn Fn(&[Value]) -> bool| {
+        let rows: Vec<Row> = groups.iter().filter(|r| keep(r)).cloned().collect();
+        fmt_rows(&rows)
+    };
+    let mut by_avg_f = groups.clone();
+    by_avg_f.sort_by(|a, b| b[3].cmp_total(&a[3]).then(a[0].cmp_total(&b[0])));
+    by_avg_f.truncate(12);
+    let over_20 = |r: &[Value]| r[1].cmp_sql(&Value::Int(20)) == Some(std::cmp::Ordering::Greater);
+    let want = [
+        (SCALAR, fmt_rows(&[avg_oracle(None)])),
+        (GROUPED, grouped(&|_| true)),
+        (HAVING, grouped(&over_20)),
+        (ORDERED, fmt_rows(&by_avg_f)),
+    ];
+    assert!(want[1].1.contains("5|NULL|NULL|NULL"), "{}", want[1].1);
+    let kept = want[2].1.lines().count();
+    assert!(kept > 10 && kept < 150, "{}", want[2].1);
+    for batch_rows in [1, 7, 1024] {
+        let db = avg_db(batch_rows);
+        let mut session = Session::new(&db);
+        let explain = |session: &Session, sql: &str| {
+            let lines = session.sql(&format!("explain {sql}")).unwrap();
+            lines
+                .iter()
+                .map(|l| format!("{}\n", l[0]))
+                .collect::<String>()
+        };
+        db.buffer_pool().clear();
+        let having = explain(&session, HAVING);
+        assert!(
+            having.contains("Using pushed NDP aggregate (index order)"),
+            "{having}"
+        );
+        assert!(having.contains("Using pushed NDP having"), "{having}");
+        for ndp in [false, true] {
+            session.set_ndp(ndp);
+            for (sql, want) in &want {
+                db.buffer_pool().clear();
+                let got = fmt_rows(&session.sql(sql).unwrap());
+                assert_eq!(&got, want, "batch {batch_rows}, ndp {ndp}: {sql}");
+            }
+        }
     }
 }

@@ -12,10 +12,10 @@ use taurus::common::{Error, Value};
 use taurus::expr::ast::{CmpOp, Expr};
 use taurus::expr::ir::{IrInstr, IrProgram};
 use taurus::ndp::TaurusDb;
-use taurus::ndp::{AggFunc, NdpChoice, ScanAgg, ScanAggregation};
+use taurus::ndp::{AggFunc, NdpChoice, ScanAggregation};
 use taurus::optimizer::plan::{
-    AggFuncEx, AggItem, AggScanNode, HashJoinNode, JoinFilterDecision, JoinType, LookupJoinNode,
-    NdpDecision, Plan, RangeSpec, ScanNode, SortNode,
+    AggItem, AggScanNode, HashJoinNode, JoinFilterDecision, JoinType, LookupJoinNode, NdpDecision,
+    Plan, RangeSpec, ScanNode, SortNode,
 };
 use taurus::prelude::Session;
 use taurus::verify::{verify_plan, DiagKind, Severity};
@@ -110,7 +110,7 @@ fn agg_input_not_in_output_is_pinned() {
         scan: ScanNode::new("lineitem", vec![0]),
         group_cols: vec![0],
         aggs: vec![AggItem {
-            func: AggFuncEx::Sum,
+            func: AggFunc::Sum,
             input: Some(Expr::col(5)),
         }],
     });
@@ -478,10 +478,24 @@ fn join_filter_needs_an_integer_key_one_key_a_probe_scan_and_a_filtered_build() 
 
 // --- a pushed aggregation against its AggScan --------------------------------
 
-/// Q1's shape over `lineitem`: grouped by (l_returnflag, l_linestatus),
-/// with a bare-column SUM, an AVG, an expression input and a COUNT(*).
-fn q1_like(pushed: ScanAggregation) -> Plan {
+/// Q1's aggregates over `lineitem` as the binder writes them: a
+/// bare-column SUM, an AVG as a SUM and a COUNT of its input, an
+/// expression input and a COUNT(*).
+fn q1_aggs() -> Vec<AggItem> {
     let disc_price = Expr::mul(Expr::col(5), Expr::sub(Expr::int(1), Expr::col(6)));
+    let agg = |func, input| AggItem { func, input };
+    vec![
+        agg(AggFunc::Sum, Some(Expr::col(4))),
+        agg(AggFunc::Sum, Some(Expr::col(5))),
+        agg(AggFunc::Count, Some(Expr::col(5))),
+        agg(AggFunc::Sum, Some(disc_price)),
+        agg(AggFunc::CountStar, None),
+    ]
+}
+
+/// Q1's shape: an `AggScan` of [`q1_aggs`] grouped by (l_returnflag,
+/// l_linestatus), pushing `pushed`.
+fn q1_like(pushed: ScanAggregation) -> Plan {
     Plan::AggScan(AggScanNode {
         scan: ScanNode {
             ndp: Some(NdpDecision {
@@ -494,39 +508,14 @@ fn q1_like(pushed: ScanAggregation) -> Plan {
             ..ScanNode::new("lineitem", vec![4, 5, 6, 8, 9])
         },
         group_cols: vec![8, 9],
-        aggs: vec![
-            AggItem {
-                func: AggFuncEx::Sum,
-                input: Some(Expr::col(4)),
-            },
-            AggItem {
-                func: AggFuncEx::Avg,
-                input: Some(Expr::col(5)),
-            },
-            AggItem {
-                func: AggFuncEx::Sum,
-                input: Some(disc_price),
-            },
-            AggItem {
-                func: AggFuncEx::CountStar,
-                input: None,
-            },
-        ],
+        aggs: q1_aggs(),
     })
 }
 
-/// The storage form of `q1_like`'s aggregates: AVG as a SUM and a COUNT.
+/// What storage is asked for `q1_like`: its aggregates, one for one.
 fn q1_storage_form() -> ScanAggregation {
-    let disc_price = Expr::mul(Expr::col(5), Expr::sub(Expr::int(1), Expr::col(6)));
-    let agg = |func, input| ScanAgg { func, input };
     ScanAggregation {
-        specs: vec![
-            agg(AggFunc::Sum, Some(Expr::col(4))),
-            agg(AggFunc::Sum, Some(Expr::col(5))),
-            agg(AggFunc::Count, Some(Expr::col(5))),
-            agg(AggFunc::Sum, Some(disc_price)),
-            agg(AggFunc::CountStar, None),
-        ],
+        specs: q1_aggs(),
         group_cols: vec![8, 9],
         having: None,
     }
@@ -534,7 +523,15 @@ fn q1_storage_form() -> ScanAggregation {
 
 #[test]
 fn a_pushed_aggregation_in_storage_form_passes() {
-    let plan = q1_like(q1_storage_form());
+    // The AVG is its SUM over its COUNT, above the aggregation.
+    let plan = q1_like(q1_storage_form()).project(vec![
+        Expr::col(0),
+        Expr::col(1),
+        Expr::col(2),
+        Expr::div(Expr::col(3), Expr::col(4)),
+        Expr::col(5),
+        Expr::col(6),
+    ]);
     assert!(
         !kinds(&plan).iter().any(|(_, s)| *s == Severity::Error),
         "{:?}",
@@ -553,7 +550,8 @@ fn a_pushed_aggregation_that_is_not_the_storage_form_is_pinned() {
         f(&mut pushed);
         q1_like(pushed)
     };
-    // The AVG's COUNT dropped: its SUM would be divided by nothing.
+    // The AVG's COUNT dropped: storage would send one state fewer than
+    // the SQL node merges.
     assert_rejected(
         &mutated(|p| {
             p.specs.remove(2);
@@ -589,7 +587,7 @@ fn q18_like(having: Option<Expr>, filtered: bool) -> Plan {
             ndp: Some(NdpDecision {
                 choice: NdpChoice {
                     aggregation: Some(ScanAggregation {
-                        specs: vec![ScanAgg {
+                        specs: vec![AggItem {
                             func: AggFunc::Sum,
                             input: Some(Expr::col(4)),
                         }],
@@ -604,7 +602,7 @@ fn q18_like(having: Option<Expr>, filtered: bool) -> Plan {
         },
         group_cols: vec![0],
         aggs: vec![AggItem {
-            func: AggFuncEx::Sum,
+            func: AggFunc::Sum,
             input: Some(Expr::col(4)),
         }],
     });
