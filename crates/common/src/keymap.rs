@@ -1,7 +1,8 @@
 //! Hash maps keyed by encoded byte strings (group keys, join keys).
 //!
-//! Hash aggregation and hash joins look an encoded key up once per input
-//! row, so the hash function is on the per-row path. [`KeyHasher`] mixes
+//! Hash aggregation and hash joins (on any key but one integer column)
+//! look an encoded key up once per input row, so the hash function is on
+//! the per-row path. [`KeyHasher`] mixes
 //! eight bytes per multiply (the FxHash construction) instead of running
 //! SipHash over them. The keys are encodings of the query's own
 //! intermediate values inside one operator of one query: nothing about

@@ -384,7 +384,10 @@ impl HashAggAcc {
         for e in &self.group {
             put_value16(&mut self.key, e.value(row)?.as_ref())?;
         }
-        let same = self.last.filter(|&g| self.groups[g].0 == self.key);
+        // A group-less aggregation has one group: no key to compare.
+        let same = self
+            .last
+            .filter(|&g| self.group.is_empty() || self.groups[g].0 == self.key);
         // Rows in index order arrive grouped: a key other than the last
         // row's is a new group, and the map is never needed.
         let known = || match self.index_ordered {

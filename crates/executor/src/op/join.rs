@@ -17,6 +17,10 @@
 //! type, and the build side, with the storage reads behind it, never
 //! starts.
 //!
+//! The build allocates per input batch, never per row: its rows move into
+//! one flat [`RowBatch`], and a [`BuildIndex`] chains each key's rows in
+//! build order, so the output is in probe order, then build order.
+//!
 //! [`LookupJoinOp`] streams its outer side and looks each outer row up in
 //! the inner index through the [`LookupProbe`] machinery, so it never
 //! materializes anything beyond the current output batch; a PQ worker
@@ -28,13 +32,17 @@
 //! matching records come back instead of the leaves. See [`LookupProbe`].
 //!
 //! Both emit at their input's batch boundaries, or earlier when the
-//! output batch is full ([`InputCursor`] keeps the place): what they hand
-//! up is bounded by the batch capacity however wide the joined rows and
-//! however large the match fan-out.
+//! output batch is full ([`InputCursor`] keeps the place, the hash join
+//! the next match of its chain, the lookup join the rows that did not
+//! fit): what they hand up is bounded by the batch capacity however wide
+//! the joined rows and however large the match fan-out.
+
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 use taurus_common::codec::put_value16;
-use taurus_common::schema::Row;
-use taurus_common::{KeyMap, Result, RowBatch, Value};
+use taurus_common::keymap::KeyHasher;
+use taurus_common::{Error, KeyMap, Result, RowBatch, Value};
 use taurus_ndp::JoinFilter;
 use taurus_optimizer::plan::{HashJoinNode, JoinFilterDecision, JoinType, LookupJoinNode, Plan};
 
@@ -56,13 +64,99 @@ fn join_key(row: &[Value], cols: &[usize], key: &mut Vec<u8>) -> Result<bool> {
     Ok(true)
 }
 
+/// A key's build rows: the first and the last of its chain (ends: `END`).
+type Chain = (u32, u32);
+const END: u32 = u32::MAX;
+
+/// The build rows by join key. Two keys are equal exactly when their
+/// [`join_key`] encodings are: NULL matches nothing, and an `Int` equals
+/// no value of another type (the encoding's tag differs).
+enum BuildIndex {
+    /// One key column of `Int`s and NULLs, by the integer (no encoding).
+    Int(HashMap<i64, Chain, BuildHasherDefault<KeyHasher>>),
+    /// Any other key, by its encoding.
+    Encoded(KeyMap<Chain>),
+}
+
+impl BuildIndex {
+    /// Index `rows` by their key at `cols`, chaining each key's rows in
+    /// build order through `next` (one entry a row).
+    fn build(rows: &RowBatch, cols: &[usize], next: &mut [u32]) -> Result<BuildIndex> {
+        let link = |next: &mut [u32], chain: &mut Chain, i: u32| {
+            next[chain.1 as usize] = i;
+            chain.1 = i;
+        };
+        if let [c] = *cols {
+            if rows
+                .rows()
+                .all(|r| matches!(r[c], Value::Int(_) | Value::Null))
+            {
+                let mut ints = HashMap::with_capacity_and_hasher(rows.len(), Default::default());
+                for (r, i) in rows.rows().zip(0u32..) {
+                    if let Value::Int(k) = r[c] {
+                        ints.entry(k)
+                            .and_modify(|chain| link(next, chain, i))
+                            .or_insert((i, i));
+                    }
+                }
+                return Ok(BuildIndex::Int(ints));
+            }
+        }
+        let mut map = KeyMap::with_capacity_and_hasher(rows.len(), Default::default());
+        let mut key = Vec::new();
+        for (r, i) in rows.rows().zip(0u32..) {
+            if !join_key(r, cols, &mut key)? {
+                continue;
+            }
+            // Only a key seen for the first time is copied into the index.
+            match map.get_mut(key.as_slice()) {
+                Some(chain) => link(next, chain, i),
+                None => _ = map.insert(key.clone(), (i, i)),
+            }
+        }
+        Ok(BuildIndex::Encoded(map))
+    }
+
+    /// The first build row whose key equals the key of probe row `row`
+    /// at `cols`, or [`END`].
+    fn first(&self, row: &[Value], cols: &[usize], key: &mut Vec<u8>) -> Result<u32> {
+        let chain = match self {
+            BuildIndex::Int(ints) => match row[cols[0]] {
+                Value::Int(k) => ints.get(&k),
+                _ => None,
+            },
+            BuildIndex::Encoded(map) => match join_key(row, cols, key)? {
+                true => map.get(key.as_slice()),
+                false => None,
+            },
+        };
+        Ok(chain.map_or(END, |c| c.0))
+    }
+}
+
+/// Push probe row `l` joined with the build rows from `i` on along `next`
+/// until `out` is full: where the chain stopped ([`END`]: at its end).
+fn push_matches(out: &mut RowBatch, l: &[Value], rows: &RowBatch, next: &[u32], mut i: u32) -> u32 {
+    while i != END && !out.is_full() {
+        out.push_row(l.iter().chain(rows.row(i as usize)).cloned());
+        i = next[i as usize];
+    }
+    i
+}
+
 pub(crate) struct HashJoinOp<'r, 'env> {
     ctx: &'env ExecContext<'env>,
     node: &'env HashJoinNode,
     left: InputCursor<'r>,
     right: Option<BoxOp<'r>>,
-    build: KeyMap<Vec<usize>>,
-    right_rows: Vec<Row>,
+    /// The build rows, `right_width` values each, in build order; the
+    /// index over them, and each row's successor in its key's chain.
+    rows: RowBatch,
+    index: BuildIndex,
+    next: Vec<u32>,
+    /// The current probe row's next match to emit ([`END`]: none): a full
+    /// output batch stops the chain, and the next pull resumes it.
+    pending: u32,
     left_width: usize,
     right_width: usize,
     built: bool,
@@ -94,6 +188,11 @@ impl<'r, 'env> HashJoinOp<'r, 'env> {
         left: BoxOp<'r>,
         right: BoxOp<'r>,
     ) -> HashJoinOp<'r, 'env> {
+        // The static plan widths, not a first row's: an empty build side
+        // must still NULL-pad LEFT OUTER output to the full right width
+        // (the legacy executor got this wrong and emitted unpadded rows,
+        // which blew up downstream operators indexing past them).
+        let right_width = taurus_verify::plan_width(&node.right);
         HashJoinOp {
             // `check_plan` has rejected a decision on an outer or anti
             // join, or on more than one key, before any operator exists.
@@ -103,22 +202,19 @@ impl<'r, 'env> HashJoinOp<'r, 'env> {
             node,
             left: InputCursor::new(left),
             right: Some(right),
-            build: KeyMap::default(),
-            right_rows: Vec::new(),
-            // The static plan widths, not a first row's: an empty build
-            // side must still NULL-pad LEFT OUTER output to the full right
-            // width (the legacy executor got this wrong and emitted
-            // unpadded rows, which blew up downstream operators indexing
-            // past them).
+            rows: RowBatch::with_capacity(right_width, 1),
+            index: BuildIndex::Encoded(KeyMap::default()),
+            next: Vec::new(),
+            pending: END,
             left_width: taurus_verify::plan_width(&node.left),
-            right_width: taurus_verify::plan_width(&node.right),
+            right_width,
             built: false,
             key: Vec::new(),
         }
     }
 
-    /// Drain the build side into the hash table (first pull only). A
-    /// probe side read first that has no row leaves it unopened.
+    /// Drain the build side into the arena and index it (first pull
+    /// only). A probe side read first that has no row leaves it unopened.
     fn build_side(&mut self) -> Result<()> {
         if self.built {
             return Ok(());
@@ -136,25 +232,16 @@ impl<'r, 'env> HashJoinOp<'r, 'env> {
         if let Some(right) = &mut self.right {
             while let Some(mut b) = right.next_batch()? {
                 check_deadline(self.ctx, "hash join build")?;
-                self.right_rows.reserve(b.len());
-                self.right_rows.extend(b.drain_rows());
+                self.rows.append(&mut b);
             }
         }
         if let Some(mut r) = self.right.take() {
             r.close();
         }
-        for (i, r) in self.right_rows.iter().enumerate() {
-            if !join_key(r, &self.node.right_keys, &mut self.key)? {
-                continue;
-            }
-            // Only a key seen for the first time is copied into the table.
-            match self.build.get_mut(self.key.as_slice()) {
-                Some(rows) => rows.push(i),
-                None => {
-                    self.build.insert(self.key.clone(), vec![i]);
-                }
-            }
-        }
+        let n = u32::try_from(self.rows.len())
+            .map_err(|_| Error::InvalidState("a hash join build past 2^32 rows".into()))?;
+        self.next = vec![END; n as usize];
+        self.index = BuildIndex::build(&self.rows, &self.node.right_keys, &mut self.next)?;
         self.built = true;
         match self.filter {
             Some(d) => self.open_probe(d),
@@ -174,14 +261,18 @@ impl<'r, 'env> HashJoinOp<'r, 'env> {
         let Some(&rk) = self.node.right_keys.first() else {
             return self.left.open();
         };
-        let mut keys: Vec<i64> = self
-            .right_rows
-            .iter()
-            .filter_map(|r| match r.get(rk) {
-                Some(Value::Int(k)) => Some(*k),
-                _ => None,
-            })
-            .collect();
+        // The index's keys, or the integers among a column's other values.
+        let mut keys: Vec<i64> = match &self.index {
+            BuildIndex::Int(ints) => ints.keys().copied().collect(),
+            BuildIndex::Encoded(_) => self
+                .rows
+                .rows()
+                .filter_map(|r| match r[rk] {
+                    Value::Int(k) => Some(k),
+                    _ => None,
+                })
+                .collect(),
+        };
         keys.sort_unstable();
         keys.dedup();
         if keys.is_empty() {
@@ -224,29 +315,29 @@ impl Operator for HashJoinOp<'_, '_> {
         };
         let batch_rows = self.ctx.db.config().scan_batch_rows;
         let mut out = RowBatch::with_capacity(out_width, batch_rows);
-        while !out.is_full() {
+        if self.pending != END {
+            let l = self
+                .left
+                .current()
+                .ok_or_else(|| Error::Internal("hash join lost its probe row".into()))?;
+            self.pending = push_matches(&mut out, l, &self.rows, &self.next, self.pending);
+        }
+        while self.pending == END && !out.is_full() {
             let Some(l) = self.left.next_row(out.is_empty())? else {
                 break;
             };
-            let matches = if join_key(l, &self.node.left_keys, &mut self.key)? {
-                self.build.get(self.key.as_slice())
-            } else {
-                None
-            };
-            let matched = matches.is_some_and(|m| !m.is_empty());
+            let first = self.index.first(l, &self.node.left_keys, &mut self.key)?;
             match self.node.join {
-                JoinType::Inner | JoinType::LeftOuter if matched => {
-                    for &i in matches.into_iter().flatten() {
-                        out.push_row(l.iter().cloned().chain(self.right_rows[i].iter().cloned()));
-                    }
+                JoinType::Inner | JoinType::LeftOuter if first != END => {
+                    self.pending = push_matches(&mut out, l, &self.rows, &self.next, first);
                 }
                 JoinType::LeftOuter => out.push_row(
                     l.iter()
                         .cloned()
                         .chain(std::iter::repeat_n(Value::Null, self.right_width)),
                 ),
-                JoinType::Semi if matched => out.push_row(l.iter().cloned()),
-                JoinType::Anti if !matched => out.push_row(l.iter().cloned()),
+                JoinType::Semi if first != END => out.push_row(l.iter().cloned()),
+                JoinType::Anti if first == END => out.push_row(l.iter().cloned()),
                 JoinType::Inner | JoinType::Semi | JoinType::Anti => {}
             }
         }
@@ -258,8 +349,9 @@ impl Operator for HashJoinOp<'_, '_> {
         if let Some(mut r) = self.right.take() {
             r.close();
         }
-        self.build.clear();
-        self.right_rows.clear();
+        self.rows = RowBatch::with_capacity(self.right_width, 1);
+        self.index = BuildIndex::Encoded(KeyMap::default());
+        self.next = Vec::new();
     }
 }
 
@@ -269,10 +361,14 @@ pub(crate) struct LookupJoinOp<'r, 'env> {
     ctx: &'env ExecContext<'env>,
     node: &'env LookupJoinNode,
     outer: InputCursor<'r>,
-    outer_width: usize,
     /// The join's compiled expressions, handed to the probe on open.
     programs: Option<JoinPrograms>,
     probe: Option<LookupProbe<'env>>,
+    /// Output rows (of the join's width) of the last outer row probed that
+    /// did not fit in the batch it filled: the next batch starts with
+    /// them, from `held_at`.
+    held: RowBatch,
+    held_at: usize,
 }
 
 impl<'r, 'env> LookupJoinOp<'r, 'env> {
@@ -282,13 +378,19 @@ impl<'r, 'env> LookupJoinOp<'r, 'env> {
         programs: JoinPrograms,
         outer: BoxOp<'r>,
     ) -> LookupJoinOp<'r, 'env> {
+        let outer_width = taurus_verify::plan_width(&node.outer);
+        let out_width = match node.join {
+            JoinType::Inner | JoinType::LeftOuter => outer_width + node.inner_output.len(),
+            JoinType::Semi | JoinType::Anti => outer_width,
+        };
         LookupJoinOp {
             ctx,
             node,
             outer: InputCursor::new(outer),
-            outer_width: taurus_verify::plan_width(&node.outer),
             programs: Some(programs),
             probe: None,
+            held: RowBatch::with_capacity(out_width, 1),
+            held_at: 0,
         }
     }
 }
@@ -312,23 +414,27 @@ impl Operator for LookupJoinOp<'_, '_> {
             .probe
             .as_mut()
             .ok_or_else(|| taurus_common::Error::Internal("LookupJoin not opened".into()))?;
-        let out_width = match self.node.join {
-            JoinType::Inner | JoinType::LeftOuter => {
-                self.outer_width + self.node.inner_output.len()
-            }
-            JoinType::Semi | JoinType::Anti => self.outer_width,
-        };
         let batch_rows = self.ctx.db.config().scan_batch_rows;
-        let mut out = RowBatch::with_capacity(out_width, batch_rows);
-        while !out.is_full() {
+        let mut out = RowBatch::with_capacity(self.held.width(), batch_rows);
+        while self.held_at < self.held.len() && !out.is_full() {
+            out.push_row(self.held.row(self.held_at).iter().cloned());
+            self.held_at += 1;
+        }
+        if self.held_at == self.held.len() {
+            self.held.clear();
+            self.held_at = 0;
+        }
+        let held = &mut self.held;
+        while held.is_empty() && !out.is_full() {
             let Some((batch, i)) = self.outer.next_in_batch(out.is_empty())? else {
                 break;
             };
             if i == 0 {
                 probe.begin(batch.rows());
             }
-            probe.probe(self.ctx, i, batch.row(i), &mut |row| {
-                out.push_row(row.iter().cloned())
+            probe.probe(self.ctx, i, batch.row(i), &mut |row| match out.is_full() {
+                true => held.push_row(row.iter().cloned()),
+                false => out.push_row(row.iter().cloned()),
             })?;
         }
         Ok(emit_or_end(self.ctx.db, out))
@@ -337,13 +443,158 @@ impl Operator for LookupJoinOp<'_, '_> {
     fn close(&mut self) {
         self.outer.close();
         self.probe = None;
+        self.held.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use taurus_common::Error;
+    use std::collections::VecDeque;
+    use std::sync::{Arc, OnceLock};
+
+    use proptest::prelude::*;
+    use taurus_common::schema::Row;
+    use taurus_common::{ClusterConfig, Dec, Error};
+    use taurus_ndp::TaurusDb;
+    use taurus_optimizer::plan::ScanNode;
+
+    /// An operator that hands up the batches it was given.
+    struct Batches(VecDeque<RowBatch>);
+
+    impl Operator for Batches {
+        fn name(&self) -> &'static str {
+            "Batches"
+        }
+
+        fn open(&mut self) -> Result<()> {
+            Ok(())
+        }
+
+        fn next_batch(&mut self) -> Result<Option<RowBatch>> {
+            Ok(self.0.pop_front())
+        }
+
+        fn close(&mut self) {}
+    }
+
+    fn batches(rows: &[Row], size: usize) -> Box<Batches> {
+        Box::new(Batches(
+            rows.chunks(size)
+                .map(|c| {
+                    let mut b = RowBatch::with_capacity(3, size);
+                    c.iter().for_each(|r| b.push_row(r.iter().cloned()));
+                    b
+                })
+                .collect(),
+        ))
+    }
+
+    /// A cluster per output batch size (1, 7, 1024), made once.
+    fn dbs() -> &'static [Arc<TaurusDb>] {
+        static DBS: OnceLock<Vec<Arc<TaurusDb>>> = OnceLock::new();
+        DBS.get_or_init(|| {
+            [1, 7, 1024]
+                .map(|rows| {
+                    let mut cfg = ClusterConfig::small_for_tests();
+                    cfg.scan_batch_rows = rows;
+                    TaurusDb::new(cfg)
+                })
+                .into()
+        })
+    }
+
+    /// A key cell: 0-3 an integer, 4 NULL, 5 the decimal 1.00, which
+    /// equals no integer.
+    fn cell(code: i64) -> Value {
+        match code {
+            0..=3 => Value::Int(code),
+            4 => Value::Null,
+            _ => Value::Decimal(Dec::new(100, 2)),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+        /// The hash join is a nested loop whose key equality is
+        /// `join_key`'s: rows of two key columns (`[k1, k2, seq]` on both
+        /// sides), joined on `k1` alone with an all-integer build column
+        /// (the `i64` index, probed with decimals too), on `k1` alone with
+        /// a build column mixing integers and a decimal, or on both
+        /// columns (the encoded index). Duplicate keys, NULL keys, empty
+        /// sides and a build spread over input batches; every join type,
+        /// at output batches of 1, 7 and 1024 rows. The rows come out in
+        /// probe order, then build order, and no batch exceeds its
+        /// capacity.
+        #[test]
+        fn hash_join_is_a_nested_loop_over_encoded_keys(
+            mode in 0u8..3,
+            build in proptest::collection::vec((0i64..6, 0i64..6), 0..40),
+            probe in proptest::collection::vec((0i64..6, 0i64..6), 0..40),
+            build_chunk in 1usize..9,
+            probe_chunk in 1usize..9,
+        ) {
+            let row = |seq: usize, &(a, b): &(i64, i64)| vec![cell(a), cell(b), Value::Int(seq as i64)];
+            // Mode 0's build keys are integers or NULL.
+            let right: Vec<Row> = build
+                .iter()
+                .enumerate()
+                .map(|(i, &(a, b))| row(i, &(if mode == 0 { a % 5 } else { a }, b)))
+                .collect();
+            let left: Vec<Row> = probe.iter().enumerate().map(|(i, k)| row(i, k)).collect();
+            let keys = if mode == 2 { vec![0, 1] } else { vec![0] };
+            let enc = |r: &Row| {
+                let mut key = Vec::new();
+                join_key(r, &keys, &mut key).unwrap().then_some(key)
+            };
+            for join in [JoinType::Inner, JoinType::LeftOuter, JoinType::Semi, JoinType::Anti] {
+                let mut want: Vec<Row> = Vec::new();
+                for l in &left {
+                    let k = enc(l);
+                    let ms: Vec<&Row> = right.iter().filter(|r| k.is_some() && enc(r) == k).collect();
+                    match join {
+                        JoinType::Inner | JoinType::LeftOuter => {
+                            want.extend(ms.iter().map(|m| [l.as_slice(), m.as_slice()].concat()));
+                            if ms.is_empty() && join == JoinType::LeftOuter {
+                                want.push([l.as_slice(), &[Value::Null, Value::Null, Value::Null][..]].concat());
+                            }
+                        }
+                        JoinType::Semi if !ms.is_empty() => want.push(l.clone()),
+                        JoinType::Anti if ms.is_empty() => want.push(l.clone()),
+                        JoinType::Semi | JoinType::Anti => {}
+                    }
+                }
+                let scan = || Box::new(Plan::Scan(ScanNode::new("t", vec![0, 1, 2])));
+                let node = HashJoinNode {
+                    left: scan(),
+                    right: scan(),
+                    left_keys: keys.clone(),
+                    right_keys: keys.clone(),
+                    join,
+                    filter: None,
+                };
+                for db in dbs() {
+                    let ctx = ExecContext::new(db);
+                    let mut op = HashJoinOp::new(
+                        &ctx,
+                        &node,
+                        batches(&left, probe_chunk),
+                        batches(&right, build_chunk),
+                    );
+                    op.open().unwrap();
+                    let mut got: Vec<Row> = Vec::new();
+                    let batch_rows = db.config().scan_batch_rows;
+                    while let Some(b) = op.next_batch().unwrap() {
+                        prop_assert!(!b.is_empty() && b.len() <= batch_rows, "{} rows", b.len());
+                        got.extend(b.to_rows());
+                    }
+                    op.close();
+                    prop_assert_eq!(&got, &want, "{:?} at batch {}", join, batch_rows);
+                }
+            }
+        }
+    }
 
     /// A key string past the key encoding's `u16` length is a typed
     /// error, not a wrapped length that collides with another key; a

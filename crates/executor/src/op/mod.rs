@@ -252,6 +252,13 @@ impl<'r> InputCursor<'r> {
         Ok(self.batch.as_ref().map(|b| (b, self.next - 1)))
     }
 
+    /// The row the last [`InputCursor::next_row`] returned: an operator
+    /// whose output filled in the middle of that row's goes on with it.
+    pub(crate) fn current(&self) -> Option<&[taurus_common::Value]> {
+        let b = self.batch.as_ref()?;
+        Some(b.row(self.next.checked_sub(1)?))
+    }
+
     /// Is there an unread input row? Pulls the child until there is one
     /// or it ends (which closes it); the row stays unread.
     pub(crate) fn has_row(&mut self) -> Result<bool> {
@@ -293,6 +300,9 @@ pub(crate) fn emit_or_end(db: &TaurusDb, out: RowBatch) -> Option<RowBatch> {
     if out.is_empty() {
         return None;
     }
+    // Within `scan_batch_rows` rows and `BATCH_MAX_VALUES` values.
+    let cap = out.capacity_rows();
+    debug_assert!(out.len() <= cap && cap <= db.config().scan_batch_rows.max(1));
     charge_emit(db, &out);
     Some(out)
 }

@@ -311,8 +311,13 @@ impl GroupTable {
         spec: &NdpAggSpec,
         stats: &mut PluginStats,
     ) -> Result<usize> {
+        // A group-less aggregation has one group: no key to compare.
         let live = &self.groups[..self.live];
-        if live.get(self.last).is_some_and(|g| g.key == self.probe) {
+        let scalar = spec.group_cols.is_empty();
+        if live
+            .get(self.last)
+            .is_some_and(|g| scalar || g.key == self.probe)
+        {
             return Ok(self.last);
         }
         if let Some(g) = live.iter().position(|g| g.key == self.probe) {

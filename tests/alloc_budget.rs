@@ -12,6 +12,13 @@
 //! cannot creep back in unnoticed. (String columns are outside the budget:
 //! a `Value::Str` owns its bytes.)
 //!
+//! A hash join builds per input batch, never per build row: the build
+//! rows move into one flat batch and its index chains each key's rows, so
+//! a join of 12,000 build rows on a unique integer key and its probe make
+//! 62 allocations, under the same 0.05 a build row. The build it replaced
+//! made a `Row`, a key copy and a match list per build row (parent commit
+//! a5f1ff4, this same case: 36,072 for 12,000 build rows).
+//!
 //! A lookup join probes through an index access prepared once per
 //! operator, with its keys encoded into one buffer per outer batch: a
 //! probe of a fixed-width covering inner allocates once (the descent's
@@ -38,7 +45,7 @@ use taurus::expr::ast::Expr;
 use taurus::expr::descriptor::{encode_join_filter, KeyBloom, NdpDescriptor, Sections};
 use taurus::ndp::{scan, AggState, ScanConsumer, ScanRange, ScanSpec, TaurusDb};
 use taurus::optimizer::plan::{
-    AggFunc, AggItem, HashAggNode, JoinType, LookupJoinNode, Plan, ScanNode,
+    AggFunc, AggItem, HashAggNode, HashJoinNode, JoinType, LookupJoinNode, Plan, ScanNode,
 };
 use taurus::page::NO_PAGE;
 use taurus::pagestore::{CachedDescriptor, InnodbNdpPlugin, NdpPlugin};
@@ -221,6 +228,19 @@ fn the_row_path_allocates_per_batch_never_per_row() {
     });
     assert_within_budget("lookup join", ROWS, PER_PROBE_BUDGET, || {
         assert_eq!(sink_rows(&session, &join), ROWS);
+    });
+
+    // --- a hash join: a unique integer key, every build row matched ------
+    let hash_join = Plan::HashJoin(HashJoinNode {
+        left: Box::new(Plan::Scan(ScanNode::new("facts", vec![0, 1]))),
+        right: Box::new(Plan::Scan(ScanNode::new("facts", vec![0, 2]))),
+        left_keys: vec![0],
+        right_keys: vec![0],
+        join: JoinType::Inner,
+        filter: None,
+    });
+    assert_within_budget("hash join", ROWS, PER_ROW_BUDGET, || {
+        assert_eq!(sink_rows(&session, &hash_join), ROWS);
     });
 
     key_reads_allocate_per_chunk(&join);

@@ -463,3 +463,132 @@ fn a_breaker_stops_at_the_deadline() {
         "failed after {took:?}"
     );
 }
+
+/// Join output batches stay within their capacity whatever the match
+/// fan-out: a hash join stops mid-chain when its batch fills, and a lookup
+/// join keeps the inner rows of an outer row that do not fit for its next
+/// batch. Keys with 0, 1, 2 and 5,000 inner rows (which key has which is
+/// random), a key with none at all and NULL keys on the outer side,
+/// through HashJoin and LookupJoin, every join type, at batches of 1, 7
+/// and 1024 rows: every batch is within `scan_batch_rows` and
+/// `BATCH_MAX_VALUES / width`, and the rows are a nested loop's, in outer
+/// order, then inner key order.
+#[test]
+fn join_batches_stay_within_capacity_at_any_fan_out() {
+    use proptest::rng::{Rng, SeedableRng, TestRng};
+    use taurus::common::batch::BATCH_MAX_VALUES;
+    use taurus::optimizer::plan::LookupJoinNode;
+    let big = |name: &str| Column::new(name, DataType::BigInt);
+    for seed in 0..3u64 {
+        let mut rng = TestRng::seed_from_u64(seed);
+        let mut fan_outs = [0usize, 1, 2, 5000];
+        for i in (1..fan_outs.len()).rev() {
+            fan_outs.swap(i, rng.gen_range(0..i + 1));
+        }
+        // [k, n, v], in index order.
+        let inner: Vec<Row> = (0..fan_outs.len() as i64)
+            .flat_map(|k| (0..fan_outs[k as usize] as i64).map(move |n| (k, n)))
+            .map(|(k, n)| vec![Value::Int(k), Value::Int(n), Value::Int(k * 10_000 + n)])
+            .collect();
+        // [id, k]: keys 0-3, 4 (no inner row) and NULL.
+        let outer: Vec<Row> = (0..16i64)
+            .map(|id| match rng.gen_range(0..6i64) {
+                5 => vec![Value::Int(id), Value::Null],
+                k => vec![Value::Int(id), Value::Int(k)],
+            })
+            .collect();
+        for batch_rows in [1usize, 7, 1024] {
+            let mut cfg = ClusterConfig::small_for_tests();
+            cfg.scan_batch_rows = batch_rows;
+            let db = TaurusDb::new(cfg);
+            let t = db
+                .create_table(
+                    TableSchema::new("inner_t", vec![big("k"), big("n"), big("v")], vec![0, 1]),
+                    &[],
+                )
+                .unwrap();
+            db.bulk_load(&t, inner.clone()).unwrap();
+            let t = db
+                .create_table(
+                    TableSchema::new(
+                        "outer_t",
+                        vec![big("id"), Column::nullable("k", DataType::BigInt)],
+                        vec![0],
+                    ),
+                    &[],
+                )
+                .unwrap();
+            db.bulk_load(&t, outer.clone()).unwrap();
+            let session = Session::new(&db);
+            for join in [
+                JoinType::Inner,
+                JoinType::LeftOuter,
+                JoinType::Semi,
+                JoinType::Anti,
+            ] {
+                let outer_scan = Box::new(Plan::Scan(ScanNode::new("outer_t", vec![0, 1])));
+                let hash = Plan::HashJoin(HashJoinNode {
+                    left: outer_scan.clone(),
+                    right: Box::new(Plan::Scan(ScanNode::new("inner_t", vec![0, 1, 2]))),
+                    left_keys: vec![1],
+                    right_keys: vec![0],
+                    join,
+                    filter: None,
+                });
+                let lookup = Plan::LookupJoin(LookupJoinNode {
+                    outer: outer_scan,
+                    table: "inner_t".into(),
+                    index: 0,
+                    outer_key_cols: vec![1],
+                    on: None,
+                    inner_output: vec![1, 2],
+                    join,
+                    inner_predicate: vec![],
+                    inner_ndp: None,
+                });
+                // The hash join outputs the inner key too.
+                for (op, mut plan, inner_cols) in
+                    [("HashJoin", hash, 0..3), ("LookupJoin", lookup, 1..3)]
+                {
+                    let mut want: Vec<Row> = Vec::new();
+                    for o in &outer {
+                        let ms: Vec<&Row> = inner.iter().filter(|r| r[0] == o[1]).collect();
+                        match join {
+                            JoinType::Inner | JoinType::LeftOuter => {
+                                for m in &ms {
+                                    want.push([&o[..], &m[inner_cols.clone()]].concat());
+                                }
+                                if ms.is_empty() && join == JoinType::LeftOuter {
+                                    let nulls = vec![Value::Null; inner_cols.len()];
+                                    want.push([&o[..], &nulls[..]].concat());
+                                }
+                            }
+                            JoinType::Semi if !ms.is_empty() => want.push(o.clone()),
+                            JoinType::Anti if ms.is_empty() => want.push(o.clone()),
+                            JoinType::Semi | JoinType::Anti => {}
+                        }
+                    }
+                    ndp_post_process(&mut plan, &db).unwrap();
+                    let width = taurus::verify::plan_width(&plan);
+                    let capacity = batch_rows.min(BATCH_MAX_VALUES / width);
+                    let mut got: Vec<Row> = Vec::new();
+                    session
+                        .run_plan(&plan, |mut batch| {
+                            assert!(
+                                batch.len() <= capacity,
+                                "{} rows past a capacity of {capacity}",
+                                batch.len()
+                            );
+                            got.extend(batch.drain_rows());
+                            Ok(true)
+                        })
+                        .unwrap();
+                    assert_eq!(
+                        got, want,
+                        "{op}, seed {seed}, fan-outs {fan_outs:?}, batch {batch_rows}, {join:?}"
+                    );
+                }
+            }
+        }
+    }
+}
