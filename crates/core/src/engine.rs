@@ -442,7 +442,10 @@ impl TreeStore for SpaceStore {
             }
             let t0 = std::time::Instant::now();
             loop {
-                match self.sal.read_page(pref, Some(rs.read_pin())) {
+                match self
+                    .sal
+                    .read_page_ctx(pref, Some(rs.read_pin()), &QueryCtx::new())
+                {
                     Ok(p) => return Ok(p),
                     Err(e @ Error::InvalidState(_)) => {
                         if t0.elapsed() > taurus_common::config::STALE_PIN_RETRY {
@@ -461,7 +464,7 @@ impl TreeStore for SpaceStore {
             return Ok(p);
         }
         let token = self.begin_fetch();
-        let p = self.sal.read_page(pref, None)?;
+        let p = self.sal.read_page_ctx(pref, None, &QueryCtx::new())?;
         self.install(&token, [p.clone()]);
         Ok(p)
     }
@@ -476,7 +479,8 @@ impl TreeStore for SpaceStore {
         if let Some(p) = self.cached_at(page_no, lsn) {
             return Ok(p);
         }
-        self.sal.read_page(self.pref(page_no), Some(lsn))
+        self.sal
+            .read_page_ctx(self.pref(page_no), Some(lsn), &QueryCtx::new())
     }
 
     fn pin_retryable(&self) -> bool {

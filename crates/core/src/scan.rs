@@ -19,7 +19,7 @@
 //!
 //! Steps 1–3 run as a **prefetch pipeline**: up to
 //! `ndp.prefetch_batches` leaf batches are in flight at once, each with
-//! its own streaming SAL fan-out ([`taurus_sal::Sal::batch_read_streaming`]),
+//! its own streaming SAL fan-out ([`taurus_sal::Sal::batch_read_streaming_ctx`]),
 //! so batch N+1's Page Store work overlaps batch N's consumption. The
 //! per-scan frame quota is split across the in-flight batches — see
 //! [`ndp_scan`] and DESIGN.md's "NDP prefetch pipeline" section.

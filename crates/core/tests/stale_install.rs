@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use taurus_btree::{RedoOp, TreeStore};
 use taurus_common::schema::{Column, TableSchema};
-use taurus_common::{ClusterConfig, DataType, PageRef, Value};
+use taurus_common::{ClusterConfig, DataType, PageRef, QueryCtx, Value};
 use taurus_ndp::{Table, TaurusDb};
 
 const KEY: i64 = 7;
@@ -55,7 +55,10 @@ fn a_fetched_image_never_replaces_a_copy_a_write_was_mirrored_onto() {
 
     // A reader misses the leaf and fetches it: image V0, reply on the wire.
     let token = store.begin_fetch();
-    let v0 = store.sal().read_page(pref, None).unwrap();
+    let v0 = store
+        .sal()
+        .read_page_ctx(pref, None, &QueryCtx::new())
+        .unwrap();
     // A writer caches the leaf and updates a row on it.
     store.read(leaf).unwrap();
     let trx = db.begin();
@@ -86,7 +89,10 @@ fn a_fetched_image_stays_out_when_a_write_found_no_copy_to_mirror_onto() {
     db.buffer_pool().clear();
 
     let token = store.begin_fetch();
-    let before_write = store.sal().read_page(pref, None).unwrap();
+    let before_write = store
+        .sal()
+        .read_page_ctx(pref, None, &QueryCtx::new())
+        .unwrap();
     // The leaf is not cached: this write reaches the Page Stores only.
     store
         .write(vec![RedoOp::SetDeleteMark {
@@ -114,7 +120,7 @@ fn an_undisturbed_fetch_is_cached() {
     let token = store.begin_fetch();
     let page = store
         .sal()
-        .read_page(PageRef::new(store.space, root), None)
+        .read_page_ctx(PageRef::new(store.space, root), None, &QueryCtx::new())
         .unwrap();
     store.install(&token, [page]);
     assert!(store.is_resident(root));

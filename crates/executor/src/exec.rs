@@ -30,9 +30,7 @@ use taurus_ndp::{
     scan_ctx, BTree, JoinFilter, KeyList, KeyRead, PointLookup, ScanConsumer, ScanRange, ScanSpec,
     TaurusDb,
 };
-use taurus_optimizer::plan::{
-    AggItem, AggScanNode, HashAggNode, JoinType, LookupJoinNode, Plan, ScanNode,
-};
+use taurus_optimizer::plan::{AggItem, HashAggNode, JoinType, LookupJoinNode, Plan, ScanNode};
 use taurus_verify::DiagKind;
 
 /// Execution context for one query.
@@ -208,7 +206,7 @@ pub(crate) type AggPartials = Vec<(Vec<u8>, Row, Vec<AggState>)>;
 
 /// Merge partial group lists (leader side of PQ), groups in the order
 /// they are first seen: given the workers' lists in partition order, an
-/// index-ordered `AggScan`'s groups come out in index order, as the serial
+/// index-ordered `HashAgg`'s groups come out in index order, as the serial
 /// scan emits them. (The caller sorts what must come out in encoded-key
 /// order.)
 pub(crate) fn merge_partial_groups(parts: Vec<AggPartials>) -> Result<AggPartials> {
@@ -249,37 +247,16 @@ pub(crate) fn finalize_agg_groups(partials: AggPartials) -> Result<Vec<Row>> {
         .collect())
 }
 
-/// The group expression of an `AggScan`'s group column `c`: its position
-/// in the delivered row.
-fn agg_scan_group(node: &AggScanNode, c: usize) -> Result<Expr> {
-    node.scan
-        .output
-        .iter()
-        .position(|&o| o == c)
-        .map(Expr::Col)
-        .ok_or_else(|| {
-            Error::Verify(
-                taurus_verify::Diagnostic::error(
-                    taurus_verify::DiagKind::GroupColNotInOutput,
-                    "AggScan",
-                    format!("group column {c} not in scan output {:?}", node.scan.output),
-                )
-                .to_string(),
-            )
-        })
-}
-
 /// Streaming accumulator for grouped aggregation: the rows of a
-/// `HashAgg`'s pulled input batches, or of the scan it consumes (an
-/// `AggScan`'s, or a PQ worker's range of either; see its
-/// [`ScanConsumer`] impl), update grouped states one at a time; only the
-/// grouped partials are ever held. Groups are keyed by their encoded
-/// values, and the group of the last row is looked at first. An
-/// `AggScan`'s storage partials merge into the group of the row delivered
-/// just before them (their carrier). Groups come out in encoded-key
-/// order, except an `AggScan`'s whose GROUP BY follows its index: those
-/// arrive, and stay, in index order. It is cloned fresh for each PQ
-/// worker.
+/// `HashAgg`'s pulled input batches, or of the bare scan it folds (or a
+/// PQ worker's range of it; see its [`ScanConsumer`] impl), update
+/// grouped states one at a time; only the grouped partials are ever held.
+/// Groups are keyed by their encoded values, and the group of the last
+/// row is looked at first. A folded scan's storage partials merge into
+/// the group of the row delivered just before them (their carrier).
+/// Groups come out in encoded-key order, except when the GROUP BY follows
+/// the scanned index ([`HashAggNode::index_ordered`]): those arrive, and
+/// stay, in index order. It is cloned fresh for each PQ worker.
 #[derive(Clone)]
 pub(crate) struct HashAggAcc {
     /// The group expressions and the aggregates' inputs, over the input
@@ -287,9 +264,9 @@ pub(crate) struct HashAggAcc {
     group: Vec<RowExpr>,
     inputs: Vec<Option<RowExpr>>,
     /// The states a new group starts from. They are typed by the input
-    /// row's types where those are known (an `AggScan`'s); a `HashAgg`'s
-    /// input types are unknowable in general, and its states infer their
-    /// shape from the first value.
+    /// row's types where those are known (a folded scan's); the types of
+    /// any other input are left to the states, which infer their shape
+    /// from the first value.
     fresh: Vec<AggState>,
     /// Groups in the order first seen, and where each key's is (unless
     /// `index_ordered`).
@@ -300,7 +277,7 @@ pub(crate) struct HashAggAcc {
     /// The current row's encoded group values, reused from row to row: a
     /// row of an existing group allocates and clones nothing.
     key: Vec<u8>,
-    /// The rows arrive grouped, in index order (an `AggScan` whose GROUP
+    /// The rows arrive grouped, in index order (a folded scan whose GROUP
     /// BY follows its index): groups skip the map, and keep their
     /// first-seen order instead of being sorted by key.
     index_ordered: bool,
@@ -333,50 +310,18 @@ impl HashAggAcc {
         })
     }
 
-    pub(crate) fn new(node: &HashAggNode) -> Result<HashAggAcc> {
-        HashAggAcc::build(&node.group, &node.aggs, &[], false)
-    }
-
-    /// The accumulator of an `AggScan`, over the rows its scan delivers.
-    pub(crate) fn for_agg_scan(node: &AggScanNode, db: &TaurusDb) -> Result<HashAggAcc> {
-        let table = db.table(&node.scan.table)?;
-        let dtypes = table.schema.dtypes();
-        let group = node
-            .group_cols
-            .iter()
-            .map(|&c| agg_scan_group(node, c))
-            .collect::<Result<Vec<_>>>()?;
-        let aggs = node
-            .aggs
-            .iter()
-            .map(|a| {
-                Ok(AggItem {
-                    func: a.func,
-                    input: match &a.input {
-                        Some(e) => Some(remap_to_output(
-                            e,
-                            &node.scan.output,
-                            DiagKind::AggInputNotInOutput,
-                        )?),
-                        None => None,
-                    },
-                })
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let output_dtypes = node
-            .scan
-            .output
-            .iter()
-            .map(|&c| {
-                dtypes.get(c).copied().ok_or_else(|| {
-                    Error::Verify(format!(
-                        "scan output column {c} not in {}",
-                        table.schema.name
-                    ))
-                })
-            })
-            .collect::<Result<Vec<_>>>()?;
-        HashAggAcc::build(&group, &aggs, &output_dtypes, node.index_ordered(db))
+    /// The accumulator of `node`, over the rows its input delivers: typed
+    /// by the table's columns when it folds a bare scan.
+    pub(crate) fn new(node: &HashAggNode, db: &TaurusDb) -> Result<HashAggAcc> {
+        let dtypes = match node.scan() {
+            Some(scan) => {
+                let dtypes = db.table(&scan.table)?.schema.dtypes();
+                let typed = scan.output.iter().map(|&c| dtypes.get(c).copied());
+                typed.collect::<Option<Vec<_>>>().unwrap_or_default()
+            }
+            None => Vec::new(),
+        };
+        HashAggAcc::build(&node.group, &node.aggs, &dtypes, node.index_ordered(db))
     }
 
     pub(crate) fn update(&mut self, row: &[Value]) -> Result<()> {
@@ -455,9 +400,9 @@ impl HashAggAcc {
     }
 }
 
-/// An accumulator is the consumer of the scan it aggregates (an
-/// `AggScan`'s, or a PQ worker's range of a `HashAgg`'s or `AggScan`'s):
-/// the scan folds straight into it on the thread that runs the scan. The
+/// An accumulator is the consumer of the bare scan its `HashAgg` folds
+/// (or a PQ worker's range of it): the scan folds straight into it on the
+/// thread that runs the scan. The
 /// scan hands its batch over at every carrier row, ahead of the carrier's
 /// storage partial, so a partial merges into the group of the last row
 /// folded.
@@ -924,8 +869,11 @@ mod tests {
     #[test]
     fn hash_agg_groups_equal_the_evaluated_keys() {
         use taurus_common::Dec;
+        let (db, _t) = tiny_db();
+        // A pulled input, whose rows the test hands over itself.
+        let input = Plan::Scan(ScanNode::new("t", vec![0])).project(vec![Expr::col(0); 4]);
         let node = HashAggNode {
-            input: Box::new(Plan::Scan(ScanNode::new("t", vec![0]))),
+            input: Box::new(input),
             group: vec![
                 Expr::col(0),
                 Expr::col(1),
@@ -951,7 +899,7 @@ mod tests {
                 ]
             })
             .collect();
-        let mut acc = HashAggAcc::new(&node).unwrap();
+        let mut acc = HashAggAcc::new(&node, &db).unwrap();
         for r in &rows {
             acc.update(r).unwrap();
         }
@@ -1045,24 +993,21 @@ mod tests {
         assert_eq!(rows.len(), 4000);
     }
 
-    /// Same contract for an AggScan whose GROUP BY column the scan does
-    /// not deliver.
+    /// Same contract for a `HashAgg` whose GROUP BY position the scan it
+    /// folds does not deliver.
     #[test]
     fn malformed_group_column_is_an_error_not_a_panic() {
         let (db, _t) = tiny_db();
         let ctx = ExecContext::new(&db);
-        let node = AggScanNode {
-            scan: ScanNode::new("t", vec![0, 1]),
-            group_cols: vec![2], // not in scan output
+        let plan = Plan::HashAgg(HashAggNode {
+            input: Box::new(Plan::Scan(ScanNode::new("t", vec![0, 1]))),
+            group: vec![Expr::Col(2)], // past the scan output
             aggs: Vec::new(),
-        };
-        let err = HashAggAcc::for_agg_scan(&node, &db).err().unwrap();
+        });
+        let err = execute(&plan, &ctx).unwrap_err();
         assert!(
-            matches!(err, Error::Verify(ref m) if m.contains("group column")),
+            matches!(err, Error::Verify(ref m) if m.contains("GroupColNotInOutput")),
             "{err:?}"
         );
-        // And through the full pipeline entry point.
-        let err = execute(&Plan::AggScan(node), &ctx).unwrap_err();
-        assert!(matches!(err, Error::Verify(_)), "{err:?}");
     }
 }

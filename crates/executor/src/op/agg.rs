@@ -1,8 +1,9 @@
-//! Generic hash aggregation over any input — a pipeline breaker that
+//! Hash aggregation over a pulled input — a pipeline breaker that
 //! *consumes* streamed batches (the input is never materialized as a
 //! `Vec<Row>`; only the grouped partial states are held), then finalizes
 //! and re-emits in batches. Group output order is the encoded-group-key
-//! order, exactly as the Volcano path always produced.
+//! order. A `HashAgg` over a bare scan is not one: it folds its scan
+//! ([`super::scan::AggScanOp`]).
 
 use taurus_common::{Result, RowBatch};
 use taurus_optimizer::plan::HashAggNode;
@@ -26,7 +27,7 @@ impl<'r, 'env> HashAggOp<'r, 'env> {
     ) -> Result<HashAggOp<'r, 'env>> {
         Ok(HashAggOp {
             ctx,
-            acc: Some(HashAggAcc::new(node)?),
+            acc: Some(HashAggAcc::new(node, ctx.db)?),
             child: Some(child),
             out: None,
         })

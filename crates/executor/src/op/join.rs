@@ -176,7 +176,7 @@ fn drains_first(plan: &Plan) -> bool {
     match plan {
         Plan::Filter(f) => drains_first(&f.input),
         Plan::Project(p) => drains_first(&p.input),
-        Plan::AggScan(_) | Plan::HashAgg(_) | Plan::Sort(_) => true,
+        Plan::HashAgg(_) | Plan::Sort(_) => true,
         _ => false,
     }
 }

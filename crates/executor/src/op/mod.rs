@@ -3,9 +3,10 @@
 //! Every [`Plan`] variant lowers to a physical [`Operator`] with the
 //! Volcano-with-batches contract:
 //!
-//! * `open()` acquires resources (spawns the scan producer, folds an
-//!   `AggScan`'s whole scan, builds the hash table, materializes the sort
-//!   input) — it is called exactly once, before the first `next_batch()`.
+//! * `open()` acquires resources (spawns the scan producer, folds the
+//!   whole scan of a `HashAgg` over a bare scan, builds the hash table,
+//!   materializes the sort input) — it is called exactly once, before the
+//!   first `next_batch()`.
 //! * `next_batch()` pulls the next [`RowBatch`] of output, or `None` at
 //!   end of stream. Batches are never empty.
 //! * `close()` releases resources *early* — in particular it cancels any
@@ -98,7 +99,6 @@ where
 {
     Ok(match plan {
         Plan::Scan(node) => Box::new(BatchScanOp::new(ctx, node, None, scope)),
-        Plan::AggScan(node) => Box::new(scan::AggScanOp::new(ctx, node)?),
         Plan::LookupJoin(node) => Box::new(LookupJoinOp::new(
             ctx,
             node,
@@ -111,11 +111,10 @@ where
             lower(&node.left, ctx, scope)?,
             lower(&node.right, ctx, scope)?,
         )),
-        Plan::HashAgg(node) => Box::new(agg::HashAggOp::new(
-            ctx,
-            node,
-            lower(&node.input, ctx, scope)?,
-        )?),
+        Plan::HashAgg(node) => match &*node.input {
+            Plan::Scan(s) => Box::new(scan::AggScanOp::new(ctx, node, s)?),
+            input => Box::new(agg::HashAggOp::new(ctx, node, lower(input, ctx, scope)?)?),
+        },
         Plan::Project(p) => Box::new(pipe::ProjectOp::new(
             ctx,
             &p.exprs,
@@ -345,8 +344,7 @@ mod tests {
     use taurus_expr::ast::Expr;
     use taurus_ndp::TaurusDb;
     use taurus_optimizer::plan::{
-        AggFunc, AggItem, AggScanNode, HashAggNode, HashJoinNode, JoinType, LookupJoinNode,
-        ScanNode,
+        AggFunc, AggItem, HashAggNode, HashJoinNode, JoinType, LookupJoinNode, ScanNode,
     };
 
     use super::*;
@@ -416,13 +414,13 @@ mod tests {
                 filter: None,
             }),
             Plan::HashAgg(HashAggNode {
-                input: Box::new(scan()),
+                input: Box::new(scan().filter(Expr::ge(Expr::col(1), Expr::int(0)))),
                 group: vec![],
                 aggs: vec![count_star()],
             }),
-            Plan::AggScan(AggScanNode {
-                scan: ScanNode::new("t", vec![0]),
-                group_cols: vec![],
+            Plan::HashAgg(HashAggNode {
+                input: Box::new(scan()),
+                group: vec![],
                 aggs: vec![count_star()],
             }),
             Plan::LookupJoin(LookupJoinNode {

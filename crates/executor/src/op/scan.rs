@@ -12,7 +12,8 @@
 //! the scan exactly like a row-level stop always has. It is the scan leaf
 //! of every plan whose scan feeds an operator that pulls: a bare scan, a
 //! join's input, a filter's or a sort's, and a PQ worker's scan that is
-//! not aggregated, bounded to the worker's range.
+//! not aggregated, bounded to the worker's range. A scan directly under a
+//! `HashAgg` is never one.
 //!
 //! The scan core does the scan's own filtering (the node's residual
 //! conjuncts run on record bytes) and fills each batch to capacity across
@@ -20,12 +21,13 @@
 //! producer swaps it for an empty recycled one, nothing is cloned or
 //! rebuilt on the way to the operator above.
 //!
-//! [`AggScanOp`] needs no adapter. It is a pipeline breaker that consumes
-//! its whole scan when it opens, so the scan runs on the thread that
-//! opens it, straight into its accumulator ([`HashAggAcc`], `HashAgg`'s,
-//! is a [`ScanConsumer`]: rows fold as they are decoded, and the NDP
-//! partials that travel behind their carrier rows merge into the
-//! carrier's group). It re-emits the finalized groups in batches.
+//! [`AggScanOp`], a `HashAgg` over a bare scan, needs no adapter. It is a
+//! pipeline breaker that consumes its whole scan when it opens, so the
+//! scan runs on the thread that opens it, with no producer thread,
+//! straight into its accumulator ([`HashAggAcc`] is a [`ScanConsumer`]:
+//! rows fold as they are decoded, and the NDP partials that travel
+//! behind their carrier rows merge into the carrier's group). It re-emits
+//! the finalized groups in batches.
 
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
@@ -34,7 +36,7 @@ use taurus_common::metrics::CpuGuard;
 use taurus_common::{Error, Result, RowBatch, Value};
 use taurus_expr::agg::AggState;
 use taurus_ndp::{JoinFilter, ScanConsumer, ScanRange};
-use taurus_optimizer::plan::{AggScanNode, ScanNode};
+use taurus_optimizer::plan::{HashAggNode, ScanNode};
 
 use super::{charge_emit, emit_or_end, BatchEmitter, Operator};
 use crate::exec::{finalize_agg_groups, panic_error, scan_into, ExecContext, HashAggAcc};
@@ -215,12 +217,12 @@ impl Drop for BatchScanOp<'_, '_, '_> {
     }
 }
 
-/// Aggregation fused onto a scan — a pipeline breaker: the scan folds
+/// A `HashAgg` over a bare scan — a pipeline breaker: the scan folds
 /// into the accumulator on the thread that opens it, the groups finalize,
 /// then re-emit batch-at-a-time.
 pub(crate) struct AggScanOp<'env> {
     ctx: &'env ExecContext<'env>,
-    node: &'env AggScanNode,
+    scan: &'env ScanNode,
     /// The accumulator, its expressions compiled; taken on open.
     acc: Option<HashAggAcc>,
     out: Option<BatchEmitter>,
@@ -229,12 +231,13 @@ pub(crate) struct AggScanOp<'env> {
 impl<'env> AggScanOp<'env> {
     pub(crate) fn new(
         ctx: &'env ExecContext<'env>,
-        node: &'env AggScanNode,
+        node: &'env HashAggNode,
+        scan: &'env ScanNode,
     ) -> Result<AggScanOp<'env>> {
         Ok(AggScanOp {
             ctx,
-            node,
-            acc: Some(HashAggAcc::for_agg_scan(node, ctx.db)?),
+            scan,
+            acc: Some(HashAggAcc::new(node, ctx.db)?),
             out: None,
         })
     }
@@ -252,7 +255,7 @@ impl Operator for AggScanOp<'_> {
             .acc
             .take()
             .ok_or_else(|| Error::Internal("AggScan opened twice".into()))?;
-        scan_into(self.ctx, &self.node.scan, None, None, &mut acc)?;
+        scan_into(self.ctx, self.scan, None, None, &mut acc)?;
         let rows = finalize_agg_groups(acc.finish())?;
         self.out = Some(BatchEmitter::new(rows, self.ctx.db));
         Ok(())

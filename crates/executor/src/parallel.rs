@@ -12,11 +12,13 @@
 //!
 //! A worker runs its share on its own thread. A `Scan` or `LookupJoin`
 //! child pulls operators ([`crate::op::drain`]) over a `BatchScanOp`
-//! bounded to its range and drains into rows; a `HashAgg` over a scan,
-//! or an `AggScan` (aggregation fused onto the scan, with NDP partials),
-//! runs its range of the scan straight into its accumulator and hands
-//! back the grouped partials. The leader then merges whole per-worker
-//! results. In the operator pipeline this whole protocol sits behind the
+//! bounded to its range and drains into rows; a `HashAgg` over a scan
+//! folds its range of the scan straight into its accumulator, NDP
+//! partials included, as the serial `AggScan` operator folds the whole
+//! scan, and hands back the grouped partials. The leader then merges
+//! whole per-worker results, in index order when the GROUP BY follows
+//! the index and in encoded-key order otherwise, as the serial plan
+//! emits them. In the operator pipeline this whole protocol sits behind the
 //! `Gather` operator — the leader merge is PQ's inherent pipeline breaker,
 //! and the merged result re-emits in batches.
 
@@ -46,8 +48,8 @@ enum WorkerOut {
 pub(crate) enum WorkerPrep<'env> {
     /// A bare `Scan`.
     Rows,
-    /// The accumulator of a `HashAgg` over the scan, or of an `AggScan`:
-    /// the worker's range of the scan folds straight into it.
+    /// The accumulator of a `HashAgg` over the scan: the worker's range
+    /// of the scan folds straight into it.
     Agg(HashAggAcc),
     /// A `LookupJoin` and its expressions.
     Join(&'env LookupJoinNode, JoinPrograms),
@@ -56,8 +58,7 @@ pub(crate) enum WorkerPrep<'env> {
 impl<'env> WorkerPrep<'env> {
     pub(crate) fn new(child: &'env Plan, db: &TaurusDb) -> Result<WorkerPrep<'env>> {
         Ok(match child {
-            Plan::HashAgg(h) => WorkerPrep::Agg(HashAggAcc::new(h)?),
-            Plan::AggScan(a) => WorkerPrep::Agg(HashAggAcc::for_agg_scan(a, db)?),
+            Plan::HashAgg(h) => WorkerPrep::Agg(HashAggAcc::new(h, db)?),
             Plan::LookupJoin(j) => WorkerPrep::Join(j, JoinPrograms::new(j)?),
             _ => WorkerPrep::Rows,
         })
@@ -130,15 +131,12 @@ pub(crate) fn exec_exchange<'env>(
         // A scalar aggregate may produce one group per worker with the
         // same (empty) key — merge_partial_groups folds them.
         let mut merged = merge_partial_groups(partials)?;
-        let key_order = match &*node.child {
-            Plan::HashAgg(_) => true,
-            Plan::AggScan(a) => !a.index_ordered(ctx.db),
-            _ => false,
-        };
-        if key_order {
-            // A HashAgg, and an AggScan whose GROUP BY does not follow its
-            // index, emit their groups in encoded-key order.
-            merged.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        if let Plan::HashAgg(h) = &*node.child {
+            // A GROUP BY that does not follow the index emits its groups
+            // in encoded-key order.
+            if !h.index_ordered(ctx.db) {
+                merged.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+            }
         }
         finalize_agg_groups(merged)
     } else {
@@ -146,13 +144,11 @@ pub(crate) fn exec_exchange<'env>(
     }
 }
 
-/// The scan an Exchange child partitions: the child itself, the scan an
-/// `AggScan` is fused onto, or the `Scan` input of a `HashAgg` or the
-/// `Scan` outer of a `LookupJoin`.
+/// The scan an Exchange child partitions: the child itself, the `Scan`
+/// input of a `HashAgg` or the `Scan` outer of a `LookupJoin`.
 fn partitioned_scan(child: &Plan) -> Result<&ScanNode> {
     match child {
         Plan::Scan(s) => Ok(s),
-        Plan::AggScan(a) => Ok(&a.scan),
         Plan::HashAgg(h) => match &*h.input {
             Plan::Scan(s) => Ok(s),
             _ => Err(Error::InvalidState(

@@ -9,13 +9,16 @@
 //! pipeline** the executor lowers the plan to ([`explain_physical`]):
 //! one line per pull operator with the configured batch size and, for
 //! scan leaves, the NDP decision. The mapping is the executor's `lower`
-//! pass verbatim — Scan→BatchScan, Sort(+limit)→TopN,
-//! Exchange→Gather, …
+//! pass verbatim — Scan→BatchScan, a `HashAgg` over a bare scan→AggScan
+//! (its scan folded during the scan; any other `HashAgg` pulls its input),
+//! Sort(+limit)→TopN, Exchange→Gather, … The logical tree renders such a
+//! `HashAgg` as its scan's line, its NDP lines and `Aggregate during
+//! scan`.
 
 use taurus_expr::ast::Expr;
 use taurus_ndp::TaurusDb;
 
-use crate::plan::{AggScanNode, HashJoinNode, NdpDecision, Plan, ScanNode};
+use crate::plan::{HashAggNode, HashJoinNode, NdpDecision, Plan, ScanNode};
 
 /// Render a plan: the logical tree with NDP annotations, followed by the
 /// lowered physical operator pipeline.
@@ -47,14 +50,6 @@ fn render_physical(plan: &Plan, db: &TaurusDb, depth: usize, out: &mut String) {
                 ndp_tag(s)
             ));
         }
-        Plan::AggScan(a) => {
-            out.push_str(&format!(
-                "AggScan on {} via {}{}\n",
-                a.scan.table,
-                index_name(&a.scan, db),
-                ndp_tag(&a.scan)
-            ));
-        }
         Plan::LookupJoin(j) => {
             out.push_str(&format!(
                 "LookupJoin ({:?}, inner {}, streamed outer){}\n",
@@ -80,10 +75,18 @@ fn render_physical(plan: &Plan, db: &TaurusDb, depth: usize, out: &mut String) {
             render_physical(&j.left, db, depth + 1, out);
             render_physical(&j.right, db, depth + 1, out);
         }
-        Plan::HashAgg(a) => {
-            out.push_str("HashAgg (breaker)\n");
-            render_physical(&a.input, db, depth + 1, out);
-        }
+        Plan::HashAgg(a) => match a.scan() {
+            Some(s) => out.push_str(&format!(
+                "AggScan on {} via {}{}\n",
+                s.table,
+                index_name(s, db),
+                ndp_tag(s)
+            )),
+            None => {
+                out.push_str("HashAgg (breaker)\n");
+                render_physical(&a.input, db, depth + 1, out);
+            }
+        },
         Plan::Project(p) => {
             out.push_str("Project\n");
             render_physical(&p.input, db, depth + 1, out);
@@ -186,13 +189,13 @@ fn pretty_expr(e: &Expr, db: &TaurusDb, table: &str) -> String {
     s
 }
 
-/// A scan, and the aggregation fused onto it if it is an `AggScan`'s.
+/// A scan, and the `HashAgg` that folds it if one does.
 fn render_scan(
     s: &ScanNode,
     db: &TaurusDb,
     depth: usize,
     out: &mut String,
-    agg: Option<&AggScanNode>,
+    agg: Option<&HashAggNode>,
 ) {
     pad(depth, out);
     let index_name = db
@@ -265,7 +268,6 @@ fn render_scan(
 fn render(plan: &Plan, db: &TaurusDb, depth: usize, out: &mut String) {
     match plan {
         Plan::Scan(s) => render_scan(s, db, depth, out, None),
-        Plan::AggScan(a) => render_scan(&a.scan, db, depth, out, Some(a)),
         Plan::LookupJoin(j) => {
             pad(depth, out);
             out.push_str(&format!(
@@ -298,15 +300,18 @@ fn render(plan: &Plan, db: &TaurusDb, depth: usize, out: &mut String) {
             render(&j.left, db, depth + 1, out);
             render(&j.right, db, depth + 1, out);
         }
-        Plan::HashAgg(a) => {
-            pad(depth, out);
-            out.push_str(&format!(
-                "Aggregate ({} groups cols, {} aggs)\n",
-                a.group.len(),
-                a.aggs.len()
-            ));
-            render(&a.input, db, depth + 1, out);
-        }
+        Plan::HashAgg(a) => match a.scan() {
+            Some(s) => render_scan(s, db, depth, out, Some(a)),
+            None => {
+                pad(depth, out);
+                out.push_str(&format!(
+                    "Aggregate ({} groups cols, {} aggs)\n",
+                    a.group.len(),
+                    a.aggs.len()
+                ));
+                render(&a.input, db, depth + 1, out);
+            }
+        },
         Plan::Project(p) => {
             pad(depth, out);
             out.push_str("Project\n");

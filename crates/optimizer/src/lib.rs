@@ -1,4 +1,4 @@
-//! The query optimizer layer: programmatic plan construction, the §IV-B
+//! The query optimizer layer: the plan tree, the §IV-B
 //! NDP post-processing pass, selectivity estimation, and EXPLAIN output
 //! shaped like the paper's Listing 2.
 
@@ -9,7 +9,6 @@ pub mod plan;
 pub use explain::{explain, explain_physical};
 pub use ndp_post::{estimate_filter_factor, ndp_post_process, NdpReport};
 pub use plan::{
-    AggFunc, AggItem, AggScanNode, ExchangeNode, FilterNode, HashAggNode, HashJoinNode,
-    JoinFilterDecision, JoinType, LookupJoinNode, NdpDecision, Plan, ProjectNode, RangeSpec,
-    ScanNode, SortNode,
+    AggFunc, AggItem, ExchangeNode, FilterNode, HashAggNode, HashJoinNode, JoinFilterDecision,
+    JoinType, LookupJoinNode, NdpDecision, Plan, ProjectNode, RangeSpec, ScanNode, SortNode,
 };

@@ -10,15 +10,16 @@
 //!   only if the estimated filter factor is good enough;
 //! * **column projection** — only if the width reduction clears the
 //!   threshold (§V-A);
-//! * **aggregation** — only on an [`crate::plan::AggScanNode`] (the last
-//!   and only table of its block) with no residual predicates, inputs the
+//! * **aggregation** — only for a [`crate::plan::HashAggNode`] over a bare
+//!   scan (the last and only table of its block) grouped by bare columns,
+//!   with no residual predicates, inputs the
 //!   Page Stores can compute ([`storage_can_compute`]), and few enough
 //!   groups a leaf by the catalog's estimate
 //!   ([`GROUPS_PER_LEAF_THRESHOLD`]): a GROUP BY that follows the index is
 //!   folded group after group, any other in a per-page table of at most
 //!   [`GROUP_TABLE_GROUPS`] groups (§V-C);
-//! * **HAVING**, carried one step past §V-C: when the `AggScan`'s GROUP BY
-//!   follows the index and a `Filter` sits right above it, the Filter's
+//! * **HAVING**, carried one step past §V-C: when such a `HashAgg`'s GROUP
+//!   BY follows the index and a `Filter` sits right above it, the Filter's
 //!   conjuncts that the Page Stores can judge from a group's outputs
 //!   ([`storage_can_judge`]) go with the aggregation ([`decide_having`]).
 //!   Groups arrive one after another, so a group that neither starts nor
@@ -62,7 +63,7 @@ use taurus_ndp::{
 };
 
 use crate::plan::{
-    AggItem, AggScanNode, HashJoinNode, JoinFilterDecision, JoinType, LookupJoinNode, NdpDecision,
+    AggItem, HashAggNode, HashJoinNode, JoinFilterDecision, JoinType, LookupJoinNode, NdpDecision,
     Plan, RangeSpec, ScanNode,
 };
 
@@ -100,15 +101,6 @@ fn process(plan: &mut Plan, db: &TaurusDb, out: &mut Vec<NdpReport>) -> Result<(
             let r = decide_scan(s, None, db)?;
             out.push(r);
         }
-        Plan::AggScan(a) => {
-            let AggScanNode {
-                scan,
-                group_cols,
-                aggs,
-            } = a;
-            let r = decide_scan(scan, Some((group_cols, aggs)), db)?;
-            out.push(r);
-        }
         Plan::LookupJoin(j) => {
             process(&mut j.outer, db, out)?;
             out.push(decide_lookup(j, db)?);
@@ -121,12 +113,18 @@ fn process(plan: &mut Plan, db: &TaurusDb, out: &mut Vec<NdpReport>) -> Result<(
             let gated = out.get(probe_report).is_none_or(|r| r.gated_by_io);
             decide_join_filter(j, gated, db)?;
         }
-        Plan::HashAgg(a) => process(&mut a.input, db, out)?,
+        Plan::HashAgg(a) => match (a.group_cols(), a.table_aggs(), &mut *a.input) {
+            // Storage groups and aggregates the scanned table's columns.
+            (Some(group_cols), Some(aggs), Plan::Scan(scan)) => {
+                out.push(decide_scan(scan, Some((&group_cols, &aggs)), db)?);
+            }
+            (_, _, input) => process(input, db, out)?,
+        },
         Plan::Project(p) => process(&mut p.input, db, out)?,
         Plan::Filter(p) => {
             let scan_report = out.len();
             process(&mut p.input, db, out)?;
-            if let (Plan::AggScan(a), Some(r)) = (&mut *p.input, out.get_mut(scan_report)) {
+            if let (Plan::HashAgg(a), Some(r)) = (&mut *p.input, out.get_mut(scan_report)) {
                 r.having = decide_having(&p.predicate, a, db)?;
             }
         }
@@ -213,15 +211,18 @@ pub fn storage_can_compute(aggs: &[AggItem], dtypes: &[DataType]) -> bool {
     })
 }
 
-/// The HAVING decision of an `AggScan` whose rows `filter` judges: when
+/// The HAVING decision of a `HashAgg` whose rows `filter` judges: when
 /// its aggregation went to storage grouped in index order, the conjuncts
 /// of `filter` that [`storage_can_judge`] and that are on the §V-B1
 /// allow-list go with it, as one program within the descriptor's
 /// register budget. Returns whether any did.
-fn decide_having(filter: &Expr, a: &mut AggScanNode, db: &TaurusDb) -> Result<bool> {
-    let index_ordered = !a.group_cols.is_empty() && a.index_ordered(db);
-    let Some(agg) = a
-        .scan
+fn decide_having(filter: &Expr, a: &mut HashAggNode, db: &TaurusDb) -> Result<bool> {
+    let index_ordered = !a.group.is_empty() && a.index_ordered(db);
+    let (n_group, aggs) = (a.group.len(), a.aggs.clone());
+    let Plan::Scan(scan) = &mut *a.input else {
+        return Ok(false);
+    };
+    let Some(agg) = scan
         .ndp
         .as_mut()
         .and_then(|d| d.choice.aggregation.as_mut())
@@ -232,11 +233,11 @@ fn decide_having(filter: &Expr, a: &mut AggScanNode, db: &TaurusDb) -> Result<bo
     if !index_ordered {
         return Ok(false);
     }
-    let table = db.table(&a.scan.table)?;
+    let table = db.table(&scan.table)?;
     let outputs = grouped_dtypes(&agg.group_cols, &agg.specs, &table.schema.dtypes());
     let mut pushed: Vec<Expr> = Vec::new();
     for c in conjuncts(filter) {
-        if !storage_can_judge(c, &a.aggs, a.group_cols.len()) || !c.is_ndp_supported(&outputs) {
+        if !storage_can_judge(c, &aggs, n_group) || !c.is_ndp_supported(&outputs) {
             continue;
         }
         pushed.push(c.clone());
@@ -259,9 +260,9 @@ pub fn conjuncts(e: &Expr) -> &[Expr] {
     }
 }
 
-/// Can a Page Store judge a HAVING conjunct over an `AggScan`'s output
-/// row (its `n_group` group columns, then one value per aggregate of
-/// `aggs`)? A group's outputs there are the same columns in the same
+/// Can a Page Store judge a HAVING conjunct over a scan-folded
+/// `HashAgg`'s output row (its `n_group` group columns, then one value per
+/// aggregate of `aggs`)? A group's outputs there are the same columns in the same
 /// order, so the conjunct goes as it is. Not when it reads a SUM over an
 /// expression: a Page Store types such a sum by its first value, the SQL
 /// node by the expression's type, and their finals may differ in scale.

@@ -1,11 +1,13 @@
 //! Query plans.
 //!
-//! Plans are built programmatically (the reproduction's stand-in for
-//! MySQL's parser + join-order search — join orders are fixed by the
-//! builders exactly as the paper describes MySQL choosing them), then run
-//! through the optimizer's classical checks and the §IV-B *NDP
-//! post-processing step*, which annotates table accesses with their
-//! [`NdpChoice`] without touching plan shape.
+//! A plan is what the SQL binder (`taurus_sql::bind`) lowers a statement
+//! to, or what a hand-built tree (the TPC-H registry, the tests) spells
+//! out; join orders are fixed at that point, as the paper describes MySQL
+//! choosing them. The §IV-B *NDP post-processing step* then annotates its
+//! table accesses with their [`NdpChoice`] without touching plan shape.
+//! Aggregation is one node, [`HashAggNode`], wherever it sits: over a bare
+//! [`ScanNode`] it is folded during the scan, and only there may its
+//! aggregation go to the Page Stores (§V-C).
 
 use taurus_common::{IndexDef, Value};
 use taurus_expr::ast::Expr;
@@ -113,36 +115,6 @@ impl ScanNode {
     }
 }
 
-/// Aggregation fused onto a single table scan — the only shape eligible
-/// for NDP aggregation (§V-C: the table must be the last access of its
-/// block with no residual predicates).
-#[derive(Clone, Debug)]
-pub struct AggScanNode {
-    pub scan: ScanNode,
-    /// GROUP BY columns (table columns), in any order. Groups come out in
-    /// index order when they are a prefix of the scanned index's key
-    /// ([`AggScanNode::index_ordered`]; empty is one), in encoded-key
-    /// order otherwise.
-    pub group_cols: Vec<usize>,
-    /// Aggregates; inputs are expressions over *table* columns.
-    pub aggs: Vec<AggItem>,
-}
-
-impl AggScanNode {
-    /// Does the GROUP BY follow the scanned index, so that rows arrive
-    /// grouped and groups come out in index order?
-    pub fn index_ordered(&self, db: &TaurusDb) -> bool {
-        db.table(&self.scan.table).is_ok_and(|t| {
-            let index = t.index(self.scan.index);
-            index
-                .tree
-                .def
-                .effective_key_cols()
-                .starts_with(&self.group_cols)
-        })
-    }
-}
-
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum JoinType {
     Inner,
@@ -241,13 +213,82 @@ pub struct JoinFilterDecision {
     pub ndv: u64,
 }
 
-/// Generic hash aggregation over any input.
+/// Hash aggregation; its output row is `group ++ aggs`. Over a bare
+/// `Scan` ([`HashAggNode::scan`]) it is folded during the scan, the only
+/// shape eligible for NDP aggregation (§V-C: the table must be the last
+/// access of its block with no residual predicates). Its groups come out
+/// in index order when they are bare columns that deliver a prefix of the
+/// scanned index's key ([`HashAggNode::index_ordered`]; no group is one),
+/// in encoded-key order otherwise.
 #[derive(Clone, Debug)]
 pub struct HashAggNode {
     pub input: Box<Plan>,
     /// Group expressions over the input row (empty = scalar).
     pub group: Vec<Expr>,
+    /// Aggregates; inputs are expressions over the input row.
     pub aggs: Vec<AggItem>,
+}
+
+impl HashAggNode {
+    /// The scan this aggregation folds, when its input is a bare `Scan`.
+    pub fn scan(&self) -> Option<&ScanNode> {
+        match &*self.input {
+            Plan::Scan(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The scanned table's columns the groups are, when the input is a bare
+    /// `Scan` and every group expression is a column it delivers.
+    pub fn group_cols(&self) -> Option<Vec<usize>> {
+        let scan = self.scan()?;
+        self.group
+            .iter()
+            .map(|g| match g {
+                Expr::Col(p) => scan.output.get(*p).copied(),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The aggregates over the scanned table's columns (what a Page Store
+    /// computes), when the input is a bare `Scan` that delivers every
+    /// column they read.
+    pub fn table_aggs(&self) -> Option<Vec<AggItem>> {
+        let out = &self.scan()?.output;
+        let to_table = |e: &Expr| {
+            let delivered = e.columns().iter().all(|&p| p < out.len());
+            delivered.then(|| e.remap_columns(&|p| out[p]))
+        };
+        self.aggs
+            .iter()
+            .map(|a| {
+                let input = match &a.input {
+                    Some(e) => Some(to_table(e)?),
+                    None => None,
+                };
+                Some(AggItem {
+                    func: a.func,
+                    input,
+                })
+            })
+            .collect()
+    }
+
+    /// Does the GROUP BY follow the scanned index, so that rows arrive
+    /// grouped and groups come out in index order?
+    pub fn index_ordered(&self, db: &TaurusDb) -> bool {
+        let (Some(scan), Some(cols)) = (self.scan(), self.group_cols()) else {
+            return false;
+        };
+        db.table(&scan.table).is_ok_and(|t| {
+            t.index(scan.index)
+                .tree
+                .def
+                .effective_key_cols()
+                .starts_with(&cols)
+        })
+    }
 }
 
 #[derive(Clone, Debug)]
@@ -272,7 +313,7 @@ pub struct SortNode {
 
 /// Parallel query (§VI): run `child` over `degree` partitions of its
 /// (outer-most) scan, merging at the leader. Supported children: `Scan`,
-/// `AggScan`, `HashAgg(Scan)`, `LookupJoin` with a `Scan` outer.
+/// `HashAgg(Scan)`, `LookupJoin` with a `Scan` outer.
 #[derive(Clone, Debug)]
 pub struct ExchangeNode {
     pub child: Box<Plan>,
@@ -283,7 +324,6 @@ pub struct ExchangeNode {
 #[derive(Clone, Debug)]
 pub enum Plan {
     Scan(ScanNode),
-    AggScan(AggScanNode),
     LookupJoin(LookupJoinNode),
     HashJoin(HashJoinNode),
     HashAgg(HashAggNode),
@@ -346,7 +386,6 @@ impl Plan {
     pub fn holds_predicate(&self) -> bool {
         match self {
             Plan::Scan(s) => !s.predicate.is_empty(),
-            Plan::AggScan(a) => !a.scan.predicate.is_empty(),
             Plan::Filter(_) => true,
             Plan::LookupJoin(j) => !j.inner_predicate.is_empty() || j.outer.holds_predicate(),
             Plan::HashJoin(j) => j.left.holds_predicate() || j.right.holds_predicate(),
@@ -362,17 +401,20 @@ impl Plan {
     // (`taurus_verify::plan_width`), derived from the same structural
     // walk as the full schema inference — one definition, not two.
 
-    /// Visit every scan node mutably (the NDP pass and tests use this).
+    /// Visit every scan node mutably (the NDP pass and tests use this),
+    /// with whether the `HashAgg` directly above folds it.
     pub fn for_each_scan_mut(&mut self, f: &mut impl FnMut(&mut ScanNode, bool)) {
         match self {
             Plan::Scan(s) => f(s, false),
-            Plan::AggScan(a) => f(&mut a.scan, true),
+            Plan::HashAgg(a) => match &mut *a.input {
+                Plan::Scan(s) => f(s, true),
+                input => input.for_each_scan_mut(f),
+            },
             Plan::LookupJoin(j) => j.outer.for_each_scan_mut(f),
             Plan::HashJoin(j) => {
                 j.left.for_each_scan_mut(f);
                 j.right.for_each_scan_mut(f);
             }
-            Plan::HashAgg(a) => a.input.for_each_scan_mut(f),
             Plan::Project(p) => p.input.for_each_scan_mut(f),
             Plan::Filter(p) => p.input.for_each_scan_mut(f),
             Plan::Sort(s) => s.input.for_each_scan_mut(f),
@@ -381,17 +423,20 @@ impl Plan {
         }
     }
 
-    /// Visit every scan node immutably.
+    /// Visit every scan node immutably, with whether the `HashAgg`
+    /// directly above folds it.
     pub fn for_each_scan(&self, f: &mut impl FnMut(&ScanNode, bool)) {
         match self {
             Plan::Scan(s) => f(s, false),
-            Plan::AggScan(a) => f(&a.scan, true),
+            Plan::HashAgg(a) => match &*a.input {
+                Plan::Scan(s) => f(s, true),
+                input => input.for_each_scan(f),
+            },
             Plan::LookupJoin(j) => j.outer.for_each_scan(f),
             Plan::HashJoin(j) => {
                 j.left.for_each_scan(f);
                 j.right.for_each_scan(f);
             }
-            Plan::HashAgg(a) => a.input.for_each_scan(f),
             Plan::Project(p) => p.input.for_each_scan(f),
             Plan::Filter(p) => p.input.for_each_scan(f),
             Plan::Sort(s) => s.input.for_each_scan(f),

@@ -11,9 +11,27 @@ use taurus_expr::ast::Expr;
 use taurus_ndp::TaurusDb;
 use taurus_optimizer::ndp_post::ndp_post_process;
 use taurus_optimizer::plan::{
-    AggFunc, AggItem, AggScanNode, HashJoinNode, JoinFilterDecision, JoinType, LookupJoinNode,
+    AggFunc, AggItem, HashAggNode, HashJoinNode, JoinFilterDecision, JoinType, LookupJoinNode,
     Plan, ScanNode,
 };
+
+/// A `HashAgg` folding `scan`, grouped by the table columns `group_cols`
+/// and aggregating `aggs` over table columns, written over the scan's
+/// output positions.
+fn folding(scan: ScanNode, group_cols: Vec<usize>, aggs: Vec<AggItem>) -> Plan {
+    let pos = |c: usize| scan.output.iter().position(|&o| o == c).unwrap();
+    Plan::HashAgg(HashAggNode {
+        group: group_cols.iter().map(|&c| Expr::col(pos(c))).collect(),
+        aggs: aggs
+            .into_iter()
+            .map(|a| AggItem {
+                func: a.func,
+                input: a.input.map(|e| e.remap_columns(&pos)),
+            })
+            .collect(),
+        input: Box::new(Plan::Scan(scan)),
+    })
+}
 
 fn wide_schema() -> Arc<TableSchema> {
     TableSchema::new(
@@ -215,14 +233,14 @@ fn aggregation_requires_no_residual() {
         },
         Expr::int(0),
     );
-    let mut plan = Plan::AggScan(AggScanNode {
-        scan: ScanNode::new("t", vec![1, 2]).with_predicate(vec![case]),
-        group_cols: vec![],
-        aggs: vec![AggItem {
+    let mut plan = folding(
+        ScanNode::new("t", vec![1, 2]).with_predicate(vec![case]),
+        vec![],
+        vec![AggItem {
             func: AggFunc::Sum,
             input: Some(Expr::col(2)),
         }],
-    });
+    );
     let reports = ndp_post_process(&mut plan, &db).unwrap();
     assert!(
         !reports[0].aggregation,
@@ -270,10 +288,10 @@ fn grouping_pushes_by_the_estimated_groups_per_leaf() {
     let db = mk_db(1);
     load_grouped(&db);
     let decide = |group_cols: Vec<usize>| {
-        let mut plan = Plan::AggScan(AggScanNode {
-            scan: ScanNode::new("g", vec![0, 1, 2, 3]),
+        let mut plan = folding(
+            ScanNode::new("g", vec![0, 1, 2, 3]),
             group_cols,
-            aggs: vec![
+            vec![
                 AggItem {
                     func: AggFunc::CountStar,
                     input: None,
@@ -283,7 +301,7 @@ fn grouping_pushes_by_the_estimated_groups_per_leaf() {
                     input: Some(Expr::mul(Expr::col(1), Expr::int(2))),
                 },
             ],
-        });
+        );
         let report = ndp_post_process(&mut plan, &db).unwrap().remove(0);
         assert!(report.group_limit > 0.0, "{report:?}");
         assert!(
@@ -329,14 +347,14 @@ fn aggregation_needs_inputs_storage_can_compute() {
         else_: Box::new(Expr::dec("0")),
     };
     for (input, pushed) in [(Expr::mul(Expr::col(2), Expr::col(1)), true), (case, false)] {
-        let mut plan = Plan::AggScan(AggScanNode {
-            scan: ScanNode::new("t", vec![1, 2]),
-            group_cols: vec![],
-            aggs: vec![AggItem {
+        let mut plan = folding(
+            ScanNode::new("t", vec![1, 2]),
+            vec![],
+            vec![AggItem {
                 func: AggFunc::Sum,
                 input: Some(input),
             }],
-        });
+        );
         let reports = ndp_post_process(&mut plan, &db).unwrap();
         assert_eq!(reports[0].aggregation, pushed, "{:?}", reports[0]);
     }

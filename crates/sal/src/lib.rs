@@ -300,13 +300,9 @@ impl Sal {
     /// resolves a batch of probe keys to leaves first and reads them
     /// through [`Sal::batch_read_ctx`], a chunk to a request (whole
     /// leaves under a work-free descriptor, or, as an NDP key read, the
-    /// probed keys' records under a real one). Default query context:
-    /// the anonymous tenant, no deadline.
-    pub fn read_page(&self, pref: PageRef, at_lsn: Option<Lsn>) -> Result<Arc<Page>> {
-        self.read_page_ctx(pref, at_lsn, &QueryCtx::new())
-    }
-
-    /// Single-page read under a query context, through the SAL's one
+    /// probed keys' records under a real one).
+    ///
+    /// The read runs under a query context, through the SAL's one
     /// failover loop ([`with_failover`]): the slice's replicas in
     /// placement order, retry rounds for transient failures, the context's
     /// deadline. The page is shipped once, from the replica that served.
@@ -382,7 +378,12 @@ impl Sal {
     /// Each sub-batch picks its starting replica round-robin (load
     /// spread) and fails over to the slice's remaining replicas on error,
     /// charging request bytes per attempted replica — the batch analogue
-    /// of [`Sal::read_page`]'s failover.
+    /// of [`Sal::read_page_ctx`]'s failover. Under a query context
+    /// ([`Sal::batch_read_streaming_ctx`]; this form runs under the
+    /// anonymous tenant's, with no deadline) sub-batches are billed to
+    /// the context's tenant on the Page-Store side, failover gains
+    /// bounded backoff-retry rounds for transient errors, and the
+    /// context's deadline caps the whole dispatch.
     ///
     /// Dropping the returned handle cancels delivery: the channel closes,
     /// in-flight sub-batch threads finish their current store call, fail
@@ -398,10 +399,7 @@ impl Sal {
         self.batch_read_streaming_ctx(space, pages, read_lsn, descriptor, &QueryCtx::new())
     }
 
-    /// [`Sal::batch_read_streaming`] under a query context: sub-batches
-    /// are billed to the context's tenant on the Page-Store side, replica
-    /// failover gains bounded backoff-retry rounds for transient errors,
-    /// and the context's deadline caps the whole dispatch.
+    /// [`Sal::batch_read_streaming`] under a query context.
     pub fn batch_read_streaming_ctx(
         &self,
         space: SpaceId,
@@ -768,7 +766,9 @@ mod tests {
         assert!(ro.is_read_only() && !sal.is_read_only());
         // Shares placements + stores: reads work and meter into the
         // attachment's own metrics.
-        let p = ro.read_page(PageRef::new(SpaceId(14), 0), None).unwrap();
+        let p = ro
+            .read_page_ctx(PageRef::new(SpaceId(14), 0), None, &QueryCtx::new())
+            .unwrap();
         assert_eq!(p.n_recs(), 1);
         assert_eq!(replica_metrics.snapshot().pages_shipped_raw, 1);
         // Shares the LSN cursor, refuses writes.
@@ -829,7 +829,9 @@ mod tests {
         }])
         .unwrap();
         let before = m.snapshot();
-        let p = sal.read_page(PageRef::new(space, 0), None).unwrap();
+        let p = sal
+            .read_page_ctx(PageRef::new(space, 0), None, &QueryCtx::new())
+            .unwrap();
         assert_eq!(p.n_recs(), 2);
         let d = m.snapshot().since(&before);
         assert_eq!(d.pages_shipped_raw, 1);
@@ -915,7 +917,9 @@ mod tests {
         assert_eq!(replicas.len(), 2);
         sal.page_stores()[replicas[0]].set_fault(FaultPolicy::Poison);
         let before = m.snapshot();
-        let p = sal.read_page(PageRef::new(space, 0), None).unwrap();
+        let p = sal
+            .read_page_ctx(PageRef::new(space, 0), None, &QueryCtx::new())
+            .unwrap();
         assert_eq!(p.n_recs(), 1);
         let d = m.snapshot().since(&before);
         assert_eq!(d.read_retries, 1, "one failover hop");
@@ -1101,7 +1105,7 @@ mod tests {
         let before = m.snapshot();
         // READ_RETRY_ROUNDS = 2. All replicas down with a
         // transient (InvalidState) error → a second sweep after backoff.
-        let r = sal.read_page(PageRef::new(SpaceId(20), 0), None);
+        let r = sal.read_page_ctx(PageRef::new(SpaceId(20), 0), None, &QueryCtx::new());
         assert!(r.is_err());
         let d = m.snapshot().since(&before);
         assert_eq!(d.read_backoff_waits, 1, "one backoff between two rounds");
@@ -1115,7 +1119,7 @@ mod tests {
         }
         // NotFound is deterministic: no second round, no backoff.
         let before = m.snapshot();
-        let r = sal.read_page(PageRef::new(SpaceId(20), 9999), None);
+        let r = sal.read_page_ctx(PageRef::new(SpaceId(20), 9999), None, &QueryCtx::new());
         assert!(matches!(r, Err(Error::NotFound(_))));
         let d = m.snapshot().since(&before);
         assert_eq!(d.read_backoff_waits, 0, "deterministic errors never retry");
@@ -1191,7 +1195,13 @@ mod tests {
         let pages: Vec<PageNo> = (0..12).collect();
         let before = m.snapshot();
         let mut handle = sal
-            .batch_read_streaming(space, &pages, sal.current_lsn(), no_work_descriptor())
+            .batch_read_streaming_ctx(
+                space,
+                &pages,
+                sal.current_lsn(),
+                no_work_descriptor(),
+                &QueryCtx::new(),
+            )
             .unwrap();
         let mut seen = std::collections::HashSet::new();
         let mut subs = 0;
@@ -1213,7 +1223,13 @@ mod tests {
         let space = SpaceId(11);
         let pages: Vec<PageNo> = (0..12).collect();
         let mut handle = sal
-            .batch_read_streaming(space, &pages, sal.current_lsn(), no_work_descriptor())
+            .batch_read_streaming_ctx(
+                space,
+                &pages,
+                sal.current_lsn(),
+                no_work_descriptor(),
+                &QueryCtx::new(),
+            )
             .unwrap();
         // Take one sub-batch, then abandon the read mid-flight.
         let first = handle.recv().unwrap().unwrap();

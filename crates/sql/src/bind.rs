@@ -39,16 +39,17 @@
 //!   [`LookupJoinNode`], and `[NOT] IN (SELECT ...)` a Semi/Anti
 //!   [`HashJoinNode`], appended after the FROM tree and the residual
 //!   WHERE, in written order;
-//! - grouping lowers to a node with layout `groups ++ aggs`: an
-//!   [`AggScanNode`] when the block is one bare scan of a base table (no
-//!   join, subquery join or residual filter), the aggregates are not
-//!   DISTINCT, and the GROUP BY items are bare columns (or there are
-//!   none), and NDP may push the aggregation to the Page Stores (§V-C); a
-//!   [`HashAggNode`] otherwise. The prefix rule is an output-order rule:
-//!   an `AggScan` whose GROUP BY is a prefix of the scanned index's key
-//!   emits its groups in index order, any other in encoded-key order, as
-//!   the `HashAgg` it replaces would. HAVING filters that layout, and the
-//!   SELECT list projects it (identity projections are elided);
+//! - grouping lowers to one [`HashAggNode`] with layout `groups ++ aggs`
+//!   (`COUNT(DISTINCT x)` to two: one deduplicating on `groups ++ [x]`,
+//!   one counting per group). Over a lone base table's scan it folds the
+//!   scan (the plan decides that, not the binder): its groups come out in
+//!   index order when they are bare columns that deliver a prefix of the
+//!   scanned index's key, in encoded-key order otherwise, and the NDP pass
+//!   may push the aggregation to the Page Stores (§V-C). `AVG(x)` is
+//!   `SUM(x)` and `COUNT(x)` there, and `COUNT(x)` of a base-table column
+//!   that cannot be NULL is `COUNT(*)`; equal aggregates are one. HAVING
+//!   filters that layout, and the SELECT list projects it (identity
+//!   projections are elided);
 //! - ORDER BY resolves against SELECT output positions; with LIMIT it
 //!   becomes a top-N sort.
 //!
@@ -70,10 +71,9 @@ use taurus_ndp::engine::Table;
 use taurus_ndp::TaurusDb;
 use taurus_optimizer::ndp_post::{ndp_post_process, NdpReport};
 use taurus_optimizer::plan::{
-    AggFunc, AggItem, AggScanNode, HashAggNode, HashJoinNode, JoinType, LookupJoinNode, Plan,
-    ScanNode,
+    AggFunc, AggItem, HashAggNode, HashJoinNode, JoinType, LookupJoinNode, Plan, ScanNode,
 };
-use taurus_verify::{infer_plan, plan_width};
+use taurus_verify::{family, infer_plan, plan_width, value_family, Family};
 
 use crate::ast::{AggName, ExprKind, Ident, JoinKind, SelectItem, SelectStmt, SqlExpr, TableRef};
 use crate::lexer::{parse_err, Pos};
@@ -106,45 +106,6 @@ pub(crate) fn bind_reported(
         Vec::new()
     };
     Ok((plan, reports))
-}
-
-// ---------------------------------------------------------------------------
-// Type families for positioned mismatch diagnostics. The verifier types the
-// final plan exactly; the binder only needs coarse families to reject
-// nonsense comparisons with a source position attached.
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Family {
-    Num,
-    Date,
-    Str,
-}
-
-fn family(dt: &DataType) -> Family {
-    match dt {
-        DataType::Int | DataType::BigInt | DataType::Decimal { .. } | DataType::Double => {
-            Family::Num
-        }
-        DataType::Date => Family::Date,
-        DataType::Char(_) | DataType::Varchar(_) => Family::Str,
-    }
-}
-
-fn family_name(f: Family) -> &'static str {
-    match f {
-        Family::Num => "numeric",
-        Family::Date => "date",
-        Family::Str => "string",
-    }
-}
-
-fn value_family(v: &Value) -> Option<Family> {
-    match v {
-        Value::Int(_) | Value::Decimal(_) | Value::Double(_) => Some(Family::Num),
-        Value::Date(_) => Some(Family::Date),
-        Value::Str(_) => Some(Family::Str),
-        Value::Null => None,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -365,6 +326,25 @@ impl Frame<'_> {
                 scopes,
                 layout,
             } => pos_in(layout, resolve_col(atoms, scopes, qualifier, name)?),
+        }
+    }
+
+    /// Is `e` a column of this row layout that is never NULL: a NOT NULL
+    /// column of a base table that is not on a LEFT JOIN's null-producing
+    /// side?
+    fn never_null(&self, e: &Expr) -> bool {
+        let (Frame::Layout { atoms, layout, .. }, Expr::Col(p)) = (self, e) else {
+            return false;
+        };
+        let Some(&(a, c)) = layout.get(*p) else {
+            return false;
+        };
+        let atom = &atoms[a];
+        match &atom.kind {
+            AtomKind::Base { table, .. } => {
+                !atom.right_of_left && table.schema.columns.get(c).is_some_and(|c| !c.nullable)
+            }
+            AtomKind::Derived { .. } => false,
         }
     }
 }
@@ -1584,15 +1564,15 @@ impl<'a> Binder<'a> {
             }
             other => (other, 0),
         };
-        let lfam = family(&atoms[left.0].col_dtype(left.1));
+        let lfam = family(atoms[left.0].col_dtype(left.1));
         let rdts = plan_dtypes(&rplan, self.db());
-        if family(&rdts[rk]) != lfam {
+        if family(rdts[rk]) != lfam {
             return Err(parse_err(
                 pos,
                 format!(
                     "type mismatch: cannot compare a {} column to a {} subquery",
-                    family_name(lfam),
-                    family_name(family(&rdts[rk]))
+                    lfam.name(),
+                    family(rdts[rk]).name()
                 ),
             ));
         }
@@ -1635,13 +1615,13 @@ impl<'a> Binder<'a> {
         pos: Pos,
     ) -> Result<()> {
         if let (Some(da), Some(db)) = (self.dtype_of(a, fr), self.dtype_of(b, fr)) {
-            if family(&da) != family(&db) {
+            if family(da) != family(db) {
                 return Err(parse_err(
                     pos,
                     format!(
                         "type mismatch: cannot {what} a {} expression and a {} expression",
-                        family_name(family(&da)),
-                        family_name(family(&db))
+                        family(da).name(),
+                        family(db).name()
                     ),
                 ));
             }
@@ -1687,13 +1667,13 @@ impl<'a> Binder<'a> {
                 let lb = self.lower_expr(b, fr)?;
                 for side in [&la, &lb] {
                     if let Some(dt) = self.dtype_of(side, fr) {
-                        if family(&dt) != Family::Num {
+                        if family(dt) != Family::Num {
                             return Err(parse_err(
                                 e.pos,
                                 format!(
                                     "type mismatch: arithmetic needs numeric operands, got a {} \
                                      expression",
-                                    family_name(family(&dt))
+                                    family(dt).name()
                                 ),
                             ));
                         }
@@ -1709,7 +1689,7 @@ impl<'a> Binder<'a> {
             } => {
                 let le = self.lower_expr(expr, fr)?;
                 if let Some(dt) = self.dtype_of(&le, fr) {
-                    if family(&dt) != Family::Str {
+                    if family(dt) != Family::Str {
                         return Err(parse_err(
                             e.pos,
                             "type mismatch: LIKE needs a string expression",
@@ -1728,7 +1708,7 @@ impl<'a> Binder<'a> {
                 negated,
             } => {
                 let le = self.lower_expr(expr, fr)?;
-                let efam = self.dtype_of(&le, fr).map(|d| family(&d));
+                let efam = self.dtype_of(&le, fr).map(family);
                 let mut vals = Vec::with_capacity(list.len());
                 for item in list {
                     let v = match self.lower_expr(item, fr)? {
@@ -1742,8 +1722,8 @@ impl<'a> Binder<'a> {
                                 format!(
                                     "type mismatch: cannot compare a {} expression to a {} \
                                      literal",
-                                    family_name(ef),
-                                    family_name(vf)
+                                    ef.name(),
+                                    vf.name()
                                 ),
                             ));
                         }
@@ -1785,7 +1765,7 @@ impl<'a> Binder<'a> {
             ExprKind::ExtractYear(a) => {
                 let la = self.lower_expr(a, fr)?;
                 if let Some(dt) = self.dtype_of(&la, fr) {
-                    if family(&dt) != Family::Date {
+                    if family(dt) != Family::Date {
                         return Err(parse_err(
                             e.pos,
                             "type mismatch: EXTRACT(YEAR FROM ...) needs a date expression",
@@ -1800,7 +1780,7 @@ impl<'a> Binder<'a> {
                 }
                 let le = self.lower_expr(expr, fr)?;
                 if let Some(dt) = self.dtype_of(&le, fr) {
-                    if family(&dt) != Family::Str {
+                    if family(dt) != Family::Str {
                         return Err(parse_err(
                             e.pos,
                             "type mismatch: SUBSTRING needs a string expression",
@@ -1882,6 +1862,25 @@ fn agg_funcs(func: AggName, star: bool) -> &'static [AggFunc] {
     }
 }
 
+/// The aggregate items a call of `func` over `input` folds in frame `fr`
+/// ([`agg_funcs`]). A COUNT of a column that is never NULL there counts
+/// every row: it is `COUNT(*)`, and shares its state.
+fn agg_items(func: AggName, input: &Option<Expr>, fr: &Frame<'_>) -> Vec<AggItem> {
+    agg_funcs(func, input.is_none())
+        .iter()
+        .map(|&func| match input {
+            Some(e) if func == AggFunc::Count && fr.never_null(e) => AggItem {
+                func: AggFunc::CountStar,
+                input: None,
+            },
+            _ => AggItem {
+                func,
+                input: input.clone(),
+            },
+        })
+        .collect()
+}
+
 impl<'a> Binder<'a> {
     /// Collect every aggregate call in `e` into `set` (inputs lowered
     /// over the pre-aggregation layout).
@@ -1913,11 +1912,8 @@ impl<'a> Binder<'a> {
                     }
                 }
             } else {
-                for &func in agg_funcs(*func, input.is_none()) {
-                    set.push(AggItem {
-                        func,
-                        input: input.clone(),
-                    });
+                for item in agg_items(*func, &input, fr) {
+                    set.push(item);
                 }
             }
             return Ok(());
@@ -1955,11 +1951,7 @@ impl<'a> Binder<'a> {
             if *distinct {
                 return Ok(Expr::Col(groups.len()));
             }
-            let cols = agg_funcs(*func, input.is_none()).iter().map(|&func| {
-                let item = AggItem {
-                    func,
-                    input: input.clone(),
-                };
+            let cols = agg_items(*func, &input, fr).into_iter().map(|item| {
                 set.items
                     .iter()
                     .position(|a| *a == item)
@@ -2048,59 +2040,6 @@ impl<'a> Binder<'a> {
         }
     }
 
-    /// Scan aggregation: a block that is one bare scan of a base table,
-    /// grouped by bare columns (or not grouped), aggregates during the
-    /// scan as an [`AggScanNode`], and the NDP pass may push the
-    /// aggregation to the Page Stores (§V-C). Its groups come out in index
-    /// order when the GROUP BY is a prefix of the scanned index's key, in
-    /// encoded-key order otherwise — the order the [`HashAggNode`] it
-    /// replaces gives them. Anything else is a [`HashAggNode`]. Both lay
-    /// their output out as `groups ++ aggs`.
-    fn aggregate(
-        plan: Plan,
-        atoms: &[Atom],
-        layout: &[(usize, usize)],
-        groups: &[Expr],
-        aggs: &[AggItem],
-    ) -> Plan {
-        if let (
-            Plan::Scan(scan),
-            [Atom {
-                kind: AtomKind::Base { .. },
-                ..
-            }],
-        ) = (&plan, atoms)
-        {
-            // The layout of a lone base table's scan is its table columns.
-            let table_col = |p: usize| layout[p].1;
-            let group_cols: Option<Vec<usize>> = groups
-                .iter()
-                .map(|g| match g {
-                    Expr::Col(p) => Some(table_col(*p)),
-                    _ => None,
-                })
-                .collect();
-            if let Some(group_cols) = group_cols {
-                return Plan::AggScan(AggScanNode {
-                    scan: scan.clone(),
-                    group_cols,
-                    aggs: aggs
-                        .iter()
-                        .map(|a| AggItem {
-                            func: a.func,
-                            input: a.input.as_ref().map(|e| e.remap_columns(&table_col)),
-                        })
-                        .collect(),
-                });
-            }
-        }
-        Plan::HashAgg(HashAggNode {
-            input: Box::new(plan),
-            group: groups.to_vec(),
-            aggs: aggs.to_vec(),
-        })
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn lower_output(
         &mut self,
@@ -2173,8 +2112,8 @@ impl<'a> Binder<'a> {
             }
 
             if let Some(darg) = &set.distinct {
-                // Two-level plan: dedup on groups ++ arg, then count per
-                // group.
+                // Two-level plan: dedup on groups ++ arg, then count the
+                // arg per group (a NULL arg is a group, not a value).
                 let mut dedup = groups.clone();
                 dedup.push(darg.clone());
                 plan = Plan::HashAgg(HashAggNode {
@@ -2186,13 +2125,17 @@ impl<'a> Binder<'a> {
                     input: Box::new(plan),
                     group: (0..groups.len()).map(Expr::Col).collect(),
                     aggs: vec![AggItem {
-                        func: AggFunc::CountStar,
-                        input: None,
+                        func: AggFunc::Count,
+                        input: Some(Expr::Col(groups.len())),
                     }],
                 });
                 width = groups.len() + 1;
             } else {
-                plan = Self::aggregate(plan, atoms, layout, &groups, &set.items);
+                plan = Plan::HashAgg(HashAggNode {
+                    input: Box::new(plan),
+                    group: groups.clone(),
+                    aggs: set.items.clone(),
+                });
                 width = groups.len() + set.items.len();
             }
 
@@ -2367,25 +2310,30 @@ mod tests {
         }
     }
 
-    /// How many of the plan's scans aggregate (`AggScan`s).
+    /// How many of the plan's scans a `HashAgg` folds.
     fn agg_scans(plan: &Plan) -> usize {
         let mut n = 0;
         plan.for_each_scan(&mut |_, agg| n += usize::from(agg));
         n
     }
 
-    /// The `AggScan` under the plan's output operators (and a join's
-    /// probe side), with no `HashAgg` above it.
-    fn agg_scan(plan: &Plan) -> &AggScanNode {
+    /// The `HashAgg` folding a scan under the plan's output operators (and
+    /// a join's probe side).
+    fn agg_scan(plan: &Plan) -> &HashAggNode {
         match plan {
-            Plan::AggScan(a) => a,
+            Plan::HashAgg(a) if a.scan().is_some() => a,
             Plan::HashJoin(j) => agg_scan(&j.left),
             Plan::Project(x) => agg_scan(&x.input),
             Plan::Filter(x) => agg_scan(&x.input),
             Plan::Sort(x) => agg_scan(&x.input),
             Plan::Limit { input, .. } => agg_scan(input),
-            other => panic!("no AggScan in {other:?}"),
+            other => panic!("no scan-folding HashAgg in {other:?}"),
         }
+    }
+
+    /// The scan `plan`'s scan-folding `HashAgg` folds.
+    fn folded(plan: &Plan) -> &ScanNode {
+        agg_scan(plan).scan().unwrap()
     }
 
     fn tpch(name: &str) -> &'static str {
@@ -2403,16 +2351,17 @@ mod tests {
         ] {
             let plan = try_bind(sql).unwrap_or_else(|e| panic!("{sql}: {e:?}"));
             assert_eq!(agg_scans(&plan), 1, "{sql}: {plan:?}");
-            agg_scan(&plan);
+            assert!(agg_scan(&plan).index_ordered(db()), "{sql}");
             taurus_verify::check_plan(&plan, db()).unwrap_or_else(|e| panic!("{sql}: {e:?}"));
         }
-        // Q6's aggregate input is remapped onto table columns
-        // (l_extendedprice = 5, l_discount = 6).
+        // Q6's aggregate input, over table columns, is l_extendedprice (5)
+        // times l_discount (6).
         let q6 = try_bind(tpch("Q6")).unwrap();
         let a = agg_scan(&q6);
-        assert!(a.group_cols.is_empty());
+        assert_eq!(a.group_cols(), Some(vec![]));
+        let aggs = a.table_aggs().unwrap();
         assert_eq!(
-            a.aggs[0].input,
+            aggs[0].input,
             Some(Expr::mul(Expr::col(5), Expr::col(6))),
             "{a:?}"
         );
@@ -2420,22 +2369,22 @@ mod tests {
         // leading column, and sums l_quantity.
         let q18 = try_bind(tpch("Q18")).unwrap();
         let a = agg_scan(&q18);
-        assert_eq!(a.group_cols, [0]);
-        assert_eq!(a.aggs[0].input, Some(Expr::col(4)));
+        assert_eq!(a.group_cols(), Some(vec![0]));
+        assert_eq!(a.table_aggs().unwrap()[0].input, Some(Expr::col(4)));
         // FORCE INDEX chooses the index the aggregation scans.
         let counted = try_bind(
             "select count(*) from lineitem force index (i_l_suppkey) where l_suppkey <= 5",
         )
         .unwrap();
         assert_eq!(
-            Some(agg_scan(&counted).scan.index),
+            Some(folded(&counted).index),
             lineitem.find_index("i_l_suppkey")
         );
     }
 
-    /// A GROUP BY of bare columns that does not follow the index lowers
-    /// to an `AggScan` too; its groups come out in encoded-key order, as
-    /// the `HashAgg` it replaces gives them.
+    /// A GROUP BY of bare columns that does not follow the index folds its
+    /// scan too; its groups come out in encoded-key order, as a `HashAgg`
+    /// over a pulled input gives them.
     #[test]
     fn hashed_aggregation_lowers_to_agg_scan() {
         let session = Session::new(db());
@@ -2450,39 +2399,30 @@ mod tests {
             assert_eq!(agg_scans(&plan), 1, "{sql}: {plan:?}");
             assert!(!agg_scan(&plan).index_ordered(db()), "{sql}");
             taurus_verify::check_plan(&plan, db()).unwrap_or_else(|e| panic!("{sql}: {e:?}"));
-            // The rows, and their order, are the HashAgg's.
-            let Plan::AggScan(a) = strip_outputs(&plan) else {
+            // The rows, and their order, are those of the same aggregation
+            // pulling its scan through an identity projection.
+            let Plan::HashAgg(a) = strip_outputs(&plan) else {
                 panic!("{sql}: {plan:?}")
             };
-            let hashed = Plan::HashAgg(HashAggNode {
-                input: Box::new(Plan::Scan(a.scan.clone())),
-                group: a
-                    .group_cols
-                    .iter()
-                    .map(|&c| Expr::col(a.scan.output.iter().position(|&o| o == c).unwrap()))
-                    .collect(),
-                aggs: a
-                    .aggs
-                    .iter()
-                    .map(|i| AggItem {
-                        func: i.func,
-                        input: i.input.as_ref().map(|e| {
-                            e.remap_columns(&|c| {
-                                a.scan.output.iter().position(|&o| o == c).unwrap()
-                            })
-                        }),
-                    })
-                    .collect(),
+            let width = folded(&plan).output.len();
+            let pulled = Plan::HashAgg(HashAggNode {
+                input: Box::new(
+                    a.input
+                        .as_ref()
+                        .clone()
+                        .project((0..width).map(Expr::col).collect()),
+                ),
+                ..a.clone()
             });
-            let want = session.execute_plan(&hashed).unwrap();
-            let got = session.execute_plan(&Plan::AggScan(a.clone())).unwrap();
+            let want = session.execute_plan(&pulled).unwrap();
+            let got = session.execute_plan(&Plan::HashAgg(a.clone())).unwrap();
             assert!(got.len() > 1, "{sql}");
             assert_eq!(got, want, "{sql}");
         }
         // Q1's second product is an input of its own.
         let q1 = try_bind(tpch("Q1")).unwrap();
         let a = agg_scan(&q1);
-        assert_eq!(a.group_cols, [8, 9]);
+        assert_eq!(a.group_cols(), Some(vec![8, 9]));
         assert!(a
             .aggs
             .iter()
@@ -2500,21 +2440,54 @@ mod tests {
         }
     }
 
+    /// A block grouped by an expression, or aggregating above a join,
+    /// gives storage nothing to group by: no `HashAgg` of it groups a scan
+    /// by bare columns. `COUNT(DISTINCT x)` deduplicates in a `HashAgg`
+    /// that does, grouped by `x`.
     #[test]
     fn other_aggregation_blocks_stay_hash_aggregates() {
+        fn bare_groups(plan: &Plan) -> usize {
+            let mut n = 0;
+            let mut stack = vec![plan];
+            while let Some(p) = stack.pop() {
+                match p {
+                    Plan::HashAgg(a) => {
+                        n += usize::from(a.group_cols().is_some());
+                        stack.push(&a.input);
+                    }
+                    Plan::HashJoin(j) => stack.extend([&*j.left, &*j.right]),
+                    Plan::LookupJoin(j) => stack.push(&j.outer),
+                    Plan::Project(x) => stack.push(&x.input),
+                    Plan::Filter(x) => stack.push(&x.input),
+                    Plan::Sort(x) => stack.push(&x.input),
+                    Plan::Limit { input, .. } => stack.push(input),
+                    Plan::Exchange(e) => stack.push(&e.child),
+                    Plan::Scan(_) => {}
+                }
+            }
+            n
+        }
         for sql in [
             // A key-prefix group over an expression.
             "select l_orderkey + 1, count(*) from lineitem group by l_orderkey + 1",
             // Q22's group is a `substring`.
             tpch("Q22"),
-            "select count(distinct l_suppkey) from lineitem",
             // A key-prefix group above a join.
             "select c_custkey, count(*) from customer join orders \
              on c_custkey = o_custkey group by c_custkey",
         ] {
             let plan = try_bind(sql).unwrap_or_else(|e| panic!("{sql}: {e:?}"));
-            assert_eq!(agg_scans(&plan), 0, "{sql}: {plan:?}");
+            assert_eq!(bare_groups(&plan), 0, "{sql}: {plan:?}");
         }
+        let plan = try_bind("select count(distinct l_suppkey) from lineitem").unwrap();
+        let Plan::HashAgg(count) = &plan else {
+            panic!("{plan:?}")
+        };
+        let Plan::HashAgg(dedup) = &*count.input else {
+            panic!("{plan:?}")
+        };
+        assert_eq!(dedup.group_cols(), Some(vec![2]), "{plan:?}");
+        assert!(dedup.aggs.is_empty() && count.scan().is_none(), "{plan:?}");
     }
 
     #[test]
@@ -2532,7 +2505,7 @@ mod tests {
                 panic!("{name} is a SELECT");
             };
             let plan = bind(&session, &s).unwrap();
-            let d = agg_scan(&plan).scan.ndp.clone();
+            let d = folded(&plan).ndp.clone();
             d.unwrap_or_else(|| panic!("{name}: the scan is pushed"))
                 .choice
         };
@@ -2564,8 +2537,7 @@ mod tests {
             panic!("Q15 is a SELECT");
         };
         let (plan, reports) = bind_reported(&session, &q15).unwrap();
-        assert!(agg_scan(&plan)
-            .scan
+        assert!(folded(&plan)
             .ndp
             .as_ref()
             .is_some_and(|d| d.choice.aggregation.is_none()));
@@ -2575,8 +2547,11 @@ mod tests {
 
     /// An AVG is a SUM over a COUNT of its input from the binder down:
     /// the SUM a query also asks for is shared, the Project divides, and
-    /// storage is asked for the plan's aggregates one for one (Q1's three
-    /// AVGs make its eight aggregates nine, not eleven).
+    /// storage is asked for the plan's aggregates one for one. A COUNT of
+    /// a NOT NULL column is `COUNT(*)`, so Q1's three AVGs over NOT NULL
+    /// columns share its `COUNT(*)`: its eight aggregates are six, not
+    /// eleven. A column on a LEFT JOIN's null-producing side, or a derived
+    /// table's, keeps its COUNT.
     #[test]
     fn avg_is_its_sum_over_its_count() {
         let mut cfg = ClusterConfig::default();
@@ -2592,37 +2567,56 @@ mod tests {
             };
             bind(&session, &s).unwrap()
         };
-        let plan = bound("select sum(l_quantity), avg(l_quantity) from lineitem");
+        let plan = bound("select sum(l_quantity), avg(l_quantity), count(*) from lineitem");
         let Plan::Project(p) = &plan else {
             panic!("{plan:?}")
         };
         assert_eq!(
             p.exprs,
-            vec![Expr::col(0), Expr::div(Expr::col(0), Expr::col(1))]
+            vec![
+                Expr::col(0),
+                Expr::div(Expr::col(0), Expr::col(1)),
+                Expr::col(1)
+            ]
         );
-        let a = agg_scan(&plan);
-        let quantity = Some(Expr::col(4));
+        let aggs = agg_scan(&plan).table_aggs().unwrap();
         assert_eq!(
-            a.aggs,
+            aggs,
             vec![
                 AggItem {
                     func: AggFunc::Sum,
-                    input: quantity.clone(),
+                    input: Some(Expr::col(4)),
                 },
                 AggItem {
-                    func: AggFunc::Count,
-                    input: quantity,
+                    func: AggFunc::CountStar,
+                    input: None,
                 },
             ]
         );
+        let counts = |plan: &Plan| {
+            let Plan::HashAgg(a) = strip_outputs(plan) else {
+                panic!("{plan:?}")
+            };
+            a.aggs.iter().map(|a| a.func).collect::<Vec<_>>()
+        };
+        // o_orderkey is NOT NULL, but a LEFT JOIN pads it with NULLs.
+        let padded = bound(
+            "select count(o_orderkey), count(*) from customer \
+             left join orders on c_custkey = o_custkey",
+        );
+        assert_eq!(counts(&padded), [AggFunc::Count, AggFunc::CountStar]);
+        // A derived table's column is not a base table's.
+        let derived =
+            bound("select count(k), count(*) from (select l_orderkey as k from lineitem) as d");
+        assert_eq!(counts(&derived), [AggFunc::Count, AggFunc::CountStar]);
         let pushed = |plan: &Plan| {
-            let d = agg_scan(plan).scan.ndp.clone();
+            let d = folded(plan).ndp.clone();
             d.and_then(|d| d.choice.aggregation)
                 .unwrap_or_else(|| panic!("{plan:?}"))
                 .specs
         };
-        assert_eq!(pushed(&plan), a.aggs);
-        assert_eq!(pushed(&bound(tpch("Q1"))).len(), 9);
+        assert_eq!(pushed(&plan), aggs);
+        assert_eq!(pushed(&bound(tpch("Q1"))).len(), 6);
     }
 
     #[test]
@@ -2699,7 +2693,7 @@ mod tests {
                 Plan::Sort(x) => stack.push(&x.input),
                 Plan::Limit { input, .. } => stack.push(input),
                 Plan::Exchange(e) => stack.push(&e.child),
-                Plan::Scan(_) | Plan::AggScan(_) => {}
+                Plan::Scan(_) => {}
             }
         }
         out
@@ -2898,7 +2892,6 @@ mod tests {
     fn shape(plan: &Plan) -> String {
         match plan {
             Plan::Scan(s) => s.table.clone(),
-            Plan::AggScan(a) => a.scan.table.clone(),
             Plan::HashJoin(j) => format!("({} ⋈ {})", shape(&j.left), shape(&j.right)),
             Plan::LookupJoin(j) => format!("({} ⋈L {})", shape(&j.outer), j.table),
             Plan::HashAgg(a) => shape(&a.input),

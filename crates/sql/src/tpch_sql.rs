@@ -3,15 +3,15 @@
 //! Each text binds to a plan whose **results** are byte-equal to the
 //! registry's hand-built `qN_plan` (crates/tpch) under every batch layout
 //! and NDP setting — the parity suite in `tests/sql_parity.rs` holds the
-//! frontend to that. Most texts lower to the *identical* plan; a few
-//! produce a result-equal variant. Q2, Q12, Q14 and Q22: the binder
-//! aggregates over compound expressions directly where the registry
-//! projects first, which is byte-equal because the hash aggregate
-//! finalizes in encoded-group-key order and sorts are stable. Q6 and
-//! Q18's derived table: the binder aggregates during the `lineitem` scan
-//! (`AggScan`, groups in primary-key order) where the registry hash
-//! aggregates over the scan; Q6 has one group, and Q18 joins and sorts
-//! above its aggregation.
+//! frontend to that. Most texts lower to the *identical* plan shape,
+//! Q6's and Q18's derived table included: a `HashAgg` that folds its
+//! `lineitem` scan, as the registry writes them. A few produce a
+//! result-equal variant. Q2, Q12, Q14 and Q22: the binder aggregates
+//! over compound expressions directly where the registry projects first,
+//! which is byte-equal because the hash aggregate finalizes in
+//! encoded-group-key order and sorts are stable. Q1: the binder asks for
+//! its AVGs' COUNTs of NOT NULL columns as its one `COUNT(*)`, where the
+//! registry keeps them, and projects the same values.
 //!
 //! Multi-phase registry queries (Q11, Q15, Q17, Q20, Q22) are expressed
 //! as their registry **main-stage plan** — the part the paper pushes

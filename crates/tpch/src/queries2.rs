@@ -7,7 +7,7 @@ use taurus_common::schema::Row;
 use taurus_common::{Dec, Result, Value};
 use taurus_expr::ast::Expr;
 use taurus_ndp::TaurusDb;
-use taurus_optimizer::plan::{AggScanNode, JoinType, LookupJoinNode, Plan, RangeSpec, ScanNode};
+use taurus_optimizer::plan::{JoinType, LookupJoinNode, Plan, RangeSpec, ScanNode};
 
 use crate::queries1::{
     count, count_star, finish, hash_agg, hash_join, optimized, run_plan, sum, volume,
@@ -594,11 +594,8 @@ pub fn q0(db: &TaurusDb, pq: Option<usize>) -> Result<Vec<Row>> {
 
 /// The optimized plan q0 executes.
 pub fn q0_plan(db: &TaurusDb, pq: Option<usize>) -> Result<Plan> {
-    let plan = Plan::AggScan(AggScanNode {
-        scan: ScanNode::new("lineitem", vec![0]),
-        group_cols: vec![],
-        aggs: vec![count_star()],
-    });
+    let scan = Plan::Scan(ScanNode::new("lineitem", vec![0]));
+    let plan = hash_agg(scan, vec![], vec![count_star()]);
     let plan = match pq {
         Some(d) => plan.exchange(d),
         None => plan,
@@ -613,12 +610,11 @@ pub fn q001(db: &TaurusDb, pq: Option<usize>) -> Result<Vec<Row>> {
 
 /// The optimized plan q001 executes.
 pub fn q001_plan(db: &TaurusDb, pq: Option<usize>) -> Result<Plan> {
-    let plan = Plan::AggScan(AggScanNode {
-        scan: ScanNode::new("lineitem", vec![10])
+    let scan = Plan::Scan(
+        ScanNode::new("lineitem", vec![10])
             .with_predicate(vec![Expr::lt(Expr::col(10), Expr::date("1998-07-01"))]),
-        group_cols: vec![],
-        aggs: vec![count_star()],
-    });
+    );
+    let plan = hash_agg(scan, vec![], vec![count_star()]);
     let plan = match pq {
         Some(d) => plan.exchange(d),
         None => plan,
@@ -635,17 +631,16 @@ pub fn q002(db: &TaurusDb, pq: Option<usize>) -> Result<Vec<Row>> {
 pub fn q002_plan(db: &TaurusDb, pq: Option<usize>) -> Result<Plan> {
     let n_supp = db.table("supplier")?.stats.read().row_count.max(2) as i64;
     let k = n_supp / 2;
-    let plan = Plan::AggScan(AggScanNode {
-        scan: ScanNode::new("lineitem", vec![2])
+    let scan = Plan::Scan(
+        ScanNode::new("lineitem", vec![2])
             .with_index(idx::L_SUPPKEY)
             .with_range(RangeSpec {
                 lower: None,
                 upper: Some((vec![Value::Int(k)], true)),
             })
             .with_predicate(vec![Expr::le(Expr::col(2), Expr::int(k))]),
-        group_cols: vec![],
-        aggs: vec![count_star()],
-    });
+    );
+    let plan = hash_agg(scan, vec![], vec![count_star()]);
     let plan = match pq {
         Some(d) => plan.exchange(d),
         None => plan,

@@ -25,10 +25,11 @@ pub enum DiagKind {
     /// index's record bytes; a conjunct's columns need not be in the
     /// scan's output.
     PredicateNotStored,
-    /// An AggScan GROUP BY column is not delivered by its scan.
+    /// A group expression of a `HashAgg` that folds a bare scan reads a
+    /// position past the scan's output.
     GroupColNotInOutput,
-    /// An AggScan aggregate input references a column its scan does not
-    /// deliver.
+    /// An aggregate input of a `HashAgg` that folds a bare scan reads a
+    /// position past the scan's output.
     AggInputNotInOutput,
     /// A key prefix (range bound or lookup-join key) is longer than the
     /// index's effective key.
@@ -59,17 +60,23 @@ pub enum DiagKind {
     /// scan of the decision's integer column, or a build side without a
     /// predicate.
     JoinFilterIneligible,
-    /// An `AggScan` whose scan pushes an aggregation that is not its
-    /// aggregates: a different count, a different function or input, or
-    /// different group columns, or an input storage cannot compute. Storage would compute partials the SQL node merges
-    /// into the wrong states.
+    /// A `HashAgg` folding a scan that pushes an aggregation that is not
+    /// its aggregates: a different count, a different function or input,
+    /// different group columns or a group that is not a bare column, or an
+    /// input storage cannot compute. Storage would compute partials the SQL
+    /// node merges into the wrong states.
     AggPushdownMismatch,
-    /// An `AggScan` whose pushed aggregation carries HAVING conjuncts it
-    /// may not: a GROUP BY that is not a prefix of the index key (groups
-    /// then do not arrive one after another, and none is ever complete on
-    /// its page), a conjunct reading past a group's outputs, or one that
-    /// is not a conjunct of the `Filter` right above the scan a Page Store
-    /// can judge (storage would drop groups the SQL node keeps).
+    /// A scan whose NDP decision carries an aggregation, but no `HashAgg`
+    /// sits directly above it to fold it: its rows are carriers followed by
+    /// partials, and a row scan cannot pass those on.
+    AggPushdownMisplaced,
+    /// A scan-folding `HashAgg` whose pushed aggregation carries HAVING
+    /// conjuncts it may not: a GROUP BY that is not a prefix of the index
+    /// key (groups then do not arrive one after another, and none is ever
+    /// complete on its page), a conjunct reading past a group's outputs, or
+    /// one that is not a conjunct of the `Filter` right above the
+    /// aggregation a Page Store can judge (storage would drop groups the
+    /// SQL node keeps).
     HavingPushdownIneligible,
 }
 

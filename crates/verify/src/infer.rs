@@ -19,7 +19,7 @@ use taurus_expr::ast::Expr;
 use taurus_ndp::{ScanAggregation, Table, TaurusDb};
 use taurus_optimizer::ndp_post::{conjuncts, storage_can_compute, storage_can_judge};
 use taurus_optimizer::plan::{
-    AggFunc, AggItem, AggScanNode, HashJoinNode, JoinFilterDecision, JoinType, LookupJoinNode,
+    AggFunc, AggItem, HashAggNode, HashJoinNode, JoinFilterDecision, JoinType, LookupJoinNode,
     NdpDecision, Plan, ScanNode,
 };
 
@@ -48,7 +48,6 @@ pub struct Inference {
 pub fn plan_width(plan: &Plan) -> usize {
     match plan {
         Plan::Scan(s) => s.output.len(),
-        Plan::AggScan(a) => a.group_cols.len() + a.aggs.len(),
         Plan::LookupJoin(j) => match j.join {
             JoinType::Inner | JoinType::LeftOuter => plan_width(&j.outer) + j.inner_output.len(),
             JoinType::Semi | JoinType::Anti => plan_width(&j.outer),
@@ -110,8 +109,24 @@ fn infer(
     diags: &mut Vec<Diagnostic>,
 ) -> Option<Vec<ColType>> {
     match plan {
-        Plan::Scan(s) => infer_scan(s, db, &format!("{prefix}Scan({})", s.table), diags),
-        Plan::AggScan(a) => infer_agg_scan(a, None, db, prefix, diags),
+        Plan::Scan(s) => {
+            let path = format!("{prefix}Scan({})", s.table);
+            let schema = infer_scan(s, db, &path, diags);
+            // Its rows would be carriers followed by partials, which only
+            // the `HashAgg` folding the scan merges.
+            if s.ndp
+                .as_ref()
+                .is_some_and(|d| d.choice.aggregation.is_some())
+            {
+                diags.push(Diagnostic::error(
+                    DiagKind::AggPushdownMisplaced,
+                    &path,
+                    "pushed aggregation on a scan no HashAgg folds".into(),
+                ));
+                return None;
+            }
+            schema
+        }
         Plan::LookupJoin(j) => {
             let path = format!("{prefix}LookupJoin({})", j.table);
             let outer = infer(&j.outer, db, &format!("{path}.outer/"), diags);
@@ -271,37 +286,22 @@ fn infer(
             }
             Some(out)
         }
-        Plan::HashAgg(a) => {
-            let path = format!("{prefix}HashAgg");
-            let input = infer(&a.input, db, &format!("{path}/"), diags)?;
-            let dtypes: Vec<DataType> = input.iter().map(|c| c.dtype).collect();
-            let mut ok = true;
-            let mut out = Vec::with_capacity(a.group.len() + a.aggs.len());
-            for (i, g) in a.group.iter().enumerate() {
-                ok &= check_expr_cols(g, input.len(), &path, &format!("group expr {i}"), diags);
-                out.push(expr_coltype(g, &input));
-            }
-            for (i, item) in a.aggs.iter().enumerate() {
-                if let Some(e) = &item.input {
-                    ok &= check_expr_cols(
-                        e,
-                        input.len(),
-                        &path,
-                        &format!("aggregate {i} input"),
-                        diags,
-                    );
-                }
-                out.push(agg_coltype(item, &dtypes));
-            }
-            ok.then_some(out)
-        }
+        Plan::HashAgg(a) => infer_hash_agg(a, None, db, prefix, diags),
         Plan::Project(p) => {
             let path = format!("{prefix}Project");
             let input = infer(&p.input, db, &format!("{path}/"), diags)?;
             let mut ok = true;
             let mut out = Vec::with_capacity(p.exprs.len());
             for (i, e) in p.exprs.iter().enumerate() {
-                ok &= check_expr_cols(e, input.len(), &path, &format!("expr {i}"), diags);
+                let what = format!("expr {i}");
+                ok &= check_expr_cols(
+                    e,
+                    input.len(),
+                    DiagKind::ColumnOutOfRange,
+                    &path,
+                    &what,
+                    diags,
+                );
                 out.push(expr_coltype(e, &input));
             }
             ok.then_some(out)
@@ -309,12 +309,13 @@ fn infer(
         Plan::Filter(f) => {
             let path = format!("{prefix}Filter");
             let input = match &*f.input {
-                Plan::AggScan(a) => {
-                    infer_agg_scan(a, Some(&f.predicate), db, &format!("{path}/"), diags)
+                Plan::HashAgg(a) => {
+                    infer_hash_agg(a, Some(&f.predicate), db, &format!("{path}/"), diags)
                 }
                 input => infer(input, db, &format!("{path}/"), diags),
             }?;
-            let ok = check_expr_cols(&f.predicate, input.len(), &path, "predicate", diags);
+            let (w, kind) = (input.len(), DiagKind::ColumnOutOfRange);
+            let ok = check_expr_cols(&f.predicate, w, kind, &path, "predicate", diags);
             let dtypes: Vec<DataType> = input.iter().map(|c| c.dtype).collect();
             warn_predicate_types(&f.predicate, &dtypes, &path, diags);
             ok.then_some(input)
@@ -488,93 +489,90 @@ fn infer_scan(
     )
 }
 
-/// An `AggScan`'s output schema; `filter` is the predicate of the
-/// `Filter` right above it, if one is.
-fn infer_agg_scan(
-    a: &AggScanNode,
+/// A `HashAgg`'s output schema; `filter` is the predicate of the `Filter`
+/// right above it, if one is. One that folds a bare scan reads the scan's
+/// output positions, and is held to the aggregation its scan pushes.
+fn infer_hash_agg(
+    a: &HashAggNode,
     filter: Option<&Expr>,
     db: &TaurusDb,
     prefix: &str,
     diags: &mut Vec<Diagnostic>,
 ) -> Option<Vec<ColType>> {
-    let path = format!("{prefix}AggScan({})", a.scan.table);
-    let scan_schema = infer_scan(&a.scan, db, &path, diags)?;
-    let table = db.table(&a.scan.table).ok()?;
-    let dtypes = table.schema.dtypes();
-    let mut ok = true;
-    let mut out: Vec<ColType> = Vec::with_capacity(a.group_cols.len() + a.aggs.len());
-    for &g in &a.group_cols {
-        if !a.scan.output.contains(&g) {
-            diags.push(Diagnostic::error(
-                DiagKind::GroupColNotInOutput,
-                &path,
-                format!("group column {g} not in scan output {:?}", a.scan.output),
-            ));
-            ok = false;
-        } else if g < table.schema.columns.len() {
-            let c = &table.schema.columns[g];
-            out.push(ColType {
-                dtype: c.dtype,
-                nullable: c.nullable,
-            });
+    let scan = a.scan();
+    let (path, input, group_kind, input_kind) = match scan {
+        Some(s) => {
+            let path = format!("{prefix}AggScan({})", s.table);
+            let input = infer_scan(s, db, &path, diags);
+            let kinds = (DiagKind::GroupColNotInOutput, DiagKind::AggInputNotInOutput);
+            (path, input, kinds.0, kinds.1)
         }
+        None => {
+            let path = format!("{prefix}HashAgg");
+            let input = infer(&a.input, db, &format!("{path}/"), diags);
+            (
+                path,
+                input,
+                DiagKind::ColumnOutOfRange,
+                DiagKind::ColumnOutOfRange,
+            )
+        }
+    };
+    let input = input?;
+    let dtypes: Vec<DataType> = input.iter().map(|c| c.dtype).collect();
+    let mut ok = true;
+    let mut out = Vec::with_capacity(a.group.len() + a.aggs.len());
+    for (i, g) in a.group.iter().enumerate() {
+        let what = format!("group expr {i}");
+        ok &= check_expr_cols(g, input.len(), group_kind, &path, &what, diags);
+        out.push(expr_coltype(g, &input));
     }
     for (i, item) in a.aggs.iter().enumerate() {
         if let Some(e) = &item.input {
-            for c in e.columns() {
-                if !a.scan.output.contains(&c) {
-                    diags.push(Diagnostic::error(
-                        DiagKind::AggInputNotInOutput,
-                        &path,
-                        format!(
-                            "aggregate {i} input references column {c} not in scan output {:?}",
-                            a.scan.output
-                        ),
-                    ));
-                    ok = false;
-                }
-            }
+            let what = format!("aggregate {i} input");
+            ok &= check_expr_cols(e, input.len(), input_kind, &path, &what, diags);
         }
         out.push(agg_coltype(item, &dtypes));
     }
-    let pushed = a
-        .scan
-        .ndp
-        .as_ref()
-        .and_then(|d| d.choice.aggregation.as_ref());
-    if let Some(pushed) = pushed {
-        ok &= check_pushed_aggregation(a, pushed, &dtypes, &path, diags);
+    let scan_agg = scan.and_then(|s| Some((s, s.ndp.as_ref()?.choice.aggregation.as_ref()?)));
+    if let (Some((scan, pushed)), true) = (scan_agg, ok) {
+        let table = db.table(&scan.table).ok()?;
+        ok &= check_pushed_aggregation(a, pushed, &table.schema.dtypes(), &path, diags);
         if let Some(having) = &pushed.having {
-            let index_ordered = !a.group_cols.is_empty() && a.index_ordered(db);
+            let index_ordered = !a.group.is_empty() && a.index_ordered(db);
             ok &= check_pushed_having(a, pushed, having, filter, index_ordered, &path, diags);
         }
     }
-    let _ = scan_schema;
     ok.then_some(out)
 }
 
-/// An `AggScan`'s pushed aggregation against its aggregates: storage must
-/// be able to compute them ([`storage_can_compute`]), and the pushed specs
-/// must be those aggregates, one for one, over the same group columns —
+/// A scan-folding `HashAgg`'s pushed aggregation against its aggregates:
+/// storage must be able to compute them ([`storage_can_compute`]), and
+/// the pushed specs must be those aggregates over the scanned table's
+/// columns, one for one, grouped by the table columns its groups are —
 /// what the SQL node merges the partials into.
 fn check_pushed_aggregation(
-    a: &AggScanNode,
+    a: &HashAggNode,
     pushed: &ScanAggregation,
     dtypes: &[DataType],
     path: &str,
     diags: &mut Vec<Diagnostic>,
 ) -> bool {
-    let problem = if !storage_can_compute(&a.aggs, dtypes) {
+    // Every column is delivered: the caller checked.
+    let aggs = a.table_aggs().unwrap_or_default();
+    let problem = if let (None, Some(g)) = (a.group_cols(), a.group.first()) {
+        Some(format!("storage cannot group by the expression {g}"))
+    } else if !storage_can_compute(&aggs, dtypes) {
         Some("an aggregate input storage cannot compute".to_string())
-    } else if a.aggs.len() != pushed.specs.len() {
+    } else if aggs.len() != pushed.specs.len() {
         Some(format!(
             "{} storage aggregates for the SQL node's {}",
             pushed.specs.len(),
-            a.aggs.len()
+            aggs.len()
         ))
     } else {
-        a.aggs
-            .iter()
+        let group_cols = a.group_cols().unwrap_or_default();
+        aggs.iter()
             .zip(&pushed.specs)
             .enumerate()
             .find(|(_, (w, p))| w != p)
@@ -588,10 +586,10 @@ fn check_pushed_aggregation(
                 )
             })
             .or_else(|| {
-                (pushed.group_cols != a.group_cols).then(|| {
+                (pushed.group_cols != group_cols).then(|| {
                     format!(
                         "storage groups by {:?}, the SQL node by {:?}",
-                        pushed.group_cols, a.group_cols
+                        pushed.group_cols, group_cols
                     )
                 })
             })
@@ -609,14 +607,14 @@ fn check_pushed_aggregation(
     }
 }
 
-/// An `AggScan`'s pushed HAVING: only on a GROUP BY that follows the
-/// index (`index_ordered`, groups arrive one after another), reading only
-/// a group's outputs (its group columns, then the storage aggregates),
-/// and each conjunct one of `filter`, the `Filter` right above the scan
-/// that keeps judging every group the Page Stores let through, that a
-/// Page Store can judge ([`storage_can_judge`]).
+/// A scan-folding `HashAgg`'s pushed HAVING: only on a GROUP BY that
+/// follows the index (`index_ordered`, groups arrive one after another),
+/// reading only a group's outputs (its group columns, then the storage
+/// aggregates), and each conjunct one of `filter`, the `Filter` right
+/// above the aggregation that keeps judging every group the Page Stores
+/// let through, that a Page Store can judge ([`storage_can_judge`]).
 fn check_pushed_having(
-    a: &AggScanNode,
+    a: &HashAggNode,
     pushed: &ScanAggregation,
     having: &Expr,
     filter: Option<&Expr>,
@@ -627,7 +625,7 @@ fn check_pushed_having(
     let outputs = pushed.group_cols.len() + pushed.specs.len();
     let implied = |c: &Expr| {
         filter.is_some_and(|f| conjuncts(f).contains(c))
-            && storage_can_judge(c, &a.aggs, a.group_cols.len())
+            && storage_can_judge(c, &a.aggs, a.group.len())
     };
     let problem = if !index_ordered {
         Some("on a GROUP BY that does not follow the index".to_string())
@@ -781,9 +779,12 @@ fn check_join_filter(
 
 // --- typing helpers ----------------------------------------------------------
 
+/// Does `e` read only positions below `width`? Each one past it is a
+/// `kind` error.
 fn check_expr_cols(
     e: &Expr,
     width: usize,
+    kind: DiagKind,
     path: &str,
     what: &str,
     diags: &mut Vec<Diagnostic>,
@@ -792,7 +793,7 @@ fn check_expr_cols(
     for c in e.columns() {
         if c >= width {
             diags.push(Diagnostic::error(
-                DiagKind::ColumnOutOfRange,
+                kind,
                 path,
                 format!("{what} references column {c}, input width is {width}"),
             ));
@@ -834,15 +835,29 @@ fn agg_coltype(item: &AggItem, input: &[DataType]) -> ColType {
 }
 
 /// Comparability families: within a family the runtime can compare;
-/// across families it raises `Error::Type`.
+/// across families it raises `Error::Type`. The SQL binder rejects a
+/// comparison across families with a positioned diagnostic that names
+/// them ([`Family::name`]).
 #[derive(PartialEq, Eq, Clone, Copy, Debug)]
-enum Family {
+pub enum Family {
     Num,
     Date,
     Str,
 }
 
-fn family(d: DataType) -> Family {
+impl Family {
+    /// The family as a diagnostic names it.
+    pub fn name(self) -> &'static str {
+        match self {
+            Family::Num => "numeric",
+            Family::Date => "date",
+            Family::Str => "string",
+        }
+    }
+}
+
+/// The comparability family of a column type.
+pub fn family(d: DataType) -> Family {
     match d {
         DataType::Int | DataType::BigInt | DataType::Decimal { .. } | DataType::Double => {
             Family::Num
@@ -852,7 +867,9 @@ fn family(d: DataType) -> Family {
     }
 }
 
-fn value_family(v: &Value) -> Option<Family> {
+/// The comparability family of a literal (`None` for NULL, which
+/// compares with anything).
+pub fn value_family(v: &Value) -> Option<Family> {
     match v {
         Value::Null => None,
         Value::Int(_) | Value::Decimal(_) | Value::Double(_) => Some(Family::Num),

@@ -5,12 +5,11 @@
 //!
 //! * [`infer`] — type / width / nullability inference over every
 //!   [`Plan`] shape against the live catalog. Structural violations
-//!   (predicate columns the scanned index does not store, GROUP BY
-//!   columns the scan does not deliver, positions out of range, key
-//!   prefixes longer than the index key) are rejected
-//!   with structured [`Diagnostic`]s carrying plan-path locations —
-//!   the same defects that previously surfaced mid-scan as
-//!   `Error::Internal`.
+//!   (predicate columns the scanned index does not store, positions out
+//!   of range, NDP decisions a node cannot use, key prefixes longer than
+//!   the index key) are rejected with structured [`Diagnostic`]s
+//!   carrying plan-path locations — the same defects that previously
+//!   surfaced mid-scan as `Error::Internal`.
 //! * [`absint`] — an abstract interpreter over the scalar register IR:
 //!   write-before-read register discipline, Kleene boolean shape for
 //!   `AND`/`OR`/`NOT`, and forward-only branches.
@@ -31,7 +30,9 @@ use taurus_optimizer::plan::Plan;
 
 pub use absint::{check_ir, check_predicate_programs};
 pub use diag::{has_errors, render, DiagKind, Diagnostic, Severity};
-pub use infer::{infer_plan, plan_width, remap_onto, ColType, Inference};
+pub use infer::{
+    family, infer_plan, plan_width, remap_onto, value_family, ColType, Family, Inference,
+};
 
 use taurus_expr::ast::Expr;
 use taurus_ndp::TaurusDb;
@@ -74,14 +75,9 @@ fn collect_predicates(plan: &Plan, f: &mut impl FnMut(&Expr, &str)) {
         }
     };
     match plan {
-        Plan::Scan(s) => scan(s, f),
-        Plan::AggScan(a) => {
-            scan(&a.scan, f);
-            let pushed = a
-                .scan
-                .ndp
-                .as_ref()
-                .and_then(|d| d.choice.aggregation.as_ref());
+        Plan::Scan(s) => {
+            scan(s, f);
+            let pushed = s.ndp.as_ref().and_then(|d| d.choice.aggregation.as_ref());
             if let Some(having) = pushed.and_then(|p| p.having.as_ref()) {
                 f(having, "pushed HAVING");
             }

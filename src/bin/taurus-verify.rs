@@ -199,7 +199,7 @@ fn for_each_decision(plan: &Plan, f: &mut impl FnMut(&str, usize, &NdpDecision, 
 
 fn for_each_lookup(plan: &Plan, f: &mut impl FnMut(&LookupJoinNode)) {
     match plan {
-        Plan::Scan(_) | Plan::AggScan(_) => {}
+        Plan::Scan(_) => {}
         Plan::LookupJoin(j) => {
             f(j);
             for_each_lookup(&j.outer, f);

@@ -361,7 +361,6 @@ fn page_store_plugin_allocates_per_page() {
         let scan = loop {
             plan = match plan {
                 Plan::Scan(scan) => break scan,
-                Plan::AggScan(a) => break &a.scan,
                 Plan::HashAgg(a) => &a.input,
                 Plan::Project(p) => &p.input,
                 Plan::Filter(f) => &f.input,

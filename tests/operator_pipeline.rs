@@ -227,7 +227,8 @@ fn left_outer_join_with_empty_build_side_null_pads() {
 
 /// Parallel query runs the same operators as the serial plan, over a
 /// range of the scan per worker: every shape an `Exchange` partitions
-/// (`Scan`, `AggScan`, `HashAgg(Scan)`, `LookupJoin(Scan)`), at degrees
+/// (`Scan`, `HashAgg(Scan)` grouped in index order and in encoded-key
+/// order, `LookupJoin(Scan)`), at degrees
 /// 1, 3 and 8, NDP off and on, is byte-equal to its serial plan, through
 /// `execute` and through a stream. The aggregating shapes carry an AVG as
 /// the binder writes it, a SUM and a COUNT that a `Project` above the
@@ -235,7 +236,7 @@ fn left_outer_join_with_empty_build_side_null_pads() {
 #[test]
 fn pq_matrix_equals_serial() {
     use taurus::expr::ast::Expr;
-    use taurus::optimizer::plan::{AggFunc, AggItem, AggScanNode, HashAggNode, LookupJoinNode};
+    use taurus::optimizer::plan::{AggFunc, AggItem, HashAggNode, LookupJoinNode};
     let db = tpch_db();
     let agg = |func, input| AggItem { func, input };
     // lineitem [l_orderkey, l_linenumber, l_quantity] where l_quantity < 25.
@@ -255,20 +256,20 @@ fn pq_matrix_equals_serial() {
     let shapes: Vec<(&str, Plan, Option<Vec<Expr>>)> = vec![
         ("Scan", lineitem(), None),
         (
-            "AggScan",
-            Plan::AggScan(AggScanNode {
-                scan: ScanNode::new("lineitem", vec![0, 4]),
-                group_cols: vec![0],
+            "HashAgg(Scan) in index order",
+            Plan::HashAgg(HashAggNode {
+                input: Box::new(Plan::Scan(ScanNode::new("lineitem", vec![0, 4]))),
+                group: vec![Expr::col(0)],
                 aggs: vec![
-                    agg(AggFunc::Sum, Some(Expr::col(4))),
-                    agg(AggFunc::Count, Some(Expr::col(4))),
+                    agg(AggFunc::Sum, Some(Expr::col(1))),
+                    agg(AggFunc::Count, Some(Expr::col(1))),
                     agg(AggFunc::CountStar, None),
                 ],
             }),
             avg.clone(),
         ),
         (
-            "HashAgg(Scan)",
+            "HashAgg(Scan) in key order",
             Plan::HashAgg(HashAggNode {
                 input: Box::new(lineitem()),
                 group: vec![Expr::col(1)],

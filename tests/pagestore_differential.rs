@@ -60,7 +60,7 @@ use taurus::expr::descriptor::{
 use taurus::expr::eval::eval;
 use taurus::expr::vm::TriBool;
 use taurus::ndp::{build_descriptor, TaurusDb};
-use taurus::optimizer::plan::{Plan, ScanNode};
+
 use taurus::page::{encode_record, NdpPageBuilder, Page, RecType, RecordMeta, RecordView, NO_PAGE};
 use taurus::pagestore::plugin::GROUP_TABLE_GROUPS;
 use taurus::pagestore::{CachedDescriptor, InnodbNdpPlugin, NdpPlugin, PluginStats};
@@ -468,24 +468,6 @@ fn compare(
     total
 }
 
-fn for_each_scan(plan: &Plan, f: &mut impl FnMut(&ScanNode)) {
-    match plan {
-        Plan::Scan(s) => f(s),
-        Plan::AggScan(a) => f(&a.scan),
-        Plan::LookupJoin(j) => for_each_scan(&j.outer, f),
-        Plan::HashJoin(j) => {
-            for_each_scan(&j.left, f);
-            for_each_scan(&j.right, f);
-        }
-        Plan::HashAgg(a) => for_each_scan(&a.input, f),
-        Plan::Project(p) => for_each_scan(&p.input, f),
-        Plan::Filter(p) => for_each_scan(&p.input, f),
-        Plan::Sort(s) => for_each_scan(&s.input, f),
-        Plan::Limit { input, .. } => for_each_scan(input, f),
-        Plan::Exchange(e) => for_each_scan(&e.child, f),
-    }
-}
-
 #[test]
 fn every_tpch_descriptor_over_every_leaf_of_its_table() {
     // A pool far smaller than the data and a low gate, so the optimizer
@@ -506,7 +488,7 @@ fn every_tpch_descriptor_over_every_leaf_of_its_table() {
             panic!("{name} is a SELECT");
         };
         let plan = taurus::sql::bind(&session, &select).unwrap();
-        for_each_scan(&plan, &mut |node| {
+        plan.for_each_scan(&mut |node, _| {
             let Some(decision) = &node.ndp else { return };
             let table = db.table(&node.table).unwrap();
             let index = table.index(node.index);

@@ -6,7 +6,7 @@
 use taurus::executor::{execute, ExecContext};
 use taurus::expr::ast::Expr;
 use taurus::optimizer::ndp_post::ndp_post_process;
-use taurus::optimizer::plan::{AggFunc, AggItem, AggScanNode, Plan, ScanNode};
+use taurus::optimizer::plan::{AggFunc, AggItem, HashAggNode, Plan, ScanNode};
 use taurus::prelude::*;
 
 fn tpch_db() -> std::sync::Arc<TaurusDb> {
@@ -164,13 +164,13 @@ fn sql_group_agg_equals_agg_scan_plan() {
     // GROUP BY a key prefix aggregates during the scan.
     let hand_built = run_hand_built(
         &db,
-        Plan::AggScan(AggScanNode {
-            scan: ScanNode::new("lineitem", vec![0, 4]),
-            group_cols: vec![0],
+        Plan::HashAgg(HashAggNode {
+            input: Box::new(Plan::Scan(ScanNode::new("lineitem", vec![0, 4]))),
+            group: vec![Expr::col(0)],
             aggs: vec![
                 AggItem {
                     func: AggFunc::Sum,
-                    input: Some(Expr::col(4)),
+                    input: Some(Expr::col(1)),
                 },
                 AggItem {
                     func: AggFunc::CountStar,

@@ -625,17 +625,18 @@ fn spawn_db() -> Arc<TaurusDb> {
     db
 }
 
-/// `select g, sum(v), count(*) from t group by g` as an `AggScan`.
+/// `select g, sum(v), count(*) from t group by g`: a `HashAgg` that
+/// folds its scan.
 fn agg_scan() -> taurus::optimizer::plan::Plan {
     use taurus::expr::ast::Expr;
-    use taurus::optimizer::plan::{AggFunc, AggItem, AggScanNode, Plan, ScanNode};
-    Plan::AggScan(AggScanNode {
-        scan: ScanNode::new("t", vec![1, 2]),
-        group_cols: vec![1],
+    use taurus::optimizer::plan::{AggFunc, AggItem, HashAggNode, Plan, ScanNode};
+    Plan::HashAgg(HashAggNode {
+        input: Box::new(Plan::Scan(ScanNode::new("t", vec![1, 2]))),
+        group: vec![Expr::col(0)],
         aggs: vec![
             AggItem {
                 func: AggFunc::Sum,
-                input: Some(Expr::col(2)),
+                input: Some(Expr::col(1)),
             },
             AggItem {
                 func: AggFunc::CountStar,
@@ -655,10 +656,12 @@ fn exchange_over_agg_scan(
 /// Threads a statement spawns on the SQL node (`sql_threads_spawned`),
 /// pinned with NDP off over a warm pool (so no batch read dispatches a
 /// sub-batch thread): a query's operators run on the thread that asks for
-/// its rows, so a bare scan spawns its scan producer and nothing else, an
-/// `AggScan` folds its scan on that thread too and spawns nothing, and an
-/// `Exchange(d)` over one spawns its `d` workers, each folding its range
-/// of the scan itself. In process and over the wire alike.
+/// its rows, so a bare scan spawns its scan producer and nothing else, a
+/// `HashAgg` over a bare scan folds its scan on that thread too and spawns
+/// nothing (one over any other input pulls it, and its scan has a
+/// producer), and an `Exchange(d)` over one spawns its `d` workers, each
+/// folding its range of the scan itself. In process and over the wire
+/// alike.
 #[test]
 fn statement_thread_spawns_are_pinned() {
     use taurus::optimizer::plan::Plan;
@@ -686,6 +689,18 @@ fn statement_thread_spawns_are_pinned() {
         spawned(&mut || in_process(&sorted)),
         (7, 0),
         "Sort(AggScan)"
+    );
+    let Plan::HashAgg(mut pulled) = agg_scan() else {
+        unreachable!("a HashAgg")
+    };
+    *pulled.input = pulled.input.project(vec![
+        taurus::expr::ast::Expr::col(0),
+        taurus::expr::ast::Expr::col(1),
+    ]);
+    assert_eq!(
+        spawned(&mut || in_process(&Plan::HashAgg(pulled.clone()))),
+        (7, 1),
+        "HashAgg(Project(Scan))"
     );
     for d in [1u64, 3] {
         let plan = agg_scan().exchange(d as usize);

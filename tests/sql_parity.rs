@@ -638,3 +638,153 @@ fn avg_is_sum_over_count_with_and_without_ndp() {
         }
     }
 }
+
+/// `COUNT(x)` of a NOT NULL column is `COUNT(*)`, except where a LEFT
+/// JOIN pads the column with NULLs: `t2.t1id` counts every joined row,
+/// `t3.t2id` only the `t2` rows that found a `t3` row. NDP off = on, in
+/// every batch size, = the generators.
+#[test]
+fn count_of_a_not_null_column_is_count_star_off_a_left_join_s_null_side() {
+    const SQL: &str = "select t2.b, count(t2.t1id), count(t3.t2id), count(*) from t2 \
+         left join t3 on t2.id = t3.t2id group by t2.b order by t2.b";
+    let matched: std::collections::HashSet<i64> = (0..T3_ROWS).map(|id| t3_row(id).0).collect();
+    // Per `b` (NULL first): every t2 row once (a t2 row has at most one
+    // t3 row), and those with a t3 row.
+    let mut groups: std::collections::BTreeMap<Option<i64>, (i64, i64)> = Default::default();
+    for t2 in 0..T2_ROWS {
+        let g = groups.entry(t2_row(t2).1).or_default();
+        g.0 += 1;
+        g.1 += matched.contains(&t2) as i64;
+    }
+    let want: Vec<Row> = groups
+        .into_iter()
+        .map(|(b, (all, joined))| {
+            let b = b.map_or(Value::Null, Value::Int);
+            vec![b, Value::Int(all), Value::Int(joined), Value::Int(all)]
+        })
+        .collect();
+    let want = fmt_rows(&want);
+    assert!(want.lines().all(|l| {
+        let cols: Vec<&str> = l.split('|').collect();
+        cols[2] != cols[3]
+    }));
+    for batch_rows in [1, 7, 1024] {
+        let db = nullable_db(batch_rows);
+        let mut session = Session::new(&db);
+        let taurus::sql::Statement::Select(s) = taurus::sql::parse(SQL).unwrap() else {
+            panic!("{SQL}")
+        };
+        let plan = taurus::sql::bind(&session, &s).unwrap();
+        let mut agg = &plan;
+        let funcs = loop {
+            agg = match agg {
+                taurus::optimizer::plan::Plan::HashAgg(a) => {
+                    break a.aggs.iter().map(|a| a.func).collect::<Vec<_>>()
+                }
+                taurus::optimizer::plan::Plan::Project(p) => &p.input,
+                taurus::optimizer::plan::Plan::Sort(s) => &s.input,
+                other => panic!("{other:?}"),
+            };
+        };
+        use taurus::optimizer::plan::AggFunc;
+        assert_eq!(funcs, [AggFunc::CountStar, AggFunc::Count], "{plan:?}");
+        for ndp in [false, true] {
+            session.set_ndp(ndp);
+            db.buffer_pool().clear();
+            let got = fmt_rows(&session.sql(SQL).unwrap());
+            assert_eq!(got, want, "batch {batch_rows}, ndp {ndp}");
+        }
+    }
+}
+
+/// The one-table aggregations a `HashAgg` folds during its scan that
+/// pulled a row scan before it did: a GROUP BY over an expression,
+/// `COUNT(DISTINCT x)` with and without GROUP BY (its deduplicating
+/// `HashAgg` folds the scan, grouped by the key itself when `x` is the
+/// key's second column), and a GROUP BY of the index key, whose groups
+/// come out in index order with no ORDER BY (an encoded key orders ids
+/// 256-259 before 250-255). NDP off = on, in every batch size, = the
+/// generator rows.
+#[test]
+fn single_table_aggregations_fold_their_scan() {
+    const BY_EXPR: &str = "select g + 1, count(*), sum(d) from m group by g + 1 order by g + 1";
+    const DISTINCT: &str = "select count(distinct i) from m";
+    const DISTINCT_BY: &str = "select g, count(distinct i) from m group by g order by g";
+    const DISTINCT_KEY: &str = "select g, count(distinct id) from m group by g order by g";
+    const DISTINCT_PREFIX: &str = "select count(distinct g) from m";
+    const BY_KEY: &str = "select g, id, count(*), sum(i) from m group by g, id";
+    let rows: Vec<_> = (0..M_ROWS).map(|id| (id, m_row(id))).collect();
+    let groups = M_ROWS / 10;
+    let of_group = |g: i64| rows.iter().filter(move |(_, r)| r.0 == g);
+    let distinct = |it: &mut dyn Iterator<Item = Option<i64>>| {
+        let set: std::collections::BTreeSet<i64> = it.flatten().collect();
+        Value::Int(set.len() as i64)
+    };
+    let by_expr: Vec<Row> = (0..groups)
+        .map(|g| {
+            let ds: Vec<i128> = of_group(g).filter_map(|(_, r)| r.2).collect();
+            let sum = match ds.is_empty() {
+                true => Value::Null,
+                false => Value::Decimal(Dec::new(ds.iter().sum(), 2)),
+            };
+            vec![Value::Int(g + 1), Value::Int(10), sum]
+        })
+        .collect();
+    let distinct_by: Vec<Row> = (0..groups)
+        .map(|g| vec![Value::Int(g), distinct(&mut of_group(g).map(|(_, r)| r.1))])
+        .collect();
+    let distinct_key: Vec<Row> = (0..groups)
+        .map(|g| vec![Value::Int(g), Value::Int(10)])
+        .collect();
+    let by_key: Vec<Row> = rows
+        .iter()
+        .map(|&(id, (g, i, _, _))| {
+            let i = i.map_or(Value::Null, Value::Int);
+            vec![Value::Int(g), Value::Int(id), Value::Int(1), i]
+        })
+        .collect();
+    let want = [
+        (BY_EXPR, fmt_rows(&by_expr)),
+        (
+            DISTINCT,
+            fmt_rows(&[vec![distinct(&mut rows.iter().map(|(_, r)| r.1))]]),
+        ),
+        (DISTINCT_BY, fmt_rows(&distinct_by)),
+        (DISTINCT_KEY, fmt_rows(&distinct_key)),
+        (DISTINCT_PREFIX, fmt_rows(&[vec![Value::Int(groups)]])),
+        (BY_KEY, fmt_rows(&by_key)),
+    ];
+    for batch_rows in [1, 7, 1024] {
+        let db = avg_db(batch_rows);
+        let mut session = Session::new(&db);
+        for (sql, _) in &want {
+            let taurus::sql::Statement::Select(s) = taurus::sql::parse(sql).unwrap() else {
+                panic!("{sql}")
+            };
+            let mut folded = 0;
+            let plan = taurus::sql::bind(&session, &s).unwrap();
+            plan.for_each_scan(&mut |_, agg| folded += agg as usize);
+            assert_eq!(folded, 1, "{sql}: {plan:?}");
+        }
+        // The deduplication by the key's first column goes to the Page
+        // Stores, with no aggregate to fold.
+        session.set_ndp(true);
+        db.buffer_pool().clear();
+        let explain = session.sql(&format!("explain {DISTINCT_PREFIX}")).unwrap();
+        let explain: Vec<String> = explain.iter().map(|l| l[0].to_string()).collect();
+        assert!(
+            explain
+                .iter()
+                .any(|l| l.trim() == "Using pushed NDP aggregate (index order)"),
+            "{explain:#?}"
+        );
+        for ndp in [false, true] {
+            session.set_ndp(ndp);
+            for (sql, want) in &want {
+                db.buffer_pool().clear();
+                let got = fmt_rows(&session.sql(sql).unwrap());
+                assert_eq!(&got, want, "batch {batch_rows}, ndp {ndp}: {sql}");
+            }
+        }
+    }
+}

@@ -14,7 +14,7 @@ use taurus::expr::ir::{IrInstr, IrProgram};
 use taurus::ndp::TaurusDb;
 use taurus::ndp::{AggFunc, NdpChoice, ScanAggregation};
 use taurus::optimizer::plan::{
-    AggItem, AggScanNode, HashJoinNode, JoinFilterDecision, JoinType, LookupJoinNode, NdpDecision,
+    AggItem, HashAggNode, HashJoinNode, JoinFilterDecision, JoinType, LookupJoinNode, NdpDecision,
     Plan, RangeSpec, ScanNode, SortNode,
 };
 use taurus::prelude::Session;
@@ -94,11 +94,29 @@ fn predicate_not_stored_is_pinned() {
     assert!(has_error(&plan, DiagKind::PredicateNotStored));
 }
 
+/// A `HashAgg` folding `scan`, grouped by the table columns `group_cols`
+/// and aggregating `aggs` over table columns, as the binder writes them:
+/// over the scan's output positions.
+fn folding(scan: ScanNode, group_cols: &[usize], aggs: Vec<AggItem>) -> Plan {
+    let pos = |c: usize| scan.output.iter().position(|&o| o == c).unwrap();
+    Plan::HashAgg(HashAggNode {
+        group: group_cols.iter().map(|&c| Expr::col(pos(c))).collect(),
+        aggs: aggs
+            .into_iter()
+            .map(|a| AggItem {
+                func: a.func,
+                input: a.input.map(|e| e.remap_columns(&pos)),
+            })
+            .collect(),
+        input: Box::new(Plan::Scan(scan)),
+    })
+}
+
 #[test]
 fn group_col_not_in_output_is_pinned() {
-    let plan = Plan::AggScan(AggScanNode {
-        scan: ScanNode::new("lineitem", vec![0]),
-        group_cols: vec![8],
+    let plan = Plan::HashAgg(HashAggNode {
+        input: Box::new(Plan::Scan(ScanNode::new("lineitem", vec![0]))),
+        group: vec![Expr::col(8)],
         aggs: vec![],
     });
     assert!(has_error(&plan, DiagKind::GroupColNotInOutput));
@@ -106,9 +124,9 @@ fn group_col_not_in_output_is_pinned() {
 
 #[test]
 fn agg_input_not_in_output_is_pinned() {
-    let plan = Plan::AggScan(AggScanNode {
-        scan: ScanNode::new("lineitem", vec![0]),
-        group_cols: vec![0],
+    let plan = Plan::HashAgg(HashAggNode {
+        input: Box::new(Plan::Scan(ScanNode::new("lineitem", vec![0]))),
+        group: vec![Expr::col(0)],
         aggs: vec![AggItem {
             func: AggFunc::Sum,
             input: Some(Expr::col(5)),
@@ -476,7 +494,7 @@ fn join_filter_needs_an_integer_key_one_key_a_probe_scan_and_a_filtered_build() 
     }
 }
 
-// --- a pushed aggregation against its AggScan --------------------------------
+// --- a pushed aggregation against the HashAgg that folds its scan -------------
 
 /// Q1's aggregates over `lineitem` as the binder writes them: a
 /// bare-column SUM, an AVG as a SUM and a COUNT of its input, an
@@ -493,23 +511,24 @@ fn q1_aggs() -> Vec<AggItem> {
     ]
 }
 
-/// Q1's shape: an `AggScan` of [`q1_aggs`] grouped by (l_returnflag,
-/// l_linestatus), pushing `pushed`.
+/// Q1's `lineitem` scan, pushing `pushed`.
+fn q1_scan(pushed: ScanAggregation) -> ScanNode {
+    ScanNode {
+        ndp: Some(NdpDecision {
+            choice: NdpChoice {
+                aggregation: Some(pushed),
+                ..NdpChoice::default()
+            },
+            pushed: vec![],
+        }),
+        ..ScanNode::new("lineitem", vec![4, 5, 6, 8, 9])
+    }
+}
+
+/// Q1's shape: a `HashAgg` of [`q1_aggs`] grouped by (l_returnflag,
+/// l_linestatus) folding [`q1_scan`].
 fn q1_like(pushed: ScanAggregation) -> Plan {
-    Plan::AggScan(AggScanNode {
-        scan: ScanNode {
-            ndp: Some(NdpDecision {
-                choice: NdpChoice {
-                    aggregation: Some(pushed),
-                    ..NdpChoice::default()
-                },
-                pushed: vec![],
-            }),
-            ..ScanNode::new("lineitem", vec![4, 5, 6, 8, 9])
-        },
-        group_cols: vec![8, 9],
-        aggs: q1_aggs(),
-    })
+    folding(q1_scan(pushed), &[8, 9], q1_aggs())
 }
 
 /// What storage is asked for `q1_like`: its aggregates, one for one.
@@ -573,39 +592,73 @@ fn a_pushed_aggregation_that_is_not_the_storage_form_is_pinned() {
         &mutated(|p| p.group_cols.push(10)),
         DiagKind::AggPushdownMismatch,
     );
+    // The SQL node groups by an expression: storage has no group columns
+    // that are it.
+    let Plan::HashAgg(mut by_expr) = q1_like(q1_storage_form()) else {
+        unreachable!("a HashAgg")
+    };
+    by_expr.group[1] = Expr::add(Expr::col(4), Expr::int(0));
+    assert_rejected(&Plan::HashAgg(by_expr), DiagKind::AggPushdownMismatch);
 }
 
-// --- a pushed HAVING against its AggScan and the Filter above it -------------
+/// A scan whose decision carries an aggregation sends carriers followed
+/// by partials: only the `HashAgg` folding it directly can take them, so
+/// the scan anywhere else is rejected, whatever sits above it.
+#[test]
+fn a_pushed_aggregation_no_hash_agg_folds_is_pinned() {
+    let scan = || Plan::Scan(q1_scan(q1_storage_form()));
+    let over_filter = Plan::HashAgg(HashAggNode {
+        input: Box::new(scan().filter(Expr::gt(Expr::col(0), Expr::int(0)))),
+        group: vec![Expr::col(3), Expr::col(4)],
+        aggs: vec![],
+    });
+    let over_project = Plan::HashAgg(HashAggNode {
+        input: Box::new(scan().project((0..5).map(Expr::col).collect())),
+        group: vec![Expr::col(3), Expr::col(4)],
+        aggs: vec![],
+    });
+    let join = Plan::HashJoin(HashJoinNode {
+        left: Box::new(scan()),
+        right: Box::new(Plan::Scan(ScanNode::new("orders", vec![0]))),
+        left_keys: vec![0],
+        right_keys: vec![0],
+        join: JoinType::Inner,
+        filter: None,
+    });
+    for plan in [scan(), over_filter, over_project, join] {
+        assert_rejected(&plan, DiagKind::AggPushdownMisplaced);
+    }
+    // Under an Exchange, the HashAgg still folds it.
+    let parallel = q1_like(q1_storage_form()).exchange(2);
+    assert!(!has_error(&parallel, DiagKind::AggPushdownMisplaced));
+}
+
+// --- a pushed HAVING against its HashAgg and the Filter above it -------------
 
 /// Q18's derived table: `lineitem` grouped by `l_orderkey` (the key's
 /// first column, so in index order) with `sum(l_quantity)`, pushed with
 /// `having`, under `Filter(sum > 300)` when `filtered`.
 fn q18_like(having: Option<Expr>, filtered: bool) -> Plan {
     let over_300 = Expr::gt(Expr::col(1), Expr::int(300));
-    let scan = Plan::AggScan(AggScanNode {
-        scan: ScanNode {
-            ndp: Some(NdpDecision {
-                choice: NdpChoice {
-                    aggregation: Some(ScanAggregation {
-                        specs: vec![AggItem {
-                            func: AggFunc::Sum,
-                            input: Some(Expr::col(4)),
-                        }],
-                        group_cols: vec![0],
-                        having,
-                    }),
-                    ..NdpChoice::default()
-                },
-                pushed: vec![],
-            }),
-            ..ScanNode::new("lineitem", vec![0, 4])
-        },
-        group_cols: vec![0],
-        aggs: vec![AggItem {
-            func: AggFunc::Sum,
-            input: Some(Expr::col(4)),
-        }],
-    });
+    let sum = || AggItem {
+        func: AggFunc::Sum,
+        input: Some(Expr::col(4)),
+    };
+    let scan = ScanNode {
+        ndp: Some(NdpDecision {
+            choice: NdpChoice {
+                aggregation: Some(ScanAggregation {
+                    specs: vec![sum()],
+                    group_cols: vec![0],
+                    having,
+                }),
+                ..NdpChoice::default()
+            },
+            pushed: vec![],
+        }),
+        ..ScanNode::new("lineitem", vec![0, 4])
+    };
+    let scan = folding(scan, &[0], vec![sum()]);
     match filtered {
         true => scan.filter(over_300),
         false => scan,
@@ -628,7 +681,7 @@ fn a_pushed_having_the_filter_above_implies_passes() {
 
 #[test]
 fn a_pushed_having_it_may_not_carry_is_pinned() {
-    // On a hashed AggScan (Q1's groups, off the index): no group is ever
+    // On a hashed aggregation (Q1's groups, off the index): no group is ever
     // complete on its page.
     let mut hashed = q1_storage_form();
     hashed.having = Some(Expr::gt(Expr::col(2), Expr::int(0)));
