@@ -34,4 +34,4 @@ pub use ids::{IndexId, Lsn, PageNo, PageRef, SliceId, SpaceId, TrxId};
 pub use keymap::KeyMap;
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use schema::{Column, IndexDef, KeyComparator, Row, TableSchema};
-pub use value::{DataType, Date32, Dec, Value};
+pub use value::{DataType, Date32, Dec, Value, DEC_MAX_SCALE};

@@ -450,8 +450,6 @@ struct ScanState {
     /// Each output column's last decoded string, shared by the records
     /// that repeat it ([`DecodePlan::values_after`]).
     last_strings: Vec<Value>,
-    /// The current record's field offsets, for the record filters.
-    offsets: Vec<u32>,
 }
 
 impl ScanState {
@@ -592,7 +590,6 @@ impl<'a> ScanCtx<'a> {
             seek_lower: self.spec.range.lower.is_some(),
             key: Vec::new(),
             last_strings: vec![Value::Null; self.spec.output_cols.len()],
-            offsets: Vec::new(),
         }
     }
 
@@ -666,7 +663,7 @@ impl<'a> ScanCtx<'a> {
         consumer: &mut dyn ScanConsumer,
     ) -> Result<bool> {
         state.examined += 1;
-        if !shape.residual.is_empty() && !shape.residual.passes(&rec, &mut state.offsets)? {
+        if !shape.residual.is_empty() && !shape.residual.passes(&rec)? {
             return Ok(true);
         }
         state
@@ -730,9 +727,7 @@ impl<'a> ScanCtx<'a> {
             }
             state.seek_lower = false;
         }
-        if rec.delete_mark()
-            || (!self.c.pushed.is_empty() && !self.c.pushed.passes(&rec, &mut state.offsets)?)
-        {
+        if rec.delete_mark() || (!self.c.pushed.is_empty() && !self.c.pushed.passes(&rec)?) {
             return Ok(Step::Next);
         }
         Ok(match self.deliver(state, rec, &self.c.full, consumer)? {

@@ -21,7 +21,7 @@ use std::borrow::Cow;
 
 use taurus_common::codec::put_value16;
 use taurus_common::schema::Row;
-use taurus_common::{panic_message, Error, KeyMap, QueryCtx, Result, RowBatch, Value};
+use taurus_common::{panic_message, DataType, Error, KeyMap, QueryCtx, Result, RowBatch, Value};
 use taurus_expr::agg::AggState;
 use taurus_expr::ast::Expr;
 use taurus_expr::vm::CompiledPredicate;
@@ -162,9 +162,21 @@ pub(crate) fn remap_to_output(e: &Expr, output: &[usize], kind: DiagKind) -> Res
 
 // --- aggregation -------------------------------------------------------------
 
+/// The types of the rows `plan` delivers, as the verifier infers them
+/// (empty where it cannot): what the programs an operator runs over them
+/// are typed by. A value off its column's type only costs its row the
+/// untyped program.
+pub(crate) fn row_types(plan: &Plan, db: &TaurusDb) -> Vec<Option<DataType>> {
+    let schema = taurus_verify::infer_plan(plan, db)
+        .schema
+        .unwrap_or_default();
+    schema.iter().map(|c| Some(c.dtype)).collect()
+}
+
 /// An operator's expression over its input row, compiled once when the
 /// tree is lowered: a bare column is read in place (there is nothing to
-/// evaluate), anything else is a program the record VM runs over the row.
+/// evaluate), anything else is a program the record VM runs over the row,
+/// typed by the row's column types `input`.
 #[derive(Clone)]
 pub(crate) enum RowExpr {
     Col(usize),
@@ -172,10 +184,10 @@ pub(crate) enum RowExpr {
 }
 
 impl RowExpr {
-    pub(crate) fn new(e: &Expr) -> Result<RowExpr> {
+    pub(crate) fn new(e: &Expr, input: &[Option<DataType>]) -> Result<RowExpr> {
         Ok(match e {
             Expr::Col(i) => RowExpr::Col(*i),
-            e => RowExpr::Program(CompiledPredicate::for_rows(e)?),
+            e => RowExpr::Program(CompiledPredicate::for_rows(e, input)?),
         })
     }
 
@@ -190,12 +202,16 @@ impl RowExpr {
     }
 }
 
-/// Fold one row into one aggregate: COUNT(*) counts the row, anything
-/// else folds its input's value.
+/// Fold one row into one aggregate: COUNT(*) counts the row, a column
+/// folds its value, a program its result (building no `Value`).
 fn fold_input(state: &mut AggState, input: Option<&RowExpr>, row: &[Value]) -> Result<()> {
     match input {
         None => state.update(&Value::Int(1)),
-        Some(e) => state.update(e.value(row)?.as_ref()),
+        Some(RowExpr::Col(i)) => state.update(
+            row.get(*i)
+                .ok_or_else(|| Error::Internal(format!("column {i} out of row range")))?,
+        ),
+        Some(RowExpr::Program(p)) => p.fold_row(row, state)?,
     }
     Ok(())
 }
@@ -284,19 +300,22 @@ pub(crate) struct HashAggAcc {
 }
 
 impl HashAggAcc {
-    /// An accumulator over input rows of types `dtypes` (where known):
-    /// its expressions compiled, nothing accumulated.
+    /// An accumulator over input rows of types `input`: its expressions
+    /// compiled, nothing accumulated. Its states are typed by `dtypes`
+    /// (a folded scan's column types; empty for any other input).
     fn build(
         group: &[Expr],
         aggs: &[AggItem],
-        dtypes: &[taurus_common::DataType],
+        input: &[Option<DataType>],
+        dtypes: &[DataType],
         index_ordered: bool,
     ) -> Result<HashAggAcc> {
+        let compile = |e: &Expr| RowExpr::new(e, input);
         Ok(HashAggAcc {
-            group: group.iter().map(RowExpr::new).collect::<Result<_>>()?,
+            group: group.iter().map(compile).collect::<Result<_>>()?,
             inputs: aggs
                 .iter()
-                .map(|a| a.input.as_ref().map(RowExpr::new).transpose())
+                .map(|a| a.input.as_ref().map(compile).transpose())
                 .collect::<Result<_>>()?,
             fresh: aggs
                 .iter()
@@ -310,8 +329,8 @@ impl HashAggAcc {
         })
     }
 
-    /// The accumulator of `node`, over the rows its input delivers: typed
-    /// by the table's columns when it folds a bare scan.
+    /// The accumulator of `node`, over the rows its input delivers: its
+    /// states typed by the table's columns when it folds a bare scan.
     pub(crate) fn new(node: &HashAggNode, db: &TaurusDb) -> Result<HashAggAcc> {
         let dtypes = match node.scan() {
             Some(scan) => {
@@ -321,7 +340,17 @@ impl HashAggAcc {
             }
             None => Vec::new(),
         };
-        HashAggAcc::build(&node.group, &node.aggs, &dtypes, node.index_ordered(db))
+        let input = match dtypes.is_empty() {
+            true => row_types(&node.input, db),
+            false => dtypes.iter().copied().map(Some).collect(),
+        };
+        HashAggAcc::build(
+            &node.group,
+            &node.aggs,
+            &input,
+            &dtypes,
+            node.index_ordered(db),
+        )
     }
 
     pub(crate) fn update(&mut self, row: &[Value]) -> Result<()> {
@@ -438,20 +467,29 @@ pub(crate) struct JoinPrograms {
 }
 
 impl JoinPrograms {
-    pub(crate) fn new(node: &LookupJoinNode) -> Result<JoinPrograms> {
+    /// The programs of `node`, typed by its outer rows' types and its
+    /// table's columns.
+    pub(crate) fn new(node: &LookupJoinNode, db: &TaurusDb) -> Result<JoinPrograms> {
         let fetch = node.inner_columns();
+        let table = db.table(&node.table)?.schema.dtypes();
+        let of_table = |cols: &[usize]| cols.iter().map(|&c| table.get(c).copied()).collect();
+        let on = match &node.on {
+            Some(on) => {
+                let mut joined = row_types(&node.outer, db);
+                joined.extend::<Vec<_>>(of_table(&node.inner_output));
+                Some(CompiledPredicate::for_rows(on, &joined)?)
+            }
+            None => None,
+        };
+        let fetched: Vec<_> = of_table(&fetch);
         Ok(JoinPrograms {
-            on: node
-                .on
-                .as_ref()
-                .map(CompiledPredicate::for_rows)
-                .transpose()?,
+            on,
             inner: node
                 .inner_predicate
                 .iter()
                 .map(|e| {
                     let e = remap_to_output(e, &fetch, DiagKind::ColumnOutOfRange)?;
-                    CompiledPredicate::for_rows(&e)
+                    CompiledPredicate::for_rows(&e, &fetched)
                 })
                 .collect::<Result<_>>()?,
         })

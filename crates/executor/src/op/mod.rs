@@ -102,7 +102,7 @@ where
         Plan::LookupJoin(node) => Box::new(LookupJoinOp::new(
             ctx,
             node,
-            JoinPrograms::new(node)?,
+            JoinPrograms::new(node, ctx.db)?,
             lower(&node.outer, ctx, scope)?,
         )),
         Plan::HashJoin(node) => Box::new(join::HashJoinOp::new(
@@ -115,12 +115,13 @@ where
             Plan::Scan(s) => Box::new(scan::AggScanOp::new(ctx, node, s)?),
             input => Box::new(agg::HashAggOp::new(ctx, node, lower(input, ctx, scope)?)?),
         },
-        Plan::Project(p) => Box::new(pipe::ProjectOp::new(
+        Plan::Project(p) => Box::new(pipe::ProjectOp::new(ctx, p, lower(&p.input, ctx, scope)?)?),
+        Plan::Filter(f) => Box::new(pipe::FilterOp::new(
             ctx,
-            &p.exprs,
-            lower(&p.input, ctx, scope)?,
+            plan,
+            f,
+            lower(&f.input, ctx, scope)?,
         )?),
-        Plan::Filter(f) => Box::new(pipe::FilterOp::new(ctx, f, lower(&f.input, ctx, scope)?)?),
         Plan::Sort(s) => Box::new(sort::SortOp::new(ctx, s, lower(&s.input, ctx, scope)?)),
         Plan::Limit { input, n } => {
             Box::new(pipe::LimitOp::new(ctx, *n, lower(input, ctx, scope)?))

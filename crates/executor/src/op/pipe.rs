@@ -16,10 +16,10 @@ use taurus_common::{Result, RowBatch};
 use taurus_expr::ast::Expr;
 use taurus_expr::vm::CompiledPredicate;
 use taurus_ndp::TaurusDb;
-use taurus_optimizer::plan::FilterNode;
+use taurus_optimizer::plan::{FilterNode, Plan, ProjectNode};
 
 use super::{charge_emit, BoxOp, Operator};
-use crate::exec::{ExecContext, RowExpr};
+use crate::exec::{row_types, ExecContext, RowExpr};
 
 /// Residual row filter over any input.
 pub(crate) struct FilterOp<'r, 'env> {
@@ -29,14 +29,19 @@ pub(crate) struct FilterOp<'r, 'env> {
 }
 
 impl<'r, 'env> FilterOp<'r, 'env> {
+    /// The filter `node` of `plan`, over `child`. Its predicate is typed
+    /// by the rows `plan` passes on, which are its input's (inferred
+    /// with the Filter on top: a pushed HAVING is valid only under the
+    /// Filter it is the storage form of).
     pub(crate) fn new(
         ctx: &'env ExecContext<'env>,
+        plan: &'env Plan,
         node: &'env FilterNode,
         child: BoxOp<'r>,
     ) -> Result<FilterOp<'r, 'env>> {
         Ok(FilterOp {
             db: ctx.db,
-            predicate: CompiledPredicate::for_rows(&node.predicate)?,
+            predicate: CompiledPredicate::for_rows(&node.predicate, &row_types(plan, ctx.db))?,
             child,
         })
     }
@@ -81,12 +86,21 @@ pub(crate) struct ProjectOp<'r, 'env> {
 impl<'r, 'env> ProjectOp<'r, 'env> {
     pub(crate) fn new(
         ctx: &'env ExecContext<'env>,
-        exprs: &'env [Expr],
+        node: &'env ProjectNode,
         child: BoxOp<'r>,
     ) -> Result<ProjectOp<'r, 'env>> {
+        // Only a program needs its input's types.
+        let input = match node.exprs.iter().all(|e| matches!(e, Expr::Col(_))) {
+            true => Vec::new(),
+            false => row_types(&node.input, ctx.db),
+        };
         Ok(ProjectOp {
             db: ctx.db,
-            exprs: exprs.iter().map(RowExpr::new).collect::<Result<_>>()?,
+            exprs: node
+                .exprs
+                .iter()
+                .map(|e| RowExpr::new(e, &input))
+                .collect::<Result<_>>()?,
             child,
         })
     }

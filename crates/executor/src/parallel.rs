@@ -59,7 +59,7 @@ impl<'env> WorkerPrep<'env> {
     pub(crate) fn new(child: &'env Plan, db: &TaurusDb) -> Result<WorkerPrep<'env>> {
         Ok(match child {
             Plan::HashAgg(h) => WorkerPrep::Agg(HashAggAcc::new(h, db)?),
-            Plan::LookupJoin(j) => WorkerPrep::Join(j, JoinPrograms::new(j)?),
+            Plan::LookupJoin(j) => WorkerPrep::Join(j, JoinPrograms::new(j, db)?),
             _ => WorkerPrep::Rows,
         })
     }

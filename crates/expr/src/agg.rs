@@ -16,6 +16,8 @@ use taurus_common::codec::{
 };
 use taurus_common::{DataType, Dec, Error, Result, Value};
 
+use crate::vm::{slot_value, Slot};
+
 /// Aggregate functions a descriptor can request. (AVG is decomposed by the
 /// optimizer before it reaches a descriptor.)
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -175,6 +177,28 @@ pub enum AggState {
     Max(Option<Value>),
 }
 
+/// Add `d` to a decimal sum, adopting a finer scale on first contact
+/// (generic executor aggregates start at scale 0).
+#[inline]
+fn sum_dec(raw: &mut i128, scale: &mut u8, seen: &mut bool, d: Dec) {
+    if d.scale == *scale {
+        *raw += d.raw;
+        *seen = true;
+        return;
+    }
+    if d.scale > *scale {
+        *raw = Dec {
+            raw: *raw,
+            scale: *scale,
+        }
+        .rescale(d.scale)
+        .raw;
+        *scale = d.scale;
+    }
+    *raw += d.rescale(*scale).raw;
+    *seen = true;
+}
+
 impl AggState {
     /// Fresh state for `func` over an input of type `dtype` (`None` for
     /// COUNT(*), and for an input whose type is left to its first value).
@@ -219,23 +243,12 @@ impl AggState {
                 };
                 self.update(v);
             }
-            AggState::SumDec { raw, scale, seen } => {
-                if let Ok(d) = v.as_dec() {
-                    // Adopt a finer scale on first contact (generic
-                    // executor aggregates start at scale 0).
-                    if d.scale > *scale {
-                        *raw = Dec {
-                            raw: *raw,
-                            scale: *scale,
-                        }
-                        .rescale(d.scale)
-                        .raw;
-                        *scale = d.scale;
-                    }
-                    *raw += d.rescale(*scale).raw;
-                    *seen = true;
-                }
-            }
+            // What `Value::as_dec` takes: a decimal or an integer.
+            AggState::SumDec { raw, scale, seen } => match v {
+                Value::Decimal(d) => sum_dec(raw, scale, seen, *d),
+                Value::Int(x) => sum_dec(raw, scale, seen, Dec::from_int(*x)),
+                _ => {}
+            },
             AggState::SumF64 { sum, seen } => {
                 if let Ok(x) = v.as_f64() {
                     *sum += x;
@@ -262,6 +275,30 @@ impl AggState {
                     *cur = Some(v.clone());
                 }
             }
+        }
+    }
+
+    /// [`AggState::update`] with the value a VM register holds: the same
+    /// fold, with no [`Value`] built for a count or a sum.
+    pub(crate) fn update_slot(&mut self, s: &Slot<'_>) {
+        match (self, s) {
+            (AggState::Count(n), s) => {
+                if !matches!(s, Slot::Null) {
+                    *n += 1;
+                }
+            }
+            (AggState::SumDec { raw, scale, seen }, Slot::Dec(r, s)) => {
+                sum_dec(raw, scale, seen, Dec::new(*r, *s))
+            }
+            (AggState::SumDec { raw, scale, seen }, Slot::Int(x)) => {
+                sum_dec(raw, scale, seen, Dec::from_int(*x))
+            }
+            (AggState::SumF64 { sum, seen }, Slot::F64(x)) => {
+                *sum += x;
+                *seen = true;
+            }
+            (AggState::SumDec { .. } | AggState::SumF64 { .. }, Slot::Null) => {}
+            (state, s) => state.update(&slot_value(*s)),
         }
     }
 

@@ -320,6 +320,51 @@ pub fn lower(expr: &Expr) -> Result<IrProgram> {
     Ok(prog)
 }
 
+/// Lower conjuncts into one program that is TRUE exactly when every one
+/// of them is TRUE, running them in order and stopping at the first that
+/// is not: a later conjunct never runs (nor fails) on a row an earlier
+/// one rejected, a NULL one included, unlike under AND. One conjunct is
+/// its own program.
+pub fn lower_all_true(conjuncts: &[Expr]) -> Result<IrProgram> {
+    let Some((last, first)) = conjuncts.split_last() else {
+        return lower(&Expr::lit(Value::Int(1)));
+    };
+    let mut l = Lowering {
+        instrs: Vec::new(),
+        consts: Vec::new(),
+        next_reg: 0,
+    };
+    let mut to_stop = Vec::with_capacity(first.len());
+    for c in first {
+        let r = l.lower(c)?;
+        // TRUE goes on to the next conjunct; FALSE and NULL stop.
+        let next = l.here() + 2;
+        l.emit(IrInstr::BrTrue {
+            cond: r,
+            target: next,
+        })?;
+        to_stop.push(l.emit(IrInstr::Jmp { target: 0 })?);
+    }
+    let r = l.lower(last)?;
+    l.emit(IrInstr::Ret { src: r })?;
+    if !to_stop.is_empty() {
+        let stop = l.here();
+        for j in to_stop {
+            l.patch_target(j, stop);
+        }
+        let idx = l.konst(Value::Int(0))?;
+        l.emit(IrInstr::LoadConst { dst: r, idx })?;
+        l.emit(IrInstr::Ret { src: r })?;
+    }
+    let prog = IrProgram {
+        instrs: l.instrs,
+        consts: l.consts,
+        n_regs: l.next_reg,
+    };
+    prog.validate()?;
+    Ok(prog)
+}
+
 /// [`lower`] for a program that ships in an NDP descriptor: it must also
 /// fit the Page Store's register budget.
 pub fn lower_for_ndp(expr: &Expr) -> Result<IrProgram> {

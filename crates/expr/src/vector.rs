@@ -455,7 +455,7 @@ impl VectorProgram {
                     let r = unary_cells(&regs[a as usize], len, |s| match s {
                         Slot::Null => Ok(Slot::Null),
                         Slot::Int(v) => Ok(Slot::Int(util::neg_int(v)?)),
-                        Slot::Dec(d) => Ok(Slot::Dec(d.neg())),
+                        Slot::Dec(raw, scale) => Ok(Slot::dec(Dec::new(raw, scale).neg())),
                         Slot::F64(v) => Ok(Slot::F64(-v)),
                         other => Err(Error::Type(format!("cannot negate {other:?}"))),
                     })?;
@@ -683,7 +683,7 @@ fn column_slots<'a>(cv: &'a ColumnVec, len: usize) -> Vec<Slot<'a>> {
             .enumerate()
             .map(|(i, &r)| {
                 if valid.get(i) {
-                    Slot::Dec(Dec::new(r, *scale))
+                    Slot::Dec(r, *scale)
                 } else {
                     Slot::Null
                 }
@@ -716,7 +716,7 @@ fn column_slots<'a>(cv: &'a ColumnVec, len: usize) -> Vec<Slot<'a>> {
             .map(|v| match v {
                 taurus_common::Value::Null => Slot::Null,
                 taurus_common::Value::Int(x) => Slot::Int(*x),
-                taurus_common::Value::Decimal(d) => Slot::Dec(*d),
+                taurus_common::Value::Decimal(d) => Slot::dec(*d),
                 taurus_common::Value::Date(d) => Slot::Date(d.0),
                 taurus_common::Value::Str(s) => Slot::Bytes(s.as_bytes()),
                 taurus_common::Value::Double(x) => Slot::F64(*x),
@@ -824,23 +824,23 @@ fn cmp_col_const(op: CmpOp, cv: &ColumnVec, c: &Slot<'_>, len: usize) -> Option<
             let c = *c;
             Some(cmp_tight(vals, valid, |v| cmp_holds(op, v.cmp(&c))))
         }
-        (ColumnVec::Int64 { vals, valid }, Slot::Dec(d)) => {
+        (ColumnVec::Int64 { vals, valid }, &Slot::Dec(raw, scale)) => {
             // The lane side is i64 by type, so `v · 10^scale` is statically
             // safe for any scale ≤ 19 — no flag or per-lane check needed.
-            if d.scale > MAX_I64_UPSCALE {
+            if scale > MAX_I64_UPSCALE {
                 return None;
             }
-            let (p, cr) = (pow10(d.scale), d.raw);
+            let (p, cr) = (pow10(scale), raw);
             Some(cmp_tight(vals, valid, |v| {
                 cmp_holds(op, (v as i128 * p).cmp(&cr))
             }))
         }
-        (ColumnVec::Dec { raw, scale, valid }, Slot::Dec(d)) => {
-            if d.scale <= *scale {
-                let cr = d.raw.checked_mul(pow10(scale - d.scale))?;
+        (ColumnVec::Dec { raw, scale, valid }, &Slot::Dec(c, c_scale)) => {
+            if c_scale <= *scale {
+                let cr = c.checked_mul(pow10(scale - c_scale))?;
                 Some(cmp_tight(raw, valid, |v| cmp_holds(op, v.cmp(&cr))))
             } else {
-                let (p, cr) = (pow10(d.scale - scale), d.raw);
+                let (p, cr) = (pow10(c_scale - scale), c);
                 cmp_tight_checked(raw, valid, |v| {
                     Some(cmp_holds(op, v.checked_mul(p)?.cmp(&cr)))
                 })

@@ -199,6 +199,13 @@ impl RecordLayout {
         self.dtypes.len()
     }
 
+    /// Where column `col`'s image starts in every record of this layout
+    /// (header included), if no varchar precedes it: a program compiled
+    /// against the layout reads such a field at a constant offset.
+    pub fn fixed_offset(&self, col: usize) -> Option<usize> {
+        (self.var_before[col] == 0).then_some(self.fixed_off[col] as usize)
+    }
+
     /// Column `col`'s entry in the var-length array, if it is a varchar.
     #[inline]
     fn var_slot(&self, col: usize) -> Option<usize> {
@@ -454,27 +461,6 @@ impl<'a> RecordView<'a> {
         (0..self.layout.n_cols()).map(|c| self.value(c)).collect()
     }
 
-    /// Fill `offsets` with each column's start offset plus one final
-    /// end-of-data offset. Used by the predicate VM so repeated field access
-    /// is O(1).
-    pub fn fill_offsets(&self, offsets: &mut Vec<u32>) {
-        offsets.clear();
-        let l = self.layout;
-        let (mut vars, mut seen) = (0u32, 0usize);
-        offsets.extend(
-            l.fixed_off
-                .iter()
-                .zip(&l.var_before)
-                .map(|(&off, &before)| {
-                    while seen < before as usize {
-                        vars += self.var_len(seen) as u32;
-                        seen += 1;
-                    }
-                    off + vars
-                }),
-        );
-    }
-
     /// Length of the column-data portion (header through last column).
     #[inline]
     fn data_end(&self) -> usize {
@@ -508,11 +494,13 @@ impl<'a> RecordView<'a> {
 
     /// The backing slice this view was constructed over (starts at the
     /// record header, may extend past the record's end). Offsets from
-    /// [`RecordView::fill_offsets`] index into this slice.
+    /// [`RecordLayout::fixed_offset`] index into this slice.
+    #[inline]
     pub fn backing(&self) -> &'a [u8] {
         self.bytes
     }
 
+    #[inline]
     pub fn layout(&self) -> &'a RecordLayout {
         self.layout
     }
@@ -1044,27 +1032,32 @@ mod tests {
     }
 
     #[test]
-    fn fill_offsets_matches_field_bytes() {
-        let layout = lineitem_ish_layout();
+    fn fixed_offset_matches_field_bytes() {
+        // A varchar in the middle: the columns behind it move with its
+        // length, the ones up to it do not.
+        let layout = RecordLayout::new(vec![
+            DataType::BigInt,
+            DataType::Varchar(10),
+            DataType::Int,
+            DataType::Date,
+        ]);
+        let values = [
+            Value::Int(42),
+            Value::str("abc"),
+            Value::Int(3),
+            Value::Date(Date32::parse("1994-02-01").unwrap()),
+        ];
         let mut buf = Vec::new();
-        encode_record(
-            &layout,
-            &sample_values(),
-            RecordMeta::ordinary(7),
-            None,
-            &mut buf,
-        )
-        .unwrap();
+        encode_record(&layout, &values, RecordMeta::ordinary(7), None, &mut buf).unwrap();
         let view = RecordView::new(&buf, &layout);
-        let mut offs = Vec::new();
-        view.fill_offsets(&mut offs);
-        assert_eq!(offs.len(), layout.n_cols() + 1);
-        for c in 0..layout.n_cols() {
-            let s = offs[c] as usize;
-            let e = s + view.field_bytes(c).len();
-            assert_eq!(&buf[s..e], view.field_bytes(c));
-            assert_eq!(offs[c + 1] as usize, e);
-        }
+        let start = |c: usize| view.field_bytes(c).as_ptr() as usize - buf.as_ptr() as usize;
+        assert_eq!(layout.fixed_offset(0), Some(start(0)));
+        assert_eq!(layout.fixed_offset(1), Some(start(1)));
+        assert_eq!(
+            (layout.fixed_offset(2), layout.fixed_offset(3)),
+            (None, None)
+        );
+        assert_eq!(start(2), start(1) + 3);
     }
 
     #[test]

@@ -218,8 +218,11 @@ fn read_hostile(page: &Page, full: &RecordLayout, ndp: &RecordLayout) -> usize {
                 DecodePlan::new(layout, &all).values(rec).count(),
                 values.len()
             );
-            let mut offsets = Vec::new();
-            rec.fill_offsets(&mut offsets);
+            for c in 0..layout.n_cols() {
+                if let Some(at) = layout.fixed_offset(c) {
+                    assert_eq!(rec.field_bytes(c).as_ptr(), rec.backing()[at..].as_ptr());
+                }
+            }
             let mut key = Vec::new();
             rec.key_into(&all, &mut key);
             assert!(rec.raw().len() == rec.total_len() && rec.total_len() <= bytes.len());

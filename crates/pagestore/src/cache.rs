@@ -28,9 +28,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use taurus_common::{Metrics, Result};
-use taurus_expr::agg::AggInput;
-use taurus_expr::descriptor::{fnv64, NdpDescriptor};
+use taurus_common::{DataType, Metrics, Result};
+use taurus_expr::agg::{AggFunc, AggInput};
+use taurus_expr::ast::Expr;
+use taurus_expr::descriptor::{fnv64, NdpAggSpec, NdpDescriptor};
 use taurus_expr::vm::CompiledPredicate;
 use taurus_page::{DecodePlan, ProjectionPlan, RecordLayout};
 
@@ -58,12 +59,11 @@ pub struct CachedDescriptor {
     /// columns when projection was requested, every column otherwise,
     /// always behind the NDP header.
     pub survivor: ProjectionPlan,
-    /// How a fold reads each aggregate's input, in aggregate order (none
-    /// without aggregation).
-    pub agg_inputs: Vec<AggRead>,
-    /// The columns of the [`AggRead::Col`] inputs, in their order: all a
-    /// fold decodes of a record besides what programs read in place.
-    pub agg_cols: DecodePlan,
+    /// Each aggregate's input, in aggregate order (none without
+    /// aggregation): a program over the record's bytes, a bare column's
+    /// being one load, compiled once per descriptor; `None` for COUNT(*),
+    /// which counts the record.
+    pub agg_inputs: Vec<Option<CompiledPredicate>>,
     /// The pushed HAVING, compiled for a group's outputs (its group
     /// columns' values, then its final states), if one was sent.
     pub having: Option<CompiledPredicate>,
@@ -93,23 +93,19 @@ impl CachedDescriptor {
             CompiledPredicate::compile(&ir, &layout, &identity)
         };
         let predicate = desc.predicate_bitcode.as_deref().map(compile).transpose()?;
-        let mut agg_cols = Vec::new();
         let agg_inputs = desc
             .aggregation
             .iter()
             .flat_map(|agg| &agg.specs)
-            .map(|s| {
-                Ok(match &s.input {
-                    AggInput::Star => AggRead::Star,
-                    AggInput::Col(c) => {
-                        agg_cols.push(*c as usize);
-                        AggRead::Col
-                    }
-                    AggInput::Program(bc) => AggRead::Program(compile(bc)?),
-                })
+            .map(|s| match &s.input {
+                AggInput::Star => Ok(None),
+                AggInput::Col(c) => {
+                    let ir = taurus_expr::compile::lower(&Expr::col(*c as usize))?;
+                    CompiledPredicate::compile(&ir, &layout, &identity).map(Some)
+                }
+                AggInput::Program(bc) => compile(bc).map(Some),
             })
             .collect::<Result<_>>()?;
-        let agg_cols = DecodePlan::new(&layout, &agg_cols);
         let mut group_cols = Vec::new();
         let mut having = None;
         if let Some(agg) = &desc.aggregation {
@@ -117,8 +113,10 @@ impl CachedDescriptor {
             if let Some(bc) = &agg.having {
                 let ir = taurus_expr::ir::IrProgram::decode_bitcode(bc)?;
                 taurus_expr::compile::check_regs(&ir)?;
-                let outputs = agg.group_cols.len() + agg.specs.len();
-                having = Some(CompiledPredicate::for_row_program(&ir, outputs)?);
+                having = Some(CompiledPredicate::for_row_program(
+                    &ir,
+                    &having_input(&layout, agg),
+                )?);
             }
         }
         let group_values = DecodePlan::new(&layout, &group_cols);
@@ -130,7 +128,6 @@ impl CachedDescriptor {
             predicate,
             survivor,
             agg_inputs,
-            agg_cols,
             having,
             group_values,
             bytes: bytes.to_vec(),
@@ -148,14 +145,30 @@ impl CachedDescriptor {
     }
 }
 
-/// How a fold reads one aggregate's input of a record.
-pub enum AggRead {
-    /// COUNT(*): the record counts.
-    Star,
-    /// The next column of [`CachedDescriptor::agg_cols`].
-    Col,
-    /// A program over the record's bytes, compiled once per descriptor.
-    Program(CompiledPredicate),
+/// The types of a group's outputs a pushed HAVING reads: its group
+/// columns', then each aggregate's final value's where the input fixes
+/// it (a decimal sum at scale 0 finalizes as an integer when it fits, so
+/// it is left untyped).
+fn having_input(layout: &RecordLayout, agg: &NdpAggSpec) -> Vec<Option<DataType>> {
+    let group = agg
+        .group_cols
+        .iter()
+        .map(|&g| Some(layout.dtypes[g as usize]));
+    let finals = agg.specs.iter().map(|s| {
+        let input = match s.input {
+            AggInput::Col(c) => Some(layout.dtypes[c as usize]),
+            AggInput::Star | AggInput::Program(_) => None,
+        };
+        match (s.func, input) {
+            (AggFunc::CountStar | AggFunc::Count, _) => Some(DataType::BigInt),
+            (AggFunc::Sum, Some(DataType::Int | DataType::BigInt)) => Some(DataType::BigInt),
+            (AggFunc::Sum, Some(d @ DataType::Decimal { scale: 1.., .. })) => Some(d),
+            (AggFunc::Sum, Some(DataType::Double)) => Some(DataType::Double),
+            (AggFunc::Min | AggFunc::Max, input) => input,
+            (AggFunc::Sum, _) => None,
+        }
+    });
+    group.chain(finals).collect()
 }
 
 /// The most prepared descriptors a Page Store keeps. A statement's table

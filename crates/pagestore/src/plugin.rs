@@ -51,9 +51,10 @@
 //!   longest ago goes out early as carrier + partial, so a page with many
 //!   groups costs more records on the wire, never a wrong answer, and
 //!   input grouped in index order (one group at a time) goes out exactly
-//!   as a flush at every group change would send it. A fold decodes only
-//!   the bare-column inputs and runs each input program over the record's
-//!   bytes ([`AggRead`]); a program that errs fails the page, which then
+//!   as a flush at every group change would send it. A fold runs each
+//!   input, a bare column's too, as a typed program over the record's
+//!   bytes into its state, building no `Value`
+//!   ([`CachedDescriptor::agg_inputs`]); a program that errs fails the page, which then
 //!   goes back raw. Records leave the page in chain order: each carrier
 //!   where it sits, ambiguous records between them;
 //! * with a pushed HAVING (only on a GROUP BY that is a prefix of the
@@ -76,7 +77,7 @@ use taurus_expr::descriptor::{JoinFilterSection, KeySet, NdpAggSpec, Sections};
 use taurus_expr::vm::TriBool;
 use taurus_page::{NdpPageBuilder, Page, RecType, RecordView};
 
-use crate::cache::{AggRead, CachedDescriptor};
+use crate::cache::CachedDescriptor;
 
 /// Per-page statistics reported by the plugin.
 #[derive(Clone, Copy, Default, Debug, PartialEq)]
@@ -168,7 +169,6 @@ pub(crate) struct GroupTable {
     bytes: Vec<u8>,
     probe: Vec<u8>,
     payload: Vec<u8>,
-    offsets: Vec<u32>,
     /// With a pushed HAVING: the group key of the page's first record and
     /// of its last ambiguous record (empty: none yet; a key is never
     /// empty), and the scratch a group's outputs are built in.
@@ -196,26 +196,11 @@ fn group_key(rec: &RecordView<'_>, group_cols: &[u16], out: &mut Vec<u8>) {
 
 /// Fold `rec`, a record that stopped being its group's carrier, into
 /// `states`.
-fn fold(
-    cd: &CachedDescriptor,
-    states: &mut [AggState],
-    rec: RecordView<'_>,
-    offsets: &mut Vec<u32>,
-) -> Result<()> {
-    let mut cols = cd.agg_cols.values(rec);
-    let mut filled = false;
-    for (st, read) in states.iter_mut().zip(&cd.agg_inputs) {
-        match read {
-            AggRead::Star => st.update(&Value::Int(1)),
-            // lint:allow(panic): `agg_cols` holds one column per `Col` input
-            AggRead::Col => st.update(&cols.next().expect("planned input")),
-            AggRead::Program(p) => {
-                if !filled {
-                    rec.fill_offsets(offsets);
-                    filled = true;
-                }
-                st.update(&p.eval_value(&rec, offsets)?);
-            }
+fn fold(cd: &CachedDescriptor, states: &mut [AggState], rec: RecordView<'_>) -> Result<()> {
+    for (st, input) in states.iter_mut().zip(&cd.agg_inputs) {
+        match input {
+            None => st.update(&Value::Int(1)),
+            Some(p) => p.fold_record(&rec, st)?,
         }
     }
     Ok(())
@@ -279,7 +264,7 @@ impl GroupTable {
         }
         let carrier = RecordView::parse(&g.carrier, &cd.layout)?;
         self.final_states.clone_from(&g.states);
-        fold(cd, &mut self.final_states, carrier, &mut self.offsets)?;
+        fold(cd, &mut self.final_states, carrier)?;
         self.outputs.clear();
         self.outputs.extend(cd.group_values.values(carrier));
         self.outputs
@@ -404,7 +389,7 @@ impl GroupTable {
         g.used = self.clock;
         if !g.carrier.is_empty() {
             let old = RecordView::parse(&g.carrier, &cd.layout)?;
-            fold(cd, &mut g.states, old, &mut self.offsets)?;
+            fold(cd, &mut g.states, old)?;
             stats.records_aggregated += 1;
             if g.held {
                 self.held[g.at] = Out::Folded;
@@ -601,7 +586,6 @@ impl NdpPlugin for InnodbNdpPlugin {
             table.reset();
             (spec, table)
         });
-        let mut offsets = Vec::new();
         let mut merge = sections.keys.as_ref().map(KeyMerge::new);
         let having = cd.having.is_some();
         for (idx, page) in pages.iter().enumerate() {
@@ -657,7 +641,7 @@ impl NdpPlugin for InnodbNdpPlugin {
                     }
                 }
                 if let Some(pred) = &cd.predicate {
-                    if pred.eval_record(&rec, &mut offsets)? != TriBool::True {
+                    if pred.eval_record(&rec)? != TriBool::True {
                         stats.records_filtered += 1;
                         continue;
                     }

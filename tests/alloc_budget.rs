@@ -377,10 +377,10 @@ fn page_store_plugin_allocates_per_page() {
         );
         let cd = CachedDescriptor::prepare(&descriptor.encode()).unwrap();
         let none = Sections::default();
-        // An aggregated page costs the NDP page's buffer and the
-        // predicate's offset scratch: the group table, the carriers'
-        // bytes and the payload buffer are the descriptor's, reused from
-        // page to page.
+        // An aggregated page costs the NDP page's buffer (the VM reads
+        // fields in place, with no offset scratch): the group table, the
+        // carriers' bytes and the payload buffer are the descriptor's,
+        // reused from page to page.
         let run = || {
             let before = ALLOCATIONS.load(Ordering::Relaxed);
             for leaf in leaves.chunks(1) {

@@ -145,7 +145,6 @@ fn oracle(
     let mut emitted: Vec<Vec<(usize, Vec<u8>)>> = vec![Vec::new(); pages.len()];
     let mut groups: Vec<Group> = Vec::new();
     let mut clock = 0u64;
-    let mut offsets = Vec::new();
     // Each page's groups that are not complete on it: its first and last
     // records', and its ambiguous records'.
     let open: Vec<Vec<Vec<Value>>> = pages
@@ -229,7 +228,7 @@ fn oracle(
                 }
             }
             if let Some(pred) = &cd.predicate {
-                if pred.eval_record(&rec, &mut offsets).unwrap() != TriBool::True {
+                if pred.eval_record(&rec).unwrap() != TriBool::True {
                     stats.records_filtered += 1;
                     continue;
                 }
@@ -1201,7 +1200,6 @@ fn having_inputs(rng: &mut XorShift) -> Vec<(&'static str, Vec<Arc<Page>>)> {
 fn sql_answer(cd: &CachedDescriptor, plain: &Plain, shipped: &[(bool, Page)]) -> Vec<Vec<Value>> {
     let agg = cd.desc.aggregation.as_ref().unwrap();
     let mut groups: Vec<(Vec<Value>, Vec<AggState>)> = Vec::new();
-    let mut offsets = Vec::new();
     for (raw, page) in shipped {
         for rec in page.iter_chain() {
             // Carriers in the NDP layout (every column: nothing projects
@@ -1219,7 +1217,7 @@ fn sql_answer(cd: &CachedDescriptor, plain: &Plain, shipped: &[(bool, Page)]) ->
                 let rejected = cd
                     .predicate
                     .as_ref()
-                    .is_some_and(|p| p.eval_record(&rec, &mut offsets).unwrap() != TriBool::True);
+                    .is_some_and(|p| p.eval_record(&rec).unwrap() != TriBool::True);
                 if rec.delete_mark() || rejected {
                     continue;
                 }
