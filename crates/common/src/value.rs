@@ -49,17 +49,6 @@ impl DataType {
         }
     }
 
-    /// Average width used by the optimizer's projection-benefit estimate
-    /// (§V-A: fixed widths from the dictionary, average width from stats
-    /// for variable columns — we use half the declared max as the default
-    /// prior before real stats are collected).
-    pub fn estimated_width(&self) -> usize {
-        match self {
-            DataType::Varchar(n) => (*n as usize) / 2 + 1,
-            other => other.fixed_width().unwrap(),
-        }
-    }
-
     /// Compact tag used when serializing descriptors.
     pub fn tag(&self) -> u8 {
         match self {

@@ -30,7 +30,7 @@ use taurus_ndp::{
     scan_ctx, BTree, JoinFilter, KeyList, KeyRead, PointLookup, ScanConsumer, ScanRange, ScanSpec,
     TaurusDb,
 };
-use taurus_optimizer::plan::{AggItem, HashAggNode, JoinType, LookupJoinNode, Plan, ScanNode};
+use taurus_optimizer::plan::{HashAggNode, JoinType, LookupJoinNode, Plan, ScanNode};
 use taurus_verify::DiagKind;
 
 /// Execution context for one query.
@@ -279,10 +279,9 @@ pub(crate) struct HashAggAcc {
     /// row.
     group: Vec<RowExpr>,
     inputs: Vec<Option<RowExpr>>,
-    /// The states a new group starts from. They are typed by the input
-    /// row's types where those are known (a folded scan's); the types of
-    /// any other input are left to the states, which infer their shape
-    /// from the first value.
+    /// The states a new group starts from, typed by the input row's
+    /// types: the type of an aggregate input that is not known is left
+    /// to its state, which infers its shape from the first value.
     fresh: Vec<AggState>,
     /// Groups in the order first seen, and where each key's is (unless
     /// `index_ordered`).
@@ -300,57 +299,40 @@ pub(crate) struct HashAggAcc {
 }
 
 impl HashAggAcc {
-    /// An accumulator over input rows of types `input`: its expressions
-    /// compiled, nothing accumulated. Its states are typed by `dtypes`
-    /// (a folded scan's column types; empty for any other input).
-    fn build(
-        group: &[Expr],
-        aggs: &[AggItem],
-        input: &[Option<DataType>],
-        dtypes: &[DataType],
-        index_ordered: bool,
-    ) -> Result<HashAggAcc> {
-        let compile = |e: &Expr| RowExpr::new(e, input);
+    /// The accumulator of `node`, over the rows its input delivers: its
+    /// expressions compiled and its states typed by the input's column
+    /// types (a folded scan's are its table's), nothing accumulated.
+    pub(crate) fn new(node: &HashAggNode, db: &TaurusDb) -> Result<HashAggAcc> {
+        let input: Vec<Option<DataType>> = match node.scan() {
+            Some(scan) => {
+                let dtypes = db.table(&scan.table)?.schema.dtypes();
+                scan.output
+                    .iter()
+                    .map(|&c| dtypes.get(c).copied())
+                    .collect()
+            }
+            None => row_types(&node.input, db),
+        };
+        let known: Vec<DataType> = input.iter().map_while(|t| *t).collect();
+        let compile = |e: &Expr| RowExpr::new(e, &input);
         Ok(HashAggAcc {
-            group: group.iter().map(compile).collect::<Result<_>>()?,
-            inputs: aggs
+            group: node.group.iter().map(compile).collect::<Result<_>>()?,
+            inputs: node
+                .aggs
                 .iter()
                 .map(|a| a.input.as_ref().map(compile).transpose())
                 .collect::<Result<_>>()?,
-            fresh: aggs
+            fresh: node
+                .aggs
                 .iter()
-                .map(|a| AggState::new(a.func, a.input.as_ref().and_then(|e| e.dtype(dtypes).ok())))
+                .map(|a| AggState::new(a.func, a.input.as_ref().and_then(|e| e.dtype(&known).ok())))
                 .collect(),
             groups: Vec::new(),
             slots: KeyMap::default(),
             last: None,
             key: Vec::new(),
-            index_ordered,
+            index_ordered: node.index_ordered(db),
         })
-    }
-
-    /// The accumulator of `node`, over the rows its input delivers: its
-    /// states typed by the table's columns when it folds a bare scan.
-    pub(crate) fn new(node: &HashAggNode, db: &TaurusDb) -> Result<HashAggAcc> {
-        let dtypes = match node.scan() {
-            Some(scan) => {
-                let dtypes = db.table(&scan.table)?.schema.dtypes();
-                let typed = scan.output.iter().map(|&c| dtypes.get(c).copied());
-                typed.collect::<Option<Vec<_>>>().unwrap_or_default()
-            }
-            None => Vec::new(),
-        };
-        let input = match dtypes.is_empty() {
-            true => row_types(&node.input, db),
-            false => dtypes.iter().copied().map(Some).collect(),
-        };
-        HashAggAcc::build(
-            &node.group,
-            &node.aggs,
-            &input,
-            &dtypes,
-            node.index_ordered(db),
-        )
     }
 
     pub(crate) fn update(&mut self, row: &[Value]) -> Result<()> {
@@ -832,6 +814,7 @@ mod tests {
     use std::sync::Arc;
     use taurus_common::schema::{Column, TableSchema};
     use taurus_common::{ClusterConfig, DataType};
+    use taurus_optimizer::plan::AggItem;
 
     fn tiny_db() -> (Arc<TaurusDb>, Arc<taurus_ndp::Table>) {
         let db = TaurusDb::new(ClusterConfig::small_for_tests());

@@ -53,6 +53,20 @@ impl AggFunc {
             AggFunc::Max => "MAX",
         }
     }
+
+    /// The type of what [`AggState::finalize`] gives over inputs of type
+    /// `input` (`None`: not known), where the input fixes it. A sum at
+    /// scale 0 finalizes as an integer: only one past `i64` is a decimal.
+    pub fn output_type(self, input: Option<DataType>) -> Option<DataType> {
+        match (self, input) {
+            (AggFunc::CountStar | AggFunc::Count, _) => Some(DataType::BigInt),
+            (AggFunc::Sum, Some(DataType::Int | DataType::BigInt))
+            | (AggFunc::Sum, Some(DataType::Decimal { scale: 0, .. })) => Some(DataType::BigInt),
+            (AggFunc::Sum, Some(d @ (DataType::Decimal { .. } | DataType::Double))) => Some(d),
+            (AggFunc::Sum, _) => None,
+            (AggFunc::Min | AggFunc::Max, input) => input,
+        }
+    }
 }
 
 /// What an aggregate of a descriptor folds, per record: nothing (COUNT(*)

@@ -347,7 +347,9 @@ impl Expr {
         }
     }
 
-    /// Result type of this expression over `input` column types.
+    /// Result type of this expression over `input` column types: that of
+    /// every non-NULL value it evaluates to, decimal scale included (the
+    /// VM's scale rule), unless a CASE's branches differ in type.
     pub fn dtype(&self, input: &[DataType]) -> Result<DataType> {
         let boolean = DataType::Int;
         Ok(match self {
@@ -375,40 +377,28 @@ impl Expr {
             | Expr::IsNull { .. } => boolean,
             Expr::Arith(op, a, b) => {
                 let (ta, tb) = (a.dtype(input)?, b.dtype(input)?);
+                let scale = |t: DataType| match t {
+                    DataType::Int | DataType::BigInt => Some(0),
+                    DataType::Decimal { scale, .. } => Some(scale),
+                    _ => None,
+                };
                 match (ta, tb) {
                     (DataType::Double, _) | (_, DataType::Double) => DataType::Double,
-                    (DataType::Decimal { scale: s1, .. }, DataType::Decimal { scale: s2, .. }) => {
-                        let scale = match op {
-                            ArithOp::Add | ArithOp::Sub => s1.max(s2),
-                            ArithOp::Mul => s1 + s2,
-                            ArithOp::Div => s1 + 4,
-                        };
-                        DataType::Decimal {
-                            precision: 30,
-                            scale,
-                        }
-                    }
-                    (DataType::Decimal { scale, .. }, _) | (_, DataType::Decimal { scale, .. }) => {
-                        let scale = match op {
-                            ArithOp::Add | ArithOp::Sub | ArithOp::Mul => scale,
-                            ArithOp::Div => scale + 4,
-                        };
-                        DataType::Decimal {
-                            precision: 30,
-                            scale,
-                        }
-                    }
                     (DataType::Date, _) | (_, DataType::Date) => DataType::Date,
-                    _ => {
-                        if *op == ArithOp::Div {
-                            DataType::Decimal {
-                                precision: 30,
-                                scale: 4,
-                            }
-                        } else {
-                            DataType::BigInt
-                        }
+                    (DataType::Int | DataType::BigInt, DataType::Int | DataType::BigInt)
+                        if *op != ArithOp::Div =>
+                    {
+                        DataType::BigInt
                     }
+                    _ => match (scale(ta), scale(tb)) {
+                        (Some(sa), Some(sb)) => DataType::Decimal {
+                            precision: 30,
+                            scale: crate::vm::dec_result_scale(*op, sa, sb).ok_or_else(|| {
+                                Error::Arithmetic("decimal scale overflow".into())
+                            })?,
+                        },
+                        _ => DataType::BigInt,
+                    },
                 }
             }
             Expr::Neg(a) => a.dtype(input)?,

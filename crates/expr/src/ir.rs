@@ -120,6 +120,32 @@ pub struct IrProgram {
     pub n_regs: u16,
 }
 
+impl IrInstr {
+    /// The register the instruction writes, if any, and the registers it
+    /// reads, in operand order.
+    pub fn regs(&self) -> (Option<Reg>, [Option<Reg>; 2]) {
+        match *self {
+            IrInstr::LoadCol { dst, .. } | IrInstr::LoadConst { dst, .. } => (Some(dst), [None; 2]),
+            IrInstr::Cmp { dst, a, b, .. }
+            | IrInstr::And { dst, a, b }
+            | IrInstr::Or { dst, a, b }
+            | IrInstr::Arith { dst, a, b, .. } => (Some(dst), [Some(a), Some(b)]),
+            IrInstr::Mov { dst, src: a }
+            | IrInstr::Not { dst, a }
+            | IrInstr::Neg { dst, a }
+            | IrInstr::IsNull { dst, a, .. }
+            | IrInstr::Like { dst, a, .. }
+            | IrInstr::InList { dst, a, .. }
+            | IrInstr::ExtractYear { dst, a }
+            | IrInstr::Substr { dst, a, .. } => (Some(dst), [Some(a), None]),
+            IrInstr::BrFalse { cond: a, .. }
+            | IrInstr::BrTrue { cond: a, .. }
+            | IrInstr::Ret { src: a } => (None, [Some(a), None]),
+            IrInstr::Jmp { .. } => (None, [None; 2]),
+        }
+    }
+}
+
 impl IrProgram {
     /// Table columns the program loads (sorted, deduplicated).
     pub fn columns_used(&self) -> Vec<u16> {
@@ -205,58 +231,21 @@ impl IrProgram {
             Ok(())
         };
         for ins in &self.instrs {
+            let (dst, reads) = ins.regs();
+            dst.into_iter()
+                .chain(reads.into_iter().flatten())
+                .try_for_each(reg)?;
             match *ins {
-                IrInstr::LoadCol { dst, .. } => reg(dst)?,
-                IrInstr::LoadConst { dst, idx } => {
-                    reg(dst)?;
-                    cst(idx)?;
+                IrInstr::LoadConst { idx, .. } | IrInstr::Like { pattern: idx, .. } => cst(idx)?,
+                IrInstr::InList { first, count, .. }
+                    if count == 0 || first as u32 + count as u32 > nc as u32 =>
+                {
+                    return Err(Error::Corruption("IN list out of const range".into()));
                 }
-                IrInstr::Mov { dst, src } => {
-                    reg(dst)?;
-                    reg(src)?;
-                }
-                IrInstr::Cmp { dst, a, b, .. }
-                | IrInstr::And { dst, a, b }
-                | IrInstr::Or { dst, a, b }
-                | IrInstr::Arith { dst, a, b, .. } => {
-                    reg(dst)?;
-                    reg(a)?;
-                    reg(b)?;
-                }
-                IrInstr::Not { dst, a }
-                | IrInstr::Neg { dst, a }
-                | IrInstr::IsNull { dst, a, .. }
-                | IrInstr::ExtractYear { dst, a }
-                | IrInstr::Substr { dst, a, .. } => {
-                    reg(dst)?;
-                    reg(a)?;
-                }
-                IrInstr::Like {
-                    dst, a, pattern, ..
-                } => {
-                    reg(dst)?;
-                    reg(a)?;
-                    cst(pattern)?;
-                }
-                IrInstr::InList {
-                    dst,
-                    a,
-                    first,
-                    count,
-                    ..
-                } => {
-                    reg(dst)?;
-                    reg(a)?;
-                    if count == 0 || first as u32 + count as u32 > nc as u32 {
-                        return Err(Error::Corruption("IN list out of const range".into()));
-                    }
-                }
-                IrInstr::BrFalse { cond, target } | IrInstr::BrTrue { cond, target } => {
-                    reg(cond)?;
-                    tgt(target)?;
-                }
-                IrInstr::Jmp { target } => tgt(target)?,
-                IrInstr::Ret { src } => reg(src)?,
+                IrInstr::BrFalse { target, .. }
+                | IrInstr::BrTrue { target, .. }
+                | IrInstr::Jmp { target } => tgt(target)?,
+                _ => {}
             }
         }
         match self.instrs.last() {

@@ -34,10 +34,11 @@
 //! * a row program ([`CompiledPredicate::for_rows`],
 //!   [`CompiledPredicate::for_row_program`]) takes them from the types the
 //!   operator's input rows are inferred to have (`taurus_verify`), and
-//!   its loads check each value. A row whose value is off its column's
-//!   type (a SUM that finalized as an integer where its column says
-//!   decimal) runs the same IR untyped instead, so inference that errs
-//!   costs time, never a result.
+//!   its loads check each value. Two values can still be off their
+//!   column's type: a CASE's whose branches differ in type, and a SUM's
+//!   past `i64` (a decimal where the column says integer). A row holding
+//!   one runs the same IR untyped instead, so inference that errs costs
+//!   time, never a result.
 //!
 //! An op whose operands' classes are fixed becomes a typed op: it reads
 //! the one variant its class allows, or NULL, with no tag dispatch,
@@ -1436,6 +1437,34 @@ fn written(ins: &IrInstr, site: Option<&Site>, ty: &[Ty], consts: &[Value]) -> O
     })
 }
 
+/// Every register's class: the join of its writes, to a fixed point
+/// (classes only rise, through at most four levels). A column load is of
+/// its site's field's class, `Any` without one.
+fn classes(ir: &IrProgram, sites: &[Option<Site>]) -> Vec<Ty> {
+    let mut ty = vec![Ty::Null; ir.n_regs as usize];
+    loop {
+        let mut changed = false;
+        for (i, ins) in ir.instrs.iter().enumerate() {
+            let site = sites.get(i).and_then(Option::as_ref);
+            if let Some((dst, t)) = written(ins, site, &ty, &ir.consts) {
+                let joined = ty[dst as usize].join(t);
+                changed |= joined != ty[dst as usize];
+                ty[dst as usize] = joined;
+            }
+        }
+        if !changed {
+            return ty;
+        }
+    }
+}
+
+/// Which registers of validated `ir` its typing makes a truth value (a
+/// boolean, an integer or NULL alone: what a branch and a three-valued
+/// merge read without a type error), with its columns untyped.
+pub fn truth_registers(ir: &IrProgram) -> Vec<bool> {
+    classes(ir, &[]).into_iter().map(Ty::boolish).collect()
+}
+
 /// The class of `a op b`, as `slot_arith` computes it.
 fn arith_ty(op: ArithOp, a: Ty, b: Ty) -> Ty {
     match (a, b) {
@@ -1456,7 +1485,7 @@ fn arith_ty(op: ArithOp, a: Ty, b: Ty) -> Ty {
 
 /// The scale `Dec::checked_*` gives `x op y` for `x` at scale `sa` and
 /// `y` at `sb`; `None` where it fails whatever the values.
-fn dec_result_scale(op: ArithOp, sa: u8, sb: u8) -> Option<u8> {
+pub(crate) fn dec_result_scale(op: ArithOp, sa: u8, sb: u8) -> Option<u8> {
     let (max, limit) = (sa.max(sb) as usize, DEC_MAX_SCALE as usize);
     match op {
         ArithOp::Add | ArithOp::Sub => (max <= limit).then_some(max as u8),
@@ -1651,26 +1680,6 @@ fn typed_op(
     }
 }
 
-/// The registers `ins` reads, in operand order.
-fn reads(ins: &IrInstr) -> [Option<u16>; 2] {
-    match *ins {
-        IrInstr::Cmp { a, b, .. }
-        | IrInstr::And { a, b, .. }
-        | IrInstr::Or { a, b, .. }
-        | IrInstr::Arith { a, b, .. } => [Some(a), Some(b)],
-        IrInstr::Not { a, .. }
-        | IrInstr::Neg { a, .. }
-        | IrInstr::IsNull { a, .. }
-        | IrInstr::Like { a, .. }
-        | IrInstr::InList { a, .. }
-        | IrInstr::ExtractYear { a, .. }
-        | IrInstr::Substr { a, .. } => [Some(a), None],
-        IrInstr::Mov { src, .. } | IrInstr::Ret { src } => [Some(src), None],
-        IrInstr::BrFalse { cond, .. } | IrInstr::BrTrue { cond, .. } => [Some(cond), None],
-        IrInstr::LoadCol { .. } | IrInstr::LoadConst { .. } | IrInstr::Jmp { .. } => [None, None],
-    }
-}
-
 /// The typed program for `ir` and its register count: every register's
 /// class is inferred, each instruction whose operands' classes allow it
 /// becomes its typed op, and the operands those ops take converted are
@@ -1685,22 +1694,7 @@ fn typed_ops(
     consts: &mut Vec<ConstSlot>,
 ) -> Option<(Vec<Op>, usize)> {
     let n = ir.n_regs as usize;
-    // Every register's class: the join of its writes, to a fixed point
-    // (classes only rise, through at most four levels).
-    let mut ty = vec![Ty::Null; n];
-    loop {
-        let mut changed = false;
-        for (ins, site) in ir.instrs.iter().zip(sites) {
-            if let Some((dst, t)) = written(ins, site.as_ref(), &ty, &ir.consts) {
-                let joined = ty[dst as usize].join(t);
-                changed |= joined != ty[dst as usize];
-                ty[dst as usize] = joined;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
+    let ty = classes(ir, sites);
     let plans: Vec<Option<(Op, [Want; 2])>> = ir
         .instrs
         .iter()
@@ -1723,7 +1717,7 @@ fn typed_ops(
     }
     let mut taken: Vec<Option<Option<Value>>> = vec![None; n];
     for (ins, plan) in ir.instrs.iter().zip(&plans) {
-        for (k, r) in reads(ins).into_iter().enumerate() {
+        for (k, r) in ins.regs().1.into_iter().enumerate() {
             let Some(r) = r.map(usize::from) else {
                 continue;
             };
@@ -1763,7 +1757,7 @@ fn typed_ops(
     }
     let mut unread = vec![0usize; n];
     for ins in &ir.instrs {
-        for r in reads(ins).into_iter().flatten() {
+        for r in ins.regs().1.into_iter().flatten() {
             unread[r as usize] += 1;
         }
     }

@@ -282,11 +282,9 @@ pub fn storage_can_judge(conjunct: &Expr, aggs: &[AggItem], n_group: usize) -> b
 /// then each storage aggregate's final value's.
 fn grouped_dtypes(group_cols: &[usize], specs: &[AggItem], dtypes: &[DataType]) -> Vec<DataType> {
     let col = |c: usize| dtypes.get(c).copied().unwrap_or(DataType::BigInt);
-    let spec = |s: &AggItem| match (s.func, &s.input) {
-        (AggFunc::Sum | AggFunc::Min | AggFunc::Max, Some(e)) => {
-            e.dtype(dtypes).unwrap_or(DataType::BigInt)
-        }
-        _ => DataType::BigInt,
+    let spec = |s: &AggItem| {
+        let input = s.input.as_ref().and_then(|e| e.dtype(dtypes).ok());
+        s.func.output_type(input).unwrap_or(DataType::BigInt)
     };
     group_cols
         .iter()

@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use taurus_common::{DataType, Metrics, Result};
-use taurus_expr::agg::{AggFunc, AggInput};
+use taurus_expr::agg::AggInput;
 use taurus_expr::ast::Expr;
 use taurus_expr::descriptor::{fnv64, NdpAggSpec, NdpDescriptor};
 use taurus_expr::vm::CompiledPredicate;
@@ -146,9 +146,8 @@ impl CachedDescriptor {
 }
 
 /// The types of a group's outputs a pushed HAVING reads: its group
-/// columns', then each aggregate's final value's where the input fixes
-/// it (a decimal sum at scale 0 finalizes as an integer when it fits, so
-/// it is left untyped).
+/// columns', then each aggregate's final value's where its input fixes
+/// it.
 fn having_input(layout: &RecordLayout, agg: &NdpAggSpec) -> Vec<Option<DataType>> {
     let group = agg
         .group_cols
@@ -159,14 +158,7 @@ fn having_input(layout: &RecordLayout, agg: &NdpAggSpec) -> Vec<Option<DataType>
             AggInput::Col(c) => Some(layout.dtypes[c as usize]),
             AggInput::Star | AggInput::Program(_) => None,
         };
-        match (s.func, input) {
-            (AggFunc::CountStar | AggFunc::Count, _) => Some(DataType::BigInt),
-            (AggFunc::Sum, Some(DataType::Int | DataType::BigInt)) => Some(DataType::BigInt),
-            (AggFunc::Sum, Some(d @ DataType::Decimal { scale: 1.., .. })) => Some(d),
-            (AggFunc::Sum, Some(DataType::Double)) => Some(DataType::Double),
-            (AggFunc::Min | AggFunc::Max, input) => input,
-            (AggFunc::Sum, _) => None,
-        }
+        s.func.output_type(input)
     });
     group.chain(finals).collect()
 }

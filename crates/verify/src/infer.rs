@@ -816,20 +816,8 @@ fn expr_coltype(e: &Expr, input: &[ColType]) -> ColType {
 
 fn agg_coltype(item: &AggItem, input: &[DataType]) -> ColType {
     let in_dt = item.input.as_ref().and_then(|e| e.dtype(input).ok());
-    let dtype = match item.func {
-        AggFunc::CountStar | AggFunc::Count => DataType::BigInt,
-        AggFunc::Sum => match in_dt {
-            Some(DataType::Decimal { scale, .. }) => DataType::Decimal {
-                precision: 30,
-                scale,
-            },
-            Some(DataType::Double) => DataType::Double,
-            _ => DataType::BigInt,
-        },
-        AggFunc::Min | AggFunc::Max => in_dt.unwrap_or(DataType::BigInt),
-    };
     ColType {
-        dtype,
+        dtype: item.func.output_type(in_dt).unwrap_or(DataType::BigInt),
         nullable: !matches!(item.func, AggFunc::CountStar | AggFunc::Count),
     }
 }

@@ -10,9 +10,11 @@
 //!   the index key) are rejected with structured [`Diagnostic`]s
 //!   carrying plan-path locations — the same defects that previously
 //!   surfaced mid-scan as `Error::Internal`.
-//! * [`absint`] — an abstract interpreter over the scalar register IR:
-//!   write-before-read register discipline, Kleene boolean shape for
-//!   `AND`/`OR`/`NOT`, and forward-only branches.
+//! * [`check_ir`] — the shape of a scalar register IR program: the VM's
+//!   own validation, forward-only branches, every register written
+//!   before it is read, and (a warning) every `AND`/`OR`/`NOT` and branch
+//!   operand a truth value by the VM's own register typing
+//!   ([`taurus_expr::vm::truth_registers`]).
 //!
 //! The executor wires [`check_plan`] as a gate in front of plan lowering,
 //! in every build and once per statement (in `exec::run`, its one way
@@ -21,34 +23,94 @@
 //! checks over every registry plan, the TPC-H SQL texts as the binder
 //! lowers them, and every NDP descriptor program in CI.
 
-pub mod absint;
 pub mod diag;
 pub mod infer;
 
 use taurus_common::{Error, Result};
 use taurus_optimizer::plan::Plan;
 
-pub use absint::{check_ir, check_predicate_programs};
 pub use diag::{has_errors, render, DiagKind, Diagnostic, Severity};
 pub use infer::{
     family, infer_plan, plan_width, remap_onto, value_family, ColType, Family, Inference,
 };
 
 use taurus_expr::ast::Expr;
+use taurus_expr::ir::{IrInstr, IrProgram};
 use taurus_ndp::TaurusDb;
 use taurus_optimizer::plan::ScanNode;
 
-/// Run every static check over a plan: schema inference plus abstract
-/// interpretation of each predicate that will be compiled (scan
+/// Run every static check over a plan: schema inference plus the
+/// program check of each predicate that will be compiled (scan
 /// residuals and `Filter` predicates). Returns all diagnostics,
 /// warnings included.
 pub fn verify_plan(plan: &Plan, db: &TaurusDb) -> Vec<Diagnostic> {
     let mut inf = infer_plan(plan, db);
     collect_predicates(plan, &mut |e, where_| {
-        inf.diags
-            .extend(absint::check_predicate_programs(e, where_));
+        inf.diags.extend(check_predicate_programs(e, where_));
     });
     inf.diags
+}
+
+/// Check a scalar IR program's shape: the VM's structural validation
+/// (register/const/target bounds, trailing `Ret`), then forward-only
+/// branches and every register read written by an earlier instruction
+/// (errors), and every `AND`/`OR`/`NOT` and branch operand a truth value
+/// by the VM's register typing (warnings).
+pub fn check_ir(ir: &IrProgram, path: &str) -> Vec<Diagnostic> {
+    if let Err(e) = ir.validate() {
+        let message = format!("structural validation failed: {e}");
+        return vec![Diagnostic::error(DiagKind::IrShape, path, message)];
+    }
+    let mut diags = Vec::new();
+    let error = |pc: usize, what: String| {
+        Diagnostic::error(DiagKind::IrShape, path, format!("instr {pc}: {what}"))
+    };
+    let truth = taurus_expr::vm::truth_registers(ir);
+    let mut written = vec![false; ir.n_regs as usize];
+    for (pc, ins) in ir.instrs.iter().enumerate() {
+        let (dst, reads) = ins.regs();
+        for r in reads.into_iter().flatten() {
+            if !written[r as usize] {
+                diags.push(error(pc, format!("reads r{r} before any write")));
+            }
+        }
+        if let Some(dst) = dst {
+            written[dst as usize] = true;
+        }
+        if let IrInstr::BrFalse { target, .. }
+        | IrInstr::BrTrue { target, .. }
+        | IrInstr::Jmp { target } = *ins
+        {
+            if target as usize <= pc {
+                diags.push(error(pc, format!("backward branch to {target}")));
+            }
+        }
+        let consumer = match *ins {
+            IrInstr::And { .. } | IrInstr::Or { .. } => "Kleene merge",
+            IrInstr::Not { .. } => "Not",
+            IrInstr::BrFalse { .. } | IrInstr::BrTrue { .. } => "branch",
+            _ => continue,
+        };
+        for r in reads.into_iter().flatten() {
+            if !truth[r as usize] {
+                let message = format!("instr {pc}: {consumer} consumes non-boolean r{r}");
+                diags.push(Diagnostic::warning(DiagKind::IrShape, path, message));
+            }
+        }
+    }
+    diags
+}
+
+/// Full program check for one predicate expression: lower it to scalar
+/// IR and check that.
+pub fn check_predicate_programs(e: &Expr, path: &str) -> Vec<Diagnostic> {
+    match taurus_expr::compile::lower(e) {
+        Ok(ir) => check_ir(&ir, path),
+        // Past the IR's u16 bounds (a 65,536-item IN list): the
+        // executor fails the statement when it compiles; nothing to
+        // verify here.
+        Err(_) => Vec::new(),
+    }
 }
 
 /// The pre-execution gate: reject a plan whose verification produced
@@ -104,5 +166,63 @@ fn collect_predicates(plan: &Plan, f: &mut impl FnMut(&Expr, &str)) {
         Plan::Sort(s) => collect_predicates(&s.input, f),
         Plan::Limit { input, .. } => collect_predicates(input, f),
         Plan::Exchange(e) => collect_predicates(&e.child, f),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use taurus_expr::ir::{IrInstr, IrProgram};
+    use taurus_expr::Expr;
+
+    use super::check_ir;
+    use crate::diag::Severity;
+
+    /// An OR of ANDs: each AND's result register is the merged boolean on
+    /// its fall-through path and the constant 0 on its short-circuit exit,
+    /// and the OR that merges them is no misuse.
+    #[test]
+    fn an_or_of_ands_is_boolean_on_every_path() {
+        let pair = |a: &str, b: &str| {
+            Expr::and(vec![
+                Expr::eq(Expr::col(0), Expr::str(a)),
+                Expr::eq(Expr::col(1), Expr::str(b)),
+            ])
+        };
+        let e = Expr::or(vec![pair("a", "b"), pair("c", "d")]);
+        let ir = taurus_expr::compile::lower(&e).unwrap();
+        assert!(
+            ir.instrs.iter().any(|i| matches!(i, IrInstr::Or { .. })),
+            "{ir:?}"
+        );
+        assert_eq!(check_ir(&ir, "t"), vec![]);
+    }
+
+    /// A column is not a truth value: an OR over it warns.
+    #[test]
+    fn an_or_over_a_column_warns() {
+        let ir = IrProgram {
+            instrs: vec![
+                IrInstr::LoadCol { dst: 0, col: 0 },
+                IrInstr::Cmp {
+                    op: taurus_expr::ast::CmpOp::Eq,
+                    dst: 1,
+                    a: 0,
+                    b: 0,
+                },
+                IrInstr::Or { dst: 2, a: 0, b: 1 },
+                IrInstr::Ret { src: 2 },
+            ],
+            consts: vec![],
+            n_regs: 3,
+        };
+        let diags = check_ir(&ir, "t");
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].severity, Severity::Warning);
+        assert!(
+            diags[0]
+                .message
+                .contains("Kleene merge consumes non-boolean r0"),
+            "{diags:?}"
+        );
     }
 }

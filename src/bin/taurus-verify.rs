@@ -9,8 +9,10 @@
 //!   schema/width/nullability inference and scalar IR program checks
 //!   (`verify_plan`);
 //! * every NDP descriptor those plans push: the descriptor must build,
-//!   and its wire-encoded predicate and aggregate input programs must
-//!   decode and pass the abstract interpreter — the same bytes a Page
+//!   its wire-encoded predicate, aggregate input and HAVING programs
+//!   must decode and pass `check_ir`, and the descriptor must compile
+//!   against the index's record layout as a Page Store compiles it, to
+//!   typed ops only (a generic op is a warning) — the same bytes a Page
 //!   Store would execute.
 //!
 //! CI runs `taurus-verify --all`; any error-severity diagnostic makes
@@ -27,6 +29,7 @@ use taurus_expr::agg::AggInput;
 use taurus_expr::ir::IrProgram;
 use taurus_ndp::{build_descriptor, TaurusDb};
 use taurus_optimizer::plan::{LookupJoinNode, NdpDecision, Plan};
+use taurus_pagestore::cache::CachedDescriptor;
 use taurus_verify::{verify_plan, Diagnostic, Severity};
 
 /// Per-query tally of what the static analyses concluded.
@@ -134,9 +137,9 @@ fn main() -> ExitCode {
 /// Walk every table access in the plan that carries an NDP decision (a
 /// scan, or the inner side of a lookup join that reads by NDP key reads)
 /// and verify the NDP descriptor it would ship: build it against the live
-/// catalog, then decode and abstractly interpret its predicate, aggregate
-/// input and pushed HAVING programs — exactly the bytes a Page Store's
-/// plugin would cache.
+/// catalog, decode and check its predicate, aggregate input and pushed
+/// HAVING programs, and compile it as a Page Store's descriptor cache
+/// does — exactly the bytes a Page Store's plugin would cache.
 fn check_descriptors(plan: &Plan, db: &TaurusDb, diags: &mut Vec<Diagnostic>, t: &mut Tally) {
     for_each_decision(plan, &mut |table_name, index, decision, path| {
         let table = match db.table(table_name) {
@@ -179,6 +182,35 @@ fn check_descriptors(plan: &Plan, db: &TaurusDb, diags: &mut Vec<Diagnostic>, t:
                     format!("descriptor {what} bitcode does not decode: {e}"),
                 )),
             }
+        }
+        // Compiled against the index's record layout as a Page Store's
+        // descriptor cache compiles it: each program must compile, and
+        // to typed ops only.
+        let prepared = match CachedDescriptor::prepare(&desc.encode()) {
+            Ok(p) => p,
+            Err(e) => {
+                diags.push(Diagnostic::error(
+                    taurus_verify::DiagKind::IrShape,
+                    path,
+                    format!("NDP descriptor does not compile: {e}"),
+                ));
+                return;
+            }
+        };
+        let inputs = prepared.agg_inputs.iter().flatten();
+        let predicate = prepared.predicate.iter().map(|p| ("predicate", p));
+        let compiled = predicate
+            .chain(inputs.map(|p| ("aggregate input", p)))
+            .chain(prepared.having.iter().map(|p| ("pushed HAVING", p)));
+        for (what, program) in compiled.filter(|(_, p)| p.generic_ops() > 0) {
+            diags.push(Diagnostic::warning(
+                taurus_verify::DiagKind::IrShape,
+                path,
+                format!(
+                    "descriptor {what} keeps {} generic op(s)",
+                    program.generic_ops()
+                ),
+            ));
         }
     });
 }

@@ -534,6 +534,37 @@ fn folded(r: Result<AggState>) -> std::result::Result<Vec<u8>, std::mem::Discrim
     }
 }
 
+/// Columns of fixed types: integers, decimals at scale 2 and at
+/// `DEC_MAX_SCALE`, dates, strings, doubles.
+const TYPED_COLUMNS: [DataType; 8] = [
+    DataType::Int,
+    DataType::BigInt,
+    DataType::Decimal {
+        precision: 15,
+        scale: 2,
+    },
+    DataType::Decimal {
+        precision: 18,
+        scale: DEC_MAX_SCALE,
+    },
+    DataType::Date,
+    DataType::Char(4),
+    DataType::Varchar(6),
+    DataType::Double,
+];
+
+/// Is `v` a value of type `t`? A decimal must be at `t`'s scale.
+fn has_type(v: &Value, t: DataType) -> bool {
+    match (v, t) {
+        (Value::Int(_), DataType::Int | DataType::BigInt) => true,
+        (Value::Decimal(d), DataType::Decimal { scale, .. }) => d.scale == scale,
+        (Value::Date(_), DataType::Date) => true,
+        (Value::Str(_), DataType::Char(_) | DataType::Varchar(_)) => true,
+        (Value::Double(_), DataType::Double) => true,
+        _ => false,
+    }
+}
+
 /// The typed VM against the tree-walker, on columns of fixed types: the
 /// programs are typed by the columns (integers, decimals at scale 2 and
 /// at `DEC_MAX_SCALE`, dates, strings, doubles), so integer/decimal,
@@ -549,22 +580,7 @@ fn folded(r: Result<AggState>) -> std::result::Result<Vec<u8>, std::mem::Discrim
 /// typed row program must hand to its untyped twin.
 #[test]
 fn typed_programs_agree_with_the_tree_walker_on_typed_columns() {
-    let types = [
-        DataType::Int,
-        DataType::BigInt,
-        DataType::Decimal {
-            precision: 15,
-            scale: 2,
-        },
-        DataType::Decimal {
-            precision: 18,
-            scale: DEC_MAX_SCALE,
-        },
-        DataType::Date,
-        DataType::Char(4),
-        DataType::Varchar(6),
-        DataType::Double,
-    ];
+    let types = TYPED_COLUMNS;
     let typed: Vec<Option<DataType>> = types.iter().copied().map(Some).collect();
     let layout = RecordLayout::new(types.to_vec());
     let identity: Vec<u16> = (0..types.len() as u16).collect();
@@ -702,6 +718,87 @@ fn typed_programs_agree_with_the_tree_walker_on_typed_columns() {
         ("folds", folds),
     ] {
         assert!(n > 50, "{what}: {n}");
+    }
+}
+
+/// The types plans are typed by are the types values have, on the typed
+/// columns. `Expr::dtype`, where it gives a type, gives that of every
+/// non-NULL value `eval` returns, decimal scale included: over random
+/// expressions (CASE excluded: its branches may differ in type) and
+/// every binary arithmetic between two columns (an integer over a
+/// decimal among them). `AggFunc::output_type` gives the type of what
+/// `AggState::finalize` returns after a state typed by its input's type
+/// folds drawn values of that type, for each function and column type (a
+/// decimal at scale 0 too); integer sums stay within `i64`.
+#[test]
+fn plan_types_are_the_types_values_have() {
+    let mut draw = Draw(0x3c6e_f372_fe94_f82b);
+    let rows: Vec<Vec<Value>> = (0..24)
+        .map(|_| TYPED_COLUMNS.iter().map(|&t| draw.of_type(t)).collect())
+        .collect();
+    let arith = [Expr::add, Expr::sub, Expr::mul, Expr::div];
+    let pairs = (0..TYPED_COLUMNS.len()).flat_map(|a| {
+        (0..TYPED_COLUMNS.len()).flat_map(move |b| arith.map(|op| op(Expr::col(a), Expr::col(b))))
+    });
+    let drawn: Vec<Expr> = (0..3000).map(|_| draw.expr(4)).collect();
+    let mut checked = 0;
+    for e in drawn.into_iter().chain(pairs) {
+        let mut case = false;
+        e.walk(&mut |x| case |= matches!(x, Expr::Case { .. }));
+        let dtype = match e.dtype(&TYPED_COLUMNS) {
+            Ok(dtype) if !case => dtype,
+            _ => continue,
+        };
+        for row in &rows {
+            match eval(&e, row) {
+                Ok(v) if !v.is_null() => {
+                    assert!(
+                        has_type(&v, dtype),
+                        "{e} is {dtype:?}, on {row:?} gives {v:?}"
+                    );
+                    checked += 1;
+                }
+                _ => {}
+            }
+        }
+    }
+    assert!(checked > 1000, "{checked}");
+
+    let mut types = TYPED_COLUMNS.to_vec();
+    types.push(DataType::Decimal {
+        precision: 18,
+        scale: 0,
+    });
+    let funcs = [
+        AggFunc::CountStar,
+        AggFunc::Count,
+        AggFunc::Sum,
+        AggFunc::Min,
+        AggFunc::Max,
+    ];
+    for t in types {
+        for func in funcs {
+            let mut state = AggState::new(func, Some(t));
+            for _ in 0..16 {
+                let v = draw.of_type(t);
+                let past_i64 = match &v {
+                    Value::Int(x) => x.unsigned_abs() > 1 << 40,
+                    Value::Decimal(d) => d.raw.unsigned_abs() > 1 << 40,
+                    _ => false,
+                };
+                if !past_i64 {
+                    state.update(&v);
+                }
+            }
+            let out = state.finalize();
+            match func.output_type(Some(t)) {
+                Some(want) => assert!(
+                    out.is_null() || has_type(&out, want),
+                    "{func:?} over {t:?} is {want:?}, finalizes {out:?}"
+                ),
+                None => assert!(out.is_null(), "{func:?} over {t:?}: {out:?}"),
+            }
+        }
     }
 }
 

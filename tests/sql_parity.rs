@@ -788,3 +788,49 @@ fn single_table_aggregations_fold_their_scan() {
         }
     }
 }
+
+/// Is `v` a value of type `t`? A decimal must be at `t`'s scale.
+fn has_type(v: &Value, t: DataType) -> bool {
+    match (v, t) {
+        (Value::Int(_), DataType::Int | DataType::BigInt) => true,
+        (Value::Decimal(d), DataType::Decimal { scale, .. }) => d.scale == scale,
+        (Value::Date(_), DataType::Date) => true,
+        (Value::Str(_), DataType::Char(_) | DataType::Varchar(_)) => true,
+        (Value::Double(_), DataType::Double) => true,
+        _ => false,
+    }
+}
+
+/// Every non-NULL value the 22 texts return, NDP off and on, has the
+/// type the verifier infers for its column of the bound plan, decimal
+/// scale included: what the operators' programs are typed by. At SF
+/// 0.005 Q8 has a year with no Brazilian volume, whose SUM over a
+/// decimal CASE folds only the integer 0 and must still finalize at
+/// the CASE's scale.
+#[test]
+fn tpch_values_have_their_inferred_column_types() {
+    let mut cfg = ClusterConfig::default();
+    cfg.ndp.enabled = true;
+    cfg.ndp.min_io_pages = 8;
+    let db = TaurusDb::new(cfg);
+    tpch::load(&db, 0.005, 7).unwrap();
+    for ndp in [false, true] {
+        let session = Session::new(&db).with_ndp(ndp);
+        for (name, text) in taurus::sql::tpch_sql::all() {
+            let Ok(taurus::sql::Statement::Select(select)) = taurus::sql::parse(text) else {
+                panic!("{name} is a SELECT");
+            };
+            let plan = taurus::sql::bind(&session, &select).unwrap();
+            let schema = taurus::verify::infer_plan(&plan, &db).schema.unwrap();
+            for row in session.execute_plan(&plan).unwrap() {
+                for (v, col) in row.iter().zip(&schema) {
+                    assert!(
+                        v.is_null() || has_type(v, col.dtype),
+                        "{name} (ndp {ndp}): {v:?} in a {:?} column",
+                        col.dtype
+                    );
+                }
+            }
+        }
+    }
+}
