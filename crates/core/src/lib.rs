@@ -30,8 +30,8 @@ pub mod scan;
 pub use engine::{ColumnStats, ReplicaState, SpaceStore, Table, TableIndex, TableStats, TaurusDb};
 pub use scan::{
     build_descriptor, partition_ranges, prefetch_leaves, scan, scan_ctx, AggItem, JoinFilter,
-    KeyList, KeyRead, NdpChoice, PointLookup, ScanAggregation, ScanConsumer, ScanSpec, ScanStats,
-    LOOKUP_PREFETCH_PAGES_MAX,
+    KeyList, KeyRead, NdpChoice, PointLookup, ScanAggregation, ScanConsumer, ScanLayout, ScanSpec,
+    ScanStats, LOOKUP_PREFETCH_PAGES_MAX,
 };
 
 // Re-export the vocabulary types users need alongside the engine.
@@ -41,4 +41,5 @@ pub use taurus_common::{
 };
 pub use taurus_expr::agg::{AggFunc, AggSpec, AggState};
 pub use taurus_mvcc::ReadView;
+pub use taurus_page::{RecordLayout, RecordView};
 pub use taurus_pagestore::GROUP_TABLE_GROUPS;

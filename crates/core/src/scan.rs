@@ -35,7 +35,9 @@
 //! executor's residual conjuncts on every record — runs on its bytes
 //! ([`RecordFilter`]: each conjunct compiled once per scan and run on the
 //! record VM); and only a survivor is decoded, by a
-//! per-scan [`DecodePlan`], straight into the output batch. The record's
+//! per-scan [`DecodePlan`], straight into the output batch, or not at all
+//! when the consumer folds records ([`ScanConsumer::fold_records`]): a
+//! `HashAgg` over the scan takes each survivor's bytes. The record's
 //! key is encoded only when a range check or the undo lookup of an
 //! invisible record needs it, into a reused buffer; a range is checked
 //! where it can fail, up to the first record inside the lower bound and
@@ -214,12 +216,18 @@ impl JoinFilter {
 /// partials follow their carrier row immediately (the scan flushes its
 /// batch before delivering a partial).
 ///
-/// The scan core only ever calls [`ScanConsumer::on_batch_mut`], which
-/// lends the batch to [`ScanConsumer::on_batch`], whose default unbatches
-/// into [`ScanConsumer::on_row`]: simple (test/diagnostic) consumers need
-/// not know about batches, consumers that read rows override `on_batch`
-/// and amortize per-row dispatch away, and consumers that *keep* the rows
-/// override `on_batch_mut` and take the batch instead of copying it.
+/// The scan core hands rows over only through
+/// [`ScanConsumer::on_batch_mut`], which lends the batch to
+/// [`ScanConsumer::on_batch`], whose default unbatches into
+/// [`ScanConsumer::on_row`]: simple (test/diagnostic) consumers need not
+/// know about batches, consumers that read rows override `on_batch` and
+/// amortize per-row dispatch away, and consumers that *keep* the rows
+/// override `on_batch_mut` and take the batch instead of copying it. A
+/// consumer that folds what it receives (a `HashAgg` over the scan) can
+/// instead take each result record as it is, the way a Page Store folds
+/// records: it says so once per scan ([`ScanConsumer::fold_records`]), and
+/// each record then costs one call of [`ScanConsumer::on_record`] and no
+/// decode into a batch.
 ///
 /// Returning `false` is the engine's **cancellation contract**: the
 /// executor's pull pipeline maps a closed batch channel (dropped stream,
@@ -255,6 +263,37 @@ pub trait ScanConsumer {
 
     /// Partial aggregate states attached to the just-delivered carrier row.
     fn on_partial(&mut self, states: Vec<AggState>) -> Result<bool>;
+
+    /// Does this consumer fold records instead of taking rows? Asked once,
+    /// when the scan starts, with every layout its records can come in
+    /// (the leaf layout first, then the NDP layout when the scan can
+    /// receive NDP pages). A consumer that answers `true` is handed each
+    /// result record through [`ScanConsumer::on_record`], its bytes after
+    /// the residual, and no row is decoded for it; rows are counted as
+    /// if they had been batched. The default takes rows.
+    fn fold_records(&mut self, layouts: &[ScanLayout<'_>]) -> Result<bool> {
+        let _ = layouts;
+        Ok(false)
+    }
+
+    /// One result record of a scan this consumer folds, read with
+    /// `layouts[layout]` of [`ScanConsumer::fold_records`]. Return
+    /// `false` to stop.
+    fn on_record(&mut self, rec: RecordView<'_>, layout: usize) -> Result<bool> {
+        let _ = (rec, layout);
+        Err(Error::Internal(
+            "a scan folded records into a consumer of rows".into(),
+        ))
+    }
+}
+
+/// A layout a scan's records come in, for a consumer that folds them
+/// ([`ScanConsumer::fold_records`]): the layout, and each output column's
+/// position in it.
+#[derive(Clone, Copy)]
+pub struct ScanLayout<'a> {
+    pub layout: &'a RecordLayout,
+    pub output: &'a [usize],
 }
 
 /// Scan-side statistics for one execution.
@@ -374,13 +413,35 @@ pub fn build_descriptor(
     Ok(d)
 }
 
-/// How the records of one layout are read: the decode plan over the
-/// scan's output columns, the key columns' positions, and the residual
-/// conjuncts compiled for that layout.
+/// How the records of one layout are read: the output columns'
+/// positions in it and the decode plan over them, the key columns'
+/// positions, and the residual conjuncts compiled for that layout. `id`
+/// is the layout's place in what a folding consumer is told
+/// ([`ScanConsumer::fold_records`]): 0 the leaf layout, 1 the NDP one.
 struct Shape {
+    id: usize,
+    out_pos: Vec<usize>,
     plan: DecodePlan,
     key_pos: Vec<usize>,
     residual: RecordFilter,
+}
+
+impl Shape {
+    fn new(
+        id: usize,
+        layout: &RecordLayout,
+        out_pos: Vec<usize>,
+        key_pos: Vec<usize>,
+        residual: RecordFilter,
+    ) -> Shape {
+        Shape {
+            id,
+            plan: DecodePlan::new(layout, &out_pos),
+            out_pos,
+            key_pos,
+            residual,
+        }
+    }
 }
 
 /// Whether a table access sends Page Stores a descriptor, and so can
@@ -435,6 +496,11 @@ struct ScanCtx<'a> {
 struct ScanState {
     stats: ScanStats,
     batch: RowBatch,
+    /// The consumer folds records ([`ScanConsumer::fold_records`]): none
+    /// goes into `batch`, and `folded` counts the ones handed over since
+    /// the last flush, which are charged as the batch they replace.
+    folds: bool,
+    folded: usize,
     /// Visible records examined since the last flush (`rows_scanned`).
     examined: u64,
     /// Page boundaries passed since the last hand-off.
@@ -458,9 +524,19 @@ impl ScanState {
     /// lower bound to find.
     fn restart(&mut self, seek_lower: bool) {
         self.batch.clear();
+        self.folded = 0;
         self.examined = 0;
         self.pages_held = 0;
         self.seek_lower = seek_lower;
+    }
+
+    /// Result rows held since the last hand-off: the batch's, or the
+    /// records folded in its place.
+    fn held_rows(&self) -> usize {
+        match self.folds {
+            true => self.folded,
+            false => self.batch.len(),
+        }
     }
 }
 
@@ -475,6 +551,21 @@ enum Step {
 }
 
 impl Compiled {
+    /// The layouts a folding consumer is told of, in [`Shape::id`] order.
+    fn layouts<'a>(&'a self, leaf: &'a RecordLayout) -> Vec<ScanLayout<'a>> {
+        let mut layouts = vec![ScanLayout {
+            layout: leaf,
+            output: &self.full.out_pos,
+        }];
+        if let Some((layout, shape)) = &self.ndp {
+            layouts.push(ScanLayout {
+                layout,
+                output: &shape.out_pos,
+            });
+        }
+        layouts
+    }
+
     fn new(
         table: &Table,
         spec: &ScanSpec,
@@ -549,16 +640,14 @@ impl Compiled {
                     residual_in_proj
                         .push(e.remap_columns(&|p| in_proj(p, "residual").expect("checked above")));
                 }
-                let shape = Shape {
-                    plan: DecodePlan::new(&layout, &out_in_proj),
-                    // Projected records always carry the key columns (§V-A).
-                    key_pos: tree
-                        .key_positions
-                        .iter()
-                        .map(|&kp| in_proj(kp, "key"))
-                        .collect::<Result<_>>()?,
-                    residual: RecordFilter::new(&residual_in_proj, &layout)?,
-                };
+                // Projected records always carry the key columns (§V-A).
+                let key_pos = tree
+                    .key_positions
+                    .iter()
+                    .map(|&kp| in_proj(kp, "key"))
+                    .collect::<Result<_>>()?;
+                let residual = RecordFilter::new(&residual_in_proj, &layout)?;
+                let shape = Shape::new(1, &layout, out_in_proj, key_pos, residual);
                 Some((layout, shape))
             }
         };
@@ -567,11 +656,13 @@ impl Compiled {
             None => Vec::new(),
         };
         Ok(Compiled {
-            full: Shape {
-                plan: DecodePlan::new(full_layout, &out_pos),
-                key_pos: tree.key_positions.clone(),
-                residual: RecordFilter::new(&residual, full_layout)?,
-            },
+            full: Shape::new(
+                0,
+                full_layout,
+                out_pos,
+                tree.key_positions.clone(),
+                RecordFilter::new(&residual, full_layout)?,
+            ),
             ndp,
             pushed: RecordFilter::new(&pushed, full_layout)?,
             descriptor,
@@ -585,6 +676,8 @@ impl<'a> ScanCtx<'a> {
         ScanState {
             stats: ScanStats::default(),
             batch: RowBatch::with_capacity(self.spec.output_cols.len(), capacity),
+            folds: false,
+            folded: 0,
             examined: 0,
             pages_held: 0,
             seek_lower: self.spec.range.lower.is_some(),
@@ -610,16 +703,22 @@ impl<'a> ScanCtx<'a> {
         // ones that also passed the residual and ride this batch. A
         // consumer stopping mid-batch counts the whole final batch (it
         // received it), mirroring how the row-at-a-time path counted the
-        // row it stopped on.
+        // row it stopped on. Records folded in a batch's place are
+        // charged as that batch (the consumer has them already).
         let m = self.db.metrics();
         m.add(|m| &m.rows_scanned, std::mem::take(&mut state.examined));
-        if state.batch.is_empty() {
+        let rows = state.held_rows() as u64;
+        if rows == 0 {
             return Ok(true);
         }
         state.pages_held = 0;
-        state.stats.rows_delivered += state.batch.len() as u64;
-        m.add(|m| &m.rows_batched, state.batch.len() as u64);
+        state.stats.rows_delivered += rows;
+        m.add(|m| &m.rows_batched, rows);
         m.add(|m| &m.batches_emitted, 1);
+        if state.folds {
+            state.folded = 0;
+            return Ok(true);
+        }
         let keep_going = consumer.on_batch_mut(&mut state.batch)?;
         state.batch.clear();
         Ok(keep_going)
@@ -638,7 +737,7 @@ impl<'a> ScanCtx<'a> {
             self.db.metrics().add(|m| &m.deadline_exceeded, 1);
         })?;
         state.pages_held += 1;
-        if state.pages_held >= HOLD_PAGES_MAX && !state.batch.is_empty() {
+        if state.pages_held >= HOLD_PAGES_MAX && state.held_rows() > 0 {
             return self.flush(state, consumer);
         }
         Ok(true)
@@ -654,7 +753,8 @@ impl<'a> ScanCtx<'a> {
 
     /// Deliver one record that is visible, live, in range and past every
     /// storage-side filter: the residual conjuncts run on its bytes, and
-    /// only a survivor is decoded, straight into the batch.
+    /// only a survivor is decoded, straight into the batch, or handed as
+    /// it is to a consumer that folds records.
     fn deliver(
         &self,
         state: &mut ScanState,
@@ -664,6 +764,16 @@ impl<'a> ScanCtx<'a> {
     ) -> Result<bool> {
         state.examined += 1;
         if !shape.residual.is_empty() && !shape.residual.passes(&rec)? {
+            return Ok(true);
+        }
+        if state.folds {
+            if !consumer.on_record(rec, shape.id)? {
+                return Ok(false);
+            }
+            state.folded += 1;
+            if state.folded >= state.batch.capacity_rows() {
+                return self.flush(state, consumer);
+            }
             return Ok(true);
         }
         state
@@ -950,6 +1060,7 @@ pub fn scan_ctx(
         }
     };
     let mut state = ctx.fresh_state(db.config().scan_batch_rows.max(1));
+    state.folds = consumer.fold_records(&compiled.layouts(&index.tree.leaf_layout))?;
     let scanned = match stream {
         Some(stream) => ndp_scan(&ctx, &mut state, Arc::new(stream), consumer),
         None => regular_scan(&ctx, &mut state, consumer),

@@ -8,9 +8,10 @@
 //! and `LIMIT` (or a sink answering `false`) cancels the producing scans
 //! instead of truncating a materialized input. `execute()` collects
 //! through it. This module keeps the machinery the operators are built
-//! from: NDP-aware scan specs, streaming/hash aggregation with
-//! partial-merge support (the partials PQ workers hand their leader), and
-//! index lookup probing. The executor is the "SQL layer" of the paper: it
+//! from: NDP-aware scan specs, hash aggregation over rows or over the
+//! records of the scan it folds, with merge support (storage partials,
+//! and the groups PQ workers hand their leader), and index lookup
+//! probing. The executor is the "SQL layer" of the paper: it
 //! evaluates residual predicates and merges NDP aggregate partials —
 //! without knowing whether the work below happened in a Page Store or on
 //! the compute node. Every expression an operator evaluates is compiled
@@ -18,17 +19,22 @@
 //! ([`RowExpr`], [`JoinPrograms`]), the engine scans and Page Stores run.
 
 use std::borrow::Cow;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault};
 
 use taurus_common::codec::put_value16;
+use taurus_common::keymap::KeyHasher;
 use taurus_common::schema::Row;
-use taurus_common::{panic_message, DataType, Error, KeyMap, QueryCtx, Result, RowBatch, Value};
+use taurus_common::{panic_message, DataType, Error, QueryCtx, Result, RowBatch, Value};
 use taurus_expr::agg::AggState;
 use taurus_expr::ast::Expr;
+use taurus_expr::ir::IrProgram;
 use taurus_expr::vm::CompiledPredicate;
 use taurus_ndp::ReadView;
 use taurus_ndp::{
-    scan_ctx, BTree, JoinFilter, KeyList, KeyRead, PointLookup, ScanConsumer, ScanRange, ScanSpec,
-    TaurusDb,
+    scan_ctx, BTree, JoinFilter, KeyList, KeyRead, PointLookup, RecordView, ScanConsumer,
+    ScanLayout, ScanRange, ScanSpec, TaurusDb,
 };
 use taurus_optimizer::plan::{HashAggNode, JoinType, LookupJoinNode, Plan, ScanNode};
 use taurus_verify::DiagKind;
@@ -216,92 +222,285 @@ fn fold_input(state: &mut AggState, input: Option<&RowExpr>, row: &[Value]) -> R
     Ok(())
 }
 
-/// Partially-aggregated groups keyed by encoded group values; mergeable
-/// across PQ workers.
-pub(crate) type AggPartials = Vec<(Vec<u8>, Row, Vec<AggState>)>;
+/// The order a `HashAgg`'s groups come out in.
+#[derive(Clone, Copy, PartialEq)]
+enum GroupOrder {
+    /// The order they opened in: the GROUP BY follows the scanned index
+    /// ([`HashAggNode::index_ordered`]), so they arrive one after another.
+    Opened,
+    /// By key, which is the `put_value16` encoding of the group's values.
+    Key,
+    /// By the `put_value16` encoding of the group's values, kept beside
+    /// a key that is not it (a folded scan's, of field images).
+    Values,
+}
 
-/// Merge partial group lists (leader side of PQ), groups in the order
-/// they are first seen: given the workers' lists in partition order, an
-/// index-ordered `HashAgg`'s groups come out in index order, as the serial
-/// scan emits them. (The caller sorts what must come out in encoded-key
-/// order.)
-pub(crate) fn merge_partial_groups(parts: Vec<AggPartials>) -> Result<AggPartials> {
-    let mut map: KeyMap<(Row, Vec<AggState>)> = KeyMap::default();
-    let mut order: Vec<Vec<u8>> = Vec::new();
-    for part in parts {
-        for (key, gvals, states) in part {
-            match map.get_mut(&key) {
-                None => {
-                    order.push(key.clone());
-                    map.insert(key, (gvals, states));
-                }
-                Some((_, mine)) => {
-                    for (m, s) in mine.iter_mut().zip(&states) {
+/// Marks the end of a chain of groups whose keys share a hash.
+const NO_GROUP: u32 = u32::MAX;
+
+/// The hash groups are indexed by.
+fn key_hash(key: &[u8]) -> u64 {
+    BuildHasherDefault::<KeyHasher>::default().hash_one(key)
+}
+
+/// A `HashAgg`'s groups in flat arenas: each group's key, its group
+/// values and its aggregate states sit back to back in one buffer of
+/// each, so opening a group allocates nothing of its own (a buffer grows
+/// now and then). Groups are numbered in the order they opened; unless
+/// they arrive in index order, an index finds a group by its key's hash.
+#[derive(Clone)]
+pub(crate) struct Groups {
+    order: GroupOrder,
+    /// Group values a group, and aggregate states a group.
+    width: usize,
+    n_aggs: usize,
+    /// Group `g`'s key ends at `key_ends[g]`, where the one before it
+    /// ends (`keys[key_ends[g - 1]..key_ends[g]]`, from 0 for the first).
+    keys: Vec<u8>,
+    key_ends: Vec<usize>,
+    values: Vec<Value>,
+    states: Vec<AggState>,
+    /// With [`GroupOrder::Values`], each group's `put_value16` encoding
+    /// of its values, laid out as the keys are.
+    sort_keys: Vec<u8>,
+    sort_ends: Vec<usize>,
+    /// The first group of each key hash, and each group's next one of the
+    /// same hash ([`NO_GROUP`] ends a chain); unused with
+    /// [`GroupOrder::Opened`].
+    index: HashMap<u64, u32, BuildHasherDefault<KeyHasher>>,
+    next: Vec<u32>,
+}
+
+fn slice_of<'b>(bytes: &'b [u8], ends: &[usize], g: usize) -> &'b [u8] {
+    let start = if g == 0 { 0 } else { ends[g - 1] };
+    &bytes[start..ends[g]]
+}
+
+impl Groups {
+    fn new(order: GroupOrder, width: usize, n_aggs: usize) -> Groups {
+        Groups {
+            order,
+            width,
+            n_aggs,
+            keys: Vec::new(),
+            key_ends: Vec::new(),
+            values: Vec::new(),
+            states: Vec::new(),
+            sort_keys: Vec::new(),
+            sort_ends: Vec::new(),
+            index: HashMap::default(),
+            next: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.key_ends.len()
+    }
+
+    fn key(&self, g: usize) -> &[u8] {
+        slice_of(&self.keys, &self.key_ends, g)
+    }
+
+    fn values(&self, g: usize) -> &[Value] {
+        &self.values[g * self.width..(g + 1) * self.width]
+    }
+
+    fn states(&self, g: usize) -> &[AggState] {
+        &self.states[g * self.n_aggs..(g + 1) * self.n_aggs]
+    }
+
+    fn states_mut(&mut self, g: usize) -> &mut [AggState] {
+        &mut self.states[g * self.n_aggs..(g + 1) * self.n_aggs]
+    }
+
+    /// The group keyed `key`, looked for in `last` first: `Ok(g)`, or
+    /// `Err` with the hash to index a new group under (`None` in index
+    /// order, where a key other than the last group's opens a group).
+    fn find(&self, last: Option<usize>, key: &[u8]) -> std::result::Result<usize, Option<u64>> {
+        // A group-less aggregation has one group: no key to compare.
+        if let Some(g) = last.filter(|&g| self.width == 0 || self.key(g) == key) {
+            return Ok(g);
+        }
+        if self.order == GroupOrder::Opened {
+            return Err(None);
+        }
+        let hash = key_hash(key);
+        let mut g = self.index.get(&hash).copied().unwrap_or(NO_GROUP);
+        while g != NO_GROUP {
+            if self.key(g as usize) == key {
+                return Ok(g as usize);
+            }
+            g = self.next[g as usize];
+        }
+        Err(Some(hash))
+    }
+
+    /// Open a group keyed `key` with the values `values` drains and the
+    /// states `states`, indexed under `hash` when given. Returns its
+    /// number.
+    fn open(
+        &mut self,
+        key: &[u8],
+        hash: Option<u64>,
+        values: &mut Vec<Value>,
+        states: &[AggState],
+    ) -> Result<usize> {
+        let g = self.len();
+        if self.order == GroupOrder::Values {
+            for v in values.iter() {
+                put_value16(&mut self.sort_keys, v)?;
+            }
+            self.sort_ends.push(self.sort_keys.len());
+        }
+        self.keys.extend_from_slice(key);
+        self.key_ends.push(self.keys.len());
+        self.values.append(values);
+        self.states.extend_from_slice(states);
+        let mut next = NO_GROUP;
+        if let Some(hash) = hash {
+            match self.index.entry(hash) {
+                Entry::Occupied(mut first) => next = first.insert(g as u32),
+                Entry::Vacant(first) => _ = first.insert(g as u32),
+            }
+        }
+        self.next.push(next);
+        Ok(g)
+    }
+
+    /// Merge `other`'s groups in, in its order: a group of a key already
+    /// here merges its states into that group's, any other opens after
+    /// the groups here. In index order a group can only continue the last
+    /// one (PQ workers' ranges follow each other).
+    fn merge(&mut self, other: Groups) -> Result<()> {
+        let mut values = Vec::with_capacity(self.width);
+        for g in 0..other.len() {
+            let key = other.key(g);
+            let last = match self.order {
+                GroupOrder::Opened => self.len().checked_sub(1),
+                GroupOrder::Key | GroupOrder::Values => None,
+            };
+            match self.find(last, key) {
+                Ok(mine) => {
+                    for (m, s) in self.states_mut(mine).iter_mut().zip(other.states(g)) {
                         m.merge(s)?;
                     }
                 }
+                Err(hash) => {
+                    values.extend_from_slice(other.values(g));
+                    self.open(key, hash, &mut values, other.states(g))?;
+                }
             }
         }
+        Ok(())
     }
-    Ok(order
-        .into_iter()
-        .map(|k| {
-            // lint:allow(panic): iterating keys collected from this very map
-            let (g, s) = map.remove(&k).expect("present");
-            (k, g, s)
-        })
-        .collect())
 }
 
-pub(crate) fn finalize_agg_groups(partials: AggPartials) -> Result<Vec<Row>> {
-    Ok(partials
-        .into_iter()
-        .map(|(_, mut gvals, states)| {
-            gvals.extend(states.iter().map(|s| s.finalize()));
-            gvals
-        })
-        .collect())
+/// A `HashAgg`'s finished groups, finalized into output batches in their
+/// output order.
+pub(crate) struct FinishedGroups {
+    groups: Groups,
+    /// The output order, unless it is the order the groups opened in.
+    sorted: Option<Vec<u32>>,
+    at: usize,
 }
 
-/// Streaming accumulator for grouped aggregation: the rows of a
-/// `HashAgg`'s pulled input batches, or of the bare scan it folds (or a
-/// PQ worker's range of it; see its [`ScanConsumer`] impl), update
-/// grouped states one at a time; only the grouped partials are ever held.
-/// Groups are keyed by their encoded values, and the group of the last
-/// row is looked at first. A folded scan's storage partials merge into
-/// the group of the row delivered just before them (their carrier).
-/// Groups come out in encoded-key order, except when the GROUP BY follows
-/// the scanned index ([`HashAggNode::index_ordered`]): those arrive, and
-/// stay, in index order. It is cloned fresh for each PQ worker.
+impl FinishedGroups {
+    /// The next batch of up to `batch_rows` groups, each its group values
+    /// then its aggregates' final values; `None` after the last.
+    pub(crate) fn next_batch(&mut self, batch_rows: usize) -> Option<RowBatch> {
+        let g = &self.groups;
+        if self.at >= g.len() {
+            return None;
+        }
+        let mut batch = RowBatch::with_capacity(g.width + g.n_aggs, batch_rows);
+        while !batch.is_full() && self.at < g.len() {
+            let at = match &self.sorted {
+                Some(sorted) => sorted[self.at] as usize,
+                None => self.at,
+            };
+            let finals = g.states(at).iter().map(AggState::finalize);
+            batch.push_row(g.values(at).iter().cloned().chain(finals));
+            self.at += 1;
+        }
+        Some(batch)
+    }
+}
+
+/// One group expression of a folded scan, before and after it is
+/// compiled for a layout: a bare column (an output position, then its
+/// position in the layout), keyed on its field image
+/// ([`RecordView::group_key`]), or any other expression, keyed on the
+/// `put_value16` encoding of its value.
+#[derive(Clone)]
+enum GroupPart<P> {
+    Col(usize),
+    Expr(P),
+}
+
+/// A folded scan's expressions compiled for one layout its records come
+/// in ([`ScanLayout`]): the group parts, and each aggregate's input (a
+/// bare column's a one-load program; `None` for COUNT(*)).
+#[derive(Clone)]
+struct RecordFold {
+    group: Vec<GroupPart<CompiledPredicate>>,
+    inputs: Vec<Option<CompiledPredicate>>,
+}
+
+/// What an accumulator folds: the rows of a pulled input, or the records
+/// of the bare scan its `HashAgg` folds.
+#[derive(Clone)]
+enum AggSource {
+    /// The group expressions and the aggregates' inputs over the row.
+    Rows {
+        group: Vec<RowExpr>,
+        inputs: Vec<Option<RowExpr>>,
+    },
+    /// The group expressions and the aggregates' inputs over the scan's
+    /// output columns, lowered when the tree is, and compiled for each
+    /// layout the scan's records come in when the scan starts.
+    Records {
+        group: Vec<GroupPart<IrProgram>>,
+        inputs: Vec<Option<IrProgram>>,
+        layouts: Vec<RecordFold>,
+    },
+}
+
+/// Streaming accumulator for grouped aggregation. A `HashAgg` over a
+/// pulled input folds its rows ([`HashAggAcc::update`]); one over a bare
+/// scan (or a PQ worker's range of it) folds the scan's records, the way
+/// a Page Store folds them: its bare group columns key a group on their
+/// field images, its other group expressions on their values, its
+/// aggregate inputs run as programs over the record's bytes, and no row
+/// is decoded (see its [`ScanConsumer`] impl). Either way a group's
+/// values are taken when it opens, and it lives in flat arenas
+/// ([`Groups`]); the group of the last row or record is looked at first.
+/// A folded scan's storage partials merge into the group of the record
+/// delivered just before them (their carrier). Groups come out in the
+/// order of the `put_value16` encoding of their values, except when the
+/// GROUP BY follows the scanned index ([`HashAggNode::index_ordered`]):
+/// those arrive, and stay, in index order. It is cloned fresh for each PQ
+/// worker.
 #[derive(Clone)]
 pub(crate) struct HashAggAcc {
-    /// The group expressions and the aggregates' inputs, over the input
-    /// row.
-    group: Vec<RowExpr>,
-    inputs: Vec<Option<RowExpr>>,
-    /// The states a new group starts from, typed by the input row's
-    /// types: the type of an aggregate input that is not known is left
-    /// to its state, which infers its shape from the first value.
+    source: AggSource,
+    /// The states a new group starts from, typed by the input's types:
+    /// the type of an aggregate input that is not known is left to its
+    /// state, which infers its shape from the first value.
     fresh: Vec<AggState>,
-    /// Groups in the order first seen, and where each key's is (unless
-    /// `index_ordered`).
-    groups: AggPartials,
-    slots: KeyMap<usize>,
-    /// The group of the last row.
+    groups: Groups,
+    /// The group of the last row or record.
     last: Option<usize>,
-    /// The current row's encoded group values, reused from row to row: a
-    /// row of an existing group allocates and clones nothing.
+    /// The current row's or record's group key, and a new group's values,
+    /// reused: a row of an existing group allocates and clones nothing.
     key: Vec<u8>,
-    /// The rows arrive grouped, in index order (a folded scan whose GROUP
-    /// BY follows its index): groups skip the map, and keep their
-    /// first-seen order instead of being sorted by key.
-    index_ordered: bool,
+    values: Vec<Value>,
 }
 
 impl HashAggAcc {
-    /// The accumulator of `node`, over the rows its input delivers: its
-    /// expressions compiled and its states typed by the input's column
-    /// types (a folded scan's are its table's), nothing accumulated.
+    /// The accumulator of `node`, over the rows its input delivers or the
+    /// records of the scan it folds: its expressions compiled (a folded
+    /// scan's lowered) and its states typed by the input's column types
+    /// (a folded scan's are its table's), nothing accumulated.
     pub(crate) fn new(node: &HashAggNode, db: &TaurusDb) -> Result<HashAggAcc> {
         let input: Vec<Option<DataType>> = match node.scan() {
             Some(scan) => {
@@ -314,75 +513,136 @@ impl HashAggAcc {
             None => row_types(&node.input, db),
         };
         let known: Vec<DataType> = input.iter().map_while(|t| *t).collect();
-        let compile = |e: &Expr| RowExpr::new(e, &input);
+        let source = match node.scan() {
+            Some(_) => AggSource::Records {
+                group: node
+                    .group
+                    .iter()
+                    .map(|e| match e {
+                        Expr::Col(i) => Ok(GroupPart::Col(*i)),
+                        e => taurus_expr::compile::lower(e).map(GroupPart::Expr),
+                    })
+                    .collect::<Result<_>>()?,
+                inputs: node
+                    .aggs
+                    .iter()
+                    .map(|a| {
+                        a.input
+                            .as_ref()
+                            .map(taurus_expr::compile::lower)
+                            .transpose()
+                    })
+                    .collect::<Result<_>>()?,
+                layouts: Vec::new(),
+            },
+            None => {
+                let compile = |e: &Expr| RowExpr::new(e, &input);
+                AggSource::Rows {
+                    group: node.group.iter().map(compile).collect::<Result<_>>()?,
+                    inputs: node
+                        .aggs
+                        .iter()
+                        .map(|a| a.input.as_ref().map(compile).transpose())
+                        .collect::<Result<_>>()?,
+                }
+            }
+        };
+        let order = match (node.index_ordered(db), &source) {
+            (true, _) => GroupOrder::Opened,
+            (false, AggSource::Rows { .. }) => GroupOrder::Key,
+            (false, AggSource::Records { .. }) => GroupOrder::Values,
+        };
         Ok(HashAggAcc {
-            group: node.group.iter().map(compile).collect::<Result<_>>()?,
-            inputs: node
-                .aggs
-                .iter()
-                .map(|a| a.input.as_ref().map(compile).transpose())
-                .collect::<Result<_>>()?,
+            source,
             fresh: node
                 .aggs
                 .iter()
                 .map(|a| AggState::new(a.func, a.input.as_ref().and_then(|e| e.dtype(&known).ok())))
                 .collect(),
-            groups: Vec::new(),
-            slots: KeyMap::default(),
+            groups: Groups::new(order, node.group.len(), node.aggs.len()),
             last: None,
             key: Vec::new(),
-            index_ordered: node.index_ordered(db),
+            values: Vec::new(),
         })
     }
 
+    /// Fold one row of a pulled input.
     pub(crate) fn update(&mut self, row: &[Value]) -> Result<()> {
+        let AggSource::Rows { group, inputs } = &self.source else {
+            return Err(Error::Internal(
+                "a folded scan's aggregation got a row".into(),
+            ));
+        };
         self.key.clear();
-        for e in &self.group {
+        for e in group {
             put_value16(&mut self.key, e.value(row)?.as_ref())?;
         }
-        // A group-less aggregation has one group: no key to compare.
-        let same = self
-            .last
-            .filter(|&g| self.group.is_empty() || self.groups[g].0 == self.key);
-        // Rows in index order arrive grouped: a key other than the last
-        // row's is a new group, and the map is never needed.
-        let known = || match self.index_ordered {
-            true => None,
-            false => self.slots.get(self.key.as_slice()).copied(),
-        };
-        let g = match same.or_else(known) {
-            Some(g) => g,
-            None => {
+        let g = match self.groups.find(self.last, &self.key) {
+            Ok(g) => g,
+            Err(hash) => {
                 // A new group: only now are its values taken (an
                 // expression's evaluated again, once per group).
-                let gvals: Row = self
-                    .group
-                    .iter()
-                    .map(|e| e.value(row).map(Cow::into_owned))
-                    .collect::<Result<_>>()?;
-                let states = self.fresh.clone();
-                let g = self.groups.len();
-                if !self.index_ordered {
-                    self.slots.insert(self.key.clone(), g);
+                for e in group {
+                    self.values.push(e.value(row)?.into_owned());
                 }
-                self.groups.push((self.key.clone(), gvals, states));
-                g
+                self.groups
+                    .open(&self.key, hash, &mut self.values, &self.fresh)?
             }
         };
         self.last = Some(g);
-        for (st, input) in self.groups[g].2.iter_mut().zip(&self.inputs) {
+        for (st, input) in self.groups.states_mut(g).iter_mut().zip(inputs) {
             fold_input(st, input.as_ref(), row)?;
         }
         Ok(())
     }
 
-    /// Merge a storage partial into the group of the row delivered just
-    /// before it: one state per aggregate, in the plan's order.
+    /// Fold one record of the scan, read with layout `layout` of those
+    /// the scan announced.
+    fn fold_record(&mut self, rec: RecordView<'_>, layout: usize) -> Result<()> {
+        let AggSource::Records { layouts, .. } = &self.source else {
+            return Err(Error::Internal("a pulled aggregation got a record".into()));
+        };
+        let fold = layouts
+            .get(layout)
+            .ok_or_else(|| Error::Internal(format!("record of unannounced layout {layout}")))?;
+        self.key.clear();
+        for part in &fold.group {
+            match part {
+                GroupPart::Col(pos) => rec.group_key([*pos], &mut self.key),
+                GroupPart::Expr(p) => put_value16(&mut self.key, &p.eval_value(&rec)?)?,
+            }
+        }
+        let g = match self.groups.find(self.last, &self.key) {
+            Ok(g) => g,
+            Err(hash) => {
+                // A new group: its values are decoded now, and only now.
+                for part in &fold.group {
+                    self.values.push(match part {
+                        GroupPart::Col(pos) => rec.value(*pos),
+                        GroupPart::Expr(p) => p.eval_value(&rec)?,
+                    });
+                }
+                self.groups
+                    .open(&self.key, hash, &mut self.values, &self.fresh)?
+            }
+        };
+        self.last = Some(g);
+        for (st, input) in self.groups.states_mut(g).iter_mut().zip(&fold.inputs) {
+            match input {
+                None => st.update(&Value::Int(1)),
+                Some(p) => p.fold_record(&rec, st)?,
+            }
+        }
+        Ok(())
+    }
+
+    /// Merge a storage partial into the group of the record delivered
+    /// just before it: one state per aggregate, in the plan's order.
     pub(crate) fn merge_partial(&mut self, states: &[AggState]) -> Result<()> {
         let g = self
             .last
             .ok_or_else(|| Error::Internal("partial before carrier row".into()))?;
-        let mine = &mut self.groups[g].2;
+        let mine = self.groups.states_mut(g);
         if states.len() != mine.len() {
             return Err(Error::Internal(format!(
                 "storage sent {} partial states for {} aggregates",
@@ -396,42 +656,97 @@ impl HashAggAcc {
         Ok(())
     }
 
-    /// The grouped partials, in their output order (deterministic
-    /// regardless of hash-map iteration order).
-    pub(crate) fn finish(mut self) -> AggPartials {
-        if self.groups.is_empty() && self.group.is_empty() {
+    /// Merge a PQ worker's accumulator, of a later range of the scan,
+    /// into this one (the leader's).
+    pub(crate) fn merge(&mut self, other: HashAggAcc) -> Result<()> {
+        self.groups.merge(other.groups)
+    }
+
+    /// The groups, in their output order (deterministic regardless of
+    /// hash-map iteration order).
+    pub(crate) fn finish(mut self) -> Result<FinishedGroups> {
+        if self.groups.len() == 0 && self.groups.width == 0 {
             // Scalar aggregate over an empty input: one all-initial group.
-            let states = self.fresh.clone();
-            self.groups.push((Vec::new(), Vec::new(), states));
+            self.groups.open(&[], None, &mut Vec::new(), &self.fresh)?;
         }
-        if !self.index_ordered {
-            self.groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        }
-        self.groups
+        let g = &self.groups;
+        let by = match g.order {
+            GroupOrder::Opened => None,
+            GroupOrder::Key => Some((&g.keys, &g.key_ends)),
+            GroupOrder::Values => Some((&g.sort_keys, &g.sort_ends)),
+        };
+        let sorted = by.map(|(bytes, ends)| {
+            let mut sorted: Vec<u32> = (0..g.len() as u32).collect();
+            sorted.sort_unstable_by(|&a, &b| {
+                let key = |g: u32| slice_of(bytes, ends, g as usize);
+                key(a).cmp(key(b)).then(a.cmp(&b))
+            });
+            sorted
+        });
+        Ok(FinishedGroups {
+            groups: self.groups,
+            sorted,
+            at: 0,
+        })
     }
 }
 
 /// An accumulator is the consumer of the bare scan its `HashAgg` folds
-/// (or a PQ worker's range of it): the scan folds straight into it on the
-/// thread that runs the scan. The
-/// scan hands its batch over at every carrier row, ahead of the carrier's
-/// storage partial, so a partial merges into the group of the last row
-/// folded.
+/// (or a PQ worker's range of it): the scan hands it every result
+/// record's bytes on the thread that runs the scan, and it compiles its
+/// expressions for each layout they come in when the scan starts. The
+/// scan hands a carrier record over ahead of the carrier's storage
+/// partial, so a partial merges into the group of the last record folded.
 impl ScanConsumer for HashAggAcc {
-    fn on_row(&mut self, row: &[Value]) -> Result<bool> {
-        self.update(row)?;
-        Ok(true)
-    }
-
-    fn on_batch(&mut self, batch: &RowBatch) -> Result<bool> {
-        for row in batch.rows() {
-            self.update(row)?;
-        }
-        Ok(true)
+    fn on_row(&mut self, _row: &[Value]) -> Result<bool> {
+        Err(Error::Internal("a folded scan delivered a row".into()))
     }
 
     fn on_partial(&mut self, states: Vec<AggState>) -> Result<bool> {
         self.merge_partial(&states)?;
+        Ok(true)
+    }
+
+    fn fold_records(&mut self, scan_layouts: &[ScanLayout<'_>]) -> Result<bool> {
+        let AggSource::Records {
+            group,
+            inputs,
+            layouts,
+        } = &mut self.source
+        else {
+            return Err(Error::Internal("a pulled aggregation folds no scan".into()));
+        };
+        *layouts = scan_layouts
+            .iter()
+            .map(|l| {
+                let col_map: Vec<u16> = l.output.iter().map(|&p| p as u16).collect();
+                let compile = |ir: &IrProgram| CompiledPredicate::compile(ir, l.layout, &col_map);
+                Ok(RecordFold {
+                    group: group
+                        .iter()
+                        .map(|part| match part {
+                            GroupPart::Col(i) => {
+                                l.output.get(*i).map(|&p| GroupPart::Col(p)).ok_or_else(|| {
+                                    Error::Internal(format!(
+                                        "group column {i} past the scan output"
+                                    ))
+                                })
+                            }
+                            GroupPart::Expr(ir) => compile(ir).map(GroupPart::Expr),
+                        })
+                        .collect::<Result<_>>()?,
+                    inputs: inputs
+                        .iter()
+                        .map(|ir| ir.as_ref().map(compile).transpose())
+                        .collect::<Result<_>>()?,
+                })
+            })
+            .collect::<Result<_>>()?;
+        Ok(true)
+    }
+
+    fn on_record(&mut self, rec: RecordView<'_>, layout: usize) -> Result<bool> {
+        self.fold_record(rec, layout)?;
         Ok(true)
     }
 }
@@ -924,7 +1239,11 @@ mod tests {
         for r in &rows {
             acc.update(r).unwrap();
         }
-        let got = finalize_agg_groups(acc.finish()).unwrap();
+        let mut finished = acc.finish().unwrap();
+        let mut got: Vec<Row> = Vec::new();
+        while let Some(batch) = finished.next_batch(7) {
+            got.extend(batch.rows().map(<[Value]>::to_vec));
+        }
 
         let mut want: std::collections::BTreeMap<Vec<u8>, Row> = Default::default();
         for r in &rows {

@@ -1,15 +1,15 @@
 //! Hash aggregation over a pulled input — a pipeline breaker that
 //! *consumes* streamed batches (the input is never materialized as a
-//! `Vec<Row>`; only the grouped partial states are held), then finalizes
-//! and re-emits in batches. Group output order is the encoded-group-key
-//! order. A `HashAgg` over a bare scan is not one: it folds its scan
-//! ([`super::scan::AggScanOp`]).
+//! `Vec<Row>`; only the groups are held, in flat arenas), then finalizes
+//! them straight into output batches. Group output order is the
+//! encoded-group-key order. A `HashAgg` over a bare scan is not one: it
+//! folds its scan's records ([`super::scan::AggScanOp`]).
 
 use taurus_common::{Result, RowBatch};
 use taurus_optimizer::plan::HashAggNode;
 
 use super::{check_deadline, emit_or_end, BatchEmitter, BoxOp, Operator};
-use crate::exec::{finalize_agg_groups, ExecContext, HashAggAcc};
+use crate::exec::{ExecContext, HashAggAcc};
 
 pub(crate) struct HashAggOp<'r, 'env> {
     ctx: &'env ExecContext<'env>,
@@ -59,8 +59,7 @@ impl Operator for HashAggOp<'_, '_> {
             if let Some(mut c) = self.child.take() {
                 c.close();
             }
-            let rows = finalize_agg_groups(acc.finish())?;
-            self.out = Some(BatchEmitter::new(rows, self.ctx.db));
+            self.out = Some(BatchEmitter::groups(acc.finish()?, self.ctx.db));
         }
         Ok(self
             .out

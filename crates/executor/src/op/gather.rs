@@ -46,8 +46,7 @@ impl Operator for GatherOp<'_, '_, '_> {
     }
 
     fn open(&mut self) -> Result<()> {
-        let rows = exec_exchange(self.node, self.ctx, &self.prep, self.scope)?;
-        self.out = Some(BatchEmitter::new(rows, self.ctx.db));
+        self.out = Some(exec_exchange(self.node, self.ctx, &self.prep, self.scope)?);
         Ok(())
     }
 

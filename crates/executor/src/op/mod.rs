@@ -46,7 +46,7 @@ use taurus_common::{Result, RowBatch};
 use taurus_ndp::{JoinFilter, TaurusDb};
 use taurus_optimizer::plan::Plan;
 
-use crate::exec::{ExecContext, JoinPrograms};
+use crate::exec::{ExecContext, FinishedGroups, JoinPrograms};
 
 /// A physical operator: batch-at-a-time pull execution.
 ///
@@ -307,27 +307,44 @@ pub(crate) fn emit_or_end(db: &TaurusDb, out: RowBatch) -> Option<RowBatch> {
     Some(out)
 }
 
-/// Re-emit a breaker's materialized rows in batches of the configured
-/// scan batch size (sort / aggregation / gather output side).
+/// Re-emit a breaker's output in batches of the configured scan batch
+/// size: materialized rows (sort, gather), or finished groups, which
+/// finalize straight into the batches (aggregation).
 pub(crate) struct BatchEmitter {
-    rows: std::vec::IntoIter<Row>,
+    source: Emitted,
     batch_rows: usize,
+}
+
+enum Emitted {
+    Rows(std::vec::IntoIter<Row>),
+    Groups(Box<FinishedGroups>),
 }
 
 impl BatchEmitter {
     pub(crate) fn new(rows: Vec<Row>, db: &TaurusDb) -> BatchEmitter {
         BatchEmitter {
-            rows: rows.into_iter(),
+            source: Emitted::Rows(rows.into_iter()),
+            batch_rows: db.config().scan_batch_rows.max(1),
+        }
+    }
+
+    pub(crate) fn groups(groups: FinishedGroups, db: &TaurusDb) -> BatchEmitter {
+        BatchEmitter {
+            source: Emitted::Groups(Box::new(groups)),
             batch_rows: db.config().scan_batch_rows.max(1),
         }
     }
 
     pub(crate) fn next_batch(&mut self) -> Option<RowBatch> {
-        let first = self.rows.next()?;
+        let rows = match &mut self.source {
+            Emitted::Rows(rows) => rows,
+            Emitted::Groups(groups) => return groups.next_batch(self.batch_rows),
+        };
+        let first = rows.next()?;
         let mut b = RowBatch::with_capacity(first.len(), self.batch_rows);
         b.push_row(first);
         while !b.is_full() {
-            match self.rows.next() {
+            match rows.next() {
                 Some(r) => b.push_row(r),
                 None => break,
             }

@@ -24,10 +24,11 @@
 //! [`AggScanOp`], a `HashAgg` over a bare scan, needs no adapter. It is a
 //! pipeline breaker that consumes its whole scan when it opens, so the
 //! scan runs on the thread that opens it, with no producer thread,
-//! straight into its accumulator ([`HashAggAcc`] is a [`ScanConsumer`]:
-//! rows fold as they are decoded, and the NDP partials that travel
-//! behind their carrier rows merge into the carrier's group). It re-emits
-//! the finalized groups in batches.
+//! straight into its accumulator ([`HashAggAcc`] is a [`ScanConsumer`]
+//! that folds records: each result record's bytes fold as the Page
+//! Store folds them, with no row decoded, and the NDP partials that
+//! travel behind their carrier records merge into the carrier's group).
+//! Its groups finalize straight into the batches it re-emits.
 
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
@@ -39,7 +40,7 @@ use taurus_ndp::{JoinFilter, ScanConsumer, ScanRange};
 use taurus_optimizer::plan::{HashAggNode, ScanNode};
 
 use super::{charge_emit, emit_or_end, BatchEmitter, Operator};
-use crate::exec::{finalize_agg_groups, panic_error, scan_into, ExecContext, HashAggAcc};
+use crate::exec::{panic_error, scan_into, ExecContext, HashAggAcc};
 
 /// How many row batches a scan producer may run ahead of the operator
 /// above it. The look-ahead bound is batch-granular: this many queued
@@ -217,9 +218,9 @@ impl Drop for BatchScanOp<'_, '_, '_> {
     }
 }
 
-/// A `HashAgg` over a bare scan — a pipeline breaker: the scan folds
-/// into the accumulator on the thread that opens it, the groups finalize,
-/// then re-emit batch-at-a-time.
+/// A `HashAgg` over a bare scan — a pipeline breaker: the scan's records
+/// fold into the accumulator on the thread that opens it, then the groups
+/// finalize into batches as they re-emit.
 pub(crate) struct AggScanOp<'env> {
     ctx: &'env ExecContext<'env>,
     scan: &'env ScanNode,
@@ -256,8 +257,7 @@ impl Operator for AggScanOp<'_> {
             .take()
             .ok_or_else(|| Error::Internal("AggScan opened twice".into()))?;
         scan_into(self.ctx, self.scan, None, None, &mut acc)?;
-        let rows = finalize_agg_groups(acc.finish())?;
-        self.out = Some(BatchEmitter::new(rows, self.ctx.db));
+        self.out = Some(BatchEmitter::groups(acc.finish()?, self.ctx.db));
         Ok(())
     }
 

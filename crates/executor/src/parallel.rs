@@ -13,12 +13,12 @@
 //! A worker runs its share on its own thread. A `Scan` or `LookupJoin`
 //! child pulls operators ([`crate::op::drain`]) over a `BatchScanOp`
 //! bounded to its range and drains into rows; a `HashAgg` over a scan
-//! folds its range of the scan straight into its accumulator, NDP
-//! partials included, as the serial `AggScan` operator folds the whole
-//! scan, and hands back the grouped partials. The leader then merges
-//! whole per-worker results, in index order when the GROUP BY follows
-//! the index and in encoded-key order otherwise, as the serial plan
-//! emits them. In the operator pipeline this whole protocol sits behind the
+//! folds its range of the scan's records straight into its accumulator,
+//! NDP partials included, as the serial `AggScan` operator folds the
+//! whole scan, and hands back the accumulator. The leader then merges
+//! whole per-worker results and emits the groups in index order when the
+//! GROUP BY follows the index and in encoded-key order otherwise, as the
+//! serial plan emits them. In the operator pipeline this whole protocol sits behind the
 //! `Gather` operator — the leader merge is PQ's inherent pipeline breaker,
 //! and the merged result re-emits in batches.
 
@@ -29,16 +29,14 @@ use taurus_common::{Error, Result};
 use taurus_ndp::{partition_ranges, ScanRange, TaurusDb};
 use taurus_optimizer::plan::{ExchangeNode, LookupJoinNode, Plan, ScanNode};
 
-use crate::exec::{
-    encode_range, finalize_agg_groups, merge_partial_groups, scan_into, AggPartials, ExecContext,
-    HashAggAcc, JoinPrograms,
-};
-use crate::op::{collect, BatchScanOp, LookupJoinOp};
+use crate::exec::{encode_range, scan_into, ExecContext, HashAggAcc, JoinPrograms};
+use crate::op::{collect, BatchEmitter, BatchScanOp, LookupJoinOp};
 
 /// What one worker hands the leader.
 enum WorkerOut {
     Rows(Vec<Row>),
-    Partials(AggPartials),
+    /// Its accumulator, its range of the scan folded in.
+    Groups(Box<HashAggAcc>),
 }
 
 /// What a worker runs above its scan, its expressions compiled when the
@@ -50,7 +48,7 @@ pub(crate) enum WorkerPrep<'env> {
     Rows,
     /// The accumulator of a `HashAgg` over the scan: the worker's range
     /// of the scan folds straight into it.
-    Agg(HashAggAcc),
+    Agg(Box<HashAggAcc>),
     /// A `LookupJoin` and its expressions.
     Join(&'env LookupJoinNode, JoinPrograms),
 }
@@ -58,21 +56,22 @@ pub(crate) enum WorkerPrep<'env> {
 impl<'env> WorkerPrep<'env> {
     pub(crate) fn new(child: &'env Plan, db: &TaurusDb) -> Result<WorkerPrep<'env>> {
         Ok(match child {
-            Plan::HashAgg(h) => WorkerPrep::Agg(HashAggAcc::new(h, db)?),
+            Plan::HashAgg(h) => WorkerPrep::Agg(Box::new(HashAggAcc::new(h, db)?)),
             Plan::LookupJoin(j) => WorkerPrep::Join(j, JoinPrograms::new(j, db)?),
             _ => WorkerPrep::Rows,
         })
     }
 }
 
-/// Partition the scan underneath `node`'s child and run one worker per
-/// range on the query's scope, each with a copy of `prep`.
+/// Partition the scan underneath `node`'s child, run one worker per
+/// range on the query's scope, each with a copy of `prep`, and merge what
+/// they hand back into the batches the Exchange emits.
 pub(crate) fn exec_exchange<'env>(
     node: &'env ExchangeNode,
     ctx: &'env ExecContext<'env>,
     prep: &WorkerPrep<'env>,
     s: &Scope<'_, 'env>,
-) -> Result<Vec<Row>> {
+) -> Result<BatchEmitter> {
     let degree = node.degree.max(1);
     let scan_node = partitioned_scan(&node.child)?;
     let table = ctx.db.table(&scan_node.table)?;
@@ -103,7 +102,8 @@ pub(crate) fn exec_exchange<'env>(
         .collect();
 
     // Leader merge: collect every worker's output first (surfacing the
-    // first error), then concatenate rows with one exact reservation.
+    // first error), then concatenate rows with one exact reservation, or
+    // merge the accumulators in partition order into the first one.
     let mut outs = Vec::with_capacity(results.len());
     for r in results {
         outs.push(r?);
@@ -112,36 +112,29 @@ pub(crate) fn exec_exchange<'env>(
         .iter()
         .map(|o| match o {
             WorkerOut::Rows(rs) => rs.len(),
-            WorkerOut::Partials(_) => 0,
+            WorkerOut::Groups(_) => 0,
         })
         .sum();
     let mut rows: Vec<Row> = Vec::with_capacity(total_rows);
-    let mut partials: Vec<AggPartials> = Vec::new();
-    let mut saw_partials = false;
+    let mut leader: Option<Box<HashAggAcc>> = None;
     for o in outs {
         match o {
             WorkerOut::Rows(mut rs) => rows.append(&mut rs),
-            WorkerOut::Partials(p) => {
-                saw_partials = true;
-                partials.push(p);
-            }
+            // A scalar aggregate's workers each have its one group, with
+            // the same (empty) key: the merge folds them.
+            WorkerOut::Groups(acc) => match &mut leader {
+                None => leader = Some(acc),
+                Some(leader) => leader.merge(*acc)?,
+            },
         }
     }
-    if saw_partials {
-        // A scalar aggregate may produce one group per worker with the
-        // same (empty) key — merge_partial_groups folds them.
-        let mut merged = merge_partial_groups(partials)?;
-        if let Plan::HashAgg(h) = &*node.child {
-            // A GROUP BY that does not follow the index emits its groups
-            // in encoded-key order.
-            if !h.index_ordered(ctx.db) {
-                merged.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-            }
-        }
-        finalize_agg_groups(merged)
-    } else {
-        Ok(rows)
-    }
+    Ok(match leader {
+        // Groups come out as the serial plan emits them: in index order
+        // when the GROUP BY follows the index, in encoded-key order
+        // otherwise.
+        Some(acc) => BatchEmitter::groups(acc.finish()?, ctx.db),
+        None => BatchEmitter::new(rows, ctx.db),
+    })
 }
 
 /// The scan an Exchange child partitions: the child itself, the `Scan`
@@ -179,8 +172,8 @@ fn run_worker<'env>(
 ) -> Result<WorkerOut> {
     Ok(match prep {
         WorkerPrep::Agg(mut acc) => {
-            scan_into(ctx, scan, Some(range), None, &mut acc)?;
-            WorkerOut::Partials(acc.finish())
+            scan_into(ctx, scan, Some(range), None, acc.as_mut())?;
+            WorkerOut::Groups(acc)
         }
         WorkerPrep::Join(j, programs) => {
             let input = Box::new(BatchScanOp::new(ctx, scan, Some(range), s));

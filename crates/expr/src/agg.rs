@@ -11,12 +11,14 @@
 //! layout as the descriptor bitcode (`taurus_common::codec`, `u16` string
 //! lengths).
 
+use std::cmp::Ordering;
+
 use taurus_common::codec::{
     put_bytes16, put_f64, put_flag, put_i128, put_i64, put_u16, put_u8, put_value16, Cursor,
 };
 use taurus_common::{DataType, Dec, Error, Result, Value};
 
-use crate::vm::{slot_value, Slot};
+use crate::vm::{slot_cmp, slot_value, value_slot, Slot};
 
 /// Aggregate functions a descriptor can request. (AVG is decomposed by the
 /// optimizer before it reaches a descriptor.)
@@ -213,6 +215,24 @@ fn sum_dec(raw: &mut i128, scale: &mut u8, seen: &mut bool, d: Dec) {
     *seen = true;
 }
 
+/// A MIN's or MAX's fold of register `s`: it replaces the extreme `cur`
+/// holds when it compares `beats` it (or `cur` holds none), as
+/// [`AggState::update`] folds its value; a NULL never does. The value is
+/// built only then.
+#[inline]
+fn replace_extreme(cur: &mut Option<Value>, s: &Slot<'_>, beats: Ordering) {
+    if matches!(s, Slot::Null) {
+        return;
+    }
+    let replaces = match cur {
+        None => true,
+        Some(c) => slot_cmp(s, &value_slot(c)) == Some(beats),
+    };
+    if replaces {
+        *cur = Some(slot_value(*s));
+    }
+}
+
 impl AggState {
     /// Fresh state for `func` over an input of type `dtype` (`None` for
     /// COUNT(*), and for an input whose type is left to its first value).
@@ -293,7 +313,8 @@ impl AggState {
     }
 
     /// [`AggState::update`] with the value a VM register holds: the same
-    /// fold, with no [`Value`] built for a count or a sum.
+    /// fold, with no [`Value`] built for a count or a sum, and for a MIN
+    /// or MAX only when the register replaces the extreme it holds.
     pub(crate) fn update_slot(&mut self, s: &Slot<'_>) {
         match (self, s) {
             (AggState::Count(n), s) => {
@@ -312,6 +333,8 @@ impl AggState {
                 *seen = true;
             }
             (AggState::SumDec { .. } | AggState::SumF64 { .. }, Slot::Null) => {}
+            (AggState::Min(cur), s) => replace_extreme(cur, s, Ordering::Less),
+            (AggState::Max(cur), s) => replace_extreme(cur, s, Ordering::Greater),
             (state, s) => state.update(&slot_value(*s)),
         }
     }

@@ -648,14 +648,7 @@ impl<'a> Fields<'a> for &'a [Value] {
         let v = self
             .get(pos as usize)
             .ok_or_else(|| Error::Internal(format!("column {pos} out of row range")))?;
-        Ok(match v {
-            Value::Null => Slot::Null,
-            Value::Int(x) => Slot::Int(*x),
-            Value::Decimal(d) => Slot::dec(*d),
-            Value::Date(d) => Slot::Date(d.0),
-            Value::Str(s) => Slot::Bytes(s.as_bytes()),
-            Value::Double(x) => Slot::F64(*x),
-        })
+        Ok(value_slot(v))
     }
 
     #[inline(always)]
@@ -1920,6 +1913,19 @@ pub(crate) fn slot_value(s: Slot<'_>) -> Value {
         Slot::Date(d) => Value::Date(taurus_common::Date32(d)),
         Slot::Bytes(b) => Value::str(std::str::from_utf8(b).unwrap_or("\u{fffd}")),
         Slot::F64(v) => Value::Double(v),
+    }
+}
+
+/// A value as the register that holds it (a string borrowed).
+#[inline(always)]
+pub(crate) fn value_slot(v: &Value) -> Slot<'_> {
+    match v {
+        Value::Null => Slot::Null,
+        Value::Int(x) => Slot::Int(*x),
+        Value::Decimal(d) => Slot::dec(*d),
+        Value::Date(d) => Slot::Date(d.0),
+        Value::Str(s) => Slot::Bytes(s.as_bytes()),
+        Value::Double(x) => Slot::F64(*x),
     }
 }
 

@@ -516,6 +516,27 @@ impl RecordView<'_> {
             encode_key_part_image(&self.layout.dtypes[p], image, out);
         }
     }
+
+    /// Append the group key of the columns at `cols` to `out`: for each,
+    /// its NULL flag, then a non-NULL column's image length (`u16`) and
+    /// image. Images are what a record of any layout holds for a value
+    /// (an NDP projection copies them), so two records key a column alike
+    /// exactly when they hold the same value: a CHAR's padding is part of
+    /// its image, a VARCHAR's trailing spaces and a DOUBLE's sign of zero
+    /// are too. The Page Store's aggregation and the SQL node's folded
+    /// scans key their groups with it.
+    pub fn group_key(&self, cols: impl IntoIterator<Item = usize>, out: &mut Vec<u8>) {
+        for col in cols {
+            if self.is_null(col) {
+                out.push(0);
+            } else {
+                let image = self.field_bytes(col);
+                out.push(1);
+                out.extend_from_slice(&(image.len() as u16).to_le_bytes());
+                out.extend_from_slice(image);
+            }
+        }
+    }
 }
 
 /// Where a scan finds the columns it delivers, resolved once per scan so

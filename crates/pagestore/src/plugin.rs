@@ -134,7 +134,7 @@ enum Out {
 /// One group of a [`GroupTable`].
 #[derive(Default)]
 struct Group {
-    /// The group columns' NULL flags and images ([`group_key`]).
+    /// The group columns' key ([`RecordView::group_key`]).
     key: Vec<u8>,
     states: Vec<AggState>,
     /// The group's last visible survivor so far: its bytes, and its
@@ -178,20 +178,11 @@ pub(crate) struct GroupTable {
     outputs: Vec<Value>,
 }
 
-/// The group columns' NULL flags and images of `rec`, into `out`.
+/// The group columns' key of `rec` ([`RecordView::group_key`]), into
+/// `out`.
 fn group_key(rec: &RecordView<'_>, group_cols: &[u16], out: &mut Vec<u8>) {
     out.clear();
-    for &g in group_cols {
-        let g = g as usize;
-        if rec.is_null(g) {
-            out.push(0);
-        } else {
-            let image = rec.field_bytes(g);
-            out.push(1);
-            out.extend_from_slice(&(image.len() as u16).to_le_bytes());
-            out.extend_from_slice(image);
-        }
-    }
+    rec.group_key(group_cols.iter().map(|&g| g as usize), out);
 }
 
 /// Fold `rec`, a record that stopped being its group's carrier, into

@@ -9,8 +9,19 @@
 //! row, where one `Vec` per row alone would be 1.0. The counts repeat from
 //! run to run to within a handful (long-lived structures such as the
 //! buffer pool's bookkeeping grow now and then), so a per-row allocation
-//! cannot creep back in unnoticed. (String columns are outside the budget:
-//! a `Value::Str` owns its bytes.)
+//! cannot creep back in unnoticed. (String columns a scan delivers as
+//! rows are outside the budget: a `Value::Str` owns its bytes. A scan a
+//! `HashAgg` folds decodes no row, so its string group columns are in.)
+//!
+//! A `HashAgg` over a bare scan folds its records: group keys from the
+//! field images, aggregate inputs as programs over the record bytes, and
+//! groups in flat arenas that finalize straight into output batches. A
+//! GROUP BY of two CHAR(1) columns whose values change from row to row
+//! (TPC-H Q1's shape) makes 96 allocations for 12,000 rows; one that
+//! follows the index with a group every four rows (Q18's inner `group by
+//! l_orderkey`, 3,000 groups) makes 109, so a group costs none. The row
+//! decode and per-group `Vec`s they replaced made 13,782 and 9,041 (parent
+//! commit a619beb, these same cases).
 //!
 //! A hash join builds per input batch, never per build row: the build
 //! rows move into one flat batch and its index chains each key's rows, so
@@ -243,8 +254,94 @@ fn the_row_path_allocates_per_batch_never_per_row() {
         assert_eq!(sink_rows(&session, &hash_join), ROWS);
     });
 
+    folded_scans_allocate_per_batch(&db, &session);
     key_reads_allocate_per_chunk(&join);
     page_store_plugin_allocates_per_page();
+}
+
+/// Two `HashAgg`s that fold their scans' records: TPC-H Q1's shape, two
+/// CHAR(1) group columns with values that change from row to row, and
+/// Q18's inner `group by l_orderkey`, a GROUP BY that follows the index
+/// with a group every four rows. (Called from the one test.)
+fn folded_scans_allocate_per_batch(db: &Arc<TaurusDb>, session: &Session) {
+    let dec = DataType::Decimal {
+        precision: 15,
+        scale: 2,
+    };
+    let flags = TableSchema::new(
+        "flags",
+        vec![
+            Column::new("id", DataType::BigInt),
+            Column::new("flag", DataType::Char(1)),
+            Column::new("status", DataType::Char(1)),
+            Column::new("amount", dec),
+        ],
+        vec![0],
+    );
+    let table = db.create_table(flags, &[]).unwrap();
+    let rows = (0..ROWS as i64)
+        .map(|i| {
+            vec![
+                Value::Int(i),
+                Value::str(["A", "N", "R"][(i % 3) as usize]),
+                Value::str(["F", "O"][(i / 7 % 2) as usize]),
+                Value::Decimal(Dec::new((i % 1000) as i128, 2)),
+            ]
+        })
+        .collect();
+    db.bulk_load(&table, rows).unwrap();
+    let by_flags = Plan::HashAgg(HashAggNode {
+        input: Box::new(Plan::Scan(ScanNode::new("flags", vec![1, 2, 3]))),
+        group: vec![Expr::col(0), Expr::col(1)],
+        aggs: vec![
+            AggItem {
+                func: AggFunc::Sum,
+                input: Some(Expr::col(2)),
+            },
+            AggItem {
+                func: AggFunc::CountStar,
+                input: None,
+            },
+        ],
+    });
+    assert_within_budget("CHAR group columns", ROWS, PER_ROW_BUDGET, || {
+        let groups = session.execute_plan(&by_flags).unwrap();
+        assert_eq!(groups.len(), 6);
+        let counted: i64 = groups.iter().map(|g| g[3].as_int().unwrap()).sum();
+        assert_eq!(counted as u64, ROWS);
+    });
+
+    let lines = TableSchema::new(
+        "lines",
+        vec![
+            Column::new("orderkey", DataType::BigInt),
+            Column::new("linenumber", DataType::Int),
+            Column::new("quantity", dec),
+        ],
+        vec![0, 1],
+    );
+    let table = db.create_table(lines, &[]).unwrap();
+    let rows = (0..ROWS as i64)
+        .map(|i| {
+            vec![
+                Value::Int(i / 4),
+                Value::Int(i % 4),
+                Value::Decimal(Dec::new((i % 50) as i128 * 100, 2)),
+            ]
+        })
+        .collect();
+    db.bulk_load(&table, rows).unwrap();
+    let by_order = Plan::HashAgg(HashAggNode {
+        input: Box::new(Plan::Scan(ScanNode::new("lines", vec![0, 2]))),
+        group: vec![Expr::col(0)],
+        aggs: vec![AggItem {
+            func: AggFunc::Sum,
+            input: Some(Expr::col(1)),
+        }],
+    });
+    assert_within_budget("index-ordered groups", ROWS, PER_ROW_BUDGET, || {
+        assert_eq!(sink_rows(session, &by_order), ROWS / 4);
+    });
 }
 
 /// How many rows `plan` hands a sink that counts them.

@@ -12,6 +12,7 @@ use taurus::common::config::ClusterConfig;
 use taurus::common::schema::{Column, Row, TableSchema};
 use taurus::common::{DataType, Dec, Error, Value};
 use taurus::ndp::TaurusDb;
+use taurus::optimizer::plan::Plan;
 use taurus::pagestore::SkipPolicy;
 use taurus::prelude::Session;
 use taurus::sql::SessionSqlExt;
@@ -833,4 +834,388 @@ fn tpch_values_have_their_inferred_column_types() {
             }
         }
     }
+}
+
+// --- folded scans key groups on field images -----------------------------------
+
+/// `k(g, id, c, v, f, d, t, b, pad)` keyed on (g, id), ten rows a `g`.
+/// Each value column is NULL in some rows: `c` a CHAR(4) holding values
+/// with and without trailing blanks (its padding makes "a" and "a  " one
+/// value) and `''`; `v` a VARCHAR(8) with trailing spaces ("x", "x ",
+/// "x  " are three values) and `''`; `f` a DOUBLE with `0.0` and `-0.0`
+/// (two values: they differ in their bits, as every key encoding of the
+/// engine says); `d` a DECIMAL(10, 2), `t` a DATE and `b` a BIGINT.
+const K_ROWS: i64 = 4000;
+
+fn k_row(id: i64) -> Row {
+    let g = id / 10;
+    let c = [
+        None,
+        Some("a"),
+        Some("a  "),
+        Some(""),
+        Some("ab"),
+        Some("b "),
+        Some("ab  "),
+    ];
+    let v = [
+        None,
+        Some("x"),
+        Some("x "),
+        Some(""),
+        Some("x  "),
+        Some("y"),
+    ];
+    let f = [None, Some(0.0), Some(-0.0), Some(1.5), Some(-2.25)];
+    let str_or_null = |s: Option<&str>| s.map_or(Value::Null, Value::str);
+    let d = match (id / 5) % 4 {
+        0 => Value::Null,
+        k => Value::Decimal(Dec::new(k as i128 * 125 - 200, 2)),
+    };
+    let t = match (id / 4) % 5 {
+        0 => Value::Null,
+        k => Value::Date(taurus::common::Date32(9000 + k as i32 * 31)),
+    };
+    let b = match id % 11 % 4 {
+        0 => Value::Null,
+        k => Value::Int(k * 1_000_000_007 - 2_000_000_000),
+    };
+    vec![
+        Value::Int(g),
+        Value::Int(id),
+        str_or_null(c[(id % 7) as usize]),
+        str_or_null(v[((id / 3) % 6) as usize]),
+        f[((id / 2) % 5) as usize].map_or(Value::Null, Value::Double),
+        d,
+        t,
+        b,
+        Value::str("p".repeat(30)),
+    ]
+}
+
+fn k_db(cfg: ClusterConfig) -> Arc<TaurusDb> {
+    let db = TaurusDb::new(cfg);
+    let schema = TableSchema::new(
+        "k",
+        vec![
+            Column::new("g", DataType::BigInt),
+            Column::new("id", DataType::BigInt),
+            Column::nullable("c", DataType::Char(4)),
+            Column::nullable("v", DataType::Varchar(8)),
+            Column::nullable("f", DataType::Double),
+            Column::nullable(
+                "d",
+                DataType::Decimal {
+                    precision: 10,
+                    scale: 2,
+                },
+            ),
+            Column::nullable("t", DataType::Date),
+            Column::nullable("b", DataType::BigInt),
+            Column::new("pad", DataType::Varchar(40)),
+        ],
+        vec![0, 1],
+    );
+    let t = db.create_table(schema, &[]).unwrap();
+    db.bulk_load(&t, (0..K_ROWS).map(k_row).collect()).unwrap();
+    db
+}
+
+/// The aggregates every grouping query computes, and what each folds.
+const K_AGGS: &str = "count(*), count(f), sum(d), sum(b), min(c), max(v), min(t), max(d)";
+
+/// The value columns, by their position in a `k` row.
+const K_COLS: [(&str, usize); 6] = [("c", 2), ("v", 3), ("f", 4), ("d", 5), ("t", 6), ("b", 7)];
+
+/// A generator row's value of column `col` as the engine reads it back:
+/// a CHAR without its padding.
+fn k_value(row: &[Value], col: usize) -> Value {
+    match (&row[col], col) {
+        (Value::Str(s), 2) => Value::str(s.trim_end_matches(' ')),
+        (v, _) => v.clone(),
+    }
+}
+
+/// The groups of `key` over the generator rows, each its key values then
+/// `aggs` over its rows, in the engine's output order: by the
+/// `put_value16` encoding of the key values (equal encodings are one
+/// group), or by the key itself when `index_order`.
+fn k_oracle(
+    key: &dyn Fn(&[Value]) -> Vec<Value>,
+    aggs: &dyn Fn(&[&Row]) -> Vec<Value>,
+    index_order: bool,
+) -> Vec<Row> {
+    let rows: Vec<Row> = (0..K_ROWS).map(k_row).collect();
+    let mut groups: std::collections::BTreeMap<Vec<u8>, (Vec<Value>, Vec<&Row>)> =
+        Default::default();
+    for row in &rows {
+        let values = key(row);
+        let mut enc = Vec::new();
+        for v in &values {
+            taurus::common::codec::put_value16(&mut enc, v).unwrap();
+        }
+        groups
+            .entry(enc)
+            .or_insert((values, Vec::new()))
+            .1
+            .push(row);
+    }
+    let mut out: Vec<Row> = groups
+        .into_values()
+        .map(|(mut values, members)| {
+            values.extend(aggs(&members));
+            values
+        })
+        .collect();
+    if index_order {
+        out.sort_by(|a, b| a[0].cmp_total(&b[0]));
+    }
+    out
+}
+
+/// [`K_AGGS`] over a group's generator rows.
+fn k_aggs(rows: &[&Row]) -> Vec<Value> {
+    let vals = |col: usize| {
+        rows.iter()
+            .map(move |r| k_value(r, col))
+            .filter(|v| !v.is_null())
+    };
+    let extreme = |col: usize, want: std::cmp::Ordering| {
+        vals(col).fold(Value::Null, |best, v| match best.cmp_sql(&v) {
+            None => v,
+            Some(o) if o == want.reverse() => v,
+            Some(_) => best,
+        })
+    };
+    let sum_d: Option<i128> = vals(5)
+        .map(|v| v.as_dec().unwrap().raw)
+        .reduce(|a, b| a + b);
+    let sum_b: Option<i64> = vals(7).map(|v| v.as_int().unwrap()).reduce(|a, b| a + b);
+    vec![
+        Value::Int(rows.len() as i64),
+        Value::Int(vals(4).count() as i64),
+        sum_d.map_or(Value::Null, |raw| Value::Decimal(Dec::new(raw, 2))),
+        sum_b.map_or(Value::Null, Value::Int),
+        extreme(2, std::cmp::Ordering::Less),
+        extreme(3, std::cmp::Ordering::Greater),
+        extreme(6, std::cmp::Ordering::Less),
+        extreme(5, std::cmp::Ordering::Greater),
+    ]
+}
+
+/// Every grouping query of the test, with its expected rows.
+fn k_queries() -> Vec<(String, String)> {
+    let mut queries = Vec::new();
+    let mut keyed = |names: Vec<&str>, cols: Vec<usize>| {
+        let list = names.join(", ");
+        let sql = format!("select {list}, {K_AGGS} from k group by {list}");
+        let key = move |r: &[Value]| cols.iter().map(|&c| k_value(r, c)).collect();
+        queries.push((sql, fmt_rows(&k_oracle(&key, &k_aggs, false))));
+    };
+    for (i, &(a, ca)) in K_COLS.iter().enumerate() {
+        keyed(vec![a], vec![ca]);
+        for &(b, cb) in &K_COLS[i + 1..] {
+            keyed(vec![a, b], vec![ca, cb]);
+        }
+    }
+    let g_plus_1 = |r: &[Value]| vec![Value::Int(r[0].as_int().unwrap() + 1)];
+    queries.push((
+        format!("select g + 1, {K_AGGS} from k group by g + 1"),
+        fmt_rows(&k_oracle(&g_plus_1, &k_aggs, false)),
+    ));
+    // A GROUP BY that follows the index: groups in index order.
+    queries.push((
+        format!("select g, {K_AGGS} from k group by g"),
+        fmt_rows(&k_oracle(&|r| vec![r[0].clone()], &k_aggs, true)),
+    ));
+    // COUNT(DISTINCT x): a deduplicating aggregation folds the scan,
+    // keyed on `x`'s images beside the group's.
+    let distinct = |col: usize| {
+        move |rows: &[&Row]| {
+            let set: std::collections::BTreeSet<Vec<u8>> = rows
+                .iter()
+                .map(|r| k_value(r, col))
+                .filter(|v| !v.is_null())
+                .map(|v| {
+                    let mut enc = Vec::new();
+                    taurus::common::codec::put_value16(&mut enc, &v).unwrap();
+                    enc
+                })
+                .collect();
+            vec![Value::Int(set.len() as i64)]
+        }
+    };
+    for (key, (name, col)) in [(2usize, ("v", 3usize)), (7, ("f", 4)), (4, ("c", 2))] {
+        let key_name = K_COLS.iter().find(|(_, c)| *c == key).unwrap().0;
+        queries.push((
+            format!("select {key_name}, count(distinct {name}) from k group by {key_name}"),
+            fmt_rows(&k_oracle(&|r| vec![k_value(r, key)], &distinct(col), false)),
+        ));
+    }
+    queries.push((
+        "select count(distinct v) from k".into(),
+        fmt_rows(&k_oracle(&|_| Vec::new(), &distinct(3), false)),
+    ));
+    queries
+}
+
+/// `plan` with its scan-folding `HashAgg` under an `Exchange(degree)`.
+fn exchange_under(plan: Plan, degree: usize) -> Plan {
+    use Plan as P;
+    match plan {
+        P::HashAgg(h) if matches!(*h.input, P::Scan(_)) => P::HashAgg(h).exchange(degree),
+        P::HashAgg(mut h) => {
+            h.input = Box::new(exchange_under(*h.input, degree));
+            P::HashAgg(h)
+        }
+        P::Project(mut p) => {
+            p.input = Box::new(exchange_under(*p.input, degree));
+            P::Project(p)
+        }
+        P::Filter(mut f) => {
+            f.input = Box::new(exchange_under(*f.input, degree));
+            P::Filter(f)
+        }
+        P::Sort(mut s) => {
+            s.input = Box::new(exchange_under(*s.input, degree));
+            P::Sort(s)
+        }
+        other => panic!("no scan-folding aggregation in {other:?}"),
+    }
+}
+
+/// Each query's rows under `session`, serial and under an `Exchange(4)`,
+/// against the expected rows. Every query folds a scan.
+fn check_k_queries(session: &Session, queries: &[(String, String)], at: &str) {
+    for (sql, want) in queries {
+        let taurus::sql::Statement::Select(select) = taurus::sql::parse(sql).unwrap() else {
+            panic!("{sql}")
+        };
+        let plan = taurus::sql::bind(session, &select).unwrap();
+        let mut folded = 0;
+        plan.for_each_scan(&mut |_, agg| folded += agg as usize);
+        assert_eq!(folded, 1, "{sql}: {plan:?}");
+        let serial = fmt_rows(&session.execute_plan(&plan).unwrap());
+        assert_eq!(&serial, want, "{at}, serial: {sql}");
+        let parallel = fmt_rows(&session.execute_plan(&exchange_under(plan, 4)).unwrap());
+        assert_eq!(&parallel, want, "{at}, Exchange(4): {sql}");
+    }
+}
+
+/// A `HashAgg` that folds its scan keys a bare group column on its field
+/// image and any other group expression on its value, on leaf records,
+/// NDP records and records rebuilt from undo alike. Grouped by each of a
+/// CHAR, a VARCHAR, a DOUBLE, a DECIMAL, a DATE and a BIGINT column alone
+/// and in pairs, by `g + 1` and by the index's leading column, with
+/// COUNT, COUNT(DISTINCT), SUM, MIN and MAX: NDP off = on, at batch sizes
+/// 1, 7 and 1024, serial = `Exchange(4)`, = an oracle over the generator
+/// rows that groups by the `put_value16` encoding of the values and
+/// orders groups by it. A writer round then rewrites `b` and `pad` of
+/// random rows under a read view taken before it started: the records it
+/// touched come back ambiguous and are rebuilt from undo, and the rows
+/// are still the generator's.
+#[test]
+fn folded_scans_key_groups_on_field_images() {
+    let queries = k_queries();
+    assert_eq!(queries.len(), 6 + 15 + 2 + 4);
+    let by_v = &queries
+        .iter()
+        .find(|(q, _)| q.ends_with("group by v"))
+        .unwrap()
+        .1;
+    assert_eq!(
+        by_v.lines().count(),
+        6,
+        "NULL, '', x, x  , x   and y: {by_v}"
+    );
+    let by_f = &queries
+        .iter()
+        .find(|(q, _)| q.ends_with("group by f"))
+        .unwrap()
+        .1;
+    assert!(
+        by_f.contains("\n-0.0000|") && by_f.contains("\n0.0000|"),
+        "{by_f}"
+    );
+    let by_c = &queries
+        .iter()
+        .find(|(q, _)| q.ends_with("group by c"))
+        .unwrap()
+        .1;
+    assert_eq!(by_c.lines().count(), 5, "NULL, '', a, ab and b: {by_c}");
+    for batch_rows in [1, 7, 1024] {
+        let mut cfg = ClusterConfig::small_for_tests();
+        cfg.ndp.enabled = true;
+        cfg.scan_batch_rows = batch_rows;
+        let db = k_db(cfg);
+        let mut session = Session::new(&db);
+        for ndp in [false, true] {
+            session.set_ndp(ndp);
+            db.buffer_pool().clear();
+            check_k_queries(
+                &session,
+                &queries,
+                &format!("batch {batch_rows}, ndp {ndp}"),
+            );
+        }
+        // With NDP on, the index-ordered and the hashed aggregation go to
+        // the Page Stores.
+        let explain = |sql: &str| -> String {
+            let lines = session.sql(&format!("explain {sql}")).unwrap();
+            lines.iter().map(|l| format!("{}\n", l[0])).collect()
+        };
+        db.buffer_pool().clear();
+        let by_g = explain(&format!("select g, {K_AGGS} from k group by g"));
+        assert!(
+            by_g.contains("Using pushed NDP aggregate (index order)"),
+            "{by_g}"
+        );
+    }
+
+    // The writer round: a small pool, so the scans read through the Page
+    // Stores, and versions kept for the reads pinned at a batch's LSN.
+    let mut cfg = ClusterConfig::small_for_tests();
+    cfg.ndp.enabled = true;
+    cfg.buffer_pool_pages = 16;
+    cfg.pagestore_versions_retained = 256;
+    let db = k_db(cfg);
+    let mut session = Session::new(&db);
+    let stop = Arc::new(AtomicBool::new(false));
+    let writer = {
+        let (db, stop) = (db.clone(), stop.clone());
+        std::thread::spawn(move || {
+            let k = db.table("k").unwrap();
+            let mut state = 0x9E37_79B9_7F4A_7C15u64;
+            let mut commits = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                let trx = db.begin();
+                for _ in 0..8 {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    let mut row = k_row((state % K_ROWS as u64) as i64);
+                    // Same lengths, so the records are rewritten in place.
+                    row[7] = Value::Int((state >> 20) as i64 % 1000);
+                    row[8] = Value::str("q".repeat(30));
+                    db.update_row(&k, trx, &row).unwrap();
+                }
+                db.commit(trx);
+                commits += 1;
+            }
+            commits
+        })
+    };
+    // Let the writer commit past the session's view before the scans.
+    std::thread::sleep(Duration::from_millis(50));
+    let before = db.metrics().snapshot();
+    for ndp in [true, false] {
+        session.set_ndp(ndp);
+        check_k_queries(&session, &queries, &format!("writer round, ndp {ndp}"));
+    }
+    stop.store(true, Ordering::Relaxed);
+    let commits = writer.join().unwrap();
+    assert!(commits > 10, "{commits} commits");
+    let d = db.metrics().snapshot().since(&before);
+    assert!(d.pages_shipped_ndp > 0, "{d:?}");
+    assert!(d.ambiguous_records > 0, "{d:?}");
 }
