@@ -157,6 +157,26 @@ pub fn put_value16(buf: &mut Vec<u8>, v: &Value) -> Result<()> {
     }
 }
 
+/// [`put_value16`] of `v` as SQL equality takes it, for a hash key: a
+/// string without its trailing spaces (PAD SPACE, as comparisons and
+/// index keys take it), a zero double without its sign. Equal values key
+/// alike.
+#[inline]
+pub fn put_key16(buf: &mut Vec<u8>, v: &Value) -> Result<()> {
+    match v {
+        Value::Str(s) => {
+            put_u8(buf, TAG_STR);
+            put_bytes16(
+                buf,
+                s.trim_end_matches(' ').as_bytes(),
+                "string value bytes",
+            )
+        }
+        Value::Double(x) if *x == 0.0 => put_value16(buf, &Value::Double(0.0)),
+        other => put_value16(buf, other),
+    }
+}
+
 /// A column type: its tag, then the decimal's precision and scale or the
 /// string's `u16` length.
 #[inline]

@@ -307,8 +307,11 @@ fn scalar_aggregation_pushdown_matches() {
         Collector::aggregating(specs.clone(), vec![usize::MAX, 0], dtypes.clone()),
     );
     let (_, states, _) = got.agg.as_ref().unwrap();
-    assert_eq!(states[0].finalize(), Value::Int(expect_count));
-    assert_eq!(states[1].finalize(), expect_sum.finalize());
+    assert_eq!(states[0].finalize().unwrap(), Value::Int(expect_count));
+    assert_eq!(
+        states[1].finalize().unwrap(),
+        expect_sum.finalize().unwrap()
+    );
     // Far fewer rows crossed the consumer than exist in the table.
     assert!(
         got.rows.len() < 3000 / 2,
@@ -361,13 +364,13 @@ fn grouped_aggregation_pushdown_matches() {
     impl GroupAgg {
         fn flush(&mut self) {
             if let Some(g) = self.cur.take() {
-                let sum = match self.states[0].finalize() {
+                let sum = match self.states[0].finalize().unwrap() {
                     Value::Int(v) => v as i128,
                     Value::Decimal(d) => d.raw,
                     Value::Null => 0,
                     other => panic!("{other:?}"),
                 };
-                let cnt = match self.states[1].finalize() {
+                let cnt = match self.states[1].finalize().unwrap() {
                     Value::Int(v) => v,
                     other => panic!("{other:?}"),
                 };

@@ -23,7 +23,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault};
 
-use taurus_common::codec::put_value16;
+use taurus_common::codec::put_key16;
 use taurus_common::keymap::KeyHasher;
 use taurus_common::schema::Row;
 use taurus_common::{panic_message, DataType, Error, QueryCtx, Result, RowBatch, Value};
@@ -168,15 +168,15 @@ pub(crate) fn remap_to_output(e: &Expr, output: &[usize], kind: DiagKind) -> Res
 
 // --- aggregation -------------------------------------------------------------
 
-/// The types of the rows `plan` delivers, as the verifier infers them
-/// (empty where it cannot): what the programs an operator runs over them
-/// are typed by. A value off its column's type only costs its row the
-/// untyped program.
-pub(crate) fn row_types(plan: &Plan, db: &TaurusDb) -> Vec<Option<DataType>> {
-    let schema = taurus_verify::infer_plan(plan, db)
-        .schema
-        .unwrap_or_default();
-    schema.iter().map(|c| Some(c.dtype)).collect()
+/// The types of the rows `plan` delivers, as the verifier infers them:
+/// what the programs an operator runs over them are typed by. A plan it
+/// cannot type is an [`Error::Verify`].
+pub(crate) fn row_types(plan: &Plan, db: &TaurusDb) -> Result<Vec<DataType>> {
+    let inference = taurus_verify::infer_plan(plan, db);
+    match inference.schema {
+        Some(schema) => Ok(schema.iter().map(|c| c.dtype).collect()),
+        None => Err(Error::Verify(taurus_verify::render(&inference.diags))),
+    }
 }
 
 /// An operator's expression over its input row, compiled once when the
@@ -190,7 +190,7 @@ pub(crate) enum RowExpr {
 }
 
 impl RowExpr {
-    pub(crate) fn new(e: &Expr, input: &[Option<DataType>]) -> Result<RowExpr> {
+    pub(crate) fn new(e: &Expr, input: &[DataType]) -> Result<RowExpr> {
         Ok(match e {
             Expr::Col(i) => RowExpr::Col(*i),
             e => RowExpr::Program(CompiledPredicate::for_rows(e, input)?),
@@ -228,9 +228,9 @@ enum GroupOrder {
     /// The order they opened in: the GROUP BY follows the scanned index
     /// ([`HashAggNode::index_ordered`]), so they arrive one after another.
     Opened,
-    /// By key, which is the `put_value16` encoding of the group's values.
+    /// By key, which is the `put_key16` encoding of the group's values.
     Key,
-    /// By the `put_value16` encoding of the group's values, kept beside
+    /// By the `put_key16` encoding of the group's values, kept beside
     /// a key that is not it (a folded scan's, of field images).
     Values,
 }
@@ -260,7 +260,7 @@ pub(crate) struct Groups {
     key_ends: Vec<usize>,
     values: Vec<Value>,
     states: Vec<AggState>,
-    /// With [`GroupOrder::Values`], each group's `put_value16` encoding
+    /// With [`GroupOrder::Values`], each group's `put_key16` encoding
     /// of its values, laid out as the keys are.
     sort_keys: Vec<u8>,
     sort_ends: Vec<usize>,
@@ -348,7 +348,7 @@ impl Groups {
         let g = self.len();
         if self.order == GroupOrder::Values {
             for v in values.iter() {
-                put_value16(&mut self.sort_keys, v)?;
+                put_key16(&mut self.sort_keys, v)?;
             }
             self.sort_ends.push(self.sort_keys.len());
         }
@@ -402,15 +402,17 @@ pub(crate) struct FinishedGroups {
     /// The output order, unless it is the order the groups opened in.
     sorted: Option<Vec<u32>>,
     at: usize,
+    /// A group's final aggregate values, reused.
+    finals: Vec<Value>,
 }
 
 impl FinishedGroups {
     /// The next batch of up to `batch_rows` groups, each its group values
     /// then its aggregates' final values; `None` after the last.
-    pub(crate) fn next_batch(&mut self, batch_rows: usize) -> Option<RowBatch> {
+    pub(crate) fn next_batch(&mut self, batch_rows: usize) -> Result<Option<RowBatch>> {
         let g = &self.groups;
         if self.at >= g.len() {
-            return None;
+            return Ok(None);
         }
         let mut batch = RowBatch::with_capacity(g.width + g.n_aggs, batch_rows);
         while !batch.is_full() && self.at < g.len() {
@@ -418,11 +420,14 @@ impl FinishedGroups {
                 Some(sorted) => sorted[self.at] as usize,
                 None => self.at,
             };
-            let finals = g.states(at).iter().map(AggState::finalize);
-            batch.push_row(g.values(at).iter().cloned().chain(finals));
+            self.finals.clear();
+            for state in g.states(at) {
+                self.finals.push(state.finalize()?);
+            }
+            batch.push_row(g.values(at).iter().cloned().chain(self.finals.drain(..)));
             self.at += 1;
         }
-        Some(batch)
+        Ok(Some(batch))
     }
 }
 
@@ -430,7 +435,7 @@ impl FinishedGroups {
 /// compiled for a layout: a bare column (an output position, then its
 /// position in the layout), keyed on its field image
 /// ([`RecordView::group_key`]), or any other expression, keyed on the
-/// `put_value16` encoding of its value.
+/// `put_key16` encoding of its value (SQL equality's, as the image's).
 #[derive(Clone)]
 enum GroupPart<P> {
     Col(usize),
@@ -471,21 +476,20 @@ enum AggSource {
 /// a Page Store folds them: its bare group columns key a group on their
 /// field images, its other group expressions on their values, its
 /// aggregate inputs run as programs over the record's bytes, and no row
-/// is decoded (see its [`ScanConsumer`] impl). Either way a group's
+/// is decoded (see its [`ScanConsumer`] impl). Either way keys are equal
+/// where SQL equality holds (`'x'` is `'x '`, `0.0` is `-0.0`), a group's
 /// values are taken when it opens, and it lives in flat arenas
 /// ([`Groups`]); the group of the last row or record is looked at first.
 /// A folded scan's storage partials merge into the group of the record
 /// delivered just before them (their carrier). Groups come out in the
-/// order of the `put_value16` encoding of their values, except when the
+/// order of the `put_key16` encoding of their values, except when the
 /// GROUP BY follows the scanned index ([`HashAggNode::index_ordered`]):
 /// those arrive, and stay, in index order. It is cloned fresh for each PQ
 /// worker.
 #[derive(Clone)]
 pub(crate) struct HashAggAcc {
     source: AggSource,
-    /// The states a new group starts from, typed by the input's types:
-    /// the type of an aggregate input that is not known is left to its
-    /// state, which infers its shape from the first value.
+    /// The states a new group starts from, typed by the input's types.
     fresh: Vec<AggState>,
     groups: Groups,
     /// The group of the last row or record.
@@ -502,17 +506,20 @@ impl HashAggAcc {
     /// scan's lowered) and its states typed by the input's column types
     /// (a folded scan's are its table's), nothing accumulated.
     pub(crate) fn new(node: &HashAggNode, db: &TaurusDb) -> Result<HashAggAcc> {
-        let input: Vec<Option<DataType>> = match node.scan() {
+        let input: Vec<DataType> = match node.scan() {
             Some(scan) => {
                 let dtypes = db.table(&scan.table)?.schema.dtypes();
                 scan.output
                     .iter()
-                    .map(|&c| dtypes.get(c).copied())
-                    .collect()
+                    .map(|&c| {
+                        dtypes.get(c).copied().ok_or_else(|| {
+                            Error::Verify(format!("scan output column {c} past its table"))
+                        })
+                    })
+                    .collect::<Result<_>>()?
             }
-            None => row_types(&node.input, db),
+            None => row_types(&node.input, db)?,
         };
-        let known: Vec<DataType> = input.iter().map_while(|t| *t).collect();
         let source = match node.scan() {
             Some(_) => AggSource::Records {
                 group: node
@@ -557,8 +564,11 @@ impl HashAggAcc {
             fresh: node
                 .aggs
                 .iter()
-                .map(|a| AggState::new(a.func, a.input.as_ref().and_then(|e| e.dtype(&known).ok())))
-                .collect(),
+                .map(|a| {
+                    let dtype = a.input.as_ref().map(|e| e.dtype(&input)).transpose()?;
+                    Ok(AggState::new(a.func, dtype))
+                })
+                .collect::<Result<_>>()?,
             groups: Groups::new(order, node.group.len(), node.aggs.len()),
             last: None,
             key: Vec::new(),
@@ -575,7 +585,7 @@ impl HashAggAcc {
         };
         self.key.clear();
         for e in group {
-            put_value16(&mut self.key, e.value(row)?.as_ref())?;
+            put_key16(&mut self.key, e.value(row)?.as_ref())?;
         }
         let g = match self.groups.find(self.last, &self.key) {
             Ok(g) => g,
@@ -609,7 +619,7 @@ impl HashAggAcc {
         for part in &fold.group {
             match part {
                 GroupPart::Col(pos) => rec.group_key([*pos], &mut self.key),
-                GroupPart::Expr(p) => put_value16(&mut self.key, &p.eval_value(&rec)?)?,
+                GroupPart::Expr(p) => put_key16(&mut self.key, &p.eval_value(&rec)?)?,
             }
         }
         let g = match self.groups.find(self.last, &self.key) {
@@ -687,6 +697,7 @@ impl HashAggAcc {
             groups: self.groups,
             sorted,
             at: 0,
+            finals: Vec::new(),
         })
     }
 }
@@ -769,16 +780,24 @@ impl JoinPrograms {
     pub(crate) fn new(node: &LookupJoinNode, db: &TaurusDb) -> Result<JoinPrograms> {
         let fetch = node.inner_columns();
         let table = db.table(&node.table)?.schema.dtypes();
-        let of_table = |cols: &[usize]| cols.iter().map(|&c| table.get(c).copied()).collect();
+        let of_table = |cols: &[usize]| -> Result<Vec<DataType>> {
+            cols.iter()
+                .map(|&c| {
+                    table.get(c).copied().ok_or_else(|| {
+                        Error::Verify(format!("inner column {c} past table {}", node.table))
+                    })
+                })
+                .collect()
+        };
         let on = match &node.on {
             Some(on) => {
-                let mut joined = row_types(&node.outer, db);
-                joined.extend::<Vec<_>>(of_table(&node.inner_output));
+                let mut joined = row_types(&node.outer, db)?;
+                joined.extend(of_table(&node.inner_output)?);
                 Some(CompiledPredicate::for_rows(on, &joined)?)
             }
             None => None,
         };
-        let fetched: Vec<_> = of_table(&fetch);
+        let fetched = of_table(&fetch)?;
         Ok(JoinPrograms {
             on,
             inner: node
@@ -1241,7 +1260,7 @@ mod tests {
         }
         let mut finished = acc.finish().unwrap();
         let mut got: Vec<Row> = Vec::new();
-        while let Some(batch) = finished.next_batch(7) {
+        while let Some(batch) = finished.next_batch(7).unwrap() {
             got.extend(batch.rows().map(<[Value]>::to_vec));
         }
 
@@ -1254,7 +1273,7 @@ mod tests {
                 .collect();
             let mut key = Vec::new();
             for v in &gvals {
-                put_value16(&mut key, v).unwrap();
+                taurus_common::codec::put_key16(&mut key, v).unwrap();
             }
             let group = want.entry(key).or_insert_with(|| {
                 let mut g = gvals.clone();

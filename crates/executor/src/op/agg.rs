@@ -8,7 +8,7 @@
 use taurus_common::{Result, RowBatch};
 use taurus_optimizer::plan::HashAggNode;
 
-use super::{check_deadline, emit_or_end, BatchEmitter, BoxOp, Operator};
+use super::{check_deadline, BatchEmitter, BoxOp, Operator};
 use crate::exec::{ExecContext, HashAggAcc};
 
 pub(crate) struct HashAggOp<'r, 'env> {
@@ -61,11 +61,7 @@ impl Operator for HashAggOp<'_, '_> {
             }
             self.out = Some(BatchEmitter::groups(acc.finish()?, self.ctx.db));
         }
-        Ok(self
-            .out
-            .as_mut()
-            .and_then(BatchEmitter::next_batch)
-            .and_then(|b| emit_or_end(self.ctx.db, b)))
+        BatchEmitter::emit(&mut self.out, self.ctx.db)
     }
 
     fn close(&mut self) {

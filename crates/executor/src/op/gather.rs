@@ -10,7 +10,7 @@ use crossbeam::thread::Scope;
 use taurus_common::{Result, RowBatch};
 use taurus_optimizer::plan::ExchangeNode;
 
-use super::{emit_or_end, BatchEmitter, Operator};
+use super::{BatchEmitter, Operator};
 use crate::exec::ExecContext;
 use crate::parallel::{exec_exchange, WorkerPrep};
 
@@ -51,11 +51,7 @@ impl Operator for GatherOp<'_, '_, '_> {
     }
 
     fn next_batch(&mut self) -> Result<Option<RowBatch>> {
-        Ok(self
-            .out
-            .as_mut()
-            .and_then(BatchEmitter::next_batch)
-            .and_then(|b| emit_or_end(self.ctx.db, b)))
+        BatchEmitter::emit(&mut self.out, self.ctx.db)
     }
 
     fn close(&mut self) {

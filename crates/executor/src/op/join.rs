@@ -40,7 +40,7 @@
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 
-use taurus_common::codec::put_value16;
+use taurus_common::codec::put_key16;
 use taurus_common::keymap::KeyHasher;
 use taurus_common::{Error, KeyMap, Result, RowBatch, Value};
 use taurus_ndp::JoinFilter;
@@ -59,7 +59,7 @@ fn join_key(row: &[Value], cols: &[usize], key: &mut Vec<u8>) -> Result<bool> {
         if row[p].is_null() {
             return Ok(false);
         }
-        put_value16(key, &row[p])?;
+        put_key16(key, &row[p])?;
     }
     Ok(true)
 }
@@ -69,8 +69,10 @@ type Chain = (u32, u32);
 const END: u32 = u32::MAX;
 
 /// The build rows by join key. Two keys are equal exactly when their
-/// [`join_key`] encodings are: NULL matches nothing, and an `Int` equals
-/// no value of another type (the encoding's tag differs).
+/// [`join_key`] encodings are, which is where SQL equality holds (`'x'`
+/// matches `'x '`, as a lookup join's index key does): NULL matches
+/// nothing, and an `Int` equals no value of another type (the encoding's
+/// tag differs).
 enum BuildIndex {
     /// One key column of `Int`s and NULLs, by the integer (no encoding).
     Int(HashMap<i64, Chain, BuildHasherDefault<KeyHasher>>),

@@ -335,12 +335,14 @@ impl BatchEmitter {
         }
     }
 
-    pub(crate) fn next_batch(&mut self) -> Option<RowBatch> {
+    fn next_batch(&mut self) -> Result<Option<RowBatch>> {
         let rows = match &mut self.source {
             Emitted::Rows(rows) => rows,
             Emitted::Groups(groups) => return groups.next_batch(self.batch_rows),
         };
-        let first = rows.next()?;
+        let Some(first) = rows.next() else {
+            return Ok(None);
+        };
         let mut b = RowBatch::with_capacity(first.len(), self.batch_rows);
         b.push_row(first);
         while !b.is_full() {
@@ -349,7 +351,16 @@ impl BatchEmitter {
                 None => break,
             }
         }
-        Some(b)
+        Ok(Some(b))
+    }
+
+    /// The next batch of `out`, if a breaker has one to emit
+    /// ([`emit_or_end`]).
+    pub(crate) fn emit(out: &mut Option<BatchEmitter>, db: &TaurusDb) -> Result<Option<RowBatch>> {
+        Ok(match out.as_mut() {
+            Some(out) => out.next_batch()?.and_then(|b| emit_or_end(db, b)),
+            None => None,
+        })
     }
 }
 

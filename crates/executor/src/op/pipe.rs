@@ -41,7 +41,7 @@ impl<'r, 'env> FilterOp<'r, 'env> {
     ) -> Result<FilterOp<'r, 'env>> {
         Ok(FilterOp {
             db: ctx.db,
-            predicate: CompiledPredicate::for_rows(&node.predicate, &row_types(plan, ctx.db))?,
+            predicate: CompiledPredicate::for_rows(&node.predicate, &row_types(plan, ctx.db)?)?,
             child,
         })
     }
@@ -92,7 +92,7 @@ impl<'r, 'env> ProjectOp<'r, 'env> {
         // Only a program needs its input's types.
         let input = match node.exprs.iter().all(|e| matches!(e, Expr::Col(_))) {
             true => Vec::new(),
-            false => row_types(&node.input, ctx.db),
+            false => row_types(&node.input, ctx.db)?,
         };
         Ok(ProjectOp {
             db: ctx.db,

@@ -39,7 +39,7 @@ use taurus_expr::agg::AggState;
 use taurus_ndp::{JoinFilter, ScanConsumer, ScanRange};
 use taurus_optimizer::plan::{HashAggNode, ScanNode};
 
-use super::{charge_emit, emit_or_end, BatchEmitter, Operator};
+use super::{charge_emit, BatchEmitter, Operator};
 use crate::exec::{panic_error, scan_into, ExecContext, HashAggAcc};
 
 /// How many row batches a scan producer may run ahead of the operator
@@ -262,11 +262,7 @@ impl Operator for AggScanOp<'_> {
     }
 
     fn next_batch(&mut self) -> Result<Option<RowBatch>> {
-        Ok(self
-            .out
-            .as_mut()
-            .and_then(BatchEmitter::next_batch)
-            .and_then(|b| emit_or_end(self.ctx.db, b)))
+        BatchEmitter::emit(&mut self.out, self.ctx.db)
     }
 
     fn close(&mut self) {

@@ -11,7 +11,7 @@ use taurus_common::schema::Row;
 use taurus_common::{Result, RowBatch};
 use taurus_optimizer::plan::SortNode;
 
-use super::{check_deadline, emit_or_end, BatchEmitter, BoxOp, Operator};
+use super::{check_deadline, BatchEmitter, BoxOp, Operator};
 use crate::exec::ExecContext;
 
 /// The sort order of `keys`: (position, descending) pairs, earlier keys
@@ -149,11 +149,7 @@ impl Operator for SortOp<'_, '_> {
             }
             self.out = Some(BatchEmitter::new(rows, self.ctx.db));
         }
-        Ok(self
-            .out
-            .as_mut()
-            .and_then(BatchEmitter::next_batch)
-            .and_then(|b| emit_or_end(self.ctx.db, b)))
+        BatchEmitter::emit(&mut self.out, self.ctx.db)
     }
 
     fn close(&mut self) {

@@ -58,7 +58,7 @@ impl AggFunc {
 
     /// The type of what [`AggState::finalize`] gives over inputs of type
     /// `input` (`None`: not known), where the input fixes it. A sum at
-    /// scale 0 finalizes as an integer: only one past `i64` is a decimal.
+    /// scale 0 finalizes as an integer (one past `i64` fails).
     pub fn output_type(self, input: Option<DataType>) -> Option<DataType> {
         match (self, input) {
             (AggFunc::CountStar | AggFunc::Count, _) => Some(DataType::BigInt),
@@ -416,33 +416,25 @@ impl AggState {
         Ok(())
     }
 
-    /// Final SQL value.
-    pub fn finalize(&self) -> Value {
-        match self {
+    /// Final SQL value, of the type [`AggFunc::output_type`] gives: a sum
+    /// at scale 0 is an integer, and one past `i64` the integer overflow
+    /// integer arithmetic fails with.
+    pub fn finalize(&self) -> Result<Value> {
+        Ok(match self {
             AggState::Count(n) => Value::Int(*n),
-            AggState::SumDec { raw, scale, seen } => {
-                if *seen {
-                    if *scale == 0 && i64::try_from(*raw).is_ok() {
-                        Value::Int(*raw as i64)
-                    } else {
-                        Value::Decimal(Dec {
-                            raw: *raw,
-                            scale: *scale,
-                        })
-                    }
-                } else {
-                    Value::Null
-                }
+            AggState::SumDec { seen: false, .. } | AggState::SumF64 { seen: false, .. } => {
+                Value::Null
             }
-            AggState::SumF64 { sum, seen } => {
-                if *seen {
-                    Value::Double(*sum)
-                } else {
-                    Value::Null
-                }
-            }
+            AggState::SumDec { raw, scale: 0, .. } => Value::Int(
+                i64::try_from(*raw).map_err(|_| Error::Arithmetic("integer overflow".into()))?,
+            ),
+            AggState::SumDec { raw, scale, .. } => Value::Decimal(Dec {
+                raw: *raw,
+                scale: *scale,
+            }),
+            AggState::SumF64 { sum, .. } => Value::Double(*sum),
             AggState::Min(v) | AggState::Max(v) => v.clone().unwrap_or(Value::Null),
-        }
+        })
     }
 
     // --- payload serialization (aggregate-record suffix) -------------------
@@ -542,7 +534,7 @@ mod tests {
         // "9" excludes the carrier record's own value (2), which is added
         // when the carrier row itself is consumed. Both conventions agree
         // on the final result; we fold everything into the payload.
-        assert_eq!(st.finalize(), Value::Int(11));
+        assert_eq!(st.finalize().unwrap(), Value::Int(11));
     }
 
     #[test]
@@ -558,7 +550,7 @@ mod tests {
             p2.update(&Value::Int(v));
         }
         p1.merge(&p2).unwrap();
-        assert_eq!(p1.finalize(), Value::Int(35));
+        assert_eq!(p1.finalize().unwrap(), Value::Int(35));
     }
 
     #[test]
@@ -569,8 +561,8 @@ mod tests {
             star.update(&Value::Int(1)); // row counter
             cnt.update(&v);
         }
-        assert_eq!(star.finalize(), Value::Int(3));
-        assert_eq!(cnt.finalize(), Value::Int(2));
+        assert_eq!(star.finalize().unwrap(), Value::Int(3));
+        assert_eq!(cnt.finalize().unwrap(), Value::Int(2));
     }
 
     #[test]
@@ -585,7 +577,7 @@ mod tests {
         st.update(&dec("1.25"));
         st.update(&dec("2.50"));
         st.update(&Value::Null);
-        assert_eq!(st.finalize(), dec("3.75"));
+        assert_eq!(st.finalize().unwrap(), dec("3.75"));
     }
 
     #[test]
@@ -597,7 +589,7 @@ mod tests {
                 scale: 2,
             }),
         );
-        assert_eq!(st.finalize(), Value::Null);
+        assert_eq!(st.finalize().unwrap(), Value::Null);
     }
 
     #[test]
@@ -611,8 +603,8 @@ mod tests {
         let mut mn2 = AggState::new(AggFunc::Min, Some(DataType::Varchar(10)));
         mn2.update(&Value::str("aardvark"));
         mn.merge(&mn2).unwrap();
-        assert_eq!(mn.finalize(), Value::str("aardvark"));
-        assert_eq!(mx.finalize(), Value::str("pear"));
+        assert_eq!(mn.finalize().unwrap(), Value::str("aardvark"));
+        assert_eq!(mx.finalize().unwrap(), Value::str("pear"));
     }
 
     #[test]
@@ -632,7 +624,10 @@ mod tests {
             seen: true,
         };
         s1.merge(&s2).unwrap();
-        assert_eq!(s1.finalize(), Value::Decimal(Dec::parse("4.0000").unwrap()));
+        assert_eq!(
+            s1.finalize().unwrap(),
+            Value::Decimal(Dec::parse("4.0000").unwrap())
+        );
     }
 
     /// A sum typed by its first value that met none merges with a sum
@@ -651,7 +646,7 @@ mod tests {
         assert_eq!(b, doubles);
         let mut empty = AggState::new(AggFunc::Sum, Some(DataType::Double));
         empty.merge(&untyped).unwrap();
-        assert_eq!(empty.finalize(), Value::Null);
+        assert_eq!(empty.finalize().unwrap(), Value::Null);
         let mut ints = AggState::new(AggFunc::Sum, None);
         ints.update(&Value::Int(2));
         let before = ints.clone();

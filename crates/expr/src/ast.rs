@@ -7,7 +7,9 @@
 
 use std::fmt;
 
-use taurus_common::{DataType, Error, Result, Value};
+use taurus_common::{DataType, Dec, Error, Result, Value};
+
+use crate::vm::{self, Ty};
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CmpOp {
@@ -348,69 +350,105 @@ impl Expr {
     }
 
     /// Result type of this expression over `input` column types: that of
-    /// every non-NULL value it evaluates to, decimal scale included (the
-    /// VM's scale rule), unless a CASE's branches differ in type.
+    /// every non-NULL value it evaluates to, decimal scale included. It
+    /// types by the record VM's classes and rules (`crate::vm`), so it
+    /// types exactly what compiles: anything else (a date minus a date, a
+    /// string in arithmetic, a comparison across families, a CASE whose
+    /// branches are not of one type) is an [`Error::Type`]. An expression
+    /// that is NULL on every row (a NULL literal) is typed `Int`.
     pub fn dtype(&self, input: &[DataType]) -> Result<DataType> {
-        let boolean = DataType::Int;
+        Ok(self.typed(input)?.unwrap_or(DataType::Int))
+    }
+
+    /// [`Expr::dtype`], `None` for an expression NULL on every row.
+    fn typed(&self, input: &[DataType]) -> Result<Option<DataType>> {
+        let class = |e: &Expr| Ok::<_, Error>(e.typed(input)?.map_or(Ty::Null, Ty::of_dtype));
+        let fail = |classes: &[Ty]| Error::Type(format!("{self} does not type over {classes:?}"));
+        // The class the VM's rule gives over the operands' classes.
+        let unary = |e: &Expr, rule: &dyn Fn(Ty) -> Option<Ty>| {
+            let t = class(e)?;
+            rule(t).ok_or_else(|| fail(&[t]))
+        };
+        let binary = |a: &Expr, b: &Expr, rule: &dyn Fn(Ty, Ty) -> Option<Ty>| {
+            let (ta, tb) = (class(a)?, class(b)?);
+            rule(ta, tb).ok_or_else(|| fail(&[ta, tb]))
+        };
+        let truth = |t: Ty| t.boolish().then_some(Ty::Bool);
+        let boolean = Some(DataType::Int);
         Ok(match self {
-            Expr::Col(i) => *input
-                .get(*i)
-                .ok_or_else(|| Error::Internal(format!("column {i} out of range")))?,
-            Expr::Lit(v) => match v {
-                Value::Null => DataType::Int,
-                Value::Int(_) => DataType::BigInt,
-                Value::Decimal(d) => DataType::Decimal {
-                    precision: 30,
-                    scale: d.scale,
-                },
-                Value::Date(_) => DataType::Date,
-                Value::Str(s) => DataType::Varchar(s.len() as u16),
-                Value::Double(_) => DataType::Double,
-            },
-            Expr::Cmp(..)
-            | Expr::And(_)
-            | Expr::Or(_)
-            | Expr::Not(_)
-            | Expr::Like { .. }
-            | Expr::InList { .. }
-            | Expr::Between { .. }
-            | Expr::IsNull { .. } => boolean,
-            Expr::Arith(op, a, b) => {
-                let (ta, tb) = (a.dtype(input)?, b.dtype(input)?);
-                let scale = |t: DataType| match t {
-                    DataType::Int | DataType::BigInt => Some(0),
-                    DataType::Decimal { scale, .. } => Some(scale),
-                    _ => None,
-                };
-                match (ta, tb) {
-                    (DataType::Double, _) | (_, DataType::Double) => DataType::Double,
-                    (DataType::Date, _) | (_, DataType::Date) => DataType::Date,
-                    (DataType::Int | DataType::BigInt, DataType::Int | DataType::BigInt)
-                        if *op != ArithOp::Div =>
-                    {
-                        DataType::BigInt
-                    }
-                    _ => match (scale(ta), scale(tb)) {
-                        (Some(sa), Some(sb)) => DataType::Decimal {
-                            precision: 30,
-                            scale: crate::vm::dec_result_scale(*op, sa, sb).ok_or_else(|| {
-                                Error::Arithmetic("decimal scale overflow".into())
-                            })?,
-                        },
-                        _ => DataType::BigInt,
-                    },
+            Expr::Col(i) => Some(
+                *input
+                    .get(*i)
+                    .ok_or_else(|| Error::Internal(format!("column {i} out of range")))?,
+            ),
+            Expr::Lit(Value::Str(s)) => Some(DataType::Varchar(s.len() as u16)),
+            Expr::Lit(v) => Ty::of_value(v).dtype(),
+            Expr::Cmp(_, a, b) => binary(a, b, &vm::cmp_class).and(Ok(boolean))?,
+            Expr::And(xs) | Expr::Or(xs) => {
+                for x in xs {
+                    unary(x, &truth)?;
                 }
+                boolean
             }
-            Expr::Neg(a) => a.dtype(input)?,
+            Expr::Not(a) => unary(a, &truth).and(Ok(boolean))?,
+            Expr::Arith(op, a, b) => binary(a, b, &|x, y| vm::arith_ty(*op, x, y))?.dtype(),
+            Expr::Neg(a) => unary(a, &vm::neg_ty).and(a.typed(input))?,
+            Expr::Like { expr, .. } => unary(expr, &vm::text_ty).and(Ok(boolean))?,
+            Expr::InList { expr, list, .. } => {
+                unary(expr, &|t| vm::in_list_class(t, list)).and(Ok(boolean))?
+            }
+            Expr::Between { expr, lo, hi } => {
+                binary(expr, lo, &vm::cmp_class)?;
+                binary(expr, hi, &vm::cmp_class).and(Ok(boolean))?
+            }
+            Expr::IsNull { expr, .. } => expr.typed(input).and(Ok(boolean))?,
             Expr::Case { branches, else_ } => {
-                if let Some((_, v)) = branches.first() {
-                    v.dtype(input)?
-                } else {
-                    else_.dtype(input)?
+                let mut types = vec![else_.typed(input)?];
+                for (c, v) in branches {
+                    unary(c, &truth)?;
+                    types.push(v.typed(input)?);
                 }
+                let joined = types.iter().try_fold(None, |a, &b| join_types(a, b))?;
+                // The binder converts each value to the join
+                // ([`Expr::typed_case`]): a register holds one class.
+                let class = joined.map_or(Ty::Null, Ty::of_dtype);
+                if let Some(t) = types
+                    .into_iter()
+                    .flatten()
+                    .find(|&t| Ty::of_dtype(t) != class)
+                {
+                    let message = format!("{self}: a value of type {t:?} is not a {joined:?}");
+                    return Err(Error::Type(message));
+                }
+                joined
             }
-            Expr::ExtractYear(_) => DataType::BigInt,
-            Expr::Substr { len, .. } => DataType::Varchar(*len as u16),
+            Expr::ExtractYear(a) => unary(a, &vm::year_ty)?.dtype(),
+            Expr::Substr { expr, len, .. } => unary(expr, &vm::text_ty)?
+                .dtype()
+                .and(Some(DataType::Varchar(*len as u16))),
+        })
+    }
+
+    /// A searched CASE whose values are converted to the type their types
+    /// join to ([`join_types`]), so that it has one type
+    /// ([`Expr::dtype`]): a literal is converted in place, any other value
+    /// by an exact conversion `eval` and the VM both compute (times 1 at
+    /// the target scale, or times `1e0`). `input` types the columns.
+    pub fn typed_case(
+        branches: Vec<(Expr, Expr)>,
+        else_: Expr,
+        input: &[DataType],
+    ) -> Result<Expr> {
+        let of = |v: &Expr| v.typed(input);
+        let to = (branches.iter().map(|(_, v)| v).chain([&else_]))
+            .try_fold(None, |joined, v| join_types(joined, of(v)?))?;
+        let convert = |v: Expr| convert(of(&v)?, v, to);
+        Ok(Expr::Case {
+            branches: branches
+                .into_iter()
+                .map(|(c, v)| Ok((c, convert(v)?)))
+                .collect::<Result<_>>()?,
+            else_: Box::new(convert(else_)?),
         })
     }
 
@@ -450,6 +488,52 @@ impl Expr {
             Expr::Case { .. } => false,
         }
     }
+}
+
+/// The type CASE values of types `a` and `b` join to (`None`: NULL on
+/// every row). NULL is the identity; integers and decimals join to a
+/// decimal at the widest scale, any number and a double to a double, CHAR
+/// and VARCHAR to VARCHAR; any other mix is an [`Error::Type`].
+pub fn join_types(a: Option<DataType>, b: Option<DataType>) -> Result<Option<DataType>> {
+    let (Some(a), Some(b)) = (a, b) else {
+        return Ok(a.or(b));
+    };
+    let (ta, tb) = (Ty::of_dtype(a), Ty::of_dtype(b));
+    let joined = match (ta.dec_scale(), tb.dec_scale()) {
+        _ if a == b => return Ok(Some(a)),
+        _ if ta == tb => ta,
+        (Some(s), Some(t)) => Ty::Dec(s.max(t)),
+        _ if ta.numeric() && tb.numeric() => Ty::F64,
+        _ => return Err(Error::Type(format!("CASE mixes {a:?} and {b:?}"))),
+    };
+    Ok(joined.dtype())
+}
+
+/// `e`, of type `from`, as a value of type `to`, which its type joins to
+/// (`None`: NULL on every row, which needs none): unchanged where the
+/// two are of one class, a literal converted, any other value times 1 at
+/// `to`'s scale or times `1e0`.
+fn convert(from: Option<DataType>, e: Expr, to: Option<DataType>) -> Result<Expr> {
+    let (Some(from), Some(to)) = (from, to) else {
+        return Ok(e);
+    };
+    let fail = || Error::Type(format!("cannot convert a {from:?} value to {to:?}"));
+    Ok(match (Ty::of_dtype(from), Ty::of_dtype(to), e) {
+        (tf, tt, e) if tf == tt => e,
+        (_, Ty::F64, Expr::Lit(v)) => Expr::Lit(Value::Double(v.as_f64()?)),
+        (_, Ty::F64, e) => Expr::mul(e, Expr::Lit(Value::Double(1.0))),
+        (tf, Ty::Dec(t), e) => match (tf.dec_scale(), e) {
+            (Some(_), Expr::Lit(v)) => {
+                Expr::Lit(Value::Decimal(v.as_dec()?.checked_add(Dec::new(0, t))?))
+            }
+            (Some(s), e) if s < t => {
+                let one = Dec::new(10i128.pow((t - s) as u32), t - s);
+                Expr::mul(e, Expr::Lit(Value::Decimal(one)))
+            }
+            _ => return Err(fail()),
+        },
+        _ => return Err(fail()),
+    })
 }
 
 impl fmt::Display for Expr {

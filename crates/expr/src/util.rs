@@ -8,7 +8,7 @@
 //! the compute-node interpreter so both sides produce bit-identical results
 //! (the paper's §V-B2 correctness requirement).
 
-use taurus_common::{Date32, Dec, Error, Result};
+use taurus_common::{Date32, Error, Result};
 
 /// Identifiers of library functions callable from the IR.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -90,12 +90,6 @@ pub fn add_days(days: i32, n: i64) -> Result<i32> {
 pub fn neg_int(v: i64) -> Result<i64> {
     v.checked_neg()
         .ok_or_else(|| Error::Arithmetic("integer overflow".into()))
-}
-
-/// Compare two decimals with potentially different scales — the analogue of
-/// the paper's `bin2decimal`-style helpers used during predicate evaluation.
-pub fn decimal_cmp(a: Dec, b: Dec) -> std::cmp::Ordering {
-    a.cmp_dec(b)
 }
 
 /// Trim trailing spaces for CHAR pad-space comparisons.

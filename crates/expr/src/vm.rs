@@ -33,32 +33,29 @@
 //!   constant offset;
 //! * a row program ([`CompiledPredicate::for_rows`],
 //!   [`CompiledPredicate::for_row_program`]) takes them from the types the
-//!   operator's input rows are inferred to have (`taurus_verify`), and
-//!   its loads check each value. Two values can still be off their
-//!   column's type: a CASE's whose branches differ in type, and a SUM's
-//!   past `i64` (a decimal where the column says integer). A row holding
-//!   one runs the same IR untyped instead, so inference that errs costs
-//!   time, never a result.
+//!   operator's input rows are inferred to have (`taurus_verify`); a row
+//!   value off its column's type is an [`Error::Type`], never a NULL.
 //!
-//! An op whose operands' classes are fixed becomes a typed op: it reads
-//! the one variant its class allows, or NULL, with no tag dispatch,
-//! scale alignment or conversion at run time. Conversions are made when
-//! the program compiles: an integer constant a decimal op reads becomes a
-//! decimal aligned to the other operand's scale, and a constant a
-//! comparison or decimal op reads where its load always runs first is
-//! taken into the op. Decimal ops give `Dec::checked_*`'s raw value and
-//! scale, and overflow or divide by zero exactly where it does, with its
-//! error. An aggregate input folds its result register into its
-//! [`AggState`] ([`CompiledPredicate::fold_record`],
-//! [`CompiledPredicate::fold_row`]) without building a [`Value`].
+//! Every op is typed: it reads the one variant its class allows, or NULL,
+//! with no tag dispatch, scale alignment or conversion at run time.
+//! Conversions are made when the program compiles (an integer constant a
+//! decimal op reads becomes a decimal aligned to the other operand's
+//! scale, and a constant whose load always runs first is taken into the
+//! op), or by a conversion op ahead of the op. Decimal ops give
+//! `Dec::checked_*`'s raw value, scale and error. An aggregate input folds
+//! its result register into its [`AggState`] without building a
+//! [`Value`].
 //!
-//! What stays generic: a column of unknown type, a register written with
-//! two classes (a CASE whose branches are a decimal and an integer),
-//! operands whose classes cannot meet (a string against a number, which
-//! the generic op rejects or finds incomparable), and IN lists or LIKE
-//! patterns of mixed constants. Those run today's generic ops, in the
-//! same loop as the typed ones ([`CompiledPredicate::generic_ops`] counts
-//! them; every TPC-H expression has none).
+//! What does not type does not compile ([`Error::Verify`]): a register
+//! written with two classes (a CASE whose values differ in type), operands
+//! no op takes (a string against a number, a date minus a date, LIKE over
+//! a number, an IN list whose constants do not compare with its operand),
+//! and a branch or a three-valued merge over what is not a truth value.
+//! `Expr::dtype` types by the same classes and rules ([`arith_ty`],
+//! [`cmp_class`], [`in_list_class`], ...), so what the verifier types
+//! compiles.
+
+use std::cmp::Ordering;
 
 use taurus_common::{DataType, Dec, Error, Result, Value, DEC_MAX_SCALE};
 use taurus_page::{RecordLayout, RecordView};
@@ -138,11 +135,10 @@ impl ConstSlot {
 }
 
 /// The class of a register, fixed when its program is compiled: the join
-/// of every value any instruction writes to it. Every register starts
-/// NULL, and NULL belongs to every class, so a register read before any
-/// write is still of its class.
+/// of every value any instruction writes to it (every register starts
+/// NULL, which belongs to every class). `Expr::dtype` types by it too.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Ty {
+pub(crate) enum Ty {
     /// Holds nothing but NULL.
     Null,
     /// A truth value as the VM writes one: `Int` 0 or 1.
@@ -153,13 +149,10 @@ enum Ty {
     Date,
     F64,
     Bytes,
-    /// Not fixed (an untyped column, or values of two classes): only
-    /// generic ops read it.
-    Any,
 }
 
 impl Ty {
-    fn of_value(v: &Value) -> Ty {
+    pub(crate) fn of_value(v: &Value) -> Ty {
         match v {
             Value::Null => Ty::Null,
             Value::Int(_) => Ty::Int,
@@ -170,18 +163,38 @@ impl Ty {
         }
     }
 
-    fn join(self, o: Ty) -> Ty {
+    pub(crate) fn of_dtype(dtype: DataType) -> Ty {
+        Field::of(dtype).ty()
+    }
+
+    /// The column type of values of this class (`None` for NULL alone).
+    pub(crate) fn dtype(self) -> Option<DataType> {
+        Some(match self {
+            Ty::Null => return None,
+            Ty::Bool => DataType::Int,
+            Ty::Int => DataType::BigInt,
+            Ty::Dec(scale) => DataType::Decimal {
+                precision: 30,
+                scale,
+            },
+            Ty::Date => DataType::Date,
+            Ty::F64 => DataType::Double,
+            Ty::Bytes => DataType::Varchar(u16::MAX),
+        })
+    }
+
+    /// The class of a register written with both (`None`: there is none).
+    pub(crate) fn join(self, o: Ty) -> Option<Ty> {
         match (self, o) {
-            (a, b) if a == b => a,
-            (Ty::Null, t) | (t, Ty::Null) => t,
-            (Ty::Bool, Ty::Int) | (Ty::Int, Ty::Bool) => Ty::Int,
-            _ => Ty::Any,
+            (a, b) if a == b => Some(a),
+            (Ty::Null, t) | (t, Ty::Null) => Some(t),
+            (Ty::Bool, Ty::Int) | (Ty::Int, Ty::Bool) => Some(Ty::Int),
+            _ => None,
         }
     }
 
-    /// An `Int` (a truth value is one) or NULL: what a branch and a
-    /// three-valued merge read without a type error.
-    fn boolish(self) -> bool {
+    /// What a branch and a three-valued merge read: an `Int` or NULL.
+    pub(crate) fn boolish(self) -> bool {
         matches!(self, Ty::Null | Ty::Bool | Ty::Int)
     }
 
@@ -191,7 +204,7 @@ impl Ty {
 
     /// The scale of the operand in decimal arithmetic (an integer is a
     /// decimal at scale 0).
-    fn dec_scale(self) -> Option<u8> {
+    pub(crate) fn dec_scale(self) -> Option<u8> {
         match self {
             Ty::Bool | Ty::Int => Some(0),
             Ty::Dec(s) => Some(s),
@@ -199,7 +212,7 @@ impl Ty {
         }
     }
 
-    fn numeric(self) -> bool {
+    pub(crate) fn numeric(self) -> bool {
         self.dec_scale().is_some() || self == Ty::F64
     }
 }
@@ -252,31 +265,20 @@ impl Field {
     }
 }
 
-/// Where a column load reads: the field's position, its type when
-/// known, and, for a fixed-width field a record of the layout always
-/// holds at the same offset, that offset.
+/// Where a column load reads: the field's position, its type, and the
+/// offset a record of the layout always holds a fixed-width field at.
 struct Site {
     pos: u16,
-    field: Option<Field>,
+    field: Field,
     at: Option<u16>,
 }
 
 /// Post-"JIT" instruction: like [`IrInstr`] but with column references
-/// resolved to concrete record positions, and, where the compiler fixed
-/// their operands' classes, typed.
-///
-/// A generic op matches its operands' variants at run time, aligns
-/// decimal scales and converts mixed numeric operands, as `crate::eval`
-/// does. A typed op (the second group) reads the one variant its
-/// operands' class allows, or NULL; its conversions were made when it
-/// was compiled (constants) or by a conversion op ahead of it.
+/// resolved to concrete record positions, and typed: each reads the one
+/// variant its operands' class allows, or NULL. Its conversions were made
+/// when it was compiled (constants) or by a conversion op ahead of it.
 #[derive(Clone, Copy, Debug)]
 enum Op {
-    // Generic, or taking any class.
-    LoadField {
-        dst: u16,
-        pos: u16,
-    },
     LoadConst {
         dst: u16,
         idx: u16,
@@ -285,71 +287,10 @@ enum Op {
         dst: u16,
         src: u16,
     },
-    Cmp {
-        op: CmpOp,
-        dst: u16,
-        a: u16,
-        b: u16,
-    },
-    And {
-        dst: u16,
-        a: u16,
-        b: u16,
-    },
-    Or {
-        dst: u16,
-        a: u16,
-        b: u16,
-    },
-    Not {
-        dst: u16,
-        a: u16,
-    },
-    Arith {
-        op: ArithOp,
-        dst: u16,
-        a: u16,
-        b: u16,
-    },
-    Neg {
-        dst: u16,
-        a: u16,
-    },
     IsNull {
         dst: u16,
         a: u16,
         negated: bool,
-    },
-    Like {
-        dst: u16,
-        a: u16,
-        pattern: u16,
-        negated: bool,
-    },
-    InList {
-        dst: u16,
-        a: u16,
-        first: u16,
-        count: u16,
-        negated: bool,
-    },
-    ExtractYear {
-        dst: u16,
-        a: u16,
-    },
-    Substr {
-        dst: u16,
-        a: u16,
-        from: u16,
-        len: u16,
-    },
-    BrFalse {
-        cond: u16,
-        target: u16,
-    },
-    BrTrue {
-        cond: u16,
-        target: u16,
     },
     Jmp {
         target: u16,
@@ -357,7 +298,6 @@ enum Op {
     Ret {
         src: u16,
     },
-    // Typed.
     Load {
         dst: u16,
         pos: u16,
@@ -476,14 +416,9 @@ enum Op {
         pattern: u16,
         negated: bool,
     },
-    InListBytes {
-        dst: u16,
-        a: u16,
-        first: u16,
-        count: u16,
-        negated: bool,
-    },
-    InListInt {
+    /// SQL's IN over constants that compare in the operand's class
+    /// ([`list_eq`]).
+    InListEq {
         dst: u16,
         a: u16,
         first: u16,
@@ -500,7 +435,7 @@ enum Op {
         from: u16,
         len: u16,
     },
-    // Typed, with a constant operand in the op.
+    // With a constant operand in the op.
     CmpIntK {
         op: CmpOp,
         dst: u16,
@@ -540,46 +475,25 @@ enum Op {
 }
 
 impl Op {
-    /// Does the op match its operands' variants at run time?
-    fn is_generic(&self) -> bool {
-        matches!(
-            self,
-            Op::LoadField { .. }
-                | Op::Cmp { .. }
-                | Op::And { .. }
-                | Op::Or { .. }
-                | Op::Not { .. }
-                | Op::Arith { .. }
-                | Op::Neg { .. }
-                | Op::Like { .. }
-                | Op::InList { .. }
-                | Op::ExtractYear { .. }
-                | Op::Substr { .. }
-                | Op::BrFalse { .. }
-                | Op::BrTrue { .. }
-        )
-    }
-
     /// The branch target, if the op branches.
     fn target_mut(&mut self) -> Option<&mut u16> {
         match self {
-            Op::BrFalse { target, .. }
-            | Op::BrTrue { target, .. }
-            | Op::BrFalseBool { target, .. }
-            | Op::BrTrueBool { target, .. }
-            | Op::Jmp { target } => Some(target),
+            Op::BrFalseBool { target, .. } | Op::BrTrueBool { target, .. } | Op::Jmp { target } => {
+                Some(target)
+            }
             _ => None,
         }
     }
 
-    /// The two operands of a typed op that may take converted ones.
-    fn operands_mut(&mut self) -> Option<(&mut u16, &mut u16)> {
+    /// The operands of a typed op that may take converted ones.
+    fn operands_mut(&mut self) -> [Option<&mut u16>; 2] {
         match self {
             Op::CmpDec { a, b, .. }
             | Op::CmpF64 { a, b, .. }
             | Op::ArithDec { a, b, .. }
-            | Op::ArithF64 { a, b, .. } => Some((a, b)),
-            _ => None,
+            | Op::ArithF64 { a, b, .. } => [Some(a), Some(b)],
+            Op::InListEq { a, .. } => [Some(a), None],
+            _ => [None, None],
         }
     }
 }
@@ -591,15 +505,10 @@ impl Op {
 #[derive(Clone)]
 pub struct CompiledPredicate {
     ops: Box<[Op]>,
-    /// A row program with typed loads: the same IR with every op
-    /// generic, which a row runs whose value at a typed load is not of
-    /// its column's compiled type. (A record's fields are of their
-    /// layout's types, and a program without typed loads has no such
-    /// row.)
-    untyped: Option<Box<[Op]>>,
     consts: Box<[ConstSlot]>,
-    /// Register count, conversion registers included; kept for
-    /// introspection.
+    /// The class of the program's result.
+    result: Ty,
+    /// Register count, conversion registers included.
     pub n_regs: usize,
 }
 
@@ -607,10 +516,8 @@ pub struct CompiledPredicate {
 /// source; [`CompiledPredicate::run`] is generic over them, so each
 /// source gets its own copy of the loop.
 pub(crate) trait Fields<'a> {
-    /// The value at `pos`, of whatever class it is.
-    fn load(&self, pos: u16) -> Result<Slot<'a>>;
-    /// The value at `pos` read as `field`; `None` if there is none of
-    /// that class (the untyped program then reads it, or fails to).
+    /// The value at `pos` read as `field`; `None` if it is not of that
+    /// class.
     fn load_as(&self, pos: u16, field: Field) -> Option<Slot<'a>>;
     /// [`Fields::load_as`] for a fixed-width field a record holds at
     /// offset `at`.
@@ -619,13 +526,6 @@ pub(crate) trait Fields<'a> {
 
 /// A record's fields, read in place.
 impl<'a> Fields<'a> for RecordView<'a> {
-    #[inline]
-    fn load(&self, pos: u16) -> Result<Slot<'a>> {
-        let dtype = self.layout().dtypes.get(pos as usize);
-        let dtype = dtype.ok_or_else(|| Error::Internal(format!("field {pos} out of range")))?;
-        Ok(record_field(self, pos, Field::of(*dtype)))
-    }
-
     #[inline(always)]
     fn load_as(&self, pos: u16, field: Field) -> Option<Slot<'a>> {
         Some(record_field(self, pos, field))
@@ -643,14 +543,6 @@ impl<'a> Fields<'a> for RecordView<'a> {
 
 /// A decoded row: column `i` is the row's value `i`.
 impl<'a> Fields<'a> for &'a [Value] {
-    #[inline]
-    fn load(&self, pos: u16) -> Result<Slot<'a>> {
-        let v = self
-            .get(pos as usize)
-            .ok_or_else(|| Error::Internal(format!("column {pos} out of row range")))?;
-        Ok(value_slot(v))
-    }
-
     #[inline(always)]
     fn load_as(&self, pos: u16, field: Field) -> Option<Slot<'a>> {
         match (self.get(pos as usize)?, field) {
@@ -682,7 +574,7 @@ impl CompiledPredicate {
         layout: &RecordLayout,
         col_map: &[u16],
     ) -> Result<CompiledPredicate> {
-        Self::build(ir, false, |col| {
+        Self::build(ir, |col| {
             let pos = *col_map
                 .get(col as usize)
                 .ok_or_else(|| Error::InvalidState(format!("descriptor col {col} unmapped")))?;
@@ -698,47 +590,40 @@ impl CompiledPredicate {
                     .and_then(|at| u16::try_from(at).ok()),
                 None => None,
             };
-            Ok(Site {
-                pos,
-                field: Some(field),
-                at,
-            })
+            Ok(Site { pos, field, at })
         })
     }
 
     /// Lower `e` and compile it for decoded rows whose column `i` is of
-    /// type `input[i]` (`None`, or past the end: not known, and read by a
-    /// generic load): the program an operator runs
+    /// type `input[i]`: the program an operator runs
     /// ([`CompiledPredicate::eval_row`], [`CompiledPredicate::row_passes`],
-    /// [`CompiledPredicate::fold_row`]). Any expression compiles; the
-    /// register budget ([`MAX_REGS`]) binds only programs shipped to a
-    /// Page Store.
-    pub fn for_rows(e: &Expr, input: &[Option<DataType>]) -> Result<CompiledPredicate> {
-        Self::build(&crate::compile::lower(e)?, true, |col| {
-            let field = input.get(col as usize).copied().flatten().map(Field::of);
-            Ok(Site {
-                pos: col,
-                field,
-                at: None,
-            })
-        })
+    /// [`CompiledPredicate::fold_row`]). A column past `input` is an
+    /// [`Error::Verify`]. The register budget ([`MAX_REGS`]) binds only
+    /// programs shipped to a Page Store.
+    pub fn for_rows(e: &Expr, input: &[DataType]) -> Result<CompiledPredicate> {
+        Self::for_row_values(&crate::compile::lower(e)?, input, Error::Verify)
     }
 
-    /// Compile a descriptor's program for decoded rows of
-    /// `input.len()` values typed as for [`CompiledPredicate::for_rows`]
-    /// (a pushed HAVING, over a group's outputs). A load past the row is
+    /// Compile a descriptor's program for decoded rows of `input.len()`
+    /// values typed as for [`CompiledPredicate::for_rows`] (a pushed
+    /// HAVING, over a group's outputs). A load past the row is
     /// [`Error::Corruption`].
-    pub fn for_row_program(
+    pub fn for_row_program(ir: &IrProgram, input: &[DataType]) -> Result<CompiledPredicate> {
+        Self::for_row_values(ir, input, Error::Corruption)
+    }
+
+    fn for_row_values(
         ir: &IrProgram,
-        input: &[Option<DataType>],
+        input: &[DataType],
+        past: fn(String) -> Error,
     ) -> Result<CompiledPredicate> {
-        Self::build(ir, true, |col| match input.get(col as usize) {
-            Some(dtype) => Ok(Site {
+        Self::build(ir, |col| match input.get(col as usize) {
+            Some(&dtype) => Ok(Site {
                 pos: col,
-                field: dtype.map(Field::of),
+                field: Field::of(dtype),
                 at: None,
             }),
-            None => Err(Error::Corruption(format!(
+            None => Err(past(format!(
                 "program reads value {col} of a {}-value row",
                 input.len()
             ))),
@@ -746,97 +631,45 @@ impl CompiledPredicate {
     }
 
     /// Validate `ir`, resolve its column loads through `site_of`, type
-    /// its registers and emit typed ops where their operands' classes are
-    /// fixed. `guarded`: the program reads decoded rows, whose values its
-    /// typed loads check.
-    fn build(
-        ir: &IrProgram,
-        guarded: bool,
-        site_of: impl Fn(u16) -> Result<Site>,
-    ) -> Result<CompiledPredicate> {
+    /// its registers and emit its typed ops.
+    fn build(ir: &IrProgram, site_of: impl Fn(u16) -> Result<Site>) -> Result<CompiledPredicate> {
         ir.validate()?;
-        let mut untyped = Vec::with_capacity(ir.instrs.len());
         let mut sites = Vec::with_capacity(ir.instrs.len());
         for (i, ins) in ir.instrs.iter().enumerate() {
-            let mut site = None;
-            untyped.push(match *ins {
-                IrInstr::LoadCol { dst, col } => {
-                    let load = site_of(col)?;
-                    let pos = load.pos;
-                    site = Some(load);
-                    Op::LoadField { dst, pos }
-                }
-                IrInstr::LoadConst { dst, idx } => Op::LoadConst { dst, idx },
-                IrInstr::Mov { dst, src } => Op::Mov { dst, src },
-                IrInstr::Cmp { op, dst, a, b } => Op::Cmp { op, dst, a, b },
-                IrInstr::And { dst, a, b } => Op::And { dst, a, b },
-                IrInstr::Or { dst, a, b } => Op::Or { dst, a, b },
-                IrInstr::Not { dst, a } => Op::Not { dst, a },
-                IrInstr::Arith { op, dst, a, b } => Op::Arith { op, dst, a, b },
-                IrInstr::Neg { dst, a } => Op::Neg { dst, a },
-                IrInstr::IsNull { dst, a, negated } => Op::IsNull { dst, a, negated },
-                IrInstr::Like {
-                    dst,
-                    a,
-                    pattern,
-                    negated,
-                } => Op::Like {
-                    dst,
-                    a,
-                    pattern,
-                    negated,
-                },
-                IrInstr::InList {
-                    dst,
-                    a,
-                    first,
-                    count,
-                    negated,
-                } => Op::InList {
-                    dst,
-                    a,
-                    first,
-                    count,
-                    negated,
-                },
-                IrInstr::ExtractYear { dst, a } => Op::ExtractYear { dst, a },
-                IrInstr::Substr { dst, a, from, len } => Op::Substr { dst, a, from, len },
-                IrInstr::BrFalse { cond, target } => {
+            sites.push(match *ins {
+                IrInstr::LoadCol { col, .. } => Some(site_of(col)?),
+                IrInstr::BrFalse { target, .. }
+                | IrInstr::BrTrue { target, .. }
+                | IrInstr::Jmp { target } => {
                     forward_only(i, target)?;
-                    Op::BrFalse { cond, target }
+                    None
                 }
-                IrInstr::BrTrue { cond, target } => {
-                    forward_only(i, target)?;
-                    Op::BrTrue { cond, target }
-                }
-                IrInstr::Jmp { target } => {
-                    forward_only(i, target)?;
-                    Op::Jmp { target }
-                }
-                IrInstr::Ret { src } => Op::Ret { src },
+                _ => None,
             });
-            sites.push(site);
         }
-        let mut consts: Vec<ConstSlot> = ir.consts.iter().map(ConstSlot::from_value).collect();
-        let (ops, n_regs) = match typed_ops(ir, &sites, &untyped, &mut consts) {
-            Some(typed) => typed,
-            None => (untyped.clone(), ir.n_regs as usize),
-        };
-        let typed_loads = ops
+        let ty = classes(ir, &sites)?;
+        let result = ir
+            .instrs
             .iter()
-            .any(|op| matches!(op, Op::Load { .. } | Op::LoadAt { .. }));
+            .filter_map(|ins| match *ins {
+                IrInstr::Ret { src } => Some(ty[src as usize]),
+                _ => None,
+            })
+            .try_fold(Ty::Null, Ty::join)
+            .ok_or_else(|| Error::Verify("the program returns two classes".into()))?;
+        let mut consts: Vec<ConstSlot> = ir.consts.iter().map(ConstSlot::from_value).collect();
+        let (ops, n_regs) = typed_ops(ir, &sites, &ty, &mut consts)?;
         Ok(CompiledPredicate {
             ops: ops.into_boxed_slice(),
-            untyped: (guarded && typed_loads).then(|| untyped.into_boxed_slice()),
             consts: consts.into_boxed_slice(),
+            result,
             n_regs,
         })
     }
 
-    /// How many of the program's ops match their operands' variants at
-    /// run time: zero when every register's class was fixed.
-    pub fn generic_ops(&self) -> usize {
-        self.ops.iter().filter(|op| op.is_generic()).count()
+    /// The type of the program's results (`None`: NULL only).
+    pub fn result_type(&self) -> Option<DataType> {
+        self.result.dtype()
     }
 
     /// Evaluate as a predicate over a record's bytes.
@@ -893,7 +726,7 @@ impl CompiledPredicate {
     fn run<'r, F: Fields<'r>>(&'r self, src: &F) -> Result<Slot<'r>> {
         // A program that is one typed load (a Page Store's bare-column
         // aggregate input) reads its field without the loop.
-        let direct = match self.ops[..] {
+        match self.ops[..] {
             [Op::LoadAt {
                 dst,
                 pos,
@@ -902,54 +735,27 @@ impl CompiledPredicate {
             }, Op::Ret { src: r }]
                 if dst == r =>
             {
-                Some(src.load_at(pos, at, field))
+                return src
+                    .load_at(pos, at, field)
+                    .ok_or_else(|| off_type(pos, field));
             }
             [Op::Load { dst, pos, field }, Op::Ret { src: r }] if dst == r => {
-                Some(src.load_as(pos, field))
+                return src.load_as(pos, field).ok_or_else(|| off_type(pos, field));
             }
-            _ => None,
-        };
-        match direct {
-            Some(Some(v)) => return Ok(v),
-            Some(None) => return self.run_untyped(src),
-            None => {}
+            _ => {}
         }
-        let mut missed = false;
-        let result = match self.n_regs {
-            0..=4 => self.exec(&self.ops, &mut [Slot::Null; 4], src, &mut missed),
-            5..=16 => self.exec(&self.ops, &mut [Slot::Null; 16], src, &mut missed),
-            17..=MAX_REGS => self.exec(&self.ops, &mut [Slot::Null; MAX_REGS], src, &mut missed),
-            n => self.exec(&self.ops, &mut vec![Slot::Null; n], src, &mut missed),
-        };
-        match missed {
-            false => result,
-            true => self.run_untyped(src),
+        match self.n_regs {
+            0..=4 => self.exec(&mut [Slot::Null; 4], src),
+            5..=16 => self.exec(&mut [Slot::Null; 16], src),
+            17..=MAX_REGS => self.exec(&mut [Slot::Null; MAX_REGS], src),
+            n => self.exec(&mut vec![Slot::Null; n], src),
         }
     }
 
-    /// A row whose value at a typed load is not of its column's type
-    /// runs the untyped ops instead, from the start (programs have no
-    /// side effects).
-    #[cold]
-    #[inline(never)]
-    fn run_untyped<'r, F: Fields<'r>>(&'r self, src: &F) -> Result<Slot<'r>> {
-        let ops = self
-            .untyped
-            .as_deref()
-            .ok_or_else(|| Error::Internal("a typed load missed in a record program".into()))?;
-        self.exec(ops, &mut vec![Slot::Null; self.n_regs], src, &mut false)
-    }
-
-    /// The loop. A typed load that finds no value of its class sets
-    /// `missed` and stops it.
+    /// The loop. A load that finds no value of its class is a typed
+    /// error.
     #[inline(always)]
-    fn exec<'r, F: Fields<'r>>(
-        &'r self,
-        ops: &[Op],
-        regs: &mut [Slot<'r>],
-        src: &F,
-        missed: &mut bool,
-    ) -> Result<Slot<'r>> {
+    fn exec<'r, F: Fields<'r>>(&'r self, regs: &mut [Slot<'r>], src: &F) -> Result<Slot<'r>> {
         // A typed op's operands are of its class or NULL.
         macro_rules! typed {
             ($dst:expr, $a:expr, $pa:pat => $e:expr) => {
@@ -965,18 +771,15 @@ impl CompiledPredicate {
                 }
             };
         }
+        let list = |first: u16, count: u16| &self.consts[first as usize..(first + count) as usize];
         let mut pc = 0usize;
         loop {
-            let op = ops[pc];
+            let op = self.ops[pc];
             pc += 1;
             match op {
-                Op::LoadField { dst, pos } => regs[dst as usize] = src.load(pos)?,
                 Op::Load { dst, pos, field } => match src.load_as(pos, field) {
                     Some(v) => regs[dst as usize] = v,
-                    None => {
-                        *missed = true;
-                        return Ok(Slot::Null);
-                    }
+                    None => return Err(off_type(pos, field)),
                 },
                 Op::LoadAt {
                     dst,
@@ -985,21 +788,12 @@ impl CompiledPredicate {
                     field,
                 } => match src.load_at(pos, at, field) {
                     Some(v) => regs[dst as usize] = v,
-                    None => {
-                        *missed = true;
-                        return Ok(Slot::Null);
-                    }
+                    None => return Err(off_type(pos, field)),
                 },
                 Op::LoadConst { dst, idx } => {
                     regs[dst as usize] = self.consts[idx as usize].as_slot();
                 }
                 Op::Mov { dst, src } => regs[dst as usize] = regs[src as usize],
-                Op::Cmp { op, dst, a, b } => {
-                    regs[dst as usize] = match slot_cmp(&regs[a as usize], &regs[b as usize]) {
-                        None => Slot::Null,
-                        Some(ord) => bool_slot(cmp_holds(op, ord)),
-                    };
-                }
                 Op::CmpInt { op, dst, a, b } => {
                     typed!(dst, a, b, Slot::Int(x), Slot::Int(y) => bool_slot(cmp_holds(op, x.cmp(&y))))
                 }
@@ -1022,35 +816,18 @@ impl CompiledPredicate {
                         bool_slot(cmp_holds(op, util::trim_pad(x).cmp(util::trim_pad(y))))
                     })
                 }
-                Op::And { dst, a, b } => {
-                    regs[dst as usize] =
-                        tri_and(slot_bool(&regs[a as usize])?, slot_bool(&regs[b as usize])?);
-                }
                 Op::AndBool { dst, a, b } => {
                     regs[dst as usize] =
                         tri_and(truth(&regs[a as usize]), truth(&regs[b as usize]));
                 }
-                Op::Or { dst, a, b } => {
-                    regs[dst as usize] =
-                        tri_or(slot_bool(&regs[a as usize])?, slot_bool(&regs[b as usize])?);
-                }
                 Op::OrBool { dst, a, b } => {
                     regs[dst as usize] = tri_or(truth(&regs[a as usize]), truth(&regs[b as usize]));
-                }
-                Op::Not { dst, a } => {
-                    regs[dst as usize] = match slot_bool(&regs[a as usize])? {
-                        None => Slot::Null,
-                        Some(v) => bool_slot(!v),
-                    };
                 }
                 Op::NotBool { dst, a } => {
                     regs[dst as usize] = match truth(&regs[a as usize]) {
                         None => Slot::Null,
                         Some(v) => bool_slot(!v),
                     };
-                }
-                Op::Arith { op, dst, a, b } => {
-                    regs[dst as usize] = slot_arith(op, &regs[a as usize], &regs[b as usize])?;
                 }
                 Op::ArithInt { op, dst, a, b } => {
                     typed!(dst, a, b, Slot::Int(x), Slot::Int(y) => Slot::Int(int_arith(op, x, y)?))
@@ -1067,15 +844,6 @@ impl CompiledPredicate {
                     typed!(dst, a, b, Slot::Date(d), Slot::Int(n) => {
                         Slot::Date(util::add_days(d, if sub { n.wrapping_neg() } else { n })?)
                     })
-                }
-                Op::Neg { dst, a } => {
-                    regs[dst as usize] = match regs[a as usize] {
-                        Slot::Null => Slot::Null,
-                        Slot::Int(v) => Slot::Int(util::neg_int(v)?),
-                        Slot::Dec(raw, scale) => Slot::dec(Dec::new(raw, scale).neg()),
-                        Slot::F64(v) => Slot::F64(-v),
-                        other => return Err(Error::Type(format!("cannot negate {other:?}"))),
-                    };
                 }
                 Op::NegInt { dst, a } => {
                     typed!(dst, a, Slot::Int(v) => Slot::Int(util::neg_int(v)?))
@@ -1095,28 +863,6 @@ impl CompiledPredicate {
                     let isn = matches!(regs[a as usize], Slot::Null);
                     regs[dst as usize] = bool_slot(isn != negated);
                 }
-                Op::Like {
-                    dst,
-                    a,
-                    pattern,
-                    negated,
-                } => {
-                    regs[dst as usize] = match regs[a as usize] {
-                        Slot::Null => Slot::Null,
-                        Slot::Bytes(text) => {
-                            let pat = match &self.consts[pattern as usize] {
-                                ConstSlot::Bytes(b) => &b[..],
-                                other => {
-                                    return Err(Error::Internal(format!(
-                                        "LIKE pattern const is {other:?}"
-                                    )))
-                                }
-                            };
-                            bool_slot(util::like_match(text, pat) != negated)
-                        }
-                        other => return Err(Error::Type(format!("LIKE on {other:?}"))),
-                    };
-                }
                 Op::LikeBytes {
                     dst,
                     a,
@@ -1129,66 +875,24 @@ impl CompiledPredicate {
                         other => off_class(&other, &other),
                     })
                 }
-                Op::InList {
+                Op::InListEq {
                     dst,
                     a,
                     first,
                     count,
                     negated,
                 } => {
-                    let v = regs[a as usize];
-                    regs[dst as usize] = if matches!(v, Slot::Null) {
-                        Slot::Null
-                    } else {
-                        let list = &self.consts[first as usize..(first + count) as usize];
-                        in_list(list, negated, |c| {
-                            slot_cmp(&v, &c.as_slot()) == Some(std::cmp::Ordering::Equal)
-                        })
-                    };
-                }
-                Op::InListBytes {
-                    dst,
-                    a,
-                    first,
-                    count,
-                    negated,
-                } => {
-                    let list = &self.consts[first as usize..(first + count) as usize];
-                    typed!(dst, a, Slot::Bytes(x) => {
-                        let x = util::trim_pad(x);
-                        in_list(list, negated, |c| {
-                            matches!(c, ConstSlot::Bytes(y) if util::trim_pad(y) == x)
-                        })
-                    })
-                }
-                Op::InListInt {
-                    dst,
-                    a,
-                    first,
-                    count,
-                    negated,
-                } => {
-                    let list = &self.consts[first as usize..(first + count) as usize];
-                    typed!(dst, a, Slot::Int(x) => {
-                        in_list(list, negated, |c| matches!(c, ConstSlot::Int(y) if *y == x))
-                    })
-                }
-                Op::ExtractYear { dst, a } => {
                     regs[dst as usize] = match regs[a as usize] {
                         Slot::Null => Slot::Null,
-                        Slot::Date(d) => Slot::Int(util::extract_year(d)),
-                        other => return Err(Error::Type(format!("EXTRACT(YEAR) on {other:?}"))),
+                        Slot::Bytes(x) => {
+                            let x = Slot::Bytes(util::trim_pad(x));
+                            in_list(list(first, count), negated, |c| list_eq(x, c))
+                        }
+                        x => in_list(list(first, count), negated, |c| list_eq(x, c)),
                     };
                 }
                 Op::YearOfDate { dst, a } => {
                     typed!(dst, a, Slot::Date(d) => Slot::Int(util::extract_year(d)))
-                }
-                Op::Substr { dst, a, from, len } => {
-                    regs[dst as usize] = match regs[a as usize] {
-                        Slot::Null => Slot::Null,
-                        Slot::Bytes(b) => Slot::Bytes(util::substr(b, from as usize, len as usize)),
-                        other => return Err(Error::Type(format!("SUBSTR on {other:?}"))),
-                    };
                 }
                 Op::SubstrBytes { dst, a, from, len } => {
                     typed!(dst, a, Slot::Bytes(b) => Slot::Bytes(util::substr(b, from as usize, len as usize)))
@@ -1231,18 +935,8 @@ impl CompiledPredicate {
                         false => dec_arith(op, Dec::new(x, xs), k)?,
                     }))
                 }
-                Op::BrFalse { cond, target } => {
-                    if slot_bool(&regs[cond as usize])? == Some(false) {
-                        pc = target as usize;
-                    }
-                }
                 Op::BrFalseBool { cond, target } => {
                     if truth(&regs[cond as usize]) == Some(false) {
-                        pc = target as usize;
-                    }
-                }
-                Op::BrTrue { cond, target } => {
-                    if slot_bool(&regs[cond as usize])? == Some(true) {
                         pc = target as usize;
                     }
                 }
@@ -1265,6 +959,15 @@ fn forward_only(at: usize, target: u16) -> Result<()> {
         )));
     }
     Ok(())
+}
+
+/// A row value a typed load finds off its column's type.
+#[cold]
+#[inline(never)]
+fn off_type(pos: u16, field: Field) -> Error {
+    Error::Type(format!(
+        "value {pos} of the row is not of its column's type {field:?}"
+    ))
 }
 
 /// What a typed op gives when an operand is not of its class: the
@@ -1309,6 +1012,26 @@ fn in_list<'a>(list: &[ConstSlot], negated: bool, equals: impl Fn(&ConstSlot) ->
     match (found, saw_null) {
         (false, true) => Slot::Null,
         _ => bool_slot(found != negated),
+    }
+}
+
+/// Does `x`, an IN list's operand (a string without its pad spaces),
+/// equal the constant `c`, which compares in its class ([`in_list_class`]):
+/// a decimal an integer or a decimal as decimals, a double any number as
+/// doubles, anything else one of its own class.
+#[inline(always)]
+fn list_eq(x: Slot<'_>, c: &ConstSlot) -> bool {
+    let dec = |raw, scale, y| dec_cmp(Dec::new(raw, scale), y) == Ordering::Equal;
+    match (x, c) {
+        (Slot::Int(x), ConstSlot::Int(y)) => x == *y,
+        (Slot::Bytes(x), ConstSlot::Bytes(y)) => x == util::trim_pad(y),
+        (Slot::Date(x), ConstSlot::Date(y)) => x == *y,
+        (Slot::Dec(raw, scale), ConstSlot::Dec(y)) => dec(raw, scale, *y),
+        (Slot::Dec(raw, scale), ConstSlot::Int(y)) => dec(raw, scale, Dec::from_int(*y)),
+        (Slot::F64(x), ConstSlot::F64(y)) => x == *y,
+        (Slot::F64(x), ConstSlot::Int(y)) => x == *y as f64,
+        (Slot::F64(x), ConstSlot::Dec(y)) => x == y.to_f64(),
+        _ => false,
     }
 }
 
@@ -1367,7 +1090,7 @@ fn dec_arith_checked(op: ArithOp, x: Dec, y: Dec) -> Result<Dec> {
 
 /// `Dec::cmp_dec`, with operands at one scale compared in place.
 #[inline(always)]
-fn dec_cmp(x: Dec, y: Dec) -> std::cmp::Ordering {
+fn dec_cmp(x: Dec, y: Dec) -> Ordering {
     match x.scale == y.scale {
         true => x.raw.cmp(&y.raw),
         false => x.cmp_dec(y),
@@ -1391,88 +1114,101 @@ fn f64_arith(op: ArithOp, x: f64, y: f64) -> Result<f64> {
 
 // --- typing -----------------------------------------------------------------
 
-/// The class of the register an instruction writes, given its operands'
-/// classes: what the generic op gives when it does not fail (`Any` where
-/// it fails on every value).
-fn written(ins: &IrInstr, site: Option<&Site>, ty: &[Ty], consts: &[Value]) -> Option<(u16, Ty)> {
-    let of = |r: u16| ty[r as usize];
-    Some(match *ins {
-        IrInstr::LoadCol { dst, .. } => {
-            (dst, site.and_then(|s| s.field).map_or(Ty::Any, Field::ty))
-        }
-        IrInstr::LoadConst { dst, idx } => (dst, Ty::of_value(&consts[idx as usize])),
-        IrInstr::Mov { dst, src } => (dst, of(src)),
-        IrInstr::Cmp { dst, .. }
-        | IrInstr::And { dst, .. }
-        | IrInstr::Or { dst, .. }
-        | IrInstr::Not { dst, .. }
-        | IrInstr::IsNull { dst, .. }
-        | IrInstr::Like { dst, .. }
-        | IrInstr::InList { dst, .. } => (dst, Ty::Bool),
-        IrInstr::Arith { op, dst, a, b } => (dst, arith_ty(op, of(a), of(b))),
-        IrInstr::Neg { dst, a } => match of(a) {
-            Ty::Null => (dst, Ty::Null),
-            Ty::Bool | Ty::Int => (dst, Ty::Int),
-            t @ (Ty::Dec(_) | Ty::F64) => (dst, t),
-            _ => (dst, Ty::Any),
-        },
-        IrInstr::ExtractYear { dst, a } => match of(a) {
-            Ty::Null => (dst, Ty::Null),
-            Ty::Date => (dst, Ty::Int),
-            _ => (dst, Ty::Any),
-        },
-        IrInstr::Substr { dst, a, .. } => match of(a) {
-            t @ (Ty::Null | Ty::Bytes) => (dst, t),
-            _ => (dst, Ty::Any),
-        },
-        IrInstr::BrFalse { .. } | IrInstr::BrTrue { .. } | IrInstr::Jmp { .. } => return None,
-        IrInstr::Ret { .. } => return None,
-    })
+/// The class of `a op b` (`None`: no op takes them): NULL with anything
+/// is NULL, a double with any number a double, a date plus or minus an
+/// integer a date, integers other than divided an integer, and integers
+/// and decimals a decimal at [`dec_result_scale`] — or, past the finest
+/// scale, NULL alone: the op fails on any two values.
+pub(crate) fn arith_ty(op: ArithOp, a: Ty, b: Ty) -> Option<Ty> {
+    match (a, b) {
+        (Ty::Null, _) | (_, Ty::Null) => Some(Ty::Null),
+        (Ty::F64, x) | (x, Ty::F64) => x.numeric().then_some(Ty::F64),
+        (Ty::Date, x) if x.int() && matches!(op, ArithOp::Add | ArithOp::Sub) => Some(Ty::Date),
+        (x, y) if x.int() && y.int() && op != ArithOp::Div => Some(Ty::Int),
+        _ => Some(dec_result_scale(op, a.dec_scale()?, b.dec_scale()?).map_or(Ty::Null, Ty::Dec)),
+    }
+}
+
+/// The class of `-a` (`None`: not a number).
+pub(crate) fn neg_ty(a: Ty) -> Option<Ty> {
+    match a {
+        Ty::Null | Ty::Dec(_) | Ty::F64 => Some(a),
+        Ty::Bool | Ty::Int => Some(Ty::Int),
+        Ty::Date | Ty::Bytes => None,
+    }
+}
+
+/// The class LIKE and SUBSTRING read (and SUBSTRING writes).
+pub(crate) fn text_ty(a: Ty) -> Option<Ty> {
+    matches!(a, Ty::Null | Ty::Bytes).then_some(a)
+}
+
+/// The class of EXTRACT(YEAR FROM `a`).
+pub(crate) fn year_ty(a: Ty) -> Option<Ty> {
+    match a {
+        Ty::Null => Some(Ty::Null),
+        Ty::Date => Some(Ty::Int),
+        _ => None,
+    }
+}
+
+/// The class `a` and `b` compare in (`None`: they do not compare): NULL
+/// takes the other's, integers compare as integers, a double with any
+/// number as doubles, and integers and decimals as decimals (at the finer
+/// scale).
+pub(crate) fn cmp_class(a: Ty, b: Ty) -> Option<Ty> {
+    let (a, b) = match (a, b) {
+        (Ty::Null, t) | (t, Ty::Null) => (t, t),
+        pair => pair,
+    };
+    match (a, b) {
+        (Ty::Null, _) => Some(Ty::Null),
+        (x, y) if x.int() && y.int() => Some(Ty::Int),
+        (Ty::Date, Ty::Date) | (Ty::Bytes, Ty::Bytes) => Some(a),
+        (Ty::F64, x) | (x, Ty::F64) => x.numeric().then_some(Ty::F64),
+        (x, y) => Some(Ty::Dec(x.dec_scale()?.max(y.dec_scale()?))),
+    }
+}
+
+/// The class an IN list compares in: its operand's and every constant's,
+/// as [`cmp_class`] compares two.
+pub(crate) fn in_list_class(a: Ty, list: &[Value]) -> Option<Ty> {
+    list.iter()
+        .try_fold(a, |class, c| cmp_class(class, Ty::of_value(c)))
 }
 
 /// Every register's class: the join of its writes, to a fixed point
-/// (classes only rise, through at most four levels). A column load is of
-/// its site's field's class, `Any` without one.
-fn classes(ir: &IrProgram, sites: &[Option<Site>]) -> Vec<Ty> {
+/// (classes only rise). An instruction no typed op takes, or a register
+/// written with two classes, is an [`Error::Verify`].
+fn classes(ir: &IrProgram, sites: &[Option<Site>]) -> Result<Vec<Ty>> {
     let mut ty = vec![Ty::Null; ir.n_regs as usize];
     loop {
         let mut changed = false;
-        for (i, ins) in ir.instrs.iter().enumerate() {
-            let site = sites.get(i).and_then(Option::as_ref);
-            if let Some((dst, t)) = written(ins, site, &ty, &ir.consts) {
-                let joined = ty[dst as usize].join(t);
-                changed |= joined != ty[dst as usize];
+        for (ins, site) in ir.instrs.iter().zip(sites) {
+            let (_, _, t) = typed_op(ins, site.as_ref(), &ty, &ir.consts).ok_or_else(|| {
+                let reads: Vec<Ty> = ins
+                    .regs()
+                    .1
+                    .into_iter()
+                    .flatten()
+                    .map(|r| ty[r as usize])
+                    .collect();
+                Error::Verify(format!(
+                    "{ins:?} does not type: no typed op reads {reads:?}"
+                ))
+            })?;
+            if let Some(dst) = ins.regs().0 {
+                let was = ty[dst as usize];
+                let joined = was.join(t).ok_or_else(|| {
+                    Error::Verify(format!("r{dst} is written as {was:?} and as {t:?}"))
+                })?;
+                changed |= joined != was;
                 ty[dst as usize] = joined;
             }
         }
         if !changed {
-            return ty;
+            return Ok(ty);
         }
-    }
-}
-
-/// Which registers of validated `ir` its typing makes a truth value (a
-/// boolean, an integer or NULL alone: what a branch and a three-valued
-/// merge read without a type error), with its columns untyped.
-pub fn truth_registers(ir: &IrProgram) -> Vec<bool> {
-    classes(ir, &[]).into_iter().map(Ty::boolish).collect()
-}
-
-/// The class of `a op b`, as `slot_arith` computes it.
-fn arith_ty(op: ArithOp, a: Ty, b: Ty) -> Ty {
-    match (a, b) {
-        (Ty::Null, _) | (_, Ty::Null) => Ty::Null,
-        (Ty::Any, _) | (_, Ty::Any) => Ty::Any,
-        (Ty::F64, x) | (x, Ty::F64) => match x.numeric() {
-            true => Ty::F64,
-            false => Ty::Any,
-        },
-        (Ty::Date, Ty::Bool | Ty::Int) if matches!(op, ArithOp::Add | ArithOp::Sub) => Ty::Date,
-        (Ty::Bool | Ty::Int, Ty::Bool | Ty::Int) if op != ArithOp::Div => Ty::Int,
-        _ => match (a.dec_scale(), b.dec_scale()) {
-            (Some(sa), Some(sb)) => dec_result_scale(op, sa, sb).map_or(Ty::Any, Ty::Dec),
-            _ => Ty::Any,
-        },
     }
 }
 
@@ -1492,10 +1228,10 @@ pub(crate) fn dec_result_scale(op: ArithOp, sa: u8, sb: u8) -> Option<u8> {
 enum Want {
     /// As it is.
     As,
-    /// As a decimal: an integer is one at scale 0, as generic decimal
-    /// arithmetic takes it. A constant below the scale given is stored
-    /// aligned to it, where that does not overflow (the alignment
-    /// `Dec::checked_add` and `Dec::cmp_dec` would make first).
+    /// As a decimal: an integer is one at scale 0, as decimal arithmetic
+    /// takes it. A constant below the scale given is stored aligned to
+    /// it, where that does not overflow (the alignment `Dec::checked_add`
+    /// and `Dec::cmp_dec` would make first).
     Dec(Option<u8>),
     /// As a double.
     F64,
@@ -1521,91 +1257,100 @@ impl Want {
     }
 }
 
-/// The typed op for `ins` and how it takes its two operands, where its
-/// operands' classes allow one (`None`: the generic op runs).
+/// The typed op for `ins` over operands of the classes `ty` gives, how it
+/// takes its two operands, and the class of what it writes (`None`: no
+/// typed op takes them, or a branch or a three-valued merge reads what
+/// is not a truth value).
 fn typed_op(
     ins: &IrInstr,
     site: Option<&Site>,
-    untyped: Op,
     ty: &[Ty],
     consts: &[Value],
-) -> Option<(Op, [Want; 2])> {
+) -> Option<(Op, [Want; 2], Ty)> {
     let of = |r: u16| ty[r as usize];
-    let as_is = |op: Op| Some((op, [Want::As, Want::As]));
+    let as_is = |op: Op, t: Ty| Some((op, [Want::As, Want::As], t));
+    let double = |t: Ty| if t == Ty::F64 { Want::As } else { Want::F64 };
+    let truth = |regs: &[u16]| regs.iter().all(|&r| of(r).boolish());
     match *ins {
         IrInstr::LoadCol { dst, .. } => {
-            let (site, field) = (site?, site?.field?);
-            match site.at {
-                Some(at) => as_is(Op::LoadAt {
+            let Site { pos, field, at } = *site?;
+            let op = match at {
+                Some(at) => Op::LoadAt {
                     dst,
-                    pos: site.pos,
+                    pos,
                     at,
                     field,
-                }),
-                None => as_is(Op::Load {
-                    dst,
-                    pos: site.pos,
-                    field,
-                }),
-            }
+                },
+                None => Op::Load { dst, pos, field },
+            };
+            as_is(op, field.ty())
         }
+        IrInstr::LoadConst { dst, idx } => as_is(
+            Op::LoadConst { dst, idx },
+            Ty::of_value(&consts[idx as usize]),
+        ),
+        IrInstr::Mov { dst, src } => as_is(Op::Mov { dst, src }, of(src)),
         IrInstr::Cmp { op, dst, a, b } => {
             let (ta, tb) = (of(a), of(b));
-            // NULL compares as any class.
-            let (ca, cb) = match (ta, tb) {
-                (Ty::Null, t) | (t, Ty::Null) => (t, t),
-                pair => pair,
-            };
-            match (ca, cb) {
-                (x, y) if x.int() && y.int() => as_is(Op::CmpInt { op, dst, a, b }),
-                (Ty::Date, Ty::Date) => as_is(Op::CmpDate { op, dst, a, b }),
-                (Ty::Bytes, Ty::Bytes) => as_is(Op::CmpBytes { op, dst, a, b }),
-                (Ty::F64, x) | (x, Ty::F64) if x.numeric() => {
-                    let want = |t: Ty| if t == Ty::F64 { Want::As } else { Want::F64 };
-                    Some((Op::CmpF64 { op, dst, a, b }, [want(ta), want(tb)]))
-                }
-                (x, y) => {
-                    let (sa, sb) = (x.dec_scale()?, y.dec_scale()?);
+            match cmp_class(ta, tb)? {
+                Ty::Null | Ty::Bool | Ty::Int => as_is(Op::CmpInt { op, dst, a, b }, Ty::Bool),
+                Ty::Date => as_is(Op::CmpDate { op, dst, a, b }, Ty::Bool),
+                Ty::Bytes => as_is(Op::CmpBytes { op, dst, a, b }, Ty::Bool),
+                Ty::F64 => Some((
+                    Op::CmpF64 { op, dst, a, b },
+                    [double(ta), double(tb)],
+                    Ty::Bool,
+                )),
+                Ty::Dec(_) => {
+                    // NULL compares at the other operand's scale.
+                    let scale = |t: Ty, o: Ty| t.dec_scale().or(o.dec_scale()).unwrap_or(0);
+                    let (sa, sb) = (scale(ta, tb), scale(tb, ta));
                     let align = |t: Ty, s: u8, other: u8| match t {
                         Ty::Null => Want::As,
                         _ if t.int() || s < other => Want::Dec(Some(other)),
                         _ => Want::As,
                     };
                     let wants = [align(ta, sa, sb), align(tb, sb, sa)];
-                    Some((Op::CmpDec { op, dst, a, b }, wants))
+                    Some((Op::CmpDec { op, dst, a, b }, wants, Ty::Bool))
                 }
             }
         }
-        IrInstr::And { dst, a, b } if of(a).boolish() && of(b).boolish() => {
-            as_is(Op::AndBool { dst, a, b })
+        IrInstr::And { dst, a, b } if truth(&[a, b]) => as_is(Op::AndBool { dst, a, b }, Ty::Bool),
+        IrInstr::Or { dst, a, b } if truth(&[a, b]) => as_is(Op::OrBool { dst, a, b }, Ty::Bool),
+        IrInstr::Not { dst, a } if truth(&[a]) => as_is(Op::NotBool { dst, a }, Ty::Bool),
+        IrInstr::BrFalse { cond, target } if truth(&[cond]) => {
+            as_is(Op::BrFalseBool { cond, target }, Ty::Null)
         }
-        IrInstr::Or { dst, a, b } if of(a).boolish() && of(b).boolish() => {
-            as_is(Op::OrBool { dst, a, b })
+        IrInstr::BrTrue { cond, target } if truth(&[cond]) => {
+            as_is(Op::BrTrueBool { cond, target }, Ty::Null)
         }
-        IrInstr::Not { dst, a } if of(a).boolish() => as_is(Op::NotBool { dst, a }),
-        IrInstr::BrFalse { cond, .. } if of(cond).boolish() => match untyped {
-            Op::BrFalse { target, .. } => as_is(Op::BrFalseBool { cond, target }),
-            _ => None,
-        },
-        IrInstr::BrTrue { cond, .. } if of(cond).boolish() => match untyped {
-            Op::BrTrue { target, .. } => as_is(Op::BrTrueBool { cond, target }),
-            _ => None,
-        },
+        IrInstr::Jmp { target } => as_is(Op::Jmp { target }, Ty::Null),
+        IrInstr::Ret { src } => as_is(Op::Ret { src }, Ty::Null),
         IrInstr::Arith { op, dst, a, b } => {
             let (ta, tb) = (of(a), of(b));
-            match arith_ty(op, ta, tb) {
-                Ty::F64 => {
-                    let want = |t: Ty| if t == Ty::F64 { Want::As } else { Want::F64 };
-                    Some((Op::ArithF64 { op, dst, a, b }, [want(ta), want(tb)]))
-                }
-                Ty::Date => as_is(Op::AddDays {
-                    dst,
-                    a,
-                    b,
-                    sub: op == ArithOp::Sub,
-                }),
-                Ty::Int => as_is(Op::ArithInt { op, dst, a, b }),
-                Ty::Dec(scale) => {
+            let class = arith_ty(op, ta, tb)?;
+            match class {
+                Ty::F64 => Some((
+                    Op::ArithF64 { op, dst, a, b },
+                    [double(ta), double(tb)],
+                    class,
+                )),
+                Ty::Date => as_is(
+                    Op::AddDays {
+                        dst,
+                        a,
+                        b,
+                        sub: op == ArithOp::Sub,
+                    },
+                    class,
+                ),
+                // Numbers past the finest scale are NULL alone: the
+                // decimal op fails on any two.
+                Ty::Dec(_) | Ty::Null if ta.dec_scale().is_some() && tb.dec_scale().is_some() => {
+                    let scale = match class {
+                        Ty::Dec(scale) => scale,
+                        _ => u8::MAX,
+                    };
                     let want = |t: Ty| match (op, t) {
                         (ArithOp::Add | ArithOp::Sub, Ty::Dec(s)) if s < scale => {
                             Want::Dec(Some(scale))
@@ -1614,29 +1359,32 @@ fn typed_op(
                         _ if t.int() => Want::Dec(None),
                         _ => Want::As,
                     };
-                    Some((Op::ArithDec { op, dst, a, b }, [want(ta), want(tb)]))
+                    Some((Op::ArithDec { op, dst, a, b }, [want(ta), want(tb)], class))
                 }
-                _ => None,
+                // NULL whatever its operands: any op gives it.
+                _ => as_is(Op::ArithInt { op, dst, a, b }, class),
             }
         }
-        IrInstr::Neg { dst, a } => match of(a) {
-            Ty::Bool | Ty::Int => as_is(Op::NegInt { dst, a }),
-            Ty::Dec(_) => as_is(Op::NegDec { dst, a }),
-            Ty::F64 => as_is(Op::NegF64 { dst, a }),
-            _ => None,
+        IrInstr::Neg { dst, a } => match neg_ty(of(a))? {
+            t @ Ty::Dec(_) => as_is(Op::NegDec { dst, a }, t),
+            Ty::F64 => as_is(Op::NegF64 { dst, a }, Ty::F64),
+            t => as_is(Op::NegInt { dst, a }, t),
         },
+        IrInstr::IsNull { dst, a, negated } => as_is(Op::IsNull { dst, a, negated }, Ty::Bool),
         IrInstr::Like {
             dst,
             a,
             pattern,
             negated,
-        } if of(a) == Ty::Bytes && matches!(consts[pattern as usize], Value::Str(_)) => {
-            as_is(Op::LikeBytes {
+        } if matches!(consts[pattern as usize], Value::Str(_)) => {
+            text_ty(of(a))?;
+            let op = Op::LikeBytes {
                 dst,
                 a,
                 pattern,
                 negated,
-            })
+            };
+            as_is(op, Ty::Bool)
         }
         IrInstr::InList {
             dst,
@@ -1646,62 +1394,61 @@ fn typed_op(
             negated,
         } => {
             let list = &consts[first as usize..(first + count) as usize];
-            let all = |f: fn(&Value) -> bool| list.iter().all(|c| c.is_null() || f(c));
-            match of(a) {
-                Ty::Bytes if all(|c| matches!(c, Value::Str(_))) => as_is(Op::InListBytes {
-                    dst,
-                    a,
-                    first,
-                    count,
-                    negated,
-                }),
-                t if t.int() && all(|c| matches!(c, Value::Int(_))) => as_is(Op::InListInt {
-                    dst,
-                    a,
-                    first,
-                    count,
-                    negated,
-                }),
-                _ => None,
-            }
+            let ta = of(a);
+            let class = in_list_class(ta, list)?;
+            let want = match class {
+                Ty::F64 => double(ta),
+                Ty::Dec(_) => Want::Dec(None),
+                _ => Want::As,
+            };
+            let op = Op::InListEq {
+                dst,
+                a,
+                first,
+                count,
+                negated,
+            };
+            Some((op, [want, Want::As], Ty::Bool))
         }
-        IrInstr::ExtractYear { dst, a } if of(a) == Ty::Date => as_is(Op::YearOfDate { dst, a }),
-        IrInstr::Substr { dst, a, from, len } if of(a) == Ty::Bytes => {
-            as_is(Op::SubstrBytes { dst, a, from, len })
+        IrInstr::ExtractYear { dst, a } => as_is(Op::YearOfDate { dst, a }, year_ty(of(a))?),
+        IrInstr::Substr { dst, a, from, len } => {
+            as_is(Op::SubstrBytes { dst, a, from, len }, text_ty(of(a))?)
         }
         _ => None,
     }
 }
 
-/// The typed program for `ir` and its register count: every register's
-/// class is inferred, each instruction whose operands' classes allow it
-/// becomes its typed op, and the operands those ops take converted are
-/// converted when the program is compiled (a constant every reader
-/// takes the same way) or by a conversion op into a register of its own.
-/// `consts` gains the converted constants. `None` if the program would
-/// need more registers than an instruction can name.
+/// The typed program for `ir`, whose registers are of the classes `ty`
+/// gives, and its register count: each instruction's typed op, its
+/// operands converted when the program compiles (a constant every reader
+/// takes the same way, into `consts`) or by a conversion op into a
+/// register of its own.
 fn typed_ops(
     ir: &IrProgram,
     sites: &[Option<Site>],
-    untyped: &[Op],
+    ty: &[Ty],
     consts: &mut Vec<ConstSlot>,
-) -> Option<(Vec<Op>, usize)> {
+) -> Result<(Vec<Op>, usize)> {
     let n = ir.n_regs as usize;
-    let ty = classes(ir, sites);
-    let plans: Vec<Option<(Op, [Want; 2])>> = ir
+    let too_big =
+        || Error::InvalidState("the typed program needs more than 65535 registers".into());
+    let plans: Vec<(Op, [Want; 2])> = ir
         .instrs
         .iter()
         .zip(sites)
-        .zip(untyped)
-        .map(|((ins, site), op)| typed_op(ins, site.as_ref(), *op, &ty, &ir.consts))
-        .collect();
+        .map(|(ins, site)| {
+            let (op, wants, _) = typed_op(ins, site.as_ref(), ty, &ir.consts)
+                .ok_or_else(|| Error::Verify(format!("{ins:?} has no typed op")))?;
+            Ok((op, wants))
+        })
+        .collect::<Result<_>>()?;
 
     // A register written once, by a constant load, whose every reader
     // takes it converted the same way holds the converted constant.
     let mut writes = vec![0usize; n];
     let mut constant = vec![None; n];
     for ins in &ir.instrs {
-        if let Some((dst, _)) = written(ins, None, &ty, &ir.consts) {
+        if let Some(dst) = ins.regs().0 {
             writes[dst as usize] += 1;
             if let IrInstr::LoadConst { idx, .. } = ins {
                 constant[dst as usize] = Some(*idx);
@@ -1709,14 +1456,13 @@ fn typed_ops(
         }
     }
     let mut taken: Vec<Option<Option<Value>>> = vec![None; n];
-    for (ins, plan) in ir.instrs.iter().zip(&plans) {
+    for (ins, (_, wants)) in ir.instrs.iter().zip(&plans) {
         for (k, r) in ins.regs().1.into_iter().enumerate() {
             let Some(r) = r.map(usize::from) else {
                 continue;
             };
-            let want = plan.as_ref().map_or(Want::As, |(_, w)| w[k]);
             let as_taken = match constant[r] {
-                Some(idx) if writes[r] == 1 => want.convert(&ir.consts[idx as usize]),
+                Some(idx) if writes[r] == 1 => wants[k].convert(&ir.consts[idx as usize]),
                 _ => None,
             };
             taken[r] = match &taken[r] {
@@ -1757,61 +1503,53 @@ fn typed_ops(
     // Does the load at `d` run before every run of instruction `u`? With
     // forward branches only, unless a branch from before `d` lands past
     // it, up to `u`.
-    let branches: Vec<(usize, usize)> = untyped
+    let branches: Vec<(usize, usize)> = plans
         .iter()
         .enumerate()
-        .filter_map(|(i, op)| Some((i, *op.clone().target_mut()? as usize)))
+        .filter_map(|(i, (op, _))| Some((i, *op.clone().target_mut()? as usize)))
         .collect();
     let dominates =
         |d: usize, u: usize| d < u && branches.iter().all(|&(i, t)| !(i < d && t > d && t <= u));
 
-    // Each instruction's ops: its typed op (its operands converted at run
+    // Each instruction's ops: its typed op, its operands converted at run
     // time where they were not converted here, a constant one taken into
-    // the op where its load runs first), or its untyped op.
+    // the op where its load runs first.
     let mut next_reg = n;
-    let mut chunks: Vec<Vec<Op>> = Vec::with_capacity(untyped.len());
-    for (i, ins) in ir.instrs.iter().enumerate() {
+    let mut chunks: Vec<Vec<Op>> = Vec::with_capacity(plans.len());
+    for (i, (ins, &(mut op, wants))) in ir.instrs.iter().zip(&plans).enumerate() {
         let mut chunk = Vec::new();
-        let op = match (&plans[i], *ins) {
-            (_, IrInstr::LoadConst { dst, .. }) if converted[dst as usize].is_some() => {
-                Op::LoadConst {
-                    dst,
-                    idx: converted[dst as usize]?,
-                }
+        if let IrInstr::LoadConst { dst, .. } = *ins {
+            if let Some(idx) = converted[dst as usize] {
+                op = Op::LoadConst { dst, idx };
             }
-            (None, _) => untyped[i],
-            (Some((mut op, wants)), _) => {
-                if let Some((a, b)) = op.operands_mut() {
-                    for (operand, want) in [a, b].into_iter().zip(wants) {
-                        let r = *operand as usize;
-                        let conversion: Option<fn(u16, u16) -> Op> = match (want, ty[r]) {
-                            _ if converted[r].is_some() => None,
-                            (Want::Dec(_), t) if t.int() => Some(|dst, a| Op::IntToDec { dst, a }),
-                            (Want::F64, t) if t.int() => Some(|dst, a| Op::IntToF64 { dst, a }),
-                            (Want::F64, Ty::Dec(_)) => Some(|dst, a| Op::DecToF64 { dst, a }),
-                            _ => None,
-                        };
-                        if let Some(conversion) = conversion {
-                            let tmp = u16::try_from(next_reg).ok()?;
-                            next_reg += 1;
-                            chunk.push(conversion(tmp, *operand));
-                            *operand = tmp;
-                        }
-                    }
-                }
-                let konst = |r: u16| match held.get(r as usize) {
-                    Some(Some((d, idx, v))) if dominates(*d, i) => Some((*idx, v)),
-                    _ => None,
-                };
-                match with_constant(op, konst) {
-                    Some((with_k, r)) => {
-                        unread[r as usize] -= 1;
-                        with_k
-                    }
-                    None => op,
-                }
+        }
+        for (operand, want) in op.operands_mut().into_iter().zip(wants) {
+            let Some(operand) = operand else {
+                continue;
+            };
+            let r = *operand as usize;
+            let conversion: Option<fn(u16, u16) -> Op> = match (want, ty[r]) {
+                _ if converted[r].is_some() => None,
+                (Want::Dec(_), t) if t.int() => Some(|dst, a| Op::IntToDec { dst, a }),
+                (Want::F64, t) if t.int() => Some(|dst, a| Op::IntToF64 { dst, a }),
+                (Want::F64, Ty::Dec(_)) => Some(|dst, a| Op::DecToF64 { dst, a }),
+                _ => None,
+            };
+            if let Some(conversion) = conversion {
+                let tmp = u16::try_from(next_reg).map_err(|_| too_big())?;
+                next_reg += 1;
+                chunk.push(conversion(tmp, *operand));
+                *operand = tmp;
             }
+        }
+        let konst = |r: u16| match held.get(r as usize) {
+            Some(Some((d, idx, v))) if dominates(*d, i) => Some((*idx, v)),
+            _ => None,
         };
+        if let Some((with_k, r)) = with_constant(op, konst) {
+            unread[r as usize] -= 1;
+            op = with_k;
+        }
         chunk.push(op);
         chunks.push(chunk);
     }
@@ -1825,7 +1563,7 @@ fn typed_ops(
     }
     // A branch lands on the first op of its instruction.
     let mut starts = Vec::with_capacity(chunks.len() + 1);
-    let mut ops = Vec::with_capacity(untyped.len());
+    let mut ops = Vec::with_capacity(plans.len());
     for chunk in chunks {
         starts.push(ops.len());
         ops.extend(chunk);
@@ -1833,12 +1571,11 @@ fn typed_ops(
     starts.push(ops.len());
     for op in &mut ops {
         if let Some(target) = op.target_mut() {
-            *target = u16::try_from(starts[*target as usize]).ok()?;
+            *target = u16::try_from(starts[*target as usize]).map_err(|_| too_big())?;
         }
     }
-    Some((ops, next_reg))
+    Ok((ops, next_reg))
 }
-
 /// `op`, a typed comparison or decimal arithmetic, with the constant one
 /// of its operands holds taken into it (`konst`: the pool index and
 /// value a register holds wherever the op reads it, if constant); and
@@ -2009,30 +1746,22 @@ pub(crate) fn cmp_holds(op: CmpOp, ord: std::cmp::Ordering) -> bool {
 /// SQL comparison, as `Value::cmp_sql`: `None` for a NULL side or
 /// incomparable types.
 #[inline]
-pub(crate) fn slot_cmp(a: &Slot<'_>, b: &Slot<'_>) -> Option<std::cmp::Ordering> {
+pub(crate) fn slot_cmp(a: &Slot<'_>, b: &Slot<'_>) -> Option<Ordering> {
+    use taurus_common::Dec as D;
     use Slot::*;
     match (a, b) {
         (Null, _) | (_, Null) => None,
         (Int(x), Int(y)) => Some(x.cmp(y)),
-        (Dec(x, xs), Dec(y, ys)) => Some(util::decimal_cmp(
-            taurus_common::Dec::new(*x, *xs),
-            taurus_common::Dec::new(*y, *ys),
-        )),
-        (Int(x), Dec(y, ys)) => Some(util::decimal_cmp(
-            taurus_common::Dec::from_int(*x),
-            taurus_common::Dec::new(*y, *ys),
-        )),
-        (Dec(x, xs), Int(y)) => Some(util::decimal_cmp(
-            taurus_common::Dec::new(*x, *xs),
-            taurus_common::Dec::from_int(*y),
-        )),
+        (Dec(x, xs), Dec(y, ys)) => Some(dec_cmp(D::new(*x, *xs), D::new(*y, *ys))),
+        (Int(x), Dec(y, ys)) => Some(dec_cmp(D::from_int(*x), D::new(*y, *ys))),
+        (Dec(x, xs), Int(y)) => Some(dec_cmp(D::new(*x, *xs), D::from_int(*y))),
         (Date(x), Date(y)) => Some(x.cmp(y)),
         (Bytes(x), Bytes(y)) => Some(util::trim_pad(x).cmp(util::trim_pad(y))),
         (F64(x), F64(y)) => x.partial_cmp(y),
         (F64(x), Int(y)) => x.partial_cmp(&(*y as f64)),
         (Int(x), F64(y)) => (*x as f64).partial_cmp(y),
-        (F64(x), Dec(y, ys)) => x.partial_cmp(&taurus_common::Dec::new(*y, *ys).to_f64()),
-        (Dec(x, xs), F64(y)) => taurus_common::Dec::new(*x, *xs).to_f64().partial_cmp(y),
+        (F64(x), Dec(y, ys)) => x.partial_cmp(&D::new(*y, *ys).to_f64()),
+        (Dec(x, xs), F64(y)) => D::new(*x, *xs).to_f64().partial_cmp(y),
         _ => None,
     }
 }

@@ -519,18 +519,32 @@ impl RecordView<'_> {
 
     /// Append the group key of the columns at `cols` to `out`: for each,
     /// its NULL flag, then a non-NULL column's image length (`u16`) and
-    /// image. Images are what a record of any layout holds for a value
-    /// (an NDP projection copies them), so two records key a column alike
-    /// exactly when they hold the same value: a CHAR's padding is part of
-    /// its image, a VARCHAR's trailing spaces and a DOUBLE's sign of zero
-    /// are too. The Page Store's aggregation and the SQL node's folded
-    /// scans key their groups with it.
+    /// image, as SQL equality takes it: a string's without its trailing
+    /// spaces (PAD SPACE, as comparisons and index keys take it), a zero
+    /// double's without its sign. Images are what a record of any layout
+    /// holds for a value (an NDP projection copies them), so two records
+    /// key a column alike exactly when their values are equal. The Page
+    /// Store's aggregation and the SQL node's folded scans key their
+    /// groups with it.
     pub fn group_key(&self, cols: impl IntoIterator<Item = usize>, out: &mut Vec<u8>) {
+        const ZERO: [u8; 8] = [0; 8];
         for col in cols {
             if self.is_null(col) {
                 out.push(0);
             } else {
-                let image = self.field_bytes(col);
+                let mut image = self.field_bytes(col);
+                match self.layout.dtypes[col] {
+                    DataType::Char(_) | DataType::Varchar(_) => {
+                        while let [rest @ .., b' '] = image {
+                            image = rest;
+                        }
+                    }
+                    // A zero, whatever its sign bit (the image's last).
+                    DataType::Double if image[..7] == ZERO[..7] && image[7] & 0x7f == 0 => {
+                        image = &ZERO
+                    }
+                    _ => {}
+                }
                 out.push(1);
                 out.extend_from_slice(&(image.len() as u16).to_le_bytes());
                 out.extend_from_slice(image);

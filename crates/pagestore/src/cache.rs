@@ -28,7 +28,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use taurus_common::{DataType, Metrics, Result};
+use taurus_common::{DataType, Error, Metrics, Result};
 use taurus_expr::agg::AggInput;
 use taurus_expr::ast::Expr;
 use taurus_expr::descriptor::{fnv64, NdpAggSpec, NdpDescriptor};
@@ -93,7 +93,7 @@ impl CachedDescriptor {
             CompiledPredicate::compile(&ir, &layout, &identity)
         };
         let predicate = desc.predicate_bitcode.as_deref().map(compile).transpose()?;
-        let agg_inputs = desc
+        let agg_inputs: Vec<Option<CompiledPredicate>> = desc
             .aggregation
             .iter()
             .flat_map(|agg| &agg.specs)
@@ -115,7 +115,7 @@ impl CachedDescriptor {
                 taurus_expr::compile::check_regs(&ir)?;
                 having = Some(CompiledPredicate::for_row_program(
                     &ir,
-                    &having_input(&layout, agg),
+                    &having_input(&layout, agg, &agg_inputs)?,
                 )?);
             }
         }
@@ -146,19 +146,23 @@ impl CachedDescriptor {
 }
 
 /// The types of a group's outputs a pushed HAVING reads: its group
-/// columns', then each aggregate's final value's where its input fixes
-/// it.
-fn having_input(layout: &RecordLayout, agg: &NdpAggSpec) -> Vec<Option<DataType>> {
+/// columns', then each aggregate's final value's, by the type of its
+/// input (`inputs`: the compiled programs, `None` for COUNT(*)). An
+/// aggregate without a type (a SUM of dates) is [`Error::Verify`].
+fn having_input(
+    layout: &RecordLayout,
+    agg: &NdpAggSpec,
+    inputs: &[Option<CompiledPredicate>],
+) -> Result<Vec<DataType>> {
     let group = agg
         .group_cols
         .iter()
-        .map(|&g| Some(layout.dtypes[g as usize]));
-    let finals = agg.specs.iter().map(|s| {
-        let input = match s.input {
-            AggInput::Col(c) => Some(layout.dtypes[c as usize]),
-            AggInput::Star | AggInput::Program(_) => None,
-        };
-        s.func.output_type(input)
+        .map(|&g| Ok(layout.dtypes[g as usize]));
+    let finals = agg.specs.iter().zip(inputs).map(|(s, input)| {
+        let dtype = input.as_ref().and_then(CompiledPredicate::result_type);
+        s.func
+            .output_type(dtype)
+            .ok_or_else(|| Error::Verify(format!("{} over {dtype:?} has no type", s.func.name())))
     });
     group.chain(finals).collect()
 }

@@ -258,8 +258,14 @@ impl GroupTable {
         fold(cd, &mut self.final_states, carrier)?;
         self.outputs.clear();
         self.outputs.extend(cd.group_values.values(carrier));
-        self.outputs
-            .extend(self.final_states.iter().map(AggState::finalize));
+        // A SUM past `i64` does not finalize: the group goes on, and the
+        // SQL node fails the statement on it.
+        for state in &self.final_states {
+            match state.finalize() {
+                Ok(v) => self.outputs.push(v),
+                Err(_) => return Ok(false),
+            }
+        }
         Ok(!having.row_passes(&self.outputs)?)
     }
 

@@ -162,7 +162,7 @@ fn paper_example_page_p1_grouped_scalar_single_page() {
     );
     let payload = rows[2].3.as_ref().unwrap();
     assert_eq!(
-        payload[0].finalize(),
+        payload[0].finalize().unwrap(),
         Value::Int(9),
         "payload excludes the carrier's own 2"
     );
@@ -222,7 +222,7 @@ fn paper_example_cross_page_p1_p2() {
     );
     let payload = rows1[1].3.as_ref().unwrap();
     assert_eq!(
-        payload[0].finalize(),
+        payload[0].finalize().unwrap(),
         Value::Int(26),
         "2 (P1) + 9 (P1) + 15 (P2)"
     );
@@ -355,15 +355,15 @@ fn grouped_aggregation_one_carrier_per_group() {
         (RecType::NdpAggregate, 1, Some(20))
     );
     let pay0 = rows[0].3.as_ref().unwrap();
-    assert_eq!(pay0[0].finalize(), Value::Int(10));
-    assert_eq!(pay0[1].finalize(), Value::Int(1));
+    assert_eq!(pay0[0].finalize().unwrap(), Value::Int(10));
+    assert_eq!(pay0[1].finalize().unwrap(), Value::Int(1));
     assert_eq!(
         (rows[1].0, rows[1].1, rows[1].2),
         (RecType::NdpAggregate, 2, Some(5))
     );
     let pay1 = rows[1].3.as_ref().unwrap();
     assert_eq!(
-        pay1[1].finalize(),
+        pay1[1].finalize().unwrap(),
         Value::Int(0),
         "no other visible rows in group 2"
     );

@@ -1757,10 +1757,8 @@ impl<'a> Binder<'a> {
                     .iter()
                     .map(|(c, v)| Ok((self.lower_expr(c, fr)?, self.lower_expr(v, fr)?)))
                     .collect::<Result<Vec<_>>>()?;
-                Ok(Expr::Case {
-                    branches: bs,
-                    else_: Box::new(self.lower_expr(else_, fr)?),
-                })
+                let else_ = self.lower_expr(else_, fr)?;
+                Expr::typed_case(bs, else_, &fr.dtypes()).map_err(|err| parse_err(e.pos, err))
             }
             ExprKind::ExtractYear(a) => {
                 let la = self.lower_expr(a, fr)?;
@@ -2028,10 +2026,24 @@ impl<'a> Binder<'a> {
                         ))
                     })
                     .collect::<Result<Vec<_>>>()?;
-                Ok(Expr::Case {
-                    branches: bs,
-                    else_: Box::new(self.lower_agg_expr(else_, fr, groups, set)?),
-                })
+                let else_ = self.lower_agg_expr(else_, fr, groups, set)?;
+                // Over the aggregation's output: its groups, then its
+                // aggregates.
+                let input = fr.dtypes();
+                let mut types = groups
+                    .iter()
+                    .map(|g| g.dtype(&input))
+                    .collect::<Result<Vec<_>>>()?;
+                if set.distinct.is_some() {
+                    types.push(DataType::BigInt);
+                }
+                for item in &set.items {
+                    let t = item.input.as_ref().map(|i| i.dtype(&input)).transpose()?;
+                    types.push(item.func.output_type(t).ok_or_else(|| {
+                        parse_err(e.pos, format!("{} of {t:?} has no type", item.func.name()))
+                    })?);
+                }
+                Expr::typed_case(bs, else_, &types).map_err(|err| parse_err(e.pos, err))
             }
             _ => Err(parse_err(
                 e.pos,

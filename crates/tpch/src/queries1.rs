@@ -443,7 +443,7 @@ pub fn q8_plan(db: &TaurusDb, _pq: Option<usize>) -> Result<Plan> {
         volume(3, 4),
         Expr::Case {
             branches: vec![(Expr::eq(Expr::col(19), Expr::str("BRAZIL")), volume(3, 4))],
-            else_: Box::new(Expr::dec("0.00")),
+            else_: Box::new(Expr::dec("0.0000")),
         },
     ]);
     let g = hash_agg(

@@ -116,7 +116,7 @@ pub fn q14_plan(db: &TaurusDb, pq: Option<usize>) -> Result<Plan> {
     let p = j.project(vec![
         Expr::Case {
             branches: vec![(Expr::like(Expr::col(4), "PROMO%"), volume(1, 2))],
-            else_: Box::new(Expr::dec("0.00")),
+            else_: Box::new(Expr::dec("0.0000")),
         },
         volume(1, 2),
     ]);

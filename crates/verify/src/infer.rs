@@ -7,9 +7,12 @@
 //! out of range, predicate columns the scanned index does not store,
 //! group/aggregate references the scan does not deliver (the paths that
 //! previously surfaced mid-execution as `Error::Internal`), key prefixes
-//! longer than the index key, and mismatched join-key arity. Type-level
-//! doubts (comparing a string to a number) are warnings: the runtime
-//! rejects those with a typed `Error::Type` of its own.
+//! longer than the index key, and mismatched join-key arity — and for an
+//! output that does not type (`TypeMismatch`: a projection, a group
+//! expression or an aggregate whose type `Expr::dtype` or
+//! `AggFunc::output_type` refuses, which the VM would not compile either).
+//! A predicate that compares across families is a warning: the VM refuses
+//! to compile it, with an `Error::Verify` of its own.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -290,21 +293,15 @@ fn infer(
         Plan::Project(p) => {
             let path = format!("{prefix}Project");
             let input = infer(&p.input, db, &format!("{path}/"), diags)?;
-            let mut ok = true;
             let mut out = Vec::with_capacity(p.exprs.len());
             for (i, e) in p.exprs.iter().enumerate() {
                 let what = format!("expr {i}");
-                ok &= check_expr_cols(
-                    e,
-                    input.len(),
-                    DiagKind::ColumnOutOfRange,
-                    &path,
-                    &what,
-                    diags,
-                );
-                out.push(expr_coltype(e, &input));
+                let kind = DiagKind::ColumnOutOfRange;
+                if check_expr_cols(e, input.len(), kind, &path, &what, diags) {
+                    out.extend(expr_coltype(e, &input, &path, diags));
+                }
             }
-            ok.then_some(out)
+            (out.len() == p.exprs.len()).then_some(out)
         }
         Plan::Filter(f) => {
             let path = format!("{prefix}Filter");
@@ -520,19 +517,21 @@ fn infer_hash_agg(
     };
     let input = input?;
     let dtypes: Vec<DataType> = input.iter().map(|c| c.dtype).collect();
-    let mut ok = true;
-    let mut out = Vec::with_capacity(a.group.len() + a.aggs.len());
+    let (mut ok, mut out) = (true, Vec::with_capacity(a.group.len() + a.aggs.len()));
     for (i, g) in a.group.iter().enumerate() {
         let what = format!("group expr {i}");
         ok &= check_expr_cols(g, input.len(), group_kind, &path, &what, diags);
-        out.push(expr_coltype(g, &input));
+        out.extend(ok.then(|| expr_coltype(g, &input, &path, diags)).flatten());
     }
     for (i, item) in a.aggs.iter().enumerate() {
         if let Some(e) = &item.input {
             let what = format!("aggregate {i} input");
             ok &= check_expr_cols(e, input.len(), input_kind, &path, &what, diags);
         }
-        out.push(agg_coltype(item, &dtypes));
+        out.extend(
+            ok.then(|| agg_coltype(item, &dtypes, &path, diags))
+                .flatten(),
+        );
     }
     let scan_agg = scan.and_then(|s| Some((s, s.ndp.as_ref()?.choice.aggregation.as_ref()?)));
     if let (Some((scan, pushed)), true) = (scan_agg, ok) {
@@ -543,7 +542,7 @@ fn infer_hash_agg(
             ok &= check_pushed_having(a, pushed, having, filter, index_ordered, &path, diags);
         }
     }
-    ok.then_some(out)
+    (ok && out.len() == a.group.len() + a.aggs.len()).then_some(out)
 }
 
 /// A scan-folding `HashAgg`'s pushed aggregation against its aggregates:
@@ -803,23 +802,62 @@ fn check_expr_cols(
     ok
 }
 
-fn expr_coltype(e: &Expr, input: &[ColType]) -> ColType {
+/// The type of `e` over `input`; one that does not type is a
+/// `TypeMismatch` error (the VM would not compile it).
+fn expr_coltype(
+    e: &Expr,
+    input: &[ColType],
+    path: &str,
+    diags: &mut Vec<Diagnostic>,
+) -> Option<ColType> {
     let dtypes: Vec<DataType> = input.iter().map(|c| c.dtype).collect();
-    let dtype = e.dtype(&dtypes).unwrap_or(DataType::BigInt);
+    let dtype = type_or_diag(e.dtype(&dtypes), path, diags)?;
     let nullable = match e {
         Expr::Col(i) => input.get(*i).is_none_or(|c| c.nullable),
         Expr::Lit(v) => v.is_null(),
         _ => true,
     };
-    ColType { dtype, nullable }
+    Some(ColType { dtype, nullable })
 }
 
-fn agg_coltype(item: &AggItem, input: &[DataType]) -> ColType {
-    let in_dt = item.input.as_ref().and_then(|e| e.dtype(input).ok());
-    ColType {
-        dtype: item.func.output_type(in_dt).unwrap_or(DataType::BigInt),
+/// The type of an aggregate's result over `input`: an input that does not
+/// type, or a function its input's type does not take (a SUM of dates),
+/// is a `TypeMismatch` error.
+fn agg_coltype(
+    item: &AggItem,
+    input: &[DataType],
+    path: &str,
+    diags: &mut Vec<Diagnostic>,
+) -> Option<ColType> {
+    let in_dt = match &item.input {
+        Some(e) => Some(type_or_diag(e.dtype(input), path, diags)?),
+        None => None,
+    };
+    let dtype = item.func.output_type(in_dt).or_else(|| {
+        let message = format!("{} over {in_dt:?} has no type", item.func.name());
+        diags.push(Diagnostic::error(DiagKind::TypeMismatch, path, message));
+        None
+    })?;
+    Some(ColType {
+        dtype,
         nullable: !matches!(item.func, AggFunc::CountStar | AggFunc::Count),
-    }
+    })
+}
+
+fn type_or_diag(
+    dtype: taurus_common::Result<DataType>,
+    path: &str,
+    diags: &mut Vec<Diagnostic>,
+) -> Option<DataType> {
+    dtype
+        .map_err(|e| {
+            diags.push(Diagnostic::error(
+                DiagKind::TypeMismatch,
+                path,
+                e.to_string(),
+            ))
+        })
+        .ok()
 }
 
 /// Comparability families: within a family the runtime can compare;

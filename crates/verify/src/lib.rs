@@ -11,10 +11,10 @@
 //!   carrying plan-path locations — the same defects that previously
 //!   surfaced mid-scan as `Error::Internal`.
 //! * [`check_ir`] — the shape of a scalar register IR program: the VM's
-//!   own validation, forward-only branches, every register written
-//!   before it is read, and (a warning) every `AND`/`OR`/`NOT` and branch
-//!   operand a truth value by the VM's own register typing
-//!   ([`taurus_expr::vm::truth_registers`]).
+//!   own validation, forward-only branches, and every register written
+//!   before it is read. Whether it types is the VM's to say: a program
+//!   whose registers do not type does not compile
+//!   ([`taurus_expr::vm::CompiledPredicate`]).
 //!
 //! The executor wires [`check_plan`] as a gate in front of plan lowering,
 //! in every build and once per statement (in `exec::run`, its one way
@@ -53,9 +53,7 @@ pub fn verify_plan(plan: &Plan, db: &TaurusDb) -> Vec<Diagnostic> {
 
 /// Check a scalar IR program's shape: the VM's structural validation
 /// (register/const/target bounds, trailing `Ret`), then forward-only
-/// branches and every register read written by an earlier instruction
-/// (errors), and every `AND`/`OR`/`NOT` and branch operand a truth value
-/// by the VM's register typing (warnings).
+/// branches and every register read written by an earlier instruction.
 pub fn check_ir(ir: &IrProgram, path: &str) -> Vec<Diagnostic> {
     if let Err(e) = ir.validate() {
         let message = format!("structural validation failed: {e}");
@@ -65,7 +63,6 @@ pub fn check_ir(ir: &IrProgram, path: &str) -> Vec<Diagnostic> {
     let error = |pc: usize, what: String| {
         Diagnostic::error(DiagKind::IrShape, path, format!("instr {pc}: {what}"))
     };
-    let truth = taurus_expr::vm::truth_registers(ir);
     let mut written = vec![false; ir.n_regs as usize];
     for (pc, ins) in ir.instrs.iter().enumerate() {
         let (dst, reads) = ins.regs();
@@ -83,18 +80,6 @@ pub fn check_ir(ir: &IrProgram, path: &str) -> Vec<Diagnostic> {
         {
             if target as usize <= pc {
                 diags.push(error(pc, format!("backward branch to {target}")));
-            }
-        }
-        let consumer = match *ins {
-            IrInstr::And { .. } | IrInstr::Or { .. } => "Kleene merge",
-            IrInstr::Not { .. } => "Not",
-            IrInstr::BrFalse { .. } | IrInstr::BrTrue { .. } => "branch",
-            _ => continue,
-        };
-        for r in reads.into_iter().flatten() {
-            if !truth[r as usize] {
-                let message = format!("instr {pc}: {consumer} consumes non-boolean r{r}");
-                diags.push(Diagnostic::warning(DiagKind::IrShape, path, message));
             }
         }
     }
@@ -174,8 +159,10 @@ mod tests {
     use taurus_expr::ir::{IrInstr, IrProgram};
     use taurus_expr::Expr;
 
+    use taurus_common::Error;
+    use taurus_expr::vm::CompiledPredicate;
+
     use super::check_ir;
-    use crate::diag::Severity;
 
     /// An OR of ANDs: each AND's result register is the merged boolean on
     /// its fall-through path and the constant 0 on its short-circuit exit,
@@ -197,9 +184,10 @@ mod tests {
         assert_eq!(check_ir(&ir, "t"), vec![]);
     }
 
-    /// A column is not a truth value: an OR over it warns.
+    /// A column is not a truth value: the program is well shaped, and an
+    /// OR over the column does not compile.
     #[test]
-    fn an_or_over_a_column_warns() {
+    fn an_or_over_a_column_does_not_compile() {
         let ir = IrProgram {
             instrs: vec![
                 IrInstr::LoadCol { dst: 0, col: 0 },
@@ -215,14 +203,9 @@ mod tests {
             consts: vec![],
             n_regs: 3,
         };
-        let diags = check_ir(&ir, "t");
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].severity, Severity::Warning);
-        assert!(
-            diags[0]
-                .message
-                .contains("Kleene merge consumes non-boolean r0"),
-            "{diags:?}"
-        );
+        assert_eq!(check_ir(&ir, "t"), vec![]);
+        let dtype = taurus_common::DataType::Varchar(8);
+        let err = CompiledPredicate::for_row_program(&ir, &[dtype]).err();
+        assert!(matches!(err, Some(Error::Verify(_))), "{err:?}");
     }
 }

@@ -11,8 +11,8 @@
 //! * every NDP descriptor those plans push: the descriptor must build,
 //!   its wire-encoded predicate, aggregate input and HAVING programs
 //!   must decode and pass `check_ir`, and the descriptor must compile
-//!   against the index's record layout as a Page Store compiles it, to
-//!   typed ops only (a generic op is a warning) — the same bytes a Page
+//!   against the index's record layout as a Page Store compiles it (a
+//!   program that does not type does not compile) — the same bytes a Page
 //!   Store would execute.
 //!
 //! CI runs `taurus-verify --all`; any error-severity diagnostic makes
@@ -184,32 +184,13 @@ fn check_descriptors(plan: &Plan, db: &TaurusDb, diags: &mut Vec<Diagnostic>, t:
             }
         }
         // Compiled against the index's record layout as a Page Store's
-        // descriptor cache compiles it: each program must compile, and
-        // to typed ops only.
-        let prepared = match CachedDescriptor::prepare(&desc.encode()) {
-            Ok(p) => p,
-            Err(e) => {
-                diags.push(Diagnostic::error(
-                    taurus_verify::DiagKind::IrShape,
-                    path,
-                    format!("NDP descriptor does not compile: {e}"),
-                ));
-                return;
-            }
-        };
-        let inputs = prepared.agg_inputs.iter().flatten();
-        let predicate = prepared.predicate.iter().map(|p| ("predicate", p));
-        let compiled = predicate
-            .chain(inputs.map(|p| ("aggregate input", p)))
-            .chain(prepared.having.iter().map(|p| ("pushed HAVING", p)));
-        for (what, program) in compiled.filter(|(_, p)| p.generic_ops() > 0) {
-            diags.push(Diagnostic::warning(
+        // descriptor cache compiles it: each program must compile, which
+        // is to say type.
+        if let Err(e) = CachedDescriptor::prepare(&desc.encode()) {
+            diags.push(Diagnostic::error(
                 taurus_verify::DiagKind::IrShape,
                 path,
-                format!(
-                    "descriptor {what} keeps {} generic op(s)",
-                    program.generic_ops()
-                ),
+                format!("NDP descriptor does not compile: {e}"),
             ));
         }
     });

@@ -181,7 +181,7 @@ fn oracle(
             }
         }
         let mut outputs = g.key.clone();
-        outputs.extend(states.iter().map(AggState::finalize));
+        outputs.extend(states.iter().map(|s| s.finalize().unwrap()));
         eval(having, &outputs).unwrap() != Value::Int(1)
     };
     let emit = |g: Group, emitted: &mut Vec<Vec<(usize, Vec<u8>)>>, stats: &mut PluginStats| {
@@ -1254,7 +1254,7 @@ fn sql_answer(cd: &CachedDescriptor, plain: &Plain, shipped: &[(bool, Page)]) ->
     groups
         .into_iter()
         .map(|(mut row, states)| {
-            row.extend(states.iter().map(AggState::finalize));
+            row.extend(states.iter().map(|s| s.finalize().unwrap()));
             row
         })
         .filter(|row| eval(having, row).unwrap() == Value::Int(1))

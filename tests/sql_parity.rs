@@ -936,10 +936,10 @@ fn k_value(row: &[Value], col: usize) -> Value {
     }
 }
 
-/// The groups of `key` over the generator rows, each its key values then
-/// `aggs` over its rows, in the engine's output order: by the
-/// `put_value16` encoding of the key values (equal encodings are one
-/// group), or by the key itself when `index_order`.
+/// The groups of `key` over the generator rows, each its first row's key
+/// values then `aggs` over its rows, in the engine's output order: by the
+/// `put_key16` encoding of the key values (SQL equality: equal encodings
+/// are one group), or by the key itself when `index_order`.
 fn k_oracle(
     key: &dyn Fn(&[Value]) -> Vec<Value>,
     aggs: &dyn Fn(&[&Row]) -> Vec<Value>,
@@ -952,7 +952,7 @@ fn k_oracle(
         let values = key(row);
         let mut enc = Vec::new();
         for v in &values {
-            taurus::common::codec::put_value16(&mut enc, v).unwrap();
+            taurus::common::codec::put_key16(&mut enc, v).unwrap();
         }
         groups
             .entry(enc)
@@ -1004,13 +1004,34 @@ fn k_aggs(rows: &[&Row]) -> Vec<Value> {
 }
 
 /// Every grouping query of the test, with its expected rows.
-fn k_queries() -> Vec<(String, String)> {
+/// [`fmt_rows`] with each row's first `keys` values, a group's, in the
+/// form SQL equality takes them: a string without its trailing spaces, a
+/// zero double unsigned. Which of a group's equal values it shows is the
+/// first its aggregation met, which with NDP on is a Page Store's
+/// carrier (the last of its group on the page) and, under a
+/// `COUNT(DISTINCT)`, the first group of the deduplicating level.
+fn fmt_keyed(rows: &[Row], keys: usize) -> String {
+    let rows: Vec<Row> = rows
+        .iter()
+        .map(|r| {
+            let key = r[..keys].iter().map(|v| match v {
+                Value::Str(s) => Value::str(s.trim_end_matches(' ')),
+                Value::Double(x) if *x == 0.0 => Value::Double(0.0),
+                v => v.clone(),
+            });
+            key.chain(r[keys..].iter().cloned()).collect()
+        })
+        .collect();
+    fmt_rows(&rows)
+}
+
+fn k_queries() -> Vec<(String, String, usize)> {
     let mut queries = Vec::new();
     let mut keyed = |names: Vec<&str>, cols: Vec<usize>| {
-        let list = names.join(", ");
+        let (list, n) = (names.join(", "), names.len());
         let sql = format!("select {list}, {K_AGGS} from k group by {list}");
         let key = move |r: &[Value]| cols.iter().map(|&c| k_value(r, c)).collect();
-        queries.push((sql, fmt_rows(&k_oracle(&key, &k_aggs, false))));
+        queries.push((sql, fmt_keyed(&k_oracle(&key, &k_aggs, false), n), n));
     };
     for (i, &(a, ca)) in K_COLS.iter().enumerate() {
         keyed(vec![a], vec![ca]);
@@ -1021,12 +1042,14 @@ fn k_queries() -> Vec<(String, String)> {
     let g_plus_1 = |r: &[Value]| vec![Value::Int(r[0].as_int().unwrap() + 1)];
     queries.push((
         format!("select g + 1, {K_AGGS} from k group by g + 1"),
-        fmt_rows(&k_oracle(&g_plus_1, &k_aggs, false)),
+        fmt_keyed(&k_oracle(&g_plus_1, &k_aggs, false), 1),
+        1,
     ));
     // A GROUP BY that follows the index: groups in index order.
     queries.push((
         format!("select g, {K_AGGS} from k group by g"),
-        fmt_rows(&k_oracle(&|r| vec![r[0].clone()], &k_aggs, true)),
+        fmt_keyed(&k_oracle(&|r| vec![r[0].clone()], &k_aggs, true), 1),
+        1,
     ));
     // COUNT(DISTINCT x): a deduplicating aggregation folds the scan,
     // keyed on `x`'s images beside the group's.
@@ -1038,7 +1061,7 @@ fn k_queries() -> Vec<(String, String)> {
                 .filter(|v| !v.is_null())
                 .map(|v| {
                     let mut enc = Vec::new();
-                    taurus::common::codec::put_value16(&mut enc, &v).unwrap();
+                    taurus::common::codec::put_key16(&mut enc, &v).unwrap();
                     enc
                 })
                 .collect();
@@ -1049,12 +1072,17 @@ fn k_queries() -> Vec<(String, String)> {
         let key_name = K_COLS.iter().find(|(_, c)| *c == key).unwrap().0;
         queries.push((
             format!("select {key_name}, count(distinct {name}) from k group by {key_name}"),
-            fmt_rows(&k_oracle(&|r| vec![k_value(r, key)], &distinct(col), false)),
+            fmt_keyed(
+                &k_oracle(&|r| vec![k_value(r, key)], &distinct(col), false),
+                1,
+            ),
+            1,
         ));
     }
     queries.push((
         "select count(distinct v) from k".into(),
-        fmt_rows(&k_oracle(&|_| Vec::new(), &distinct(3), false)),
+        fmt_keyed(&k_oracle(&|_| Vec::new(), &distinct(3), false), 0),
+        0,
     ));
     queries
 }
@@ -1085,9 +1113,10 @@ fn exchange_under(plan: Plan, degree: usize) -> Plan {
 }
 
 /// Each query's rows under `session`, serial and under an `Exchange(4)`,
-/// against the expected rows. Every query folds a scan.
-fn check_k_queries(session: &Session, queries: &[(String, String)], at: &str) {
-    for (sql, want) in queries {
+/// against the expected rows ([`fmt_keyed`]: a group's values as SQL
+/// equality takes them). Every query folds a scan.
+fn check_k_queries(session: &Session, queries: &[(String, String, usize)], at: &str) {
+    for (sql, want, keys) in queries {
         let taurus::sql::Statement::Select(select) = taurus::sql::parse(sql).unwrap() else {
             panic!("{sql}")
         };
@@ -1095,10 +1124,50 @@ fn check_k_queries(session: &Session, queries: &[(String, String)], at: &str) {
         let mut folded = 0;
         plan.for_each_scan(&mut |_, agg| folded += agg as usize);
         assert_eq!(folded, 1, "{sql}: {plan:?}");
-        let serial = fmt_rows(&session.execute_plan(&plan).unwrap());
+        let serial = fmt_keyed(&session.execute_plan(&plan).unwrap(), *keys);
         assert_eq!(&serial, want, "{at}, serial: {sql}");
-        let parallel = fmt_rows(&session.execute_plan(&exchange_under(plan, 4)).unwrap());
+        let plan = exchange_under(plan, 4);
+        let parallel = fmt_keyed(&session.execute_plan(&plan).unwrap(), *keys);
         assert_eq!(&parallel, want, "{at}, Exchange(4): {sql}");
+    }
+}
+
+/// A hash join matches keys as SQL equality does, as a lookup join's
+/// PAD SPACE index key does: a VARCHAR `'x'` matches `'x '` and `'x  '`,
+/// and a DOUBLE `0.0` matches `-0.0`. Over the first 60 rows of `k`,
+/// joined to themselves on `v` and on `f`, NDP off and on, against the
+/// pairs an oracle finds.
+#[test]
+fn hash_join_keys_match_as_sql_equality_does() {
+    let db = k_db(ClusterConfig::small_for_tests());
+    let rows: Vec<Row> = (0..60).map(k_row).collect();
+    for (col, name) in [(3, "v"), (4, "f")] {
+        let sql = format!(
+            "select a.id, b.id from k as a join k as b on a.{name} = b.{name} \
+             where a.id < 60 and b.id < 60 order by a.id, b.id"
+        );
+        let mut want = Vec::new();
+        for a in &rows {
+            for b in &rows {
+                if a[col].cmp_sql(&b[col]) == Some(std::cmp::Ordering::Equal) {
+                    want.push(vec![a[1].clone(), b[1].clone()]);
+                }
+            }
+        }
+        // Pairs whose images differ: `'x'` and `'x '`, `0.0` and `-0.0`.
+        let image = |id: &Value| format!("{:?}", rows[id.as_int().unwrap() as usize][col]);
+        let differ = want.iter().filter(|p| image(&p[0]) != image(&p[1])).count();
+        assert!(differ > 20, "{name}: {differ} pairs of unequal images");
+        for ndp in [false, true] {
+            let session = Session::new(&db).with_ndp(ndp);
+            let taurus::sql::Statement::Select(select) = taurus::sql::parse(&sql).unwrap() else {
+                panic!("{sql}")
+            };
+            let plan = taurus::sql::bind(&session, &select).unwrap();
+            assert!(format!("{plan:?}").contains("HashJoin"), "{plan:?}");
+            let got = session.execute_plan(&plan).unwrap();
+            assert_eq!(fmt_rows(&got), fmt_rows(&want), "ndp {ndp}: {sql}");
+        }
     }
 }
 
@@ -1109,8 +1178,10 @@ fn check_k_queries(session: &Session, queries: &[(String, String)], at: &str) {
 /// and in pairs, by `g + 1` and by the index's leading column, with
 /// COUNT, COUNT(DISTINCT), SUM, MIN and MAX: NDP off = on, at batch sizes
 /// 1, 7 and 1024, serial = `Exchange(4)`, = an oracle over the generator
-/// rows that groups by the `put_value16` encoding of the values and
-/// orders groups by it. A writer round then rewrites `b` and `pad` of
+/// rows that groups by SQL equality (`'x'` is `'x '`, `0.0` is `-0.0`: the
+/// `put_key16` encoding of the values) and orders groups by that
+/// encoding, a group's values compared as SQL equality takes them
+/// ([`fmt_keyed`]). A writer round then rewrites `b` and `pad` of
 /// random rows under a read view taken before it started: the records it
 /// touched come back ambiguous and are rebuilt from undo, and the rows
 /// are still the generator's.
@@ -1120,26 +1191,25 @@ fn folded_scans_key_groups_on_field_images() {
     assert_eq!(queries.len(), 6 + 15 + 2 + 4);
     let by_v = &queries
         .iter()
-        .find(|(q, _)| q.ends_with("group by v"))
+        .find(|(q, _, _)| q.ends_with("group by v"))
         .unwrap()
         .1;
-    assert_eq!(
-        by_v.lines().count(),
-        6,
-        "NULL, '', x, x  , x   and y: {by_v}"
-    );
+    // 'x', 'x ' and 'x  ' are one group, as SQL equality (PAD SPACE) has
+    // them.
+    assert_eq!(by_v.lines().count(), 4, "NULL, '', x and y: {by_v}");
     let by_f = &queries
         .iter()
-        .find(|(q, _)| q.ends_with("group by f"))
+        .find(|(q, _, _)| q.ends_with("group by f"))
         .unwrap()
         .1;
+    // 0.0 and -0.0 are one group.
     assert!(
-        by_f.contains("\n-0.0000|") && by_f.contains("\n0.0000|"),
+        by_f.contains("\n0.0000|") && !by_f.contains("\n-0.0000|"),
         "{by_f}"
     );
     let by_c = &queries
         .iter()
-        .find(|(q, _)| q.ends_with("group by c"))
+        .find(|(q, _, _)| q.ends_with("group by c"))
         .unwrap()
         .1;
     assert_eq!(by_c.lines().count(), 5, "NULL, '', a, ab and b: {by_c}");

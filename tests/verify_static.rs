@@ -181,9 +181,9 @@ fn pushed_out_of_range_is_pinned() {
 
 #[test]
 fn type_mismatch_is_a_warning_not_an_error() {
-    // l_shipdate (Date) compared against an integer literal: the runtime
-    // rejects this with a typed Error::Type, so the verifier only warns
-    // and the gate lets the plan through.
+    // l_shipdate (Date) compared against an integer literal: the VM
+    // refuses to compile it, with a typed `Error::Verify` of its own, so
+    // the verifier only warns and the gate lets the plan through.
     let plan = Plan::Scan(
         ScanNode::new("lineitem", vec![10])
             .with_predicate(vec![Expr::lt(Expr::col(10), Expr::lit(Value::Int(7)))]),
@@ -191,6 +191,35 @@ fn type_mismatch_is_a_warning_not_an_error() {
     let ks = kinds(&plan);
     assert!(ks.contains(&(DiagKind::TypeMismatch, Severity::Warning)));
     assert!(taurus::verify::check_plan(&plan, catalog()).is_ok());
+}
+
+/// A CASE whose values are a date and a string has no type (a register
+/// holds one class): the gate rejects the plan with a `TypeMismatch`
+/// error, before any operator opens.
+#[test]
+fn a_case_mixing_a_date_and_a_string_is_rejected() {
+    // l_quantity, l_shipdate and l_shipmode.
+    let case = Expr::Case {
+        branches: vec![(Expr::gt(Expr::col(0), Expr::int(5)), Expr::col(1))],
+        else_: Box::new(Expr::col(2)),
+    };
+    let plan = Plan::Scan(ScanNode::new("lineitem", vec![4, 10, 14])).project(vec![case]);
+    assert_rejected(&plan, DiagKind::TypeMismatch);
+}
+
+/// A descriptor whose predicate compares a CHAR field (`l_returnflag`)
+/// with an integer does not type: a Page Store refuses to prepare it,
+/// with a typed error, not an internal one.
+#[test]
+fn a_descriptor_predicate_that_does_not_type_is_refused() {
+    let table = catalog().table("lineitem").unwrap();
+    let choice = NdpChoice {
+        predicate: Some(Expr::eq(Expr::col(8), Expr::int(1))),
+        ..Default::default()
+    };
+    let descriptor = taurus::ndp::build_descriptor(&table.primary, &choice, u64::MAX).unwrap();
+    let err = taurus::pagestore::CachedDescriptor::prepare(&descriptor.encode()).err();
+    assert!(matches!(err, Some(Error::Verify(_))), "{err:?}");
 }
 
 /// A bounds-valid program that reads a register nothing ever wrote.
