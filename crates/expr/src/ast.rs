@@ -408,19 +408,15 @@ impl Expr {
                     unary(c, &truth)?;
                     types.push(v.typed(input)?);
                 }
-                let joined = types.iter().try_fold(None, |a, &b| join_types(a, b))?;
                 // The binder converts each value to the join
                 // ([`Expr::typed_case`]): a register holds one class.
-                let class = joined.map_or(Ty::Null, Ty::of_dtype);
-                if let Some(t) = types
-                    .into_iter()
-                    .flatten()
-                    .find(|&t| Ty::of_dtype(t) != class)
-                {
-                    let message = format!("{self}: a value of type {t:?} is not a {joined:?}");
-                    return Err(Error::Type(message));
-                }
-                joined
+                let classes: Vec<Ty> = types
+                    .iter()
+                    .map(|t| t.map_or(Ty::Null, Ty::of_dtype))
+                    .collect();
+                let one = classes.iter().try_fold(Ty::Null, |a, &b| a.join(b));
+                one.ok_or_else(|| fail(&classes))?;
+                types.into_iter().try_fold(None, join_types)?
             }
             Expr::ExtractYear(a) => unary(a, &vm::year_ty)?.dtype(),
             Expr::Substr { expr, len, .. } => unary(expr, &vm::text_ty)?
@@ -492,17 +488,19 @@ impl Expr {
 
 /// The type CASE values of types `a` and `b` join to (`None`: NULL on
 /// every row). NULL is the identity; integers and decimals join to a
-/// decimal at the widest scale, any number and a double to a double, CHAR
-/// and VARCHAR to VARCHAR; any other mix is an [`Error::Type`].
+/// decimal at the widest scale, any number and a double to a double, strings
+/// to a VARCHAR of the wider width; any other mix is an [`Error::Type`].
 pub fn join_types(a: Option<DataType>, b: Option<DataType>) -> Result<Option<DataType>> {
     let (Some(a), Some(b)) = (a, b) else {
         return Ok(a.or(b));
     };
+    use DataType::{Char, Varchar};
     let (ta, tb) = (Ty::of_dtype(a), Ty::of_dtype(b));
-    let joined = match (ta.dec_scale(), tb.dec_scale()) {
+    let joined = match ((a, b), ta.dec_scale(), tb.dec_scale()) {
         _ if a == b => return Ok(Some(a)),
+        ((Char(n) | Varchar(n), Char(m) | Varchar(m)), ..) => return Ok(Some(Varchar(n.max(m)))),
         _ if ta == tb => ta,
-        (Some(s), Some(t)) => Ty::Dec(s.max(t)),
+        (_, Some(s), Some(t)) => Ty::Dec(s.max(t)),
         _ if ta.numeric() && tb.numeric() => Ty::F64,
         _ => return Err(Error::Type(format!("CASE mixes {a:?} and {b:?}"))),
     };
@@ -512,7 +510,7 @@ pub fn join_types(a: Option<DataType>, b: Option<DataType>) -> Result<Option<Dat
 /// `e`, of type `from`, as a value of type `to`, which its type joins to
 /// (`None`: NULL on every row, which needs none): unchanged where the
 /// two are of one class, a literal converted, any other value times 1 at
-/// `to`'s scale or times `1e0`.
+/// `to`'s scale (an integer at scale 0 too) or times `1e0`.
 fn convert(from: Option<DataType>, e: Expr, to: Option<DataType>) -> Result<Expr> {
     let (Some(from), Some(to)) = (from, to) else {
         return Ok(e);
@@ -526,7 +524,7 @@ fn convert(from: Option<DataType>, e: Expr, to: Option<DataType>) -> Result<Expr
             (Some(_), Expr::Lit(v)) => {
                 Expr::Lit(Value::Decimal(v.as_dec()?.checked_add(Dec::new(0, t))?))
             }
-            (Some(s), e) if s < t => {
+            (Some(s), e) if s < t || tf.int() => {
                 let one = Dec::new(10i128.pow((t - s) as u32), t - s);
                 Expr::mul(e, Expr::Lit(Value::Decimal(one)))
             }

@@ -198,7 +198,7 @@ impl Ty {
         matches!(self, Ty::Null | Ty::Bool | Ty::Int)
     }
 
-    fn int(self) -> bool {
+    pub(crate) fn int(self) -> bool {
         matches!(self, Ty::Bool | Ty::Int)
     }
 

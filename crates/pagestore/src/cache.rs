@@ -147,8 +147,9 @@ impl CachedDescriptor {
 
 /// The types of a group's outputs a pushed HAVING reads: its group
 /// columns', then each aggregate's final value's, by the type of its
-/// input (`inputs`: the compiled programs, `None` for COUNT(*)). An
-/// aggregate without a type (a SUM of dates) is [`Error::Verify`].
+/// input: a bare column's declared type, or the result type of its
+/// compiled program (`inputs`, `None` for COUNT(*)). An aggregate
+/// without a type (a SUM of dates) is [`Error::Verify`].
 fn having_input(
     layout: &RecordLayout,
     agg: &NdpAggSpec,
@@ -159,7 +160,12 @@ fn having_input(
         .iter()
         .map(|&g| Ok(layout.dtypes[g as usize]));
     let finals = agg.specs.iter().zip(inputs).map(|(s, input)| {
-        let dtype = input.as_ref().and_then(CompiledPredicate::result_type);
+        let dtype = match s.input {
+            AggInput::Col(c) => Some(layout.dtypes[c as usize]),
+            AggInput::Star | AggInput::Program(_) => {
+                input.as_ref().and_then(CompiledPredicate::result_type)
+            }
+        };
         s.func
             .output_type(dtype)
             .ok_or_else(|| Error::Verify(format!("{} over {dtype:?} has no type", s.func.name())))

@@ -804,32 +804,39 @@ fn typed_programs_agree_with_the_tree_walker_on_typed_columns() {
 /// non-NULL value `eval` returns, decimal scale included: over random
 /// expressions (CASE among them), every binary arithmetic between two
 /// columns (an integer over a decimal among them), and a CASE over every
-/// two columns whose types join, its values converted to the join
-/// (`Expr::typed_case`, as the binder writes it). `AggFunc::output_type`
-/// gives the type of what `AggState::finalize` returns after a state
-/// typed by its input's type folds drawn values of that type, for each
-/// function and column type (a decimal at scale 0 too), within `i64`; a
-/// sum past it fails.
+/// two columns whose types join (a decimal at scale 0 among them), its
+/// values converted to the join (`Expr::typed_case`, as the binder writes
+/// it). `AggFunc::output_type` gives the type of what
+/// `AggState::finalize` returns after a state typed by its input's type
+/// folds drawn values of that type, for each function and column type (a
+/// decimal at scale 0 too), within `i64`; a sum past it fails.
 #[test]
 fn plan_types_are_the_types_values_have() {
     let mut draw = Draw(0x3c6e_f372_fe94_f82b);
+    // The typed columns and a decimal at scale 0, which an integer joins
+    // to at its own scale.
+    let mut columns = TYPED_COLUMNS.to_vec();
+    columns.push(DataType::Decimal {
+        precision: 18,
+        scale: 0,
+    });
     let rows: Vec<Vec<Value>> = (0..24)
-        .map(|_| TYPED_COLUMNS.iter().map(|&t| draw.of_type(t)).collect())
+        .map(|_| columns.iter().map(|&t| draw.of_type(t)).collect())
         .collect();
-    let n = TYPED_COLUMNS.len();
+    let n = columns.len();
     let arith = [Expr::add, Expr::sub, Expr::mul, Expr::div];
     let pairs = (0..n)
         .flat_map(|a| (0..n).flat_map(move |b| arith.map(|op| op(Expr::col(a), Expr::col(b)))));
     let mut cases = Vec::new();
-    for (a, &ta) in TYPED_COLUMNS.iter().enumerate() {
-        for (b, &tb) in TYPED_COLUMNS.iter().enumerate() {
+    for (a, &ta) in columns.iter().enumerate() {
+        for (b, &tb) in columns.iter().enumerate() {
             let (ta, tb) = (Some(ta), Some(tb));
             let branches = vec![(Expr::lt(Expr::col(0), Expr::int(0)), Expr::col(a))];
-            let case = Expr::typed_case(branches, Expr::col(b), &TYPED_COLUMNS);
+            let case = Expr::typed_case(branches, Expr::col(b), &columns);
             match taurus::expr::ast::join_types(ta, tb) {
                 Ok(Some(joined)) => {
                     let case = case.unwrap_or_else(|e| panic!("{ta:?} and {tb:?}: {e}"));
-                    assert_eq!(case.dtype(&TYPED_COLUMNS).unwrap(), joined, "{case}");
+                    assert_eq!(case.dtype(&columns).unwrap(), joined, "{case}");
                     cases.push(case);
                 }
                 _ => assert!(case.is_err(), "{ta:?} and {tb:?} do not join"),
@@ -839,7 +846,7 @@ fn plan_types_are_the_types_values_have() {
     let drawn: Vec<Expr> = (0..3000).map(|_| draw.expr(4)).collect();
     let (mut checked, mut case_values) = (0, 0);
     for e in drawn.into_iter().chain(pairs).chain(cases) {
-        let Ok(dtype) = e.dtype(&TYPED_COLUMNS) else {
+        let Ok(dtype) = e.dtype(&columns) else {
             continue;
         };
         let mut case = false;
@@ -863,11 +870,11 @@ fn plan_types_are_the_types_values_have() {
         "{checked}, {case_values}"
     );
 
-    let mut types = TYPED_COLUMNS.to_vec();
-    types.push(DataType::Decimal {
-        precision: 18,
-        scale: 0,
-    });
+    // Two strings join to a VARCHAR as wide as the wider.
+    assert_eq!(
+        taurus::expr::ast::join_types(Some(DataType::Char(4)), Some(DataType::Varchar(6))).unwrap(),
+        Some(DataType::Varchar(6))
+    );
     let funcs = [
         AggFunc::CountStar,
         AggFunc::Count,
@@ -875,7 +882,7 @@ fn plan_types_are_the_types_values_have() {
         AggFunc::Min,
         AggFunc::Max,
     ];
-    for t in types {
+    for t in columns {
         for func in funcs {
             let mut state = AggState::new(func, Some(t));
             for _ in 0..16 {

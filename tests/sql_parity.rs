@@ -4,6 +4,7 @@
 //! `Error::Parse` before any operator opens. The §VII-A micro-benchmark's
 //! COUNT(*) scans are held to their registry plans the same way.
 
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -842,9 +843,9 @@ fn tpch_values_have_their_inferred_column_types() {
 /// Each value column is NULL in some rows: `c` a CHAR(4) holding values
 /// with and without trailing blanks (its padding makes "a" and "a  " one
 /// value) and `''`; `v` a VARCHAR(8) with trailing spaces ("x", "x ",
-/// "x  " are three values) and `''`; `f` a DOUBLE with `0.0` and `-0.0`
-/// (two values: they differ in their bits, as every key encoding of the
-/// engine says); `d` a DECIMAL(10, 2), `t` a DATE and `b` a BIGINT.
+/// "x  ": three images of one value under SQL equality's PAD SPACE) and
+/// `''`; `f` a DOUBLE with `0.0` and `-0.0` (two images of one value);
+/// `d` a DECIMAL(10, 2), `t` a DATE and `b` a BIGINT.
 const K_ROWS: i64 = 4000;
 
 fn k_row(id: i64) -> Row {
@@ -936,15 +937,33 @@ fn k_value(row: &[Value], col: usize) -> Value {
     }
 }
 
-/// The groups of `key` over the generator rows, each its first row's key
-/// values then `aggs` over its rows, in the engine's output order: by the
-/// `put_key16` encoding of the key values (SQL equality: equal encodings
-/// are one group), or by the key itself when `index_order`.
+/// A grouping query of `k` and what it returns.
+struct KQuery {
+    sql: String,
+    /// Each group's key values as its first generator row (in scan
+    /// order) has them, then its aggregates.
+    want: Vec<Row>,
+    /// Each group's images of each key value among its rows
+    /// (`Debug`-printed).
+    images: Vec<Vec<BTreeSet<String>>>,
+    /// How many leading columns are the group's key values.
+    keys: usize,
+    /// Does a group show its first record's key values with NDP off?
+    /// Not under a COUNT(DISTINCT), whose deduplicating level hands its
+    /// (group, value) pairs up in key order.
+    first_record: bool,
+}
+
+/// The groups of `key` over the generator rows, in the engine's output
+/// order: by the `put_key16` encoding of the key values (SQL equality:
+/// equal encodings are one group), or by the key itself when
+/// `index_order`. Each is its first row's key values then `aggs` over
+/// its rows, beside the images each key value has among its rows.
 fn k_oracle(
     key: &dyn Fn(&[Value]) -> Vec<Value>,
     aggs: &dyn Fn(&[&Row]) -> Vec<Value>,
     index_order: bool,
-) -> Vec<Row> {
+) -> (Vec<Row>, Vec<Vec<BTreeSet<String>>>) {
     let rows: Vec<Row> = (0..K_ROWS).map(k_row).collect();
     let mut groups: std::collections::BTreeMap<Vec<u8>, (Vec<Value>, Vec<&Row>)> =
         Default::default();
@@ -960,17 +979,20 @@ fn k_oracle(
             .1
             .push(row);
     }
-    let mut out: Vec<Row> = groups
+    let mut out: Vec<(Row, Vec<BTreeSet<String>>)> = groups
         .into_values()
         .map(|(mut values, members)| {
+            let images = (0..values.len())
+                .map(|i| members.iter().map(|r| format!("{:?}", key(r)[i])).collect())
+                .collect();
             values.extend(aggs(&members));
-            values
+            (values, images)
         })
         .collect();
     if index_order {
-        out.sort_by(|a, b| a[0].cmp_total(&b[0]));
+        out.sort_by(|a, b| a.0[0].cmp_total(&b.0[0]));
     }
-    out
+    out.into_iter().unzip()
 }
 
 /// [`K_AGGS`] over a group's generator rows.
@@ -1003,13 +1025,9 @@ fn k_aggs(rows: &[&Row]) -> Vec<Value> {
     ]
 }
 
-/// Every grouping query of the test, with its expected rows.
 /// [`fmt_rows`] with each row's first `keys` values, a group's, in the
 /// form SQL equality takes them: a string without its trailing spaces, a
-/// zero double unsigned. Which of a group's equal values it shows is the
-/// first its aggregation met, which with NDP on is a Page Store's
-/// carrier (the last of its group on the page) and, under a
-/// `COUNT(DISTINCT)`, the first group of the deduplicating level.
+/// zero double unsigned.
 fn fmt_keyed(rows: &[Row], keys: usize) -> String {
     let rows: Vec<Row> = rows
         .iter()
@@ -1025,13 +1043,23 @@ fn fmt_keyed(rows: &[Row], keys: usize) -> String {
     fmt_rows(&rows)
 }
 
-fn k_queries() -> Vec<(String, String, usize)> {
+/// Every grouping query of the test.
+fn k_queries() -> Vec<KQuery> {
     let mut queries = Vec::new();
+    let mut push = |sql: String, (want, images), keys, first_record| {
+        queries.push(KQuery {
+            sql,
+            want,
+            images,
+            keys,
+            first_record,
+        })
+    };
     let mut keyed = |names: Vec<&str>, cols: Vec<usize>| {
         let (list, n) = (names.join(", "), names.len());
         let sql = format!("select {list}, {K_AGGS} from k group by {list}");
         let key = move |r: &[Value]| cols.iter().map(|&c| k_value(r, c)).collect();
-        queries.push((sql, fmt_keyed(&k_oracle(&key, &k_aggs, false), n), n));
+        push(sql, k_oracle(&key, &k_aggs, false), n, true);
     };
     for (i, &(a, ca)) in K_COLS.iter().enumerate() {
         keyed(vec![a], vec![ca]);
@@ -1040,17 +1068,19 @@ fn k_queries() -> Vec<(String, String, usize)> {
         }
     }
     let g_plus_1 = |r: &[Value]| vec![Value::Int(r[0].as_int().unwrap() + 1)];
-    queries.push((
+    push(
         format!("select g + 1, {K_AGGS} from k group by g + 1"),
-        fmt_keyed(&k_oracle(&g_plus_1, &k_aggs, false), 1),
+        k_oracle(&g_plus_1, &k_aggs, false),
         1,
-    ));
+        true,
+    );
     // A GROUP BY that follows the index: groups in index order.
-    queries.push((
+    push(
         format!("select g, {K_AGGS} from k group by g"),
-        fmt_keyed(&k_oracle(&|r| vec![r[0].clone()], &k_aggs, true), 1),
+        k_oracle(&|r| vec![r[0].clone()], &k_aggs, true),
         1,
-    ));
+        true,
+    );
     // COUNT(DISTINCT x): a deduplicating aggregation folds the scan,
     // keyed on `x`'s images beside the group's.
     let distinct = |col: usize| {
@@ -1070,20 +1100,19 @@ fn k_queries() -> Vec<(String, String, usize)> {
     };
     for (key, (name, col)) in [(2usize, ("v", 3usize)), (7, ("f", 4)), (4, ("c", 2))] {
         let key_name = K_COLS.iter().find(|(_, c)| *c == key).unwrap().0;
-        queries.push((
+        push(
             format!("select {key_name}, count(distinct {name}) from k group by {key_name}"),
-            fmt_keyed(
-                &k_oracle(&|r| vec![k_value(r, key)], &distinct(col), false),
-                1,
-            ),
+            k_oracle(&|r| vec![k_value(r, key)], &distinct(col), false),
             1,
-        ));
+            false,
+        );
     }
-    queries.push((
+    push(
         "select count(distinct v) from k".into(),
-        fmt_keyed(&k_oracle(&|_| Vec::new(), &distinct(3), false), 0),
+        k_oracle(&|_| Vec::new(), &distinct(3), false),
         0,
-    ));
+        false,
+    );
     queries
 }
 
@@ -1113,10 +1142,17 @@ fn exchange_under(plan: Plan, degree: usize) -> Plan {
 }
 
 /// Each query's rows under `session`, serial and under an `Exchange(4)`,
-/// against the expected rows ([`fmt_keyed`]: a group's values as SQL
-/// equality takes them). Every query folds a scan.
-fn check_k_queries(session: &Session, queries: &[(String, String, usize)], at: &str) {
-    for (sql, want, keys) in queries {
+/// against the expected rows. Every query folds a scan. With NDP off a
+/// group shows its first record's key values, so the rows are the
+/// oracle's exactly. With NDP on a page's group reaches the SQL node as
+/// its carrier, the last visible record of the group on the page
+/// (§V-C), and a COUNT(DISTINCT) group shows its first (group, value)
+/// pair's: there the rows are the oracle's with key values compared as
+/// SQL equality takes them ([`fmt_keyed`]), and each key value shown is
+/// an image the group's rows have.
+fn check_k_queries(session: &Session, queries: &[KQuery], ndp: bool, at: &str) {
+    for q in queries {
+        let sql = &q.sql;
         let taurus::sql::Statement::Select(select) = taurus::sql::parse(sql).unwrap() else {
             panic!("{sql}")
         };
@@ -1124,11 +1160,22 @@ fn check_k_queries(session: &Session, queries: &[(String, String, usize)], at: &
         let mut folded = 0;
         plan.for_each_scan(&mut |_, agg| folded += agg as usize);
         assert_eq!(folded, 1, "{sql}: {plan:?}");
-        let serial = fmt_keyed(&session.execute_plan(&plan).unwrap(), *keys);
-        assert_eq!(&serial, want, "{at}, serial: {sql}");
-        let plan = exchange_under(plan, 4);
-        let parallel = fmt_keyed(&session.execute_plan(&plan).unwrap(), *keys);
-        assert_eq!(&parallel, want, "{at}, Exchange(4): {sql}");
+        let parallel = exchange_under(plan.clone(), 4);
+        for (plan, how) in [(plan, "serial"), (parallel, "Exchange(4)")] {
+            let got = session.execute_plan(&plan).unwrap();
+            let at = format!("{at}, {how}: {sql}");
+            if q.first_record && !ndp {
+                assert_eq!(fmt_rows(&got), fmt_rows(&q.want), "{at}");
+                continue;
+            }
+            assert_eq!(fmt_keyed(&got, q.keys), fmt_keyed(&q.want, q.keys), "{at}");
+            for (row, images) in got.iter().zip(&q.images) {
+                for (v, seen) in row.iter().zip(images) {
+                    let v = format!("{v:?}");
+                    assert!(seen.contains(&v), "{at}: {v} is none of {seen:?}");
+                }
+            }
+        }
     }
 }
 
@@ -1179,9 +1226,10 @@ fn hash_join_keys_match_as_sql_equality_does() {
 /// COUNT, COUNT(DISTINCT), SUM, MIN and MAX: NDP off = on, at batch sizes
 /// 1, 7 and 1024, serial = `Exchange(4)`, = an oracle over the generator
 /// rows that groups by SQL equality (`'x'` is `'x '`, `0.0` is `-0.0`: the
-/// `put_key16` encoding of the values) and orders groups by that
-/// encoding, a group's values compared as SQL equality takes them
-/// ([`fmt_keyed`]). A writer round then rewrites `b` and `pad` of
+/// `put_key16` encoding of the values), orders groups by that encoding
+/// and shows a group's first row's key values ([`check_k_queries`] says
+/// where a group shows another of its images). A writer round then
+/// rewrites `b` and `pad` of
 /// random rows under a read view taken before it started: the records it
 /// touched come back ambiguous and are rebuilt from undo, and the rows
 /// are still the generator's.
@@ -1189,29 +1237,21 @@ fn hash_join_keys_match_as_sql_equality_does() {
 fn folded_scans_key_groups_on_field_images() {
     let queries = k_queries();
     assert_eq!(queries.len(), 6 + 15 + 2 + 4);
-    let by_v = &queries
-        .iter()
-        .find(|(q, _, _)| q.ends_with("group by v"))
-        .unwrap()
-        .1;
+    let rows_of = |tail: &str| {
+        let q = queries.iter().find(|q| q.sql.ends_with(tail)).unwrap();
+        fmt_rows(&q.want)
+    };
     // 'x', 'x ' and 'x  ' are one group, as SQL equality (PAD SPACE) has
     // them.
+    let by_v = rows_of("group by v");
     assert_eq!(by_v.lines().count(), 4, "NULL, '', x and y: {by_v}");
-    let by_f = &queries
-        .iter()
-        .find(|(q, _, _)| q.ends_with("group by f"))
-        .unwrap()
-        .1;
     // 0.0 and -0.0 are one group.
+    let by_f = rows_of("group by f");
     assert!(
         by_f.contains("\n0.0000|") && !by_f.contains("\n-0.0000|"),
         "{by_f}"
     );
-    let by_c = &queries
-        .iter()
-        .find(|(q, _, _)| q.ends_with("group by c"))
-        .unwrap()
-        .1;
+    let by_c = rows_of("group by c");
     assert_eq!(by_c.lines().count(), 5, "NULL, '', a, ab and b: {by_c}");
     for batch_rows in [1, 7, 1024] {
         let mut cfg = ClusterConfig::small_for_tests();
@@ -1225,6 +1265,7 @@ fn folded_scans_key_groups_on_field_images() {
             check_k_queries(
                 &session,
                 &queries,
+                ndp,
                 &format!("batch {batch_rows}, ndp {ndp}"),
             );
         }
@@ -1280,7 +1321,7 @@ fn folded_scans_key_groups_on_field_images() {
     let before = db.metrics().snapshot();
     for ndp in [true, false] {
         session.set_ndp(ndp);
-        check_k_queries(&session, &queries, &format!("writer round, ndp {ndp}"));
+        check_k_queries(&session, &queries, ndp, &format!("writer round, ndp {ndp}"));
     }
     stop.store(true, Ordering::Relaxed);
     let commits = writer.join().unwrap();
